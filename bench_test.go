@@ -14,7 +14,8 @@
 //	BenchmarkLinkage       — A2 linkage ablation
 //
 // Absolute wall-clock numbers are simulator-dependent; the custom metrics
-// are the reproduction targets (see EXPERIMENTS.md for paper-vs-measured).
+// are the reproduction targets (bench/README.md holds the measured numbers;
+// a paper-vs-measured table is ROADMAP item 4).
 package fedclust_test
 
 import (

@@ -4,7 +4,10 @@
 // fixed-k, distance threshold, largest gap, and the silhouette-parsimony
 // cut that frees FedClust from a predefined cluster count — external
 // cluster-quality metrics (ARI, NMI, purity), k-means, and the spectral
-// bipartition used by CFL.
+// bipartition used by CFL. Agglomerate and CutBestSilhouette, the server
+// side of FedClust's one-shot formation, are quadratic in the number of
+// clients (DESIGN.md §14); their cubic predecessors live on in
+// oracle_test.go as the oracles they are tested against.
 package cluster
 
 import (
@@ -63,76 +66,103 @@ type Dendrogram struct {
 // Agglomerate runs agglomerative hierarchical clustering on a symmetric
 // n×n proximity matrix using the Lance-Williams update for the chosen
 // linkage. The input matrix is not modified. It panics on non-square
-// input. A 0- or 1-point input yields an empty merge list.
+// input and on a NaN or infinite entry. A 0- or 1-point input yields an
+// empty merge list.
+//
+// Every step merges the globally closest active pair, the
+// lexicographically first (i, j), i < j, on ties. The pair comes from a
+// cached first minimum per row over active j > i, so a step is O(n) plus
+// an O(n) rescan per row whose cached neighbour was merged away: O(n²)
+// overall on all but adversarial inputs, with the merge order and the
+// arithmetic of a full O(n²) scan per step, bit for bit.
 func Agglomerate(dist *tensor.Tensor, linkage Linkage) *Dendrogram {
 	if len(dist.Shape) != 2 || dist.Shape[0] != dist.Shape[1] {
 		panic(fmt.Sprintf("cluster: Agglomerate requires a square matrix, got %v", dist.Shape))
 	}
+	if linkage < Single || linkage > Ward {
+		panic(fmt.Sprintf("cluster: unknown linkage %d", int(linkage)))
+	}
 	n := dist.Shape[0]
+	for p, v := range dist.Data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			panic(fmt.Sprintf("cluster: non-finite distance d[%d][%d]=%v", p/n, p%n, v))
+		}
+	}
 	den := &Dendrogram{N: n}
 	if n < 2 {
 		return den
 	}
-	// Working distance matrix, active flags, cluster sizes, and the
-	// current cluster id held at each slot.
-	d := dist.Clone()
-	active := make([]bool, n)
-	size := make([]int, n)
-	id := make([]int, n)
-	for i := 0; i < n; i++ {
-		active[i] = true
-		size[i] = 1
-		id[i] = i
+	// Working distance matrix (row-major) and, per slot: cluster size (0
+	// once merged away), current cluster id, cached nearest neighbour.
+	d := append([]float64(nil), dist.Data...)
+	den.Merges = make([]Merge, 0, n-1)
+	size, id, nn, nd := make([]int, n), make([]int, n), make([]int, n), make([]float64, n)
+	for i := range size {
+		size[i], id[i] = 1, i
 	}
-	nextID := n
-	for step := 0; step < n-1; step++ {
-		// Find the closest active pair.
-		bi, bj, best := -1, -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if !active[i] {
-				continue
-			}
-			for j := i + 1; j < n; j++ {
-				if !active[j] {
-					continue
-				}
-				if v := d.At(i, j); v < best {
-					best, bi, bj = v, i, j
-				}
+	// rescan recomputes row i's first minimum over active j > i.
+	rescan := func(i int) {
+		nn[i], nd[i] = -1, math.Inf(1)
+		row := d[i*n : (i+1)*n]
+		for j := i + 1; j < n; j++ {
+			if v := row[j]; size[j] > 0 && v < nd[i] {
+				nn[i], nd[i] = j, v
 			}
 		}
+	}
+	for i := range size {
+		rescan(i)
+	}
+	for step := 0; step < n-1; step++ {
+		// The closest active pair: the first row holding the smallest
+		// cached distance, and that row's first minimum.
+		bi, best := -1, math.Inf(1)
+		for i, v := range nd {
+			if size[i] > 0 && v < best {
+				bi, best = i, v
+			}
+		}
+		if bi < 0 {
+			panic("cluster: distances overflowed during agglomeration")
+		}
+		bj := nn[bi]
 		// Merge slot bj into slot bi; bi now holds the new cluster.
+		merged := size[bi] + size[bj]
+		den.Merges = append(den.Merges, Merge{A: id[bi], B: id[bj], Distance: best, Size: merged})
 		ni, nj := float64(size[bi]), float64(size[bj])
+		size[bj] = 0
+		ri, rj := d[bi*n:(bi+1)*n], d[bj*n:(bj+1)*n]
 		for k := 0; k < n; k++ {
-			if !active[k] || k == bi || k == bj {
+			if size[k] == 0 || k == bi {
 				continue
 			}
-			dik, djk := d.At(bi, k), d.At(bj, k)
-			var nd float64
+			dik, djk := ri[k], rj[k]
+			var v float64
 			switch linkage {
 			case Single:
-				nd = math.Min(dik, djk)
+				v = math.Min(dik, djk)
 			case Complete:
-				nd = math.Max(dik, djk)
+				v = math.Max(dik, djk)
 			case Average:
-				nd = (ni*dik + nj*djk) / (ni + nj)
+				v = (ni*dik + nj*djk) / (ni + nj)
 			case Ward:
 				nk := float64(size[k])
 				tot := ni + nj + nk
-				nd = math.Sqrt(((ni+nk)*dik*dik + (nj+nk)*djk*djk - nk*best*best) / tot)
-			default:
-				panic(fmt.Sprintf("cluster: unknown linkage %d", int(linkage)))
+				v = math.Sqrt(((ni+nk)*dik*dik + (nj+nk)*djk*djk - nk*best*best) / tot)
 			}
-			d.Set(nd, bi, k)
-			d.Set(nd, k, bi)
+			ri[k], d[k*n+bi] = v, v
+			// Row k's cache sees column bi change (k < bi) and column bj
+			// vanish (k < bj); rows past bj see neither.
+			switch {
+			case k > bj:
+			case nn[k] == bi || nn[k] == bj:
+				rescan(k)
+			case k < bi && (v < nd[k] || (v == nd[k] && bi < nn[k])):
+				nn[k], nd[k] = bi, v
+			}
 		}
-		den.Merges = append(den.Merges, Merge{
-			A: id[bi], B: id[bj], Distance: best, Size: size[bi] + size[bj],
-		})
-		size[bi] += size[bj]
-		id[bi] = nextID
-		nextID++
-		active[bj] = false
+		rescan(bi)
+		size[bi], id[bi] = merged, n+step
 	}
 	return den
 }
@@ -221,35 +251,32 @@ func (den *Dendrogram) assignAfter(applied int) []int {
 	if applied > len(den.Merges) {
 		applied = len(den.Merges)
 	}
-	parent := make(map[int]int, den.N+applied)
-	var find func(x int) int
-	find = func(x int) int {
-		p, ok := parent[x]
-		if !ok || p == x {
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
+	// Union-find over leaf and merge ids: parent[x] == x marks a root,
+	// label[r] is the label handed to root r (-1 until a leaf reaches it).
+	parent, label := make([]int, den.N+applied), make([]int, den.N+applied)
+	for x := range parent {
+		parent[x], label[x] = x, -1
 	}
-	for i := 0; i < applied; i++ {
-		m := den.Merges[i]
-		newID := den.N + i
-		parent[find(m.A)] = newID
-		parent[find(m.B)] = newID
+	find := func(x int) int {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for i, m := range den.Merges[:applied] {
+		parent[find(m.A)] = den.N + i
+		parent[find(m.B)] = den.N + i
 	}
 	labels := make([]int, den.N)
 	next := 0
-	seen := make(map[int]int)
-	for i := 0; i < den.N; i++ {
+	for i := range labels {
 		r := find(i)
-		l, ok := seen[r]
-		if !ok {
-			l = next
-			seen[r] = l
+		if label[r] < 0 {
+			label[r] = next
 			next++
 		}
-		labels[i] = l
+		labels[i] = label[r]
 	}
 	return labels
 }

@@ -296,16 +296,3 @@ func TestAgglomerateMatchesBruteForceAverage(t *testing.T) {
 		clusters[bi] = merged
 	}
 }
-
-func BenchmarkAgglomerate50(b *testing.B) {
-	r := rng.New(1)
-	vecs := make([][]float64, 50)
-	for i := range vecs {
-		vecs[i] = []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
-	}
-	d := linalg.PairwiseDistances(linalg.Euclidean, vecs)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = Agglomerate(d, Average)
-	}
-}

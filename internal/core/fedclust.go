@@ -312,7 +312,8 @@ func CollectPartialWeights(env *fl.Env, cfg Config, init []float64) [][]float64 
 // would simply re-ask for the tiny once-ever upload); a client whose
 // every attempt fails is fatal — the one-shot clustering phase cannot
 // proceed with missing features — and panics from the submitting
-// goroutine once the parallel phase has drained.
+// goroutine once the parallel phase has drained. So does a client whose
+// feature holds a NaN or an infinity.
 func collectPartialWeights(env *fl.Env, cfg Config, init []float64, model func(worker int) *nn.Sequential) (features [][]float64, initLayer []float64, downBytes, upBytes []int64) {
 	n := len(env.Clients)
 	features = make([][]float64, n)
@@ -390,6 +391,16 @@ func collectPartialWeights(env *fl.Env, cfg Config, init []float64, model func(w
 	for i, err := range errs {
 		if err != nil {
 			panic(fmt.Sprintf("core: remote warmup upload for client %d failed: %v", i, err))
+		}
+	}
+	// A diverged or corrupted upload (an Inf in the layer vector
+	// normalizes to NaN) has no distance to anything: name the client here
+	// rather than fail inside the clustering.
+	for i, f := range features {
+		for j, v := range f {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				panic(fmt.Sprintf("core: warmup feature of client %d is non-finite (element %d is %v)", i, j, v))
+			}
 		}
 	}
 	return features, initLayer, downBytes, upBytes

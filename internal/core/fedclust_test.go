@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"fedclust/internal/cluster"
@@ -339,5 +341,44 @@ func TestFedClustRawFeaturesAblation(t *testing.T) {
 	res := f.Run(env)
 	if ari := cluster.ARI(res.Clusters, truth); ari < 0.5 {
 		t.Fatalf("raw-feature variant ARI = %v on balanced groups", ari)
+	}
+}
+
+// infUplink is a hostile scenario whose one byzantine client uploads an
+// infinite weight at warmup; everything else is benign.
+type infUplink struct{ client int }
+
+func (infUplink) Outcome(client, round, epochs int) (done, lag int) { return epochs, 0 }
+
+func (infUplink) TrainData(client, round int, base *data.Dataset) *data.Dataset { return base }
+
+func (s infUplink) CorruptUpdate(client, round int, out, start []float64) bool {
+	if client != s.client {
+		return false
+	}
+	out[0] = math.Inf(1)
+	return true
+}
+
+func TestCollectPartialWeightsNamesNonFiniteClient(t *testing.T) {
+	// Inf in the uploaded layer normalizes to NaN (Inf * 1/Inf); the
+	// one-shot phase must stop with the client's id, not with an index
+	// error from inside the clustering.
+	env, _ := groupEnv(t, 2, 1, 9)
+	env.Participation.Scenario = infUplink{client: 2}
+	init := nn.FlattenParams(env.NewModel())
+	for _, cfg := range []Config{{}, {RawFeatures: true}} {
+		var msg string
+		func() {
+			defer func() { msg = fmt.Sprint(recover()) }()
+			CollectPartialWeights(env, cfg, init)
+		}()
+		want := "core: warmup feature of client 2 is non-finite (element 0 is NaN)"
+		if cfg.RawFeatures {
+			want = "core: warmup feature of client 2 is non-finite (element 0 is +Inf)"
+		}
+		if msg != want {
+			t.Fatalf("RawFeatures=%v: panic %q, want %q", cfg.RawFeatures, msg, want)
+		}
 	}
 }

@@ -98,7 +98,8 @@ func RunTable1(opts Table1Options) *Table1Result {
 }
 
 // PaperTable1 is the published Table I (percent accuracy, mean ± std) for
-// shape comparison in reports and EXPERIMENTS.md.
+// shape comparison in reports (measured numbers: bench/README.md; the
+// paper-vs-measured table is ROADMAP item 4).
 var PaperTable1 = map[string]map[string][2]float64{
 	"FedAvg":   {"cifar10": {38.25, 2.98}, "fmnist": {81.93, 0.64}, "svhn": {61.26, 0.95}},
 	"FedProx":  {"cifar10": {51.60, 1.40}, "fmnist": {74.53, 2.16}, "svhn": {79.64, 0.80}},

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"fedclust/internal/tensor"
 )
@@ -87,7 +88,8 @@ func PairwiseDistances(m Metric, vecs [][]float64) *tensor.Tensor {
 			panic(fmt.Sprintf("linalg: PairwiseDistances vector %d has length %d, want %d", i, len(v), dim))
 		}
 	}
-	// Parallelize over the i index; each worker fills row i for j > i.
+	// Workers claim rows off a shared counter; the worker holding row i
+	// writes d(i,j) and its mirror d(j,i) for j > i — one writer per cell.
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
@@ -96,30 +98,20 @@ func PairwiseDistances(m Metric, vecs [][]float64) *tensor.Tensor {
 		workers = 1
 	}
 	var wg sync.WaitGroup
-	next := make(chan int, n)
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
+	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 				for j := i + 1; j < n; j++ {
 					d := VecDistance(m, vecs[i], vecs[j])
-					out.Set(d, i, j)
+					out.Data[i*n+j], out.Data[j*n+i] = d, d
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	// Mirror the upper triangle (single-writer per cell above, so safe).
-	for i := 0; i < n; i++ {
-		for j := 0; j < i; j++ {
-			out.Set(out.At(j, i), i, j)
-		}
-	}
 	return out
 }
 

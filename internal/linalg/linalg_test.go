@@ -302,25 +302,30 @@ func TestMetricString(t *testing.T) {
 
 func TestPairwiseDistancesProperties(t *testing.T) {
 	r := rng.New(7)
-	n, dim := 12, 40
-	vecs := make([][]float64, n)
-	for i := range vecs {
-		vecs[i] = make([]float64, dim)
-		for j := range vecs[i] {
-			vecs[i][j] = r.NormFloat64()
-		}
-	}
-	d := PairwiseDistances(Euclidean, vecs)
-	for i := 0; i < n; i++ {
-		if d.At(i, i) != 0 {
-			t.Fatal("diagonal must be zero")
-		}
-		for j := 0; j < n; j++ {
-			if d.At(i, j) != d.At(j, i) {
-				t.Fatal("matrix must be symmetric")
+	// The second shape is past the size where rows are shared out to
+	// parallel workers.
+	for _, shape := range [][2]int{{12, 40}, {96, 16}} {
+		n, dim := shape[0], shape[1]
+		vecs := make([][]float64, n)
+		for i := range vecs {
+			vecs[i] = make([]float64, dim)
+			for j := range vecs[i] {
+				vecs[i][j] = r.NormFloat64()
 			}
-			if want := VecDistance(Euclidean, vecs[i], vecs[j]); math.Abs(d.At(i, j)-want) > 1e-12 {
-				t.Fatal("entry does not match direct distance")
+		}
+		for _, m := range []Metric{Euclidean, Cosine, Manhattan} {
+			d := PairwiseDistances(m, vecs)
+			for i := 0; i < n; i++ {
+				if d.At(i, i) != 0 {
+					t.Fatalf("%v n=%d: diagonal must be zero", m, n)
+				}
+				for j := i + 1; j < n; j++ {
+					want := VecDistance(m, vecs[i], vecs[j])
+					if d.At(i, j) != want || d.At(j, i) != want {
+						t.Fatalf("%v n=%d: d[%d][%d]=%v, d[%d][%d]=%v, direct distance %v",
+							m, n, i, j, d.At(i, j), j, i, d.At(j, i), want)
+					}
+				}
 			}
 		}
 	}
