@@ -4,19 +4,61 @@ import (
 	"testing"
 
 	"fedclust/internal/rng"
+	"fedclust/internal/tensor"
 )
 
-// TestBatcherMatchesBatches pins the bit-exact property LocalUpdate's
-// refactor rests on: given the same rng stream, the Batcher yields the
-// same batches in the same order as the materializing Batches, epoch
-// after epoch (each Reset reshuffles the identity order exactly as
-// Batches does).
-func TestBatcherMatchesBatches(t *testing.T) {
+// referenceBatches is the materializing form of batching — shuffle the
+// identity order with r, then cut it into fresh tensors of at most size
+// rows — kept as the oracle Batcher's reused views are checked against
+// (it was the production API before Batcher; LocalUpdate's bit-exactness
+// across that change rests on the two agreeing).
+func referenceBatches(d *Dataset, size int, r *rng.Rng) []Batch[float64] {
+	n := d.Len()
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	if r != nil {
+		r.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+	}
+	var out []Batch[float64]
+	for lo := 0; lo < n; lo += size {
+		hi := lo + size
+		if hi > n {
+			hi = n
+		}
+		b := Batch[float64]{X: tensor.New(hi-lo, d.Dim()), Y: make([]int, hi-lo)}
+		for i := lo; i < hi; i++ {
+			copy(b.X.Row(i-lo), d.X.Row(order[i]))
+			b.Y[i-lo] = d.Y[order[i]]
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// bothTypes runs one test body per element type.
+func bothTypes(t *testing.T, f64, f32 func(t *testing.T)) {
+	t.Run("float64", f64)
+	t.Run("float32", f32)
+}
+
+// TestBatcherMatchesReference pins the bit-exact property LocalUpdate
+// rests on, for both element types: given the same rng stream, the
+// Batcher yields the reference batches in the reference order, epoch
+// after epoch (each Reset reshuffles the identity order, consuming the
+// same draws), with every feature rounded to T exactly once.
+func TestBatcherMatchesReference(t *testing.T) {
+	bothTypes(t, testBatcherMatchesReference[float64], testBatcherMatchesReference[float32])
+}
+
+func testBatcherMatchesReference[T tensor.Float](t *testing.T) {
 	d := toyDataset(23, 4)
+	d.X.Scale(1.0 / 3) // not representable in float32: rounding is visible
 	rA, rB := rng.New(7), rng.New(7)
-	bt := d.Batcher(5)
+	bt := BatcherOf[T](d, 5)
 	for epoch := 0; epoch < 3; epoch++ {
-		want := d.Batches(5, rA)
+		want := referenceBatches(d, 5, rA)
 		bt.Reset(rB)
 		for i, wb := range want {
 			gb, ok := bt.Next()
@@ -27,7 +69,7 @@ func TestBatcherMatchesBatches(t *testing.T) {
 				t.Fatalf("epoch %d batch %d: shape %v, want %v", epoch, i, gb.X.Shape, wb.X.Shape)
 			}
 			for j := range wb.X.Data {
-				if gb.X.Data[j] != wb.X.Data[j] {
+				if gb.X.Data[j] != T(wb.X.Data[j]) {
 					t.Fatalf("epoch %d batch %d: X differs at %d", epoch, i, j)
 				}
 			}
@@ -43,10 +85,44 @@ func TestBatcherMatchesBatches(t *testing.T) {
 	}
 }
 
-// TestBatcherDeterministicNilRng mirrors Batches' nil-rng contract.
-func TestBatcherDeterministicNilRng(t *testing.T) {
+// TestBatcherCoversAllExamplesOnce: an epoch is a partition of the
+// dataset into ceil(n/size) batches, the last one partial.
+func TestBatcherCoversAllExamplesOnce(t *testing.T) {
+	bothTypes(t, testBatcherCoversAllExamplesOnce[float64], testBatcherCoversAllExamplesOnce[float32])
+}
+
+func testBatcherCoversAllExamplesOnce[T tensor.Float](t *testing.T) {
 	d := toyDataset(10, 3)
-	bt := d.Batcher(4)
+	bt := BatcherOf[T](d, 4)
+	bt.Reset(rng.New(1))
+	seen := make(map[T]bool)
+	var sizes []int
+	for {
+		b, ok := bt.Next()
+		if !ok {
+			break
+		}
+		sizes = append(sizes, b.X.Shape[0])
+		for i := 0; i < b.X.Shape[0]; i++ {
+			seen[b.X.At(i, 0)] = true
+		}
+	}
+	if len(sizes) != 3 || sizes[0] != 4 || sizes[1] != 4 || sizes[2] != 2 {
+		t.Fatalf("batch sizes %v, want [4 4 2]", sizes)
+	}
+	if len(seen) != 10 {
+		t.Fatalf("batches covered %d distinct rows, want 10", len(seen))
+	}
+}
+
+// TestBatcherDeterministicNilRng: a nil rng preserves dataset order.
+func TestBatcherDeterministicNilRng(t *testing.T) {
+	bothTypes(t, testBatcherDeterministicNilRng[float64], testBatcherDeterministicNilRng[float32])
+}
+
+func testBatcherDeterministicNilRng[T tensor.Float](t *testing.T) {
+	d := toyDataset(10, 3)
+	bt := BatcherOf[T](d, 4)
 	bt.Reset(nil)
 	row := 0
 	for {
@@ -55,7 +131,7 @@ func TestBatcherDeterministicNilRng(t *testing.T) {
 			break
 		}
 		for i := range b.Y {
-			if b.Y[i] != d.Y[row] {
+			if b.Y[i] != d.Y[row] || b.X.At(i, 0) != T(d.X.At(row, 0)) {
 				t.Fatalf("nil-rng order broken at row %d", row)
 			}
 			row++
@@ -81,13 +157,14 @@ func TestBatcherSmallerThanBatch(t *testing.T) {
 }
 
 // TestBatcherCachePerSize verifies the per-size cache returns the same
-// batcher for a repeated size and distinct ones for distinct sizes.
+// batcher for a repeated size and distinct ones for distinct sizes, per
+// element type.
 func TestBatcherCachePerSize(t *testing.T) {
 	d := toyDataset(12, 2)
-	if d.Batcher(4) != d.Batcher(4) {
+	if d.Batcher(4) != d.Batcher(4) || d.Batcher32(4) != d.Batcher32(4) {
 		t.Fatal("same size should reuse the cached batcher")
 	}
-	if d.Batcher(4) == d.Batcher(6) {
+	if d.Batcher(4) == d.Batcher(6) || d.Batcher32(4) == d.Batcher32(6) {
 		t.Fatal("distinct sizes must not share a batcher")
 	}
 }
@@ -105,7 +182,7 @@ func TestBatcherViewsAreReused(t *testing.T) {
 	}
 }
 
-// TestBatcherZeroSizePanics mirrors Batches' validation.
+// TestBatcherZeroSizePanics: a non-positive batch size is a caller bug.
 func TestBatcherZeroSizePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

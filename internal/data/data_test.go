@@ -61,45 +61,6 @@ func TestLabelHistogramAndDistribution(t *testing.T) {
 	}
 }
 
-func TestBatchesCoverAllExamplesOnce(t *testing.T) {
-	d := toyDataset(10, 3)
-	batches := d.Batches(4, rng.New(1))
-	if len(batches) != 3 {
-		t.Fatalf("got %d batches, want 3 (4+4+2)", len(batches))
-	}
-	if batches[2].X.Shape[0] != 2 {
-		t.Fatalf("final partial batch size %d", batches[2].X.Shape[0])
-	}
-	seen := make(map[float64]bool)
-	for _, b := range batches {
-		for i := 0; i < b.X.Shape[0]; i++ {
-			seen[b.X.At(i, 0)] = true
-		}
-	}
-	if len(seen) != 10 {
-		t.Fatalf("batches covered %d distinct rows, want 10", len(seen))
-	}
-}
-
-func TestBatchesNilRngDeterministicOrder(t *testing.T) {
-	d := toyDataset(6, 2)
-	b := d.Batches(6, nil)
-	for i := 0; i < 6; i++ {
-		if b[0].X.At(i, 0) != float64(i*10) {
-			t.Fatal("nil rng should preserve order")
-		}
-	}
-}
-
-func TestBatchesBadSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("batch size 0 did not panic")
-		}
-	}()
-	toyDataset(4, 2).Batches(0, nil)
-}
-
 func TestSplitDisjointComplete(t *testing.T) {
 	d := toyDataset(10, 2)
 	a, b := d.Split(0.7, rng.New(2))

@@ -25,15 +25,16 @@ type Dataset struct {
 	Classes int
 	C, H, W int
 
-	// batchers caches one Batcher per batch size seen (a dataset sees at
-	// most a couple: the training batch and the evaluation batch).
-	batchers []*Batcher
+	// batchers / batchers32 cache one Batcher per element type and batch
+	// size seen (a dataset sees at most a couple of sizes: the training
+	// batch and the evaluation batch).
+	batchers   []*Batcher[float64]
+	batchers32 []*Batcher[float32]
 
-	// x32 is the lazily built float32 copy of X backing Batcher32 (the
-	// float32 compute path); single-goroutine ownership makes the lazy
-	// fill safe without synchronization. batchers32 mirrors batchers.
-	x32        []float32
-	batchers32 []*Batcher32
+	// x32 is the lazily built float32 copy of X that float32 batchers
+	// read (one rounding per scalar; X stays canonical). Single-goroutine
+	// ownership makes the lazy fill safe without synchronization.
+	x32 *tensor.Tensor32
 }
 
 // Len returns the number of examples.
@@ -97,75 +98,58 @@ func (d *Dataset) LabelDistribution() []float64 {
 	return p
 }
 
-// Batch is one minibatch: inputs plus labels.
-type Batch struct {
-	X *tensor.Tensor
+// Batch is one minibatch of element type T: inputs plus labels.
+type Batch[T tensor.Float] struct {
+	X *tensor.Of[T]
 	Y []int
 }
 
-// Batches splits the dataset into shuffled minibatches of at most size
-// examples. The final partial batch is included. A nil rng disables
-// shuffling (deterministic order).
-func (d *Dataset) Batches(size int, r *rng.Rng) []Batch {
-	if size <= 0 {
-		panic(fmt.Sprintf("data: batch size must be positive, got %d", size))
-	}
-	n := d.Len()
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if r != nil {
-		r.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
-	}
-	var out []Batch
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		b := Batch{X: tensor.New(hi-lo, d.Dim()), Y: make([]int, hi-lo)}
-		for i := lo; i < hi; i++ {
-			copy(b.X.Row(i-lo), d.X.Row(order[i]))
-			b.Y[i-lo] = d.Y[order[i]]
-		}
-		out = append(out, b)
-	}
-	return out
-}
-
-// Batcher is the reusable-view counterpart of Batches: it cuts the
-// dataset into the same shuffled minibatches but copies each batch into
+// Batcher cuts the dataset into shuffled minibatches of at most size
+// examples (the final partial batch included), copying each batch into
 // one persistent backing buffer instead of materializing every batch of
 // every epoch. Next therefore yields views — a returned Batch is valid
 // only until the next Next or Reset call — and a warm epoch performs no
-// heap allocations.
-type Batcher struct {
+// heap allocations. A float32 batcher reads the dataset's float32 feature
+// copy and consumes exactly the shuffle draws a float64 one does, so for
+// the same epoch RNG both element types see identical batch composition.
+type Batcher[T tensor.Float] struct {
 	d     *Dataset
 	size  int
 	order []int
 	pos   int
-	full  *tensor.Tensor // (size, dim) view over the backing buffer
-	tail  *tensor.Tensor // (n%size, dim) view over its prefix; nil if n%size == 0
+	full  *tensor.Of[T] // (size, dim) view over the backing buffer
+	tail  *tensor.Of[T] // (n%size, dim) view over its prefix; nil if n%size == 0
 	y     []int
 }
 
-// Batcher returns the dataset's cached batcher for the given size,
-// building it on first use. The cache keeps one batcher per distinct
-// size, so alternating training and evaluation passes both stay warm.
-func (d *Dataset) Batcher(size int) *Batcher {
-	for _, b := range d.batchers {
+// Batcher returns the dataset's cached float64 batcher for the given
+// size, building it on first use. The cache keeps one batcher per
+// distinct size, so alternating training and evaluation passes both stay
+// warm.
+func (d *Dataset) Batcher(size int) *Batcher[float64] { return BatcherOf[float64](d, size) }
+
+// Batcher32 is Batcher for the float32 compute path.
+func (d *Dataset) Batcher32(size int) *Batcher[float32] { return BatcherOf[float32](d, size) }
+
+// BatcherOf is Batcher/Batcher32 for callers generic over the element
+// type.
+func BatcherOf[T tensor.Float](d *Dataset, size int) *Batcher[T] {
+	cache, ok := any(&d.batchers).(*[]*Batcher[T])
+	if !ok {
+		cache = any(&d.batchers32).(*[]*Batcher[T])
+	}
+	for _, b := range *cache {
 		if b.size == size {
 			return b
 		}
 	}
-	b := newBatcher(d, size)
-	d.batchers = append(d.batchers, b)
+	b := newBatcher[T](d, size)
+	*cache = append(*cache, b)
 	return b
 }
 
 // newBatcher sizes the backing buffer and batch views for the dataset.
-func newBatcher(d *Dataset, size int) *Batcher {
+func newBatcher[T tensor.Float](d *Dataset, size int) *Batcher[T] {
 	if size <= 0 {
 		panic(fmt.Sprintf("data: batch size must be positive, got %d", size))
 	}
@@ -174,13 +158,13 @@ func newBatcher(d *Dataset, size int) *Batcher {
 	if n < size {
 		rows = n
 	}
-	b := &Batcher{
+	b := &Batcher[T]{
 		d: d, size: size,
 		order: make([]int, n),
 		pos:   n, // exhausted until the first Reset
 		y:     make([]int, rows),
 	}
-	buf := make([]float64, rows*dim)
+	buf := make([]T, rows*dim)
 	if n >= size {
 		b.full = tensor.FromSlice(buf, size, dim)
 	}
@@ -190,11 +174,26 @@ func newBatcher(d *Dataset, size int) *Batcher {
 	return b
 }
 
-// Reset rewinds the batcher for a new epoch, reshuffling with r exactly
-// as Batches does (each epoch shuffles the identity order, so the stream
-// consumption — and therefore the batch composition — is identical). A
-// nil rng yields deterministic order.
-func (b *Batcher) Reset(r *rng.Rng) {
+// features returns the dataset's feature matrix in element type T: X
+// itself for float64, the float32 copy (built on first use) otherwise.
+func features[T tensor.Float](d *Dataset) *tensor.Of[T] {
+	if x, ok := any(d.X).(*tensor.Of[T]); ok {
+		return x
+	}
+	if d.x32 == nil {
+		d.x32 = tensor.New32(d.X.Shape...)
+		for i, v := range d.X.Data {
+			d.x32.Data[i] = float32(v)
+		}
+	}
+	return any(d.x32).(*tensor.Of[T])
+}
+
+// Reset rewinds the batcher for a new epoch: the identity order is
+// reshuffled with r, so the stream consumption — and therefore the batch
+// composition — depends only on the dataset length. A nil rng yields
+// deterministic order.
+func (b *Batcher[T]) Reset(r *rng.Rng) {
 	b.pos = 0
 	for i := range b.order {
 		b.order[i] = i
@@ -207,11 +206,12 @@ func (b *Batcher) Reset(r *rng.Rng) {
 // Next copies the next minibatch into the reused view and returns it,
 // or ok=false when the epoch is exhausted. The final partial batch is
 // included, as a smaller view over the same buffer.
-func (b *Batcher) Next() (batch Batch, ok bool) {
+func (b *Batcher[T]) Next() (batch Batch[T], ok bool) {
 	n := b.d.Len()
 	if b.pos >= n {
-		return Batch{}, false
+		return Batch[T]{}, false
 	}
+	feats := features[T](b.d)
 	hi := b.pos + b.size
 	x := b.full
 	if hi > n {
@@ -221,11 +221,11 @@ func (b *Batcher) Next() (batch Batch, ok bool) {
 	count := hi - b.pos
 	for i := 0; i < count; i++ {
 		src := b.order[b.pos+i]
-		copy(x.Row(i), b.d.X.Row(src))
+		copy(x.Row(i), feats.Row(src))
 		b.y[i] = b.d.Y[src]
 	}
 	b.pos = hi
-	return Batch{X: x, Y: b.y[:count]}, true
+	return Batch[T]{X: x, Y: b.y[:count]}, true
 }
 
 // Split partitions the dataset into two disjoint parts with the first

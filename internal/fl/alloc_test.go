@@ -10,9 +10,10 @@ package fl
 import (
 	"testing"
 
+	"fedclust/internal/data"
 	"fedclust/internal/nn"
-	"fedclust/internal/opt"
 	"fedclust/internal/rng"
+	"fedclust/internal/tensor"
 )
 
 // allocModel is small enough that every matmul stays under the tensor
@@ -23,23 +24,27 @@ func allocModel() *nn.Sequential {
 	return nn.MLP(rng.New(3), 64, 20, 4)
 }
 
+// allocShadow is allocModel's loaded float32 mirror.
+func allocShadow() *nn.SequentialOf[float32] {
+	var c shadowCache
+	return c.load(allocModel())
+}
+
 // TestLocalUpdateBatchStepZeroAllocs asserts a warm LocalUpdate batch
 // step — zero grads, forward, loss, backward, SGD step, next batch —
-// performs zero heap allocations.
+// performs zero heap allocations in either element type.
 func TestLocalUpdateBatchStepZeroAllocs(t *testing.T) {
+	t.Run("float64", func(t *testing.T) { testBatchStepZeroAllocs(t, allocModel()) })
+	t.Run("float32", func(t *testing.T) { testBatchStepZeroAllocs(t, allocShadow()) })
+}
+
+func testBatchStepZeroAllocs[T tensor.Float](t *testing.T, model *nn.SequentialOf[T]) {
 	d := benchDataset(8) // 32 examples; batch 8 divides it evenly
-	model := allocModel()
-	cfg := LocalConfig{Epochs: 1, BatchSize: 8, LR: 0.1, Momentum: 0.9}
 	r := rng.New(5)
-
-	// Warm every workspace: model, loss head, optimizer, batcher.
-	var ts TrainScratch
-	ts.LocalUpdate(model, d, cfg, r)
-
 	params, grads := model.Params(), model.Grads()
-	sgd := opt.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
-	var ce nn.SoftmaxCE
-	bt := d.Batcher(cfg.BatchSize)
+	var st visitState[T]
+	st.sgd.Reconfigure(0.1, 0.9, 0)
+	bt := data.BatcherOf[T](d, 8)
 	bt.Reset(r)
 	step := func() {
 		b, ok := bt.Next()
@@ -51,11 +56,11 @@ func TestLocalUpdateBatchStepZeroAllocs(t *testing.T) {
 			g.Zero()
 		}
 		logits := model.Forward(b.X, true)
-		_, grad, _ := ce.Loss(logits, b.Y)
+		_, grad, _ := st.ce.Loss(logits, b.Y)
 		model.Backward(grad)
-		sgd.Step(params, grads)
+		st.sgd.Step(params, grads)
 	}
-	step() // warm this loop's own state (velocity, loss workspaces)
+	step() // warm every workspace: model, loss head, optimizer, batcher
 
 	if n := testing.AllocsPerRun(50, step); n != 0 {
 		t.Fatalf("warm LocalUpdate batch step allocates %v times, want 0", n)
@@ -64,66 +69,39 @@ func TestLocalUpdateBatchStepZeroAllocs(t *testing.T) {
 
 // TestLocalUpdateCallSteadyStateAllocs asserts a whole warm LocalUpdate
 // call through a reused TrainScratch stays allocation-free — the scratch
-// owns the optimizer, loss head, and parameter lists, and the dataset
-// owns its batcher.
+// owns the optimizer, loss head and float32 shadow, and the dataset owns
+// its batcher. On the float32 path that covers shadow revalidation,
+// parameter rounding, the full epoch loop and widening back.
 func TestLocalUpdateCallSteadyStateAllocs(t *testing.T) {
-	d := benchDataset(10) // includes a partial final batch (40 % 16 != 0)
-	model := allocModel()
-	cfg := LocalConfig{Epochs: 2, BatchSize: 16, LR: 0.1, Momentum: 0.9}
-	var ts TrainScratch
-	r := rng.New(6)
-	ts.LocalUpdate(model, d, cfg, r)
-	if n := testing.AllocsPerRun(20, func() {
+	onBothDTypes(t, func(t *testing.T, dtype DType) {
+		d := benchDataset(10) // includes a partial final batch (40 % 16 != 0)
+		model := allocModel()
+		cfg := LocalConfig{Epochs: 2, BatchSize: 16, LR: 0.1, Momentum: 0.9}
+		ts := TrainScratch{DType: dtype}
+		r := rng.New(6)
 		ts.LocalUpdate(model, d, cfg, r)
-	}); n != 0 {
-		t.Fatalf("warm LocalUpdate call allocates %v times, want 0", n)
-	}
-}
-
-// TestLocalUpdate32CallSteadyStateAllocs asserts the whole warm
-// float32 LocalUpdate call — mirror reuse, parameter rounding, the full
-// float32 epoch loop, widening back — allocates nothing, matching the
-// float64 path's zero-alloc contract.
-func TestLocalUpdate32CallSteadyStateAllocs(t *testing.T) {
-	d := benchDataset(10) // includes a partial final batch (40 % 16 != 0)
-	model := allocModel()
-	cfg := LocalConfig{Epochs: 2, BatchSize: 16, LR: 0.1, Momentum: 0.9}
-	ts := TrainScratch{DType: Float32}
-	r := rng.New(6)
-	ts.LocalUpdate(model, d, cfg, r)
-	if !ts.ranF32 {
-		t.Fatal("float32 scratch did not take the float32 path")
-	}
-	if n := testing.AllocsPerRun(20, func() {
-		ts.LocalUpdate(model, d, cfg, r)
-	}); n != 0 {
-		t.Fatalf("warm float32 LocalUpdate call allocates %v times, want 0", n)
-	}
-}
-
-// TestEvaluate32CallSteadyStateAllocs asserts the warm float32
-// evaluation call allocates nothing.
-func TestEvaluate32CallSteadyStateAllocs(t *testing.T) {
-	d := benchDataset(10)
-	model := allocModel()
-	ts := TrainScratch{DType: Float32}
-	ts.Evaluate(model, d, 16)
-	if n := testing.AllocsPerRun(20, func() {
-		ts.Evaluate(model, d, 16)
-	}); n != 0 {
-		t.Fatalf("warm float32 Evaluate call allocates %v times, want 0", n)
-	}
+		if ts.ranF32 != (dtype == Float32) {
+			t.Fatalf("%v scratch: ranF32 = %v", dtype, ts.ranF32)
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			ts.LocalUpdate(model, d, cfg, r)
+		}); n != 0 {
+			t.Fatalf("warm LocalUpdate call allocates %v times, want 0", n)
+		}
+	})
 }
 
 // TestEvaluateBatchZeroAllocs asserts a warm evaluation batch — forward,
-// loss, accuracy — performs zero heap allocations.
+// loss, accuracy — performs zero heap allocations in either element type.
 func TestEvaluateBatchZeroAllocs(t *testing.T) {
-	d := benchDataset(8)
-	model := allocModel()
-	var ce nn.SoftmaxCE
-	EvaluateCE(model, d, 16, &ce) // warm model, loss, batcher
+	t.Run("float64", func(t *testing.T) { testEvaluateBatchZeroAllocs(t, allocModel()) })
+	t.Run("float32", func(t *testing.T) { testEvaluateBatchZeroAllocs(t, allocShadow()) })
+}
 
-	bt := d.Batcher(16)
+func testEvaluateBatchZeroAllocs[T tensor.Float](t *testing.T, model *nn.SequentialOf[T]) {
+	d := benchDataset(8)
+	var ce nn.SoftmaxCEOf[T]
+	bt := data.BatcherOf[T](d, 16)
 	bt.Reset(nil)
 	step := func() {
 		b, ok := bt.Next()
@@ -135,22 +113,24 @@ func TestEvaluateBatchZeroAllocs(t *testing.T) {
 		ce.Loss(logits, b.Y)
 		nn.Accuracy(logits, b.Y)
 	}
-	step()
+	step() // warm model, loss, batcher
 	if n := testing.AllocsPerRun(50, step); n != 0 {
 		t.Fatalf("warm Evaluate batch allocates %v times, want 0", n)
 	}
 }
 
-// TestEvaluateCallSteadyStateAllocs asserts the whole warm EvaluateCE
-// call allocates nothing.
+// TestEvaluateCallSteadyStateAllocs asserts the whole warm Evaluate call
+// through a reused TrainScratch allocates nothing.
 func TestEvaluateCallSteadyStateAllocs(t *testing.T) {
-	d := benchDataset(10)
-	model := allocModel()
-	var ce nn.SoftmaxCE
-	EvaluateCE(model, d, 16, &ce)
-	if n := testing.AllocsPerRun(20, func() {
-		EvaluateCE(model, d, 16, &ce)
-	}); n != 0 {
-		t.Fatalf("warm EvaluateCE call allocates %v times, want 0", n)
-	}
+	onBothDTypes(t, func(t *testing.T, dtype DType) {
+		d := benchDataset(10)
+		model := allocModel()
+		ts := TrainScratch{DType: dtype}
+		ts.Evaluate(model, d, 16)
+		if n := testing.AllocsPerRun(20, func() {
+			ts.Evaluate(model, d, 16)
+		}); n != 0 {
+			t.Fatalf("warm Evaluate call allocates %v times, want 0", n)
+		}
+	})
 }

@@ -19,6 +19,14 @@ func benchDataset(perClass int) *data.Dataset {
 	return train
 }
 
+// onBothDTypes runs f once per compute path.
+func onBothDTypes(t *testing.T, f func(t *testing.T, dtype DType)) {
+	for _, dtype := range []DType{Float64, Float32} {
+		dtype := dtype
+		t.Run(dtype.String(), func(t *testing.T) { f(t, dtype) })
+	}
+}
+
 // BenchmarkLocalUpdate measures one client visit: two local epochs of
 // minibatch SGD with momentum on an MLP — the exact inner loop every
 // federated round multiplies by rounds × clients.

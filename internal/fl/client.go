@@ -67,51 +67,34 @@ func (c LocalConfig) Check() error {
 }
 
 // TrainScratch carries the allocation-heavy state of local training — the
-// optimizer (with its velocity buffers), the loss-head workspaces, the
-// FedProx reference buffer, and the model's parameter/gradient lists — so
-// one worker can run many client visits with zero steady-state heap
-// allocations. The zero value is ready to use; a TrainScratch must not be
-// shared across concurrent goroutines.
+// optimizer (with its velocity buffers), the loss-head workspaces and the
+// FedProx reference buffer, per element type, plus the float32 shadow of
+// the worker's model — so one worker can run many client visits with
+// zero steady-state heap allocations. The zero value is ready to use; a
+// TrainScratch must not be shared across concurrent goroutines.
 type TrainScratch struct {
 	// DType routes LocalUpdate/Evaluate through the float32 compute path
 	// when set to Float32; models whose architecture has no float32
 	// mirror fall back to float64 transparently.
 	DType DType
 
-	sgd     *opt.SGD
-	ce      nn.SoftmaxCE
-	proxRef []float64
-	// model is the network the params/grads caches below belong to;
-	// pooled execution hands each worker the same model every visit, so
-	// the lists are rebuilt only when the scratch changes models.
-	model  *nn.Sequential
-	params []*tensor.Tensor
-	grads  []*tensor.Tensor
-
-	// Float32-path state (see client32.go): shadow is the float32
-	// replica of shadowSrc, rebuilt when the scratch changes models;
-	// mirrorFailed remembers an architecture Mirror32 could not handle
-	// so every visit doesn't retry.
-	shadow       *nn.Sequential32
-	shadowSrc    *nn.Sequential
-	mirrorFailed bool
-	sgd32        *opt.SGD32
-	ce32         nn.SoftmaxCE32
-	proxRef32    []float32
-	flat32       []float32
+	f64 visitState[float64]
+	f32 visitState[float32]
+	// shadow is the float32 replica the Float32 path computes on (see
+	// client32.go); flat32 backs Params32.
+	shadow shadowCache
+	flat32 []float32
 	// ranF32 records whether the last LocalUpdate on this scratch ran on
 	// the float32 path, i.e. whether shadow holds the trained weights
 	// (the zero-convert wire fast path keys off this).
 	ranF32 bool
 }
 
-// bind refreshes the cached parameter and gradient lists for model.
-func (ts *TrainScratch) bind(model *nn.Sequential) {
-	if ts.model != model {
-		ts.model = model
-		ts.params = model.Params()
-		ts.grads = model.Grads()
-	}
+// visitState is the element-type half of a TrainScratch.
+type visitState[T tensor.Float] struct {
+	sgd     opt.SGD[T]
+	ce      nn.SoftmaxCEOf[T]
+	proxRef []T
 }
 
 // LocalUpdate trains model in place on d for cfg.Epochs passes of local
@@ -119,40 +102,56 @@ func (ts *TrainScratch) bind(model *nn.Sequential) {
 // If cfg.ProxMu > 0 the FedProx proximal term is applied against the
 // parameters the model held when LocalUpdate was called (i.e. the global
 // weights just loaded). r drives batch shuffling and (via
-// nn.Sequential.SeedStep) any stochastic layers, so the result depends
+// nn.SequentialOf.SeedStep) any stochastic layers, so the result depends
 // only on (model weights, dataset, cfg, r) — never on earlier visits
 // that reused the same model or scratch.
+//
+// On the Float32 path master weights stay float64: the incoming
+// parameters are rounded into the shadow once, the whole local pass runs
+// in float32, and the result is widened back. Widening is exact, so the
+// trained float32 weights survive the float64 round-trip bit-identically
+// — which is what makes the transport's Float32 wire frames a true
+// zero-convert fast path (see Params32).
 func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
 	cfg.Validate()
 	if d.Len() == 0 {
 		return 0
 	}
+	ts.ranF32 = false
 	if ts.DType == Float32 {
-		if loss, ok := ts.localUpdate32(model, d, cfg, r); ok {
+		if sh := ts.shadow.load(model); sh != nil {
+			loss := ts.f32.localSGD(sh, d, cfg, r)
+			nn.CopyParams64(model, sh)
+			ts.ranF32 = true
 			return loss
 		}
 	}
-	ts.ranF32 = false
-	ts.bind(model)
-	model.SeedStep(r)
-	var proxRef []float64
+	return ts.f64.localSGD(model, d, cfg, r)
+}
+
+// localSGD is the local training pass itself, one body for both element
+// types: same batch shuffling draws, same stochastic-layer rebasing keys,
+// same update order, so the float32 path diverges from the float64
+// reference only by rounding.
+func (st *visitState[T]) localSGD(net *nn.SequentialOf[T], d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
+	net.SeedStep(r)
+	params, grads := net.Params(), net.Grads()
+	var proxRef []T
 	if cfg.ProxMu > 0 {
-		n := model.NumParams()
-		if cap(ts.proxRef) < n {
-			ts.proxRef = make([]float64, n)
+		n := net.NumParams()
+		if cap(st.proxRef) < n {
+			st.proxRef = make([]T, n)
 		}
-		proxRef = ts.proxRef[:n]
-		nn.FlattenParamsInto(model, proxRef)
+		proxRef = st.proxRef[:n]
+		nn.FlattenParamsInto(net, proxRef)
 	}
-	if ts.sgd == nil {
-		ts.sgd = opt.NewSGD(cfg.LR, cfg.Momentum, cfg.WeightDecay)
-	} else {
-		ts.sgd.Reconfigure(cfg.LR, cfg.Momentum, cfg.WeightDecay)
-		ts.sgd.Reset()
-	}
+	// Reset zeroes the velocity buffers in place, so a reused optimizer
+	// is bit-equivalent to a fresh one.
+	st.sgd.Reconfigure(cfg.LR, cfg.Momentum, cfg.WeightDecay)
+	st.sgd.Reset()
 	var totalLoss float64
 	batches := 0
-	bt := d.Batcher(cfg.BatchSize)
+	bt := data.BatcherOf[T](d, cfg.BatchSize)
 	for e := 0; e < cfg.Epochs; e++ {
 		bt.Reset(r)
 		for {
@@ -160,16 +159,16 @@ func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg L
 			if !ok {
 				break
 			}
-			for _, g := range ts.grads {
+			for _, g := range grads {
 				g.Zero()
 			}
-			logits := model.Forward(b.X, true)
-			loss, grad, _ := ts.ce.Loss(logits, b.Y)
-			model.Backward(grad)
+			logits := net.Forward(b.X, true)
+			loss, grad, _ := st.ce.Loss(logits, b.Y)
+			net.Backward(grad)
 			if cfg.ProxMu > 0 {
-				opt.AddProximal(ts.params, ts.grads, proxRef, cfg.ProxMu)
+				opt.AddProximal(params, grads, proxRef, cfg.ProxMu)
 			}
-			ts.sgd.Step(ts.params, ts.grads)
+			st.sgd.Step(params, grads)
 			totalLoss += loss
 			batches++
 		}
@@ -182,14 +181,13 @@ func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg L
 // per-cluster selection) without per-call workspace allocations.
 func (ts *TrainScratch) Evaluate(model *nn.Sequential, d *data.Dataset, batchSize int) (loss, acc float64) {
 	if ts.DType == Float32 {
-		if sh := ts.shadowFor(model); sh != nil {
+		if sh := ts.shadow.load(model); sh != nil {
 			// The shadow now holds eval weights, not a trained update.
 			ts.ranF32 = false
-			nn.AssignParams32(sh, model)
-			return EvaluateCE32(sh, d, batchSize, &ts.ce32)
+			return EvaluateCE(sh, d, batchSize, &ts.f32.ce)
 		}
 	}
-	return EvaluateCE(model, d, batchSize, &ts.ce)
+	return EvaluateCE(model, d, batchSize, &ts.f64.ce)
 }
 
 // LocalUpdate is the scratch-free convenience form of
@@ -209,14 +207,17 @@ func Evaluate(model *nn.Sequential, d *data.Dataset, batchSize int) (loss, acc f
 
 // EvaluateCE is Evaluate with a caller-owned loss head, so evaluation
 // loops (the engine's per-worker evaluation protocol) keep their loss
-// workspaces warm across clients and allocate nothing per batch.
-func EvaluateCE(model *nn.Sequential, d *data.Dataset, batchSize int, ce *nn.SoftmaxCE) (loss, acc float64) {
+// workspaces warm across clients and allocate nothing per batch. On a
+// float32 network every batch runs the float32 forward pass and the
+// float64-accumulating loss head; the caller owns the network and must
+// have loaded the parameters it wants evaluated (shadowCache.load).
+func EvaluateCE[T tensor.Float](model *nn.SequentialOf[T], d *data.Dataset, batchSize int, ce *nn.SoftmaxCEOf[T]) (loss, acc float64) {
 	if d.Len() == 0 {
 		return 0, 0
 	}
 	var lossSum float64
 	correct := 0
-	bt := d.Batcher(batchSize)
+	bt := data.BatcherOf[T](d, batchSize)
 	bt.Reset(nil)
 	for {
 		b, ok := bt.Next()

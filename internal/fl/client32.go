@@ -1,117 +1,39 @@
 package fl
 
-import (
-	"fedclust/internal/data"
-	"fedclust/internal/nn"
-	"fedclust/internal/opt"
-	"fedclust/internal/rng"
-)
+import "fedclust/internal/nn"
 
-// This file is the float32 compute path of local training and
-// evaluation (DESIGN.md §10). Master weights stay float64 everywhere —
-// the scratch keeps a float32 shadow replica of the worker's model,
-// rounds the incoming parameters into it once per visit, runs the whole
-// local pass in float32 (kernels in internal/tensor's *32 family), and
-// widens the result back. Widening is exact, so the trained float32
-// weights survive the float64 round-trip bit-identically — which is
-// what makes the transport's Float32 wire frames a true zero-convert
-// fast path (see Params32).
-
-// shadowCompatible reports whether the mirror's parameter tensors line
-// up 1:1 in size with model's, i.e. whether AssignParams32 would accept
-// the pair. Pooled execution reuses one shadow across every model of an
-// environment (they share an architecture), so this check is what lets
-// the mirror survive a model-pointer change without rebuilding.
-func shadowCompatible(sh *nn.Sequential32, model *nn.Sequential) bool {
-	sp, mp := sh.Params(), model.Params()
-	if len(sp) != len(mp) {
-		return false
-	}
-	for i := range sp {
-		if sp[i].Size() != mp[i].Size() {
-			return false
-		}
-	}
-	return true
+// shadowCache is the float32 side of the mixed-precision contract
+// (DESIGN.md §10) for one worker: a float32 replica of whichever float64
+// model the worker is handed. Pooled execution hands a worker many model
+// instances of one architecture, so the replica is keyed on structure,
+// not on the model pointer: it is rebuilt only when the architecture
+// changes. The zero value is ready to use.
+type shadowCache struct {
+	net *nn.SequentialOf[float32]
+	// refused is the last model Mirror32 could not handle, so an
+	// architecture without a float32 form is not re-mirrored every visit.
+	refused *nn.Sequential
 }
 
-// shadowFor returns the scratch's float32 replica structured like
-// model, reusing the cached mirror when compatible and rebuilding it
-// otherwise. Returns nil when the architecture has no float32 mirror
-// (the caller then stays on the float64 path); the failure is
-// remembered so later visits don't retry.
-func (ts *TrainScratch) shadowFor(model *nn.Sequential) *nn.Sequential32 {
-	if ts.shadow != nil && shadowCompatible(ts.shadow, model) {
-		return ts.shadow
-	}
-	if ts.mirrorFailed {
-		return nil
-	}
-	m := nn.Mirror32(model)
-	if m == nil {
-		ts.mirrorFailed = true
-		return nil
-	}
-	ts.shadow = m
-	ts.shadowSrc = model
-	return m
-}
-
-// localUpdate32 is LocalUpdate on the float32 path. It mirrors the
-// float64 flow statement for statement — same batch shuffling draws,
-// same stochastic-layer rebasing keys, same update order — so the only
-// divergence from the reference is float32 rounding. ok=false means the
-// model has no float32 mirror and the caller must run float64.
-func (ts *TrainScratch) localUpdate32(model *nn.Sequential, d *data.Dataset, cfg LocalConfig, r *rng.Rng) (loss float64, ok bool) {
-	sh := ts.shadowFor(model)
-	if sh == nil {
-		return 0, false
-	}
-	nn.AssignParams32(sh, model)
-	sh.SeedStep(r)
-	params, grads := sh.Params(), sh.Grads()
-	var proxRef []float32
-	if cfg.ProxMu > 0 {
-		n := sh.NumParams()
-		if cap(ts.proxRef32) < n {
-			ts.proxRef32 = make([]float32, n)
+// load returns the replica holding model's parameters, each rounded to
+// float32 once — loaded fresh on every call, because the same pooled
+// model may carry different weights on consecutive visits. It returns
+// nil when the architecture has no float32 mirror; the caller then stays
+// on the float64 path.
+func (c *shadowCache) load(model *nn.Sequential) *nn.SequentialOf[float32] {
+	if c.net == nil || !nn.IsMirror32(c.net, model) {
+		if model == c.refused {
+			return nil
 		}
-		proxRef = ts.proxRef32[:n]
-		nn.FlattenParams32Into(sh, proxRef)
-	}
-	if ts.sgd32 == nil {
-		ts.sgd32 = opt.NewSGD32(cfg.LR, cfg.Momentum, cfg.WeightDecay)
-	} else {
-		ts.sgd32.Reconfigure(cfg.LR, cfg.Momentum, cfg.WeightDecay)
-		ts.sgd32.Reset()
-	}
-	var totalLoss float64
-	batches := 0
-	bt := d.Batcher32(cfg.BatchSize)
-	for e := 0; e < cfg.Epochs; e++ {
-		bt.Reset(r)
-		for {
-			b, more := bt.Next()
-			if !more {
-				break
-			}
-			for _, g := range grads {
-				g.Zero()
-			}
-			logits := sh.Forward(b.X, true)
-			l, grad, _ := ts.ce32.Loss(logits, b.Y)
-			sh.Backward(grad)
-			if cfg.ProxMu > 0 {
-				opt.AddProximal32(params, grads, proxRef, cfg.ProxMu)
-			}
-			ts.sgd32.Step(params, grads)
-			totalLoss += l
-			batches++
+		m := nn.Mirror32(model)
+		if m == nil {
+			c.refused = model
+			return nil
 		}
+		c.net = m
 	}
-	nn.CopyParams64(model, sh)
-	ts.ranF32 = true
-	return totalLoss / float64(batches), true
+	nn.AssignParams32(c.net, model)
+	return c.net
 }
 
 // Params32 returns the trained float32 parameter vector of the last
@@ -123,41 +45,14 @@ func (ts *TrainScratch) localUpdate32(model *nn.Sequential, d *data.Dataset, cfg
 // The slice is overwritten by the next call; ok=false means the last
 // update ran float64 and callers must encode from the model.
 func (ts *TrainScratch) Params32() (vec []float32, ok bool) {
-	if !ts.ranF32 || ts.shadow == nil {
+	if !ts.ranF32 {
 		return nil, false
 	}
-	n := ts.shadow.NumParams()
+	sh := ts.shadow.net
+	n := sh.NumParams()
 	if cap(ts.flat32) < n {
 		ts.flat32 = make([]float32, n)
 	}
 	ts.flat32 = ts.flat32[:n]
-	nn.FlattenParams32Into(ts.shadow, ts.flat32)
-	return ts.flat32, true
-}
-
-// EvaluateCE32 is EvaluateCE on the float32 compute path: every batch
-// runs the float32 forward pass and the float64-accumulating loss head.
-// The caller owns the shadow and must have loaded the parameters it
-// wants evaluated (see TrainScratch.Evaluate and the eval protocol's
-// shadow32).
-func EvaluateCE32(sh *nn.Sequential32, d *data.Dataset, batchSize int, ce *nn.SoftmaxCE32) (loss, acc float64) {
-	if d.Len() == 0 {
-		return 0, 0
-	}
-	var lossSum float64
-	correct := 0
-	bt := d.Batcher32(batchSize)
-	bt.Reset(nil)
-	for {
-		b, ok := bt.Next()
-		if !ok {
-			break
-		}
-		logits := sh.Forward(b.X, false)
-		l, _, _ := ce.Loss(logits, b.Y)
-		lossSum += l * float64(len(b.Y))
-		a := nn.Accuracy32(logits, b.Y)
-		correct += int(a*float64(len(b.Y)) + 0.5)
-	}
-	return lossSum / float64(d.Len()), float64(correct) / float64(d.Len())
+	return nn.FlattenParamsInto(sh, ts.flat32), true
 }

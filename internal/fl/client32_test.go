@@ -165,3 +165,74 @@ func TestLocalUpdate32FallsBackOnUnmirrorable(t *testing.T) {
 		}
 	}
 }
+
+// TestFloat32ShadowFollowsArchitecture is the regression test for shadow
+// reuse keyed on parameter sizes alone: two architectures whose
+// parameter tensors line up (ReLU vs Tanh between the same Dense layers;
+// max- vs average-pooling after the same convolution) must not share a
+// float32 shadow. The second model on a reused TrainScratch, and on a
+// reused evaluation worker slot, must behave exactly as on a fresh one.
+func TestFloat32ShadowFollowsArchitecture(t *testing.T) {
+	d := benchDataset(40)
+	mlp := func(act func(dim int) nn.Layer[float64]) func() *nn.Sequential {
+		return func() *nn.Sequential {
+			r := rng.New(1)
+			return nn.NewSequential(nn.NewDense(d.Dim(), 16, r), act(16), nn.NewDense(16, d.Classes, r))
+		}
+	}
+	conv := func(pool func(c, h, w int) nn.Layer[float64]) func() *nn.Sequential {
+		return func() *nn.Sequential {
+			r := rng.New(2)
+			g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
+			c := nn.NewConv2D(g, 2, r)
+			return nn.NewSequential(c, pool(2, 8, 8), nn.NewDense(2*4*4, d.Classes, r))
+		}
+	}
+	pairs := []struct {
+		name          string
+		first, second func() *nn.Sequential
+	}{
+		{"relu-then-tanh",
+			mlp(func(dim int) nn.Layer[float64] { return nn.NewReLU(dim) }),
+			mlp(func(dim int) nn.Layer[float64] { return nn.NewTanh(dim) })},
+		{"maxpool-then-avgpool",
+			conv(func(c, h, w int) nn.Layer[float64] { return nn.NewMaxPool2(c, h, w) }),
+			conv(func(c, h, w int) nn.Layer[float64] { return nn.NewAvgPool2(c, h, w) })},
+	}
+	visit := func(ts *TrainScratch, m *nn.Sequential) []float64 {
+		loss := ts.LocalUpdate(m, d, clientCfg, rng.New(9))
+		evalLoss, evalAcc := ts.Evaluate(m, d, 64)
+		return append(nn.FlattenParams(m), loss, evalLoss, evalAcc)
+	}
+	evalOnly := func(env *Env, m *nn.Sequential) []float64 {
+		_, acc, loss := env.EvaluateWithInto(nil, func(int, int) *nn.Sequential { return m })
+		return []float64{acc, loss}
+	}
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	for _, p := range pairs {
+		t.Run(p.name, func(t *testing.T) {
+			reused := TrainScratch{DType: Float32}
+			visit(&reused, p.first())
+			fresh := TrainScratch{DType: Float32}
+			if !same(visit(&reused, p.second()), visit(&fresh, p.second())) {
+				t.Error("TrainScratch kept the first architecture's float32 shadow for the second model")
+			}
+
+			newEnv := func() *Env {
+				return &Env{Clients: []*Client{{ID: 0, Train: d, Test: d}}, Workers: 1, DType: Float32}
+			}
+			reusedEnv := newEnv()
+			evalOnly(reusedEnv, p.first())
+			if !same(evalOnly(reusedEnv, p.second()), evalOnly(newEnv(), p.second())) {
+				t.Error("evaluation worker slot kept the first architecture's float32 shadow for the second model")
+			}
+		})
+	}
+}

@@ -4,9 +4,10 @@ import "fmt"
 
 // DType selects the numeric compute path for local training and
 // evaluation. Float64 is the golden reference path; Float32 routes
-// LocalUpdate and the evaluation protocol through the SIMD-friendly
-// float32 kernels (internal/tensor's *32 family) while keeping master
-// weights and aggregation in float64 — see DESIGN.md §10.
+// LocalUpdate and the evaluation protocol through the float32
+// instantiation of the numeric stack (SIMD kernels in internal/tensor)
+// while keeping master weights and aggregation in float64 — see
+// DESIGN.md §10.
 type DType uint8
 
 const (

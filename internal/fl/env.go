@@ -179,35 +179,26 @@ func (e *Env) ShouldEval(r int) bool {
 	return e.EvalEvery > 0 && (r+1)%e.EvalEvery == 0
 }
 
-// EvaluateWith evaluates every client's test split on the model chosen by
-// pick(worker, clientIdx) and returns per-client accuracies plus the mean
-// accuracy and loss. Clients with empty test sets are skipped in the
-// means. pick receives the stable worker id so it can serve per-worker
-// model instances: nn.Sequential Forward caches activations, so a single
-// model instance must never be evaluated from two goroutines at once.
-func (e *Env) EvaluateWith(pick func(worker, clientIdx int) *nn.Sequential) (perClient []float64, meanAcc, meanLoss float64) {
-	return e.evaluateWith(make([]float64, len(e.Clients)), pick)
-}
-
-// EvaluateWithInto is EvaluateWith writing the per-client accuracies
-// into dst (grown when too small) instead of a fresh slice, so warm
-// evaluation rounds allocate nothing. The returned slice aliases dst's
-// backing array and is overwritten by the caller's next Into call;
-// callers that retain results must copy them.
+// EvaluateWithInto evaluates every client's test split on the model
+// chosen by pick(worker, clientIdx) and returns per-client accuracies
+// plus the mean accuracy and loss. Clients with empty test sets are
+// skipped in the means. pick receives the stable worker id so it can
+// serve per-worker model instances: a network's Forward caches
+// activations, so a single model instance must never be evaluated from
+// two goroutines at once.
+//
+// The per-client accuracies are written into dst (grown when too small)
+// instead of a fresh slice, so warm evaluation rounds allocate nothing.
+// The returned slice aliases dst's backing array and is overwritten by
+// the caller's next call; callers that retain results must copy them.
 func (e *Env) EvaluateWithInto(dst []float64, pick func(worker, clientIdx int) *nn.Sequential) (perClient []float64, meanAcc, meanLoss float64) {
 	n := len(e.Clients)
 	if cap(dst) < n {
 		dst = make([]float64, n)
 	}
-	return e.evaluateWith(dst[:n], pick)
-}
-
-// evaluateWith claims the environment's evaluation scratch and runs the
-// protocol on it.
-func (e *Env) evaluateWith(perClient []float64, pick func(worker, clientIdx int) *nn.Sequential) ([]float64, float64, float64) {
 	s, claimed := e.acquireEval()
 	defer e.releaseEval(s, claimed)
-	return e.evaluateOn(s, perClient, pick)
+	return e.evaluateOn(s, dst[:n], pick)
 }
 
 // evaluateOn runs the evaluation protocol over an already-claimed

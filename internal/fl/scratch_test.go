@@ -15,8 +15,13 @@ import (
 // with a fresh model and fresh scratch per visit. This is the pooled
 // steady state the zero-alloc refactor must not perturb: workspace
 // residue, optimizer velocity, loss-head buffers, and batcher state all
-// carry over between visits and must not change the arithmetic.
+// carry over between visits and must not change the arithmetic — on
+// either compute path.
 func TestTrainScratchReuseBitEquivalent(t *testing.T) {
+	onBothDTypes(t, testTrainScratchReuseBitEquivalent)
+}
+
+func testTrainScratchReuseBitEquivalent(t *testing.T, dtype DType) {
 	mk := func(seed uint64, n int) *data.Dataset { return tinyDataset(n, rng.New(seed)) }
 	visits := []*data.Dataset{
 		mk(1, 33), // partial final batch (33 % 8 != 0)
@@ -30,20 +35,20 @@ func TestTrainScratchReuseBitEquivalent(t *testing.T) {
 
 	// Reused path: one model, one scratch, eval interleaved.
 	pooled := tinyFactory(rng.New(9))
-	var ts TrainScratch
+	ts := TrainScratch{DType: dtype}
 	var got [][]float64
 	for i, d := range visits {
 		nn.LoadParams(pooled, w0)
 		ts.LocalUpdate(pooled, d, cfg, rng.New(uint64(100+i)))
 		got = append(got, nn.FlattenParams(pooled))
-		Evaluate(pooled, d, 5) // different batch size → workspace churn
+		ts.Evaluate(pooled, d, 5) // different batch size → workspace churn
 	}
 
 	// Fresh path: new model and scratch per visit, no eval.
 	for i, d := range visits {
 		fresh := tinyFactory(rng.New(9))
 		nn.LoadParams(fresh, w0)
-		var fts TrainScratch
+		fts := TrainScratch{DType: dtype}
 		fts.LocalUpdate(fresh, d, cfg, rng.New(uint64(100+i)))
 		want := nn.FlattenParams(fresh)
 		for j := range want {
@@ -60,6 +65,10 @@ func TestTrainScratchReuseBitEquivalent(t *testing.T) {
 // already served another client must train exactly like a fresh one,
 // because LocalUpdate rebases the dropout stream on the visit's rng.
 func TestTrainScratchDropoutPooledMatchesFresh(t *testing.T) {
+	onBothDTypes(t, testTrainScratchDropoutPooledMatchesFresh)
+}
+
+func testTrainScratchDropoutPooledMatchesFresh(t *testing.T, dtype DType) {
 	factory := func(r *rng.Rng) *nn.Sequential {
 		return nn.NewSequential(
 			nn.NewDense(2, 8, r),
@@ -75,7 +84,7 @@ func TestTrainScratchDropoutPooledMatchesFresh(t *testing.T) {
 
 	// Pooled: train on A first (advancing all streams), then visit B.
 	pooled := factory(rng.New(13))
-	var ts TrainScratch
+	ts := TrainScratch{DType: dtype}
 	nn.LoadParams(pooled, w0)
 	ts.LocalUpdate(pooled, dA, cfg, rng.New(21))
 	nn.LoadParams(pooled, w0)
@@ -84,7 +93,7 @@ func TestTrainScratchDropoutPooledMatchesFresh(t *testing.T) {
 
 	// Fresh: visit B directly.
 	fresh := factory(rng.New(13))
-	var fts TrainScratch
+	fts := TrainScratch{DType: dtype}
 	nn.LoadParams(fresh, w0)
 	fts.LocalUpdate(fresh, dB, cfg, rng.New(22))
 	want := nn.FlattenParams(fresh)

@@ -69,12 +69,9 @@ type evalScratch struct {
 	ces    []nn.SoftmaxCE
 
 	// shadows/ces32 back the float32 evaluation path: one float32
-	// replica and warm loss head per worker (see shadow32).
-	// mirror32Failed remembers an unmirrorable architecture so the
-	// protocol silently stays float64 instead of retrying per client.
-	shadows        []*nn.Sequential32
-	ces32          []nn.SoftmaxCE32
-	mirror32Failed bool
+	// replica and warm loss head per worker.
+	shadows []shadowCache
+	ces32   []nn.SoftmaxCE32
 
 	// clones/lastSrc/load back EvaluatePersonalized: one lazily built
 	// model per worker, reloaded only when the picked source changes.
@@ -110,7 +107,7 @@ func (s *evalScratch) ensure(n, workers int) {
 		grownClones := make([]*nn.Sequential, workers)
 		copy(grownClones, s.clones) // clone models are expensive; keep them
 		s.clones = grownClones
-		grownShadows := make([]*nn.Sequential32, workers)
+		grownShadows := make([]shadowCache, workers)
 		copy(grownShadows, s.shadows) // mirrors too
 		s.shadows = grownShadows
 		grownLoad := make([][]float64, workers)
@@ -131,9 +128,13 @@ func (s *evalScratch) ensure(n, workers int) {
 				return
 			}
 			m := s.pick(w, i)
+			var sh *nn.SequentialOf[float32]
+			if s.env.DType == Float32 {
+				sh = s.shadows[w].load(m)
+			}
 			var l, a float64
-			if sh := s.shadow32(w, m); sh != nil {
-				l, a = EvaluateCE32(sh, c.Test, s.env.EvalBatchSize(), &s.ces32[w])
+			if sh != nil {
+				l, a = EvaluateCE(sh, c.Test, s.env.EvalBatchSize(), &s.ces32[w])
 			} else {
 				l, a = EvaluateCE(m, c.Test, s.env.EvalBatchSize(), &s.ces[w])
 			}
@@ -142,29 +143,6 @@ func (s *evalScratch) ensure(n, workers int) {
 			s.valid[i] = true
 		}
 	}
-}
-
-// shadow32 returns worker w's float32 eval replica of m when the
-// environment runs the float32 path, loading m's parameters fresh on
-// every call: pick may hand back the same pooled model holding
-// different weights on consecutive clients, so pointer-identity caching
-// would serve stale parameters. Returns nil on the float64 path or when
-// the architecture has no float32 mirror.
-func (s *evalScratch) shadow32(w int, m *nn.Sequential) *nn.Sequential32 {
-	if s.env.DType != Float32 || s.mirror32Failed {
-		return nil
-	}
-	sh := s.shadows[w]
-	if sh == nil || !shadowCompatible(sh, m) {
-		sh = nn.Mirror32(m)
-		if sh == nil {
-			s.mirror32Failed = true
-			return nil
-		}
-		s.shadows[w] = sh
-	}
-	nn.AssignParams32(sh, m)
-	return sh
 }
 
 // acquireEval claims the environment's shared evaluation scratch;

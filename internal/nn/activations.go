@@ -9,23 +9,23 @@ import (
 )
 
 // ReLU is the rectified linear activation, applied elementwise.
-type ReLU struct {
+type ReLU[T tensor.Float] struct {
 	dim     int
 	mask    []bool
-	out, gx ws
+	out, gx ws[T]
 }
 
 // NewReLU builds a ReLU over dim features.
-func NewReLU(dim int) *ReLU { return &ReLU{dim: dim} }
+func NewReLU(dim int) *ReLU[float64] { return &ReLU[float64]{dim: dim} }
 
 // Name implements Layer.
-func (r *ReLU) Name() string { return fmt.Sprintf("relu(%d)", r.dim) }
+func (r *ReLU[T]) Name() string { return fmt.Sprintf("relu(%d)", r.dim) }
 
 // OutDim implements Layer.
-func (r *ReLU) OutDim() int { return r.dim }
+func (r *ReLU[T]) OutDim() int { return r.dim }
 
 // Forward implements Layer.
-func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (r *ReLU[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	checkBatchInput(r, "", x, r.dim)
 	out := r.out.get(x.Shape[0], x.Shape[1])
 	r.mask = growBools(r.mask, len(x.Data))
@@ -42,7 +42,7 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (r *ReLU[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if r.mask == nil {
 		panic("nn: ReLU.Backward called before Forward")
 	}
@@ -58,41 +58,42 @@ func (r *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer (none).
-func (r *ReLU) Params() []*tensor.Tensor { return nil }
+func (r *ReLU[T]) Params() []*tensor.Of[T] { return nil }
 
 // Grads implements Layer (none).
-func (r *ReLU) Grads() []*tensor.Tensor { return nil }
+func (r *ReLU[T]) Grads() []*tensor.Of[T] { return nil }
 
 // Tanh is the hyperbolic tangent activation (LeNet-5's classic
-// nonlinearity), applied elementwise.
-type Tanh struct {
+// nonlinearity), applied elementwise. The transcendental is evaluated in
+// float64 and rounded once to T.
+type Tanh[T tensor.Float] struct {
 	dim     int
-	y       *tensor.Tensor
-	out, gx ws
+	y       *tensor.Of[T]
+	out, gx ws[T]
 }
 
 // NewTanh builds a Tanh over dim features.
-func NewTanh(dim int) *Tanh { return &Tanh{dim: dim} }
+func NewTanh(dim int) *Tanh[float64] { return &Tanh[float64]{dim: dim} }
 
 // Name implements Layer.
-func (t *Tanh) Name() string { return fmt.Sprintf("tanh(%d)", t.dim) }
+func (t *Tanh[T]) Name() string { return fmt.Sprintf("tanh(%d)", t.dim) }
 
 // OutDim implements Layer.
-func (t *Tanh) OutDim() int { return t.dim }
+func (t *Tanh[T]) OutDim() int { return t.dim }
 
 // Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (t *Tanh[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	checkBatchInput(t, "", x, t.dim)
 	out := t.out.get(x.Shape[0], x.Shape[1])
 	for i, v := range x.Data {
-		out.Data[i] = math.Tanh(v)
+		out.Data[i] = T(math.Tanh(float64(v)))
 	}
 	t.y = out
 	return out
 }
 
 // Backward implements Layer: d tanh = 1 - tanh².
-func (t *Tanh) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (t *Tanh[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if t.y == nil {
 		panic("nn: Tanh.Backward called before Forward")
 	}
@@ -105,10 +106,10 @@ func (t *Tanh) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer (none).
-func (t *Tanh) Params() []*tensor.Tensor { return nil }
+func (t *Tanh[T]) Params() []*tensor.Of[T] { return nil }
 
 // Grads implements Layer (none).
-func (t *Tanh) Grads() []*tensor.Tensor { return nil }
+func (t *Tanh[T]) Grads() []*tensor.Of[T] { return nil }
 
 // Dropout zeroes activations with probability P during training and
 // rescales the survivors by 1/(1-P) (inverted dropout); it is the identity
@@ -120,35 +121,37 @@ func (t *Tanh) Grads() []*tensor.Tensor { return nil }
 // round) stream, not on how many times the model instance was used
 // before — the property pooled model reuse relies on (DESIGN.md §5,
 // model-pool invariant 3). The constructor stream is only a fallback for
-// standalone use.
-type Dropout struct {
+// standalone use. The keep decision consumes one r.Float64() draw per
+// element whatever T is, so a float32 shadow sees the masks of the
+// float64 network it mirrors.
+type Dropout[T tensor.Float] struct {
 	dim     int
 	P       float64
 	rng     *rng.Rng
 	mask    []bool
 	active  bool // true when the last Forward was a training pass
-	out, gx ws
+	out, gx ws[T]
 }
 
 // NewDropout builds a Dropout layer with drop probability p in [0, 1).
-func NewDropout(dim int, p float64, r *rng.Rng) *Dropout {
+func NewDropout(dim int, p float64, r *rng.Rng) *Dropout[float64] {
 	if p < 0 || p >= 1 {
 		panic(fmt.Sprintf("nn: Dropout probability %v out of [0,1)", p))
 	}
-	return &Dropout{dim: dim, P: p, rng: r}
+	return &Dropout[float64]{dim: dim, P: p, rng: r}
 }
 
 // Name implements Layer.
-func (d *Dropout) Name() string { return fmt.Sprintf("dropout(%.2f)", d.P) }
+func (d *Dropout[T]) Name() string { return fmt.Sprintf("dropout(%.2f)", d.P) }
 
 // OutDim implements Layer.
-func (d *Dropout) OutDim() int { return d.dim }
+func (d *Dropout[T]) OutDim() int { return d.dim }
 
 // SeedStep implements StepSeeded: subsequent masks are drawn from r.
-func (d *Dropout) SeedStep(r *rng.Rng) { d.rng = r }
+func (d *Dropout[T]) SeedStep(r *rng.Rng) { d.rng = r }
 
 // Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (d *Dropout[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	checkBatchInput(d, "", x, d.dim)
 	if !train || d.P == 0 {
 		d.active = false
@@ -157,7 +160,7 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	out := d.out.get(x.Shape[0], x.Shape[1])
 	d.mask = growBools(d.mask, len(x.Data))
 	d.active = true
-	scale := 1 / (1 - d.P)
+	scale := T(1 / (1 - d.P))
 	for i, v := range x.Data {
 		if d.rng.Float64() >= d.P {
 			d.mask[i] = true
@@ -171,12 +174,12 @@ func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (d *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (d *Dropout[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if !d.active {
 		return gradOut // eval-mode identity
 	}
 	gx := d.gx.get(gradOut.Shape[0], gradOut.Shape[1])
-	scale := 1 / (1 - d.P)
+	scale := T(1 / (1 - d.P))
 	for i, v := range gradOut.Data {
 		if d.mask[i] {
 			gx.Data[i] = v * scale
@@ -188,7 +191,7 @@ func (d *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer (none).
-func (d *Dropout) Params() []*tensor.Tensor { return nil }
+func (d *Dropout[T]) Params() []*tensor.Of[T] { return nil }
 
 // Grads implements Layer (none).
-func (d *Dropout) Grads() []*tensor.Tensor { return nil }
+func (d *Dropout[T]) Grads() []*tensor.Of[T] { return nil }

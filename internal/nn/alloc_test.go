@@ -20,11 +20,11 @@ import (
 
 // lenetStep returns a warm closed-over LeNet forward+backward step on
 // the benchmark geometry (batch 32, 3×16×16 inputs, 10 classes).
-func lenetStep() func() {
+func lenetStep[T tensor.Float](t *testing.T) func() {
 	r := rng.New(1)
-	net := LeNet5(r, 3, 16, 16, 10, 0.5)
-	var ce SoftmaxCE
-	x := tensor.New(32, 3*16*16)
+	net := netOf[T](t, LeNet5(r, 3, 16, 16, 10, 0.5))
+	var ce SoftmaxCEOf[T]
+	x := tensor.NewOf[T](32, 3*16*16)
 	labels := make([]int, 32)
 	step := func() {
 		net.ZeroGrads()
@@ -40,14 +40,18 @@ func lenetStep() func() {
 // GOMAXPROCS=1 machines) and, separately, the executor-backed parallel
 // dispatch that the conv layers' large matmuls take on multicore hosts.
 func TestLeNetForwardBackwardZeroAllocs(t *testing.T) {
-	step := lenetStep()
+	bothTypes(t, testLeNetForwardBackwardZeroAllocs[float64], testLeNetForwardBackwardZeroAllocs[float32])
+}
+
+func testLeNetForwardBackwardZeroAllocs[T tensor.Float](t *testing.T) {
+	step := lenetStep[T](t)
 	if n := testing.AllocsPerRun(30, step); n != 0 {
 		t.Fatalf("warm LeNet forward+backward allocates %v times, want 0", n)
 	}
 
 	old := runtime.GOMAXPROCS(4) // force the parallel branch of splitRows
 	defer runtime.GOMAXPROCS(old)
-	step = lenetStep()
+	step = lenetStep[T](t)
 	if n := testing.AllocsPerRun(30, step); n != 0 {
 		t.Fatalf("warm LeNet step with parallel matmul dispatch allocates %v times, want 0", n)
 	}

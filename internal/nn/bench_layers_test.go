@@ -12,86 +12,45 @@ import (
 // off by subtraction; all report allocations because the steady-state
 // training step is required to perform none (see alloc_test.go).
 
-func randBatch(r *rng.Rng, batch, dim int) *tensor.Tensor {
-	x := tensor.New(batch, dim)
-	for i := range x.Data {
-		x.Data[i] = r.NormFloat64()
-	}
-	return x
+// benchLayer times l's Forward (and, when backward, Backward) once per
+// compute path, as sub-benchmarks float64 and float32: l itself, and its
+// Mirror32 shadow carrying the same randomly initialized weights, so the
+// pair stays honest.
+func benchLayer(b *testing.B, l Layer[float64], batch, inDim int, backward bool) {
+	b.Run("float64", func(b *testing.B) { benchLayerOf[float64](b, l, batch, inDim, backward) })
+	b.Run("float32", func(b *testing.B) { benchLayerOf[float32](b, l, batch, inDim, backward) })
 }
 
-func BenchmarkDenseForward(b *testing.B) {
+func benchLayerOf[T tensor.Float](b *testing.B, l Layer[float64], batch, inDim int, backward bool) {
 	r := rng.New(1)
-	d := NewDense(256, 128, r)
-	x := randBatch(r, 32, 256)
+	net := netOf[T](b, NewSequential(l))
+	x := tensorOf[T](randInput(r, batch, inDim))
+	gy := tensorOf[T](randInput(r, batch, l.OutDim()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = d.Forward(x, true)
+		_ = net.Forward(x, true)
+		if backward {
+			_ = net.Backward(gy)
+		}
 	}
 }
 
-func BenchmarkDenseForwardBackward(b *testing.B) {
-	r := rng.New(1)
-	d := NewDense(256, 128, r)
-	x := randBatch(r, 32, 256)
-	gy := randBatch(r, 32, 128)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = d.Forward(x, true)
-		_ = d.Backward(gy)
-	}
-}
+func benchDense() Layer[float64] { return NewDense(256, 128, rng.New(1)) }
 
-func BenchmarkConv2DForward(b *testing.B) {
-	r := rng.New(2)
+func benchConv() Layer[float64] {
 	g := tensor.ConvGeom{InC: 3, InH: 16, InW: 16, KH: 5, KW: 5, Stride: 1, Pad: 2}
-	c := NewConv2D(g, 8, r)
-	x := randBatch(r, 16, 3*16*16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.Forward(x, true)
-	}
+	return NewConv2D(g, 8, rng.New(2))
 }
 
-func BenchmarkConv2DForwardBackward(b *testing.B) {
-	r := rng.New(2)
-	g := tensor.ConvGeom{InC: 3, InH: 16, InW: 16, KH: 5, KW: 5, Stride: 1, Pad: 2}
-	c := NewConv2D(g, 8, r)
-	x := randBatch(r, 16, 3*16*16)
-	gy := randBatch(r, 16, c.OutDim())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.Forward(x, true)
-		_ = c.Backward(gy)
-	}
-}
+func BenchmarkDenseForward(b *testing.B)         { benchLayer(b, benchDense(), 32, 256, false) }
+func BenchmarkDenseForwardBackward(b *testing.B) { benchLayer(b, benchDense(), 32, 256, true) }
 
-func BenchmarkReLUForwardBackward(b *testing.B) {
-	r := rng.New(3)
-	l := NewReLU(4096)
-	x := randBatch(r, 32, 4096)
-	gy := randBatch(r, 32, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = l.Forward(x, true)
-		_ = l.Backward(gy)
-	}
-}
+func BenchmarkConv2DForward(b *testing.B)         { benchLayer(b, benchConv(), 16, 3*16*16, false) }
+func BenchmarkConv2DForwardBackward(b *testing.B) { benchLayer(b, benchConv(), 16, 3*16*16, true) }
+
+func BenchmarkReLUForwardBackward(b *testing.B) { benchLayer(b, NewReLU(4096), 32, 4096, true) }
 
 func BenchmarkMaxPool2ForwardBackward(b *testing.B) {
-	r := rng.New(4)
-	p := NewMaxPool2(8, 16, 16)
-	x := randBatch(r, 32, 8*16*16)
-	gy := randBatch(r, 32, p.OutDim())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = p.Forward(x, true)
-		_ = p.Backward(gy)
-	}
+	benchLayer(b, NewMaxPool2(8, 16, 16), 32, 8*16*16, true)
 }

@@ -7,59 +7,67 @@ import (
 	"fedclust/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over flattened CHW inputs, implemented as a
+// Conv2DOf is a 2-D convolution over flattened CHW inputs, implemented as a
 // batched im2col + one large parallel matrix multiply. All intermediate
 // matrices live in persistent per-layer workspaces, so a steady-state
 // training step allocates nothing. Backward reuses the im2col workspace
 // for the column gradient, which means Backward may be called at most
 // once per Forward (the Layer contract already requires the matching
 // Forward cache).
-type Conv2D struct {
+type Conv2DOf[T tensor.Float] struct {
 	Geom   tensor.ConvGeom
 	OutC   int
-	W      *tensor.Tensor // (OutC, InC*KH*KW)
-	B      *tensor.Tensor // (OutC)
-	gw, gb *tensor.Tensor
+	W      *tensor.Of[T] // (OutC, InC*KH*KW)
+	B      *tensor.Of[T] // (OutC)
+	gw, gb *tensor.Of[T]
 	batch  int
 
-	cols  ws // (batch*outHW, rowLen) unrolled input; reused as gcols in Backward
-	mm    ws // pixel-major matmul output y in Forward, de-interleaved gy in Backward
-	out   ws // channel-major forward output (batch, OutC*outHW)
-	gwTmp ws // per-call weight gradient, accumulated into gw
-	gx    ws // input gradient (batch, InC*InH*InW)
+	cols  ws[T] // (batch*outHW, rowLen) unrolled input; reused as gcols in Backward
+	mm    ws[T] // pixel-major matmul output y in Forward, de-interleaved gy in Backward
+	out   ws[T] // channel-major forward output (batch, OutC*outHW)
+	gwTmp ws[T] // per-call weight gradient, accumulated into gw
+	gx    ws[T] // input gradient (batch, InC*InH*InW)
 }
 
-// NewConv2D constructs a convolution with He initialization.
-func NewConv2D(g tensor.ConvGeom, outC int, r *rng.Rng) *Conv2D {
+// Conv2D is the float64 convolution.
+type Conv2D = Conv2DOf[float64]
+
+// newConv2D constructs a zero-weight convolution.
+func newConv2D[T tensor.Float](g tensor.ConvGeom, outC int) *Conv2DOf[T] {
 	g.Validate()
 	if outC <= 0 {
 		panic(fmt.Sprintf("nn: Conv2D outC must be positive, got %d", outC))
 	}
 	rowLen := g.InC * g.KH * g.KW
-	c := &Conv2D{
+	return &Conv2DOf[T]{
 		Geom: g, OutC: outC,
-		W:  tensor.New(outC, rowLen),
-		B:  tensor.New(outC),
-		gw: tensor.New(outC, rowLen),
-		gb: tensor.New(outC),
+		W:  tensor.NewOf[T](outC, rowLen),
+		B:  tensor.NewOf[T](outC),
+		gw: tensor.NewOf[T](outC, rowLen),
+		gb: tensor.NewOf[T](outC),
 	}
-	HeInit(c.W, rowLen, r)
+}
+
+// NewConv2D constructs a convolution with He initialization.
+func NewConv2D(g tensor.ConvGeom, outC int, r *rng.Rng) *Conv2D {
+	c := newConv2D[float64](g, outC)
+	HeInit(c.W, g.InC*g.KH*g.KW, r)
 	return c
 }
 
 // Name implements Layer.
-func (c *Conv2D) Name() string {
+func (c *Conv2DOf[T]) Name() string {
 	return fmt.Sprintf("conv%dx%d(%d→%d)", c.Geom.KH, c.Geom.KW, c.Geom.InC, c.OutC)
 }
 
 // InDim returns the expected flattened input width.
-func (c *Conv2D) InDim() int { return c.Geom.InC * c.Geom.InH * c.Geom.InW }
+func (c *Conv2DOf[T]) InDim() int { return c.Geom.InC * c.Geom.InH * c.Geom.InW }
 
 // OutDim implements Layer: OutC × OutH × OutW.
-func (c *Conv2D) OutDim() int { return c.OutC * c.Geom.OutH() * c.Geom.OutW() }
+func (c *Conv2DOf[T]) OutDim() int { return c.OutC * c.Geom.OutH() * c.Geom.OutW() }
 
 // Forward implements Layer. The output feature axis is channel-major CHW.
-func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (c *Conv2DOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	checkBatchInput(c, "", x, c.InDim())
 	batch := x.Shape[0]
 	c.batch = batch
@@ -89,7 +97,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (c *Conv2DOf[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if c.batch == 0 {
 		panic("nn: Conv2D.Backward called before Forward")
 	}
@@ -132,42 +140,42 @@ func (c *Conv2D) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
+func (c *Conv2DOf[T]) Params() []*tensor.Of[T] { return []*tensor.Of[T]{c.W, c.B} }
 
 // Grads implements Layer.
-func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.gw, c.gb} }
+func (c *Conv2DOf[T]) Grads() []*tensor.Of[T] { return []*tensor.Of[T]{c.gw, c.gb} }
 
 // MaxPool2 is a 2×2, stride-2 max pooling layer over CHW volumes.
-type MaxPool2 struct {
+type MaxPool2[T tensor.Float] struct {
 	C, H, W int
 	argmax  []int // flat input index of each output element's max
 	batch   int
-	out, gx ws
+	out, gx ws[T]
 }
 
 // NewMaxPool2 builds the layer for the given input volume. H and W must be
 // even (the models in this repo arrange that).
-func NewMaxPool2(c, h, w int) *MaxPool2 {
+func NewMaxPool2(c, h, w int) *MaxPool2[float64] {
 	if c <= 0 || h <= 0 || w <= 0 {
 		panic(fmt.Sprintf("nn: MaxPool2 invalid volume %dx%dx%d", c, h, w))
 	}
 	if h%2 != 0 || w%2 != 0 {
 		panic(fmt.Sprintf("nn: MaxPool2 requires even H and W, got %dx%d", h, w))
 	}
-	return &MaxPool2{C: c, H: h, W: w}
+	return &MaxPool2[float64]{C: c, H: h, W: w}
 }
 
 // Name implements Layer.
-func (p *MaxPool2) Name() string { return fmt.Sprintf("maxpool2(%dx%dx%d)", p.C, p.H, p.W) }
+func (p *MaxPool2[T]) Name() string { return fmt.Sprintf("maxpool2(%dx%dx%d)", p.C, p.H, p.W) }
 
 // InDim returns the flattened input width.
-func (p *MaxPool2) InDim() int { return p.C * p.H * p.W }
+func (p *MaxPool2[T]) InDim() int { return p.C * p.H * p.W }
 
 // OutDim implements Layer.
-func (p *MaxPool2) OutDim() int { return p.C * (p.H / 2) * (p.W / 2) }
+func (p *MaxPool2[T]) OutDim() int { return p.C * (p.H / 2) * (p.W / 2) }
 
 // Forward implements Layer.
-func (p *MaxPool2) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (p *MaxPool2[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	checkBatchInput(p, "", x, p.InDim())
 	batch := x.Shape[0]
 	p.batch = batch
@@ -207,7 +215,7 @@ func (p *MaxPool2) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer: routes each gradient to its argmax position.
-func (p *MaxPool2) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (p *MaxPool2[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if p.argmax == nil {
 		panic("nn: MaxPool2.Backward called before Forward")
 	}
@@ -225,7 +233,7 @@ func (p *MaxPool2) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer (none).
-func (p *MaxPool2) Params() []*tensor.Tensor { return nil }
+func (p *MaxPool2[T]) Params() []*tensor.Of[T] { return nil }
 
 // Grads implements Layer (none).
-func (p *MaxPool2) Grads() []*tensor.Tensor { return nil }
+func (p *MaxPool2[T]) Grads() []*tensor.Of[T] { return nil }

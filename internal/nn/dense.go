@@ -7,47 +7,55 @@ import (
 	"fedclust/internal/tensor"
 )
 
-// Dense is a fully connected layer: y = x·Wᵀ + b. Forward and Backward
+// DenseOf is a fully connected layer: y = x·Wᵀ + b. Forward and Backward
 // write into persistent per-layer workspaces (out, gwTmp, gx), so a
 // steady-state training step allocates nothing; returned tensors are
 // valid only until the layer's next Forward/Backward call.
-type Dense struct {
+type DenseOf[T tensor.Float] struct {
 	In, Out int
-	W       *tensor.Tensor // (Out, In)
-	B       *tensor.Tensor // (Out)
-	gw, gb  *tensor.Tensor
-	x       *tensor.Tensor // cached input for backward
+	W       *tensor.Of[T] // (Out, In)
+	B       *tensor.Of[T] // (Out)
+	gw, gb  *tensor.Of[T]
+	x       *tensor.Of[T] // cached input for backward
 
-	out   ws // forward output (batch, Out)
-	gwTmp ws // per-call weight gradient, accumulated into gw
-	gx    ws // input gradient (batch, In)
+	out   ws[T] // forward output (batch, Out)
+	gwTmp ws[T] // per-call weight gradient, accumulated into gw
+	gx    ws[T] // input gradient (batch, In)
+}
+
+// Dense is the float64 fully connected layer.
+type Dense = DenseOf[float64]
+
+// newDense constructs a zero-weight dense layer.
+func newDense[T tensor.Float](in, out int) *DenseOf[T] {
+	if in <= 0 || out <= 0 {
+		panic(fmt.Sprintf("nn: Dense dims must be positive, got %d→%d", in, out))
+	}
+	return &DenseOf[T]{
+		In: in, Out: out,
+		W:  tensor.NewOf[T](out, in),
+		B:  tensor.NewOf[T](out),
+		gw: tensor.NewOf[T](out, in),
+		gb: tensor.NewOf[T](out),
+	}
 }
 
 // NewDense constructs a Dense layer with He initialization.
 func NewDense(in, out int, r *rng.Rng) *Dense {
-	if in <= 0 || out <= 0 {
-		panic(fmt.Sprintf("nn: Dense dims must be positive, got %d→%d", in, out))
-	}
-	d := &Dense{
-		In: in, Out: out,
-		W:  tensor.New(out, in),
-		B:  tensor.New(out),
-		gw: tensor.New(out, in),
-		gb: tensor.New(out),
-	}
+	d := newDense[float64](in, out)
 	HeInit(d.W, in, r)
 	return d
 }
 
 // Name implements Layer.
-func (d *Dense) Name() string { return fmt.Sprintf("dense(%d→%d)", d.In, d.Out) }
+func (d *DenseOf[T]) Name() string { return fmt.Sprintf("dense(%d→%d)", d.In, d.Out) }
 
 // OutDim implements Layer.
-func (d *Dense) OutDim() int { return d.Out }
+func (d *DenseOf[T]) OutDim() int { return d.Out }
 
 // Forward implements Layer: y = x·Wᵀ + b over the batch, reading W in
 // place via the transposed-operand kernel.
-func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (d *DenseOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	checkBatchInput(d, "", x, d.In)
 	d.x = x
 	batch := x.Shape[0]
@@ -63,7 +71,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (d *DenseOf[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if d.x == nil {
 		panic("nn: Dense.Backward called before Forward")
 	}
@@ -85,7 +93,7 @@ func (d *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer.
-func (d *Dense) Params() []*tensor.Tensor { return []*tensor.Tensor{d.W, d.B} }
+func (d *DenseOf[T]) Params() []*tensor.Of[T] { return []*tensor.Of[T]{d.W, d.B} }
 
 // Grads implements Layer.
-func (d *Dense) Grads() []*tensor.Tensor { return []*tensor.Tensor{d.gw, d.gb} }
+func (d *DenseOf[T]) Grads() []*tensor.Of[T] { return []*tensor.Of[T]{d.gw, d.gb} }

@@ -8,10 +8,45 @@ import (
 	"fedclust/internal/tensor"
 )
 
+// netOf returns the network the T compute path runs for src: src itself
+// in float64, its loaded Mirror32 shadow in float32.
+func netOf[T tensor.Float](t testing.TB, src *Sequential) *SequentialOf[T] {
+	t.Helper()
+	if n, ok := any(src).(*SequentialOf[T]); ok {
+		return n
+	}
+	m := Mirror32(src)
+	if m == nil {
+		t.Fatalf("Mirror32 returned nil for %v", src)
+	}
+	AssignParams32(m, src)
+	return any(m).(*SequentialOf[T])
+}
+
+// tensorOf returns x in element type T (x itself for float64).
+func tensorOf[T tensor.Float](x *tensor.Tensor) *tensor.Of[T] {
+	if same, ok := any(x).(*tensor.Of[T]); ok {
+		return same
+	}
+	out := tensor.NewOf[T](x.Shape...)
+	for i, v := range x.Data {
+		out.Data[i] = T(v)
+	}
+	return out
+}
+
+// bothTypes runs one generic test body per element type.
+func bothTypes(t *testing.T, f64, f32 func(t *testing.T)) {
+	t.Run("float64", f64)
+	t.Run("float32", f32)
+}
+
 // numericalGrad estimates dLoss/dTheta for every parameter of net by
 // central finite differences, where the loss is softmax CE on (x, labels).
-func numericalGrad(net *Sequential, x *tensor.Tensor, labels []int, eps float64) []float64 {
-	var ce SoftmaxCE
+// The loss head reports in float64 whatever T is, so for float32 eps can
+// sit well above rounding noise while the quotient stays meaningful.
+func numericalGrad[T tensor.Float](net *SequentialOf[T], x *tensor.Of[T], labels []int, eps T) []float64 {
+	var ce SoftmaxCEOf[T]
 	lossAt := func() float64 {
 		loss, _, _ := ce.Loss(net.Forward(x, false), labels)
 		return loss
@@ -25,39 +60,71 @@ func numericalGrad(net *Sequential, x *tensor.Tensor, labels []int, eps float64)
 			p.Data[i] = orig - eps
 			lm := lossAt()
 			p.Data[i] = orig
-			grads = append(grads, (lp-lm)/(2*eps))
+			grads = append(grads, (lp-lm)/(2*float64(eps)))
 		}
 	}
 	return grads
 }
 
 // analyticGrad runs one forward/backward pass and returns the flat
-// parameter gradient.
-func analyticGrad(net *Sequential, x *tensor.Tensor, labels []int) []float64 {
-	var ce SoftmaxCE
+// parameter gradient, widened to float64.
+func analyticGrad[T tensor.Float](net *SequentialOf[T], x *tensor.Of[T], labels []int) []float64 {
+	var ce SoftmaxCEOf[T]
 	net.ZeroGrads()
 	logits := net.Forward(x, true)
 	_, grad, _ := ce.Loss(logits, labels)
 	net.Backward(grad)
-	return FlattenGrads(net)
-}
-
-// checkGradients compares analytic vs numerical gradients with a relative
-// tolerance.
-func checkGradients(t *testing.T, net *Sequential, x *tensor.Tensor, labels []int) {
-	t.Helper()
-	ana := analyticGrad(net, x, labels)
-	num := numericalGrad(net, x, labels, 1e-5)
-	if len(ana) != len(num) {
-		t.Fatalf("gradient length mismatch: %d vs %d", len(ana), len(num))
-	}
-	for i := range ana {
-		diff := math.Abs(ana[i] - num[i])
-		scale := math.Max(1e-4, math.Abs(ana[i])+math.Abs(num[i]))
-		if diff/scale > 1e-4 {
-			t.Fatalf("gradient %d mismatch: analytic %v numerical %v", i, ana[i], num[i])
+	var out []float64
+	for _, g := range net.Grads() {
+		for _, v := range g.Data {
+			out = append(out, float64(v))
 		}
 	}
+	return out
+}
+
+// compareGrads fails unless got and want agree within rel, relative to
+// their combined magnitude floored at floor.
+func compareGrads(t *testing.T, what string, got, want []float64, floor, rel float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("gradient length mismatch: %d vs %d", len(got), len(want))
+	}
+	for i := range got {
+		scale := math.Max(floor, math.Abs(got[i])+math.Abs(want[i]))
+		if math.Abs(got[i]-want[i])/scale > rel {
+			t.Fatalf("gradient %d mismatch (%s): %v vs %v", i, what, got[i], want[i])
+		}
+	}
+}
+
+// checkGradients compares the T compute path's analytic gradient of src
+// against central differences taken on the same path. The step and
+// tolerances are per type: float64 resolves eps 1e-5 to 1e-4 relative;
+// float32 needs eps 1e-2 to rise above forward-pass rounding, and 5e-2.
+func checkGradients[T tensor.Float](t *testing.T, src *Sequential, x *tensor.Tensor, labels []int) {
+	t.Helper()
+	net, xT := netOf[T](t, src), tensorOf[T](x)
+	eps, floor, rel := 1e-5, 1e-4, 1e-4
+	if _, f32 := any(net).(*SequentialOf[float32]); f32 {
+		eps, floor, rel = 1e-2, 1e-2, 5e-2
+	}
+	ana := analyticGrad(net, xT, labels)
+	num := numericalGrad(net, xT, labels, T(eps))
+	compareGrads(t, "analytic vs numerical", ana, num, floor, rel)
+}
+
+// checkGradients32VsFloat64 checks the float32 analytic gradient against
+// the float64 analytic gradient of the same network. The float64
+// gradient is itself pinned by the numerical check, so this transitively
+// verifies the float32 backward pass — and unlike a wide-eps central
+// difference it is immune to ReLU/argmax kink crossing, which is why the
+// kinked stacks use it.
+func checkGradients32VsFloat64(t *testing.T, src *Sequential, x *tensor.Tensor, labels []int) {
+	t.Helper()
+	ref := analyticGrad(src, x, labels)
+	got := analyticGrad(netOf[float32](t, src), tensorOf[float32](x), labels)
+	compareGrads(t, "float32 vs float64", got, ref, 1e-3, 5e-3)
 }
 
 func randInput(r *rng.Rng, batch, dim int) *tensor.Tensor {
@@ -68,87 +135,99 @@ func randInput(r *rng.Rng, batch, dim int) *tensor.Tensor {
 	return x
 }
 
-func TestGradCheckDense(t *testing.T) {
-	r := rng.New(1)
-	net := NewSequential(NewDense(7, 4, r))
-	checkGradients(t, net, randInput(r, 5, 7), []int{0, 1, 2, 3, 0})
-}
-
-func TestGradCheckMLPReLU(t *testing.T) {
-	r := rng.New(2)
-	net := MLP(r, 6, 8, 3)
-	checkGradients(t, net, randInput(r, 4, 6), []int{0, 1, 2, 1})
-}
-
-func TestGradCheckTanh(t *testing.T) {
-	r := rng.New(3)
-	net := NewSequential(NewDense(5, 6, r), NewTanh(6), NewDense(6, 3, r))
-	checkGradients(t, net, randInput(r, 3, 5), []int{2, 0, 1})
-}
-
-func TestGradCheckConv(t *testing.T) {
-	r := rng.New(4)
-	g := tensor.ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	conv := NewConv2D(g, 3, r)
-	net := NewSequential(conv, NewReLU(conv.OutDim()),
-		NewDense(conv.OutDim(), 3, r))
-	checkGradients(t, net, randInput(r, 2, 2*6*6), []int{0, 2})
-}
-
-func TestGradCheckConvStride2NoPad(t *testing.T) {
-	r := rng.New(5)
-	g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 0}
-	conv := NewConv2D(g, 2, r)
-	net := NewSequential(conv, NewDense(conv.OutDim(), 2, r))
-	checkGradients(t, net, randInput(r, 2, 64), []int{0, 1})
-}
-
-func TestGradCheckMaxPool(t *testing.T) {
-	r := rng.New(6)
-	pool := NewMaxPool2(2, 4, 4)
-	net := NewSequential(pool, NewDense(pool.OutDim(), 3, r))
-	checkGradients(t, net, randInput(r, 3, 32), []int{0, 1, 2})
-}
-
-func TestGradCheckConvPoolStack(t *testing.T) {
-	r := rng.New(7)
-	g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	conv := NewConv2D(g, 2, r)
-	pool := NewMaxPool2(2, 8, 8)
-	net := NewSequential(
-		conv, NewReLU(conv.OutDim()), pool,
-		NewDense(pool.OutDim(), 4, r),
-	)
-	checkGradients(t, net, randInput(r, 2, 64), []int{3, 1})
-}
-
-func TestGradCheckLeNetTiny(t *testing.T) {
+// gradCases is the architecture table both element types are checked on.
+// kinked marks stacks with a ReLU or max-pool, whose float32 gradient is
+// checked against float64 instead of against wide-eps differences.
+var gradCases = []struct {
+	name   string
+	seed   uint64
+	kinked bool
+	build  func(r *rng.Rng) (net *Sequential, x *tensor.Tensor, labels []int)
+}{
+	{"Dense", 1, false, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
+		return NewSequential(NewDense(7, 4, r)), randInput(r, 5, 7), []int{0, 1, 2, 3, 0}
+	}},
+	{"MLPReLU", 2, true, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
+		return MLP(r, 6, 8, 3), randInput(r, 4, 6), []int{0, 1, 2, 1}
+	}},
+	{"Tanh", 3, false, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
+		net := NewSequential(NewDense(5, 6, r), NewTanh(6), NewDense(6, 3, r))
+		return net, randInput(r, 3, 5), []int{2, 0, 1}
+	}},
+	{"ConvReLU", 4, true, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
+		g := tensor.ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		conv := NewConv2D(g, 3, r)
+		net := NewSequential(conv, NewReLU(conv.OutDim()), NewDense(conv.OutDim(), 3, r))
+		return net, randInput(r, 2, 2*6*6), []int{0, 2}
+	}},
+	// No ReLU: the smooth stack keeps the central difference honest, so
+	// the float32 convolution's backward gets a numerical check of its own.
+	{"ConvSmooth", 45, false, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
+		g := tensor.ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		conv := NewConv2D(g, 3, r)
+		return NewSequential(conv, NewDense(conv.OutDim(), 3, r)), randInput(r, 2, 2*6*6), []int{0, 2}
+	}},
+	{"ConvStride2NoPad", 5, false, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
+		g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 0}
+		conv := NewConv2D(g, 2, r)
+		return NewSequential(conv, NewDense(conv.OutDim(), 2, r)), randInput(r, 2, 64), []int{0, 1}
+	}},
+	{"MaxPool", 6, true, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
+		pool := NewMaxPool2(2, 4, 4)
+		return NewSequential(pool, NewDense(pool.OutDim(), 3, r)), randInput(r, 3, 32), []int{0, 1, 2}
+	}},
+	{"ConvPoolStack", 7, true, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
+		g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		conv := NewConv2D(g, 2, r)
+		pool := NewMaxPool2(2, 8, 8)
+		net := NewSequential(conv, NewReLU(conv.OutDim()), pool, NewDense(pool.OutDim(), 4, r))
+		return net, randInput(r, 2, 64), []int{3, 1}
+	}},
 	// A narrow LeNet-5 on a 12x12 single-channel input exercises the full
 	// Table-I architecture end to end.
-	r := rng.New(8)
-	net := LeNet5(r, 1, 12, 12, 3, 0.25)
-	checkGradients(t, net, randInput(r, 2, 144), []int{0, 2})
-}
-
-func TestGradCheckAvgPool(t *testing.T) {
-	r := rng.New(9)
-	pool := NewAvgPool2(2, 4, 4)
-	net := NewSequential(pool, NewDense(pool.OutDim(), 3, r))
-	checkGradients(t, net, randInput(r, 3, 32), []int{0, 1, 2})
-}
-
-func TestGradCheckSigmoid(t *testing.T) {
-	r := rng.New(10)
-	net := NewSequential(NewDense(5, 6, r), NewSigmoid(6), NewDense(6, 3, r))
-	checkGradients(t, net, randInput(r, 3, 5), []int{2, 0, 1})
-}
-
-func TestGradCheckClassicLeNetStack(t *testing.T) {
+	{"LeNetTiny", 8, true, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
+		return LeNet5(r, 1, 12, 12, 3, 0.25), randInput(r, 2, 144), []int{0, 2}
+	}},
+	{"AvgPool", 9, false, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
+		pool := NewAvgPool2(2, 4, 4)
+		return NewSequential(pool, NewDense(pool.OutDim(), 3, r)), randInput(r, 3, 32), []int{0, 1, 2}
+	}},
+	{"Sigmoid", 10, false, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
+		net := NewSequential(NewDense(5, 6, r), NewSigmoid(6), NewDense(6, 3, r))
+		return net, randInput(r, 3, 5), []int{2, 0, 1}
+	}},
+	{"AvgPoolSigmoid", 47, false, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
+		pool := NewAvgPool2(1, 6, 6)
+		net := NewSequential(pool, NewSigmoid(pool.OutDim()), NewDense(pool.OutDim(), 2, r))
+		return net, randInput(r, 3, 36), []int{0, 1, 0}
+	}},
 	// The 1989-style stack: conv → tanh → average pool.
-	r := rng.New(11)
-	g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	conv := NewConv2D(g, 2, r)
-	pool := NewAvgPool2(2, 8, 8)
-	net := NewSequential(conv, NewTanh(conv.OutDim()), pool, NewDense(pool.OutDim(), 3, r))
-	checkGradients(t, net, randInput(r, 2, 64), []int{1, 2})
+	{"ClassicLeNetStack", 11, false, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
+		g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		conv := NewConv2D(g, 2, r)
+		pool := NewAvgPool2(2, 8, 8)
+		net := NewSequential(conv, NewTanh(conv.OutDim()), pool, NewDense(pool.OutDim(), 3, r))
+		return net, randInput(r, 2, 64), []int{1, 2}
+	}},
+}
+
+// TestGradCheck verifies every layer's backward pass on both compute
+// paths.
+func TestGradCheck(t *testing.T) {
+	for _, c := range gradCases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			bothTypes(t, func(t *testing.T) {
+				net, x, labels := c.build(rng.New(c.seed))
+				checkGradients[float64](t, net, x, labels)
+			}, func(t *testing.T) {
+				net, x, labels := c.build(rng.New(c.seed))
+				if c.kinked {
+					checkGradients32VsFloat64(t, net, x, labels)
+				} else {
+					checkGradients[float32](t, net, x, labels)
+				}
+			})
+		})
+	}
 }

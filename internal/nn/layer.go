@@ -7,6 +7,13 @@
 // All activations flow as rank-2 (batch, features) tensors; convolutional
 // layers interpret the feature axis as flattened CHW volumes via an
 // explicit geometry, so no rank-4 tensors are needed.
+//
+// Every layer, the container and the loss head are written once over the
+// element type T (tensor.Float). Models are built and initialized in
+// float64 — the master-weight type — and Mirror32 instantiates the same
+// code at float32 for the SIMD compute path (DESIGN.md §10). A generic
+// type is named XOf where a float64 alias X is kept for the code (and
+// bench/) that only ever handles float64 models.
 package nn
 
 import (
@@ -36,47 +43,63 @@ type StepSeeded interface {
 // to survive (tests, feature extraction) must Clone it. Workspaces are
 // sized lazily to the incoming batch and resized on shape changes (the
 // partial final batch, train/eval alternation) while retaining storage.
-type Layer interface {
+type Layer[T tensor.Float] interface {
 	// Name identifies the layer kind and shape, e.g. "conv5x5(3→6)".
 	Name() string
 	// Forward computes the layer output for a (batch, inDim) input.
 	// train enables training-time behaviour (e.g. dropout).
-	Forward(x *tensor.Tensor, train bool) *tensor.Tensor
+	Forward(x *tensor.Of[T], train bool) *tensor.Of[T]
 	// Backward consumes dL/d(output) and returns dL/d(input),
 	// accumulating parameter gradients internally. It must be called
 	// after Forward with the matching activation still cached, and may
 	// invalidate that cache (Conv2D reuses its im2col workspace for the
 	// column gradient), so call it at most once per Forward.
-	Backward(gradOut *tensor.Tensor) *tensor.Tensor
+	Backward(gradOut *tensor.Of[T]) *tensor.Of[T]
 	// Params returns the layer's parameter tensors (possibly empty).
 	// Callers may mutate the contents (that is how aggregation loads
 	// weights) but not replace the tensors.
-	Params() []*tensor.Tensor
+	Params() []*tensor.Of[T]
 	// Grads returns gradient tensors aligned with Params.
-	Grads() []*tensor.Tensor
+	Grads() []*tensor.Of[T]
 	// OutDim returns the width of the layer's output features.
 	OutDim() int
 }
 
-// Sequential chains layers and exposes whole-network parameter access.
-// The layer list is fixed after construction; the parameter/gradient
-// lists and scalar count are cached on first use so the hot paths
-// (LoadParams / FlattenParamsInto on every client visit) never rebuild
-// them.
-type Sequential struct {
-	Layers []Layer
+// SequentialOf chains layers and exposes whole-network parameter access.
+// The layer list is fixed at construction, where the parameter/gradient
+// lists and scalar count are gathered once: the hot paths (LoadParams /
+// FlattenParamsInto on every client visit) never rebuild them, and the
+// accessors only read, so a model that several evaluation workers
+// flatten at once is not written to. Construct with NewSequential or
+// Mirror32, not as a literal.
+type SequentialOf[T tensor.Float] struct {
+	Layers []Layer[T]
 
-	params, grads []*tensor.Tensor
-	numParams     int // 0 = not yet computed (no zoo net is parameterless)
+	params, grads []*tensor.Of[T]
+	numParams     int
 }
 
-// NewSequential builds a network from the given layers.
-func NewSequential(layers ...Layer) *Sequential {
-	return &Sequential{Layers: layers}
+// Sequential is the float64 network: what factories build, aggregation
+// flattens and every federated method holds.
+type Sequential = SequentialOf[float64]
+
+// NewSequential builds a float64 network from the given layers.
+func NewSequential(layers ...Layer[float64]) *Sequential { return newSequential(layers) }
+
+func newSequential[T tensor.Float](layers []Layer[T]) *SequentialOf[T] {
+	s := &SequentialOf[T]{Layers: layers}
+	for _, l := range layers {
+		s.params = append(s.params, l.Params()...)
+		s.grads = append(s.grads, l.Grads()...)
+	}
+	for _, p := range s.params {
+		s.numParams += p.Size()
+	}
+	return s
 }
 
 // Forward runs all layers in order.
-func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (s *SequentialOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	for _, l := range s.Layers {
 		x = l.Forward(x, train)
 	}
@@ -84,7 +107,7 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward propagates the loss gradient through all layers in reverse.
-func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
+func (s *SequentialOf[T]) Backward(grad *tensor.Of[T]) *tensor.Of[T] {
 	for i := len(s.Layers) - 1; i >= 0; i-- {
 		grad = s.Layers[i].Backward(grad)
 	}
@@ -92,30 +115,16 @@ func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params returns every parameter tensor in layer order. The returned
-// slice is cached and shared: callers may mutate tensor contents (that
-// is how aggregation loads weights) but must not modify the slice.
-func (s *Sequential) Params() []*tensor.Tensor {
-	if s.params == nil {
-		for _, l := range s.Layers {
-			s.params = append(s.params, l.Params()...)
-		}
-	}
-	return s.params
-}
+// slice is shared: callers may mutate tensor contents (that is how
+// aggregation loads weights) but must not modify the slice.
+func (s *SequentialOf[T]) Params() []*tensor.Of[T] { return s.params }
 
 // Grads returns every gradient tensor in layer order, aligned with
-// Params (cached and shared like Params).
-func (s *Sequential) Grads() []*tensor.Tensor {
-	if s.grads == nil {
-		for _, l := range s.Layers {
-			s.grads = append(s.grads, l.Grads()...)
-		}
-	}
-	return s.grads
-}
+// Params (shared like Params).
+func (s *SequentialOf[T]) Grads() []*tensor.Of[T] { return s.grads }
 
 // ZeroGrads clears all accumulated gradients.
-func (s *Sequential) ZeroGrads() {
+func (s *SequentialOf[T]) ZeroGrads() {
 	for _, g := range s.Grads() {
 		g.Zero()
 	}
@@ -125,8 +134,10 @@ func (s *Sequential) ZeroGrads() {
 // (keyed by layer position; r itself is not advanced) and rebases the
 // layer on it. Local training calls this once per client visit so
 // stochastic layers depend only on the visit's (client, round) stream,
-// never on how often the model instance was reused.
-func (s *Sequential) SeedStep(r *rng.Rng) {
+// never on how often the model instance was reused. Mirror32 preserves
+// layer positions 1:1, so a float32 shadow draws byte-identical streams
+// (dropout masks) to the float64 network it mirrors.
+func (s *SequentialOf[T]) SeedStep(r *rng.Rng) {
 	for i, l := range s.Layers {
 		if ss, ok := l.(StepSeeded); ok {
 			ss.SeedStep(r.Derive(0xd809, uint64(i)))
@@ -135,17 +146,10 @@ func (s *Sequential) SeedStep(r *rng.Rng) {
 }
 
 // NumParams returns the total number of scalar parameters.
-func (s *Sequential) NumParams() int {
-	if s.numParams == 0 {
-		for _, p := range s.Params() {
-			s.numParams += p.Size()
-		}
-	}
-	return s.numParams
-}
+func (s *SequentialOf[T]) NumParams() int { return s.numParams }
 
 // String lists the layer names.
-func (s *Sequential) String() string {
+func (s *SequentialOf[T]) String() string {
 	out := "Sequential["
 	for i, l := range s.Layers {
 		if i > 0 {
@@ -161,7 +165,7 @@ func (s *Sequential) String() string {
 // layer rather than its name so Name()'s formatting runs only on failure
 // (the happy path is per-batch-step and must not allocate). stage is ""
 // for Forward, " backward" for Backward.
-func checkBatchInput(l Layer, stage string, x *tensor.Tensor, inDim int) {
+func checkBatchInput[T tensor.Float](l Layer[T], stage string, x *tensor.Of[T], inDim int) {
 	if len(x.Shape) != 2 {
 		panic(fmt.Sprintf("nn: %s%s expects (batch, features) input, got %v", l.Name(), stage, x.Shape))
 	}

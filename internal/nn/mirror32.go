@@ -1,91 +1,126 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
 
-// Mirror32 builds a float32 shadow of a float64 network: one Layer32 per
-// Layer, positionally 1:1 (so SeedStep derivation keys line up), with
+	"fedclust/internal/tensor"
+)
+
+// The mixed-precision contract (DESIGN.md §10): master weights are
+// float64 everywhere; the float32 compute path runs on a shadow network
+// built here, loaded with one rounding per scalar (AssignParams32) and
+// read back by exact widening (CopyParams64).
+
+// Mirror32 builds a float32 shadow of a float64 network: the same layer
+// kind at every position (so SeedStep derivation keys line up), with
 // identical hyperparameters and zeroed weights — call AssignParams32 to
-// load them. It returns nil if the network contains a layer kind without
-// a float32 mirror; callers treat nil as "stay on the float64 path",
-// which keeps an unmirrorable architecture working instead of failing.
-func Mirror32(src *Sequential) *Sequential32 {
-	layers := make([]Layer32, len(src.Layers))
+// load them. It returns nil if the network contains a layer kind it does
+// not know; callers treat nil as "stay on the float64 path", which keeps
+// such an architecture working instead of failing.
+func Mirror32(src *Sequential) *SequentialOf[float32] {
+	layers := make([]Layer[float32], len(src.Layers))
 	for i, l := range src.Layers {
 		switch t := l.(type) {
 		case *Dense:
-			layers[i] = NewDense32(t.In, t.Out)
+			layers[i] = newDense[float32](t.In, t.Out)
 		case *Conv2D:
-			layers[i] = NewConv2D32(t.Geom, t.OutC)
-		case *ReLU:
-			layers[i] = NewReLU32(t.dim)
-		case *Tanh:
-			layers[i] = NewTanh32(t.dim)
-		case *Sigmoid:
-			layers[i] = NewSigmoid32(t.dim)
-		case *Dropout:
+			layers[i] = newConv2D[float32](t.Geom, t.OutC)
+		case *ReLU[float64]:
+			layers[i] = &ReLU[float32]{dim: t.dim}
+		case *Tanh[float64]:
+			layers[i] = &Tanh[float32]{dim: t.dim}
+		case *Sigmoid[float64]:
+			layers[i] = &Sigmoid[float32]{dim: t.dim}
+		case *Dropout[float64]:
 			// The source's stream is only the standalone fallback; local
 			// training rebases it through SeedStep before every use.
-			layers[i] = NewDropout32(t.dim, t.P, t.rng)
-		case *MaxPool2:
-			layers[i] = NewMaxPool232(t.C, t.H, t.W)
-		case *AvgPool2:
-			layers[i] = NewAvgPool232(t.C, t.H, t.W)
+			layers[i] = &Dropout[float32]{dim: t.dim, P: t.P, rng: t.rng}
+		case *MaxPool2[float64]:
+			layers[i] = &MaxPool2[float32]{C: t.C, H: t.H, W: t.W}
+		case *AvgPool2[float64]:
+			layers[i] = &AvgPool2[float32]{C: t.C, H: t.H, W: t.W}
 		default:
 			return nil
 		}
 	}
-	return NewSequential32(layers...)
+	return newSequential(layers)
+}
+
+// IsMirror32 reports whether sh is structured as Mirror32(src) would
+// build it: the same layer kind with the same hyperparameters at every
+// position. Equal parameter sizes are not enough — ReLU and Tanh, or max
+// and average pooling, carry no parameters at all. It does not allocate,
+// so a cached shadow can be revalidated on every visit.
+func IsMirror32(sh *SequentialOf[float32], src *Sequential) bool {
+	if len(sh.Layers) != len(src.Layers) {
+		return false
+	}
+	for i, l := range src.Layers {
+		if !mirrors(sh.Layers[i], l) {
+			return false
+		}
+	}
+	return true
+}
+
+// mirrors is IsMirror32 for one layer; its cases are Mirror32's.
+func mirrors(m Layer[float32], l Layer[float64]) bool {
+	switch t := l.(type) {
+	case *Dense:
+		m, ok := m.(*DenseOf[float32])
+		return ok && m.In == t.In && m.Out == t.Out
+	case *Conv2D:
+		m, ok := m.(*Conv2DOf[float32])
+		return ok && m.Geom == t.Geom && m.OutC == t.OutC
+	case *ReLU[float64]:
+		m, ok := m.(*ReLU[float32])
+		return ok && m.dim == t.dim
+	case *Tanh[float64]:
+		m, ok := m.(*Tanh[float32])
+		return ok && m.dim == t.dim
+	case *Sigmoid[float64]:
+		m, ok := m.(*Sigmoid[float32])
+		return ok && m.dim == t.dim
+	case *Dropout[float64]:
+		m, ok := m.(*Dropout[float32])
+		return ok && m.dim == t.dim && m.P == t.P
+	case *MaxPool2[float64]:
+		m, ok := m.(*MaxPool2[float32])
+		return ok && m.C == t.C && m.H == t.H && m.W == t.W
+	case *AvgPool2[float64]:
+		m, ok := m.(*AvgPool2[float32])
+		return ok && m.C == t.C && m.H == t.H && m.W == t.W
+	}
+	return false
 }
 
 // AssignParams32 loads the float64 network's parameters into its float32
 // mirror, rounding each scalar once. The two networks must come from
 // Mirror32 (same layer structure); it panics on a tensor count or size
 // mismatch.
-func AssignParams32(dst *Sequential32, src *Sequential) {
-	dp, sp := dst.Params(), src.Params()
-	if len(dp) != len(sp) {
-		panic(fmt.Sprintf("nn: AssignParams32 tensor count %d vs %d", len(dp), len(sp)))
-	}
-	for i, p := range sp {
-		d := dp[i]
-		if d.Size() != p.Size() {
-			panic(fmt.Sprintf("nn: AssignParams32 tensor %d size %d vs %d", i, d.Size(), p.Size()))
-		}
-		for j, v := range p.Data {
-			d.Data[j] = float32(v)
-		}
-	}
+func AssignParams32(dst *SequentialOf[float32], src *Sequential) {
+	convertParams("AssignParams32", dst, src)
 }
 
 // CopyParams64 writes the float32 mirror's parameters back into the
 // float64 network (the inverse of AssignParams32; widening is exact).
-func CopyParams64(dst *Sequential, src *Sequential32) {
+func CopyParams64(dst *Sequential, src *SequentialOf[float32]) {
+	convertParams("CopyParams64", dst, src)
+}
+
+// convertParams copies src's parameters into dst across element types.
+func convertParams[D, S tensor.Float](op string, dst *SequentialOf[D], src *SequentialOf[S]) {
 	dp, sp := dst.Params(), src.Params()
 	if len(dp) != len(sp) {
-		panic(fmt.Sprintf("nn: CopyParams64 tensor count %d vs %d", len(dp), len(sp)))
+		panic(fmt.Sprintf("nn: %s tensor count %d vs %d", op, len(dp), len(sp)))
 	}
 	for i, p := range sp {
 		d := dp[i]
 		if d.Size() != p.Size() {
-			panic(fmt.Sprintf("nn: CopyParams64 tensor %d size %d vs %d", i, d.Size(), p.Size()))
+			panic(fmt.Sprintf("nn: %s tensor %d size %d vs %d", op, i, d.Size(), p.Size()))
 		}
 		for j, v := range p.Data {
-			d.Data[j] = float64(v)
+			d.Data[j] = D(v)
 		}
 	}
-}
-
-// FlattenParams32Into writes the float32 network's parameters into dst
-// in FlattenParams layer order without allocating. dst must have length
-// exactly s.NumParams(). Returns dst.
-func FlattenParams32Into(s *Sequential32, dst []float32) []float32 {
-	if len(dst) != s.NumParams() {
-		panic(fmt.Sprintf("nn: FlattenParams32Into length %d, want %d", len(dst), s.NumParams()))
-	}
-	off := 0
-	for _, p := range s.Params() {
-		copy(dst[off:off+p.Size()], p.Data)
-		off += p.Size()
-	}
-	return dst
 }

@@ -1,6 +1,10 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+
+	"fedclust/internal/tensor"
+)
 
 // FlattenParams concatenates every parameter of the network into a single
 // []float64 in layer order — the vector representation federated
@@ -16,7 +20,7 @@ func FlattenParams(s *Sequential) []float64 {
 // FlattenParamsInto writes the network's parameters into dst in the same
 // layer order as FlattenParams, without allocating. dst must have length
 // exactly s.NumParams(). Returns dst.
-func FlattenParamsInto(s *Sequential, dst []float64) []float64 {
+func FlattenParamsInto[T tensor.Float](s *SequentialOf[T], dst []T) []T {
 	if len(dst) != s.NumParams() {
 		panic(fmt.Sprintf("nn: FlattenParamsInto length %d, want %d", len(dst), s.NumParams()))
 	}

@@ -10,34 +10,34 @@ import (
 // AvgPool2 is a 2×2, stride-2 average pooling layer over CHW volumes —
 // the subsampling LeCun's original LeNet-5 used (modern variants use max
 // pooling; both are provided).
-type AvgPool2 struct {
+type AvgPool2[T tensor.Float] struct {
 	C, H, W int
 	batch   int
-	out, gx ws
+	out, gx ws[T]
 }
 
 // NewAvgPool2 builds the layer for the given input volume (even H, W).
-func NewAvgPool2(c, h, w int) *AvgPool2 {
+func NewAvgPool2(c, h, w int) *AvgPool2[float64] {
 	if c <= 0 || h <= 0 || w <= 0 {
 		panic(fmt.Sprintf("nn: AvgPool2 invalid volume %dx%dx%d", c, h, w))
 	}
 	if h%2 != 0 || w%2 != 0 {
 		panic(fmt.Sprintf("nn: AvgPool2 requires even H and W, got %dx%d", h, w))
 	}
-	return &AvgPool2{C: c, H: h, W: w}
+	return &AvgPool2[float64]{C: c, H: h, W: w}
 }
 
 // Name implements Layer.
-func (p *AvgPool2) Name() string { return fmt.Sprintf("avgpool2(%dx%dx%d)", p.C, p.H, p.W) }
+func (p *AvgPool2[T]) Name() string { return fmt.Sprintf("avgpool2(%dx%dx%d)", p.C, p.H, p.W) }
 
 // InDim returns the flattened input width.
-func (p *AvgPool2) InDim() int { return p.C * p.H * p.W }
+func (p *AvgPool2[T]) InDim() int { return p.C * p.H * p.W }
 
 // OutDim implements Layer.
-func (p *AvgPool2) OutDim() int { return p.C * (p.H / 2) * (p.W / 2) }
+func (p *AvgPool2[T]) OutDim() int { return p.C * (p.H / 2) * (p.W / 2) }
 
 // Forward implements Layer.
-func (p *AvgPool2) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (p *AvgPool2[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	checkBatchInput(p, "", x, p.InDim())
 	batch := x.Shape[0]
 	p.batch = batch
@@ -62,7 +62,7 @@ func (p *AvgPool2) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // Backward implements Layer: spreads each gradient equally over its 2×2
 // window.
-func (p *AvgPool2) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (p *AvgPool2[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if p.batch == 0 {
 		panic("nn: AvgPool2.Backward called before Forward")
 	}
@@ -92,40 +92,41 @@ func (p *AvgPool2) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer (none).
-func (p *AvgPool2) Params() []*tensor.Tensor { return nil }
+func (p *AvgPool2[T]) Params() []*tensor.Of[T] { return nil }
 
 // Grads implements Layer (none).
-func (p *AvgPool2) Grads() []*tensor.Tensor { return nil }
+func (p *AvgPool2[T]) Grads() []*tensor.Of[T] { return nil }
 
-// Sigmoid is the logistic activation, applied elementwise.
-type Sigmoid struct {
+// Sigmoid is the logistic activation, applied elementwise. The
+// exponential is evaluated in float64 and rounded once to T.
+type Sigmoid[T tensor.Float] struct {
 	dim     int
-	y       *tensor.Tensor
-	out, gx ws
+	y       *tensor.Of[T]
+	out, gx ws[T]
 }
 
 // NewSigmoid builds a Sigmoid over dim features.
-func NewSigmoid(dim int) *Sigmoid { return &Sigmoid{dim: dim} }
+func NewSigmoid(dim int) *Sigmoid[float64] { return &Sigmoid[float64]{dim: dim} }
 
 // Name implements Layer.
-func (s *Sigmoid) Name() string { return fmt.Sprintf("sigmoid(%d)", s.dim) }
+func (s *Sigmoid[T]) Name() string { return fmt.Sprintf("sigmoid(%d)", s.dim) }
 
 // OutDim implements Layer.
-func (s *Sigmoid) OutDim() int { return s.dim }
+func (s *Sigmoid[T]) OutDim() int { return s.dim }
 
 // Forward implements Layer.
-func (s *Sigmoid) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+func (s *Sigmoid[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	checkBatchInput(s, "", x, s.dim)
 	out := s.out.get(x.Shape[0], x.Shape[1])
 	for i, v := range x.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
+		out.Data[i] = T(1 / (1 + math.Exp(float64(-v))))
 	}
 	s.y = out
 	return out
 }
 
 // Backward implements Layer: dσ = σ(1-σ).
-func (s *Sigmoid) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
+func (s *Sigmoid[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if s.y == nil {
 		panic("nn: Sigmoid.Backward called before Forward")
 	}
@@ -138,7 +139,7 @@ func (s *Sigmoid) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 }
 
 // Params implements Layer (none).
-func (s *Sigmoid) Params() []*tensor.Tensor { return nil }
+func (s *Sigmoid[T]) Params() []*tensor.Of[T] { return nil }
 
 // Grads implements Layer (none).
-func (s *Sigmoid) Grads() []*tensor.Tensor { return nil }
+func (s *Sigmoid[T]) Grads() []*tensor.Of[T] { return nil }

@@ -13,17 +13,17 @@ import "fedclust/internal/tensor"
 // one is valid, and its contents are unspecified (the caller must
 // overwrite every element or Zero it first). This is the buffer contract
 // behind the layer workspace rules in DESIGN.md §5.
-type ws struct {
-	buf []float64
+type ws[T tensor.Float] struct {
+	buf []T
 	// hdrs caches shape headers most-recently-used first. Four entries
 	// cover the train-full/train-partial/eval-full/eval-partial cycle the
 	// round engine drives through each pooled model.
-	hdrs [4]*tensor.Tensor
+	hdrs [4]*tensor.Of[T]
 }
 
 // get returns the (rows, cols) workspace tensor, reusing storage and
 // headers whenever possible.
-func (w *ws) get(rows, cols int) *tensor.Tensor {
+func (w *ws[T]) get(rows, cols int) *tensor.Of[T] {
 	for i, h := range w.hdrs {
 		if h != nil && h.Shape[0] == rows && h.Shape[1] == cols {
 			copy(w.hdrs[1:i+1], w.hdrs[:i]) // move hit to front
@@ -33,10 +33,10 @@ func (w *ws) get(rows, cols int) *tensor.Tensor {
 	}
 	need := rows * cols
 	if cap(w.buf) < need {
-		w.buf = make([]float64, need)
+		w.buf = make([]T, need)
 		// Old headers alias the outgrown storage; drop them so every
 		// cached header keeps sharing one backing array.
-		w.hdrs = [4]*tensor.Tensor{}
+		w.hdrs = [4]*tensor.Of[T]{}
 	}
 	h := tensor.FromSlice(w.buf[:need:need], rows, cols)
 	copy(w.hdrs[1:], w.hdrs[:len(w.hdrs)-1])

@@ -12,17 +12,17 @@ import (
 // on a reused net and on a per-step fresh net, comparing outputs exactly.
 // It is the core property of the workspace refactor: batch-shape changes
 // must leave no residue.
-func assertForwardMatchesFresh(t *testing.T, build func() *Sequential, dim int, batches []int) {
+func assertForwardMatchesFresh[T tensor.Float](t *testing.T, build func() *Sequential, dim int, batches []int) {
 	t.Helper()
 	r := rng.New(42)
-	inputs := make([]*tensor.Tensor, len(batches))
+	inputs := make([]*tensor.Of[T], len(batches))
 	for i, b := range batches {
-		inputs[i] = randInput(r, b, dim)
+		inputs[i] = tensorOf[T](randInput(r, b, dim))
 	}
-	reused := build()
+	reused := netOf[T](t, build())
 	for i, x := range inputs {
 		got := reused.Forward(x, true)
-		fresh := build()
+		fresh := netOf[T](t, build())
 		want := fresh.Forward(x, true)
 		for j := range want.Data {
 			if got.Data[j] != want.Data[j] {
@@ -36,12 +36,16 @@ func assertForwardMatchesFresh(t *testing.T, build func() *Sequential, dim int, 
 // shapes the training loop produces: full batches, the partial final
 // batch, batch size 1, and back to full.
 func TestWorkspaceReuseAcrossBatchShapes(t *testing.T) {
+	bothTypes(t, testWorkspaceReuseAcrossBatchShapes[float64], testWorkspaceReuseAcrossBatchShapes[float32])
+}
+
+func testWorkspaceReuseAcrossBatchShapes[T tensor.Float](t *testing.T) {
 	shapes := []int{8, 3, 1, 8, 5, 8}
 	t.Run("mlp", func(t *testing.T) {
-		assertForwardMatchesFresh(t, func() *Sequential { return MLP(rng.New(7), 12, 9, 4) }, 12, shapes)
+		assertForwardMatchesFresh[T](t, func() *Sequential { return MLP(rng.New(7), 12, 9, 4) }, 12, shapes)
 	})
 	t.Run("lenet", func(t *testing.T) {
-		assertForwardMatchesFresh(t, func() *Sequential { return LeNet5(rng.New(7), 1, 12, 12, 4, 0.25) }, 144, shapes)
+		assertForwardMatchesFresh[T](t, func() *Sequential { return LeNet5(rng.New(7), 1, 12, 12, 4, 0.25) }, 144, shapes)
 	})
 	t.Run("classic-stack", func(t *testing.T) {
 		build := func() *Sequential {
@@ -52,7 +56,7 @@ func TestWorkspaceReuseAcrossBatchShapes(t *testing.T) {
 			return NewSequential(conv, NewTanh(conv.OutDim()), pool,
 				NewDense(pool.OutDim(), 3, r), NewSigmoid(3))
 		}
-		assertForwardMatchesFresh(t, build, 64, shapes)
+		assertForwardMatchesFresh[T](t, build, 64, shapes)
 	})
 }
 
@@ -60,11 +64,24 @@ func TestWorkspaceReuseAcrossBatchShapes(t *testing.T) {
 // through reused workspaces match a fresh net exactly as batch shapes
 // vary (including the partial final batch and batch size 1).
 func TestBackwardReuseAcrossBatchShapes(t *testing.T) {
+	bothTypes(t, testBackwardReuseAcrossBatchShapes[float64], testBackwardReuseAcrossBatchShapes[float32])
+}
+
+// flatGrads concatenates every gradient of net in layer order.
+func flatGrads[T tensor.Float](net *SequentialOf[T]) []T {
+	var out []T
+	for _, g := range net.Grads() {
+		out = append(out, g.Data...)
+	}
+	return out
+}
+
+func testBackwardReuseAcrossBatchShapes[T tensor.Float](t *testing.T) {
 	r := rng.New(9)
-	reused := LeNet5(rng.New(8), 1, 12, 12, 4, 0.25)
-	var ceR SoftmaxCE
+	reused := netOf[T](t, LeNet5(rng.New(8), 1, 12, 12, 4, 0.25))
+	var ceR SoftmaxCEOf[T]
 	for _, batch := range []int{8, 3, 1, 8} {
-		x := randInput(r, batch, 144)
+		x := tensorOf[T](randInput(r, batch, 144))
 		labels := make([]int, batch)
 		for i := range labels {
 			labels[i] = i % 4
@@ -72,14 +89,14 @@ func TestBackwardReuseAcrossBatchShapes(t *testing.T) {
 		reused.ZeroGrads()
 		_, gradR, _ := ceR.Loss(reused.Forward(x, true), labels)
 		reused.Backward(gradR)
-		got := FlattenGrads(reused)
+		got := flatGrads(reused)
 
-		fresh := LeNet5(rng.New(8), 1, 12, 12, 4, 0.25)
-		var ceF SoftmaxCE
+		fresh := netOf[T](t, LeNet5(rng.New(8), 1, 12, 12, 4, 0.25))
+		var ceF SoftmaxCEOf[T]
 		fresh.ZeroGrads()
 		_, gradF, _ := ceF.Loss(fresh.Forward(x, true), labels)
 		fresh.Backward(gradF)
-		want := FlattenGrads(fresh)
+		want := flatGrads(fresh)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("batch %d: gradient %d = %v, want %v", batch, i, got[i], want[i])
@@ -94,12 +111,16 @@ func TestBackwardReuseAcrossBatchShapes(t *testing.T) {
 // unaffected — eval passes may share workspaces but must not perturb
 // training state.
 func TestAlternatingTrainEvalOnSameModel(t *testing.T) {
+	bothTypes(t, testAlternatingTrainEvalOnSameModel[float64], testAlternatingTrainEvalOnSameModel[float32])
+}
+
+func testAlternatingTrainEvalOnSameModel[T tensor.Float](t *testing.T) {
 	r := rng.New(10)
-	xTrain := randInput(r, 6, 12)
-	xEval := randInput(r, 13, 12)
+	xTrain := tensorOf[T](randInput(r, 6, 12))
+	xEval := tensorOf[T](randInput(r, 13, 12))
 	labels := []int{0, 1, 2, 3, 0, 1}
 
-	step := func(net *Sequential, ce *SoftmaxCE, withEval bool) {
+	step := func(net *SequentialOf[T], ce *SoftmaxCEOf[T], withEval bool) {
 		if withEval {
 			net.Forward(xEval, false)
 		}
@@ -112,14 +133,15 @@ func TestAlternatingTrainEvalOnSameModel(t *testing.T) {
 		}
 	}
 
-	plain := MLP(rng.New(11), 12, 9, 4)
-	interleaved := MLP(rng.New(11), 12, 9, 4)
-	var ceP, ceI SoftmaxCE
+	plain := netOf[T](t, MLP(rng.New(11), 12, 9, 4))
+	interleaved := netOf[T](t, MLP(rng.New(11), 12, 9, 4))
+	var ceP, ceI SoftmaxCEOf[T]
 	for i := 0; i < 4; i++ {
 		step(plain, &ceP, false)
 		step(interleaved, &ceI, true)
 	}
-	a, b := FlattenParams(plain), FlattenParams(interleaved)
+	a := FlattenParamsInto(plain, make([]T, plain.NumParams()))
+	b := FlattenParamsInto(interleaved, make([]T, interleaved.NumParams()))
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("interleaved eval forwards changed the training trajectory")
@@ -132,12 +154,16 @@ func TestAlternatingTrainEvalOnSameModel(t *testing.T) {
 // used for other work must produce the same dropout masks — and hence the
 // same outputs — as a freshly built model.
 func TestSeedStepMakesDropoutVisitDeterministic(t *testing.T) {
-	build := func() *Sequential {
+	bothTypes(t, testSeedStepMakesDropoutVisitDeterministic[float64], testSeedStepMakesDropoutVisitDeterministic[float32])
+}
+
+func testSeedStepMakesDropoutVisitDeterministic[T tensor.Float](t *testing.T) {
+	build := func() *SequentialOf[T] {
 		r := rng.New(12)
-		return NewSequential(NewDense(10, 8, r), NewDropout(8, 0.5, r.Derive(1)), NewDense(8, 3, r))
+		return netOf[T](t, NewSequential(NewDense(10, 8, r), NewDropout(8, 0.5, r.Derive(1)), NewDense(8, 3, r)))
 	}
 	r := rng.New(13)
-	x := randInput(r, 4, 10)
+	x := tensorOf[T](randInput(r, 4, 10))
 
 	fresh := build()
 	fresh.SeedStep(rng.New(99))
@@ -193,16 +219,20 @@ func TestDropoutEvalAfterTrainIsIdentity(t *testing.T) {
 // TestSoftmaxCEWorkspaceReuse verifies the loss head's reused workspaces
 // produce identical results across changing batch shapes.
 func TestSoftmaxCEWorkspaceReuse(t *testing.T) {
+	bothTypes(t, testSoftmaxCEWorkspaceReuse[float64], testSoftmaxCEWorkspaceReuse[float32])
+}
+
+func testSoftmaxCEWorkspaceReuse[T tensor.Float](t *testing.T) {
 	r := rng.New(14)
-	var reused SoftmaxCE
+	var reused SoftmaxCEOf[T]
 	for _, batch := range []int{6, 2, 1, 6} {
-		logits := randInput(r, batch, 5)
+		logits := tensorOf[T](randInput(r, batch, 5))
 		labels := make([]int, batch)
 		for i := range labels {
 			labels[i] = i % 5
 		}
 		l1, g1, p1 := reused.Loss(logits, labels)
-		var fresh SoftmaxCE
+		var fresh SoftmaxCEOf[T]
 		l2, g2, p2 := fresh.Loss(logits, labels)
 		if l1 != l2 {
 			t.Fatalf("batch %d: loss %v != %v", batch, l1, l2)
@@ -225,7 +255,7 @@ func TestGradCheckAfterShapeChurn(t *testing.T) {
 	for _, batch := range []int{5, 2, 7} {
 		net.Forward(randInput(r, batch, 144), true)
 	}
-	checkGradients(t, net, randInput(r, 2, 144), []int{0, 2})
+	checkGradients[float64](t, net, randInput(r, 2, 144), []int{0, 2})
 	if math.IsNaN(FlattenGrads(net)[0]) {
 		t.Fatal("NaN gradient after shape churn")
 	}

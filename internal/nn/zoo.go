@@ -14,7 +14,7 @@ func MLP(r *rng.Rng, dims ...int) *Sequential {
 	if len(dims) < 2 {
 		panic(fmt.Sprintf("nn: MLP needs at least [in, out] dims, got %v", dims))
 	}
-	var layers []Layer
+	var layers []Layer[float64]
 	for i := 0; i < len(dims)-1; i++ {
 		layers = append(layers, NewDense(dims[i], dims[i+1], r))
 		if i < len(dims)-2 {
@@ -104,7 +104,7 @@ func MiniVGG16(r *rng.Rng, inC, classes, base int) *Sequential {
 		{8 * base, 8 * base, 8 * base},
 		{8 * base, 8 * base, 8 * base},
 	}
-	var layers []Layer
+	var layers []Layer[float64]
 	c, h, w := inC, in, in
 	for _, block := range blocks {
 		for _, outC := range block {

@@ -10,18 +10,31 @@ import (
 )
 
 // SGD is stochastic gradient descent with optional classical momentum and
-// L2 weight decay. The zero value is unusable; construct with NewSGD.
-type SGD struct {
+// L2 weight decay over tensors of element type T. The hyper-parameters
+// stay float64 whatever T is (they come from one LocalConfig) and are
+// rounded to T once per Step, so a reconfigured optimizer behaves
+// identically to a fresh one. The zero value is unconfigured: construct
+// with NewSGD / NewSGD32, or call Reconfigure before the first Step.
+type SGD[T tensor.Float] struct {
 	LR          float64
 	Momentum    float64
 	WeightDecay float64
-	velocity    []*tensor.Tensor
+	velocity    []*tensor.Of[T]
 }
 
-// NewSGD constructs an SGD optimizer. lr must be positive; momentum and
-// weightDecay must be non-negative (momentum < 1).
-func NewSGD(lr, momentum, weightDecay float64) *SGD {
-	s := &SGD{}
+// NewSGD constructs a float64 SGD optimizer. lr must be positive;
+// momentum and weightDecay must be non-negative (momentum < 1).
+func NewSGD(lr, momentum, weightDecay float64) *SGD[float64] {
+	return newSGD[float64](lr, momentum, weightDecay)
+}
+
+// NewSGD32 is NewSGD for float32 tensors.
+func NewSGD32(lr, momentum, weightDecay float64) *SGD[float32] {
+	return newSGD[float32](lr, momentum, weightDecay)
+}
+
+func newSGD[T tensor.Float](lr, momentum, weightDecay float64) *SGD[T] {
+	s := &SGD[T]{}
 	s.Reconfigure(lr, momentum, weightDecay)
 	return s
 }
@@ -29,7 +42,7 @@ func NewSGD(lr, momentum, weightDecay float64) *SGD {
 // Reconfigure updates the hyper-parameters in place with NewSGD's
 // validation, keeping any velocity buffers — reusable optimizer state is
 // what lets a worker serve many client visits without reallocating.
-func (s *SGD) Reconfigure(lr, momentum, weightDecay float64) {
+func (s *SGD[T]) Reconfigure(lr, momentum, weightDecay float64) {
 	if lr <= 0 {
 		panic(fmt.Sprintf("opt: learning rate must be positive, got %v", lr))
 	}
@@ -47,16 +60,17 @@ func (s *SGD) Reconfigure(lr, momentum, weightDecay float64) {
 //	v ← μ·v + (g + λ·w);  w ← w - η·v
 //
 // On first use it lazily allocates velocity buffers matching the params.
-func (s *SGD) Step(params, grads []*tensor.Tensor) {
+func (s *SGD[T]) Step(params, grads []*tensor.Of[T]) {
 	if len(params) != len(grads) {
 		panic(fmt.Sprintf("opt: %d params but %d grads", len(params), len(grads)))
 	}
 	if s.Momentum > 0 && (s.velocity == nil || len(s.velocity) != len(params)) {
-		s.velocity = make([]*tensor.Tensor, len(params))
+		s.velocity = make([]*tensor.Of[T], len(params))
 		for i, p := range params {
-			s.velocity[i] = tensor.New(p.Shape...)
+			s.velocity[i] = tensor.NewOf[T](p.Shape...)
 		}
 	}
+	lr, mom, wd := T(s.LR), T(s.Momentum), T(s.WeightDecay)
 	for i, p := range params {
 		g := grads[i]
 		if !p.SameShape(g) {
@@ -65,18 +79,18 @@ func (s *SGD) Step(params, grads []*tensor.Tensor) {
 		if s.Momentum > 0 {
 			v := s.velocity[i]
 			if !v.SameShape(p) {
-				v = tensor.New(p.Shape...)
+				v = tensor.NewOf[T](p.Shape...)
 				s.velocity[i] = v
 			}
 			for j := range p.Data {
-				eff := g.Data[j] + s.WeightDecay*p.Data[j]
-				v.Data[j] = s.Momentum*v.Data[j] + eff
-				p.Data[j] -= s.LR * v.Data[j]
+				eff := g.Data[j] + wd*p.Data[j]
+				v.Data[j] = mom*v.Data[j] + eff
+				p.Data[j] -= lr * v.Data[j]
 			}
 		} else {
 			for j := range p.Data {
-				eff := g.Data[j] + s.WeightDecay*p.Data[j]
-				p.Data[j] -= s.LR * eff
+				eff := g.Data[j] + wd*p.Data[j]
+				p.Data[j] -= lr * eff
 			}
 		}
 	}
@@ -86,7 +100,7 @@ func (s *SGD) Step(params, grads []*tensor.Tensor) {
 // from freshly loaded global weights). The velocity buffers are zeroed in
 // place rather than dropped, so a reset-and-reuse cycle allocates nothing
 // and is bit-equivalent to a fresh optimizer.
-func (s *SGD) Reset() {
+func (s *SGD[T]) Reset() {
 	for _, v := range s.velocity {
 		v.Zero()
 	}
@@ -95,13 +109,14 @@ func (s *SGD) Reset() {
 // AddProximal adds the FedProx proximal gradient μ·(w - w_ref) to grads,
 // where ref is the flat global parameter vector the round started from.
 // Layout must match the concatenation order of params.
-func AddProximal(params, grads []*tensor.Tensor, ref []float64, mu float64) {
+func AddProximal[T tensor.Float](params, grads []*tensor.Of[T], ref []T, mu float64) {
 	if mu < 0 {
 		panic(fmt.Sprintf("opt: proximal mu must be non-negative, got %v", mu))
 	}
 	if mu == 0 {
 		return
 	}
+	muT := T(mu)
 	off := 0
 	for i, p := range params {
 		g := grads[i]
@@ -109,7 +124,7 @@ func AddProximal(params, grads []*tensor.Tensor, ref []float64, mu float64) {
 			panic(fmt.Sprintf("opt: proximal ref too short: need %d, have %d", off+p.Size(), len(ref)))
 		}
 		for j := range p.Data {
-			g.Data[j] += mu * (p.Data[j] - ref[off+j])
+			g.Data[j] += muT * (p.Data[j] - ref[off+j])
 		}
 		off += p.Size()
 	}

@@ -29,23 +29,14 @@ func (g ConvGeom) Validate() {
 	}
 }
 
-// Im2Col unrolls a single CHW image (flat slice of length InC*InH*InW) into
-// a (OutH*OutW) × (InC*KH*KW) matrix written into cols. Each row of the
-// result is the receptive field of one output pixel, so convolution becomes
-// cols · Wᵀ. cols must have exactly that shape.
-func Im2Col(img []float64, g ConvGeom, cols *Tensor) {
-	outH, outW := g.OutH(), g.OutW()
-	rowLen := g.InC * g.KH * g.KW
-	if cols.Shape[0] != outH*outW || cols.Shape[1] != rowLen {
-		panic(fmt.Sprintf("tensor: Im2Col cols shape %v, want [%d %d]", cols.Shape, outH*outW, rowLen))
-	}
-	Im2ColInto(img, g, cols.Data)
-}
-
-// Im2ColInto is Im2Col writing into a flat destination slice of length
-// exactly OutH*OutW × InC*KH*KW — the allocation-free form layers use to
-// unroll each image of a batch into its slice of a shared workspace.
-func Im2ColInto(img []float64, g ConvGeom, dst []float64) {
+// Im2ColInto unrolls a single CHW image (flat slice of length
+// InC*InH*InW) into a (OutH*OutW) × (InC*KH*KW) row-major matrix written
+// into the flat slice dst, whose length must be exactly that product.
+// Each row is the receptive field of one output pixel (out-of-range taps
+// read as zero), so convolution becomes cols · Wᵀ. It is allocation-free:
+// layers unroll each image of a batch into its slice of a shared
+// workspace.
+func Im2ColInto[T Float](img []T, g ConvGeom, dst []T) {
 	g.Validate()
 	outH, outW := g.OutH(), g.OutW()
 	rowLen := g.InC * g.KH * g.KW
@@ -78,24 +69,14 @@ func Im2ColInto(img []float64, g ConvGeom, dst []float64) {
 	}
 }
 
-// Col2Im scatters the columns gradient back into image space: the adjoint
-// of Im2Col. grad has shape (OutH*OutW) × (InC*KH*KW); the result is
-// accumulated into img (which must be pre-zeroed by the caller if a fresh
-// gradient is wanted).
-func Col2Im(grad *Tensor, g ConvGeom, img []float64) {
-	outH, outW := g.OutH(), g.OutW()
-	rowLen := g.InC * g.KH * g.KW
-	if grad.Shape[0] != outH*outW || grad.Shape[1] != rowLen {
-		panic(fmt.Sprintf("tensor: Col2Im grad shape %v, want [%d %d]", grad.Shape, outH*outW, rowLen))
-	}
-	Col2ImInto(grad.Data, g, img)
-}
+// Im2Col32Into is Im2ColInto for float32 data.
+func Im2Col32Into(img []float32, g ConvGeom, dst []float32) { Im2ColInto(img, g, dst) }
 
-// Col2ImInto is Col2Im reading from a flat gradient slice of length
-// exactly OutH*OutW × InC*KH*KW — the allocation-free adjoint layers use
-// per image of a batched workspace. img accumulates and must be
-// pre-zeroed by the caller if a fresh gradient is wanted.
-func Col2ImInto(grad []float64, g ConvGeom, img []float64) {
+// Col2ImInto scatters the columns gradient back into image space: the
+// adjoint of Im2ColInto. grad is the flat (OutH*OutW) × (InC*KH*KW)
+// gradient, of exactly that length; the result is accumulated into img,
+// which the caller must pre-zero if a fresh gradient is wanted.
+func Col2ImInto[T Float](grad []T, g ConvGeom, img []T) {
 	g.Validate()
 	outH, outW := g.OutH(), g.OutW()
 	rowLen := g.InC * g.KH * g.KW
@@ -125,3 +106,6 @@ func Col2ImInto(grad []float64, g ConvGeom, img []float64) {
 		}
 	}
 }
+
+// Col2Im32Into is Col2ImInto for float32 data.
+func Col2Im32Into(grad []float32, g ConvGeom, img []float32) { Col2ImInto(grad, g, img) }

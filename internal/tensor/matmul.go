@@ -23,7 +23,15 @@ func MatMul(a, b *Tensor) *Tensor {
 
 // MatMulInto computes dst = a · b for rank-2 tensors. dst must not alias
 // a or b and must have shape (a.rows, b.cols).
-func MatMulInto(dst, a, b *Tensor) {
+//
+// All three products (this one, MatMulTransBInto, MatMulTransAInto) hand
+// their rows to the element type's own kernels: the float64 loops below
+// skip zero multiplicands; float32 (matmul32.go) is built from the dense
+// dot/axpy primitives of kernels32.go, where a zero test would cost more
+// than it saves and break the 4-wide blocking. Either way each output
+// element is summed in a fixed order determined only by the operand
+// shapes, so parallel and serial runs are bit-identical.
+func MatMulInto[T Float](dst, a, b *Of[T]) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
 		panic("tensor: MatMul requires rank-2 tensors")
 	}
@@ -35,9 +43,36 @@ func MatMulInto(dst, a, b *Tensor) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMul dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	if !splitRows(m, m*n*k) || !parallelRows(m, matmulRows, dst, a, b) {
-		matmulRows(dst, a, b, 0, m)
-		return
+	runRows(plain, dst, a, b, m, m*n*k)
+}
+
+// variant indexes the three matmul forms in the per-type kernel tables.
+type variant int
+
+const (
+	plain variant = iota
+	transB
+	transA
+)
+
+// rowsKernel computes rows [lo, hi) of one matmul variant. Every serial
+// kernel has this shape, so the parallel dispatch is a plain function
+// value — no per-call closure.
+type rowsKernel[T Float] func(dst, a, b *Of[T], lo, hi int)
+
+var (
+	kernels64 = [...]rowsKernel[float64]{plain: matmulRows, transB: matmulTransBRows, transA: matmulTransARows}
+	kernels32 = [...]rowsKernel[float32]{plain: matmul32Rows, transB: matmulTransB32Rows, transA: matmulTransA32Rows}
+)
+
+// runRows is the one place the element type picks a kernel: a pointer
+// type switch per matmul call, never per element.
+func runRows[T Float](v variant, dst, a, b *Of[T], m, work int) {
+	switch d := any(dst).(type) {
+	case *Tensor:
+		par64.rows(kernels64[v], d, any(a).(*Tensor), any(b).(*Tensor), m, work)
+	case *Tensor32:
+		par32.rows(kernels32[v], d, any(a).(*Tensor32), any(b).(*Tensor32), m, work)
 	}
 }
 
@@ -66,35 +101,38 @@ func refreshProcs() int {
 	return p
 }
 
-// splitRows reports whether an m-row product of `work` multiply-adds is
-// worth spreading across the executor. Small products — the per-batch
-// products inside a training step — stay on the serial kernels, which
-// perform no scheduling work and no allocations.
-func splitRows(m, work int) bool {
-	return work >= parallelThreshold && procsHint() >= 2 && m >= 2
-}
+// parSlot is the operand slot of one element type's in-flight parallel
+// region. It is guarded by the executor claim: only the goroutine that
+// holds sched.Default()'s claim writes it, and it is cleared before the
+// claim is released, so the executor's single-region discipline makes
+// the whole dispatch closure-free and allocation-free.
+type parSlot[T Float] struct {
+	// threshold is the minimum number of multiply-adds before a product
+	// is worth spreading across the executor.
+	threshold int
+	// runBlock is the slot's own block method, bound once at init — the
+	// persistent task executor workers run.
+	runBlock func(_, blk int)
 
-// rowsKernel computes rows [lo, hi) of one matmul variant. The three
-// serial kernels (matmulRows, matmulTransBRows, matmulTransARows) all
-// have this shape, so the parallel dispatch is a plain function value —
-// no per-call closure.
-type rowsKernel func(dst, a, b *Tensor, lo, hi int)
-
-// parDispatch is the operand slot of the in-flight parallel region. It
-// is guarded by the executor claim: only the goroutine that holds
-// sched.Default()'s claim writes it, and it is cleared before the claim
-// is released, so the executor's single-region discipline makes the
-// whole dispatch closure-free and allocation-free.
-var parDispatch struct {
-	kernel    rowsKernel
-	dst, a, b *Tensor
+	kernel    rowsKernel[T]
+	dst, a, b *Of[T]
 	chunk, m  int
 }
 
-// parRunBlock is the persistent task executor workers run: block i
-// covers rows [i*chunk, min((i+1)*chunk, m)).
-var parRunBlock = func(_, blk int) {
-	d := &parDispatch
+var (
+	par64 = newParSlot[float64](parallelThreshold)
+	par32 = newParSlot[float32](parallelThreshold32)
+)
+
+func newParSlot[T Float](threshold int) *parSlot[T] {
+	d := &parSlot[T]{threshold: threshold}
+	d.runBlock = d.block
+	return d
+}
+
+// block runs block blk of the in-flight region: rows
+// [blk*chunk, min((blk+1)*chunk, m)).
+func (d *parSlot[T]) block(_, blk int) {
 	lo := blk * d.chunk
 	hi := lo + d.chunk
 	if hi > d.m {
@@ -103,7 +141,18 @@ var parRunBlock = func(_, blk int) {
 	d.kernel(d.dst, d.a, d.b, lo, hi)
 }
 
-// parallelRows runs kernel over contiguous row blocks of [0, m) on the
+// rows computes all m rows of dst with kernel: across the executor when
+// the product (work multiply-adds) is large enough and the executor is
+// free, on the calling goroutine otherwise. Small products — the
+// per-batch products inside a training step — stay serial, which
+// performs no scheduling work and no allocations.
+func (d *parSlot[T]) rows(kernel rowsKernel[T], dst, a, b *Of[T], m, work int) {
+	if work < d.threshold || procsHint() < 2 || m < 2 || !d.parallel(kernel, dst, a, b, m) {
+		kernel(dst, a, b, 0, m)
+	}
+}
+
+// parallel runs kernel over contiguous row blocks of [0, m) on the
 // shared executor and reports whether it ran. It refuses — returning
 // false, caller must run the serial kernel — when the executor is
 // unavailable: the call is nested inside a running region (a kernel
@@ -113,7 +162,7 @@ var parRunBlock = func(_, blk int) {
 // results: every output element is produced by exactly one block with a
 // fixed per-element summation order, so parallel and serial runs are
 // bit-identical.
-func parallelRows(m int, kernel rowsKernel, dst, a, b *Tensor) bool {
+func (d *parSlot[T]) parallel(kernel rowsKernel[T], dst, a, b *Of[T], m int) bool {
 	if sched.Busy() {
 		return false
 	}
@@ -128,10 +177,9 @@ func parallelRows(m int, kernel rowsKernel, dst, a, b *Tensor) bool {
 	}
 	chunk := (m + width - 1) / width
 	blocks := (m + chunk - 1) / chunk
-	d := &parDispatch
 	d.kernel, d.dst, d.a, d.b = kernel, dst, a, b
 	d.chunk, d.m = chunk, m
-	p.RunAcquired(blocks, width, parRunBlock)
+	p.RunAcquired(blocks, width, d.runBlock)
 	d.kernel, d.dst, d.a, d.b = nil, nil, nil, nil
 	return true
 }
@@ -139,10 +187,10 @@ func parallelRows(m int, kernel rowsKernel, dst, a, b *Tensor) bool {
 // MatMulTransBInto computes dst = a · bᵀ for rank-2 tensors without
 // materializing the transpose: a is (m, k), b is (n, k), dst is (m, n)
 // and must not alias a or b. Each output element is the dot product of an
-// a-row with a b-row, summed over p in increasing order with the same
-// skip-zero rule as matmulRows, so the result is bit-identical to
-// MatMul(a, Transpose(b)).
-func MatMulTransBInto(dst, a, b *Tensor) {
+// a-row with a b-row; in float64 it is summed over p in increasing order
+// with the same skip-zero rule as matmulRows, so the result is
+// bit-identical to MatMul(a, Transpose(b)).
+func MatMulTransBInto[T Float](dst, a, b *Of[T]) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
 		panic("tensor: MatMulTransB requires rank-2 tensors")
 	}
@@ -154,10 +202,7 @@ func MatMulTransBInto(dst, a, b *Tensor) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransB dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	if !splitRows(m, m*n*k) || !parallelRows(m, matmulTransBRows, dst, a, b) {
-		matmulTransBRows(dst, a, b, 0, m)
-		return
-	}
+	runRows(transB, dst, a, b, m, m*n*k)
 }
 
 // matmulTransBRows computes rows [lo,hi) of dst = a·bᵀ as dot products of
@@ -239,10 +284,10 @@ func matmulTransBRows(dst, a, b *Tensor, lo, hi int) {
 
 // MatMulTransAInto computes dst = aᵀ · b without materializing the
 // transpose: a is (k, m), b is (k, n), dst is (m, n) and must not alias
-// a or b. Row i of dst accumulates a's column i against b's rows over p
-// in increasing order with the same skip-zero rule as matmulRows, so the
-// result is bit-identical to MatMul(Transpose(a), b).
-func MatMulTransAInto(dst, a, b *Tensor) {
+// a or b. In float64, row i of dst accumulates a's column i against b's
+// rows over p in increasing order with the same skip-zero rule as
+// matmulRows, so the result is bit-identical to MatMul(Transpose(a), b).
+func MatMulTransAInto[T Float](dst, a, b *Of[T]) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
 		panic("tensor: MatMulTransA requires rank-2 tensors")
 	}
@@ -254,10 +299,7 @@ func MatMulTransAInto(dst, a, b *Tensor) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransA dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	if !splitRows(m, m*n*k) || !parallelRows(m, matmulTransARows, dst, a, b) {
-		matmulTransARows(dst, a, b, 0, m)
-		return
-	}
+	runRows(transA, dst, a, b, m, m*n*k)
 }
 
 // matmulTransARows computes rows [lo,hi) of dst = aᵀ·b, streaming a's

@@ -1,102 +1,10 @@
 package tensor
 
-import (
-	"fmt"
-
-	"fedclust/internal/sched"
-)
-
 // parallelThreshold32 is the float32 analogue of parallelThreshold. The
 // float32 kernels move twice the elements per cache line and (on AVX2
 // hosts) eight per instruction, so a product must be several times
 // larger before the executor handoff pays for itself.
 const parallelThreshold32 = 4 * parallelThreshold
-
-// splitRows32 is splitRows with the float32 dispatch threshold.
-func splitRows32(m, work int) bool {
-	return work >= parallelThreshold32 && procsHint() >= 2 && m >= 2
-}
-
-// rowsKernel32 computes rows [lo, hi) of one float32 matmul variant.
-type rowsKernel32 func(dst, a, b *Tensor32, lo, hi int)
-
-// parDispatch32 is the float32 operand slot of the in-flight parallel
-// region, guarded by the executor claim exactly like parDispatch: only
-// the goroutine holding sched.Default()'s claim writes it, and it is
-// cleared before release, so the dispatch stays closure- and
-// allocation-free.
-var parDispatch32 struct {
-	kernel    rowsKernel32
-	dst, a, b *Tensor32
-	chunk, m  int
-}
-
-// parRunBlock32 is the persistent task executor workers run for float32
-// regions: block i covers rows [i*chunk, min((i+1)*chunk, m)).
-var parRunBlock32 = func(_, blk int) {
-	d := &parDispatch32
-	lo := blk * d.chunk
-	hi := lo + d.chunk
-	if hi > d.m {
-		hi = d.m
-	}
-	d.kernel(d.dst, d.a, d.b, lo, hi)
-}
-
-// parallelRows32 runs kernel over contiguous row blocks of [0, m) on the
-// shared executor and reports whether it ran, with the same
-// serial-fallback contract as parallelRows: refusal under a busy or
-// contended executor leaves the caller on the serial kernel, and the
-// partitioning never affects results because every output element is
-// produced by exactly one block with a fixed summation order.
-func parallelRows32(m int, kernel rowsKernel32, dst, a, b *Tensor32) bool {
-	if sched.Busy() {
-		return false
-	}
-	p := sched.Default()
-	if !p.TryAcquire() {
-		return false
-	}
-	defer p.Release()
-	width := refreshProcs()
-	if width > m {
-		width = m
-	}
-	chunk := (m + width - 1) / width
-	blocks := (m + chunk - 1) / chunk
-	d := &parDispatch32
-	d.kernel, d.dst, d.a, d.b = kernel, dst, a, b
-	d.chunk, d.m = chunk, m
-	p.RunAcquired(blocks, width, parRunBlock32)
-	d.kernel, d.dst, d.a, d.b = nil, nil, nil, nil
-	return true
-}
-
-// MatMul32Into computes dst = a · b for rank-2 float32 tensors. dst must
-// not alias a or b and must have shape (a.rows, b.cols).
-//
-// Unlike the float64 kernels there is no skip-zero rule: the float32
-// path exists for dense data where zero tests cost more than they save
-// and would break the 4-wide axpy blocking. Each output element is still
-// summed in a fixed order determined only by the operand shapes, so
-// parallel and serial runs are bit-identical.
-func MatMul32Into(dst, a, b *Tensor32) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
-		panic("tensor: MatMul32 requires rank-2 tensors")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMul32 inner dimension mismatch %v · %v", a.Shape, b.Shape))
-	}
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMul32 dst shape %v, want [%d %d]", dst.Shape, m, n))
-	}
-	if !splitRows32(m, m*n*k) || !parallelRows32(m, matmul32Rows, dst, a, b) {
-		matmul32Rows(dst, a, b, 0, m)
-		return
-	}
-}
 
 // matmul32Rows computes rows [lo,hi) of dst = a·b: zero the output row,
 // then accumulate four b-rows at a time through the 4-wide axpy kernel
@@ -124,27 +32,8 @@ func matmul32Rows(dst, a, b *Tensor32, lo, hi int) {
 	}
 }
 
-// MatMulTransB32Into computes dst = a · bᵀ for rank-2 float32 tensors
-// without materializing the transpose: a is (m, k), b is (n, k), dst is
-// (m, n) and must not alias a or b. Four b-rows are processed per dot
-// kernel call, sharing the a-row loads.
-func MatMulTransB32Into(dst, a, b *Tensor32) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
-		panic("tensor: MatMulTransB32 requires rank-2 tensors")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	n, k2 := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransB32 inner dimension mismatch %v · %vᵀ", a.Shape, b.Shape))
-	}
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransB32 dst shape %v, want [%d %d]", dst.Shape, m, n))
-	}
-	if !splitRows32(m, m*n*k) || !parallelRows32(m, matmulTransB32Rows, dst, a, b) {
-		matmulTransB32Rows(dst, a, b, 0, m)
-		return
-	}
-}
+// MatMulTransB32Into is MatMulTransBInto on float32 operands.
+func MatMulTransB32Into(dst, a, b *Tensor32) { MatMulTransBInto(dst, a, b) }
 
 // matmulTransB32Rows computes rows [lo,hi) of dst = a·bᵀ, four output
 // columns at a time through the 4-wide dot kernel with a single-dot
@@ -165,27 +54,6 @@ func matmulTransB32Rows(dst, a, b *Tensor32, lo, hi int) {
 		for ; j < n; j++ {
 			outRow[j] = dot32(aRow, b.Data[j*k:(j+1)*k])
 		}
-	}
-}
-
-// MatMulTransA32Into computes dst = aᵀ · b for rank-2 float32 tensors
-// without materializing the transpose: a is (k, m), b is (k, n), dst is
-// (m, n) and must not alias a or b.
-func MatMulTransA32Into(dst, a, b *Tensor32) {
-	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
-		panic("tensor: MatMulTransA32 requires rank-2 tensors")
-	}
-	k, m := a.Shape[0], a.Shape[1]
-	k2, n := b.Shape[0], b.Shape[1]
-	if k != k2 {
-		panic(fmt.Sprintf("tensor: MatMulTransA32 inner dimension mismatch %vᵀ · %v", a.Shape, b.Shape))
-	}
-	if dst.Shape[0] != m || dst.Shape[1] != n {
-		panic(fmt.Sprintf("tensor: MatMulTransA32 dst shape %v, want [%d %d]", dst.Shape, m, n))
-	}
-	if !splitRows32(m, m*n*k) || !parallelRows32(m, matmulTransA32Rows, dst, a, b) {
-		matmulTransA32Rows(dst, a, b, 0, m)
-		return
 	}
 }
 

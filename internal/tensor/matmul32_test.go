@@ -148,15 +148,15 @@ func TestMatMul32Variants(t *testing.T) {
 				a := FromSlice32(randSlice32(r, m*k), m, k)
 				b := FromSlice32(randSlice32(r, k*n), k, n)
 				dst := New32(m, n)
-				MatMul32Into(dst, a, b)
+				MatMulInto(dst, a, b)
 				checkClose32(t, fmt.Sprintf("MatMul32 %v", s), dst, matmul32Ref(a, b, false, false), k)
 
 				bt := FromSlice32(randSlice32(r, n*k), n, k)
-				MatMulTransB32Into(dst, a, bt)
+				MatMulTransBInto(dst, a, bt)
 				checkClose32(t, fmt.Sprintf("MatMulTransB32 %v", s), dst, matmul32Ref(a, bt, false, true), k)
 
 				at := FromSlice32(randSlice32(r, k*m), k, m)
-				MatMulTransA32Into(dst, at, b)
+				MatMulTransAInto(dst, at, b)
 				checkClose32(t, fmt.Sprintf("MatMulTransA32 %v", s), dst, matmul32Ref(at, b, true, false), k)
 			}
 		})
@@ -182,7 +182,7 @@ func TestMatMul32ParallelBitIdentical(t *testing.T) {
 	serial := New32(m, n)
 	matmul32Rows(serial, a, b, 0, m)
 	par := New32(m, n)
-	MatMul32Into(par, a, b)
+	MatMulInto(par, a, b)
 	for i := range par.Data {
 		if par.Data[i] != serial.Data[i] {
 			t.Fatalf("MatMul32 parallel diverges at %d: %g vs %g", i, par.Data[i], serial.Data[i])
@@ -191,7 +191,7 @@ func TestMatMul32ParallelBitIdentical(t *testing.T) {
 
 	bt := FromSlice32(randSlice32(r, n*k), n, k)
 	matmulTransB32Rows(serial, a, bt, 0, m)
-	MatMulTransB32Into(par, a, bt)
+	MatMulTransBInto(par, a, bt)
 	for i := range par.Data {
 		if par.Data[i] != serial.Data[i] {
 			t.Fatalf("MatMulTransB32 parallel diverges at %d", i)
@@ -200,7 +200,7 @@ func TestMatMul32ParallelBitIdentical(t *testing.T) {
 
 	at := FromSlice32(randSlice32(r, k*m), k, m)
 	matmulTransA32Rows(serial, at, b, 0, m)
-	MatMulTransA32Into(par, at, b)
+	MatMulTransAInto(par, at, b)
 	for i := range par.Data {
 		if par.Data[i] != serial.Data[i] {
 			t.Fatalf("MatMulTransA32 parallel diverges at %d", i)
@@ -225,7 +225,7 @@ func TestIm2Col32MatchesFloat64(t *testing.T) {
 	}
 	dst32 := make([]float32, colN)
 	dst64 := make([]float64, colN)
-	Im2Col32Into(img32, g, dst32)
+	Im2ColInto(img32, g, dst32)
 	Im2ColInto(img64, g, dst64)
 	for i := range dst32 {
 		if float64(dst32[i]) != dst64[i] {
@@ -240,7 +240,7 @@ func TestIm2Col32MatchesFloat64(t *testing.T) {
 	}
 	out32 := make([]float32, imgN)
 	out64 := make([]float64, imgN)
-	Col2Im32Into(grad32, g, out32)
+	Col2ImInto(grad32, g, out32)
 	Col2ImInto(grad64, g, out64)
 	for i := range out32 {
 		if relErr32(float64(out32[i]), out64[i]) > 1e-5 {
@@ -293,7 +293,7 @@ func BenchmarkMatMul32(b *testing.B) {
 	dst, x, y := benchMat32(b, 64, 128, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MatMul32Into(dst, x, y)
+		MatMulInto(dst, x, y)
 	}
 }
 
@@ -323,7 +323,7 @@ func BenchmarkMatMulTransB32(b *testing.B) {
 	dst := New32(m, n)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MatMulTransB32Into(dst, a, bt)
+		MatMulTransBInto(dst, a, bt)
 	}
 }
 

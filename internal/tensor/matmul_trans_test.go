@@ -97,32 +97,6 @@ func TestMatMulTransShapePanics(t *testing.T) {
 	}
 }
 
-func TestIm2ColIntoMatchesIm2Col(t *testing.T) {
-	r := rng.New(6)
-	g := ConvGeom{InC: 2, InH: 5, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	img := randTensor(r, g.InC*g.InH*g.InW).Data
-	cols := New(g.OutH()*g.OutW(), g.InC*g.KH*g.KW)
-	Im2Col(img, g, cols)
-	flat := make([]float64, len(cols.Data))
-	Im2ColInto(img, g, flat)
-	for i := range flat {
-		if flat[i] != cols.Data[i] {
-			t.Fatal("Im2ColInto disagrees with Im2Col")
-		}
-	}
-	// Col2ImInto must match Col2Im on the adjoint direction.
-	grad := randTensor(r, cols.Shape[0], cols.Shape[1])
-	img1 := make([]float64, len(img))
-	img2 := make([]float64, len(img))
-	Col2Im(grad, g, img1)
-	Col2ImInto(grad.Data, g, img2)
-	for i := range img1 {
-		if img1[i] != img2[i] {
-			t.Fatal("Col2ImInto disagrees with Col2Im")
-		}
-	}
-}
-
 func TestIm2ColIntoLengthPanics(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 0}
 	defer func() {

@@ -6,7 +6,7 @@ import (
 )
 
 // checkSameShape panics unless a and b have identical shapes.
-func checkSameShape(op string, a, b *Tensor) {
+func checkSameShape[T Float](op string, a, b *Of[T]) {
 	if !a.SameShape(b) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %v vs %v", op, a.Shape, b.Shape))
 	}
@@ -61,30 +61,37 @@ func Mul(a, b *Tensor) *Tensor {
 }
 
 // Scale multiplies every element of t by s in place.
-func (t *Tensor) Scale(s float64) {
+func (t *Of[T]) Scale(s T) {
 	for i := range t.Data {
 		t.Data[i] *= s
 	}
 }
 
-// AddScaled adds s*o to t in place (axpy).
-func (t *Tensor) AddScaled(o *Tensor, s float64) {
+// AddScaled adds s*o to t in place (axpy). Float32 tensors go through
+// the axpy32 primitive (AVX2 where available), float64 through the plain
+// loop — the two round differently, so the choice is part of each
+// element type's bit contract.
+func (t *Of[T]) AddScaled(o *Of[T], s T) {
 	checkSameShape("AddScaled", t, o)
+	if t32, ok := any(t).(*Tensor32); ok {
+		axpy32(t32.Data, any(o).(*Tensor32).Data, float32(s))
+		return
+	}
 	for i := range t.Data {
 		t.Data[i] += s * o.Data[i]
 	}
 }
 
 // Apply replaces every element x with f(x) in place.
-func (t *Tensor) Apply(f func(float64) float64) {
+func (t *Of[T]) Apply(f func(T) T) {
 	for i, x := range t.Data {
 		t.Data[i] = f(x)
 	}
 }
 
 // Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	var s float64
+func (t *Of[T]) Sum() T {
+	var s T
 	for _, x := range t.Data {
 		s += x
 	}
@@ -104,19 +111,19 @@ func Dot(a, b *Tensor) float64 {
 }
 
 // Norm returns the Euclidean (Frobenius) norm of t.
-func (t *Tensor) Norm() float64 {
-	var s float64
+func (t *Of[T]) Norm() T {
+	var s T
 	for _, x := range t.Data {
 		s += x * x
 	}
-	return math.Sqrt(s)
+	return T(math.Sqrt(float64(s)))
 }
 
 // MaxAbs returns the largest absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float64 {
-	var m float64
+func (t *Of[T]) MaxAbs() T {
+	var m T
 	for _, x := range t.Data {
-		if a := math.Abs(x); a > m {
+		if a := T(math.Abs(float64(x))); a > m {
 			m = a
 		}
 	}

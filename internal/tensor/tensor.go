@@ -1,22 +1,37 @@
-// Package tensor implements dense row-major float64 tensors and the
-// numerical kernels (parallel matrix multiply, im2col) that the neural
-// network stack is built on.
+// Package tensor implements dense row-major tensors and the numerical
+// kernels (parallel matrix multiply, im2col) that the neural network
+// stack is built on.
 //
-// The package is deliberately small: shapes are explicit, storage is a flat
-// []float64, and there is no autograd — layers in internal/nn implement
-// their own backward passes against these kernels.
+// The package is deliberately small: shapes are explicit, storage is a
+// flat slice, and there is no autograd — layers in internal/nn implement
+// their own backward passes against these kernels. One implementation,
+// Of[T], serves both element types; only the matmul row kernels and the
+// axpy behind AddScaled differ per type (float64: skip-zero blocked
+// loops, matmul.go; float32: dot/axpy primitives with AVX2 assembly,
+// matmul32.go / kernels32.go), selected once per call from the operand
+// type (DESIGN.md §10).
 package tensor
 
 import "fmt"
 
-// Tensor is a dense row-major float64 array of arbitrary rank.
-type Tensor struct {
+// Float is the element-type constraint of the numeric stack.
+type Float interface{ float32 | float64 }
+
+// Of is a dense row-major array of arbitrary rank over element type T.
+type Of[T Float] struct {
 	// Shape holds the extent of each dimension; it must not be mutated
 	// after construction (Reshape returns a new header instead).
 	Shape []int
 	// Data is the flat backing storage of length prod(Shape).
-	Data []float64
+	Data []T
 }
+
+// Tensor is the float64 tensor: master weights, aggregation and the
+// golden reference compute path.
+type Tensor = Of[float64]
+
+// Tensor32 is the float32 tensor backing the SIMD compute path.
+type Tensor32 = Of[float32]
 
 // prod returns the product of dims, and panics on negative extents.
 func prod(dims []int) int {
@@ -30,38 +45,48 @@ func prod(dims []int) int {
 	return p
 }
 
-// New returns a zero-filled tensor of the given shape.
-func New(shape ...int) *Tensor {
-	return &Tensor{Shape: append([]int(nil), shape...), Data: make([]float64, prod(shape))}
+// NewOf returns a zero-filled tensor of the given shape.
+func NewOf[T Float](shape ...int) *Of[T] {
+	return &Of[T]{Shape: append([]int(nil), shape...), Data: make([]T, prod(shape))}
 }
+
+// New is NewOf[float64] (a call without operands has no element type to
+// infer).
+func New(shape ...int) *Tensor { return NewOf[float64](shape...) }
+
+// New32 is NewOf[float32].
+func New32(shape ...int) *Tensor32 { return NewOf[float32](shape...) }
 
 // FromSlice wraps data in a tensor of the given shape. The slice is used
 // directly (not copied); it panics if len(data) != prod(shape).
-func FromSlice(data []float64, shape ...int) *Tensor {
+func FromSlice[T Float](data []T, shape ...int) *Of[T] {
 	if len(data) != prod(shape) {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v", len(data), shape))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: data}
+	return &Of[T]{Shape: append([]int(nil), shape...), Data: data}
 }
 
+// FromSlice32 is FromSlice for float32 data.
+func FromSlice32(data []float32, shape ...int) *Tensor32 { return FromSlice(data, shape...) }
+
 // Clone returns a deep copy of t.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Shape...)
+func (t *Of[T]) Clone() *Of[T] {
+	c := NewOf[T](t.Shape...)
 	copy(c.Data, t.Data)
 	return c
 }
 
 // Size returns the total number of elements.
-func (t *Tensor) Size() int { return len(t.Data) }
+func (t *Of[T]) Size() int { return len(t.Data) }
 
 // Rank returns the number of dimensions.
-func (t *Tensor) Rank() int { return len(t.Shape) }
+func (t *Of[T]) Rank() int { return len(t.Shape) }
 
 // Dim returns the extent of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
+func (t *Of[T]) Dim(i int) int { return t.Shape[i] }
 
 // SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
+func (t *Of[T]) SameShape(o *Of[T]) bool {
 	if len(t.Shape) != len(o.Shape) {
 		return false
 	}
@@ -75,16 +100,16 @@ func (t *Tensor) SameShape(o *Tensor) bool {
 
 // Reshape returns a new tensor header sharing t's storage with a new shape.
 // It panics if the element counts differ.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
+func (t *Of[T]) Reshape(shape ...int) *Of[T] {
 	if prod(shape) != len(t.Data) {
 		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v", t.Shape, len(t.Data), shape))
 	}
-	return &Tensor{Shape: append([]int(nil), shape...), Data: t.Data}
+	return &Of[T]{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
 // index converts multi-dimensional indices to a flat offset, with bounds
 // checks on every axis.
-func (t *Tensor) index(idx []int) int {
+func (t *Of[T]) index(idx []int) int {
 	if len(idx) != len(t.Shape) {
 		panic(fmt.Sprintf("tensor: %d indices for rank-%d tensor", len(idx), len(t.Shape)))
 	}
@@ -99,27 +124,27 @@ func (t *Tensor) index(idx []int) int {
 }
 
 // At returns the element at the given multi-dimensional index.
-func (t *Tensor) At(idx ...int) float64 { return t.Data[t.index(idx)] }
+func (t *Of[T]) At(idx ...int) T { return t.Data[t.index(idx)] }
 
 // Set assigns the element at the given multi-dimensional index.
-func (t *Tensor) Set(v float64, idx ...int) { t.Data[t.index(idx)] = v }
+func (t *Of[T]) Set(v T, idx ...int) { t.Data[t.index(idx)] = v }
 
 // Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
+func (t *Of[T]) Fill(v T) {
 	for i := range t.Data {
 		t.Data[i] = v
 	}
 }
 
 // Zero sets every element to 0.
-func (t *Tensor) Zero() {
+func (t *Of[T]) Zero() {
 	for i := range t.Data {
 		t.Data[i] = 0
 	}
 }
 
 // Row returns a view (shared storage) of row i of a rank-2 tensor.
-func (t *Tensor) Row(i int) []float64 {
+func (t *Of[T]) Row(i int) []T {
 	if len(t.Shape) != 2 {
 		panic("tensor: Row requires a rank-2 tensor")
 	}
@@ -128,7 +153,7 @@ func (t *Tensor) Row(i int) []float64 {
 }
 
 // String renders small tensors for debugging.
-func (t *Tensor) String() string {
+func (t *Of[T]) String() string {
 	if len(t.Data) > 64 {
 		return fmt.Sprintf("Tensor%v[%d elems]", t.Shape, len(t.Data))
 	}

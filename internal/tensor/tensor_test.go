@@ -289,7 +289,7 @@ func TestIm2ColIdentityKernel(t *testing.T) {
 		img[i] = float64(i)
 	}
 	cols := New(9, 2)
-	Im2Col(img, g, cols)
+	Im2ColInto(img, g, cols.Data)
 	// Row p should be [img[p], img[9+p]] for output pixel p.
 	for p := 0; p < 9; p++ {
 		if cols.At(p, 0) != float64(p) || cols.At(p, 1) != float64(9+p) {
@@ -302,7 +302,7 @@ func TestIm2ColPaddingZeros(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 2, InW: 2, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	img := []float64{1, 2, 3, 4}
 	cols := New(g.OutH()*g.OutW(), 9)
-	Im2Col(img, g, cols)
+	Im2ColInto(img, g, cols.Data)
 	// Output (0,0): receptive field top-left; the first row/col are padding.
 	row := cols.Row(0)
 	want := []float64{0, 0, 0, 0, 1, 2, 0, 3, 4}
@@ -337,11 +337,11 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 	y := randTensor(r, rows, colsN)
 
 	cols := New(rows, colsN)
-	Im2Col(x, g, cols)
+	Im2ColInto(x, g, cols.Data)
 	lhs := Dot(cols, y)
 
 	back := make([]float64, len(x))
-	Col2Im(y, g, back)
+	Col2ImInto(y.Data, g, back)
 	var rhs float64
 	for i := range x {
 		rhs += x[i] * back[i]
@@ -397,6 +397,6 @@ func BenchmarkIm2Col(b *testing.B) {
 	cols := New(g.OutH()*g.OutW(), g.InC*g.KH*g.KW)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Im2Col(img, g, cols)
+		Im2ColInto(img, g, cols.Data)
 	}
 }
