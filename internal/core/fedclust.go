@@ -168,7 +168,7 @@ func (f *FedClust) Run(env *fl.Env) *fl.Result {
 
 	// --- Steps ①–②: broadcast w₀; local warmup; upload partial weights.
 	init := d.InitParams()
-	features, initLayer, downB, upB := collectPartialWeights(env, cfg, init, d.Pool().Get)
+	features, initLayer, downB, upB := collectPartialWeights(env, cfg, init, d.Lanes())
 	if downB == nil {
 		res.Comm.Download(n, d.NumParams) // step ① broadcast
 		// Step ② uploads only the final layer, but it is still a full
@@ -293,50 +293,46 @@ const WarmupRound = 1 << 20
 // CollectPartialWeights performs the warmup phase: every client trains
 // locally from the given initial weights for cfg.WarmupEpochs and the
 // selected layer's update is extracted as that client's clustering
-// feature. Runs clients in parallel over per-worker reused models.
+// feature. Runs clients in parallel over per-worker reused lanes.
 func CollectPartialWeights(env *fl.Env, cfg Config, init []float64) [][]float64 {
-	pool := engine.NewModelPool(env)
-	features, _, _, _ := collectPartialWeights(env, cfg, init, pool.Get)
+	features, _, _, _ := collectPartialWeights(env, cfg, init, fl.NewLanes(env))
 	return features
 }
 
-// collectPartialWeights is CollectPartialWeights over a caller-provided
-// per-worker model source (FedClust.Run passes its round engine's pool so
-// no extra networks are built). It also returns the selected layer's
-// parameters under init — the reference every feature is extracted
-// against — and, when the environment routes clients through a
+// collectPartialWeights is CollectPartialWeights over caller-provided
+// per-worker lanes (FedClust.Run passes its round engine's, so the
+// warm-up and the rounds share one set of warm lanes). It also returns the selected
+// layer's parameters under init — the reference every feature is
+// extracted against — and, when the environment routes clients through a
 // RemoteTrainer, the per-client measured wire bytes of the warmup
-// exchange (nil slices otherwise). Remote clients upload only the
-// selected layer, preserving the paper's partial-upload property on the
-// wire. A remote warmup request is retried a few times (a deployment
-// would simply re-ask for the tiny once-ever upload); a client whose
-// every attempt fails is fatal — the one-shot clustering phase cannot
-// proceed with missing features — and panics from the submitting
-// goroutine once the parallel phase has drained. So does a client whose
-// feature holds a NaN or an infinity.
-func collectPartialWeights(env *fl.Env, cfg Config, init []float64, model func(worker int) *nn.Sequential) (features [][]float64, initLayer []float64, downBytes, upBytes []int64) {
+// exchange (nil slices otherwise). Local or remote, a warm-up visit is
+// the same fl.Lane visit a training round runs, reporting only the
+// selected layer under the dense downlink codec both ways — so the
+// paper's partial-upload property holds on the wire and the features are
+// the same bits wherever a client trains. A remote warmup request is
+// retried a few times (a deployment would simply re-ask for the tiny
+// once-ever upload); a client whose every attempt fails is fatal — the
+// one-shot clustering phase cannot proceed with missing features — and
+// panics from the submitting goroutine once the parallel phase has
+// drained. So does a client whose feature holds a NaN or an infinity.
+func collectPartialWeights(env *fl.Env, cfg Config, init []float64, lanes []*fl.Lane) (features [][]float64, initLayer []float64, downBytes, upBytes []int64) {
 	n := len(env.Clients)
 	features = make([][]float64, n)
 	local := env.Local
 	if cfg.WarmupEpochs > 0 {
 		local.Epochs = cfg.WarmupEpochs
 	}
-	ref := model(0)
+	ref := lanes[0].Model
 	nn.LoadParams(ref, init)
 	initLayer = layerVector(ref, cfg)
-	var errs []error
+	errs := make([]error, n)
 	if env.Remote != nil {
 		downBytes = make([]int64, n)
 		upBytes = make([]int64, n)
-		errs = make([]error, n)
 	}
 	layerSel := fl.FinalLayer
 	if cfg.ExplicitLayer {
 		layerSel = cfg.WeightLayer
-	}
-	scratches := make([]fl.TrainScratch, env.WorkerCount())
-	for w := range scratches {
-		scratches[w].DType = env.DType
 	}
 	// Hostile scenarios reach the warmup too: label-noise attackers train
 	// their features on poisoned data, wire-level attackers corrupt the
@@ -347,46 +343,40 @@ func collectPartialWeights(env *fl.Env, cfg Config, init []float64, model func(w
 	// by construction; Config.Check enforces DriftRound ≥ 0).
 	hs, hostileOn := env.Participation.Scenario.(fl.HostileScenario)
 	env.ParallelClientsWorker(n, func(w, i int) {
+		vec := make([]float64, len(initLayer))
 		if rt := env.Remote; rt != nil && rt.Owns(i) {
-			vec := make([]float64, len(initLayer))
 			req := fl.RemoteRequest{
 				Client: i, Round: WarmupRound, Cluster: -1,
 				Layer: layerSel, Cfg: local, Start: init,
 			}
 			const attempts = 3 // ride out a transiently slow node
-			var err error
 			for a := 0; a < attempts; a++ {
 				var down, up int64
-				down, up, err = rt.Train(&req, vec)
+				down, up, errs[i] = rt.Train(&req, vec)
 				downBytes[i] += down
 				upBytes[i] += up
-				if err == nil {
+				if errs[i] == nil {
 					break
 				}
 			}
-			errs[i] = err
-			if err == nil {
-				if hostileOn {
-					hs.CorruptUpdate(i, WarmupRound, vec, initLayer)
-				}
-				features[i] = FeatureFromVector(vec, initLayer, cfg)
+			if errs[i] != nil {
+				return
 			}
-			return
+		} else {
+			train := env.Clients[i].Train
+			if hostileOn {
+				train = hs.TrainData(i, 0, train)
+			}
+			lanes[w].Visit(&fl.Visit{
+				Client: i, Round: WarmupRound, Layer: layerSel, Cfg: local,
+				Start: init, Data: train,
+				Down: env.Codec.Downlink(), Up: env.Codec,
+			}, vec)
 		}
-		m := model(w)
-		nn.LoadParams(m, init)
-		train := env.Clients[i].Train
 		if hostileOn {
-			train = hs.TrainData(i, 0, train)
-		}
-		scratches[w].LocalUpdate(m, train, local, env.ClientRng(i, WarmupRound))
-		if hostileOn {
-			vec := layerVector(m, cfg) // fresh copy; corrupting it never touches the pooled model
 			hs.CorruptUpdate(i, WarmupRound, vec, initLayer)
-			features[i] = FeatureFromVector(vec, initLayer, cfg)
-			return
 		}
-		features[i] = FeatureOf(m, initLayer, cfg)
+		features[i] = FeatureFromVector(vec, initLayer, cfg)
 	})
 	for i, err := range errs {
 		if err != nil {

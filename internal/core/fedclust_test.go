@@ -119,7 +119,7 @@ func TestFedClustBeatsFedAvgOnGroupedData(t *testing.T) {
 			fl.LocalUpdate(m, envB.Clients[i].Train, envB.Local, envB.ClientRng(i, round))
 			locals[i] = nn.FlattenParams(m)
 		})
-		global = fl.WeightedAverage(locals, weights)
+		global = fl.WeightedAverageInto(make([]float64, len(global)), locals, weights)
 	}
 	served := envB.NewModel()
 	nn.LoadParams(served, global)

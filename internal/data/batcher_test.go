@@ -156,16 +156,55 @@ func TestBatcherSmallerThanBatch(t *testing.T) {
 	}
 }
 
-// TestBatcherCachePerSize verifies the per-size cache returns the same
-// batcher for a repeated size and distinct ones for distinct sizes, per
-// element type.
-func TestBatcherCachePerSize(t *testing.T) {
-	d := toyDataset(12, 2)
-	if d.Batcher(4) != d.Batcher(4) || d.Batcher32(4) != d.Batcher32(4) {
-		t.Fatal("same size should reuse the cached batcher")
+// TestBatcherRebindsAcrossDatasets: one batcher serves datasets of
+// unequal size and alternating batch sizes — exact batch shapes each
+// time, including the n % size tail and n < size — and, once it has seen
+// the largest, rebinding and a full epoch allocate nothing.
+func TestBatcherRebindsAcrossDatasets(t *testing.T) {
+	bothTypes(t, testBatcherRebinds[float64], testBatcherRebinds[float32])
+}
+
+func testBatcherRebinds[T tensor.Float](t *testing.T) {
+	sets := []*Dataset{toyDataset(23, 4), toyDataset(3, 4), toyDataset(16, 4), toyDataset(9, 4)}
+	sizes := []int{5, 8}
+	var bt Batcher[T]
+	epoch := func(d *Dataset, size int) {
+		bt.Bind(d, size)
+		bt.Reset(nil)
+		row := 0
+		for {
+			b, ok := bt.Next()
+			if !ok {
+				break
+			}
+			want := size
+			if d.Len()-row < size {
+				want = d.Len() - row
+			}
+			if b.X.Shape[0] != want || len(b.Y) != want || len(b.X.Data) != want*d.Dim() {
+				t.Fatalf("n=%d size=%d row %d: batch shape %v / %d labels, want %d rows", d.Len(), size, row, b.X.Shape, len(b.Y), want)
+			}
+			for i := range b.Y {
+				if b.Y[i] != d.Y[row] || b.X.At(i, 0) != T(d.X.At(row, 0)) {
+					t.Fatalf("n=%d size=%d: row %d wrong after rebind", d.Len(), size, row)
+				}
+				row++
+			}
+		}
+		if row != d.Len() {
+			t.Fatalf("n=%d size=%d: saw %d rows", d.Len(), size, row)
+		}
 	}
-	if d.Batcher(4) == d.Batcher(6) || d.Batcher32(4) == d.Batcher32(6) {
-		t.Fatal("distinct sizes must not share a batcher")
+	sweep := func() {
+		for _, d := range sets {
+			for _, size := range sizes {
+				epoch(d, size)
+			}
+		}
+	}
+	sweep()
+	if allocs := testing.AllocsPerRun(5, sweep); allocs != 0 {
+		t.Fatalf("warm rebinding allocated %.1f times per sweep", allocs)
 	}
 }
 

@@ -7,17 +7,16 @@ package data
 
 import (
 	"fmt"
+	"sync"
 
 	"fedclust/internal/rng"
 	"fedclust/internal/tensor"
 )
 
-// Dataset is an in-memory labeled dataset of flattened CHW images.
-//
-// A Dataset (including its cached batchers) may be used by one goroutine
-// at a time; the simulator's per-client ownership — each client is
-// processed by exactly one executor worker per phase — provides that
-// naturally.
+// Dataset is an in-memory labeled dataset of flattened CHW images. It is
+// read-only after construction (the float32 feature copy is built once,
+// under a sync.Once), so any number of goroutines may batch over one
+// dataset at the same time, each through its own Batcher.
 type Dataset struct {
 	Name    string
 	X       *tensor.Tensor // (n, C*H*W)
@@ -25,16 +24,10 @@ type Dataset struct {
 	Classes int
 	C, H, W int
 
-	// batchers / batchers32 cache one Batcher per element type and batch
-	// size seen (a dataset sees at most a couple of sizes: the training
-	// batch and the evaluation batch).
-	batchers   []*Batcher[float64]
-	batchers32 []*Batcher[float32]
-
 	// x32 is the lazily built float32 copy of X that float32 batchers
-	// read (one rounding per scalar; X stays canonical). Single-goroutine
-	// ownership makes the lazy fill safe without synchronization.
-	x32 *tensor.Tensor32
+	// read (one rounding per scalar; X stays canonical).
+	x32     *tensor.Tensor32
+	x32Once sync.Once
 }
 
 // Len returns the number of examples.
@@ -104,28 +97,36 @@ type Batch[T tensor.Float] struct {
 	Y []int
 }
 
-// Batcher cuts the dataset into shuffled minibatches of at most size
+// Batcher cuts a dataset into shuffled minibatches of at most size
 // examples (the final partial batch included), copying each batch into
 // one persistent backing buffer instead of materializing every batch of
 // every epoch. Next therefore yields views — a returned Batch is valid
-// only until the next Next or Reset call — and a warm epoch performs no
-// heap allocations. A float32 batcher reads the dataset's float32 feature
-// copy and consumes exactly the shuffle draws a float64 one does, so for
-// the same epoch RNG both element types see identical batch composition.
+// only until the next Next, Reset or Bind call — and a warm epoch
+// performs no heap allocations. A float32 batcher reads the dataset's
+// float32 feature copy and consumes exactly the shuffle draws a float64
+// one does, so for the same epoch RNG both element types see identical
+// batch composition.
+//
+// A Batcher belongs to whoever iterates (a training scratch, a test),
+// never to the dataset: two visits to one dataset hold two batchers and
+// share nothing mutable. The zero value is ready for Bind, and one
+// batcher serves any sequence of datasets and sizes — its buffers only
+// grow, so rebinding allocates nothing once it has seen the largest.
 type Batcher[T tensor.Float] struct {
 	d     *Dataset
 	size  int
 	order []int
 	pos   int
-	full  *tensor.Of[T] // (size, dim) view over the backing buffer
-	tail  *tensor.Of[T] // (n%size, dim) view over its prefix; nil if n%size == 0
+	buf   []T
 	y     []int
+	// full is the (size, dim) view over buf, tail the (n%size, dim) view
+	// over its prefix. Bind rewrites both headers in place (they are the
+	// batcher's own, so tensor.Of's fixed-shape rule holds between Binds).
+	full, tail           tensor.Of[T]
+	fullShape, tailShape [2]int
 }
 
-// Batcher returns the dataset's cached float64 batcher for the given
-// size, building it on first use. The cache keeps one batcher per
-// distinct size, so alternating training and evaluation passes both stay
-// warm.
+// Batcher returns a new float64 batcher over d.
 func (d *Dataset) Batcher(size int) *Batcher[float64] { return BatcherOf[float64](d, size) }
 
 // Batcher32 is Batcher for the float32 compute path.
@@ -134,22 +135,14 @@ func (d *Dataset) Batcher32(size int) *Batcher[float32] { return BatcherOf[float
 // BatcherOf is Batcher/Batcher32 for callers generic over the element
 // type.
 func BatcherOf[T tensor.Float](d *Dataset, size int) *Batcher[T] {
-	cache, ok := any(&d.batchers).(*[]*Batcher[T])
-	if !ok {
-		cache = any(&d.batchers32).(*[]*Batcher[T])
-	}
-	for _, b := range *cache {
-		if b.size == size {
-			return b
-		}
-	}
-	b := newBatcher[T](d, size)
-	*cache = append(*cache, b)
+	b := &Batcher[T]{}
+	b.Bind(d, size)
 	return b
 }
 
-// newBatcher sizes the backing buffer and batch views for the dataset.
-func newBatcher[T tensor.Float](d *Dataset, size int) *Batcher[T] {
+// Bind points the batcher at dataset d with the given batch size,
+// leaving it exhausted until the next Reset.
+func (b *Batcher[T]) Bind(d *Dataset, size int) {
 	if size <= 0 {
 		panic(fmt.Sprintf("data: batch size must be positive, got %d", size))
 	}
@@ -158,20 +151,22 @@ func newBatcher[T tensor.Float](d *Dataset, size int) *Batcher[T] {
 	if n < size {
 		rows = n
 	}
-	b := &Batcher[T]{
-		d: d, size: size,
-		order: make([]int, n),
-		pos:   n, // exhausted until the first Reset
-		y:     make([]int, rows),
+	if cap(b.order) < n {
+		b.order = make([]int, n)
 	}
-	buf := make([]T, rows*dim)
-	if n >= size {
-		b.full = tensor.FromSlice(buf, size, dim)
+	if cap(b.y) < rows {
+		b.y = make([]int, rows)
 	}
-	if rem := n % size; rem != 0 {
-		b.tail = tensor.FromSlice(buf[:rem*dim], rem, dim)
+	if cap(b.buf) < rows*dim {
+		b.buf = make([]T, rows*dim)
 	}
-	return b
+	b.d, b.size = d, size
+	b.order, b.pos = b.order[:n], n
+	b.y = b.y[:rows]
+	rem := n % size
+	b.fullShape, b.tailShape = [2]int{rows, dim}, [2]int{rem, dim}
+	b.full = tensor.Of[T]{Shape: b.fullShape[:], Data: b.buf[:rows*dim]}
+	b.tail = tensor.Of[T]{Shape: b.tailShape[:], Data: b.buf[:rem*dim]}
 }
 
 // features returns the dataset's feature matrix in element type T: X
@@ -180,12 +175,12 @@ func features[T tensor.Float](d *Dataset) *tensor.Of[T] {
 	if x, ok := any(d.X).(*tensor.Of[T]); ok {
 		return x
 	}
-	if d.x32 == nil {
+	d.x32Once.Do(func() {
 		d.x32 = tensor.New32(d.X.Shape...)
 		for i, v := range d.X.Data {
 			d.x32.Data[i] = float32(v)
 		}
-	}
+	})
 	return any(d.x32).(*tensor.Of[T])
 }
 
@@ -213,10 +208,10 @@ func (b *Batcher[T]) Next() (batch Batch[T], ok bool) {
 	}
 	feats := features[T](b.d)
 	hi := b.pos + b.size
-	x := b.full
+	x := &b.full
 	if hi > n {
 		hi = n
-		x = b.tail
+		x = &b.tail
 	}
 	count := hi - b.pos
 	for i := 0; i < count; i++ {

@@ -6,9 +6,9 @@
 // supplies the parts that differ through Hooks.
 //
 // The driver also owns the performance layer every method inherits:
-//   - a per-worker ModelPool, so local training and evaluation reuse one
-//     nn.Sequential per executor worker instead of rebuilding the
-//     network per client per round;
+//   - one fl.Lane (model, training scratch, codec buffers) per executor
+//     worker, so local training and evaluation rebuild nothing per
+//     client per round;
 //   - one contiguous flat-parameter arena backing every client's reported
 //     update (Locals), written in place via nn.FlattenParamsInto;
 //   - a per-environment cached runtime (envState): pool, arenas, worker
@@ -26,37 +26,30 @@ import (
 
 	"fedclust/internal/data"
 	"fedclust/internal/fl"
-	"fedclust/internal/nn"
-	"fedclust/internal/rng"
-	"fedclust/internal/wire"
 )
 
 // ClientCtx is the per-client execution context handed to the Local hook.
 // One ClientCtx exists per executor worker and is reused across clients;
-// hooks must not retain it (or Model) past the call.
+// hooks must not retain it (or its Lane) past the call.
 type ClientCtx struct {
 	Env *fl.Env
-	// Model is the worker's pooled network. Its weights are unspecified on
-	// entry; load them (DefaultLocal does) before training or evaluating.
-	Model *nn.Sequential
+	// Lane is the worker's pooled visit state. Hooks that probe before
+	// training (IFCA's K-model selection) evaluate on Lane.Model through
+	// Lane.Scratch; the training itself goes through VisitLocal.
+	Lane *fl.Lane
 	// Client is the client index, Round the 0-based round.
 	Client, Round int
 	// Epochs is the number of local epochs this visit should run. 0 means
 	// the configured Env.Local.Epochs; a scenario-enabled round sets it to
 	// the client's completed-epoch count (stragglers run a partial pass).
-	// Hooks that train through LocalConfig() honor it automatically.
 	Epochs int
 	// Start is this client's entry from the Broadcast hook (nil when the
-	// method sets no Broadcast hook).
+	// method sets no Broadcast hook; such a hook sets Start itself before
+	// VisitLocal or DefaultLocal).
 	Start []float64
-	// Out is the client's slot in the driver's Locals arena; write the
-	// flattened post-training parameters here.
+	// Out is the client's slot in the driver's Locals arena; the visit
+	// writes the client's report here.
 	Out []float64
-	// Scratch is the worker's persistent training scratch (optimizer,
-	// loss workspaces, prox buffer), reused across client visits so
-	// steady-state local training allocates nothing. Custom Local hooks
-	// should train through it.
-	Scratch *fl.TrainScratch
 	// Cluster is the client's cluster id under a clustered schedule
 	// (Hooks.ClusterOf), -1 otherwise — forwarded to remote executors as
 	// round metadata.
@@ -72,38 +65,14 @@ type ClientCtx struct {
 	// it for the same effect.
 	Failed bool
 
-	// rng backs VisitRng; persistent so visits draw streams without
-	// allocating.
-	rng rng.Rng
-
-	// Uplink compression wiring (set by the engine when the environment
-	// selects a sparse codec): the shared error-feedback accumulator and
-	// this worker's scratch. nil/zero under dense codecs.
-	ef  *fl.ErrorFeedback
-	efs fl.EFScratch
-	// up and down are the effective uplink/downlink codecs (Env.Codec and
-	// Env.Codec.Downlink()); downFrame/downBuf back the encode→decode
-	// round trips of narrowDownlink and the dense-lossy uplink.
-	up        wire.Codec
-	down      wire.Codec
-	downFrame []byte
-	downBuf   []float64
-}
-
-// VisitRng returns the deterministic stream for this visit's
-// (Client, Round) — exactly what Env.ClientRng(Client, Round) yields,
-// reseeded in place in the worker's context so the hot path allocates
-// nothing. The stream is valid until the worker's next visit.
-func (c *ClientCtx) VisitRng() *rng.Rng {
-	c.Env.ClientRngInto(&c.rng, c.Client, c.Round)
-	return &c.rng
+	es *envState
 }
 
 // TrainData returns the dataset this visit trains on: the client's
 // training split, or the hostile scenario's poisoned/drifted view of it
-// when one is in force (fl.HostileScenario). Custom Local hooks that
-// train in-process should read data through it so label-noise attackers
-// and drifted clients behave under every method.
+// when one is in force (fl.HostileScenario). Hooks that probe the
+// client's data before training should read it through here so
+// label-noise attackers and drifted clients behave under every method.
 func (c *ClientCtx) TrainData() *data.Dataset {
 	base := c.Env.Clients[c.Client].Train
 	if hs, ok := c.Env.Participation.Scenario.(fl.HostileScenario); ok {
@@ -115,10 +84,10 @@ func (c *ClientCtx) TrainData() *data.Dataset {
 // CorruptUplink applies this visit's byzantine uplink corruption (if the
 // scenario is hostile and the client is a wire-level attacker) to Out in
 // place, using Start as the round's reference point. DefaultLocal calls
-// it after training — covering the remote-trainer path too, where it
-// models the byzantine node corrupting its own uplink — so custom Local
-// hooks that bypass DefaultLocal must call it themselves after filling
-// Out. Returns whether the vector was modified.
+// it after the visit — local or remote, where it models the byzantine
+// node corrupting its own uplink — so custom Local hooks that bypass
+// DefaultLocal must call it themselves after VisitLocal. Returns whether
+// the vector was modified.
 func (c *ClientCtx) CorruptUplink() bool {
 	if hs, ok := c.Env.Participation.Scenario.(fl.HostileScenario); ok {
 		return hs.CorruptUpdate(c.Client, c.Round, c.Out, c.Start)
@@ -126,74 +95,31 @@ func (c *ClientCtx) CorruptUplink() bool {
 	return false
 }
 
-// CompressUplink runs this visit's uplink through the environment's
-// codec. Under a sparse codec, Out is rewritten in place to the exact
-// reconstruction the server will hold after decoding the sparse frame,
-// and the dropped/quantized remainder joins the client's error-feedback
-// residual for the next round. Under a lossy dense codec (Float32,
-// Quant8), Out round-trips through encode→decode — exactly what a socket
-// pair applies — with no residual carried. A no-op under Float64, for
-// failed visits, and (sparse only) for visits without a broadcast Start,
-// since sparsification is defined relative to the round's reference
-// vector. DefaultLocal calls it between training and CorruptUplink —
-// error feedback accumulates the honest update, and byzantine corruption
-// lands on what actually travels, matching the remote path where the
-// node compresses before its uplink leaves the machine. Custom Local
-// hooks that bypass DefaultLocal must call it themselves after filling
-// Out.
-func (c *ClientCtx) CompressUplink() {
-	if c.Failed {
-		return
-	}
-	if c.ef != nil {
-		if c.Start == nil {
-			return
-		}
-		c.ef.Compress(c.Client, c.Start, c.Out, &c.efs)
-		return
-	}
-	if c.up == wire.Float64 || c.up == 0 {
-		return
-	}
-	// Dense lossy uplink: quantize in place. Decoding back into Out is
-	// exact-size by construction (the frame was just encoded from it).
-	c.downFrame = wire.EncodeInto(c.downFrame[:0], c.up, c.Out)
-	if _, err := wire.DecodeInto(c.Out, c.downFrame); err != nil {
-		panic(err) // encode→decode of a valid vector cannot fail
-	}
-}
-
-// narrowDownlink returns the broadcast vector as this visit's client
-// actually receives it: Start round-tripped through the downlink codec
-// when that codec is lossy, nil when the client sees Start exactly
-// (Float64 downlink — including every sparse uplink codec, which
-// broadcasts dense). Keeping the in-process load identical to what a
-// remote node decodes off the wire is what makes mixed local/remote runs
-// bit-identical under every codec.
-func (c *ClientCtx) narrowDownlink() []float64 {
-	if c.down == wire.Float64 || c.Start == nil {
-		return nil
-	}
-	c.downFrame = wire.EncodeInto(c.downFrame[:0], c.down, c.Start)
-	var err error
-	c.downBuf, err = wire.DecodeInto(c.downBuf, c.downFrame)
-	if err != nil {
-		panic(err) // encode→decode of a valid vector cannot fail
-	}
-	return c.downBuf
-}
-
-// LocalConfig returns the local-training configuration for this visit:
-// the environment's LocalConfig with the epoch count overridden by the
-// scenario's completed-epoch budget when one is in force. Custom Local
-// hooks should train with it so stragglers run partial passes under
-// them too.
-func (c *ClientCtx) LocalConfig() fl.LocalConfig {
+// localConfig is the visit's local-training configuration: the
+// environment's, with the epoch count overridden by the scenario's
+// completed-epoch budget when one is in force.
+func (c *ClientCtx) localConfig() fl.LocalConfig {
 	cfg := c.Env.Local
 	if c.Epochs > 0 {
 		cfg.Epochs = c.Epochs
 	}
 	return cfg
+}
+
+// VisitLocal runs this visit in-process on the worker's lane: Start is
+// loaded as the environment's downlink codec would deliver it, the local
+// pass runs on TrainData under the visit's (Client, Round) stream, and
+// Out receives the full parameters as the server will hold them after
+// the uplink codec — with the dropped remainder of a sparse uplink
+// joining the engine's error-feedback residual for the client. Keeping
+// this identical to what a transport node does is what makes mixed
+// local/remote runs bit-identical under every codec.
+func (c *ClientCtx) VisitLocal() {
+	c.Lane.Visit(&fl.Visit{
+		Client: c.Client, Round: c.Round, Layer: fl.FullParams,
+		Cfg: c.localConfig(), Start: c.Start, Data: c.TrainData(),
+		Down: c.Env.Codec.Downlink(), Up: c.Env.Codec, EF: c.es.ef,
+	}, c.Out)
 }
 
 // Hooks are the method-specific parts of a round. Aggregate and Served
@@ -205,8 +131,8 @@ type Hooks struct {
 	// and must stay unmodified until it ends.
 	Broadcast func(round int) [][]float64
 	// Local overrides the client-side objective. The default
-	// (DefaultLocal) loads Start, runs fl.LocalUpdate, and flattens into
-	// Out. Local runs concurrently across clients: it may only write
+	// (DefaultLocal) is one fl.Lane visit from Start into Out, local or
+	// remote. Local runs concurrently across clients: it may only write
 	// per-client state (indexed by ctx.Client) and the ctx buffers.
 	Local func(ctx *ClientCtx)
 	// Aggregate folds the reported clients' Locals into the method's
@@ -283,7 +209,7 @@ type RoundDriver struct {
 }
 
 // New validates the environment and builds a driver for one method run.
-// The heavyweight runtime (model pool, arenas, worker contexts, buffers)
+// The heavyweight runtime (lanes, arenas, worker contexts, buffers)
 // is cached on the environment and reused by later runs; only the first
 // run on an Env — or a run whose shape no longer fits, or one racing a
 // concurrent run on the same Env — pays for construction.
@@ -347,16 +273,17 @@ func (d *RoundDriver) StartsBuf() [][]float64 {
 	return d.es.starts
 }
 
-// Pool exposes the per-worker model pool for method phases outside the
-// round loop (e.g. FedClust's warmup feature collection).
-func (d *RoundDriver) Pool() *ModelPool { return d.es.pool }
+// Lanes exposes the per-worker lanes for method phases outside the round
+// loop (FedClust's warmup feature collection), so they run on the same
+// warm state the rounds do.
+func (d *RoundDriver) Lanes() []*fl.Lane { return d.es.lanes }
 
-// DefaultLocal is the plain client objective: load the broadcast weights,
-// run local SGD through the worker's scratch, flatten the trained
-// parameters into the client's slot. Clients owned by the environment's
-// RemoteTrainer are shipped over the transport instead: same start, same
-// deterministic (client, round) stream, same config — a lossless-codec
-// remote visit is bit-identical to an in-process one.
+// DefaultLocal is the plain client objective: one visit from Start into
+// Out, then byzantine corruption of what actually travelled. Clients
+// owned by the environment's RemoteTrainer are shipped over the transport
+// — same start, same deterministic (client, round) stream, same config,
+// and a node that runs the very same fl.Lane visit; everyone else runs
+// VisitLocal.
 func DefaultLocal(ctx *ClientCtx) {
 	if rt := ctx.Env.Remote; rt != nil && rt.Owns(ctx.Client) {
 		req := fl.RemoteRequest{
@@ -364,7 +291,7 @@ func DefaultLocal(ctx *ClientCtx) {
 			Round:   ctx.Round,
 			Cluster: ctx.Cluster,
 			Layer:   fl.FullParams,
-			Cfg:     ctx.LocalConfig(),
+			Cfg:     ctx.localConfig(),
 			Start:   ctx.Start,
 		}
 		down, up, err := rt.Train(&req, ctx.Out)
@@ -374,25 +301,9 @@ func DefaultLocal(ctx *ClientCtx) {
 			ctx.Failed = true
 			return
 		}
-		// A byzantine node corrupts its own uplink: the coordinator
-		// receives the corrupted vector off the wire and must survive it.
-		ctx.CorruptUplink()
-		return
+	} else {
+		ctx.VisitLocal()
 	}
-	if ctx.Scratch == nil {
-		ctx.Scratch = &fl.TrainScratch{DType: ctx.Env.DType}
-	}
-	// Load what the client would decode off the wire, but keep ctx.Start
-	// as the round's exact reference: CorruptUplink and the error-feedback
-	// delta are defined against the server's own copy of the broadcast.
-	start := ctx.Start
-	if narrowed := ctx.narrowDownlink(); narrowed != nil {
-		start = narrowed
-	}
-	nn.LoadParams(ctx.Model, start)
-	ctx.Scratch.LocalUpdate(ctx.Model, ctx.TrainData(), ctx.LocalConfig(), ctx.VisitRng())
-	nn.FlattenParamsInto(ctx.Model, ctx.Out)
-	ctx.CompressUplink()
 	ctx.CorruptUplink()
 }
 

@@ -1,7 +1,7 @@
 package engine_test
 
 // Concurrency coverage: these tests are written to put the executor, the
-// per-worker model pool, and the shared evaluation protocol under real
+// per-worker lanes, and the shared evaluation protocol under real
 // contention so `go test -race` can catch unsynchronized access. The
 // seed's evaluation path shared one nn.Sequential across goroutines —
 // whose layers cache forward activations — which the per-worker
@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"fedclust/internal/core"
-	"fedclust/internal/engine"
 	"fedclust/internal/fl"
 	"fedclust/internal/methods"
 	"fedclust/internal/nn"
@@ -53,29 +52,26 @@ func TestParallelForWorkerCoversAllIndices(t *testing.T) {
 	}
 }
 
-// TestModelPoolConcurrentTraining: hammer the pool with parallel local
-// updates (the engine's client phase) — each worker must end up with its
-// own network and no cross-worker sharing.
-func TestModelPoolConcurrentTraining(t *testing.T) {
+// TestLanesConcurrentTraining: hammer the per-worker lanes with parallel
+// visits (the engine's client phase) so -race sees any state two lanes
+// share.
+func TestLanesConcurrentTraining(t *testing.T) {
 	env := goldenEnv(11, 1, fl.Participation{})
 	env.Workers = 6
-	pool := engine.NewModelPool(env)
-	w0 := nn.FlattenParams(pool.Get(0))
-	// Many passes over the client set so workers contend on the pool.
+	lanes := fl.NewLanes(env)
+	w0 := nn.FlattenParams(lanes[0].Model)
+	outs := make([][]float64, len(env.Clients))
+	// Many passes over the client set so workers contend.
 	for pass := 0; pass < 3; pass++ {
 		env.ParallelClientsWorker(len(env.Clients), func(w, i int) {
-			m := pool.Get(w)
-			nn.LoadParams(m, w0)
-			fl.LocalUpdate(m, env.Clients[i].Train, env.Local, env.ClientRng(i, pass))
+			if outs[i] == nil {
+				outs[i] = make([]float64, len(w0))
+			}
+			lanes[w].Visit(&fl.Visit{
+				Client: i, Round: pass, Layer: fl.FullParams, Cfg: env.Local,
+				Start: w0, Data: env.Clients[i].Train,
+			}, outs[i])
 		})
-	}
-	seen := map[*nn.Sequential]bool{}
-	for w := 0; w < pool.Size(); w++ {
-		m := pool.Get(w)
-		if seen[m] {
-			t.Fatal("two workers share one pooled model")
-		}
-		seen[m] = true
 	}
 }
 
@@ -104,9 +100,7 @@ func TestConcurrentEvaluatePersonalizedSharedModel(t *testing.T) {
 
 // TestRuntimeClaimFallback: when the environment's cached runtime slot
 // is held by someone else, a run must transparently build private state
-// — and produce bit-identical results. (Fully concurrent runs on one Env
-// remain unsupported one layer down: client Datasets own reusable
-// batcher state; see DESIGN.md §6.)
+// — and produce bit-identical results.
 func TestRuntimeClaimFallback(t *testing.T) {
 	env := goldenEnv(14, 2, fl.Participation{})
 	env.EvalEvery = 1

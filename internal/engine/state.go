@@ -9,9 +9,9 @@ import (
 // envState is the engine's per-environment runtime: everything a
 // RoundDriver needs that depends only on the environment's shape (client
 // count, parameter count, worker count) and is expensive to rebuild —
-// the per-worker model pool, the contiguous Locals arena, the worker
-// contexts with their training scratch, the sampling/evaluation buffers,
-// and the persistent executor tasks.
+// the per-worker lanes (models, training scratch, codec buffers),
+// the contiguous Locals arena, the worker contexts, the
+// sampling/evaluation buffers, and the persistent executor tasks.
 //
 // It is cached on the environment across runs through
 // fl.EnvShared.AcquireRuntime, so the steady state of a long experiment
@@ -41,7 +41,7 @@ type envState struct {
 	frac  float64
 	ef    *fl.ErrorFeedback
 
-	pool    *ModelPool
+	lanes   []*fl.Lane
 	w0      []float64
 	arena   []float64
 	locals  [][]float64
@@ -131,9 +131,9 @@ func newEnvState(env *fl.Env) *envState {
 		n:       n,
 		codec:   env.Codec,
 		frac:    env.TopKFrac,
-		pool:    NewModelPool(env),
+		lanes:   fl.NewLanes(env),
 	}
-	proto := es.pool.Get(0)
+	proto := es.lanes[0].Model
 	es.numParams = proto.NumParams()
 	if env.Codec.Sparse() {
 		es.ef = fl.NewErrorFeedback(env.Codec, fl.NormalizeTopKFrac(env.TopKFrac), n, es.numParams)
@@ -149,19 +149,13 @@ func newEnvState(env *fl.Env) *envState {
 	for i := range es.all {
 		es.all[i] = i
 	}
-	es.ctxs = make([]*ClientCtx, es.pool.Size())
+	es.ctxs = make([]*ClientCtx, len(es.lanes))
 	for w := range es.ctxs {
-		es.ctxs[w] = &ClientCtx{
-			Env:     env,
-			Scratch: &fl.TrainScratch{DType: env.DType},
-			ef:      es.ef,
-			up:      env.Codec,
-			down:    env.Codec.Downlink(),
-		}
+		es.ctxs[w] = &ClientCtx{Env: env, es: es}
 	}
 	es.gatherVecs = make([][]float64, 0, n)
 	es.gatherWs = make([]float64, 0, n)
-	es.evalLast = make([][]float64, es.pool.Size())
+	es.evalLast = make([][]float64, len(es.lanes))
 	es.perClient = make([]float64, n)
 	es.done = make([]int, n)
 	es.lag = make([]int, n)
@@ -194,7 +188,7 @@ func newEnvState(env *fl.Env) *envState {
 			}
 		}
 		ctx := es.ctxs[w]
-		ctx.Model = es.pool.Get(w)
+		ctx.Lane = es.lanes[w]
 		ctx.Client, ctx.Round = i, es.curRound
 		ctx.Epochs = epochs
 		ctx.Start = nil
@@ -222,7 +216,7 @@ func newEnvState(env *fl.Env) *envState {
 	}
 	es.evalPick = func(w, i int) *nn.Sequential {
 		vec := es.d.Hooks.Served(i)
-		m := es.pool.Get(w)
+		m := es.lanes[w].Model
 		if es.evalLast[w] == nil || &es.evalLast[w][0] != &vec[0] {
 			nn.LoadParams(m, vec)
 			es.evalLast[w] = vec
@@ -234,8 +228,8 @@ func newEnvState(env *fl.Env) *envState {
 
 // fits reports whether the cached state still matches the environment's
 // current shape (tests mutate Workers between runs on one Env). The
-// codec selection is part of the shape: the worker contexts' compression
-// wiring and the error-feedback accumulator are built for one codec.
+// codec selection is part of the shape: the error-feedback accumulator
+// is built for one codec.
 func (es *envState) fits(env *fl.Env) bool {
 	return es.workers == env.WorkerCount() && es.n == len(env.Clients) &&
 		es.codec == env.Codec && es.frac == env.TopKFrac
@@ -249,9 +243,9 @@ func (es *envState) fits(env *fl.Env) bool {
 func (es *envState) rebind(env *fl.Env, d *RoundDriver) {
 	es.env = env
 	es.d = d
-	for _, ctx := range es.ctxs {
+	for w, ctx := range es.ctxs {
 		ctx.Env = env
-		ctx.Scratch.DType = env.DType
+		es.lanes[w].Rebind(env)
 	}
 	es.remoteOn = env.Remote != nil
 	if es.remoteOn {

@@ -6,20 +6,12 @@ import (
 	"unsafe"
 )
 
-// WeightedAverage computes the sample-count-weighted average of parameter
-// vectors: Σ (wᵢ/Σw)·vecᵢ. It panics on empty input, mismatched lengths,
-// or non-positive total weight. This is FedAvg's aggregation rule.
-func WeightedAverage(vecs [][]float64, weights []float64) []float64 {
-	if len(vecs) == 0 {
-		panic("fl: WeightedAverage of nothing")
-	}
-	return WeightedAverageInto(make([]float64, len(vecs[0])), vecs, weights)
-}
-
-// WeightedAverageInto computes the same weighted average as
-// WeightedAverage into a caller-provided buffer, allowing round loops to
-// reuse one scratch vector instead of allocating per aggregation. dst is
-// zeroed first and must not alias any input vector. Returns dst.
+// WeightedAverageInto computes the sample-count-weighted average of
+// parameter vectors, Σ (wᵢ/Σw)·vecᵢ — FedAvg's aggregation rule — into a
+// caller-provided buffer, so round loops reuse one scratch vector instead
+// of allocating per aggregation. It panics on empty input, mismatched
+// lengths, or non-positive total weight. dst is zeroed first and must not
+// alias any input vector. Returns dst.
 func WeightedAverageInto(dst []float64, vecs [][]float64, weights []float64) []float64 {
 	if len(vecs) == 0 {
 		panic("fl: WeightedAverage of nothing")
@@ -76,16 +68,12 @@ func UniformAverage(vecs [][]float64) []float64 {
 	for i := range w {
 		w[i] = 1
 	}
-	return WeightedAverage(vecs, w)
+	return WeightedAverageInto(make([]float64, len(vecs[0])), vecs, w)
 }
 
-// Delta returns after - before elementwise (a client's model update).
-func Delta(after, before []float64) []float64 {
-	return DeltaInto(make([]float64, len(after)), after, before)
-}
-
-// DeltaInto writes after - before into a caller-provided buffer (which may
-// alias `after` but not `before`). Returns dst.
+// DeltaInto writes after - before elementwise (a client's model update)
+// into a caller-provided buffer (which may alias `after` but not
+// `before`). Returns dst.
 func DeltaInto(dst, after, before []float64) []float64 {
 	if len(after) != len(before) {
 		panic(fmt.Sprintf("fl: Delta length mismatch %d vs %d", len(after), len(before)))

@@ -69,8 +69,8 @@ func testBatchStepZeroAllocs[T tensor.Float](t *testing.T, model *nn.SequentialO
 
 // TestLocalUpdateCallSteadyStateAllocs asserts a whole warm LocalUpdate
 // call through a reused TrainScratch stays allocation-free — the scratch
-// owns the optimizer, loss head and float32 shadow, and the dataset owns
-// its batcher. On the float32 path that covers shadow revalidation,
+// owns the optimizer, loss head, batcher and float32 shadow. On the
+// float32 path that covers shadow revalidation,
 // parameter rounding, the full epoch loop and widening back.
 func TestLocalUpdateCallSteadyStateAllocs(t *testing.T) {
 	onBothDTypes(t, func(t *testing.T, dtype DType) {
@@ -131,6 +131,35 @@ func TestEvaluateCallSteadyStateAllocs(t *testing.T) {
 			ts.Evaluate(model, d, 16)
 		}); n != 0 {
 			t.Fatalf("warm Evaluate call allocates %v times, want 0", n)
+		}
+	})
+}
+
+// TestLaneWarmVisitZeroAllocs asserts a warm lane runs full-parameter
+// visits across clients of unequal size — the lane-owned batcher rebinds
+// to each, including the n % size tail view and a client smaller than
+// one batch — without touching the heap, in both dtypes and under every
+// codec family, in both the in-process and the node form.
+func TestLaneWarmVisitZeroAllocs(t *testing.T) {
+	onBothDTypes(t, func(t *testing.T, dtype DType) {
+		for _, cd := range laneCodecs {
+			env := laneEnv(dtype)
+			lane := NewLane(env)
+			start := nn.FlattenParams(env.NewModel())
+			ef := newLaneEF(env, cd, len(start))
+			out := make([]float64, len(start))
+			var reply []byte
+			sweep := func() {
+				for c := range env.Clients {
+					v := laneVisit(env, c, cd, FullParams, start, ef)
+					lane.Visit(v, out)
+					reply = lane.VisitFrame(reply[:0], v, out)
+				}
+			}
+			sweep()
+			if n := testing.AllocsPerRun(5, sweep); n != 0 {
+				t.Errorf("%v: warm visits allocate %v times per sweep, want 0", cd, n)
+			}
 		}
 	})
 }

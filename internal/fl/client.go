@@ -66,12 +66,15 @@ func (c LocalConfig) Check() error {
 	return nil
 }
 
-// TrainScratch carries the allocation-heavy state of local training — the
-// optimizer (with its velocity buffers), the loss-head workspaces and the
-// FedProx reference buffer, per element type, plus the float32 shadow of
-// the worker's model — so one worker can run many client visits with
-// zero steady-state heap allocations. The zero value is ready to use; a
-// TrainScratch must not be shared across concurrent goroutines.
+// TrainScratch carries the allocation-heavy state of local training and
+// evaluation — the optimizer (with its velocity buffers), the loss-head
+// workspaces, the FedProx reference buffer and the batcher, per element
+// type, plus the float32 shadow of the worker's model — so one worker
+// can run many client visits with zero steady-state heap allocations.
+// The batcher is the scratch's own and rebinds to each visited dataset,
+// so concurrent visits to one client share nothing mutable. The zero
+// value is ready to use; a TrainScratch must not be shared across
+// concurrent goroutines.
 type TrainScratch struct {
 	// DType routes LocalUpdate/Evaluate through the float32 compute path
 	// when set to Float32; models whose architecture has no float32
@@ -95,6 +98,7 @@ type visitState[T tensor.Float] struct {
 	sgd     opt.SGD[T]
 	ce      nn.SoftmaxCEOf[T]
 	proxRef []T
+	bt      data.Batcher[T]
 }
 
 // LocalUpdate trains model in place on d for cfg.Epochs passes of local
@@ -114,10 +118,10 @@ type visitState[T tensor.Float] struct {
 // zero-convert fast path (see Params32).
 func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
 	cfg.Validate()
+	ts.ranF32 = false
 	if d.Len() == 0 {
 		return 0
 	}
-	ts.ranF32 = false
 	if ts.DType == Float32 {
 		if sh := ts.shadow.load(model); sh != nil {
 			loss := ts.f32.localSGD(sh, d, cfg, r)
@@ -151,11 +155,11 @@ func (st *visitState[T]) localSGD(net *nn.SequentialOf[T], d *data.Dataset, cfg 
 	st.sgd.Reset()
 	var totalLoss float64
 	batches := 0
-	bt := data.BatcherOf[T](d, cfg.BatchSize)
+	st.bt.Bind(d, cfg.BatchSize)
 	for e := 0; e < cfg.Epochs; e++ {
-		bt.Reset(r)
+		st.bt.Reset(r)
 		for {
-			b, ok := bt.Next()
+			b, ok := st.bt.Next()
 			if !ok {
 				break
 			}
@@ -176,59 +180,59 @@ func (st *visitState[T]) localSGD(net *nn.SequentialOf[T], d *data.Dataset, cfg 
 	return totalLoss / float64(batches)
 }
 
-// Evaluate is EvaluateCE through the scratch's loss head, for hooks that
-// interleave evaluation with training on the same worker (e.g. IFCA's
-// per-cluster selection) without per-call workspace allocations.
+// Evaluate computes mean cross-entropy loss and accuracy of model on d
+// (evaluation mode, batched to bound memory) through the scratch's loss
+// head and batcher, so evaluation loops — the engine's per-worker
+// evaluation protocol, IFCA's per-cluster selection interleaved with
+// training on the same worker — allocate nothing per call. Empty
+// datasets return (0, 0).
 func (ts *TrainScratch) Evaluate(model *nn.Sequential, d *data.Dataset, batchSize int) (loss, acc float64) {
 	if ts.DType == Float32 {
 		if sh := ts.shadow.load(model); sh != nil {
 			// The shadow now holds eval weights, not a trained update.
 			ts.ranF32 = false
-			return EvaluateCE(sh, d, batchSize, &ts.f32.ce)
+			return ts.f32.evaluate(sh, d, batchSize)
 		}
 	}
-	return EvaluateCE(model, d, batchSize, &ts.f64.ce)
+	return ts.f64.evaluate(model, d, batchSize)
 }
 
-// LocalUpdate is the scratch-free convenience form of
-// TrainScratch.LocalUpdate, for one-shot callers; hot paths (the round
-// engine's DefaultLocal) reuse a per-worker TrainScratch instead.
-func LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
-	var ts TrainScratch
-	return ts.LocalUpdate(model, d, cfg, r)
-}
-
-// Evaluate computes mean cross-entropy loss and accuracy of model on d
-// (evaluation mode, batched to bound memory). Empty datasets return (0, 0).
-func Evaluate(model *nn.Sequential, d *data.Dataset, batchSize int) (loss, acc float64) {
-	var ce nn.SoftmaxCE
-	return EvaluateCE(model, d, batchSize, &ce)
-}
-
-// EvaluateCE is Evaluate with a caller-owned loss head, so evaluation
-// loops (the engine's per-worker evaluation protocol) keep their loss
-// workspaces warm across clients and allocate nothing per batch. On a
-// float32 network every batch runs the float32 forward pass and the
-// float64-accumulating loss head; the caller owns the network and must
-// have loaded the parameters it wants evaluated (shadowCache.load).
-func EvaluateCE[T tensor.Float](model *nn.SequentialOf[T], d *data.Dataset, batchSize int, ce *nn.SoftmaxCEOf[T]) (loss, acc float64) {
+// evaluate is Evaluate for one element type. On a float32 network every
+// batch runs the float32 forward pass and the float64-accumulating loss
+// head; the caller has loaded the parameters it wants evaluated.
+func (st *visitState[T]) evaluate(model *nn.SequentialOf[T], d *data.Dataset, batchSize int) (loss, acc float64) {
 	if d.Len() == 0 {
 		return 0, 0
 	}
 	var lossSum float64
 	correct := 0
-	bt := data.BatcherOf[T](d, batchSize)
-	bt.Reset(nil)
+	st.bt.Bind(d, batchSize)
+	st.bt.Reset(nil)
 	for {
-		b, ok := bt.Next()
+		b, ok := st.bt.Next()
 		if !ok {
 			break
 		}
 		logits := model.Forward(b.X, false)
-		l, _, _ := ce.Loss(logits, b.Y)
+		l, _, _ := st.ce.Loss(logits, b.Y)
 		lossSum += l * float64(len(b.Y))
 		acc := nn.Accuracy(logits, b.Y)
 		correct += int(acc*float64(len(b.Y)) + 0.5)
 	}
 	return lossSum / float64(d.Len()), float64(correct) / float64(d.Len())
+}
+
+// LocalUpdate is the scratch-free convenience form of
+// TrainScratch.LocalUpdate, for one-shot callers; hot paths (Lane.Visit)
+// reuse a per-worker TrainScratch instead.
+func LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
+	var ts TrainScratch
+	return ts.LocalUpdate(model, d, cfg, r)
+}
+
+// Evaluate is the scratch-free convenience form of TrainScratch.Evaluate
+// on the float64 path.
+func Evaluate(model *nn.Sequential, d *data.Dataset, batchSize int) (loss, acc float64) {
+	var ts TrainScratch
+	return ts.Evaluate(model, d, batchSize)
 }

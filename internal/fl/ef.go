@@ -32,7 +32,6 @@ type ErrorFeedback struct {
 // EFScratch holds one worker's reusable buffers for Visit; zero value
 // ready, zero allocations once warm.
 type EFScratch struct {
-	buf    []byte    // encoded sparse frame
 	target []float64 // trained + residual
 	scores []float64 // |target - start|, also selection scratch
 	sel    []float64 // quickselect scratch
@@ -82,9 +81,8 @@ func (ef *ErrorFeedback) Reset() {
 // broadcast `start`) to dst, rewrites `out` in place to the exact
 // reconstruction the receiver will hold after applying that frame, and
 // folds the dropped/quantized remainder into the client's residual.
-// Callers that only need the reconstruction (in-process clients) reuse
-// s.buf as dst and discard the return; callers that ship bytes (the
-// node Service) pass their outgoing buffer.
+// Lane.appendUplink is its one caller: in-process visits pass the
+// lane's throwaway frame buffer, a node passes its outgoing reply.
 //
 // The reconstruction is obtained by decoding the frame just encoded —
 // not by mirroring its arithmetic — so sender and receiver states are
@@ -131,13 +129,6 @@ func (ef *ErrorFeedback) Visit(dst []byte, client int, start, out []float64, s *
 		res[i] = r
 	}
 	return dst
-}
-
-// Compress is Visit for callers that never ship the frame: the client's
-// `out` becomes the receiver-side reconstruction and the residual
-// updates, using s.buf as the throwaway encode buffer.
-func (ef *ErrorFeedback) Compress(client int, start, out []float64, s *EFScratch) {
-	s.buf = ef.Visit(s.buf[:0], client, start, out, s)
 }
 
 func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -33,7 +33,7 @@ func TestErrorFeedbackInvariant(t *testing.T) {
 			for i := range target {
 				target[i] = out[i] + prevRes[i]
 			}
-			ef.Compress(0, start, out, &s)
+			ef.Visit(nil, 0, start, out, &s)
 			for i := range target {
 				if got := out[i] + ef.res[0][i]; math.Abs(got-target[i]) > 1e-12 {
 					t.Fatalf("%s round %d coord %d: reconstruction+residual = %v, target %v",
@@ -64,7 +64,7 @@ func TestErrorFeedbackKeepsTopCoordinates(t *testing.T) {
 			out[i] = 0.001
 		}
 	}
-	ef.Compress(0, start, out, &s)
+	ef.Visit(nil, 0, start, out, &s)
 	for _, ix := range big {
 		if ef.res[0][ix] != 0 {
 			t.Errorf("kept coordinate %d left residual %v, want 0", ix, ef.res[0][ix])
@@ -127,7 +127,7 @@ func TestErrorFeedbackNonFiniteResidualDropped(t *testing.T) {
 	out := make([]float64, n)
 	out[3] = math.NaN()
 	out[9] = math.Inf(1)
-	ef.Compress(0, start, out, &s)
+	ef.Visit(nil, 0, start, out, &s)
 	for i, r := range ef.res[0] {
 		if !isFinite(r) {
 			t.Fatalf("residual %d is non-finite: %v", i, r)
@@ -141,7 +141,7 @@ func TestErrorFeedbackReset(t *testing.T) {
 	var s EFScratch
 	r := rng.New(63)
 	for client := 0; client < 3; client++ {
-		ef.Compress(client, efRandVec(r, n), efRandVec(r, n), &s)
+		ef.Visit(nil, client, efRandVec(r, n), efRandVec(r, n), &s)
 	}
 	ef.Reset()
 	for client := 0; client < 3; client++ {
@@ -161,7 +161,7 @@ func TestErrorFeedbackCheckpointRoundTrip(t *testing.T) {
 	var s EFScratch
 	r := rng.New(64)
 	for client := 0; client < nClients; client++ {
-		ef.Compress(client, efRandVec(r, n), efRandVec(r, n), &s)
+		ef.Visit(nil, client, efRandVec(r, n), efRandVec(r, n), &s)
 	}
 	var ck Checkpoint
 	ef.SaveTo(&ck)
@@ -209,12 +209,12 @@ func TestErrorFeedbackVisitZeroAllocWarm(t *testing.T) {
 	for _, c := range []wire.Codec{wire.TopK, wire.TopKQuant8} {
 		ef := NewErrorFeedback(c, 0.01, 1, n)
 		var s EFScratch
-		ef.Compress(0, start, out, &s) // warm the scratch
+		frame := ef.Visit(nil, 0, start, out, &s) // warm the scratch
 		if allocs := testing.AllocsPerRun(20, func() {
 			copy(out, trained)
-			ef.Compress(0, start, out, &s)
+			frame = ef.Visit(frame[:0], 0, start, out, &s)
 		}); allocs != 0 {
-			t.Errorf("%s: warm Compress allocated %.1f times", c, allocs)
+			t.Errorf("%s: warm Visit allocated %.1f times", c, allocs)
 		}
 	}
 }
@@ -227,12 +227,12 @@ func BenchmarkErrorFeedbackVisit(b *testing.B) {
 	out := make([]float64, n)
 	ef := NewErrorFeedback(wire.TopK, 0.01, 1, n)
 	var s EFScratch
-	ef.Compress(0, start, out, &s)
+	frame := ef.Visit(nil, 0, start, out, &s)
 	b.ReportAllocs()
 	b.SetBytes(int64(8 * n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(out, trained)
-		ef.Compress(0, start, out, &s)
+		frame = ef.Visit(frame[:0], 0, start, out, &s)
 	}
 }

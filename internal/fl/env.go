@@ -116,8 +116,8 @@ func (e *Env) ClientRng(clientID, round int) *rng.Rng {
 }
 
 // ClientRngInto reseeds dst to exactly the stream ClientRng returns,
-// without allocating — the engine's hot path keys one persistent Rng per
-// worker context.
+// without allocating — the visit hot path keys one persistent Rng per
+// lane.
 func (e *Env) ClientRngInto(dst *rng.Rng, clientID, round int) {
 	var root rng.Rng
 	root.Reseed(e.Seed)
@@ -149,7 +149,7 @@ func (e *Env) ParallelClients(n int, fn func(i int)) {
 
 // ParallelClientsWorker is ParallelClients with the executing worker's
 // stable id passed to fn, so callers can key per-worker scratch state
-// (model pools, buffers) without locking: worker w only ever runs on one
+// (lanes, buffers) without locking: worker w only ever runs on one
 // goroutine at a time.
 func (e *Env) ParallelClientsWorker(n int, fn func(worker, i int)) {
 	e.executor().Run(n, e.WorkerCount(), fn)

@@ -73,7 +73,8 @@ func TestLocalUpdateProxStaysCloser(t *testing.T) {
 		start := nn.FlattenParams(model)
 		cfg := LocalConfig{Epochs: 10, BatchSize: 10, LR: 0.2, ProxMu: mu}
 		LocalUpdate(model, tinyDataset(60, rng.New(4)), cfg, rng.New(5))
-		return L2Norm(Delta(nn.FlattenParams(model), start))
+		after := nn.FlattenParams(model)
+		return L2Norm(DeltaInto(after, after, start))
 	}
 	free, prox := run(0), run(5.0)
 	if prox >= free {
@@ -104,9 +105,17 @@ func TestLocalUpdateDeterministic(t *testing.T) {
 	}
 }
 
+// weightedAverage is the allocating form of WeightedAverageInto.
+func weightedAverage(vecs [][]float64, weights []float64) []float64 {
+	if len(vecs) == 0 {
+		return WeightedAverageInto(nil, vecs, weights)
+	}
+	return WeightedAverageInto(make([]float64, len(vecs[0])), vecs, weights)
+}
+
 func TestWeightedAverage(t *testing.T) {
 	vecs := [][]float64{{1, 0}, {3, 4}}
-	got := WeightedAverage(vecs, []float64{1, 3})
+	got := weightedAverage(vecs, []float64{1, 3})
 	if math.Abs(got[0]-2.5) > 1e-12 || math.Abs(got[1]-3) > 1e-12 {
 		t.Fatalf("WeightedAverage = %v", got)
 	}
@@ -128,8 +137,8 @@ func TestWeightedAverageWeightsNormalizeProperty(t *testing.T) {
 			w[i] = 0.1 + r.Float64()
 			w2[i] = w[i] * 7.3
 		}
-		a := WeightedAverage(vecs, w)
-		b := WeightedAverage(vecs, w2)
+		a := weightedAverage(vecs, w)
+		b := weightedAverage(vecs, w2)
 		for j := range a {
 			if math.Abs(a[j]-b[j]) > 1e-9 {
 				return false
@@ -145,7 +154,7 @@ func TestWeightedAverageWeightsNormalizeProperty(t *testing.T) {
 func TestWeightedAverageIsConvex(t *testing.T) {
 	// The average must lie inside the coordinate-wise min/max envelope.
 	vecs := [][]float64{{0, 10}, {4, 20}, {2, 12}}
-	got := WeightedAverage(vecs, []float64{1, 2, 3})
+	got := weightedAverage(vecs, []float64{1, 2, 3})
 	if got[0] < 0 || got[0] > 4 || got[1] < 10 || got[1] > 20 {
 		t.Fatalf("average escaped convex hull: %v", got)
 	}
@@ -153,11 +162,11 @@ func TestWeightedAverageIsConvex(t *testing.T) {
 
 func TestWeightedAveragePanics(t *testing.T) {
 	for _, f := range []func(){
-		func() { WeightedAverage(nil, nil) },
-		func() { WeightedAverage([][]float64{{1}}, []float64{1, 2}) },
-		func() { WeightedAverage([][]float64{{1}, {1, 2}}, []float64{1, 1}) },
-		func() { WeightedAverage([][]float64{{1}}, []float64{0}) },
-		func() { WeightedAverage([][]float64{{1}}, []float64{-1}) },
+		func() { weightedAverage(nil, nil) },
+		func() { weightedAverage([][]float64{{1}}, []float64{1, 2}) },
+		func() { weightedAverage([][]float64{{1}, {1, 2}}, []float64{1, 1}) },
+		func() { weightedAverage([][]float64{{1}}, []float64{0}) },
+		func() { weightedAverage([][]float64{{1}}, []float64{-1}) },
 	} {
 		func(f func()) {
 			defer func() {
@@ -175,7 +184,7 @@ func TestUniformAverageAndDelta(t *testing.T) {
 	if got[0] != 3 || got[1] != 3 {
 		t.Fatalf("UniformAverage = %v", got)
 	}
-	d := Delta([]float64{5, 1}, []float64{2, 3})
+	d := DeltaInto(make([]float64, 2), []float64{5, 1}, []float64{2, 3})
 	if d[0] != 3 || d[1] != -2 {
 		t.Fatalf("Delta = %v", d)
 	}
@@ -359,37 +368,6 @@ func TestEnvValidate(t *testing.T) {
 	bad.Validate()
 }
 
-func TestEncodeDecodeParamsRoundTrip(t *testing.T) {
-	model := tinyFactory(rng.New(61))
-	orig := nn.FlattenParams(model)
-	frame := EncodeParams(model, wire.Float64)
-	if len(frame) != EncodedParamBytes(model, wire.Float64) {
-		t.Fatal("EncodedParamBytes disagrees with actual frame size")
-	}
-	other := tinyFactory(rng.New(62))
-	if err := DecodeParams(other, frame); err != nil {
-		t.Fatal(err)
-	}
-	got := nn.FlattenParams(other)
-	for i := range orig {
-		if got[i] != orig[i] {
-			t.Fatal("float64 codec round trip lossy")
-		}
-	}
-}
-
-func TestDecodeParamsRejectsWrongModel(t *testing.T) {
-	small := tinyFactory(rng.New(63))
-	big := nn.MLP(rng.New(64), 2, 30, 2)
-	frame := EncodeParams(small, wire.Float32)
-	if err := DecodeParams(big, frame); err == nil {
-		t.Fatal("size mismatch not rejected")
-	}
-	if err := DecodeParams(big, []byte{1, 2, 3}); err == nil {
-		t.Fatal("garbage frame not rejected")
-	}
-}
-
 func TestQuant8ParamsStayUsable(t *testing.T) {
 	// Quantizing a trained model's weights to 8 bits must not destroy its
 	// accuracy on an easy task.
@@ -398,10 +376,11 @@ func TestQuant8ParamsStayUsable(t *testing.T) {
 	model := tinyFactory(rng.New(66))
 	LocalUpdate(model, d, LocalConfig{Epochs: 30, BatchSize: 16, LR: 0.2}, r)
 	_, accBefore := Evaluate(model, d, 32)
-	frame := EncodeParams(model, wire.Quant8)
-	if err := DecodeParams(model, frame); err != nil {
+	vec, err := wire.Decode(wire.Encode(wire.Quant8, nn.FlattenParams(model)))
+	if err != nil {
 		t.Fatal(err)
 	}
+	nn.LoadParams(model, vec)
 	_, accAfter := Evaluate(model, d, 32)
 	if accBefore-accAfter > 0.05 {
 		t.Fatalf("quant8 destroyed the model: %v → %v", accBefore, accAfter)

@@ -90,20 +90,15 @@ func (p Participation) Validate() {
 	}
 }
 
-// SampleRound draws the round's invited and reporting client sets,
-// deterministically from the environment seed. Without a Scenario,
-// reported is always non-empty (if every invited client would drop, one
-// survivor is kept so the round is not wasted); a Scenario may empty it
-// — a round where every device missed the deadline is genuinely wasted.
-func (e *Env) SampleRound(round int) (invited, reported []int) {
-	return e.SampleRoundInto(round, nil, nil)
-}
-
-// SampleRoundInto is SampleRound appending into caller-owned buffers
-// (reused across rounds by the round engine so steady-state sampling
-// allocates nothing once the buffers have grown). The returned slices
-// are backed by the buffers; the draws are variate-for-variate identical
-// to SampleRound's.
+// SampleRoundInto draws the round's invited and reporting client sets,
+// deterministically from the environment seed, appending into
+// caller-owned buffers (reused across rounds by the round engine so
+// steady-state sampling allocates nothing once the buffers have grown;
+// nil buffers allocate). The returned slices are backed by the buffers.
+// Without a Scenario, reported is always non-empty (if every invited
+// client would drop, one survivor is kept so the round is not wasted); a
+// Scenario may empty it — a round where every device missed the deadline
+// is genuinely wasted.
 func (e *Env) SampleRoundInto(round int, invitedBuf, reportedBuf []int) (invited, reported []int) {
 	p := e.Participation
 	p.Validate()

@@ -7,7 +7,7 @@ import (
 
 func TestSampleRoundFullParticipationDefault(t *testing.T) {
 	env := tinyEnv(5, 1)
-	invited, reported := env.SampleRound(0)
+	invited, reported := env.SampleRoundInto(0, nil, nil)
 	if len(invited) != 5 || len(reported) != 5 {
 		t.Fatalf("default participation: %d invited, %d reported", len(invited), len(reported))
 	}
@@ -21,7 +21,7 @@ func TestSampleRoundFullParticipationDefault(t *testing.T) {
 func TestSampleRoundFraction(t *testing.T) {
 	env := tinyEnv(10, 2)
 	env.Participation = Participation{Fraction: 0.3}
-	invited, reported := env.SampleRound(0)
+	invited, reported := env.SampleRoundInto(0, nil, nil)
 	if len(invited) != 3 {
 		t.Fatalf("fraction 0.3 of 10 invited %d", len(invited))
 	}
@@ -29,7 +29,7 @@ func TestSampleRoundFraction(t *testing.T) {
 		t.Fatalf("no drops configured but %d reported", len(reported))
 	}
 	// Deterministic per round, varying across rounds.
-	invited2, _ := env.SampleRound(0)
+	invited2, _ := env.SampleRoundInto(0, nil, nil)
 	for i := range invited {
 		if invited[i] != invited2[i] {
 			t.Fatal("SampleRound not deterministic")
@@ -37,7 +37,7 @@ func TestSampleRoundFraction(t *testing.T) {
 	}
 	diff := false
 	for r := 1; r < 5; r++ {
-		other, _ := env.SampleRound(r)
+		other, _ := env.SampleRoundInto(r, nil, nil)
 		for i := range other {
 			if other[i] != invited[i] {
 				diff = true
@@ -53,7 +53,7 @@ func TestSampleRoundDropsButNeverEmpty(t *testing.T) {
 	env := tinyEnv(8, 3)
 	env.Participation = Participation{DropRate: 0.9}
 	for r := 0; r < 50; r++ {
-		invited, reported := env.SampleRound(r)
+		invited, reported := env.SampleRoundInto(r, nil, nil)
 		if len(invited) != 8 {
 			t.Fatalf("round %d invited %d", r, len(invited))
 		}
@@ -73,7 +73,7 @@ func TestSampleRoundReportedSubsetProperty(t *testing.T) {
 			Fraction: float64(fracRaw%100) / 100,
 			DropRate: float64(dropRaw%90) / 100,
 		}
-		invited, reported := env.SampleRound(3)
+		invited, reported := env.SampleRoundInto(3, nil, nil)
 		inv := map[int]bool{}
 		for _, i := range invited {
 			if i < 0 || i >= 9 || inv[i] {
@@ -98,7 +98,7 @@ func TestSampleRoundReportedSubsetProperty(t *testing.T) {
 func TestSampleRoundMinClients(t *testing.T) {
 	env := tinyEnv(10, 4)
 	env.Participation = Participation{Fraction: 0.01, MinClients: 4}
-	invited, _ := env.SampleRound(0)
+	invited, _ := env.SampleRoundInto(0, nil, nil)
 	if len(invited) != 4 {
 		t.Fatalf("MinClients not honored: %d invited", len(invited))
 	}

@@ -58,20 +58,16 @@ func (s *EnvShared) ReleaseRuntime(v any) {
 }
 
 // evalScratch is the reusable state of the evaluation protocol: the
-// per-client result columns, one warm loss head per worker, the
-// per-worker clone models of EvaluatePersonalized, and the persistent
-// executor task. One evalScratch serves one evaluation call at a time
-// (claimed via EnvShared.evalBusy); contended calls run on a private
-// throwaway instance.
+// per-client result columns, one warm TrainScratch (loss head, batcher,
+// float32 shadow) per worker, the per-worker clone models of
+// EvaluatePersonalized, and the persistent executor task. One
+// evalScratch serves one evaluation call at a time (claimed via
+// EnvShared.evalBusy); contended calls run on a private throwaway
+// instance.
 type evalScratch struct {
-	losses []float64
-	valid  []bool
-	ces    []nn.SoftmaxCE
-
-	// shadows/ces32 back the float32 evaluation path: one float32
-	// replica and warm loss head per worker.
-	shadows []shadowCache
-	ces32   []nn.SoftmaxCE32
+	losses  []float64
+	valid   []bool
+	scratch []TrainScratch
 
 	// clones/lastSrc/load back EvaluatePersonalized: one lazily built
 	// model per worker, reloaded only when the picked source changes.
@@ -101,15 +97,13 @@ func (s *evalScratch) ensure(n, workers int) {
 		s.losses[i] = 0
 		s.valid[i] = false
 	}
-	if len(s.ces) < workers {
-		s.ces = make([]nn.SoftmaxCE, workers)
-		s.ces32 = make([]nn.SoftmaxCE32, workers)
+	if len(s.scratch) < workers {
+		grownScratch := make([]TrainScratch, workers)
+		copy(grownScratch, s.scratch) // float32 mirrors are expensive; keep them
+		s.scratch = grownScratch
 		grownClones := make([]*nn.Sequential, workers)
-		copy(grownClones, s.clones) // clone models are expensive; keep them
+		copy(grownClones, s.clones) // clone models too
 		s.clones = grownClones
-		grownShadows := make([]shadowCache, workers)
-		copy(grownShadows, s.shadows) // mirrors too
-		s.shadows = grownShadows
 		grownLoad := make([][]float64, workers)
 		copy(grownLoad, s.load)
 		s.load = grownLoad
@@ -127,17 +121,9 @@ func (s *evalScratch) ensure(n, workers int) {
 			if c.Test == nil || c.Test.Len() == 0 {
 				return
 			}
-			m := s.pick(w, i)
-			var sh *nn.SequentialOf[float32]
-			if s.env.DType == Float32 {
-				sh = s.shadows[w].load(m)
-			}
-			var l, a float64
-			if sh != nil {
-				l, a = EvaluateCE(sh, c.Test, s.env.EvalBatchSize(), &s.ces32[w])
-			} else {
-				l, a = EvaluateCE(m, c.Test, s.env.EvalBatchSize(), &s.ces[w])
-			}
+			ts := &s.scratch[w]
+			ts.DType = s.env.DType
+			l, a := ts.Evaluate(s.pick(w, i), c.Test, s.env.EvalBatchSize())
 			s.cur[i] = a
 			s.losses[i] = l
 			s.valid[i] = true

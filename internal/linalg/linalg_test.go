@@ -9,6 +9,13 @@ import (
 	"fedclust/internal/tensor"
 )
 
+// matMul is the allocating form of tensor.MatMulInto.
+func matMul(a, b *tensor.Tensor) *tensor.Tensor {
+	out := tensor.New(a.Shape[0], b.Shape[1])
+	tensor.MatMulInto(out, a, b)
+	return out
+}
+
 func randMatrix(r *rng.Rng, m, n int) *tensor.Tensor {
 	t := tensor.New(m, n)
 	for i := range t.Data {
@@ -69,7 +76,7 @@ func TestSymEigReconstruction(t *testing.T) {
 			}
 		}
 		// Eigenvectors orthonormal: VᵀV = I.
-		vtv := tensor.MatMul(tensor.Transpose(v), v)
+		vtv := matMul(tensor.Transpose(v), v)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				want := 0.0
@@ -138,8 +145,8 @@ func TestSVDOrthonormalFactors(t *testing.T) {
 	r := rng.New(3)
 	a := randMatrix(r, 8, 5)
 	d := ComputeSVD(a)
-	utu := tensor.MatMul(tensor.Transpose(d.U), d.U)
-	vtv := tensor.MatMul(tensor.Transpose(d.V), d.V)
+	utu := matMul(tensor.Transpose(d.U), d.U)
+	vtv := matMul(tensor.Transpose(d.V), d.V)
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 5; j++ {
 			want := 0.0
@@ -197,7 +204,7 @@ func TestOrthonormalize(t *testing.T) {
 	if q.Shape[1] != 3 {
 		t.Fatalf("Orthonormalize dropped independent columns: %v", q.Shape)
 	}
-	qtq := tensor.MatMul(tensor.Transpose(q), q)
+	qtq := matMul(tensor.Transpose(q), q)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			want := 0.0

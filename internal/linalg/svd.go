@@ -143,9 +143,9 @@ func (d SVD) Reconstruct() *tensor.Tensor {
 			us.Set(d.U.At(i, j)*d.S[j], i, j)
 		}
 	}
-	vt := tensor.Transpose(d.V)
-	_ = n
-	return tensor.MatMul(us, vt)
+	out := tensor.New(m, n)
+	tensor.MatMulInto(out, us, tensor.Transpose(d.V))
+	return out
 }
 
 // TruncateU returns the first p left singular vectors as an m×p matrix —
@@ -217,7 +217,8 @@ func PrincipalAngles(u1, u2 *tensor.Tensor) []float64 {
 	if u1.Shape[0] != u2.Shape[0] {
 		panic(fmt.Sprintf("linalg: PrincipalAngles ambient dims differ: %v vs %v", u1.Shape, u2.Shape))
 	}
-	m := tensor.MatMul(tensor.Transpose(u1), u2)
+	m := tensor.New(u1.Shape[1], u2.Shape[1])
+	tensor.MatMulInto(m, tensor.Transpose(u1), u2)
 	d := ComputeSVD(m)
 	angles := make([]float64, len(d.S))
 	for i, s := range d.S {

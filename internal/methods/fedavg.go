@@ -3,7 +3,7 @@
 // FedProx (Li et al. 2020), CFL (Sattler et al. 2020), IFCA (Ghosh et al.
 // 2020), and PACFL (Vahidian et al. 2022). All of them run on the shared
 // fl.Env substrate through engine.RoundDriver, so comparisons are apples
-// to apples and every method inherits the engine's model pool and
+// to apples and every method inherits the engine's lane pool and
 // flat-parameter arenas.
 package methods
 

@@ -54,28 +54,24 @@ func (f IFCA) Run(env *fl.Env) *fl.Result {
 		// The hostile view (if any): cluster selection and training both
 		// read the data the client actually holds this round.
 		train := ctx.TrainData()
-		// Pick the cluster with lowest local training loss.
+		// Pick the cluster with lowest local training loss. (The K-model
+		// selection pass stays exact — IFCA never routes remote, so there
+		// is no wire image of the evaluation downloads to mirror.)
 		best, bestLoss := 0, math.Inf(1)
 		for k := 0; k < f.K; k++ {
-			nn.LoadParams(ctx.Model, models[k])
-			l, _ := ctx.Scratch.Evaluate(ctx.Model, train, 64)
+			nn.LoadParams(ctx.Lane.Model, models[k])
+			l, _ := ctx.Lane.Scratch.Evaluate(ctx.Lane.Model, train, 64)
 			if l < bestLoss {
 				best, bestLoss = k, l
 			}
 		}
 		choice[ctx.Client] = best
-		nn.LoadParams(ctx.Model, models[best])
-		ctx.Scratch.LocalUpdate(ctx.Model, train, ctx.LocalConfig(), ctx.VisitRng())
-		nn.FlattenParamsInto(ctx.Model, ctx.Out)
-		// IFCA sets no Broadcast hook, so give compression and corruption
-		// their proper reference point: the cluster model the client
-		// trained from. (The K-model selection pass itself stays exact —
-		// IFCA never routes remote, so there is no wire image of the
-		// evaluation downloads to mirror.)
+		// IFCA sets no Broadcast hook: the visit's start — and with it the
+		// reference point of compression and corruption — is the cluster
+		// model the client picked.
 		ctx.Start = models[best]
-		ctx.CompressUplink()
+		ctx.VisitLocal()
 		ctx.CorruptUplink()
-		ctx.Start = nil
 	}
 	d.Hooks.Aggregate = func(round int, reported []int) {
 		// Track when the clustering last changed (cluster-formation cost).

@@ -127,8 +127,8 @@ func TestSampleRoundScenarioProperties(t *testing.T) {
 		envA.Participation.Scenario = scenario.New(cfg, seed, len(envA.Clients))
 		envB.Participation.Scenario = scenario.New(cfg, seed, len(envB.Clients))
 		for r := 0; r < 4; r++ {
-			invA, repA := envA.SampleRound(r)
-			invB, repB := envB.SampleRound(r)
+			invA, repA := envA.SampleRoundInto(r, nil, nil)
+			invB, repB := envB.SampleRoundInto(r, nil, nil)
 			if len(invA) != len(invB) || len(repA) != len(repB) {
 				return false
 			}
@@ -170,7 +170,7 @@ func TestScenarioCommStatsMatchSampledSizes(t *testing.T) {
 		t.Fatalf("recorded %d rounds, want %d", len(res.Comm.PerRound), env.Rounds)
 	}
 	for r, rc := range res.Comm.PerRound {
-		invited, reported := env.SampleRound(r)
+		invited, reported := env.SampleRoundInto(r, nil, nil)
 		wantDown := int64(len(invited)) * (fl.CommPricing{}).DownloadBytesFor(nParams)
 		wantUp := int64(len(reported)) * (fl.CommPricing{}).UploadBytesFor(nParams)
 		if rc.DownBytes != wantDown || rc.UpBytes != wantUp {

@@ -11,3 +11,11 @@ func SetF32UseASM(v bool) bool {
 
 // F32UseASM reports which float32 kernel path init selected.
 func F32UseASM() bool { return f32UseASM }
+
+// MatMul is the allocating form of MatMulInto the product tests are
+// written against.
+func MatMul(a, b *Tensor) *Tensor {
+	out := New(a.Shape[0], b.Shape[1])
+	MatMulInto(out, a, b)
+	return out
+}

@@ -13,16 +13,9 @@ import (
 // stay on the calling goroutine to avoid scheduling overhead.
 const parallelThreshold = 64 * 1024
 
-// MatMul returns a(m×k) · b(k×n) as a new m×n tensor, parallelizing over
-// row blocks when the product is large enough.
-func MatMul(a, b *Tensor) *Tensor {
-	out := New(a.Shape[0], b.Shape[1])
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes dst = a · b for rank-2 tensors. dst must not alias
-// a or b and must have shape (a.rows, b.cols).
+// MatMulInto computes dst = a(m×k) · b(k×n) for rank-2 tensors,
+// parallelizing over row blocks when the product is large enough. dst
+// must not alias a or b and must have shape (a.rows, b.cols).
 //
 // All three products (this one, MatMulTransBInto, MatMulTransAInto) hand
 // their rows to the element type's own kernels: the float64 loops below
@@ -189,7 +182,7 @@ func (d *parSlot[T]) parallel(kernel rowsKernel[T], dst, a, b *Of[T], m int) boo
 // and must not alias a or b. Each output element is the dot product of an
 // a-row with a b-row; in float64 it is summed over p in increasing order
 // with the same skip-zero rule as matmulRows, so the result is
-// bit-identical to MatMul(a, Transpose(b)).
+// bit-identical to MatMulInto(dst, a, Transpose(b)).
 func MatMulTransBInto[T Float](dst, a, b *Of[T]) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
 		panic("tensor: MatMulTransB requires rank-2 tensors")
@@ -286,7 +279,7 @@ func matmulTransBRows(dst, a, b *Tensor, lo, hi int) {
 // transpose: a is (k, m), b is (k, n), dst is (m, n) and must not alias
 // a or b. In float64, row i of dst accumulates a's column i against b's
 // rows over p in increasing order with the same skip-zero rule as
-// matmulRows, so the result is bit-identical to MatMul(Transpose(a), b).
+// matmulRows, so the result is bit-identical to MatMulInto(dst, Transpose(a), b).
 func MatMulTransAInto[T Float](dst, a, b *Of[T]) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
 		panic("tensor: MatMulTransA requires rank-2 tensors")

@@ -28,7 +28,7 @@ func FuzzFrame(f *testing.F) {
 	}
 	train := endFrame(appendTrainMsg(beginFrame(nil, MsgTrain), 7, req, wire.Float64), 0)
 	f.Add(train)
-	update := endFrame(appendUpdateOK(beginFrame(nil, MsgUpdate), 7, wire.Quant8, []float64{1, 2, 3}), 0)
+	update := endFrame(wire.EncodeInto(appendUpdateOK(beginFrame(nil, MsgUpdate), 7), wire.Quant8, []float64{1, 2, 3}), 0)
 	f.Add(update)
 	f.Add(endFrame(appendUpdateErr(beginFrame(nil, MsgUpdate), 9, "client 99 outside population"), 0))
 	f.Add(endFrame(appendHello(beginFrame(nil, MsgHello), "node-1"), 0))
@@ -66,7 +66,7 @@ func FuzzFrame(f *testing.F) {
 			case MsgTrain:
 				if m, err := parseTrainMsg(body); err == nil {
 					_, _ = wire.Decode(m.Frame)
-					_ = validateCfg(m.Cfg)
+					_ = m.Cfg.Check()
 				}
 			case MsgUpdate:
 				if m, err := parseUpdateMsg(body); err == nil && m.Err == "" {

@@ -1,8 +1,6 @@
 package transport
 
 import (
-	"sync"
-
 	"fedclust/internal/fl"
 	"fedclust/internal/obs"
 	"fedclust/internal/wire"
@@ -15,26 +13,18 @@ import (
 // so communication stats over loopback equal a real networked run's
 // measured bytes, byte for byte.
 //
-// Determinism contract: a Float64 loopback round is bit-identical to the
-// in-process engine path (the Service runs the same arithmetic
-// DefaultLocal runs, and nothing is encoded). A lossy codec round-trips
-// both directions through wire encode/decode — exactly the quantization
-// a socket pair applies — so loopback matches TCP under every codec.
+// Determinism contract: a loopback exchange is the Service's fl.Lane
+// visit with the wire's codecs passed in — the start narrowed through
+// the downlink codec, the report through the uplink codec, each by
+// encoding and decoding the very frame a socket pair would carry — so
+// loopback matches TCP, and both match the in-process engine path,
+// under every codec.
 type Loopback struct {
 	svc   *Service
 	codec wire.Codec
-	// scratch pools the lossy path's codec buffers across concurrent
-	// visits so warm rounds stay allocation-free under every codec.
-	scratch sync.Pool
 	// m is the telemetry bundle, labeled node="loopback"; updates are
 	// gated on the process telemetry switch.
 	m *nodeMetrics
-}
-
-// lbScratch is one lossy-path round-trip workspace.
-type lbScratch struct {
-	buf []byte
-	vec []float64
 }
 
 // NewLoopback wraps a service in a loopback transport under codec c.
@@ -45,9 +35,7 @@ func NewLoopback(svc *Service, c wire.Codec) *Loopback {
 	if c.Sparse() != svc.Sparse() {
 		panic("transport: loopback codec and service env disagree about sparsification")
 	}
-	l := &Loopback{svc: svc, codec: c, m: newNodeMetrics("loopback")}
-	l.scratch.New = func() any { return &lbScratch{} }
-	return l
+	return &Loopback{svc: svc, codec: c, m: newNodeMetrics("loopback")}
 }
 
 // Train implements Transport.
@@ -68,50 +56,18 @@ func (l *Loopback) Train(req *fl.RemoteRequest, out []float64) (down, up int64, 
 
 func (l *Loopback) train(req *fl.RemoteRequest, out []float64) (down, up int64, err error) {
 	// Requests travel under the downlink codec: dense codecs are
-	// symmetric, sparse codecs broadcast dense Float64.
+	// symmetric, sparse codecs broadcast dense Float64. Frame sizes are
+	// deterministic in (codec, n, kept fraction), so the accounting needs
+	// no bytes in flight.
 	dc := l.codec.Downlink()
 	down = int64(TrainRequestSize(dc, len(req.Start)))
-	if l.codec.Sparse() && req.Layer == fl.FullParams {
-		// Sparse uplink: the node trains, sparsifies with error
-		// feedback, and out comes back as the exact reconstruction the
-		// coordinator would decode off a socket. The frame size is
-		// deterministic in (n, kept fraction), so the accounting needs
-		// no bytes in flight.
-		n := len(out)
-		up = int64(TrainResponseSizeSparse(l.codec, n, wire.TopKCount(n, l.svc.ef.Frac)))
-		if err := l.svc.ExecuteCompressed(req, out); err != nil {
-			return down, 0, err
-		}
-		return down, up, nil
-	}
-	up = int64(TrainResponseSize(dc, len(out)))
-	if dc == wire.Float64 {
-		if err := l.svc.Execute(req, out); err != nil {
-			return down, 0, err
-		}
-		return down, up, nil
-	}
-	// Lossy codec: apply the same narrowing a socket pair would — the
-	// node trains on the decoded (quantized) start and the coordinator
-	// reads back the decoded (quantized) update — through pooled codec
-	// scratch, so even the lossy path allocates nothing warm.
-	s := l.scratch.Get().(*lbScratch)
-	defer l.scratch.Put(s)
-	var cerr error
-	s.buf = wire.EncodeInto(s.buf[:0], dc, req.Start)
-	if s.vec, cerr = wire.DecodeInto(s.vec, s.buf); cerr != nil {
-		return down, 0, cerr
-	}
-	rt := *req
-	rt.Start = s.vec
-	if err := l.svc.Execute(&rt, out); err != nil {
+	if err := l.svc.execute(req, out, dc, l.codec); err != nil {
 		return down, 0, err
 	}
-	// The update quantizes in place: out was just encoded from out, so
-	// decoding back into it is exact-size by construction.
-	s.buf = wire.EncodeInto(s.buf[:0], dc, out)
-	if _, cerr = wire.DecodeInto(out, s.buf); cerr != nil {
-		return down, 0, cerr
+	if n := len(out); l.codec.Sparse() && req.Layer == fl.FullParams {
+		up = int64(TrainResponseSizeSparse(l.codec, n, wire.TopKCount(n, l.svc.ef.Frac)))
+	} else {
+		up = int64(TrainResponseSize(dc, n))
 	}
 	return down, up, nil
 }

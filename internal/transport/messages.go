@@ -97,26 +97,12 @@ func parseTrainMsg(body []byte) (trainMsg, error) {
 	return m, nil
 }
 
-// validateCfg guards untrusted wire configs without panicking — one rule
-// set, shared with in-process training via fl.LocalConfig.Check.
-func validateCfg(c fl.LocalConfig) error { return c.Check() }
-
-// appendUpdateOK appends a successful MsgUpdate body: id, status, the
-// encoded update vector.
-func appendUpdateOK(dst []byte, reqID uint32, codec wire.Codec, vec []float64) []byte {
+// appendUpdateOK appends the prefix of a successful MsgUpdate body: id
+// and status. The encoded update vector follows (fl.Lane.VisitFrame
+// appends it).
+func appendUpdateOK(dst []byte, reqID uint32) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, reqID)
-	dst = append(dst, statusOK)
-	return wire.EncodeInto(dst, codec, vec)
-}
-
-// appendUpdateOK32 is appendUpdateOK for a producer that already holds
-// the update as float32 (the float32 training path): the Float32 frame
-// is encoded without the float64 round-trip, bit-identical to the slow
-// path (see wire.EncodeFloat32Into).
-func appendUpdateOK32(dst []byte, reqID uint32, vec []float32) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, reqID)
-	dst = append(dst, statusOK)
-	return wire.EncodeFloat32Into(dst, vec)
+	return append(dst, statusOK)
 }
 
 // appendUpdateErr appends a failed MsgUpdate body: id, status, u16

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -11,7 +10,6 @@ import (
 
 	"fedclust/internal/fl"
 	"fedclust/internal/nn"
-	"fedclust/internal/rng"
 	"fedclust/internal/wire"
 )
 
@@ -21,13 +19,13 @@ const writeTimeout = 30 * time.Second
 
 // Service executes train work orders against a local replica of the
 // environment — the node side of every transport. It owns a pool of
-// execution slots (one pooled model + training scratch each, sized to
-// the environment's worker count) so concurrent requests train on warm
-// state without locking; slot checkout is the node's backpressure. The
-// arithmetic of a slot execution is exactly the engine's DefaultLocal:
-// load the start vector, run the deterministic (client, round) stream's
-// local pass, flatten the result — which is what makes a networked round
-// bit-identical to an in-process one under the lossless codec.
+// execution slots (one fl.Lane each, sized to the environment's worker
+// count) so concurrent requests train on warm state without locking;
+// slot checkout is the node's backpressure. A slot execution is the very
+// fl.Lane visit the engine runs for an in-process client — the Service
+// only validates the request (it may have arrived off a wire) and picks
+// the codecs — which is what makes a networked round bit-identical to an
+// in-process one under every codec.
 type Service struct {
 	env       *fl.Env
 	numParams int
@@ -43,27 +41,25 @@ type Service struct {
 	ef *fl.ErrorFeedback
 }
 
-// slot is one execution lane: a pooled model, its training scratch, and
-// the codec buffers of the connection path.
+// slot is one execution lane plus the buffers of the connection path.
 type slot struct {
-	model   *nn.Sequential
-	scratch fl.TrainScratch
-	rng     rng.Rng
-	vec     []float64 // decoded start parameters (reused)
-	out     []float64 // result vector backing store (cap numParams)
-	enc     []byte    // response frame build buffer (reused)
-	efs     fl.EFScratch
+	*fl.Lane
+	vec []float64 // decoded start parameters (reused)
+	out []float64 // result vector backing store (cap numParams)
+	enc []byte    // response frame build buffer (reused)
 }
 
 // NewService builds a service over the node's environment replica with
 // env.WorkerCount() execution slots.
 func NewService(env *fl.Env) *Service {
 	env.Validate()
-	ref := env.NewModel()
+	lanes := fl.NewLanes(env)
+	ref := lanes[0].Model
 	s := &Service{
 		env:       env,
 		numParams: ref.NumParams(),
 		layerDims: make([]int, nn.NumWeightLayers(ref)),
+		slots:     make(chan *slot, len(lanes)),
 	}
 	for k := range s.layerDims {
 		s.layerDims[k] = nn.LayerParamSize(ref, k)
@@ -71,15 +67,8 @@ func NewService(env *fl.Env) *Service {
 	if env.Codec.Sparse() {
 		s.ef = fl.NewErrorFeedback(env.Codec, fl.NormalizeTopKFrac(env.TopKFrac), len(env.Clients), s.numParams)
 	}
-	w := env.WorkerCount()
-	s.slots = make(chan *slot, w)
-	for i := 0; i < w; i++ {
-		sl := &slot{out: make([]float64, s.numParams)}
-		sl.scratch.DType = env.DType
-		if i == 0 {
-			sl.model = ref // reuse the reference model instead of rebuilding
-		}
-		s.slots <- sl
+	for _, l := range lanes {
+		s.slots <- &slot{Lane: l, out: make([]float64, s.numParams)}
 	}
 	return s
 }
@@ -91,107 +80,72 @@ func (s *Service) NumParams() int { return s.numParams }
 // (the replica environment selected a sparse codec).
 func (s *Service) Sparse() bool { return s.ef != nil }
 
-// outLen returns the result dimension a layer selector produces.
-func (s *Service) outLen(layer int) (int, error) {
+// check validates a work order and returns the result dimension its
+// layer selector produces. Every failure is an error, never a panic —
+// requests may arrive off the wire.
+func (s *Service) check(req *fl.RemoteRequest) (n int, err error) {
+	if req.Client < 0 || req.Client >= len(s.env.Clients) {
+		return 0, fmt.Errorf("transport: client %d outside population of %d", req.Client, len(s.env.Clients))
+	}
+	// One rule set, shared with in-process training, that never panics.
+	if err := req.Cfg.Check(); err != nil {
+		return 0, err
+	}
+	if len(req.Start) != s.numParams {
+		return 0, fmt.Errorf("transport: start vector %d params, model has %d", len(req.Start), s.numParams)
+	}
 	switch {
-	case layer == fl.FullParams:
+	case req.Layer == fl.FullParams:
 		return s.numParams, nil
-	case layer == fl.FinalLayer && len(s.layerDims) > 0:
+	case req.Layer == fl.FinalLayer && len(s.layerDims) > 0:
 		return s.layerDims[len(s.layerDims)-1], nil
-	case layer >= 0 && layer < len(s.layerDims):
-		return s.layerDims[layer], nil
+	case req.Layer >= 0 && req.Layer < len(s.layerDims):
+		return s.layerDims[req.Layer], nil
 	default:
-		return 0, fmt.Errorf("transport: layer selector %d outside %d weight layers", layer, len(s.layerDims))
+		return 0, fmt.Errorf("transport: layer selector %d outside %d weight layers", req.Layer, len(s.layerDims))
 	}
 }
 
-// Execute runs one work order in-process and writes the selected vector
-// into out (whose length must match the selector's dimension). It is the
-// Loopback transport's fast path and is safe for concurrent use.
+// visit is a checked work order as a lane runs it: start narrowed
+// through down, the report encoded under up — or, for full-parameter
+// reports when ef is set, sparsified through the node's residuals.
+func (s *Service) visit(req *fl.RemoteRequest, down, up wire.Codec, ef *fl.ErrorFeedback) fl.Visit {
+	return fl.Visit{
+		Client: req.Client, Round: req.Round, Layer: req.Layer, Cfg: req.Cfg,
+		Start: req.Start, Data: s.env.Clients[req.Client].Train,
+		Down: down, Up: up, EF: ef,
+	}
+}
+
+// Execute runs one work order in-process, exactly — no codec in either
+// direction, no error feedback — and writes the selected vector into
+// out, whose length must match the selector's dimension. Safe for
+// concurrent use, including concurrent orders for one client.
 func (s *Service) Execute(req *fl.RemoteRequest, out []float64) error {
-	n, err := s.outLen(req.Layer)
+	return s.execute(req, out, wire.Float64, wire.Float64)
+}
+
+// execute is Execute with a wire's codecs applied: out comes back as the
+// coordinator behind a socket pair would decode it — start narrowed
+// through down, the report through up (a sparse up runs full-parameter
+// reports through the node's residuals).
+func (s *Service) execute(req *fl.RemoteRequest, out []float64, down, up wire.Codec) error {
+	n, err := s.check(req)
 	if err != nil {
 		return err
 	}
 	if len(out) != n {
 		return fmt.Errorf("transport: result buffer %d values, selector needs %d", len(out), n)
 	}
-	sl := <-s.slots
-	defer func() { s.slots <- sl }()
-	return s.run(sl, req, out)
-}
-
-// ExecuteCompressed is Execute for a sparsifying node (Sparse() true)
-// and a full-parameter order: it trains, runs the uplink through the
-// node's error-feedback accumulator, and writes into out the exact
-// reconstruction the coordinator would hold after decoding the sparse
-// frame — the Loopback transport's sparse path, bit-identical to the
-// framed one by construction (the reconstruction is produced by
-// encoding and re-decoding the frame, not by mirroring its arithmetic).
-func (s *Service) ExecuteCompressed(req *fl.RemoteRequest, out []float64) error {
-	if s.ef == nil {
-		return fmt.Errorf("transport: node does not sparsify (dense codec)")
-	}
-	if req.Layer != fl.FullParams {
-		return fmt.Errorf("transport: sparse uplink is defined for full-parameter orders, got layer %d", req.Layer)
-	}
-	if len(out) != s.numParams {
-		return fmt.Errorf("transport: result buffer %d values, model has %d", len(out), s.numParams)
+	var ef *fl.ErrorFeedback
+	if up.Sparse() {
+		ef = s.ef
 	}
 	sl := <-s.slots
 	defer func() { s.slots <- sl }()
-	if err := s.train(sl, req); err != nil {
-		return err
-	}
-	s.extract(sl, fl.FullParams, out)
-	s.ef.Compress(req.Client, req.Start, out, &sl.efs)
+	v := s.visit(req, down, up, ef)
+	sl.Visit(&v, out)
 	return nil
-}
-
-// run trains a slot on the request and extracts the selected vector into
-// out, which the caller has already sized via outLen (the selector is
-// valid and len(out) matches it).
-func (s *Service) run(sl *slot, req *fl.RemoteRequest, out []float64) error {
-	if err := s.train(sl, req); err != nil {
-		return err
-	}
-	s.extract(sl, req.Layer, out)
-	return nil
-}
-
-// train validates the request and runs the local pass on the slot's
-// model, leaving the trained parameters in place for extraction. Every
-// failure is an error, never a panic — requests may arrive off the wire.
-func (s *Service) train(sl *slot, req *fl.RemoteRequest) error {
-	if req.Client < 0 || req.Client >= len(s.env.Clients) {
-		return fmt.Errorf("transport: client %d outside population of %d", req.Client, len(s.env.Clients))
-	}
-	if err := validateCfg(req.Cfg); err != nil {
-		return err
-	}
-	if len(req.Start) != s.numParams {
-		return fmt.Errorf("transport: start vector %d params, model has %d", len(req.Start), s.numParams)
-	}
-	if sl.model == nil {
-		sl.model = s.env.NewModel()
-	}
-	nn.LoadParams(sl.model, req.Start)
-	s.env.ClientRngInto(&sl.rng, req.Client, req.Round)
-	sl.scratch.LocalUpdate(sl.model, s.env.Clients[req.Client].Train, req.Cfg, &sl.rng)
-	return nil
-}
-
-// extract writes the selected vector of the slot's trained model into
-// out (already sized via outLen).
-func (s *Service) extract(sl *slot, layer int, out []float64) {
-	switch layer {
-	case fl.FullParams:
-		nn.FlattenParamsInto(sl.model, out)
-	case fl.FinalLayer:
-		copy(out, nn.FinalLayerVector(sl.model))
-	default:
-		copy(out, nn.LayerParamVector(sl.model, layer))
-	}
 }
 
 // ServeConn runs the node side of the protocol on an established
@@ -237,7 +191,7 @@ func (s *Service) Serve(conn net.Conn) (bye bool, err error) {
 			}
 			sl := <-s.slots
 			// Decode before the next read — m.Frame aliases the reader's
-			// buffer. The response mirrors the request's codec.
+			// buffer.
 			var decErr error
 			sl.vec, decErr = wire.DecodeInto(sl.vec, m.Frame)
 			codec, cerr := wire.FrameCodec(m.Frame)
@@ -253,38 +207,20 @@ func (s *Service) Serve(conn net.Conn) (bye bool, err error) {
 				defer wg.Done()
 				defer func() { s.slots <- sl }()
 				buf := beginFrame(sl.enc[:0], MsgUpdate)
-				runErr := decErr
+				n, runErr := 0, decErr
 				if runErr == nil {
-					n, err := s.outLen(req.Layer)
-					if err != nil {
-						runErr = err
-					} else if runErr = s.train(sl, &req); runErr == nil {
-						v32, has32 := sl.scratch.Params32()
-						switch {
-						case s.ef != nil && req.Layer == fl.FullParams:
-							// Sparse uplink: the reply codec comes from the
-							// node's own env replica, not the request — the
-							// request is always dense (the downlink codec).
-							// Error feedback runs here, where the residuals
-							// live, before the frame leaves the machine.
-							s.extract(sl, req.Layer, sl.out[:n])
-							buf = binary.LittleEndian.AppendUint32(buf, m.ReqID)
-							buf = append(buf, statusOK)
-							buf = s.ef.Visit(buf, req.Client, req.Start, sl.out[:n], &sl.efs)
-						case has32 && codec == wire.Float32 && req.Layer == fl.FullParams:
-							// Zero-convert fast path: when the local pass ran
-							// in float32 and the reply is a Float32
-							// full-parameter frame, encode straight from the
-							// trained shadow — bit-identical to widening and
-							// re-rounding, minus both conversions.
-							buf = appendUpdateOK32(buf, m.ReqID, v32)
-						default:
-							s.extract(sl, req.Layer, sl.out[:n])
-							buf = appendUpdateOK(buf, m.ReqID, codec, sl.out[:n])
-						}
-					}
+					n, runErr = s.check(&req)
 				}
-				if runErr != nil {
+				if runErr == nil {
+					// The start already came off a real wire, so it is
+					// loaded as decoded (re-narrowing is not idempotent
+					// under Quant8). A dense reply mirrors the request's
+					// codec; a sparsifying node's full-parameter reply
+					// runs through its own residuals, where they live,
+					// before the frame leaves the machine.
+					v := s.visit(&req, wire.Float64, codec, s.ef)
+					buf = sl.VisitFrame(appendUpdateOK(buf, m.ReqID), &v, sl.out[:n])
+				} else {
 					buf = appendUpdateErr(buf, m.ReqID, runErr.Error())
 				}
 				buf = endFrame(buf, 0)

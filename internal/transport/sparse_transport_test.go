@@ -123,6 +123,33 @@ func TestFedClustWarmupAccounting(t *testing.T) {
 	}
 }
 
+// TestFedClustWarmupCodecFaithful: the one-shot warm-up is the same visit
+// wherever a client trains — under every codec the features collected
+// in-process equal, element for element, those collected through a
+// loopback fleet (both load the narrowed init and report the narrowed
+// layer; sparse codecs travel dense Float64 here, so nothing narrows).
+func TestFedClustWarmupCodecFaithful(t *testing.T) {
+	for _, c := range allCodecs {
+		env := codecEnv(t, 77, c, 0.05)
+		init := nn.FlattenParams(env.NewModel())
+		local := core.CollectPartialWeights(env, core.Config{}, init)
+		env.Remote = codecFleet(t, 77, c, 0.05, 0, 6, 6)
+		remote := core.CollectPartialWeights(env, core.Config{}, init)
+		diff := 0
+		for i := range local {
+			for j := range local[i] {
+				if local[i][j] != remote[i][j] {
+					diff++
+				}
+			}
+		}
+		if diff != 0 {
+			t.Errorf("%s: %d of %d feature elements differ between the in-process and the loopback warm-up",
+				c, diff, len(local)*len(local[0]))
+		}
+	}
+}
+
 // sparseSpec is goldenSpec with the TopK selection riding the handshake,
 // so joining nodes build sparse-enabled service replicas.
 func sparseSpec(seed uint64, c wire.Codec, frac float64) *transport.Spec {

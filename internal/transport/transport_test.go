@@ -16,12 +16,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
 	"testing"
 
 	"fedclust/internal/core"
 	"fedclust/internal/data"
 	"fedclust/internal/fl"
 	"fedclust/internal/methods"
+	"fedclust/internal/nn"
 	"fedclust/internal/scenario"
 	"fedclust/internal/transport"
 	"fedclust/internal/wire"
@@ -346,6 +348,53 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 
 // TestTrainMessageSizes: the size formulas are exact for the frames the
 // sender actually builds.
+// TestServeSameClientConcurrent: two orders for one client in flight at
+// once — what a timed-out visit plus its re-request look like on a node —
+// share nothing mutable. Every result equals the serial visit of the
+// same (client, round) bit for bit, in both dtypes. (Before lanes owned
+// their batchers the two visits shared the dataset's cached one and
+// Batcher.Next indexed out of range within milliseconds.)
+func TestServeSameClientConcurrent(t *testing.T) {
+	for _, dtype := range []fl.DType{fl.Float64, fl.Float32} {
+		env := buildGolden(t, 31)
+		env.DType = dtype
+		svc := transport.NewService(env)
+		start := nn.FlattenParams(env.NewModel())
+		const rounds = 50
+		order := func(round int) *fl.RemoteRequest {
+			return &fl.RemoteRequest{Client: 0, Round: round, Cluster: -1, Layer: fl.FullParams, Cfg: env.Local, Start: start}
+		}
+		want := make([][]float64, rounds)
+		for r := range want {
+			want[r] = make([]float64, len(start))
+			if err := svc.Execute(order(r), want[r]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out := make([]float64, len(start))
+				for r := 0; r < rounds; r++ {
+					if err := svc.Execute(order(r), out); err != nil {
+						t.Error(err)
+						return
+					}
+					for i := range out {
+						if out[i] != want[r][i] {
+							t.Errorf("%v round %d: concurrent visit differs from the serial one at %d", dtype, r, i)
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 func TestTrainMessageSizes(t *testing.T) {
 	for _, codec := range []wire.Codec{wire.Float64, wire.Float32, wire.Quant8} {
 		for _, n := range []int{0, 1, 37, 1384} {
