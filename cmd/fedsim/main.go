@@ -50,8 +50,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -66,13 +68,38 @@ import (
 	"fedclust/internal/wire"
 )
 
-func main() {
-	if len(os.Args) < 2 || os.Args[1] == "-h" || os.Args[1] == "--help" || os.Args[1] == "help" {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// stdout and stderr are where the in-process experiments print; run
+// points them at its arguments so tests can capture a whole invocation.
+var stdout, stderr io.Writer = os.Stdout, os.Stderr
+
+// exitCode is panicked by the experiment wrappers where they used to
+// call os.Exit; run recovers it into its return value.
+type exitCode int
+
+// run is fedsim's entry point with the process edges (arguments, output
+// streams, exit status) passed in. serve/join/status/tail still print to
+// the process's own streams and exit through fatalf.
+func run(args []string, out, errOut io.Writer) (code int) {
+	stdout, stderr = out, errOut
+	experiments.DefaultObserver = nil
+	defer func() {
+		if r := recover(); r != nil {
+			c, ok := r.(exitCode)
+			if !ok {
+				panic(r)
+			}
+			code = int(c)
+		}
+	}()
+	if len(args) < 1 || args[0] == "-h" || args[0] == "--help" || args[0] == "help" {
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	cmd := os.Args[1]
-	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
+	cmd := args[0]
+	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "reduced workload for fast runs")
 	seed := fs.Uint64("seed", 1, "root seed")
 	seedList := fs.String("seeds", "1,2,3", "comma-separated seeds (table1)")
@@ -108,8 +135,11 @@ func main() {
 	journalPath := fs.String("journal", "", "append a JSONL round journal to this file (runs); journal to read (tail)")
 	tailLast := fs.Int("last", 10, "round events to show (tail; 0 = all)")
 	tailFollow := fs.Bool("follow", false, "keep watching the journal for new events (tail)")
-	if err := fs.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
+	if err := fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
 	// Reject nonsense numeric flags up front, in fl.LocalConfig.Check
 	// style: 0 stays each flag's "use the default" sentinel, but negative
@@ -117,8 +147,8 @@ func main() {
 	// GOMAXPROCS untouched; -timeout -1 disabled the deadline) and now
 	// fail loudly instead of meaning something by accident.
 	if err := checkNumericFlags(*workers, *rounds, *timeoutSec, *ckptEvery, *rejoinSec); err != nil {
-		fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fedsim: %v\n", err)
+		panic(exitCode(2))
 	}
 	if *workers > 0 {
 		// Caps both the client executor width (Env.WorkerCount) and the
@@ -128,8 +158,8 @@ func main() {
 	}
 	dtype, err := fl.ParseDType(*dtypeFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fedsim: %v\n", err)
+		panic(exitCode(2))
 	}
 	// One knob for every environment the process builds: in-process
 	// experiments read it from BuildEnv; serve ships it in the spec so
@@ -140,18 +170,18 @@ func main() {
 	// in the spec so nodes hold matching error-feedback state.
 	wcodec, err := wire.ParseCodec(*codec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fedsim: %v\n", err)
+		panic(exitCode(2))
 	}
 	if *topkFrac < 0 || *topkFrac > 1 || math.IsNaN(*topkFrac) {
-		fmt.Fprintf(os.Stderr, "fedsim: invalid -topk-frac %v: must be in (0,1] (0 selects the default)\n", *topkFrac)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fedsim: invalid -topk-frac %v: must be in (0,1] (0 selects the default)\n", *topkFrac)
+		panic(exitCode(2))
 	}
 	experiments.DefaultCodec = wcodec
 	experiments.DefaultTopKFrac = *topkFrac
 	if *tailLast < 0 {
-		fmt.Fprintf(os.Stderr, "fedsim: invalid -last %d: must be non-negative (0 shows every round)\n", *tailLast)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fedsim: invalid -last %d: must be non-negative (0 shows every round)\n", *tailLast)
+		panic(exitCode(2))
 	}
 	// -journal on an in-process experiment attaches a round journal to
 	// every environment the process builds (experiments.DefaultObserver,
@@ -206,12 +236,12 @@ func main() {
 		// A status query is not a run: print the snapshot and nothing
 		// else, so the JSON stays pipeable (fedsim status | jq).
 		runStatus(*addr, *triggerCkpt)
-		return
+		return 0
 	case "tail":
 		// Like status, tail is a query, not a run: render and exit so the
 		// output stays pipeable.
 		runTail(*journalPath, *tailLast, *tailFollow)
-		return
+		return 0
 	case "stragglers":
 		// The stragglers default method set adds the staleness-aware
 		// aggregators; an explicit -methods overrides it.
@@ -221,17 +251,18 @@ func main() {
 		runHostile(*quick, *seed, *attackFlag, *alphaFlag, parseFloats(*byzFracs), *churnFrac,
 			*driftFrac, *driftRound, splitList(*aggregators), explicitMethods(fs, *methodsFlag), *csvPath)
 	default:
-		fmt.Fprintf(os.Stderr, "fedsim: unknown experiment %q\n\n", cmd)
+		fmt.Fprintf(stderr, "fedsim: unknown experiment %q\n\n", cmd)
 		usage()
-		os.Exit(2)
+		panic(exitCode(2))
 	}
 	if journal != nil {
 		if err := journal.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "fedsim: journal write failed: %v\n", err)
+			fmt.Fprintf(stderr, "fedsim: journal write failed: %v\n", err)
 		}
 		journal.Close() //nolint:errcheck
 	}
-	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Second))
+	fmt.Fprintf(stdout, "\ncompleted in %v\n", time.Since(start).Round(time.Second))
+	return 0
 }
 
 // checkNumericFlags rejects out-of-range numeric flags with clear errors
@@ -256,7 +287,7 @@ func checkNumericFlags(workers, rounds int, timeoutSec float64, ckptEvery int, r
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `fedsim — FedClust reproduction harness
+	fmt.Fprintln(stderr, `fedsim — FedClust reproduction harness
 
 usage: fedsim <experiment> [flags]
 
@@ -310,8 +341,8 @@ func parseFloats(s string) []float64 {
 		}
 		v, err := strconv.ParseFloat(part, 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedsim: bad rate %q\n", part)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "fedsim: bad rate %q\n", part)
+			panic(exitCode(2))
 		}
 		out = append(out, v)
 	}
@@ -320,23 +351,23 @@ func parseFloats(s string) []float64 {
 
 func runStragglers(quick bool, seed uint64, scenarioOn bool, deadline, stragglerFrac float64,
 	dropoutRates []float64, methodList []string, csvPath string) {
-	fmt.Println("== H1: system heterogeneity — stragglers, dropouts, staleness ==")
+	fmt.Fprintln(stdout, "== H1: system heterogeneity — stragglers, dropouts, staleness ==")
 	// Validate scenario settings up front: scenario.New panics on bad
 	// config, and a mid-sweep stack trace after minutes of training is a
 	// poor way to report a typo.
 	for _, r := range dropoutRates {
 		if r < 0 || r >= 1 {
-			fmt.Fprintf(os.Stderr, "fedsim: dropout rate %v out of [0,1)\n", r)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "fedsim: dropout rate %v out of [0,1)\n", r)
+			panic(exitCode(2))
 		}
 	}
 	if stragglerFrac < 0 || stragglerFrac > 1 {
-		fmt.Fprintf(os.Stderr, "fedsim: straggler fraction %v out of [0,1]\n", stragglerFrac)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fedsim: straggler fraction %v out of [0,1]\n", stragglerFrac)
+		panic(exitCode(2))
 	}
 	if deadline <= 0 {
-		fmt.Fprintf(os.Stderr, "fedsim: non-positive deadline %v\n", deadline)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fedsim: non-positive deadline %v\n", deadline)
+		panic(exitCode(2))
 	}
 	opts := experiments.DefaultStragglerOptions()
 	opts.Quick = quick
@@ -350,41 +381,41 @@ func runStragglers(quick bool, seed uint64, scenarioOn bool, deadline, straggler
 	if len(methodList) > 0 {
 		opts.Methods = methodList
 	}
-	opts.Progress = os.Stdout
+	opts.Progress = stdout
 	res := experiments.RunStragglers(opts)
-	fmt.Println()
-	res.Render(os.Stdout)
-	fmt.Println()
+	fmt.Fprintln(stdout)
+	res.Render(stdout)
+	fmt.Fprintln(stdout)
 	for _, c := range res.ShapeChecks() {
-		fmt.Println(c)
+		fmt.Fprintln(stdout, c)
 	}
 	if csvPath != "" {
 		f, err := os.Create(csvPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "fedsim: %v\n", err)
+			panic(exitCode(1))
 		}
 		defer f.Close()
 		header, rows := res.CSV()
 		if err := experiments.WriteCSV(f, header, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "fedsim: %v\n", err)
+			panic(exitCode(1))
 		}
-		fmt.Printf("wrote %s\n", csvPath)
+		fmt.Fprintf(stdout, "wrote %s\n", csvPath)
 	}
 }
 
 func runHostile(quick bool, seed uint64, attackName string, alpha float64, byzFracs []float64,
 	churn, driftFrac float64, driftRound int, aggList, methodList []string, csvPath string) {
-	fmt.Println("== R1: hostile world — byzantine clients, churn, drift ==")
+	fmt.Fprintln(stdout, "== R1: hostile world — byzantine clients, churn, drift ==")
 	attack, err := scenario.ParseAttack(attackName)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fedsim: %v\n", err)
+		panic(exitCode(2))
 	}
 	if alpha < 0 {
-		fmt.Fprintf(os.Stderr, "fedsim: negative Dirichlet concentration %v\n", alpha)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "fedsim: negative Dirichlet concentration %v\n", alpha)
+		panic(exitCode(2))
 	}
 	opts := experiments.DefaultHostileOptions()
 	opts.Quick = quick
@@ -419,37 +450,37 @@ func runHostile(quick bool, seed uint64, attackName string, alpha float64, byzFr
 			DriftFrac: driftFrac, DriftRound: driftRound,
 		}
 		if err := cfg.Check(); err != nil {
-			fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "fedsim: %v\n", err)
+			panic(exitCode(2))
 		}
 		for _, a := range opts.Aggregators {
 			if _, err := fl.NewAggregator(a, f); err != nil {
-				fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-				os.Exit(2)
+				fmt.Fprintf(stderr, "fedsim: %v\n", err)
+				panic(exitCode(2))
 			}
 		}
 	}
-	opts.Progress = os.Stdout
+	opts.Progress = stdout
 	res := experiments.RunHostile(opts)
-	fmt.Println()
-	res.Render(os.Stdout)
-	fmt.Println()
+	fmt.Fprintln(stdout)
+	res.Render(stdout)
+	fmt.Fprintln(stdout)
 	for _, c := range res.ShapeChecks() {
-		fmt.Println(c)
+		fmt.Fprintln(stdout, c)
 	}
 	if csvPath != "" {
 		f, err := os.Create(csvPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "fedsim: %v\n", err)
+			panic(exitCode(1))
 		}
 		defer f.Close()
 		header, rows := res.CSV()
 		if err := experiments.WriteCSV(f, header, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "fedsim: %v\n", err)
+			panic(exitCode(1))
 		}
-		fmt.Printf("wrote %s\n", csvPath)
+		fmt.Fprintf(stdout, "wrote %s\n", csvPath)
 	}
 }
 
@@ -462,8 +493,8 @@ func parseSeeds(s string) []uint64 {
 		}
 		v, err := strconv.ParseUint(part, 10, 64)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedsim: bad seed %q\n", part)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "fedsim: bad seed %q\n", part)
+			panic(exitCode(2))
 		}
 		out = append(out, v)
 	}
@@ -484,20 +515,20 @@ func splitList(s string) []string {
 }
 
 func runTable1(quick bool, seeds []uint64, datasets, methodNames []string, csvPath string) {
-	fmt.Println("== Table I: test accuracy under Non-IID Dir(0.1) ==")
+	fmt.Fprintln(stdout, "== Table I: test accuracy under Non-IID Dir(0.1) ==")
 	opts := experiments.Table1Options{
 		Datasets: datasets,
 		Methods:  methodNames,
 		Seeds:    seeds,
 		Quick:    quick,
-		Progress: os.Stdout,
+		Progress: stdout,
 	}
 	res := experiments.RunTable1(opts)
-	fmt.Println()
-	res.Render(os.Stdout)
-	fmt.Println()
+	fmt.Fprintln(stdout)
+	res.Render(stdout)
+	fmt.Fprintln(stdout)
 	for _, c := range res.ShapeChecks() {
-		fmt.Println(c)
+		fmt.Fprintln(stdout, c)
 	}
 	if csvPath != "" {
 		writeTable1CSV(res, csvPath)
@@ -507,8 +538,8 @@ func runTable1(quick bool, seeds []uint64, datasets, methodNames []string, csvPa
 func writeTable1CSV(res *experiments.Table1Result, path string) {
 	f, err := os.Create(path)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "fedsim: %v\n", err)
+		panic(exitCode(1))
 	}
 	defer f.Close()
 	header := []string{"method", "dataset", "mean_acc_pct", "std_acc_pct", "paper_mean_pct"}
@@ -525,14 +556,14 @@ func writeTable1CSV(res *experiments.Table1Result, path string) {
 		}
 	}
 	if err := experiments.WriteCSV(f, header, rows); err != nil {
-		fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "fedsim: %v\n", err)
+		panic(exitCode(1))
 	}
-	fmt.Printf("wrote %s\n", path)
+	fmt.Fprintf(stdout, "wrote %s\n", path)
 }
 
 func runFig1(quick bool, seed uint64) {
-	fmt.Println("== Fig. 1: distance matrices from different layer weights ==")
+	fmt.Fprintln(stdout, "== Fig. 1: distance matrices from different layer weights ==")
 	opts := experiments.DefaultFig1Options()
 	opts.Seed = seed
 	if quick {
@@ -541,136 +572,136 @@ func runFig1(quick bool, seed uint64) {
 		opts.Epochs = 2
 	}
 	res := experiments.RunFig1(opts)
-	res.Render(os.Stdout)
-	fmt.Println()
+	res.Render(stdout)
+	fmt.Fprintln(stdout)
 	for _, c := range res.ShapeChecks() {
-		fmt.Println(c)
+		fmt.Fprintln(stdout, c)
 	}
 }
 
 func runComm(quick bool, seed uint64, rounds int) {
-	fmt.Println("== C1: communication cost of cluster formation ==")
+	fmt.Fprintln(stdout, "== C1: communication cost of cluster formation ==")
 	opts := experiments.DefaultCommOptions()
 	opts.Quick = quick
 	opts.Seed = seed
 	if rounds > 0 {
 		opts.Rounds = rounds
 	}
-	opts.Progress = os.Stdout
+	opts.Progress = stdout
 	res := experiments.RunComm(opts)
-	fmt.Println()
-	res.Render(os.Stdout)
-	fmt.Println()
+	fmt.Fprintln(stdout)
+	res.Render(stdout)
+	fmt.Fprintln(stdout)
 	for _, c := range res.ShapeChecks() {
-		fmt.Println(c)
+		fmt.Fprintln(stdout, c)
 	}
 }
 
 func runNewcomer(quick bool, seed uint64) {
-	fmt.Println("== F2: dynamic newcomer incorporation (paper step ⑥) ==")
+	fmt.Fprintln(stdout, "== F2: dynamic newcomer incorporation (paper step ⑥) ==")
 	opts := experiments.DefaultNewcomerOptions()
 	opts.Quick = quick
 	opts.Seed = seed
-	opts.Progress = os.Stdout
+	opts.Progress = stdout
 	res := experiments.RunNewcomer(opts)
-	fmt.Println()
-	res.Render(os.Stdout)
+	fmt.Fprintln(stdout)
+	res.Render(stdout)
 	for _, c := range res.ShapeChecks() {
-		fmt.Println(c)
+		fmt.Fprintln(stdout, c)
 	}
 }
 
 func runAlphaSweep(quick bool, seed uint64) {
-	fmt.Println("== S1: heterogeneity sweep (Dirichlet alpha) ==")
+	fmt.Fprintln(stdout, "== S1: heterogeneity sweep (Dirichlet alpha) ==")
 	opts := experiments.DefaultAlphaSweepOptions()
 	opts.Quick = quick
 	opts.Seed = seed
-	opts.Progress = os.Stdout
+	opts.Progress = stdout
 	res := experiments.RunAlphaSweep(opts)
-	fmt.Println()
-	res.Render(os.Stdout)
+	fmt.Fprintln(stdout)
+	res.Render(stdout)
 	for _, c := range res.ShapeChecks() {
-		fmt.Println(c)
+		fmt.Fprintln(stdout, c)
 	}
 }
 
 func runScale(seed uint64) {
-	fmt.Println("== S2: scalability of one-shot clustering ==")
+	fmt.Fprintln(stdout, "== S2: scalability of one-shot clustering ==")
 	opts := experiments.DefaultScaleOptions()
 	opts.Seed = seed
-	opts.Progress = os.Stdout
+	opts.Progress = stdout
 	res := experiments.RunScale(opts)
-	fmt.Println()
-	res.Render(os.Stdout)
+	fmt.Fprintln(stdout)
+	res.Render(stdout)
 }
 
 func runLayerAblation(quick bool, seed uint64) {
-	fmt.Println("== A1: which layer's weights cluster best ==")
+	fmt.Fprintln(stdout, "== A1: which layer's weights cluster best ==")
 	opts := experiments.DefaultLayerAblationOptions()
 	opts.Quick = quick
 	opts.Seed = seed
-	opts.Progress = os.Stdout
+	opts.Progress = stdout
 	res := experiments.RunLayerAblation(opts)
-	fmt.Println()
-	res.Render(os.Stdout)
+	fmt.Fprintln(stdout)
+	res.Render(stdout)
 	for _, c := range res.ShapeChecks() {
-		fmt.Println(c)
+		fmt.Fprintln(stdout, c)
 	}
 }
 
 func runLinkageAblation(quick bool, seed uint64) {
-	fmt.Println("== A2: FedClust under each HC linkage ==")
+	fmt.Fprintln(stdout, "== A2: FedClust under each HC linkage ==")
 	opts := experiments.DefaultLinkageAblationOptions()
 	opts.Quick = quick
 	opts.Seed = seed
-	opts.Progress = os.Stdout
+	opts.Progress = stdout
 	res := experiments.RunLinkageAblation(opts)
-	fmt.Println()
-	res.Render(os.Stdout)
+	fmt.Fprintln(stdout)
+	res.Render(stdout)
 }
 
 func runSelectorAblation(quick bool, seed uint64) {
-	fmt.Println("== A3: automatic cluster-count rules ==")
+	fmt.Fprintln(stdout, "== A3: automatic cluster-count rules ==")
 	opts := experiments.DefaultSelectorAblationOptions()
 	opts.Quick = quick
 	opts.Seed = seed
-	opts.Progress = os.Stdout
+	opts.Progress = stdout
 	res := experiments.RunSelectorAblation(opts)
-	fmt.Println()
-	res.Render(os.Stdout)
+	fmt.Fprintln(stdout)
+	res.Render(stdout)
 	for _, c := range res.ShapeChecks() {
-		fmt.Println(c)
+		fmt.Fprintln(stdout, c)
 	}
 }
 
 func runCompressionAblation(quick bool, seed uint64, topkFrac float64, csvPath string) {
-	fmt.Println("== A4: accuracy-vs-measured-bytes frontier of the uplink codecs ==")
+	fmt.Fprintln(stdout, "== A4: accuracy-vs-measured-bytes frontier of the uplink codecs ==")
 	opts := experiments.DefaultCompressionOptions()
 	opts.Quick = quick
 	opts.Seed = seed
 	if topkFrac > 0 {
 		opts.TopKFrac = topkFrac
 	}
-	opts.Progress = os.Stdout
+	opts.Progress = stdout
 	res := experiments.RunCompression(opts)
-	fmt.Println()
-	res.Render(os.Stdout)
-	fmt.Println()
+	fmt.Fprintln(stdout)
+	res.Render(stdout)
+	fmt.Fprintln(stdout)
 	for _, c := range res.ShapeChecks() {
-		fmt.Println(c)
+		fmt.Fprintln(stdout, c)
 	}
 	if csvPath != "" {
 		f, err := os.Create(csvPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "fedsim: %v\n", err)
+			panic(exitCode(1))
 		}
 		defer f.Close()
 		header, rows := res.CSV()
 		if err := experiments.WriteCSV(f, header, rows); err != nil {
-			fmt.Fprintf(os.Stderr, "fedsim: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "fedsim: %v\n", err)
+			panic(exitCode(1))
 		}
-		fmt.Printf("wrote %s\n", csvPath)
+		fmt.Fprintf(stdout, "wrote %s\n", csvPath)
 	}
 }
