@@ -4,14 +4,10 @@
 // reports the headline quantity (accuracy, ARI, bytes) as custom metrics,
 // so `go test -bench=. -benchmem` regenerates every artifact's shape:
 //
-//	BenchmarkTable1/*      — Table I rows (acc% per method × dataset)
-//	BenchmarkFig1          — Fig. 1 block scores per probed layer
-//	BenchmarkCommCost      — C1 cluster-formation traffic
-//	BenchmarkNewcomer      — F2 newcomer routing
-//	BenchmarkAlphaSweep    — S1 heterogeneity sweep
-//	BenchmarkScale         — S2 clustering scalability
-//	BenchmarkLayerAblation — A1 per-layer cluster recovery
-//	BenchmarkLinkage       — A2 linkage ablation
+//	BenchmarkTable1/<dataset>/<method> — Table I rows (acc% per cell)
+//	BenchmarkExperiment/<name>         — one entry of experimentBenches per
+//	                                     fedsim experiment subcommand
+//	BenchmarkScale/clients=<n>         — S2 clustering scalability
 //
 // Absolute wall-clock numbers are simulator-dependent; the custom metrics
 // are the reproduction targets (bench/README.md holds the measured numbers;
@@ -44,7 +40,7 @@ func BenchmarkTable1(b *testing.B) {
 				w := benchWorkload(ds)
 				var acc float64
 				for i := 0; i < b.N; i++ {
-					env := experiments.BuildEnv(w, 1)
+					env := experiments.Common{Seed: 1}.Env(w)
 					res := experiments.NewTrainer(m, w).Run(env)
 					acc = res.FinalAcc
 				}
@@ -54,75 +50,96 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-func BenchmarkFig1(b *testing.B) {
-	opts := experiments.DefaultFig1Options()
-	opts.ClientsPerGroup = 3
-	opts.TrainPerClass = 30
-	opts.Epochs = 2
-	var res *experiments.Fig1Result
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunFig1(opts)
-	}
-	first := res.Layers[0]
-	last := res.Layers[len(res.Layers)-1]
-	b.ReportMetric(first.BlockScore, "layer1_block")
-	b.ReportMetric(last.BlockScore, "layer16_block")
-	b.ReportMetric(last.ARI, "layer16_ARI")
-}
+// quickDefaults is what the option-less experiments run on here.
+var quickDefaults = experiments.Common{Dataset: "fmnist", Seed: 1, Quick: true}
 
-func BenchmarkCommCost(b *testing.B) {
-	opts := experiments.DefaultCommOptions()
-	opts.Quick = true
-	opts.Rounds = 4
-	opts.ClientsPerGroup = 3
-	var res *experiments.CommResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunComm(opts)
-	}
-	for _, row := range res.Rows {
-		if row.Method == "FedClust" {
-			b.ReportMetric(float64(row.FormationUpBytes), "fedclust_form_B")
-			b.ReportMetric(float64(row.FormationRound), "fedclust_form_round")
+// experimentBenches runs each experiment once and names its headline
+// quantities.
+var experimentBenches = []struct {
+	name string
+	run  func() map[string]float64
+}{
+	{"fig1", func() map[string]float64 {
+		opts := experiments.DefaultFig1Options()
+		opts.ClientsPerGroup, opts.TrainPerClass, opts.Epochs = 3, 30, 2
+		res := experiments.RunFig1(opts)
+		first, last := res.Layers[0], res.Layers[len(res.Layers)-1]
+		return map[string]float64{"layer1_block": first.BlockScore, "layer16_block": last.BlockScore, "layer16_ARI": last.ARI}
+	}},
+	{"comm", func() map[string]float64 {
+		opts := experiments.DefaultCommOptions()
+		opts.Quick, opts.Rounds = true, 4
+		out := map[string]float64{}
+		for _, row := range experiments.RunComm(opts).Rows {
+			switch row.Method {
+			case "FedClust":
+				out["fedclust_form_B"], out["fedclust_form_round"] = float64(row.FormationUpBytes), float64(row.FormationRound)
+			case "CFL":
+				out["cfl_form_B"] = float64(row.FormationUpBytes)
+			}
 		}
-		if row.Method == "CFL" {
-			b.ReportMetric(float64(row.FormationUpBytes), "cfl_form_B")
+		return out
+	}},
+	{"newcomer", func() map[string]float64 {
+		opts := experiments.DefaultNewcomerOptions()
+		opts.Newcomers = 4
+		res := experiments.RunNewcomer(opts)
+		return map[string]float64{"routed_frac": float64(res.Routed) / float64(res.Total), "served_acc%": 100 * res.ServedAcc}
+	}},
+	{"sweep-alpha", func() map[string]float64 {
+		opts := experiments.DefaultAlphaSweepOptions()
+		opts.Quick, opts.Alphas, opts.Methods = true, []float64{0.1, 10}, []string{"FedAvg", "FedClust"}
+		res := experiments.RunAlphaSweep(opts)
+		return map[string]float64{
+			"gap_skew_pts": 100 * (res.Acc("FedClust", 0.1) - res.Acc("FedAvg", 0.1)),
+			"gap_iid_pts":  100 * (res.Acc("FedClust", 10) - res.Acc("FedAvg", 10)),
 		}
-	}
+	}},
+	{"ablation-layer", func() map[string]float64 {
+		rows := experiments.RunLayerAblation(quickDefaults).Rows
+		return map[string]float64{"layer1_ARI": rows[0].ARI, "final_ARI": rows[len(rows)-1].ARI}
+	}},
+	{"ablation-linkage", func() map[string]float64 {
+		out := map[string]float64{}
+		for _, row := range experiments.RunLinkageAblation(quickDefaults).Rows {
+			out[row.Variant+"_ARI"] = row.ARI
+		}
+		return out
+	}},
+	{"ablation-selector", func() map[string]float64 {
+		row := experiments.RunSelectorAblation(quickDefaults).Rows[0]
+		return map[string]float64{"default_ARI": row.ARI, "default_K": float64(row.K)}
+	}},
+	{"ablation-compression", func() map[string]float64 {
+		opts := experiments.DefaultCompressionOptions()
+		opts.Methods = []string{"FedAvg"}
+		out := map[string]float64{}
+		for _, row := range experiments.RunCompression(opts).Rows {
+			out[row.Codec.String()+"_acc"], out[row.Codec.String()+"_upB"] = row.AccPct, float64(row.UpBytes)
+		}
+		return out
+	}},
 }
 
-func BenchmarkNewcomer(b *testing.B) {
-	opts := experiments.DefaultNewcomerOptions()
-	opts.Newcomers = 4
-	var res *experiments.NewcomerResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunNewcomer(opts)
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experimentBenches {
+		b.Run(e.name, func(b *testing.B) {
+			var metrics map[string]float64
+			for i := 0; i < b.N; i++ {
+				metrics = e.run()
+			}
+			for unit, v := range metrics {
+				b.ReportMetric(v, unit)
+			}
+		})
 	}
-	b.ReportMetric(float64(res.Routed)/float64(res.Total), "routed_frac")
-	b.ReportMetric(100*res.ServedAcc, "served_acc%")
-}
-
-func BenchmarkAlphaSweep(b *testing.B) {
-	opts := experiments.AlphaSweepOptions{
-		Dataset: "fmnist",
-		Alphas:  []float64{0.1, 10},
-		Methods: []string{"FedAvg", "FedClust"},
-		Seed:    1,
-		Quick:   true,
-	}
-	var res *experiments.AlphaSweepResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunAlphaSweep(opts)
-	}
-	gapSkew := res.Acc["FedClust"][0.1] - res.Acc["FedAvg"][0.1]
-	gapIID := res.Acc["FedClust"][10] - res.Acc["FedAvg"][10]
-	b.ReportMetric(100*gapSkew, "gap_skew_pts")
-	b.ReportMetric(100*gapIID, "gap_iid_pts")
 }
 
 func BenchmarkScale(b *testing.B) {
 	for _, n := range []int{8, 16, 32} {
 		b.Run(fmt.Sprintf("clients=%d", n), func(b *testing.B) {
-			opts := experiments.ScaleOptions{Dataset: "fmnist", ClientSizes: []int{n}, Seed: 1}
+			opts := experiments.DefaultScaleOptions()
+			opts.ClientSizes = []int{n}
 			var res *experiments.ScaleResult
 			for i := 0; i < b.N; i++ {
 				res = experiments.RunScale(opts)
@@ -131,53 +148,5 @@ func BenchmarkScale(b *testing.B) {
 			b.ReportMetric(float64(row.ClusteringTime.Milliseconds()), "cluster_ms")
 			b.ReportMetric(row.ARI, "ARI")
 		})
-	}
-}
-
-func BenchmarkLayerAblation(b *testing.B) {
-	opts := experiments.DefaultLayerAblationOptions()
-	var res *experiments.LayerAblationResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunLayerAblation(opts)
-	}
-	b.ReportMetric(res.Rows[0].ARI, "layer1_ARI")
-	b.ReportMetric(res.Rows[len(res.Rows)-1].ARI, "final_ARI")
-}
-
-func BenchmarkLinkage(b *testing.B) {
-	opts := experiments.DefaultLinkageAblationOptions()
-	var res *experiments.LinkageAblationResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunLinkageAblation(opts)
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.ARI, row.Linkage.String()+"_ARI")
-	}
-}
-
-func BenchmarkCompression(b *testing.B) {
-	opts := experiments.DefaultCompressionOptions()
-	opts.Methods = []string{"FedAvg"}
-	var res *experiments.CompressionResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunCompression(opts)
-	}
-	for _, row := range res.Rows {
-		b.ReportMetric(row.AccPct, row.Codec.String()+"_acc")
-		b.ReportMetric(float64(row.UpBytes), row.Codec.String()+"_upB")
-	}
-}
-
-func BenchmarkSelector(b *testing.B) {
-	opts := experiments.DefaultSelectorAblationOptions()
-	var res *experiments.SelectorAblationResult
-	for i := 0; i < b.N; i++ {
-		res = experiments.RunSelectorAblation(opts)
-	}
-	for _, row := range res.Rows {
-		if row.Rule == "silhouette (default)" {
-			b.ReportMetric(row.ARI, "default_ARI")
-			b.ReportMetric(float64(row.K), "default_K")
-		}
 	}
 }

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -50,6 +54,10 @@ var invocations = []invocation{
 	{name: "no-args", args: nil},
 	{name: "unknown-subcommand", args: []string{"run", "-quick", "-journal", "$TMP/j.jsonl"}},
 	{name: "undefined-flag", args: []string{"comm", "-bogus"}},
+	// A flag another subcommand reads is as undefined here as a typo.
+	{name: "unread-flag-csv", args: []string{"comm", "-quick", "-rounds", "2", "-csv", "$TMP/x.csv"}},
+	{name: "unread-flag-attack", args: []string{"table1", "-attack", "garbage", "-nodes", "3"}},
+	{name: "unknown-method", args: []string{"table1", "-methods", "FedAvg,FedNope"}},
 	{name: "reject-workers", args: []string{"comm", "-workers", "-1"}},
 	{name: "reject-rounds", args: []string{"comm", "-rounds", "-1"}},
 	{name: "reject-timeout", args: []string{"serve", "-timeout", "-1"}},
@@ -91,43 +99,41 @@ var invocations = []invocation{
 		args: []string{"hostile", "-quick", "-byzantine-frac", "0,0.2", "-aggregator", "mean,median", "-methods", "FedAvg"}},
 }
 
+// direct drives an experiment the way run does, on options the CLI cannot
+// narrow to.
+func direct(out *bytes.Buffer, name string, j job) {
+	for _, c := range commands {
+		if c.name == name {
+			fmt.Fprintf(out, "== %s: %s ==\n", c.code, c.title)
+		}
+	}
+	j.run(out, out)
+}
+
 // directAlphaSweep is `fedsim sweep-alpha -quick` on two alphas (the
 // five-alpha default takes 16 s).
 func directAlphaSweep(out *bytes.Buffer) {
-	stdout = out
-	fmt.Fprintln(stdout, "== S1: heterogeneity sweep (Dirichlet alpha) ==")
 	opts := experiments.DefaultAlphaSweepOptions()
 	opts.Quick = true
 	opts.Alphas = []float64{0.1, 10}
-	opts.Progress = stdout
-	res := experiments.RunAlphaSweep(opts)
-	fmt.Fprintln(stdout)
-	res.Render(stdout)
-	for _, c := range res.ShapeChecks() {
-		fmt.Fprintln(stdout, c)
-	}
+	direct(out, "sweep-alpha", experiment(new(shared), &opts, &opts.Common, experiments.RunAlphaSweep))
 }
 
 // directCompression is `fedsim ablation-compression -quick` on one method,
-// one sparse codec and 6 rounds (the default sweep takes 33 s).
+// two sparse codecs and 6 rounds (the default sweep takes 33 s).
 func directCompression(out *bytes.Buffer) {
-	stdout = out
-	fmt.Fprintln(stdout, "== A4: accuracy-vs-measured-bytes frontier of the uplink codecs ==")
 	opts := experiments.DefaultCompressionOptions()
 	opts.Methods = []string{"FedAvg"}
 	opts.Codecs = opts.Codecs[3:]
 	opts.Rounds = 6
-	opts.Progress = stdout
+	opts.Progress = out
 	res := experiments.RunCompression(opts)
-	fmt.Fprintln(stdout)
-	res.Render(stdout)
-	fmt.Fprintln(stdout)
-	for _, c := range res.ShapeChecks() {
-		fmt.Fprintln(stdout, c)
-	}
-	header, rows := res.CSV()
-	fmt.Fprintln(stdout, "--- csv")
-	if err := experiments.WriteCSV(stdout, header, rows); err != nil {
+	rep := res.Report()
+	fmt.Fprintln(out, "== A4: accuracy-vs-measured-bytes frontier of the uplink codecs ==")
+	fmt.Fprintln(out)
+	rep.Render(out)
+	fmt.Fprintln(out, "--- csv")
+	if err := rep.CSV.WriteCSV(out); err != nil {
 		panic(err)
 	}
 }
@@ -197,5 +203,109 @@ func TestGolden(t *testing.T) {
 				t.Errorf("output differs from %s (re-record with -update after reviewing):\n--- got\n%s\n--- want\n%s", path, got, want)
 			}
 		})
+	}
+}
+
+// TestRegistry holds the subcommand table to its three jobs: dispatch
+// (unique names, every exported experiment entry point reachable), `fedsim
+// help`, and the package comment.
+func TestRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	flags := map[string]bool{}
+	for _, c := range commands {
+		if seen[c.name] {
+			t.Errorf("subcommand %q is in the table twice", c.name)
+		}
+		seen[c.name] = true
+		if !strings.Contains(help(), "  "+c.name+" ") {
+			t.Errorf("`fedsim help` does not list %q", c.name)
+		}
+		fs := flag.NewFlagSet(c.name, flag.ContinueOnError)
+		c.bind(fs, new(shared))
+		fs.VisitAll(func(f *flag.Flag) { flags[f.Name] = true })
+	}
+	if len(flags) > 40 {
+		t.Errorf("%d distinct flags, want at most the 40 the CLI had", len(flags))
+	}
+
+	fset := token.NewFileSet()
+	table, err := os.ReadFile("commands.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := parser.ParseDir(fset, "../../internal/experiments", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range pkgs["experiments"].Files {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "Run") &&
+				!strings.Contains(string(table), "experiments."+fn.Name.Name) {
+				t.Errorf("experiments.%s is not reachable from the subcommand table", fn.Name.Name)
+			}
+		}
+	}
+
+	main, err := parser.ParseFile(fset, "main.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listing := "\t" + strings.ReplaceAll(strings.TrimSpace(help()), "\n", "\n\t")
+	listing = strings.ReplaceAll(listing, "\n\t\n", "\n\n")
+	if !strings.Contains(main.Doc.Text(), listing) {
+		t.Errorf("main.go's package comment does not carry `fedsim help`; it should contain:\n%s", listing)
+	}
+}
+
+// TestNoSideEffectsBeforeDispatch: an invocation that is going to be
+// rejected creates no journal file and leaves GOMAXPROCS alone.
+func TestNoSideEffectsBeforeDispatch(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(procs)
+	for _, args := range [][]string{
+		{"run", "-quick"},                         // no such subcommand
+		{"comm", "-bogus"},                        // no such flag
+		{"comm", "-rounds", "-1"},                 // rejected by checkNumericFlags
+		{"stragglers", "-deadline", "0"},          // rejected by the options' Check
+		{"hostile", "-methods", "FedAvg,FedNope"}, // rejected by the options' Check
+	} {
+		journal := filepath.Join(t.TempDir(), "j.jsonl")
+		args = append(args, "-journal", journal, "-workers", fmt.Sprint(procs+1))
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Errorf("fedsim %v: exit %d, want 2", args, code)
+		}
+		if _, err := os.Stat(journal); !os.IsNotExist(err) {
+			t.Errorf("fedsim %v created the journal before rejecting the command line", args)
+		}
+		if got := runtime.GOMAXPROCS(0); got != procs {
+			t.Errorf("fedsim %v set GOMAXPROCS to %d before rejecting the command line", args, got)
+			runtime.GOMAXPROCS(procs)
+		}
+	}
+}
+
+// TestHostileQuickCSVPinned regenerates results_hostile_quick.csv with the
+// command that produced it (13 s).
+func TestHostileQuickCSVPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trains models: skipped in -short mode")
+	}
+	path := filepath.Join(t.TempDir(), "out.csv")
+	var out, errOut bytes.Buffer
+	if code := run([]string{"hostile", "-quick", "-csv", path}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../../results_hostile_quick.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("fedsim hostile -quick -csv no longer reproduces results_hostile_quick.csv:\n%s", got)
 	}
 }

@@ -11,7 +11,9 @@ package main
 // coordinator are measured off the sockets, not estimated.
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -20,11 +22,9 @@ import (
 	"fedclust/internal/control"
 	"fedclust/internal/core"
 	"fedclust/internal/data"
-	"fedclust/internal/experiments"
 	"fedclust/internal/fl"
 	"fedclust/internal/methods"
 	"fedclust/internal/transport"
-	"fedclust/internal/wire"
 )
 
 // distSpec is the distributed walkthrough workload: label-grouped
@@ -32,7 +32,7 @@ import (
 // plus a few localhost nodes finish in seconds, structured enough (two
 // or four label groups) that FedClust's clustering has something to
 // find.
-func distSpec(quick bool, seed uint64, rounds int) *transport.Spec {
+func distSpec(quick bool, seed uint64, rounds int, dtype fl.DType) *transport.Spec {
 	s := &transport.Spec{
 		Dataset: data.SynthConfig{
 			Name: "dist8", C: 1, H: 16, W: 16, Classes: 8,
@@ -46,7 +46,7 @@ func distSpec(quick bool, seed uint64, rounds int) *transport.Spec {
 		Rounds:    20,
 		EvalEvery: 5,
 		Local:     fl.LocalConfig{Epochs: 2, BatchSize: 32, LR: 0.1, Momentum: 0.9},
-		DType:     experiments.DefaultDType.String(),
+		DType:     dtype.String(),
 	}
 	if quick {
 		s.Dataset.H, s.Dataset.W, s.Dataset.Classes = 8, 8, 4
@@ -81,31 +81,51 @@ func distTrainer(name string) (fl.Trainer, error) {
 	}
 }
 
-// serveControl bundles the coordinator's checkpoint/control-plane flags.
-type serveControl struct {
-	CheckpointPath  string
-	CheckpointEvery int
-	ResumePath      string
-	ControlAddr     string
-	JournalPath     string
+// serveOptions are the coordinator's own flags; the run's rounds, codec,
+// dtype, deadline and journal are among the shared ones.
+type serveOptions struct {
+	quick          bool
+	seed           uint64
+	rounds         int
+	addr           string
+	nodes          int
+	methods        []string
+	checkpointPath string
+	resumePath     string
+	controlAddr    string
+}
+
+func bindServe(fs *flag.FlagSet, s *shared) job {
+	// A bare `fedsim serve` runs FedAvg + FedClust; -methods narrows or
+	// widens the distributed set.
+	o := serveOptions{methods: []string{"fedavg", "fedclust"}}
+	s.computeVars(fs)
+	s.wireVars(fs)
+	s.journalVar(fs, "append a JSONL round journal (one event per round) to this file")
+	s.roundsVar(fs, &o.rounds)
+	fs.BoolVar(&o.quick, "quick", false, "reduced workload for fast runs")
+	fs.Uint64Var(&o.seed, "seed", 1, "root seed")
+	addrVar(fs, &o.addr, "coordinator listen address")
+	fs.IntVar(&o.nodes, "nodes", 1, "node processes to wait for before training")
+	listVar(fs, &o.methods, "methods", "comma-separated transport-routable methods", asString)
+	fs.Float64Var(&s.timeout, "timeout", 60, "per-request transport deadline in seconds, 0 = none")
+	fs.StringVar(&o.checkpointPath, "checkpoint", "", "write checkpoints to this file")
+	fs.IntVar(&s.ckptEvery, "checkpoint-every", 0, "emit a checkpoint every N completed rounds (0 = only on demand)")
+	fs.StringVar(&o.resumePath, "resume", "", "resume the run from this checkpoint file")
+	fs.StringVar(&o.controlAddr, "control", "", "HTTP control-plane listen address, e.g. :7172 (empty = disabled)")
+	return job{run: func(io.Writer, io.Writer) int { runServe(o, s); return 0 }}
 }
 
 // runServe is the coordinator: wait for nodes, run the methods, report.
-// With checkpointing enabled it persists snapshots to ctl.CheckpointPath
-// and, given -resume, fast-forwards the method list to the checkpointed
-// method and continues it mid-schedule; with a control address it serves
-// live progress over HTTP while the rounds run.
-func runServe(quick bool, seed uint64, rounds int, addr string, nNodes int,
-	codecStr string, topkFrac float64, timeoutSec float64, methodList []string, ctl serveControl) {
-	codec, err := wire.ParseCodec(codecStr)
-	if err != nil {
-		fatalf("%v", err)
-	}
+// With checkpointing enabled it persists snapshots to -checkpoint and,
+// given -resume, fast-forwards the method list to the checkpointed method
+// and continues it mid-schedule; with a control address it serves live
+// progress over HTTP while the rounds run.
+func runServe(o serveOptions, s *shared) {
+	codec, nNodes, methodList := s.codec, o.nodes, o.methods
+	var err error
 	if nNodes < 1 {
 		fatalf("need at least one node (-nodes)")
-	}
-	if len(methodList) == 0 {
-		methodList = []string{"fedavg", "fedclust"}
 	}
 	trainers := make([]fl.Trainer, len(methodList))
 	for i, m := range methodList {
@@ -113,12 +133,12 @@ func runServe(quick bool, seed uint64, rounds int, addr string, nNodes int,
 			fatalf("%v", err)
 		}
 	}
-	spec := distSpec(quick, seed, rounds)
+	spec := distSpec(o.quick, o.seed, o.rounds, s.dtype)
 	// The codec selection rides the spec so each node rebuilds the same
 	// uplink path — under sparse codecs a node owns the error-feedback
 	// residuals of exactly the clients it trains.
 	spec.Codec = codec.String()
-	spec.TopKFrac = topkFrac
+	spec.TopKFrac = s.topkFrac
 	env, err := spec.Build()
 	if err != nil {
 		fatalf("%v", err)
@@ -135,8 +155,8 @@ func runServe(quick bool, seed uint64, rounds int, addr string, nNodes int,
 	// from scratch, earlier ones are already done and are skipped.
 	var resumeCkpt *fl.Checkpoint
 	firstTrainer := 0
-	if ctl.ResumePath != "" {
-		resumeCkpt, err = fl.ReadCheckpointFile(ctl.ResumePath)
+	if o.resumePath != "" {
+		resumeCkpt, err = fl.ReadCheckpointFile(o.resumePath)
 		if err != nil {
 			fatalf("reading -resume: %v", err)
 		}
@@ -157,15 +177,15 @@ func runServe(quick bool, seed uint64, rounds int, addr string, nNodes int,
 			fatalf("-resume: %v", err)
 		}
 		fmt.Printf("resuming %s from %s at round %d/%d\n",
-			resumeCkpt.Method, ctl.ResumePath, resumeCkpt.Round, resumeCkpt.Rounds)
+			resumeCkpt.Method, o.resumePath, resumeCkpt.Round, resumeCkpt.Rounds)
 	}
 
 	tracker := control.NewTracker(env.Local.Epochs)
 	env.Observer = tracker
-	if ctl.JournalPath != "" {
+	if s.journal != "" {
 		// The journal rides alongside the tracker: same observations, one
 		// consumer serving live HTTP, one leaving a trace on disk.
-		journal := openJournal(ctl.JournalPath, env.Local.Epochs)
+		journal := openJournal(s.journal, env.Local.Epochs)
 		env.Observer = fl.MultiObserver(tracker, journal)
 		defer func() {
 			if err := journal.Err(); err != nil {
@@ -173,23 +193,23 @@ func runServe(quick bool, seed uint64, rounds int, addr string, nNodes int,
 			}
 			journal.Close() //nolint:errcheck
 		}()
-		fmt.Printf("journal → %s\n", ctl.JournalPath)
+		fmt.Printf("journal → %s\n", s.journal)
 	}
-	if ctl.ControlAddr != "" {
-		srv, err := control.Serve(ctl.ControlAddr, tracker)
+	if o.controlAddr != "" {
+		srv, err := control.Serve(o.controlAddr, tracker)
 		if err != nil {
 			fatalf("control plane: %v", err)
 		}
 		defer srv.Close()
 		fmt.Printf("control plane on http://%s/status\n", displayAddr(srv.Addr()))
 	}
-	if ctl.CheckpointPath != "" || ctl.CheckpointEvery > 0 {
-		path := ctl.CheckpointPath
+	if o.checkpointPath != "" || s.ckptEvery > 0 {
+		path := o.checkpointPath
 		if path == "" {
 			fatalf("-checkpoint-every needs -checkpoint <path>")
 		}
 		env.Ckpt = &fl.CheckpointPlan{
-			Every:    ctl.CheckpointEvery,
+			Every:    s.ckptEvery,
 			Trigger:  tracker.TakeTrigger,
 			SpecHash: specHash,
 			Sink: func(c *fl.Checkpoint) {
@@ -202,14 +222,14 @@ func runServe(quick bool, seed uint64, rounds int, addr string, nNodes int,
 		}
 	}
 
-	coord, err := transport.Listen(addr)
+	coord, err := transport.Listen(o.addr)
 	if err != nil {
 		fatalf("%v", err)
 	}
 	defer coord.Close()
 	fmt.Printf("coordinator listening on %s — waiting for %d node(s):\n", coord.Addr(), nNodes)
 	fmt.Printf("  fedsim join -addr %s\n", coord.Addr())
-	timeout := time.Duration(timeoutSec * float64(time.Second))
+	timeout := time.Duration(s.timeout * float64(time.Second))
 	nodes, err := coord.AcceptNodes(nNodes, len(env.Clients), specBytes, codec, timeout)
 	if err != nil {
 		fatalf("%v", err)

@@ -20,18 +20,12 @@ import (
 func main() {
 	opts := experiments.DefaultFig1Options()
 	// Keep the example snappy: 3 clients per group, smaller local sets.
-	opts.ClientsPerGroup = 3
-	opts.TrainPerClass = 40
-	opts.Epochs = 2
+	opts.Quick = true
 
 	fmt.Println("training 6 clients (two groups: classes 0-4 vs 5-9) on a VGG-16-shaped net...")
 	res := experiments.RunFig1(opts)
 	fmt.Printf("ground-truth groups: %v\n\n", res.Truth)
-	res.Render(os.Stdout)
-	fmt.Println()
-	for _, c := range res.ShapeChecks() {
-		fmt.Println(c)
-	}
+	res.Report().Render(os.Stdout)
 	fmt.Println("\nReading the heatmaps: lighter = more similar (smaller distance).")
 	fmt.Println("Layers 1 and 7 (convolutional) are nearly uniform — they carry no")
 	fmt.Println("client-distribution signal. Layers 14 and 16 (fully connected) show")

@@ -30,8 +30,7 @@ func main() {
 	journal := obs.NewJournal(os.Stdout, 1)
 
 	w := experiments.QuickWorkload("cifar10")
-	env := experiments.BuildEnv(w, 1)
-	env.Observer = journal
+	env := experiments.Common{Seed: 1, Observer: journal}.Env(w)
 
 	res := methods.FedAvg{}.Run(env)
 	fmt.Printf("\nFedAvg: %.2f%% mean personalized accuracy (%s)\n",

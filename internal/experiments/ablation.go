@@ -2,101 +2,41 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"fedclust/internal/cluster"
 	"fedclust/internal/core"
 	"fedclust/internal/fl"
-	"fedclust/internal/linalg"
-	"fedclust/internal/nn"
 )
 
-// LayerAblationOptions configures experiment A1: which layer's weights
-// make the best clustering feature — the quantitative version of Fig. 1
-// across every weight layer of LeNet-5.
-type LayerAblationOptions struct {
-	Dataset  string
-	Seed     uint64
-	Quick    bool
-	Progress io.Writer
+// LayerAblationResult is experiment A1's per-layer table.
+type LayerAblationResult struct{ Rows []LayerProbe }
+
+var layerAblationColumns = []Column[LayerProbe]{
+	{"WeightLayer", func(l LayerProbe) string { return fmt.Sprint(l.Layer) }},
+	{"Layer", func(l LayerProbe) string { return l.Name }},
+	{"ARI", func(l LayerProbe) string { return f2(l.ARI) }},
+	{"BlockScore", func(l LayerProbe) string { return f2(l.BlockScore) }},
 }
 
-// DefaultLayerAblationOptions probes on the fmnist stand-in.
-func DefaultLayerAblationOptions() LayerAblationOptions {
-	return LayerAblationOptions{Dataset: "fmnist", Seed: 1, Quick: true}
+// RunLayerAblation is experiment A1 — which layer's weights make the best
+// clustering feature, the quantitative version of Fig. 1 across every
+// weight layer of LeNet-5: it trains the two-group population once and
+// scores every weight layer.
+func RunLayerAblation(opts Common) *LayerAblationResult {
+	env, truth := opts.GroupEnv(opts.Workload())
+	return &LayerAblationResult{Rows: probeLayers(opts, layerAblationColumns, env, truth, nil)}
 }
 
-// LayerAblationRow is one layer's cluster-recovery quality.
-type LayerAblationRow struct {
-	Layer int // 1-based weight-layer index
-	Name  string
-	ARI   float64
-	Block float64
-}
-
-// LayerAblationResult is the per-layer table.
-type LayerAblationResult struct{ Rows []LayerAblationRow }
-
-// RunLayerAblation trains the two-group population once and scores every
-// weight layer as a clustering feature.
-func RunLayerAblation(opts LayerAblationOptions) *LayerAblationResult {
-	w := PaperWorkload(opts.Dataset)
-	if opts.Quick {
-		w = QuickWorkload(opts.Dataset)
-	}
-	env, truth := buildGroupEnv(w, opts.Seed)
-
-	// One local training pass per client; probe all layers from it.
-	init := nn.FlattenParams(env.NewModel())
-	n := len(env.Clients)
-	models := make([]*nn.Sequential, n)
-	env.ParallelClients(n, func(i int) {
-		m := env.NewModel()
-		nn.LoadParams(m, init)
-		fl.LocalUpdate(m, env.Clients[i].Train, env.Local, env.ClientRng(i, 0))
-		models[i] = m
-	})
-	ref := env.NewModel()
-	numWL := nn.NumWeightLayers(ref)
-	wl := nn.WeightLayers(ref)
-	res := &LayerAblationResult{}
-	for layer := 0; layer < numWL; layer++ {
-		feats := make([][]float64, n)
-		for i, m := range models {
-			feats[i] = nn.LayerParamVector(m, layer)
-		}
-		dist := linalg.PairwiseDistances(linalg.Euclidean, feats)
-		labels := cluster.Agglomerate(dist, cluster.Average).CutK(2)
-		row := LayerAblationRow{
-			Layer: layer + 1,
-			Name:  ref.Layers[wl[layer]].Name(),
-			ARI:   cluster.ARI(labels, truth),
-			Block: BlockScore(dist, truth),
-		}
-		res.Rows = append(res.Rows, row)
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "  layer %d (%s): ARI=%.2f block=%.2f\n",
-				row.Layer, row.Name, row.ARI, row.Block)
-		}
-	}
-	return res
-}
-
-// Render prints the per-layer table.
-func (r *LayerAblationResult) Render(w io.Writer) {
-	tab := NewTable("WeightLayer", "Layer", "ARI", "BlockScore")
-	for _, row := range r.Rows {
-		tab.AddRow(fmt.Sprintf("%d", row.Layer), row.Name,
-			fmt.Sprintf("%.2f", row.ARI), fmt.Sprintf("%.2f", row.Block))
-	}
-	tab.Render(w)
+// Report prints the per-layer table.
+func (r *LayerAblationResult) Report() Report {
+	return report(layerAblationColumns, r.Rows, r.ShapeChecks()).tight()
 }
 
 // ShapeChecks verifies the paper's §II claim quantitatively: the final
 // layer is at least as good a clustering feature as any earlier layer.
-func (r *LayerAblationResult) ShapeChecks() []string {
+func (r *LayerAblationResult) ShapeChecks() []Check {
 	if len(r.Rows) == 0 {
-		return []string{"[FAIL] no layers probed"}
+		return []Check{check(false, "no layers probed")}
 	}
 	last := r.Rows[len(r.Rows)-1]
 	best := last.ARI
@@ -105,71 +45,86 @@ func (r *LayerAblationResult) ShapeChecks() []string {
 			best = row.ARI
 		}
 	}
-	ok := last.ARI >= best
-	s := "PASS"
-	if !ok {
-		s = "FAIL"
-	}
-	return []string{fmt.Sprintf("[%s] final layer ARI (%.2f) matches the best layer (%.2f)",
-		s, last.ARI, best)}
+	return []Check{check(last.ARI >= best, "final layer ARI (%.2f) matches the best layer (%.2f)", last.ARI, best)}
 }
 
-// LinkageAblationOptions configures experiment A2: FedClust's HC linkage
-// choice.
-type LinkageAblationOptions struct {
-	Dataset  string
-	Seed     uint64
-	Quick    bool
-	Progress io.Writer
-}
-
-// DefaultLinkageAblationOptions uses the fmnist stand-in.
-func DefaultLinkageAblationOptions() LinkageAblationOptions {
-	return LinkageAblationOptions{Dataset: "fmnist", Seed: 1, Quick: true}
-}
-
-// LinkageAblationRow is one linkage's outcome.
-type LinkageAblationRow struct {
-	Linkage cluster.Linkage
+// VariantRow is one FedClust configuration's outcome on the two-group
+// workload.
+type VariantRow struct {
+	Variant string
 	K       int
 	ARI     float64
 	Acc     float64
 }
 
-// LinkageAblationResult is the per-linkage table.
-type LinkageAblationResult struct{ Rows []LinkageAblationRow }
-
-// RunLinkageAblation runs full FedClust under each linkage.
-func RunLinkageAblation(opts LinkageAblationOptions) *LinkageAblationResult {
-	w := PaperWorkload(opts.Dataset)
-	if opts.Quick {
-		w = QuickWorkload(opts.Dataset)
-	}
-	res := &LinkageAblationResult{}
-	for _, l := range []cluster.Linkage{cluster.Single, cluster.Complete, cluster.Average, cluster.Ward} {
-		env, truth := buildGroupEnv(w, opts.Seed)
-		f := &core.FedClust{Cfg: core.Config{Linkage: l}}
-		r := f.Run(env)
-		res.Rows = append(res.Rows, LinkageAblationRow{
-			Linkage: l,
-			K:       cluster.NumClusters(r.Clusters),
-			ARI:     cluster.ARI(r.Clusters, truth),
-			Acc:     r.FinalAcc,
-		})
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "  %-8s K=%d ARI=%.2f acc=%.1f%%\n",
-				l, cluster.NumClusters(r.Clusters), cluster.ARI(r.Clusters, truth), 100*r.FinalAcc)
-		}
-	}
-	return res
+// VariantResult is the table of a configuration ablation; Axis names
+// what varies.
+type VariantResult struct {
+	Axis string
+	Rows []VariantRow
 }
 
-// Render prints the linkage comparison.
-func (r *LinkageAblationResult) Render(w io.Writer) {
-	tab := NewTable("Linkage", "K", "ARI", "Acc%")
-	for _, row := range r.Rows {
-		tab.AddRow(row.Linkage.String(), fmt.Sprintf("%d", row.K),
-			fmt.Sprintf("%.2f", row.ARI), fmt.Sprintf("%.1f", 100*row.Acc))
+func variantColumns(axis string) []Column[VariantRow] {
+	return []Column[VariantRow]{
+		{axis, func(r VariantRow) string { return r.Variant }},
+		{"K", func(r VariantRow) string { return fmt.Sprint(r.K) }},
+		{"ARI", func(r VariantRow) string { return f2(r.ARI) }},
+		{"Acc%", func(r VariantRow) string { return f1(100 * r.Acc) }},
 	}
-	tab.Render(w)
+}
+
+// defaultSelector labels the configuration FedClust ships with.
+const defaultSelector = "silhouette (default)"
+
+// RunLinkageAblation is experiment A2: full FedClust under each HC
+// linkage.
+func RunLinkageAblation(opts Common) *VariantResult {
+	var names []string
+	var cfgs []core.Config
+	for _, l := range []cluster.Linkage{cluster.Single, cluster.Complete, cluster.Average, cluster.Ward} {
+		names, cfgs = append(names, l.String()), append(cfgs, core.Config{Linkage: l})
+	}
+	return runVariants(opts, "Linkage", names, cfgs)
+}
+
+// RunSelectorAblation is experiment A3: FedClust under each automatic
+// cluster-count rule (silhouette parsimony, largest gap), plus the oracle
+// fixed k=2.
+func RunSelectorAblation(opts Common) *VariantResult {
+	return runVariants(opts, "Rule",
+		[]string{defaultSelector, "largest-gap", "oracle k=2"},
+		[]core.Config{{Selector: core.SelectSilhouette}, {Selector: core.SelectLargestGap}, {NumClusters: 2}})
+}
+
+// runVariants trains each configuration in a freshly built two-group
+// environment.
+func runVariants(opts Common, axisName string, names []string, cfgs []core.Config) *VariantResult {
+	var truth []int
+	rows := sweep(opts, variantColumns(axisName), []axis{{n: len(names), enter: func([]int, *fl.Env) (env *fl.Env) {
+		env, truth = opts.GroupEnv(opts.Workload())
+		return env
+	}}}, func(at []int, env *fl.Env) VariantRow {
+		r := (&core.FedClust{Cfg: cfgs[at[0]]}).Run(env)
+		return VariantRow{Variant: names[at[0]], K: cluster.NumClusters(r.Clusters),
+			ARI: cluster.ARI(r.Clusters, truth), Acc: r.FinalAcc}
+	})
+	return &VariantResult{Axis: axisName, Rows: rows}
+}
+
+// Report prints the comparison.
+func (r *VariantResult) Report() Report {
+	return report(variantColumns(r.Axis), r.Rows, r.ShapeChecks()).tight()
+}
+
+// ShapeChecks verifies the default rule recovers the planted structure
+// (the linkage ablation has no such row and claims nothing).
+func (r *VariantResult) ShapeChecks() []Check {
+	var out []Check
+	for _, row := range r.Rows {
+		if row.Variant == defaultSelector {
+			out = append(out, check(row.ARI >= 0.99 && row.K == 2,
+				"default selector finds the 2 planted groups (K=%d, ARI=%.2f)", row.K, row.ARI))
+		}
+	}
+	return out
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"fedclust/internal/cluster"
 	"fedclust/internal/fl"
@@ -25,6 +24,17 @@ type CommRow struct {
 	Acc float64
 }
 
+var commColumns = []Column[CommRow]{
+	{"Method", func(r CommRow) string { return r.Method }},
+	{"FormedAtRound", func(r CommRow) string { return fmt.Sprint(r.FormationRound) }},
+	{"UplinkToForm", func(r CommRow) string { return fl.FormatBytes(r.FormationUpBytes) }},
+	{"TotalUp", func(r CommRow) string { return fl.FormatBytes(r.TotalUp) }},
+	{"TotalDown", func(r CommRow) string { return fl.FormatBytes(r.TotalDown) }},
+	{"K", func(r CommRow) string { return fmt.Sprint(r.K) }},
+	{"ARI", func(r CommRow) string { return f2(r.ARI) }},
+	{"Acc%", func(r CommRow) string { return f1(100 * r.Acc) }},
+}
+
 // CommResult is the full C1 comparison.
 type CommResult struct {
 	Rows []CommRow
@@ -33,117 +43,65 @@ type CommResult struct {
 // CommOptions configures the comparison. The workload is the two-group
 // construction (the setting where cluster formation is well defined).
 type CommOptions struct {
-	Dataset         string
-	ClientsPerGroup int
-	Rounds          int
-	Quick           bool
-	Seed            uint64
-	Progress        io.Writer
+	Common
+	Rounds int // 0 = the comparison's own 15
 }
 
-// DefaultCommOptions compares the three clustering methods on fmnist-like
+// DefaultCommOptions compares the four clustering methods on fmnist-like
 // data.
 func DefaultCommOptions() CommOptions {
-	return CommOptions{Dataset: "fmnist", ClientsPerGroup: 5, Rounds: 15, Seed: 1}
+	return CommOptions{Common: Defaults()}
 }
 
-// RunComm executes FedClust, PACFL, IFCA and CFL on a two-group workload
-// and reports when their clusters stabilize and how many uplink bytes that
-// stabilization cost — the paper's "one-shot, partial-weights" efficiency
-// claim versus iterative baselines.
+// RunComm executes FedClust, PACFL, IFCA and CFL in one two-group
+// environment and reports when their clusters stabilize and how many
+// uplink bytes that stabilization cost — the paper's "one-shot,
+// partial-weights" efficiency claim versus iterative baselines.
 func RunComm(opts CommOptions) *CommResult {
-	w := PaperWorkload(opts.Dataset)
-	if opts.Quick {
-		w = QuickWorkload(opts.Dataset)
+	w := opts.Workload()
+	w.Rounds = 15
+	if opts.Rounds > 0 {
+		w.Rounds = opts.Rounds
 	}
-	w.Rounds = opts.Rounds
-
-	env, truth := buildGroupEnv(w, opts.Seed)
-	res := &CommResult{}
-	for _, name := range []string{"FedClust", "PACFL", "IFCA", "CFL"} {
-		trainer := NewTrainer(name, w)
-		r := trainer.Run(env)
-		ari := 0.0
-		k := 0
-		if r.Clusters != nil {
-			ari = cluster.ARI(r.Clusters, truth)
-			k = cluster.NumClusters(r.Clusters)
-		}
-		res.Rows = append(res.Rows, CommRow{
-			Method:           name,
+	methods := []string{"FedClust", "PACFL", "IFCA", "CFL"}
+	var truth []int
+	rows := sweep(opts.Common, commColumns, []axis{
+		{n: 1, enter: func([]int, *fl.Env) (env *fl.Env) { env, truth = opts.GroupEnv(w); return env }},
+		{n: len(methods)},
+	}, func(at []int, env *fl.Env) CommRow {
+		r := NewTrainer(methods[at[1]], w).Run(env)
+		row := CommRow{
+			Method:           methods[at[1]],
 			FormationRound:   r.ClusterFormationRound,
 			FormationUpBytes: r.ClusterFormationUpBytes,
 			TotalUp:          r.Comm.UpBytes,
 			TotalDown:        r.Comm.DownBytes,
-			K:                k,
-			ARI:              ari,
 			Acc:              r.FinalAcc,
-		})
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "  %-8s formed@%d upload-to-form=%s ARI=%.2f\n",
-				name, r.ClusterFormationRound, fl.FormatBytes(r.ClusterFormationUpBytes), ari)
 		}
-	}
-	return res
+		if r.Clusters != nil {
+			row.K, row.ARI = cluster.NumClusters(r.Clusters), cluster.ARI(r.Clusters, truth)
+		}
+		return row
+	})
+	return &CommResult{Rows: rows}
 }
 
-// buildGroupEnv constructs the two-group environment for a workload.
-func buildGroupEnv(w Workload, seed uint64) (*fl.Env, []int) {
-	// Reuse BuildEnv machinery but substitute the group partition.
-	env := BuildEnv(w, seed) // builds datasets deterministically
-	// Rebuild clients with the group partition over the same data.
-	cfg := workloadDataset(w, seed)
-	trainSet, testSet := generate(cfg)
-	half := cfg.Classes / 2
-	gA := make([]int, half)
-	gB := make([]int, cfg.Classes-half)
-	for i := range gA {
-		gA[i] = i
-	}
-	for i := range gB {
-		gB[i] = half + i
-	}
-	perGroup := w.Clients / 2
-	clients, truth := fl.BuildGroupClients(trainSet, testSet,
-		[][]int{gA, gB}, []int{perGroup, w.Clients - perGroup}, newRng(seed))
-	env.Clients = clients
-	return env, truth
-}
-
-// Render prints the comparison table.
-func (c *CommResult) Render(w io.Writer) {
-	tab := NewTable("Method", "FormedAtRound", "UplinkToForm", "TotalUp", "TotalDown", "K", "ARI", "Acc%")
-	for _, r := range c.Rows {
-		tab.AddRow(r.Method,
-			fmt.Sprintf("%d", r.FormationRound),
-			fl.FormatBytes(r.FormationUpBytes),
-			fl.FormatBytes(r.TotalUp),
-			fl.FormatBytes(r.TotalDown),
-			fmt.Sprintf("%d", r.K),
-			fmt.Sprintf("%.2f", r.ARI),
-			fmt.Sprintf("%.1f", 100*r.Acc))
-	}
-	tab.Render(w)
+// Report prints the comparison table.
+func (c *CommResult) Report() Report {
+	return report(commColumns, c.Rows, c.ShapeChecks())
 }
 
 // ShapeChecks verifies the qualitative communication claims.
-func (c *CommResult) ShapeChecks() []string {
+func (c *CommResult) ShapeChecks() []Check {
 	byName := map[string]CommRow{}
 	for _, r := range c.Rows {
 		byName[r.Method] = r
 	}
-	var out []string
-	check := func(name string, ok bool) {
-		s := "PASS"
-		if !ok {
-			s = "FAIL"
-		}
-		out = append(out, fmt.Sprintf("[%s] %s", s, name))
-	}
 	fc, cfl, ifca := byName["FedClust"], byName["CFL"], byName["IFCA"]
-	check("FedClust clusters one-shot (round 0)", fc.FormationRound == 0)
-	check("FedClust formation uplink < CFL's", fc.FormationUpBytes < cfl.FormationUpBytes || cfl.FormationRound == 0)
-	check("FedClust downlink < IFCA's (K models/round)", fc.TotalDown < ifca.TotalDown)
-	check("FedClust recovers true groups (ARI=1)", fc.ARI >= 0.99)
-	return out
+	return []Check{
+		check(fc.FormationRound == 0, "FedClust clusters one-shot (round 0)"),
+		check(fc.FormationUpBytes < cfl.FormationUpBytes || cfl.FormationRound == 0, "FedClust formation uplink < CFL's"),
+		check(fc.TotalDown < ifca.TotalDown, "FedClust downlink < IFCA's (K models/round)"),
+		check(fc.ARI >= 0.99, "FedClust recovers true groups (ARI=1)"),
+	}
 }

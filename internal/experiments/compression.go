@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"fedclust/internal/fl"
 	"fedclust/internal/scenario"
@@ -15,43 +14,37 @@ import (
 // selection active — the engine compresses every uplink (sparse codecs
 // through the error-feedback accumulator) and CommStats prices the exact
 // framed bytes a networked run would measure, so the frontier is built
-// from measured volume, not a scalar-count estimate.
+// from measured volume, not a scalar-count estimate. Common.Codec is not
+// read (the codec is the swept variable); Common.TopKFrac is the sparse
+// codecs' kept fraction (0 = the 1% default).
 type CompressionOptions struct {
-	Dataset string
-	Seed    uint64
-	Quick   bool
+	Common
 	// Methods are the trainers swept (NewTrainer names). The first entry
 	// is the benchmark config the shape checks are pinned to.
 	Methods []string
 	// Codecs are the uplink codecs swept. A Float64 baseline run is added
 	// per method if the list omits it (the frontier is relative to it).
 	Codecs []wire.Codec
-	// TopKFrac is the sparse codecs' kept fraction (0 = the 1% default).
-	TopKFrac float64
 	// Rounds overrides the workload's schedule when > 0. Error feedback
 	// at a 1% kept fraction needs tens of rounds to drain its residuals,
 	// so the frontier compares codecs at convergence, not mid-transient
 	// (at the workload's stock 8 quick rounds sparse codecs trail dense
 	// by ~5pp; by 48-64 rounds the gap closes to noise).
 	Rounds int
-	// StragglerFrac puts that fraction of clients in a slow cohort
-	// (SlowdownMax 2, deadline 1 — partial work, occasional misses);
-	// 0 disables the scenario layer.
-	StragglerFrac float64
-	Progress      io.Writer
 }
 
 // DefaultCompressionOptions probes on the fmnist stand-in.
 func DefaultCompressionOptions() CompressionOptions {
 	return CompressionOptions{
-		Dataset: "fmnist", Seed: 1, Quick: true,
-		Methods:       []string{"FedAvg", "FedClust", "FedAvgStale"},
-		Codecs:        []wire.Codec{wire.Float64, wire.Float32, wire.Quant8, wire.TopK, wire.TopKQuant8},
-		TopKFrac:      fl.DefaultTopKFrac,
-		Rounds:        64,
-		StragglerFrac: 0.3,
+		Common:  Common{Dataset: "fmnist", Seed: 1, Quick: true},
+		Methods: []string{"FedAvg", "FedClust", "FedAvgStale"},
+		Codecs:  []wire.Codec{wire.Float64, wire.Float32, wire.Quant8, wire.TopK, wire.TopKQuant8},
+		Rounds:  64,
 	}
 }
+
+// Check rejects unknown dataset and method names.
+func (o CompressionOptions) Check() error { return checkNames([]string{o.Dataset}, o.Methods) }
 
 // CompressionRow is one (method, codec) run's outcome.
 type CompressionRow struct {
@@ -72,70 +65,85 @@ type CompressionRow struct {
 	UpFactor float64
 }
 
+var compressionColumns = []Column[CompressionRow]{
+	{"Method", func(r CompressionRow) string { return r.Method }},
+	{"Codec", func(r CompressionRow) string { return r.Codec.String() }},
+	{"Frac", func(r CompressionRow) string {
+		if !r.Codec.Sparse() {
+			return "-"
+		}
+		return fmt.Sprintf("%g", r.TopKFrac)
+	}},
+	{"Uplink", func(r CompressionRow) string { return fl.FormatBytes(r.UpBytes) }},
+	{"Downlink", func(r CompressionRow) string { return fl.FormatBytes(r.DownBytes) }},
+	{"Acc%", func(r CompressionRow) string { return f2(r.AccPct) }},
+	{"ΔAcc(pp)", func(r CompressionRow) string { return fmt.Sprintf("%+.2f", r.DeltaPP) }},
+	{"UpReduction", func(r CompressionRow) string { return fmt.Sprintf("%.1fx", r.UpFactor) }},
+}
+
+var compressionCSV = []Column[CompressionRow]{
+	{"method", func(r CompressionRow) string { return r.Method }},
+	{"codec", func(r CompressionRow) string { return r.Codec.String() }},
+	{"topk_frac", func(r CompressionRow) string { return fmt.Sprintf("%g", r.TopKFrac) }},
+	{"up_bytes", func(r CompressionRow) string { return fmt.Sprint(r.UpBytes) }},
+	{"down_bytes", func(r CompressionRow) string { return fmt.Sprint(r.DownBytes) }},
+	{"acc_pct", func(r CompressionRow) string { return f2(r.AccPct) }},
+	{"delta_pp", func(r CompressionRow) string { return f2(r.DeltaPP) }},
+	{"up_factor", func(r CompressionRow) string { return f2(r.UpFactor) }},
+}
+
 // CompressionResult is the frontier table.
 type CompressionResult struct {
 	Rows []CompressionRow
 }
 
 // RunCompression sweeps methods × codecs and measures where each codec
-// lands on the accuracy-vs-uplink-bytes frontier.
+// lands on the accuracy-vs-uplink-bytes frontier. Every cell trains in a
+// fresh environment: error-feedback residuals must not leak across codecs.
 func RunCompression(opts CompressionOptions) *CompressionResult {
-	w := PaperWorkload(opts.Dataset)
-	if opts.Quick {
-		w = QuickWorkload(opts.Dataset)
-	}
+	w := opts.Workload()
 	if opts.Rounds > 0 {
 		w.Rounds = opts.Rounds
 	}
-	codecs := opts.Codecs
-	if len(codecs) == 0 || codecs[0] != wire.Float64 {
-		withBase := []wire.Codec{wire.Float64}
-		for _, c := range codecs {
-			if c != wire.Float64 {
-				withBase = append(withBase, c)
-			}
+	codecs := []wire.Codec{wire.Float64}
+	for _, c := range opts.Codecs {
+		if c != wire.Float64 {
+			codecs = append(codecs, c)
 		}
-		codecs = withBase
 	}
-	run := func(method string, c wire.Codec) *fl.Result {
-		env := BuildEnv(w, opts.Seed)
-		env.Codec = c
-		env.TopKFrac = opts.TopKFrac
-		if opts.StragglerFrac > 0 {
+	var base CompressionRow // the current method's Float64 run, swept first
+	rows := sweep(opts.Common, compressionColumns, []axis{
+		{n: len(opts.Methods)},
+		{n: len(codecs), enter: func(at []int, _ *fl.Env) *fl.Env {
+			env := opts.Env(w)
+			env.Codec = codecs[at[1]]
+			// 30% of clients in a slow cohort: partial work, occasional misses.
 			env.Participation.Scenario = scenario.New(scenario.Config{
-				StragglerFrac: opts.StragglerFrac, SlowdownMax: 2, Deadline: 1,
+				StragglerFrac: 0.3, SlowdownMax: 2, Deadline: 1,
 			}, opts.Seed, len(env.Clients))
+			return env
+		}},
+	}, func(at []int, env *fl.Env) CompressionRow {
+		m, c := opts.Methods[at[0]], codecs[at[1]]
+		r := NewTrainer(m, w).Run(env)
+		row := CompressionRow{
+			Method: m, Codec: c,
+			UpBytes: r.Comm.UpBytes, DownBytes: r.Comm.DownBytes,
+			AccPct: 100 * r.FinalAcc,
 		}
-		return NewTrainer(method, w).Run(env)
-	}
-	res := &CompressionResult{}
-	for _, m := range opts.Methods {
-		var base CompressionRow
-		for _, c := range codecs {
-			r := run(m, c)
-			row := CompressionRow{
-				Method: m, Codec: c,
-				UpBytes: r.Comm.UpBytes, DownBytes: r.Comm.DownBytes,
-				AccPct: 100 * r.FinalAcc,
-			}
-			if c.Sparse() {
-				row.TopKFrac = fl.NormalizeTopKFrac(opts.TopKFrac)
-			}
-			if c == wire.Float64 {
-				base = row
-			}
-			row.DeltaPP = row.AccPct - base.AccPct
-			if row.UpBytes > 0 {
-				row.UpFactor = float64(base.UpBytes) / float64(row.UpBytes)
-			}
-			res.Rows = append(res.Rows, row)
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "  %-12s %-12s up=%-10s acc=%5.2f%% (Δ%+.2fpp, %4.1fx less uplink)\n",
-					m, c, fl.FormatBytes(row.UpBytes), row.AccPct, row.DeltaPP, row.UpFactor)
-			}
+		if c.Sparse() {
+			row.TopKFrac = fl.NormalizeTopKFrac(opts.TopKFrac)
 		}
-	}
-	return res
+		if c == wire.Float64 {
+			base = row
+		}
+		row.DeltaPP = row.AccPct - base.AccPct
+		if row.UpBytes > 0 {
+			row.UpFactor = float64(base.UpBytes) / float64(row.UpBytes)
+		}
+		return row
+	})
+	return &CompressionResult{Rows: rows}
 }
 
 // Row returns the (method, codec) cell, or nil.
@@ -148,61 +156,29 @@ func (r *CompressionResult) Row(method string, c wire.Codec) *CompressionRow {
 	return nil
 }
 
-// Render prints the frontier.
-func (r *CompressionResult) Render(w io.Writer) {
-	tab := NewTable("Method", "Codec", "Frac", "Uplink", "Downlink", "Acc%", "ΔAcc(pp)", "UpReduction")
-	for _, row := range r.Rows {
-		frac := "-"
-		if row.Codec.Sparse() {
-			frac = fmt.Sprintf("%g", row.TopKFrac)
-		}
-		tab.AddRow(row.Method, row.Codec.String(), frac,
-			fl.FormatBytes(row.UpBytes), fl.FormatBytes(row.DownBytes),
-			fmt.Sprintf("%.2f", row.AccPct), fmt.Sprintf("%+.2f", row.DeltaPP),
-			fmt.Sprintf("%.1fx", row.UpFactor))
-	}
-	tab.Render(w)
-}
-
-// CSV flattens the frontier for WriteCSV.
-func (r *CompressionResult) CSV() (header []string, rows [][]string) {
-	header = []string{"method", "codec", "topk_frac", "up_bytes", "down_bytes", "acc_pct", "delta_pp", "up_factor"}
-	for _, row := range r.Rows {
-		rows = append(rows, []string{
-			row.Method, row.Codec.String(), fmt.Sprintf("%g", row.TopKFrac),
-			fmt.Sprintf("%d", row.UpBytes), fmt.Sprintf("%d", row.DownBytes),
-			fmt.Sprintf("%.2f", row.AccPct), fmt.Sprintf("%.2f", row.DeltaPP),
-			fmt.Sprintf("%.2f", row.UpFactor),
-		})
-	}
-	return header, rows
+// Report prints the frontier.
+func (r *CompressionResult) Report() Report {
+	rep := report(compressionColumns, r.Rows, r.ShapeChecks())
+	rep.CSV = tableOf(compressionCSV, r.Rows)
+	return rep
 }
 
 // ShapeChecks verifies the headline claim on the benchmark config (the
 // first method in the sweep): sparse top-k with quantized values cuts
 // measured uplink ≥10× at ≤1pp accuracy cost, and the plain sparse codec
-// already clears the same bar.
-func (r *CompressionResult) ShapeChecks() []string {
+// already clears the same bar. A codec that was not swept has no check.
+func (r *CompressionResult) ShapeChecks() []Check {
 	if len(r.Rows) == 0 {
 		return nil
 	}
 	bench := r.Rows[0].Method
-	s := func(b bool) string {
-		if b {
-			return "PASS"
-		}
-		return "FAIL"
-	}
-	var out []string
+	var out []Check
 	for _, c := range []wire.Codec{wire.TopKQuant8, wire.TopK} {
-		row := r.Row(bench, c)
-		if row == nil {
-			out = append(out, fmt.Sprintf("[SKIP] %s not in the sweep", c))
-			continue
+		if row := r.Row(bench, c); row != nil {
+			out = append(out, check(row.UpFactor >= 10 && row.DeltaPP >= -1,
+				"%s %s (frac %g): %.1fx less uplink at %+.2fpp accuracy",
+				bench, c, row.TopKFrac, row.UpFactor, row.DeltaPP))
 		}
-		ok := row.UpFactor >= 10 && row.DeltaPP >= -1
-		out = append(out, fmt.Sprintf("[%s] %s %s (frac %g): %.1fx less uplink at %+.2fpp accuracy",
-			s(ok), bench, c, row.TopKFrac, row.UpFactor, row.DeltaPP))
 	}
 	return out
 }

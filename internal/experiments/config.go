@@ -2,41 +2,17 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
-	"fedclust/internal/cluster"
 	"fedclust/internal/core"
 	"fedclust/internal/data"
 	"fedclust/internal/fl"
 	"fedclust/internal/methods"
-	"fedclust/internal/nn"
-	"fedclust/internal/rng"
-	"fedclust/internal/wire"
 )
 
 // DatasetNames are the three Table-I datasets, in the paper's column order.
 var DatasetNames = []string{"cifar10", "fmnist", "svhn"}
-
-// DefaultDType is the numeric compute path every environment built by
-// this package runs (fedsim's -dtype flag sets it once at startup). The
-// zero value keeps the float64 golden path.
-var DefaultDType fl.DType
-
-// DefaultCodec and DefaultTopKFrac mirror DefaultDType for the uplink
-// parameter codec: fedsim's -codec/-topk-frac flags set them once at
-// startup and every environment built by this package runs under them
-// (experiments that sweep codecs override per run). Zero values keep
-// the dense Float64 golden path.
-var (
-	DefaultCodec    wire.Codec
-	DefaultTopKFrac float64
-)
-
-// DefaultObserver, when non-nil, is attached to every environment built
-// by this package — the same one-knob pattern as DefaultDType: fedsim's
-// -journal flag sets it once at startup so in-process experiments leave
-// a round journal on disk without threading an observer through every
-// experiment entry point.
-var DefaultObserver fl.RoundObserver
 
 // MethodNames are the Table-I methods, in the paper's row order.
 var MethodNames = []string{"FedAvg", "FedProx", "CFL", "IFCA", "PACFL", "FedClust"}
@@ -75,8 +51,6 @@ type Workload struct {
 	// distribution easier; the paper-scale workload compensates so the
 	// absolute accuracy bands stay near the paper's Table I.
 	SepScale float64
-	// EvalEvery controls periodic evaluation (0 = final only).
-	EvalEvery int
 	// IFCAK is the predefined cluster count IFCA requires.
 	IFCAK int
 	// FedProxMu is the proximal coefficient.
@@ -123,36 +97,17 @@ func workloadDataset(w Workload, seed uint64) data.SynthConfig {
 	return cfg
 }
 
-// BuildEnv materializes a Workload into an fl.Env with a Dir(alpha)
-// population over the named dataset and a LeNet-5 model factory.
-func BuildEnv(w Workload, seed uint64) *fl.Env {
-	cfg := workloadDataset(w, seed)
-	train, test := data.Generate(cfg)
-	clients := fl.BuildDirichletClients(train, test, w.Clients, w.Alpha, rng.New(seed).Derive(0xd17))
-	c, h, wd, classes := cfg.C, cfg.H, cfg.W, cfg.Classes
-	scale := w.WidthScale
-	if scale == 0 {
-		scale = 1
-	}
-	return &fl.Env{
-		Clients: clients,
-		Factory: func(r *rng.Rng) *nn.Sequential {
-			return nn.LeNet5(r, c, h, wd, classes, scale)
-		},
-		Rounds:    w.Rounds,
-		Local:     fl.LocalConfig{Epochs: w.Epochs, BatchSize: w.BatchSize, LR: w.LR, Momentum: w.Momentum},
-		Seed:      seed,
-		EvalEvery: w.EvalEvery,
-		DType:     DefaultDType,
-		Codec:     DefaultCodec,
-		TopKFrac:  DefaultTopKFrac,
-		Observer:  DefaultObserver,
-	}
-}
-
 // NewTrainer instantiates a method by Table-I name with the workload's
 // hyperparameters.
 func NewTrainer(name string, w Workload) fl.Trainer {
+	t := trainer(name, w)
+	if t == nil {
+		panic(fmt.Sprintf("experiments: unknown method %q", name))
+	}
+	return t
+}
+
+func trainer(name string, w Workload) fl.Trainer {
 	switch name {
 	case "FedAvg":
 		return methods.FedAvg{}
@@ -171,12 +126,22 @@ func NewTrainer(name string, w Workload) fl.Trainer {
 	case "FedBuff":
 		return methods.FedBuff{}
 	default:
-		panic(fmt.Sprintf("experiments: unknown method %q", name))
+		return nil
 	}
 }
 
-// NewTrainerWithLinkage builds FedClust with a specific linkage (for the
-// linkage ablation).
-func NewTrainerWithLinkage(l cluster.Linkage) fl.Trainer {
-	return &core.FedClust{Cfg: core.Config{Linkage: l}}
+// checkNames reports a dataset DatasetConfig would panic on, or a method
+// NewTrainer would, so a typo fails before training starts.
+func checkNames(datasets, methods []string) error {
+	for _, n := range datasets {
+		if !slices.Contains(DatasetNames, n) {
+			return fmt.Errorf("experiments: unknown dataset %q (want %s)", n, strings.Join(DatasetNames, ", "))
+		}
+	}
+	for _, n := range methods {
+		if trainer(n, Workload{}) == nil {
+			return fmt.Errorf("experiments: unknown method %q", n)
+		}
+	}
+	return nil
 }

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"io"
+	"slices"
+	"sort"
+	"strings"
 
 	"fedclust/internal/fl"
 	"fedclust/internal/scenario"
@@ -12,11 +14,11 @@ import (
 // accuracy-vs-byzantine-fraction frontier for clustered vs global
 // aggregation under each robust aggregator.
 type HostileOptions struct {
-	Dataset string
-	// Alpha overrides the population's Dirichlet concentration (0 = the
-	// workload default, the paper's Dir(0.1)). The default sweep uses 1.0:
-	// the robustness experiment isolates the attack variable, and under
-	// extreme heterogeneity a rare class's only informative update is also
+	Common
+	// Alpha is the population's Dirichlet concentration; 0 = the sweep's
+	// own 1.0 rather than the paper's Dir(0.1): the robustness experiment
+	// isolates the attack variable, and under extreme heterogeneity a rare
+	// class's only informative update is also
 	// the statistical outlier at its coordinates, so every order-statistic
 	// defense pays a benign-accuracy cost that confounds the frontier
 	// (DESIGN.md §11 records that tension; sweep -alpha 0.1 to see it).
@@ -27,14 +29,8 @@ type HostileOptions struct {
 	// Attack selects the byzantine behavior (scenario.ParseAttack names:
 	// label-noise, sign-flip, garbage, mixed).
 	Attack string
-	// AttackScale is the garbage-attack magnitude (0 = default).
-	AttackScale float64
-	// LabelNoiseRate is the label-noise flip probability (0 = default).
-	LabelNoiseRate float64
-	// ChurnFrac/ChurnHorizon draw a churn cohort joining/leaving inside
-	// the horizon (0 horizon = the run's round count).
-	ChurnFrac    float64
-	ChurnHorizon int
+	// ChurnFrac draws a churn cohort joining/leaving inside the run.
+	ChurnFrac float64
 	// DriftFrac/DriftRound schedule concept drift for a client cohort.
 	DriftFrac  float64
 	DriftRound int
@@ -45,46 +41,97 @@ type HostileOptions struct {
 	// is always told at least the truth.
 	Aggregators []string
 	Methods     []string
-	Seed        uint64
-	Quick       bool
-	Progress    io.Writer
 }
 
 // DefaultHostileOptions sweeps a sign-flip cohort 0 → 30% under the four
 // aggregation strategies, FedClust vs the global baselines.
 func DefaultHostileOptions() HostileOptions {
 	return HostileOptions{
-		Dataset:        "fmnist",
-		Alpha:          1,
+		Common:         Defaults(),
 		ByzantineFracs: []float64{0, 0.1, 0.2, 0.3},
 		Attack:         "sign-flip",
 		Aggregators:    []string{"mean", "trimmed", "median", "multi-krum"},
 		Methods:        []string{"FedAvg", "FedClust"},
-		Seed:           1,
 	}
 }
 
-// HostileCell is one (method, aggregator, byzantine-fraction) outcome.
+// workload is the sweep's workload: the preset with Alpha applied.
+func (o HostileOptions) workload() Workload {
+	w := o.Workload()
+	w.Alpha = 1
+	if o.Alpha > 0 {
+		w.Alpha = o.Alpha
+	}
+	return w
+}
+
+// config is the scenario model's configuration at one byzantine fraction.
+func (o HostileOptions) config(frac float64, attack scenario.AttackKind, rounds int) scenario.Config {
+	return scenario.Config{
+		ByzantineFrac: frac,
+		Attack:        attack,
+		ChurnFrac:     o.ChurnFrac,
+		ChurnHorizon:  rounds,
+		DriftFrac:     o.DriftFrac,
+		DriftRound:    o.DriftRound,
+	}
+}
+
+// Check validates every swept scenario configuration and aggregator
+// before training starts: a typo'd fraction fails in milliseconds with a
+// clear error, not as a panic buried mid-sweep.
+func (o HostileOptions) Check() error {
+	attack, err := scenario.ParseAttack(o.Attack)
+	if err != nil {
+		return err
+	}
+	if o.Alpha < 0 {
+		return fmt.Errorf("negative Dirichlet concentration %v", o.Alpha)
+	}
+	rounds := o.workload().Rounds
+	for _, f := range o.ByzantineFracs {
+		if err := o.config(f, attack, rounds).Check(); err != nil {
+			return err
+		}
+		for _, a := range o.Aggregators {
+			if _, err := fl.NewAggregator(a, f); err != nil {
+				return err
+			}
+		}
+	}
+	return checkNames([]string{o.Dataset}, o.Methods)
+}
+
+// HostileRow is one (method, aggregator, byzantine-fraction) outcome.
 // Acc averages every client; HonestAcc averages the non-byzantine ones —
 // the metric a defense can actually defend. An attacker's own accuracy is
 // out of any aggregator's hands (its uplink is hostile by construction;
 // under sign-flip its classes are actively anti-learned), so the
 // recovery claims are about HonestAcc, while the Acc/HonestAcc gap
 // measures how much damage stays confined to the attackers themselves.
-type HostileCell struct {
-	Acc            float64
-	HonestAcc      float64
-	FormationRound int
+type HostileRow struct {
+	Method, Aggregator string
+	Frac               float64
+	Acc                float64
+	HonestAcc          float64
 }
 
-// HostileResult holds the sweep grid plus the drawn cohort shapes.
+var hostileColumns = []Column[HostileRow]{
+	{"method", func(r HostileRow) string { return r.Method }},
+	{"aggregator", func(r HostileRow) string { return r.Aggregator }},
+	{"byzantine_frac", func(r HostileRow) string { return fmt.Sprint(r.Frac) }},
+	{"acc_pct", func(r HostileRow) string { return f2(100 * r.Acc) }},
+	{"honest_acc_pct", func(r HostileRow) string { return f2(100 * r.HonestAcc) }},
+}
+
+// HostileResult holds the sweep's rows (method-, then aggregator-major)
+// plus the drawn cohort shapes.
 type HostileResult struct {
 	Fracs       []float64
 	Aggregators []string
 	Methods     []string
 	Attack      string
-	// Cells[method][aggregator][frac] is the final personalized accuracy.
-	Cells map[string]map[string]map[float64]HostileCell
+	Rows        []HostileRow
 	// Byzantines[frac] is the attacker head-count drawn at that fraction.
 	Byzantines map[float64]int
 	Clients    int
@@ -95,6 +142,14 @@ type HostileResult struct {
 	// recovery against.
 	byzMask         map[float64][]bool
 	benignPerClient map[string][]float64
+}
+
+// Row returns the (method, aggregator, fraction) outcome, if that run
+// was made.
+func (r *HostileResult) Row(method, aggregator string, frac float64) (HostileRow, bool) {
+	return find(r.Rows, func(x HostileRow) bool {
+		return x.Method == method && x.Aggregator == aggregator && x.Frac == frac
+	})
 }
 
 // honestMean averages accs over the clients mask marks honest. A nil
@@ -116,155 +171,113 @@ func honestMean(accs []float64, mask []bool) float64 {
 }
 
 // RunHostile trains every method under every aggregation strategy at
-// every byzantine fraction, all on one seeded hostile scenario family —
-// the accuracy-vs-byzantine-fraction frontier behind the FedClust
-// isolation claim (DESIGN.md §11).
+// every byzantine fraction, all in one environment on one seeded hostile
+// scenario family — the accuracy-vs-byzantine-fraction frontier behind
+// the FedClust isolation claim (DESIGN.md §11). opts must pass Check.
 func RunHostile(opts HostileOptions) *HostileResult {
 	res := &HostileResult{
 		Fracs: opts.ByzantineFracs, Aggregators: opts.Aggregators,
 		Methods: opts.Methods, Attack: opts.Attack,
-		Cells:           map[string]map[string]map[float64]HostileCell{},
 		Byzantines:      map[float64]int{},
 		byzMask:         map[float64][]bool{},
 		benignPerClient: map[string][]float64{},
 	}
-	for _, m := range opts.Methods {
-		res.Cells[m] = map[string]map[float64]HostileCell{}
-		for _, a := range opts.Aggregators {
-			res.Cells[m][a] = map[float64]HostileCell{}
-		}
-	}
-	var w Workload
-	if opts.Quick {
-		w = QuickWorkload(opts.Dataset)
-	} else {
-		w = PaperWorkload(opts.Dataset)
-	}
-	if opts.Alpha > 0 {
-		w.Alpha = opts.Alpha
-	}
-	env := BuildEnv(w, opts.Seed)
-	res.Clients = len(env.Clients)
-	horizon := opts.ChurnHorizon
-	if horizon == 0 {
-		horizon = w.Rounds
-	}
+	w := opts.workload()
 	attack, err := scenario.ParseAttack(opts.Attack)
 	if err != nil {
 		panic(err.Error())
 	}
-	for _, frac := range opts.ByzantineFracs {
-		env.Participation.Scenario = nil
-		var mask []bool
-		if frac > 0 || opts.ChurnFrac > 0 || opts.DriftFrac > 0 {
-			model := scenario.New(scenario.Config{
-				ByzantineFrac:  frac,
-				Attack:         attack,
-				AttackScale:    opts.AttackScale,
-				LabelNoiseRate: opts.LabelNoiseRate,
-				ChurnFrac:      opts.ChurnFrac,
-				ChurnHorizon:   horizon,
-				DriftFrac:      opts.DriftFrac,
-				DriftRound:     opts.DriftRound,
-			}, opts.Seed, len(env.Clients))
-			env.Participation.Scenario = model
-			res.Byzantines[frac] = model.Byzantines()
-			mask = make([]bool, len(env.Clients))
-			for i, p := range model.Profiles() {
-				mask[i] = p.Byzantine
+	// assumed is what each defense is told at the current fraction: the
+	// drawn cohort when that exceeds the nominal rate (see Aggregators).
+	var assumed float64
+	res.Rows = sweep(opts.Common, hostileColumns, []axis{
+		{n: len(opts.ByzantineFracs), enter: func(at []int, env *fl.Env) *fl.Env {
+			if env == nil {
+				env = opts.Env(w)
+				res.Clients = len(env.Clients)
 			}
-			res.byzMask[frac] = mask
-		}
-		// The defense is sized to the drawn cohort when that exceeds the
-		// nominal rate (see the Aggregators field comment).
-		assumed := frac
-		if drawn := float64(res.Byzantines[frac]) / float64(len(env.Clients)); drawn > assumed {
-			assumed = drawn
-		}
-		if assumed >= 0.5 {
-			assumed = 0.49 // NewAggregator's domain; a majority is unrecoverable anyway
-		}
-		for _, aggName := range opts.Aggregators {
-			agg, err := fl.NewAggregator(aggName, assumed)
+			frac := opts.ByzantineFracs[at[0]]
+			env.Participation.Scenario = nil
+			if frac > 0 || opts.ChurnFrac > 0 || opts.DriftFrac > 0 {
+				model := scenario.New(opts.config(frac, attack, w.Rounds), opts.Seed, len(env.Clients))
+				env.Participation.Scenario = model
+				res.Byzantines[frac] = model.Byzantines()
+				mask := make([]bool, len(env.Clients))
+				for i, p := range model.Profiles() {
+					mask[i] = p.Byzantine
+				}
+				res.byzMask[frac] = mask
+			}
+			assumed = frac
+			if drawn := float64(res.Byzantines[frac]) / float64(len(env.Clients)); drawn > assumed {
+				assumed = drawn
+			}
+			if assumed >= 0.5 {
+				assumed = 0.49 // NewAggregator's domain; a majority is unrecoverable anyway
+			}
+			return env
+		}},
+		{n: len(opts.Aggregators), enter: func(at []int, env *fl.Env) *fl.Env {
+			agg, err := fl.NewAggregator(opts.Aggregators[at[1]], assumed)
 			if err != nil {
 				panic(err.Error())
 			}
 			env.Aggregator = agg
-			for _, m := range opts.Methods {
-				r := NewTrainer(m, w).Run(env)
-				res.Cells[m][aggName][frac] = HostileCell{
-					Acc:            r.FinalAcc,
-					HonestAcc:      honestMean(r.PerClientAcc, mask),
-					FormationRound: r.ClusterFormationRound,
-				}
-				if frac == 0 {
-					if _, ok := res.benignPerClient[m]; !ok {
-						res.benignPerClient[m] = append([]float64(nil), r.PerClientAcc...)
-					}
-				}
-				if opts.Progress != nil {
-					fmt.Fprintf(opts.Progress, "  byz=%-4v agg=%-10s %-10s acc=%.2f%% honest=%.2f%%\n",
-						frac, aggName, m, 100*r.FinalAcc, 100*honestMean(r.PerClientAcc, mask))
-				}
-			}
+			return env
+		}},
+		{n: len(opts.Methods)},
+	}, func(at []int, env *fl.Env) HostileRow {
+		frac, m := opts.ByzantineFracs[at[0]], opts.Methods[at[2]]
+		r := NewTrainer(m, w).Run(env)
+		if _, ok := res.benignPerClient[m]; frac == 0 && !ok {
+			res.benignPerClient[m] = append([]float64(nil), r.PerClientAcc...)
 		}
+		return HostileRow{
+			Method: m, Aggregator: opts.Aggregators[at[1]], Frac: frac,
+			Acc:       r.FinalAcc,
+			HonestAcc: honestMean(r.PerClientAcc, res.byzMask[frac]),
+		}
+	})
+	// The CSV has always listed the sweep method-, then aggregator-major.
+	rank := func(r HostileRow) int {
+		return slices.Index(opts.Methods, r.Method)*len(opts.Aggregators) + slices.Index(opts.Aggregators, r.Aggregator)
 	}
-	env.Aggregator = nil
+	sort.SliceStable(res.Rows, func(i, j int) bool { return rank(res.Rows[i]) < rank(res.Rows[j]) })
 	return res
 }
 
-// Render prints one accuracy grid (method × fraction) per aggregator.
-func (r *HostileResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "attack: %s over %d clients", r.Attack, r.Clients)
+// Report prints one accuracy grid (method × fraction) per aggregator.
+func (r *HostileResult) Report() Report {
+	var head strings.Builder
+	fmt.Fprintf(&head, "attack: %s over %d clients", r.Attack, r.Clients)
 	for _, f := range r.Fracs {
 		if n, ok := r.Byzantines[f]; ok && f > 0 {
-			fmt.Fprintf(w, "  byz@%v=%d", f, n)
+			fmt.Fprintf(&head, "  byz@%v=%d", f, n)
 		}
 	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "cells: final personalized accuracy %, all clients / honest (non-byzantine) clients")
+	head.WriteString("\ncells: final personalized accuracy %, all clients / honest (non-byzantine) clients\n")
+	rep := Report{Sections: []Section{{Text: head.String()}}, Checks: r.ShapeChecks(), CSV: tableOf(hostileColumns, r.Rows)}
+	g := grid[HostileRow]{
+		Rows: r.Methods, Cols: labels(r.Fracs),
+		Head: func(f string) string { return "acc@byz=" + f },
+		At:   func(row HostileRow) (string, string) { return row.Method, fmt.Sprint(row.Frac) },
+		Cell: func(row HostileRow) string {
+			if r.Byzantines[row.Frac] > 0 {
+				return fmt.Sprintf("%.1f/%.1f", 100*row.Acc, 100*row.HonestAcc)
+			}
+			return f1(100 * row.Acc)
+		},
+	}
 	for _, a := range r.Aggregators {
-		fmt.Fprintf(w, "\naggregator: %s\n", a)
-		header := []string{"Method"}
-		for _, f := range r.Fracs {
-			header = append(header, fmt.Sprintf("acc@byz=%v", f))
-		}
-		tab := NewTable(header...)
-		for _, m := range r.Methods {
-			row := []string{m}
-			for _, f := range r.Fracs {
-				c, ok := r.Cells[m][a][f]
-				switch {
-				case !ok:
-					row = append(row, "-")
-				case r.Byzantines[f] > 0:
-					row = append(row, fmt.Sprintf("%.1f/%.1f", 100*c.Acc, 100*c.HonestAcc))
-				default:
-					row = append(row, fmt.Sprintf("%.1f", 100*c.Acc))
-				}
-			}
-			tab.AddRow(row...)
-		}
-		tab.Render(w)
-	}
-}
-
-// CSV flattens the frontier for WriteCSV.
-func (r *HostileResult) CSV() (header []string, rows [][]string) {
-	header = []string{"method", "aggregator", "byzantine_frac", "acc_pct", "honest_acc_pct"}
-	for _, m := range r.Methods {
-		for _, a := range r.Aggregators {
-			for _, f := range r.Fracs {
-				c, ok := r.Cells[m][a][f]
-				if !ok {
-					continue
-				}
-				rows = append(rows, []string{m, a, fmt.Sprintf("%v", f),
-					fmt.Sprintf("%.2f", 100*c.Acc), fmt.Sprintf("%.2f", 100*c.HonestAcc)})
+		var rows []HostileRow
+		for _, row := range r.Rows {
+			if row.Aggregator == a {
+				rows = append(rows, row)
 			}
 		}
+		rep.Sections = append(rep.Sections, Section{Text: fmt.Sprintf("aggregator: %s\n", a), Table: g.table(rows)})
 	}
-	return header, rows
+	return rep
 }
 
 // benign returns a method's benign-baseline accuracy: its frac-0 cell
@@ -272,7 +285,7 @@ func (r *HostileResult) CSV() (header []string, rows [][]string) {
 // so the first aggregator that has the cell serves).
 func (r *HostileResult) benign(method string) (float64, bool) {
 	for _, a := range append([]string{"mean"}, r.Aggregators...) {
-		if c, ok := r.Cells[method][a][0]; ok {
+		if c, ok := r.Row(method, a, 0); ok {
 			return c.Acc, true
 		}
 	}
@@ -302,15 +315,7 @@ func (r *HostileResult) benignHonest(method string, frac float64) (float64, bool
 // larger fractions remain on the rendered frontier as the stress
 // regime rather than a pass/fail claim. Degradation of the undefended
 // mean is checked at the harshest fraction, where it is most visible.
-func (r *HostileResult) ShapeChecks() []string {
-	var out []string
-	check := func(ok bool, format string, args ...any) {
-		s := "PASS"
-		if !ok {
-			s = "FAIL"
-		}
-		out = append(out, fmt.Sprintf("[%s] ", s)+fmt.Sprintf(format, args...))
-	}
+func (r *HostileResult) ShapeChecks() []Check {
 	atk := 0.0    // harshest attacked fraction: the degradation point
 	design := 0.0 // largest attacked fraction ≤ 0.2: the recovery point
 	for _, f := range r.Fracs {
@@ -322,11 +327,12 @@ func (r *HostileResult) ShapeChecks() []string {
 		}
 	}
 	if atk == 0 {
-		return out
+		return nil
 	}
 	if design == 0 {
 		design = atk
 	}
+	var out []Check
 	for _, m := range r.Methods {
 		base, ok := r.benign(m)
 		if !ok || base == 0 {
@@ -340,23 +346,21 @@ func (r *HostileResult) ShapeChecks() []string {
 			if a == "mean" {
 				continue
 			}
-			c, ok := r.Cells[m][a][design]
-			if !ok {
-				continue
+			if c, ok := r.Row(m, a, design); ok {
+				out = append(out, check(c.HonestAcc >= 0.9*honestBase,
+					"%s + %s keeps honest clients >=90%% of benign at byz=%v (%.1f%% vs %.1f%%)",
+					m, a, design, 100*c.HonestAcc, 100*honestBase))
 			}
-			check(c.HonestAcc >= 0.9*honestBase,
-				"%s + %s keeps honest clients >=90%% of benign at byz=%v (%.1f%% vs %.1f%%)",
-				m, a, design, 100*c.HonestAcc, 100*honestBase)
 		}
 		// The degradation claim is about the run as a whole: the undefended
 		// mean lets the attack in, so the all-client accuracy falls. (The
 		// honest subset is the wrong lens here — FedClust's isolation keeps
 		// honest clusters near-benign even undefended, which is the
 		// isolation claim, not a failed attack.)
-		if c, ok := r.Cells[m]["mean"][atk]; ok {
-			check(c.Acc < base,
+		if c, ok := r.Row(m, "mean", atk); ok {
+			out = append(out, check(c.Acc < base,
 				"%s + undefended mean degrades at byz=%v (%.1f%% vs benign %.1f%%)",
-				m, atk, 100*c.Acc, 100*base)
+				m, atk, 100*c.Acc, 100*base))
 		}
 	}
 	return out

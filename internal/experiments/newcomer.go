@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
 	"fedclust/internal/core"
 	"fedclust/internal/data"
@@ -14,23 +13,38 @@ import (
 // NewcomerOptions configures experiment F2: the paper's step ⑥ — dynamic
 // incorporation of clients that arrive after the one-shot clustering.
 type NewcomerOptions struct {
-	Dataset string
-	Quick   bool
-	Seed    uint64
+	Common
 	// Newcomers is how many late arrivals to simulate (half from each
 	// ground-truth group).
 	Newcomers int
-	Progress  io.Writer
 }
 
 // DefaultNewcomerOptions simulates 6 late arrivals.
 func DefaultNewcomerOptions() NewcomerOptions {
-	return NewcomerOptions{Dataset: "fmnist", Quick: true, Seed: 1, Newcomers: 6}
+	return NewcomerOptions{Common: Common{Dataset: "fmnist", Seed: 1, Quick: true}, Newcomers: 6}
+}
+
+// NewcomerRow is one late arrival: where it was routed and how the model
+// it was served does on its data.
+type NewcomerRow struct {
+	Newcomer, Group int
+	Cluster, Want   int
+	ServedAcc       float64
+	InitAcc         float64
+}
+
+var newcomerColumns = []Column[NewcomerRow]{
+	{"newcomer", func(r NewcomerRow) string { return fmt.Sprint(r.Newcomer) }},
+	{"group", func(r NewcomerRow) string { return fmt.Sprint(r.Group) }},
+	{"cluster", func(r NewcomerRow) string { return fmt.Sprint(r.Cluster) }},
+	{"want", func(r NewcomerRow) string { return fmt.Sprint(r.Want) }},
+	{"served_acc%", func(r NewcomerRow) string { return f1(100 * r.ServedAcc) }},
 }
 
 // NewcomerResult reports routing accuracy and served-model quality for
 // late arrivals.
 type NewcomerResult struct {
+	Rows []NewcomerRow
 	// Routed counts newcomers assigned to the cluster holding their
 	// ground-truth group's founders.
 	Routed, Total int
@@ -47,11 +61,8 @@ type NewcomerResult struct {
 // upload final-layer weights, get routed to the nearest centroid, and is
 // served that cluster's model.
 func RunNewcomer(opts NewcomerOptions) *NewcomerResult {
-	w := PaperWorkload(opts.Dataset)
-	if opts.Quick {
-		w = QuickWorkload(opts.Dataset)
-	}
-	env, truth := buildGroupEnv(w, opts.Seed)
+	w := opts.Workload()
+	env, truth := opts.GroupEnv(w)
 	f := &core.FedClust{}
 	res := f.Run(env)
 
@@ -80,72 +91,50 @@ func RunNewcomer(opts NewcomerOptions) *NewcomerResult {
 	}
 	train := data.GenerateExtra(cfg, 0x4e3c0001, perClass)
 	test := data.GenerateExtra(cfg, 0x4e3c0002, perClass/2+1)
-	half := cfg.Classes / 2
-	classesOf := func(g int) []int {
-		var out []int
-		lo, hi := 0, half
-		if g == 1 {
-			lo, hi = half, cfg.Classes
-		}
-		for k := lo; k < hi; k++ {
-			out = append(out, k)
-		}
-		return out
-	}
+	groups := classHalves(cfg.Classes)
 
+	// One model and one scratch place every arrival, as a server holds.
 	out := &NewcomerResult{Total: opts.Newcomers}
-	var servedSum, initSum float64
-	initModel := env.NewModel()
+	model, served, initModel := env.NewModel(), env.NewModel(), env.NewModel()
+	init := nn.FlattenParams(initModel)
+	var scratch fl.TrainScratch
 	for i := 0; i < opts.Newcomers; i++ {
-		g := i % 2
-		newTrain := train.FilterClasses(classesOf(g))
-		newTest := test.FilterClasses(classesOf(g))
+		row := NewcomerRow{Newcomer: i, Group: i % 2, Want: groupCluster[i%2]}
+		newTest := test.FilterClasses(groups[row.Group])
 		// Protocol: local training from w₀, upload final-layer feature.
-		m := env.NewModel()
-		fl.LocalUpdate(m, newTrain, env.Local, rng.New(opts.Seed).Derive(0x4e3c, uint64(i)))
-		feature := f.State.NewcomerFeature(m)
-		assigned := f.State.AssignNewcomer(feature)
-		if assigned == groupCluster[g] {
+		localPass(env, &scratch, model, init, train.FilterClasses(groups[row.Group]),
+			rng.New(opts.Seed).Derive(0x4e3c, uint64(i)))
+		row.Cluster = f.State.AssignNewcomer(f.State.NewcomerFeature(model))
+		if row.Cluster == row.Want {
 			out.Routed++
 		}
-		served := env.NewModel()
-		nn.LoadParams(served, f.State.Models[assigned])
-		_, acc := fl.Evaluate(served, newTest, 64)
-		servedSum += acc
-		_, accInit := fl.Evaluate(initModel, newTest, 64)
-		initSum += accInit
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "  newcomer %d (group %d) → cluster %d (want %d), served acc %.1f%%\n",
-				i, g, assigned, groupCluster[g], 100*acc)
-		}
+		nn.LoadParams(served, f.State.Models[row.Cluster])
+		_, row.ServedAcc = fl.Evaluate(served, newTest, 64)
+		_, row.InitAcc = fl.Evaluate(initModel, newTest, 64)
+		out.ServedAcc += row.ServedAcc
+		out.GlobalInitAcc += row.InitAcc
+		progress(opts.Common, newcomerColumns, row)
+		out.Rows = append(out.Rows, row)
 	}
-	out.ServedAcc = servedSum / float64(opts.Newcomers)
-	out.GlobalInitAcc = initSum / float64(opts.Newcomers)
+	out.ServedAcc /= float64(opts.Newcomers)
+	out.GlobalInitAcc /= float64(opts.Newcomers)
 	return out
 }
 
-// Render prints the newcomer study summary.
-func (r *NewcomerResult) Render(w io.Writer) {
+// Report prints the newcomer study summary.
+func (r *NewcomerResult) Report() Report {
 	tab := NewTable("Metric", "Value")
 	tab.AddRow("newcomers routed to correct cluster", fmt.Sprintf("%d / %d", r.Routed, r.Total))
 	tab.AddRow("mean served-model accuracy", fmt.Sprintf("%.1f%%", 100*r.ServedAcc))
 	tab.AddRow("untrained-init accuracy (floor)", fmt.Sprintf("%.1f%%", 100*r.GlobalInitAcc))
-	tab.Render(w)
+	return Report{Sections: []Section{{Table: tab}}, Checks: r.ShapeChecks(), Tight: true}
 }
 
 // ShapeChecks verifies the dynamic-incorporation claim.
-func (r *NewcomerResult) ShapeChecks() []string {
-	ok1 := r.Routed == r.Total
-	ok2 := r.ServedAcc > r.GlobalInitAcc
-	s := func(b bool) string {
-		if b {
-			return "PASS"
-		}
-		return "FAIL"
-	}
-	return []string{
-		fmt.Sprintf("[%s] all newcomers routed to their group's cluster (%d/%d)", s(ok1), r.Routed, r.Total),
-		fmt.Sprintf("[%s] served cluster model beats untrained init (%.1f%% > %.1f%%)",
-			s(ok2), 100*r.ServedAcc, 100*r.GlobalInitAcc),
+func (r *NewcomerResult) ShapeChecks() []Check {
+	return []Check{
+		check(r.Routed == r.Total, "all newcomers routed to their group's cluster (%d/%d)", r.Routed, r.Total),
+		check(r.ServedAcc > r.GlobalInitAcc, "served cluster model beats untrained init (%.1f%% > %.1f%%)",
+			100*r.ServedAcc, 100*r.GlobalInitAcc),
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"fedclust/internal/tensor"
 )
@@ -33,13 +34,10 @@ func (t *Table) AddRow(cells ...string) {
 // Render writes the table to w.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Header))
-	for i, h := range t.Header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.Rows {
+	for _, row := range append([][]string{t.Header}, t.Rows...) {
 		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+			if n := utf8.RuneCountInString(c); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -61,11 +59,12 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
+// pad fills s out to w columns, one per rune.
 func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
+	if n := utf8.RuneCountInString(s); n < w {
+		return s + strings.Repeat(" ", w-n)
 	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s
 }
 
 // heatChars maps normalized magnitude to shading, light to dark.
@@ -129,9 +128,9 @@ func BlockScore(m *tensor.Tensor, truth []int) float64 {
 	return (inter / float64(nInter)) / (intra / float64(nIntra))
 }
 
-// WriteCSV writes a header plus rows as comma-separated values. Cells
+// WriteCSV writes the header and rows as comma-separated values. Cells
 // containing commas or quotes are quoted.
-func WriteCSV(w io.Writer, header []string, rows [][]string) error {
+func (t *Table) WriteCSV(w io.Writer) error {
 	writeLine := func(cells []string) error {
 		parts := make([]string, len(cells))
 		for i, c := range cells {
@@ -143,10 +142,10 @@ func WriteCSV(w io.Writer, header []string, rows [][]string) error {
 		_, err := fmt.Fprintln(w, strings.Join(parts, ","))
 		return err
 	}
-	if err := writeLine(header); err != nil {
+	if err := writeLine(t.Header); err != nil {
 		return err
 	}
-	for _, r := range rows {
+	for _, r := range t.Rows {
 		if err := writeLine(r); err != nil {
 			return err
 		}

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"io"
+	"slices"
+	"sort"
 
+	"fedclust/internal/fl"
 	"fedclust/internal/scenario"
 )
 
@@ -11,22 +13,17 @@ import (
 // H1): every method trained under a deterministic straggler/dropout
 // scenario at increasing per-round dropout rates.
 type StragglerOptions struct {
-	Dataset string
+	Common
 	// DropoutRates are the per-round offline probabilities swept.
 	DropoutRates []float64
-	// StragglerFrac/SlowdownMax/Deadline/Jitter parameterize the
-	// scenario model (see scenario.Config).
+	// StragglerFrac and Deadline parameterize the scenario model (see
+	// scenario.Config); the slow cohort runs up to 4× slower.
 	StragglerFrac float64
-	SlowdownMax   float64
 	Deadline      float64
-	Jitter        float64
 	// Scenario disables the heterogeneity layer entirely when false —
 	// the control sweep (rates are then ignored beyond the first).
 	Scenario bool
 	Methods  []string
-	Seed     uint64
-	Quick    bool
-	Progress io.Writer
 }
 
 // DefaultStragglerOptions sweeps dropout 0 → 0.5 with a 30% straggler
@@ -34,152 +31,140 @@ type StragglerOptions struct {
 // aggregators.
 func DefaultStragglerOptions() StragglerOptions {
 	return StragglerOptions{
-		Dataset:       "fmnist",
+		Common:        Defaults(),
 		DropoutRates:  []float64{0, 0.1, 0.3, 0.5},
 		StragglerFrac: 0.3,
-		SlowdownMax:   4,
 		Deadline:      1,
 		Scenario:      true,
 		Methods:       append(append([]string{}, MethodNames...), "FedAvgStale", "FedBuff"),
-		Seed:          1,
 	}
 }
 
-// StragglerCell is one (method, dropout-rate) outcome.
-type StragglerCell struct {
+// config is the scenario model's configuration at one dropout rate.
+func (o StragglerOptions) config(rate float64) scenario.Config {
+	return scenario.Config{StragglerFrac: o.StragglerFrac, SlowdownMax: 4, DropoutRate: rate, Deadline: o.Deadline}
+}
+
+// Check validates every swept scenario configuration before training
+// starts: scenario.New panics on a bad one, and a mid-sweep stack trace
+// after minutes of training is a poor way to report a typo.
+func (o StragglerOptions) Check() error {
+	if o.Deadline <= 0 {
+		return fmt.Errorf("non-positive deadline %v", o.Deadline)
+	}
+	for _, r := range o.DropoutRates {
+		if err := o.config(r).Check(); err != nil {
+			return err
+		}
+	}
+	return checkNames([]string{o.Dataset}, o.Methods)
+}
+
+// StragglerRow is one (method, dropout-rate) outcome.
+type StragglerRow struct {
+	Method         string
+	Rate           float64
 	Acc            float64
 	FormationRound int
 }
 
-// StragglerResult holds the sweep grid plus the drawn scenario shape.
+var stragglerColumns = []Column[StragglerRow]{
+	{"method", func(r StragglerRow) string { return r.Method }},
+	{"dropout_rate", func(r StragglerRow) string { return fmt.Sprint(r.Rate) }},
+	{"acc_pct", func(r StragglerRow) string { return f2(100 * r.Acc) }},
+	{"formation_round", func(r StragglerRow) string { return fmt.Sprint(r.FormationRound) }},
+}
+
+// StragglerResult holds the sweep's rows, method-major, plus the drawn
+// scenario shape.
 type StragglerResult struct {
 	Rates      []float64
 	Methods    []string
-	Cells      map[string]map[float64]StragglerCell
+	Rows       []StragglerRow
 	Stragglers int // clients in the slow cohort (population-level, rate-independent)
 	Clients    int
+}
+
+// Row returns the (method, rate) outcome, if that run was made.
+func (r *StragglerResult) Row(method string, rate float64) (StragglerRow, bool) {
+	return find(r.Rows, func(x StragglerRow) bool { return x.Method == method && x.Rate == rate })
 }
 
 // RunStragglers trains every method at every dropout rate under a seeded
 // scenario model and records final personalized accuracy and the
 // cluster-formation round.
 func RunStragglers(opts StragglerOptions) *StragglerResult {
-	res := &StragglerResult{Rates: opts.DropoutRates, Methods: opts.Methods,
-		Cells: map[string]map[float64]StragglerCell{}}
-	for _, m := range opts.Methods {
-		res.Cells[m] = map[float64]StragglerCell{}
-	}
-	// One environment serves the whole sweep: only the scenario model
-	// differs per rate, and warm engine-runtime reuse is bit-equivalent
-	// to a fresh build (pinned by the engine's warm-runtime tests).
-	var w Workload
+	res := &StragglerResult{Rates: opts.DropoutRates, Methods: opts.Methods}
+	w := opts.Workload()
 	if opts.Quick {
-		w = QuickWorkload(opts.Dataset)
 		// Partial work needs a divisible local pass: with the quick
 		// preset's single epoch a straggler either finishes everything or
 		// nothing, and the sweep would measure permanent exclusion
 		// instead of the partial-epoch weighting it exists to exercise.
 		w.Epochs = 2
-	} else {
-		w = PaperWorkload(opts.Dataset)
 	}
-	env := BuildEnv(w, opts.Seed)
-	res.Clients = len(env.Clients)
-	for _, rate := range opts.DropoutRates {
-		env.Participation.Scenario = nil
-		if opts.Scenario {
-			model := scenario.New(scenario.Config{
-				StragglerFrac: opts.StragglerFrac,
-				SlowdownMax:   opts.SlowdownMax,
-				DropoutRate:   rate,
-				Deadline:      opts.Deadline,
-				Jitter:        opts.Jitter,
-			}, opts.Seed, len(env.Clients))
-			env.Participation.Scenario = model
-			res.Stragglers = model.Stragglers()
-		}
-		for _, m := range opts.Methods {
-			r := NewTrainer(m, w).Run(env)
-			res.Cells[m][rate] = StragglerCell{Acc: r.FinalAcc, FormationRound: r.ClusterFormationRound}
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "  drop=%-4v %-12s acc=%.2f%% formed@%d\n",
-					rate, m, 100*r.FinalAcc, r.ClusterFormationRound)
+	rates := opts.DropoutRates
+	if !opts.Scenario && len(rates) > 1 {
+		rates = rates[:1] // control run: nothing varies across rates
+	}
+	// One environment serves the whole sweep: only the scenario model
+	// differs per rate, and warm engine-runtime reuse is bit-equivalent
+	// to a fresh build (pinned by the engine's warm-runtime tests).
+	res.Rows = sweep(opts.Common, stragglerColumns, []axis{
+		{n: len(rates), enter: func(at []int, env *fl.Env) *fl.Env {
+			if env == nil {
+				env = opts.Env(w)
+				res.Clients = len(env.Clients)
 			}
-		}
-		if !opts.Scenario {
-			break // control run: nothing varies across rates
-		}
-	}
+			if opts.Scenario {
+				model := scenario.New(opts.config(rates[at[0]]), opts.Seed, len(env.Clients))
+				env.Participation.Scenario = model
+				res.Stragglers = model.Stragglers()
+			}
+			return env
+		}},
+		{n: len(opts.Methods)},
+	}, func(at []int, env *fl.Env) StragglerRow {
+		m := opts.Methods[at[1]]
+		r := NewTrainer(m, w).Run(env)
+		return StragglerRow{Method: m, Rate: rates[at[0]], Acc: r.FinalAcc, FormationRound: r.ClusterFormationRound}
+	})
+	// The CSV has always listed the sweep method-major.
+	sort.SliceStable(res.Rows, func(i, j int) bool {
+		return slices.Index(opts.Methods, res.Rows[i].Method) < slices.Index(opts.Methods, res.Rows[j].Method)
+	})
 	return res
 }
 
-// Render prints accuracy and cluster-formation grids (method × rate).
-func (r *StragglerResult) Render(w io.Writer) {
-	fmt.Fprintf(w, "scenario: %d/%d clients in the straggler cohort\n\n", r.Stragglers, r.Clients)
-	header := []string{"Method"}
-	for _, rate := range r.Rates {
-		header = append(header, fmt.Sprintf("acc@drop=%v", rate))
+// Report prints accuracy and cluster-formation grids (method × rate).
+func (r *StragglerResult) Report() Report {
+	g := grid[StragglerRow]{
+		Rows: r.Methods, Cols: labels(r.Rates),
+		Head: func(rate string) string { return "acc@drop=" + rate },
+		At:   func(row StragglerRow) (string, string) { return row.Method, fmt.Sprint(row.Rate) },
+		Cell: func(row StragglerRow) string { return f1(100 * row.Acc) },
 	}
-	tab := NewTable(header...)
-	for _, m := range r.Methods {
-		row := []string{m}
-		for _, rate := range r.Rates {
-			c, ok := r.Cells[m][rate]
-			if !ok {
-				row = append(row, "-")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.1f", 100*c.Acc))
+	acc := g.table(r.Rows)
+	g.Head = func(rate string) string { return "formed@drop=" + rate }
+	g.Cell = func(row StragglerRow) string {
+		if row.FormationRound < 0 {
+			return "n/a"
 		}
-		tab.AddRow(row...)
+		return fmt.Sprint(row.FormationRound)
 	}
-	tab.Render(w)
-
-	fmt.Fprintln(w)
-	header = []string{"Method"}
-	for _, rate := range r.Rates {
-		header = append(header, fmt.Sprintf("formed@drop=%v", rate))
+	return Report{
+		Sections: []Section{
+			{Text: fmt.Sprintf("scenario: %d/%d clients in the straggler cohort\n", r.Stragglers, r.Clients)},
+			{Table: acc}, {Table: g.table(r.Rows)},
+		},
+		Checks: r.ShapeChecks(), CSV: tableOf(stragglerColumns, r.Rows),
 	}
-	form := NewTable(header...)
-	for _, m := range r.Methods {
-		row := []string{m}
-		for _, rate := range r.Rates {
-			c, ok := r.Cells[m][rate]
-			switch {
-			case !ok:
-				row = append(row, "-")
-			case c.FormationRound < 0:
-				row = append(row, "n/a")
-			default:
-				row = append(row, fmt.Sprintf("%d", c.FormationRound))
-			}
-		}
-		form.AddRow(row...)
-	}
-	form.Render(w)
-}
-
-// CSV flattens the sweep for WriteCSV.
-func (r *StragglerResult) CSV() (header []string, rows [][]string) {
-	header = []string{"method", "dropout_rate", "acc_pct", "formation_round"}
-	for _, m := range r.Methods {
-		for _, rate := range r.Rates {
-			c, ok := r.Cells[m][rate]
-			if !ok {
-				continue
-			}
-			rows = append(rows, []string{m, fmt.Sprintf("%v", rate),
-				fmt.Sprintf("%.2f", 100*c.Acc), fmt.Sprintf("%d", c.FormationRound)})
-		}
-	}
-	return header, rows
 }
 
 // ShapeChecks verifies the expected system-heterogeneity behaviour.
-func (r *StragglerResult) ShapeChecks() []string {
-	var out []string
+func (r *StragglerResult) ShapeChecks() []Check {
 	if len(r.Rates) < 2 {
-		return out
+		return nil
 	}
 	// -dropouts order is user-controlled; compare the extreme rates, not
 	// the first and last listed.
@@ -192,24 +177,18 @@ func (r *StragglerResult) ShapeChecks() []string {
 			hi = rate
 		}
 	}
-	check := func(ok bool, format string, args ...any) {
-		s := "PASS"
-		if !ok {
-			s = "FAIL"
-		}
-		out = append(out, fmt.Sprintf("[%s] ", s)+fmt.Sprintf(format, args...))
-	}
-	c, okLo := r.Cells["FedAvg"][lo]
-	chi, okHi := r.Cells["FedAvg"][hi]
+	var out []Check
+	c, okLo := r.Row("FedAvg", lo)
+	chi, okHi := r.Row("FedAvg", hi)
 	if okLo && okHi {
-		check(c.Acc+0.03 >= chi.Acc,
+		out = append(out, check(c.Acc+0.03 >= chi.Acc,
 			"FedAvg does not improve under dropout (%.1f%% @ %v vs %.1f%% @ %v)",
-			100*c.Acc, lo, 100*chi.Acc, hi)
+			100*c.Acc, lo, 100*chi.Acc, hi))
 	}
-	if s, ok := r.Cells["FedAvgStale"][hi]; ok && okHi {
-		check(s.Acc+0.05 >= chi.Acc,
+	if s, ok := r.Row("FedAvgStale", hi); ok && okHi {
+		out = append(out, check(s.Acc+0.05 >= chi.Acc,
 			"stale-decay aggregation holds up at drop=%v (%.1f%% vs FedAvg %.1f%%)",
-			hi, 100*s.Acc, 100*chi.Acc)
+			hi, 100*s.Acc, 100*chi.Acc))
 	}
 	return out
 }

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"fedclust/internal/cluster"
 	"fedclust/internal/core"
+	"fedclust/internal/fl"
 	"fedclust/internal/linalg"
 	"fedclust/internal/nn"
 )
@@ -15,108 +15,102 @@ import (
 // the paper's future-work direction of exploring performance across data
 // heterogeneity levels.
 type AlphaSweepOptions struct {
-	Dataset  string
-	Alphas   []float64
-	Methods  []string
-	Seed     uint64
-	Quick    bool
-	Progress io.Writer
+	Common
+	Alphas  []float64
+	Methods []string
 }
 
 // DefaultAlphaSweepOptions sweeps α over three orders of magnitude.
 func DefaultAlphaSweepOptions() AlphaSweepOptions {
 	return AlphaSweepOptions{
-		Dataset: "fmnist",
+		Common:  Defaults(),
 		Alphas:  []float64{0.05, 0.1, 0.5, 1, 10},
 		Methods: []string{"FedAvg", "IFCA", "FedClust"},
-		Seed:    1,
 	}
 }
 
-// AlphaSweepResult holds accuracy per (method, alpha).
+// Check rejects unknown dataset and method names.
+func (o AlphaSweepOptions) Check() error { return checkNames([]string{o.Dataset}, o.Methods) }
+
+// AlphaSweepRow is one (alpha, method) run's accuracy.
+type AlphaSweepRow struct {
+	Alpha  float64
+	Method string
+	Acc    float64
+}
+
+var alphaSweepColumns = []Column[AlphaSweepRow]{
+	{"α", func(r AlphaSweepRow) string { return fmt.Sprint(r.Alpha) }},
+	{"method", func(r AlphaSweepRow) string { return r.Method }},
+	{"acc_pct", func(r AlphaSweepRow) string { return f2(100 * r.Acc) }},
+}
+
+// AlphaSweepResult holds accuracy per (alpha, method), in run order.
 type AlphaSweepResult struct {
 	Alphas  []float64
 	Methods []string
-	Acc     map[string]map[float64]float64
+	Rows    []AlphaSweepRow
 }
 
-// RunAlphaSweep measures each method across Dirichlet concentrations.
+// Acc returns the accuracy measured for method at alpha (0 if not run).
+func (r *AlphaSweepResult) Acc(method string, alpha float64) float64 {
+	row, _ := find(r.Rows, func(x AlphaSweepRow) bool { return x.Method == method && x.Alpha == alpha })
+	return row.Acc
+}
+
+// RunAlphaSweep measures each method across Dirichlet concentrations; one
+// environment per alpha serves every method.
 func RunAlphaSweep(opts AlphaSweepOptions) *AlphaSweepResult {
-	res := &AlphaSweepResult{Alphas: opts.Alphas, Methods: opts.Methods,
-		Acc: map[string]map[float64]float64{}}
-	for _, m := range opts.Methods {
-		res.Acc[m] = map[float64]float64{}
-	}
-	for _, alpha := range opts.Alphas {
-		var w Workload
-		if opts.Quick {
-			w = QuickWorkload(opts.Dataset)
-		} else {
-			w = PaperWorkload(opts.Dataset)
-		}
-		w.Alpha = alpha
-		env := BuildEnv(w, opts.Seed)
-		for _, m := range opts.Methods {
-			r := NewTrainer(m, w).Run(env)
-			res.Acc[m][alpha] = r.FinalAcc
-			if opts.Progress != nil {
-				fmt.Fprintf(opts.Progress, "  α=%-5v %-8s acc=%.2f%%\n", alpha, m, 100*r.FinalAcc)
-			}
-		}
-	}
-	return res
+	w := opts.Workload()
+	rows := sweep(opts.Common, alphaSweepColumns, []axis{
+		{n: len(opts.Alphas), enter: func(at []int, _ *fl.Env) *fl.Env {
+			w.Alpha = opts.Alphas[at[0]]
+			return opts.Env(w)
+		}},
+		{n: len(opts.Methods)},
+	}, func(at []int, env *fl.Env) AlphaSweepRow {
+		m := opts.Methods[at[1]]
+		return AlphaSweepRow{Alpha: w.Alpha, Method: m, Acc: NewTrainer(m, w).Run(env).FinalAcc}
+	})
+	return &AlphaSweepResult{Alphas: opts.Alphas, Methods: opts.Methods, Rows: rows}
 }
 
-// Render prints the sweep as a method × alpha grid.
-func (r *AlphaSweepResult) Render(w io.Writer) {
-	header := []string{"Method"}
-	for _, a := range r.Alphas {
-		header = append(header, fmt.Sprintf("α=%v", a))
+// Report prints the sweep as a method × alpha grid.
+func (r *AlphaSweepResult) Report() Report {
+	g := grid[AlphaSweepRow]{
+		Rows: r.Methods, Cols: labels(r.Alphas),
+		Head: func(a string) string { return "α=" + a },
+		At:   func(row AlphaSweepRow) (string, string) { return row.Method, fmt.Sprint(row.Alpha) },
+		Cell: func(row AlphaSweepRow) string { return f1(100 * row.Acc) },
 	}
-	tab := NewTable(header...)
-	for _, m := range r.Methods {
-		row := []string{m}
-		for _, a := range r.Alphas {
-			row = append(row, fmt.Sprintf("%.1f", 100*r.Acc[m][a]))
-		}
-		tab.AddRow(row...)
-	}
-	tab.Render(w)
+	return Report{Sections: []Section{{Table: g.table(r.Rows)}}, Checks: r.ShapeChecks(), Tight: true}
 }
 
 // ShapeChecks verifies the expected heterogeneity behaviour: FedClust's
 // advantage over FedAvg is largest under severe skew and shrinks (or
 // vanishes) near IID.
-func (r *AlphaSweepResult) ShapeChecks() []string {
-	var out []string
+func (r *AlphaSweepResult) ShapeChecks() []Check {
 	if len(r.Alphas) < 2 {
-		return out
+		return nil
 	}
 	first, last := r.Alphas[0], r.Alphas[len(r.Alphas)-1]
-	gapSkew := r.Acc["FedClust"][first] - r.Acc["FedAvg"][first]
-	gapIID := r.Acc["FedClust"][last] - r.Acc["FedAvg"][last]
-	ok := gapSkew > gapIID
-	s := "PASS"
-	if !ok {
-		s = "FAIL"
-	}
-	out = append(out, fmt.Sprintf(
-		"[%s] FedClust advantage larger under skew (α=%v: %+.1f pts) than near-IID (α=%v: %+.1f pts)",
-		s, first, 100*gapSkew, last, 100*gapIID))
-	return out
+	gapSkew := r.Acc("FedClust", first) - r.Acc("FedAvg", first)
+	gapIID := r.Acc("FedClust", last) - r.Acc("FedAvg", last)
+	return []Check{check(gapSkew > gapIID,
+		"FedClust advantage larger under skew (α=%v: %+.1f pts) than near-IID (α=%v: %+.1f pts)",
+		first, 100*gapSkew, last, 100*gapIID)}
 }
 
-// ScaleOptions configures the scalability study (experiment S2).
+// ScaleOptions configures the scalability study (experiment S2). It
+// always runs the quick workload; Quick is not read.
 type ScaleOptions struct {
-	Dataset     string
+	Common
 	ClientSizes []int
-	Seed        uint64
-	Progress    io.Writer
 }
 
 // DefaultScaleOptions measures 10→40 clients.
 func DefaultScaleOptions() ScaleOptions {
-	return ScaleOptions{Dataset: "fmnist", ClientSizes: []int{10, 20, 40}, Seed: 1}
+	return ScaleOptions{Common: Defaults(), ClientSizes: []int{10, 20, 40}}
 }
 
 // ScaleRow is one population size's timing.
@@ -128,58 +122,47 @@ type ScaleRow struct {
 	ARI            float64
 }
 
+var scaleColumns = []Column[ScaleRow]{
+	{"Clients", func(r ScaleRow) string { return fmt.Sprint(r.Clients) }},
+	{"ClusteringTime", func(r ScaleRow) string { return r.ClusteringTime.Round(time.Millisecond).String() }},
+	{"1-RoundTime", func(r ScaleRow) string { return r.RoundTime.Round(time.Millisecond).String() }},
+	{"K", func(r ScaleRow) string { return fmt.Sprint(r.K) }},
+	{"ARI", func(r ScaleRow) string { return f2(r.ARI) }},
+}
+
 // ScaleResult is the scalability table.
 type ScaleResult struct{ Rows []ScaleRow }
 
 // RunScale times FedClust's one-shot clustering phase and a training round
 // as the population grows. The clustering phase is dominated by client
-// warmup (parallel) plus the O(n²·d) proximity matrix and O(n³) HC — all
-// cheap relative to training.
+// warmup (parallel) plus the O(n²·d) proximity matrix and HC — all cheap
+// relative to training.
 func RunScale(opts ScaleOptions) *ScaleResult {
-	res := &ScaleResult{}
-	for _, n := range opts.ClientSizes {
-		w := QuickWorkload(opts.Dataset)
-		w.Clients = n
-		w.Rounds = 1
-		env, truth := buildGroupEnv(w, opts.Seed)
-
+	w := QuickWorkload(opts.Dataset)
+	w.Rounds = 1
+	var truth []int
+	rows := sweep(opts.Common, scaleColumns, []axis{{n: len(opts.ClientSizes), enter: func(at []int, _ *fl.Env) (env *fl.Env) {
+		w.Clients = opts.ClientSizes[at[0]]
+		env, truth = opts.GroupEnv(w)
+		return env
+	}}}, func(_ []int, env *fl.Env) ScaleRow {
 		start := time.Now()
 		init := nn.FlattenParams(env.NewModel())
 		features := core.CollectPartialWeights(env, core.Config{}, init)
 		prox := linalg.PairwiseDistances(linalg.Euclidean, features)
-		den := cluster.Agglomerate(prox, cluster.Average)
-		labels := den.CutLargestGap(1, n/2)
-		clusteringTime := time.Since(start)
+		labels := cluster.Agglomerate(prox, cluster.Average).CutLargestGap(1, w.Clients/2)
+		row := ScaleRow{Clients: w.Clients, ClusteringTime: time.Since(start),
+			K: cluster.NumClusters(labels), ARI: cluster.ARI(labels, truth)}
 
 		start = time.Now()
-		f := &core.FedClust{Cfg: core.Config{NumClusters: cluster.NumClusters(labels)}}
-		f.Run(env)
-		roundTime := time.Since(start)
-
-		res.Rows = append(res.Rows, ScaleRow{
-			Clients:        n,
-			ClusteringTime: clusteringTime,
-			RoundTime:      roundTime,
-			K:              cluster.NumClusters(labels),
-			ARI:            cluster.ARI(labels, truth),
-		})
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "  n=%-3d cluster=%v round=%v ARI=%.2f\n",
-				n, clusteringTime, roundTime, cluster.ARI(labels, truth))
-		}
-	}
-	return res
+		(&core.FedClust{Cfg: core.Config{NumClusters: row.K}}).Run(env)
+		row.RoundTime = time.Since(start)
+		return row
+	})
+	return &ScaleResult{Rows: rows}
 }
 
-// Render prints the scalability table.
-func (r *ScaleResult) Render(w io.Writer) {
-	tab := NewTable("Clients", "ClusteringTime", "1-RoundTime", "K", "ARI")
-	for _, row := range r.Rows {
-		tab.AddRow(fmt.Sprintf("%d", row.Clients),
-			row.ClusteringTime.Round(time.Millisecond).String(),
-			row.RoundTime.Round(time.Millisecond).String(),
-			fmt.Sprintf("%d", row.K),
-			fmt.Sprintf("%.2f", row.ARI))
-	}
-	tab.Render(w)
+// Report prints the scalability table.
+func (r *ScaleResult) Report() Report {
+	return report(scaleColumns, r.Rows, nil).tight()
 }

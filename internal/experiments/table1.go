@@ -2,8 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"io"
+	"slices"
 
+	"fedclust/internal/fl"
 	"fedclust/internal/stats"
 )
 
@@ -20,78 +21,77 @@ func (c Table1Cell) Mean() float64 { return 100 * stats.Mean(c.Accs) }
 // Std returns the accuracy standard deviation in percent.
 func (c Table1Cell) Std() float64 { return 100 * stats.Std(c.Accs) }
 
-// Table1Result holds the full method × dataset grid.
+// Table1Result holds the full method × dataset grid, method-major.
 type Table1Result struct {
 	Datasets []string
 	Methods  []string
-	Cells    map[string]map[string]*Table1Cell // method → dataset → cell
+	Cells    []Table1Cell
 }
 
-// Cell returns the entry for (method, dataset), creating it on first use.
-func (t *Table1Result) Cell(method, dataset string) *Table1Cell {
-	if t.Cells == nil {
-		t.Cells = map[string]map[string]*Table1Cell{}
-	}
-	if t.Cells[method] == nil {
-		t.Cells[method] = map[string]*Table1Cell{}
-	}
-	if t.Cells[method][dataset] == nil {
-		t.Cells[method][dataset] = &Table1Cell{Method: method, Dataset: dataset}
-	}
-	return t.Cells[method][dataset]
+// Cell returns the entry for (method, dataset); a pair that was not run
+// is an entry with no accuracies.
+func (t *Table1Result) Cell(method, dataset string) Table1Cell {
+	c, _ := find(t.Cells, func(c Table1Cell) bool { return c.Method == method && c.Dataset == dataset })
+	return c
 }
 
-// Table1Options selects the scope of a Table-I run.
+// Table1Options selects the scope of a Table-I run. The grid has its own
+// dataset and seed lists; Common's Dataset and Seed are not read.
 type Table1Options struct {
+	Common
 	Datasets []string
 	Methods  []string
 	Seeds    []uint64
-	Quick    bool
-	// Progress, when non-nil, receives one line per completed run.
-	Progress io.Writer
 }
 
-// DefaultTable1Options reproduces the full table with 3 seeds.
-func DefaultTable1Options() Table1Options {
-	return Table1Options{
-		Datasets: DatasetNames,
-		Methods:  MethodNames,
-		Seeds:    []uint64{1, 2, 3},
-	}
+// Check rejects unknown dataset and method names.
+func (o Table1Options) Check() error { return checkNames(o.Datasets, o.Methods) }
+
+// table1Run is one (method, dataset, seed) training run.
+type table1Run struct {
+	Method, Dataset string
+	Seed            uint64
+	Acc             float64
+	Comm            fl.CommStats
 }
 
-// QuickTable1Options is the reduced benchmark/CI variant.
-func QuickTable1Options() Table1Options {
-	return Table1Options{
-		Datasets: DatasetNames,
-		Methods:  MethodNames,
-		Seeds:    []uint64{1},
-		Quick:    true,
-	}
+var table1RunColumns = []Column[table1Run]{
+	{"method", func(r table1Run) string { return r.Method }},
+	{"dataset", func(r table1Run) string { return r.Dataset }},
+	{"seed", func(r table1Run) string { return fmt.Sprint(r.Seed) }},
+	{"acc_pct", func(r table1Run) string { return f2(100 * r.Acc) }},
+	{"comm", func(r table1Run) string { return r.Comm.String() }},
 }
 
 // RunTable1 executes every (method, dataset, seed) combination and
-// aggregates accuracies — the reproduction of the paper's Table I.
+// aggregates accuracies — the reproduction of the paper's Table I. One
+// environment per (dataset, seed) serves every method.
 func RunTable1(opts Table1Options) *Table1Result {
+	c := opts.Common
+	var w Workload
+	runs := sweep(c, table1RunColumns, []axis{
+		{n: len(opts.Datasets)},
+		{n: len(opts.Seeds), enter: func(at []int, _ *fl.Env) *fl.Env {
+			c.Dataset, c.Seed = opts.Datasets[at[0]], opts.Seeds[at[1]]
+			w = c.Workload()
+			return c.Env(w)
+		}},
+		{n: len(opts.Methods)},
+	}, func(at []int, env *fl.Env) table1Run {
+		m := opts.Methods[at[2]]
+		r := NewTrainer(m, w).Run(env)
+		return table1Run{Method: m, Dataset: c.Dataset, Seed: c.Seed, Acc: r.FinalAcc, Comm: r.Comm}
+	})
 	res := &Table1Result{Datasets: opts.Datasets, Methods: opts.Methods}
-	for _, ds := range opts.Datasets {
-		for _, seed := range opts.Seeds {
-			var w Workload
-			if opts.Quick {
-				w = QuickWorkload(ds)
-			} else {
-				w = PaperWorkload(ds)
-			}
-			env := BuildEnv(w, seed)
-			for _, m := range opts.Methods {
-				trainer := NewTrainer(m, w)
-				r := trainer.Run(env)
-				res.Cell(m, ds).Accs = append(res.Cell(m, ds).Accs, r.FinalAcc)
-				if opts.Progress != nil {
-					fmt.Fprintf(opts.Progress, "  %-8s %-8s seed=%d acc=%.2f%% (%s)\n",
-						m, ds, seed, 100*r.FinalAcc, r.Comm.String())
+	for _, m := range opts.Methods {
+		for _, ds := range opts.Datasets {
+			cell := Table1Cell{Method: m, Dataset: ds}
+			for _, r := range runs {
+				if r.Method == m && r.Dataset == ds {
+					cell.Accs = append(cell.Accs, r.Acc)
 				}
 			}
+			res.Cells = append(res.Cells, cell)
 		}
 	}
 	return res
@@ -109,67 +109,58 @@ var PaperTable1 = map[string]map[string][2]float64{
 	"FedClust": {"cifar10": {60.25, 0.58}, "fmnist": {95.51, 0.17}, "svhn": {78.23, 0.30}},
 }
 
-// Render writes the measured grid (and the paper's numbers alongside) in
-// the paper's layout: one row per method, one column per dataset.
-func (t *Table1Result) Render(w io.Writer) {
-	tab := NewTable(append([]string{"Method"}, headerCols(t.Datasets)...)...)
-	for _, m := range t.Methods {
-		row := []string{m}
-		for _, ds := range t.Datasets {
-			c := t.Cell(m, ds)
+var table1Columns = []Column[Table1Cell]{
+	{"method", func(c Table1Cell) string { return c.Method }},
+	{"dataset", func(c Table1Cell) string { return c.Dataset }},
+	{"mean_acc_pct", func(c Table1Cell) string { return f2(c.Mean()) }},
+	{"std_acc_pct", func(c Table1Cell) string { return f2(c.Std()) }},
+	{"paper_mean_pct", func(c Table1Cell) string {
+		if p, ok := PaperTable1[c.Method][c.Dataset]; ok {
+			return f2(p[0])
+		}
+		return ""
+	}},
+}
+
+var datasetTitles = map[string]string{"cifar10": "CIFAR-10", "fmnist": "FMNIST", "svhn": "SVHN"}
+
+// Report lays the measured grid (and the paper's numbers alongside) out
+// as the paper does: one row per method, one column per dataset.
+func (t *Table1Result) Report() Report {
+	g := grid[Table1Cell]{
+		Rows: t.Methods, Cols: t.Datasets,
+		Head: func(ds string) string { return datasetTitles[ds] },
+		At:   func(c Table1Cell) (string, string) { return c.Method, c.Dataset },
+		Cell: func(c Table1Cell) string {
 			cell := "—"
 			if len(c.Accs) > 0 {
 				cell = fmt.Sprintf("%.2f ± %.2f", c.Mean(), c.Std())
 			}
-			if paper, ok := PaperTable1[m][ds]; ok {
+			if paper, ok := PaperTable1[c.Method][c.Dataset]; ok {
 				cell += fmt.Sprintf("  (paper %.2f)", paper[0])
 			}
-			row = append(row, cell)
-		}
-		tab.AddRow(row...)
+			return cell
+		},
 	}
-	tab.Render(w)
-}
-
-func headerCols(datasets []string) []string {
-	out := make([]string, len(datasets))
-	for i, d := range datasets {
-		switch d {
-		case "cifar10":
-			out[i] = "CIFAR-10"
-		case "fmnist":
-			out[i] = "FMNIST"
-		case "svhn":
-			out[i] = "SVHN"
-		default:
-			out[i] = d
-		}
-	}
-	return out
+	return Report{Sections: []Section{{Table: g.table(t.Cells)}}, Checks: t.ShapeChecks(), CSV: tableOf(table1Columns, t.Cells)}
 }
 
 // ShapeChecks verifies the qualitative claims of Table I against the
-// measured grid, returning one line per check. A check passes when the
-// measured ordering matches the paper's:
+// measured grid. A check passes when the measured ordering matches the
+// paper's:
 //   - FedClust beats FedAvg and CFL on every dataset,
 //   - FedClust is the best method on CIFAR-10 and FMNIST,
 //   - FedClust is within a few points of the best on SVHN.
-func (t *Table1Result) ShapeChecks() []string {
-	var out []string
-	check := func(name string, ok bool) {
-		status := "PASS"
-		if !ok {
-			status = "FAIL"
-		}
-		out = append(out, fmt.Sprintf("[%s] %s", status, name))
-	}
+func (t *Table1Result) ShapeChecks() []Check {
+	var out []Check
 	mean := func(m, ds string) float64 { return t.Cell(m, ds).Mean() }
 	for _, ds := range t.Datasets {
-		check(fmt.Sprintf("FedClust > FedAvg on %s", ds), mean("FedClust", ds) > mean("FedAvg", ds))
-		check(fmt.Sprintf("FedClust > CFL on %s", ds), mean("FedClust", ds) > mean("CFL", ds))
+		out = append(out,
+			check(mean("FedClust", ds) > mean("FedAvg", ds), "FedClust > FedAvg on %s", ds),
+			check(mean("FedClust", ds) > mean("CFL", ds), "FedClust > CFL on %s", ds))
 	}
 	for _, ds := range []string{"cifar10", "fmnist"} {
-		if !contains(t.Datasets, ds) {
+		if !slices.Contains(t.Datasets, ds) {
 			continue
 		}
 		best := true
@@ -178,25 +169,16 @@ func (t *Table1Result) ShapeChecks() []string {
 				best = false
 			}
 		}
-		check(fmt.Sprintf("FedClust best on %s", ds), best)
+		out = append(out, check(best, "FedClust best on %s", ds))
 	}
-	if contains(t.Datasets, "svhn") {
+	if slices.Contains(t.Datasets, "svhn") {
 		bestAcc := 0.0
 		for _, m := range t.Methods {
 			if a := mean(m, "svhn"); a > bestAcc {
 				bestAcc = a
 			}
 		}
-		check("FedClust within 5 pts of best on svhn", bestAcc-mean("FedClust", "svhn") <= 5)
+		out = append(out, check(bestAcc-mean("FedClust", "svhn") <= 5, "FedClust within 5 pts of best on svhn"))
 	}
 	return out
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
