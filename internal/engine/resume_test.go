@@ -3,8 +3,9 @@ package engine_test
 // Resume-equivalence suite: a run restored from a checkpoint must be
 // indistinguishable — bit for bit, in every field the experiments read —
 // from one that never stopped. The matrix covers all eight methods
-// (pinned against the PR 1 golden fingerprints for the synchronous six,
-// self-baselined for the semi-async pair under a hostile scenario),
+// (pinned against the PR 1 golden fingerprints for the synchronous six
+// and against semiAsyncCases for the semi-async pair under a hostile
+// scenario),
 // checkpoint rounds early/mid/last, and executor parallelism on both
 // sides of the interruption (checkpoint under one worker count, resume
 // under another). Every resume passes through Encode → DecodeCheckpoint,
@@ -72,28 +73,68 @@ func TestResumeReproducesGoldenFingerprints(t *testing.T) {
 	}
 }
 
+// semiAsyncEnv is the staleness-aware methods' resume workload: the
+// golden population under stragglers, dropouts and jitter, optionally
+// behind a robust aggregator.
+func semiAsyncEnv(agg fl.Aggregator) *fl.Env {
+	env := goldenEnv(34, 6, fl.Participation{})
+	env.EvalEvery = 2
+	env.Participation.Scenario = scenario.New(scenario.Config{
+		StragglerFrac: 0.3, SlowdownMax: 4, DropoutRate: 0.15,
+		Deadline: 0.75, Jitter: 0.2,
+	}, 34, len(env.Clients))
+	env.Aggregator = agg
+	return env
+}
+
+// semiAsyncCases pins the staleness-aware methods' bits absolutely — the
+// plain decayed mean and both robust server steps of each. The
+// fingerprints were recorded at 8aaea34, before the four hand-copied
+// server steps became one fold; like goldenCases, do not regenerate them
+// casually.
+var semiAsyncCases = []struct {
+	name    string
+	trainer fl.Trainer
+	agg     func() fl.Aggregator
+	want    string
+}{
+	{"FedAvgStale", methods.FedAvgStale{}, nil,
+		"acc=3fe6666666666667 loss=3fe6107ce740040b up=277350 down=401364 form=-1 formUp=0 clusters=[] h=8d9c493175a64f6a"},
+	{"FedAvgStale+median", methods.FedAvgStale{}, func() fl.Aggregator { return &fl.Median{} },
+		"acc=3fe3e93e93e93e93 loss=3fea378986da3c20 up=277350 down=401364 form=-1 formUp=0 clusters=[] h=030a19f824aecded"},
+	{"FedAvgStale+trimmed", methods.FedAvgStale{}, func() fl.Aggregator { return &fl.TrimmedMean{Frac: 0.35} },
+		"acc=3fe5dddddddddddd loss=3fe970b5a4578c93 up=277350 down=401364 form=-1 formUp=0 clusters=[] h=f8704153f811ccae"},
+	{"FedBuff", methods.FedBuff{}, nil,
+		"acc=3fe42d82d82d82d8 loss=3fee5325bfc336d4 up=122034 down=401364 form=-1 formUp=0 clusters=[] h=7f70b727e9aeefd1"},
+	{"FedBuff+median", methods.FedBuff{}, func() fl.Aggregator { return &fl.Median{} },
+		"acc=3fe1c71c71c71c72 loss=3ff0d7ec937223cc up=122034 down=401364 form=-1 formUp=0 clusters=[] h=8efebe564921b0ba"},
+	{"FedBuff+trimmed", methods.FedBuff{}, func() fl.Aggregator { return &fl.TrimmedMean{Frac: 0.35} },
+		"acc=3fe3333333333333 loss=3ff04a61e574d1d1 up=122034 down=401364 form=-1 formUp=0 clusters=[] h=18f4a75b2248097d"},
+}
+
 // TestResumeSemiAsync extends the matrix to the staleness-aware methods
 // under a hostile scenario (stragglers, dropouts, jitter): the late-
 // delivery caches, pending buffers, and arrival schedules must all ride
-// the checkpoint.
+// the checkpoint, and the uninterrupted run must land on its pinned
+// fingerprint.
 func TestResumeSemiAsync(t *testing.T) {
-	for _, tr := range []fl.Trainer{methods.FedAvgStale{}, methods.FedBuff{}} {
-		tr := tr
-		t.Run(tr.Name(), func(t *testing.T) {
+	for _, c := range semiAsyncCases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			mkEnv := func() *fl.Env {
-				env := goldenEnv(34, 6, fl.Participation{})
-				env.EvalEvery = 2
-				env.Participation.Scenario = scenario.New(scenario.Config{
-					StragglerFrac: 0.3, SlowdownMax: 4, DropoutRate: 0.15,
-					Deadline: 0.75, Jitter: 0.2,
-				}, 34, len(env.Clients))
-				return env
+				if c.agg == nil {
+					return semiAsyncEnv(nil)
+				}
+				return semiAsyncEnv(c.agg())
 			}
-			want, snaps := captureRun(t, tr, mkEnv())
+			got, snaps := captureRun(t, c.trainer, mkEnv())
+			if got != c.want {
+				t.Fatalf("uninterrupted run drifted from its pin\n got: %s\nwant: %s", got, c.want)
+			}
 			for _, round := range []int{1, 3, 6} {
-				if got := resumeRun(t, tr, mkEnv(), snaps[round]); got != want {
-					t.Errorf("resume from round %d diverged\n got: %s\nwant: %s", round, got, want)
+				if got := resumeRun(t, c.trainer, mkEnv(), snaps[round]); got != c.want {
+					t.Errorf("resume from round %d diverged\n got: %s\nwant: %s", round, got, c.want)
 				}
 			}
 		})
