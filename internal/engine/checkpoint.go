@@ -62,28 +62,20 @@ func (d *RoundDriver) resume(c *fl.Checkpoint) int {
 		panic("engine: resume: " + err.Error())
 	}
 	d.verifyAggIdentity(c)
-	if d.Hooks.LoadState == nil {
-		panic(fmt.Sprintf("engine: %s cannot resume: method has no LoadState hook", d.Res.Method))
-	}
-	if err := c.RestoreResult(d.Res); err != nil {
-		panic("engine: resume: " + err.Error())
-	}
-	if err := d.Hooks.LoadState(c); err != nil {
-		panic("engine: resume: " + err.Error())
-	}
 	// Error-feedback residuals are part of the run's exact state: a
 	// compressed run resumed without them would re-send coordinates the
 	// original run had already fed back. The codec selection is identity,
 	// like the aggregation strategy above.
-	if d.es.ef != nil {
-		if !fl.HasEFState(c) {
-			panic("engine: resume: run uses a sparse codec but checkpoint carries no error-feedback state")
-		}
-		if err := d.es.ef.LoadFrom(c); err != nil {
-			panic("engine: resume: " + err.Error())
-		}
-	} else if fl.HasEFState(c) {
+	if d.es.ef != nil && !fl.HasEFState(c) {
+		panic("engine: resume: run uses a sparse codec but checkpoint carries no error-feedback state")
+	}
+	if d.es.ef == nil && fl.HasEFState(c) {
 		panic("engine: resume: checkpoint carries error-feedback state but run uses a dense codec")
+	}
+	s := c.Loader()
+	d.walkState(s)
+	if s.Err != nil {
+		panic("engine: resume: " + s.Err.Error())
 	}
 	return c.Round
 }
@@ -110,16 +102,9 @@ func (d *RoundDriver) maybeCheckpoint(round int) {
 	if d.es.timing {
 		d.es.stamp = obs.Now()
 	}
-	if d.Hooks.SaveState == nil {
-		panic(fmt.Sprintf("engine: %s checkpoint requested but method has no SaveState hook", d.Res.Method))
-	}
 	c := fl.NewCheckpoint(d.Env, d.Res.Method, round+1, d.NumParams, plan.SpecHash)
-	c.CaptureResult(d.Res)
 	c.SetInts(secRobustAgg, []int64{aggIdentity(d.Env.Aggregator)})
-	if d.es.ef != nil {
-		d.es.ef.SaveTo(c)
-	}
-	d.Hooks.SaveState(c)
+	d.walkState(c.Saver())
 	plan.Sink(c)
 	if ob := d.Env.Observer; ob != nil {
 		ob.ObserveCheckpoint(round + 1)
@@ -130,20 +115,35 @@ func (d *RoundDriver) maybeCheckpoint(round int) {
 	}
 }
 
-// ResumeClustered reads a clustered-FedAvg schedule's state (written by
-// the SaveState hook RunClusteredFedAvg installs) from the environment's
-// pending resume checkpoint. ok is false when there is nothing to resume
-// for this method — the caller then runs its one-shot clustering phase as
-// usual. On ok, the caller skips that phase entirely (its traffic and
-// formation bookkeeping live in the restored Result) and passes the
-// returned assignment and models straight to RunClusteredFedAvg.
+// walkState lists everything a snapshot holds beyond the run's identity —
+// the accumulated Result, the error-feedback residuals of a sparse run,
+// and the method's own server state — in the direction s was built for.
+// Save and resume both run exactly this list.
+func (d *RoundDriver) walkState(s *fl.Sections) {
+	if d.Hooks.State == nil {
+		panic(fmt.Sprintf("engine: %s has no State hook and can neither checkpoint nor resume", d.Res.Method))
+	}
+	s.Result(d.Res)
+	if d.es.ef != nil {
+		d.es.ef.State(s)
+	}
+	d.Hooks.State(s)
+}
+
+// ResumeClustered reports whether the environment carries a pending
+// resume checkpoint for this method's clustered-FedAvg schedule. ok is
+// false when there is nothing to resume — the caller then runs its
+// one-shot clustering phase as usual. On ok, the caller skips that phase
+// entirely (its traffic and formation bookkeeping live in the restored
+// Result) and passes the returned buffers straight to RunClusteredFedAvg:
+// they are sized for the checkpoint's k clusters and still blank — the
+// schedule's State walk fills labels and models like any other method's.
 func (d *RoundDriver) ResumeClustered() (labels []int, k int, models [][]float64, ok bool) {
 	plan := d.Env.Ckpt
 	if plan == nil || plan.Resume == nil || plan.Resume.Method != d.Res.Method {
 		return nil, 0, nil, false
 	}
-	c := plan.Resume
-	meta, err := c.Ints(secClusteredMeta, 1)
+	meta, err := plan.Resume.Ints(secClusteredMeta, 1)
 	if err != nil {
 		panic("engine: resume: " + err.Error())
 	}
@@ -151,48 +151,9 @@ func (d *RoundDriver) ResumeClustered() (labels []int, k int, models [][]float64
 	if k < 1 || k > len(d.Env.Clients) {
 		panic(fmt.Sprintf("engine: resume: checkpoint cluster count %d out of range", k))
 	}
-	labels, err = c.IntSlice(secClusteredLabels, len(d.Env.Clients))
-	if err != nil {
-		panic("engine: resume: " + err.Error())
-	}
-	for i, l := range labels {
-		if l < 0 || l >= k {
-			panic(fmt.Sprintf("engine: resume: client %d labeled %d outside [0,%d)", i, l, k))
-		}
-	}
-	flat, err := c.Vec(secClusteredModels, k*d.NumParams)
-	if err != nil {
-		panic("engine: resume: " + err.Error())
-	}
 	models = make([][]float64, k)
 	for i := range models {
-		models[i] = append([]float64(nil), flat[i*d.NumParams:(i+1)*d.NumParams]...)
+		models[i] = make([]float64, d.NumParams)
 	}
-	return labels, k, models, true
-}
-
-// bindClusteredCheckpoint installs the Save/Load hooks for the fixed
-// assignment + per-cluster models schedule. LoadState only revalidates:
-// ResumeClustered already delivered the restored state to the caller,
-// which passed it into RunClusteredFedAvg.
-func (d *RoundDriver) bindClusteredCheckpoint(labels []int, k int, models [][]float64) {
-	d.Hooks.SaveState = func(c *fl.Checkpoint) {
-		c.SetIntSlice(secClusteredLabels, labels)
-		flat := make([]float64, 0, k*d.NumParams)
-		for _, m := range models {
-			flat = append(flat, m...)
-		}
-		c.SetVec(secClusteredModels, flat)
-		c.SetInts(secClusteredMeta, []int64{int64(k)})
-	}
-	d.Hooks.LoadState = func(c *fl.Checkpoint) error {
-		if _, err := c.Ints(secClusteredMeta, 1); err != nil {
-			return err
-		}
-		if _, err := c.IntSlice(secClusteredLabels, len(labels)); err != nil {
-			return err
-		}
-		_, err := c.Vec(secClusteredModels, k*d.NumParams)
-		return err
-	}
+	return make([]int, len(d.Env.Clients)), k, models, true
 }

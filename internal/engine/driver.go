@@ -154,14 +154,14 @@ type Hooks struct {
 	// (RunClusteredFedAvg wires it) — metadata forwarded to remote
 	// executors. Must be pure and safe for concurrent calls.
 	ClusterOf func(client int) int
-	// SaveState writes the method's cross-round server state (models,
-	// caches, assignments, counters) into a checkpoint. Required when the
-	// environment carries a CheckpointPlan; runs serially after a round.
-	SaveState func(c *fl.Checkpoint)
-	// LoadState restores what SaveState wrote. It must leave the method
-	// in exactly the state an uninterrupted run would hold at the
-	// checkpoint's round, or return an error to abort the resume.
-	LoadState func(c *fl.Checkpoint) error
+	// State lists the method's cross-round server state (models, caches,
+	// assignments, counters) on a checkpoint walk: each persistent buffer
+	// once, by section name. The engine runs the one list both ways — a
+	// saving walk after a round, a loading walk before the first resumed
+	// round, which must leave the method in exactly the state an
+	// uninterrupted run would hold there (a failed load aborts the
+	// resume). Required when the environment carries a CheckpointPlan.
+	State func(s *fl.Sections)
 }
 
 // RoundDriver runs the shared sample → broadcast → local-train →
@@ -389,6 +389,17 @@ func (d *RoundDriver) Combine(dst []float64, vecs [][]float64, ws []float64) {
 	es.suspects += agg.Aggregate(out, deltas, ws)
 	for j := range dst {
 		dst[j] += out[j]
+	}
+}
+
+// CombineClusters folds each cluster's reported members into its model:
+// models[id] ← Combine over the clients assign maps to id, for every id.
+// A cluster whose every member missed the round keeps its model.
+func (d *RoundDriver) CombineClusters(assign []int, models [][]float64) {
+	for id, m := range models {
+		if vecs, ws := d.GatherCluster(assign, id); len(vecs) > 0 {
+			d.Combine(m, vecs, ws)
+		}
 	}
 }
 
@@ -624,16 +635,13 @@ func (d *RoundDriver) RunClusteredFedAvg(labels []int, k int, models [][]float64
 		}
 		return starts
 	}
-	d.Hooks.Aggregate = func(round int, reported []int) {
-		for c := 0; c < k; c++ {
-			vecs, ws := d.GatherCluster(labels, c)
-			if len(vecs) > 0 {
-				d.Combine(models[c], vecs, ws)
-			}
-		}
-	}
+	d.Hooks.Aggregate = func(round int, reported []int) { d.CombineClusters(labels, models) }
 	d.Hooks.Served = func(i int) []float64 { return models[labels[i]] }
-	d.bindClusteredCheckpoint(labels, k, models)
+	d.Hooks.State = func(s *fl.Sections) {
+		s.Scalars(secClusteredMeta, &k)
+		s.IntsIn(secClusteredLabels, labels, 0, k)
+		s.Vecs(secClusteredModels, models)
+	}
 	return d.Run()
 }
 

@@ -242,6 +242,12 @@ func TestHostileResumeEquivalence(t *testing.T) {
 			func() fl.Aggregator { return &fl.Krum{Frac: 0.2, M: 3} }},
 		{"FedBuff+median", func() fl.Trainer { return methods.FedBuff{} },
 			func() fl.Aggregator { return &fl.Median{} }},
+		{"FedAvgStale+trimmed", func() fl.Trainer { return methods.FedAvgStale{} },
+			func() fl.Aggregator { return &fl.TrimmedMean{Frac: 0.35} }},
+		{"CFL+median", func() fl.Trainer { return methods.CFL{WarmupRounds: 2, Eps1: 0.8, Eps2: 0.1} },
+			func() fl.Aggregator { return &fl.Median{} }},
+		{"IFCA+median", func() fl.Trainer { return methods.IFCA{K: 2} },
+			func() fl.Aggregator { return &fl.Median{} }},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {

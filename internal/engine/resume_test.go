@@ -12,6 +12,7 @@ package engine_test
 // so the serialized bytes — not the in-memory snapshot — carry the run.
 
 import (
+	"strings"
 	"testing"
 
 	"fedclust/internal/core"
@@ -180,6 +181,62 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 		}
 	}()
 	methods.FedAvg{}.Run(env)
+}
+
+// TestResumeRejectsTamperedIndexSection: a checkpoint file deserves no
+// more trust than a frame off a socket. An index-valued section (cluster
+// ids, client ids, round stamps) holding a value outside its range — in
+// an otherwise valid, correctly checksummed file — must stop the resume
+// with an error naming the section, not surface rounds later as an
+// index-out-of-range panic inside a gather.
+func TestResumeRejectsTamperedIndexSection(t *testing.T) {
+	for _, tc := range []struct {
+		trainer fl.Trainer
+		section string
+		slot    int
+		value   int64
+	}{
+		{methods.IFCA{K: 2}, "ifca/choice", 0, 2},
+		{methods.IFCA{K: 2}, "ifca/prev", 5, -2},
+		{methods.CFL{}, "cfl/assign", 3, 1},
+		{methods.CFL{}, "cfl/ids", 0, 1},
+		{methods.PACFL{}, "clustered/labels", 2, 2},
+		{methods.FedAvgStale{}, "stale/cached_at", 1, 6},
+		{methods.FedBuff{}, "fedbuff/buf_client", 0, 6},
+		{methods.FedBuff{}, "fedbuff/buf_stale", 0, -1},
+		{methods.FedBuff{}, "fedbuff/arrives", 2, -2},
+		{methods.FedBuff{}, "fedbuff/trained", 2, 6},
+		{methods.FedBuff{}, "fedbuff/busy", 4, 2},
+	} {
+		tc := tc
+		t.Run(tc.section, func(t *testing.T) {
+			t.Parallel()
+			_, snaps := captureRun(t, tc.trainer, semiAsyncEnv(nil))
+			ck, err := fl.DecodeCheckpoint(snaps[3])
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals, err := ck.Ints(tc.section, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals = append([]int64(nil), vals...)
+			vals[tc.slot] = tc.value
+			ck.SetInts(tc.section, vals)
+			if ck, err = fl.DecodeCheckpoint(ck.Encode()); err != nil {
+				t.Fatalf("tampered checkpoint must still decode: %v", err)
+			}
+			env := semiAsyncEnv(nil)
+			env.Ckpt = &fl.CheckpointPlan{Resume: ck}
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "engine: resume: ") || !strings.Contains(msg, tc.section) {
+					t.Fatalf("resume ended with %q, want an engine: resume: error naming %s", msg, tc.section)
+				}
+			}()
+			tc.trainer.Run(env)
+		})
+	}
 }
 
 // TestCheckpointTrigger: the on-demand trigger emits exactly one

@@ -86,8 +86,8 @@ type ScenarioFingerprinter interface {
 }
 
 // NewCheckpoint captures a run's identity after `round` completed rounds.
-// Method state and the Result snapshot are added separately (SetVec,
-// SetInts, CaptureResult).
+// Method state and the Result snapshot are added separately, through a
+// Saver walk.
 func NewCheckpoint(env *Env, method string, round, numParams int, specHash uint64) *Checkpoint {
 	var root rng.Rng
 	root.Reseed(env.Seed)
@@ -148,30 +148,28 @@ func (c *Checkpoint) Matches(env *Env, method string, numParams int) error {
 // SetVec stores a named float64 section. The checkpoint owns a copy, so
 // live training buffers may keep mutating after the snapshot.
 func (c *Checkpoint) SetVec(name string, v []float64) {
+	c.putVec(name, append([]float64(nil), v...))
+}
+
+// putVec stores v itself: the caller hands over ownership.
+func (c *Checkpoint) putVec(name string, v []float64) {
 	if c.vecs == nil {
 		c.vecs = make(map[string][]float64)
 	}
-	c.vecs[name] = append([]float64(nil), v...)
+	c.vecs[name] = v
 }
 
 // SetInts stores a named int64 section (copied).
 func (c *Checkpoint) SetInts(name string, v []int64) {
-	if c.ints == nil {
-		c.ints = make(map[string][]int64)
-	}
-	c.ints[name] = append([]int64(nil), v...)
+	c.putInts(name, append([]int64(nil), v...))
 }
 
-// SetIntSlice is SetInts for int slices (labels, assignments, counters).
-func (c *Checkpoint) SetIntSlice(name string, v []int) {
-	w := make([]int64, len(v))
-	for i, x := range v {
-		w[i] = int64(x)
-	}
+// putInts is putVec for int64 sections.
+func (c *Checkpoint) putInts(name string, v []int64) {
 	if c.ints == nil {
 		c.ints = make(map[string][]int64)
 	}
-	c.ints[name] = w
+	c.ints[name] = v
 }
 
 // Vec returns the named float64 section, enforcing length want (want < 0
@@ -201,22 +199,6 @@ func (c *Checkpoint) Ints(name string, want int) ([]int64, error) {
 	return v, nil
 }
 
-// IntSlice is Ints converted to an int slice.
-func (c *Checkpoint) IntSlice(name string, want int) ([]int, error) {
-	w, err := c.Ints(name, want)
-	if err != nil {
-		return nil, err
-	}
-	v := make([]int, len(w))
-	for i, x := range w {
-		v[i] = int(x)
-	}
-	return v, nil
-}
-
-// HasVec reports whether a named float64 section is present.
-func (c *Checkpoint) HasVec(name string) bool { _, ok := c.vecs[name]; return ok }
-
 // HasInts reports whether a named int64 section is present.
 func (c *Checkpoint) HasInts(name string) bool { _, ok := c.ints[name]; return ok }
 
@@ -235,112 +217,63 @@ const (
 	secResClusters = "result/clusters"
 )
 
-// CaptureResult snapshots the accumulated Result — metrics history,
-// per-client accuracy, the full CommStats ledger (totals, per-round
-// deltas, and the internal snapshot cursors), and cluster bookkeeping.
-func (c *Checkpoint) CaptureResult(res *Result) {
-	c.SetVec(secResScalars, []float64{res.FinalAcc, res.FinalLoss})
-	c.SetVec(secResPerAcc, res.PerClientAcc)
-	hr := make([]int64, len(res.History))
-	ha := make([]float64, len(res.History))
-	hl := make([]float64, len(res.History))
+// Result lists the accumulated Result — metrics history, per-client
+// accuracy, the full CommStats ledger (totals, per-round deltas, and the
+// internal snapshot cursors), and cluster bookkeeping. A load replaces
+// res's accumulated state. Method and Comm.Pricing are run configuration
+// the driver derives from the environment, not state: they are left as
+// set — wiping Pricing would re-price every post-resume round as dense
+// Float64 and fork the byte ledger from the uninterrupted run.
+func (s *Sections) Result(res *Result) {
+	s.Floats(secResScalars, &res.FinalAcc, &res.FinalLoss)
+	s.vec(secResPerAcc, &res.PerClientAcc, -1)
+
+	n := len(res.History)
+	hr, ha, hl := make([]int, n), make([]float64, n), make([]float64, n)
 	for i, m := range res.History {
-		hr[i], ha[i], hl[i] = int64(m.Round), m.MeanAcc, m.MeanLoss
+		hr[i], ha[i], hl[i] = m.Round, m.MeanAcc, m.MeanLoss
 	}
-	c.SetInts(secResHistR, hr)
-	c.SetVec(secResHistAcc, ha)
-	c.SetVec(secResHistLoss, hl)
+	ints(s, secResHistR, &hr, -1)
+	s.vec(secResHistAcc, &ha, len(hr))
+	s.vec(secResHistLoss, &hl, len(hr))
+
 	cm := &res.Comm
-	c.SetInts(secResComm, []int64{cm.UpBytes, cm.DownBytes, cm.snapUp, cm.snapDown, cm.MeasuredUp, cm.MeasuredDown})
-	cr := make([]int64, len(cm.PerRound))
-	cu := make([]int64, len(cm.PerRound))
-	cd := make([]int64, len(cm.PerRound))
+	scalars(s, secResComm, &cm.UpBytes, &cm.DownBytes, &cm.snapUp, &cm.snapDown, &cm.MeasuredUp, &cm.MeasuredDown)
+	n = len(cm.PerRound)
+	cr, cu, cd := make([]int, n), make([]int64, n), make([]int64, n)
 	for i, r := range cm.PerRound {
-		cr[i], cu[i], cd[i] = int64(r.Round), r.UpBytes, r.DownBytes
+		cr[i], cu[i], cd[i] = r.Round, r.UpBytes, r.DownBytes
 	}
-	c.SetInts(secResCommR, cr)
-	c.SetInts(secResCommUp, cu)
-	c.SetInts(secResCommDown, cd)
-	hasClusters := int64(0)
+	ints(s, secResCommR, &cr, -1)
+	ints(s, secResCommUp, &cu, len(cr))
+	ints(s, secResCommDown, &cd, len(cr))
+
+	form, hasClusters := int64(res.ClusterFormationRound), int64(0)
 	if res.Clusters != nil {
 		hasClusters = 1
-		c.SetIntSlice(secResClusters, res.Clusters)
 	}
-	c.SetInts(secResCluster, []int64{int64(res.ClusterFormationRound), res.ClusterFormationUpBytes, hasClusters})
-}
+	scalars(s, secResCluster, &form, &res.ClusterFormationUpBytes, &hasClusters)
+	if hasClusters != 0 {
+		ints(s, secResClusters, &res.Clusters, -1)
+	}
 
-// RestoreResult rebuilds the Result snapshot into res (replacing its
-// accumulated state; Method is left as the driver set it).
-func (c *Checkpoint) RestoreResult(res *Result) error {
-	sc, err := c.Vec(secResScalars, 2)
-	if err != nil {
-		return err
+	// The struct-of-arrays sections above only become History, PerRound
+	// and the cluster fields again once every one of them has loaded.
+	if !s.load || s.Err != nil {
+		return
 	}
-	per, err := c.Vec(secResPerAcc, -1)
-	if err != nil {
-		return err
-	}
-	hr, err := c.Ints(secResHistR, -1)
-	if err != nil {
-		return err
-	}
-	ha, err := c.Vec(secResHistAcc, len(hr))
-	if err != nil {
-		return err
-	}
-	hl, err := c.Vec(secResHistLoss, len(hr))
-	if err != nil {
-		return err
-	}
-	cm, err := c.Ints(secResComm, 6)
-	if err != nil {
-		return err
-	}
-	cr, err := c.Ints(secResCommR, -1)
-	if err != nil {
-		return err
-	}
-	cu, err := c.Ints(secResCommUp, len(cr))
-	if err != nil {
-		return err
-	}
-	cd, err := c.Ints(secResCommDown, len(cr))
-	if err != nil {
-		return err
-	}
-	cl, err := c.Ints(secResCluster, 3)
-	if err != nil {
-		return err
-	}
-	res.FinalAcc, res.FinalLoss = sc[0], sc[1]
-	res.PerClientAcc = append(res.PerClientAcc[:0], per...)
 	res.History = res.History[:0]
 	for i := range hr {
-		res.History = append(res.History, RoundMetrics{Round: int(hr[i]), MeanAcc: ha[i], MeanLoss: hl[i]})
+		res.History = append(res.History, RoundMetrics{Round: hr[i], MeanAcc: ha[i], MeanLoss: hl[i]})
 	}
-	// Pricing is run configuration, not accumulated state — the driver
-	// derives it from the environment's codec selection before restoring.
-	// Wiping it here would re-price every post-resume round as dense
-	// Float64 (the zero value) and fork the byte ledger from the
-	// uninterrupted run.
-	res.Comm = CommStats{
-		Pricing: res.Comm.Pricing,
-		UpBytes: cm[0], DownBytes: cm[1],
-		snapUp: cm[2], snapDown: cm[3],
-		MeasuredUp: cm[4], MeasuredDown: cm[5],
-	}
+	cm.PerRound = cm.PerRound[:0]
 	for i := range cr {
-		res.Comm.PerRound = append(res.Comm.PerRound, RoundComm{Round: int(cr[i]), UpBytes: cu[i], DownBytes: cd[i]})
+		cm.PerRound = append(cm.PerRound, RoundComm{Round: cr[i], UpBytes: cu[i], DownBytes: cd[i]})
 	}
-	res.ClusterFormationRound = int(cl[0])
-	res.ClusterFormationUpBytes = cl[1]
-	res.Clusters = nil
-	if cl[2] != 0 {
-		if res.Clusters, err = c.IntSlice(secResClusters, -1); err != nil {
-			return err
-		}
+	res.ClusterFormationRound = int(form)
+	if hasClusters == 0 {
+		res.Clusters = nil
 	}
-	return nil
 }
 
 // Encode serializes the checkpoint. The layout is deterministic

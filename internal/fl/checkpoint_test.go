@@ -11,6 +11,8 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"fedclust/internal/rng"
@@ -30,7 +32,7 @@ func fullCheckpoint(t testing.TB) *Checkpoint {
 	c.SetVec("global", []float64{1.5, -2.25, math.Pi})
 	c.SetVec("empty", nil)
 	c.SetInts("counters", []int64{-1, 0, 7})
-	c.SetIntSlice("labels", []int{0, 1, 0, 2, 1})
+	c.SetInts("labels", []int64{0, 1, 0, 2, 1})
 	res := &Result{
 		Method:       "FedAvg",
 		FinalAcc:     0.875,
@@ -50,7 +52,7 @@ func fullCheckpoint(t testing.TB) *Checkpoint {
 		ClusterFormationUpBytes: 333,
 		Clusters:                []int{0, 0, 1, 1, 2},
 	}
-	c.CaptureResult(res)
+	c.Saver().Result(res)
 	return c
 }
 
@@ -109,8 +111,10 @@ func TestCheckpointResultRoundTrip(t *testing.T) {
 		t.Fatalf("decode: %v", err)
 	}
 	var res Result
-	if err := got.RestoreResult(&res); err != nil {
-		t.Fatalf("restore: %v", err)
+	l := got.Loader()
+	l.Result(&res)
+	if l.Err != nil {
+		t.Fatalf("restore: %v", l.Err)
 	}
 	if res.FinalAcc != 0.875 || res.FinalLoss != 0.125 {
 		t.Errorf("scalars: acc=%v loss=%v", res.FinalAcc, res.FinalLoss)
@@ -140,17 +144,108 @@ func TestCheckpointResultRoundTrip(t *testing.T) {
 func TestCheckpointResultRoundTripNilClusters(t *testing.T) {
 	env := testEnv(1, 2, 2)
 	c := NewCheckpoint(env, "FedAvg", 1, 1, 0)
-	c.CaptureResult(&Result{ClusterFormationRound: -1})
+	c.Saver().Result(&Result{ClusterFormationRound: -1})
 	var res Result
 	res.Clusters = []int{9, 9} // must be cleared, not kept
-	if err := c.RestoreResult(&res); err != nil {
-		t.Fatalf("restore: %v", err)
+	l := c.Loader()
+	l.Result(&res)
+	if l.Err != nil {
+		t.Fatalf("restore: %v", l.Err)
 	}
 	if res.Clusters != nil {
 		t.Errorf("clusters not cleared: %v", res.Clusters)
 	}
 	if res.ClusterFormationRound != -1 {
 		t.Errorf("formation round: %d", res.ClusterFormationRound)
+	}
+}
+
+// sectionsState is one buffer of every kind a Sections walk lists.
+type sectionsState struct {
+	vec      []float64
+	rows     [][]float64
+	a, b     float64
+	ids      []int
+	queue    []int
+	flags    []bool
+	x, y     int
+	listOnce func(s *Sections)
+}
+
+func newSectionsState(queueLen int) *sectionsState {
+	st := &sectionsState{
+		vec: make([]float64, 3), rows: [][]float64{make([]float64, 2), make([]float64, 2)},
+		ids: make([]int, 4), queue: make([]int, queueLen), flags: make([]bool, 3),
+	}
+	st.listOnce = func(s *Sections) {
+		s.Vec("vec", st.vec)
+		s.Vecs("rows", st.rows)
+		s.Floats("floats", &st.a, &st.b)
+		s.IntsIn("ids", st.ids, -1, 3)
+		s.VarIntsIn("queue", &st.queue, 0, 10)
+		s.Bools("flags", st.flags)
+		s.Scalars("scalars", &st.x, &st.y)
+	}
+	return st
+}
+
+// TestSectionsRoundTrip: one list of buffers, walked by a Saver, encoded,
+// decoded and walked by a Loader into fresh buffers, is the identity; a
+// missing section, a length mismatch or an out-of-range index sets Err,
+// names the section, and leaves every later call inert.
+func TestSectionsRoundTrip(t *testing.T) {
+	src := newSectionsState(2)
+	src.vec = []float64{1.5, -2.25, math.Pi}
+	src.rows = [][]float64{{1, 2}, {3, 4}}
+	src.a, src.b = 0.5, -0.125
+	src.ids = []int{-1, 0, 2, 1}
+	src.queue = []int{9, 0}
+	src.flags = []bool{true, false, true}
+	src.x, src.y = 7, -3
+	c := NewCheckpoint(testEnv(1, 2, 2), "M", 1, 1, 0)
+	save := c.Saver()
+	src.listOnce(save)
+	if save.Err != nil {
+		t.Fatalf("saving walk failed: %v", save.Err)
+	}
+	c, err := DecodeCheckpoint(c.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dst := newSectionsState(5) // the queue's length is state: the load resizes it
+	load := c.Loader()
+	dst.listOnce(load)
+	if load.Err != nil {
+		t.Fatalf("loading walk failed: %v", load.Err)
+	}
+	src.listOnce, dst.listOnce = nil, nil
+	if !reflect.DeepEqual(src, dst) {
+		t.Fatalf("round trip is not the identity:\n got  %+v\n want %+v", dst, src)
+	}
+
+	for name, tc := range map[string]struct {
+		tamper func(c *Checkpoint)
+		want   string
+	}{
+		"missing section": {func(c *Checkpoint) { delete(c.vecs, "rows") }, `"rows"`},
+		"length mismatch": {func(c *Checkpoint) { c.SetVec("floats", []float64{1}) }, `"floats"`},
+		"index below":     {func(c *Checkpoint) { c.SetInts("ids", []int64{-2, 0, 0, 0}) }, `"ids"`},
+		"index above":     {func(c *Checkpoint) { c.SetInts("queue", []int64{10}) }, `"queue"`},
+		"flag not 0/1":    {func(c *Checkpoint) { c.SetInts("flags", []int64{0, 2, 0}) }, `"flags"`},
+	} {
+		bad, _ := DecodeCheckpoint(c.Encode())
+		tc.tamper(bad)
+		dst := newSectionsState(0)
+		load := bad.Loader()
+		dst.listOnce(load)
+		if load.Err == nil || !strings.Contains(load.Err.Error(), tc.want) {
+			t.Errorf("%s: Err = %v, want one naming %s", name, load.Err, tc.want)
+		}
+		// Sections listed after the failure keep their fresh zero values.
+		if dst.x != 0 || dst.y != 0 {
+			t.Errorf("%s: walk kept loading after its failure: scalars = %d, %d", name, dst.x, dst.y)
+		}
 	}
 }
 
@@ -306,7 +401,7 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 	c.SetVec("global", vec)
 	c.SetVec("stale/cache", vec)
 	c.SetInts("stale/cached_at", make([]int64, 64))
-	c.CaptureResult(&Result{PerClientAcc: make([]float64, 64)})
+	c.Saver().Result(&Result{PerClientAcc: make([]float64, 64)})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -325,7 +420,7 @@ func BenchmarkCheckpointDecode(b *testing.B) {
 	c.SetVec("global", vec)
 	c.SetVec("stale/cache", vec)
 	c.SetInts("stale/cached_at", make([]int64, 64))
-	c.CaptureResult(&Result{PerClientAcc: make([]float64, 64)})
+	c.Saver().Result(&Result{PerClientAcc: make([]float64, 64)})
 	enc := c.Encode()
 	b.ReportAllocs()
 	b.SetBytes(int64(len(enc)))

@@ -140,47 +140,20 @@ const (
 	SecEFRes  = "ef/residuals"
 )
 
-// SaveTo writes the accumulator's identity and residuals into named
-// checkpoint sections.
-func (ef *ErrorFeedback) SaveTo(ck *Checkpoint) {
-	np := ef.NumParams()
-	ck.SetInts(SecEFMeta, []int64{
-		int64(ef.Codec),
-		int64(math.Float64bits(ef.Frac)),
-		int64(len(ef.res)),
-		int64(np),
-	})
-	flat := make([]float64, len(ef.res)*np)
-	for i, r := range ef.res {
-		copy(flat[i*np:], r)
+// State lists the accumulator's identity and residual rows for a
+// checkpoint walk. A load refuses state written under another codec,
+// kept fraction or shape — residuals computed under a different
+// quantizer are not this run's residuals.
+func (ef *ErrorFeedback) State(s *Sections) {
+	want := [4]int64{int64(ef.Codec), int64(math.Float64bits(ef.Frac)), int64(len(ef.res)), int64(ef.NumParams())}
+	got := want
+	scalars(s, SecEFMeta, &got[0], &got[1], &got[2], &got[3])
+	if got != want {
+		s.Fail(fmt.Errorf("fl: checkpoint error-feedback state is %s frac %g over %d×%d, run has %s frac %g over %d×%d",
+			wire.Codec(got[0]), math.Float64frombits(uint64(got[1])), got[2], got[3],
+			ef.Codec, ef.Frac, want[2], want[3]))
 	}
-	ck.SetVec(SecEFRes, flat)
-}
-
-// LoadFrom restores residuals saved by SaveTo, validating that the
-// checkpoint's accumulator identity matches this one.
-func (ef *ErrorFeedback) LoadFrom(ck *Checkpoint) error {
-	meta, err := ck.Ints(SecEFMeta, 4)
-	if err != nil {
-		return err
-	}
-	np := ef.NumParams()
-	if wire.Codec(meta[0]) != ef.Codec || math.Float64frombits(uint64(meta[1])) != ef.Frac {
-		return fmt.Errorf("fl: checkpoint error-feedback codec %s frac %g, run has %s frac %g",
-			wire.Codec(meta[0]), math.Float64frombits(uint64(meta[1])), ef.Codec, ef.Frac)
-	}
-	if int(meta[2]) != len(ef.res) || int(meta[3]) != np {
-		return fmt.Errorf("fl: checkpoint error-feedback shape %d×%d, run has %d×%d",
-			meta[2], meta[3], len(ef.res), np)
-	}
-	flat, err := ck.Vec(SecEFRes, len(ef.res)*np)
-	if err != nil {
-		return err
-	}
-	for i, r := range ef.res {
-		copy(r, flat[i*np:(i+1)*np])
-	}
-	return nil
+	s.Vecs(SecEFRes, ef.res)
 }
 
 // HasEFState reports whether a checkpoint carries error-feedback

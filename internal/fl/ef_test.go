@@ -153,8 +153,8 @@ func TestErrorFeedbackReset(t *testing.T) {
 	}
 }
 
-// TestErrorFeedbackCheckpointRoundTrip: SaveTo/LoadFrom restore the
-// residual matrix bit-exactly and refuse identity mismatches.
+// TestErrorFeedbackCheckpointRoundTrip: a saving and a loading State walk
+// restore the residual matrix bit-exactly and refuse identity mismatches.
 func TestErrorFeedbackCheckpointRoundTrip(t *testing.T) {
 	const nClients, n = 4, 40
 	ef := NewErrorFeedback(wire.TopKQuant8, 0.1, nClients, n)
@@ -164,14 +164,16 @@ func TestErrorFeedbackCheckpointRoundTrip(t *testing.T) {
 		ef.Visit(nil, client, efRandVec(r, n), efRandVec(r, n), &s)
 	}
 	var ck Checkpoint
-	ef.SaveTo(&ck)
+	ef.State(ck.Saver())
 	if !HasEFState(&ck) {
-		t.Fatal("HasEFState is false after SaveTo")
+		t.Fatal("HasEFState is false after a saving walk")
 	}
 
 	restored := NewErrorFeedback(wire.TopKQuant8, 0.1, nClients, n)
-	if err := restored.LoadFrom(&ck); err != nil {
-		t.Fatal(err)
+	l := ck.Loader()
+	restored.State(l)
+	if l.Err != nil {
+		t.Fatal(l.Err)
 	}
 	for client := 0; client < nClients; client++ {
 		for i := range ef.res[client] {
@@ -187,8 +189,10 @@ func TestErrorFeedbackCheckpointRoundTrip(t *testing.T) {
 		"frac mismatch":  NewErrorFeedback(wire.TopKQuant8, 0.2, nClients, n),
 		"shape mismatch": NewErrorFeedback(wire.TopKQuant8, 0.1, nClients+1, n),
 	} {
-		if err := other.LoadFrom(&ck); err == nil {
-			t.Errorf("%s: LoadFrom accepted foreign EF state", name)
+		l := ck.Loader()
+		other.State(l)
+		if l.Err == nil {
+			t.Errorf("%s: loading walk accepted foreign EF state", name)
 		}
 	}
 

@@ -65,10 +65,9 @@ func (s FedAvgStale) Run(env *fl.Env) *fl.Result {
 		cachedAt[i] = -1
 	}
 	sum := make([]float64, d.NumParams)
-	// Robust-mode gather scratch: the eligible cached deltas and their
-	// decayed weights, handed to the environment's Aggregator.
-	var rvecs [][]float64
-	var rws []float64
+	// Gather scratch: the eligible cached deltas and their decayed weights.
+	var vecs [][]float64
+	var ws []float64
 
 	d.Hooks.Broadcast = func(round int) [][]float64 {
 		for i := range starts {
@@ -88,102 +87,71 @@ func (s FedAvgStale) Run(env *fl.Env) *fl.Result {
 		// Step by the staleness-decayed weighted mean of all cached
 		// updates. Fresh entries (age 0, decay 1) carry their partial-
 		// work-scaled weight; stale ones fade by Beta per round and are
-		// dropped past MaxStaleness.
-		if env.Aggregator != nil {
-			// Robust path: the step is the Aggregator's combine of the
-			// eligible cached deltas under the same decayed weights —
-			// a poisoned cache entry keeps steering a plain mean for
-			// MaxStaleness rounds, so the defense matters doubly here.
-			rvecs, rws = rvecs[:0], rws[:0]
-			var totalW float64
-			for i := 0; i < n; i++ {
-				if cachedAt[i] < 0 || round-cachedAt[i] > s.MaxStaleness {
-					continue
-				}
-				w := cacheW[i]
-				if age := round - cachedAt[i]; age > 0 {
-					w *= math.Pow(s.Beta, float64(age))
-				}
-				totalW += w
-				rvecs = append(rvecs, cache[i])
-				rws = append(rws, w)
-			}
-			if len(rvecs) == 0 || totalW <= 0 {
-				return
-			}
-			// Combine treats dst as the combine's starting point; the
-			// cached entries are already deltas, so the start is zero.
-			for j := range sum {
-				sum[j] = 0
-			}
-			d.Combine(sum, rvecs, rws)
-			for j := range global {
-				global[j] += sum[j]
-			}
-			return
-		}
-		var totalW float64
-		for j := range sum {
-			sum[j] = 0
-		}
+		// dropped past MaxStaleness. Under a robust Aggregator the step is
+		// its combine of the same deltas and weights — a poisoned cache
+		// entry keeps steering a plain mean for MaxStaleness rounds, so
+		// the defense matters doubly here.
+		vecs, ws = vecs[:0], ws[:0]
 		for i := 0; i < n; i++ {
-			if cachedAt[i] < 0 {
-				continue
-			}
 			age := round - cachedAt[i]
-			if age > s.MaxStaleness {
+			if cachedAt[i] < 0 || age > s.MaxStaleness {
 				continue
 			}
 			w := cacheW[i]
 			if age > 0 {
 				w *= math.Pow(s.Beta, float64(age))
 			}
-			totalW += w
-			for j, v := range cache[i] {
-				sum[j] += w * v
+			vecs = append(vecs, cache[i])
+			ws = append(ws, w)
+		}
+		if div := foldDeltas(d, sum, vecs, ws); div != 0 {
+			for j := range global {
+				global[j] += sum[j] / div
 			}
-		}
-		if totalW <= 0 {
-			return
-		}
-		for j := range global {
-			global[j] += sum[j] / totalW
 		}
 	}
 	d.Hooks.Served = func(int) []float64 { return global }
 	// Checkpoint state: the global model plus the whole staleness cache —
 	// every client's last update, when it reported, and the weight it
 	// carried. sum is per-Aggregate scratch, not state.
-	d.Hooks.SaveState = func(ck *fl.Checkpoint) {
-		ck.SetVec(secGlobal, global)
-		ck.SetVec("stale/cache", arena)
-		ck.SetIntSlice("stale/cached_at", cachedAt)
-		ck.SetVec("stale/cache_w", cacheW)
-	}
-	d.Hooks.LoadState = func(ck *fl.Checkpoint) error {
-		g, err := ck.Vec(secGlobal, d.NumParams)
-		if err != nil {
-			return err
-		}
-		ca, err := ck.Vec("stale/cache", n*d.NumParams)
-		if err != nil {
-			return err
-		}
-		at, err := ck.IntSlice("stale/cached_at", n)
-		if err != nil {
-			return err
-		}
-		cw, err := ck.Vec("stale/cache_w", n)
-		if err != nil {
-			return err
-		}
-		copy(global, g)
-		copy(arena, ca)
-		copy(cachedAt, at)
-		copy(cacheW, cw)
-		return nil
+	d.Hooks.State = func(sec *fl.Sections) {
+		sec.Vec(secGlobal, global)
+		sec.Vec("stale/cache", arena)
+		sec.IntsIn("stale/cached_at", cachedAt, -1, env.Rounds)
+		sec.Vec("stale/cache_w", cacheW)
 	}
 	return d.Run()
+}
+
+// foldDeltas is the one staleness-aware server step: it zeroes sum and
+// folds the delta-space vectors into it under their decayed weights, and
+// returns the divisor the caller's step applies — 0 when the weights sum
+// to nothing and there is no step to take. Without an Aggregator, sum is
+// the raw Σ wᵢ·vᵢ and div = Σ wᵢ: the division happens once, in the
+// caller, which is why this cannot go through fl.WeightedAverageInto (it
+// scales each term by wᵢ/Σw and would move the last bits). With one, sum
+// is its combine from a zero start — the inputs already are deltas — and
+// div = 1, so the caller's x/div and lr/div are exact.
+func foldDeltas(d *engine.RoundDriver, sum []float64, vecs [][]float64, ws []float64) (div float64) {
+	for _, w := range ws {
+		div += w
+	}
+	if div <= 0 {
+		return 0
+	}
+	for j := range sum {
+		sum[j] = 0
+	}
+	if d.Env.Aggregator != nil {
+		d.Combine(sum, vecs, ws)
+		return 1
+	}
+	for i, v := range vecs {
+		for j, x := range v {
+			sum[j] += ws[i] * x
+		}
+	}
+	return div
 }
 
 // FedBuff is a buffered semi-asynchronous FedAvg (after Nguyen et al.'s
@@ -213,14 +181,6 @@ type FedBuff struct {
 // Name implements fl.Trainer.
 func (f FedBuff) Name() string { return "FedBuff" }
 
-// pendingUpdate is one in-flight client update: the delta it will
-// deliver, the round it will arrive, and the round it trained on.
-type pendingUpdate struct {
-	delta   []float64
-	arrives int
-	trained int
-}
-
 // Run implements fl.Trainer.
 func (f FedBuff) Run(env *fl.Env) *fl.Result {
 	n := len(env.Clients)
@@ -245,74 +205,49 @@ func (f FedBuff) Run(env *fl.Env) *fl.Result {
 	// itself moves mid-schedule whenever the buffer flushes.
 	base := make([]float64, d.NumParams)
 
-	// One update slot per client. A device stays busy from the moment it
-	// finishes a pass until the server folds that update in — a busy
-	// device's new training rounds are discarded (it was working on the
-	// old pass), which also keeps the slot's delta stable while a
-	// buffered entry still references it.
-	pending := make([]pendingUpdate, n)
+	// One update slot per client: the delta it will deliver, the round
+	// that lands (-1: nothing in flight) and the round it trained on. A
+	// device stays busy from the moment it finishes a pass until the
+	// server folds that update in — a busy device's new training rounds
+	// are discarded (it was working on the old pass), which also keeps the
+	// slot's delta stable while a buffered entry still references it.
 	pendArena := make([]float64, n*d.NumParams)
-	for i := range pending {
-		pending[i] = pendingUpdate{delta: pendArena[i*d.NumParams : (i+1)*d.NumParams], arrives: -1}
+	deltas := make([][]float64, n)
+	arrives := make([]int, n)
+	trained := make([]int, n)
+	for i := range deltas {
+		deltas[i] = pendArena[i*d.NumParams : (i+1)*d.NumParams]
+		arrives[i] = -1
 	}
 	busy := make([]bool, n)
 	rep := make([]bool, n) // this round's reported set, rebuilt per Aggregate
-	type buffered struct {
-		client    int
-		staleness int
+	// The buffer of delivered updates awaiting a server step, in arrival
+	// order: whose, and how many rounds old.
+	var bufClient, bufStale []int
+	deliver := func(client, staleness int) {
+		bufClient = append(bufClient, client)
+		bufStale = append(bufStale, staleness)
 	}
-	var buffer []buffered
 	sum := make([]float64, d.NumParams)
-	// Robust-mode gather scratch for the buffered deltas.
-	var rvecs [][]float64
-	var rws []float64
+	var vecs [][]float64
+	var ws []float64
 
-	flush := func() {
-		if env.Aggregator != nil {
-			// Robust path: the buffered deltas go through the Aggregator
-			// under their staleness-decayed weights, and the server steps
-			// by ServerLR times the robust combine — a garbage delta
-			// sitting in the buffer cannot own the flush.
-			rvecs, rws = rvecs[:0], rws[:0]
-			var totalW float64
-			for _, b := range buffer {
-				w := d.Weights[b.client] * math.Pow(f.Beta, float64(b.staleness))
-				totalW += w
-				rvecs = append(rvecs, pending[b.client].delta)
-				rws = append(rws, w)
-				busy[b.client] = false
-			}
-			if totalW <= 0 {
-				return
-			}
-			// The buffered entries are already deltas: zero start.
-			for j := range sum {
-				sum[j] = 0
-			}
-			d.Combine(sum, rvecs, rws)
+	// step applies one server step from the first m buffered updates:
+	// their staleness-decayed weighted mean — under a robust Aggregator
+	// its combine of the same deltas and weights, so a garbage delta
+	// sitting in the buffer cannot own the step — scaled by ServerLR.
+	step := func(m int) {
+		vecs, ws = vecs[:0], ws[:0]
+		for b, i := range bufClient[:m] {
+			vecs = append(vecs, deltas[i])
+			ws = append(ws, d.Weights[i]*math.Pow(f.Beta, float64(bufStale[b])))
+			busy[i] = false
+		}
+		if div := foldDeltas(d, sum, vecs, ws); div != 0 {
+			scale := f.ServerLR / div
 			for j := range global {
-				global[j] += f.ServerLR * sum[j]
+				global[j] += scale * sum[j]
 			}
-			return
-		}
-		var totalW float64
-		for j := range sum {
-			sum[j] = 0
-		}
-		for _, b := range buffer {
-			w := d.Weights[b.client] * math.Pow(f.Beta, float64(b.staleness))
-			totalW += w
-			for j, v := range pending[b.client].delta {
-				sum[j] += w * v
-			}
-			busy[b.client] = false
-		}
-		if totalW <= 0 {
-			return
-		}
-		scale := f.ServerLR / totalW
-		for j := range global {
-			global[j] += scale * sum[j]
 		}
 	}
 
@@ -342,11 +277,11 @@ func (f FedBuff) Run(env *fl.Env) *fl.Result {
 		// bytes in the round they land.
 		late := 0
 		for i := 0; i < n; i++ {
-			if pending[i].arrives != round {
+			if arrives[i] != round {
 				continue
 			}
-			buffer = append(buffer, buffered{client: i, staleness: round - pending[i].trained})
-			pending[i].arrives = -1
+			deliver(i, round-trained[i])
+			arrives[i] = -1
 			late++
 		}
 		d.Res.Comm.Upload(late, d.NumParams)
@@ -372,13 +307,13 @@ func (f FedBuff) Run(env *fl.Env) *fl.Result {
 			if lag < 0 || busy[i] || (lag == 0 && !rep[i]) {
 				continue
 			}
-			fl.DeltaInto(pending[i].delta, d.Locals[i], base)
-			pending[i].trained = round
+			fl.DeltaInto(deltas[i], d.Locals[i], base)
+			trained[i] = round
 			busy[i] = true
 			if lag == 0 {
-				buffer = append(buffer, buffered{client: i, staleness: 0})
+				deliver(i, 0)
 			} else {
-				pending[i].arrives = round + lag
+				arrives[i] = round + lag
 			}
 		}
 		// The engine charged every reported client's upload; busy devices
@@ -386,15 +321,14 @@ func (f FedBuff) Run(env *fl.Env) *fl.Result {
 		d.Res.Comm.Upload(-busySkipped, d.NumParams)
 		// Apply server steps for every full buffer; the final round
 		// flushes whatever has arrived so late work is not silently lost.
-		for len(buffer) >= f.Goal {
-			rest := buffer[f.Goal:]
-			buffer = buffer[:f.Goal]
-			flush()
-			buffer = append(buffer[:0], rest...)
+		for len(bufClient) >= f.Goal {
+			step(f.Goal)
+			bufClient = append(bufClient[:0], bufClient[f.Goal:]...)
+			bufStale = append(bufStale[:0], bufStale[f.Goal:]...)
 		}
-		if round == env.Rounds-1 && len(buffer) > 0 {
-			flush()
-			buffer = buffer[:0]
+		if round == env.Rounds-1 && len(bufClient) > 0 {
+			step(len(bufClient))
+			bufClient, bufStale = bufClient[:0], bufStale[:0]
 		}
 	}
 	d.Hooks.Served = func(int) []float64 { return global }
@@ -402,76 +336,17 @@ func (f FedBuff) Run(env *fl.Env) *fl.Result {
 	// arena + arrival/training rounds + busy flags), and the undersized
 	// buffer awaiting its Goal-th entry. base is rebuilt by the next
 	// round's Broadcast and sum is scratch, so neither is state.
-	d.Hooks.SaveState = func(ck *fl.Checkpoint) {
-		ck.SetVec(secGlobal, global)
-		ck.SetVec("fedbuff/deltas", pendArena)
-		arrives := make([]int64, n)
-		trained := make([]int64, n)
-		busyW := make([]int64, n)
-		for i := 0; i < n; i++ {
-			arrives[i] = int64(pending[i].arrives)
-			trained[i] = int64(pending[i].trained)
-			if busy[i] {
-				busyW[i] = 1
-			}
+	d.Hooks.State = func(s *fl.Sections) {
+		s.Vec(secGlobal, global)
+		s.Vec("fedbuff/deltas", pendArena)
+		s.IntsIn("fedbuff/arrives", arrives, -1, math.MaxInt)
+		s.IntsIn("fedbuff/trained", trained, 0, env.Rounds)
+		s.Bools("fedbuff/busy", busy)
+		s.VarIntsIn("fedbuff/buf_client", &bufClient, 0, n)
+		s.VarIntsIn("fedbuff/buf_stale", &bufStale, 0, env.Rounds)
+		if len(bufStale) != len(bufClient) {
+			s.Fail(fmt.Errorf("fedbuff: checkpoint buffers %d clients but %d stalenesses", len(bufClient), len(bufStale)))
 		}
-		ck.SetInts("fedbuff/arrives", arrives)
-		ck.SetInts("fedbuff/trained", trained)
-		ck.SetInts("fedbuff/busy", busyW)
-		bufClient := make([]int64, len(buffer))
-		bufStale := make([]int64, len(buffer))
-		for i, b := range buffer {
-			bufClient[i], bufStale[i] = int64(b.client), int64(b.staleness)
-		}
-		ck.SetInts("fedbuff/buf_client", bufClient)
-		ck.SetInts("fedbuff/buf_stale", bufStale)
-	}
-	d.Hooks.LoadState = func(ck *fl.Checkpoint) error {
-		g, err := ck.Vec(secGlobal, d.NumParams)
-		if err != nil {
-			return err
-		}
-		deltas, err := ck.Vec("fedbuff/deltas", n*d.NumParams)
-		if err != nil {
-			return err
-		}
-		arrives, err := ck.Ints("fedbuff/arrives", n)
-		if err != nil {
-			return err
-		}
-		trained, err := ck.Ints("fedbuff/trained", n)
-		if err != nil {
-			return err
-		}
-		busyW, err := ck.Ints("fedbuff/busy", n)
-		if err != nil {
-			return err
-		}
-		bufClient, err := ck.Ints("fedbuff/buf_client", -1)
-		if err != nil {
-			return err
-		}
-		bufStale, err := ck.Ints("fedbuff/buf_stale", len(bufClient))
-		if err != nil {
-			return err
-		}
-		for _, c := range bufClient {
-			if c < 0 || int(c) >= n {
-				return fmt.Errorf("fedbuff: checkpoint buffers unknown client %d", c)
-			}
-		}
-		copy(global, g)
-		copy(pendArena, deltas)
-		for i := 0; i < n; i++ {
-			pending[i].arrives = int(arrives[i])
-			pending[i].trained = int(trained[i])
-			busy[i] = busyW[i] != 0
-		}
-		buffer = buffer[:0]
-		for i := range bufClient {
-			buffer = append(buffer, buffered{client: int(bufClient[i]), staleness: int(bufStale[i])})
-		}
-		return nil
 	}
 	return d.Run()
 }

@@ -63,9 +63,10 @@ func (c CFL) Run(env *fl.Env) *fl.Result {
 	d := engine.New(env, "CFL")
 	d.FullParticipation = true
 	n := len(env.Clients)
-	// assign[i] = cluster id of client i; models[id] = flat params.
+	// assign[i] = cluster id of client i; models[id] = flat params. Ids
+	// are dense: a split mints len(models) and never empties a cluster.
 	assign := make([]int, n)
-	models := map[int][]float64{0: d.InitParams()}
+	models := [][]float64{d.InitParams()}
 	starts := make([][]float64, n)
 	// deltas[i] is client i's update this round, in one contiguous arena.
 	deltaArena := make([]float64, n*d.NumParams)
@@ -97,9 +98,12 @@ func (c CFL) Run(env *fl.Env) *fl.Result {
 		if refRound < 0 {
 			refRound = round
 		}
-		// Aggregate per cluster, then consider splitting each cluster.
-		ids := clusterIDs(assign)
-		for _, id := range ids {
+		// Aggregate per cluster, then consider splitting each cluster. A
+		// split only relabels members of an already-combined cluster to an
+		// id minted past this loop's range, so combining everything first
+		// folds exactly what combining cluster by cluster would.
+		d.CombineClusters(assign, models)
+		for id, k := 0, len(models); id < k; id++ {
 			members := membersOf(assign, id)
 			// Split statistics may only use updates that actually
 			// arrived this round — deltas of scenario stragglers,
@@ -115,11 +119,9 @@ func (c CFL) Run(env *fl.Env) *fl.Result {
 				}
 			}
 			members = arrived
-			vecs, ws := d.GatherCluster(assign, id)
-			if len(vecs) == 0 {
+			if len(members) == 0 {
 				continue // every member missed the deadline this round
 			}
-			d.Combine(models[id], vecs, ws)
 
 			// Split criterion on this cluster's updates.
 			meanDelta := meanOf(deltas, members)
@@ -151,73 +153,42 @@ func (c CFL) Run(env *fl.Env) *fl.Result {
 				if sizeA < c.MinClusterSize || sizeB < c.MinClusterSize {
 					continue
 				}
-				newID := maxID(assign) + 1
 				for j, i := range members {
 					if split[j] == 1 {
-						assign[i] = newID
+						assign[i] = len(models)
 					}
 				}
-				models[newID] = append([]float64(nil), models[id]...)
+				models = append(models, append([]float64(nil), models[id]...))
 				lastChange = round + 1
 			}
 		}
 	}
 	d.Hooks.Served = func(i int) []float64 { return models[assign[i]] }
-	// Checkpoint state: the assignment, every live cluster model (in
-	// ascending-id order so the layout is deterministic), and the split
-	// machinery's reference scale. The deltas arena is per-round scratch —
-	// fully rewritten before Aggregate reads it — so it is not state.
-	d.Hooks.SaveState = func(ck *fl.Checkpoint) {
-		ids := clusterIDs(assign)
-		ck.SetIntSlice("cfl/ids", ids)
-		ck.SetIntSlice("cfl/assign", assign)
-		flat := make([]float64, 0, len(ids)*d.NumParams)
-		for _, id := range ids {
-			flat = append(flat, models[id]...)
+	// Checkpoint state: the cluster count (as the dense id list it has
+	// always been stored as), the assignment, every cluster model in id
+	// order, and the split machinery's reference scale. The deltas arena is
+	// per-round scratch — fully rewritten before Aggregate reads it — so it
+	// is not state.
+	d.Hooks.State = func(s *fl.Sections) {
+		ids := make([]int, len(models))
+		for id := range ids {
+			ids[id] = id
 		}
-		ck.SetVec("cfl/models", flat)
-		ck.SetInts("cfl/meta", []int64{int64(lastChange), int64(refRound)})
-		ck.SetVec("cfl/ref", []float64{refNorm})
-	}
-	d.Hooks.LoadState = func(ck *fl.Checkpoint) error {
-		ids, err := ck.IntSlice("cfl/ids", -1)
-		if err != nil {
-			return err
-		}
-		asg, err := ck.IntSlice("cfl/assign", n)
-		if err != nil {
-			return err
-		}
-		flat, err := ck.Vec("cfl/models", len(ids)*d.NumParams)
-		if err != nil {
-			return err
-		}
-		meta, err := ck.Ints("cfl/meta", 2)
-		if err != nil {
-			return err
-		}
-		ref, err := ck.Vec("cfl/ref", 1)
-		if err != nil {
-			return err
-		}
-		live := make(map[int]bool, len(ids))
-		for _, id := range ids {
-			live[id] = true
-		}
-		for _, a := range asg {
-			if !live[a] {
-				return fmt.Errorf("cfl: checkpoint assigns a client to unknown cluster %d", a)
+		const secIDs = "cfl/ids"
+		s.VarIntsIn(secIDs, &ids, 0, n)
+		for id := range ids {
+			if ids[id] != id {
+				s.Fail(fmt.Errorf("cfl: checkpoint section %q holds %v, not the dense 0..K-1", secIDs, ids))
+				break
+			}
+			if id == len(models) {
+				models = append(models, make([]float64, d.NumParams))
 			}
 		}
-		copy(assign, asg)
-		for id := range models {
-			delete(models, id)
-		}
-		for j, id := range ids {
-			models[id] = append([]float64(nil), flat[j*d.NumParams:(j+1)*d.NumParams]...)
-		}
-		lastChange, refRound, refNorm = int(meta[0]), int(meta[1]), ref[0]
-		return nil
+		s.IntsIn("cfl/assign", assign, 0, len(models))
+		s.Vecs("cfl/models", models)
+		s.Scalars("cfl/meta", &lastChange, &refRound)
+		s.Floats("cfl/ref", &refNorm)
 	}
 
 	res := d.Run()
@@ -225,25 +196,6 @@ func (c CFL) Run(env *fl.Env) *fl.Result {
 	res.ClusterFormationRound = lastChange
 	res.ClusterFormationUpBytes = clusterFormationUp(&res.Comm, lastChange)
 	return res
-}
-
-// clusterIDs returns the distinct ids present, ascending.
-func clusterIDs(assign []int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, id := range assign {
-		if !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
-	// insertion sort (few clusters)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }
 
 func membersOf(assign []int, id int) []int {
@@ -254,16 +206,6 @@ func membersOf(assign []int, id int) []int {
 		}
 	}
 	return out
-}
-
-func maxID(assign []int) int {
-	m := 0
-	for _, a := range assign {
-		if a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 func meanOf(vecs [][]float64, members []int) []float64 {

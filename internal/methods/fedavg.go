@@ -42,15 +42,7 @@ func runGlobalModel(env *fl.Env, name string) *fl.Result {
 		d.Combine(global, vecs, ws)
 	}
 	d.Hooks.Served = func(int) []float64 { return global }
-	d.Hooks.SaveState = func(c *fl.Checkpoint) { c.SetVec(secGlobal, global) }
-	d.Hooks.LoadState = func(c *fl.Checkpoint) error {
-		v, err := c.Vec(secGlobal, d.NumParams)
-		if err != nil {
-			return err
-		}
-		copy(global, v)
-		return nil
-	}
+	d.Hooks.State = func(s *fl.Sections) { s.Vec(secGlobal, global) }
 	return d.Run()
 }
 

@@ -82,53 +82,18 @@ func (f IFCA) Run(env *fl.Env) *fl.Result {
 			}
 		}
 		copy(prevChoice, choice)
-		// Aggregate per cluster (clusters with no members keep their model).
-		for k := 0; k < f.K; k++ {
-			vecs, ws := d.GatherCluster(choice, k)
-			if len(vecs) > 0 {
-				d.Combine(models[k], vecs, ws)
-			}
-		}
+		d.CombineClusters(choice, models)
 	}
 	d.Hooks.Served = func(i int) []float64 { return models[choice[i]] }
 	// Checkpoint state: the K cluster models, the current and previous
 	// round's picks, and the formation tracker. choice itself feeds both
 	// Served (this round's picks) and the next round's change detection,
 	// so both slices are state.
-	d.Hooks.SaveState = func(ck *fl.Checkpoint) {
-		flat := make([]float64, 0, f.K*d.NumParams)
-		for _, m := range models {
-			flat = append(flat, m...)
-		}
-		ck.SetVec("ifca/models", flat)
-		ck.SetIntSlice("ifca/choice", choice)
-		ck.SetIntSlice("ifca/prev", prevChoice)
-		ck.SetInts("ifca/meta", []int64{int64(lastChange)})
-	}
-	d.Hooks.LoadState = func(ck *fl.Checkpoint) error {
-		flat, err := ck.Vec("ifca/models", f.K*d.NumParams)
-		if err != nil {
-			return err
-		}
-		ch, err := ck.IntSlice("ifca/choice", n)
-		if err != nil {
-			return err
-		}
-		prev, err := ck.IntSlice("ifca/prev", n)
-		if err != nil {
-			return err
-		}
-		meta, err := ck.Ints("ifca/meta", 1)
-		if err != nil {
-			return err
-		}
-		for k := range models {
-			copy(models[k], flat[k*d.NumParams:(k+1)*d.NumParams])
-		}
-		copy(choice, ch)
-		copy(prevChoice, prev)
-		lastChange = int(meta[0])
-		return nil
+	d.Hooks.State = func(s *fl.Sections) {
+		s.Vecs("ifca/models", models)
+		s.IntsIn("ifca/choice", choice, 0, f.K)
+		s.IntsIn("ifca/prev", prevChoice, -1, f.K)
+		s.Scalars("ifca/meta", &lastChange)
 	}
 
 	res := d.Run()
