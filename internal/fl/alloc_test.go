@@ -14,6 +14,7 @@ import (
 	"fedclust/internal/nn"
 	"fedclust/internal/rng"
 	"fedclust/internal/tensor"
+	"fedclust/internal/wire"
 )
 
 // allocModel is small enough that every matmul stays under the tensor
@@ -138,27 +139,39 @@ func TestEvaluateCallSteadyStateAllocs(t *testing.T) {
 // TestLaneWarmVisitZeroAllocs asserts a warm lane runs full-parameter
 // visits across clients of unequal size — the lane-owned batcher rebinds
 // to each, including the n % size tail view and a client smaller than
-// one batch — without touching the heap, in both dtypes and under every
-// codec family, in both the in-process and the node form.
+// one batch, and every layer workspace is reshaped to six different
+// tails — without touching the heap, in both dtypes and under every
+// codec family, in both the in-process and the node form. The LeNet-5
+// population runs one dense and one sparse codec: its convolution
+// workspaces are what the MLP cannot reach.
 func TestLaneWarmVisitZeroAllocs(t *testing.T) {
 	onBothDTypes(t, func(t *testing.T, dtype DType) {
-		for _, cd := range laneCodecs {
-			env := laneEnv(dtype)
-			lane := NewLane(env)
-			start := nn.FlattenParams(env.NewModel())
-			ef := newLaneEF(env, cd, len(start))
-			out := make([]float64, len(start))
-			var reply []byte
-			sweep := func() {
-				for c := range env.Clients {
-					v := laneVisit(env, c, cd, FullParams, start, ef)
-					lane.Visit(v, out)
-					reply = lane.VisitFrame(reply[:0], v, out)
+		for _, tc := range []struct {
+			name   string
+			env    *Env
+			codecs []wire.Codec
+		}{
+			{"mlp", laneEnv(dtype), laneCodecs},
+			{"lenet", laneLeNetEnv(dtype), []wire.Codec{wire.Float64, wire.TopKQuant8}},
+		} {
+			env := tc.env
+			for _, cd := range tc.codecs {
+				lane := NewLane(env)
+				start := nn.FlattenParams(env.NewModel())
+				ef := newLaneEF(env, cd, len(start))
+				out := make([]float64, len(start))
+				var reply []byte
+				sweep := func() {
+					for c := range env.Clients {
+						v := laneVisit(env, c, cd, FullParams, start, ef)
+						lane.Visit(v, out)
+						reply = lane.VisitFrame(reply[:0], v, out)
+					}
 				}
-			}
-			sweep()
-			if n := testing.AllocsPerRun(5, sweep); n != 0 {
-				t.Errorf("%v: warm visits allocate %v times per sweep, want 0", cd, n)
+				sweep()
+				if n := testing.AllocsPerRun(5, sweep); n != 0 {
+					t.Errorf("%s/%v: warm visits allocate %v times per sweep, want 0", tc.name, cd, n)
+				}
 			}
 		}
 	})

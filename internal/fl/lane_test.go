@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"fedclust/internal/data"
 	"fedclust/internal/nn"
+	"fedclust/internal/partition"
 	"fedclust/internal/rng"
 	"fedclust/internal/wire"
 )
@@ -13,15 +15,45 @@ import (
 var laneCodecs = []wire.Codec{wire.Float64, wire.Float32, wire.Quant8, wire.TopK, wire.TopKQuant8}
 
 // laneEnv is tinyEnv with clients of unequal size: a batch-size multiple,
-// an n % size tail, and a client smaller than one batch.
+// a client smaller than one batch, and six distinct n % size tails in
+// all — more batch shapes than any fixed-size cache of workspace headers
+// would hold, as in every Dirichlet population.
 func laneEnv(dtype DType) *Env {
-	env := tinyEnv(4, 91)
+	env := tinyEnv(6, 91)
 	r := rng.New(92)
-	for i, n := range []int{40, 23, 7, 35} {
+	for i, n := range []int{40, 23, 7, 35, 29, 44} {
 		env.Clients[i].Train = tinyDataset(n, r.Derive(uint64(i)))
 	}
 	env.DType = dtype
 	return env
+}
+
+// laneLeNetEnv is laneEnv's population shape on the Table-I network:
+// LeNet-5 at width 0.5 over 3×16×16 images, six clients with six
+// distinct n % size tails.
+func laneLeNetEnv(dtype DType) *Env {
+	train, test := data.Generate(data.SynthConfig{
+		Name: "lane16", C: 3, H: 16, W: 16, Classes: 4, TrainPerClass: 22, TestPerClass: 6,
+		ClassSep: 1, Noise: 1, Seed: 93,
+	})
+	var assign partition.Assignment
+	next := 0
+	for _, n := range []int{20, 13, 7, 15, 9, 24} {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = next + i
+		}
+		assign = append(assign, idx)
+		next += n
+	}
+	return &Env{
+		Clients: BuildClients(train, test, assign, rng.New(94)),
+		Factory: func(r *rng.Rng) *nn.Sequential { return nn.LeNet5(r, 3, 16, 16, 4, 0.5) },
+		Rounds:  3,
+		Local:   LocalConfig{Epochs: 1, BatchSize: 10, LR: 0.05},
+		Seed:    93,
+		DType:   dtype,
+	}
 }
 
 // laneVisit is client c's visit under codec cd reporting the given layer.

@@ -12,6 +12,7 @@ import (
 type ReLU[T tensor.Float] struct {
 	dim     int
 	mask    []bool
+	batch   int
 	out, gx ws[T]
 }
 
@@ -26,7 +27,8 @@ func (r *ReLU[T]) OutDim() int { return r.dim }
 
 // Forward implements Layer.
 func (r *ReLU[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
-	checkBatchInput(r, "", x, r.dim)
+	checkBatchInput(r, "", x, anyBatch, r.dim)
+	r.batch = x.Shape[0]
 	out := r.out.get(x.Shape[0], x.Shape[1])
 	r.mask = growBools(r.mask, len(x.Data))
 	for i, v := range x.Data {
@@ -46,6 +48,7 @@ func (r *ReLU[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if r.mask == nil {
 		panic("nn: ReLU.Backward called before Forward")
 	}
+	checkBatchInput(r, " backward", gradOut, r.batch, r.dim)
 	gx := r.gx.get(gradOut.Shape[0], gradOut.Shape[1])
 	for i, v := range gradOut.Data {
 		if r.mask[i] {
@@ -83,7 +86,7 @@ func (t *Tanh[T]) OutDim() int { return t.dim }
 
 // Forward implements Layer.
 func (t *Tanh[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
-	checkBatchInput(t, "", x, t.dim)
+	checkBatchInput(t, "", x, anyBatch, t.dim)
 	out := t.out.get(x.Shape[0], x.Shape[1])
 	for i, v := range x.Data {
 		out.Data[i] = T(math.Tanh(float64(v)))
@@ -97,6 +100,7 @@ func (t *Tanh[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if t.y == nil {
 		panic("nn: Tanh.Backward called before Forward")
 	}
+	checkBatchInput(t, " backward", gradOut, t.y.Shape[0], t.dim)
 	gx := t.gx.get(gradOut.Shape[0], gradOut.Shape[1])
 	for i, v := range gradOut.Data {
 		y := t.y.Data[i]
@@ -129,6 +133,7 @@ type Dropout[T tensor.Float] struct {
 	P       float64
 	rng     *rng.Rng
 	mask    []bool
+	batch   int
 	active  bool // true when the last Forward was a training pass
 	out, gx ws[T]
 }
@@ -152,13 +157,14 @@ func (d *Dropout[T]) SeedStep(r *rng.Rng) { d.rng = r }
 
 // Forward implements Layer.
 func (d *Dropout[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
-	checkBatchInput(d, "", x, d.dim)
+	checkBatchInput(d, "", x, anyBatch, d.dim)
 	if !train || d.P == 0 {
 		d.active = false
 		return x
 	}
 	out := d.out.get(x.Shape[0], x.Shape[1])
 	d.mask = growBools(d.mask, len(x.Data))
+	d.batch = x.Shape[0]
 	d.active = true
 	scale := T(1 / (1 - d.P))
 	for i, v := range x.Data {
@@ -178,6 +184,7 @@ func (d *Dropout[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if !d.active {
 		return gradOut // eval-mode identity
 	}
+	checkBatchInput(d, " backward", gradOut, d.batch, d.dim)
 	gx := d.gx.get(gradOut.Shape[0], gradOut.Shape[1])
 	scale := T(1 / (1 - d.P))
 	for i, v := range gradOut.Data {

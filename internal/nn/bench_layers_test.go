@@ -31,7 +31,7 @@ func benchLayerOf[T tensor.Float](b *testing.B, l Layer[float64], batch, inDim i
 	for i := 0; i < b.N; i++ {
 		_ = net.Forward(x, true)
 		if backward {
-			_ = net.Backward(gy)
+			net.Backward(gy)
 		}
 	}
 }

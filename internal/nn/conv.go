@@ -21,6 +21,7 @@ type Conv2DOf[T tensor.Float] struct {
 	B      *tensor.Of[T] // (OutC)
 	gw, gb *tensor.Of[T]
 	batch  int
+	noGx   bool // input gradient unread: Backward returns nil
 
 	cols  ws[T] // (batch*outHW, rowLen) unrolled input; reused as gcols in Backward
 	mm    ws[T] // pixel-major matmul output y in Forward, de-interleaved gy in Backward
@@ -66,9 +67,11 @@ func (c *Conv2DOf[T]) InDim() int { return c.Geom.InC * c.Geom.InH * c.Geom.InW 
 // OutDim implements Layer: OutC × OutH × OutW.
 func (c *Conv2DOf[T]) OutDim() int { return c.OutC * c.Geom.OutH() * c.Geom.OutW() }
 
+func (c *Conv2DOf[T]) skipInputGrad() { c.noGx = true }
+
 // Forward implements Layer. The output feature axis is channel-major CHW.
 func (c *Conv2DOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
-	checkBatchInput(c, "", x, c.InDim())
+	checkBatchInput(c, "", x, anyBatch, c.InDim())
 	batch := x.Shape[0]
 	c.batch = batch
 	outHW := c.Geom.OutH() * c.Geom.OutW()
@@ -101,7 +104,7 @@ func (c *Conv2DOf[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if c.batch == 0 {
 		panic("nn: Conv2D.Backward called before Forward")
 	}
-	checkBatchInput(c, " backward", gradOut, c.OutDim())
+	checkBatchInput(c, " backward", gradOut, c.batch, c.OutDim())
 	batch := c.batch
 	outHW := c.Geom.OutH() * c.Geom.OutW()
 	rowLen := c.Geom.InC * c.Geom.KH * c.Geom.KW
@@ -126,6 +129,9 @@ func (c *Conv2DOf[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 		for ch, v := range row {
 			c.gb.Data[ch] += v
 		}
+	}
+	if c.noGx {
+		return nil
 	}
 	// gcols = gy·W (batch*outHW, rowLen), overwriting the cols workspace
 	// (the unrolled input is no longer needed once gw is accumulated);
@@ -176,7 +182,7 @@ func (p *MaxPool2[T]) OutDim() int { return p.C * (p.H / 2) * (p.W / 2) }
 
 // Forward implements Layer.
 func (p *MaxPool2[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
-	checkBatchInput(p, "", x, p.InDim())
+	checkBatchInput(p, "", x, anyBatch, p.InDim())
 	batch := x.Shape[0]
 	p.batch = batch
 	oh, ow := p.H/2, p.W/2
@@ -219,7 +225,7 @@ func (p *MaxPool2[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if p.argmax == nil {
 		panic("nn: MaxPool2.Backward called before Forward")
 	}
-	checkBatchInput(p, " backward", gradOut, p.OutDim())
+	checkBatchInput(p, " backward", gradOut, p.batch, p.OutDim())
 	gx := p.gx.get(p.batch, p.InDim())
 	gx.Zero()
 	for b := 0; b < p.batch; b++ {

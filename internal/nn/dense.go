@@ -17,6 +17,7 @@ type DenseOf[T tensor.Float] struct {
 	B       *tensor.Of[T] // (Out)
 	gw, gb  *tensor.Of[T]
 	x       *tensor.Of[T] // cached input for backward
+	noGx    bool          // input gradient unread: Backward returns nil
 
 	out   ws[T] // forward output (batch, Out)
 	gwTmp ws[T] // per-call weight gradient, accumulated into gw
@@ -53,10 +54,12 @@ func (d *DenseOf[T]) Name() string { return fmt.Sprintf("dense(%d→%d)", d.In, 
 // OutDim implements Layer.
 func (d *DenseOf[T]) OutDim() int { return d.Out }
 
+func (d *DenseOf[T]) skipInputGrad() { d.noGx = true }
+
 // Forward implements Layer: y = x·Wᵀ + b over the batch, reading W in
 // place via the transposed-operand kernel.
 func (d *DenseOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
-	checkBatchInput(d, "", x, d.In)
+	checkBatchInput(d, "", x, anyBatch, d.In)
 	d.x = x
 	batch := x.Shape[0]
 	y := d.out.get(batch, d.Out)
@@ -75,7 +78,7 @@ func (d *DenseOf[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if d.x == nil {
 		panic("nn: Dense.Backward called before Forward")
 	}
-	checkBatchInput(d, " backward", gradOut, d.Out)
+	checkBatchInput(d, " backward", gradOut, d.x.Shape[0], d.Out)
 	// gW += gyᵀ·x ; gb += column sums of gy ; gx = gy·W
 	gw := d.gwTmp.get(d.Out, d.In)
 	tensor.MatMulTransAInto(gw, gradOut, d.x)
@@ -86,6 +89,9 @@ func (d *DenseOf[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 		for j, v := range row {
 			d.gb.Data[j] += v
 		}
+	}
+	if d.noGx {
+		return nil
 	}
 	gx := d.gx.get(batch, d.In)
 	tensor.MatMulInto(gx, gradOut, d.W)

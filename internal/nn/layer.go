@@ -53,7 +53,9 @@ type Layer[T tensor.Float] interface {
 	// accumulating parameter gradients internally. It must be called
 	// after Forward with the matching activation still cached, and may
 	// invalidate that cache (Conv2D reuses its im2col workspace for the
-	// column gradient), so call it at most once per Forward.
+	// column gradient), so call it at most once per Forward. The one
+	// layer a Sequential marked as its first with parameters computes no
+	// dL/d(input) — nothing reads it — and returns nil.
 	Backward(gradOut *tensor.Of[T]) *tensor.Of[T]
 	// Params returns the layer's parameter tensors (possibly empty).
 	// Callers may mutate the contents (that is how aggregation loads
@@ -77,7 +79,16 @@ type SequentialOf[T tensor.Float] struct {
 
 	params, grads []*tensor.Of[T]
 	numParams     int
+	first         int // Backward stops here: no layer below it has parameters
 }
+
+// anyBatch is checkBatchInput's batch for Forward: every row count goes.
+const anyBatch = -1
+
+// inputGradSkipper is the hook of the parameter layers (Dense, Conv2D):
+// skipInputGrad tells the layer that its input gradient is unread, so
+// its Backward accumulates the parameter gradients and returns nil.
+type inputGradSkipper interface{ skipInputGrad() }
 
 // Sequential is the float64 network: what factories build, aggregation
 // flattens and every federated method holds.
@@ -95,6 +106,19 @@ func newSequential[T tensor.Float](layers []Layer[T]) *SequentialOf[T] {
 	for _, p := range s.params {
 		s.numParams += p.Size()
 	}
+	// The gradient with respect to the network's input feeds no parameter
+	// update: the first layer that has parameters is where backpropagation
+	// ends, and that layer need not produce an input gradient at all.
+	for i, l := range layers {
+		if len(l.Params()) == 0 {
+			continue
+		}
+		if h, ok := l.(inputGradSkipper); ok {
+			h.skipInputGrad()
+			s.first = i
+		}
+		break
+	}
 	return s
 }
 
@@ -106,12 +130,14 @@ func (s *SequentialOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	return x
 }
 
-// Backward propagates the loss gradient through all layers in reverse.
-func (s *SequentialOf[T]) Backward(grad *tensor.Of[T]) *tensor.Of[T] {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
+// Backward propagates the loss gradient through the layers in reverse,
+// down to the first one that has parameters, accumulating every
+// parameter gradient. The gradient with respect to the input is not
+// computed.
+func (s *SequentialOf[T]) Backward(grad *tensor.Of[T]) {
+	for i := len(s.Layers) - 1; i >= s.first; i-- {
 		grad = s.Layers[i].Backward(grad)
 	}
-	return grad
 }
 
 // Params returns every parameter tensor in layer order. The returned
@@ -164,12 +190,17 @@ func (s *SequentialOf[T]) String() string {
 // width; layers use it to give actionable shape errors. It takes the
 // layer rather than its name so Name()'s formatting runs only on failure
 // (the happy path is per-batch-step and must not allocate). stage is ""
-// for Forward, " backward" for Backward.
-func checkBatchInput[T tensor.Float](l Layer[T], stage string, x *tensor.Of[T], inDim int) {
+// for Forward, where batch is anyBatch; " backward" for Backward, whose
+// gradOut must also have the rows of the Forward the layer cached — the
+// layers index their caches by it.
+func checkBatchInput[T tensor.Float](l Layer[T], stage string, x *tensor.Of[T], batch, inDim int) {
 	if len(x.Shape) != 2 {
 		panic(fmt.Sprintf("nn: %s%s expects (batch, features) input, got %v", l.Name(), stage, x.Shape))
 	}
 	if x.Shape[1] != inDim {
 		panic(fmt.Sprintf("nn: %s%s expects %d input features, got %d", l.Name(), stage, inDim, x.Shape[1]))
+	}
+	if batch >= 0 && x.Shape[0] != batch {
+		panic(fmt.Sprintf("nn: %s%s expects the forward pass's batch of %d, got %d", l.Name(), stage, batch, x.Shape[0]))
 	}
 }

@@ -38,7 +38,7 @@ func (p *AvgPool2[T]) OutDim() int { return p.C * (p.H / 2) * (p.W / 2) }
 
 // Forward implements Layer.
 func (p *AvgPool2[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
-	checkBatchInput(p, "", x, p.InDim())
+	checkBatchInput(p, "", x, anyBatch, p.InDim())
 	batch := x.Shape[0]
 	p.batch = batch
 	oh, ow := p.H/2, p.W/2
@@ -66,7 +66,7 @@ func (p *AvgPool2[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if p.batch == 0 {
 		panic("nn: AvgPool2.Backward called before Forward")
 	}
-	checkBatchInput(p, " backward", gradOut, p.OutDim())
+	checkBatchInput(p, " backward", gradOut, p.batch, p.OutDim())
 	oh, ow := p.H/2, p.W/2
 	gx := p.gx.get(p.batch, p.InDim())
 	gx.Zero()
@@ -116,7 +116,7 @@ func (s *Sigmoid[T]) OutDim() int { return s.dim }
 
 // Forward implements Layer.
 func (s *Sigmoid[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
-	checkBatchInput(s, "", x, s.dim)
+	checkBatchInput(s, "", x, anyBatch, s.dim)
 	out := s.out.get(x.Shape[0], x.Shape[1])
 	for i, v := range x.Data {
 		out.Data[i] = T(1 / (1 + math.Exp(float64(-v))))
@@ -130,6 +130,7 @@ func (s *Sigmoid[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if s.y == nil {
 		panic("nn: Sigmoid.Backward called before Forward")
 	}
+	checkBatchInput(s, " backward", gradOut, s.y.Shape[0], s.dim)
 	gx := s.gx.get(gradOut.Shape[0], gradOut.Shape[1])
 	for i, v := range gradOut.Data {
 		y := s.y.Data[i]

@@ -29,6 +29,18 @@ func (g ConvGeom) Validate() {
 	}
 }
 
+// taps returns the kernel columns [k0, k1) of output column ox that
+// land inside the image row, and the image column ix tap k0 reads; the
+// taps before k0 and from k1 on read padding. All three are clamped, so a
+// receptive field wholly outside the row (pad ≥ KW) is an empty run at a
+// valid offset.
+func (g ConvGeom) taps(ox int) (k0, k1, ix int) {
+	left := ox*g.Stride - g.Pad // image column of tap 0
+	k0 = min(max(-left, 0), g.KW)
+	k1 = max(min(g.InW-left, g.KW), k0)
+	return k0, k1, min(max(left, 0), g.InW)
+}
+
 // Im2ColInto unrolls a single CHW image (flat slice of length
 // InC*InH*InW) into a (OutH*OutW) × (InC*KH*KW) row-major matrix written
 // into the flat slice dst, whose length must be exactly that product.
@@ -36,6 +48,11 @@ func (g ConvGeom) Validate() {
 // read as zero), so convolution becomes cols · Wᵀ. It is allocation-free:
 // layers unroll each image of a batch into its slice of a shared
 // workspace.
+//
+// It moves runs, not elements: one kernel row of one output pixel is a
+// contiguous stretch of an image row, so the row test is made once per
+// kernel row, the valid tap range once per output pixel, and the body
+// copies that run and zero-fills its edges.
 func Im2ColInto[T Float](img []T, g ConvGeom, dst []T) {
 	g.Validate()
 	outH, outW := g.OutH(), g.OutW()
@@ -48,21 +65,20 @@ func Im2ColInto[T Float](img []T, g ConvGeom, dst []T) {
 	}
 	for oy := 0; oy < outH; oy++ {
 		for ox := 0; ox < outW; ox++ {
+			k0, k1, ix := g.taps(ox)
 			dst := dst[(oy*outW+ox)*rowLen:][:rowLen]
-			di := 0
 			for c := 0; c < g.InC; c++ {
-				chanBase := c * g.InH * g.InW
 				for ky := 0; ky < g.KH; ky++ {
+					run := dst[:g.KW]
+					dst = dst[g.KW:]
 					iy := oy*g.Stride + ky - g.Pad
-					for kx := 0; kx < g.KW; kx++ {
-						ix := ox*g.Stride + kx - g.Pad
-						if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
-							dst[di] = 0
-						} else {
-							dst[di] = img[chanBase+iy*g.InW+ix]
-						}
-						di++
+					if iy < 0 || iy >= g.InH {
+						clear(run)
+						continue
 					}
+					clear(run[:k0])
+					copy(run[k0:k1], img[(c*g.InH+iy)*g.InW+ix:])
+					clear(run[k1:])
 				}
 			}
 		}
@@ -76,6 +92,11 @@ func Im2Col32Into(img []float32, g ConvGeom, dst []float32) { Im2ColInto(img, g,
 // adjoint of Im2ColInto. grad is the flat (OutH*OutW) × (InC*KH*KW)
 // gradient, of exactly that length; the result is accumulated into img,
 // which the caller must pre-zero if a fresh gradient is wanted.
+//
+// Runs as in Im2ColInto. Output pixels are visited row by row, left to
+// right, so an image element receives its addends in ascending (oy, ox)
+// order whatever the geometry: the sums are a pure function of the
+// operands, bit for bit.
 func Col2ImInto[T Float](grad []T, g ConvGeom, img []T) {
 	g.Validate()
 	outH, outW := g.OutH(), g.OutW()
@@ -88,18 +109,19 @@ func Col2ImInto[T Float](grad []T, g ConvGeom, img []T) {
 	}
 	for oy := 0; oy < outH; oy++ {
 		for ox := 0; ox < outW; ox++ {
+			k0, k1, ix := g.taps(ox)
 			src := grad[(oy*outW+ox)*rowLen:][:rowLen]
-			si := 0
 			for c := 0; c < g.InC; c++ {
-				chanBase := c * g.InH * g.InW
 				for ky := 0; ky < g.KH; ky++ {
+					run := src[k0:k1]
+					src = src[g.KW:]
 					iy := oy*g.Stride + ky - g.Pad
-					for kx := 0; kx < g.KW; kx++ {
-						ix := ox*g.Stride + kx - g.Pad
-						if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
-							img[chanBase+iy*g.InW+ix] += src[si]
-						}
-						si++
+					if iy < 0 || iy >= g.InH {
+						continue
+					}
+					into := img[(c*g.InH+iy)*g.InW+ix:][:len(run)]
+					for k, v := range run {
+						into[k] += v
 					}
 				}
 			}

@@ -1,0 +1,145 @@
+package tensor
+
+import (
+	"testing"
+
+	"fedclust/internal/rng"
+)
+
+// The per-element unroll and scatter Im2ColInto / Col2ImInto replaced,
+// kept as the reference the run-based bodies must match bit for bit:
+// four range comparisons per tap, one element per iteration, in the
+// (oy, ox, c, ky, kx) order that fixes every image element's addend
+// order in col2im.
+
+func im2colOracle[T Float](img []T, g ConvGeom, dst []T) {
+	outH, outW := g.OutH(), g.OutW()
+	di := 0
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			for c := 0; c < g.InC; c++ {
+				for ky := 0; ky < g.KH; ky++ {
+					iy := oy*g.Stride + ky - g.Pad
+					for kx := 0; kx < g.KW; kx++ {
+						ix := ox*g.Stride + kx - g.Pad
+						if iy < 0 || iy >= g.InH || ix < 0 || ix >= g.InW {
+							dst[di] = 0
+						} else {
+							dst[di] = img[(c*g.InH+iy)*g.InW+ix]
+						}
+						di++
+					}
+				}
+			}
+		}
+	}
+}
+
+func col2imOracle[T Float](grad []T, g ConvGeom, img []T) {
+	outH, outW := g.OutH(), g.OutW()
+	si := 0
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			for c := 0; c < g.InC; c++ {
+				for ky := 0; ky < g.KH; ky++ {
+					iy := oy*g.Stride + ky - g.Pad
+					for kx := 0; kx < g.KW; kx++ {
+						ix := ox*g.Stride + kx - g.Pad
+						if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
+							img[(c*g.InH+iy)*g.InW+ix] += grad[si]
+						}
+						si++
+					}
+				}
+			}
+		}
+	}
+}
+
+// oracleGeoms is a grid that reaches every edge branch of the run
+// bodies: no pad, pad below / equal to / beyond the kernel size (whole
+// receptive-field rows and columns outside the image), kernels wider
+// and taller than the image, strides 1-3, non-square images and
+// kernels, one and three channels, and the 1×1 kernel.
+func oracleGeoms() []ConvGeom {
+	var out []ConvGeom
+	for _, inC := range []int{1, 3} {
+		for _, hw := range [][2]int{{5, 5}, {4, 7}, {6, 3}, {1, 1}, {2, 9}} {
+			for _, k := range [][2]int{{1, 1}, {3, 3}, {5, 5}, {2, 4}, {5, 2}} {
+				for _, stride := range []int{1, 2, 3} {
+					for _, pad := range []int{0, 1, 2, 5, 7} {
+						g := ConvGeom{InC: inC, InH: hw[0], InW: hw[1], KH: k[0], KW: k[1], Stride: stride, Pad: pad}
+						if (g.InH+2*pad-g.KH) >= 0 && (g.InW+2*pad-g.KW) >= 0 {
+							out = append(out, g)
+						}
+					}
+				}
+			}
+		}
+	}
+	// The shapes the model zoo runs (LeNet-5's two convolutions, VGG's 3×3).
+	return append(out,
+		ConvGeom{InC: 3, InH: 16, InW: 16, KH: 5, KW: 5, Stride: 1, Pad: 2},
+		ConvGeom{InC: 3, InH: 8, InW: 8, KH: 5, KW: 5, Stride: 1, Pad: 0},
+		ConvGeom{InC: 2, InH: 32, InW: 32, KH: 3, KW: 3, Stride: 1, Pad: 1},
+	)
+}
+
+// randFloats returns n draws as T, none of them zero.
+func randFloats[T Float](r *rng.Rng, n int) []T {
+	v := make([]T, n)
+	for i := range v {
+		v[i] = T(r.NormFloat64() + 3)
+	}
+	return v
+}
+
+func firstDiff[T Float](got, want []T) int {
+	for i := range want {
+		if got[i] != want[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+func TestIm2ColMatchesOracle(t *testing.T) {
+	t.Run("float64", testIm2ColMatchesOracle[float64])
+	t.Run("float32", testIm2ColMatchesOracle[float32])
+}
+
+func testIm2ColMatchesOracle[T Float](t *testing.T) {
+	r := rng.New(21)
+	for _, g := range oracleGeoms() {
+		img := randFloats[T](r, g.InC*g.InH*g.InW)
+		n := g.OutH() * g.OutW() * g.InC * g.KH * g.KW
+		// Stale values in dst: every element, padding included, must be written.
+		got, want := randFloats[T](r, n), make([]T, n)
+		Im2ColInto(img, g, got)
+		im2colOracle(img, g, want)
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("%+v: cols[%d] = %v, oracle %v", g, i, got[i], want[i])
+		}
+	}
+}
+
+func TestCol2ImMatchesOracle(t *testing.T) {
+	t.Run("float64", testCol2ImMatchesOracle[float64])
+	t.Run("float32", testCol2ImMatchesOracle[float32])
+}
+
+func testCol2ImMatchesOracle[T Float](t *testing.T) {
+	r := rng.New(22)
+	for _, g := range oracleGeoms() {
+		grad := randFloats[T](r, g.OutH()*g.OutW()*g.InC*g.KH*g.KW)
+		// Accumulate into a non-zero image: rounding then depends on the
+		// order each element receives its addends, which is what is pinned.
+		got := randFloats[T](r, g.InC*g.InH*g.InW)
+		want := append([]T(nil), got...)
+		Col2ImInto(grad, g, got)
+		col2imOracle(grad, g, want)
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("%+v: img[%d] = %v, oracle %v", g, i, got[i], want[i])
+		}
+	}
+}
