@@ -293,9 +293,12 @@ const WarmupRound = 1 << 20
 // CollectPartialWeights performs the warmup phase: every client trains
 // locally from the given initial weights for cfg.WarmupEpochs and the
 // selected layer's update is extracted as that client's clustering
-// feature. Runs clients in parallel over per-worker reused lanes.
-func CollectPartialWeights(env *fl.Env, cfg Config, init []float64) [][]float64 {
-	features, _, _, _ := collectPartialWeights(env, cfg, init, fl.NewLanes(env))
+// feature. Runs clients in parallel over the environment's warm
+// per-worker lanes, borrowed for the call.
+func CollectPartialWeights(env *fl.Env, cfg Config, init []float64) (features [][]float64) {
+	engine.WithLanes(env, func(lanes []*fl.Lane) {
+		features, _, _, _ = collectPartialWeights(env, cfg, init, lanes)
+	})
 	return features
 }
 

@@ -242,6 +242,18 @@ func (d *RoundDriver) close() {
 	}
 }
 
+// WithLanes runs fn on env's warm per-worker lanes. It borrows the
+// environment's cached runtime exactly as New does — built on first use,
+// private when a concurrent run holds the slot — and hands it back when
+// fn returns, so a one-shot phase outside any round schedule
+// (core.CollectPartialWeights) trains on the models and layer workspaces
+// the rounds before and after it use instead of building cold ones.
+func WithLanes(env *fl.Env, fn func(lanes []*fl.Lane)) {
+	d := New(env, "")
+	defer d.close()
+	fn(d.es.lanes)
+}
+
 // InitParams returns a fresh copy of the canonical initial parameters w₀
 // (what nn.FlattenParams(env.NewModel()) yields, without building another
 // model). Callers own the copy and may aggregate into it.

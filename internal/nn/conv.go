@@ -186,11 +186,13 @@ func (p *MaxPool2[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	batch := x.Shape[0]
 	p.batch = batch
 	oh, ow := p.H/2, p.W/2
-	out := p.out.get(batch, p.OutDim())
-	p.argmax = growInts(p.argmax, batch*p.OutDim())
+	outDim := p.OutDim()
+	out := p.out.get(batch, outDim)
+	p.argmax = growInts(p.argmax, batch*outDim)
 	for b := 0; b < batch; b++ {
 		in := x.Row(b)
 		dst := out.Row(b)
+		argmax := p.argmax[b*outDim:][:outDim]
 		for c := 0; c < p.C; c++ {
 			inBase := c * p.H * p.W
 			outBase := c * oh * ow
@@ -212,7 +214,7 @@ func (p *MaxPool2[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 					}
 					oi := outBase + oy*ow + ox
 					dst[oi] = bv
-					p.argmax[b*p.OutDim()+oi] = bi
+					argmax[oi] = bi
 				}
 			}
 		}

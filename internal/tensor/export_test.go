@@ -1,16 +1,16 @@
 package tensor
 
-// SetF32UseASM overrides the float32 kernel dispatch for tests (forcing
-// the generic path on AVX2 hosts and vice versa) and returns the
-// previous value so callers can restore it.
-func SetF32UseASM(v bool) bool {
-	old := f32UseASM
-	f32UseASM = v
+// SetUseASM overrides the assembly gate for tests (forcing the pure-Go
+// bodies on AVX2 hosts and vice versa) and returns the previous value
+// so callers can restore it.
+func SetUseASM(v bool) bool {
+	old := useASM
+	useASM = v
 	return old
 }
 
-// F32UseASM reports which float32 kernel path init selected.
-func F32UseASM() bool { return f32UseASM }
+// UseASM reports which kernel path init selected.
+func UseASM() bool { return useASM }
 
 // MatMul is the allocating form of MatMulInto the product tests are
 // written against.

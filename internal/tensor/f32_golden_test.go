@@ -9,7 +9,7 @@ package tensor_test
 // regenerated to make a change pass.
 //
 // The file lives in package tensor's directory because the kernel-path
-// switch (SetF32UseASM) is test-only API of this package.
+// switch (SetUseASM) is test-only API of this package.
 
 import (
 	"encoding/binary"
@@ -30,7 +30,7 @@ import (
 // onBothF32Paths runs f once per float32 kernel path, pure-Go first. The
 // AVX2 leg is skipped on hosts whose init did not select it.
 func onBothF32Paths(t *testing.T, f func(t *testing.T, path string)) {
-	hasASM := tensor.F32UseASM()
+	hasASM := tensor.UseASM()
 	for _, useASM := range []bool{false, true} {
 		path := "purego"
 		if useASM {
@@ -40,7 +40,7 @@ func onBothF32Paths(t *testing.T, f func(t *testing.T, path string)) {
 			if useASM && !hasASM {
 				t.Skip("host has no AVX2+FMA")
 			}
-			defer tensor.SetF32UseASM(tensor.SetF32UseASM(useASM))
+			defer tensor.SetUseASM(tensor.SetUseASM(useASM))
 			f(t, path)
 		})
 	}

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // ConvGeom describes the geometry of a 2-D convolution over CHW images.
 type ConvGeom struct {
@@ -50,19 +53,69 @@ func (g ConvGeom) taps(ox int) (k0, k1, ix int) {
 // workspace.
 //
 // It moves runs, not elements: one kernel row of one output pixel is a
-// contiguous stretch of an image row, so the row test is made once per
-// kernel row, the valid tap range once per output pixel, and the body
-// copies that run and zero-fills its edges.
+// contiguous stretch of an image row. On AVX2 hosts the runs of a whole
+// output row go through one strided assembly copy (im2colRuns); the Go
+// run loop (im2colGo) is the other path. A copy has no arithmetic, so the
+// two agree bit for bit in any order.
 func Im2ColInto[T Float](img []T, g ConvGeom, dst []T) {
 	g.Validate()
-	outH, outW := g.OutH(), g.OutW()
-	rowLen := g.InC * g.KH * g.KW
 	if len(img) != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Im2Col image length %d, want %d", len(img), g.InC*g.InH*g.InW))
 	}
-	if len(dst) != outH*outW*rowLen {
-		panic(fmt.Sprintf("tensor: Im2Col dst length %d, want %d", len(dst), outH*outW*rowLen))
+	if want := g.OutH() * g.OutW() * g.InC * g.KH * g.KW; len(dst) != want {
+		panic(fmt.Sprintf("tensor: Im2Col dst length %d, want %d", len(dst), want))
 	}
+	if useASM && g.InW+2*g.Pad <= padRowMax {
+		im2colRuns(img, g, dst)
+		return
+	}
+	im2colGo(img, g, dst)
+}
+
+// padRowMax is the widest padded image row (InW + 2·Pad, in elements)
+// im2colRuns holds in its stack buffer: 1 KB in float64. The model zoo's
+// images are 16 to 32 wide; a wider row takes the Go body.
+const padRowMax = 128
+
+// im2colRuns walks (channel, padded image row): it lays the row between
+// zeroed edges in a stack buffer — so padding is data and no run needs
+// clamping — and for every kernel row ky that meets it at an output row
+// oy emits the OutW runs of (oy, c, ky) with one copyRunsAVX2 call: run
+// ox starts Stride elements after run ox-1 in the buffer and one column
+// row (rowLen) after it in dst. Each (oy, ox, c, ky) run is produced by
+// exactly one padded row, so every dst element is written exactly once.
+func im2colRuns[T Float](img []T, g ConvGeom, dst []T) {
+	outH, outW := g.OutH(), g.OutW()
+	rowLen := g.InC * g.KH * g.KW
+	size := int(unsafe.Sizeof(img[0]))
+	var row [padRowMax]T
+	inner := row[g.Pad:][:g.InW]
+	for c := 0; c < g.InC; c++ {
+		for vy := 0; vy < g.InH+2*g.Pad; vy++ {
+			if iy := vy - g.Pad; iy >= 0 && iy < g.InH {
+				copy(inner, img[(c*g.InH+iy)*g.InW:])
+			} else {
+				clear(inner)
+			}
+			for ky := 0; ky < g.KH && ky <= vy; ky++ {
+				oy := (vy - ky) / g.Stride
+				if oy*g.Stride != vy-ky || oy >= outH {
+					continue
+				}
+				copyRunsAVX2(unsafe.Pointer(&dst[oy*outW*rowLen+(c*g.KH+ky)*g.KW]), unsafe.Pointer(&row[0]),
+					g.KW*size, outW, rowLen*size, g.Stride*size)
+			}
+		}
+	}
+}
+
+// im2colGo is the pure-Go unroll: the row test is made once per kernel
+// row, the valid tap range once per output pixel, and the body copies
+// that run and zero-fills its edges. It is the non-amd64 path and the
+// path of rows wider than padRowMax.
+func im2colGo[T Float](img []T, g ConvGeom, dst []T) {
+	outH, outW := g.OutH(), g.OutW()
+	rowLen := g.InC * g.KH * g.KW
 	for oy := 0; oy < outH; oy++ {
 		for ox := 0; ox < outW; ox++ {
 			k0, k1, ix := g.taps(ox)

@@ -16,12 +16,9 @@ package tensor
 // and generic paths may round differently from each other; one path is
 // chosen per process at init, which keeps any single run deterministic.
 
-// f32UseASM is true when init (simd_amd64.go) found AVX2+FMA support.
-var f32UseASM bool
-
 // dot32 returns Σ a[i]*b[i] over len(a) elements (len(b) ≥ len(a)).
 func dot32(a, b []float32) float32 {
-	if f32UseASM && len(a) > 0 {
+	if useASM && len(a) > 0 {
 		return f32DotAVX2(&a[0], &b[0], len(a))
 	}
 	return f32DotGeneric(a, b)
@@ -30,7 +27,7 @@ func dot32(a, b []float32) float32 {
 // dot432 computes four dot products of a against b0..b3, sharing the
 // a-row loads — the j-blocked inner kernel of the transposed-B matmul.
 func dot432(a, b0, b1, b2, b3 []float32) (r0, r1, r2, r3 float32) {
-	if f32UseASM && len(a) > 0 {
+	if useASM && len(a) > 0 {
 		return f32Dot4AVX2(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], len(a))
 	}
 	return f32Dot4Generic(a, b0, b1, b2, b3)
@@ -38,7 +35,7 @@ func dot432(a, b0, b1, b2, b3 []float32) (r0, r1, r2, r3 float32) {
 
 // axpy32 accumulates dst[i] += alpha*x[i] over len(dst) elements.
 func axpy32(dst, x []float32, alpha float32) {
-	if f32UseASM && len(dst) > 0 {
+	if useASM && len(dst) > 0 {
 		f32AxpyAVX2(&dst[0], &x[0], alpha, len(dst))
 		return
 	}
@@ -49,7 +46,7 @@ func axpy32(dst, x []float32, alpha float32) {
 // the 4-wide k-blocked inner kernel of the row-major and transposed-A
 // matmuls (one dst pass instead of four).
 func axpy432(dst, x0, x1, x2, x3 []float32, a0, a1, a2, a3 float32) {
-	if f32UseASM && len(dst) > 0 {
+	if useASM && len(dst) > 0 {
 		f32Axpy4AVX2(&dst[0], &x0[0], &x1[0], &x2[0], &x3[0], a0, a1, a2, a3, len(dst))
 		return
 	}

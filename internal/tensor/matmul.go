@@ -23,7 +23,9 @@ const parallelThreshold = 64 * 1024
 // dot/axpy primitives of kernels32.go, where a zero test would cost more
 // than it saves and break the 4-wide blocking. Either way each output
 // element is summed in a fixed order determined only by the operand
-// shapes, so parallel and serial runs are bit-identical.
+// shapes, so parallel and serial runs are bit-identical. The float64
+// assembly (transBTiles, f64AxpyAVX2) keeps that order and both
+// roundings of every term, so in float64 the gate changes no bit either.
 func MatMulInto[T Float](dst, a, b *Of[T]) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
 		panic("tensor: MatMul requires rank-2 tensors")
@@ -198,7 +200,21 @@ func MatMulTransBInto[T Float](dst, a, b *Of[T]) {
 	runRows(transB, dst, a, b, m, m*n*k)
 }
 
-// matmulTransBRows computes rows [lo,hi) of dst = a·bᵀ as dot products of
+// matmulTransBRows computes rows [lo,hi) of dst = a·bᵀ: on AVX2 hosts
+// whole groups of four rows go through the assembly tile, the rest — the
+// (hi-lo) mod 4 tail, blocks of fewer than four rows, k beyond the panel
+// bound — through the Go body. Both produce the same bits for every
+// element, so where a row block is cut decides nothing.
+func matmulTransBRows(dst, a, b *Tensor, lo, hi int) {
+	if k := a.Shape[1]; useASM && hi-lo >= 4 && k > 0 && k <= transBPanelK {
+		mid := lo + (hi-lo)&^3
+		transBTiles(dst.Data, a.Data, b.Data, k, dst.Shape[1], lo, mid)
+		lo = mid
+	}
+	matmulTransBRowsGo(dst, a, b, lo, hi)
+}
+
+// matmulTransBRowsGo computes rows [lo,hi) of dst = a·bᵀ as dot products of
 // contiguous a-rows and b-rows, four b-rows at a time. The blocking only
 // adds independent accumulator chains (ILP); each output element is still
 // summed over p in increasing order with the skip-zero rule, so results
@@ -211,7 +227,11 @@ func MatMulTransBInto[T Float](dst, a, b *Of[T]) {
 // scalar remainder measured ~1.7× slower end to end on LeNet forward.
 // When touching the summation rule (p order, skip-zero), update ALL
 // four bodies identically; the golden-fingerprint suite enforces it.
-func matmulTransBRows(dst, a, b *Tensor, lo, hi int) {
+//
+// This is the specification of the product: the non-amd64 path, the
+// fallback beside the assembly tile, and what the oracle tests compare
+// the tile against with ==.
+func matmulTransBRowsGo(dst, a, b *Tensor, lo, hi int) {
 	k, n := a.Shape[1], dst.Shape[1]
 	for i := lo; i < hi; i++ {
 		aRow := a.Data[i*k : (i+1)*k]
@@ -295,10 +315,17 @@ func MatMulTransAInto[T Float](dst, a, b *Of[T]) {
 	runRows(transA, dst, a, b, m, m*n*k)
 }
 
+// axpyMinN is the shortest output row handed to f64AxpyAVX2: two vector
+// steps. Shorter rows keep the inline loop.
+const axpyMinN = 8
+
 // matmulTransARows computes rows [lo,hi) of dst = aᵀ·b, streaming a's
-// column i against b's rows.
+// column i against b's rows. The accumulate under the skip-zero branch is
+// f64AxpyAVX2 on AVX2 hosts — product rounded, then the sum, per element
+// as in the loop it stands in for — and the loop itself otherwise.
 func matmulTransARows(dst, a, b *Tensor, lo, hi int) {
 	k, m, n := a.Shape[0], a.Shape[1], dst.Shape[1]
+	wide := useASM && n >= axpyMinN
 	for i := lo; i < hi; i++ {
 		outRow := dst.Data[i*n : (i+1)*n]
 		for x := range outRow {
@@ -310,6 +337,10 @@ func matmulTransARows(dst, a, b *Tensor, lo, hi int) {
 				continue
 			}
 			bRow := b.Data[p*n : (p+1)*n]
+			if wide {
+				f64AxpyAVX2(&outRow[0], &bRow[0], av, n)
+				continue
+			}
 			for j, bv := range bRow {
 				outRow[j] += av * bv
 			}
@@ -318,9 +349,11 @@ func matmulTransARows(dst, a, b *Tensor, lo, hi int) {
 }
 
 // matmulRows computes rows [lo,hi) of dst = a·b using an ikj loop order
-// that streams b rows sequentially (cache-friendly without explicit tiling).
+// that streams b rows sequentially (cache-friendly without explicit
+// tiling); the accumulate is dispatched as in matmulTransARows.
 func matmulRows(dst, a, b *Tensor, lo, hi int) {
 	k, n := a.Shape[1], b.Shape[1]
+	wide := useASM && n >= axpyMinN
 	for i := lo; i < hi; i++ {
 		outRow := dst.Data[i*n : (i+1)*n]
 		for x := range outRow {
@@ -332,6 +365,10 @@ func matmulRows(dst, a, b *Tensor, lo, hi int) {
 				continue
 			}
 			bRow := b.Data[p*n : (p+1)*n]
+			if wide {
+				f64AxpyAVX2(&outRow[0], &bRow[0], av, n)
+				continue
+			}
 			for j, bv := range bRow {
 				outRow[j] += av * bv
 			}

@@ -30,7 +30,7 @@ func relErr32(got, want float64) float64 {
 // exercise every main-loop/mid-loop/tail combination. Skipped when the
 // host has no AVX2 path to compare.
 func TestF32PrimitivesAsmVsGeneric(t *testing.T) {
-	if !F32UseASM() {
+	if !UseASM() {
 		t.Skip("no AVX2+FMA kernel path on this host")
 	}
 	r := rng.New(7)
@@ -134,13 +134,13 @@ func checkClose32(t *testing.T, name string, got *Tensor32, want [][]float64, k 
 // and its remainders, on both kernel paths.
 func TestMatMul32Variants(t *testing.T) {
 	paths := []bool{false}
-	if F32UseASM() {
+	if UseASM() {
 		paths = append(paths, true)
 	}
 	for _, useASM := range paths {
 		t.Run(fmt.Sprintf("asm=%v", useASM), func(t *testing.T) {
-			old := SetF32UseASM(useASM)
-			defer SetF32UseASM(old)
+			old := SetUseASM(useASM)
+			defer SetUseASM(old)
 			r := rng.New(11)
 			shapes := [][3]int{{1, 1, 1}, {2, 3, 4}, {3, 5, 7}, {4, 4, 4}, {5, 9, 6}, {8, 8, 8}, {7, 13, 11}, {16, 10, 20}}
 			for _, s := range shapes {

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"testing"
 
 	"fedclust/internal/rng"
@@ -60,7 +61,10 @@ func col2imOracle[T Float](grad []T, g ConvGeom, img []T) {
 // bodies: no pad, pad below / equal to / beyond the kernel size (whole
 // receptive-field rows and columns outside the image), kernels wider
 // and taller than the image, strides 1-3, non-square images and
-// kernels, one and three channels, and the 1×1 kernel.
+// kernels, one and three channels, and the 1×1 kernel; then kernel
+// widths 1…17 — in float32 and float64 together, a run in every move
+// width of copyRunsAVX2, 4 to 136 bytes — and padded rows exactly at and
+// one element beyond padRowMax (the last taking the Go body).
 func oracleGeoms() []ConvGeom {
 	var out []ConvGeom
 	for _, inC := range []int{1, 3} {
@@ -76,6 +80,18 @@ func oracleGeoms() []ConvGeom {
 				}
 			}
 		}
+	}
+	for kw := 1; kw <= 17; kw++ {
+		for _, stride := range []int{1, 2, 3} {
+			for _, pad := range []int{0, 1, kw, kw + 2} {
+				out = append(out, ConvGeom{InC: 2, InH: 4, InW: 19, KH: 2, KW: kw, Stride: stride, Pad: pad})
+			}
+		}
+	}
+	for _, inW := range []int{padRowMax - 2, padRowMax - 1} {
+		out = append(out,
+			ConvGeom{InC: 2, InH: 3, InW: inW, KH: 2, KW: 3, Stride: 1, Pad: 1},
+			ConvGeom{InC: 1, InH: 2, InW: inW, KH: 1, KW: 5, Stride: 2, Pad: 1})
 	}
 	// The shapes the model zoo runs (LeNet-5's two convolutions, VGG's 3×3).
 	return append(out,
@@ -103,9 +119,26 @@ func firstDiff[T Float](got, want []T) int {
 	return -1
 }
 
+// TestIm2ColMatchesOracle holds both unrolls — the Go run loop (gate
+// off) and, where the host has it, the strided assembly copy — to the
+// per-element oracle.
 func TestIm2ColMatchesOracle(t *testing.T) {
-	t.Run("float64", testIm2ColMatchesOracle[float64])
-	t.Run("float32", testIm2ColMatchesOracle[float32])
+	t.Run("float64", onBothIm2ColPaths(testIm2ColMatchesOracle[float64]))
+	t.Run("float32", onBothIm2ColPaths(testIm2ColMatchesOracle[float32]))
+}
+
+func onBothIm2ColPaths(f func(t *testing.T)) func(t *testing.T) {
+	return func(t *testing.T) {
+		hasASM := UseASM()
+		defer SetUseASM(hasASM)
+		for _, asm := range []bool{false, true} {
+			if asm && !hasASM {
+				continue
+			}
+			SetUseASM(asm)
+			t.Run(fmt.Sprintf("asm=%v", asm), f)
+		}
+	}
 }
 
 func testIm2ColMatchesOracle[T Float](t *testing.T) {

@@ -2,11 +2,12 @@
 
 package tensor
 
-// Runtime feature detection for the AVX2+FMA float32 kernels. The
-// toolchain baseline (GOAMD64=v1) cannot assume AVX, so the assembly in
-// simd_amd64.s is only dispatched after CPUID confirms AVX2 and FMA and
-// XGETBV confirms the OS saves the YMM state. Everything here runs once
-// at package init; the kernels read the resulting f32UseASM flag.
+// Runtime feature detection for the assembly kernels. The toolchain
+// baseline (GOAMD64=v1) cannot assume AVX, so the assembly in
+// simd_amd64.s (float32) and simd64_amd64.s (float64, run copy) is only
+// dispatched after CPUID confirms AVX2 and FMA and XGETBV confirms the OS
+// saves the YMM state. Everything here runs once at package init; the
+// kernels read the resulting useASM flag.
 
 // cpuid executes CPUID with the given leaf and subleaf (implemented in
 // simd_amd64.s).
@@ -54,5 +55,5 @@ func init() {
 	if ebx7&avx2Bit == 0 {
 		return
 	}
-	f32UseASM = true
+	useASM = true
 }

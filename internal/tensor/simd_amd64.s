@@ -3,7 +3,7 @@
 #include "textflag.h"
 
 // Float32 kernel primitives, AVX2+FMA. Dispatched only after the init in
-// simd_amd64.go has verified CPU and OS support (f32UseASM). Every
+// simd_amd64.go has verified CPU and OS support (useASM). Every
 // routine executes VZEROUPPER before returning so mixed AVX/SSE code in
 // the caller pays no state-transition penalty.
 //

@@ -2,7 +2,7 @@
 
 package tensor
 
-// Non-amd64 builds never set f32UseASM, so these stubs are unreachable;
+// Non-amd64 builds never set useASM, so these stubs are unreachable;
 // they exist only to satisfy the references in kernels32.go.
 
 func f32DotAVX2(a, b *float32, n int) float32 {

@@ -7,12 +7,20 @@
 // their own backward passes against these kernels. One implementation,
 // Of[T], serves both element types; only the matmul row kernels and the
 // axpy behind AddScaled differ per type (float64: skip-zero blocked
-// loops, matmul.go; float32: dot/axpy primitives with AVX2 assembly,
-// matmul32.go / kernels32.go), selected once per call from the operand
-// type (DESIGN.md §10).
+// loops, matmul.go; float32: dot/axpy primitives, matmul32.go /
+// kernels32.go), selected once per call from the operand type. On AVX2
+// hosts the inner loops of both — and the run copy under Im2ColInto —
+// are assembly behind one per-process gate (DESIGN.md §10).
 package tensor
 
 import "fmt"
+
+// useASM is true when init (simd_amd64.go) found AVX2+FMA and an OS that
+// saves the YMM state. It is the one gate in front of every assembly
+// kernel — the float32 dot/axpy family, the float64 a·bᵀ tile and axpy,
+// the strided run copy — and it is written once, before any kernel runs:
+// a process never mixes assembly and pure-Go results.
+var useASM bool
 
 // Float is the element-type constraint of the numeric stack.
 type Float interface{ float32 | float64 }
