@@ -7,8 +7,9 @@ package main
 // range, and then runs the selected methods with every assigned client's
 // local pass executing on its node. Nodes (`join`) dial in, rebuild the
 // identical environment replica from the spec, and serve train requests
-// until the coordinator says goodbye. Communication stats on the
-// coordinator are measured off the sockets, not estimated.
+// until the coordinator says goodbye. The coordinator's communication
+// stats are the engine's byte ledger, the same numbers an in-process run
+// reports; what the sockets carried rides beside them as measured_*.
 
 import (
 	"flag"

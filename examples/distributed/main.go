@@ -109,7 +109,7 @@ func runCoordinator(nNodes int, seed uint64) {
 	baseEnv, err := sp.Build()
 	check(err)
 	baseAvg := methods.FedAvg{}.Run(baseEnv)
-	fmt.Printf("FedAvg    acc %.2f%%  (estimated traffic: %s)\n", 100*baseAvg.FinalAcc, baseAvg.Comm.String())
+	fmt.Printf("FedAvg    acc %.2f%%  (traffic: %s)\n", 100*baseAvg.FinalAcc, baseAvg.Comm.String())
 	baseClust := (&core.FedClust{}).Run(baseEnv)
 	fmt.Printf("FedClust  acc %.2f%%  clusters %v\n\n", 100*baseClust.FinalAcc, baseClust.Clusters)
 
@@ -139,7 +139,8 @@ func runCoordinator(nNodes int, seed uint64) {
 
 	start := time.Now()
 	distAvg := methods.FedAvg{}.Run(env)
-	fmt.Printf("FedAvg    acc %.2f%%  (measured wire traffic: %s)\n", 100*distAvg.FinalAcc, distAvg.Comm.String())
+	fmt.Printf("FedAvg    acc %.2f%%  (traffic: %s; the sockets carried up %s, down %s)\n", 100*distAvg.FinalAcc,
+		distAvg.Comm.String(), fl.FormatBytes(distAvg.Comm.MeasuredUp), fl.FormatBytes(distAvg.Comm.MeasuredDown))
 	distClust := (&core.FedClust{}).Run(env)
 	fmt.Printf("FedClust  acc %.2f%%  clusters %v  [%v]\n\n",
 		100*distClust.FinalAcc, distClust.Clusters, time.Since(start).Round(time.Millisecond))

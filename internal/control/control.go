@@ -1,8 +1,8 @@
 // Package control is the coordinator's live control plane: a Tracker
 // that implements fl.RoundObserver to mirror a running federation's
 // progress into mutex-guarded counters, and a small HTTP server exposing
-// them — round progress, per-client outcome counts, measured vs.
-// estimated traffic, straggler histograms — plus an on-demand checkpoint
+// them — round progress, per-client outcome counts, ledger and
+// socket-measured traffic, straggler histograms — plus an on-demand checkpoint
 // trigger wired into the engine's CheckpointPlan.
 package control
 
@@ -38,15 +38,14 @@ type Status struct {
 	Invited     int    `json:"invited"`  // last round's invited count
 	Reported    int    `json:"reported"` // last round's on-time reports
 
-	// Traffic splits the cumulative ledger: Estimated* is the scalar-count
-	// model for in-process clients, Measured* actual framed bytes off the
-	// transport.
-	UpBytes       int64 `json:"up_bytes"`
-	DownBytes     int64 `json:"down_bytes"`
-	MeasuredUp    int64 `json:"measured_up_bytes"`
-	MeasuredDown  int64 `json:"measured_down_bytes"`
-	EstimatedUp   int64 `json:"estimated_up_bytes"`
-	EstimatedDown int64 `json:"estimated_down_bytes"`
+	// Up/DownBytes are the cumulative byte ledger; Measured* is what the
+	// transport's sockets actually carried — equal on a fault-free
+	// fully-remote run, above it under retries and lost uplinks, below it
+	// for clients trained in-process.
+	UpBytes      int64 `json:"up_bytes"`
+	DownBytes    int64 `json:"down_bytes"`
+	MeasuredUp   int64 `json:"measured_up_bytes"`
+	MeasuredDown int64 `json:"measured_down_bytes"`
 
 	// EvalRound/MeanAcc/MeanLoss are the latest recorded evaluation.
 	EvalRound int     `json:"eval_round"`
@@ -194,8 +193,6 @@ func (t *Tracker) ObserveRoundEnd(round, reported int, comm *fl.CommStats) {
 	s.Reported = reported
 	s.UpBytes, s.DownBytes = comm.UpBytes, comm.DownBytes
 	s.MeasuredUp, s.MeasuredDown = comm.MeasuredUp, comm.MeasuredDown
-	s.EstimatedUp = comm.UpBytes - comm.MeasuredUp
-	s.EstimatedDown = comm.DownBytes - comm.MeasuredDown
 	if s.Round == s.TotalRounds {
 		s.Running = false
 	}

@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"fedclust/internal/cluster"
 	"fedclust/internal/engine"
@@ -168,31 +169,16 @@ func (f *FedClust) Run(env *fl.Env) *fl.Result {
 
 	// --- Steps ①–②: broadcast w₀; local warmup; upload partial weights.
 	init := d.InitParams()
-	features, initLayer, downB, upB := collectPartialWeights(env, cfg, init, d.Lanes())
-	if downB == nil {
-		res.Comm.Download(n, d.NumParams) // step ① broadcast
-		// Step ② uploads only the final layer, but it is still a full
-		// framed message — and it always travels dense (sparsification
-		// applies to full-parameter uplinks only), so it is charged under
-		// the dense downlink codec, never the sparse uplink pricing.
-		res.Comm.UploadDense(n, len(features[0]), res.Comm.Pricing.Down)
-	} else {
-		// Remote warmup traffic is measured off the transport; the scalar
-		// estimate covers only the clients that trained in-process.
-		nLocal := 0
-		var down, up int64
-		for i := 0; i < n; i++ {
-			if !env.Remote.Owns(i) {
-				nLocal++
-			}
-			down += downB[i]
-			up += upB[i]
-		}
-		res.Comm.Download(nLocal, d.NumParams)
-		res.Comm.UploadDense(nLocal, len(features[0]), res.Comm.Pricing.Down)
-		res.Comm.DownloadBytes(down)
-		res.Comm.UploadBytes(up)
-	}
+	features, initLayer, measDown, measUp := collectPartialWeights(env, cfg, init, d.Lanes())
+	res.Comm.Download(n, d.NumParams) // step ① broadcast
+	// Step ② uploads only the final layer, but it is still a full framed
+	// message — and it always travels dense (sparsification applies to
+	// full-parameter uplinks only), so it is charged under the dense
+	// downlink codec, never the sparse uplink pricing. One exchange per
+	// client, wherever it trains: a retried remote upload shows only in
+	// the measured bytes.
+	res.Comm.UploadDense(n, len(features[0]), res.Comm.Pricing.Down)
+	res.Comm.Measured(measDown, measUp)
 
 	// --- Steps ③–④: proximity matrix + hierarchical clustering.
 	prox := linalg.PairwiseDistances(cfg.Metric, features)
@@ -306,9 +292,9 @@ func CollectPartialWeights(env *fl.Env, cfg Config, init []float64) (features []
 // per-worker lanes (FedClust.Run passes its round engine's, so the
 // warm-up and the rounds share one set of warm lanes). It also returns the selected
 // layer's parameters under init — the reference every feature is
-// extracted against — and, when the environment routes clients through a
-// RemoteTrainer, the per-client measured wire bytes of the warmup
-// exchange (nil slices otherwise). Local or remote, a warm-up visit is
+// extracted against — and the wire bytes the environment's RemoteTrainer
+// measured over the exchange, every retry included (zero without one).
+// Local or remote, a warm-up visit is
 // the same fl.Lane visit a training round runs, reporting only the
 // selected layer under the dense downlink codec both ways — so the
 // paper's partial-upload property holds on the wire and the features are
@@ -318,7 +304,7 @@ func CollectPartialWeights(env *fl.Env, cfg Config, init []float64) (features []
 // one-shot clustering phase cannot proceed with missing features — and
 // panics from the submitting goroutine once the parallel phase has
 // drained. So does a client whose feature holds a NaN or an infinity.
-func collectPartialWeights(env *fl.Env, cfg Config, init []float64, lanes []*fl.Lane) (features [][]float64, initLayer []float64, downBytes, upBytes []int64) {
+func collectPartialWeights(env *fl.Env, cfg Config, init []float64, lanes []*fl.Lane) (features [][]float64, initLayer []float64, measDown, measUp int64) {
 	n := len(env.Clients)
 	features = make([][]float64, n)
 	local := env.Local
@@ -329,10 +315,7 @@ func collectPartialWeights(env *fl.Env, cfg Config, init []float64, lanes []*fl.
 	nn.LoadParams(ref, init)
 	initLayer = layerVector(ref, cfg)
 	errs := make([]error, n)
-	if env.Remote != nil {
-		downBytes = make([]int64, n)
-		upBytes = make([]int64, n)
-	}
+	var down, up atomic.Int64
 	layerSel := fl.FinalLayer
 	if cfg.ExplicitLayer {
 		layerSel = cfg.WeightLayer
@@ -354,10 +337,10 @@ func collectPartialWeights(env *fl.Env, cfg Config, init []float64, lanes []*fl.
 			}
 			const attempts = 3 // ride out a transiently slow node
 			for a := 0; a < attempts; a++ {
-				var down, up int64
-				down, up, errs[i] = rt.Train(&req, vec)
-				downBytes[i] += down
-				upBytes[i] += up
+				var d, u int64
+				d, u, errs[i] = rt.Train(&req, vec)
+				down.Add(d)
+				up.Add(u)
 				if errs[i] == nil {
 					break
 				}
@@ -396,7 +379,7 @@ func collectPartialWeights(env *fl.Env, cfg Config, init []float64, lanes []*fl.
 			}
 		}
 	}
-	return features, initLayer, downBytes, upBytes
+	return features, initLayer, down.Load(), up.Load()
 }
 
 // centroids computes per-cluster mean feature vectors.

@@ -7,6 +7,7 @@ import (
 
 	"fedclust/internal/cluster"
 	"fedclust/internal/data"
+	"fedclust/internal/engine"
 	"fedclust/internal/fl"
 	"fedclust/internal/linalg"
 	"fedclust/internal/nn"
@@ -106,24 +107,24 @@ func TestFedClustBeatsFedAvgOnGroupedData(t *testing.T) {
 	envB, _ := groupEnv(t, 3, 5, 4)
 	fedclust := (&FedClust{}).Run(envA)
 
-	// Local FedAvg baseline without importing internal/methods (avoids a
-	// dependency cycle in tests): single global model, full aggregation.
-	global := nn.FlattenParams(envB.NewModel())
-	weights := envB.TrainSizes()
-	n := len(envB.Clients)
-	locals := make([][]float64, n)
-	for round := 0; round < envB.Rounds; round++ {
-		envB.ParallelClients(n, func(i int) {
-			m := envB.NewModel()
-			nn.LoadParams(m, global)
-			fl.LocalUpdate(m, envB.Clients[i].Train, envB.Local, envB.ClientRng(i, round))
-			locals[i] = nn.FlattenParams(m)
-		})
-		global = fl.WeightedAverageInto(make([]float64, len(global)), locals, weights)
+	// FedAvg baseline wired straight onto the round engine (importing
+	// internal/methods would be a dependency cycle in tests): one global
+	// model, full participation, evaluated through the Served hook.
+	d := engine.New(envB, "FedAvg")
+	d.FullParticipation = true
+	global, starts := d.InitGlobal(), d.StartsBuf()
+	d.Hooks.Broadcast = func(int) [][]float64 {
+		for i := range starts {
+			starts[i] = global
+		}
+		return starts
 	}
-	served := envB.NewModel()
-	nn.LoadParams(served, global)
-	_, avgAcc, _ := envB.EvaluatePersonalized(func(int) *nn.Sequential { return served })
+	d.Hooks.Aggregate = func(_ int, reported []int) {
+		vecs, ws := d.Gather(reported)
+		d.Combine(global, vecs, ws)
+	}
+	d.Hooks.Served = func(int) []float64 { return global }
+	avgAcc := d.Run().FinalAcc
 
 	if fedclust.FinalAcc <= avgAcc {
 		t.Fatalf("FedClust (%v) should beat FedAvg (%v) on grouped data",

@@ -54,9 +54,11 @@ type ClientCtx struct {
 	// (Hooks.ClusterOf), -1 otherwise — forwarded to remote executors as
 	// round metadata.
 	Cluster int
-	// WireDown and WireUp accumulate the visit's measured transport
-	// traffic (bytes to and from the client's remote executor). Zero for
-	// in-process visits.
+	// WireDown and WireUp accumulate the transport bytes this worker's
+	// visits measured over the round (to and from remote executors; zero
+	// while every visit runs in-process). The engine folds them into
+	// CommStats.Measured* after the parallel phase — the socket's
+	// cross-check of the byte ledger, never the ledger itself.
 	WireDown, WireUp int64
 	// Failed marks the visit as lost — a remote update that never
 	// arrived (timeout, disconnect). The engine removes failed clients
@@ -415,13 +417,6 @@ func (d *RoundDriver) CombineClusters(assign []int, models [][]float64) {
 	}
 }
 
-// DefenseCounts returns the current round's defensive tallies: uplinks
-// masked for non-finite values and inputs the robust aggregator excluded
-// across the round's combines so far. Valid during the round's hooks.
-func (d *RoundDriver) DefenseCounts() (masked, suspects int) {
-	return d.es.masked, d.es.suspects
-}
-
 // maskNonFinite scans the uplinks produced this round and marks any
 // containing NaN or ±Inf as failed — a single poisoned vector would
 // otherwise spread through every average (and through FedAvgStale's
@@ -466,10 +461,6 @@ func (d *RoundDriver) ReportWeight(i int) float64 {
 	}
 	return w
 }
-
-// ScenarioActive reports whether the current round runs under a
-// Participation.Scenario.
-func (d *RoundDriver) ScenarioActive() bool { return d.es.scenOn }
 
 // ScenarioOutcome returns client i's scenario outcome for the current
 // round — completed epochs by the deadline and delivery lag in rounds
@@ -563,17 +554,10 @@ func (d *RoundDriver) RunRound(round int) {
 		es.failMask[i] = false
 	}
 	es.masked, es.suspects = 0, 0
-	if es.remoteOn {
-		// Remote rounds account traffic after the parallel phase
-		// (foldRemote): whether a client's volume is measured off the
-		// transport or estimated depends on what its hook actually did.
-		for i := range es.wireDown {
-			es.wireDown[i], es.wireUp[i] = 0, 0
-			es.visited[i] = false
-		}
-	} else {
-		d.Res.Comm.Download(len(invited), d.downlink(round))
-	}
+	// The byte ledger (DESIGN.md §8): every invited client is charged one
+	// request, every accepted update one response, at the hook-declared
+	// sizes — wherever the client trains.
+	d.Res.Comm.Download(len(invited), d.downlink(round))
 	var starts [][]float64
 	if d.Hooks.Broadcast != nil {
 		starts = d.Hooks.Broadcast(round)
@@ -584,11 +568,11 @@ func (d *RoundDriver) RunRound(round int) {
 	es.lap(phLocal)
 	es.curStarts = nil
 	d.maskNonFinite(invited)
-	if es.remoteOn {
-		reported = d.foldRemote(round, invited, reported)
-	} else {
-		reported = d.dropFailed(reported)
-		d.Res.Comm.Upload(len(reported), d.uplink(round))
+	reported = d.dropFailed(reported)
+	d.Res.Comm.Upload(len(reported), d.uplink(round))
+	for _, ctx := range es.ctxs {
+		d.Res.Comm.Measured(ctx.WireDown, ctx.WireUp)
+		ctx.WireDown, ctx.WireUp = 0, 0
 	}
 	if ob != nil {
 		for _, c := range invited {
@@ -657,48 +641,6 @@ func (d *RoundDriver) RunClusteredFedAvg(labels []int, k int, models [][]float64
 	return d.Run()
 }
 
-// estimated reports whether client i's traffic this round falls back to
-// the scalar-count estimate: it trained in-process — either unowned by
-// the transport, or owned but driven by a custom Local hook that ran
-// locally (no wire traffic recorded, no failure), like IFCA's. Measured
-// bytes take over only for visits that actually crossed the transport.
-func (d *RoundDriver) estimated(i int) bool {
-	es := d.es
-	if !es.remoteMask[i] {
-		return true
-	}
-	return es.visited[i] && es.wireDown[i] == 0 && es.wireUp[i] == 0 && !es.failMask[i]
-}
-
-// foldRemote settles a remote round's communication accounting after
-// the parallel phase — measured wire bytes for visits that crossed the
-// transport, the scalar estimate for everyone who trained in-process —
-// and drops failed visits from the reported set.
-func (d *RoundDriver) foldRemote(round int, invited, reported []int) []int {
-	es := d.es
-	var down, up int64
-	estDown := 0
-	for _, i := range invited {
-		down += es.wireDown[i]
-		up += es.wireUp[i]
-		if d.estimated(i) {
-			estDown++
-		}
-	}
-	d.Res.Comm.Download(estDown, d.downlink(round))
-	d.Res.Comm.DownloadBytes(down)
-	d.Res.Comm.UploadBytes(up)
-	reported = d.dropFailed(reported)
-	estUp := 0
-	for _, i := range reported {
-		if d.estimated(i) {
-			estUp++
-		}
-	}
-	d.Res.Comm.Upload(estUp, d.uplink(round))
-	return reported
-}
-
 // dropFailed removes visits marked failed (a remote update that never
 // arrived, or a custom Local hook disowning its result) from the
 // reported set — exactly like scenario dropouts — and rebuilds the
@@ -744,7 +686,7 @@ func (d *RoundDriver) sample(round int) (invited, reported []int) {
 	es := d.es
 	sc := d.Env.Participation.Scenario
 	es.scenOn = sc != nil
-	es.maskOn = es.scenOn // foldRemote may extend mask coverage later
+	es.maskOn = es.scenOn // dropFailed may extend mask coverage later
 	if sc == nil {
 		if d.FullParticipation {
 			return es.all, es.all

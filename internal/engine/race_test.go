@@ -15,6 +15,7 @@ import (
 	"fedclust/internal/fl"
 	"fedclust/internal/methods"
 	"fedclust/internal/nn"
+	"fedclust/internal/sched"
 )
 
 // TestParallelForWorkerIDsAreGoroutineStable: worker ids must be disjoint
@@ -25,7 +26,7 @@ func TestParallelForWorkerIDsAreGoroutineStable(t *testing.T) {
 	const n, workers = 500, 8
 	busy := make([]int32, workers)
 	var visited int64
-	fl.ParallelForWorker(n, workers, func(w, i int) {
+	sched.Default().Run(n, workers, func(w, i int) {
 		if w < 0 || w >= workers {
 			t.Errorf("worker id %d out of range", w)
 		}
@@ -44,7 +45,7 @@ func TestParallelForWorkerIDsAreGoroutineStable(t *testing.T) {
 func TestParallelForWorkerCoversAllIndices(t *testing.T) {
 	const n = 257
 	counts := make([]int32, n)
-	fl.ParallelForWorker(n, 7, func(_, i int) { atomic.AddInt32(&counts[i], 1) })
+	sched.Default().Run(n, 7, func(_, i int) { atomic.AddInt32(&counts[i], 1) })
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("index %d run %d times", i, c)
@@ -76,17 +77,24 @@ func TestLanesConcurrentTraining(t *testing.T) {
 }
 
 // TestConcurrentEvaluatePersonalizedSharedModel: the historical race — a
-// single served model evaluated by every client in parallel. The
-// per-worker clones inside EvaluatePersonalized must keep this clean
-// under -race and return the same numbers as serial evaluation.
+// single served model evaluated by every client in parallel. Serving it
+// through one instance per worker (EvaluateWithInto's pick contract, the
+// route the engine's lanes take) must keep this clean under -race and
+// return the same numbers as serial evaluation.
 func TestConcurrentEvaluatePersonalizedSharedModel(t *testing.T) {
 	env := goldenEnv(12, 1, fl.Participation{})
-	shared := env.NewModel()
+	shared := nn.FlattenParams(env.NewModel())
+	perWorker := make([]*nn.Sequential, 8)
+	for w := range perWorker {
+		perWorker[w] = env.NewModel()
+		nn.LoadParams(perWorker[w], shared)
+	}
+	pick := func(w, _ int) *nn.Sequential { return perWorker[w] }
 
 	env.Workers = 8
-	perPar, accPar, lossPar := env.EvaluatePersonalized(func(int) *nn.Sequential { return shared })
+	perPar, accPar, lossPar := env.EvaluateWithInto(nil, pick)
 	env.Workers = 1
-	perSer, accSer, lossSer := env.EvaluatePersonalized(func(int) *nn.Sequential { return shared })
+	perSer, accSer, lossSer := env.EvaluateWithInto(nil, pick)
 
 	if accPar != accSer || lossPar != lossSer {
 		t.Fatalf("parallel eval diverged: acc %v vs %v, loss %v vs %v", accPar, accSer, lossPar, lossSer)

@@ -95,17 +95,10 @@ type envState struct {
 	deltas    [][]float64
 	deltaOut  []float64
 
-	// Remote-execution state (client-indexed), live when the environment
-	// carries a RemoteTrainer. remoteMask caches Owns per client;
-	// wireDown/wireUp collect each visit's measured transport bytes;
-	// failMask marks visits whose update never arrived. All gated by
-	// remoteOn so a transport-free round takes the pre-transport path.
-	remoteOn   bool
-	remoteMask []bool
-	wireDown   []int64
-	wireUp     []int64
-	failMask   []bool
-	visited    []bool // hook ran this round (remote rounds only)
+	// failMask (client-indexed) marks this round's visits whose update
+	// the server does not accept: lost in transit, disowned by a custom
+	// Local hook, or masked as non-finite. Reset by RunRound.
+	failMask []bool
 
 	// Method-level scratch handed out by RoundDriver.InitGlobal and
 	// StartsBuf (the global-model and clustered-FedAvg wiring).
@@ -160,11 +153,7 @@ func newEnvState(env *fl.Env) *envState {
 	es.done = make([]int, n)
 	es.lag = make([]int, n)
 	es.repMask = make([]bool, n)
-	es.remoteMask = make([]bool, n)
-	es.wireDown = make([]int64, n)
-	es.wireUp = make([]int64, n)
 	es.failMask = make([]bool, n)
-	es.visited = make([]bool, n)
 	// The failure-filter path rewrites the reported set in place; size
 	// both sampling buffers up front so it never grows them mid-round.
 	es.invited = make([]int, 0, n)
@@ -200,15 +189,11 @@ func newEnvState(env *fl.Env) *envState {
 		if es.d.Hooks.ClusterOf != nil {
 			ctx.Cluster = es.d.Hooks.ClusterOf(i)
 		}
-		ctx.WireDown, ctx.WireUp, ctx.Failed = 0, 0, false
+		ctx.Failed = false
 		if es.d.Hooks.Local != nil {
 			es.d.Hooks.Local(ctx)
 		} else {
 			DefaultLocal(ctx)
-		}
-		if es.remoteOn {
-			es.wireDown[i], es.wireUp[i] = ctx.WireDown, ctx.WireUp
-			es.visited[i] = true
 		}
 		if ctx.Failed {
 			es.failMask[i] = true
@@ -238,20 +223,14 @@ func (es *envState) fits(env *fl.Env) bool {
 // rebind points the cached state at this run's Env pointer and driver.
 // The Env may be a copy of the one the state was built for (FedProx);
 // the contexts must see the copy so hook-visible config (Local) is the
-// run's own. Remote ownership is re-cached here: Owns must be stable for
-// the run, so one query per client up front keeps it off the hot path.
+// run's own.
 func (es *envState) rebind(env *fl.Env, d *RoundDriver) {
 	es.env = env
 	es.d = d
 	for w, ctx := range es.ctxs {
 		ctx.Env = env
+		ctx.WireDown, ctx.WireUp = 0, 0 // a panicked round never folded its own
 		es.lanes[w].Rebind(env)
-	}
-	es.remoteOn = env.Remote != nil
-	if es.remoteOn {
-		for i := range es.remoteMask {
-			es.remoteMask[i] = env.Remote.Owns(i)
-		}
 	}
 	// Residuals are per-run state: a cached runtime may have served a
 	// previous method's run on this environment. Resume restores them

@@ -13,8 +13,8 @@ import (
 // federated run under a straggler scenario with the environment's codec
 // selection active — the engine compresses every uplink (sparse codecs
 // through the error-feedback accumulator) and CommStats prices the exact
-// framed bytes a networked run would measure, so the frontier is built
-// from measured volume, not a scalar-count estimate. Common.Codec is not
+// framed bytes a networked run puts on the wire, so the frontier is
+// built from wire volume, not a flat bytes-per-parameter guess. Common.Codec is not
 // read (the codec is the swept variable); Common.TopKFrac is the sparse
 // codecs' kept fraction (0 = the 1% default).
 type CompressionOptions struct {
@@ -51,9 +51,9 @@ type CompressionRow struct {
 	Method   string
 	Codec    wire.Codec
 	TopKFrac float64 // effective kept fraction (sparse codecs; 0 dense)
-	// UpBytes/DownBytes are the run's total framed transport bytes (the
-	// in-process estimate, which equals loopback measurement byte for
-	// byte — see TestCommEstimateMatchesLoopbackMeasured).
+	// UpBytes/DownBytes are the run's total framed transport bytes: the
+	// byte ledger, identical in-process, over loopback and over TCP (see
+	// TestCommEstimateMatchesLoopbackMeasured).
 	UpBytes   int64
 	DownBytes int64
 	AccPct    float64

@@ -62,15 +62,6 @@ func overlaps(a, b []float64) bool {
 	return aLo <= bHi && bLo <= aHi
 }
 
-// UniformAverage averages parameter vectors with equal weight.
-func UniformAverage(vecs [][]float64) []float64 {
-	w := make([]float64, len(vecs))
-	for i := range w {
-		w[i] = 1
-	}
-	return WeightedAverageInto(make([]float64, len(vecs[0])), vecs, w)
-}
-
 // DeltaInto writes after - before elementwise (a client's model update)
 // into a caller-provided buffer (which may alias `after` but not
 // `before`). Returns dst.

@@ -6,22 +6,23 @@ import (
 	"fedclust/internal/wire"
 )
 
-// CommStats accumulates simulated communication volume. Uplink is
-// client→server, downlink server→client.
+// CommStats is the run's byte ledger (DESIGN.md §8): every exchange the
+// protocol makes, priced once by the closed-form frame sizes, wherever
+// the client trains. Uplink is client→server, downlink server→client.
 type CommStats struct {
 	UpBytes   int64
 	DownBytes int64
-	// Pricing converts the scalar-count estimates below into framed
-	// transport bytes under the environment's codec selection, so an
-	// in-process run reports exactly what a loopback run measures. The
-	// zero value prices dense Float64 frames.
+	// Pricing converts the scalar counts below into framed transport
+	// bytes under the environment's codec selection. The zero value
+	// prices dense Float64 frames.
 	Pricing CommPricing
 	// PerRound records (up, down) per completed round for plots.
 	PerRound []RoundComm
-	// MeasuredUp/MeasuredDown are the subset of the totals that came from
-	// actual framed transport traffic (UploadBytes/DownloadBytes) rather
-	// than scalar-count estimates — the control plane reports both so a
-	// networked run can show measured vs. estimated volume side by side.
+	// MeasuredUp/MeasuredDown are what an attached transport's sockets
+	// actually carried (Measured) — the cross-check of the ledger, not a
+	// part of it. They equal the totals on a fault-free fully-remote run;
+	// retries and crash-dropped uplinks push them above, clients trained
+	// in-process and skipped visits leave them below.
 	MeasuredUp   int64
 	MeasuredDown int64
 	// snapUp/snapDown are the totals already snapshotted into PerRound,
@@ -58,13 +59,9 @@ func (c *CommStats) Download(nClients, nParams int) {
 	c.DownBytes += int64(nClients) * c.Pricing.DownloadBytesFor(nParams)
 }
 
-// UploadBytes records b measured client→server bytes — actual framed
-// traffic reported by an attached transport. The scalar-count estimates
-// above remain the accounting for purely in-process clients.
-func (c *CommStats) UploadBytes(b int64) { c.UpBytes += b; c.MeasuredUp += b }
-
-// DownloadBytes records b measured server→client bytes.
-func (c *CommStats) DownloadBytes(b int64) { c.DownBytes += b; c.MeasuredDown += b }
+// Measured records framed bytes an attached transport actually moved
+// (down server→client, up client→server). It never touches the ledger.
+func (c *CommStats) Measured(down, up int64) { c.MeasuredDown += down; c.MeasuredUp += up }
 
 // EndRound snapshots the traffic delta since the previous EndRound call.
 func (c *CommStats) EndRound(round int) {

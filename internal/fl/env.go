@@ -155,21 +155,6 @@ func (e *Env) ParallelClientsWorker(n int, fn func(worker, i int)) {
 	e.executor().Run(n, e.WorkerCount(), fn)
 }
 
-// ParallelFor runs fn(0..n-1) over up to `workers` concurrent
-// participants of the shared executor.
-func ParallelFor(n, workers int, fn func(i int)) {
-	sched.Default().Run(n, workers, func(_, i int) { fn(i) })
-}
-
-// ParallelForWorker runs fn(worker, 0..n-1) over up to `workers`
-// concurrent participants of the shared executor. Indices are handed out
-// dynamically; the worker id is stable per goroutine for the call and
-// lies in [0, min(workers, n)), so per-worker state indexed by it is
-// never accessed concurrently.
-func ParallelForWorker(n, workers int, fn func(worker, i int)) {
-	sched.Default().Run(n, workers, fn)
-}
-
 // ShouldEval reports whether metrics should be recorded after round r
 // (0-based; the final round always evaluates).
 func (e *Env) ShouldEval(r int) bool {
@@ -226,33 +211,6 @@ func (e *Env) evaluateOn(s *evalScratch, perClient []float64, pick func(worker, 
 		return perClient, 0, 0
 	}
 	return perClient, accSum / float64(valid), lossSum / float64(valid)
-}
-
-// EvaluatePersonalized evaluates, for each client, the model selected by
-// modelFor (e.g. its cluster's model) on the client's local test split and
-// returns per-client accuracies plus the mean accuracy and loss.
-// Clients with empty test sets are skipped in the means.
-//
-// modelFor may return the same model for many clients; evaluation runs on
-// per-worker clones (cached on the environment across calls, reloaded
-// only when the picked source changes), so the returned models are only
-// ever read — layer forward caches would otherwise race across workers.
-func (e *Env) EvaluatePersonalized(modelFor func(clientIdx int) *nn.Sequential) (perClient []float64, meanAcc, meanLoss float64) {
-	s, claimed := e.acquireEval()
-	defer e.releaseEval(s, claimed)
-	return e.evaluateOn(s, make([]float64, len(e.Clients)), func(w, i int) *nn.Sequential {
-		src := modelFor(i)
-		if s.clones[w] == nil {
-			s.clones[w] = e.NewModel()
-			s.load[w] = make([]float64, s.clones[w].NumParams())
-		}
-		if src != s.lastSrc[w] {
-			nn.FlattenParamsInto(src, s.load[w])
-			nn.LoadParams(s.clones[w], s.load[w])
-			s.lastSrc[w] = src
-		}
-		return s.clones[w]
-	})
 }
 
 // TrainSizes returns each client's training-set size as float weights for

@@ -180,9 +180,9 @@ func TestWeightedAveragePanics(t *testing.T) {
 }
 
 func TestUniformAverageAndDelta(t *testing.T) {
-	got := UniformAverage([][]float64{{2, 0}, {4, 6}})
+	got := WeightedAverageInto(make([]float64, 2), [][]float64{{2, 0}, {4, 6}}, []float64{1, 1})
 	if got[0] != 3 || got[1] != 3 {
-		t.Fatalf("UniformAverage = %v", got)
+		t.Fatalf("equal-weight average = %v", got)
 	}
 	d := DeltaInto(make([]float64, 2), []float64{5, 1}, []float64{2, 3})
 	if d[0] != 3 || d[1] != -2 {
@@ -226,10 +226,12 @@ func TestFormatBytes(t *testing.T) {
 }
 
 func TestParallelForCoversAllIndices(t *testing.T) {
+	env := tinyEnv(1, 1)
 	for _, workers := range []int{1, 2, 8} {
 		var count int64
 		seen := make([]int64, 100)
-		ParallelFor(100, workers, func(i int) {
+		env.Workers = workers
+		env.ParallelClientsWorker(100, func(_, i int) {
 			atomic.AddInt64(&count, 1)
 			atomic.AddInt64(&seen[i], 1)
 		})
@@ -242,7 +244,7 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 			}
 		}
 	}
-	ParallelFor(0, 4, func(i int) { t.Fatal("should not run") })
+	env.ParallelClientsWorker(0, func(_, i int) { t.Fatal("should not run") })
 }
 
 func TestEnvNewModelDeterministic(t *testing.T) {
@@ -296,7 +298,8 @@ func TestEvaluatePersonalized(t *testing.T) {
 	model := env.NewModel()
 	merged := data.Merge(env.Clients[0].Train, env.Clients[1].Train)
 	LocalUpdate(model, merged, LocalConfig{Epochs: 30, BatchSize: 16, LR: 0.2}, rng.New(8))
-	per, mean, loss := env.EvaluatePersonalized(func(int) *nn.Sequential { return model })
+	env.Workers = 1 // one served instance, so one evaluating goroutine
+	per, mean, loss := env.EvaluateWithInto(nil, func(int, int) *nn.Sequential { return model })
 	if len(per) != 4 {
 		t.Fatalf("per-client length = %d", len(per))
 	}
@@ -376,7 +379,7 @@ func TestQuant8ParamsStayUsable(t *testing.T) {
 	model := tinyFactory(rng.New(66))
 	LocalUpdate(model, d, LocalConfig{Epochs: 30, BatchSize: 16, LR: 0.2}, r)
 	_, accBefore := Evaluate(model, d, 32)
-	vec, err := wire.Decode(wire.Encode(wire.Quant8, nn.FlattenParams(model)))
+	vec, err := wire.Decode(wire.EncodeInto(nil, wire.Quant8, nn.FlattenParams(model)))
 	if err != nil {
 		t.Fatal(err)
 	}

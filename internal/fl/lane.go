@@ -76,7 +76,7 @@ func NewLane(env *Env) *Lane {
 // NewLanes builds one lane per executor worker of env — the pool behind
 // the round engine, FedClust's warm-up and a transport node. Indexed by
 // the executor's worker id it needs no locking: slot w is only ever
-// touched by worker w (ParallelForWorker's ids are goroutine-stable).
+// touched by worker w (the executor's worker ids are goroutine-stable).
 // Every visit loads its starting weights in place and resets the
 // optimizer, so reuse is bit-equivalent to a fresh lane provided the
 // environment's Factory embeds no mutable state that survives

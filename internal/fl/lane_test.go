@@ -100,7 +100,7 @@ func TestLaneOnePipeline(t *testing.T) {
 							// The node loads a start that already crossed the wire.
 							v := laneVisit(env, c, cd, layer, start, efNode)
 							if v.Down != wire.Float64 {
-								narrowed, err := wire.Decode(wire.Encode(v.Down, start))
+								narrowed, err := wire.Decode(wire.EncodeInto(nil, v.Down, start))
 								if err != nil {
 									t.Fatal(err)
 								}

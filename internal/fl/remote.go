@@ -46,7 +46,7 @@ type RemoteRequest struct {
 // Implementations (internal/transport.Fleet) must be safe for concurrent
 // Train calls — the engine issues one per parallel client visit — and
 // Owns must be a pure function of the client index for the lifetime of a
-// run (ownership is cached per round engine).
+// run.
 type RemoteTrainer interface {
 	// Owns reports whether client's data and compute live remotely.
 	Owns(client int) bool
@@ -57,7 +57,8 @@ type RemoteTrainer interface {
 	// computed frame sizes for in-process loopback — and a non-nil error
 	// when the update did not arrive (timeout, disconnect, remote
 	// failure). On error the engine treats the client like a dropout:
-	// excluded from the round's reported set, its partial bytes still
-	// accounted.
+	// excluded from the round's reported set. The byte counts feed only
+	// CommStats.Measured*, the ledger's cross-check; the ledger itself is
+	// priced by the engine, once, for every execution mode.
 	Train(req *RemoteRequest, out []float64) (down, up int64, err error)
 }

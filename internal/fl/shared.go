@@ -59,8 +59,7 @@ func (s *EnvShared) ReleaseRuntime(v any) {
 
 // evalScratch is the reusable state of the evaluation protocol: the
 // per-client result columns, one warm TrainScratch (loss head, batcher,
-// float32 shadow) per worker, the per-worker clone models of
-// EvaluatePersonalized, and the persistent executor task. One
+// float32 shadow) per worker, and the persistent executor task. One
 // evalScratch serves one evaluation call at a time (claimed via
 // EnvShared.evalBusy); contended calls run on a private throwaway
 // instance.
@@ -68,12 +67,6 @@ type evalScratch struct {
 	losses  []float64
 	valid   []bool
 	scratch []TrainScratch
-
-	// clones/lastSrc/load back EvaluatePersonalized: one lazily built
-	// model per worker, reloaded only when the picked source changes.
-	clones  []*nn.Sequential
-	lastSrc []*nn.Sequential
-	load    [][]float64
 
 	// Per-call wiring for the persistent executor task. cur is the
 	// current call's per-client accuracy slice; env/pick the call's
@@ -101,19 +94,6 @@ func (s *evalScratch) ensure(n, workers int) {
 		grownScratch := make([]TrainScratch, workers)
 		copy(grownScratch, s.scratch) // float32 mirrors are expensive; keep them
 		s.scratch = grownScratch
-		grownClones := make([]*nn.Sequential, workers)
-		copy(grownClones, s.clones) // clone models too
-		s.clones = grownClones
-		grownLoad := make([][]float64, workers)
-		copy(grownLoad, s.load)
-		s.load = grownLoad
-		s.lastSrc = make([]*nn.Sequential, workers)
-	}
-	// lastSrc caches by pointer identity; a model freed after the last
-	// call could alias a new allocation, so the cache never survives a
-	// call boundary.
-	for i := range s.lastSrc {
-		s.lastSrc[i] = nil
 	}
 	if s.task == nil {
 		s.task = func(w, i int) {

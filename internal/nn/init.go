@@ -15,12 +15,3 @@ func HeInit(w *tensor.Tensor, fanIn int, r *rng.Rng) {
 		w.Data[i] = std * r.NormFloat64()
 	}
 }
-
-// XavierInit fills w with Glorot-normal values (std = sqrt(2/(fanIn+fanOut)))
-// — appropriate for tanh/linear layers.
-func XavierInit(w *tensor.Tensor, fanIn, fanOut int, r *rng.Rng) {
-	std := math.Sqrt(2.0 / float64(fanIn+fanOut))
-	for i := range w.Data {
-		w.Data[i] = std * r.NormFloat64()
-	}
-}

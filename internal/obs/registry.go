@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -388,12 +387,4 @@ func RegisterProcessMetrics(r *Registry) {
 			runtime.ReadMemStats(&ms)
 			return uint64(ms.NumGC)
 		})
-}
-
-// sortedBounds is kept for tests that need a stable view of a
-// histogram's buckets.
-func (h *Histogram) Buckets() []float64 {
-	out := append([]float64(nil), h.bounds...)
-	sort.Float64s(out)
-	return out
 }

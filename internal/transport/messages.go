@@ -29,9 +29,9 @@ const (
 // order carrying an n-vector under codec c — framing, metadata, and the
 // wire-encoded parameters. Loopback accounts with this formula; the TCP
 // transport's measured bytes equal it exactly. The formulas themselves
-// live in fl (fl.TrainRequestBytes and friends) so in-process estimates
-// price identical bytes; transport tests assert the delegation against
-// real frame lengths, so the two layers cannot drift.
+// live in fl (fl.TrainRequestBytes and friends) because the engine's
+// byte ledger prices every exchange with them; transport tests assert the
+// delegation against real frame lengths, so the two layers cannot drift.
 func TrainRequestSize(c wire.Codec, n int) int {
 	return int(fl.TrainRequestBytes(c, n))
 }

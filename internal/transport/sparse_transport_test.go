@@ -1,18 +1,21 @@
 package transport_test
 
-// Sparse codecs over the transport: the estimate == measured contract
-// (an in-process run's priced bytes equal a loopback run's measured
-// bytes, byte for byte, under every codec), FedClust's dense warmup
-// accounting, and the 3-node TCP path carrying TopK overlays.
+// Codecs over the transport: the byte-ledger table (a run charges the
+// same bytes in-process, over loopback and over TCP, under every codec
+// and every fault model), FedClust's dense warmup accounting, and the
+// 3-node TCP path carrying TopK overlays.
 
 import (
+	"errors"
+	"math"
+	"sync/atomic"
 	"testing"
-	"time"
 
 	"fedclust/internal/core"
 	"fedclust/internal/fl"
 	"fedclust/internal/methods"
 	"fedclust/internal/nn"
+	"fedclust/internal/scenario"
 	"fedclust/internal/transport"
 	"fedclust/internal/wire"
 )
@@ -40,44 +43,120 @@ func codecFleet(t testing.TB, seed uint64, c wire.Codec, frac float64, lo, hi, n
 // allCodecs enumerates every uplink codec the wire package defines.
 var allCodecs = []wire.Codec{wire.Float64, wire.Float32, wire.Quant8, wire.TopK, wire.TopKQuant8}
 
-// TestCommEstimateMatchesLoopbackMeasured is the honest-bytes
-// regression: for every codec, an in-process run's scalar-count
-// estimates (CommStats.Upload/Download under the env's pricing) must
-// equal a loopback run's measured framed bytes exactly — and the
-// learning outcomes must be bit-identical too, since both paths apply
-// the same codec arithmetic to the same visits. FedAvg exercises the
-// plain round loop; FedClust adds the one-shot warmup exchange with its
-// dense partial upload.
+// ledgerRow is one configuration of the byte-ledger table: trainers on
+// the golden environment under codec, shaped by a fault model (nil =
+// fault-free), with clients [lo, hi) trained behind the transport.
+type ledgerRow struct {
+	name     string
+	codec    wire.Codec
+	trainers []fl.Trainer
+	shape    func(*fl.Env)
+	lo, hi   int
+	// lossy rows must charge fewer uplink bytes than the fault-free run of
+	// the same trainer — proof the fault model actually bit.
+	lossy bool
+	// tcp additionally runs the row across three localhost nodes.
+	tcp bool
+}
+
+func stragglerDropouts(env *fl.Env) {
+	env.Participation.Scenario = scenario.New(scenario.Config{
+		StragglerFrac: 0.4, DropoutRate: 0.15, Deadline: 1.2, Jitter: 0.2,
+	}, 7, 6)
+}
+
+// ledgerRows: FedAvg (the plain round loop) and FedClust (plus the
+// one-shot warm-up with its dense partial upload) under every codec,
+// then every way an invited client can fail to become an accepted
+// update, then a fleet that is only partly remote.
+func ledgerRows() []ledgerRow {
+	fedavg := []fl.Trainer{methods.FedAvg{}}
+	// FedClust keeps its fitted state on the trainer: one per row, since
+	// rows run in parallel.
+	both := func() []fl.Trainer { return []fl.Trainer{methods.FedAvg{}, &core.FedClust{}} }
+	var rows []ledgerRow
+	for _, c := range allCodecs {
+		rows = append(rows, ledgerRow{name: c.String(), codec: c, trainers: both(), hi: 6})
+	}
+	return append(rows,
+		ledgerRow{name: "droprate", trainers: fedavg, hi: 6, lossy: true,
+			shape: func(env *fl.Env) { env.Participation.DropRate = 0.4 }},
+		ledgerRow{name: "stragglers+dropouts", codec: wire.TopK, trainers: fedavg, hi: 6, lossy: true, tcp: true,
+			shape: stragglerDropouts},
+		ledgerRow{name: "semi-async", trainers: []fl.Trainer{methods.FedBuff{}, methods.FedAvgStale{}}, hi: 6,
+			shape: stragglerDropouts},
+		// A garbage cohort at a scale that overflows float64: every such
+		// uplink holds an Inf, so the engine masks it as non-finite.
+		ledgerRow{name: "garbage-masked", trainers: fedavg, hi: 6, lossy: true,
+			shape: func(env *fl.Env) {
+				env.Participation.Scenario = scenario.New(scenario.Config{
+					ByzantineFrac: 0.35, Attack: scenario.AttackGarbage, AttackScale: math.MaxFloat64,
+				}, 34, 6)
+			}},
+		ledgerRow{name: "mixed-fleet", trainers: both(), lo: 2, hi: 5},
+		ledgerRow{name: "mixed-fleet+stragglers", codec: wire.TopKQuant8, trainers: fedavg, lo: 2, hi: 5, shape: stragglerDropouts},
+	)
+}
+
+// sameLedger fails unless got charges exactly want's bytes — totals and
+// every per-round entry — and learned exactly what want learned.
+func sameLedger(t *testing.T, where string, got, want *fl.Result) {
+	t.Helper()
+	if got.Comm.UpBytes != want.Comm.UpBytes || got.Comm.DownBytes != want.Comm.DownBytes {
+		t.Errorf("%s ledger (up %d, down %d) != in-process (up %d, down %d)", where,
+			got.Comm.UpBytes, got.Comm.DownBytes, want.Comm.UpBytes, want.Comm.DownBytes)
+	}
+	if len(got.Comm.PerRound) != len(want.Comm.PerRound) {
+		t.Fatalf("%s: %d per-round entries, in-process %d", where, len(got.Comm.PerRound), len(want.Comm.PerRound))
+	}
+	for r, w := range want.Comm.PerRound {
+		if g := got.Comm.PerRound[r]; g != w {
+			t.Errorf("%s round entry %d = %+v, in-process %+v", where, r, g, w)
+		}
+	}
+	if g, w := learningFingerprint(got), learningFingerprint(want); g != w {
+		t.Errorf("%s learning diverged from in-process\n got: %s\nwant: %s", where, g, w)
+	}
+}
+
+// TestCommEstimateMatchesLoopbackMeasured is the byte ledger's one
+// table (DESIGN.md §8): wherever the clients train — in-process, behind
+// a loopback transport, across real TCP nodes — a run charges the same
+// bytes, in total and round by round, and learns the same bits. The
+// sockets only cross-check: on a fault-free fully-remote row what they
+// measured equals the ledger exactly.
 func TestCommEstimateMatchesLoopbackMeasured(t *testing.T) {
 	const frac = 0.05
-	for _, c := range allCodecs {
-		c := c
-		t.Run(c.String(), func(t *testing.T) {
+	for _, row := range ledgerRows() {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
 			t.Parallel()
-			for _, mk := range []struct {
-				name    string
-				trainer func() fl.Trainer
-			}{
-				{"FedAvg", func() fl.Trainer { return methods.FedAvg{} }},
-				{"FedClust", func() fl.Trainer { return &core.FedClust{} }},
-			} {
-				est := mk.trainer().Run(codecEnv(t, 77, c, frac))
-				menv := codecEnv(t, 77, c, frac)
-				menv.Remote = codecFleet(t, 77, c, frac, 0, 6, 6)
-				meas := mk.trainer().Run(menv)
-				if est.Comm.UpBytes != meas.Comm.UpBytes || est.Comm.DownBytes != meas.Comm.DownBytes {
-					t.Errorf("%s/%s: estimate (up %d, down %d) != loopback measured (up %d, down %d)",
-						mk.name, c, est.Comm.UpBytes, est.Comm.DownBytes,
-						meas.Comm.UpBytes, meas.Comm.DownBytes)
+			build := func() *fl.Env {
+				env := codecEnv(t, 77, row.codec, frac)
+				if row.shape != nil {
+					row.shape(env)
 				}
-				if got, want := learningFingerprint(meas), learningFingerprint(est); got != want {
-					t.Errorf("%s/%s: loopback learning diverged from in-process\n got: %s\nwant: %s",
-						mk.name, c, got, want)
+				return env
+			}
+			for _, tr := range row.trainers {
+				want := tr.Run(build())
+				if row.lossy {
+					if clean := tr.Run(codecEnv(t, 77, row.codec, frac)); want.Comm.UpBytes >= clean.Comm.UpBytes {
+						t.Errorf("%s: fault model lost no uplink: %d bytes charged, fault-free run %d",
+							tr.Name(), want.Comm.UpBytes, clean.Comm.UpBytes)
+					}
 				}
-				if meas.Comm.MeasuredUp != meas.Comm.UpBytes || meas.Comm.MeasuredDown != meas.Comm.DownBytes {
-					t.Errorf("%s/%s: fully-remote run reports estimate leakage (measured up %d of %d, down %d of %d)",
-						mk.name, c, meas.Comm.MeasuredUp, meas.Comm.UpBytes,
-						meas.Comm.MeasuredDown, meas.Comm.DownBytes)
+				env := build()
+				env.Remote = codecFleet(t, 77, row.codec, frac, row.lo, row.hi, 6)
+				got := tr.Run(env)
+				sameLedger(t, tr.Name()+" over loopback", got, want)
+				if row.shape == nil && row.hi-row.lo == 6 &&
+					(got.Comm.MeasuredUp != got.Comm.UpBytes || got.Comm.MeasuredDown != got.Comm.DownBytes) {
+					t.Errorf("%s, fault-free and fully remote: sockets carried (up %d, down %d), ledger says (up %d, down %d)",
+						tr.Name(), got.Comm.MeasuredUp, got.Comm.MeasuredDown, got.Comm.UpBytes, got.Comm.DownBytes)
+				}
+				if row.tcp {
+					sameLedger(t, tr.Name()+" over 3-node TCP", runTCP(t, tr, 3, sparseSpec(77, row.codec, frac), row.shape), want)
 				}
 			}
 		})
@@ -87,8 +166,8 @@ func TestCommEstimateMatchesLoopbackMeasured(t *testing.T) {
 // TestFedClustWarmupAccounting pins the partial-upload bugfix: the
 // warmup's final-layer upload is charged as the full framed message the
 // wire carries (envelope + metadata + dense frame of the layer vector),
-// never the sparse full-parameter pricing — and the in-process charge
-// equals the loopback-measured round-0 traffic exactly.
+// never the sparse full-parameter pricing — in-process and over loopback
+// alike.
 func TestFedClustWarmupAccounting(t *testing.T) {
 	env := codecEnv(t, 77, wire.TopK, 0.05)
 	numParams := env.NewModel().NumParams()
@@ -118,8 +197,46 @@ func TestFedClustWarmupAccounting(t *testing.T) {
 	meas := (&core.FedClust{}).Run(menv)
 	m0 := meas.Comm.PerRound[0]
 	if m0.UpBytes != r0.UpBytes || m0.DownBytes != r0.DownBytes {
-		t.Errorf("warmup estimate (up %d, down %d) != loopback measured (up %d, down %d)",
+		t.Errorf("warmup in-process (up %d, down %d) != over loopback (up %d, down %d)",
 			r0.UpBytes, r0.DownBytes, m0.UpBytes, m0.DownBytes)
+	}
+}
+
+// lateFirstReply is a RemoteTrainer whose first exchange with one client
+// completes on the wire — both frames move — but is reported lost, as a
+// reply landing just past its deadline would be.
+type lateFirstReply struct {
+	fl.RemoteTrainer
+	client int
+	failed atomic.Bool
+}
+
+func (l *lateFirstReply) Train(req *fl.RemoteRequest, out []float64) (down, up int64, err error) {
+	down, up, err = l.RemoteTrainer.Train(req, out)
+	if err == nil && req.Client == l.client && l.failed.CompareAndSwap(false, true) {
+		err = errors.New("reply past the deadline")
+	}
+	return down, up, err
+}
+
+// TestFedClustWarmupRetryChargedOnce: a client whose one-shot warm-up
+// upload is asked for twice is still one exchange in the ledger — the
+// paper's formation cost does not grow with retries — and the repeat
+// shows only in what the sockets carried.
+func TestFedClustWarmupRetryChargedOnce(t *testing.T) {
+	want := (&core.FedClust{}).Run(buildGolden(t, 77))
+	env := buildGolden(t, 77)
+	env.Remote = &lateFirstReply{RemoteTrainer: loopbackFleet(t, 77, wire.Float64, 0, 6, 6), client: 3}
+	got := (&core.FedClust{}).Run(env)
+	sameLedger(t, "retried warm-up", got, want)
+	if got.ClusterFormationUpBytes != want.ClusterFormationUpBytes {
+		t.Errorf("formation cost %d with a retried upload, %d without", got.ClusterFormationUpBytes, want.ClusterFormationUpBytes)
+	}
+	n := int64(len(env.Clients))
+	w0 := want.Comm.PerRound[0]
+	if extraUp, extraDown := got.Comm.MeasuredUp-got.Comm.UpBytes, got.Comm.MeasuredDown-got.Comm.DownBytes; extraUp != w0.UpBytes/n || extraDown != w0.DownBytes/n {
+		t.Errorf("sockets carried (up %d, down %d) beyond the ledger, want the one repeated warm-up exchange (up %d, down %d)",
+			extraUp, extraDown, w0.UpBytes/n, w0.DownBytes/n)
 	}
 }
 
@@ -161,8 +278,8 @@ func sparseSpec(seed uint64, c wire.Codec, frac float64) *transport.Spec {
 
 // TestTCPThreeNodeSparseEquivalence: a TopK run across three localhost
 // nodes — each holding its own error-feedback residuals — is
-// bit-identical to the in-process sparse path, and its measured traffic
-// equals both the loopback measurement and the in-process estimate.
+// bit-identical to the in-process sparse path, and charges the same
+// bytes.
 func TestTCPThreeNodeSparseEquivalence(t *testing.T) {
 	const frac = 0.05
 	for _, mk := range []struct {
@@ -172,58 +289,22 @@ func TestTCPThreeNodeSparseEquivalence(t *testing.T) {
 		{"FedAvg", func() fl.Trainer { return methods.FedAvg{} }},
 		{"FedClust", func() fl.Trainer { return &core.FedClust{} }},
 	} {
-		coord, err := transport.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		specBytes, err := sparseSpec(77, wire.TopK, frac).Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		wait := startNodes(t, coord.Addr(), 3)
-		nodes, err := coord.AcceptNodes(3, 6, specBytes, wire.TopK, 30*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env := codecEnv(t, 77, wire.TopK, frac)
-		fleet := transport.FleetOf(len(env.Clients), nodes)
-		env.Remote = fleet
-		res := mk.trainer().Run(env)
-		if err := fleet.Close(); err != nil {
-			t.Errorf("fleet close: %v", err)
-		}
-		wait()
-		coord.Close()
-
-		ref := mk.trainer().Run(codecEnv(t, 77, wire.TopK, frac))
-		if got, want := learningFingerprint(res), learningFingerprint(ref); got != want {
-			t.Errorf("%s over 3-node sparse TCP drifted from in-process\n got: %s\nwant: %s",
-				mk.name, got, want)
-		}
-		if res.Comm.UpBytes != ref.Comm.UpBytes || res.Comm.DownBytes != ref.Comm.DownBytes {
-			t.Errorf("%s: TCP measured (up %d, down %d) != in-process estimate (up %d, down %d)",
-				mk.name, res.Comm.UpBytes, res.Comm.DownBytes, ref.Comm.UpBytes, ref.Comm.DownBytes)
-		}
+		res := runTCP(t, mk.trainer(), 3, sparseSpec(77, wire.TopK, frac), nil)
+		sameLedger(t, mk.name+" over 3-node sparse TCP", res, mk.trainer().Run(codecEnv(t, 77, wire.TopK, frac)))
 	}
 }
 
 // TestSparseLoopbackMixedOwnership: half the clients compress through
 // the engine's own accumulator, half through a node-held one — the
-// split must not move a bit relative to the all-local run, and the
-// totals still equal the pure estimate (both sides price identically).
+// split must not move a bit relative to the all-local run, nor a byte
+// of its ledger.
 func TestSparseLoopbackMixedOwnership(t *testing.T) {
 	for _, c := range []wire.Codec{wire.TopK, wire.TopKQuant8} {
 		want := methods.FedAvg{}.Run(codecEnv(t, 77, c, 0.05))
 		env := codecEnv(t, 77, c, 0.05)
 		env.Remote = codecFleet(t, 77, c, 0.05, 3, 6, 6) // clients 3..5 remote
 		got := methods.FedAvg{}.Run(env)
-		if g, w := learningFingerprint(got), learningFingerprint(want); g != w {
-			t.Errorf("%s: mixed local/remote sparse run drifted\n got: %s\nwant: %s", c, g, w)
-		}
-		if got.Comm.UpBytes != want.Comm.UpBytes || got.Comm.DownBytes != want.Comm.DownBytes {
-			t.Errorf("%s: mixed run traffic (up %d, down %d) != estimate (up %d, down %d)",
-				c, got.Comm.UpBytes, got.Comm.DownBytes, want.Comm.UpBytes, want.Comm.DownBytes)
-		}
+		sameLedger(t, c.String()+" mixed local/remote", got, want)
 	}
 }
 

@@ -61,26 +61,34 @@ func startNodes(t *testing.T, addr string, n int) (wait func()) {
 	}
 }
 
-// runTCP runs one trainer over a fresh coordinator + k joined nodes and
-// returns the result.
-func runTCP(t *testing.T, trainer fl.Trainer, k int) *fl.Result {
+// runTCP runs one trainer over a fresh coordinator + k joined nodes, each
+// building its replica from spec, and returns the result. shape (may be
+// nil) adjusts the coordinator's environment — participation, scenario,
+// aggregator — before the run.
+func runTCP(t *testing.T, trainer fl.Trainer, k int, spec *transport.Spec, shape func(*fl.Env)) *fl.Result {
 	t.Helper()
 	coord, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer coord.Close()
-	spec := goldenSpec(77)
 	specBytes, err := spec.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wait := startNodes(t, coord.Addr(), k)
-	nodes, err := coord.AcceptNodes(k, 6, specBytes, wire.Float64, 30*time.Second)
+	env, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := buildGolden(t, 77)
+	env.Workers = 3
+	if shape != nil {
+		shape(env)
+	}
+	wait := startNodes(t, coord.Addr(), k)
+	nodes, err := coord.AcceptNodes(k, len(env.Clients), specBytes, env.Codec, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fleet := transport.FleetOf(len(env.Clients), nodes)
 	env.Remote = fleet
 	res := trainer.Run(env)
@@ -93,9 +101,9 @@ func runTCP(t *testing.T, trainer fl.Trainer, k int) *fl.Result {
 
 // TestTCPThreeNodeGoldenEquivalence is the acceptance smoke: FedAvg and
 // FedClust across three localhost nodes are bit-identical to the
-// in-process path (pinned learning fingerprints) and their measured
-// traffic equals the loopback transport's computed accounting —
-// estimate == actual, down to the byte.
+// in-process path (pinned learning fingerprints), charge the loopback
+// run's ledger, and their sockets carried exactly that — down to the
+// byte.
 func TestTCPThreeNodeGoldenEquivalence(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -105,7 +113,7 @@ func TestTCPThreeNodeGoldenEquivalence(t *testing.T) {
 		{"FedAvg", func() fl.Trainer { return methods.FedAvg{} }, goldenLearning[0].want},
 		{"FedClust", func() fl.Trainer { return &core.FedClust{} }, goldenLearning[2].want},
 	} {
-		res := runTCP(t, c.trainer(), 3)
+		res := runTCP(t, c.trainer(), 3, goldenSpec(77), nil)
 		if got := learningFingerprint(res); got != c.want {
 			t.Errorf("%s over 3-node TCP drifted\n got: %s\nwant: %s", c.name, got, c.want)
 		}
@@ -114,8 +122,12 @@ func TestTCPThreeNodeGoldenEquivalence(t *testing.T) {
 		env.Remote = loopbackFleet(t, 77, wire.Float64, 0, 6, 6)
 		ref := c.trainer().Run(env)
 		if res.Comm.UpBytes != ref.Comm.UpBytes || res.Comm.DownBytes != ref.Comm.DownBytes {
-			t.Errorf("%s: TCP measured (up %d, down %d) != loopback estimate (up %d, down %d)",
+			t.Errorf("%s: TCP ledger (up %d, down %d) != loopback (up %d, down %d)",
 				c.name, res.Comm.UpBytes, res.Comm.DownBytes, ref.Comm.UpBytes, ref.Comm.DownBytes)
+		}
+		if res.Comm.MeasuredUp != res.Comm.UpBytes || res.Comm.MeasuredDown != res.Comm.DownBytes {
+			t.Errorf("%s: the sockets carried (up %d, down %d), the ledger says (up %d, down %d)",
+				c.name, res.Comm.MeasuredUp, res.Comm.MeasuredDown, res.Comm.UpBytes, res.Comm.DownBytes)
 		}
 	}
 }

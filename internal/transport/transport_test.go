@@ -6,10 +6,10 @@ package transport_test
 // in-process engine path, which is itself pinned to the seed
 // implementation's fingerprints (internal/engine/equivalence_test.go).
 // The learning fingerprints below are those PR 1 constants with the
-// communication fields dropped: over a transport the byte counts are
-// *measured* (framing included), so they legitimately differ from the
-// scalar-count estimates, and are asserted separately against the exact
-// frame-size formulas.
+// communication fields dropped (PR 1 charged a flat 8 bytes/param); the
+// bytes are pinned separately — against the exact frame-size formulas
+// here, and in-process vs loopback vs TCP by the byte-ledger table in
+// sparse_transport_test.go.
 
 import (
 	"encoding/binary"
@@ -157,9 +157,8 @@ func TestLoopbackScenarioEquivalence(t *testing.T) {
 	}
 }
 
-// TestLoopbackCommAccounting: with a transport attached CommStats holds
-// measured framed bytes — exactly requests down, updates up, per the
-// frame-size formulas, replacing the scalar-count estimate.
+// TestLoopbackCommAccounting: the ledger of a fault-free remote run is
+// exactly requests down, updates up, per the frame-size formulas.
 func TestLoopbackCommAccounting(t *testing.T) {
 	env := buildGolden(t, 77)
 	env.Remote = loopbackFleet(t, 77, wire.Float64, 0, 6, 6)
@@ -169,24 +168,23 @@ func TestLoopbackCommAccounting(t *testing.T) {
 	wantDown := visits * int64(transport.TrainRequestSize(wire.Float64, numParams))
 	wantUp := visits * int64(transport.TrainResponseSize(wire.Float64, numParams))
 	if res.Comm.DownBytes != wantDown || res.Comm.UpBytes != wantUp {
-		t.Errorf("measured traffic (down %d, up %d) != frame-size model (down %d, up %d)",
+		t.Errorf("ledger (down %d, up %d) != frame-size model (down %d, up %d)",
 			res.Comm.DownBytes, res.Comm.UpBytes, wantDown, wantUp)
 	}
-	// The in-process estimator prices the same framed bytes the transport
-	// measures — the estimate == measured contract.
-	estimate := visits * (fl.CommPricing{}).UploadBytesFor(numParams)
-	if res.Comm.UpBytes != estimate {
-		t.Errorf("uplink %d != in-process estimate %d", res.Comm.UpBytes, estimate)
+	// CommPricing's closed form and the transport's frame sizes are one
+	// formula.
+	if priced := visits * (fl.CommPricing{}).UploadBytesFor(numParams); res.Comm.UpBytes != priced {
+		t.Errorf("uplink %d != CommPricing's %d", res.Comm.UpBytes, priced)
 	}
 }
 
-// TestLoopbackLossyCodecMatchesSocketSemantics: a lossy loopback run
-// still completes and accounts the narrow frames (quant8 ≈ 1B/param),
-// shrinking measured traffic accordingly.
+// TestLoopbackLossyCodec: a lossy loopback run still completes and
+// accounts the narrow frames (quant8 ≈ 1B/param), shrinking the ledger
+// accordingly.
 func TestLoopbackLossyCodec(t *testing.T) {
-	env := buildGolden(t, 77)
+	env := codecEnv(t, 77, wire.Quant8, 0)
 	env.Rounds = 2
-	env.Remote = loopbackFleet(t, 77, wire.Quant8, 0, 6, 6)
+	env.Remote = codecFleet(t, 77, wire.Quant8, 0, 0, 6, 6)
 	res := methods.FedAvg{}.Run(env)
 	if res.FinalAcc <= 0 || math.IsNaN(res.FinalLoss) {
 		t.Fatalf("lossy-codec run degenerate: acc=%v loss=%v", res.FinalAcc, res.FinalLoss)

@@ -23,10 +23,10 @@ import (
 // from the decoded values' own range).
 func FuzzDecode(f *testing.F) {
 	for _, c := range []Codec{Float64, Float32, Quant8} {
-		f.Add(Encode(c, nil))
-		f.Add(Encode(c, []float64{1.5, -2.25, 3e8, 0}))
+		f.Add(EncodeInto(nil, c, nil))
+		f.Add(EncodeInto(nil, c, []float64{1.5, -2.25, 3e8, 0}))
 	}
-	valid := Encode(Float64, []float64{7, -7})
+	valid := EncodeInto(nil, Float64, []float64{7, -7})
 	f.Add(valid[:0])            // empty input
 	f.Add(valid[:headerLen-1])  // truncated inside the fixed header
 	f.Add(valid[:headerLen+3])  // truncated inside the payload
@@ -82,7 +82,7 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("decoded %d values, header promised %d", len(vec), want)
 		}
 		if c := Codec(frame[2]); c == Float64 {
-			if got := Encode(c, vec); string(got) != string(frame) {
+			if got := EncodeInto(nil, c, vec); string(got) != string(frame) {
 				t.Fatalf("re-encode of a valid frame diverged:\n got %x\nwant %x", got, frame)
 			}
 		}

@@ -84,7 +84,7 @@ func TestStateFrameLenBounds(t *testing.T) {
 func TestFrameLen(t *testing.T) {
 	for _, c := range []Codec{Float64, Float32, Quant8} {
 		vec := []float64{1, 2, 3, 4}
-		frame := Encode(c, vec)
+		frame := EncodeInto(nil, c, vec)
 		frame = append(frame, 0xab, 0xcd) // trailing garbage from a later frame
 		n, err := FrameLen(frame, len(frame))
 		if err != nil {

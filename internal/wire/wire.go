@@ -78,14 +78,9 @@ func EncodedSize(c Codec, n int) int {
 	}
 }
 
-// Encode frames vec under the chosen codec.
-func Encode(c Codec, vec []float64) []byte {
-	return EncodeInto(make([]byte, 0, EncodedSize(c, len(vec))), c, vec)
-}
-
 // EncodeInto appends the frame for vec under codec c to dst and returns
-// the extended slice. It is the append-style form of Encode: pass a
-// reused buffer (dst[:0]) and the warm path allocates nothing. The frame
+// the extended slice: pass a reused buffer (dst[:0]) and the warm path
+// allocates nothing, pass nil for a one-off frame. The frame
 // may land mid-buffer — its checksum covers only the bytes appended by
 // this call — so transports can append a frame directly after their own
 // message headers.
@@ -240,7 +235,7 @@ func MaxError(c Codec, vec []float64) float64 {
 	if c.Sparse() {
 		panic(fmt.Sprintf("wire: MaxError(%s) is not defined for sparse codecs — unsent-coordinate error is the EF residual's contract; use MaxErrorKept", c))
 	}
-	dec, err := Decode(Encode(c, vec))
+	dec, err := Decode(EncodeInto(nil, c, vec))
 	if err != nil {
 		panic(err) // encode→decode of a valid vector cannot fail
 	}

@@ -96,7 +96,7 @@ func TestEncodeFloat32IntoZeroAlloc(t *testing.T) {
 func TestQuant8DegenerateRanges(t *testing.T) {
 	for _, c := range []float64{0, math.Copysign(0, -1), 1, -3.75, 1e-300, 1e300} {
 		vec := []float64{c, c, c, c}
-		dec, err := Decode(Encode(Quant8, vec))
+		dec, err := Decode(EncodeInto(nil, Quant8, vec))
 		if err != nil {
 			t.Fatalf("constant %g: %v", c, err)
 		}
@@ -108,7 +108,7 @@ func TestQuant8DegenerateRanges(t *testing.T) {
 	}
 
 	vec := []float64{1, math.NaN(), 4, math.Inf(1), 2, math.Inf(-1)}
-	a, b := Encode(Quant8, vec), Encode(Quant8, vec)
+	a, b := EncodeInto(nil, Quant8, vec), EncodeInto(nil, Quant8, vec)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("Quant8 encode of non-finite input is not deterministic:\n %x\n %x", a, b)
 	}
@@ -140,7 +140,7 @@ func TestQuant8DegenerateRanges(t *testing.T) {
 	// No finite value at all: the range collapses to [0, 0] and the
 	// result is still deterministic and finite.
 	allBad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
-	a, b = Encode(Quant8, allBad), Encode(Quant8, allBad)
+	a, b = EncodeInto(nil, Quant8, allBad), EncodeInto(nil, Quant8, allBad)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("all-non-finite encode not deterministic:\n %x\n %x", a, b)
 	}

@@ -20,7 +20,7 @@ func randVec(r *rng.Rng, n int) []float64 {
 
 func TestFloat64RoundTripExact(t *testing.T) {
 	v := []float64{0, 1, -1, math.Pi, 1e-300, -1e300}
-	got, err := Decode(Encode(Float64, v))
+	got, err := Decode(EncodeInto(nil, Float64, v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestFloat64RoundTripExact(t *testing.T) {
 func TestFloat32RoundTripWithinTolerance(t *testing.T) {
 	r := rng.New(1)
 	v := randVec(r, 1000)
-	got, err := Decode(Encode(Float32, v))
+	got, err := Decode(EncodeInto(nil, Float32, v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestQuant8ErrorBound(t *testing.T) {
 
 func TestQuant8ConstantVector(t *testing.T) {
 	v := []float64{3.5, 3.5, 3.5}
-	got, err := Decode(Encode(Quant8, v))
+	got, err := Decode(EncodeInto(nil, Quant8, v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestEncodedSizeMatchesActual(t *testing.T) {
 	r := rng.New(3)
 	for _, c := range []Codec{Float64, Float32, Quant8} {
 		for _, n := range []int{0, 1, 7, 100} {
-			frame := Encode(c, randVec(r, n))
+			frame := EncodeInto(nil, c, randVec(r, n))
 			if len(frame) != EncodedSize(c, n) {
 				t.Fatalf("%s n=%d: frame %d bytes, EncodedSize %d", c, n, len(frame), EncodedSize(c, n))
 			}
@@ -95,7 +95,7 @@ func TestCompressionRatios(t *testing.T) {
 
 func TestDecodeRejectsCorruption(t *testing.T) {
 	r := rng.New(4)
-	frame := Encode(Float32, randVec(r, 50))
+	frame := EncodeInto(nil, Float32, randVec(r, 50))
 	// Flip a payload byte: checksum must catch it.
 	bad := append([]byte(nil), frame...)
 	bad[headerLen+3] ^= 0xff
@@ -136,7 +136,7 @@ func TestRoundTripProperty(t *testing.T) {
 		n := int(nRaw) % 200
 		c := Codec(codecRaw % 3)
 		v := randVec(r, n)
-		dec, err := Decode(Encode(c, v))
+		dec, err := Decode(EncodeInto(nil, c, v))
 		if err != nil || len(dec) != n {
 			return false
 		}
@@ -162,7 +162,7 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestRoundTripWithinMaxError: for every codec, Decode(Encode(c, v))
+// TestRoundTripWithinMaxError: for every codec, Decode(EncodeInto(nil, c, v))
 // reconstructs each value within MaxError(c, v) — the bound the
 // compression ablation reports is the bound the codecs actually keep.
 func TestRoundTripWithinMaxError(t *testing.T) {
@@ -172,7 +172,7 @@ func TestRoundTripWithinMaxError(t *testing.T) {
 		c := Codec(codecRaw % 3)
 		v := randVec(r, n)
 		bound := MaxError(c, v)
-		dec, err := Decode(Encode(c, v))
+		dec, err := Decode(EncodeInto(nil, c, v))
 		if err != nil || len(dec) != n {
 			return false
 		}
@@ -192,7 +192,7 @@ func TestRoundTripWithinMaxError(t *testing.T) {
 	} {
 		for _, c := range []Codec{Float64, Float32, Quant8} {
 			bound := MaxError(c, v)
-			dec, err := Decode(Encode(c, v))
+			dec, err := Decode(EncodeInto(nil, c, v))
 			if err != nil {
 				t.Fatalf("%s %v: %v", c, v, err)
 			}
@@ -213,7 +213,7 @@ func TestEncodeIntoMidBuffer(t *testing.T) {
 	for _, c := range []Codec{Float64, Float32, Quant8} {
 		prefix := []byte{0xde, 0xad, 0xbe, 0xef}
 		buf := EncodeInto(append([]byte(nil), prefix...), c, v)
-		standalone := Encode(c, v)
+		standalone := EncodeInto(nil, c, v)
 		if string(buf[len(prefix):]) != string(standalone) {
 			t.Fatalf("%s: mid-buffer frame differs from standalone", c)
 		}
@@ -243,12 +243,12 @@ func BenchmarkEncodeQuant8(b *testing.B) {
 	v := randVec(rng.New(1), 10000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = Encode(Quant8, v)
+		_ = EncodeInto(nil, Quant8, v)
 	}
 }
 
 func BenchmarkDecodeFloat32(b *testing.B) {
-	frame := Encode(Float32, randVec(rng.New(1), 10000))
+	frame := EncodeInto(nil, Float32, randVec(rng.New(1), 10000))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = Decode(frame)
