@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"fedclust/internal/data"
 	"fedclust/internal/nn"
 	"fedclust/internal/rng"
 	"fedclust/internal/tensor"
@@ -128,6 +129,37 @@ func TestParams32RoundTrip(t *testing.T) {
 	}
 }
 
+// TestZooMirrorsToFloat32: every architecture the model zoo builds has a
+// float32 form — Mirror32 mirrors it, IsMirror32 recognises the mirror,
+// and a Float32 scratch trains it on the float32 path.
+func TestZooMirrorsToFloat32(t *testing.T) {
+	small := benchDataset(10)
+	wide, _ := data.Generate(data.SynthConfig{
+		Name: "zoo32", C: 1, H: 32, W: 32, Classes: 4,
+		TrainPerClass: 2, TestPerClass: 1,
+		ClassSep: 0.85, Noise: 1.0, SharedBG: 0.3, Smooth: 1, Seed: 12,
+	})
+	cases := []struct {
+		name  string
+		model *nn.Sequential
+		d     *data.Dataset
+	}{
+		{"mlp", nn.MLP(rng.New(1), small.Dim(), 20, small.Classes), small},
+		{"lenet5", nn.LeNet5(rng.New(2), 1, 8, 8, small.Classes, 0.5), small},
+		{"minivgg16", nn.MiniVGG16(rng.New(3), 1, wide.Classes, 1), wide},
+	}
+	for _, c := range cases {
+		if !nn.IsMirror32(nn.Mirror32(c.model), c.model) {
+			t.Fatalf("%s: Mirror32 built no matching float32 form", c.name)
+		}
+		ts := TrainScratch{DType: Float32}
+		ts.LocalUpdate(c.model, c.d, LocalConfig{Epochs: 1, BatchSize: 4, LR: 0.05}, rng.New(4))
+		if !ts.ranF32 {
+			t.Fatalf("%s: the float32 visit ran on the float64 path", c.name)
+		}
+	}
+}
+
 // oddLayer is a Layer with no float32 mirror, for the fallback test.
 type oddLayer struct{ dim int }
 
@@ -168,36 +200,42 @@ func TestLocalUpdate32FallsBackOnUnmirrorable(t *testing.T) {
 
 // TestFloat32ShadowFollowsArchitecture is the regression test for shadow
 // reuse keyed on parameter sizes alone: two architectures whose
-// parameter tensors line up (ReLU vs Tanh between the same Dense layers;
-// max- vs average-pooling after the same convolution) must not share a
-// float32 shadow. The second model on a reused TrainScratch, and on a
-// reused evaluation worker slot, must behave exactly as on a fresh one.
+// parameter tensors line up must not share a float32 shadow — Dense,
+// ReLU, Dense against the same two Dense layers alone, and a
+// convolution followed by max pooling against the same kernel at stride
+// 2 followed by a ReLU. The second model on a reused TrainScratch, and
+// on a reused evaluation worker slot, must behave exactly as on a fresh
+// one.
 func TestFloat32ShadowFollowsArchitecture(t *testing.T) {
 	d := benchDataset(40)
-	mlp := func(act func(dim int) nn.Layer[float64]) func() *nn.Sequential {
+	mlp := func(relu bool) func() *nn.Sequential {
 		return func() *nn.Sequential {
 			r := rng.New(1)
-			return nn.NewSequential(nn.NewDense(d.Dim(), 16, r), act(16), nn.NewDense(16, d.Classes, r))
+			layers := []nn.Layer[float64]{nn.NewDense(d.Dim(), 16, r)}
+			if relu {
+				layers = append(layers, nn.NewReLU(16))
+			}
+			return nn.NewSequential(append(layers, nn.NewDense(16, d.Classes, r))...)
 		}
 	}
-	conv := func(pool func(c, h, w int) nn.Layer[float64]) func() *nn.Sequential {
+	conv := func(pool bool) func() *nn.Sequential {
 		return func() *nn.Sequential {
 			r := rng.New(2)
-			g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
-			c := nn.NewConv2D(g, 2, r)
-			return nn.NewSequential(c, pool(2, 8, 8), nn.NewDense(2*4*4, d.Classes, r))
+			g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 1}
+			var mid nn.Layer[float64] = nn.NewReLU(2 * 4 * 4)
+			if pool {
+				g.Stride = 1
+				mid = nn.NewMaxPool2(2, 8, 8)
+			}
+			return nn.NewSequential(nn.NewConv2D(g, 2, r), mid, nn.NewDense(2*4*4, d.Classes, r))
 		}
 	}
 	pairs := []struct {
 		name          string
 		first, second func() *nn.Sequential
 	}{
-		{"relu-then-tanh",
-			mlp(func(dim int) nn.Layer[float64] { return nn.NewReLU(dim) }),
-			mlp(func(dim int) nn.Layer[float64] { return nn.NewTanh(dim) })},
-		{"maxpool-then-avgpool",
-			conv(func(c, h, w int) nn.Layer[float64] { return nn.NewMaxPool2(c, h, w) }),
-			conv(func(c, h, w int) nn.Layer[float64] { return nn.NewAvgPool2(c, h, w) })},
+		{"relu-then-linear", mlp(true), mlp(false)},
+		{"maxpool-then-stride", conv(true), conv(false)},
 	}
 	visit := func(ts *TrainScratch, m *nn.Sequential) []float64 {
 		loss := ts.LocalUpdate(m, d, clientCfg, rng.New(9))

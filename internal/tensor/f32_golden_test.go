@@ -67,6 +67,8 @@ func visitFingerprint(model *nn.Sequential, d *data.Dataset, cfg fl.LocalConfig)
 // for the two zoo architectures the benchmark trains, plus a stack that
 // reaches every remaining layer kind and optimizer term (tanh, average
 // pooling, sigmoid, dropout, weight decay, the FedProx proximal pull).
+// lenet5-full pins the weight-decay and proximal terms on a stack of the
+// layer kinds the models build; it was recorded at 982d228.
 func TestFloat32VisitGolden(t *testing.T) {
 	img, _ := data.Generate(data.SynthConfig{
 		Name: "f32golden", C: 1, H: 12, W: 12, Classes: 4,
@@ -85,6 +87,8 @@ func TestFloat32VisitGolden(t *testing.T) {
 			map[string]string{"purego": "be8bf4510b5ad4e1", "avx2": "05d75c6fd73f761a"}},
 		{"mlp", func() *nn.Sequential { return nn.MLP(rng.New(2), 144, 24, 4) }, plain,
 			map[string]string{"purego": "1eabf67d5e9bda15", "avx2": "86976dececcc09ff"}},
+		{"lenet5-full", func() *nn.Sequential { return nn.LeNet5(rng.New(3), 1, 12, 12, 4, 0.5) }, full,
+			map[string]string{"purego": "cb209c7c57ffc122", "avx2": "70a9284c5c7e6999"}},
 		{"classic-stack", func() *nn.Sequential {
 			r := rng.New(3)
 			g := tensor.ConvGeom{InC: 1, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}
