@@ -1,13 +1,13 @@
 // Package cluster implements the clustering machinery of the reproduction:
 // agglomerative hierarchical clustering with the standard linkages (the
 // server-side algorithm of FedClust and PACFL), dendrogram cutting rules —
-// fixed-k, distance threshold, largest gap, and the silhouette-parsimony
-// cut that frees FedClust from a predefined cluster count — external
-// cluster-quality metrics (ARI, NMI, purity), k-means, and the spectral
-// bipartition used by CFL. Agglomerate and CutBestSilhouette, the server
-// side of FedClust's one-shot formation, are quadratic in the number of
-// clients (DESIGN.md §14); their cubic predecessors live on in
-// oracle_test.go as the oracles they are tested against.
+// fixed-k, largest gap, and the silhouette-parsimony cut that frees
+// FedClust from a predefined cluster count — external cluster-quality
+// metrics (ARI, NMI), and the spectral bipartition used by CFL.
+// Agglomerate and CutBestSilhouette, the server side of FedClust's
+// one-shot formation, are quadratic in the number of clients (DESIGN.md
+// §14); their cubic predecessors live on in oracle_test.go as the oracles
+// they are tested against.
 package cluster
 
 import (
@@ -178,21 +178,6 @@ func (den *Dendrogram) CutK(k int) []int {
 	return den.assignAfter(den.N - k)
 }
 
-// CutThreshold cuts the dendrogram at a distance threshold: all merges with
-// Distance <= t are applied. This is how FedClust clusters without a
-// predefined cluster count.
-func (den *Dendrogram) CutThreshold(t float64) []int {
-	applied := 0
-	for _, m := range den.Merges {
-		if m.Distance <= t {
-			applied++
-		} else {
-			break
-		}
-	}
-	return den.assignAfter(applied)
-}
-
 // CutLargestGap finds the largest jump in consecutive merge distances and
 // cuts just before it — a parameter-free heuristic for the natural number
 // of clusters. With fewer than 2 merges it returns the finest/coarsest
@@ -279,16 +264,6 @@ func (den *Dendrogram) assignAfter(applied int) []int {
 		labels[i] = label[r]
 	}
 	return labels
-}
-
-// MergeDistances returns the sequence of merge distances, useful for
-// inspecting monotonicity and choosing thresholds.
-func (den *Dendrogram) MergeDistances() []float64 {
-	out := make([]float64, len(den.Merges))
-	for i, m := range den.Merges {
-		out[i] = m.Distance
-	}
-	return out
 }
 
 // NumClusters returns the number of distinct labels in an assignment.

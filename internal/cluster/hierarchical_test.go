@@ -81,10 +81,9 @@ func TestMergeDistancesMonotoneForReducibleLinkages(t *testing.T) {
 		}
 		d := linalg.PairwiseDistances(linalg.Euclidean, vecs)
 		for _, l := range []Linkage{Single, Complete, Average, Ward} {
-			den := Agglomerate(d, l)
-			md := den.MergeDistances()
-			for i := 1; i < len(md); i++ {
-				if md[i] < md[i-1]-1e-9 {
+			m := Agglomerate(d, l).Merges
+			for i := 1; i < len(m); i++ {
+				if m[i].Distance < m[i-1].Distance-1e-9 {
 					return false
 				}
 			}
@@ -93,26 +92,6 @@ func TestMergeDistancesMonotoneForReducibleLinkages(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCutThreshold(t *testing.T) {
-	// Distances: {0,1} at 1, {2,3} at 1, the two pairs 100 apart.
-	vecs := [][]float64{{0}, {1}, {100}, {101}}
-	d := linalg.PairwiseDistances(linalg.Euclidean, vecs)
-	den := Agglomerate(d, Average)
-	labels := den.CutThreshold(5)
-	if NumClusters(labels) != 2 {
-		t.Fatalf("threshold 5 should give 2 clusters, got %d (%v)", NumClusters(labels), labels)
-	}
-	if labels[0] != labels[1] || labels[2] != labels[3] || labels[0] == labels[2] {
-		t.Fatalf("wrong grouping: %v", labels)
-	}
-	if got := NumClusters(den.CutThreshold(0.5)); got != 4 {
-		t.Fatalf("threshold 0.5 should keep singletons, got %d", got)
-	}
-	if got := NumClusters(den.CutThreshold(1e6)); got != 1 {
-		t.Fatalf("huge threshold should merge all, got %d", got)
 	}
 }
 
@@ -176,8 +155,10 @@ func TestAgglomerateTiedDistances(t *testing.T) {
 	if NumClusters(den.CutK(1)) != 1 {
 		t.Fatal("identical points should merge into one cluster")
 	}
-	if NumClusters(den.CutThreshold(0)) != 1 {
-		t.Fatal("threshold 0 should still merge zero-distance points")
+	for _, m := range den.Merges {
+		if m.Distance != 0 {
+			t.Fatalf("zero-distance points merged at distance %v", m.Distance)
+		}
 	}
 }
 

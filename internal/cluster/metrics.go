@@ -96,35 +96,3 @@ func NMI(a, b []int) float64 {
 	}
 	return v
 }
-
-// Purity computes clustering purity of predicted labels against truth:
-// the fraction of points assigned to the majority true class of their
-// predicted cluster. In [0,1]; 1 when every cluster is class-pure.
-func Purity(pred, truth []int) float64 {
-	if len(pred) != len(truth) {
-		panic(fmt.Sprintf("cluster: labelings differ in length: %d vs %d", len(pred), len(truth)))
-	}
-	if len(pred) == 0 {
-		return 1
-	}
-	counts := make(map[int]map[int]int)
-	for i := range pred {
-		m, ok := counts[pred[i]]
-		if !ok {
-			m = make(map[int]int)
-			counts[pred[i]] = m
-		}
-		m[truth[i]]++
-	}
-	var correct int
-	for _, m := range counts {
-		best := 0
-		for _, c := range m {
-			if c > best {
-				best = c
-			}
-		}
-		correct += best
-	}
-	return float64(correct) / float64(len(pred))
-}

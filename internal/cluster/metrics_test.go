@@ -127,28 +127,6 @@ func TestNMISingleClusterEdge(t *testing.T) {
 	}
 }
 
-func TestPurity(t *testing.T) {
-	pred := []int{0, 0, 0, 1, 1, 1}
-	truth := []int{0, 0, 1, 1, 1, 1}
-	// cluster 0: majority truth 0 (2/3); cluster 1: majority 1 (3/3) → 5/6.
-	if v := Purity(pred, truth); math.Abs(v-5.0/6.0) > 1e-12 {
-		t.Fatalf("Purity = %v, want 5/6", v)
-	}
-	if Purity(truth, truth) != 1 {
-		t.Fatal("Purity of perfect clustering should be 1")
-	}
-	// All-singleton prediction is trivially pure.
-	if Purity([]int{0, 1, 2, 3}, []int{0, 0, 1, 1}) != 1 {
-		t.Fatal("singleton prediction should be pure")
-	}
-}
-
-func TestPurityEmpty(t *testing.T) {
-	if Purity(nil, nil) != 1 {
-		t.Fatal("empty purity should be 1")
-	}
-}
-
 func TestNumClusters(t *testing.T) {
 	if NumClusters([]int{3, 3, 7, 1}) != 3 {
 		t.Fatal("NumClusters wrong")

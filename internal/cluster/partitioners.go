@@ -2,113 +2,10 @@ package cluster
 
 import (
 	"fmt"
-	"math"
 
 	"fedclust/internal/linalg"
-	"fedclust/internal/rng"
 	"fedclust/internal/tensor"
 )
-
-// KMeans clusters n points (rows of x) into k clusters with Lloyd's
-// algorithm and k-means++ seeding, returning the assignment and centroids.
-// Used by IFCA-style initializations and as a comparison clusterer.
-func KMeans(x *tensor.Tensor, k int, r *rng.Rng, maxIter int) (labels []int, centroids *tensor.Tensor) {
-	if len(x.Shape) != 2 {
-		panic("cluster: KMeans requires a rank-2 tensor")
-	}
-	n, dim := x.Shape[0], x.Shape[1]
-	if k < 1 || k > n {
-		panic(fmt.Sprintf("cluster: KMeans k=%d out of range [1,%d]", k, n))
-	}
-	centroids = tensor.New(k, dim)
-	// k-means++ seeding.
-	first := r.Intn(n)
-	copy(centroids.Row(0), x.Row(first))
-	minD := make([]float64, n)
-	for i := range minD {
-		minD[i] = sqDist(x.Row(i), centroids.Row(0))
-	}
-	for c := 1; c < k; c++ {
-		var total float64
-		for _, d := range minD {
-			total += d
-		}
-		var pick int
-		if total == 0 {
-			pick = r.Intn(n)
-		} else {
-			target := r.Float64() * total
-			acc := 0.0
-			for i, d := range minD {
-				acc += d
-				if acc >= target {
-					pick = i
-					break
-				}
-			}
-		}
-		copy(centroids.Row(c), x.Row(pick))
-		for i := range minD {
-			if d := sqDist(x.Row(i), centroids.Row(c)); d < minD[i] {
-				minD[i] = d
-			}
-		}
-	}
-	labels = make([]int, n)
-	counts := make([]int, k)
-	for iter := 0; iter < maxIter; iter++ {
-		changed := false
-		for i := 0; i < n; i++ {
-			best, bestD := 0, math.Inf(1)
-			for c := 0; c < k; c++ {
-				if d := sqDist(x.Row(i), centroids.Row(c)); d < bestD {
-					best, bestD = c, d
-				}
-			}
-			if labels[i] != best {
-				labels[i] = best
-				changed = true
-			}
-		}
-		if !changed && iter > 0 {
-			break
-		}
-		centroids.Zero()
-		for i := range counts {
-			counts[i] = 0
-		}
-		for i := 0; i < n; i++ {
-			c := labels[i]
-			counts[c]++
-			row := centroids.Row(c)
-			for j, v := range x.Row(i) {
-				row[j] += v
-			}
-		}
-		for c := 0; c < k; c++ {
-			if counts[c] == 0 {
-				// Re-seed an empty cluster at a random point.
-				copy(centroids.Row(c), x.Row(r.Intn(n)))
-				continue
-			}
-			row := centroids.Row(c)
-			inv := 1 / float64(counts[c])
-			for j := range row {
-				row[j] *= inv
-			}
-		}
-	}
-	return labels, centroids
-}
-
-func sqDist(a, b []float64) float64 {
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}
 
 // SpectralBipartition splits n items into two groups from a similarity
 // matrix (higher = more similar) by the sign of the second eigenvector of

@@ -3,88 +3,8 @@ package cluster
 import (
 	"testing"
 
-	"fedclust/internal/rng"
 	"fedclust/internal/tensor"
 )
-
-func blobMatrix(r *rng.Rng, perBlob int, centers [][]float64, noise float64) (*tensor.Tensor, []int) {
-	dim := len(centers[0])
-	n := perBlob * len(centers)
-	x := tensor.New(n, dim)
-	truth := make([]int, n)
-	for c, center := range centers {
-		for i := 0; i < perBlob; i++ {
-			row := x.Row(c*perBlob + i)
-			truth[c*perBlob+i] = c
-			for j := 0; j < dim; j++ {
-				row[j] = center[j] + noise*r.NormFloat64()
-			}
-		}
-	}
-	return x, truth
-}
-
-func TestKMeansRecoverseparatedBlobs(t *testing.T) {
-	r := rng.New(1)
-	x, truth := blobMatrix(r, 10, [][]float64{{0, 0}, {50, 0}, {0, 50}}, 0.5)
-	labels, centroids := KMeans(x, 3, r, 50)
-	if ari := ARI(labels, truth); ari != 1 {
-		t.Fatalf("k-means ARI = %v on separated blobs", ari)
-	}
-	if centroids.Shape[0] != 3 || centroids.Shape[1] != 2 {
-		t.Fatalf("centroid shape = %v", centroids.Shape)
-	}
-}
-
-func TestKMeansK1(t *testing.T) {
-	r := rng.New(2)
-	x, _ := blobMatrix(r, 5, [][]float64{{0, 0}, {10, 10}}, 0.1)
-	labels, centroids := KMeans(x, 1, r, 20)
-	for _, l := range labels {
-		if l != 0 {
-			t.Fatal("k=1 must assign everything to cluster 0")
-		}
-	}
-	// Centroid should be near the grand mean (5,5).
-	if c := centroids.Row(0); c[0] < 4 || c[0] > 6 || c[1] < 4 || c[1] > 6 {
-		t.Fatalf("k=1 centroid = %v", c)
-	}
-}
-
-func TestKMeansKEqualsN(t *testing.T) {
-	r := rng.New(3)
-	x, _ := blobMatrix(r, 1, [][]float64{{0}, {10}, {20}, {30}}, 0)
-	labels, _ := KMeans(x, 4, r, 20)
-	if NumClusters(labels) != 4 {
-		t.Fatalf("k=n should give n clusters, got %d", NumClusters(labels))
-	}
-}
-
-func TestKMeansPanicsOnBadK(t *testing.T) {
-	r := rng.New(4)
-	x := tensor.New(3, 2)
-	for _, k := range []int{0, 4} {
-		func(k int) {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("KMeans k=%d did not panic", k)
-				}
-			}()
-			KMeans(x, k, r, 10)
-		}(k)
-	}
-}
-
-func TestKMeansDeterministicGivenSeed(t *testing.T) {
-	x, _ := blobMatrix(rng.New(5), 8, [][]float64{{0, 0}, {20, 20}}, 1)
-	l1, _ := KMeans(x, 2, rng.New(42), 30)
-	l2, _ := KMeans(x, 2, rng.New(42), 30)
-	for i := range l1 {
-		if l1[i] != l2[i] {
-			t.Fatal("k-means not deterministic under fixed seed")
-		}
-	}
-}
 
 func TestSpectralBipartitionTwoGroups(t *testing.T) {
 	// Similarity: high within groups {0,1,2} and {3,4,5}, low across.

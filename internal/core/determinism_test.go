@@ -29,14 +29,13 @@ func TestFedClustFullyDeterministic(t *testing.T) {
 	}
 }
 
-// TestFedClustMaxClustersBound: the automatic cut must never exceed the
-// configured ceiling.
+// TestFedClustMaxClustersBound: the automatic cut never exceeds n/2
+// clusters (4 for these eight clients).
 func TestFedClustMaxClustersBound(t *testing.T) {
 	env, _ := groupEnv(t, 4, 1, 56)
-	f := &FedClust{Cfg: Config{MaxClusters: 2}}
-	res := f.Run(env)
-	if k := cluster.NumClusters(res.Clusters); k > 2 {
-		t.Fatalf("MaxClusters=2 violated: k=%d", k)
+	res := (&FedClust{}).Run(env)
+	if k := cluster.NumClusters(res.Clusters); k > len(env.Clients)/2 {
+		t.Fatalf("automatic cut exceeded n/2 = %d: k=%d", len(env.Clients)/2, k)
 	}
 }
 

@@ -39,13 +39,6 @@ type Config struct {
 	// WarmupEpochs is how many local epochs precede the one-shot
 	// clustering upload (default: the environment's local epochs).
 	WarmupEpochs int
-	// WeightLayer selects which weight layer to cluster on (0-based
-	// index into nn.WeightLayers) when ExplicitLayer is true. With
-	// ExplicitLayer false (the zero-value default) the final/classifier
-	// layer is used, as in the paper. The layer-ablation experiment sets
-	// ExplicitLayer to probe other layers.
-	WeightLayer   int
-	ExplicitLayer bool
 	// Metric is the proximity metric over partial weights (default
 	// Euclidean, as in the paper).
 	Metric linalg.Metric
@@ -53,15 +46,14 @@ type Config struct {
 	Linkage cluster.Linkage
 	// NumClusters, when > 0, fixes the dendrogram cut; otherwise the
 	// silhouette-optimal count is chosen automatically (the paper's "no
-	// predefined number of clusters" property).
+	// predefined number of clusters" property), at most n/2 (and at
+	// least 2) for n clients.
 	NumClusters int
-	// MaxClusters bounds the automatic cut (default n/2, at least 2).
-	MaxClusters int
 	// Selector picks the automatic cluster-count rule used when
 	// NumClusters is 0 (default SelectSilhouette).
 	Selector Selector
 	// RawFeatures disables the default feature normalization. By default
-	// the clustering feature is the selected layer's *update* (weights
+	// the clustering feature is the final layer's *update* (weights
 	// minus the shared initialization) scaled to unit norm: with a common
 	// w₀ the update direction carries the label-distribution signal,
 	// while its magnitude mostly reflects the client's local batch count
@@ -123,11 +115,11 @@ type ClusterState struct {
 	// Models holds the current flat parameters of each cluster's model.
 	Models [][]float64
 	// Dendrogram is the full agglomeration history (for diagnostics and
-	// threshold re-cuts).
+	// re-cuts).
 	Dendrogram *cluster.Dendrogram
 	// Metric is the proximity metric the state was fitted with.
 	Metric linalg.Metric
-	// InitLayer is the selected layer's parameters under the shared
+	// InitLayer is the final layer's parameters under the shared
 	// initialization; newcomer features are extracted against it.
 	InitLayer []float64
 	// Cfg is the configuration the state was fitted with.
@@ -149,12 +141,7 @@ func (f *FedClust) Run(env *fl.Env) *fl.Result {
 	if cfg.WarmupEpochs == 0 {
 		cfg.WarmupEpochs = env.Local.Epochs
 	}
-	if cfg.MaxClusters == 0 {
-		cfg.MaxClusters = n / 2
-		if cfg.MaxClusters < 2 {
-			cfg.MaxClusters = 2
-		}
-	}
+	maxK := max(n/2, 2)
 	res := d.Res
 
 	// A pending checkpoint for this method resumes past the one-shot
@@ -188,12 +175,12 @@ func (f *FedClust) Run(env *fl.Env) *fl.Result {
 	case cfg.NumClusters > 0:
 		labels = den.CutK(cfg.NumClusters)
 	case cfg.Selector == SelectLargestGap:
-		labels = den.CutLargestGap(1, cfg.MaxClusters)
+		labels = den.CutLargestGap(1, maxK)
 	default:
 		// Parameter-free cut: the smallest cluster count whose mean
 		// silhouette is within tolerance of the best (no predefined K, no
 		// distance threshold — the paper's flexibility claim).
-		labels = den.CutBestSilhouette(prox, 2, cfg.MaxClusters, cluster.SilhouetteTolerance)
+		labels = den.CutBestSilhouette(prox, 2, maxK, cluster.SilhouetteTolerance)
 	}
 	k := cluster.NumClusters(labels)
 
@@ -221,26 +208,18 @@ func (f *FedClust) Run(env *fl.Env) *fl.Result {
 	return d.RunClusteredFedAvg(labels, k, st.Models)
 }
 
-// layerVector extracts the configured layer's parameters from a model.
-func layerVector(model *nn.Sequential, cfg Config) []float64 {
-	if cfg.ExplicitLayer {
-		return nn.LayerParamVector(model, cfg.WeightLayer)
-	}
-	return nn.FinalLayerVector(model)
-}
-
-// InitLayerVector returns the selected layer's parameters under the
+// InitLayerVector returns the final layer's parameters under the
 // environment's shared initialization — the reference point for feature
-// extraction.
-func InitLayerVector(env *fl.Env, cfg Config) []float64 {
-	return layerVector(env.NewModel(), cfg)
+// extraction. Every Config clusters on the final layer.
+func InitLayerVector(env *fl.Env, _ Config) []float64 {
+	return nn.FinalLayerVector(env.NewModel())
 }
 
 // FeatureOf turns a locally trained model into its clustering feature:
-// the selected layer's update from initLayer, unit-normalized (see
+// the final layer's update from initLayer, unit-normalized (see
 // Config.RawFeatures for the raw-weights variant).
 func FeatureOf(model *nn.Sequential, initLayer []float64, cfg Config) []float64 {
-	return FeatureFromVector(layerVector(model, cfg), initLayer, cfg)
+	return FeatureFromVector(nn.FinalLayerVector(model), initLayer, cfg)
 }
 
 // FeatureFromVector is FeatureOf on an already-extracted layer vector —
@@ -278,7 +257,7 @@ const WarmupRound = 1 << 20
 
 // CollectPartialWeights performs the warmup phase: every client trains
 // locally from the given initial weights for cfg.WarmupEpochs and the
-// selected layer's update is extracted as that client's clustering
+// final layer's update is extracted as that client's clustering
 // feature. Runs clients in parallel over the environment's warm
 // per-worker lanes, borrowed for the call.
 func CollectPartialWeights(env *fl.Env, cfg Config, init []float64) (features [][]float64) {
@@ -290,13 +269,13 @@ func CollectPartialWeights(env *fl.Env, cfg Config, init []float64) (features []
 
 // collectPartialWeights is CollectPartialWeights over caller-provided
 // per-worker lanes (FedClust.Run passes its round engine's, so the
-// warm-up and the rounds share one set of warm lanes). It also returns the selected
+// warm-up and the rounds share one set of warm lanes). It also returns the final
 // layer's parameters under init — the reference every feature is
 // extracted against — and the wire bytes the environment's RemoteTrainer
 // measured over the exchange, every retry included (zero without one).
 // Local or remote, a warm-up visit is
 // the same fl.Lane visit a training round runs, reporting only the
-// selected layer under the dense downlink codec both ways — so the
+// final layer under the dense downlink codec both ways — so the
 // paper's partial-upload property holds on the wire and the features are
 // the same bits wherever a client trains. A remote warmup request is
 // retried a few times (a deployment would simply re-ask for the tiny
@@ -313,13 +292,9 @@ func collectPartialWeights(env *fl.Env, cfg Config, init []float64, lanes []*fl.
 	}
 	ref := lanes[0].Model
 	nn.LoadParams(ref, init)
-	initLayer = layerVector(ref, cfg)
+	initLayer = nn.FinalLayerVector(ref)
 	errs := make([]error, n)
 	var down, up atomic.Int64
-	layerSel := fl.FinalLayer
-	if cfg.ExplicitLayer {
-		layerSel = cfg.WeightLayer
-	}
 	// Hostile scenarios reach the warmup too: label-noise attackers train
 	// their features on poisoned data, wire-level attackers corrupt the
 	// uploaded layer vector (a byzantine client lies in the clustering
@@ -333,7 +308,7 @@ func collectPartialWeights(env *fl.Env, cfg Config, init []float64, lanes []*fl.
 		if rt := env.Remote; rt != nil && rt.Owns(i) {
 			req := fl.RemoteRequest{
 				Client: i, Round: WarmupRound, Cluster: -1,
-				Layer: layerSel, Cfg: local, Start: init,
+				Layer: fl.FinalLayer, Cfg: local, Start: init,
 			}
 			const attempts = 3 // ride out a transiently slow node
 			for a := 0; a < attempts; a++ {
@@ -354,7 +329,7 @@ func collectPartialWeights(env *fl.Env, cfg Config, init []float64, lanes []*fl.
 				train = hs.TrainData(i, 0, train)
 			}
 			lanes[w].Visit(&fl.Visit{
-				Client: i, Round: WarmupRound, Layer: layerSel, Cfg: local,
+				Client: i, Round: WarmupRound, Layer: fl.FinalLayer, Cfg: local,
 				Start: init, Data: train,
 				Down: env.Codec.Downlink(), Up: env.Codec,
 			}, vec)

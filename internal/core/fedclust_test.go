@@ -141,26 +141,6 @@ func TestFedClustFixedNumClusters(t *testing.T) {
 	}
 }
 
-func TestFedClustExplicitLayerFeature(t *testing.T) {
-	// Clustering on the FIRST weight layer should be far less informative
-	// than on the final layer — the paper's §II observation.
-	envFinal, truth := groupEnv(t, 3, 2, 6)
-	envFirst, _ := groupEnv(t, 3, 2, 6)
-	final := &FedClust{}
-	first := &FedClust{Cfg: Config{ExplicitLayer: true, WeightLayer: 0, NumClusters: 2}}
-	resFinal := final.Run(envFinal)
-	resFirst := first.Run(envFirst)
-	ariFinal := cluster.ARI(resFinal.Clusters, truth)
-	ariFirst := cluster.ARI(resFirst.Clusters, truth)
-	if ariFinal < 0.99 {
-		t.Fatalf("final-layer ARI = %v", ariFinal)
-	}
-	if ariFirst > ariFinal {
-		t.Fatalf("first-layer clustering (ARI %v) should not beat final-layer (ARI %v)",
-			ariFirst, ariFinal)
-	}
-}
-
 func TestCollectPartialWeightsShape(t *testing.T) {
 	env, _ := groupEnv(t, 2, 1, 7)
 	init := nn.FlattenParams(env.NewModel())

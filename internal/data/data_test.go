@@ -49,15 +49,11 @@ func TestSubsetCopies(t *testing.T) {
 	}
 }
 
-func TestLabelHistogramAndDistribution(t *testing.T) {
+func TestLabelHistogram(t *testing.T) {
 	d := toyDataset(10, 2)
 	h := d.LabelHistogram()
 	if h[0] != 5 || h[1] != 5 {
 		t.Fatalf("histogram = %v", h)
-	}
-	p := d.LabelDistribution()
-	if p[0] != 0.5 || p[1] != 0.5 {
-		t.Fatalf("distribution = %v", p)
 	}
 }
 

@@ -76,21 +76,6 @@ func (d *Dataset) LabelHistogram() []int {
 	return h
 }
 
-// LabelDistribution returns the per-class proportions (sums to 1 for
-// non-empty datasets).
-func (d *Dataset) LabelDistribution() []float64 {
-	h := d.LabelHistogram()
-	p := make([]float64, len(h))
-	if d.Len() == 0 {
-		return p
-	}
-	inv := 1 / float64(d.Len())
-	for i, c := range h {
-		p[i] = float64(c) * inv
-	}
-	return p
-}
-
 // Batch is one minibatch of element type T: inputs plus labels.
 type Batch[T tensor.Float] struct {
 	X *tensor.Of[T]

@@ -755,18 +755,35 @@ func (d *RoundDriver) uplink(round int) int {
 	return d.NumParams
 }
 
-// evaluateServed runs the personalized evaluation protocol over the
-// pooled per-worker models: each worker loads the served vector only when
-// it differs (by identity) from the one it evaluated last, so serving one
-// cluster model to many clients costs one load per worker. The identity
-// cache never survives a call (a vector freed since the last evaluation
-// could alias a new allocation).
-func (d *RoundDriver) evaluateServed() ([]float64, float64, float64) {
+// evaluateServed runs the personalized evaluation protocol on the lanes:
+// every client's test split is evaluated on its served vector, loaded
+// into the worker's lane model only when it differs (by identity) from
+// the one that lane evaluated last, so serving one cluster model to many
+// clients costs one load per worker. The identity cache never survives a
+// call (a vector freed since the last evaluation could alias a new
+// allocation). It returns the per-client accuracies (the runtime's
+// column, overwritten by the next evaluation) and the mean accuracy and
+// loss over clients with test data, summed in client order.
+func (d *RoundDriver) evaluateServed() (perClient []float64, meanAcc, meanLoss float64) {
 	es := d.es
 	for i := range es.evalLast {
 		es.evalLast[i] = nil
 	}
-	per, acc, loss := d.Env.EvaluateWithInto(es.perClient, es.evalPick)
-	es.perClient = per
-	return per, acc, loss
+	d.Env.ParallelClientsWorker(es.n, es.evalTask)
+	var accSum, lossSum float64
+	valid := 0
+	for i, c := range d.Env.Clients {
+		if hasTest(c.Test) {
+			accSum += es.perClient[i]
+			lossSum += es.evalLoss[i]
+			valid++
+		}
+	}
+	if valid == 0 {
+		return es.perClient, 0, 0
+	}
+	return es.perClient, accSum / float64(valid), lossSum / float64(valid)
 }
+
+// hasTest reports whether a client's test split counts in evaluation.
+func hasTest(test *data.Dataset) bool { return test != nil && test.Len() > 0 }

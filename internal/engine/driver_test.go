@@ -6,6 +6,7 @@ import (
 	"fedclust/internal/engine"
 	"fedclust/internal/fl"
 	"fedclust/internal/nn"
+	"fedclust/internal/rng"
 )
 
 // TestDriverRequiresHooks: a driver without its required hooks must fail
@@ -34,6 +35,55 @@ func TestDriverRequiresHooks(t *testing.T) {
 		d.Hooks.Aggregate = func(int, []int) {}
 		d.Hooks.Served = func(int) []float64 { return nil }
 	})
+}
+
+// evalServed runs a one-round schedule in which no client trains, so
+// the engine's evaluation phase is all that happens: client i is
+// evaluated on served(i).
+func evalServed(env *fl.Env, served func(i int) []float64) *fl.Result {
+	env.Rounds = 1
+	d := engine.New(env, "eval")
+	d.Hooks.Local = func(*engine.ClientCtx) {}
+	d.Hooks.Aggregate = func(int, []int) {}
+	d.Hooks.Served = served
+	return d.Run()
+}
+
+// TestEvaluatePersonalized: the evaluation phase serves every client its
+// own vector and reports, per client, exactly what fl.Evaluate gives on
+// that client's test split; a client without test data reports 0 and is
+// left out of the means, which run over the others in client order.
+func TestEvaluatePersonalized(t *testing.T) {
+	env := goldenEnv(16, 1, fl.Participation{})
+	env.Clients[2].Test = nil
+	models := [2]*nn.Sequential{env.NewModel(), env.NewModel()}
+	fl.LocalUpdate(models[1], env.Clients[0].Train, fl.LocalConfig{Epochs: 5, BatchSize: 16, LR: 0.1}, rng.New(8))
+	vecs := [2][]float64{nn.FlattenParams(models[0]), nn.FlattenParams(models[1])}
+
+	res := evalServed(env, func(i int) []float64 { return vecs[i%2] })
+	if len(res.PerClientAcc) != len(env.Clients) {
+		t.Fatalf("per-client length = %d, want %d", len(res.PerClientAcc), len(env.Clients))
+	}
+	var accSum, lossSum float64
+	valid := 0
+	for i, c := range env.Clients {
+		var loss, acc float64
+		if c.Test != nil {
+			loss, acc = fl.Evaluate(models[i%2], c.Test, env.EvalBatchSize())
+			accSum += acc
+			lossSum += loss
+			valid++
+		}
+		if res.PerClientAcc[i] != acc {
+			t.Fatalf("client %d: accuracy %v, want %v", i, res.PerClientAcc[i], acc)
+		}
+	}
+	if want := accSum / float64(valid); res.FinalAcc != want {
+		t.Fatalf("mean accuracy %v, want %v", res.FinalAcc, want)
+	}
+	if want := lossSum / float64(valid); res.FinalLoss != want || want <= 0 {
+		t.Fatalf("mean loss %v, want %v > 0", res.FinalLoss, want)
+	}
 }
 
 // TestDriverBuffers: the locals arena must be per-client, disjoint,

@@ -1,8 +1,8 @@
 package engine_test
 
 // Concurrency coverage: these tests are written to put the executor, the
-// per-worker lanes, and the shared evaluation protocol under real
-// contention so `go test -race` can catch unsynchronized access. The
+// per-worker lanes, and the evaluation phase under real contention so
+// `go test -race` can catch unsynchronized access. The
 // seed's evaluation path shared one nn.Sequential across goroutines —
 // whose layers cache forward activations — which the per-worker
 // clone/pool design removed.
@@ -77,31 +77,24 @@ func TestLanesConcurrentTraining(t *testing.T) {
 }
 
 // TestConcurrentEvaluatePersonalizedSharedModel: the historical race — a
-// single served model evaluated by every client in parallel. Serving it
-// through one instance per worker (EvaluateWithInto's pick contract, the
-// route the engine's lanes take) must keep this clean under -race and
-// return the same numbers as serial evaluation.
+// single served model evaluated by every client in parallel. The
+// engine's evaluation phase loads it into each worker's own lane, so it
+// must stay clean under -race and return the same numbers as serial
+// evaluation.
 func TestConcurrentEvaluatePersonalizedSharedModel(t *testing.T) {
 	env := goldenEnv(12, 1, fl.Participation{})
 	shared := nn.FlattenParams(env.NewModel())
-	perWorker := make([]*nn.Sequential, 8)
-	for w := range perWorker {
-		perWorker[w] = env.NewModel()
-		nn.LoadParams(perWorker[w], shared)
-	}
-	pick := func(w, _ int) *nn.Sequential { return perWorker[w] }
-
 	env.Workers = 8
-	perPar, accPar, lossPar := env.EvaluateWithInto(nil, pick)
+	par := evalServed(env, func(int) []float64 { return shared })
 	env.Workers = 1
-	perSer, accSer, lossSer := env.EvaluateWithInto(nil, pick)
+	ser := evalServed(env, func(int) []float64 { return shared })
 
-	if accPar != accSer || lossPar != lossSer {
-		t.Fatalf("parallel eval diverged: acc %v vs %v, loss %v vs %v", accPar, accSer, lossPar, lossSer)
+	if par.FinalAcc != ser.FinalAcc || par.FinalLoss != ser.FinalLoss {
+		t.Fatalf("parallel eval diverged: acc %v vs %v, loss %v vs %v", par.FinalAcc, ser.FinalAcc, par.FinalLoss, ser.FinalLoss)
 	}
-	for i := range perPar {
-		if perPar[i] != perSer[i] {
-			t.Fatalf("client %d accuracy diverged: %v vs %v", i, perPar[i], perSer[i])
+	for i := range par.PerClientAcc {
+		if par.PerClientAcc[i] != ser.PerClientAcc[i] {
+			t.Fatalf("client %d accuracy diverged: %v vs %v", i, par.PerClientAcc[i], ser.PerClientAcc[i])
 		}
 	}
 }

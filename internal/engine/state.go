@@ -53,8 +53,11 @@ type envState struct {
 	gatherWs   []float64
 
 	invited, reported []int // sampling buffers
-	evalLast          [][]float64
-	perClient         []float64
+	// Evaluation phase (evaluateServed): the served vector each lane's
+	// model last loaded, and the per-client accuracy and loss columns.
+	evalLast  [][]float64
+	perClient []float64
+	evalLoss  []float64
 
 	// Scenario state for the current round (client-indexed), filled by
 	// RunRound before the parallel phase when the environment carries a
@@ -72,7 +75,7 @@ type envState struct {
 
 	// Per-round defense tallies: uplinks masked for non-finite values and
 	// inputs the robust Aggregator excluded across the round's combines.
-	// Reset by RunRound, read by DefenseCounts and the DefenseObserver.
+	// Reset by RunRound, read by the DefenseObserver.
 	masked   int
 	suspects int
 
@@ -112,7 +115,7 @@ type envState struct {
 	curStarts  [][]float64
 	curRound   int
 	clientTask func(w, j int)
-	evalPick   func(w, i int) *nn.Sequential
+	evalTask   func(w, i int)
 }
 
 // newEnvState builds the runtime for env's current shape.
@@ -150,6 +153,7 @@ func newEnvState(env *fl.Env) *envState {
 	es.gatherWs = make([]float64, 0, n)
 	es.evalLast = make([][]float64, len(es.lanes))
 	es.perClient = make([]float64, n)
+	es.evalLoss = make([]float64, n)
 	es.done = make([]int, n)
 	es.lag = make([]int, n)
 	es.repMask = make([]bool, n)
@@ -199,14 +203,22 @@ func newEnvState(env *fl.Env) *envState {
 			es.failMask[i] = true
 		}
 	}
-	es.evalPick = func(w, i int) *nn.Sequential {
+	// evalTask evaluates client i's served model on lane w: the lane's
+	// model reloads only when the served vector differs (by identity) from
+	// the one it evaluated last.
+	es.evalTask = func(w, i int) {
+		test := es.env.Clients[i].Test
+		if !hasTest(test) {
+			es.perClient[i] = 0
+			return
+		}
 		vec := es.d.Hooks.Served(i)
-		m := es.lanes[w].Model
+		lane := es.lanes[w]
 		if es.evalLast[w] == nil || &es.evalLast[w][0] != &vec[0] {
-			nn.LoadParams(m, vec)
+			nn.LoadParams(lane.Model, vec)
 			es.evalLast[w] = vec
 		}
-		return m
+		es.evalLoss[i], es.perClient[i] = lane.Scratch.Evaluate(lane.Model, test, es.env.EvalBatchSize())
 	}
 	return es
 }

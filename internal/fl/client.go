@@ -77,8 +77,7 @@ func (c LocalConfig) Check() error {
 // concurrent goroutines.
 type TrainScratch struct {
 	// DType routes LocalUpdate/Evaluate through the float32 compute path
-	// when set to Float32; models whose architecture has no float32
-	// mirror fall back to float64 transparently.
+	// when set to Float32.
 	DType DType
 
 	f64 visitState[float64]
@@ -105,10 +104,10 @@ type visitState[T tensor.Float] struct {
 // SGD and returns the mean training loss over all processed batches.
 // If cfg.ProxMu > 0 the FedProx proximal term is applied against the
 // parameters the model held when LocalUpdate was called (i.e. the global
-// weights just loaded). r drives batch shuffling and (via
-// nn.SequentialOf.SeedStep) any stochastic layers, so the result depends
-// only on (model weights, dataset, cfg, r) — never on earlier visits
-// that reused the same model or scratch.
+// weights just loaded). r drives batch shuffling — no layer draws
+// randomness — so the result depends only on (model weights, dataset,
+// cfg, r), never on earlier visits that reused the same model or
+// scratch.
 //
 // On the Float32 path master weights stay float64: the incoming
 // parameters are rounded into the shadow once, the whole local pass runs
@@ -123,22 +122,19 @@ func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg L
 		return 0
 	}
 	if ts.DType == Float32 {
-		if sh := ts.shadow.load(model); sh != nil {
-			loss := ts.f32.localSGD(sh, d, cfg, r)
-			nn.CopyParams64(model, sh)
-			ts.ranF32 = true
-			return loss
-		}
+		sh := ts.shadow.load(model)
+		loss := ts.f32.localSGD(sh, d, cfg, r)
+		nn.CopyParams64(model, sh)
+		ts.ranF32 = true
+		return loss
 	}
 	return ts.f64.localSGD(model, d, cfg, r)
 }
 
 // localSGD is the local training pass itself, one body for both element
-// types: same batch shuffling draws, same stochastic-layer rebasing keys,
-// same update order, so the float32 path diverges from the float64
-// reference only by rounding.
+// types: same batch shuffling draws, same update order, so the float32
+// path diverges from the float64 reference only by rounding.
 func (st *visitState[T]) localSGD(net *nn.SequentialOf[T], d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
-	net.SeedStep(r)
 	params, grads := net.Params(), net.Grads()
 	var proxRef []T
 	if cfg.ProxMu > 0 {
@@ -182,17 +178,15 @@ func (st *visitState[T]) localSGD(net *nn.SequentialOf[T], d *data.Dataset, cfg 
 
 // Evaluate computes mean cross-entropy loss and accuracy of model on d
 // (evaluation mode, batched to bound memory) through the scratch's loss
-// head and batcher, so evaluation loops — the engine's per-worker
-// evaluation protocol, IFCA's per-cluster selection interleaved with
-// training on the same worker — allocate nothing per call. Empty
-// datasets return (0, 0).
+// head and batcher, so evaluation loops — the engine's evaluation phase
+// on its lanes, IFCA's per-cluster selection interleaved with training
+// on the same lane — allocate nothing per call. Empty datasets return
+// (0, 0).
 func (ts *TrainScratch) Evaluate(model *nn.Sequential, d *data.Dataset, batchSize int) (loss, acc float64) {
 	if ts.DType == Float32 {
-		if sh := ts.shadow.load(model); sh != nil {
-			// The shadow now holds eval weights, not a trained update.
-			ts.ranF32 = false
-			return ts.f32.evaluate(sh, d, batchSize)
-		}
+		// The shadow now holds eval weights, not a trained update.
+		ts.ranF32 = false
+		return ts.f32.evaluate(ts.shadow.load(model), d, batchSize)
 	}
 	return ts.f64.evaluate(model, d, batchSize)
 }

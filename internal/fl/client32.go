@@ -10,27 +10,14 @@ import "fedclust/internal/nn"
 // changes. The zero value is ready to use.
 type shadowCache struct {
 	net *nn.SequentialOf[float32]
-	// refused is the last model Mirror32 could not handle, so an
-	// architecture without a float32 form is not re-mirrored every visit.
-	refused *nn.Sequential
 }
 
 // load returns the replica holding model's parameters, each rounded to
 // float32 once — loaded fresh on every call, because the same pooled
-// model may carry different weights on consecutive visits. It returns
-// nil when the architecture has no float32 mirror; the caller then stays
-// on the float64 path.
+// model may carry different weights on consecutive visits.
 func (c *shadowCache) load(model *nn.Sequential) *nn.SequentialOf[float32] {
 	if c.net == nil || !nn.IsMirror32(c.net, model) {
-		if model == c.refused {
-			return nil
-		}
-		m := nn.Mirror32(model)
-		if m == nil {
-			c.refused = model
-			return nil
-		}
-		c.net = m
+		c.net = nn.Mirror32(model)
 	}
 	nn.AssignParams32(c.net, model)
 	return c.net

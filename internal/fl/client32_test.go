@@ -1,7 +1,9 @@
 package fl
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"fedclust/internal/data"
@@ -160,7 +162,7 @@ func TestZooMirrorsToFloat32(t *testing.T) {
 	}
 }
 
-// oddLayer is a Layer with no float32 mirror, for the fallback test.
+// oddLayer is a Layer with no float32 form.
 type oddLayer struct{ dim int }
 
 func (o *oddLayer) Name() string                                        { return "odd" }
@@ -170,32 +172,20 @@ func (o *oddLayer) Params() []*tensor.Tensor                            { return
 func (o *oddLayer) Grads() []*tensor.Tensor                             { return nil }
 func (o *oddLayer) OutDim() int                                         { return o.dim }
 
-// TestLocalUpdate32FallsBackOnUnmirrorable pins the compatibility
-// contract: an architecture Mirror32 cannot handle silently trains on
-// the float64 path with results bit-identical to a float64 scratch.
-func TestLocalUpdate32FallsBackOnUnmirrorable(t *testing.T) {
+// TestMirror32PanicsOnUnknownLayer: a layer kind with no float32 form is
+// a construction error naming the layer, raised by the first float32
+// visit — never a silent fallback to the float64 path.
+func TestMirror32PanicsOnUnknownLayer(t *testing.T) {
 	d := benchDataset(40)
-	build := func() *nn.Sequential {
-		r := rng.New(1)
-		return nn.NewSequential(nn.NewDense(d.Dim(), 20, r), &oddLayer{dim: 20}, nn.NewDense(20, d.Classes, r))
-	}
-	m64, m32 := build(), build()
-	var ts64 TrainScratch
-	ts32 := TrainScratch{DType: Float32}
-	loss64 := ts64.LocalUpdate(m64, d, clientCfg, rng.New(8))
-	loss32 := ts32.LocalUpdate(m32, d, clientCfg, rng.New(8))
-	if ts32.ranF32 {
-		t.Fatal("float32 path claimed an unmirrorable architecture")
-	}
-	if loss64 != loss32 {
-		t.Fatalf("fallback loss differs: %g vs %g", loss64, loss32)
-	}
-	w64, w32 := nn.FlattenParams(m64), nn.FlattenParams(m32)
-	for i := range w64 {
-		if w64[i] != w32[i] {
-			t.Fatalf("fallback param %d differs", i)
+	r := rng.New(1)
+	m := nn.NewSequential(nn.NewDense(d.Dim(), 20, r), &oddLayer{dim: 20}, nn.NewDense(20, d.Classes, r))
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "layer 1 (odd)") {
+			t.Fatalf("float32 visit of an unknown layer kind: got %q, want a panic naming it", msg)
 		}
-	}
+	}()
+	ts := TrainScratch{DType: Float32}
+	ts.LocalUpdate(m, d, clientCfg, rng.New(8))
 }
 
 // TestFloat32ShadowFollowsArchitecture is the regression test for shadow
@@ -203,9 +193,8 @@ func TestLocalUpdate32FallsBackOnUnmirrorable(t *testing.T) {
 // parameter tensors line up must not share a float32 shadow — Dense,
 // ReLU, Dense against the same two Dense layers alone, and a
 // convolution followed by max pooling against the same kernel at stride
-// 2 followed by a ReLU. The second model on a reused TrainScratch, and
-// on a reused evaluation worker slot, must behave exactly as on a fresh
-// one.
+// 2 followed by a ReLU. The second model on a reused TrainScratch must
+// behave exactly as on a fresh one.
 func TestFloat32ShadowFollowsArchitecture(t *testing.T) {
 	d := benchDataset(40)
 	mlp := func(relu bool) func() *nn.Sequential {
@@ -242,10 +231,6 @@ func TestFloat32ShadowFollowsArchitecture(t *testing.T) {
 		evalLoss, evalAcc := ts.Evaluate(m, d, 64)
 		return append(nn.FlattenParams(m), loss, evalLoss, evalAcc)
 	}
-	evalOnly := func(env *Env, m *nn.Sequential) []float64 {
-		_, acc, loss := env.EvaluateWithInto(nil, func(int, int) *nn.Sequential { return m })
-		return []float64{acc, loss}
-	}
 	same := func(a, b []float64) bool {
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
@@ -261,15 +246,6 @@ func TestFloat32ShadowFollowsArchitecture(t *testing.T) {
 			fresh := TrainScratch{DType: Float32}
 			if !same(visit(&reused, p.second()), visit(&fresh, p.second())) {
 				t.Error("TrainScratch kept the first architecture's float32 shadow for the second model")
-			}
-
-			newEnv := func() *Env {
-				return &Env{Clients: []*Client{{ID: 0, Train: d, Test: d}}, Workers: 1, DType: Float32}
-			}
-			reusedEnv := newEnv()
-			evalOnly(reusedEnv, p.first())
-			if !same(evalOnly(reusedEnv, p.second()), evalOnly(newEnv(), p.second())) {
-				t.Error("evaluation worker slot kept the first architecture's float32 shadow for the second model")
 			}
 		})
 	}

@@ -164,55 +164,6 @@ func (e *Env) ShouldEval(r int) bool {
 	return e.EvalEvery > 0 && (r+1)%e.EvalEvery == 0
 }
 
-// EvaluateWithInto evaluates every client's test split on the model
-// chosen by pick(worker, clientIdx) and returns per-client accuracies
-// plus the mean accuracy and loss. Clients with empty test sets are
-// skipped in the means. pick receives the stable worker id so it can
-// serve per-worker model instances: a network's Forward caches
-// activations, so a single model instance must never be evaluated from
-// two goroutines at once.
-//
-// The per-client accuracies are written into dst (grown when too small)
-// instead of a fresh slice, so warm evaluation rounds allocate nothing.
-// The returned slice aliases dst's backing array and is overwritten by
-// the caller's next call; callers that retain results must copy them.
-func (e *Env) EvaluateWithInto(dst []float64, pick func(worker, clientIdx int) *nn.Sequential) (perClient []float64, meanAcc, meanLoss float64) {
-	n := len(e.Clients)
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	s, claimed := e.acquireEval()
-	defer e.releaseEval(s, claimed)
-	return e.evaluateOn(s, dst[:n], pick)
-}
-
-// evaluateOn runs the evaluation protocol over an already-claimed
-// scratch: one warm loss head per worker, results gathered into
-// perClient/losses columns, means taken over clients with test data in
-// client-index order (bit-identical to the historical gather-then-Mean).
-func (e *Env) evaluateOn(s *evalScratch, perClient []float64, pick func(worker, clientIdx int) *nn.Sequential) ([]float64, float64, float64) {
-	n := len(e.Clients)
-	s.ensure(n, e.WorkerCount())
-	for i := range perClient {
-		perClient[i] = 0
-	}
-	s.env, s.pick, s.cur = e, pick, perClient
-	e.executor().Run(n, e.WorkerCount(), s.task)
-	var accSum, lossSum float64
-	valid := 0
-	for i := range s.valid {
-		if s.valid[i] {
-			accSum += perClient[i]
-			lossSum += s.losses[i]
-			valid++
-		}
-	}
-	if valid == 0 {
-		return perClient, 0, 0
-	}
-	return perClient, accSum / float64(valid), lossSum / float64(valid)
-}
-
 // TrainSizes returns each client's training-set size as float weights for
 // aggregation.
 func (e *Env) TrainSizes() []float64 {

@@ -292,25 +292,6 @@ func TestShouldEval(t *testing.T) {
 	}
 }
 
-func TestEvaluatePersonalized(t *testing.T) {
-	env := tinyEnv(4, 7)
-	// Train one good model and serve it to everyone.
-	model := env.NewModel()
-	merged := data.Merge(env.Clients[0].Train, env.Clients[1].Train)
-	LocalUpdate(model, merged, LocalConfig{Epochs: 30, BatchSize: 16, LR: 0.2}, rng.New(8))
-	env.Workers = 1 // one served instance, so one evaluating goroutine
-	per, mean, loss := env.EvaluateWithInto(nil, func(int, int) *nn.Sequential { return model })
-	if len(per) != 4 {
-		t.Fatalf("per-client length = %d", len(per))
-	}
-	if mean < 0.9 {
-		t.Fatalf("personalized accuracy = %v on separable data", mean)
-	}
-	if loss <= 0 {
-		t.Fatalf("loss = %v", loss)
-	}
-}
-
 func TestBuildDirichletClients(t *testing.T) {
 	cfg := data.SynthFMNIST(3)
 	cfg.TrainPerClass, cfg.TestPerClass = 30, 10

@@ -15,8 +15,7 @@ import (
 type Visit struct {
 	// Client and Round key the visit's deterministic RNG stream.
 	Client, Round int
-	// Layer selects the reported vector: FullParams, FinalLayer, or a
-	// weight-layer index ≥ 0.
+	// Layer selects the reported vector: FullParams or FinalLayer.
 	Layer int
 	Cfg   LocalConfig
 	// Start is the sender's exact copy of the broadcast. The lane trains
@@ -58,18 +57,20 @@ type Lane struct {
 	Scratch TrainScratch
 
 	env *Env
-	// weightLayers caches nn.WeightLayers(Model) for partial reports.
-	weightLayers []int
-	rng          rng.Rng
-	efs          EFScratch
-	frame        []byte
-	vec          []float64
+	// final is Model's last weight layer, the one a FinalLayer visit
+	// reports.
+	final nn.Layer[float64]
+	rng   rng.Rng
+	efs   EFScratch
+	frame []byte
+	vec   []float64
 }
 
 // NewLane builds a lane (and its model) for env.
 func NewLane(env *Env) *Lane {
 	l := &Lane{Model: env.NewModel(), Scratch: TrainScratch{DType: env.DType}, env: env}
-	l.weightLayers = nn.WeightLayers(l.Model)
+	wl := nn.WeightLayers(l.Model)
+	l.final = l.Model.Layers[wl[len(wl)-1]]
 	return l
 }
 
@@ -80,8 +81,8 @@ func NewLane(env *Env) *Lane {
 // Every visit loads its starting weights in place and resets the
 // optimizer, so reuse is bit-equivalent to a fresh lane provided the
 // environment's Factory embeds no mutable state that survives
-// nn.LoadParams and changes behaviour (forward caches, workspaces and
-// nn.StepSeeded layers are fine — see DESIGN.md §5).
+// nn.LoadParams and changes behaviour (forward caches and workspaces are
+// fine — see DESIGN.md §5).
 func NewLanes(env *Env) []*Lane {
 	lanes := make([]*Lane, env.WorkerCount())
 	for w := range lanes {
@@ -124,7 +125,8 @@ func (l *Lane) VisitFrame(dst []byte, v *Visit, out []float64) []byte {
 }
 
 // train loads Start as the wire delivers it, runs the local pass on the
-// visit's (Client, Round) stream and extracts the selected vector.
+// visit's (Client, Round) stream and extracts the selected vector: every
+// parameter, or the final layer's.
 func (l *Lane) train(v *Visit, out []float64) {
 	start := v.Start
 	if v.Down != wire.Float64 {
@@ -139,17 +141,13 @@ func (l *Lane) train(v *Visit, out []float64) {
 		nn.FlattenParamsInto(l.Model, out)
 		return
 	}
-	k := v.Layer
-	if k == FinalLayer {
-		k = len(l.weightLayers) - 1
-	}
-	params := l.Model.Layers[l.weightLayers[k]].Params()
+	params := l.final.Params()
 	n := 0
 	for _, p := range params {
 		n += p.Size()
 	}
 	if n != len(out) {
-		panic(fmt.Sprintf("fl: visit result buffer %d values, layer %d has %d", len(out), v.Layer, n))
+		panic(fmt.Sprintf("fl: visit result buffer %d values, final layer has %d", len(out), n))
 	}
 	off := 0
 	for _, p := range params {

@@ -80,17 +80,14 @@ func newLaneEF(env *Env, cd wire.Codec, dim int) *ErrorFeedback {
 func TestLaneOnePipeline(t *testing.T) {
 	for _, dtype := range []DType{Float64, Float32} {
 		for _, cd := range laneCodecs {
-			for _, layer := range []int{FullParams, FinalLayer, 0} {
+			for _, layer := range []int{FullParams, FinalLayer} {
 				t.Run(fmt.Sprintf("%v/%v/layer%d", dtype, cd, layer), func(t *testing.T) {
 					env := laneEnv(dtype)
 					local, node := NewLane(env), NewLane(env)
 					start := nn.FlattenParams(env.NewModel())
 					dim := len(start)
-					switch layer {
-					case FinalLayer:
+					if layer == FinalLayer {
 						dim = len(nn.FinalLayerVector(local.Model))
-					case 0:
-						dim = nn.LayerParamSize(local.Model, 0)
 					}
 					efLocal, efNode := newLaneEF(env, cd, len(start)), newLaneEF(env, cd, len(start))
 					got, work := make([]float64, dim), make([]float64, dim)

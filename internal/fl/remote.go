@@ -1,8 +1,8 @@
 package fl
 
 // Vector selectors for RemoteRequest.Layer: which slice of the trained
-// model the remote executor returns. Non-negative values select an
-// explicit weight-layer index (nn.WeightLayers order).
+// model the remote executor returns. There is no third selector; a node
+// rejects any other value.
 const (
 	// FullParams requests the complete flattened parameter vector — the
 	// normal per-round update upload.
@@ -25,8 +25,7 @@ type RemoteRequest struct {
 	// otherwise. Informational round metadata — the executor's arithmetic
 	// never depends on it.
 	Cluster int
-	// Layer selects the returned vector: FullParams, FinalLayer, or a
-	// weight-layer index ≥ 0.
+	// Layer selects the returned vector: FullParams or FinalLayer.
 	Layer int
 	// Cfg is the effective local-training configuration for this visit
 	// (epochs already scenario-adjusted; ProxMu set for FedProx runs).

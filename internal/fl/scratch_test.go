@@ -59,48 +59,3 @@ func testTrainScratchReuseBitEquivalent(t *testing.T, dtype DType) {
 		}
 	}
 }
-
-// TestTrainScratchDropoutPooledMatchesFresh is the end-to-end form of
-// the model-pool invariant-3 fix: with a Dropout factory, a model that
-// already served another client must train exactly like a fresh one,
-// because LocalUpdate rebases the dropout stream on the visit's rng.
-func TestTrainScratchDropoutPooledMatchesFresh(t *testing.T) {
-	onBothDTypes(t, testTrainScratchDropoutPooledMatchesFresh)
-}
-
-func testTrainScratchDropoutPooledMatchesFresh(t *testing.T, dtype DType) {
-	factory := func(r *rng.Rng) *nn.Sequential {
-		return nn.NewSequential(
-			nn.NewDense(2, 8, r),
-			nn.NewDropout(8, 0.3, r.Derive(7)),
-			nn.NewDense(8, 2, r),
-		)
-	}
-	dA := tinyDataset(24, rng.New(11))
-	dB := tinyDataset(24, rng.New(12))
-	cfg := LocalConfig{Epochs: 2, BatchSize: 8, LR: 0.1}
-
-	w0 := nn.FlattenParams(factory(rng.New(13)))
-
-	// Pooled: train on A first (advancing all streams), then visit B.
-	pooled := factory(rng.New(13))
-	ts := TrainScratch{DType: dtype}
-	nn.LoadParams(pooled, w0)
-	ts.LocalUpdate(pooled, dA, cfg, rng.New(21))
-	nn.LoadParams(pooled, w0)
-	ts.LocalUpdate(pooled, dB, cfg, rng.New(22))
-	got := nn.FlattenParams(pooled)
-
-	// Fresh: visit B directly.
-	fresh := factory(rng.New(13))
-	fts := TrainScratch{DType: dtype}
-	nn.LoadParams(fresh, w0)
-	fts.LocalUpdate(fresh, dB, cfg, rng.New(22))
-	want := nn.FlattenParams(fresh)
-
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("param %d: pooled dropout model diverges from fresh (%v vs %v)", i, got[i], want[i])
-		}
-	}
-}

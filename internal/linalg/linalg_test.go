@@ -197,39 +197,9 @@ func TestTruncateU(t *testing.T) {
 	}
 }
 
-func TestOrthonormalize(t *testing.T) {
-	r := rng.New(5)
-	a := randMatrix(r, 7, 3)
-	q := Orthonormalize(a)
-	if q.Shape[1] != 3 {
-		t.Fatalf("Orthonormalize dropped independent columns: %v", q.Shape)
-	}
-	qtq := matMul(tensor.Transpose(q), q)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(qtq.At(i, j)-want) > 1e-10 {
-				t.Fatal("Orthonormalize result not orthonormal")
-			}
-		}
-	}
-}
-
-func TestOrthonormalizeDropsDependentColumns(t *testing.T) {
-	// Second column is 2× the first.
-	a := tensor.FromSlice([]float64{1, 2, 1, 2, 1, 2}, 3, 2)
-	q := Orthonormalize(a)
-	if q.Shape[1] != 1 {
-		t.Fatalf("expected 1 independent column, got %d", q.Shape[1])
-	}
-}
-
 func TestPrincipalAnglesIdenticalSubspaces(t *testing.T) {
 	r := rng.New(6)
-	u := Orthonormalize(randMatrix(r, 8, 3))
+	u := ComputeSVD(randMatrix(r, 8, 3)).TruncateU(3)
 	angles := PrincipalAngles(u, u)
 	for _, a := range angles {
 		if a > 1e-6 {

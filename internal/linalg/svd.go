@@ -164,54 +164,9 @@ func (d SVD) TruncateU(p int) *tensor.Tensor {
 	return out
 }
 
-// Orthonormalize performs modified Gram-Schmidt on the columns of a,
-// returning an m×r matrix with orthonormal columns spanning the same space
-// (r = number of numerically independent columns).
-func Orthonormalize(a *tensor.Tensor) *tensor.Tensor {
-	if len(a.Shape) != 2 {
-		panic("linalg: Orthonormalize requires a rank-2 tensor")
-	}
-	m, n := a.Shape[0], a.Shape[1]
-	cols := make([][]float64, 0, n)
-	for j := 0; j < n; j++ {
-		v := make([]float64, m)
-		for i := 0; i < m; i++ {
-			v[i] = a.At(i, j)
-		}
-		for _, u := range cols {
-			var dot float64
-			for i := range v {
-				dot += v[i] * u[i]
-			}
-			for i := range v {
-				v[i] -= dot * u[i]
-			}
-		}
-		var norm float64
-		for _, x := range v {
-			norm += x * x
-		}
-		norm = math.Sqrt(norm)
-		if norm < 1e-12 {
-			continue // linearly dependent column
-		}
-		for i := range v {
-			v[i] /= norm
-		}
-		cols = append(cols, v)
-	}
-	out := tensor.New(m, len(cols))
-	for j, v := range cols {
-		for i := 0; i < m; i++ {
-			out.Set(v[i], i, j)
-		}
-	}
-	return out
-}
-
 // PrincipalAngles returns the principal angles (radians, ascending) between
 // the column spaces of u1 (m×p) and u2 (m×q). Both inputs must have
-// orthonormal columns (use Orthonormalize or SVD.TruncateU). The angles are
+// orthonormal columns (e.g. from SVD.TruncateU). The angles are
 // acos of the singular values of u1ᵀ·u2, clamped to [0, π/2].
 func PrincipalAngles(u1, u2 *tensor.Tensor) []float64 {
 	if u1.Shape[0] != u2.Shape[0] {

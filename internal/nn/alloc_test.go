@@ -27,7 +27,7 @@ func lenetStep[T tensor.Float](t *testing.T) func() {
 	x := tensor.NewOf[T](32, 3*16*16)
 	labels := make([]int, 32)
 	step := func() {
-		net.ZeroGrads()
+		zeroGrads(net)
 		logits := net.Forward(x, true)
 		_, grad, _ := ce.Loss(logits, labels)
 		net.Backward(grad)

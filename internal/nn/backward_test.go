@@ -22,7 +22,7 @@ var skipCases = []struct {
 	{"dense-first", func() *Sequential { return MLP(rng.New(32), 12, 9, 4) }, 0, 12},
 	{"behind-parameter-free", func() *Sequential {
 		r := rng.New(33)
-		return NewSequential(NewTanh(12), NewDense(12, 7, r), NewReLU(7), NewDense(7, 3, r))
+		return NewSequential(NewReLU(12), NewDense(12, 7, r), NewReLU(7), NewDense(7, 3, r))
 	}, 1, 12},
 }
 
@@ -47,7 +47,7 @@ func testFirstLayerSkipsOnlyInputGrad[T tensor.Float](t *testing.T) {
 				t.Fatalf("first layer with parameters = %d, want %d", net.first, tc.first)
 			}
 			var ce SoftmaxCEOf[T]
-			net.ZeroGrads()
+			zeroGrads(net)
 			_, grad, _ := ce.Loss(net.Forward(x, true), labels)
 			net.Backward(grad)
 			got := flatGrads(net)
@@ -65,7 +65,7 @@ func testFirstLayerSkipsOnlyInputGrad[T tensor.Float](t *testing.T) {
 			}
 			byHand := func(net *SequentialOf[T]) []*tensor.Of[T] {
 				var ce SoftmaxCEOf[T]
-				net.ZeroGrads()
+				zeroGrads(net)
 				h := x
 				for _, l := range net.Layers {
 					h = l.Forward(h, true)
@@ -136,11 +136,7 @@ func TestBackwardChecksBatch(t *testing.T) {
 		{NewDense(16, 5, r), 16},
 		{NewConv2D(g, 2, r), 16},
 		{NewMaxPool2(1, 4, 4), 16},
-		{NewAvgPool2(1, 4, 4), 16},
 		{NewReLU(16), 16},
-		{NewTanh(16), 16},
-		{NewSigmoid(16), 16},
-		{NewDropout(16, 0.5, r.Derive(1)), 16},
 	}
 	for _, tc := range layers {
 		for _, rows := range []int{2, 4} {

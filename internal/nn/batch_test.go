@@ -41,7 +41,7 @@ func TestBatchForwardMatchesPerSample(t *testing.T) {
 }
 
 // TestGradientAccumulation verifies that two Backward calls without
-// ZeroGrads sum gradients (the contract optimizers rely on).
+// zeroing in between sum gradients (the contract optimizers rely on).
 func TestGradientAccumulation(t *testing.T) {
 	r := rng.New(3)
 	net := NewSequential(NewDense(4, 3, r))
@@ -52,39 +52,20 @@ func TestGradientAccumulation(t *testing.T) {
 	}
 	labels := []int{0, 2}
 
-	net.ZeroGrads()
+	zeroGrads(net)
 	logits := net.Forward(x, true)
 	_, grad, _ := ce.Loss(logits, labels)
 	net.Backward(grad)
-	once := FlattenGrads(net)
+	once := flatGrads(net)
 
 	logits = net.Forward(x, true)
 	_, grad, _ = ce.Loss(logits, labels)
 	net.Backward(grad)
-	twice := FlattenGrads(net)
+	twice := flatGrads(net)
 
 	for i := range once {
 		if math.Abs(twice[i]-2*once[i]) > 1e-12 {
 			t.Fatalf("gradient %d did not accumulate: %v vs 2×%v", i, twice[i], once[i])
-		}
-	}
-}
-
-// TestZeroGradsClears verifies ZeroGrads resets every gradient tensor.
-func TestZeroGradsClears(t *testing.T) {
-	r := rng.New(4)
-	net := MLP(r, 5, 6, 2)
-	var ce SoftmaxCE
-	x := tensor.New(1, 5)
-	logits := net.Forward(x, true)
-	_, grad, _ := ce.Loss(logits, []int{1})
-	net.Backward(grad)
-	net.ZeroGrads()
-	for _, g := range net.Grads() {
-		for _, v := range g.Data {
-			if v != 0 {
-				t.Fatal("ZeroGrads left a non-zero gradient")
-			}
 		}
 	}
 }
@@ -105,7 +86,7 @@ func TestLossDecreasesUnderGradientStep(t *testing.T) {
 		for i := range labels {
 			labels[i] = tr.Intn(3)
 		}
-		net.ZeroGrads()
+		zeroGrads(net)
 		before, grad, _ := ce.Loss(net.Forward(x, true), labels)
 		net.Backward(grad)
 		params, grads := net.Params(), net.Grads()
@@ -124,8 +105,8 @@ func TestLossDecreasesUnderGradientStep(t *testing.T) {
 func TestWeightLayerIndicesStable(t *testing.T) {
 	r := rng.New(6)
 	d1 := NewDense(4, 8, r)
-	d2 := NewDense(8, 2, r)
-	net := NewSequential(d1, NewReLU(8), NewDropout(8, 0.1, r), d2)
+	d2 := NewDense(2, 2, r)
+	net := NewSequential(d1, NewReLU(8), NewMaxPool2(2, 2, 2), d2)
 	wl := WeightLayers(net)
 	if len(wl) != 2 || wl[0] != 0 || wl[1] != 3 {
 		t.Fatalf("WeightLayers = %v", wl)

@@ -2,7 +2,8 @@
 // a layer interface with hand-written backward passes, a Sequential
 // container with parameter flattening (the representation federated
 // aggregation works on), and the model zoo the paper evaluates (LeNet-5 for
-// Table I, a VGG-16-shaped probe network for Fig. 1).
+// Table I, a VGG-16-shaped probe network for Fig. 1). The layer kinds are
+// the four the zoo builds: Dense, Conv2D, ReLU and MaxPool2.
 //
 // All activations flow as rank-2 (batch, features) tensors; convolutional
 // layers interpret the feature axis as flattened CHW volumes via an
@@ -19,20 +20,8 @@ package nn
 import (
 	"fmt"
 
-	"fedclust/internal/rng"
 	"fedclust/internal/tensor"
 )
-
-// StepSeeded is the optional interface of layers whose stochastic
-// training-time behaviour (e.g. Dropout's masks) must be driven by the
-// training step's RNG rather than a stream carried across the layer's
-// lifetime. Rebasing the stream per local-training call makes a pooled,
-// reused model behave identically to a freshly built one — model-pool
-// invariant 3 in DESIGN.md §5.
-type StepSeeded interface {
-	// SeedStep rebases the layer's stochastic stream on r.
-	SeedStep(r *rng.Rng)
-}
 
 // Layer is one differentiable stage of a network.
 //
@@ -47,7 +36,8 @@ type Layer[T tensor.Float] interface {
 	// Name identifies the layer kind and shape, e.g. "conv5x5(3→6)".
 	Name() string
 	// Forward computes the layer output for a (batch, inDim) input.
-	// train enables training-time behaviour (e.g. dropout).
+	// train marks a training pass; every layer kind here computes the
+	// same function either way.
 	Forward(x *tensor.Of[T], train bool) *tensor.Of[T]
 	// Backward consumes dL/d(output) and returns dL/d(input),
 	// accumulating parameter gradients internally. It must be called
@@ -148,28 +138,6 @@ func (s *SequentialOf[T]) Params() []*tensor.Of[T] { return s.params }
 // Grads returns every gradient tensor in layer order, aligned with
 // Params (shared like Params).
 func (s *SequentialOf[T]) Grads() []*tensor.Of[T] { return s.grads }
-
-// ZeroGrads clears all accumulated gradients.
-func (s *SequentialOf[T]) ZeroGrads() {
-	for _, g := range s.Grads() {
-		g.Zero()
-	}
-}
-
-// SeedStep derives one independent stream per StepSeeded layer from r
-// (keyed by layer position; r itself is not advanced) and rebases the
-// layer on it. Local training calls this once per client visit so
-// stochastic layers depend only on the visit's (client, round) stream,
-// never on how often the model instance was reused. Mirror32 preserves
-// layer positions 1:1, so a float32 shadow draws byte-identical streams
-// (dropout masks) to the float64 network it mirrors.
-func (s *SequentialOf[T]) SeedStep(r *rng.Rng) {
-	for i, l := range s.Layers {
-		if ss, ok := l.(StepSeeded); ok {
-			ss.SeedStep(r.Derive(0xd809, uint64(i)))
-		}
-	}
-}
 
 // NumParams returns the total number of scalar parameters.
 func (s *SequentialOf[T]) NumParams() int { return s.numParams }

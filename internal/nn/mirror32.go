@@ -12,11 +12,9 @@ import (
 // read back by exact widening (CopyParams64).
 
 // Mirror32 builds a float32 shadow of a float64 network: the same layer
-// kind at every position (so SeedStep derivation keys line up), with
-// identical hyperparameters and zeroed weights — call AssignParams32 to
-// load them. It returns nil if the network contains a layer kind it does
-// not know; callers treat nil as "stay on the float64 path", which keeps
-// such an architecture working instead of failing.
+// kind at every position, with identical hyperparameters and zeroed
+// weights — call AssignParams32 to load them. Every layer kind in this
+// package has a float32 form; any other kind panics with its name.
 func Mirror32(src *Sequential) *SequentialOf[float32] {
 	layers := make([]Layer[float32], len(src.Layers))
 	for i, l := range src.Layers {
@@ -27,20 +25,10 @@ func Mirror32(src *Sequential) *SequentialOf[float32] {
 			layers[i] = newConv2D[float32](t.Geom, t.OutC)
 		case *ReLU[float64]:
 			layers[i] = &ReLU[float32]{dim: t.dim}
-		case *Tanh[float64]:
-			layers[i] = &Tanh[float32]{dim: t.dim}
-		case *Sigmoid[float64]:
-			layers[i] = &Sigmoid[float32]{dim: t.dim}
-		case *Dropout[float64]:
-			// The source's stream is only the standalone fallback; local
-			// training rebases it through SeedStep before every use.
-			layers[i] = &Dropout[float32]{dim: t.dim, P: t.P, rng: t.rng}
 		case *MaxPool2[float64]:
 			layers[i] = &MaxPool2[float32]{C: t.C, H: t.H, W: t.W}
-		case *AvgPool2[float64]:
-			layers[i] = &AvgPool2[float32]{C: t.C, H: t.H, W: t.W}
 		default:
-			return nil
+			panic(fmt.Sprintf("nn: Mirror32 has no float32 form of layer %d (%s)", i, l.Name()))
 		}
 	}
 	return newSequential(layers)
@@ -48,9 +36,9 @@ func Mirror32(src *Sequential) *SequentialOf[float32] {
 
 // IsMirror32 reports whether sh is structured as Mirror32(src) would
 // build it: the same layer kind with the same hyperparameters at every
-// position. Equal parameter sizes are not enough — ReLU and Tanh, or max
-// and average pooling, carry no parameters at all. It does not allocate,
-// so a cached shadow can be revalidated on every visit.
+// position. Equal parameter sizes are not enough — a ReLU or a pooling
+// layer carries no parameters at all. It does not allocate, so a cached
+// shadow can be revalidated on every visit.
 func IsMirror32(sh *SequentialOf[float32], src *Sequential) bool {
 	if len(sh.Layers) != len(src.Layers) {
 		return false
@@ -75,20 +63,8 @@ func mirrors(m Layer[float32], l Layer[float64]) bool {
 	case *ReLU[float64]:
 		m, ok := m.(*ReLU[float32])
 		return ok && m.dim == t.dim
-	case *Tanh[float64]:
-		m, ok := m.(*Tanh[float32])
-		return ok && m.dim == t.dim
-	case *Sigmoid[float64]:
-		m, ok := m.(*Sigmoid[float32])
-		return ok && m.dim == t.dim
-	case *Dropout[float64]:
-		m, ok := m.(*Dropout[float32])
-		return ok && m.dim == t.dim && m.P == t.P
 	case *MaxPool2[float64]:
 		m, ok := m.(*MaxPool2[float32])
-		return ok && m.C == t.C && m.H == t.H && m.W == t.W
-	case *AvgPool2[float64]:
-		m, ok := m.(*AvgPool2[float32])
 		return ok && m.C == t.C && m.H == t.H && m.W == t.W
 	}
 	return false

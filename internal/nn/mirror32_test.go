@@ -58,26 +58,25 @@ func TestMirror32RoundTripParams(t *testing.T) {
 // parameter sizes cannot see.
 func TestIsMirror32(t *testing.T) {
 	g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	// stack builds conv → act → pool → dropout → dense from parts so each
-	// variant below changes exactly one of them.
+	// build makes conv → relu → pool → dense (or conv → pool → relu →
+	// dense) from parts, so each variant below changes exactly one of them.
 	type parts struct {
-		geom tensor.ConvGeom
-		outC int
-		act  func(dim int) Layer[float64]
-		pool func(c, h, w int) Layer[float64]
-		drop float64
-		out  int
+		geom      tensor.ConvGeom
+		outC      int
+		poolFirst bool
+		out       int
 	}
-	base := parts{g, 2,
-		func(dim int) Layer[float64] { return NewReLU(dim) },
-		func(c, h, w int) Layer[float64] { return NewMaxPool2(c, h, w) },
-		0.25, 3}
+	base := parts{g, 2, false, 3}
 	build := func(p parts, seed uint64) *Sequential {
 		r := rng.New(seed)
 		conv := NewConv2D(p.geom, p.outC, r)
-		flat := p.outC * (p.geom.OutH() / 2) * (p.geom.OutW() / 2)
-		return NewSequential(conv, p.act(conv.OutDim()), p.pool(p.outC, p.geom.OutH(), p.geom.OutW()),
-			NewDropout(flat, p.drop, r.Derive(1)), NewDense(flat, p.out, r))
+		pool := NewMaxPool2(p.outC, p.geom.OutH(), p.geom.OutW())
+		mid := []Layer[float64]{NewReLU(conv.OutDim()), pool}
+		if p.poolFirst {
+			mid = []Layer[float64]{pool, NewReLU(pool.OutDim())}
+		}
+		layers := append(append([]Layer[float64]{conv}, mid...), NewDense(pool.OutDim(), p.out, r))
+		return NewSequential(layers...)
 	}
 	vary := func(f func(p *parts)) *Sequential {
 		p := base
@@ -90,21 +89,17 @@ func TestIsMirror32(t *testing.T) {
 		t.Fatal("a mirror must match its source and any network of the same structure")
 	}
 	others := map[string]*Sequential{
-		"tanh for relu":    vary(func(p *parts) { p.act = func(dim int) Layer[float64] { return NewTanh(dim) } }),
-		"sigmoid for relu": vary(func(p *parts) { p.act = func(dim int) Layer[float64] { return NewSigmoid(dim) } }),
-		"avgpool for max":  vary(func(p *parts) { p.pool = func(c, h, w int) Layer[float64] { return NewAvgPool2(c, h, w) } }),
-		"dropout rate":     vary(func(p *parts) { p.drop = 0.5 }),
+		"pool before relu": vary(func(p *parts) { p.poolFirst = true }),
 		"conv channels":    vary(func(p *parts) { p.outC = 4 }),
 		"conv padding":     vary(func(p *parts) { p.geom.KH, p.geom.KW, p.geom.Pad = 5, 5, 2 }),
 		"dense width":      vary(func(p *parts) { p.out = 4 }),
-		"fewer layers":     NewSequential(src.Layers[:4]...),
+		"fewer layers":     NewSequential(src.Layers[:3]...),
 	}
 	for name, other := range others {
 		if IsMirror32(sh, other) {
 			t.Errorf("%s: a structurally different network passed as mirrored", name)
 		}
-		// The reverse direction exercises the remaining kinds as sources.
-		if osh := Mirror32(other); osh == nil || !IsMirror32(osh, other) || IsMirror32(osh, src) {
+		if osh := Mirror32(other); !IsMirror32(osh, other) || IsMirror32(osh, src) {
 			t.Errorf("%s: its own mirror must match it and not the base network", name)
 		}
 	}

@@ -61,64 +61,6 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
-func TestTanhForward(t *testing.T) {
-	th := NewTanh(2)
-	x := tensor.FromSlice([]float64{0, 1000}, 1, 2)
-	y := th.Forward(x, true)
-	if y.Data[0] != 0 || math.Abs(y.Data[1]-1) > 1e-12 {
-		t.Fatalf("Tanh forward = %v", y.Data)
-	}
-}
-
-func TestDropoutEvalIsIdentity(t *testing.T) {
-	d := NewDropout(4, 0.5, rng.New(4))
-	x := tensor.FromSlice([]float64{1, 2, 3, 4}, 1, 4)
-	y := d.Forward(x, false)
-	for i := range x.Data {
-		if y.Data[i] != x.Data[i] {
-			t.Fatal("eval-mode dropout must be identity")
-		}
-	}
-	// backward in eval mode is also identity
-	g := d.Backward(x)
-	if g.Data[2] != 3 {
-		t.Fatal("eval-mode dropout backward must be identity")
-	}
-}
-
-func TestDropoutTrainDropsAndRescales(t *testing.T) {
-	d := NewDropout(1000, 0.5, rng.New(5))
-	x := tensor.New(1, 1000)
-	x.Fill(1)
-	y := d.Forward(x, true)
-	zeros, kept := 0, 0
-	for _, v := range y.Data {
-		switch v {
-		case 0:
-			zeros++
-		case 2: // 1/(1-0.5)
-			kept++
-		default:
-			t.Fatalf("unexpected dropout output %v", v)
-		}
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Fatalf("dropout dropped %d/1000, expected ~500", zeros)
-	}
-	if kept+zeros != 1000 {
-		t.Fatal("dropout output inconsistent")
-	}
-}
-
-func TestDropoutInvalidP(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dropout p=1 did not panic")
-		}
-	}()
-	NewDropout(4, 1.0, rng.New(6))
-}
-
 func TestMaxPoolForwardKnown(t *testing.T) {
 	p := NewMaxPool2(1, 4, 4)
 	x := tensor.FromSlice([]float64{
@@ -287,9 +229,6 @@ func TestWeightLayersAndFinalLayer(t *testing.T) {
 	if len(final) != wantLen {
 		t.Fatalf("final layer vector length %d, want %d", len(final), wantLen)
 	}
-	if LayerParamSize(net, len(wl)-1) != wantLen {
-		t.Fatal("LayerParamSize disagrees with FinalLayerVector")
-	}
 	// The final layer vector must literally be the classifier weights.
 	for i := 0; i < last.W.Size(); i++ {
 		if final[i] != last.W.Data[i] {
@@ -361,7 +300,7 @@ func TestTrainingReducesLossOnToyProblem(t *testing.T) {
 	}
 	var first, last float64
 	for epoch := 0; epoch < 200; epoch++ {
-		net.ZeroGrads()
+		zeroGrads(net)
 		logits := net.Forward(x, true)
 		loss, grad, _ := ce.Loss(logits, labels)
 		if epoch == 0 {
@@ -400,44 +339,9 @@ func BenchmarkLeNetForwardBackward(b *testing.B) {
 	labels := make([]int, 32)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.ZeroGrads()
+		zeroGrads(net)
 		logits := net.Forward(x, true)
 		_, grad, _ := ce.Loss(logits, labels)
 		net.Backward(grad)
 	}
-}
-
-func TestAvgPoolForwardKnown(t *testing.T) {
-	p := NewAvgPool2(1, 4, 4)
-	x := tensor.FromSlice([]float64{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}, 1, 16)
-	y := p.Forward(x, false)
-	want := []float64{3.5, 5.5, 11.5, 13.5}
-	for i, v := range want {
-		if y.Data[i] != v {
-			t.Fatalf("AvgPool forward = %v, want %v", y.Data, want)
-		}
-	}
-}
-
-func TestSigmoidForwardKnown(t *testing.T) {
-	s := NewSigmoid(3)
-	x := tensor.FromSlice([]float64{0, 100, -100}, 1, 3)
-	y := s.Forward(x, false)
-	if y.Data[0] != 0.5 || y.Data[1] < 0.999999 || y.Data[2] > 1e-6 {
-		t.Fatalf("Sigmoid forward = %v", y.Data)
-	}
-}
-
-func TestAvgPoolOddDimsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("odd avg-pool dims did not panic")
-		}
-	}()
-	NewAvgPool2(1, 3, 4)
 }

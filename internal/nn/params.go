@@ -32,15 +32,6 @@ func FlattenParamsInto[T tensor.Float](s *SequentialOf[T], dst []T) []T {
 	return dst
 }
 
-// FlattenGrads concatenates every gradient, aligned with FlattenParams.
-func FlattenGrads(s *Sequential) []float64 {
-	out := make([]float64, 0, s.NumParams())
-	for _, g := range s.Grads() {
-		out = append(out, g.Data...)
-	}
-	return out
-}
-
 // LoadParams copies a flat vector produced by FlattenParams back into the
 // network. It panics if the length does not match.
 func LoadParams(s *Sequential, vec []float64) {
@@ -69,8 +60,8 @@ func WeightLayers(s *Sequential) []int {
 }
 
 // LayerParamVector returns the flattened parameters of the k-th weight
-// layer (0-based index into WeightLayers). This is the "strategically
-// selected partial model weights" a FedClust client uploads.
+// layer (0-based index into WeightLayers) — what Fig. 1's layer probes
+// compare across clients.
 func LayerParamVector(s *Sequential, weightLayerIdx int) []float64 {
 	wl := WeightLayers(s)
 	if weightLayerIdx < 0 || weightLayerIdx >= len(wl) {
@@ -85,7 +76,8 @@ func LayerParamVector(s *Sequential, weightLayerIdx int) []float64 {
 }
 
 // FinalLayerVector returns the flattened parameters of the last weight
-// layer — FedClust's default clustering feature.
+// layer — the "strategically selected partial model weights" a FedClust
+// client uploads.
 func FinalLayerVector(s *Sequential) []float64 {
 	wl := WeightLayers(s)
 	if len(wl) == 0 {
@@ -93,19 +85,3 @@ func FinalLayerVector(s *Sequential) []float64 {
 	}
 	return LayerParamVector(s, len(wl)-1)
 }
-
-// LayerParamSize returns the number of scalars in the k-th weight layer.
-func LayerParamSize(s *Sequential, weightLayerIdx int) int {
-	wl := WeightLayers(s)
-	if weightLayerIdx < 0 || weightLayerIdx >= len(wl) {
-		panic(fmt.Sprintf("nn: weight layer index %d out of range [0,%d)", weightLayerIdx, len(wl)))
-	}
-	n := 0
-	for _, p := range s.Layers[wl[weightLayerIdx]].Params() {
-		n += p.Size()
-	}
-	return n
-}
-
-// NumWeightLayers returns how many parameterized layers the network has.
-func NumWeightLayers(s *Sequential) int { return len(WeightLayers(s)) }

@@ -100,8 +100,6 @@ type Journal struct {
 	ckptThisRound         bool
 	up, down, mup, mdown  int64
 	prevUp, prevDown      int64
-	prevMUp, prevMDown    int64
-	roundsWritten         int
 }
 
 // NewJournal returns a journal writing JSONL events to w. localEpochs is
@@ -148,9 +146,8 @@ func (j *Journal) ObserveRunStart(method string, totalRounds, nClients, startRou
 	defer j.mu.Unlock()
 	j.method, j.totalRounds, j.nClients, j.startRound = method, totalRounds, nClients, startRound
 	j.ended = false
-	j.roundsWritten = 0
 	j.resetRound()
-	j.prevUp, j.prevDown, j.prevMUp, j.prevMDown = 0, 0, 0, 0
+	j.prevUp, j.prevDown = 0, 0
 	j.buf = j.buf[:0]
 	j.buf = append(j.buf, `{"event":"run_start","ts":"`...)
 	j.buf = appendTS(j.buf)
@@ -270,8 +267,6 @@ func (j *Journal) ObservePhases(round int, phases fl.RoundPhases) {
 	b = append(b, "}}\n"...)
 	j.buf = b
 	j.prevUp, j.prevDown = j.up, j.down
-	j.prevMUp, j.prevMDown = j.mup, j.mdown
-	j.roundsWritten++
 	j.resetRound()
 	j.flushLocked()
 }

@@ -6,6 +6,19 @@ import (
 	"fedclust/internal/rng"
 )
 
+// ClientLabelHistograms returns per-client class counts for an assignment.
+func ClientLabelHistograms(a Assignment, labels []int, classes int) [][]int {
+	out := make([][]int, len(a))
+	for c, idx := range a {
+		h := make([]int, classes)
+		for _, i := range idx {
+			h[labels[i]]++
+		}
+		out[c] = h
+	}
+	return out
+}
+
 // MatchingTest distributes test-set indices to clients so each client's
 // test label distribution matches its train label distribution — the
 // personalized evaluation protocol of the clustered-FL literature (each

@@ -1,9 +1,8 @@
 // Package partition splits a dataset's example indices across simulated
 // clients. It implements the Dir(α) label-skew partitioner the paper's
 // evaluation uses ("Non-IID Dir(0.1)", after Li et al., ICDE 2022), the
-// label-group partitioner behind Fig. 1's two-cluster probe, the classic
-// shard partitioner of McMahan et al., and an IID control, plus
-// diagnostics over the resulting label skew.
+// label-group partitioner behind Fig. 1's two-cluster probe, and the
+// label-matched test split of personalized evaluation.
 package partition
 
 import (
@@ -161,56 +160,6 @@ func GroupTruth(clientsPerGroup []int) []int {
 	return out
 }
 
-// Shards implements the McMahan et al. pathological partitioner: sort by
-// label, slice into numClients*shardsPerClient shards, deal shardsPerClient
-// random shards to each client. Each client ends up with roughly
-// shardsPerClient distinct classes.
-func Shards(labels []int, numClients, shardsPerClient int, r *rng.Rng) Assignment {
-	if numClients < 1 || shardsPerClient < 1 {
-		panic("partition: Shards needs positive clients and shards")
-	}
-	n := len(labels)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	// Sort indices by label (stable by index for determinism).
-	sortByLabel(order, labels)
-	numShards := numClients * shardsPerClient
-	if numShards > n {
-		panic(fmt.Sprintf("partition: %d shards for %d examples", numShards, n))
-	}
-	shardSize := n / numShards
-	shardIDs := r.Perm(numShards)
-	out := make(Assignment, numClients)
-	for c := 0; c < numClients; c++ {
-		for s := 0; s < shardsPerClient; s++ {
-			sid := shardIDs[c*shardsPerClient+s]
-			lo := sid * shardSize
-			hi := lo + shardSize
-			if sid == numShards-1 {
-				hi = n
-			}
-			out[c] = append(out[c], order[lo:hi]...)
-		}
-	}
-	return out
-}
-
-// IID deals examples uniformly at random to clients (near-equal sizes).
-func IID(n, numClients int, r *rng.Rng) Assignment {
-	if numClients < 1 {
-		panic("partition: IID needs positive clients")
-	}
-	order := r.Perm(n)
-	out := make(Assignment, numClients)
-	for i, row := range order {
-		c := i % numClients
-		out[c] = append(out[c], row)
-	}
-	return out
-}
-
 // proportionsToCounts converts a probability vector to integer counts
 // summing exactly to total (largest-remainder rounding).
 func proportionsToCounts(p []float64, total int) []int {
@@ -271,27 +220,6 @@ func sortInts(xs []int) {
 	for i := 1; i < len(xs); i++ {
 		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
 			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
-// sortByLabel stably sorts order by labels[order[i]] (counting sort).
-func sortByLabel(order []int, labels []int) {
-	maxL := 0
-	for _, l := range labels {
-		if l > maxL {
-			maxL = l
-		}
-	}
-	buckets := make([][]int, maxL+1)
-	for _, i := range order {
-		buckets[labels[i]] = append(buckets[labels[i]], i)
-	}
-	pos := 0
-	for _, b := range buckets {
-		for _, i := range b {
-			order[pos] = i
-			pos++
 		}
 	}
 }

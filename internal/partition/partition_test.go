@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 
@@ -47,30 +46,31 @@ func TestDirichletPartitionProperty(t *testing.T) {
 	}
 }
 
-func TestDirichletSkewDecreasesWithAlpha(t *testing.T) {
-	labels := balancedLabels(2000, 10)
-	skewLow := SkewEMD(Dirichlet(labels, 10, 0.05, 1, rng.New(2)), labels, 10)
-	skewHigh := SkewEMD(Dirichlet(labels, 10, 100, 1, rng.New(2)), labels, 10)
-	if skewLow <= skewHigh {
-		t.Fatalf("skew(α=0.05)=%v should exceed skew(α=100)=%v", skewLow, skewHigh)
+// meanTopShare is the mean, over clients, of the share of a client's
+// examples that its most frequent class holds: 1/classes for a perfectly
+// even mix, 1 when every client holds a single class.
+func meanTopShare(a Assignment, labels []int, classes int) float64 {
+	var sum float64
+	for _, h := range ClientLabelHistograms(a, labels, classes) {
+		top, n := 0, 0
+		for _, c := range h {
+			n += c
+			top = max(top, c)
+		}
+		sum += float64(top) / float64(n)
 	}
-	if skewHigh > 0.3 {
-		t.Fatalf("large-α partition too skewed: %v", skewHigh)
-	}
-	if skewLow < 0.8 {
-		t.Fatalf("small-α partition not skewed enough: %v", skewLow)
-	}
+	return sum / float64(len(a))
 }
 
-func TestDirichletEntropyMatchesSkewDirection(t *testing.T) {
+func TestDirichletSkewDecreasesWithAlpha(t *testing.T) {
 	labels := balancedLabels(2000, 10)
-	hLow := AvgLabelEntropy(Dirichlet(labels, 10, 0.05, 1, rng.New(3)), labels, 10)
-	hHigh := AvgLabelEntropy(Dirichlet(labels, 10, 100, 1, rng.New(3)), labels, 10)
-	if hLow >= hHigh {
-		t.Fatalf("entropy under α=0.05 (%v) should be below α=100 (%v)", hLow, hHigh)
+	skewLow := meanTopShare(Dirichlet(labels, 10, 0.05, 1, rng.New(2)), labels, 10)
+	skewHigh := meanTopShare(Dirichlet(labels, 10, 100, 1, rng.New(2)), labels, 10)
+	if skewHigh > 0.2 {
+		t.Fatalf("large-α partition too skewed: top-class share %v", skewHigh)
 	}
-	if math.Abs(hHigh-math.Log(10)) > 0.2 {
-		t.Fatalf("IID-ish entropy = %v, want ≈ ln10", hHigh)
+	if skewLow < 0.5 {
+		t.Fatalf("small-α partition not skewed enough: top-class share %v", skewLow)
 	}
 }
 
@@ -156,41 +156,6 @@ func TestLabelGroupsUnownedClassDropped(t *testing.T) {
 	}
 }
 
-func TestShards(t *testing.T) {
-	labels := balancedLabels(200, 10)
-	a := Shards(labels, 10, 2, rng.New(6))
-	a.Validate(len(labels))
-	// Each client should hold at most ~2-3 distinct classes (2 shards of
-	// a label-sorted array touch at most 4 class boundaries, typically 2).
-	hists := ClientLabelHistograms(a, labels, 10)
-	for c, h := range hists {
-		distinct := 0
-		for _, v := range h {
-			if v > 0 {
-				distinct++
-			}
-		}
-		if distinct > 4 {
-			t.Fatalf("client %d holds %d distinct classes, shards too diffuse", c, distinct)
-		}
-	}
-}
-
-func TestIID(t *testing.T) {
-	a := IID(103, 10, rng.New(7))
-	a.Validate(103)
-	for _, idx := range a {
-		if len(idx) < 10 || len(idx) > 11 {
-			t.Fatalf("IID sizes unbalanced: %d", len(idx))
-		}
-	}
-	labels := balancedLabels(1000, 10)
-	iid := IID(1000, 10, rng.New(8))
-	if skew := SkewEMD(iid, labels, 10); skew > 0.3 {
-		t.Fatalf("IID skew = %v, want small", skew)
-	}
-}
-
 func TestProportionsToCounts(t *testing.T) {
 	c := proportionsToCounts([]float64{0.5, 0.3, 0.2}, 10)
 	if c[0]+c[1]+c[2] != 10 {
@@ -207,13 +172,6 @@ func TestProportionsToCounts(t *testing.T) {
 	}
 	if sum != 10 {
 		t.Fatalf("rounded counts sum = %d", sum)
-	}
-}
-
-func TestSizeSummary(t *testing.T) {
-	a := Assignment{{1, 2, 3}, {4}, {5, 6}}
-	if got := SizeSummary(a); got != "sizes min=1 med=2 max=3" {
-		t.Fatalf("SizeSummary = %q", got)
 	}
 }
 
@@ -235,54 +193,4 @@ func TestValidateCatchesMissing(t *testing.T) {
 		}
 	}()
 	a.Validate(3)
-}
-
-func TestQuantitySkewIsAPartition(t *testing.T) {
-	a := QuantitySkew(500, 10, 1.0, 5, rng.New(44))
-	a.Validate(500)
-	for c, idx := range a {
-		if len(idx) < 5 {
-			t.Fatalf("client %d has %d < 5 examples", c, len(idx))
-		}
-	}
-	// Sizes must be monotone non-increasing-ish (power law): first client
-	// largest.
-	if len(a[0]) <= len(a[9]) {
-		t.Fatalf("power-law skew not visible: first=%d last=%d", len(a[0]), len(a[9]))
-	}
-}
-
-func TestQuantitySkewBetaZeroBalanced(t *testing.T) {
-	a := QuantitySkew(100, 10, 0, 1, rng.New(45))
-	a.Validate(100)
-	for _, idx := range a {
-		if len(idx) != 10 {
-			t.Fatalf("beta=0 should balance, got %d", len(idx))
-		}
-	}
-}
-
-func TestQuantitySkewLabelsStayIID(t *testing.T) {
-	labels := balancedLabels(2000, 10)
-	a := QuantitySkew(2000, 8, 1.2, 20, rng.New(46))
-	if skew := SkewEMD(a, labels, 10); skew > 0.4 {
-		t.Fatalf("quantity skew should leave labels near-IID, EMD=%v", skew)
-	}
-}
-
-func TestQuantitySkewValidation(t *testing.T) {
-	for _, f := range []func(){
-		func() { QuantitySkew(10, 0, 1, 1, rng.New(1)) },
-		func() { QuantitySkew(10, 2, -1, 1, rng.New(1)) },
-		func() { QuantitySkew(10, 5, 1, 3, rng.New(1)) },
-	} {
-		func(f func()) {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("invalid QuantitySkew did not panic")
-				}
-			}()
-			f()
-		}(f)
-	}
 }

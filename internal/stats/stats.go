@@ -142,11 +142,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return c[lo]*(1-frac) + c[hi]*frac
 }
 
-// MeanStd formats xs as "mean ± std" with two decimals.
-func MeanStd(xs []float64) string {
-	return fmt.Sprintf("%.2f ± %.2f", Mean(xs), Std(xs))
-}
-
 // ArgMax returns the index of the maximum element (first on ties).
 // It panics on empty input.
 func ArgMax(xs []float64) int {
@@ -175,35 +170,4 @@ func ArgMin(xs []float64) int {
 		}
 	}
 	return best
-}
-
-// Entropy returns the Shannon entropy (nats) of a probability vector.
-// Zero-probability entries contribute zero. Negative entries panic.
-func Entropy(p []float64) float64 {
-	var h float64
-	for _, v := range p {
-		if v < 0 {
-			panic("stats: Entropy of negative probability")
-		}
-		if v > 0 {
-			h -= v * math.Log(v)
-		}
-	}
-	return h
-}
-
-// Normalize scales xs in place so it sums to 1. If the sum is zero the
-// vector is left unchanged and false is returned.
-func Normalize(xs []float64) bool {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	if s == 0 {
-		return false
-	}
-	for i := range xs {
-		xs[i] /= s
-	}
-	return true
 }

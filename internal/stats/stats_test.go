@@ -121,38 +121,11 @@ func TestArgMaxArgMin(t *testing.T) {
 	}
 }
 
-func TestEntropy(t *testing.T) {
-	if h := Entropy([]float64{1, 0, 0}); h != 0 {
-		t.Fatalf("one-hot entropy = %v, want 0", h)
-	}
-	u := []float64{0.25, 0.25, 0.25, 0.25}
-	if h := Entropy(u); !almostEq(h, math.Log(4), 1e-12) {
-		t.Fatalf("uniform entropy = %v, want ln4", h)
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	xs := []float64{2, 2, 4}
-	if !Normalize(xs) {
-		t.Fatal("Normalize returned false on valid input")
-	}
-	if !almostEq(xs[0], 0.25, 1e-12) || !almostEq(xs[2], 0.5, 1e-12) {
-		t.Fatalf("Normalize result %v", xs)
-	}
-	zero := []float64{0, 0}
-	if Normalize(zero) {
-		t.Fatal("Normalize of zero vector should return false")
-	}
-}
-
 func TestMeanStdFormat(t *testing.T) {
 	var r Running
 	r.Add(1)
 	r.Add(3)
 	if got := r.String(); got != "2.00 ± 1.41" {
 		t.Fatalf("String() = %q", got)
-	}
-	if got := MeanStd([]float64{1, 3}); got != "2.00 ± 1.41" {
-		t.Fatalf("MeanStd = %q", got)
 	}
 }

@@ -64,11 +64,9 @@ func visitFingerprint(model *nn.Sequential, d *data.Dataset, cfg fl.LocalConfig)
 }
 
 // TestFloat32VisitGolden pins LocalUpdate + Evaluate on the float32 path
-// for the two zoo architectures the benchmark trains, plus a stack that
-// reaches every remaining layer kind and optimizer term (tanh, average
-// pooling, sigmoid, dropout, weight decay, the FedProx proximal pull).
-// lenet5-full pins the weight-decay and proximal terms on a stack of the
-// layer kinds the models build; it was recorded at 982d228.
+// for the two zoo architectures the benchmark trains, plus LeNet-5 under
+// every remaining optimizer term (weight decay, the FedProx proximal
+// pull); lenet5-full was recorded at 982d228.
 func TestFloat32VisitGolden(t *testing.T) {
 	img, _ := data.Generate(data.SynthConfig{
 		Name: "f32golden", C: 1, H: 12, W: 12, Classes: 4,
@@ -89,16 +87,6 @@ func TestFloat32VisitGolden(t *testing.T) {
 			map[string]string{"purego": "1eabf67d5e9bda15", "avx2": "86976dececcc09ff"}},
 		{"lenet5-full", func() *nn.Sequential { return nn.LeNet5(rng.New(3), 1, 12, 12, 4, 0.5) }, full,
 			map[string]string{"purego": "cb209c7c57ffc122", "avx2": "70a9284c5c7e6999"}},
-		{"classic-stack", func() *nn.Sequential {
-			r := rng.New(3)
-			g := tensor.ConvGeom{InC: 1, InH: 12, InW: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}
-			conv := nn.NewConv2D(g, 3, r)
-			pool := nn.NewAvgPool2(3, 12, 12)
-			return nn.NewSequential(conv, nn.NewTanh(conv.OutDim()), pool,
-				nn.NewDense(pool.OutDim(), 16, r), nn.NewSigmoid(16),
-				nn.NewDropout(16, 0.25, r.Derive(1)), nn.NewDense(16, 4, r))
-		}, full,
-			map[string]string{"purego": "6fa28d1848b4140b", "avx2": "cb9957c354dc103f"}},
 	}
 	onBothF32Paths(t, func(t *testing.T, path string) {
 		for _, c := range cases {
@@ -153,7 +141,7 @@ func resultFingerprint(res *fl.Result) string {
 }
 
 // TestFloat32RunGolden pins whole float32 runs through the round engine:
-// FedAvg (train + the evaluation protocol's per-worker shadows) and
+// FedAvg (train + evaluation on the lanes' float32 shadows) and
 // FedClust (plus the warm-up visits and one-shot formation).
 func TestFloat32RunGolden(t *testing.T) {
 	cases := []struct {

@@ -29,7 +29,7 @@ const writeTimeout = 30 * time.Second
 type Service struct {
 	env       *fl.Env
 	numParams int
-	layerDims []int
+	finalDim  int // scalars in the model's final weight layer
 	slots     chan *slot
 	// ef is the node-held error-feedback accumulator, non-nil when the
 	// replica environment selects a sparse uplink codec: the residuals
@@ -58,11 +58,8 @@ func NewService(env *fl.Env) *Service {
 	s := &Service{
 		env:       env,
 		numParams: ref.NumParams(),
-		layerDims: make([]int, nn.NumWeightLayers(ref)),
+		finalDim:  len(nn.FinalLayerVector(ref)),
 		slots:     make(chan *slot, len(lanes)),
-	}
-	for k := range s.layerDims {
-		s.layerDims[k] = nn.LayerParamSize(ref, k)
 	}
 	if env.Codec.Sparse() {
 		s.ef = fl.NewErrorFeedback(env.Codec, fl.NormalizeTopKFrac(env.TopKFrac), len(env.Clients), s.numParams)
@@ -94,15 +91,13 @@ func (s *Service) check(req *fl.RemoteRequest) (n int, err error) {
 	if len(req.Start) != s.numParams {
 		return 0, fmt.Errorf("transport: start vector %d params, model has %d", len(req.Start), s.numParams)
 	}
-	switch {
-	case req.Layer == fl.FullParams:
+	switch req.Layer {
+	case fl.FullParams:
 		return s.numParams, nil
-	case req.Layer == fl.FinalLayer && len(s.layerDims) > 0:
-		return s.layerDims[len(s.layerDims)-1], nil
-	case req.Layer >= 0 && req.Layer < len(s.layerDims):
-		return s.layerDims[req.Layer], nil
+	case fl.FinalLayer:
+		return s.finalDim, nil
 	default:
-		return 0, fmt.Errorf("transport: layer selector %d outside %d weight layers", req.Layer, len(s.layerDims))
+		return 0, fmt.Errorf("transport: layer selector %d is neither full parameters nor the final layer", req.Layer)
 	}
 }
 

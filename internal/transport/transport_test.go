@@ -312,7 +312,8 @@ func TestSpecBuildRejectsMalformed(t *testing.T) {
 // TestServiceRejectsBadRequests: every malformed work order is an error,
 // never a panic.
 func TestServiceRejectsBadRequests(t *testing.T) {
-	svc := transport.NewService(buildGolden(t, 77))
+	env := buildGolden(t, 77)
+	svc := transport.NewService(env)
 	good := fl.RemoteRequest{
 		Client: 0, Round: 0, Cluster: -1, Layer: fl.FullParams,
 		Cfg:   fl.LocalConfig{Epochs: 1, BatchSize: 16, LR: 0.1},
@@ -333,6 +334,9 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		{"bad lr", func(r *fl.RemoteRequest) { r.Cfg.LR = math.NaN() }, svc.NumParams()},
 		{"short start", func(r *fl.RemoteRequest) { r.Start = r.Start[:5] }, svc.NumParams()},
 		{"bad layer", func(r *fl.RemoteRequest) { r.Layer = 7 }, svc.NumParams()},
+		// Only the final layer ever travels partial: a weight-layer index
+		// is refused even when out is sized for that layer.
+		{"weight-layer index", func(r *fl.RemoteRequest) { r.Layer = 0 }, len(nn.LayerParamVector(env.NewModel(), 0))},
 		{"wrong out len", func(r *fl.RemoteRequest) {}, 3},
 	}
 	for _, c := range cases {
