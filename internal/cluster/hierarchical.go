@@ -3,7 +3,7 @@
 // server-side algorithm of FedClust and PACFL), dendrogram cutting rules —
 // fixed-k, largest gap, and the silhouette-parsimony cut that frees
 // FedClust from a predefined cluster count — external cluster-quality
-// metrics (ARI, NMI), and the spectral bipartition used by CFL.
+// metric (ARI), and the spectral bipartition used by CFL.
 // Agglomerate and CutBestSilhouette, the server side of FedClust's
 // one-shot formation, are quadratic in the number of clients (DESIGN.md
 // §14); their cubic predecessors live on in oracle_test.go as the oracles

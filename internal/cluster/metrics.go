@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // contingency builds the contingency table between two labelings plus the
 // marginal counts.
@@ -51,48 +48,4 @@ func ARI(a, b []int) float64 {
 		return 1
 	}
 	return (sumComb - expected) / (maxIdx - expected)
-}
-
-// NMI computes the Normalized Mutual Information between two labelings
-// (arithmetic-mean normalization): 1 for identical partitions, 0 for
-// independent ones. If either partition has a single cluster, NMI is 0
-// unless both are identical single-cluster partitions (then 1).
-func NMI(a, b []int) float64 {
-	table, rowSum, colSum, n := contingency(a, b)
-	if n == 0 {
-		return 1
-	}
-	fn := float64(n)
-	var mi, ha, hb float64
-	for key, c := range table {
-		pij := float64(c) / fn
-		pi := float64(rowSum[key[0]]) / fn
-		pj := float64(colSum[key[1]]) / fn
-		if pij > 0 {
-			mi += pij * math.Log(pij/(pi*pj))
-		}
-	}
-	for _, c := range rowSum {
-		p := float64(c) / fn
-		ha -= p * math.Log(p)
-	}
-	for _, c := range colSum {
-		p := float64(c) / fn
-		hb -= p * math.Log(p)
-	}
-	if ha == 0 && hb == 0 {
-		return 1 // both single-cluster: identical
-	}
-	denom := (ha + hb) / 2
-	if denom == 0 {
-		return 0
-	}
-	v := mi / denom
-	if v < 0 {
-		v = 0 // numerical noise
-	}
-	if v > 1 {
-		v = 1
-	}
-	return v
 }

@@ -80,53 +80,6 @@ func TestARILengthMismatchPanics(t *testing.T) {
 	ARI([]int{0}, []int{0, 1})
 }
 
-func TestNMIIdenticalAndIndependent(t *testing.T) {
-	a := []int{0, 0, 1, 1, 2, 2}
-	if v := NMI(a, a); math.Abs(v-1) > 1e-12 {
-		t.Fatalf("NMI(a,a) = %v", v)
-	}
-	r := rng.New(2)
-	n := 3000
-	x := make([]int, n)
-	y := make([]int, n)
-	for i := range x {
-		x[i] = r.Intn(3)
-		y[i] = r.Intn(3)
-	}
-	if v := NMI(x, y); v > 0.01 {
-		t.Fatalf("NMI of independent labelings = %v, want ~0", v)
-	}
-}
-
-func TestNMIRange(t *testing.T) {
-	f := func(seed uint64) bool {
-		r := rng.New(seed)
-		n := 4 + r.Intn(40)
-		a := make([]int, n)
-		b := make([]int, n)
-		for i := range a {
-			a[i] = r.Intn(5)
-			b[i] = r.Intn(2)
-		}
-		v := NMI(a, b)
-		return v >= 0 && v <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNMISingleClusterEdge(t *testing.T) {
-	a := []int{0, 0, 0}
-	b := []int{0, 1, 2}
-	if v := NMI(a, b); v != 0 {
-		t.Fatalf("NMI single-cluster vs singletons = %v, want 0", v)
-	}
-	if v := NMI(a, a); v != 1 {
-		t.Fatalf("NMI single-cluster vs itself = %v, want 1", v)
-	}
-}
-
 func TestNumClusters(t *testing.T) {
 	if NumClusters([]int{3, 3, 7, 1}) != 3 {
 		t.Fatal("NumClusters wrong")

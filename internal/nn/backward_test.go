@@ -154,6 +154,38 @@ func TestBackwardChecksBatch(t *testing.T) {
 	}
 }
 
+// TestBackwardBeforeForwardPanics: every layer kind, in both dtypes,
+// refuses a Backward with no Forward cached, naming itself — none may
+// read an empty cache as a zero-row batch.
+func TestBackwardBeforeForwardPanics(t *testing.T) {
+	bothTypes(t, testBackwardBeforeForwardPanics[float64], testBackwardBeforeForwardPanics[float32])
+}
+
+func testBackwardBeforeForwardPanics[T tensor.Float](t *testing.T) {
+	r := rng.New(37)
+	g := tensor.ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	for _, tc := range []struct {
+		l    Layer[float64]
+		kind string
+	}{
+		{NewDense(16, 5, r), "Dense"},
+		{NewConv2D(g, 2, r), "Conv2D"},
+		{NewMaxPool2(1, 4, 4), "MaxPool2"},
+		{NewReLU(16), "ReLU"},
+	} {
+		l := netOf[T](t, NewSequential(tc.l)).Layers[0]
+		t.Run(tc.kind, func(t *testing.T) {
+			defer func() {
+				want := "nn: " + tc.kind + ".Backward called before Forward"
+				if msg := fmt.Sprint(recover()); msg != want {
+					t.Fatalf("Backward before Forward: got %q, want %q", msg, want)
+				}
+			}()
+			l.Backward(tensor.NewOf[T](1, l.OutDim()))
+		})
+	}
+}
+
 // TestWorkspaceOneHeaderInPlace is the ws contract: one tensor, reshaped
 // in place over storage that only ever grows, so no sequence of shapes —
 // however many distinct ones — allocates once the largest has been seen.

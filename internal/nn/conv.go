@@ -202,18 +202,14 @@ func (p *MaxPool2[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 					i01 := i00 + 1
 					i10 := i00 + p.W
 					i11 := i10 + 1
-					bi, bv := i00, in[i00]
-					if in[i01] > bv {
-						bi, bv = i01, in[i01]
-					}
-					if in[i10] > bv {
-						bi, bv = i10, in[i10]
-					}
-					if in[i11] > bv {
-						bi, bv = i11, in[i11]
-					}
+					// Move bi to a strictly greater element, by index
+					// arithmetic rather than a jump: ties keep the first.
+					bi := i00
+					bi += (i01 - bi) * b2i(in[i01] > in[bi])
+					bi += (i10 - bi) * b2i(in[i10] > in[bi])
+					bi += (i11 - bi) * b2i(in[i11] > in[bi])
 					oi := outBase + oy*ow + ox
-					dst[oi] = bv
+					dst[oi] = in[bi]
 					argmax[oi] = bi
 				}
 			}
@@ -230,11 +226,13 @@ func (p *MaxPool2[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	checkBatchInput(p, " backward", gradOut, p.batch, p.OutDim())
 	gx := p.gx.get(p.batch, p.InDim())
 	gx.Zero()
+	outDim := p.OutDim()
 	for b := 0; b < p.batch; b++ {
 		src := gradOut.Row(b)
 		dst := gx.Row(b)
+		argmax := p.argmax[b*outDim:][:len(src)]
 		for oi, v := range src {
-			dst[p.argmax[b*p.OutDim()+oi]] += v
+			dst[argmax[oi]] += v
 		}
 	}
 	return gx

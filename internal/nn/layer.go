@@ -32,6 +32,8 @@ import (
 // to survive (tests, feature extraction) must Clone it. Workspaces are
 // sized lazily to the incoming batch and resized on shape changes (the
 // partial final batch, train/eval alternation) while retaining storage.
+// Callers must not write into a returned tensor: ReLU.Backward reads
+// the one its own Forward returned.
 type Layer[T tensor.Float] interface {
 	// Name identifies the layer kind and shape, e.g. "conv5x5(3→6)".
 	Name() string

@@ -32,16 +32,6 @@ func TestDenseShapePanics(t *testing.T) {
 	d.Forward(tensor.New(1, 4), false)
 }
 
-func TestDenseBackwardBeforeForwardPanics(t *testing.T) {
-	d := NewDense(3, 2, rng.New(3))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Backward before Forward did not panic")
-		}
-	}()
-	d.Backward(tensor.New(1, 2))
-}
-
 func TestReLUForwardBackward(t *testing.T) {
 	relu := NewReLU(4)
 	x := tensor.FromSlice([]float64{-1, 2, 0, 3}, 1, 4)

@@ -31,16 +31,8 @@ func (w *ws[T]) get(rows, cols int) *tensor.Of[T] {
 	return &w.hdr
 }
 
-// growBools returns a length-n bool scratch reusing s when capacity
+// growInts returns a length-n int scratch reusing s when capacity
 // allows. Contents are unspecified; the caller must write every element.
-func growBools(s []bool, n int) []bool {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	return make([]bool, n)
-}
-
-// growInts is growBools for int scratch slices.
 func growInts(s []int, n int) []int {
 	if cap(s) >= n {
 		return s[:n]

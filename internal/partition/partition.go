@@ -15,18 +15,6 @@ import (
 // Assignment maps each client to the dataset rows it owns.
 type Assignment [][]int
 
-// NumClients returns the number of clients in the assignment.
-func (a Assignment) NumClients() int { return len(a) }
-
-// TotalExamples returns the number of assigned example indices.
-func (a Assignment) TotalExamples() int {
-	n := 0
-	for _, idx := range a {
-		n += len(idx)
-	}
-	return n
-}
-
 // Validate panics unless the assignment is a partition of exactly the
 // indices [0, n): disjoint, complete, in-range.
 func (a Assignment) Validate(n int) {

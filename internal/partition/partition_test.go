@@ -20,8 +20,8 @@ func TestDirichletIsAPartition(t *testing.T) {
 	labels := balancedLabels(500, 10)
 	a := Dirichlet(labels, 10, 0.1, 5, rng.New(1))
 	a.Validate(len(labels))
-	if a.NumClients() != 10 {
-		t.Fatalf("clients = %d", a.NumClients())
+	if len(a) != 10 {
+		t.Fatalf("clients = %d", len(a))
 	}
 	for c, idx := range a {
 		if len(idx) < 5 {
@@ -37,9 +37,9 @@ func TestDirichletPartitionProperty(t *testing.T) {
 		clients := 2 + r.Intn(10)
 		labels := balancedLabels(n, 1+r.Intn(10))
 		a := Dirichlet(labels, clients, 0.1, 1, r)
-		defer func() { recover() }()
+		defer func() { recover() }() // a Validate panic returns false
 		a.Validate(n)
-		return a.TotalExamples() == n
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
@@ -113,8 +113,8 @@ func TestLabelGroups(t *testing.T) {
 	groups := [][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}}
 	a := LabelGroups(labels, groups, []int{5, 5}, rng.New(4))
 	a.Validate(len(labels))
-	if a.NumClients() != 10 {
-		t.Fatalf("clients = %d", a.NumClients())
+	if len(a) != 10 {
+		t.Fatalf("clients = %d", len(a))
 	}
 	// Clients 0-4 must hold only classes 0-4, clients 5-9 only 5-9.
 	hists := ClientLabelHistograms(a, labels, 10)
@@ -151,8 +151,12 @@ func TestLabelGroupsUnownedClassDropped(t *testing.T) {
 	labels := balancedLabels(30, 3)
 	a := LabelGroups(labels, [][]int{{0}, {1}}, []int{1, 1}, rng.New(5))
 	// Class 2's 10 examples are dropped.
-	if a.TotalExamples() != 20 {
-		t.Fatalf("total = %d, want 20", a.TotalExamples())
+	total := 0
+	for _, idx := range a {
+		total += len(idx)
+	}
+	if total != 20 {
+		t.Fatalf("total = %d, want 20", total)
 	}
 }
 

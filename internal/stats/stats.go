@@ -1,52 +1,11 @@
 // Package stats provides small statistical helpers used by the experiment
-// harness: running moments, summaries over repeated trials, and mean±std
-// formatting matching the paper's tables.
+// harness: moments, order statistics and argmax over repeated trials.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
-
-// Running accumulates mean and variance online (Welford's algorithm).
-// The zero value is ready to use.
-type Running struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (r *Running) Add(x float64) {
-	r.n++
-	d := x - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (x - r.mean)
-}
-
-// N returns the number of observations seen.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the sample mean (0 when empty).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Var returns the unbiased sample variance (0 when n < 2).
-func (r *Running) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n-1)
-}
-
-// Std returns the unbiased sample standard deviation.
-func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
-// String renders the accumulator as "mean ± std" with two decimals,
-// the format the paper's Table I uses.
-func (r *Running) String() string {
-	return fmt.Sprintf("%.2f ± %.2f", r.Mean(), r.Std())
-}
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
@@ -151,21 +110,6 @@ func ArgMax(xs []float64) int {
 	best := 0
 	for i, x := range xs {
 		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the minimum element (first on ties).
-// It panics on empty input.
-func ArgMin(xs []float64) int {
-	if len(xs) == 0 {
-		panic("stats: ArgMin of empty slice")
-	}
-	best := 0
-	for i, x := range xs {
-		if x < xs[best] {
 			best = i
 		}
 	}

@@ -3,61 +3,9 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
-
-func TestRunningMatchesBatch(t *testing.T) {
-	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3.5}
-	var r Running
-	for _, x := range xs {
-		r.Add(x)
-	}
-	if !almostEq(r.Mean(), Mean(xs), 1e-12) {
-		t.Fatalf("running mean %v != batch mean %v", r.Mean(), Mean(xs))
-	}
-	if !almostEq(r.Std(), Std(xs), 1e-12) {
-		t.Fatalf("running std %v != batch std %v", r.Std(), Std(xs))
-	}
-	if r.N() != len(xs) {
-		t.Fatalf("N = %d, want %d", r.N(), len(xs))
-	}
-}
-
-func TestRunningEmptyAndSingle(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.Std() != 0 {
-		t.Fatal("empty Running should report zero moments")
-	}
-	r.Add(5)
-	if r.Mean() != 5 || r.Var() != 0 {
-		t.Fatal("single observation: mean should be the value, variance 0")
-	}
-}
-
-func TestRunningPropertyMatchesBatch(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e6 {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		var r Running
-		for _, x := range xs {
-			r.Add(x)
-		}
-		return almostEq(r.Mean(), Mean(xs), 1e-6*(1+math.Abs(Mean(xs)))) &&
-			almostEq(r.Std(), Std(xs), 1e-6*(1+Std(xs)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestMeanStdBasics(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
@@ -111,21 +59,9 @@ func TestQuantilePanics(t *testing.T) {
 	Quantile(nil, 0.5)
 }
 
-func TestArgMaxArgMin(t *testing.T) {
+func TestArgMax(t *testing.T) {
 	xs := []float64{3, 9, 1, 9, 0}
 	if ArgMax(xs) != 1 {
 		t.Fatal("ArgMax should return first maximal index")
-	}
-	if ArgMin(xs) != 4 {
-		t.Fatal("ArgMin wrong")
-	}
-}
-
-func TestMeanStdFormat(t *testing.T) {
-	var r Running
-	r.Add(1)
-	r.Add(3)
-	if got := r.String(); got != "2.00 ± 1.41" {
-		t.Fatalf("String() = %q", got)
 	}
 }

@@ -391,46 +391,3 @@ func Transpose(a *Tensor) *Tensor {
 	}
 	return out
 }
-
-// MatVec returns a(m×k) · x(k) as a new length-m vector tensor.
-func MatVec(a, x *Tensor) *Tensor {
-	if len(a.Shape) != 2 || len(x.Shape) != 1 {
-		panic("tensor: MatVec requires a rank-2 matrix and rank-1 vector")
-	}
-	m, k := a.Shape[0], a.Shape[1]
-	if x.Shape[0] != k {
-		panic(fmt.Sprintf("tensor: MatVec dimension mismatch %v · %v", a.Shape, x.Shape))
-	}
-	out := New(m)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*k : (i+1)*k]
-		var s float64
-		for j, v := range row {
-			s += v * x.Data[j]
-		}
-		out.Data[i] = s
-	}
-	return out
-}
-
-// OuterInto accumulates dst += x ⊗ y for vectors x (m) and y (n) into the
-// m×n matrix dst.
-func OuterInto(dst, x, y *Tensor) {
-	if len(dst.Shape) != 2 || len(x.Shape) != 1 || len(y.Shape) != 1 {
-		panic("tensor: OuterInto requires matrix dst and vector x, y")
-	}
-	m, n := dst.Shape[0], dst.Shape[1]
-	if x.Shape[0] != m || y.Shape[0] != n {
-		panic(fmt.Sprintf("tensor: OuterInto shape mismatch dst %v, x %v, y %v", dst.Shape, x.Shape, y.Shape))
-	}
-	for i := 0; i < m; i++ {
-		xv := x.Data[i]
-		if xv == 0 {
-			continue
-		}
-		row := dst.Data[i*n : (i+1)*n]
-		for j, yv := range y.Data {
-			row[j] += xv * yv
-		}
-	}
-}

@@ -98,18 +98,6 @@ func (t *Of[T]) Sum() T {
 	return s
 }
 
-// Dot returns the inner product of a and b viewed as flat vectors.
-func Dot(a, b *Tensor) float64 {
-	if len(a.Data) != len(b.Data) {
-		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a.Data), len(b.Data)))
-	}
-	var s float64
-	for i := range a.Data {
-		s += a.Data[i] * b.Data[i]
-	}
-	return s
-}
-
 // Norm returns the Euclidean (Frobenius) norm of t.
 func (t *Of[T]) Norm() T {
 	var s T

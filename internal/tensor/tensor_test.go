@@ -127,7 +127,7 @@ func TestOpsShapeMismatchPanics(t *testing.T) {
 	Add(New(2), New(3))
 }
 
-func TestApplySumNormDot(t *testing.T) {
+func TestApplySumNorm(t *testing.T) {
 	a := FromSlice([]float64{-3, 4}, 2)
 	if a.Norm() != 5 {
 		t.Fatalf("Norm = %v", a.Norm())
@@ -137,10 +137,6 @@ func TestApplySumNormDot(t *testing.T) {
 	}
 	if a.MaxAbs() != 4 {
 		t.Fatalf("MaxAbs = %v", a.MaxAbs())
-	}
-	b := FromSlice([]float64{2, 1}, 2)
-	if Dot(a, b) != -2 {
-		t.Fatalf("Dot = %v", Dot(a, b))
 	}
 	a.Apply(math.Abs)
 	if a.Data[0] != 3 {
@@ -258,29 +254,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestMatVec(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3, 4, 5, 6}, 2, 3)
-	x := FromSlice([]float64{1, 0, -1}, 3)
-	y := MatVec(a, x)
-	if y.Data[0] != -2 || y.Data[1] != -2 {
-		t.Fatalf("MatVec = %v", y.Data)
-	}
-}
-
-func TestOuterInto(t *testing.T) {
-	dst := New(2, 3)
-	OuterInto(dst, FromSlice([]float64{1, 2}, 2), FromSlice([]float64{3, 4, 5}, 3))
-	want := FromSlice([]float64{3, 4, 5, 6, 8, 10}, 2, 3)
-	if !Equal(dst, want, 1e-12) {
-		t.Fatalf("OuterInto = %v", dst.Data)
-	}
-	// accumulates
-	OuterInto(dst, FromSlice([]float64{1, 2}, 2), FromSlice([]float64{3, 4, 5}, 3))
-	if dst.At(1, 2) != 20 {
-		t.Fatal("OuterInto should accumulate")
-	}
-}
-
 func TestIm2ColIdentityKernel(t *testing.T) {
 	// 1x1 kernel, stride 1, no pad: im2col is the identity layout.
 	g := ConvGeom{InC: 2, InH: 3, InW: 3, KH: 1, KW: 1, Stride: 1, Pad: 0}
@@ -338,7 +311,10 @@ func TestCol2ImIsAdjointOfIm2Col(t *testing.T) {
 
 	cols := New(rows, colsN)
 	Im2ColInto(x, g, cols.Data)
-	lhs := Dot(cols, y)
+	var lhs float64
+	for i, v := range cols.Data {
+		lhs += v * y.Data[i]
+	}
 
 	back := make([]float64, len(x))
 	Col2ImInto(y.Data, g, back)
