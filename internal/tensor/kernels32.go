@@ -60,17 +60,17 @@ func axpy432(dst, x0, x1, x2, x3 []float32, a0, a1, a2, a3 float32) {
 func f32DotGeneric(a, b []float32) float32 {
 	var s0, s1, s2, s3 float32
 	for len(a) >= 4 && len(b) >= 4 {
-		s0 += a[0] * b[0]
-		s1 += a[1] * b[1]
-		s2 += a[2] * b[2]
-		s3 += a[3] * b[3]
+		s0 += float32(a[0] * b[0])
+		s1 += float32(a[1] * b[1])
+		s2 += float32(a[2] * b[2])
+		s3 += float32(a[3] * b[3])
 		a = a[4:]
 		b = b[4:]
 	}
 	s := (s0 + s1) + (s2 + s3)
 	b = b[:len(a)]
 	for i, av := range a {
-		s += av * b[i]
+		s += float32(av * b[i])
 	}
 	return s
 }
@@ -82,10 +82,10 @@ func f32Dot4Generic(a, b0, b1, b2, b3 []float32) (r0, r1, r2, r3 float32) {
 	b2 = b2[:len(a)]
 	b3 = b3[:len(a)]
 	for i, av := range a {
-		r0 += av * b0[i]
-		r1 += av * b1[i]
-		r2 += av * b2[i]
-		r3 += av * b3[i]
+		r0 += float32(av * b0[i])
+		r1 += float32(av * b1[i])
+		r2 += float32(av * b2[i])
+		r3 += float32(av * b3[i])
 	}
 	return
 }
@@ -94,7 +94,7 @@ func f32Dot4Generic(a, b0, b1, b2, b3 []float32) (r0, r1, r2, r3 float32) {
 func f32AxpyGeneric(dst, x []float32, alpha float32) {
 	x = x[:len(dst)]
 	for i, v := range x {
-		dst[i] += alpha * v
+		dst[i] += float32(alpha * v)
 	}
 }
 
@@ -105,6 +105,6 @@ func f32Axpy4Generic(dst, x0, x1, x2, x3 []float32, a0, a1, a2, a3 float32) {
 	x2 = x2[:len(dst)]
 	x3 = x3[:len(dst)]
 	for i := range dst {
-		dst[i] += a0*x0[i] + a1*x1[i] + a2*x2[i] + a3*x3[i]
+		dst[i] += float32(a0*x0[i]) + float32(a1*x1[i]) + float32(a2*x2[i]) + float32(a3*x3[i])
 	}
 }

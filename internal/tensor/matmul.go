@@ -247,10 +247,10 @@ func matmulTransBRowsGo(dst, a, b *Tensor, lo, hi int) {
 				if av == 0 {
 					continue
 				}
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
-				s3 += av * b3[p]
+				s0 += float64(av * b0[p])
+				s1 += float64(av * b1[p])
+				s2 += float64(av * b2[p])
+				s3 += float64(av * b3[p])
 			}
 			outRow[j], outRow[j+1], outRow[j+2], outRow[j+3] = s0, s1, s2, s3
 		}
@@ -264,9 +264,9 @@ func matmulTransBRowsGo(dst, a, b *Tensor, lo, hi int) {
 				if av == 0 {
 					continue
 				}
-				s0 += av * b0[p]
-				s1 += av * b1[p]
-				s2 += av * b2[p]
+				s0 += float64(av * b0[p])
+				s1 += float64(av * b1[p])
+				s2 += float64(av * b2[p])
 			}
 			outRow[j], outRow[j+1], outRow[j+2] = s0, s1, s2
 		case 2:
@@ -277,8 +277,8 @@ func matmulTransBRowsGo(dst, a, b *Tensor, lo, hi int) {
 				if av == 0 {
 					continue
 				}
-				s0 += av * b0[p]
-				s1 += av * b1[p]
+				s0 += float64(av * b0[p])
+				s1 += float64(av * b1[p])
 			}
 			outRow[j], outRow[j+1] = s0, s1
 		case 1:
@@ -288,7 +288,7 @@ func matmulTransBRowsGo(dst, a, b *Tensor, lo, hi int) {
 				if av == 0 {
 					continue
 				}
-				s0 += av * b0[p]
+				s0 += float64(av * b0[p])
 			}
 			outRow[j] = s0
 		}
@@ -342,7 +342,7 @@ func matmulTransARows(dst, a, b *Tensor, lo, hi int) {
 				continue
 			}
 			for j, bv := range bRow {
-				outRow[j] += av * bv
+				outRow[j] += float64(av * bv)
 			}
 		}
 	}
@@ -370,7 +370,7 @@ func matmulRows(dst, a, b *Tensor, lo, hi int) {
 				continue
 			}
 			for j, bv := range bRow {
-				outRow[j] += av * bv
+				outRow[j] += float64(av * bv)
 			}
 		}
 	}

@@ -78,7 +78,7 @@ func (t *Of[T]) AddScaled(o *Of[T], s T) {
 		return
 	}
 	for i := range t.Data {
-		t.Data[i] += s * o.Data[i]
+		t.Data[i] += T(s * o.Data[i])
 	}
 }
 
@@ -102,7 +102,7 @@ func (t *Of[T]) Sum() T {
 func (t *Of[T]) Norm() T {
 	var s T
 	for _, x := range t.Data {
-		s += x * x
+		s += T(x * x)
 	}
 	return T(math.Sqrt(float64(s)))
 }
