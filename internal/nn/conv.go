@@ -2,18 +2,25 @@ package nn
 
 import (
 	"fmt"
+	"unsafe"
 
 	"fedclust/internal/rng"
 	"fedclust/internal/tensor"
 )
 
-// Conv2DOf is a 2-D convolution over flattened CHW inputs, implemented as a
-// batched im2col + one large parallel matrix multiply. All intermediate
-// matrices live in persistent per-layer workspaces, so a steady-state
-// training step allocates nothing. Backward reuses the im2col workspace
-// for the column gradient, which means Backward may be called at most
-// once per Forward (the Layer contract already requires the matching
-// Forward cache).
+// Conv2DOf is a 2-D convolution over flattened CHW inputs, computed as
+// im2col · Wᵀ without ever holding the im2col matrix. Forward pads the
+// batch once and keeps that copy for Backward; both then walk the
+// (batch·OutH·OutW) × (InC·KH·KW) unroll in strips of stripRows rows,
+// each unrolled into an L1-sized buffer that the products consume before
+// the next strip overwrites it: y = strip·Wᵀ in Forward; in Backward the
+// weight gradient accumulates gy[strip]ᵀ·strip, then the same buffer
+// takes the strip's column gradient gy[strip]·W and col2im scatters it.
+// Strips start at multiples of four rows and run in order, so every
+// output element is summed in the order and grouping of the whole-matrix
+// products, bit for bit in both dtypes. All intermediates live in
+// persistent per-layer workspaces, so a steady-state training step
+// allocates nothing.
 type Conv2DOf[T tensor.Float] struct {
 	Geom   tensor.ConvGeom
 	OutC   int
@@ -23,11 +30,27 @@ type Conv2DOf[T tensor.Float] struct {
 	batch  int
 	noGx   bool // input gradient unread: Backward returns nil
 
-	cols  ws[T] // (batch*outHW, rowLen) unrolled input; reused as gcols in Backward
-	mm    ws[T] // pixel-major matmul output y in Forward, de-interleaved gy in Backward
-	out   ws[T] // channel-major forward output (batch, OutC*outHW)
-	gwTmp ws[T] // per-call weight gradient, accumulated into gw
-	gx    ws[T] // input gradient (batch, InC*InH*InW)
+	padded ws[T]                 // (batch, PaddedLen) zero-padded input, kept for Backward
+	strip  ws[T]                 // ≤ stripRows unrolled rows; a strip's column gradient in Backward
+	packed tensor.TransBPanel[T] // W laid out for the forward product, once per Forward
+	rows   rowView[T]            // the current strip's rows of mm
+	mm     ws[T]                 // pixel-major matmul output y in Forward, de-interleaved gy in Backward
+	out    ws[T]                 // channel-major forward output (batch, OutC*outHW)
+	gwTmp  ws[T]                 // per-call weight gradient, accumulated into gw
+	gx     ws[T]                 // input gradient (batch, InC*InH*InW)
+}
+
+// stripBytes bounds one strip of the unrolled input: half of a 32 KB L1
+// data cache, so the strip, its rows of y or gy and W's packed panel stay
+// there together. A constant like tensor's transBPanelK, not an option.
+const stripBytes = 16 << 10
+
+// stripRows is how many unrolled rows of rowLen elements a strip holds:
+// as many as fit in stripBytes, rounded down to a multiple of four — the
+// float32 weight-gradient kernel sums four rows per step, and a strip
+// must not cut one — and at least four.
+func stripRows[T tensor.Float](rowLen int) int {
+	return max(4, stripBytes/(rowLen*int(unsafe.Sizeof(T(0))))&^3)
 }
 
 // Conv2D is the float64 convolution.
@@ -76,15 +99,14 @@ func (c *Conv2DOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	c.batch = batch
 	outHW := c.Geom.OutH() * c.Geom.OutW()
 	rowLen := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	// Unroll the whole batch into one tall matrix so a single parallel
-	// matmul does all the arithmetic.
-	cols := c.cols.get(batch*outHW, rowLen)
-	for b := 0; b < batch; b++ {
-		tensor.Im2ColInto(x.Row(b), c.Geom, cols.Data[b*outHW*rowLen:(b+1)*outHW*rowLen])
-	}
-	// (batch*outHW, rowLen) · (OutC, rowLen)ᵀ → (batch*outHW, OutC)
+	tensor.PadInto(x.Data, c.Geom, c.padded.get(batch, c.Geom.PaddedLen()).Data)
+	c.packed.Pack(c.W)
+	// y = unroll · Wᵀ (batch*outHW, OutC), one strip at a time.
 	y := c.mm.get(batch*outHW, c.OutC)
-	tensor.MatMulTransBInto(y, cols, c.W)
+	for r0, s := 0, stripRows[T](rowLen); r0 < y.Shape[0]; r0 += s {
+		r1 := min(r0+s, y.Shape[0])
+		c.packed.MulInto(c.rows.of(y, r0, r1), c.unroll(r0, r1))
+	}
 	// Reorder to channel-major (batch, OutC*outHW) and add bias.
 	out := c.out.get(batch, c.OutC*outHW)
 	for b := 0; b < batch; b++ {
@@ -99,6 +121,14 @@ func (c *Conv2DOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	return out
 }
 
+// unroll writes rows [r0, r1) of the batch's unrolled input into the
+// strip buffer, from the padded copy Forward made.
+func (c *Conv2DOf[T]) unroll(r0, r1 int) *tensor.Of[T] {
+	strip := c.strip.get(r1-r0, c.Geom.InC*c.Geom.KH*c.Geom.KW)
+	tensor.Im2ColRowsInto(c.padded.hdr.Data, c.Geom, r0, strip.Data)
+	return strip
+}
+
 // Backward implements Layer.
 func (c *Conv2DOf[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if c.batch == 0 {
@@ -108,7 +138,6 @@ func (c *Conv2DOf[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	batch := c.batch
 	outHW := c.Geom.OutH() * c.Geom.OutW()
 	rowLen := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	cols := c.cols.get(batch*outHW, rowLen) // forward's unrolled input
 	// De-interleave gradOut back to pixel-major (batch*outHW, OutC).
 	gy := c.mm.get(batch*outHW, c.OutC)
 	for b := 0; b < batch; b++ {
@@ -120,27 +149,33 @@ func (c *Conv2DOf[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 			}
 		}
 	}
-	// gW += gyᵀ·cols (OutC, rowLen); gB += column sums of gy.
+	// gW += gyᵀ·unroll (OutC, rowLen) and, unless unread, gx = col2im(gy·W),
+	// one strip at a time: re-unroll the strip, accumulate its share of
+	// the weight gradient, then overwrite it with its column gradient and
+	// scatter that.
 	gw := c.gwTmp.get(c.OutC, rowLen)
-	tensor.MatMulTransAInto(gw, gy, cols)
+	gw.Zero()
+	var gx *tensor.Of[T]
+	if !c.noGx {
+		gx = c.gx.get(batch, c.InDim())
+		gx.Zero()
+	}
+	for r0, s := 0, stripRows[T](rowLen); r0 < gy.Shape[0]; r0 += s {
+		r1 := min(r0+s, gy.Shape[0])
+		strip, g := c.unroll(r0, r1), c.rows.of(gy, r0, r1)
+		tensor.MatMulTransAAddInto(gw, g, strip)
+		if gx != nil {
+			tensor.MatMulInto(strip, g, c.W)
+			tensor.Col2ImRowsInto(strip.Data, c.Geom, r0, gx.Data)
+		}
+	}
 	c.gw.AddScaled(gw, 1)
+	// gB += column sums of gy.
 	for i := 0; i < gy.Shape[0]; i++ {
 		row := gy.Row(i)
 		for ch, v := range row {
 			c.gb.Data[ch] += v
 		}
-	}
-	if c.noGx {
-		return nil
-	}
-	// gcols = gy·W (batch*outHW, rowLen), overwriting the cols workspace
-	// (the unrolled input is no longer needed once gw is accumulated);
-	// scatter back with col2im.
-	tensor.MatMulInto(cols, gy, c.W)
-	gx := c.gx.get(batch, c.InDim())
-	gx.Zero()
-	for b := 0; b < batch; b++ {
-		tensor.Col2ImInto(cols.Data[b*outHW*rowLen:(b+1)*outHW*rowLen], c.Geom, gx.Row(b))
 	}
 	return gx
 }

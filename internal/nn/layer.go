@@ -42,10 +42,11 @@ type Layer[T tensor.Float] interface {
 	// same function either way.
 	Forward(x *tensor.Of[T], train bool) *tensor.Of[T]
 	// Backward consumes dL/d(output) and returns dL/d(input),
-	// accumulating parameter gradients internally. It must be called
-	// after Forward with the matching activation still cached, and may
-	// invalidate that cache (Conv2D reuses its im2col workspace for the
-	// column gradient), so call it at most once per Forward. The one
+	// accumulating parameter gradients internally. It reads what the
+	// matching Forward cached — Dense its input tensor, ReLU its own
+	// output, MaxPool2 its argmax, Conv2D a zero-padded copy of its input
+	// that it unrolls again strip by strip — so it must follow that
+	// Forward with no other Forward of the layer in between. The one
 	// layer a Sequential marked as its first with parameters computes no
 	// dL/d(input) — nothing reads it — and returns nil.
 	Backward(gradOut *tensor.Of[T]) *tensor.Of[T]

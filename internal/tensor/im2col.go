@@ -44,19 +44,136 @@ func (g ConvGeom) taps(ox int) (k0, k1, ix int) {
 	return k0, k1, min(max(left, 0), g.InW)
 }
 
+// PaddedLen is the length of one image's zero-padded copy (PadInto): InC
+// planes of (InH+2·Pad) × (InW+2·Pad).
+func (g ConvGeom) PaddedLen() int { return g.InC * (g.InH + 2*g.Pad) * (g.InW + 2*g.Pad) }
+
+// PadInto writes the zero-padded copy of whole CHW images: x holds any
+// number of images of InC·InH·InW elements, dst as many of PaddedLen, and
+// every element of dst is written. With the padding laid down as data, no
+// unrolled run needs clamping (Im2ColRowsInto).
+func PadInto[T Float](x []T, g ConvGeom, dst []T) {
+	plane, imgLen := g.InH*g.InW, g.InC*g.InH*g.InW
+	if len(x)%imgLen != 0 || len(dst) != len(x)/imgLen*g.PaddedLen() {
+		panic(fmt.Sprintf("tensor: PadInto of %d elements into %d, geometry %+v", len(x), len(dst), g))
+	}
+	pw := g.InW + 2*g.Pad
+	for len(x) > 0 { // one channel plane per iteration
+		src, out := x[:plane], dst[:(g.InH+2*g.Pad)*pw]
+		x, dst = x[plane:], dst[len(out):]
+		clear(out[:g.Pad*pw+g.Pad]) // the top rows and the first row's left edge
+		out = out[g.Pad*pw+g.Pad:]
+		for iy := 0; iy < g.InH; iy++ {
+			copy(out[:g.InW], src[iy*g.InW:])
+			clear(out[g.InW:][:2*g.Pad]) // this row's right edge, the next row's left
+			out = out[pw:]
+		}
+		clear(out) // the bottom rows
+	}
+}
+
+// Im2ColRowsInto writes rows [r0, r0+n) of the unroll of a batch of
+// images into dst (n × InC·KH·KW, n = len(dst)/(InC·KH·KW)), reading the
+// batch's padded copy (PadInto). Row r is output pixel r mod OutH·OutW of
+// image r / (OutH·OutW), laid out as Im2ColInto lays out one image's, so a
+// batch's rows are its images' unrolls stacked, and any run of them —
+// across output rows and images — can be produced on its own. A layer
+// walks the batch in L1-sized strips this way and never holds the matrix.
+//
+// It moves runs, not elements: for each output row the strip meets, a
+// (c, ky) pair is one run of KW elements per output pixel, consecutive
+// pixels' runs Stride apart in the padded image row and one column row
+// (rowLen) apart in dst. On AVX2 hosts those go through one strided
+// copyRunsAVX2 call; otherwise the Go loop copies them one by one. A copy
+// has no arithmetic, so the two agree bit for bit.
+func Im2ColRowsInto[T Float](padded []T, g ConvGeom, r0 int, dst []T) {
+	outH, outW := g.OutH(), g.OutW()
+	outHW := outH * outW
+	rowLen, padLen := g.InC*g.KH*g.KW, g.PaddedLen()
+	if r0 < 0 || len(dst)%rowLen != 0 || len(padded)%padLen != 0 || r0+len(dst)/rowLen > len(padded)/padLen*outHW {
+		panic(fmt.Sprintf("tensor: Im2ColRows of %d elements from row %d, %d padded elements, geometry %+v", len(dst), r0, len(padded), g))
+	}
+	pw := g.InW + 2*g.Pad
+	plane := (g.InH + 2*g.Pad) * pw
+	size := int(unsafe.Sizeof(T(0)))
+	runBytes, dstStride, srcStride := g.KW*size, rowLen*size, g.Stride*size
+	img, oy, ox := padded[r0/outHW*padLen:], r0%outHW/outW, r0%outW
+	for len(dst) > 0 {
+		n := min(outW-ox, len(dst)/rowLen)         // the strip's pixels of output row oy
+		at, col := oy*g.Stride*pw+ox*g.Stride, dst // first pixel's tap (0, 0, 0); its column row
+		for c := 0; c < g.InC; c++ {
+			src := img[c*plane+at:]
+			for ky := 0; ky < g.KH; ky++ {
+				if useASM {
+					copyRunsAVX2(unsafe.Pointer(&col[0]), unsafe.Pointer(&src[ky*pw]), runBytes, n, dstStride, srcStride)
+				} else {
+					for i := 0; i < n; i++ {
+						copy(col[i*rowLen:][:g.KW], src[ky*pw+i*g.Stride:])
+					}
+				}
+				col = col[g.KW:]
+			}
+		}
+		dst = dst[n*rowLen:]
+		if ox += n; ox == outW {
+			ox = 0
+			if oy++; oy == outH {
+				oy, img = 0, img[padLen:]
+			}
+		}
+	}
+}
+
+// Col2ImRowsInto scatters rows [r0, r0+n) of a batch's column gradient
+// (n × InC·KH·KW, n = len(grad)/(InC·KH·KW)) back into the batch's
+// unpadded images, accumulating into img: the adjoint of Im2ColRowsInto.
+// Rows are visited in ascending order, so a layer that scatters its
+// strips in order hands every image element its addends in ascending
+// (oy, ox) order, however the strips are cut: the sums are a pure function
+// of the operands, bit for bit. The row test is made once per kernel row,
+// the valid tap range once per output pixel.
+func Col2ImRowsInto[T Float](grad []T, g ConvGeom, r0 int, img []T) {
+	outH, outW := g.OutH(), g.OutW()
+	outHW := outH * outW
+	rowLen, imgLen := g.InC*g.KH*g.KW, g.InC*g.InH*g.InW
+	if r0 < 0 || len(grad)%rowLen != 0 || len(img)%imgLen != 0 || r0+len(grad)/rowLen > len(img)/imgLen*outHW {
+		panic(fmt.Sprintf("tensor: Col2ImRows of %d elements from row %d into %d, geometry %+v", len(grad), r0, len(img), g))
+	}
+	im, oy, ox := img[r0/outHW*imgLen:], r0%outHW/outW, r0%outW
+	for len(grad) > 0 {
+		k0, k1, ix := g.taps(ox)
+		src := grad[:rowLen]
+		grad = grad[rowLen:]
+		for c := 0; c < g.InC; c++ {
+			for ky := 0; ky < g.KH; ky++ {
+				run := src[k0:k1]
+				src = src[g.KW:]
+				iy := oy*g.Stride + ky - g.Pad
+				if iy < 0 || iy >= g.InH {
+					continue
+				}
+				into := im[(c*g.InH+iy)*g.InW+ix:][:len(run)]
+				for k, v := range run {
+					into[k] += v
+				}
+			}
+		}
+		if ox++; ox == outW {
+			ox = 0
+			if oy++; oy == outH {
+				oy, im = 0, im[imgLen:]
+			}
+		}
+	}
+}
+
 // Im2ColInto unrolls a single CHW image (flat slice of length
 // InC*InH*InW) into a (OutH*OutW) × (InC*KH*KW) row-major matrix written
 // into the flat slice dst, whose length must be exactly that product.
 // Each row is the receptive field of one output pixel (out-of-range taps
-// read as zero), so convolution becomes cols · Wᵀ. It is allocation-free:
-// layers unroll each image of a batch into its slice of a shared
-// workspace.
-//
-// It moves runs, not elements: one kernel row of one output pixel is a
-// contiguous stretch of an image row. On AVX2 hosts the runs of a whole
-// output row go through one strided assembly copy (im2colRuns); the Go
-// run loop (im2colGo) is the other path. A copy has no arithmetic, so the
-// two agree bit for bit in any order.
+// read as zero), so convolution becomes cols · Wᵀ. It is the one-image,
+// one-strip case of Im2ColRowsInto, over a padded copy it allocates; a
+// layer pads its batch once and never holds this matrix whole.
 func Im2ColInto[T Float](img []T, g ConvGeom, dst []T) {
 	g.Validate()
 	if len(img) != g.InC*g.InH*g.InW {
@@ -65,77 +182,9 @@ func Im2ColInto[T Float](img []T, g ConvGeom, dst []T) {
 	if want := g.OutH() * g.OutW() * g.InC * g.KH * g.KW; len(dst) != want {
 		panic(fmt.Sprintf("tensor: Im2Col dst length %d, want %d", len(dst), want))
 	}
-	if useASM && g.InW+2*g.Pad <= padRowMax {
-		im2colRuns(img, g, dst)
-		return
-	}
-	im2colGo(img, g, dst)
-}
-
-// padRowMax is the widest padded image row (InW + 2·Pad, in elements)
-// im2colRuns holds in its stack buffer: 1 KB in float64. The model zoo's
-// images are 16 to 32 wide; a wider row takes the Go body.
-const padRowMax = 128
-
-// im2colRuns walks (channel, padded image row): it lays the row between
-// zeroed edges in a stack buffer — so padding is data and no run needs
-// clamping — and for every kernel row ky that meets it at an output row
-// oy emits the OutW runs of (oy, c, ky) with one copyRunsAVX2 call: run
-// ox starts Stride elements after run ox-1 in the buffer and one column
-// row (rowLen) after it in dst. Each (oy, ox, c, ky) run is produced by
-// exactly one padded row, so every dst element is written exactly once.
-func im2colRuns[T Float](img []T, g ConvGeom, dst []T) {
-	outH, outW := g.OutH(), g.OutW()
-	rowLen := g.InC * g.KH * g.KW
-	size := int(unsafe.Sizeof(img[0]))
-	var row [padRowMax]T
-	inner := row[g.Pad:][:g.InW]
-	for c := 0; c < g.InC; c++ {
-		for vy := 0; vy < g.InH+2*g.Pad; vy++ {
-			if iy := vy - g.Pad; iy >= 0 && iy < g.InH {
-				copy(inner, img[(c*g.InH+iy)*g.InW:])
-			} else {
-				clear(inner)
-			}
-			for ky := 0; ky < g.KH && ky <= vy; ky++ {
-				oy := (vy - ky) / g.Stride
-				if oy*g.Stride != vy-ky || oy >= outH {
-					continue
-				}
-				copyRunsAVX2(unsafe.Pointer(&dst[oy*outW*rowLen+(c*g.KH+ky)*g.KW]), unsafe.Pointer(&row[0]),
-					g.KW*size, outW, rowLen*size, g.Stride*size)
-			}
-		}
-	}
-}
-
-// im2colGo is the pure-Go unroll: the row test is made once per kernel
-// row, the valid tap range once per output pixel, and the body copies
-// that run and zero-fills its edges. It is the non-amd64 path and the
-// path of rows wider than padRowMax.
-func im2colGo[T Float](img []T, g ConvGeom, dst []T) {
-	outH, outW := g.OutH(), g.OutW()
-	rowLen := g.InC * g.KH * g.KW
-	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			k0, k1, ix := g.taps(ox)
-			dst := dst[(oy*outW+ox)*rowLen:][:rowLen]
-			for c := 0; c < g.InC; c++ {
-				for ky := 0; ky < g.KH; ky++ {
-					run := dst[:g.KW]
-					dst = dst[g.KW:]
-					iy := oy*g.Stride + ky - g.Pad
-					if iy < 0 || iy >= g.InH {
-						clear(run)
-						continue
-					}
-					clear(run[:k0])
-					copy(run[k0:k1], img[(c*g.InH+iy)*g.InW+ix:])
-					clear(run[k1:])
-				}
-			}
-		}
-	}
+	padded := make([]T, g.PaddedLen())
+	PadInto(img, g, padded)
+	Im2ColRowsInto(padded, g, 0, dst)
 }
 
 // Im2Col32Into is Im2ColInto for float32 data.
@@ -144,42 +193,18 @@ func Im2Col32Into(img []float32, g ConvGeom, dst []float32) { Im2ColInto(img, g,
 // Col2ImInto scatters the columns gradient back into image space: the
 // adjoint of Im2ColInto. grad is the flat (OutH*OutW) × (InC*KH*KW)
 // gradient, of exactly that length; the result is accumulated into img,
-// which the caller must pre-zero if a fresh gradient is wanted.
-//
-// Runs as in Im2ColInto. Output pixels are visited row by row, left to
-// right, so an image element receives its addends in ascending (oy, ox)
-// order whatever the geometry: the sums are a pure function of the
-// operands, bit for bit.
+// which the caller must pre-zero if a fresh gradient is wanted. It is the
+// one-image case of Col2ImRowsInto, so an image element receives its
+// addends in ascending (oy, ox) order.
 func Col2ImInto[T Float](grad []T, g ConvGeom, img []T) {
 	g.Validate()
-	outH, outW := g.OutH(), g.OutW()
-	rowLen := g.InC * g.KH * g.KW
 	if len(img) != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Col2Im image length %d, want %d", len(img), g.InC*g.InH*g.InW))
 	}
-	if len(grad) != outH*outW*rowLen {
-		panic(fmt.Sprintf("tensor: Col2Im grad length %d, want %d", len(grad), outH*outW*rowLen))
+	if want := g.OutH() * g.OutW() * g.InC * g.KH * g.KW; len(grad) != want {
+		panic(fmt.Sprintf("tensor: Col2Im grad length %d, want %d", len(grad), want))
 	}
-	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			k0, k1, ix := g.taps(ox)
-			src := grad[(oy*outW+ox)*rowLen:][:rowLen]
-			for c := 0; c < g.InC; c++ {
-				for ky := 0; ky < g.KH; ky++ {
-					run := src[k0:k1]
-					src = src[g.KW:]
-					iy := oy*g.Stride + ky - g.Pad
-					if iy < 0 || iy >= g.InH {
-						continue
-					}
-					into := img[(c*g.InH+iy)*g.InW+ix:][:len(run)]
-					for k, v := range run {
-						into[k] += v
-					}
-				}
-			}
-		}
-	}
+	Col2ImRowsInto(grad, g, 0, img)
 }
 
 // Col2Im32Into is Col2ImInto for float32 data.

@@ -41,13 +41,14 @@ func MatMulInto[T Float](dst, a, b *Of[T]) {
 	runRows(plain, dst, a, b, m, m*n*k)
 }
 
-// variant indexes the three matmul forms in the per-type kernel tables.
+// variant indexes the matmul forms in the per-type kernel tables.
 type variant int
 
 const (
 	plain variant = iota
 	transB
 	transA
+	transAAdd
 )
 
 // rowsKernel computes rows [lo, hi) of one matmul variant. Every serial
@@ -56,8 +57,8 @@ const (
 type rowsKernel[T Float] func(dst, a, b *Of[T], lo, hi int)
 
 var (
-	kernels64 = [...]rowsKernel[float64]{plain: matmulRows, transB: matmulTransBRows, transA: matmulTransARows}
-	kernels32 = [...]rowsKernel[float32]{plain: matmul32Rows, transB: matmulTransB32Rows, transA: matmulTransA32Rows}
+	kernels64 = [...]rowsKernel[float64]{plain: matmulRows, transB: matmulTransBRows, transA: matmulTransARows, transAAdd: matmulTransAAddRows}
+	kernels32 = [...]rowsKernel[float32]{plain: matmul32Rows, transB: matmulTransB32Rows, transA: matmulTransA32Rows, transAAdd: matmulTransA32AddRows}
 )
 
 // runRows is the one place the element type picks a kernel: a pointer
@@ -186,10 +187,16 @@ func (d *parSlot[T]) parallel(kernel rowsKernel[T], dst, a, b *Of[T], m int) boo
 // with the same skip-zero rule as matmulRows, so the result is
 // bit-identical to MatMulInto(dst, a, Transpose(b)).
 func MatMulTransBInto[T Float](dst, a, b *Of[T]) {
+	m, k, n := transBDims(dst, a, b)
+	runRows(transB, dst, a, b, m, m*n*k)
+}
+
+// transBDims checks the shapes of dst = a · bᵀ and returns m, k, n.
+func transBDims[T Float](dst, a, b *Of[T]) (m, k, n int) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
 		panic("tensor: MatMulTransB requires rank-2 tensors")
 	}
-	m, k := a.Shape[0], a.Shape[1]
+	m, k = a.Shape[0], a.Shape[1]
 	n, k2 := b.Shape[0], b.Shape[1]
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTransB inner dimension mismatch %v · %vᵀ", a.Shape, b.Shape))
@@ -197,7 +204,63 @@ func MatMulTransBInto[T Float](dst, a, b *Of[T]) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransB dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	runRows(transB, dst, a, b, m, m*n*k)
+	return m, k, n
+}
+
+// TransBPanel is the b operand of a product a · bᵀ taken against many a
+// in turn — a convolution's weights against each strip of its unrolled
+// input. Pack lays b out for the kernel once; MulInto then runs one
+// product per a on the calling goroutine, since a strip is L1-sized and
+// too small to split across workers. On the float64 tile path the layout
+// is the 4-wide panel of every column block, the one MatMulTransBInto
+// packs on its stack per call; float32's dot kernel and the Go body read
+// b's rows as they are. Either way MulInto's bits are MatMulTransBInto's.
+type TransBPanel[T Float] struct {
+	b     *Of[T]
+	panel []float64 // float64 tile path: column block j/4 at j·k
+}
+
+// Pack makes b the operand of the products that follow; b's contents
+// must not change before the last of them.
+func (p *TransBPanel[T]) Pack(b *Of[T]) {
+	if len(b.Shape) != 2 {
+		panic("tensor: TransBPanel requires a rank-2 tensor")
+	}
+	p.b, p.panel = b, p.panel[:0]
+	n, k := b.Shape[0], b.Shape[1]
+	b64, ok := any(b).(*Tensor)
+	if !ok || !useASM || k == 0 || k > transBPanelK {
+		return
+	}
+	if need := (n + 3) / 4 * 4 * k; cap(p.panel) < need {
+		p.panel = make([]float64, need)
+	} else {
+		p.panel = p.panel[:need]
+	}
+	for j := 0; j < n; j += 4 {
+		packTransB(p.panel[j*k:][:4*k], b64.Data, k, n, j)
+	}
+}
+
+// MulInto computes dst = a · bᵀ for the packed b, on the calling
+// goroutine: whole groups of four rows through the tile against the
+// packed panels, the rest through the Go body, as matmulTransBRows splits.
+func (p *TransBPanel[T]) MulInto(dst, a *Of[T]) {
+	m, k, n := transBDims(dst, a, p.b)
+	switch d := any(dst).(type) {
+	case *Tensor:
+		a64 := any(a).(*Tensor)
+		lo := 0
+		if useASM && len(p.panel) > 0 && m >= 4 {
+			lo = m &^ 3
+			for j := 0; j < n; j += 4 {
+				tileBlock(d.Data, a64.Data, p.panel[j*k:][:4*k], k, n, j, 0, lo)
+			}
+		}
+		matmulTransBRowsGo(d, a64, any(p.b).(*Tensor), lo, m)
+	case *Tensor32:
+		matmulTransB32Rows(d, any(a).(*Tensor32), any(p.b).(*Tensor32), 0, m)
+	}
 }
 
 // matmulTransBRows computes rows [lo,hi) of dst = a·bᵀ: on AVX2 hosts
@@ -301,10 +364,28 @@ func matmulTransBRowsGo(dst, a, b *Tensor, lo, hi int) {
 // rows over p in increasing order with the same skip-zero rule as
 // matmulRows, so the result is bit-identical to MatMulInto(dst, Transpose(a), b).
 func MatMulTransAInto[T Float](dst, a, b *Of[T]) {
+	m, k, n := transADims(dst, a, b)
+	runRows(transA, dst, a, b, m, m*n*k)
+}
+
+// MatMulTransAAddInto computes dst += aᵀ · b: every element of dst goes
+// on from its current value with the chain MatMulTransAInto starts at
+// zero. So a product cut along k (the rows of a and b) into consecutive
+// blocks and added block by block, in order, into a zeroed dst is
+// bit-identical to MatMulTransAInto over the whole — provided every block
+// but the last is a multiple of four rows long, because float32 takes
+// four rows per step.
+func MatMulTransAAddInto[T Float](dst, a, b *Of[T]) {
+	m, k, n := transADims(dst, a, b)
+	runRows(transAAdd, dst, a, b, m, m*n*k)
+}
+
+// transADims checks the shapes of dst = aᵀ · b and returns m, k, n.
+func transADims[T Float](dst, a, b *Of[T]) (m, k, n int) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
 		panic("tensor: MatMulTransA requires rank-2 tensors")
 	}
-	k, m := a.Shape[0], a.Shape[1]
+	k, m = a.Shape[0], a.Shape[1]
 	k2, n := b.Shape[0], b.Shape[1]
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMulTransA inner dimension mismatch %vᵀ · %v", a.Shape, b.Shape))
@@ -312,25 +393,31 @@ func MatMulTransAInto[T Float](dst, a, b *Of[T]) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulTransA dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	runRows(transA, dst, a, b, m, m*n*k)
+	return m, k, n
 }
 
 // axpyMinN is the shortest output row handed to f64AxpyAVX2: two vector
 // steps. Shorter rows keep the inline loop.
 const axpyMinN = 8
 
-// matmulTransARows computes rows [lo,hi) of dst = aᵀ·b, streaming a's
-// column i against b's rows. The accumulate under the skip-zero branch is
-// f64AxpyAVX2 on AVX2 hosts — product rounded, then the sum, per element
-// as in the loop it stands in for — and the loop itself otherwise.
+// matmulTransARows computes rows [lo,hi) of dst = aᵀ·b: it zeroes them,
+// then accumulates.
 func matmulTransARows(dst, a, b *Tensor, lo, hi int) {
+	n := dst.Shape[1]
+	clear(dst.Data[lo*n : hi*n])
+	matmulTransAAddRows(dst, a, b, lo, hi)
+}
+
+// matmulTransAAddRows accumulates aᵀ·b into rows [lo,hi) of dst,
+// streaming a's column i against b's rows. The accumulate under the
+// skip-zero branch is f64AxpyAVX2 on AVX2 hosts — product rounded, then
+// the sum, per element as in the loop it stands in for — and the loop
+// itself otherwise.
+func matmulTransAAddRows(dst, a, b *Tensor, lo, hi int) {
 	k, m, n := a.Shape[0], a.Shape[1], dst.Shape[1]
 	wide := useASM && n >= axpyMinN
 	for i := lo; i < hi; i++ {
 		outRow := dst.Data[i*n : (i+1)*n]
-		for x := range outRow {
-			outRow[x] = 0
-		}
 		for p := 0; p < k; p++ {
 			av := a.Data[p*m+i]
 			if av == 0 {

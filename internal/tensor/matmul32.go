@@ -57,16 +57,21 @@ func matmulTransB32Rows(dst, a, b *Tensor32, lo, hi int) {
 	}
 }
 
-// matmulTransA32Rows computes rows [lo,hi) of dst = aᵀ·b: zero the
-// output row, then stream a's column i against b's rows four at a time
-// through the 4-wide axpy kernel.
+// matmulTransA32Rows computes rows [lo,hi) of dst = aᵀ·b: it zeroes
+// them, then accumulates.
 func matmulTransA32Rows(dst, a, b *Tensor32, lo, hi int) {
+	n := dst.Shape[1]
+	clear(dst.Data[lo*n : hi*n])
+	matmulTransA32AddRows(dst, a, b, lo, hi)
+}
+
+// matmulTransA32AddRows accumulates aᵀ·b into rows [lo,hi) of dst,
+// streaming a's column i against b's rows four at a time through the
+// 4-wide axpy kernel.
+func matmulTransA32AddRows(dst, a, b *Tensor32, lo, hi int) {
 	k, m, n := a.Shape[0], a.Shape[1], dst.Shape[1]
 	for i := lo; i < hi; i++ {
 		outRow := dst.Data[i*n : (i+1)*n]
-		for x := range outRow {
-			outRow[x] = 0
-		}
 		p := 0
 		for ; p+4 <= k; p += 4 {
 			axpy432(outRow,

@@ -1,6 +1,8 @@
 package tensor
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"fedclust/internal/rng"
@@ -105,4 +107,90 @@ func TestIm2ColIntoLengthPanics(t *testing.T) {
 		}
 	}()
 	Im2ColInto(make([]float64, 16), g, make([]float64, 3))
+}
+
+// edgeOf is edgeFloats in element type T: ±0, denormal products, ordinary
+// values and a sprinkling of ±Inf and NaN.
+func edgeOf[T Float](r *rng.Rng, rows, cols int) *Of[T] {
+	v := make([]T, rows*cols)
+	for i, x := range edgeFloats(r, len(v), true) {
+		v[i] = T(x)
+	}
+	return FromSlice(v, rows, cols)
+}
+
+// sameBitsOf compares got and want on their encodings in their own
+// width, NaN payloads and the sign of zero included.
+func sameBitsOf[T Float](t *testing.T, what string, got, want *Of[T]) {
+	t.Helper()
+	for i, w := range want.Data {
+		if g := got.Data[i]; bitsOf(g) != bitsOf(w) {
+			t.Fatalf("%s: element %d = %v (bits %#x), want %v (bits %#x)", what, i, g, bitsOf(g), w, bitsOf(w))
+		}
+	}
+}
+
+// bitsOf is v's IEEE-754 encoding in its own width.
+func bitsOf[T Float](v T) uint64 {
+	if f, ok := any(v).(float32); ok {
+		return uint64(math.Float32bits(f))
+	}
+	return math.Float64bits(float64(v))
+}
+
+// TestTransBPanelMatchesMatMulTransB: b packed once, MulInto against a
+// run of different a equals MatMulTransBInto on each, bit for bit, in
+// both dtypes on both kernel paths: m on both sides of a four-row group,
+// every column remainder, k up to one past the panel bound.
+func TestTransBPanelMatchesMatMulTransB(t *testing.T) {
+	t.Run("float64", onBothKernelPaths(testTransBPanelMatchesMatMulTransB[float64]))
+	t.Run("float32", onBothKernelPaths(testTransBPanelMatchesMatMulTransB[float32]))
+}
+
+func testTransBPanelMatchesMatMulTransB[T Float](t *testing.T) {
+	r := rng.New(31)
+	var p TransBPanel[T]
+	for _, k := range []int{1, 5, 75, transBPanelK, transBPanelK + 1} {
+		for n := 1; n <= 9; n++ {
+			b := edgeOf[T](r, n, k)
+			p.Pack(b)
+			for _, m := range []int{1, 3, 4, 9, 24} {
+				a := edgeOf[T](r, m, k)
+				want, got := NewOf[T](m, n), NewOf[T](m, n)
+				MatMulTransBInto(want, a, b)
+				p.MulInto(got, a)
+				sameBitsOf(t, fmt.Sprintf("m %d k %d n %d", m, k, n), got, want)
+			}
+		}
+	}
+}
+
+// TestMatMulTransAAddInBlocksMatchesWhole: aᵀ·b cut along k into blocks
+// of a multiple of four rows (the last one shorter), added in order into
+// a zeroed dst, equals MatMulTransAInto over the whole k, bit for bit, in
+// both dtypes on both kernel paths.
+func TestMatMulTransAAddInBlocksMatchesWhole(t *testing.T) {
+	t.Run("float64", onBothKernelPaths(testMatMulTransAAddInBlocksMatchesWhole[float64]))
+	t.Run("float32", onBothKernelPaths(testMatMulTransAAddInBlocksMatchesWhole[float32]))
+}
+
+func testMatMulTransAAddInBlocksMatchesWhole[T Float](t *testing.T) {
+	r := rng.New(32)
+	for _, k := range []int{1, 3, 4, 9, 50, 101} {
+		for _, m := range []int{1, 3, 8} {
+			for _, n := range []int{1, 7, 8, 75} {
+				a, b := edgeOf[T](r, k, m), edgeOf[T](r, k, n)
+				want := NewOf[T](m, n)
+				MatMulTransAInto(want, a, b)
+				for _, blk := range []int{4, 8, 24} {
+					got := NewOf[T](m, n)
+					for lo := 0; lo < k; lo += blk {
+						hi := min(lo+blk, k)
+						MatMulTransAAddInto(got, FromSlice(a.Data[lo*m:hi*m], hi-lo, m), FromSlice(b.Data[lo*n:hi*n], hi-lo, n))
+					}
+					sameBitsOf(t, fmt.Sprintf("k %d m %d n %d in blocks of %d", k, m, n, blk), got, want)
+				}
+			}
+		}
+	}
 }

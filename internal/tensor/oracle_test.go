@@ -63,8 +63,7 @@ func col2imOracle[T Float](grad []T, g ConvGeom, img []T) {
 // and taller than the image, strides 1-3, non-square images and
 // kernels, one and three channels, and the 1×1 kernel; then kernel
 // widths 1…17 — in float32 and float64 together, a run in every move
-// width of copyRunsAVX2, 4 to 136 bytes — and padded rows exactly at and
-// one element beyond padRowMax (the last taking the Go body).
+// width of copyRunsAVX2, 4 to 136 bytes — and rows over a hundred wide.
 func oracleGeoms() []ConvGeom {
 	var out []ConvGeom
 	for _, inC := range []int{1, 3} {
@@ -88,7 +87,7 @@ func oracleGeoms() []ConvGeom {
 			}
 		}
 	}
-	for _, inW := range []int{padRowMax - 2, padRowMax - 1} {
+	for _, inW := range []int{126, 127} {
 		out = append(out,
 			ConvGeom{InC: 2, InH: 3, InW: inW, KH: 2, KW: 3, Stride: 1, Pad: 1},
 			ConvGeom{InC: 1, InH: 2, InW: inW, KH: 1, KW: 5, Stride: 2, Pad: 1})
@@ -123,11 +122,11 @@ func firstDiff[T Float](got, want []T) int {
 // off) and, where the host has it, the strided assembly copy — to the
 // per-element oracle.
 func TestIm2ColMatchesOracle(t *testing.T) {
-	t.Run("float64", onBothIm2ColPaths(testIm2ColMatchesOracle[float64]))
-	t.Run("float32", onBothIm2ColPaths(testIm2ColMatchesOracle[float32]))
+	t.Run("float64", onBothKernelPaths(testIm2ColMatchesOracle[float64]))
+	t.Run("float32", onBothKernelPaths(testIm2ColMatchesOracle[float32]))
 }
 
-func onBothIm2ColPaths(f func(t *testing.T)) func(t *testing.T) {
+func onBothKernelPaths(f func(t *testing.T)) func(t *testing.T) {
 	return func(t *testing.T) {
 		hasASM := UseASM()
 		defer SetUseASM(hasASM)
@@ -171,6 +170,78 @@ func testCol2ImMatchesOracle[T Float](t *testing.T) {
 		want := append([]T(nil), got...)
 		Col2ImInto(grad, g, got)
 		col2imOracle(grad, g, want)
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("%+v: img[%d] = %v, oracle %v", g, i, got[i], want[i])
+		}
+	}
+}
+
+// stripCuts splits rows [0, n) into consecutive strips of random length,
+// from one row to a little over two images' worth, so strips start and
+// end mid output row and cross from one image into the next.
+func stripCuts(r *rng.Rng, n, outHW int) [][2]int {
+	var cuts [][2]int
+	for lo := 0; lo < n; {
+		hi := min(n, lo+1+r.Intn(2*outHW+3))
+		cuts = append(cuts, [2]int{lo, hi})
+		lo = hi
+	}
+	return cuts
+}
+
+// TestIm2ColRowsMatchesOracle: a batch of three images, padded once and
+// unrolled strip by strip at random cuts, equals the per-element oracle's
+// unrolls of the three stacked, on both unroll paths. The padded buffer
+// and dst start stale, so every element of each must be written.
+func TestIm2ColRowsMatchesOracle(t *testing.T) {
+	t.Run("float64", onBothKernelPaths(testIm2ColRowsMatchesOracle[float64]))
+	t.Run("float32", onBothKernelPaths(testIm2ColRowsMatchesOracle[float32]))
+}
+
+func testIm2ColRowsMatchesOracle[T Float](t *testing.T) {
+	const batch = 3
+	r := rng.New(24)
+	for _, g := range oracleGeoms() {
+		imgLen, outHW, rowLen := g.InC*g.InH*g.InW, g.OutH()*g.OutW(), g.InC*g.KH*g.KW
+		x := randFloats[T](r, batch*imgLen)
+		want := make([]T, batch*outHW*rowLen)
+		for b := 0; b < batch; b++ {
+			im2colOracle(x[b*imgLen:][:imgLen], g, want[b*outHW*rowLen:][:outHW*rowLen])
+		}
+		padded := randFloats[T](r, batch*g.PaddedLen())
+		PadInto(x, g, padded)
+		got := randFloats[T](r, len(want))
+		for _, c := range stripCuts(r, batch*outHW, outHW) {
+			Im2ColRowsInto(padded, g, c[0], got[c[0]*rowLen:c[1]*rowLen])
+		}
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("%+v: row %d col %d = %v, oracle %v", g, i/rowLen, i%rowLen, got[i], want[i])
+		}
+	}
+}
+
+// TestCol2ImRowsMatchesOracle: scattering a batch's column gradient strip
+// by strip, in order, at random cuts, into non-zero images gives every
+// image element the oracle's addends in the oracle's order.
+func TestCol2ImRowsMatchesOracle(t *testing.T) {
+	t.Run("float64", testCol2ImRowsMatchesOracle[float64])
+	t.Run("float32", testCol2ImRowsMatchesOracle[float32])
+}
+
+func testCol2ImRowsMatchesOracle[T Float](t *testing.T) {
+	const batch = 3
+	r := rng.New(25)
+	for _, g := range oracleGeoms() {
+		imgLen, outHW, rowLen := g.InC*g.InH*g.InW, g.OutH()*g.OutW(), g.InC*g.KH*g.KW
+		grad := randFloats[T](r, batch*outHW*rowLen)
+		got := randFloats[T](r, batch*imgLen)
+		want := append([]T(nil), got...)
+		for b := 0; b < batch; b++ {
+			col2imOracle(grad[b*outHW*rowLen:][:outHW*rowLen], g, want[b*imgLen:][:imgLen])
+		}
+		for _, c := range stripCuts(r, batch*outHW, outHW) {
+			Col2ImRowsInto(grad[c[0]*rowLen:c[1]*rowLen], g, c[0], got)
+		}
 		if i := firstDiff(got, want); i >= 0 {
 			t.Fatalf("%+v: img[%d] = %v, oracle %v", g, i, got[i], want[i])
 		}

@@ -1,6 +1,6 @@
 // Package tensor implements dense row-major tensors and the numerical
-// kernels (parallel matrix multiply, im2col) that the neural network
-// stack is built on.
+// kernels (parallel matrix multiply, im2col by strips) that the neural
+// network stack is built on.
 //
 // The package is deliberately small: shapes are explicit, storage is a
 // flat slice, and there is no autograd — layers in internal/nn implement
@@ -9,7 +9,7 @@
 // axpy behind AddScaled differ per type (float64: skip-zero blocked
 // loops, matmul.go; float32: dot/axpy primitives, matmul32.go /
 // kernels32.go), selected once per call from the operand type. On AVX2
-// hosts the inner loops of both — and the run copy under Im2ColInto —
+// hosts the inner loops of both — and the run copy under the unroll —
 // are assembly behind one per-process gate (DESIGN.md §10).
 package tensor
 
