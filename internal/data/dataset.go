@@ -217,7 +217,7 @@ func (d *Dataset) Split(frac float64, r *rng.Rng) (*Dataset, *Dataset) {
 	}
 	n := d.Len()
 	order := r.Perm(n)
-	cut := int(frac*float64(n) + 0.999999)
+	cut := int(float64(frac*float64(n)) + 0.999999)
 	if cut > n {
 		cut = n
 	}

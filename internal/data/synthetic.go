@@ -124,7 +124,7 @@ func genSplit(cfg SynthConfig, protos [][]float64, perClass int, streamLabel uin
 		for i := 0; i < perClass; i++ {
 			dst := d.X.Row(row)
 			for j := range dst {
-				dst[j] = protos[k][j] + cfg.Noise*sr.NormFloat64()
+				dst[j] = protos[k][j] + float64(cfg.Noise*sr.NormFloat64())
 			}
 			d.Y[row] = k
 			row++
@@ -192,7 +192,7 @@ func smoothImage(img []float64, c, h, w int, passes int) {
 	// Renormalize to preserve overall energy removed by averaging.
 	var norm float64
 	for _, v := range img {
-		norm += v * v
+		norm += float64(v * v)
 	}
 	if norm > 0 {
 		scale := 1.0

@@ -45,7 +45,7 @@ func WeightedAverageInto(dst []float64, vecs [][]float64, weights []float64) []f
 	for i, v := range vecs {
 		scale := weights[i] / total
 		for j, x := range v {
-			dst[j] += scale * x
+			dst[j] += float64(scale * x)
 		}
 	}
 	return dst
@@ -82,7 +82,7 @@ func DeltaInto(dst, after, before []float64) []float64 {
 func L2Norm(v []float64) float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }

@@ -209,9 +209,9 @@ func (st *visitState[T]) evaluate(model *nn.SequentialOf[T], d *data.Dataset, ba
 		}
 		logits := model.Forward(b.X, false)
 		l, _, _ := st.ce.Loss(logits, b.Y)
-		lossSum += l * float64(len(b.Y))
+		lossSum += float64(l * float64(len(b.Y)))
 		acc := nn.Accuracy(logits, b.Y)
-		correct += int(acc*float64(len(b.Y)) + 0.5)
+		correct += int(float64(acc*float64(len(b.Y))) + 0.5)
 	}
 	return lossSum / float64(d.Len()), float64(correct) / float64(d.Len())
 }

@@ -112,7 +112,7 @@ func (e *Env) SampleRoundInto(round int, invitedBuf, reportedBuf []int) (invited
 			invited = append(invited, i)
 		}
 	} else {
-		k := int(p.Fraction*float64(n) + 0.5)
+		k := int(float64(p.Fraction*float64(n)) + 0.5)
 		if k < p.MinClients {
 			k = p.MinClients
 		}

@@ -86,7 +86,7 @@ func (t *TrimmedMean) Aggregate(dst []float64, vecs [][]float64, ws []float64) i
 		sortByCoord(perm, vecs, j)
 		var sum, total float64
 		for _, i := range perm[k : n-k] {
-			sum += ws[i] * vecs[i][j]
+			sum += float64(ws[i] * vecs[i][j])
 			total += ws[i]
 		}
 		if total > 0 {
@@ -222,7 +222,7 @@ func (k *Krum) Aggregate(dst []float64, vecs [][]float64, ws []float64) int {
 			va, vb := vecs[a], vecs[b]
 			for j := range va {
 				d := va[j] - vb[j]
-				s += d * d
+				s += float64(d * d)
 			}
 			dists[a*n+b], dists[b*n+a] = s, s
 		}

@@ -83,14 +83,14 @@ func (s *SGD[T]) Step(params, grads []*tensor.Of[T]) {
 				s.velocity[i] = v
 			}
 			for j := range p.Data {
-				eff := g.Data[j] + wd*p.Data[j]
-				v.Data[j] = mom*v.Data[j] + eff
-				p.Data[j] -= lr * v.Data[j]
+				eff := g.Data[j] + T(wd*p.Data[j])
+				v.Data[j] = T(mom*v.Data[j]) + eff
+				p.Data[j] -= T(lr * v.Data[j])
 			}
 		} else {
 			for j := range p.Data {
-				eff := g.Data[j] + wd*p.Data[j]
-				p.Data[j] -= lr * eff
+				eff := g.Data[j] + T(wd*p.Data[j])
+				p.Data[j] -= T(lr * eff)
 			}
 		}
 	}
@@ -124,7 +124,7 @@ func AddProximal[T tensor.Float](params, grads []*tensor.Of[T], ref []T, mu floa
 			panic(fmt.Sprintf("opt: proximal ref too short: need %d, have %d", off+p.Size(), len(ref)))
 		}
 		for j := range p.Data {
-			g.Data[j] += muT * (p.Data[j] - ref[off+j])
+			g.Data[j] += T(muT * (p.Data[j] - ref[off+j]))
 		}
 		off += p.Size()
 	}

@@ -155,7 +155,7 @@ func proportionsToCounts(p []float64, total int) []int {
 	rem := make([]float64, len(p))
 	used := 0
 	for i, v := range p {
-		exact := v * float64(total)
+		exact := float64(v * float64(total))
 		counts[i] = int(exact)
 		rem[i] = exact - float64(counts[i])
 		used += counts[i]

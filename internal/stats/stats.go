@@ -28,7 +28,7 @@ func Std(xs []float64) float64 {
 	var s float64
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		s += float64(d * d)
 	}
 	return math.Sqrt(s / float64(len(xs)-1))
 }
@@ -91,14 +91,14 @@ func Quantile(xs []float64, q float64) float64 {
 	if len(c) == 1 {
 		return c[0]
 	}
-	pos := q * float64(len(c)-1)
+	pos := float64(q * float64(len(c)-1))
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
 		return c[lo]
 	}
 	frac := pos - float64(lo)
-	return c[lo]*(1-frac) + c[hi]*frac
+	return float64(c[lo]*(1-frac)) + float64(c[hi]*frac)
 }
 
 // ArgMax returns the index of the maximum element (first on ties).

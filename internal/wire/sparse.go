@@ -227,7 +227,7 @@ func (sf *sparseFrame) value(i int) float64 {
 	if sf.c == TopK {
 		return math.Float64frombits(binary.LittleEndian.Uint64(sf.val[8*i:]))
 	}
-	return sf.lo + sf.scale*float64(sf.val[i])
+	return sf.lo + float64(sf.scale*float64(sf.val[i]))
 }
 
 // ApplySparseInto overlays a sparse frame's kept values onto dst, which

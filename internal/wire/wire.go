@@ -219,7 +219,7 @@ func DecodeInto(dst []float64, frame []byte) ([]float64, error) {
 		lo := math.Float64frombits(binary.LittleEndian.Uint64(payload[0:]))
 		scale := math.Float64frombits(binary.LittleEndian.Uint64(payload[8:]))
 		for i := 0; i < n; i++ {
-			out[i] = lo + scale*float64(payload[16+i])
+			out[i] = lo + float64(scale*float64(payload[16+i]))
 		}
 	}
 	return out, nil
