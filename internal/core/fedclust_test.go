@@ -109,9 +109,8 @@ func TestFedClustBeatsFedAvgOnGroupedData(t *testing.T) {
 
 	// FedAvg baseline wired straight onto the round engine (importing
 	// internal/methods would be a dependency cycle in tests): one global
-	// model, full participation, evaluated through the Served hook.
+	// model, evaluated through the Served hook.
 	d := engine.New(envB, "FedAvg")
-	d.FullParticipation = true
 	global, starts := d.InitGlobal(), d.StartsBuf()
 	d.Hooks.Broadcast = func(int) [][]float64 {
 		for i := range starts {
@@ -237,7 +236,7 @@ func TestNewcomerEndToEnd(t *testing.T) {
 	// Newcomer protocol: download w₀, train locally, upload the
 	// final-layer feature.
 	model := env.NewModel()
-	fl.LocalUpdate(model, newClient.Train, env.Local, rng.New(77))
+	new(fl.TrainScratch).LocalUpdate(model, newClient.Train, env.Local, rng.New(77))
 	feature := f.State.NewcomerFeature(model)
 	assigned := f.State.AssignNewcomer(feature)
 
@@ -251,6 +250,40 @@ func TestNewcomerEndToEnd(t *testing.T) {
 	}
 	if assigned != group1Cluster {
 		t.Fatalf("newcomer from group 1 assigned to cluster %d, want %d", assigned, group1Cluster)
+	}
+}
+
+// TestFedClustEndToEndOnPreset runs the zero Config — the paper's
+// defaults — on the FMNIST-shaped synthetic preset (ten classes in two
+// label groups) and checks what a user reads off the run: it learns, it
+// leaves a fitted state, and a model trained on a founding client's own
+// data is routed back to that client's cluster.
+func TestFedClustEndToEndOnPreset(t *testing.T) {
+	cfg := data.SynthFMNIST(3)
+	cfg.TrainPerClass, cfg.TestPerClass = 40, 16
+	train, test := data.Generate(cfg)
+	clients, _ := fl.BuildGroupClients(train, test,
+		[][]int{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9}}, []int{3, 3}, rng.New(3))
+	env := &fl.Env{
+		Clients: clients,
+		Factory: func(r *rng.Rng) *nn.Sequential { return nn.MLP(r, train.Dim(), 24, 10) },
+		Rounds:  3,
+		Local:   fl.LocalConfig{Epochs: 1, BatchSize: 16, LR: 0.05},
+		Seed:    3,
+	}
+	f := &FedClust{}
+	res := f.Run(env)
+	if res.FinalAcc <= 0.2 {
+		t.Fatalf("accuracy %v", res.FinalAcc)
+	}
+	if f.State == nil || f.State.K < 1 {
+		t.Fatal("run left no fitted state")
+	}
+	m := env.NewModel()
+	new(fl.TrainScratch).LocalUpdate(m, clients[0].Train, env.Local, rng.New(9))
+	c := f.State.AssignNewcomer(f.State.NewcomerFeature(m))
+	if want := f.State.Labels[0]; c != want {
+		t.Fatalf("newcomer with client-0 data routed to %d, want %d", c, want)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestInstrumentedWarmRoundZeroAllocs(t *testing.T) {
 	defer obs.SetEnabled(prev)
 	obs.SetEnabled(true)
 
-	env := goldenEnv(25, 1<<20, fl.Participation{})
+	env := goldenEnv(25, 1<<20)
 	env.EvalEvery = 2
 	env.Observer = obs.NewJournal(io.Discard, env.Local.Epochs)
 	d := engine.New(env, "alloc-instrumented")

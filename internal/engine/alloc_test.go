@@ -72,8 +72,7 @@ func lenetAllocEnv(dtype fl.DType) *fl.Env {
 	}
 }
 
-// TestRoundDriverWarmRoundZeroAllocs: a warm RunRound — sampling,
-// broadcast, the parallel client phase over the pooled models,
+// TestRoundDriverWarmRoundZeroAllocs: a warm RunRound — broadcast, the parallel client phase over the pooled models,
 // aggregation, comm accounting, and (every other round) the full
 // evaluation protocol — performs zero steady-state heap allocations,
 // on the golden MLP workload and on LeNet-5 in both dtypes.
@@ -81,7 +80,7 @@ func lenetAllocEnv(dtype fl.DType) *fl.Env {
 // pre-grown so the test measures the round itself rather than slice
 // growth.
 func TestRoundDriverWarmRoundZeroAllocs(t *testing.T) {
-	mlp := goldenEnv(21, 1<<20, fl.Participation{})
+	mlp := goldenEnv(21, 1<<20)
 	mlp.EvalEvery = 2
 	for _, tc := range []struct {
 		name string
@@ -121,9 +120,9 @@ func TestRoundDriverWarmRoundZeroAllocs(t *testing.T) {
 // partial-work weighting, and the per-client outcome fill allocates
 // nothing. Every scenario outcome query reseeds a stack Rng, the
 // outcome/mask buffers are client-indexed arrays in the cached runtime,
-// and the reported set reuses the sampling buffer.
+// and the reported set reuses the runtime's buffer.
 func TestRoundDriverWarmScenarioRoundZeroAllocs(t *testing.T) {
-	env := goldenEnv(23, 1<<20, fl.Participation{Fraction: 0.8, DropRate: 0.1})
+	env := goldenEnv(23, 1<<20)
 	env.EvalEvery = 2
 	env.Participation.Scenario = scenario.New(scenario.Config{
 		StragglerFrac: 0.5, SlowdownMax: 4, DropoutRate: 0.25,
@@ -153,7 +152,7 @@ func TestRoundDriverWarmScenarioRoundZeroAllocs(t *testing.T) {
 // hook closures + History/PerClientAcc). The bound is deliberately tight
 // — the PR 3 acceptance ceiling is 50.
 func TestFedAvgWarmRunAllocs(t *testing.T) {
-	env := goldenEnv(22, 2, fl.Participation{})
+	env := goldenEnv(22, 2)
 	methods.FedAvg{}.Run(env) // build + warm the cached runtime
 	if n := testing.AllocsPerRun(20, func() {
 		methods.FedAvg{}.Run(env)

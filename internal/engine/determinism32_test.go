@@ -18,11 +18,11 @@ import (
 )
 
 func TestFloat32ResultsBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	part := fl.Participation{Fraction: 0.8, DropRate: 0.2}
 	for _, tr := range determinismTrainers() {
 		var want string
 		for _, workers := range []int{1, 2, 8} {
-			env := goldenEnv(31, 3, part)
+			env := goldenEnv(31, 3)
+			dropoutsAndStragglers(env)
 			env.EvalEvery = 1
 			env.Workers = workers
 			env.DType = fl.Float32
@@ -44,7 +44,7 @@ func TestFloat32ResultsBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		var want string
 		for _, procs := range []int{1, 2, 4} {
 			old := runtime.GOMAXPROCS(procs)
-			env := goldenEnv(32, 3, fl.Participation{})
+			env := goldenEnv(32, 3)
 			env.EvalEvery = 1
 			env.Workers = 4
 			env.DType = fl.Float32
@@ -70,7 +70,7 @@ func TestFloat32ResultsBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 // not rounding noise.
 func TestFloat32RunTracksFloat64Within(t *testing.T) {
 	run := func(dtype fl.DType) *fl.Result {
-		env := goldenEnv(77, 6, fl.Participation{})
+		env := goldenEnv(77, 6)
 		env.EvalEvery = 2
 		env.DType = dtype
 		return methods.FedAvg{}.Run(env)

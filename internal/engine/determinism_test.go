@@ -20,10 +20,9 @@ import (
 	"fedclust/internal/scenario"
 )
 
-// trainersUnderTest covers the default Local hook (FedAvg), partial
-// participation with drop-outs (sampling buffers), a custom Local hook
-// with per-visit rng (IFCA), and the one-shot clustering + clustered
-// FedAvg schedule (FedClust).
+// determinismTrainers covers the default Local hook (FedAvg), a custom
+// Local hook with per-visit rng (IFCA), and the one-shot clustering +
+// clustered FedAvg schedule (FedClust).
 func determinismTrainers() []fl.Trainer {
 	return []fl.Trainer{
 		methods.FedAvg{},
@@ -32,12 +31,21 @@ func determinismTrainers() []fl.Trainer {
 	}
 }
 
+// dropoutsAndStragglers is the fault model of the worker-count matrices:
+// a fifth of the clients offline each round and a third of them slow, so
+// the reported set, the partial passes and the mask all vary by round.
+func dropoutsAndStragglers(env *fl.Env) {
+	env.Participation.Scenario = scenario.New(scenario.Config{
+		StragglerFrac: 0.3, SlowdownMax: 4, DropoutRate: 0.2, Deadline: 0.75, Jitter: 0.2,
+	}, env.Seed, len(env.Clients))
+}
+
 func TestResultsBitIdenticalAcrossWorkerCounts(t *testing.T) {
-	part := fl.Participation{Fraction: 0.8, DropRate: 0.2}
 	for _, tr := range determinismTrainers() {
 		var want string
 		for _, workers := range []int{1, 2, 8} {
-			env := goldenEnv(31, 3, part)
+			env := goldenEnv(31, 3)
+			dropoutsAndStragglers(env)
 			env.EvalEvery = 1
 			env.Workers = workers
 			got := fingerprint(tr.Run(env))
@@ -58,7 +66,7 @@ func TestResultsBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		var want string
 		for _, procs := range []int{1, 2, 4} {
 			old := runtime.GOMAXPROCS(procs)
-			env := goldenEnv(32, 3, fl.Participation{})
+			env := goldenEnv(32, 3)
 			env.EvalEvery = 1
 			env.Workers = 4
 			got := fingerprint(tr.Run(env))
@@ -91,7 +99,7 @@ func TestScenarioResultsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 		for _, tr := range trainers {
 			var want string
 			for _, workers := range []int{1, 2, 8} {
-				env := goldenEnv(34, 3, fl.Participation{})
+				env := goldenEnv(34, 3)
 				env.EvalEvery = 1
 				env.Workers = workers
 				env.Participation.Scenario = scenario.New(scenario.Config{
@@ -117,7 +125,7 @@ func TestScenarioResultsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 // the results must match the cold run exactly, and an interleaved other
 // method must not perturb either.
 func TestResultsBitIdenticalOnWarmRuntime(t *testing.T) {
-	env := goldenEnv(33, 3, fl.Participation{})
+	env := goldenEnv(33, 3)
 	env.EvalEvery = 1
 	cold := fingerprint(methods.FedAvg{}.Run(env))
 	if warm := fingerprint(methods.FedAvg{}.Run(env)); warm != cold {

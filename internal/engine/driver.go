@@ -1,7 +1,7 @@
 // Package engine is the shared federated round engine. Every trainer in
 // internal/methods and internal/core runs its training schedule through a
-// RoundDriver, which owns the per-round skeleton — participation
-// sampling, communication accounting, parallel client execution,
+// RoundDriver, which owns the per-round skeleton — the scenario's
+// outcomes, communication accounting, parallel client execution,
 // aggregation, periodic personalized evaluation — while the method
 // supplies the parts that differ through Hooks.
 //
@@ -12,7 +12,7 @@
 //   - one contiguous flat-parameter arena backing every client's reported
 //     update (Locals), written in place via nn.FlattenParamsInto;
 //   - a per-environment cached runtime (envState): pool, arenas, worker
-//     contexts, sampling/evaluation buffers, and the persistent executor
+//     contexts, reporting/evaluation buffers, and the persistent executor
 //     tasks survive across runs on one Env, so a warm round — and even a
 //     warm whole run — allocates next to nothing.
 //
@@ -128,9 +128,8 @@ func (c *ClientCtx) VisitLocal() {
 // are required; Broadcast is required unless Local is set.
 type Hooks struct {
 	// Broadcast returns each client's starting parameter vector for the
-	// round, indexed by client id (entries for uninvited clients may be
-	// nil). The returned slice is read during the parallel client phase
-	// and must stay unmodified until it ends.
+	// round, indexed by client id. The returned slice is read during the
+	// parallel client phase and must stay unmodified until it ends.
 	Broadcast func(round int) [][]float64
 	// Local overrides the client-side objective. The default
 	// (DefaultLocal) is one fl.Lane visit from Start into Out, local or
@@ -140,18 +139,13 @@ type Hooks struct {
 	// Aggregate folds the reported clients' Locals into the method's
 	// server-side state. Runs serially after the client phase.
 	Aggregate func(round int, reported []int)
-	// OnRoundEnd runs serially after Aggregate, before evaluation —
-	// cluster-split checks, assignment-change tracking, and similar
-	// bookkeeping.
-	OnRoundEnd func(round int)
 	// Served returns the flat parameters evaluated for client i during
 	// periodic evaluation (e.g. its cluster's model).
 	Served func(clientIdx int) []float64
-	// DownlinkPerClient and UplinkPerClient override the per-client scalar
-	// counts used for communication accounting (default: NumParams each
-	// way; IFCA downloads K models per client).
+	// DownlinkPerClient overrides the per-client scalar count of the
+	// round's request in communication accounting (default: NumParams;
+	// IFCA downloads K models per client). Every uplink carries NumParams.
 	DownlinkPerClient func(round int) int
-	UplinkPerClient   func(round int) int
 	// ClusterOf, when set, labels each client visit with its cluster id
 	// (RunClusteredFedAvg wires it) — metadata forwarded to remote
 	// executors. Must be pure and safe for concurrent calls.
@@ -176,12 +170,6 @@ type RoundDriver struct {
 	Res *fl.Result
 	// Hooks are the method-specific callbacks.
 	Hooks Hooks
-	// FullParticipation bypasses Env.Participation sampling: every client
-	// is invited and reports each round (the clustered-FL literature's
-	// setting; FedAvg-style trainers leave it false). A
-	// Participation.Scenario still applies: all clients are invited, but
-	// the scenario decides who reports on time.
-	FullParticipation bool
 	// Async switches the scenario interpretation to semi-async delivery:
 	// slow clients run their full local pass (instead of being cut off at
 	// the deadline) and only clients whose update arrives on time (lag 0)
@@ -277,8 +265,8 @@ func (d *RoundDriver) InitGlobal() []float64 {
 }
 
 // StartsBuf returns a per-environment reusable client-indexed slice for
-// Broadcast hooks (zeroing is the hook's job: every invited client's
-// entry is rewritten each round). Invalidated by the next StartsBuf call
+// Broadcast hooks (filling it is the hook's job: every client's entry is
+// rewritten each round). Invalidated by the next StartsBuf call
 // on this environment.
 func (d *RoundDriver) StartsBuf() [][]float64 {
 	if d.es.starts == nil {
@@ -420,13 +408,13 @@ func (d *RoundDriver) CombineClusters(assign []int, models [][]float64) {
 // maskNonFinite scans the uplinks produced this round and marks any
 // containing NaN or ±Inf as failed — a single poisoned vector would
 // otherwise spread through every average (and through FedAvgStale's
-// cache for rounds after). The scan covers exactly the invited clients
-// whose visit ran: offline clients and sync dropouts never wrote their
-// slot, and semi-async late arrivals (lag > 0) must be caught now,
-// before the buffer path consumes them in a later round.
-func (d *RoundDriver) maskNonFinite(invited []int) {
+// cache for rounds after). The scan covers exactly the clients whose
+// visit ran: offline clients and sync dropouts never wrote their slot,
+// and semi-async late arrivals (lag > 0) must be caught now, before the
+// buffer path consumes them in a later round.
+func (d *RoundDriver) maskNonFinite() {
 	es := d.es
-	for _, i := range invited {
+	for i := range es.failMask {
 		if es.failMask[i] {
 			continue // transport already lost it
 		}
@@ -490,10 +478,6 @@ func (d *RoundDriver) Reported(i int) bool {
 	return d.es.repMask[i]
 }
 
-// InvitedThisRound returns the current round's invited client set (valid
-// during the round's hooks; aliases engine scratch — do not retain).
-func (d *RoundDriver) InvitedThisRound() []int { return d.es.curInvited }
-
 // Run executes the round schedule and returns the accumulated result.
 func (d *RoundDriver) Run() *fl.Result {
 	// Release the runtime claim even when the hook checks (or a hook
@@ -542,11 +526,12 @@ func (d *RoundDriver) RunRound(round int) {
 	es := d.es
 	ob := env.Observer
 	es.startRoundTiming(ob)
-	invited, reported := d.sample(round)
+	// Every client is invited; the scenario decides who reports.
+	n := es.n
+	reported := d.sample(round)
 	es.lap(phSample)
-	es.lastInvited = len(invited)
 	if ob != nil {
-		ob.ObserveRoundStart(round, len(invited))
+		ob.ObserveRoundStart(round, n)
 	}
 	// Reset the per-round failure state — visits the scenario skips must
 	// not leave stale failures behind.
@@ -557,25 +542,25 @@ func (d *RoundDriver) RunRound(round int) {
 	// The byte ledger (DESIGN.md §8): every invited client is charged one
 	// request, every accepted update one response, at the hook-declared
 	// sizes — wherever the client trains.
-	d.Res.Comm.Download(len(invited), d.downlink(round))
+	d.Res.Comm.Download(n, d.downlink(round))
 	var starts [][]float64
 	if d.Hooks.Broadcast != nil {
 		starts = d.Hooks.Broadcast(round)
 	}
-	es.curInvited, es.curStarts, es.curRound = invited, starts, round
+	es.curStarts, es.curRound = starts, round
 	es.lap(phBroadcast)
-	env.ParallelClientsWorker(len(invited), es.clientTask)
+	env.ParallelClientsWorker(n, es.clientTask)
 	es.lap(phLocal)
 	es.curStarts = nil
-	d.maskNonFinite(invited)
+	d.maskNonFinite()
 	reported = d.dropFailed(reported)
-	d.Res.Comm.Upload(len(reported), d.uplink(round))
+	d.Res.Comm.Upload(len(reported), d.NumParams)
 	for _, ctx := range es.ctxs {
 		d.Res.Comm.Measured(ctx.WireDown, ctx.WireUp)
 		ctx.WireDown, ctx.WireUp = 0, 0
 	}
 	if ob != nil {
-		for _, c := range invited {
+		for c := 0; c < n; c++ {
 			done, lag := d.ScenarioOutcome(c)
 			ob.ObserveOutcome(c, done, lag, es.failMask[c])
 		}
@@ -587,10 +572,6 @@ func (d *RoundDriver) RunRound(round int) {
 	if len(reported) > 0 || d.Async || d.AggregateEmptyRounds {
 		d.Hooks.Aggregate(round, reported)
 	}
-	if d.Hooks.OnRoundEnd != nil {
-		d.Hooks.OnRoundEnd(round)
-	}
-	es.curInvited = nil
 	es.lastReported = len(reported)
 	d.Res.Comm.EndRound(round + 1)
 	if ob != nil {
@@ -622,7 +603,6 @@ func (d *RoundDriver) RunRound(round int) {
 // labels maps client → cluster in [0, k); models holds one flat parameter
 // vector per cluster and is updated in place.
 func (d *RoundDriver) RunClusteredFedAvg(labels []int, k int, models [][]float64) *fl.Result {
-	d.FullParticipation = true
 	starts := d.StartsBuf()
 	d.Hooks.ClusterOf = func(i int) int { return labels[i] }
 	d.Hooks.Broadcast = func(round int) [][]float64 {
@@ -679,57 +659,26 @@ func (d *RoundDriver) dropFailed(reported []int) []int {
 	return kept
 }
 
-// sample draws the round's invited and reporting sets into reused
-// buffers, then fills the round's scenario state (outcomes per invited
-// client, the reported mask) when a scenario is in force.
-func (d *RoundDriver) sample(round int) (invited, reported []int) {
+// sample returns the round's reported set. With no scenario every client
+// reports; with one, sample records each client's outcome and the
+// reported mask, and a client reports when its update is accepted this
+// round — any completed epoch in a synchronous round, an on-time full
+// pass under Async.
+func (d *RoundDriver) sample(round int) (reported []int) {
 	es := d.es
 	sc := d.Env.Participation.Scenario
 	es.scenOn = sc != nil
 	es.maskOn = es.scenOn // dropFailed may extend mask coverage later
 	if sc == nil {
-		if d.FullParticipation {
-			return es.all, es.all
-		}
-		inv, rep := d.Env.SampleRoundInto(round, es.invited, es.reported)
-		d.es.invited, d.es.reported = inv, rep
-		return inv, rep
+		return es.all
 	}
-
-	if d.FullParticipation {
-		// Everyone is invited; the scenario alone decides who reports.
-		invited = es.all
-		reported = es.reported[:0]
-	} else {
-		// SampleRoundInto already applied the synchronous scenario filter
-		// (done ≥ 1) on top of the DropRate losses.
-		invited, reported = d.Env.SampleRoundInto(round, es.invited, es.reported)
-		es.invited = invited
-	}
-	es.cfgEpochs = d.Env.Local.Epochs
-	if es.cfgEpochs < 1 {
-		es.cfgEpochs = 1
-	}
-	for _, c := range invited {
+	es.cfgEpochs = max(d.Env.Local.Epochs, 1)
+	reported = es.reported[:0]
+	for _, c := range es.all {
 		es.done[c], es.lag[c] = sc.Outcome(c, round, es.cfgEpochs)
-	}
-	if d.FullParticipation {
-		for _, c := range invited {
-			if (d.Async && es.lag[c] == 0) || (!d.Async && es.done[c] > 0) {
-				reported = append(reported, c)
-			}
+		if (d.Async && es.lag[c] == 0) || (!d.Async && es.done[c] > 0) {
+			reported = append(reported, c)
 		}
-	} else if d.Async {
-		// Tighten the synchronous filter to on-time deliveries only: a
-		// straggler's partial pass is not accepted — its full update
-		// arrives lag rounds late instead.
-		kept := reported[:0]
-		for _, c := range reported {
-			if es.lag[c] == 0 {
-				kept = append(kept, c)
-			}
-		}
-		reported = kept
 	}
 	es.reported = reported
 	for i := range es.repMask {
@@ -738,19 +687,12 @@ func (d *RoundDriver) sample(round int) (invited, reported []int) {
 	for _, c := range reported {
 		es.repMask[c] = true
 	}
-	return invited, reported
+	return reported
 }
 
 func (d *RoundDriver) downlink(round int) int {
 	if d.Hooks.DownlinkPerClient != nil {
 		return d.Hooks.DownlinkPerClient(round)
-	}
-	return d.NumParams
-}
-
-func (d *RoundDriver) uplink(round int) int {
-	if d.Hooks.UplinkPerClient != nil {
-		return d.Hooks.UplinkPerClient(round)
 	}
 	return d.NumParams
 }

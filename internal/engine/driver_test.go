@@ -19,7 +19,7 @@ func TestDriverRequiresHooks(t *testing.T) {
 				t.Errorf("%s: Run did not panic", name)
 			}
 		}()
-		d := engine.New(goldenEnv(1, 1, fl.Participation{}), "test")
+		d := engine.New(goldenEnv(1, 1), "test")
 		wire(d)
 		d.Run()
 	}
@@ -54,10 +54,10 @@ func evalServed(env *fl.Env, served func(i int) []float64) *fl.Result {
 // that client's test split; a client without test data reports 0 and is
 // left out of the means, which run over the others in client order.
 func TestEvaluatePersonalized(t *testing.T) {
-	env := goldenEnv(16, 1, fl.Participation{})
+	env := goldenEnv(16, 1)
 	env.Clients[2].Test = nil
 	models := [2]*nn.Sequential{env.NewModel(), env.NewModel()}
-	fl.LocalUpdate(models[1], env.Clients[0].Train, fl.LocalConfig{Epochs: 5, BatchSize: 16, LR: 0.1}, rng.New(8))
+	new(fl.TrainScratch).LocalUpdate(models[1], env.Clients[0].Train, fl.LocalConfig{Epochs: 5, BatchSize: 16, LR: 0.1}, rng.New(8))
 	vecs := [2][]float64{nn.FlattenParams(models[0]), nn.FlattenParams(models[1])}
 
 	res := evalServed(env, func(i int) []float64 { return vecs[i%2] })
@@ -89,7 +89,7 @@ func TestEvaluatePersonalized(t *testing.T) {
 // TestDriverBuffers: the locals arena must be per-client, disjoint,
 // sized to the model, and InitParams must be a defensive copy of w₀.
 func TestDriverBuffers(t *testing.T) {
-	env := goldenEnv(2, 1, fl.Participation{})
+	env := goldenEnv(2, 1)
 	d := engine.New(env, "test")
 	want := env.NewModel().NumParams()
 	if d.NumParams != want {
@@ -116,7 +116,7 @@ func TestDriverBuffers(t *testing.T) {
 // TestGatherCluster: gathering must preserve client order within a
 // cluster and pair each vector with its sample weight.
 func TestGatherCluster(t *testing.T) {
-	env := goldenEnv(3, 1, fl.Participation{})
+	env := goldenEnv(3, 1)
 	d := engine.New(env, "test")
 	assign := []int{0, 1, 0, 1, 0, 1}
 	vecs, ws := d.GatherCluster(assign, 1)
@@ -133,12 +133,12 @@ func TestGatherCluster(t *testing.T) {
 	}
 }
 
-// TestCommOverrides: Downlink/UplinkPerClient hooks must flow into the
-// accounting (IFCA's K-model broadcast depends on this).
+// TestCommOverrides: the DownlinkPerClient hook must flow into the
+// accounting (IFCA's K-model broadcast depends on this), while every
+// uplink stays one model.
 func TestCommOverrides(t *testing.T) {
-	env := goldenEnv(4, 2, fl.Participation{})
+	env := goldenEnv(4, 2)
 	d := engine.New(env, "test")
-	d.FullParticipation = true
 	global := d.InitParams()
 	d.Hooks.Local = func(ctx *engine.ClientCtx) {
 		ctx.Start = global
@@ -147,14 +147,13 @@ func TestCommOverrides(t *testing.T) {
 	d.Hooks.Aggregate = func(int, []int) {}
 	d.Hooks.Served = func(int) []float64 { return global }
 	d.Hooks.DownlinkPerClient = func(int) int { return 3 * d.NumParams }
-	d.Hooks.UplinkPerClient = func(int) int { return 5 }
 	res := d.Run()
 	n := int64(len(env.Clients))
 	pricing := fl.CommPricing{}
 	if want := n * pricing.DownloadBytesFor(3*d.NumParams) * int64(env.Rounds); res.Comm.DownBytes != want {
 		t.Fatalf("down bytes %d, want %d", res.Comm.DownBytes, want)
 	}
-	if want := n * pricing.UploadBytesFor(5) * int64(env.Rounds); res.Comm.UpBytes != want {
+	if want := n * pricing.UploadBytesFor(d.NumParams) * int64(env.Rounds); res.Comm.UpBytes != want {
 		t.Fatalf("up bytes %d, want %d", res.Comm.UpBytes, want)
 	}
 }
@@ -164,9 +163,8 @@ func TestCommOverrides(t *testing.T) {
 // failure) must see those clients removed from the reported set before
 // Aggregate, on a plain run with no transport and no scenario attached.
 func TestFailedVisitsDropFromReported(t *testing.T) {
-	env := goldenEnv(5, 2, fl.Participation{})
+	env := goldenEnv(5, 2)
 	d := engine.New(env, "test")
-	d.FullParticipation = true
 	global := d.InitParams()
 	d.Hooks.Broadcast = func(int) [][]float64 {
 		starts := d.StartsBuf()

@@ -5,12 +5,10 @@ package engine_test
 // fingerprints below were captured by running the pre-refactor
 // implementations (commit b15c818 plus go.mod) on the fixed workload in
 // goldenEnv; any change to training arithmetic, communication accounting,
-// participation sampling, evaluation, or cluster bookkeeping shows up as
-// a fingerprint mismatch.
+// evaluation, or cluster bookkeeping shows up as a fingerprint mismatch.
 //
-// The cases are chosen to cover every engine code path: full and partial
-// participation with drop-outs (FedAvg), the proximal objective
-// (FedProx), the recursive split machinery (CFL with permissive
+// The cases are chosen to cover every engine code path: the default
+// Local hook (FedAvg), the proximal objective (FedProx), the recursive split machinery (CFL with permissive
 // thresholds), multi-model broadcast with a custom Local hook (IFCA), and
 // the one-shot pre-clustering phases (PACFL, FedClust).
 
@@ -33,7 +31,7 @@ import (
 // groups ({0,1} vs {2,3}) on 8×8 synthetic images, an MLP(64,20,4), 6
 // rounds with eval every 2, 3 executor workers. Do not change any of
 // these constants — the golden fingerprints are tied to them.
-func goldenEnv(seed uint64, rounds int, p fl.Participation) *fl.Env {
+func goldenEnv(seed uint64, rounds int) *fl.Env {
 	cfg := data.SynthConfig{
 		Name: "golden4", C: 1, H: 8, W: 8, Classes: 4,
 		TrainPerClass: 40, TestPerClass: 16,
@@ -43,14 +41,13 @@ func goldenEnv(seed uint64, rounds int, p fl.Participation) *fl.Env {
 	clients, _ := fl.BuildGroupClients(train, test,
 		[][]int{{0, 1}, {2, 3}}, []int{3, 3}, rng.New(seed))
 	return &fl.Env{
-		Clients:       clients,
-		Factory:       func(fr *rng.Rng) *nn.Sequential { return nn.MLP(fr, 64, 20, 4) },
-		Rounds:        rounds,
-		Local:         fl.LocalConfig{Epochs: 2, BatchSize: 16, LR: 0.1, Momentum: 0.9},
-		Seed:          seed,
-		EvalEvery:     2,
-		Workers:       3,
-		Participation: p,
+		Clients:   clients,
+		Factory:   func(fr *rng.Rng) *nn.Sequential { return nn.MLP(fr, 64, 20, 4) },
+		Rounds:    rounds,
+		Local:     fl.LocalConfig{Epochs: 2, BatchSize: 16, LR: 0.1, Momentum: 0.9},
+		Seed:      seed,
+		EvalEvery: 2,
+		Workers:   3,
 	}
 }
 
@@ -75,7 +72,7 @@ func fingerprint(res *fl.Result) string {
 }
 
 // goldenCases pairs each trainer configuration with the fingerprint its
-// pre-engine implementation produced on goldenEnv(77, 6, part). The
+// pre-engine implementation produced on goldenEnv(77, 6). The
 // traffic fields (up/down/formUp) were re-pinned when comm accounting
 // switched from the 8·scalars estimate to full framed transport bytes
 // (envelope + metadata + wire frame); every learning field — accuracies,
@@ -83,24 +80,21 @@ func fingerprint(res *fl.Result) string {
 var goldenCases = []struct {
 	name    string
 	trainer func() fl.Trainer
-	part    fl.Participation
 	want    string
 }{
-	{"FedAvg", func() fl.Trainer { return methods.FedAvg{} }, fl.Participation{},
+	{"FedAvg", func() fl.Trainer { return methods.FedAvg{} },
 		"acc=3fecfa4fa4fa4fa4 loss=3fcaf81f04cee325 up=399384 down=401364 form=-1 formUp=0 clusters=[] h=8a7b5f0b9a50518a"},
-	{"FedAvg/partial", func() fl.Trainer { return methods.FedAvg{} }, fl.Participation{Fraction: 0.5, DropRate: 0.25},
-		"acc=3fef05b05b05b05b loss=3fc5cfc7c63ed6a9 up=144222 down=200682 form=-1 formUp=0 clusters=[] h=18d18fbbdcad4dc3"},
-	{"FedProx", func() fl.Trainer { return methods.FedProx{Mu: 0.1} }, fl.Participation{},
+	{"FedProx", func() fl.Trainer { return methods.FedProx{Mu: 0.1} },
 		"acc=3fecfa4fa4fa4fa4 loss=3fcb7191c1d88124 up=399384 down=401364 form=-1 formUp=0 clusters=[] h=fee58494db1a1633"},
-	{"CFL", func() fl.Trainer { return methods.CFL{} }, fl.Participation{},
+	{"CFL", func() fl.Trainer { return methods.CFL{} },
 		"acc=3fecfa4fa4fa4fa4 loss=3fcaf81f04cee325 up=399384 down=401364 form=0 formUp=0 clusters=[0 0 0 0 0 0] h=8a7b5f0b9a50518a"},
-	{"CFL/split", func() fl.Trainer { return methods.CFL{WarmupRounds: 2, Eps1: 0.8, Eps2: 0.1} }, fl.Participation{},
+	{"CFL/split", func() fl.Trainer { return methods.CFL{WarmupRounds: 2, Eps1: 0.8, Eps2: 0.1} },
 		"acc=3fef05b05b05b05b loss=3fb809773bae14e8 up=399384 down=401364 form=3 formUp=199692 clusters=[0 0 0 1 1 1] h=01e8190dda165dfa"},
-	{"IFCA", func() fl.Trainer { return methods.IFCA{K: 2} }, fl.Participation{},
+	{"IFCA", func() fl.Trainer { return methods.IFCA{K: 2} },
 		"acc=3fecfa4fa4fa4fa4 loss=3fcaf81f04cee325 up=399384 down=799956 form=1 formUp=66564 clusters=[0 0 0 0 0 0] h=8a7b5f0b9a50518a"},
-	{"PACFL", func() fl.Trainer { return methods.PACFL{} }, fl.Participation{},
+	{"PACFL", func() fl.Trainer { return methods.PACFL{} },
 		"acc=3fef05b05b05b05b loss=3fb5c43da15c46f3 up=408732 down=401364 form=0 formUp=9348 clusters=[0 0 0 1 1 1] h=40c8a6da5fbfc6a7"},
-	{"FedClust", func() fl.Trainer { return &core.FedClust{} }, fl.Participation{},
+	{"FedClust", func() fl.Trainer { return &core.FedClust{} },
 		"acc=3fef05b05b05b05b loss=3fb5c43da15c46f3 up=403548 down=468258 form=0 formUp=4164 clusters=[0 0 0 1 1 1] h=40c8a6da5fbfc6a7"},
 }
 
@@ -111,7 +105,7 @@ func TestEngineReproducesSeedResults(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			env := goldenEnv(77, 6, c.part)
+			env := goldenEnv(77, 6)
 			res := c.trainer().Run(env)
 			if got := fingerprint(res); got != c.want {
 				t.Errorf("result drifted from seed implementation\n got: %s\nwant: %s", got, c.want)
@@ -128,7 +122,7 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 		t.Skip("worker sweep is covered by the golden cases in -short mode")
 	}
 	for _, workers := range []int{1, 2, 5, 16} {
-		env := goldenEnv(77, 6, fl.Participation{})
+		env := goldenEnv(77, 6)
 		env.Workers = workers
 		res := (&core.FedClust{}).Run(env)
 		want := goldenCases[len(goldenCases)-1].want

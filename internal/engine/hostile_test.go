@@ -50,7 +50,7 @@ func TestHostileResultsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 	for _, tr := range hostileTrainers() {
 		var want string
 		for _, workers := range []int{1, 2, 8} {
-			env := goldenEnv(34, 3, fl.Participation{})
+			env := goldenEnv(34, 3)
 			env.EvalEvery = 1
 			env.Workers = workers
 			env.Participation.Scenario = hostileModel(len(env.Clients))
@@ -76,7 +76,7 @@ func TestHostileResultsBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		var want string
 		for _, procs := range []int{1, 2, 4} {
 			old := runtime.GOMAXPROCS(procs)
-			env := goldenEnv(34, 3, fl.Participation{})
+			env := goldenEnv(34, 3)
 			env.EvalEvery = 1
 			env.Workers = 4
 			env.Participation.Scenario = hostileModel(len(env.Clients))
@@ -116,14 +116,14 @@ func TestBenignHostileConfigReproducesGoldenFingerprints(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			env := goldenEnv(77, 6, c.part)
+			env := goldenEnv(77, 6)
 			env.Participation.Scenario = benignScenario(len(env.Clients))
 			res := c.trainer().Run(env)
 			if got := fingerprint(res); got != c.want {
 				t.Errorf("benign hostile config perturbed the result\n got: %s\nwant: %s", got, c.want)
 			}
 
-			env = goldenEnv(77, 6, c.part)
+			env = goldenEnv(77, 6)
 			env.Participation.Scenario = benignScenario(len(env.Clients))
 			env.Aggregator = &fl.TrimmedMean{Frac: 0}
 			rob := c.trainer().Run(env)
@@ -187,7 +187,7 @@ func (d *defenseLog) ObserveDefense(round, masked, suspects int) {
 // finite, the run completes, and the defense observer sees the mask.
 func TestNonFiniteUplinkIsMaskedNotAggregated(t *testing.T) {
 	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		env := goldenEnv(77, 3, fl.Participation{})
+		env := goldenEnv(77, 3)
 		env.EvalEvery = 1
 		log := &defenseLog{}
 		env.Observer = log
@@ -210,7 +210,7 @@ func TestNonFiniteUplinkIsMaskedNotAggregated(t *testing.T) {
 // trimming defense, the per-round suspect tallies must reach the
 // observer (2k per global combine).
 func TestDefenseSuspectCountsReachObserver(t *testing.T) {
-	env := goldenEnv(34, 3, fl.Participation{})
+	env := goldenEnv(34, 3)
 	log := &defenseLog{}
 	env.Observer = log
 	env.Participation.Scenario = scenario.New(scenario.Config{
@@ -253,7 +253,7 @@ func TestHostileResumeEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			mkEnv := func() *fl.Env {
-				env := goldenEnv(34, 6, fl.Participation{})
+				env := goldenEnv(34, 6)
 				env.EvalEvery = 2
 				env.Participation.Scenario = hostileModel(len(env.Clients))
 				env.Aggregator = tc.agg()
@@ -285,14 +285,14 @@ func TestResumeRejectsAggregatorChange(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			env := goldenEnv(77, 6, fl.Participation{})
+			env := goldenEnv(77, 6)
 			env.Aggregator = tc.capture
 			_, snaps := captureRun(t, methods.FedAvg{}, env)
 			ck, err := fl.DecodeCheckpoint(snaps[3])
 			if err != nil {
 				t.Fatal(err)
 			}
-			env = goldenEnv(77, 6, fl.Participation{})
+			env = goldenEnv(77, 6)
 			env.Aggregator = tc.resume
 			env.Ckpt = &fl.CheckpointPlan{Resume: ck}
 			defer func() {
@@ -308,10 +308,10 @@ func TestResumeRejectsAggregatorChange(t *testing.T) {
 // TestResumeSameAggregatorSucceeds: the identity check accepts the
 // matching defense — including parameter equality through the name.
 func TestResumeSameAggregatorSucceeds(t *testing.T) {
-	env := goldenEnv(77, 6, fl.Participation{})
+	env := goldenEnv(77, 6)
 	env.Aggregator = &fl.Krum{Frac: 0.2, M: 3}
 	want, snaps := captureRun(t, methods.FedAvg{}, env)
-	env = goldenEnv(77, 6, fl.Participation{})
+	env = goldenEnv(77, 6)
 	env.Aggregator = &fl.Krum{Frac: 0.2, M: 3}
 	if got := resumeRun(t, methods.FedAvg{}, env, snaps[3]); got != want {
 		t.Fatalf("same-aggregator resume diverged\n got: %s\nwant: %s", got, want)

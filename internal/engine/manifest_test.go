@@ -73,7 +73,7 @@ func manifest(t *testing.T, enc []byte) string {
 func TestCheckpointManifest(t *testing.T) {
 	var b strings.Builder
 	for _, c := range goldenCases {
-		_, snaps := captureRun(t, c.trainer(), goldenEnv(77, 6, c.part))
+		_, snaps := captureRun(t, c.trainer(), goldenEnv(77, 6))
 		fmt.Fprintf(&b, "%s %s\n", c.name, manifest(t, snaps[3]))
 	}
 	for _, c := range semiAsyncCases {

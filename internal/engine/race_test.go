@@ -57,7 +57,7 @@ func TestParallelForWorkerCoversAllIndices(t *testing.T) {
 // visits (the engine's client phase) so -race sees any state two lanes
 // share.
 func TestLanesConcurrentTraining(t *testing.T) {
-	env := goldenEnv(11, 1, fl.Participation{})
+	env := goldenEnv(11, 1)
 	env.Workers = 6
 	lanes := fl.NewLanes(env)
 	w0 := nn.FlattenParams(lanes[0].Model)
@@ -82,7 +82,7 @@ func TestLanesConcurrentTraining(t *testing.T) {
 // must stay clean under -race and return the same numbers as serial
 // evaluation.
 func TestConcurrentEvaluatePersonalizedSharedModel(t *testing.T) {
-	env := goldenEnv(12, 1, fl.Participation{})
+	env := goldenEnv(12, 1)
 	shared := nn.FlattenParams(env.NewModel())
 	env.Workers = 8
 	par := evalServed(env, func(int) []float64 { return shared })
@@ -103,7 +103,7 @@ func TestConcurrentEvaluatePersonalizedSharedModel(t *testing.T) {
 // is held by someone else, a run must transparently build private state
 // — and produce bit-identical results.
 func TestRuntimeClaimFallback(t *testing.T) {
-	env := goldenEnv(14, 2, fl.Participation{})
+	env := goldenEnv(14, 2)
 	env.EvalEvery = 1
 	want := methods.FedAvg{}.Run(env)
 
@@ -140,7 +140,7 @@ func TestTrainersUnderContention(t *testing.T) {
 		&core.FedClust{},
 	}
 	for _, tr := range trainers {
-		env := goldenEnv(13, 2, fl.Participation{})
+		env := goldenEnv(13, 2)
 		env.Workers = 16
 		env.EvalEvery = 1
 		res := tr.Run(env)

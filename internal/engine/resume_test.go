@@ -59,13 +59,13 @@ func TestResumeReproducesGoldenFingerprints(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			env := goldenEnv(77, 6, c.part)
+			env := goldenEnv(77, 6)
 			got, snaps := captureRun(t, c.trainer(), env)
 			if got != c.want {
 				t.Fatalf("checkpointing perturbed the uninterrupted run\n got: %s\nwant: %s", got, c.want)
 			}
 			for _, round := range []int{1, 3, 6} {
-				env := goldenEnv(77, 6, c.part)
+				env := goldenEnv(77, 6)
 				if got := resumeRun(t, c.trainer(), env, snaps[round]); got != c.want {
 					t.Errorf("resume from round %d diverged\n got: %s\nwant: %s", round, got, c.want)
 				}
@@ -78,7 +78,7 @@ func TestResumeReproducesGoldenFingerprints(t *testing.T) {
 // golden population under stragglers, dropouts and jitter, optionally
 // behind a robust aggregator.
 func semiAsyncEnv(agg fl.Aggregator) *fl.Env {
-	env := goldenEnv(34, 6, fl.Participation{})
+	env := goldenEnv(34, 6)
 	env.EvalEvery = 2
 	env.Participation.Scenario = scenario.New(scenario.Config{
 		StragglerFrac: 0.3, SlowdownMax: 4, DropoutRate: 0.15,
@@ -148,13 +148,13 @@ func TestResumeSemiAsync(t *testing.T) {
 func TestResumeAcrossWorkerCounts(t *testing.T) {
 	golden := goldenCases[len(goldenCases)-1] // FedClust: deepest state surface
 	for _, wc := range []struct{ capture, resume int }{{1, 8}, {8, 1}} {
-		env := goldenEnv(77, 6, golden.part)
+		env := goldenEnv(77, 6)
 		env.Workers = wc.capture
 		got, snaps := captureRun(t, golden.trainer(), env)
 		if got != golden.want {
 			t.Fatalf("workers=%d capture run drifted\n got: %s\nwant: %s", wc.capture, got, golden.want)
 		}
-		env = goldenEnv(77, 6, golden.part)
+		env = goldenEnv(77, 6)
 		env.Workers = wc.resume
 		if got := resumeRun(t, golden.trainer(), env, snaps[3]); got != golden.want {
 			t.Errorf("checkpoint at workers=%d, resume at workers=%d diverged\n got: %s\nwant: %s",
@@ -167,13 +167,13 @@ func TestResumeAcrossWorkerCounts(t *testing.T) {
 // cmd layer pre-validates with Matches for a clean exit) to continue a
 // checkpoint from a different run.
 func TestResumeRejectsForeignCheckpoint(t *testing.T) {
-	env := goldenEnv(77, 6, fl.Participation{})
+	env := goldenEnv(77, 6)
 	_, snaps := captureRun(t, methods.FedAvg{}, env)
 	ck, err := fl.DecodeCheckpoint(snaps[3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	env = goldenEnv(78, 6, fl.Participation{}) // different seed
+	env = goldenEnv(78, 6) // different seed
 	env.Ckpt = &fl.CheckpointPlan{Resume: ck}
 	defer func() {
 		if recover() == nil {
@@ -242,7 +242,7 @@ func TestResumeRejectsTamperedIndexSection(t *testing.T) {
 // TestCheckpointTrigger: the on-demand trigger emits exactly one
 // snapshot for the round it is armed in, independent of Every.
 func TestCheckpointTrigger(t *testing.T) {
-	env := goldenEnv(77, 6, fl.Participation{})
+	env := goldenEnv(77, 6)
 	var rounds []int
 	armed := true
 	env.Ckpt = &fl.CheckpointPlan{
@@ -264,7 +264,7 @@ func TestCheckpointTrigger(t *testing.T) {
 // not the one-shot analysis, so the diagnostic State stays nil (see
 // DESIGN.md §9) while the training result is still bit-exact.
 func TestResumeFedClustLeavesStateNil(t *testing.T) {
-	env := goldenEnv(77, 6, fl.Participation{})
+	env := goldenEnv(77, 6)
 	fresh := &core.FedClust{}
 	want, snaps := captureRun(t, fresh, env)
 	if fresh.State == nil {
@@ -274,7 +274,7 @@ func TestResumeFedClustLeavesStateNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	env = goldenEnv(77, 6, fl.Participation{})
+	env = goldenEnv(77, 6)
 	env.Ckpt = &fl.CheckpointPlan{Resume: ck}
 	resumed := &core.FedClust{}
 	if got := fingerprint(resumed.Run(env)); got != want {

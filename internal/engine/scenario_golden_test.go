@@ -28,7 +28,7 @@ func TestBenignScenarioReproducesGoldenFingerprints(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			env := goldenEnv(77, 6, c.part)
+			env := goldenEnv(77, 6)
 			env.Participation.Scenario = scenario.New(scenario.Config{
 				StragglerFrac: 0, DropoutRate: 0, Deadline: 1,
 			}, 77, len(env.Clients))

@@ -41,7 +41,7 @@ func learnFingerprint(res *fl.Result) string {
 }
 
 func sparseEnv(c wire.Codec, frac float64) *fl.Env {
-	env := goldenEnv(77, 6, fl.Participation{})
+	env := goldenEnv(77, 6)
 	env.Codec = c
 	env.TopKFrac = frac
 	return env
@@ -164,7 +164,7 @@ func TestSparseResumeEquivalence(t *testing.T) {
 // exactly.
 func TestSparseResumeUnderScenario(t *testing.T) {
 	mkEnv := func() *fl.Env {
-		env := goldenEnv(34, 6, fl.Participation{})
+		env := goldenEnv(34, 6)
 		env.Codec = wire.TopK
 		env.TopKFrac = 0.05
 		env.EvalEvery = 2

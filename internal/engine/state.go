@@ -11,7 +11,7 @@ import (
 // count, parameter count, worker count) and is expensive to rebuild —
 // the per-worker lanes (models, training scratch, codec buffers),
 // the contiguous Locals arena, the worker contexts, the
-// sampling/evaluation buffers, and the persistent executor tasks.
+// reporting/evaluation buffers, and the persistent executor tasks.
 //
 // It is cached on the environment across runs through
 // fl.EnvShared.AcquireRuntime, so the steady state of a long experiment
@@ -52,7 +52,7 @@ type envState struct {
 	gatherVecs [][]float64
 	gatherWs   []float64
 
-	invited, reported []int // sampling buffers
+	reported []int // the round's reported set when it is not every client
 	// Evaluation phase (evaluateServed): the served vector each lane's
 	// model last loaded, and the per-client accuracy and loss columns.
 	evalLast  [][]float64
@@ -65,7 +65,7 @@ type envState struct {
 	// scenario-free round takes exactly the pre-scenario code path.
 	scenOn    bool
 	cfgEpochs int    // configured local epochs the outcomes refer to
-	done      []int  // epochs finished by the deadline (invited clients)
+	done      []int  // epochs finished by the deadline
 	lag       []int  // rounds late (0 on time, <0 offline)
 	repMask   []bool // reported-set membership, for cluster gathers
 	// maskOn gates repMask consultation: set by a scenario round (sample
@@ -88,7 +88,6 @@ type envState struct {
 	ph           [phCount]int64
 	stamp        int64
 	roundT0      int64
-	lastInvited  int
 	lastReported int
 
 	// Robust-combine scratch (Combine): the per-input deltas from the
@@ -111,10 +110,9 @@ type envState struct {
 	// Current-round wiring read by the persistent executor tasks; set by
 	// RunRound / evaluateServed before the parallel phase, cleared after.
 	d          *RoundDriver
-	curInvited []int
 	curStarts  [][]float64
 	curRound   int
-	clientTask func(w, j int)
+	clientTask func(w, i int)
 	evalTask   func(w, i int)
 }
 
@@ -158,13 +156,11 @@ func newEnvState(env *fl.Env) *envState {
 	es.lag = make([]int, n)
 	es.repMask = make([]bool, n)
 	es.failMask = make([]bool, n)
-	// The failure-filter path rewrites the reported set in place; size
-	// both sampling buffers up front so it never grows them mid-round.
-	es.invited = make([]int, 0, n)
+	// The scenario filter and the failure filter write the reported set
+	// here; size it up front so neither grows it mid-round.
 	es.reported = make([]int, 0, n)
 
-	es.clientTask = func(w, j int) {
-		i := es.curInvited[j]
+	es.clientTask = func(w, i int) {
 		epochs := 0
 		if es.scenOn {
 			switch {

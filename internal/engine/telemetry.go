@@ -130,7 +130,7 @@ func (d *RoundDriver) FinishRound(round int) {
 		m.rounds.Inc()
 		m.masked.Add(uint64(es.masked))
 		m.suspects.Add(uint64(es.suspects))
-		m.invited.Set(float64(es.lastInvited))
+		m.invited.Set(float64(es.n))
 		m.reported.Set(float64(es.lastReported))
 	}
 	if po, ok := d.Env.Observer.(fl.PhaseObserver); ok {

@@ -24,10 +24,10 @@ func TestTelemetryBitIdentical(t *testing.T) {
 	defer obs.SetEnabled(prev)
 
 	obs.SetEnabled(false)
-	bare := fingerprint(methods.FedAvg{}.Run(goldenEnv(77, 6, fl.Participation{})))
+	bare := fingerprint(methods.FedAvg{}.Run(goldenEnv(77, 6)))
 
 	obs.SetEnabled(true)
-	env := goldenEnv(77, 6, fl.Participation{})
+	env := goldenEnv(77, 6)
 	env.Observer = obs.NewJournal(io.Discard, env.Local.Epochs)
 	instrumented := fingerprint(methods.FedAvg{}.Run(env))
 
@@ -68,7 +68,7 @@ func TestPhaseObservations(t *testing.T) {
 	defer obs.SetEnabled(prev)
 	obs.SetEnabled(false)
 
-	env := goldenEnv(31, 4, fl.Participation{})
+	env := goldenEnv(31, 4)
 	env.EvalEvery = 2
 	capt := &phaseCapture{}
 	env.Observer = capt
@@ -104,7 +104,7 @@ func TestPhaseObservations(t *testing.T) {
 // run-end observation (aborted, with the completed-round count) as the
 // panic unwinds — a control plane never shows a dead run as training.
 func TestRunEndObservedOnPanic(t *testing.T) {
-	env := goldenEnv(33, 6, fl.Participation{})
+	env := goldenEnv(33, 6)
 	capt := &phaseCapture{}
 	env.Observer = capt
 
@@ -168,7 +168,7 @@ func TestEngineMetricsAccumulate(t *testing.T) {
 	obs.SetEnabled(true)
 
 	before := obs.Default().Snapshot()["fedsim_rounds_total"]
-	env := goldenEnv(35, 4, fl.Participation{})
+	env := goldenEnv(35, 4)
 	methods.FedAvg{}.Run(env)
 	s := obs.Default().Snapshot()
 	if got := s["fedsim_rounds_total"] - before; got != 4 {

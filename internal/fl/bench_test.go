@@ -39,7 +39,7 @@ func BenchmarkLocalUpdate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nn.LoadParams(model, w0)
-		LocalUpdate(model, d, cfg, rng.New(uint64(i)))
+		new(TrainScratch).LocalUpdate(model, d, cfg, rng.New(uint64(i)))
 	}
 }
 
@@ -54,7 +54,7 @@ func BenchmarkLocalUpdateLeNet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		nn.LoadParams(model, w0)
-		LocalUpdate(model, d, cfg, rng.New(uint64(i)))
+		new(TrainScratch).LocalUpdate(model, d, cfg, rng.New(uint64(i)))
 	}
 }
 

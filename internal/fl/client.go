@@ -216,14 +216,6 @@ func (st *visitState[T]) evaluate(model *nn.SequentialOf[T], d *data.Dataset, ba
 	return lossSum / float64(d.Len()), float64(correct) / float64(d.Len())
 }
 
-// LocalUpdate is the scratch-free convenience form of
-// TrainScratch.LocalUpdate, for one-shot callers; hot paths (Lane.Visit)
-// reuse a per-worker TrainScratch instead.
-func LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
-	var ts TrainScratch
-	return ts.LocalUpdate(model, d, cfg, r)
-}
-
 // Evaluate is the scratch-free convenience form of TrainScratch.Evaluate
 // on the float64 path.
 func Evaluate(model *nn.Sequential, d *data.Dataset, batchSize int) (loss, acc float64) {

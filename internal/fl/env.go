@@ -44,13 +44,9 @@ type Env struct {
 	// TopKFrac is the kept-coordinate fraction for sparse codecs
 	// (0 means fl.DefaultTopKFrac; ignored by dense codecs).
 	TopKFrac float64
-	// Participation controls per-round client sampling and failure
-	// injection (zero value: full participation, no failures).
+	// Participation says who reports each round (zero value: every
+	// client, every round).
 	Participation Participation
-	// Exec optionally pins this environment to a dedicated executor pool
-	// (e.g. one the caller shuts down deterministically with
-	// sched.Pool.Shutdown). nil uses the process-wide sched.Default().
-	Exec *sched.Pool
 	// Remote, when non-nil, routes the local passes of the clients it
 	// Owns to remote executors (internal/transport): the round engine
 	// ships them work orders instead of training in-process, measures
@@ -76,15 +72,6 @@ type Env struct {
 	shared *EnvShared
 }
 
-// executor returns the work-sharing pool this environment's parallel
-// phases run on.
-func (e *Env) executor() *sched.Pool {
-	if e.Exec != nil {
-		return e.Exec
-	}
-	return sched.Default()
-}
-
 // Validate panics on degenerate environments.
 func (e *Env) Validate() {
 	if len(e.Clients) == 0 {
@@ -100,7 +87,6 @@ func (e *Env) Validate() {
 		panic(fmt.Sprintf("fl: TopKFrac must lie in [0,1], got %g", e.TopKFrac))
 	}
 	e.Local.Validate()
-	e.Participation.Validate()
 }
 
 // NewModel builds the canonical initial model (same weights every call).
@@ -141,10 +127,10 @@ func (e *Env) WorkerCount() int {
 }
 
 // ParallelClients runs fn(i) for every client index in [0, n) across the
-// environment's executor. fn must be safe to call concurrently for
+// process-wide executor. fn must be safe to call concurrently for
 // distinct indices.
 func (e *Env) ParallelClients(n int, fn func(i int)) {
-	e.executor().Run(n, e.WorkerCount(), func(_, i int) { fn(i) })
+	sched.Default().Run(n, e.WorkerCount(), func(_, i int) { fn(i) })
 }
 
 // ParallelClientsWorker is ParallelClients with the executing worker's
@@ -152,7 +138,7 @@ func (e *Env) ParallelClients(n int, fn func(i int)) {
 // (lanes, buffers) without locking: worker w only ever runs on one
 // goroutine at a time.
 func (e *Env) ParallelClientsWorker(n int, fn func(worker, i int)) {
-	e.executor().Run(n, e.WorkerCount(), fn)
+	sched.Default().Run(n, e.WorkerCount(), fn)
 }
 
 // ShouldEval reports whether metrics should be recorded after round r

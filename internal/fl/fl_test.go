@@ -55,7 +55,7 @@ func TestLocalUpdateReducesLoss(t *testing.T) {
 	model := tinyFactory(rng.New(2))
 	before, _ := Evaluate(model, d, 32)
 	cfg := LocalConfig{Epochs: 20, BatchSize: 10, LR: 0.2}
-	LocalUpdate(model, d, cfg, r)
+	new(TrainScratch).LocalUpdate(model, d, cfg, r)
 	after, acc := Evaluate(model, d, 32)
 	if after >= before {
 		t.Fatalf("loss did not decrease: %v → %v", before, after)
@@ -72,7 +72,7 @@ func TestLocalUpdateProxStaysCloser(t *testing.T) {
 		model := tinyFactory(rng.New(3))
 		start := nn.FlattenParams(model)
 		cfg := LocalConfig{Epochs: 10, BatchSize: 10, LR: 0.2, ProxMu: mu}
-		LocalUpdate(model, tinyDataset(60, rng.New(4)), cfg, rng.New(5))
+		new(TrainScratch).LocalUpdate(model, tinyDataset(60, rng.New(4)), cfg, rng.New(5))
 		after := nn.FlattenParams(model)
 		return L2Norm(DeltaInto(after, after, start))
 	}
@@ -85,7 +85,7 @@ func TestLocalUpdateProxStaysCloser(t *testing.T) {
 func TestLocalUpdateEmptyDataset(t *testing.T) {
 	model := tinyFactory(rng.New(6))
 	empty := &data.Dataset{Name: "e", X: tensor.New(0, 2), Y: nil, Classes: 2, C: 1, H: 1, W: 2}
-	if loss := LocalUpdate(model, empty, LocalConfig{Epochs: 1, BatchSize: 4, LR: 0.1}, rng.New(7)); loss != 0 {
+	if loss := new(TrainScratch).LocalUpdate(model, empty, LocalConfig{Epochs: 1, BatchSize: 4, LR: 0.1}, rng.New(7)); loss != 0 {
 		t.Fatalf("empty dataset loss = %v", loss)
 	}
 }
@@ -94,7 +94,7 @@ func TestLocalUpdateDeterministic(t *testing.T) {
 	d := tinyDataset(40, rng.New(8))
 	run := func() []float64 {
 		m := tinyFactory(rng.New(9))
-		LocalUpdate(m, d, LocalConfig{Epochs: 2, BatchSize: 8, LR: 0.1}, rng.New(10))
+		new(TrainScratch).LocalUpdate(m, d, LocalConfig{Epochs: 2, BatchSize: 8, LR: 0.1}, rng.New(10))
 		return nn.FlattenParams(m)
 	}
 	a, b := run(), run()
@@ -358,7 +358,7 @@ func TestQuant8ParamsStayUsable(t *testing.T) {
 	r := rng.New(65)
 	d := tinyDataset(60, r)
 	model := tinyFactory(rng.New(66))
-	LocalUpdate(model, d, LocalConfig{Epochs: 30, BatchSize: 16, LR: 0.2}, r)
+	new(TrainScratch).LocalUpdate(model, d, LocalConfig{Epochs: 30, BatchSize: 16, LR: 0.2}, r)
 	_, accBefore := Evaluate(model, d, 32)
 	vec, err := wire.Decode(wire.EncodeInto(nil, wire.Quant8, nn.FlattenParams(model)))
 	if err != nil {

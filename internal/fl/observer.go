@@ -10,8 +10,8 @@ type RoundObserver interface {
 	// ObserveRunStart fires once per Trainer.Run, before the first round.
 	// startRound > 0 means the run resumed from a checkpoint.
 	ObserveRunStart(method string, totalRounds, nClients, startRound int)
-	// ObserveRoundStart fires after participation sampling, with the
-	// number of clients invited this round.
+	// ObserveRoundStart fires once the round's scenario outcomes are
+	// drawn, with the number of clients invited this round.
 	ObserveRoundStart(round, invited int)
 	// ObserveOutcome fires once per invited client after local passes
 	// complete: done is the epoch count actually executed (0 = dropped

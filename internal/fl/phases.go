@@ -7,7 +7,8 @@ package fl
 // allocations to the hot path. Wall-clock values are observational only —
 // nothing in the learning path reads them.
 type RoundPhases struct {
-	// SampleNS covers participation sampling and scenario plan setup.
+	// SampleNS covers drawing the scenario's outcomes and the round's
+	// reported set.
 	SampleNS int64 `json:"sample_ns"`
 	// BroadcastNS covers the model downlink: comm accounting, the
 	// Broadcast hook, and remote downlink encode for transported clients.

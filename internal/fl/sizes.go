@@ -11,8 +11,8 @@ const (
 	// length prefix + 1-byte message type.
 	msgFrameOverhead = 5
 	// trainMetaLen is the train-request metadata ahead of the parameter
-	// frame: request id, client, round, epochs, batch, seed-hint, layer
-	// (7×u32) + lr, mu, deadline, drop (4×f64).
+	// frame: request id, client, round, cluster, layer, epochs, batch
+	// (7×u32) + lr, momentum, weight decay, prox mu (4×f64).
 	trainMetaLen = 7*4 + 4*8
 	// updateMetaLen is the update-response metadata ahead of the
 	// parameter frame: request id (u32) + status byte.

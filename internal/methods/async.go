@@ -11,39 +11,30 @@ import (
 // FedAvgStale is FedAvg with stale-update decay: the server caches every
 // client's most recent model *update* (its delta against the weights it
 // was sent) and each round moves the global by the weighted mean of all
-// cached updates, with a client's weight decayed by Beta per round of
-// staleness. Fresh reports refresh their cache entry at staleness 0, so
+// cached updates, with a client's weight decayed by staleBeta per round
+// of staleness. Fresh reports refresh their cache entry at staleness 0, so
 // with everyone on time the step equals FedAvg's exactly (the weighted
 // mean of client parameters is the broadcast point plus the weighted
 // mean of their deltas); under dropout, missing clients keep steering
 // the global through their decayed last-known direction instead of
 // vanishing from the average — the memory-augmented FedAvg family
 // (MIFA-style).
-type FedAvgStale struct {
-	// Beta is the per-round staleness decay of cached updates (default
-	// 0.5): an update s rounds old counts with Beta^s of its weight.
-	Beta float64
-	// MaxStaleness discards cached updates older than this many rounds
-	// (default 5).
-	MaxStaleness int
-}
+type FedAvgStale struct{}
+
+const (
+	// staleBeta is the per-round staleness decay of a cached or buffered
+	// update's weight: an update s rounds old counts with staleBeta^s of it.
+	staleBeta = 0.5
+	// staleMax discards FedAvgStale's cached updates older than this many
+	// rounds.
+	staleMax = 5
+)
 
 // Name implements fl.Trainer.
-func (s FedAvgStale) Name() string { return "FedAvgStale" }
-
-func (s FedAvgStale) defaults() FedAvgStale {
-	if s.Beta == 0 {
-		s.Beta = 0.5
-	}
-	if s.MaxStaleness == 0 {
-		s.MaxStaleness = 5
-	}
-	return s
-}
+func (FedAvgStale) Name() string { return "FedAvgStale" }
 
 // Run implements fl.Trainer.
-func (s FedAvgStale) Run(env *fl.Env) *fl.Result {
-	s = s.defaults()
+func (FedAvgStale) Run(env *fl.Env) *fl.Result {
 	d := engine.New(env, "FedAvgStale")
 	// Rounds where every device misses the deadline still step the
 	// global from the cached updates (they age, the mean shifts).
@@ -86,20 +77,20 @@ func (s FedAvgStale) Run(env *fl.Env) *fl.Result {
 		}
 		// Step by the staleness-decayed weighted mean of all cached
 		// updates. Fresh entries (age 0, decay 1) carry their partial-
-		// work-scaled weight; stale ones fade by Beta per round and are
-		// dropped past MaxStaleness. Under a robust Aggregator the step is
+		// work-scaled weight; stale ones fade by staleBeta per round and
+		// are dropped past staleMax. Under a robust Aggregator the step is
 		// its combine of the same deltas and weights — a poisoned cache
-		// entry keeps steering a plain mean for MaxStaleness rounds, so
-		// the defense matters doubly here.
+		// entry keeps steering a plain mean for staleMax rounds, so the
+		// defense matters doubly here.
 		vecs, ws = vecs[:0], ws[:0]
 		for i := 0; i < n; i++ {
 			age := round - cachedAt[i]
-			if cachedAt[i] < 0 || age > s.MaxStaleness {
+			if cachedAt[i] < 0 || age > staleMax {
 				continue
 			}
 			w := cacheW[i]
 			if age > 0 {
-				w *= math.Pow(s.Beta, float64(age))
+				w *= math.Pow(staleBeta, float64(age))
 			}
 			vecs = append(vecs, cache[i])
 			ws = append(ws, w)
@@ -159,43 +150,27 @@ func foldDeltas(d *engine.RoundDriver, sum []float64, vecs [][]float64, ws []flo
 // full local pass against the global model of the round they started;
 // on-time updates arrive immediately, slow clients' updates arrive lag
 // rounds later. Every arrival pushes a model delta into a buffer, and
-// whenever the buffer holds Goal updates the server applies their
-// staleness-decayed weighted mean: w ← w + ServerLR · Σ βˢᵢwᵢΔᵢ / Σ βˢᵢwᵢ.
+// whenever the buffer holds goal updates the server applies their
+// staleness-decayed weighted mean: w ← w + serverLR · Σ βˢᵢwᵢΔᵢ / Σ βˢᵢwᵢ,
+// with β = staleBeta.
 //
 // Runs under a Participation.Scenario in the engine's Async mode; without
 // a scenario every update arrives on time and FedBuff is a buffered
 // delta-form FedAvg.
-type FedBuff struct {
-	// Goal is the buffer size that triggers a server step (default:
-	// half the population, at least 1).
-	Goal int
-	// Beta is the per-round staleness decay of a buffered delta's weight
-	// (default 0.5).
-	Beta float64
-	// ServerLR scales the applied buffered mean delta. Default Goal/n,
-	// so the n/Goal server steps of a fully-on-time round move the
-	// global by one full mean update — matching FedAvg's step size.
-	ServerLR float64
-}
+type FedBuff struct{}
 
 // Name implements fl.Trainer.
-func (f FedBuff) Name() string { return "FedBuff" }
+func (FedBuff) Name() string { return "FedBuff" }
 
 // Run implements fl.Trainer.
-func (f FedBuff) Run(env *fl.Env) *fl.Result {
+func (FedBuff) Run(env *fl.Env) *fl.Result {
 	n := len(env.Clients)
-	if f.Goal == 0 {
-		f.Goal = n / 2
-	}
-	if f.Goal < 1 {
-		f.Goal = 1
-	}
-	if f.Beta == 0 {
-		f.Beta = 0.5
-	}
-	if f.ServerLR == 0 {
-		f.ServerLR = float64(f.Goal) / float64(n)
-	}
+	// goal, the buffer size that triggers a server step, is half the
+	// population. serverLR = goal/n, so the n/goal server steps of a fully
+	// on-time round move the global by one full mean update — FedAvg's
+	// step size.
+	goal := max(n/2, 1)
+	serverLR := float64(goal) / float64(n)
 	d := engine.New(env, "FedBuff")
 	d.Async = true
 	d.Res.ClusterFormationRound = -1
@@ -235,16 +210,16 @@ func (f FedBuff) Run(env *fl.Env) *fl.Result {
 	// step applies one server step from the first m buffered updates:
 	// their staleness-decayed weighted mean — under a robust Aggregator
 	// its combine of the same deltas and weights, so a garbage delta
-	// sitting in the buffer cannot own the step — scaled by ServerLR.
+	// sitting in the buffer cannot own the step — scaled by serverLR.
 	step := func(m int) {
 		vecs, ws = vecs[:0], ws[:0]
 		for b, i := range bufClient[:m] {
 			vecs = append(vecs, deltas[i])
-			ws = append(ws, d.Weights[i]*math.Pow(f.Beta, float64(bufStale[b])))
+			ws = append(ws, d.Weights[i]*math.Pow(staleBeta, float64(bufStale[b])))
 			busy[i] = false
 		}
 		if div := foldDeltas(d, sum, vecs, ws); div != 0 {
-			scale := f.ServerLR / div
+			scale := serverLR / div
 			for j := range global {
 				global[j] += scale * sum[j]
 			}
@@ -289,9 +264,8 @@ func (f FedBuff) Run(env *fl.Env) *fl.Result {
 		// slow ones go in flight for lag rounds. Busy devices (an earlier
 		// pass not yet folded in) discard this round's work. On-time
 		// delivery additionally requires membership in the engine's
-		// reported set, so Participation.DropRate crash losses hit FedBuff
-		// like every other method; in-flight deliveries model the
-		// transport the crash draw does not cover.
+		// reported set, so a lost or masked uplink drops the update as it
+		// does in every other method.
 		for i := range rep {
 			rep[i] = false
 		}
@@ -299,7 +273,7 @@ func (f FedBuff) Run(env *fl.Env) *fl.Result {
 			rep[i] = true
 		}
 		busySkipped := 0
-		for _, i := range d.InvitedThisRound() {
+		for i := 0; i < n; i++ {
 			_, lag := d.ScenarioOutcome(i)
 			if lag == 0 && rep[i] && busy[i] {
 				busySkipped++ // charged as reporting, but delivered nothing
@@ -321,10 +295,10 @@ func (f FedBuff) Run(env *fl.Env) *fl.Result {
 		d.Res.Comm.Upload(-busySkipped, d.NumParams)
 		// Apply server steps for every full buffer; the final round
 		// flushes whatever has arrived so late work is not silently lost.
-		for len(bufClient) >= f.Goal {
-			step(f.Goal)
-			bufClient = append(bufClient[:0], bufClient[f.Goal:]...)
-			bufStale = append(bufStale[:0], bufStale[f.Goal:]...)
+		for len(bufClient) >= goal {
+			step(goal)
+			bufClient = append(bufClient[:0], bufClient[goal:]...)
+			bufStale = append(bufStale[:0], bufStale[goal:]...)
 		}
 		if round == env.Rounds-1 && len(bufClient) > 0 {
 			step(len(bufClient))
@@ -334,7 +308,7 @@ func (f FedBuff) Run(env *fl.Env) *fl.Result {
 	d.Hooks.Served = func(int) []float64 { return global }
 	// Checkpoint state: the global model, every in-flight pass (delta
 	// arena + arrival/training rounds + busy flags), and the undersized
-	// buffer awaiting its Goal-th entry. base is rebuilt by the next
+	// buffer awaiting its goal-th entry. base is rebuilt by the next
 	// round's Broadcast and sum is scratch, so neither is state.
 	d.Hooks.State = func(s *fl.Sections) {
 		s.Vec(secGlobal, global)

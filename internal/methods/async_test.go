@@ -153,15 +153,15 @@ func TestFedAvgStaleStepsOnEmptyRounds(t *testing.T) {
 	}
 }
 
-// TestFedBuffHonorsDropRate: Participation crash losses must affect the
-// buffered aggregation — a crashed client's update never reaches the
-// server, so runs at different drop rates must produce different models
-// (a regression guard: an earlier draft folded every invited client's
-// delta regardless of the reported set).
+// TestFedBuffHonorsDropRate: the scenario's dropout rate must affect the
+// buffered aggregation — an offline client's update never reaches the
+// server, so runs at different rates must produce different models (a
+// regression guard: an earlier draft folded every invited client's delta
+// regardless of the reported set).
 func TestFedBuffHonorsDropRate(t *testing.T) {
 	run := func(drop float64) *fl.Result {
 		env, _ := groupEnv(t, 3, 5, 37)
-		env.Participation = fl.Participation{DropRate: drop}
+		dropouts(env, drop)
 		return FedBuff{}.Run(env)
 	}
 	clean := run(0)

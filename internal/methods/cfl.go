@@ -31,12 +31,13 @@ type CFL struct {
 	// clusters whose members have all stopped moving are left alone
 	// (default 0.4).
 	Eps2 float64
-	// MinClusterSize blocks splits that would create clusters smaller
-	// than this (default 2).
-	MinClusterSize int
 	// WarmupRounds disables splitting for the first rounds (default 5).
 	WarmupRounds int
 }
+
+// cflMinClusterSize blocks splits that would create a cluster smaller than
+// this.
+const cflMinClusterSize = 2
 
 // Name implements fl.Trainer.
 func (CFL) Name() string { return "CFL" }
@@ -48,9 +49,6 @@ func (c CFL) defaults() CFL {
 	if c.Eps2 == 0 {
 		c.Eps2 = 0.4
 	}
-	if c.MinClusterSize == 0 {
-		c.MinClusterSize = 2
-	}
 	if c.WarmupRounds == 0 {
 		c.WarmupRounds = 5
 	}
@@ -61,7 +59,6 @@ func (c CFL) defaults() CFL {
 func (c CFL) Run(env *fl.Env) *fl.Result {
 	c = c.defaults()
 	d := engine.New(env, "CFL")
-	d.FullParticipation = true
 	n := len(env.Clients)
 	// assign[i] = cluster id of client i; models[id] = flat params. Ids
 	// are dense: a split mints len(models) and never empties a cluster.
@@ -135,7 +132,7 @@ func (c CFL) Run(env *fl.Env) *fl.Result {
 			if round == refRound && maxNorm > refNorm {
 				refNorm = maxNorm
 			}
-			if round < c.WarmupRounds || len(members) < 2*c.MinClusterSize || refNorm == 0 || maxNorm == 0 {
+			if round < c.WarmupRounds || len(members) < 2*cflMinClusterSize || refNorm == 0 || maxNorm == 0 {
 				continue
 			}
 			if meanNorm/maxNorm < c.Eps1 && maxNorm > c.Eps2*refNorm {
@@ -150,7 +147,7 @@ func (c CFL) Run(env *fl.Env) *fl.Result {
 						sizeB++
 					}
 				}
-				if sizeA < c.MinClusterSize || sizeB < c.MinClusterSize {
+				if sizeA < cflMinClusterSize || sizeB < cflMinClusterSize {
 					continue
 				}
 				for j, i := range members {

@@ -54,10 +54,9 @@ type FedAvg struct{}
 // Name implements fl.Trainer.
 func (FedAvg) Name() string { return "FedAvg" }
 
-// Run implements fl.Trainer. It honors the environment's Participation
-// settings: each round a (possibly partial) client set is invited, some
-// invited clients may fail to report, and the server averages whoever
-// reported (McMahan et al.'s original protocol).
+// Run implements fl.Trainer. Every client is invited each round, and the
+// server averages whoever reported — everyone, unless the environment's
+// scenario drops or cuts short some of them.
 func (FedAvg) Run(env *fl.Env) *fl.Result {
 	return runGlobalModel(env, "FedAvg")
 }

@@ -30,7 +30,6 @@ func (f IFCA) Run(env *fl.Env) *fl.Result {
 		panic("methods: IFCA requires K >= 1")
 	}
 	d := engine.New(env, "IFCA")
-	d.FullParticipation = true
 	n := len(env.Clients)
 	// Initialize the K cluster models: model 0 from the canonical shared
 	// initialization (so K=1 degenerates exactly to FedAvg) and the rest

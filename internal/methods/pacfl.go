@@ -27,30 +27,20 @@ type PACFL struct {
 	// Linkage for the HC step (default Average).
 	Linkage cluster.Linkage
 	// NumClusters, when > 0, fixes the HC cut; otherwise the largest-gap
-	// heuristic picks it (bounded to at most MaxClusters).
+	// heuristic picks it, with at most max(n/2, 2) clusters.
 	NumClusters int
-	// MaxClusters bounds the automatic cut (default n/2).
-	MaxClusters int
-	// SketchSamples caps how many examples enter each client's SVD
-	// (default 100; keeps the one-shot preprocessing cheap).
-	SketchSamples int
 }
+
+// pacflSketchSamples caps how many examples enter each client's SVD,
+// which keeps the one-shot preprocessing cheap.
+const pacflSketchSamples = 100
 
 // Name implements fl.Trainer.
 func (PACFL) Name() string { return "PACFL" }
 
-func (p PACFL) defaults(n int) PACFL {
+func (p PACFL) defaults() PACFL {
 	if p.P == 0 {
 		p.P = 3
-	}
-	if p.SketchSamples == 0 {
-		p.SketchSamples = 100
-	}
-	if p.MaxClusters == 0 {
-		p.MaxClusters = n / 2
-		if p.MaxClusters < 2 {
-			p.MaxClusters = 2
-		}
 	}
 	return p
 }
@@ -59,7 +49,7 @@ func (p PACFL) defaults(n int) PACFL {
 func (p PACFL) Run(env *fl.Env) *fl.Result {
 	d := engine.New(env, "PACFL")
 	n := len(env.Clients)
-	p = p.defaults(n)
+	p = p.defaults()
 	res := d.Res
 
 	// A pending checkpoint for this method already paid for the one-shot
@@ -73,7 +63,7 @@ func (p PACFL) Run(env *fl.Env) *fl.Result {
 	// --- One-shot clustering phase (before any training round). ---
 	bases := make([]*tensor.Tensor, n)
 	env.ParallelClients(n, func(i int) {
-		bases[i] = clientSubspace(env, i, p.P, p.SketchSamples)
+		bases[i] = clientSubspace(env, i, p.P, pacflSketchSamples)
 	})
 	// Uplink: each client sends P basis vectors of length dim — a dense
 	// one-shot sketch, framed like any other message but never
@@ -89,7 +79,7 @@ func (p PACFL) Run(env *fl.Env) *fl.Result {
 	if p.NumClusters > 0 {
 		labels = den.CutK(p.NumClusters)
 	} else {
-		labels = den.CutLargestGap(1, p.MaxClusters)
+		labels = den.CutLargestGap(1, max(n/2, 2))
 	}
 	k := cluster.NumClusters(labels)
 	res.Clusters = labels

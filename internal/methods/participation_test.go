@@ -4,25 +4,18 @@ import (
 	"testing"
 
 	"fedclust/internal/fl"
+	"fedclust/internal/scenario"
 )
 
-func TestFedAvgPartialParticipationComm(t *testing.T) {
-	env, _ := groupEnv(t, 5, 4, 21) // 10 clients
-	env.Participation = fl.Participation{Fraction: 0.5}
-	res := FedAvg{}.Run(env)
-	nParams := env.NewModel().NumParams()
-	wantUp := int64(env.Rounds) * 5 * (fl.CommPricing{}).UploadBytesFor(nParams)
-	if res.Comm.UpBytes != wantUp {
-		t.Fatalf("partial participation uplink = %d, want %d", res.Comm.UpBytes, wantUp)
-	}
-	if res.FinalAcc < 0.4 {
-		t.Fatalf("partial participation accuracy %v", res.FinalAcc)
-	}
+// dropouts takes each client offline with probability rate each round —
+// the scenario's own dropout axis, with no stragglers.
+func dropouts(env *fl.Env, rate float64) {
+	env.Participation.Scenario = scenario.New(scenario.Config{DropoutRate: rate}, env.Seed, len(env.Clients))
 }
 
 func TestFedAvgSurvivesDropouts(t *testing.T) {
 	env, _ := groupEnv(t, 3, 5, 22)
-	env.Participation = fl.Participation{DropRate: 0.5}
+	dropouts(env, 0.5)
 	res := FedAvg{}.Run(env)
 	if res.FinalAcc < 0.4 {
 		t.Fatalf("accuracy under 50%% dropout = %v", res.FinalAcc)
@@ -42,7 +35,7 @@ func TestFedAvgSurvivesDropouts(t *testing.T) {
 
 func TestFedAvgExtremeDropoutStillProgresses(t *testing.T) {
 	env, _ := groupEnv(t, 3, 6, 23)
-	env.Participation = fl.Participation{DropRate: 0.89}
+	dropouts(env, 0.89)
 	res := FedAvg{}.Run(env)
 	if res.FinalAcc <= 0.25 {
 		t.Fatalf("accuracy under extreme dropout = %v (chance ≈ 0.25 on 4 classes)", res.FinalAcc)

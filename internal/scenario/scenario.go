@@ -1,7 +1,7 @@
 // Package scenario is a deterministic system-heterogeneity model for the
 // federated simulator: per-client compute-speed profiles and availability
-// traces drawn from configurable distributions, layered over participation
-// sampling through fl.Participation.Scenario.
+// traces drawn from configurable distributions. Through
+// fl.Participation.Scenario it is the one place a run models who reports.
 //
 // The model gives every round a virtual deadline. A client that cannot
 // finish its full local pass by the deadline becomes a straggler (it

@@ -1,10 +1,10 @@
 package scenario_test
 
-// Property-style suite for the scenario layer and its interaction with
-// participation sampling: outcome invariants hold for all drawn
-// configurations, reported stays a subset of invited, communication
-// accounting matches the sampled set sizes exactly, and identical seeds
-// give identical traces across two independently built environments.
+// Property-style suite for the scenario layer and how the engine reads
+// it: outcome invariants hold for all drawn configurations, communication
+// accounting matches the invited and reported set sizes exactly, and
+// identical seeds give identical traces across two independently built
+// environments.
 
 import (
 	"testing"
@@ -21,10 +21,9 @@ import (
 // The model must satisfy the fl-side contract.
 var _ fl.RoundScenario = (*scenario.Model)(nil)
 
-// testEnv builds a small two-group environment with the given
-// participation settings. Each call constructs everything from scratch —
-// the cross-env determinism tests rely on that.
-func testEnv(seed uint64, p fl.Participation) *fl.Env {
+// testEnv builds a small two-group environment. Each call constructs
+// everything from scratch — the cross-env determinism tests rely on that.
+func testEnv(seed uint64) *fl.Env {
 	cfg := data.SynthConfig{
 		Name: "scen4", C: 1, H: 8, W: 8, Classes: 4,
 		TrainPerClass: 30, TestPerClass: 12,
@@ -34,13 +33,12 @@ func testEnv(seed uint64, p fl.Participation) *fl.Env {
 	clients, _ := fl.BuildGroupClients(train, test,
 		[][]int{{0, 1}, {2, 3}}, []int{4, 4}, rng.New(seed))
 	return &fl.Env{
-		Clients:       clients,
-		Factory:       func(fr *rng.Rng) *nn.Sequential { return nn.MLP(fr, 64, 12, 4) },
-		Rounds:        4,
-		Local:         fl.LocalConfig{Epochs: 2, BatchSize: 16, LR: 0.1},
-		Seed:          seed,
-		Workers:       2,
-		Participation: p,
+		Clients: clients,
+		Factory: func(fr *rng.Rng) *nn.Sequential { return nn.MLP(fr, 64, 12, 4) },
+		Rounds:  4,
+		Local:   fl.LocalConfig{Epochs: 2, BatchSize: 16, LR: 0.1},
+		Seed:    seed,
+		Workers: 2,
 	}
 }
 
@@ -107,76 +105,40 @@ func TestOutcomePureAndRepeatable(t *testing.T) {
 	}
 }
 
-// TestSampleRoundScenarioProperties: for all seeds and rates, reported
-// remains a duplicate-free subset of invited under the scenario filter,
-// and identical seeds give identical traces across two fresh Envs.
-func TestSampleRoundScenarioProperties(t *testing.T) {
-	f := func(seed uint64, fracRaw, dropRaw, sfracRaw uint8) bool {
-		p := fl.Participation{
-			Fraction: float64(fracRaw%100) / 100,
-			DropRate: float64(dropRaw%90) / 100,
-		}
-		cfg := scenario.Config{
-			StragglerFrac: float64(sfracRaw%101) / 100,
-			DropoutRate:   float64(dropRaw%80) / 100,
-			Deadline:      0.75,
-			Jitter:        0.2,
-		}
-		envA := testEnv(seed, p)
-		envB := testEnv(seed, p)
-		envA.Participation.Scenario = scenario.New(cfg, seed, len(envA.Clients))
-		envB.Participation.Scenario = scenario.New(cfg, seed, len(envB.Clients))
-		for r := 0; r < 4; r++ {
-			invA, repA := envA.SampleRoundInto(r, nil, nil)
-			invB, repB := envB.SampleRoundInto(r, nil, nil)
-			if len(invA) != len(invB) || len(repA) != len(repB) {
-				return false
-			}
-			inv := map[int]bool{}
-			for j, c := range invA {
-				if c != invB[j] || c < 0 || c >= len(envA.Clients) || inv[c] {
-					return false
-				}
-				inv[c] = true
-			}
-			seen := map[int]bool{}
-			for j, c := range repA {
-				if c != repB[j] || !inv[c] || seen[c] {
-					return false
-				}
-				seen[c] = true
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestScenarioCommStatsMatchSampledSizes: a FedAvg run under a scenario
 // accounts exactly one framed request per invited client downlink and
-// one framed update per reported client uplink per round — resampling
-// the same environment reproduces the recorded per-round traffic.
+// one framed update per reported client uplink per round. Every client is
+// invited; a client reports when its outcome has a completed epoch, so
+// the scenario's outcomes alone reproduce the recorded per-round traffic.
 func TestScenarioCommStatsMatchSampledSizes(t *testing.T) {
-	p := fl.Participation{Fraction: 0.75, DropRate: 0.2}
-	env := testEnv(17, p)
-	env.Participation.Scenario = scenario.New(scenario.Config{
+	env := testEnv(17)
+	m := scenario.New(scenario.Config{
 		StragglerFrac: 0.5, DropoutRate: 0.3, Deadline: 0.75, Jitter: 0.2,
 	}, 17, len(env.Clients))
+	env.Participation.Scenario = m
 	res := methods.FedAvg{}.Run(env)
 	nParams := env.NewModel().NumParams()
 	if len(res.Comm.PerRound) != env.Rounds {
 		t.Fatalf("recorded %d rounds, want %d", len(res.Comm.PerRound), env.Rounds)
 	}
+	sawLoss := false
 	for r, rc := range res.Comm.PerRound {
-		invited, reported := env.SampleRoundInto(r, nil, nil)
-		wantDown := int64(len(invited)) * (fl.CommPricing{}).DownloadBytesFor(nParams)
-		wantUp := int64(len(reported)) * (fl.CommPricing{}).UploadBytesFor(nParams)
+		invited, reported := len(env.Clients), 0
+		for c := 0; c < invited; c++ {
+			if done, _ := m.Outcome(c, r, env.Local.Epochs); done > 0 {
+				reported++
+			}
+		}
+		sawLoss = sawLoss || reported < invited
+		wantDown := int64(invited) * (fl.CommPricing{}).DownloadBytesFor(nParams)
+		wantUp := int64(reported) * (fl.CommPricing{}).UploadBytesFor(nParams)
 		if rc.DownBytes != wantDown || rc.UpBytes != wantUp {
 			t.Fatalf("round %d traffic (up %d, down %d), want (up %d, down %d) for %d invited / %d reported",
-				r, rc.UpBytes, rc.DownBytes, wantUp, wantDown, len(invited), len(reported))
+				r, rc.UpBytes, rc.DownBytes, wantUp, wantDown, invited, reported)
 		}
+	}
+	if !sawLoss {
+		t.Fatal("no round lost a report: the scenario never bit")
 	}
 }
 
@@ -187,8 +149,8 @@ func TestScenarioCommStatsMatchSampledSizes(t *testing.T) {
 func TestScenarioRunsAreBitIdentical(t *testing.T) {
 	cfg := scenario.Config{StragglerFrac: 0.4, DropoutRate: 0.3, Deadline: 0.75, Jitter: 0.2}
 	for _, tr := range []fl.Trainer{methods.FedAvg{}, methods.FedAvgStale{}, methods.FedBuff{}} {
-		envA := testEnv(23, fl.Participation{})
-		envB := testEnv(23, fl.Participation{})
+		envA := testEnv(23)
+		envB := testEnv(23)
 		envA.Participation.Scenario = scenario.New(cfg, 23, len(envA.Clients))
 		envB.Participation.Scenario = scenario.New(cfg, 23, len(envB.Clients))
 		ra, rb := tr.Run(envA), tr.Run(envB)

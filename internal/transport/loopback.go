@@ -60,14 +60,14 @@ func (l *Loopback) train(req *fl.RemoteRequest, out []float64) (down, up int64, 
 	// deterministic in (codec, n, kept fraction), so the accounting needs
 	// no bytes in flight.
 	dc := l.codec.Downlink()
-	down = int64(TrainRequestSize(dc, len(req.Start)))
+	down = fl.TrainRequestBytes(dc, len(req.Start))
 	if err := l.svc.execute(req, out, dc, l.codec); err != nil {
 		return down, 0, err
 	}
 	if n := len(out); l.codec.Sparse() && req.Layer == fl.FullParams {
-		up = int64(TrainResponseSizeSparse(l.codec, n, wire.TopKCount(n, l.svc.ef.Frac)))
+		up = fl.TrainResponseBytesSparse(l.codec, n, wire.TopKCount(n, l.svc.ef.Frac))
 	} else {
-		up = int64(TrainResponseSize(dc, n))
+		up = fl.TrainResponseBytes(dc, n)
 	}
 	return down, up, nil
 }

@@ -25,29 +25,6 @@ const (
 	statusFailed = 1
 )
 
-// TrainRequestSize returns the exact on-the-wire size of a train work
-// order carrying an n-vector under codec c — framing, metadata, and the
-// wire-encoded parameters. Loopback accounts with this formula; the TCP
-// transport's measured bytes equal it exactly. The formulas themselves
-// live in fl (fl.TrainRequestBytes and friends) because the engine's
-// byte ledger prices every exchange with them; transport tests assert the
-// delegation against real frame lengths, so the two layers cannot drift.
-func TrainRequestSize(c wire.Codec, n int) int {
-	return int(fl.TrainRequestBytes(c, n))
-}
-
-// TrainResponseSize returns the exact on-the-wire size of a successful
-// update reply carrying a dense n-vector under codec c.
-func TrainResponseSize(c wire.Codec, n int) int {
-	return int(fl.TrainResponseBytes(c, n))
-}
-
-// TrainResponseSizeSparse is TrainResponseSize for a sparse uplink
-// keeping k of n coordinates.
-func TrainResponseSizeSparse(c wire.Codec, n, k int) int {
-	return int(fl.TrainResponseBytesSparse(c, n, k))
-}
-
 // trainMsg is a parsed MsgTrain body.
 type trainMsg struct {
 	ReqID                         uint32

@@ -79,8 +79,6 @@ func ledgerRows() []ledgerRow {
 		rows = append(rows, ledgerRow{name: c.String(), codec: c, trainers: both(), hi: 6})
 	}
 	return append(rows,
-		ledgerRow{name: "droprate", trainers: fedavg, hi: 6, lossy: true,
-			shape: func(env *fl.Env) { env.Participation.DropRate = 0.4 }},
 		ledgerRow{name: "stragglers+dropouts", codec: wire.TopK, trainers: fedavg, hi: 6, lossy: true, tcp: true,
 			shape: stragglerDropouts},
 		ledgerRow{name: "semi-async", trainers: []fl.Trainer{methods.FedBuff{}, methods.FedAvgStale{}}, hi: 6,

@@ -165,8 +165,8 @@ func TestLoopbackCommAccounting(t *testing.T) {
 	res := methods.FedAvg{}.Run(env)
 	numParams := transport.NewService(buildGolden(t, 77)).NumParams()
 	visits := int64(env.Rounds * len(env.Clients))
-	wantDown := visits * int64(transport.TrainRequestSize(wire.Float64, numParams))
-	wantUp := visits * int64(transport.TrainResponseSize(wire.Float64, numParams))
+	wantDown := visits * fl.TrainRequestBytes(wire.Float64, numParams)
+	wantUp := visits * fl.TrainResponseBytes(wire.Float64, numParams)
 	if res.Comm.DownBytes != wantDown || res.Comm.UpBytes != wantUp {
 		t.Errorf("ledger (down %d, up %d) != frame-size model (down %d, up %d)",
 			res.Comm.DownBytes, res.Comm.UpBytes, wantDown, wantUp)
@@ -191,11 +191,11 @@ func TestLoopbackLossyCodec(t *testing.T) {
 	}
 	numParams := transport.NewService(buildGolden(t, 77)).NumParams()
 	visits := int64(env.Rounds * len(env.Clients))
-	wantUp := visits * int64(transport.TrainResponseSize(wire.Quant8, numParams))
+	wantUp := visits * fl.TrainResponseBytes(wire.Quant8, numParams)
 	if res.Comm.UpBytes != wantUp {
 		t.Errorf("quant8 uplink %d, want %d", res.Comm.UpBytes, wantUp)
 	}
-	f64Up := visits * int64(transport.TrainResponseSize(wire.Float64, numParams))
+	f64Up := visits * fl.TrainResponseBytes(wire.Float64, numParams)
 	if res.Comm.UpBytes*7 >= f64Up {
 		t.Errorf("quant8 uplink %d not ≥7× smaller than float64 %d", res.Comm.UpBytes, f64Up)
 	}
@@ -402,9 +402,9 @@ func TestTrainMessageSizes(t *testing.T) {
 		for _, n := range []int{0, 1, 37, 1384} {
 			req := &fl.RemoteRequest{Start: make([]float64, n), Cfg: fl.LocalConfig{Epochs: 1, BatchSize: 1, LR: 0.1}}
 			frame := appendTrainFrame(nil, 1, req, codec)
-			if len(frame) != transport.TrainRequestSize(codec, n) {
+			if want := fl.TrainRequestBytes(codec, n); int64(len(frame)) != want {
 				t.Errorf("%s n=%d: request frame %d bytes, formula %d",
-					codec, n, len(frame), transport.TrainRequestSize(codec, n))
+					codec, n, len(frame), want)
 			}
 		}
 	}
