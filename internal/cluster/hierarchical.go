@@ -144,11 +144,11 @@ func Agglomerate(dist *tensor.Tensor, linkage Linkage) *Dendrogram {
 			case Complete:
 				v = math.Max(dik, djk)
 			case Average:
-				v = (ni*dik + nj*djk) / (ni + nj)
+				v = (float64(ni*dik) + float64(nj*djk)) / (ni + nj)
 			case Ward:
 				nk := float64(size[k])
 				tot := ni + nj + nk
-				v = math.Sqrt(((ni+nk)*dik*dik + (nj+nk)*djk*djk - nk*best*best) / tot)
+				v = math.Sqrt((float64((ni+nk)*dik*dik) + float64((nj+nk)*djk*djk) - float64(nk*best*best)) / tot)
 			}
 			ri[k], d[k*n+bi] = v, v
 			// Row k's cache sees column bi change (k < bi) and column bj

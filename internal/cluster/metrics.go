@@ -20,7 +20,7 @@ func contingency(a, b []int) (table map[[2]int]int, rowSum, colSum map[int]int, 
 }
 
 // comb2 returns C(n, 2) as a float.
-func comb2(n int) float64 { return float64(n) * float64(n-1) / 2 }
+func comb2(n int) float64 { return float64(float64(n) * float64(n-1) / 2) }
 
 // ARI computes the Adjusted Rand Index between two labelings: 1 for
 // identical partitions, ~0 for independent ones (can be negative).
@@ -41,7 +41,7 @@ func ARI(a, b []int) float64 {
 	}
 	total := comb2(n)
 	expected := sumRow * sumCol / total
-	maxIdx := (sumRow + sumCol) / 2
+	maxIdx := float64((sumRow + sumCol) / 2)
 	if maxIdx == expected {
 		// Both partitions are trivial (all-singletons or single-cluster);
 		// they agree exactly iff the index equals the max.

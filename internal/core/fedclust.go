@@ -237,7 +237,7 @@ func FeatureFromVector(vec, initLayer []float64, cfg Config) []float64 {
 	var norm float64
 	for i := range vec {
 		delta[i] = vec[i] - initLayer[i]
-		norm += delta[i] * delta[i]
+		norm += float64(delta[i] * delta[i])
 	}
 	norm = math.Sqrt(norm)
 	if norm > 0 {
@@ -416,7 +416,7 @@ func (s *ClusterState) AddNewcomer(feature []float64) int {
 	}
 	newCount := float64(oldCount + 1)
 	for j := range s.Centroids[c] {
-		s.Centroids[c][j] = (s.Centroids[c][j]*float64(oldCount) + feature[j]) / newCount
+		s.Centroids[c][j] = (float64(s.Centroids[c][j]*float64(oldCount)) + feature[j]) / newCount
 	}
 	s.Labels = append(s.Labels, c)
 	s.Features = append(s.Features, append([]float64(nil), feature...))

@@ -48,15 +48,15 @@ func VecDistance(m Metric, a, b []float64) float64 {
 		var s float64
 		for i := range a {
 			d := a[i] - b[i]
-			s += d * d
+			s += float64(d * d)
 		}
 		return math.Sqrt(s)
 	case Cosine:
 		var dot, na, nb float64
 		for i := range a {
-			dot += a[i] * b[i]
-			na += a[i] * a[i]
-			nb += b[i] * b[i]
+			dot += float64(a[i] * b[i])
+			na += float64(a[i] * a[i])
+			nb += float64(b[i] * b[i])
 		}
 		if na == 0 || nb == 0 {
 			return 1

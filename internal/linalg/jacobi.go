@@ -47,11 +47,11 @@ func SymEig(a *tensor.Tensor) (vals []float64, v *tensor.Tensor) {
 				tau := (aqq - app) / (2 * apq)
 				var t float64
 				if tau >= 0 {
-					t = 1 / (tau + math.Sqrt(1+tau*tau))
+					t = 1 / (tau + math.Sqrt(1+float64(tau*tau)))
 				} else {
-					t = -1 / (-tau + math.Sqrt(1+tau*tau))
+					t = -1 / (-tau + math.Sqrt(1+float64(tau*tau)))
 				}
-				c := 1 / math.Sqrt(1+t*t)
+				c := 1 / math.Sqrt(1+float64(t*t))
 				s := t * c
 				rotate(w, v, p, q, c, s)
 			}
@@ -71,18 +71,18 @@ func rotate(w, v *tensor.Tensor, p, q int, c, s float64) {
 	n := w.Shape[0]
 	for i := 0; i < n; i++ {
 		wip, wiq := w.At(i, p), w.At(i, q)
-		w.Set(c*wip-s*wiq, i, p)
-		w.Set(s*wip+c*wiq, i, q)
+		w.Set(float64(c*wip)-float64(s*wiq), i, p)
+		w.Set(float64(s*wip)+float64(c*wiq), i, q)
 	}
 	for j := 0; j < n; j++ {
 		wpj, wqj := w.At(p, j), w.At(q, j)
-		w.Set(c*wpj-s*wqj, p, j)
-		w.Set(s*wpj+c*wqj, q, j)
+		w.Set(float64(c*wpj)-float64(s*wqj), p, j)
+		w.Set(float64(s*wpj)+float64(c*wqj), q, j)
 	}
 	for i := 0; i < n; i++ {
 		vip, viq := v.At(i, p), v.At(i, q)
-		v.Set(c*vip-s*viq, i, p)
-		v.Set(s*vip+c*viq, i, q)
+		v.Set(float64(c*vip)-float64(s*viq), i, p)
+		v.Set(float64(s*vip)+float64(c*viq), i, q)
 	}
 }
 
@@ -93,7 +93,7 @@ func offDiagNorm(w *tensor.Tensor) float64 {
 		for j := 0; j < n; j++ {
 			if i != j {
 				x := w.At(i, j)
-				s += x * x
+				s += float64(x * x)
 			}
 		}
 	}

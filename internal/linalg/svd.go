@@ -48,9 +48,9 @@ func ComputeSVD(a *tensor.Tensor) SVD {
 				var alpha, beta, gamma float64
 				for i := 0; i < m; i++ {
 					ap, aq := work.At(i, p), work.At(i, q)
-					alpha += ap * ap
-					beta += aq * aq
-					gamma += ap * aq
+					alpha += float64(ap * ap)
+					beta += float64(aq * aq)
+					gamma += float64(ap * aq)
 				}
 				if math.Abs(gamma) <= eps*math.Sqrt(alpha*beta) || gamma == 0 {
 					continue
@@ -59,21 +59,21 @@ func ComputeSVD(a *tensor.Tensor) SVD {
 				zeta := (beta - alpha) / (2 * gamma)
 				var t float64
 				if zeta >= 0 {
-					t = 1 / (zeta + math.Sqrt(1+zeta*zeta))
+					t = 1 / (zeta + math.Sqrt(1+float64(zeta*zeta)))
 				} else {
-					t = -1 / (-zeta + math.Sqrt(1+zeta*zeta))
+					t = -1 / (-zeta + math.Sqrt(1+float64(zeta*zeta)))
 				}
-				c := 1 / math.Sqrt(1+t*t)
+				c := 1 / math.Sqrt(1+float64(t*t))
 				s := t * c
 				for i := 0; i < m; i++ {
 					ap, aq := work.At(i, p), work.At(i, q)
-					work.Set(c*ap-s*aq, i, p)
-					work.Set(s*ap+c*aq, i, q)
+					work.Set(float64(c*ap)-float64(s*aq), i, p)
+					work.Set(float64(s*ap)+float64(c*aq), i, q)
 				}
 				for i := 0; i < n; i++ {
 					vp, vq := v.At(i, p), v.At(i, q)
-					v.Set(c*vp-s*vq, i, p)
-					v.Set(s*vp+c*vq, i, q)
+					v.Set(float64(c*vp)-float64(s*vq), i, p)
+					v.Set(float64(s*vp)+float64(c*vq), i, q)
 				}
 			}
 		}
@@ -88,7 +88,7 @@ func ComputeSVD(a *tensor.Tensor) SVD {
 		var norm float64
 		for i := 0; i < m; i++ {
 			x := work.At(i, j)
-			norm += x * x
+			norm += float64(x * x)
 		}
 		norm = math.Sqrt(norm)
 		s[j] = norm

@@ -139,7 +139,7 @@ func foldDeltas(d *engine.RoundDriver, sum []float64, vecs [][]float64, ws []flo
 	}
 	for i, v := range vecs {
 		for j, x := range v {
-			sum[j] += ws[i] * x
+			sum[j] += float64(ws[i] * x)
 		}
 	}
 	return div
@@ -221,7 +221,7 @@ func (FedBuff) Run(env *fl.Env) *fl.Result {
 		if div := foldDeltas(d, sum, vecs, ws); div != 0 {
 			scale := serverLR / div
 			for j := range global {
-				global[j] += scale * sum[j]
+				global[j] += float64(scale * sum[j])
 			}
 		}
 	}

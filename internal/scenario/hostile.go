@@ -126,7 +126,7 @@ func (m *Model) CorruptUpdate(client, round int, out, start []float64) bool {
 			return true
 		}
 		for j := range out {
-			out[j] = start[j] + scale*r.NormFloat64()
+			out[j] = start[j] + float64(scale*r.NormFloat64())
 		}
 		return true
 	default:

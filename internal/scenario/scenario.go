@@ -283,7 +283,7 @@ func New(cfg Config, seed uint64, n int) *Model {
 			// Uniform over [1/SlowdownMax, 1): a straggler is between
 			// barely and SlowdownMax-times slower than nominal.
 			lo := 1 / cfg.SlowdownMax
-			p.Speed = lo + r.Float64()*(1-lo)
+			p.Speed = lo + float64(r.Float64()*(1-lo))
 		}
 		m.profiles[i] = p
 	}
