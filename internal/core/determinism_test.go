@@ -44,7 +44,7 @@ func TestProximityMatrixProperties(t *testing.T) {
 	env, _ := groupEnv(t, 2, 1, 57)
 	f := &FedClust{}
 	f.Run(env)
-	prox := f.State.ProximityMatrix()
+	prox := linalg.PairwiseDistances(f.State.Metric, f.State.Features)
 	n := prox.Shape[0]
 	if n != len(env.Clients) {
 		t.Fatalf("proximity matrix size %d", n)

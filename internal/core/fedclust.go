@@ -29,7 +29,6 @@ import (
 	"fedclust/internal/fl"
 	"fedclust/internal/linalg"
 	"fedclust/internal/nn"
-	"fedclust/internal/tensor"
 )
 
 // Config controls the FedClust trainer. The zero value selects the
@@ -302,7 +301,7 @@ func collectPartialWeights(env *fl.Env, cfg Config, init []float64, lanes []*fl.
 	// from — corrupted features cluster together, away from honest
 	// cohorts. Drift never applies at warmup (round 0 predates DriftRound
 	// by construction; Config.Check enforces DriftRound ≥ 0).
-	hs, hostileOn := env.Participation.Scenario.(fl.HostileScenario)
+	sc := env.Participation.Scenario
 	env.ParallelClientsWorker(n, func(w, i int) {
 		vec := make([]float64, len(initLayer))
 		if rt := env.Remote; rt != nil && rt.Owns(i) {
@@ -325,8 +324,8 @@ func collectPartialWeights(env *fl.Env, cfg Config, init []float64, lanes []*fl.
 			}
 		} else {
 			train := env.Clients[i].Train
-			if hostileOn {
-				train = hs.TrainData(i, 0, train)
+			if sc != nil {
+				train = sc.TrainData(i, 0, train)
 			}
 			lanes[w].Visit(&fl.Visit{
 				Client: i, Round: WarmupRound, Layer: fl.FinalLayer, Cfg: local,
@@ -334,8 +333,8 @@ func collectPartialWeights(env *fl.Env, cfg Config, init []float64, lanes []*fl.
 				Down: env.Codec.Downlink(), Up: env.Codec,
 			}, vec)
 		}
-		if hostileOn {
-			hs.CorruptUpdate(i, WarmupRound, vec, initLayer)
+		if sc != nil {
+			sc.CorruptUpdate(i, WarmupRound, vec, initLayer)
 		}
 		features[i] = FeatureFromVector(vec, initLayer, cfg)
 	})
@@ -421,10 +420,4 @@ func (s *ClusterState) AddNewcomer(feature []float64) int {
 	s.Labels = append(s.Labels, c)
 	s.Features = append(s.Features, append([]float64(nil), feature...))
 	return c
-}
-
-// ProximityMatrix exposes the fitted pairwise feature distances (used by
-// diagnostics and the Fig-1 style visualizations).
-func (s *ClusterState) ProximityMatrix() *tensor.Tensor {
-	return linalg.PairwiseDistances(s.Metric, s.Features)
 }

@@ -293,7 +293,7 @@ func TestProximityMatrixBlockStructure(t *testing.T) {
 	env, truth := groupEnv(t, 3, 2, 10)
 	f := &FedClust{}
 	f.Run(env)
-	prox := f.State.ProximityMatrix()
+	prox := linalg.PairwiseDistances(f.State.Metric, f.State.Features)
 	var intra, inter float64
 	var nIntra, nInter int
 	n := len(truth)
@@ -365,6 +365,8 @@ type infUplink struct{ client int }
 func (infUplink) Outcome(client, round, epochs int) (done, lag int) { return epochs, 0 }
 
 func (infUplink) TrainData(client, round int, base *data.Dataset) *data.Dataset { return base }
+
+func (infUplink) Fingerprint() uint64 { return 0 }
 
 func (s infUplink) CorruptUpdate(client, round int, out, start []float64) bool {
 	if client != s.client {

@@ -54,7 +54,9 @@ func TestBatcherMatchesReference(t *testing.T) {
 
 func testBatcherMatchesReference[T tensor.Float](t *testing.T) {
 	d := toyDataset(23, 4)
-	d.X.Scale(1.0 / 3) // not representable in float32: rounding is visible
+	for i := range d.X.Data {
+		d.X.Data[i] *= 1.0 / 3 // not representable in float32: rounding is visible
+	}
 	rA, rB := rng.New(7), rng.New(7)
 	bt := BatcherOf[T](d, 5)
 	for epoch := 0; epoch < 3; epoch++ {

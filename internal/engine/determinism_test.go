@@ -123,7 +123,9 @@ func TestScenarioResultsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 // TestResultsBitIdenticalOnWarmRuntime: rerunning a method on the same
 // environment reuses the cached runtime (model pool, arenas, scratch);
 // the results must match the cold run exactly, and an interleaved other
-// method must not perturb either.
+// method must not perturb either — nor an interleaved scenario run,
+// whose last round's outcomes stay in the cached runtime until the next
+// run resets every client to its all-on-time outcome.
 func TestResultsBitIdenticalOnWarmRuntime(t *testing.T) {
 	env := goldenEnv(33, 3)
 	env.EvalEvery = 1
@@ -134,5 +136,11 @@ func TestResultsBitIdenticalOnWarmRuntime(t *testing.T) {
 	methods.IFCA{K: 2}.Run(env)
 	if warm := fingerprint(methods.FedAvg{}.Run(env)); warm != cold {
 		t.Fatalf("FedAvg after interleaved IFCA diverged:\n  cold %s\n  warm %s", cold, warm)
+	}
+	env.Participation.Scenario = scenario.New(scenario.Config{StragglerFrac: 0.5, DropoutRate: 0.3}, 9, len(env.Clients))
+	methods.FedAvg{}.Run(env)
+	env.Participation.Scenario = nil
+	if warm := fingerprint(methods.FedAvg{}.Run(env)); warm != cold {
+		t.Fatalf("FedAvg after an interleaved scenario run diverged:\n  cold %s\n  warm %s", cold, warm)
 	}
 }

@@ -39,9 +39,9 @@ type ClientCtx struct {
 	Lane *fl.Lane
 	// Client is the client index, Round the 0-based round.
 	Client, Round int
-	// Epochs is the number of local epochs this visit should run. 0 means
-	// the configured Env.Local.Epochs; a scenario-enabled round sets it to
-	// the client's completed-epoch count (stragglers run a partial pass).
+	// Epochs is the number of local epochs this visit runs: the
+	// configured Env.Local.Epochs, or under a scenario the client's
+	// completed-epoch count (stragglers run a partial pass).
 	Epochs int
 	// Start is this client's entry from the Broadcast hook (nil when the
 	// method sets no Broadcast hook; such a hook sets Start itself before
@@ -71,40 +71,37 @@ type ClientCtx struct {
 }
 
 // TrainData returns the dataset this visit trains on: the client's
-// training split, or the hostile scenario's poisoned/drifted view of it
-// when one is in force (fl.HostileScenario). Hooks that probe the
-// client's data before training should read it through here so
-// label-noise attackers and drifted clients behave under every method.
+// training split, or the scenario's poisoned/drifted view of it when the
+// run has a scenario. Hooks that probe the client's data before training
+// should read it through here so label-noise attackers and drifted
+// clients behave under every method.
 func (c *ClientCtx) TrainData() *data.Dataset {
 	base := c.Env.Clients[c.Client].Train
-	if hs, ok := c.Env.Participation.Scenario.(fl.HostileScenario); ok {
-		return hs.TrainData(c.Client, c.Round, base)
+	if sc := c.Env.Participation.Scenario; sc != nil {
+		return sc.TrainData(c.Client, c.Round, base)
 	}
 	return base
 }
 
 // CorruptUplink applies this visit's byzantine uplink corruption (if the
-// scenario is hostile and the client is a wire-level attacker) to Out in
+// run has a scenario and the client is a wire-level attacker) to Out in
 // place, using Start as the round's reference point. DefaultLocal calls
 // it after the visit — local or remote, where it models the byzantine
 // node corrupting its own uplink — so custom Local hooks that bypass
 // DefaultLocal must call it themselves after VisitLocal. Returns whether
 // the vector was modified.
 func (c *ClientCtx) CorruptUplink() bool {
-	if hs, ok := c.Env.Participation.Scenario.(fl.HostileScenario); ok {
-		return hs.CorruptUpdate(c.Client, c.Round, c.Out, c.Start)
+	if sc := c.Env.Participation.Scenario; sc != nil {
+		return sc.CorruptUpdate(c.Client, c.Round, c.Out, c.Start)
 	}
 	return false
 }
 
 // localConfig is the visit's local-training configuration: the
-// environment's, with the epoch count overridden by the scenario's
-// completed-epoch budget when one is in force.
+// environment's, running the visit's epoch count.
 func (c *ClientCtx) localConfig() fl.LocalConfig {
 	cfg := c.Env.Local
-	if c.Epochs > 0 {
-		cfg.Epochs = c.Epochs
-	}
+	cfg.Epochs = c.Epochs
 	return cfg
 }
 
@@ -325,16 +322,13 @@ func (d *RoundDriver) Gather(reported []int) (vecs [][]float64, ws []float64) {
 
 // GatherCluster collects the local vectors and weights of the clients
 // assigned to cluster id, in client order (reused scratch, as Gather).
-// Under an active scenario only clients in the round's reported set are
-// gathered — a cluster whose every member missed the deadline yields an
-// empty gather, which callers must skip.
+// Only clients in the round's reported set are gathered — a cluster
+// whose every member missed the deadline yields an empty gather, which
+// callers must skip.
 func (d *RoundDriver) GatherCluster(assign []int, id int) (vecs [][]float64, ws []float64) {
 	vecs, ws = d.es.gatherVecs[:0], d.es.gatherWs[:0]
 	for i, a := range assign {
-		if a != id {
-			continue
-		}
-		if d.es.maskOn && !d.es.repMask[i] {
+		if a != id || !d.es.repMask[i] {
 			continue
 		}
 		vecs = append(vecs, d.Locals[i])
@@ -418,7 +412,7 @@ func (d *RoundDriver) maskNonFinite() {
 		if es.failMask[i] {
 			continue // transport already lost it
 		}
-		if es.scenOn && (es.lag[i] < 0 || (!d.Async && es.done[i] == 0)) {
+		if es.lag[i] < 0 || (!d.Async && es.done[i] == 0) {
 			continue // no work happened; the stale slot is never consumed
 		}
 		if !finiteVec(d.Locals[i]) {
@@ -440,11 +434,11 @@ func finiteVec(v []float64) bool {
 }
 
 // ReportWeight is client i's aggregation weight for the current round:
-// its training-set size, scaled under an active synchronous scenario by
-// the fraction of the configured local pass it actually completed.
+// its training-set size, scaled in a synchronous round by the fraction
+// of the configured local pass it actually completed.
 func (d *RoundDriver) ReportWeight(i int) float64 {
 	w := d.Weights[i]
-	if d.es.scenOn && !d.Async && d.es.done[i] < d.es.cfgEpochs {
+	if !d.Async && d.es.done[i] < d.es.cfgEpochs {
 		w *= float64(d.es.done[i]) / float64(d.es.cfgEpochs)
 	}
 	return w
@@ -453,7 +447,7 @@ func (d *RoundDriver) ReportWeight(i int) float64 {
 // ScenarioOutcome returns client i's scenario outcome for the current
 // round — completed epochs by the deadline and delivery lag in rounds
 // (0 on time, negative offline). Valid during the round's hooks; without
-// an active scenario it reports a nominal on-time client. A visit whose
+// a scenario every client is on time with its full pass. A visit whose
 // update was lost in flight (ClientCtx.Failed — transport timeout or
 // disconnect) reports as offline: nothing arrived and nothing will, so
 // semi-async aggregators must not schedule its stale Locals slot as a
@@ -462,21 +456,13 @@ func (d *RoundDriver) ScenarioOutcome(i int) (done, lag int) {
 	if d.es.failMask[i] {
 		return 0, -1
 	}
-	if !d.es.scenOn {
-		return d.Env.Local.Epochs, 0
-	}
 	return d.es.done[i], d.es.lag[i]
 }
 
 // Reported reports whether client i is in the current round's reported
 // set (valid during the round's hooks). Scenario losses and transport
 // failures both clear membership.
-func (d *RoundDriver) Reported(i int) bool {
-	if !d.es.maskOn {
-		return true
-	}
-	return d.es.repMask[i]
-}
+func (d *RoundDriver) Reported(i int) bool { return d.es.repMask[i] }
 
 // Run executes the round schedule and returns the accumulated result.
 func (d *RoundDriver) Run() *fl.Result {
@@ -623,70 +609,43 @@ func (d *RoundDriver) RunClusteredFedAvg(labels []int, k int, models [][]float64
 
 // dropFailed removes visits marked failed (a remote update that never
 // arrived, or a custom Local hook disowning its result) from the
-// reported set — exactly like scenario dropouts — and rebuilds the
-// reported mask so cluster gathers see the surviving membership. A
-// round with no failures returns the set untouched, leaving the mask
-// exactly as sample built it.
+// reported set and mask — exactly like scenario dropouts — so cluster
+// gathers see the surviving membership.
 func (d *RoundDriver) dropFailed(reported []int) []int {
 	es := d.es
-	anyFailed := false
+	kept := reported[:0]
 	for _, i := range reported {
 		if es.failMask[i] {
-			anyFailed = true
-			break
+			es.repMask[i] = false
+			continue
 		}
-	}
-	if !anyFailed {
-		return reported
-	}
-	// In-place filter into the reported buffer. reported either is that
-	// buffer already (write index trails read index) or aliases the
-	// immutable all-clients list (es.all must never be truncated).
-	kept := es.reported[:0]
-	for _, i := range reported {
-		if !es.failMask[i] {
-			kept = append(kept, i)
-		}
+		kept = append(kept, i)
 	}
 	es.reported = kept
-	for i := range es.repMask {
-		es.repMask[i] = false
-	}
-	for _, c := range kept {
-		es.repMask[c] = true
-	}
-	es.maskOn = true
 	return kept
 }
 
-// sample returns the round's reported set. With no scenario every client
-// reports; with one, sample records each client's outcome and the
-// reported mask, and a client reports when its update is accepted this
-// round — any completed epoch in a synchronous round, an on-time full
+// sample returns the round's reported set. Each client's outcome is the
+// all-on-time one rebind set — unless the run has a scenario, which
+// overwrites it — and a client reports when its update is accepted this
+// round: any completed epoch in a synchronous round, an on-time full
 // pass under Async.
 func (d *RoundDriver) sample(round int) (reported []int) {
 	es := d.es
-	sc := d.Env.Participation.Scenario
-	es.scenOn = sc != nil
-	es.maskOn = es.scenOn // dropFailed may extend mask coverage later
-	if sc == nil {
-		return es.all
+	if sc := d.Env.Participation.Scenario; sc != nil {
+		for c := 0; c < es.n; c++ {
+			es.done[c], es.lag[c] = sc.Outcome(c, round, es.cfgEpochs)
+		}
 	}
-	es.cfgEpochs = max(d.Env.Local.Epochs, 1)
 	reported = es.reported[:0]
-	for _, c := range es.all {
-		es.done[c], es.lag[c] = sc.Outcome(c, round, es.cfgEpochs)
-		if (d.Async && es.lag[c] == 0) || (!d.Async && es.done[c] > 0) {
+	for c := 0; c < es.n; c++ {
+		rep := (d.Async && es.lag[c] == 0) || (!d.Async && es.done[c] > 0)
+		es.repMask[c] = rep
+		if rep {
 			reported = append(reported, c)
 		}
 	}
 	es.reported = reported
-	for i := range es.repMask {
-		es.repMask[i] = false
-	}
-	for _, c := range reported {
-		es.repMask[c] = true
-	}
 	return reported
 }
 

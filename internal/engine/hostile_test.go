@@ -140,7 +140,7 @@ func TestBenignHostileConfigReproducesGoldenFingerprints(t *testing.T) {
 	}
 }
 
-// poisonScenario is a HostileScenario that uplinks NaN from one client —
+// poisonScenario is a scenario that uplinks NaN from one client —
 // the byzantine payload no aggregator can average away, which the
 // engine's non-finite mask must therefore stop up front.
 type poisonScenario struct {

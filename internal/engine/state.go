@@ -46,32 +46,26 @@ type envState struct {
 	arena   []float64
 	locals  [][]float64
 	weights []float64
-	all     []int
 	ctxs    []*ClientCtx
 
 	gatherVecs [][]float64
 	gatherWs   []float64
 
-	reported []int // the round's reported set when it is not every client
+	reported []int // the round's reported set
 	// Evaluation phase (evaluateServed): the served vector each lane's
 	// model last loaded, and the per-client accuracy and loss columns.
 	evalLast  [][]float64
 	perClient []float64
 	evalLoss  []float64
 
-	// Scenario state for the current round (client-indexed), filled by
-	// RunRound before the parallel phase when the environment carries a
-	// Participation.Scenario. scenOn gates every scenario branch so a
-	// scenario-free round takes exactly the pre-scenario code path.
-	scenOn    bool
+	// Each client's outcome for the current round (client-indexed):
+	// rebind sets the all-on-time one, which is every round's outcome
+	// without a scenario; sample overwrites it from the scenario when the
+	// run has one, and derives the reported set and mask from it.
 	cfgEpochs int    // configured local epochs the outcomes refer to
 	done      []int  // epochs finished by the deadline
 	lag       []int  // rounds late (0 on time, <0 offline)
 	repMask   []bool // reported-set membership, for cluster gathers
-	// maskOn gates repMask consultation: set by a scenario round (sample
-	// fills the mask) or by a remote round after transport failures are
-	// folded in. A plain round never reads the mask.
-	maskOn bool
 
 	// Per-round defense tallies: uplinks masked for non-finite values and
 	// inputs the robust Aggregator excluded across the round's combines.
@@ -139,10 +133,6 @@ func newEnvState(env *fl.Env) *envState {
 		es.locals[i] = es.arena[i*es.numParams : (i+1)*es.numParams : (i+1)*es.numParams]
 	}
 	es.weights = env.TrainSizes()
-	es.all = make([]int, n)
-	for i := range es.all {
-		es.all[i] = i
-	}
 	es.ctxs = make([]*ClientCtx, len(es.lanes))
 	for w := range es.ctxs {
 		es.ctxs[w] = &ClientCtx{Env: env, es: es}
@@ -161,20 +151,16 @@ func newEnvState(env *fl.Env) *envState {
 	es.reported = make([]int, 0, n)
 
 	es.clientTask = func(w, i int) {
-		epochs := 0
-		if es.scenOn {
-			switch {
-			case es.lag[i] < 0:
-				return // offline: no work happens at all
-			case es.d.Async:
-				// Semi-async: slow clients run their full pass; only the
-				// delivery is late. The aggregator reads the lag.
-				epochs = es.cfgEpochs
-			case es.done[i] == 0:
-				return // sync dropout: work discarded, skip the compute
-			default:
-				epochs = es.done[i] // straggler: partial pass by deadline
-			}
+		epochs := es.done[i] // a straggler runs a partial pass by the deadline
+		switch {
+		case es.lag[i] < 0:
+			return // offline: no work happens at all
+		case es.d.Async:
+			// Semi-async: slow clients run their full pass; only the
+			// delivery is late. The aggregator reads the lag.
+			epochs = es.cfgEpochs
+		case epochs == 0:
+			return // sync dropout: work discarded, skip the compute
 		}
 		ctx := es.ctxs[w]
 		ctx.Lane = es.lanes[w]
@@ -239,6 +225,13 @@ func (es *envState) rebind(env *fl.Env, d *RoundDriver) {
 		ctx.Env = env
 		ctx.WireDown, ctx.WireUp = 0, 0 // a panicked round never folded its own
 		es.lanes[w].Rebind(env)
+	}
+	// Every client starts at the all-on-time outcome: its full local pass,
+	// on time, reported. Without a scenario that is every round's outcome;
+	// a cached runtime may still hold a previous run's scenario outcomes.
+	es.cfgEpochs = max(env.Local.Epochs, 1)
+	for i := range es.done {
+		es.done[i], es.lag[i], es.repMask[i] = es.cfgEpochs, 0, true
 	}
 	// Residuals are per-run state: a cached runtime may have served a
 	// previous method's run on this environment. Resume restores them

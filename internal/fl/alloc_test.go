@@ -81,8 +81,8 @@ func TestLocalUpdateCallSteadyStateAllocs(t *testing.T) {
 		ts := TrainScratch{DType: dtype}
 		r := rng.New(6)
 		ts.LocalUpdate(model, d, cfg, r)
-		if ts.ranF32 != (dtype == Float32) {
-			t.Fatalf("%v scratch: ranF32 = %v", dtype, ts.ranF32)
+		if (ts.shadow.net != nil) != (dtype == Float32) {
+			t.Fatalf("%v scratch: float32 shadow built = %v", dtype, ts.shadow.net != nil)
 		}
 		if n := testing.AllocsPerRun(20, func() {
 			ts.LocalUpdate(model, d, cfg, r)

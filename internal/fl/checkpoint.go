@@ -78,13 +78,6 @@ const (
 // fingerprint, vec count, int count.
 const metaWords = 6 + 6 + 1 + 2
 
-// ScenarioFingerprinter is implemented by scenario models whose trace is
-// a pure function of an identity the fingerprint captures; checkpoints
-// record it so a resume under a different trace is rejected.
-type ScenarioFingerprinter interface {
-	Fingerprint() uint64
-}
-
 // NewCheckpoint captures a run's identity after `round` completed rounds.
 // Method state and the Result snapshot are added separately, through a
 // Saver walk.
@@ -101,8 +94,8 @@ func NewCheckpoint(env *Env, method string, round, numParams int, specHash uint6
 		NumParams: numParams,
 		RngRoot:   root.State(),
 	}
-	if fp, ok := env.Participation.Scenario.(ScenarioFingerprinter); ok {
-		c.ScenarioFP = fp.Fingerprint()
+	if sc := env.Participation.Scenario; sc != nil {
+		c.ScenarioFP = sc.Fingerprint()
 	}
 	return c
 }
@@ -136,8 +129,8 @@ func (c *Checkpoint) Matches(env *Env, method string, numParams int) error {
 		return fmt.Errorf("fl: checkpoint rng root state does not match seed %d", env.Seed)
 	}
 	var fp uint64
-	if f, ok := env.Participation.Scenario.(ScenarioFingerprinter); ok {
-		fp = f.Fingerprint()
+	if sc := env.Participation.Scenario; sc != nil {
+		fp = sc.Fingerprint()
 	}
 	if c.ScenarioFP != fp {
 		return fmt.Errorf("fl: checkpoint scenario fingerprint %#x, environment %#x", c.ScenarioFP, fp)

@@ -83,13 +83,8 @@ type TrainScratch struct {
 	f64 visitState[float64]
 	f32 visitState[float32]
 	// shadow is the float32 replica the Float32 path computes on (see
-	// client32.go); flat32 backs Params32.
+	// client32.go).
 	shadow shadowCache
-	flat32 []float32
-	// ranF32 records whether the last LocalUpdate on this scratch ran on
-	// the float32 path, i.e. whether shadow holds the trained weights
-	// (the zero-convert wire fast path keys off this).
-	ranF32 bool
 }
 
 // visitState is the element-type half of a TrainScratch.
@@ -113,11 +108,10 @@ type visitState[T tensor.Float] struct {
 // parameters are rounded into the shadow once, the whole local pass runs
 // in float32, and the result is widened back. Widening is exact, so the
 // trained float32 weights survive the float64 round-trip bit-identically
-// — which is what makes the transport's Float32 wire frames a true
-// zero-convert fast path (see Params32).
+// — a Float32 wire frame of the widened model carries exactly the
+// trained float32 bits.
 func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
 	cfg.Validate()
-	ts.ranF32 = false
 	if d.Len() == 0 {
 		return 0
 	}
@@ -125,7 +119,6 @@ func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg L
 		sh := ts.shadow.load(model)
 		loss := ts.f32.localSGD(sh, d, cfg, r)
 		nn.CopyParams64(model, sh)
-		ts.ranF32 = true
 		return loss
 	}
 	return ts.f64.localSGD(model, d, cfg, r)
@@ -184,8 +177,6 @@ func (st *visitState[T]) localSGD(net *nn.SequentialOf[T], d *data.Dataset, cfg 
 // (0, 0).
 func (ts *TrainScratch) Evaluate(model *nn.Sequential, d *data.Dataset, batchSize int) (loss, acc float64) {
 	if ts.DType == Float32 {
-		// The shadow now holds eval weights, not a trained update.
-		ts.ranF32 = false
 		return ts.f32.evaluate(ts.shadow.load(model), d, batchSize)
 	}
 	return ts.f64.evaluate(model, d, batchSize)

@@ -22,24 +22,3 @@ func (c *shadowCache) load(model *nn.Sequential) *nn.SequentialOf[float32] {
 	nn.AssignParams32(c.net, model)
 	return c.net
 }
-
-// Params32 returns the trained float32 parameter vector of the last
-// LocalUpdate when it ran on the float32 path, flattened into a reused
-// buffer — the transport's zero-convert source for Float32 wire frames.
-// Because widening back to float64 is exact, the returned bits equal
-// what encoding the float64 model into a Float32 frame would produce;
-// the fast path changes no observable value, only skips the converts.
-// The slice is overwritten by the next call; ok=false means the last
-// update ran float64 and callers must encode from the model.
-func (ts *TrainScratch) Params32() (vec []float32, ok bool) {
-	if !ts.ranF32 {
-		return nil, false
-	}
-	sh := ts.shadow.net
-	n := sh.NumParams()
-	if cap(ts.flat32) < n {
-		ts.flat32 = make([]float32, n)
-	}
-	ts.flat32 = ts.flat32[:n]
-	return nn.FlattenParamsInto(sh, ts.flat32), true
-}

@@ -10,6 +10,7 @@ import (
 	"fedclust/internal/nn"
 	"fedclust/internal/rng"
 	"fedclust/internal/tensor"
+	"fedclust/internal/wire"
 )
 
 // clientCfg is the divergence suite's shared local pass: two epochs of
@@ -31,7 +32,7 @@ func TestLocalUpdate32MatchesFloat64Within(t *testing.T) {
 	ts32 := TrainScratch{DType: Float32}
 	loss64 := ts64.LocalUpdate(m64, d, clientCfg, rng.New(7))
 	loss32 := ts32.LocalUpdate(m32, d, clientCfg, rng.New(7))
-	if !ts32.ranF32 {
+	if ts32.shadow.net == nil {
 		t.Fatal("float32 scratch did not take the float32 path")
 	}
 	if diff := math.Abs(loss64 - loss32); diff > 1e-3 {
@@ -100,34 +101,31 @@ func TestEvaluate32MatchesFloat64(t *testing.T) {
 	}
 }
 
-// TestParams32RoundTrip pins the zero-convert contract end to end at
-// the fl layer: after a float32 LocalUpdate, the shadow's flat vector
-// must equal float32(model parameter) bit for bit — exactly the bytes a
-// Float32 wire frame of the widened model would carry.
+// TestParams32RoundTrip pins the exactness the Float32 uplink relies
+// on: after a float32 LocalUpdate, the shadow's flat vector equals
+// float32(model parameter) bit for bit — widening back to float64 lost
+// nothing, so a Float32 wire frame of the widened model carries exactly
+// the trained float32 bits.
 func TestParams32RoundTrip(t *testing.T) {
 	d := benchDataset(40)
 	m := nn.MLP(rng.New(1), d.Dim(), 20, d.Classes)
 	ts := TrainScratch{DType: Float32}
 	ts.LocalUpdate(m, d, clientCfg, rng.New(5))
-	vec, ok := ts.Params32()
-	if !ok {
-		t.Fatal("Params32 not available after a float32 LocalUpdate")
-	}
+	sh := ts.shadow.net
+	vec := nn.FlattenParamsInto(sh, make([]float32, sh.NumParams()))
 	flat := nn.FlattenParams(m)
 	if len(vec) != len(flat) {
-		t.Fatalf("Params32 length %d, model has %d", len(vec), len(flat))
+		t.Fatalf("shadow has %d params, model has %d", len(vec), len(flat))
+	}
+	frame, err := wire.Decode(wire.EncodeInto(nil, wire.Float32, flat))
+	if err != nil {
+		t.Fatal(err)
 	}
 	for i := range flat {
-		if want := float32(flat[i]); vec[i] != want {
-			t.Fatalf("param %d: shadow %x vs rounded model %x",
-				i, math.Float32bits(vec[i]), math.Float32bits(want))
+		if want := float32(flat[i]); vec[i] != want || float32(frame[i]) != want {
+			t.Fatalf("param %d: shadow %x, rounded model %x, Float32 frame %x", i,
+				math.Float32bits(vec[i]), math.Float32bits(want), math.Float32bits(float32(frame[i])))
 		}
-	}
-	// A float64 visit (or an eval) invalidates the shadow's claim.
-	ts.DType = Float64
-	ts.LocalUpdate(m, d, clientCfg, rng.New(6))
-	if _, ok := ts.Params32(); ok {
-		t.Fatal("Params32 still claimed after a float64 LocalUpdate")
 	}
 }
 
@@ -156,7 +154,7 @@ func TestZooMirrorsToFloat32(t *testing.T) {
 		}
 		ts := TrainScratch{DType: Float32}
 		ts.LocalUpdate(c.model, c.d, LocalConfig{Epochs: 1, BatchSize: 4, LR: 0.05}, rng.New(4))
-		if !ts.ranF32 {
+		if ts.shadow.net == nil {
 			t.Fatalf("%s: the float32 visit ran on the float64 path", c.name)
 		}
 	}

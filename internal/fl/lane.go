@@ -161,16 +161,7 @@ func (l *Lane) appendUplink(dst []byte, v *Visit, out []float64) []byte {
 	if v.sparse() {
 		return v.EF.Visit(dst, v.Client, v.Start, out, &l.efs)
 	}
-	up := v.Up.Downlink()
-	if up == wire.Float32 && v.Layer == FullParams {
-		// Zero-convert fast path: when the local pass ran in float32,
-		// encode straight from the trained shadow — bit-identical to
-		// widening and re-rounding, minus both conversions.
-		if v32, ok := l.Scratch.Params32(); ok {
-			return wire.EncodeFloat32Into(dst, v32)
-		}
-	}
-	return wire.EncodeInto(dst, up, out)
+	return wire.EncodeInto(dst, v.Up.Downlink(), out)
 }
 
 // decodeFrame reads the lane's frame buffer back into dst (grown when

@@ -30,21 +30,6 @@ type Aggregator interface {
 	Aggregate(dst []float64, vecs [][]float64, ws []float64) (suspects int)
 }
 
-// Mean is the plain weighted average as an Aggregator: exactly
-// WeightedAverageInto, suspecting nobody. It exists so "no defense" is
-// expressible as a strategy; a nil Env.Aggregator takes the same math
-// through the engine's fast path.
-type Mean struct{}
-
-// Name implements Aggregator.
-func (*Mean) Name() string { return "mean" }
-
-// Aggregate implements Aggregator.
-func (*Mean) Aggregate(dst []float64, vecs [][]float64, ws []float64) int {
-	WeightedAverageInto(dst, vecs, ws)
-	return 0
-}
-
 // TrimmedMean is the coordinate-wise trimmed weighted mean: at each
 // coordinate the k = ⌊Frac·n⌋ smallest and k largest values are dropped
 // and the survivors averaged by their report weights. With k = 0 (fewer

@@ -36,7 +36,7 @@ func BenchmarkAggregate(b *testing.B) {
 		dst := make([]float64, dim)
 		frac := 0.2
 		for _, a := range []Aggregator{
-			&Mean{}, &TrimmedMean{Frac: frac}, &Median{},
+			&plainMean{}, &TrimmedMean{Frac: frac}, &Median{},
 			&Krum{Frac: frac}, &Krum{Frac: frac, M: 3},
 		} {
 			b.Run(fmt.Sprintf("%s/n=%d", a.Name(), n), func(b *testing.B) {

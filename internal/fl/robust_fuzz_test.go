@@ -35,7 +35,7 @@ func FuzzRobustAggregate(f *testing.F) {
 		n := 1 + int(nb)%16
 		dim := 1 + int(dimb)%8
 		aggs := []Aggregator{
-			&Mean{}, &TrimmedMean{Frac: frac}, &Median{},
+			&plainMean{}, &TrimmedMean{Frac: frac}, &Median{},
 			&Krum{Frac: frac}, &Krum{Frac: frac, M: 1 + int(sel)%4},
 		}
 		a := aggs[int(sel)%len(aggs)]

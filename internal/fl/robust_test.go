@@ -24,6 +24,18 @@ func randVecs(n, dim int, seed uint64) ([][]float64, []float64) {
 	return vecs, ws
 }
 
+// plainMean is the plain weighted average as an Aggregator, suspecting
+// nobody — the baseline the robust strategies are held against (a nil
+// Env.Aggregator takes the same math through the engine's fast path).
+type plainMean struct{}
+
+func (*plainMean) Name() string { return "mean" }
+
+func (*plainMean) Aggregate(dst []float64, vecs [][]float64, ws []float64) int {
+	WeightedAverageInto(dst, vecs, ws)
+	return 0
+}
+
 // TestTrimmedZeroFracIsBitExactMean: the "robust aggregators equal plain
 // averaging at byzantine fraction 0" property, at the bit level — a
 // trimmed mean with nothing to trim must take the exact
@@ -84,7 +96,7 @@ func TestAggregatorsAgreeOnConsensus(t *testing.T) {
 		ws[i] = float64(i + 1)
 	}
 	for _, a := range []Aggregator{
-		&Mean{}, &TrimmedMean{Frac: 0.2}, &Median{},
+		&plainMean{}, &TrimmedMean{Frac: 0.2}, &Median{},
 		&Krum{Frac: 0.2}, &Krum{Frac: 0.2, M: 3},
 	} {
 		got := make([]float64, len(base))

@@ -16,6 +16,24 @@ func matMul(a, b *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// scale multiplies every element of t by s in place.
+func scale(t *tensor.Tensor, s float64) {
+	for i := range t.Data {
+		t.Data[i] *= s
+	}
+}
+
+// reconstruct returns U · diag(S) · Vᵀ, the matrix d factors.
+func reconstruct(d SVD) *tensor.Tensor {
+	us := d.U.Clone()
+	for i := 0; i < us.Shape[0]; i++ {
+		for j, sv := range d.S {
+			us.Set(us.At(i, j)*sv, i, j)
+		}
+	}
+	return matMul(us, tensor.Transpose(d.V))
+}
+
 // matVec returns a(m×k) · x(k) as a length-m vector.
 func matVec(a, x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(a.Shape[0])
@@ -39,7 +57,7 @@ func randSymmetric(r *rng.Rng, n int) *tensor.Tensor {
 	a := randMatrix(r, n, n)
 	at := tensor.Transpose(a)
 	s := tensor.Add(a, at)
-	s.Scale(0.5)
+	scale(s, 0.5)
 	return s
 }
 
@@ -81,7 +99,7 @@ func TestSymEigReconstruction(t *testing.T) {
 		for j := 0; j < n; j++ {
 			ej := Column(v, j)
 			av := matVec(a, ej)
-			ej.Scale(vals[j])
+			scale(ej, vals[j])
 			if !tensor.Equal(av, ej, 1e-8*(1+math.Abs(vals[j]))) {
 				t.Fatalf("n=%d eigenpair %d fails A·v = λ·v", n, j)
 			}
@@ -126,7 +144,7 @@ func TestSVDReconstruction(t *testing.T) {
 	for _, dims := range [][2]int{{1, 1}, {3, 3}, {5, 3}, {3, 5}, {10, 4}, {4, 10}} {
 		a := randMatrix(r, dims[0], dims[1])
 		d := ComputeSVD(a)
-		if !tensor.Equal(d.Reconstruct(), a, 1e-8) {
+		if !tensor.Equal(reconstruct(d), a, 1e-8) {
 			t.Fatalf("SVD reconstruction failed for %v", dims)
 		}
 	}
@@ -186,7 +204,7 @@ func TestSVDRankDeficient(t *testing.T) {
 	if d.S[1] > 1e-10 {
 		t.Fatalf("rank-1 matrix second singular value = %v", d.S[1])
 	}
-	if !tensor.Equal(d.Reconstruct(), a, 1e-9) {
+	if !tensor.Equal(reconstruct(d), a, 1e-9) {
 		t.Fatal("rank-deficient reconstruction failed")
 	}
 }

@@ -132,22 +132,6 @@ func swapCols(a *tensor.Tensor, i, j int) {
 	}
 }
 
-// Reconstruct returns U · diag(S) · Vᵀ, the matrix the SVD factors.
-func (d SVD) Reconstruct() *tensor.Tensor {
-	m := d.U.Shape[0]
-	r := len(d.S)
-	n := d.V.Shape[0]
-	us := tensor.New(m, r)
-	for i := 0; i < m; i++ {
-		for j := 0; j < r; j++ {
-			us.Set(d.U.At(i, j)*d.S[j], i, j)
-		}
-	}
-	out := tensor.New(m, n)
-	tensor.MatMulInto(out, us, tensor.Transpose(d.V))
-	return out
-}
-
 // TruncateU returns the first p left singular vectors as an m×p matrix —
 // the rank-p basis of the column space, which is what PACFL transmits.
 func (d SVD) TruncateU(p int) *tensor.Tensor {

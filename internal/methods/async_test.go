@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"fedclust/internal/data"
 	"fedclust/internal/fl"
 	"fedclust/internal/scenario"
 )
@@ -124,6 +125,12 @@ func (onceScenario) Outcome(client, round, epochs int) (done, lag int) {
 	}
 	return 0, 1
 }
+
+func (onceScenario) TrainData(client, round int, base *data.Dataset) *data.Dataset { return base }
+
+func (onceScenario) CorruptUpdate(client, round int, out, start []float64) bool { return false }
+
+func (onceScenario) Fingerprint() uint64 { return 0 }
 
 // TestFedAvgStaleStepsOnEmptyRounds: rounds where nobody reports must
 // still move the global — the cached round-0 updates keep stepping it

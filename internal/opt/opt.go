@@ -1,6 +1,5 @@
 // Package opt implements the optimizers used by the federated trainers:
-// SGD with momentum and weight decay, the FedProx proximal term, and
-// simple learning-rate schedules.
+// SGD with momentum and weight decay, and the FedProx proximal term.
 package opt
 
 import (
@@ -131,34 +130,4 @@ func AddProximal[T tensor.Float](params, grads []*tensor.Of[T], ref []T, mu floa
 	if off != len(ref) {
 		panic(fmt.Sprintf("opt: proximal ref length %d, params total %d", len(ref), off))
 	}
-}
-
-// Schedule maps a round number to a learning rate.
-type Schedule interface {
-	LR(round int) float64
-}
-
-// ConstSchedule always returns the same rate.
-type ConstSchedule float64
-
-// LR implements Schedule.
-func (c ConstSchedule) LR(round int) float64 { return float64(c) }
-
-// DecaySchedule multiplies the base rate by Factor every Every rounds.
-type DecaySchedule struct {
-	Base   float64
-	Factor float64
-	Every  int
-}
-
-// LR implements Schedule.
-func (d DecaySchedule) LR(round int) float64 {
-	if d.Every <= 0 {
-		return d.Base
-	}
-	lr := d.Base
-	for i := d.Every; i <= round; i += d.Every {
-		lr *= d.Factor
-	}
-	return lr
 }

@@ -175,27 +175,3 @@ func TestAddProximalPullsTowardRef(t *testing.T) {
 		t.Fatalf("proximal pull converged to %v, want 2", got)
 	}
 }
-
-func TestConstSchedule(t *testing.T) {
-	s := ConstSchedule(0.05)
-	if s.LR(0) != 0.05 || s.LR(100) != 0.05 {
-		t.Fatal("ConstSchedule should be constant")
-	}
-}
-
-func TestDecaySchedule(t *testing.T) {
-	d := DecaySchedule{Base: 1, Factor: 0.5, Every: 10}
-	if d.LR(0) != 1 || d.LR(9) != 1 {
-		t.Fatal("no decay before first boundary")
-	}
-	if d.LR(10) != 0.5 || d.LR(19) != 0.5 {
-		t.Fatalf("decay at boundary wrong: %v", d.LR(10))
-	}
-	if d.LR(20) != 0.25 {
-		t.Fatalf("second decay wrong: %v", d.LR(20))
-	}
-	zero := DecaySchedule{Base: 2, Factor: 0.5, Every: 0}
-	if zero.LR(50) != 2 {
-		t.Fatal("Every=0 should disable decay")
-	}
-}

@@ -1,15 +1,12 @@
 package rng
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // State is a serializable snapshot of a generator's position: the four
 // xoshiro256** state words plus the Box-Muller spare (flag word, then the
-// spare deviate's bits). Capturing and restoring it resumes a stream at
-// exactly the draw it would have produced next, which is what lets a
-// checkpointed run replay as if it was never interrupted.
+// spare deviate's bits). It captures everything the next draw depends
+// on, so checkpoints record the run's root position with it and resume
+// refuses a seed whose root position differs.
 type State [6]uint64
 
 // State returns r's current position.
@@ -21,26 +18,4 @@ func (r *Rng) State() State {
 	}
 	st[5] = math.Float64bits(r.spare)
 	return st
-}
-
-// Restore sets r to exactly the captured position: the next draws equal
-// what the captured generator would have produced. It rejects states no
-// generator can be in (all-zero core, a non-boolean spare flag, a
-// non-finite spare deviate) so positions read off a wire or a checkpoint
-// file are validated rather than trusted.
-func (r *Rng) Restore(st State) error {
-	if st[0]|st[1]|st[2]|st[3] == 0 {
-		return fmt.Errorf("rng: all-zero generator state")
-	}
-	if st[4] > 1 {
-		return fmt.Errorf("rng: spare flag word %d is not boolean", st[4])
-	}
-	spare := math.Float64frombits(st[5])
-	if st[4] == 1 && (math.IsNaN(spare) || math.IsInf(spare, 0)) {
-		return fmt.Errorf("rng: non-finite cached spare deviate")
-	}
-	copy(r.s[:], st[:4])
-	r.hasSpare = st[4] == 1
-	r.spare = spare
-	return nil
 }

@@ -9,15 +9,10 @@ import (
 	"testing"
 
 	"fedclust/internal/data"
-	"fedclust/internal/fl"
 	"fedclust/internal/rng"
 	"fedclust/internal/scenario"
 	"fedclust/internal/tensor"
 )
-
-// A hostile model must satisfy the full fl-side contract, not just the
-// benign RoundScenario half.
-var _ fl.HostileScenario = (*scenario.Model)(nil)
 
 func hostileCfg() scenario.Config {
 	return scenario.Config{

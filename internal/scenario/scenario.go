@@ -248,10 +248,9 @@ type Profile struct {
 }
 
 // Model is an immutable, seeded heterogeneity model for a fixed client
-// population. It implements fl.RoundScenario (and fl.HostileScenario
-// when adversarial knobs are set). Safe for concurrent use: all methods
-// are read-only after New, except the lazily built hostile training
-// views, which are mutex-guarded.
+// population. It implements fl.Scenario. Safe for concurrent use: all
+// methods are read-only after New, except the lazily built hostile
+// training views, which are mutex-guarded.
 type Model struct {
 	cfg      Config
 	seed     uint64
@@ -365,7 +364,7 @@ func (m *Model) Stragglers() int {
 	return k
 }
 
-// Outcome implements fl.RoundScenario: how many of the configured local
+// Outcome implements fl.Scenario: how many of the configured local
 // epochs client c finishes before the round's virtual deadline, and how
 // many rounds late its full-epoch update would arrive (lag < 0: offline).
 // Pure and allocation-free — see the package comment for the contract.

@@ -19,7 +19,7 @@ import (
 )
 
 // The model must satisfy the fl-side contract.
-var _ fl.RoundScenario = (*scenario.Model)(nil)
+var _ fl.Scenario = (*scenario.Model)(nil)
 
 // testEnv builds a small two-group environment. Each call constructs
 // everything from scratch — the cross-env determinism tests rely on that.
@@ -43,7 +43,7 @@ func testEnv(seed uint64) *fl.Env {
 }
 
 // TestOutcomeInvariants: for arbitrary configurations, every (client,
-// round) outcome respects the fl.RoundScenario contract — done in
+// round) outcome respects the fl.Scenario contract — done in
 // [0, epochs], done == epochs ⇔ on time, done == 0 ⇒ late or offline.
 func TestOutcomeInvariants(t *testing.T) {
 	f := func(seed uint64, fracRaw, dropRaw, deadRaw, jitRaw uint8) bool {

@@ -252,10 +252,10 @@ func TestIm2Col32MatchesFloat64(t *testing.T) {
 // TestTensor32Basics covers the Tensor32 helpers.
 func TestTensor32Basics(t *testing.T) {
 	a := New32(2, 3)
-	if a.Size() != 6 || a.Rank() != 2 || a.Dim(1) != 3 {
+	if a.Size() != 6 || len(a.Shape) != 2 || a.Dim(1) != 3 {
 		t.Fatalf("New32 metadata wrong: %v", a)
 	}
-	a.Fill(2)
+	copy(a.Data, []float32{2, 2, 2, 2, 2, 2})
 	b := FromSlice32([]float32{1, 2, 3, 4, 5, 6}, 2, 3)
 	a.AddScaled(b, 0.5)
 	want := []float32{2.5, 3, 3.5, 4, 4.5, 5}
@@ -273,9 +273,9 @@ func TestTensor32Basics(t *testing.T) {
 	if len(row) != 3 || row[0] != 4 {
 		t.Fatalf("Row wrong: %v", row)
 	}
-	r := b.Reshape(3, 2)
+	r := FromSlice32(b.Data, 3, 2)
 	if &r.Data[0] != &b.Data[0] || r.Shape[0] != 3 {
-		t.Fatal("Reshape must share storage with new shape")
+		t.Fatal("a reshaped header must share storage with new shape")
 	}
 	if !a.SameShape(b) || a.SameShape(r) {
 		t.Fatal("SameShape wrong")

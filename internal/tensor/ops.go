@@ -60,13 +60,6 @@ func Mul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Scale multiplies every element of t by s in place.
-func (t *Of[T]) Scale(s T) {
-	for i := range t.Data {
-		t.Data[i] *= s
-	}
-}
-
 // AddScaled adds s*o to t in place (axpy). Float32 tensors go through
 // the axpy32 primitive (AVX2 where available), float64 through the plain
 // loop — the two round differently, so the choice is part of each
@@ -79,13 +72,6 @@ func (t *Of[T]) AddScaled(o *Of[T], s T) {
 	}
 	for i := range t.Data {
 		t.Data[i] += T(s * o.Data[i])
-	}
-}
-
-// Apply replaces every element x with f(x) in place.
-func (t *Of[T]) Apply(f func(T) T) {
-	for i, x := range t.Data {
-		t.Data[i] = f(x)
 	}
 }
 

@@ -28,7 +28,8 @@ type Float interface{ float32 | float64 }
 // Of is a dense row-major array of arbitrary rank over element type T.
 type Of[T Float] struct {
 	// Shape holds the extent of each dimension; it must not be mutated
-	// after construction (Reshape returns a new header instead).
+	// after construction (FromSlice(t.Data, shape...) is a new header over
+	// the same storage).
 	Shape []int
 	// Data is the flat backing storage of length prod(Shape).
 	Data []T
@@ -87,9 +88,6 @@ func (t *Of[T]) Clone() *Of[T] {
 // Size returns the total number of elements.
 func (t *Of[T]) Size() int { return len(t.Data) }
 
-// Rank returns the number of dimensions.
-func (t *Of[T]) Rank() int { return len(t.Shape) }
-
 // Dim returns the extent of dimension i.
 func (t *Of[T]) Dim(i int) int { return t.Shape[i] }
 
@@ -104,15 +102,6 @@ func (t *Of[T]) SameShape(o *Of[T]) bool {
 		}
 	}
 	return true
-}
-
-// Reshape returns a new tensor header sharing t's storage with a new shape.
-// It panics if the element counts differ.
-func (t *Of[T]) Reshape(shape ...int) *Of[T] {
-	if prod(shape) != len(t.Data) {
-		panic(fmt.Sprintf("tensor: cannot reshape %v (%d elems) to %v", t.Shape, len(t.Data), shape))
-	}
-	return &Of[T]{Shape: append([]int(nil), shape...), Data: t.Data}
 }
 
 // index converts multi-dimensional indices to a flat offset, with bounds
@@ -136,13 +125,6 @@ func (t *Of[T]) At(idx ...int) T { return t.Data[t.index(idx)] }
 
 // Set assigns the element at the given multi-dimensional index.
 func (t *Of[T]) Set(v T, idx ...int) { t.Data[t.index(idx)] = v }
-
-// Fill sets every element to v.
-func (t *Of[T]) Fill(v T) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
 
 // Zero sets every element to 0.
 func (t *Of[T]) Zero() {

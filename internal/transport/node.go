@@ -112,18 +112,13 @@ func (s *Service) visit(req *fl.RemoteRequest, down, up wire.Codec, ef *fl.Error
 	}
 }
 
-// Execute runs one work order in-process, exactly — no codec in either
-// direction, no error feedback — and writes the selected vector into
-// out, whose length must match the selector's dimension. Safe for
-// concurrent use, including concurrent orders for one client.
-func (s *Service) Execute(req *fl.RemoteRequest, out []float64) error {
-	return s.execute(req, out, wire.Float64, wire.Float64)
-}
-
-// execute is Execute with a wire's codecs applied: out comes back as the
-// coordinator behind a socket pair would decode it — start narrowed
-// through down, the report through up (a sparse up runs full-parameter
-// reports through the node's residuals).
+// execute runs one work order in-process with a wire's codecs applied
+// and writes the selected vector into out, whose length must match the
+// selector's dimension: out comes back as the coordinator behind a
+// socket pair would decode it — start narrowed through down, the report
+// through up (a sparse up runs full-parameter reports through the node's
+// residuals). Safe for concurrent use, including concurrent orders for
+// one client.
 func (s *Service) execute(req *fl.RemoteRequest, out []float64, down, up wire.Codec) error {
 	n, err := s.check(req)
 	if err != nil {

@@ -309,18 +309,29 @@ func TestSpecBuildRejectsMalformed(t *testing.T) {
 	}
 }
 
+// exact runs work orders on a service in-process, exactly: the Float64
+// loopback applies no codec in either direction.
+func exact(svc *transport.Service) func(req *fl.RemoteRequest, out []float64) error {
+	lb := transport.NewLoopback(svc, wire.Float64)
+	return func(req *fl.RemoteRequest, out []float64) error {
+		_, _, err := lb.Train(req, out)
+		return err
+	}
+}
+
 // TestServiceRejectsBadRequests: every malformed work order is an error,
 // never a panic.
 func TestServiceRejectsBadRequests(t *testing.T) {
 	env := buildGolden(t, 77)
 	svc := transport.NewService(env)
+	execute := exact(svc)
 	good := fl.RemoteRequest{
 		Client: 0, Round: 0, Cluster: -1, Layer: fl.FullParams,
 		Cfg:   fl.LocalConfig{Epochs: 1, BatchSize: 16, LR: 0.1},
 		Start: make([]float64, svc.NumParams()),
 	}
 	out := make([]float64, svc.NumParams())
-	if err := svc.Execute(&good, out); err != nil {
+	if err := execute(&good, out); err != nil {
 		t.Fatalf("valid request rejected: %v", err)
 	}
 	cases := []struct {
@@ -342,7 +353,7 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 	for _, c := range cases {
 		req := good
 		c.mutate(&req)
-		if err := svc.Execute(&req, make([]float64, c.outLen)); err == nil {
+		if err := execute(&req, make([]float64, c.outLen)); err == nil {
 			t.Errorf("%s: not rejected", c.name)
 		}
 	}
@@ -360,7 +371,7 @@ func TestServeSameClientConcurrent(t *testing.T) {
 	for _, dtype := range []fl.DType{fl.Float64, fl.Float32} {
 		env := buildGolden(t, 31)
 		env.DType = dtype
-		svc := transport.NewService(env)
+		execute := exact(transport.NewService(env))
 		start := nn.FlattenParams(env.NewModel())
 		const rounds = 50
 		order := func(round int) *fl.RemoteRequest {
@@ -369,7 +380,7 @@ func TestServeSameClientConcurrent(t *testing.T) {
 		want := make([][]float64, rounds)
 		for r := range want {
 			want[r] = make([]float64, len(start))
-			if err := svc.Execute(order(r), want[r]); err != nil {
+			if err := execute(order(r), want[r]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -380,7 +391,7 @@ func TestServeSameClientConcurrent(t *testing.T) {
 				defer wg.Done()
 				out := make([]float64, len(start))
 				for r := 0; r < rounds; r++ {
-					if err := svc.Execute(order(r), out); err != nil {
+					if err := execute(order(r), out); err != nil {
 						t.Error(err)
 						return
 					}

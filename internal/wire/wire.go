@@ -126,23 +126,6 @@ func EncodeInto(dst []byte, c Codec, vec []float64) []byte {
 	return out
 }
 
-// EncodeFloat32Into appends a Float32 frame built directly from float32
-// values, bit-identical to EncodeInto(dst, Float32, widened): widening a
-// float32 to float64 and rounding back is the identity, so a producer
-// that already holds float32 (the float32 training path's shadow
-// parameters) can skip both conversions — a true zero-convert fast path,
-// not a different encoding.
-func EncodeFloat32Into(dst []byte, vec []float32) []byte {
-	start := len(dst)
-	out := append(dst, byte(magic>>8), byte(magic&0xff), byte(Float32), 0)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(vec)))
-	for _, v := range vec {
-		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(v))
-	}
-	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out[start:]))
-	return out
-}
-
 // FrameCodec returns the codec a frame was encoded under without
 // decoding it — the accessor transports use to mirror a request's codec
 // in the reply, so the header layout stays this package's private

@@ -1,10 +1,7 @@
 package wire
 
-// Tests for the float32-source encode fast path and the Quant8
-// degenerate-range contract. EncodeFloat32Into's whole claim is
-// bit-identity with the widen-then-EncodeInto route — these tests pin
-// the bytes, not just the decoded values, including NaN payloads and
-// ±Inf where a sloppy double conversion could quietly differ.
+// Tests for the Quant8 degenerate-range contract, and the Float32 frame
+// encode benchmark.
 
 import (
 	"bytes"
@@ -29,63 +26,6 @@ func widen(v []float32) []float64 {
 		w[i] = float64(x)
 	}
 	return w
-}
-
-func TestEncodeFloat32IntoBitIdentical(t *testing.T) {
-	vecs := [][]float32{
-		nil,
-		{0},
-		f32Vec(257, 3),
-		{
-			float32(math.Inf(1)), float32(math.Inf(-1)),
-			math.Float32frombits(0x7fc00001), // quiet NaN with payload
-			math.Float32frombits(0x80000000), // negative zero
-			math.MaxFloat32, -math.SmallestNonzeroFloat32,
-		},
-	}
-	for _, v := range vecs {
-		fast := EncodeFloat32Into(nil, v)
-		slow := EncodeInto(nil, Float32, widen(v))
-		if !bytes.Equal(fast, slow) {
-			t.Errorf("EncodeFloat32Into diverged from widen+EncodeInto for %d values:\n got %x\nwant %x",
-				len(v), fast, slow)
-		}
-		dec, err := Decode(fast)
-		if err != nil {
-			t.Fatalf("decode of fast-path frame: %v", err)
-		}
-		for i := range v {
-			if math.Float32bits(float32(dec[i])) != math.Float32bits(v[i]) {
-				t.Errorf("value %d: decoded bits %#x, want %#x", i,
-					math.Float32bits(float32(dec[i])), math.Float32bits(v[i]))
-			}
-		}
-	}
-}
-
-// TestEncodeFloat32IntoMidBuffer checks the append contract: the frame
-// may land after other bytes and its checksum covers only its own.
-func TestEncodeFloat32IntoMidBuffer(t *testing.T) {
-	v := f32Vec(9, 5)
-	prefix := []byte{0xde, 0xad, 0xbe, 0xef}
-	buf := EncodeFloat32Into(append([]byte(nil), prefix...), v)
-	if !bytes.Equal(buf[:len(prefix)], prefix) {
-		t.Fatal("prefix bytes were overwritten")
-	}
-	if !bytes.Equal(buf[len(prefix):], EncodeFloat32Into(nil, v)) {
-		t.Error("mid-buffer frame differs from a fresh encode")
-	}
-}
-
-func TestEncodeFloat32IntoZeroAlloc(t *testing.T) {
-	v := f32Vec(512, 7)
-	dst := EncodeFloat32Into(nil, v)
-	allocs := testing.AllocsPerRun(100, func() {
-		dst = EncodeFloat32Into(dst[:0], v)
-	})
-	if allocs != 0 {
-		t.Errorf("warm EncodeFloat32Into allocated %.1f times per call", allocs)
-	}
 }
 
 // TestQuant8DegenerateRanges pins the clamping contract for inputs the
@@ -155,9 +95,9 @@ func TestQuant8DegenerateRanges(t *testing.T) {
 	}
 }
 
-// The float32-source encode pair: the uplink fast path holds float32
-// shadow parameters, so the benchmark question is what skipping the
-// widen-and-round trip is worth on a full-size parameter vector.
+// A Float32 uplink frame of a full-size parameter vector trained in
+// float32: widening is exact, so the encode's rounding reproduces the
+// trained float32 bits.
 const benchEncodeN = 1594 // MLP(64,20,4) parameter count
 
 func BenchmarkEncodeFloat32From64(b *testing.B) {
@@ -168,16 +108,5 @@ func BenchmarkEncodeFloat32From64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = EncodeInto(dst[:0], Float32, vec)
-	}
-}
-
-func BenchmarkEncodeFloat32From32(b *testing.B) {
-	vec := f32Vec(benchEncodeN, 9)
-	dst := EncodeFloat32Into(nil, vec)
-	b.SetBytes(int64(len(dst)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst = EncodeFloat32Into(dst[:0], vec)
 	}
 }
