@@ -16,11 +16,10 @@ import (
 // the next strip overwrites it: y = strip·Wᵀ in Forward; in Backward the
 // weight gradient accumulates gy[strip]ᵀ·strip, then the same buffer
 // takes the strip's column gradient gy[strip]·W and col2im scatters it.
-// Strips start at multiples of four rows and run in order, so every
-// output element is summed in the order and grouping of the whole-matrix
-// products, bit for bit in both dtypes. All intermediates live in
-// persistent per-layer workspaces, so a steady-state training step
-// allocates nothing.
+// Strips run in order, so every output element is summed in the order of
+// the whole-matrix products, bit for bit in both dtypes. All
+// intermediates live in persistent per-layer workspaces, so a
+// steady-state training step allocates nothing.
 type Conv2DOf[T tensor.Float] struct {
 	Geom   tensor.ConvGeom
 	OutC   int
@@ -46,9 +45,8 @@ type Conv2DOf[T tensor.Float] struct {
 const stripBytes = 16 << 10
 
 // stripRows is how many unrolled rows of rowLen elements a strip holds:
-// as many as fit in stripBytes, rounded down to a multiple of four — the
-// float32 weight-gradient kernel sums four rows per step, and a strip
-// must not cut one — and at least four.
+// as many as fit in stripBytes, rounded down to a multiple of four so the
+// forward product runs whole four-row tiles, and at least four.
 func stripRows[T tensor.Float](rowLen int) int {
 	return max(4, stripBytes/(rowLen*int(unsafe.Sizeof(T(0))))&^3)
 }

@@ -116,9 +116,11 @@ func TestTryAcquireNestedAndRelease(t *testing.T) {
 	if p.TryAcquire() {
 		t.Fatal("claimed pool claimed twice")
 	}
-	ran := 0
-	p.RunAcquired(10, 4, func(_, i int) { ran++ })
-	_ = ran // concurrent increments impossible only if serial; just count coverage below
+	var ran atomic.Int32
+	p.RunAcquired(10, 4, func(_, _ int) { ran.Add(1) })
+	if got := ran.Load(); got != 10 {
+		t.Fatalf("RunAcquired ran %d of 10 items", got)
+	}
 	p.Release()
 	if !p.TryAcquire() {
 		t.Fatal("released pool not claimable")

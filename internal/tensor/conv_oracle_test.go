@@ -5,10 +5,9 @@ package tensor_test
 // (batch·OutH·OutW) × (InC·KH·KW) cols matrix and took y = cols·Wᵀ in one
 // product; Backward took gW += gyᵀ·cols in one product, then overwrote
 // cols with gcols = gy·W and scattered it image by image. The strips must
-// reproduce every bit of y, gW, gB and gx. The file lives in package
-// tensor's directory, as f32_golden_test.go does, for the kernel-path
-// switch: float32's pure-Go axpy sums four rows as one group, so only that
-// path shows a strip cut at a row that is not a multiple of four.
+// reproduce every bit of y, gW, gB and gx on both kernel paths. The file
+// lives in package tensor's directory, as f32_golden_test.go does, for the
+// kernel-path switch.
 
 import (
 	"fmt"
@@ -112,7 +111,7 @@ var stripOracleGeoms = []tensor.ConvGeom{
 }
 
 // stripValues fills v with normal draws, one in six of them ±0 (so the
-// float64 skip-zero rule decides terms) and, when nonFinite, about one in
+// skip-zero rule decides terms) and, when nonFinite, about one in
 // five hundred +Inf, −Inf or NaN.
 func stripValues[T tensor.Float](r *rng.Rng, v []T, nonFinite bool) {
 	for i := range v {
@@ -157,10 +156,10 @@ func sameBitsAll[T tensor.Float](t *testing.T, what string, got, want []T) {
 // over every geometry at batch 1, 3 and 33, with ±0, ±Inf and NaN in x and
 // W. The oracle runs as a client visit does, inside an executor task, so
 // its products stay on one goroutine like the strips': a parallel row cut
-// would move rows between the float64 tile and its Go body, which agree
-// on every bit but a NaN's payload.
+// would move rows between the tile and its Go body, which agree on every
+// bit but a NaN's payload.
 func TestConv2DStripsMatchWholeMatrixOracle(t *testing.T) {
-	onBothF32Paths(t, func(t *testing.T, _ string) {
+	onBothPaths(t, func(t *testing.T) {
 		t.Run("float64", testConv2DStripsMatchWholeMatrixOracle[float64])
 		t.Run("float32", testConv2DStripsMatchWholeMatrixOracle[float32])
 	})

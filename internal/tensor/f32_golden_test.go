@@ -3,10 +3,13 @@ package tensor_test
 // Float32 golden fingerprints. The float64 path has bit-level pins
 // (internal/engine/equivalence_test.go); until this file the float32
 // path had only divergence bounds and self-consistency checks, so a
-// refactor could have changed every float32 bit and stayed green. The
-// constants below were recorded at commit a9d0e46 — the last one with a
-// hand-mirrored float32 stack — on both kernel paths, and must never be
-// regenerated to make a change pass.
+// refactor could have changed every float32 bit and stayed green. Each
+// case has one value, and both kernel paths must produce it: the float32
+// kernels sum every output as one in-order chain, as the float64 ones
+// do, so the assembly and the pure-Go bodies agree bit for bit. The
+// constants were re-recorded once, when float32 moved to those kernels
+// (CHANGES.md lists old → new), and must never be regenerated to make a
+// change pass.
 //
 // The file lives in package tensor's directory because the kernel-path
 // switch (SetUseASM) is test-only API of this package.
@@ -27,9 +30,9 @@ import (
 	"fedclust/internal/tensor"
 )
 
-// onBothF32Paths runs f once per float32 kernel path, pure-Go first. The
-// AVX2 leg is skipped on hosts whose init did not select it.
-func onBothF32Paths(t *testing.T, f func(t *testing.T, path string)) {
+// onBothPaths runs f once per kernel path, pure-Go first. The AVX2 leg
+// is skipped on hosts whose init did not select it.
+func onBothPaths(t *testing.T, f func(t *testing.T)) {
 	hasASM := tensor.UseASM()
 	for _, useASM := range []bool{false, true} {
 		path := "purego"
@@ -38,10 +41,10 @@ func onBothF32Paths(t *testing.T, f func(t *testing.T, path string)) {
 		}
 		t.Run(path, func(t *testing.T) {
 			if useASM && !hasASM {
-				t.Skip("host has no AVX2+FMA")
+				t.Skip("host has no AVX2")
 			}
 			defer tensor.SetUseASM(tensor.SetUseASM(useASM))
-			f(t, path)
+			f(t)
 		})
 	}
 }
@@ -79,19 +82,16 @@ func TestFloat32VisitGolden(t *testing.T) {
 		name  string
 		build func() *nn.Sequential
 		cfg   fl.LocalConfig
-		want  map[string]string
+		want  string
 	}{
-		{"lenet5", func() *nn.Sequential { return nn.LeNet5(rng.New(1), 1, 12, 12, 4, 0.5) }, plain,
-			map[string]string{"purego": "be8bf4510b5ad4e1", "avx2": "05d75c6fd73f761a"}},
-		{"mlp", func() *nn.Sequential { return nn.MLP(rng.New(2), 144, 24, 4) }, plain,
-			map[string]string{"purego": "1eabf67d5e9bda15", "avx2": "86976dececcc09ff"}},
-		{"lenet5-full", func() *nn.Sequential { return nn.LeNet5(rng.New(3), 1, 12, 12, 4, 0.5) }, full,
-			map[string]string{"purego": "cb209c7c57ffc122", "avx2": "70a9284c5c7e6999"}},
+		{"lenet5", func() *nn.Sequential { return nn.LeNet5(rng.New(1), 1, 12, 12, 4, 0.5) }, plain, "866289d1269f730f"},
+		{"mlp", func() *nn.Sequential { return nn.MLP(rng.New(2), 144, 24, 4) }, plain, "772e64b9f4ae9de4"},
+		{"lenet5-full", func() *nn.Sequential { return nn.LeNet5(rng.New(3), 1, 12, 12, 4, 0.5) }, full, "5e994881c9bf60ac"},
 	}
-	onBothF32Paths(t, func(t *testing.T, path string) {
+	onBothPaths(t, func(t *testing.T) {
 		for _, c := range cases {
-			if got := visitFingerprint(c.build(), img, c.cfg); got != c.want[path] {
-				t.Errorf("%s: float32 visit drifted\n got: %s\nwant: %s", c.name, got, c.want[path])
+			if got := visitFingerprint(c.build(), img, c.cfg); got != c.want {
+				t.Errorf("%s: float32 visit drifted\n got: %s\nwant: %s", c.name, got, c.want)
 			}
 		}
 	})
@@ -147,23 +147,17 @@ func TestFloat32RunGolden(t *testing.T) {
 	cases := []struct {
 		name    string
 		trainer func() fl.Trainer
-		want    map[string]string
+		want    string
 	}{
 		{"FedAvg", func() fl.Trainer { return methods.FedAvg{} },
-			map[string]string{
-				"purego": "acc=3fec71c71c71c71c loss=3fd5e9fc62003da9 up=199692 down=200682 form=-1 formUp=0 clusters=[] h=fc922a04631f7b3c",
-				"avx2":   "acc=3fec71c71c71c71c loss=3fd5e9fc69efab13 up=199692 down=200682 form=-1 formUp=0 clusters=[] h=e70509f83352b8b4",
-			}},
+			"acc=3fec71c71c71c71c loss=3fd5e9fc70b1d528 up=199692 down=200682 form=-1 formUp=0 clusters=[] h=c9af11ea47585df0"},
 		{"FedClust", func() fl.Trainer { return &core.FedClust{} },
-			map[string]string{
-				"purego": "acc=3fef05b05b05b05b loss=3fba36e337ff128b up=203856 down=267576 form=0 formUp=4164 clusters=[0 0 0 1 1 1] h=71b54097286d6cc9",
-				"avx2":   "acc=3fef05b05b05b05b loss=3fba36e36b0abcc0 up=203856 down=267576 form=0 formUp=4164 clusters=[0 0 0 1 1 1] h=e9ea75e0f00e54ec",
-			}},
+			"acc=3fef05b05b05b05b loss=3fba36e36efa6573 up=203856 down=267576 form=0 formUp=4164 clusters=[0 0 0 1 1 1] h=baa164b99641e983"},
 	}
-	onBothF32Paths(t, func(t *testing.T, path string) {
+	onBothPaths(t, func(t *testing.T) {
 		for _, c := range cases {
-			if got := resultFingerprint(c.trainer().Run(f32GoldenEnv())); got != c.want[path] {
-				t.Errorf("%s: float32 run drifted\n got: %s\nwant: %s", c.name, got, c.want[path])
+			if got := resultFingerprint(c.trainer().Run(f32GoldenEnv())); got != c.want {
+				t.Errorf("%s: float32 run drifted\n got: %s\nwant: %s", c.name, got, c.want)
 			}
 		}
 	})

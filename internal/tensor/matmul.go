@@ -13,19 +13,24 @@ import (
 // stay on the calling goroutine to avoid scheduling overhead.
 const parallelThreshold = 64 * 1024
 
+// parallelThreshold32 is the float32 analogue of parallelThreshold. The
+// float32 kernels move twice the elements per cache line and (on AVX2
+// hosts) eight per instruction, so a product must be several times
+// larger before the executor handoff pays for itself.
+const parallelThreshold32 = 4 * parallelThreshold
+
 // MatMulInto computes dst = a(m×k) · b(k×n) for rank-2 tensors,
 // parallelizing over row blocks when the product is large enough. dst
 // must not alias a or b and must have shape (a.rows, b.cols).
 //
-// All three products (this one, MatMulTransBInto, MatMulTransAInto) hand
-// their rows to the element type's own kernels: the float64 loops below
-// skip zero multiplicands; float32 (matmul32.go) is built from the dense
-// dot/axpy primitives of kernels32.go, where a zero test would cost more
-// than it saves and break the 4-wide blocking. Either way each output
-// element is summed in a fixed order determined only by the operand
-// shapes, so parallel and serial runs are bit-identical. The float64
-// assembly (transBTiles, f64AxpyAVX2) keeps that order and both
-// roundings of every term, so in float64 the gate changes no bit either.
+// All three products (this one, MatMulTransBInto, MatMulTransAInto) run
+// one generic body per row kernel in both element types: each output
+// element is one chain over p in increasing order, the product rounded
+// before the sum, zero multiplicands skipped. That order is fixed by the
+// operand shapes alone, so parallel and serial runs are bit-identical.
+// The assembly under the kernels (the a·bᵀ tile and the axpy, one body
+// per element type) keeps the order, both roundings and the skip, so the
+// gate changes no bit either.
 func MatMulInto[T Float](dst, a, b *Of[T]) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
 		panic("tensor: MatMul requires rank-2 tensors")
@@ -41,7 +46,7 @@ func MatMulInto[T Float](dst, a, b *Of[T]) {
 	runRows(plain, dst, a, b, m, m*n*k)
 }
 
-// variant indexes the matmul forms in the per-type kernel tables.
+// variant names a matmul form.
 type variant int
 
 const (
@@ -51,24 +56,29 @@ const (
 	transAAdd
 )
 
-// rowsKernel computes rows [lo, hi) of one matmul variant. Every serial
-// kernel has this shape, so the parallel dispatch is a plain function
-// value — no per-call closure.
-type rowsKernel[T Float] func(dst, a, b *Of[T], lo, hi int)
+// variantRows computes rows [lo, hi) of variant v: the one kernel call of
+// the serial and the parallel path alike, so the dispatch needs no closure.
+func variantRows[T Float](v variant, dst, a, b *Of[T], lo, hi int) {
+	switch v {
+	case plain:
+		matmulRows(dst, a, b, lo, hi)
+	case transB:
+		matmulTransBRows(dst, a, b, lo, hi)
+	case transA:
+		matmulTransARows(dst, a, b, lo, hi)
+	case transAAdd:
+		matmulTransAAddRows(dst, a, b, lo, hi)
+	}
+}
 
-var (
-	kernels64 = [...]rowsKernel[float64]{plain: matmulRows, transB: matmulTransBRows, transA: matmulTransARows, transAAdd: matmulTransAAddRows}
-	kernels32 = [...]rowsKernel[float32]{plain: matmul32Rows, transB: matmulTransB32Rows, transA: matmulTransA32Rows, transAAdd: matmulTransA32AddRows}
-)
-
-// runRows is the one place the element type picks a kernel: a pointer
-// type switch per matmul call, never per element.
+// runRows picks the element type's parallel slot: a pointer type switch
+// per matmul call, never per element.
 func runRows[T Float](v variant, dst, a, b *Of[T], m, work int) {
 	switch d := any(dst).(type) {
 	case *Tensor:
-		par64.rows(kernels64[v], d, any(a).(*Tensor), any(b).(*Tensor), m, work)
+		par64.rows(v, d, any(a).(*Tensor), any(b).(*Tensor), m, work)
 	case *Tensor32:
-		par32.rows(kernels32[v], d, any(a).(*Tensor32), any(b).(*Tensor32), m, work)
+		par32.rows(v, d, any(a).(*Tensor32), any(b).(*Tensor32), m, work)
 	}
 }
 
@@ -110,7 +120,7 @@ type parSlot[T Float] struct {
 	// persistent task executor workers run.
 	runBlock func(_, blk int)
 
-	kernel    rowsKernel[T]
+	v         variant
 	dst, a, b *Of[T]
 	chunk, m  int
 }
@@ -134,21 +144,21 @@ func (d *parSlot[T]) block(_, blk int) {
 	if hi > d.m {
 		hi = d.m
 	}
-	d.kernel(d.dst, d.a, d.b, lo, hi)
+	variantRows(d.v, d.dst, d.a, d.b, lo, hi)
 }
 
-// rows computes all m rows of dst with kernel: across the executor when
+// rows computes all m rows of dst for variant v: across the executor when
 // the product (work multiply-adds) is large enough and the executor is
 // free, on the calling goroutine otherwise. Small products — the
 // per-batch products inside a training step — stay serial, which
 // performs no scheduling work and no allocations.
-func (d *parSlot[T]) rows(kernel rowsKernel[T], dst, a, b *Of[T], m, work int) {
-	if work < d.threshold || procsHint() < 2 || m < 2 || !d.parallel(kernel, dst, a, b, m) {
-		kernel(dst, a, b, 0, m)
+func (d *parSlot[T]) rows(v variant, dst, a, b *Of[T], m, work int) {
+	if work < d.threshold || procsHint() < 2 || m < 2 || !d.parallel(v, dst, a, b, m) {
+		variantRows(v, dst, a, b, 0, m)
 	}
 }
 
-// parallel runs kernel over contiguous row blocks of [0, m) on the
+// parallel runs variant v over contiguous row blocks of [0, m) on the
 // shared executor and reports whether it ran. It refuses — returning
 // false, caller must run the serial kernel — when the executor is
 // unavailable: the call is nested inside a running region (a kernel
@@ -158,7 +168,7 @@ func (d *parSlot[T]) rows(kernel rowsKernel[T], dst, a, b *Of[T], m, work int) {
 // results: every output element is produced by exactly one block with a
 // fixed per-element summation order, so parallel and serial runs are
 // bit-identical.
-func (d *parSlot[T]) parallel(kernel rowsKernel[T], dst, a, b *Of[T], m int) bool {
+func (d *parSlot[T]) parallel(v variant, dst, a, b *Of[T], m int) bool {
 	if sched.Busy() {
 		return false
 	}
@@ -173,23 +183,26 @@ func (d *parSlot[T]) parallel(kernel rowsKernel[T], dst, a, b *Of[T], m int) boo
 	}
 	chunk := (m + width - 1) / width
 	blocks := (m + chunk - 1) / chunk
-	d.kernel, d.dst, d.a, d.b = kernel, dst, a, b
+	d.v, d.dst, d.a, d.b = v, dst, a, b
 	d.chunk, d.m = chunk, m
 	p.RunAcquired(blocks, width, d.runBlock)
-	d.kernel, d.dst, d.a, d.b = nil, nil, nil, nil
+	d.dst, d.a, d.b = nil, nil, nil
 	return true
 }
 
 // MatMulTransBInto computes dst = a · bᵀ for rank-2 tensors without
 // materializing the transpose: a is (m, k), b is (n, k), dst is (m, n)
 // and must not alias a or b. Each output element is the dot product of an
-// a-row with a b-row; in float64 it is summed over p in increasing order
-// with the same skip-zero rule as matmulRows, so the result is
-// bit-identical to MatMulInto(dst, a, Transpose(b)).
+// a-row with a b-row, summed over p in increasing order with the same
+// skip-zero rule as matmulRows, so the result is bit-identical to
+// MatMulInto(dst, a, Transpose(b)).
 func MatMulTransBInto[T Float](dst, a, b *Of[T]) {
 	m, k, n := transBDims(dst, a, b)
 	runRows(transB, dst, a, b, m, m*n*k)
 }
+
+// MatMulTransB32Into is MatMulTransBInto on float32 operands.
+func MatMulTransB32Into(dst, a, b *Tensor32) { MatMulTransBInto(dst, a, b) }
 
 // transBDims checks the shapes of dst = a · bᵀ and returns m, k, n.
 func transBDims[T Float](dst, a, b *Of[T]) (m, k, n int) {
@@ -211,13 +224,13 @@ func transBDims[T Float](dst, a, b *Of[T]) (m, k, n int) {
 // in turn — a convolution's weights against each strip of its unrolled
 // input. Pack lays b out for the kernel once; MulInto then runs one
 // product per a on the calling goroutine, since a strip is L1-sized and
-// too small to split across workers. On the float64 tile path the layout
-// is the 4-wide panel of every column block, the one MatMulTransBInto
-// packs on its stack per call; float32's dot kernel and the Go body read
-// b's rows as they are. Either way MulInto's bits are MatMulTransBInto's.
+// too small to split across workers. On the tile path the layout is the
+// lanes-wide panel of every column block, the one MatMulTransBInto packs
+// on its stack per call; the Go body reads b's rows as they are. Either
+// way MulInto's bits are MatMulTransBInto's.
 type TransBPanel[T Float] struct {
 	b     *Of[T]
-	panel []float64 // float64 tile path: column block j/4 at j·k
+	panel []T // tile path: column block j/lanes at j·k
 }
 
 // Pack makes b the operand of the products that follow; b's contents
@@ -228,17 +241,17 @@ func (p *TransBPanel[T]) Pack(b *Of[T]) {
 	}
 	p.b, p.panel = b, p.panel[:0]
 	n, k := b.Shape[0], b.Shape[1]
-	b64, ok := any(b).(*Tensor)
-	if !ok || !useASM || k == 0 || k > transBPanelK {
+	if !useASM || k == 0 || k > transBPanelK {
 		return
 	}
-	if need := (n + 3) / 4 * 4 * k; cap(p.panel) < need {
-		p.panel = make([]float64, need)
+	w := lanes[T]()
+	if need := (n + w - 1) / w * w * k; cap(p.panel) < need {
+		p.panel = make([]T, need)
 	} else {
 		p.panel = p.panel[:need]
 	}
-	for j := 0; j < n; j += 4 {
-		packTransB(p.panel[j*k:][:4*k], b64.Data, k, n, j)
+	for j := 0; j < n; j += w {
+		packTransB(p.panel[j*k:][:w*k], b.Data, k, n, j)
 	}
 }
 
@@ -247,20 +260,15 @@ func (p *TransBPanel[T]) Pack(b *Of[T]) {
 // packed panels, the rest through the Go body, as matmulTransBRows splits.
 func (p *TransBPanel[T]) MulInto(dst, a *Of[T]) {
 	m, k, n := transBDims(dst, a, p.b)
-	switch d := any(dst).(type) {
-	case *Tensor:
-		a64 := any(a).(*Tensor)
-		lo := 0
-		if useASM && len(p.panel) > 0 && m >= 4 {
-			lo = m &^ 3
-			for j := 0; j < n; j += 4 {
-				tileBlock(d.Data, a64.Data, p.panel[j*k:][:4*k], k, n, j, 0, lo)
-			}
+	lo := 0
+	if useASM && len(p.panel) > 0 && m >= 4 {
+		lo = m &^ 3
+		w := lanes[T]()
+		for j := 0; j < n; j += w {
+			tileBlock(dst.Data, a.Data, p.panel[j*k:][:w*k], k, n, j, 0, lo)
 		}
-		matmulTransBRowsGo(d, a64, any(p.b).(*Tensor), lo, m)
-	case *Tensor32:
-		matmulTransB32Rows(d, any(a).(*Tensor32), any(p.b).(*Tensor32), 0, m)
 	}
+	matmulTransBRowsGo(dst, a, p.b, lo, m)
 }
 
 // matmulTransBRows computes rows [lo,hi) of dst = a·bᵀ: on AVX2 hosts
@@ -268,7 +276,7 @@ func (p *TransBPanel[T]) MulInto(dst, a *Of[T]) {
 // (hi-lo) mod 4 tail, blocks of fewer than four rows, k beyond the panel
 // bound — through the Go body. Both produce the same bits for every
 // element, so where a row block is cut decides nothing.
-func matmulTransBRows(dst, a, b *Tensor, lo, hi int) {
+func matmulTransBRows[T Float](dst, a, b *Of[T], lo, hi int) {
 	if k := a.Shape[1]; useASM && hi-lo >= 4 && k > 0 && k <= transBPanelK {
 		mid := lo + (hi-lo)&^3
 		transBTiles(dst.Data, a.Data, b.Data, k, dst.Shape[1], lo, mid)
@@ -294,7 +302,7 @@ func matmulTransBRows(dst, a, b *Tensor, lo, hi int) {
 // This is the specification of the product: the non-amd64 path, the
 // fallback beside the assembly tile, and what the oracle tests compare
 // the tile against with ==.
-func matmulTransBRowsGo(dst, a, b *Tensor, lo, hi int) {
+func matmulTransBRowsGo[T Float](dst, a, b *Of[T], lo, hi int) {
 	k, n := a.Shape[1], dst.Shape[1]
 	for i := lo; i < hi; i++ {
 		aRow := a.Data[i*k : (i+1)*k]
@@ -305,15 +313,15 @@ func matmulTransBRowsGo(dst, a, b *Tensor, lo, hi int) {
 			b1 := b.Data[(j+1)*k : (j+2)*k]
 			b2 := b.Data[(j+2)*k : (j+3)*k]
 			b3 := b.Data[(j+3)*k : (j+4)*k]
-			var s0, s1, s2, s3 float64
+			var s0, s1, s2, s3 T
 			for p, av := range aRow {
 				if av == 0 {
 					continue
 				}
-				s0 += float64(av * b0[p])
-				s1 += float64(av * b1[p])
-				s2 += float64(av * b2[p])
-				s3 += float64(av * b3[p])
+				s0 += T(av * b0[p])
+				s1 += T(av * b1[p])
+				s2 += T(av * b2[p])
+				s3 += T(av * b3[p])
 			}
 			outRow[j], outRow[j+1], outRow[j+2], outRow[j+3] = s0, s1, s2, s3
 		}
@@ -322,36 +330,36 @@ func matmulTransBRowsGo(dst, a, b *Tensor, lo, hi int) {
 			b0 := b.Data[j*k : (j+1)*k]
 			b1 := b.Data[(j+1)*k : (j+2)*k]
 			b2 := b.Data[(j+2)*k : (j+3)*k]
-			var s0, s1, s2 float64
+			var s0, s1, s2 T
 			for p, av := range aRow {
 				if av == 0 {
 					continue
 				}
-				s0 += float64(av * b0[p])
-				s1 += float64(av * b1[p])
-				s2 += float64(av * b2[p])
+				s0 += T(av * b0[p])
+				s1 += T(av * b1[p])
+				s2 += T(av * b2[p])
 			}
 			outRow[j], outRow[j+1], outRow[j+2] = s0, s1, s2
 		case 2:
 			b0 := b.Data[j*k : (j+1)*k]
 			b1 := b.Data[(j+1)*k : (j+2)*k]
-			var s0, s1 float64
+			var s0, s1 T
 			for p, av := range aRow {
 				if av == 0 {
 					continue
 				}
-				s0 += float64(av * b0[p])
-				s1 += float64(av * b1[p])
+				s0 += T(av * b0[p])
+				s1 += T(av * b1[p])
 			}
 			outRow[j], outRow[j+1] = s0, s1
 		case 1:
 			b0 := b.Data[j*k : (j+1)*k]
-			var s0 float64
+			var s0 T
 			for p, av := range aRow {
 				if av == 0 {
 					continue
 				}
-				s0 += float64(av * b0[p])
+				s0 += T(av * b0[p])
 			}
 			outRow[j] = s0
 		}
@@ -360,9 +368,9 @@ func matmulTransBRowsGo(dst, a, b *Tensor, lo, hi int) {
 
 // MatMulTransAInto computes dst = aᵀ · b without materializing the
 // transpose: a is (k, m), b is (k, n), dst is (m, n) and must not alias
-// a or b. In float64, row i of dst accumulates a's column i against b's
-// rows over p in increasing order with the same skip-zero rule as
-// matmulRows, so the result is bit-identical to MatMulInto(dst, Transpose(a), b).
+// a or b. Row i of dst accumulates a's column i against b's rows over p
+// in increasing order with the same skip-zero rule as matmulRows, so the
+// result is bit-identical to MatMulInto(dst, Transpose(a), b).
 func MatMulTransAInto[T Float](dst, a, b *Of[T]) {
 	m, k, n := transADims(dst, a, b)
 	runRows(transA, dst, a, b, m, m*n*k)
@@ -372,9 +380,8 @@ func MatMulTransAInto[T Float](dst, a, b *Of[T]) {
 // on from its current value with the chain MatMulTransAInto starts at
 // zero. So a product cut along k (the rows of a and b) into consecutive
 // blocks and added block by block, in order, into a zeroed dst is
-// bit-identical to MatMulTransAInto over the whole — provided every block
-// but the last is a multiple of four rows long, because float32 takes
-// four rows per step.
+// bit-identical to MatMulTransAInto over the whole, wherever the blocks
+// are cut.
 func MatMulTransAAddInto[T Float](dst, a, b *Of[T]) {
 	m, k, n := transADims(dst, a, b)
 	runRows(transAAdd, dst, a, b, m, m*n*k)
@@ -396,71 +403,75 @@ func transADims[T Float](dst, a, b *Of[T]) (m, k, n int) {
 	return m, k, n
 }
 
-// axpyMinN is the shortest output row handed to f64AxpyAVX2: two vector
-// steps. Shorter rows keep the inline loop.
+// axpyMinN is the shortest output row handed to the assembly axpy: two
+// float64 vector steps, one float32 step. Shorter rows keep the inline
+// loop.
 const axpyMinN = 8
 
 // matmulTransARows computes rows [lo,hi) of dst = aᵀ·b: it zeroes them,
 // then accumulates.
-func matmulTransARows(dst, a, b *Tensor, lo, hi int) {
+func matmulTransARows[T Float](dst, a, b *Of[T], lo, hi int) {
 	n := dst.Shape[1]
 	clear(dst.Data[lo*n : hi*n])
 	matmulTransAAddRows(dst, a, b, lo, hi)
 }
 
 // matmulTransAAddRows accumulates aᵀ·b into rows [lo,hi) of dst,
-// streaming a's column i against b's rows. The accumulate under the
-// skip-zero branch is f64AxpyAVX2 on AVX2 hosts — product rounded, then
-// the sum, per element as in the loop it stands in for — and the loop
-// itself otherwise.
-func matmulTransAAddRows(dst, a, b *Tensor, lo, hi int) {
-	k, m, n := a.Shape[0], a.Shape[1], dst.Shape[1]
+// streaming a's column i against b's rows.
+func matmulTransAAddRows[T Float](dst, a, b *Of[T], lo, hi int) {
+	k, m := a.Shape[0], a.Shape[1]
+	axpyRows(dst.Data, a.Data, b.Data, k, dst.Shape[1], 1, m, lo, hi)
+}
+
+// matmulRows computes rows [lo,hi) of dst = a·b using an ikj loop order
+// that streams b rows sequentially (cache-friendly without explicit
+// tiling): it zeroes them, then accumulates a's row i against b's rows.
+func matmulRows[T Float](dst, a, b *Of[T], lo, hi int) {
+	k, n := a.Shape[1], b.Shape[1]
+	clear(dst.Data[lo*n : hi*n])
+	axpyRows(dst.Data, a.Data, b.Data, k, n, k, 1, lo, hi)
+}
+
+// axpyRows accumulates Σ_p a(i,p)·b[p] into rows [lo,hi) of dst (n wide),
+// p ascending over the k rows of b, where a(i,p) = a[i·si + p·sp]: a's
+// row i for a·b (si = k, sp = 1), its column i for aᵀ·b (si = 1, sp = m).
+// A zero a(i,p) skips its term: each run of up to len(terms) p first
+// lists its non-zero ones without a branch (a zero is a coin flip in a
+// ReLU gradient), then accumulates them. On AVX2 hosts a row of at least
+// axpyMinN accumulates through the element type's assembly axpy —
+// product rounded, then the sum, per element as in the loop it stands in
+// for — and through the loop itself otherwise.
+func axpyRows[T Float](dst, a, b []T, k, n, si, sp, lo, hi int) {
 	wide := useASM && n >= axpyMinN
+	var terms [64]int
 	for i := lo; i < hi; i++ {
-		outRow := dst.Data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := a.Data[p*m+i]
-			if av == 0 {
-				continue
+		outRow := dst[i*n : (i+1)*n]
+		for p0 := 0; p0 < k; p0 += len(terms) {
+			nz := 0
+			for p := p0; p < min(p0+len(terms), k); p++ {
+				terms[nz&(len(terms)-1)] = p // nz < len(terms) here; the mask proves it
+				nz += b2i(a[i*si+p*sp] != 0)
 			}
-			bRow := b.Data[p*n : (p+1)*n]
-			if wide {
-				f64AxpyAVX2(&outRow[0], &bRow[0], av, n)
-				continue
-			}
-			for j, bv := range bRow {
-				outRow[j] += float64(av * bv)
+			for _, p := range terms[:nz] {
+				av, bRow := a[i*si+p*sp], b[p*n:(p+1)*n]
+				if wide {
+					axpyAVX2(&outRow[0], &bRow[0], av, n)
+					continue
+				}
+				for j, bv := range bRow {
+					outRow[j] += T(av * bv)
+				}
 			}
 		}
 	}
 }
 
-// matmulRows computes rows [lo,hi) of dst = a·b using an ikj loop order
-// that streams b rows sequentially (cache-friendly without explicit
-// tiling); the accumulate is dispatched as in matmulTransARows.
-func matmulRows(dst, a, b *Tensor, lo, hi int) {
-	k, n := a.Shape[1], b.Shape[1]
-	wide := useASM && n >= axpyMinN
-	for i := lo; i < hi; i++ {
-		outRow := dst.Data[i*n : (i+1)*n]
-		for x := range outRow {
-			outRow[x] = 0
-		}
-		aRow := a.Data[i*k : (i+1)*k]
-		for p, av := range aRow {
-			if av == 0 {
-				continue
-			}
-			bRow := b.Data[p*n : (p+1)*n]
-			if wide {
-				f64AxpyAVX2(&outRow[0], &bRow[0], av, n)
-				continue
-			}
-			for j, bv := range bRow {
-				outRow[j] += float64(av * bv)
-			}
-		}
+// b2i is 1 for true, 0 for false; inlined, it compiles to a SETcc.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
+	return 0
 }
 
 // Transpose returns the transpose of a rank-2 tensor as a new tensor.

@@ -3,7 +3,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"fedclust/internal/rng"
@@ -23,55 +22,6 @@ func relErr32(got, want float64) float64 {
 		scale = 1
 	}
 	return math.Abs(got-want) / scale
-}
-
-// TestF32PrimitivesAsmVsGeneric checks that the AVX2 kernels agree with
-// the pure-Go fallbacks to float32 rounding noise across lengths that
-// exercise every main-loop/mid-loop/tail combination. Skipped when the
-// host has no AVX2 path to compare.
-func TestF32PrimitivesAsmVsGeneric(t *testing.T) {
-	if !UseASM() {
-		t.Skip("no AVX2+FMA kernel path on this host")
-	}
-	r := rng.New(7)
-	for _, n := range []int{1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 100, 127, 128, 129, 1000} {
-		a := randSlice32(r, n)
-		b0, b1, b2, b3 := randSlice32(r, n), randSlice32(r, n), randSlice32(r, n), randSlice32(r, n)
-
-		gotDot := float64(f32DotAVX2(&a[0], &b0[0], n))
-		wantDot := float64(f32DotGeneric(a, b0))
-		if relErr32(gotDot, wantDot) > 1e-4 {
-			t.Errorf("dot n=%d: asm %g generic %g", n, gotDot, wantDot)
-		}
-
-		g0, g1, g2, g3 := f32Dot4AVX2(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], n)
-		w0, w1, w2, w3 := f32Dot4Generic(a, b0, b1, b2, b3)
-		for j, pair := range [][2]float32{{g0, w0}, {g1, w1}, {g2, w2}, {g3, w3}} {
-			if relErr32(float64(pair[0]), float64(pair[1])) > 1e-4 {
-				t.Errorf("dot4 n=%d out=%d: asm %g generic %g", n, j, pair[0], pair[1])
-			}
-		}
-
-		dstA := append([]float32(nil), b1...)
-		dstG := append([]float32(nil), b1...)
-		f32AxpyAVX2(&dstA[0], &a[0], 0.37, n)
-		f32AxpyGeneric(dstG, a, 0.37)
-		for i := range dstA {
-			if relErr32(float64(dstA[i]), float64(dstG[i])) > 1e-4 {
-				t.Fatalf("axpy n=%d i=%d: asm %g generic %g", n, i, dstA[i], dstG[i])
-			}
-		}
-
-		dstA = append(dstA[:0], b0...)
-		dstG = append(dstG[:0], b0...)
-		f32Axpy4AVX2(&dstA[0], &a[0], &b1[0], &b2[0], &b3[0], 0.5, -1.25, 2, 0.125, n)
-		f32Axpy4Generic(dstG, a, b1, b2, b3, 0.5, -1.25, 2, 0.125)
-		for i := range dstA {
-			if relErr32(float64(dstA[i]), float64(dstG[i])) > 1e-4 {
-				t.Fatalf("axpy4 n=%d i=%d: asm %g generic %g", n, i, dstA[i], dstG[i])
-			}
-		}
-	}
 }
 
 // matmul32Ref computes the reference product in float64 from float32
@@ -160,51 +110,6 @@ func TestMatMul32Variants(t *testing.T) {
 				checkClose32(t, fmt.Sprintf("MatMulTransA32 %v", s), dst, matmul32Ref(at, b, true, false), k)
 			}
 		})
-	}
-}
-
-// TestMatMul32ParallelBitIdentical checks the serial-fallback contract:
-// a product large enough to take the parallel path must produce
-// bit-identical results to the serial kernels.
-func TestMatMul32ParallelBitIdentical(t *testing.T) {
-	if runtime.GOMAXPROCS(0) < 2 {
-		t.Skip("needs GOMAXPROCS >= 2 for the parallel path")
-	}
-	r := rng.New(13)
-	// m*n*k must clear parallelThreshold32.
-	m, k, n := 64, 80, 64
-	if m*n*k < parallelThreshold32 {
-		t.Fatalf("test shape below parallelThreshold32")
-	}
-	a := FromSlice32(randSlice32(r, m*k), m, k)
-	b := FromSlice32(randSlice32(r, k*n), k, n)
-
-	serial := New32(m, n)
-	matmul32Rows(serial, a, b, 0, m)
-	par := New32(m, n)
-	MatMulInto(par, a, b)
-	for i := range par.Data {
-		if par.Data[i] != serial.Data[i] {
-			t.Fatalf("MatMul32 parallel diverges at %d: %g vs %g", i, par.Data[i], serial.Data[i])
-		}
-	}
-
-	bt := FromSlice32(randSlice32(r, n*k), n, k)
-	matmulTransB32Rows(serial, a, bt, 0, m)
-	MatMulTransBInto(par, a, bt)
-	for i := range par.Data {
-		if par.Data[i] != serial.Data[i] {
-			t.Fatalf("MatMulTransB32 parallel diverges at %d", i)
-		}
-	}
-
-	at := FromSlice32(randSlice32(r, k*m), k, m)
-	matmulTransA32Rows(serial, at, b, 0, m)
-	MatMulTransAInto(par, at, b)
-	for i := range par.Data {
-		if par.Data[i] != serial.Data[i] {
-			t.Fatalf("MatMulTransA32 parallel diverges at %d", i)
-		}
 	}
 }
 

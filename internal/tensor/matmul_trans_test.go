@@ -109,14 +109,9 @@ func TestIm2ColIntoLengthPanics(t *testing.T) {
 	Im2ColInto(make([]float64, 16), g, make([]float64, 3))
 }
 
-// edgeOf is edgeFloats in element type T: ±0, denormal products, ordinary
-// values and a sprinkling of ±Inf and NaN.
+// edgeOf is a rows×cols matrix of edgeValues, non-finite ones included.
 func edgeOf[T Float](r *rng.Rng, rows, cols int) *Of[T] {
-	v := make([]T, rows*cols)
-	for i, x := range edgeFloats(r, len(v), true) {
-		v[i] = T(x)
-	}
-	return FromSlice(v, rows, cols)
+	return FromSlice(edgeValues[T](r, rows*cols, true), rows, cols)
 }
 
 // sameBitsOf compares got and want on their encodings in their own
@@ -166,9 +161,9 @@ func testTransBPanelMatchesMatMulTransB[T Float](t *testing.T) {
 }
 
 // TestMatMulTransAAddInBlocksMatchesWhole: aᵀ·b cut along k into blocks
-// of a multiple of four rows (the last one shorter), added in order into
-// a zeroed dst, equals MatMulTransAInto over the whole k, bit for bit, in
-// both dtypes on both kernel paths.
+// of any length (the last one shorter), added in order into a zeroed dst,
+// equals MatMulTransAInto over the whole k, bit for bit, in both dtypes on
+// both kernel paths.
 func TestMatMulTransAAddInBlocksMatchesWhole(t *testing.T) {
 	t.Run("float64", onBothKernelPaths(testMatMulTransAAddInBlocksMatchesWhole[float64]))
 	t.Run("float32", onBothKernelPaths(testMatMulTransAAddInBlocksMatchesWhole[float32]))
@@ -182,7 +177,7 @@ func testMatMulTransAAddInBlocksMatchesWhole[T Float](t *testing.T) {
 				a, b := edgeOf[T](r, k, m), edgeOf[T](r, k, n)
 				want := NewOf[T](m, n)
 				MatMulTransAInto(want, a, b)
-				for _, blk := range []int{4, 8, 24} {
+				for _, blk := range []int{1, 3, 4, 7, 24} {
 					got := NewOf[T](m, n)
 					for lo := 0; lo < k; lo += blk {
 						hi := min(lo+blk, k)

@@ -60,14 +60,13 @@ func Mul(a, b *Tensor) *Tensor {
 	return out
 }
 
-// AddScaled adds s*o to t in place (axpy). Float32 tensors go through
-// the axpy32 primitive (AVX2 where available), float64 through the plain
-// loop — the two round differently, so the choice is part of each
-// element type's bit contract.
+// AddScaled adds s*o to t in place (axpy), the product rounded before the
+// sum: through the element type's assembly axpy on AVX2 hosts, the loop
+// otherwise, the same bits either way.
 func (t *Of[T]) AddScaled(o *Of[T], s T) {
 	checkSameShape("AddScaled", t, o)
-	if t32, ok := any(t).(*Tensor32); ok {
-		axpy32(t32.Data, any(o).(*Tensor32).Data, float32(s))
+	if n := len(t.Data); useASM && n > 0 {
+		axpyAVX2(&t.Data[0], &o.Data[0], s, n)
 		return
 	}
 	for i := range t.Data {

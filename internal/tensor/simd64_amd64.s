@@ -11,20 +11,23 @@
 // Every routine that touches a YMM register executes VZEROUPPER before
 // returning.
 
-// func f64TransBTileAVX2(a, panel *float64, k int, out *[16]float64)
+// func f64TransBTileAVX2(a, panel *float64, k int, out *float64)
 //
 // Four a-rows (stride k) against one packed panel of four b-rows: lane c
-// of accumulator r is output (r, c). Per p and row: broadcast a[r][p],
-// compare it NEQ_UQ against zero (all-ones unless a is ±0; NaN compares
-// true, as Go's `av == 0` is false for NaN), multiply by the panel row,
-// AND the product with the mask, add. A masked lane adds +0, which is
-// the identity on an accumulator that started at +0 (DESIGN.md §10).
+// of accumulator r is output (r, c), p ascending, product then sum. The
+// first pass adds every term. An Inf or NaN in the panel would make every
+// row's sum in its column non-finite, so when row 0's sums come out
+// finite the panel holds none, the skip-zero rule changes nothing, and
+// the first pass is the answer. Otherwise the second pass applies the
+// rule: per p and row it compares the broadcast a[r][p] NEQ_UQ against
+// zero (all-ones unless a is ±0; NaN compares true, as Go's `av == 0` is
+// false for NaN) and ANDs the product with that mask, so a skipped term
+// adds +0. DESIGN.md §10 proves both passes equal the Go body.
 //
 // The four a-rows are 8k contiguous bytes and the next call reads the 8k
-// after them (a is the 4.9 MB cols matrix in conv1's forward, streamed
-// from beyond L2), so each step also prefetches 32 bytes of the next
-// tile's rows. A prefetch past the end of a is a hint that faults
-// nothing.
+// after them, so each step of the first pass also prefetches 32 bytes of
+// the next tile's rows. A prefetch past the end of a is a hint that
+// faults nothing.
 TEXT ·f64TransBTileAVX2(SB), NOSPLIT, $0-32
 	MOVQ a+0(FP), SI
 	MOVQ panel+8(FP), DI
@@ -33,16 +36,46 @@ TEXT ·f64TransBTileAVX2(SB), NOSPLIT, $0-32
 	LEAQ (SI)(CX*8), R8
 	LEAQ (R8)(CX*8), R9
 	LEAQ (R9)(CX*8), R10
+	LEAQ (R10)(CX*8), R11
+	MOVQ DI, BX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ AX, AX
+tile64_loop:
+	PREFETCHT0 (R11)
+	ADDQ $32, R11
+	VMOVUPD (DI), Y4
+	VBROADCASTSD (SI)(AX*8), Y5
+	VBROADCASTSD (R8)(AX*8), Y6
+	VBROADCASTSD (R9)(AX*8), Y7
+	VBROADCASTSD (R10)(AX*8), Y8
+	VMULPD Y4, Y5, Y5
+	VMULPD Y4, Y6, Y6
+	VMULPD Y4, Y7, Y7
+	VMULPD Y4, Y8, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	ADDQ $32, DI
+	INCQ AX
+	CMPQ AX, CX
+	JLT  tile64_loop
+	VSUBPD Y0, Y0, Y9
+	VCMPPD $3, Y9, Y9, Y9
+	VMOVMSKPD Y9, AX
+	TESTL AX, AX
+	JZ   tile64_store
+	MOVQ BX, DI
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
 	VXORPD Y15, Y15, Y15
 	XORQ AX, AX
-	LEAQ (R10)(CX*8), R11
-tile_loop:
-	PREFETCHT0 (R11)
-	ADDQ $32, R11
+tile64_masked:
 	VMOVUPD (DI), Y4
 	VBROADCASTSD (SI)(AX*8), Y5
 	VBROADCASTSD (R8)(AX*8), Y6
@@ -67,7 +100,8 @@ tile_loop:
 	ADDQ $32, DI
 	INCQ AX
 	CMPQ AX, CX
-	JLT  tile_loop
+	JLT  tile64_masked
+tile64_store:
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
 	VMOVUPD Y2, 64(DX)

@@ -5,10 +5,10 @@ package tensor
 import "unsafe"
 
 // Non-amd64 builds never set useASM, so these stubs are unreachable;
-// they exist only to satisfy the references in matmul.go, kernels64.go
-// and im2col.go.
+// they exist only to satisfy the references in kernels.go and
+// im2col.go.
 
-func f64TransBTileAVX2(a, panel *float64, k int, out *[16]float64) {
+func f64TransBTileAVX2(a, panel *float64, k int, out *float64) {
 	panic("tensor: f64TransBTileAVX2 called without AVX2 support")
 }
 

@@ -5,21 +5,22 @@
 // The package is deliberately small: shapes are explicit, storage is a
 // flat slice, and there is no autograd — layers in internal/nn implement
 // their own backward passes against these kernels. One implementation,
-// Of[T], serves both element types; only the matmul row kernels and the
-// axpy behind AddScaled differ per type (float64: skip-zero blocked
-// loops, matmul.go; float32: dot/axpy primitives, matmul32.go /
-// kernels32.go), selected once per call from the operand type. On AVX2
-// hosts the inner loops of both — and the run copy under the unroll —
-// are assembly behind one per-process gate (DESIGN.md §10).
+// Of[T], serves both element types, the matmul row kernels included:
+// every output element is one chain, p ascending, each product rounded
+// before its sum, zero multiplicands skipped. Only the assembly under
+// them differs per type — an a·bᵀ tile and an axpy for each — and on
+// AVX2 hosts it, and the run copy under the unroll, sits behind one
+// per-process gate (DESIGN.md §10).
 package tensor
 
 import "fmt"
 
-// useASM is true when init (simd_amd64.go) found AVX2+FMA and an OS that
+// useASM is true when init (simd_amd64.go) found AVX2 and an OS that
 // saves the YMM state. It is the one gate in front of every assembly
-// kernel — the float32 dot/axpy family, the float64 a·bᵀ tile and axpy,
-// the strided run copy — and it is written once, before any kernel runs:
-// a process never mixes assembly and pure-Go results.
+// kernel — the a·bᵀ tile and the axpy of each element type, the strided
+// run copy — and it is written once, before any kernel runs. The
+// assembly gives the Go bodies' bits in both element types, so the gate
+// decides speed only.
 var useASM bool
 
 // Float is the element-type constraint of the numeric stack.
