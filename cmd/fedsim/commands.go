@@ -28,7 +28,7 @@ type command struct {
 // them, run does the work.
 type job struct {
 	check func() error
-	run   func(stdout, stderr io.Writer) int
+	run   func(stdout, stderr io.Writer) error
 }
 
 var commands = []command{
@@ -104,13 +104,13 @@ var commands = []command{
 		addrVar(fs, &addr, "coordinator address to dial")
 		fs.StringVar(&name, "name", "", "node name announced to the coordinator (default host-pid)")
 		fs.Float64Var(&s.rejoin, "rejoin", 0, "seconds to keep re-dialing a lost coordinator (0 = exit on disconnect)")
-		return job{run: func(io.Writer, io.Writer) int { runJoin(addr, name, s.rejoin); return 0 }}
+		return job{run: func(io.Writer, io.Writer) error { runJoin(addr, name, s.rejoin); return nil }}
 	}},
 	{name: "status", title: "query a running coordinator's control plane", query: true, bind: func(fs *flag.FlagSet, s *shared) job {
 		var addr string
 		addrVar(fs, &addr, "the coordinator's -control address")
 		trigger := fs.Bool("trigger-checkpoint", false, "also arm an on-demand checkpoint")
-		return job{run: func(io.Writer, io.Writer) int { runStatus(addr, *trigger); return 0 }}
+		return job{run: func(stdout, _ io.Writer) error { return runStatus(stdout, addr, *trigger) }}
 	}},
 	{name: "tail", title: "render a JSONL round journal (optionally following it)", query: true, bind: func(fs *flag.FlagSet, s *shared) job {
 		s.journalVar(fs, "the journal to read")
@@ -123,7 +123,7 @@ var commands = []command{
 				}
 				return nil
 			},
-			run: func(io.Writer, io.Writer) int { runTail(s.journal, *last, *follow); return 0 },
+			run: func(stdout, _ io.Writer) error { return runTail(stdout, s.journal, *last, *follow) },
 		}
 	}},
 }

@@ -61,8 +61,10 @@ func help() string {
 // run is fedsim's entry point with the process edges (arguments, output
 // streams, exit status) passed in. Nothing outside the process — journal
 // file, GOMAXPROCS — is touched before the subcommand and all its flags
-// have been accepted. serve/join/status/tail still print to the process's
-// own streams and exit through fatalf.
+// have been accepted. A subcommand's failure comes back as an error,
+// printed once as "fedsim: …" with exit status 1. serve and join still
+// print to the process's own streams and exit through fatalf until the
+// transport's listener and dialer can be injected (ROADMAP item 4(a)).
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) < 1 || args[0] == "-h" || args[0] == "--help" || args[0] == "help" {
 		fmt.Fprint(stderr, help())
@@ -106,8 +108,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if cmd.code != "" {
 		fmt.Fprintf(stdout, "== %s: %s ==\n", cmd.code, cmd.title)
 	}
-	if code := j.run(stdout, stderr); code != 0 {
-		return code
+	if err := j.run(stdout, stderr); err != nil {
+		fmt.Fprintf(stderr, "fedsim: %v\n", err)
+		return 1
 	}
 	if !cmd.query {
 		fmt.Fprintf(stdout, "\ncompleted in %v\n", time.Since(start).Round(time.Second))
@@ -171,10 +174,13 @@ func experiment[O interface{ Check() error }, R interface{ Report() experiments.
 	s *shared, o *O, c *experiments.Common, run func(O) R) job {
 	return job{
 		check: func() error { return (*o).Check() },
-		run: func(stdout, stderr io.Writer) int {
+		run: func(stdout, stderr io.Writer) error {
 			c.Progress, c.DType, c.Codec, c.TopKFrac = stdout, s.dtype, s.codec, s.topkFrac
 			if s.journal != "" {
-				journal := openJournal(s.journal, 0)
+				journal, err := openJournal(s.journal, 0)
+				if err != nil {
+					return err
+				}
 				c.Observer = journal
 				defer func() {
 					if err := journal.Err(); err != nil {
@@ -188,12 +194,11 @@ func experiment[O interface{ Check() error }, R interface{ Report() experiments.
 			rep.Render(stdout)
 			if s.csv != "" {
 				if err := writeCSV(s.csv, rep); err != nil {
-					fmt.Fprintf(stderr, "fedsim: %v\n", err)
-					return 1
+					return err
 				}
 				fmt.Fprintf(stdout, "wrote %s\n", s.csv)
 			}
-			return 0
+			return nil
 		},
 	}
 }

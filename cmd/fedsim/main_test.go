@@ -79,6 +79,13 @@ var invocations = []invocation{
 	{name: "reject-drift", args: []string{"hostile", "-drift-frac", "0.2", "-drift-round", "-3"}},
 	{name: "reject-aggregator", args: []string{"hostile", "-aggregator", "mean,mode"}},
 
+	// Failures after dispatch: exit 1 with one "fedsim: …" line.
+	{name: "tail-missing", args: []string{"tail", "-journal", "$TMP/missing.jsonl"}},
+	{name: "journal-missing-dir", args: []string{"comm", "-quick", "-rounds", "2", "-journal", "$TMP/no-such-dir/j.jsonl"}},
+
+	// tail renders a journal a three-round run wrote.
+	{name: "tail", args: []string{"tail", "-journal", "testdata/three-rounds.jsonl"}},
+
 	// Every experiment subcommand at a narrowed configuration.
 	{name: "table1", heavy: true, csv: true,
 		args: []string{"table1", "-quick", "-seeds", "1", "-datasets", "fmnist", "-methods", "FedAvg,FedClust"}},
@@ -283,29 +290,5 @@ func TestNoSideEffectsBeforeDispatch(t *testing.T) {
 			t.Errorf("fedsim %v set GOMAXPROCS to %d before rejecting the command line", args, got)
 			runtime.GOMAXPROCS(procs)
 		}
-	}
-}
-
-// TestHostileQuickCSVPinned regenerates results_hostile_quick.csv with the
-// command that produced it (13 s).
-func TestHostileQuickCSVPinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trains models: skipped in -short mode")
-	}
-	path := filepath.Join(t.TempDir(), "out.csv")
-	var out, errOut bytes.Buffer
-	if code := run([]string{"hostile", "-quick", "-csv", path}, &out, &errOut); code != 0 {
-		t.Fatalf("exit %d: %s", code, errOut.String())
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile("../../results_hostile_quick.csv")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("fedsim hostile -quick -csv no longer reproduces results_hostile_quick.csv:\n%s", got)
 	}
 }

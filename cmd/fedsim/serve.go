@@ -114,7 +114,7 @@ func bindServe(fs *flag.FlagSet, s *shared) job {
 	fs.IntVar(&s.ckptEvery, "checkpoint-every", 0, "emit a checkpoint every N completed rounds (0 = only on demand)")
 	fs.StringVar(&o.resumePath, "resume", "", "resume the run from this checkpoint file")
 	fs.StringVar(&o.controlAddr, "control", "", "HTTP control-plane listen address, e.g. :7172 (empty = disabled)")
-	return job{run: func(io.Writer, io.Writer) int { runServe(o, s); return 0 }}
+	return job{run: func(io.Writer, io.Writer) error { runServe(o, s); return nil }}
 }
 
 // runServe is the coordinator: wait for nodes, run the methods, report.
@@ -186,7 +186,10 @@ func runServe(o serveOptions, s *shared) {
 	if s.journal != "" {
 		// The journal rides alongside the tracker: same observations, one
 		// consumer serving live HTTP, one leaving a trace on disk.
-		journal := openJournal(s.journal, env.Local.Epochs)
+		journal, err := openJournal(s.journal, env.Local.Epochs)
+		if err != nil {
+			fatalf("%v", err)
+		}
 		env.Observer = fl.MultiObserver(tracker, journal)
 		defer func() {
 			if err := journal.Err(); err != nil {

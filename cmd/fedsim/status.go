@@ -14,35 +14,36 @@ import (
 // with `serve -control <addr>`) and prints the JSON snapshot; with
 // -trigger-checkpoint it first POSTs /checkpoint to arm the on-demand
 // snapshot trigger.
-func runStatus(addr string, trigger bool) {
+func runStatus(stdout io.Writer, addr string, trigger bool) error {
 	base := "http://" + displayAddr(addr)
 	client := &http.Client{Timeout: 5 * time.Second}
 	if trigger {
 		resp, err := client.Post(base+"/checkpoint", "application/json", strings.NewReader(""))
 		if err != nil {
-			fatalf("triggering checkpoint: %v", err)
+			return fmt.Errorf("triggering checkpoint: %w", err)
 		}
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			fatalf("triggering checkpoint: coordinator said %s", resp.Status)
+			return fmt.Errorf("triggering checkpoint: coordinator said %s", resp.Status)
 		}
-		fmt.Println("checkpoint trigger armed — next completed round snapshots")
+		fmt.Fprintln(stdout, "checkpoint trigger armed — next completed round snapshots")
 	}
 	resp, err := client.Get(base + "/status")
 	if err != nil {
-		fatalf("querying %s: %v", base, err)
+		return fmt.Errorf("querying %s: %w", base, err)
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		fatalf("reading status: %v", err)
+		return fmt.Errorf("reading status: %w", err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		fatalf("coordinator said %s: %s", resp.Status, strings.TrimSpace(string(body)))
+		return fmt.Errorf("coordinator said %s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
-	fmt.Print(string(body))
+	fmt.Fprint(stdout, string(body))
 	if !strings.HasSuffix(string(body), "\n") {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return nil
 }

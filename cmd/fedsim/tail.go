@@ -5,9 +5,9 @@ package main
 // appends to it.
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -18,34 +18,34 @@ import (
 
 // openJournal opens (creating, appending) a journal sink at path. Shared
 // by serve and the in-process experiments' -journal wiring.
-func openJournal(path string, epochs int) *obs.Journal {
+func openJournal(path string, epochs int) (*obs.Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		fatalf("opening -journal: %v", err)
+		return nil, fmt.Errorf("opening -journal: %w", err)
 	}
-	return obs.NewJournal(f, epochs)
+	return obs.NewJournal(f, epochs), nil
 }
 
 // runTail prints the last `last` round events of the journal at path
 // (0 = every round, run boundaries included), then with -follow keeps
 // polling the file and printing new events as the writer appends them.
-func runTail(path string, last int, follow bool) {
+func runTail(stdout io.Writer, path string, last int, follow bool) error {
 	if path == "" {
-		fatalf("tail needs -journal <path>")
+		return errors.New("tail needs -journal <path>")
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	events, offset := parseJournalLines(data)
+	events, offset := obs.ReadEvents(data)
 	if len(events) == 0 && !follow {
-		fatalf("%s holds no journal events", path)
+		return fmt.Errorf("%s holds no journal events", path)
 	}
 	for _, ev := range tailWindow(events, last) {
-		fmt.Println(formatEvent(ev))
+		fmt.Fprintln(stdout, formatEvent(ev))
 	}
 	if !follow {
-		return
+		return nil
 	}
 	// Follow by polling: re-read from the last complete line. A torn
 	// final line (the writer is mid-append) is retried next tick; a file
@@ -56,41 +56,15 @@ func runTail(path string, last int, follow bool) {
 		if err != nil {
 			continue
 		}
-		if int64(len(data)) < offset {
+		if len(data) < offset {
 			offset = 0
 		}
-		fresh, consumed := parseJournalLines(data[offset:])
+		fresh, consumed := obs.ReadEvents(data[offset:])
 		offset += consumed
 		for _, ev := range fresh {
-			fmt.Println(formatEvent(ev))
+			fmt.Fprintln(stdout, formatEvent(ev))
 		}
 	}
-}
-
-// parseJournalLines decodes the complete lines of buf, returning the
-// events and the byte count consumed (through the last newline). Torn or
-// foreign lines are skipped, not fatal: tail must keep up with a live
-// writer and with journals that outlive schema changes.
-func parseJournalLines(buf []byte) ([]obs.Event, int64) {
-	var out []obs.Event
-	consumed := 0
-	for {
-		nl := bytes.IndexByte(buf[consumed:], '\n')
-		if nl < 0 {
-			break
-		}
-		line := buf[consumed : consumed+nl]
-		consumed += nl + 1
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var ev obs.Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			continue
-		}
-		out = append(out, ev)
-	}
-	return out, int64(consumed)
 }
 
 // tailWindow trims events so at most `last` round events remain (0 keeps

@@ -274,12 +274,3 @@ func NumClusters(labels []int) int {
 	}
 	return len(seen)
 }
-
-// Members returns, for each cluster label, the sorted member indices.
-func Members(labels []int) map[int][]int {
-	out := make(map[int][]int)
-	for i, l := range labels {
-		out[l] = append(out[l], i)
-	}
-	return out
-}

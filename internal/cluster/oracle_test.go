@@ -218,6 +218,21 @@ func differentialFixtures(short bool) []fixture {
 	return fx
 }
 
+// silhouetteFixtures is the part of the differential set the silhouette
+// oracles run on. They cost O(n³) per cut range, so of the random
+// Euclidean matrices only n ≤ 16 stay; the tie, duplicate, grouped and
+// all-equal matrices, where the incremental walk's rescans and
+// tie-breaks are exercised, all stay.
+func silhouetteFixtures() []fixture {
+	var out []fixture
+	for _, fx := range differentialFixtures(true) {
+		if !strings.HasPrefix(fx.name, "euclid/") || fx.dist.Shape[0] <= 16 {
+			out = append(out, fx)
+		}
+	}
+	return out
+}
+
 var allLinkages = []Linkage{Single, Complete, Average, Ward}
 
 func TestAgglomerateMatchesNaive(t *testing.T) {
@@ -252,7 +267,7 @@ func TestAssignAfterMatchesNaive(t *testing.T) {
 }
 
 func TestSilhouetteScoresMatchDefinition(t *testing.T) {
-	for _, fx := range differentialFixtures(testing.Short()) {
+	for _, fx := range silhouetteFixtures() {
 		n := fx.dist.Shape[0]
 		if n < 2 {
 			continue
@@ -281,7 +296,7 @@ func TestSilhouetteScoresMatchDefinition(t *testing.T) {
 }
 
 func TestCutBestSilhouetteMatchesNaive(t *testing.T) {
-	for _, fx := range differentialFixtures(testing.Short()) {
+	for _, fx := range silhouetteFixtures() {
 		n := fx.dist.Shape[0]
 		if n == 0 {
 			continue // CutK(1) of an empty dendrogram panics, before and after

@@ -8,59 +8,6 @@ import (
 	"fedclust/internal/tensor"
 )
 
-// Silhouette computes the mean silhouette coefficient of a labeling
-// against a precomputed distance matrix. For each point, a is the mean
-// distance to its own cluster (excluding itself) and b the smallest mean
-// distance to any other cluster; the coefficient is (b-a)/max(a,b).
-// Singleton clusters contribute 0 (the standard convention). The result
-// lies in [-1, 1]; higher means tighter, better-separated clusters.
-func Silhouette(dist *tensor.Tensor, labels []int) float64 {
-	n := len(labels)
-	if dist.Shape[0] != n || dist.Shape[1] != n {
-		panic(fmt.Sprintf("cluster: Silhouette labels/matrix mismatch: %d vs %v", n, dist.Shape))
-	}
-	if n == 0 {
-		return 0
-	}
-	members := Members(labels)
-	if len(members) < 2 {
-		return 0 // silhouette undefined for a single cluster
-	}
-	var total float64
-	for i := 0; i < n; i++ {
-		own := members[labels[i]]
-		if len(own) == 1 {
-			continue // singleton: contributes 0
-		}
-		var a float64
-		for _, j := range own {
-			if j != i {
-				a += dist.At(i, j)
-			}
-		}
-		a /= float64(len(own) - 1)
-		b := math.Inf(1)
-		for l, m := range members {
-			if l == labels[i] {
-				continue
-			}
-			var d float64
-			for _, j := range m {
-				d += dist.At(i, j)
-			}
-			d /= float64(len(m))
-			if d < b {
-				b = d
-			}
-		}
-		denom := math.Max(a, b)
-		if denom > 0 {
-			total += (b - a) / denom
-		}
-	}
-	return total / float64(n)
-}
-
 // SilhouetteTolerance is the default parsimony tolerance for
 // CutBestSilhouette: among cluster counts whose silhouette is within this
 // much of the maximum, the smallest count wins. This is the
@@ -105,8 +52,8 @@ func (den *Dendrogram) CutBestSilhouette(dist *tensor.Tensor, minK, maxK int, to
 	return den.CutK(minK) // unreachable; defensive
 }
 
-// silhouetteScores returns Silhouette(dist, den.CutK(k)), up to summation
-// order, for every k in [minK, maxK] (2 <= minK <= maxK <= n) at index
+// silhouetteScores returns the mean silhouette coefficient of
+// den.CutK(k) over dist, up to summation order, for every k in [minK, maxK] (2 <= minK <= maxK <= n) at index
 // k-minK, from one walk down the merges instead of an O(n²) evaluation
 // per k. dist must be symmetric; its diagonal is ignored.
 //

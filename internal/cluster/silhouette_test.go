@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -101,4 +102,67 @@ func TestSilhouetteRange(t *testing.T) {
 			t.Fatalf("silhouette out of range: %v", s)
 		}
 	}
+}
+
+// Silhouette is the definition silhouetteScores is held to: the mean
+// silhouette coefficient of a labeling against a precomputed distance
+// matrix. For each point, a is the mean distance to its own cluster
+// (excluding itself) and b the smallest mean distance to any other
+// cluster; the coefficient is (b-a)/max(a,b). Singleton clusters
+// contribute 0 (the standard convention). The result lies in [-1, 1];
+// higher means tighter, better-separated clusters.
+func Silhouette(dist *tensor.Tensor, labels []int) float64 {
+	n := len(labels)
+	if dist.Shape[0] != n || dist.Shape[1] != n {
+		panic(fmt.Sprintf("cluster: Silhouette labels/matrix mismatch: %d vs %v", n, dist.Shape))
+	}
+	if n == 0 {
+		return 0
+	}
+	members := Members(labels)
+	if len(members) < 2 {
+		return 0 // silhouette undefined for a single cluster
+	}
+	var total float64
+	for i := 0; i < n; i++ {
+		own := members[labels[i]]
+		if len(own) == 1 {
+			continue // singleton: contributes 0
+		}
+		var a float64
+		for _, j := range own {
+			if j != i {
+				a += dist.At(i, j)
+			}
+		}
+		a /= float64(len(own) - 1)
+		b := math.Inf(1)
+		for l, m := range members {
+			if l == labels[i] {
+				continue
+			}
+			var d float64
+			for _, j := range m {
+				d += dist.At(i, j)
+			}
+			d /= float64(len(m))
+			if d < b {
+				b = d
+			}
+		}
+		denom := math.Max(a, b)
+		if denom > 0 {
+			total += (b - a) / denom
+		}
+	}
+	return total / float64(n)
+}
+
+// Members returns, for each cluster label, the sorted member indices.
+func Members(labels []int) map[int][]int {
+	out := make(map[int][]int)
+	for i, l := range labels {
+		out[l] = append(out[l], i)
+	}
+	return out
 }

@@ -40,7 +40,7 @@ func Serve(addr string, t *Tracker) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	obs.Enable()
+	obs.SetEnabled(true)
 	registerRuntimeMetrics()
 
 	mux := http.NewServeMux()

@@ -264,10 +264,7 @@ func TestConcurrentScrapeWhileTraining(t *testing.T) {
 	if journal.Err() != nil {
 		t.Fatalf("journal: %v", journal.Err())
 	}
-	events, err := obs.ReadEvents(bytes.NewReader(sink.bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events, _ := obs.ReadEvents(sink.bytes())
 	var rounds, lastUp, lastDown int64
 	var sawEnd bool
 	for _, ev := range events {

@@ -401,23 +401,3 @@ func (s *ClusterState) AssignNewcomer(feature []float64) int {
 	}
 	return best
 }
-
-// AddNewcomer assigns the newcomer and folds its feature into the chosen
-// cluster's centroid (so subsequent arrivals see the updated centroid).
-// Returns the assigned cluster.
-func (s *ClusterState) AddNewcomer(feature []float64) int {
-	c := s.AssignNewcomer(feature)
-	oldCount := 0
-	for _, l := range s.Labels {
-		if l == c {
-			oldCount++
-		}
-	}
-	newCount := float64(oldCount + 1)
-	for j := range s.Centroids[c] {
-		s.Centroids[c][j] = (float64(s.Centroids[c][j]*float64(oldCount)) + feature[j]) / newCount
-	}
-	s.Labels = append(s.Labels, c)
-	s.Features = append(s.Features, append([]float64(nil), feature...))
-	return c
-}

@@ -195,26 +195,6 @@ func TestAssignNewcomerBadFeaturePanics(t *testing.T) {
 	st.AssignNewcomer([]float64{1})
 }
 
-func TestAddNewcomerUpdatesCentroid(t *testing.T) {
-	st := &ClusterState{
-		Labels:    []int{0, 1},
-		K:         2,
-		Features:  [][]float64{{0}, {10}},
-		Centroids: [][]float64{{0}, {10}},
-		Metric:    linalg.Euclidean,
-	}
-	c := st.AddNewcomer([]float64{2})
-	if c != 0 {
-		t.Fatalf("newcomer assigned to %d", c)
-	}
-	if st.Centroids[0][0] != 1 { // (0 + 2) / 2
-		t.Fatalf("centroid not updated: %v", st.Centroids[0])
-	}
-	if len(st.Labels) != 3 || st.Labels[2] != 0 {
-		t.Fatalf("labels = %v", st.Labels)
-	}
-}
-
 func TestNewcomerEndToEnd(t *testing.T) {
 	// Paper step ⑥ end to end: run FedClust on the two-group population,
 	// then arrive a new client from group 1; it must be routed to the

@@ -1,10 +1,11 @@
 package data
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
-	"fedclust/internal/rng"
 	"fedclust/internal/tensor"
 )
 
@@ -20,6 +21,22 @@ func toyDataset(n, classes int) *Dataset {
 		}
 	}
 	return d
+}
+
+// Validate panics if the dataset is internally inconsistent: the check
+// the generator tests hold every dataset they build to.
+func (d *Dataset) Validate() {
+	if d.X.Shape[0] != len(d.Y) {
+		panic(fmt.Sprintf("data: %s has %d rows but %d labels", d.Name, d.X.Shape[0], len(d.Y)))
+	}
+	if d.X.Shape[1] != d.Dim() {
+		panic(fmt.Sprintf("data: %s feature width %d != C*H*W %d", d.Name, d.X.Shape[1], d.Dim()))
+	}
+	for i, y := range d.Y {
+		if y < 0 || y >= d.Classes {
+			panic(fmt.Sprintf("data: %s label %d at row %d out of range", d.Name, y, i))
+		}
+	}
 }
 
 func TestDatasetValidate(t *testing.T) {
@@ -57,36 +74,6 @@ func TestLabelHistogram(t *testing.T) {
 	}
 }
 
-func TestSplitDisjointComplete(t *testing.T) {
-	d := toyDataset(10, 2)
-	a, b := d.Split(0.7, rng.New(2))
-	if a.Len() != 7 || b.Len() != 3 {
-		t.Fatalf("split sizes = %d/%d", a.Len(), b.Len())
-	}
-	seen := make(map[float64]bool)
-	for _, part := range []*Dataset{a, b} {
-		for i := 0; i < part.Len(); i++ {
-			v := part.X.At(i, 0)
-			if seen[v] {
-				t.Fatal("split parts overlap")
-			}
-			seen[v] = true
-		}
-	}
-	if len(seen) != 10 {
-		t.Fatal("split lost examples")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	d := toyDataset(6, 2)
-	a, b := d.Split(0.5, rng.New(3))
-	m := Merge(a, b)
-	if m.Len() != 6 {
-		t.Fatalf("merged length = %d", m.Len())
-	}
-}
-
 func TestFilterClasses(t *testing.T) {
 	d := toyDataset(10, 5)
 	f := d.FilterClasses([]int{0, 2})
@@ -105,13 +92,13 @@ func TestGenerateDeterministic(t *testing.T) {
 	cfg.TrainPerClass, cfg.TestPerClass = 5, 3
 	tr1, te1 := Generate(cfg)
 	tr2, te2 := Generate(cfg)
-	if !tensor.Equal(tr1.X, tr2.X, 0) || !tensor.Equal(te1.X, te2.X, 0) {
+	if !slices.Equal(tr1.X.Data, tr2.X.Data) || !slices.Equal(te1.X.Data, te2.X.Data) {
 		t.Fatal("same seed must generate identical data")
 	}
 	cfg2 := cfg
 	cfg2.Seed = 43
 	tr3, _ := Generate(cfg2)
-	if tensor.Equal(tr1.X, tr3.X, 1e-9) {
+	if slices.Equal(tr1.X.Data, tr3.X.Data) {
 		t.Fatal("different seeds should generate different data")
 	}
 }
@@ -308,7 +295,7 @@ func TestGenerateExtraReservedLabelReproducesTrain(t *testing.T) {
 	cfg.TrainPerClass, cfg.TestPerClass = 8, 4
 	train, _ := Generate(cfg)
 	same := GenerateExtra(cfg, 0x7a, 8)
-	if !tensor.Equal(train.X, same.X, 0) {
+	if !slices.Equal(train.X.Data, same.X.Data) {
 		t.Fatal("stream label 0x7a should reproduce the train split")
 	}
 }

@@ -36,21 +36,6 @@ func (d *Dataset) Len() int { return len(d.Y) }
 // Dim returns the flattened feature width.
 func (d *Dataset) Dim() int { return d.C * d.H * d.W }
 
-// Validate panics if the dataset is internally inconsistent.
-func (d *Dataset) Validate() {
-	if d.X.Shape[0] != len(d.Y) {
-		panic(fmt.Sprintf("data: %s has %d rows but %d labels", d.Name, d.X.Shape[0], len(d.Y)))
-	}
-	if d.X.Shape[1] != d.Dim() {
-		panic(fmt.Sprintf("data: %s feature width %d != C*H*W %d", d.Name, d.X.Shape[1], d.Dim()))
-	}
-	for i, y := range d.Y {
-		if y < 0 || y >= d.Classes {
-			panic(fmt.Sprintf("data: %s label %d at row %d out of range", d.Name, y, i))
-		}
-	}
-}
-
 // Subset returns a new dataset containing the given rows (copied).
 func (d *Dataset) Subset(idx []int) *Dataset {
 	out := &Dataset{
@@ -206,53 +191,6 @@ func (b *Batcher[T]) Next() (batch Batch[T], ok bool) {
 	}
 	b.pos = hi
 	return Batch[T]{X: x, Y: b.y[:count]}, true
-}
-
-// Split partitions the dataset into two disjoint parts with the first
-// receiving ceil(frac*n) shuffled examples — used for train/validation
-// splits inside clients.
-func (d *Dataset) Split(frac float64, r *rng.Rng) (*Dataset, *Dataset) {
-	if frac < 0 || frac > 1 {
-		panic(fmt.Sprintf("data: split fraction %v out of [0,1]", frac))
-	}
-	n := d.Len()
-	order := r.Perm(n)
-	cut := int(float64(frac*float64(n)) + 0.999999)
-	if cut > n {
-		cut = n
-	}
-	return d.Subset(order[:cut]), d.Subset(order[cut:])
-}
-
-// Merge concatenates datasets with identical geometry into one.
-func Merge(parts ...*Dataset) *Dataset {
-	if len(parts) == 0 {
-		panic("data: Merge of nothing")
-	}
-	first := parts[0]
-	total := 0
-	for _, p := range parts {
-		if p.Dim() != first.Dim() || p.Classes != first.Classes {
-			panic("data: Merge with mismatched geometry")
-		}
-		total += p.Len()
-	}
-	out := &Dataset{
-		Name:    first.Name,
-		X:       tensor.New(total, first.Dim()),
-		Y:       make([]int, total),
-		Classes: first.Classes,
-		C:       first.C, H: first.H, W: first.W,
-	}
-	row := 0
-	for _, p := range parts {
-		for i := 0; i < p.Len(); i++ {
-			copy(out.X.Row(row), p.X.Row(i))
-			out.Y[row] = p.Y[i]
-			row++
-		}
-	}
-	return out
 }
 
 // FilterClasses returns the subset of d whose labels are in keep.

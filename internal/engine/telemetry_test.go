@@ -167,14 +167,15 @@ func TestEngineMetricsAccumulate(t *testing.T) {
 	defer obs.SetEnabled(prev)
 	obs.SetEnabled(true)
 
-	before := obs.Default().Snapshot()["fedsim_rounds_total"]
+	reg := obs.Default()
+	rounds := reg.Counter("fedsim_rounds_total", "", "")
+	before := rounds.Value()
 	env := goldenEnv(35, 4)
 	methods.FedAvg{}.Run(env)
-	s := obs.Default().Snapshot()
-	if got := s["fedsim_rounds_total"] - before; got != 4 {
+	if got := rounds.Value() - before; got != 4 {
 		t.Errorf("fedsim_rounds_total advanced by %v, want 4", got)
 	}
-	if s[`fedsim_round_phase_seconds{phase="local"}_count`] <= 0 {
-		t.Errorf("local phase histogram empty: %v", s)
+	if n := reg.Histogram("fedsim_round_phase_seconds", obs.Label("phase", "local"), "", nil).Count(); n == 0 {
+		t.Error("local phase histogram empty")
 	}
 }

@@ -73,9 +73,6 @@ func (c *CommStats) EndRound(round int) {
 	c.snapUp, c.snapDown = c.UpBytes, c.DownBytes
 }
 
-// Total returns up+down bytes.
-func (c *CommStats) Total() int64 { return c.UpBytes + c.DownBytes }
-
 // String formats the totals human-readably.
 func (c *CommStats) String() string {
 	return fmt.Sprintf("up %s, down %s", FormatBytes(c.UpBytes), FormatBytes(c.DownBytes))

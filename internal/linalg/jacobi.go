@@ -123,13 +123,3 @@ func sortEigenDescending(vals []float64, v *tensor.Tensor) {
 		}
 	}
 }
-
-// Column extracts column j of a rank-2 tensor as a fresh vector tensor.
-func Column(a *tensor.Tensor, j int) *tensor.Tensor {
-	m := a.Shape[0]
-	out := tensor.New(m)
-	for i := 0; i < m; i++ {
-		out.Data[i] = a.At(i, j)
-	}
-	return out
-}

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -355,29 +355,26 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// ReadEvents decodes a JSONL journal stream. Lines that fail to parse
-// abort with the line number, so truncated tails are diagnosable.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+// ReadEvents decodes the complete lines of a JSONL journal, returning
+// the events and the bytes consumed (through the last newline). A torn
+// final line is left unconsumed and a line that does not parse is
+// skipped: a reader following a live writer must keep up with it, and a
+// journal can outlive a schema change.
+func ReadEvents(buf []byte) ([]Event, int) {
 	var out []Event
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
+	consumed := 0
+	for {
+		nl := bytes.IndexByte(buf[consumed:], '\n')
+		if nl < 0 {
+			return out, consumed
 		}
+		line := buf[consumed : consumed+nl]
+		consumed += nl + 1
 		var ev Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return out, fmt.Errorf("journal line %d: %w", line, err)
+		if json.Unmarshal(line, &ev) == nil {
+			out = append(out, ev)
 		}
-		out = append(out, ev)
 	}
-	if err := sc.Err(); err != nil {
-		return out, err
-	}
-	return out, nil
 }
 
 var (

@@ -37,13 +37,9 @@ var enabled atomic.Bool
 // Enabled reports whether telemetry collection is on.
 func Enabled() bool { return enabled.Load() }
 
-// Enable turns telemetry collection on process-wide. The control plane's
-// HTTP server calls it when it starts serving /metrics; tests call it
-// directly.
-func Enable() { enabled.Store(true) }
-
-// SetEnabled sets the telemetry gate explicitly (tests restore the prior
-// state with it).
+// SetEnabled turns telemetry collection on or off process-wide. The
+// control plane's HTTP server turns it on when it starts serving
+// /metrics; tests restore the prior state with it.
 func SetEnabled(on bool) { enabled.Store(on) }
 
 // base anchors the process-relative monotonic clock.

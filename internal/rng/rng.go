@@ -177,16 +177,6 @@ func (r *Rng) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// Exp returns an exponentially distributed float64 with rate 1.
-func (r *Rng) Exp() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Gamma draws from a Gamma(alpha, 1) distribution using the
 // Marsaglia-Tsang method (with Johnk-style boosting for alpha < 1).
 func (r *Rng) Gamma(alpha float64) float64 {

@@ -238,18 +238,6 @@ func TestDirichletConcentration(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	r := New(43)
-	const n = 100000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.Exp()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("Exp mean = %v, want ~1", mean)
-	}
-}
-
 func TestShuffleStability(t *testing.T) {
 	a := []int{1, 2, 3, 4, 5, 6, 7, 8}
 	b := append([]int(nil), a...)

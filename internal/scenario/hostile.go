@@ -85,9 +85,6 @@ func (m *Model) Byzantines() int {
 	return k
 }
 
-// Hostile reports whether the model carries any adversarial behavior.
-func (m *Model) Hostile() bool { return m.cfg.Hostile() }
-
 // CorruptUpdate applies client c's byzantine uplink corruption in place:
 // sign-flip reflects out about start, garbage overwrites it with seeded
 // noise around start. Label-noise clients (and benign ones) leave the

@@ -47,7 +47,7 @@ func TestHostileCohortsAreSeedDeterministic(t *testing.T) {
 	if a.Byzantines() == 0 {
 		t.Fatal("0.3 byzantine fraction over 200 clients drew nobody")
 	}
-	if !a.Hostile() {
+	if !a.Config().Hostile() {
 		t.Fatal("hostile config reports Hostile() == false")
 	}
 }

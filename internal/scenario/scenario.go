@@ -347,9 +347,6 @@ func New(cfg Config, seed uint64, n int) *Model {
 	return m
 }
 
-// Config returns the model's effective (defaults-applied) configuration.
-func (m *Model) Config() Config { return m.cfg }
-
 // Profiles returns the per-client compute profiles (read-only).
 func (m *Model) Profiles() []Profile { return m.profiles }
 

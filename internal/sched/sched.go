@@ -264,14 +264,6 @@ func (p *Pool) work(wake chan struct{}) {
 	}
 }
 
-// Size returns the number of persistent worker goroutines currently
-// spawned (diagnostic; grows with the widest region seen so far).
-func (p *Pool) Size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.workers)
-}
-
 // Shutdown deterministically stops the pool: it waits for any active
 // region to finish, then joins every worker goroutine. The pool remains
 // usable afterwards — Run degrades to the inline serial path. Shutting

@@ -133,7 +133,10 @@ func TestTryAcquireNestedAndRelease(t *testing.T) {
 func TestShutdownIdle(t *testing.T) {
 	p := New()
 	p.Run(64, 4, func(_, _ int) {}) // spawn some workers
-	if p.Size() == 0 {
+	p.mu.Lock()
+	spawned := len(p.workers)
+	p.mu.Unlock()
+	if spawned == 0 {
 		t.Fatal("no workers spawned")
 	}
 	p.Shutdown()

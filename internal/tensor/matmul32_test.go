@@ -157,7 +157,7 @@ func TestIm2Col32MatchesFloat64(t *testing.T) {
 // TestTensor32Basics covers the Tensor32 helpers.
 func TestTensor32Basics(t *testing.T) {
 	a := New32(2, 3)
-	if a.Size() != 6 || len(a.Shape) != 2 || a.Dim(1) != 3 {
+	if a.Size() != 6 || len(a.Shape) != 2 || a.Shape[1] != 3 {
 		t.Fatalf("New32 metadata wrong: %v", a)
 	}
 	copy(a.Data, []float32{2, 2, 2, 2, 2, 2})

@@ -89,9 +89,6 @@ func (t *Of[T]) Clone() *Of[T] {
 // Size returns the total number of elements.
 func (t *Of[T]) Size() int { return len(t.Data) }
 
-// Dim returns the extent of dimension i.
-func (t *Of[T]) Dim(i int) int { return t.Shape[i] }
-
 // SameShape reports whether t and o have identical shapes.
 func (t *Of[T]) SameShape(o *Of[T]) bool {
 	if len(t.Shape) != len(o.Shape) {

@@ -25,3 +25,6 @@ func AppendTrainFrameForTest(dst []byte, id uint32, req *fl.RemoteRequest, codec
 	start := len(dst)
 	return endFrame(appendTrainMsg(beginFrame(dst, MsgTrain), id, req, codec), start)
 }
+
+// NumParams returns the scalar parameter count of the replica's model.
+func (s *Service) NumParams() int { return s.numParams }

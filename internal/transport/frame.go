@@ -33,10 +33,6 @@ const ProtoVersion = 2
 // that a corrupt length prefix cannot drive an allocation bomb.
 const MaxFrame = 1 << 27
 
-// frameOverhead is the per-frame wire cost outside the body: the u32
-// length prefix plus the u8 message type.
-const frameOverhead = 5
-
 // MsgType tags a frame's body.
 type MsgType uint8
 

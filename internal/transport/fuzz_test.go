@@ -17,6 +17,10 @@ import (
 	"fedclust/internal/wire"
 )
 
+// frameOverhead is the per-frame wire cost outside the body: the u32
+// length prefix plus the u8 message type.
+const frameOverhead = 5
+
 // FuzzFrame feeds a byte stream to the frame reader and parses every
 // frame it yields with the type's message parser.
 func FuzzFrame(f *testing.F) {

@@ -70,9 +70,6 @@ func NewService(env *fl.Env) *Service {
 	return s
 }
 
-// NumParams returns the scalar parameter count of the replica's model.
-func (s *Service) NumParams() int { return s.numParams }
-
 // Sparse reports whether this node sparsifies full-parameter uplinks
 // (the replica environment selected a sparse codec).
 func (s *Service) Sparse() bool { return s.ef != nil }

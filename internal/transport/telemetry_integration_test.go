@@ -64,9 +64,9 @@ func TestTCPThreeNodeJournalMatchesStatus(t *testing.T) {
 	fleet := transport.FleetOf(len(env.Clients), nodes)
 	env.Remote = fleet
 
-	reqBefore := sumSnapshot(`fedsim_transport_requests_total{node="node"}`)
-	upBefore := sumSnapshot(`fedsim_transport_up_bytes_total{node="node"}`)
-	downBefore := sumSnapshot(`fedsim_transport_down_bytes_total{node="node"}`)
+	reqBefore := nodeCounter("fedsim_transport_requests_total")
+	upBefore := nodeCounter("fedsim_transport_up_bytes_total")
+	downBefore := nodeCounter("fedsim_transport_down_bytes_total")
 
 	tracker := control.NewTracker(env.Local.Epochs)
 	sink := &lockedBuffer{}
@@ -93,10 +93,7 @@ func TestTCPThreeNodeJournalMatchesStatus(t *testing.T) {
 	}
 
 	// The journal reconstructs the same round/byte/outcome totals.
-	events, err := obs.ReadEvents(bytes.NewReader(sink.snapshot()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events, _ := obs.ReadEvents(sink.snapshot())
 	var rounds, onTime, offline, failed int
 	var lastUp, lastDown, lastMUp, lastMDown, sumUpDelta int64
 	sawEnd := false
@@ -144,19 +141,19 @@ func TestTCPThreeNodeJournalMatchesStatus(t *testing.T) {
 	// node="node" (the test nodes share a name), so the series
 	// accumulates every Train request of the run — one per client visit —
 	// and the measured byte counters equal the run's measured ledger.
-	if got, want := sumSnapshot(`fedsim_transport_requests_total{node="node"}`)-reqBefore,
+	if got, want := nodeCounter("fedsim_transport_requests_total")-reqBefore,
 		float64(env.Rounds*len(env.Clients)); got != want {
 		t.Errorf("transport requests metric %v, want %v", got, want)
 	}
-	if got := sumSnapshot(`fedsim_transport_up_bytes_total{node="node"}`) - upBefore; got != float64(res.Comm.MeasuredUp) {
+	if got := nodeCounter("fedsim_transport_up_bytes_total") - upBefore; got != float64(res.Comm.MeasuredUp) {
 		t.Errorf("transport up-bytes metric %v, want %d", got, res.Comm.MeasuredUp)
 	}
-	if got := sumSnapshot(`fedsim_transport_down_bytes_total{node="node"}`) - downBefore; got != float64(res.Comm.MeasuredDown) {
+	if got := nodeCounter("fedsim_transport_down_bytes_total") - downBefore; got != float64(res.Comm.MeasuredDown) {
 		t.Errorf("transport down-bytes metric %v, want %d", got, res.Comm.MeasuredDown)
 	}
 }
 
-// sumSnapshot reads one series from the default registry's snapshot.
-func sumSnapshot(key string) float64 {
-	return obs.Default().Snapshot()[key]
+// nodeCounter reads the default registry's counter name{node="node"}.
+func nodeCounter(name string) float64 {
+	return float64(obs.Default().Counter(name, obs.Label("node", "node"), "").Value())
 }

@@ -15,7 +15,8 @@
 // uniformity with the dense codecs, materializes the overlay against a
 // zero vector. Dropped-coordinate error is the sender's problem — the
 // error-feedback accumulator in internal/fl carries it into the next
-// round — which is why MaxError refuses sparse codecs (see MaxErrorKept).
+// round — which is why a sparse codec's error is bounded over the kept
+// coordinates only.
 package wire
 
 import (
@@ -383,40 +384,4 @@ func selectKthLargest(a []float64, k int) float64 {
 		}
 	}
 	return a[lo]
-}
-
-// MaxErrorKept returns the worst-case reconstruction error of codec c
-// over the coordinates a top-k frame actually carries: the k largest
-// magnitudes of vec are encoded and decoded, and the maximum kept-value
-// error is reported (0 for TopK — float64 values ride exactly; the 8-bit
-// range-quantizer bound for TopKQuant8). Dropped coordinates are outside
-// the codec's contract entirely — their error equals the coordinate's
-// magnitude and is carried by the error-feedback accumulator, which is
-// why MaxError refuses sparse codecs instead of reporting a vacuous
-// bound. Dense codecs defer to MaxError.
-func MaxErrorKept(c Codec, vec []float64, k int) float64 {
-	if !c.Sparse() {
-		return MaxError(c, vec)
-	}
-	scores := make([]float64, len(vec))
-	for i, v := range vec {
-		scores[i] = math.Abs(v)
-	}
-	idx, _ := TopKSelect(nil, nil, scores, k)
-	val := make([]float64, len(idx))
-	for i, ix := range idx {
-		val[i] = vec[ix]
-	}
-	frame := EncodeSparseInto(nil, c, len(vec), idx, val)
-	sf, err := parseSparse(frame)
-	if err != nil {
-		panic(err) // encode→parse of a valid vector cannot fail
-	}
-	var m float64
-	for i := range val {
-		if d := math.Abs(val[i] - sf.value(i)); d > m {
-			m = d
-		}
-	}
-	return m
 }

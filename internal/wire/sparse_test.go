@@ -24,6 +24,33 @@ func sparseFixture(c Codec, vec []float64, k int) (frame []byte, idx []uint32, v
 	return EncodeSparseInto(nil, c, len(vec), idx, val), idx, val
 }
 
+// MaxErrorKept returns the worst-case reconstruction error of codec c
+// over the coordinates a top-k frame actually carries: the k largest
+// magnitudes of vec are encoded and decoded, and the maximum kept-value
+// error is reported (0 for TopK — float64 values ride exactly; the 8-bit
+// range-quantizer bound for TopKQuant8). Dropped coordinates are outside
+// the codec's contract entirely — their error equals the coordinate's
+// magnitude and is carried by the error-feedback accumulator, which is
+// why MaxError refuses sparse codecs instead of reporting a vacuous
+// bound. Dense codecs defer to MaxError.
+func MaxErrorKept(c Codec, vec []float64, k int) float64 {
+	if !c.Sparse() {
+		return MaxError(c, vec)
+	}
+	frame, _, val := sparseFixture(c, vec, k)
+	sf, err := parseSparse(frame)
+	if err != nil {
+		panic(err) // encode→parse of a valid vector cannot fail
+	}
+	var m float64
+	for i := range val {
+		if d := math.Abs(val[i] - sf.value(i)); d > m {
+			m = d
+		}
+	}
+	return m
+}
+
 func TestSparseRoundTripTopK(t *testing.T) {
 	vec := randVec(rng.New(41), 257)
 	frame, idx, val := sparseFixture(TopK, vec, 16)

@@ -208,29 +208,6 @@ func DecodeInto(dst []float64, frame []byte) ([]float64, error) {
 	return out, nil
 }
 
-// MaxError returns the worst-case absolute reconstruction error of codec c
-// on vec (0 for Float64). Sparse codecs panic: an unsent coordinate's
-// error equals its full magnitude and is bounded by the error-feedback
-// residual, not by the codec, so a dense-style bound would let
-// divergence tests pass vacuously — use MaxErrorKept for the
-// coordinates a sparse frame actually carries.
-func MaxError(c Codec, vec []float64) float64 {
-	if c.Sparse() {
-		panic(fmt.Sprintf("wire: MaxError(%s) is not defined for sparse codecs — unsent-coordinate error is the EF residual's contract; use MaxErrorKept", c))
-	}
-	dec, err := Decode(EncodeInto(nil, c, vec))
-	if err != nil {
-		panic(err) // encode→decode of a valid vector cannot fail
-	}
-	var m float64
-	for i := range vec {
-		if d := math.Abs(vec[i] - dec[i]); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // rangeOf returns the finite min/max of vec. NaN and ±Inf are excluded
 // so the Quant8 (min, scale) header always holds finite values and a
 // decoded vector is always finite, whatever the input; with no finite

@@ -1,0 +1,399 @@
+// Repository rules that span packages (DESIGN.md §15). The tests read the
+// module's own source through go/build, go/parser and go/types, or the
+// toolchain's listing of it.
+package fedclust_test
+
+import (
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"sort"
+	"strings"
+	"sync"
+	"testing"
+)
+
+const modulePath = "fedclust"
+
+// module is every non-test package of the module, type-checked for
+// linux/amd64 and linux/arm64: the simd*_other.go bodies compile only on
+// the second. A file both targets compile is parsed once, so each
+// declaration has one position.
+type module struct {
+	fset    *token.FileSet
+	files   map[string]*ast.File // by path
+	targets []map[string]*pkg    // amd64, arm64; by import path
+}
+
+type pkg struct {
+	path  string
+	files []*ast.File
+	types *types.Package
+	info  *types.Info
+}
+
+var loadModule = sync.OnceValues(func() (*module, error) {
+	m := &module{fset: token.NewFileSet(), files: map[string]*ast.File{}}
+	std := importer.Default() // the toolchain's export data
+	for _, arch := range []string{"amd64", "arm64"} {
+		pkgs, err := m.typeCheck(arch, std)
+		if err != nil {
+			return nil, fmt.Errorf("GOARCH=%s: %w", arch, err)
+		}
+		m.targets = append(m.targets, pkgs)
+	}
+	return m, nil
+})
+
+func load(t *testing.T) *module {
+	t.Helper()
+	m, err := loadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// typeCheck loads every package of the module as GOARCH=arch compiles it.
+func (m *module) typeCheck(arch string, std types.Importer) (map[string]*pkg, error) {
+	ctx := build.Default
+	ctx.GOOS, ctx.GOARCH, ctx.CgoEnabled = "linux", arch, false
+	dirs := map[string]string{} // import path → directory
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		dirs[filepath.ToSlash(filepath.Join(modulePath, path))] = path
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	pkgs := map[string]*pkg{}
+	var imp importerFunc
+	imp = func(path string) (*types.Package, error) {
+		dir, ok := dirs[path]
+		if !ok {
+			return std.Import(path)
+		}
+		if p, ok := pkgs[path]; ok {
+			return p.types, nil
+		}
+		bp, err := ctx.ImportDir(dir, 0)
+		if err != nil {
+			return nil, err
+		}
+		p := &pkg{path: path, info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+		for _, name := range bp.GoFiles {
+			name = filepath.Join(dir, name)
+			if m.files[name] == nil {
+				if m.files[name], err = parser.ParseFile(m.fset, name, nil, parser.SkipObjectResolution); err != nil {
+					return nil, err
+				}
+			}
+			p.files = append(p.files, m.files[name])
+		}
+		conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", arch)}
+		p.types, err = conf.Check(path, m.fset, p.files, p.info)
+		pkgs[path] = p
+		return p.types, err
+	}
+	for ip := range dirs {
+		if _, err := imp(ip); err != nil && !errors.As(err, new(*build.NoGoError)) {
+			return nil, err
+		}
+	}
+	return pkgs, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// eachFuncUse calls fn once per use of a func or method in non-test code,
+// with the package and top-level declaration it sits in and the func's
+// full name: "os.Create", "(*fedclust/internal/fl.Lane).Visit".
+func (m *module) eachFuncUse(fn func(p *pkg, d ast.Decl, pos token.Pos, name string)) {
+	done := map[token.Pos]bool{}
+	for _, pkgs := range m.targets {
+		for _, p := range pkgs {
+			for _, f := range p.files {
+				for _, d := range f.Decls {
+					ast.Inspect(d, func(n ast.Node) bool {
+						id, ok := n.(*ast.Ident)
+						if used, isFunc := p.info.Uses[id].(*types.Func); ok && isFunc && !done[id.Pos()] {
+							done[id.Pos()] = true
+							fn(p, d, id.Pos(), used.FullName())
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestEverythingIsReachable: every func, method, type, const and
+// package-level var is reached from a root — the main of a command, an
+// init, or a package-level var initialiser — through identifier uses in
+// reached bodies. A method is also reached when its receiver type is and
+// an interface type named in reached code carries its name. A
+// declaration without a body (assembly) is reached only when Go code
+// names it. Tests are not roots.
+func TestEverythingIsReachable(t *testing.T) {
+	m := load(t)
+	declared := map[token.Pos]types.Object{}
+	reached := map[token.Pos]bool{}
+	for _, pkgs := range m.targets {
+		decls, seen := reachability(pkgs)
+		for obj := range decls {
+			declared[obj.Pos()] = obj
+			reached[obj.Pos()] = reached[obj.Pos()] || seen[obj]
+		}
+	}
+	var dead []string
+	for pos, obj := range declared {
+		if !reached[pos] {
+			dead = append(dead, fmt.Sprintf("%s: %s is reached from no main, init or package var", m.fset.Position(pos), describe(obj)))
+		}
+	}
+	sort.Strings(dead)
+	for _, d := range dead {
+		t.Error(d)
+	}
+}
+
+// syntax is source to walk and the type info that resolves it.
+type syntax struct {
+	node ast.Node
+	info *types.Info
+}
+
+// reachability returns every package-level declaration of one target and
+// the ones a root reaches.
+func reachability(pkgs map[string]*pkg) (decls map[types.Object]syntax, reached map[types.Object]bool) {
+	decls = map[types.Object]syntax{}
+	methods := map[string][]types.Object{} // by name
+	var queue []syntax                     // the roots, to start with
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					obj := p.info.Defs[d.Name]
+					if d.Recv != nil {
+						methods[obj.Name()] = append(methods[obj.Name()], obj)
+					} else if d.Name.Name == "init" || d.Name.Name == "main" && p.types.Name() == "main" {
+						queue = append(queue, syntax{d, p.info})
+						continue
+					}
+					decls[obj] = syntax{d, p.info}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							decls[p.info.Defs[s.Name]] = syntax{s, p.info}
+						case *ast.ValueSpec:
+							// An initialiser runs at start-up: what it names
+							// is reached whether or not the var is.
+							if d.Tok == token.VAR {
+								for _, v := range s.Values {
+									queue = append(queue, syntax{v, p.info})
+								}
+							}
+							for _, name := range s.Names {
+								if name.Name != "_" {
+									decls[p.info.Defs[name]] = syntax{s, p.info}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// fmt's print verbs call String through fmt.Stringer, which module
+	// code hands values to as `any` without naming it.
+	ifaceNames := map[string]bool{"String": true}
+	reached = map[types.Object]bool{}
+	mark := func(obj types.Object) {
+		if fn, ok := obj.(*types.Func); ok {
+			obj = fn.Origin()
+		}
+		if s, ok := decls[obj]; ok && !reached[obj] {
+			reached[obj] = true
+			queue = append(queue, s)
+		}
+	}
+	for len(queue) > 0 {
+		for len(queue) > 0 {
+			s := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			ast.Inspect(s.node, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.Ident:
+					obj := s.info.Uses[n]
+					mark(obj)
+					if tn, ok := obj.(*types.TypeName); ok {
+						if it, ok := tn.Type().Underlying().(*types.Interface); ok {
+							for i := 0; i < it.NumMethods(); i++ {
+								ifaceNames[it.Method(i).Name()] = true
+							}
+						}
+					}
+				case *ast.InterfaceType:
+					for _, f := range n.Methods.List {
+						for _, name := range f.Names {
+							ifaceNames[name.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		for name := range ifaceNames {
+			for _, obj := range methods[name] {
+				if reached[receiverType(obj)] {
+					mark(obj)
+				}
+			}
+		}
+	}
+	return decls, reached
+}
+
+// receiverType is the type name a method is declared on.
+func receiverType(method types.Object) types.Object {
+	recv := method.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	return recv.(*types.Named).Origin().Obj()
+}
+
+// describe names a declaration the way a finding reads:
+// "func (*core.ClusterState).AssignNewcomer(feature []float64) int".
+func describe(obj types.Object) string {
+	if _, ok := obj.(*types.TypeName); ok {
+		return "type " + obj.Pkg().Name() + "." + obj.Name()
+	}
+	return types.ObjectString(obj, (*types.Package).Name)
+}
+
+// TestOneVisitPath: under internal/, only fl.Lane calls
+// TrainScratch.LocalUpdate. internal/experiments' layer probes train a
+// bare model and are exempt; bench/ times the pass as a rung of its own.
+func TestOneVisitPath(t *testing.T) {
+	m := load(t)
+	fl := modulePath + "/internal/fl"
+	m.eachFuncUse(func(p *pkg, d ast.Decl, pos token.Pos, name string) {
+		if name != "(*"+fl+".TrainScratch).LocalUpdate" || !strings.HasPrefix(p.path, modulePath+"/internal/") || p.path == modulePath+"/internal/experiments" {
+			return
+		}
+		if fn, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(p.info.Defs[fn.Name].(*types.Func).FullName(), "(*"+fl+".Lane).") {
+			return
+		}
+		t.Errorf("%s: a local pass outside fl.Lane", m.fset.Position(pos))
+	})
+}
+
+// TestOneCSVWriter: cmd/fedsim's one os.Create is the experiment
+// driver's -csv.
+func TestOneCSVWriter(t *testing.T) {
+	m := load(t)
+	var creates []string
+	m.eachFuncUse(func(p *pkg, _ ast.Decl, pos token.Pos, name string) {
+		if p.path == modulePath+"/cmd/fedsim" && name == "os.Create" {
+			creates = append(creates, m.fset.Position(pos).String())
+		}
+	})
+	if len(creates) > 1 {
+		t.Errorf("fedsim creates files at %d sites, want one (the experiment driver's -csv): %s", len(creates), strings.Join(creates, ", "))
+	}
+}
+
+// TestSectionNamesSpelledOnce: each checkpoint section name is spelled
+// once, in its method's Hooks.State list.
+func TestSectionNamesSpelledOnce(t *testing.T) {
+	m := load(t)
+	section := regexp.MustCompile(`^"(stale|fedbuff|cfl|ifca|clustered)/[a-z_]+"$`)
+	at := map[string][]string{}
+	for _, f := range m.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING && section.MatchString(lit.Value) {
+				at[lit.Value] = append(at[lit.Value], m.fset.Position(lit.Pos()).String())
+			}
+			return true
+		})
+	}
+	if len(at) == 0 {
+		t.Fatal("no checkpoint section literal found; the naming scheme has changed")
+	}
+	for name, pos := range at {
+		if len(pos) > 1 {
+			sort.Strings(pos)
+			t.Errorf("section name %s spelled %d times: %s", name, len(pos), strings.Join(pos, ", "))
+		}
+	}
+}
+
+func TestRootHoldsNoNonTestGo(t *testing.T) {
+	files, _ := filepath.Glob("*.go") // the pattern is well-formed
+	for _, f := range files {
+		if !strings.HasSuffix(f, "_test.go") {
+			t.Errorf("%s: a root package is back", f)
+		}
+	}
+}
+
+// TestNoFusedMultiplyAddOnArm64: the arm64 listing of every internal
+// package holds no fused multiply-add, so an arm64 host rounds every
+// product before its sum, as the amd64 goldens do. A package missing from
+// the listing fails too.
+func TestNoFusedMultiplyAddOnArm64(t *testing.T) {
+	m := load(t)
+	cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "build", "-gcflags=-S", "./internal/...")
+	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=arm64")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("GOARCH=arm64 go build -gcflags=-S ./internal/...: %v\n%s", err, out)
+	}
+	var symbols []string
+	fused := regexp.MustCompile(`F(N)?M(ADD|SUB)`)
+	for _, line := range strings.Split(string(out), "\n") {
+		if line == "" {
+			continue
+		}
+		if c := line[0]; c != ' ' && c != '\t' {
+			if i := strings.Index(line, " STEXT "); i > 0 {
+				symbols = append(symbols, line[:i])
+			}
+		} else if (strings.Contains(line, "MADD") || strings.Contains(line, "MSUB")) && fused.MatchString(line) {
+			t.Errorf("fused multiply-add on arm64 in %s: %s", symbols[len(symbols)-1], strings.TrimSpace(line))
+		}
+	}
+	for path := range m.targets[1] {
+		listed := !strings.HasPrefix(path, modulePath+"/internal/")
+		for _, s := range symbols {
+			listed = listed || strings.HasPrefix(s, path+".")
+		}
+		if !listed {
+			t.Errorf("no arm64 assembly listing for %s", path)
+		}
+	}
+}
