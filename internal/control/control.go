@@ -13,20 +13,6 @@ import (
 	"fedclust/internal/fl"
 )
 
-// ClientCounts tallies one client's per-round outcomes over the run.
-type ClientCounts struct {
-	// OnTime counts rounds where the client delivered its full pass by
-	// the deadline; Partial rounds with a straggler's shortened pass;
-	// Late rounds whose update arrives lag > 0 rounds later; Offline
-	// rounds with nothing (dropout or never invited to report); Failed
-	// rounds lost to the transport (timeout, disconnect).
-	OnTime  int `json:"on_time"`
-	Partial int `json:"partial"`
-	Late    int `json:"late"`
-	Offline int `json:"offline"`
-	Failed  int `json:"failed"`
-}
-
 // Status is the /status snapshot.
 type Status struct {
 	Method      string `json:"method"`
@@ -94,7 +80,7 @@ type Tracker struct {
 	mu      sync.Mutex
 	epochs  int
 	status  Status
-	clients []ClientCounts
+	clients []fl.OutcomeCounts
 	done    []int
 	lag     []int
 	offline int
@@ -117,7 +103,7 @@ func (t *Tracker) ObserveRunStart(method string, totalRounds, nClients, startRou
 		StartRound: startRound, NClients: nClients,
 		EvalRound: -1,
 	}
-	t.clients = make([]ClientCounts, nClients)
+	t.clients = make([]fl.OutcomeCounts, nClients)
 	t.done, t.lag, t.offline = nil, nil, 0
 	// A trigger armed near the end of a previous run on this tracker must
 	// not fire a spurious snapshot on round 1 of this one.
@@ -158,19 +144,7 @@ func (t *Tracker) ObserveOutcome(client, done, lag int, failed bool) {
 	if client < 0 || client >= len(t.clients) {
 		return
 	}
-	c := &t.clients[client]
-	switch {
-	case failed:
-		c.Failed++
-	case lag < 0 || done <= 0:
-		c.Offline++
-	case lag > 0:
-		c.Late++
-	case t.epochs > 0 && done < t.epochs:
-		c.Partial++
-	default:
-		c.OnTime++
-	}
+	t.clients[client].Count(done, lag, failed, t.epochs)
 	if failed || lag < 0 || done <= 0 {
 		t.offline++
 	} else {
@@ -232,10 +206,10 @@ func (t *Tracker) Status() Status {
 }
 
 // Clients returns a copy of the per-client outcome counts.
-func (t *Tracker) Clients() []ClientCounts {
+func (t *Tracker) Clients() []fl.OutcomeCounts {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]ClientCounts(nil), t.clients...)
+	return append([]fl.OutcomeCounts(nil), t.clients...)
 }
 
 // Stragglers returns a copy of the outcome histograms.

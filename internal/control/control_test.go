@@ -56,7 +56,7 @@ func TestTrackerClassifiesOutcomes(t *testing.T) {
 	}
 
 	c := tr.Clients()
-	want := []control.ClientCounts{
+	want := []fl.OutcomeCounts{
 		{OnTime: 1, Late: 1},
 		{Partial: 1, Offline: 1},
 		{OnTime: 1, Failed: 1},
@@ -132,7 +132,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if s.Method != "FedAvg" || s.Round != 4 || s.MeasuredUp != 180 {
 		t.Errorf("/status: %+v", s)
 	}
-	var clients []control.ClientCounts
+	var clients []fl.OutcomeCounts
 	getJSON("/clients", &clients)
 	if len(clients) != 3 || clients[0].OnTime != 1 {
 		t.Errorf("/clients: %+v", clients)

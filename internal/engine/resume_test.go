@@ -12,12 +12,14 @@ package engine_test
 // so the serialized bytes — not the in-memory snapshot — carry the run.
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"fedclust/internal/core"
 	"fedclust/internal/fl"
 	"fedclust/internal/methods"
+	"fedclust/internal/obs"
 	"fedclust/internal/scenario"
 )
 
@@ -256,6 +258,53 @@ func TestCheckpointTrigger(t *testing.T) {
 	methods.FedAvg{}.Run(env)
 	if len(rounds) != 1 || rounds[0] != 1 {
 		t.Fatalf("trigger emitted snapshots after rounds %v, want [1]", rounds)
+	}
+}
+
+// TestResumeJournalsEachRoundsOwnTraffic: the round events a journal
+// writes after a resume carry that round's own up/down delta, not the
+// restored ledger's whole pre-checkpoint history — they equal the
+// uninterrupted run's events for the same rounds.
+func TestResumeJournalsEachRoundsOwnTraffic(t *testing.T) {
+	for _, trainer := range []func() fl.Trainer{
+		func() fl.Trainer { return methods.FedAvg{} },
+		func() fl.Trainer { return &core.FedClust{} },
+	} {
+		name := trainer().Name()
+		journal := func(env *fl.Env) []obs.Event {
+			var buf bytes.Buffer
+			env.Observer = obs.NewJournal(&buf, env.Local.Epochs)
+			trainer().Run(env)
+			events, _ := obs.ReadEvents(buf.Bytes())
+			return events
+		}
+		env := goldenEnv(77, 6)
+		var snap []byte
+		env.Ckpt = &fl.CheckpointPlan{Every: 3, Sink: func(c *fl.Checkpoint) {
+			if c.Round == 3 {
+				snap = c.Encode()
+			}
+		}}
+		whole := journal(env)
+		ck, err := fl.DecodeCheckpoint(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env = goldenEnv(77, 6)
+		env.Ckpt = &fl.CheckpointPlan{Resume: ck}
+		resumed := journal(env)
+		if len(whole) != 8 || len(resumed) != 5 {
+			t.Fatalf("%s: %d and %d events, want run_start + 6 or 3 rounds + run_end", name, len(whole), len(resumed))
+		}
+		for i, got := range resumed[1:4] {
+			want := whole[4+i]
+			if got.Round != want.Round || got.UpBytes != want.UpBytes || got.DownBytes != want.DownBytes ||
+				got.UpDelta != want.UpDelta || got.DownDelta != want.DownDelta {
+				t.Errorf("%s round %d after resume: up %d (+%d) down %d (+%d), uninterrupted: up %d (+%d) down %d (+%d)",
+					name, want.Round, got.UpBytes, got.UpDelta, got.DownBytes, got.DownDelta,
+					want.UpBytes, want.UpDelta, want.DownBytes, want.DownDelta)
+			}
+		}
 	}
 }
 

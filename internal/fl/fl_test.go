@@ -213,6 +213,37 @@ func TestCommStats(t *testing.T) {
 	}
 }
 
+// TestOutcomeClassBoundaries pins the one outcome classification the
+// control tracker and the round journal share, at each class's edges: a
+// transport failure outranks everything, no completed epoch or a negative
+// lag is offline whatever else holds, lateness outranks a short pass, and
+// a short pass is partial only when a full pass is configured.
+func TestOutcomeClassBoundaries(t *testing.T) {
+	for _, c := range []struct {
+		done, lag, epochs int
+		failed            bool
+		want              OutcomeCounts
+	}{
+		{done: 2, epochs: 2, failed: true, want: OutcomeCounts{Failed: 1}},
+		{done: 0, lag: -1, epochs: 2, failed: true, want: OutcomeCounts{Failed: 1}},
+		{done: 0, epochs: 2, want: OutcomeCounts{Offline: 1}},
+		{done: 2, lag: -1, epochs: 2, want: OutcomeCounts{Offline: 1}},
+		{done: 0, lag: 1, epochs: 2, want: OutcomeCounts{Offline: 1}},
+		{done: 2, lag: 1, epochs: 2, want: OutcomeCounts{Late: 1}},
+		{done: 1, lag: 3, epochs: 2, want: OutcomeCounts{Late: 1}},
+		{done: 1, epochs: 2, want: OutcomeCounts{Partial: 1}},
+		{done: 1, epochs: 0, want: OutcomeCounts{OnTime: 1}},
+		{done: 2, epochs: 2, want: OutcomeCounts{OnTime: 1}},
+		{done: 3, epochs: 2, want: OutcomeCounts{OnTime: 1}},
+	} {
+		var got OutcomeCounts
+		got.Count(c.done, c.lag, c.failed, c.epochs)
+		if got != c.want {
+			t.Errorf("done=%d lag=%d failed=%v epochs=%d: %+v, want %+v", c.done, c.lag, c.failed, c.epochs, got, c.want)
+		}
+	}
+}
+
 func TestFormatBytes(t *testing.T) {
 	if FormatBytes(512) != "512 B" {
 		t.Fatalf("FormatBytes(512) = %q", FormatBytes(512))

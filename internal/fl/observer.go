@@ -16,7 +16,7 @@ type RoundObserver interface {
 	// ObserveOutcome fires once per invited client after local passes
 	// complete: done is the epoch count actually executed (0 = dropped
 	// out), lag the staleness in rounds, failed whether the transport
-	// layer lost the update.
+	// layer lost the update. OutcomeCounts.Count classifies it.
 	ObserveOutcome(client, done, lag int, failed bool)
 	// ObserveRoundEnd fires after aggregation with the number of updates
 	// that reached the server and the cumulative traffic ledger.
@@ -26,6 +26,36 @@ type RoundObserver interface {
 	// ObserveCheckpoint fires after a checkpoint is handed to the sink;
 	// round is the completed-round count the checkpoint resumes at.
 	ObserveCheckpoint(round int)
+}
+
+// OutcomeCounts tallies ObserveOutcome reports by class: OnTime a full
+// pass by the deadline, Partial a straggler's shortened pass, Late an
+// update lag > 0 rounds late, Offline nothing (dropout, or not invited to
+// report), Failed an update the transport lost (timeout, disconnect).
+type OutcomeCounts struct {
+	OnTime  int `json:"on_time"`
+	Partial int `json:"partial"`
+	Late    int `json:"late"`
+	Offline int `json:"offline"`
+	Failed  int `json:"failed"`
+}
+
+// Count adds one ObserveOutcome report to its class. epochs is the
+// configured full local pass (Env.Local.Epochs); 0 folds Partial into
+// OnTime.
+func (c *OutcomeCounts) Count(done, lag int, failed bool, epochs int) {
+	switch {
+	case failed:
+		c.Failed++
+	case lag < 0 || done <= 0:
+		c.Offline++
+	case lag > 0:
+		c.Late++
+	case epochs > 0 && done < epochs:
+		c.Partial++
+	default:
+		c.OnTime++
+	}
 }
 
 // DefenseObserver is an optional extension of RoundObserver for the

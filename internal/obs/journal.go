@@ -91,15 +91,14 @@ type Journal struct {
 	ended       bool
 
 	// per-round scratch, reset after each round event
-	invited, reported     int
-	onTime, partial, late int
-	offline, failed       int
-	masked, suspects      int
-	evalRound             int
-	evalAcc, evalLoss     float64
-	ckptThisRound         bool
-	up, down, mup, mdown  int64
-	prevUp, prevDown      int64
+	invited, reported    int
+	outcomes             fl.OutcomeCounts
+	masked, suspects     int
+	evalRound            int
+	evalAcc, evalLoss    float64
+	ckptThisRound        bool
+	up, down, mup, mdown int64
+	upDelta, downDelta   int64
 }
 
 // NewJournal returns a journal writing JSONL events to w. localEpochs is
@@ -147,7 +146,6 @@ func (j *Journal) ObserveRunStart(method string, totalRounds, nClients, startRou
 	j.method, j.totalRounds, j.nClients, j.startRound = method, totalRounds, nClients, startRound
 	j.ended = false
 	j.resetRound()
-	j.prevUp, j.prevDown = 0, 0
 	j.buf = j.buf[:0]
 	j.buf = append(j.buf, `{"event":"run_start","ts":"`...)
 	j.buf = appendTS(j.buf)
@@ -170,22 +168,11 @@ func (j *Journal) ObserveRoundStart(round, invited int) {
 	j.mu.Unlock()
 }
 
-// ObserveOutcome implements fl.RoundObserver, classifying like the
-// control tracker so journal totals reconcile with /clients.
+// ObserveOutcome implements fl.RoundObserver, classifying by the control
+// tracker's own fl.OutcomeCounts so journal totals reconcile with /clients.
 func (j *Journal) ObserveOutcome(client, done, lag int, failed bool) {
 	j.mu.Lock()
-	switch {
-	case failed:
-		j.failed++
-	case lag < 0 || done <= 0:
-		j.offline++
-	case lag > 0:
-		j.late++
-	case j.epochs > 0 && done < j.epochs:
-		j.partial++
-	default:
-		j.onTime++
-	}
+	j.outcomes.Count(done, lag, failed, j.epochs)
 	j.mu.Unlock()
 }
 
@@ -197,13 +184,17 @@ func (j *Journal) ObserveDefense(round, masked, suspects int) {
 }
 
 // ObserveRoundEnd implements fl.RoundObserver, capturing the cumulative
-// ledger; the round event is deferred to ObservePhases so eval and
-// checkpoint observations land in the same line.
+// ledger and, as the deltas, the round's own PerRound entry (a resumed
+// run's ledger starts with every pre-checkpoint byte); the round event is
+// deferred to ObservePhases so eval and checkpoint land in the same line.
 func (j *Journal) ObserveRoundEnd(round, reported int, comm *fl.CommStats) {
 	j.mu.Lock()
 	j.reported = reported
 	j.up, j.down = comm.UpBytes, comm.DownBytes
 	j.mup, j.mdown = comm.MeasuredUp, comm.MeasuredDown
+	if n := len(comm.PerRound); n > 0 {
+		j.upDelta, j.downDelta = comm.PerRound[n-1].UpBytes, comm.PerRound[n-1].DownBytes
+	}
 	j.mu.Unlock()
 }
 
@@ -233,19 +224,19 @@ func (j *Journal) ObservePhases(round int, phases fl.RoundPhases) {
 	b = strconv.AppendInt(b, int64(round+1), 10)
 	b = appendIntField(b, "invited", j.invited)
 	b = appendIntField(b, "reported", j.reported)
-	b = appendIntField(b, "on_time", j.onTime)
-	b = appendIntField(b, "partial", j.partial)
-	b = appendIntField(b, "late", j.late)
-	b = appendIntField(b, "offline", j.offline)
-	b = appendIntField(b, "failed", j.failed)
+	b = appendIntField(b, "on_time", j.outcomes.OnTime)
+	b = appendIntField(b, "partial", j.outcomes.Partial)
+	b = appendIntField(b, "late", j.outcomes.Late)
+	b = appendIntField(b, "offline", j.outcomes.Offline)
+	b = appendIntField(b, "failed", j.outcomes.Failed)
 	b = appendIntField(b, "masked", j.masked)
 	b = appendIntField(b, "suspects", j.suspects)
 	b = appendInt64Field(b, "up_bytes", j.up)
 	b = appendInt64Field(b, "down_bytes", j.down)
 	b = appendInt64Field(b, "measured_up_bytes", j.mup)
 	b = appendInt64Field(b, "measured_down_bytes", j.mdown)
-	b = appendInt64Field(b, "up_delta", j.up-j.prevUp)
-	b = appendInt64Field(b, "down_delta", j.down-j.prevDown)
+	b = appendInt64Field(b, "up_delta", j.upDelta)
+	b = appendInt64Field(b, "down_delta", j.downDelta)
 	b = appendIntField(b, "eval_round", j.evalRound)
 	if j.evalRound >= 0 {
 		b = append(b, `,"mean_acc":`...)
@@ -266,7 +257,6 @@ func (j *Journal) ObservePhases(round int, phases fl.RoundPhases) {
 	b = appendPhase(b, `,"total_ns":`, phases.TotalNS)
 	b = append(b, "}}\n"...)
 	j.buf = b
-	j.prevUp, j.prevDown = j.up, j.down
 	j.resetRound()
 	j.flushLocked()
 }
@@ -294,7 +284,7 @@ func (j *Journal) ObserveRunEnd(completed int, aborted bool) {
 
 func (j *Journal) resetRound() {
 	j.invited, j.reported = 0, 0
-	j.onTime, j.partial, j.late, j.offline, j.failed = 0, 0, 0, 0, 0
+	j.outcomes, j.upDelta, j.downDelta = fl.OutcomeCounts{}, 0, 0
 	j.masked, j.suspects = 0, 0
 	j.evalRound, j.evalAcc, j.evalLoss = -1, 0, 0
 	j.ckptThisRound = false

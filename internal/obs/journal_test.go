@@ -17,14 +17,17 @@ import (
 
 // feedRun drives j through a fabricated 2-round run mirroring the
 // control-plane test fixture: one of every outcome class, an eval, a
-// defense tally, a checkpoint, and phase timings.
+// defense tally, a checkpoint, and phase timings. Each ledger carries the
+// round's own PerRound entry, as the engine's EndRound leaves it.
 func feedRun(j *obs.Journal) {
 	j.ObserveRunStart("FedAvg", 4, 3, 2)
 	j.ObserveRoundStart(2, 3)
 	j.ObserveOutcome(0, 2, 0, false) // on time
 	j.ObserveOutcome(1, 1, 0, false) // partial (1 of 2 epochs)
 	j.ObserveOutcome(2, 2, 0, true)  // failed
-	j.ObserveRoundEnd(2, 2, &fl.CommStats{UpBytes: 100, DownBytes: 200, MeasuredUp: 60, MeasuredDown: 120})
+	round3 := fl.RoundComm{Round: 3, UpBytes: 100, DownBytes: 200}
+	j.ObserveRoundEnd(2, 2, &fl.CommStats{UpBytes: 100, DownBytes: 200, MeasuredUp: 60, MeasuredDown: 120,
+		PerRound: []fl.RoundComm{round3}})
 	j.ObserveEval(2, 0.5, 1.25)
 	j.ObservePhases(2, fl.RoundPhases{SampleNS: 10, LocalNS: 1000, TotalNS: 1100})
 	j.ObserveRoundStart(3, 3)
@@ -32,7 +35,8 @@ func feedRun(j *obs.Journal) {
 	j.ObserveOutcome(1, 0, -1, false) // offline
 	j.ObserveOutcome(2, 2, 0, false)  // on time
 	j.ObserveDefense(3, 1, 2)
-	j.ObserveRoundEnd(3, 3, &fl.CommStats{UpBytes: 300, DownBytes: 400, MeasuredUp: 180, MeasuredDown: 240})
+	j.ObserveRoundEnd(3, 3, &fl.CommStats{UpBytes: 300, DownBytes: 400, MeasuredUp: 180, MeasuredDown: 240,
+		PerRound: []fl.RoundComm{round3, {Round: 4, UpBytes: 200, DownBytes: 200}}})
 	j.ObserveCheckpoint(4)
 	j.ObservePhases(3, fl.RoundPhases{LocalNS: 900, CheckpointNS: 50, TotalNS: 1000})
 	j.ObserveRunEnd(4, false)
@@ -115,7 +119,8 @@ func TestJournalMultipleRuns(t *testing.T) {
 	if len(events) != 8 {
 		t.Fatalf("got %d events, want 8", len(events))
 	}
-	// The second run's first round must restart the delta baseline.
+	// The second run's first round reports its own traffic, not the
+	// difference from the first run's last ledger.
 	r := events[5]
 	if r.Event != "round" || r.UpBytes != 100 || r.UpDelta != 100 {
 		t.Errorf("second run round 1: %+v", r)
