@@ -26,10 +26,11 @@ type invocation struct {
 	args []string
 	// direct replaces run(args, …) for the two experiments whose CLI
 	// defaults are too slow to pin and that have no narrowing flag: it
-	// drives the same code the subcommand does, on narrowed options.
-	direct func(stdout *bytes.Buffer)
+	// drives the same code the subcommand does, on narrowed options and
+	// the shared flags s.
+	direct func(stdout *bytes.Buffer, s *shared)
 	heavy  bool // trains models: skipped under -short
-	csv    bool // append "-csv <tmp>/out.csv" and pin the file too
+	csv    bool // write the CSV to <tmp>/out.csv ("-csv") and pin the file too
 	mask   func(string) string
 }
 
@@ -106,8 +107,7 @@ var invocations = []invocation{
 	{name: "ablation-layer-float32", heavy: true, args: []string{"ablation-layer", "-quick", "-dtype", "float32"}},
 	{name: "ablation-linkage", heavy: true, args: []string{"ablation-linkage", "-quick"}},
 	{name: "ablation-selector", heavy: true, args: []string{"ablation-selector", "-quick"}},
-	{name: "ablation-compression", heavy: true, direct: directCompression},
-	{name: "ablation-compression-frontier", heavy: true, direct: directCompressionFrontier},
+	{name: "ablation-compression", heavy: true, csv: true, direct: directCompression},
 	{name: "stragglers", heavy: true, csv: true,
 		args: []string{"stragglers", "-quick", "-dropouts", "0,0.3", "-methods", "FedAvg,FedAvgStale"}},
 	// FedClust still forms its clusters, at round 0, under the scenario.
@@ -132,39 +132,21 @@ func direct(out *bytes.Buffer, name string, j job) {
 
 // directAlphaSweep is `fedsim sweep-alpha -quick` on two alphas (the
 // five-alpha default takes 16 s).
-func directAlphaSweep(out *bytes.Buffer) {
+func directAlphaSweep(out *bytes.Buffer, s *shared) {
 	opts := experiments.DefaultAlphaSweepOptions()
 	opts.Quick = true
 	opts.Alphas = []float64{0.1, 10}
-	direct(out, "sweep-alpha", experiment(new(shared), &opts, &opts.Common, experiments.RunAlphaSweep))
+	direct(out, "sweep-alpha", experiment(s, &opts, &opts.Common, experiments.RunAlphaSweep))
 }
 
-// directCompression is `fedsim ablation-compression -quick` on one method,
-// two sparse codecs and 6 rounds (the default sweep takes 33 s).
-func directCompression(out *bytes.Buffer) {
+// directCompression is `fedsim ablation-compression -quick` on one method
+// (the three-method default takes 33 s), every codec and the default 64
+// rounds: the run where both frontier checks pass and quant8's ≈ 8×
+// uplink cut shows.
+func directCompression(out *bytes.Buffer, s *shared) {
 	opts := experiments.DefaultCompressionOptions()
 	opts.Methods = []string{"FedAvg"}
-	opts.Codecs = opts.Codecs[3:]
-	opts.Rounds = 6
-	opts.Progress = out
-	res := experiments.RunCompression(opts)
-	rep := res.Report()
-	fmt.Fprintln(out, "== A4: accuracy-vs-measured-bytes frontier of the uplink codecs ==")
-	fmt.Fprintln(out)
-	rep.Render(out)
-	fmt.Fprintln(out, "--- csv")
-	if err := rep.CSV.WriteCSV(out); err != nil {
-		panic(err)
-	}
-}
-
-// directCompressionFrontier is `fedsim ablation-compression -quick` on one
-// method, every codec and the default 64 rounds (≈ 5 s): the run where
-// both frontier checks pass and quant8's ≈ 8× uplink cut shows.
-func directCompressionFrontier(out *bytes.Buffer) {
-	opts := experiments.DefaultCompressionOptions()
-	opts.Methods = []string{"FedAvg"}
-	direct(out, "ablation-compression", experiment(new(shared), &opts, &opts.Common, experiments.RunCompression))
+	direct(out, "ablation-compression", experiment(s, &opts, &opts.Common, experiments.RunCompression))
 }
 
 // transcript runs one invocation and renders everything it produced.
@@ -182,7 +164,11 @@ func transcript(t *testing.T, inv invocation) string {
 	var b strings.Builder
 	if inv.direct != nil {
 		fmt.Fprintf(&b, "# in-process: %s\n", inv.name)
-		inv.direct(&out)
+		s := new(shared)
+		if inv.csv {
+			s.csv = csvPath
+		}
+		inv.direct(&out, s)
 	} else {
 		shown := strings.Join(inv.args, " ")
 		if inv.csv {

@@ -264,7 +264,8 @@ func TestCheckpointTrigger(t *testing.T) {
 // TestResumeJournalsEachRoundsOwnTraffic: the round events a journal
 // writes after a resume carry that round's own up/down delta, not the
 // restored ledger's whole pre-checkpoint history — they equal the
-// uninterrupted run's events for the same rounds.
+// uninterrupted run's events for the same rounds, whose deltas add up to
+// the ledger.
 func TestResumeJournalsEachRoundsOwnTraffic(t *testing.T) {
 	for _, trainer := range []func() fl.Trainer{
 		func() fl.Trainer { return methods.FedAvg{} },
@@ -295,6 +296,15 @@ func TestResumeJournalsEachRoundsOwnTraffic(t *testing.T) {
 		resumed := journal(env)
 		if len(whole) != 8 || len(resumed) != 5 {
 			t.Fatalf("%s: %d and %d events, want run_start + 6 or 3 rounds + run_end", name, len(whole), len(resumed))
+		}
+		// A fresh run's deltas add up to its ledger, FedClust's formation
+		// traffic (booked before round 1's event) included.
+		var up, down int64
+		for _, ev := range whole[1:7] {
+			up, down = up+ev.UpDelta, down+ev.DownDelta
+		}
+		if last := whole[6]; up != last.UpBytes || down != last.DownBytes {
+			t.Errorf("%s: deltas sum to up %d down %d, ledger is up %d down %d", name, up, down, last.UpBytes, last.DownBytes)
 		}
 		for i, got := range resumed[1:4] {
 			want := whole[4+i]

@@ -10,8 +10,6 @@ import (
 	"testing"
 
 	"fedclust/internal/fl"
-	"fedclust/internal/nn"
-	"fedclust/internal/rng"
 	"fedclust/internal/tensor"
 )
 
@@ -168,26 +166,24 @@ func TestShapeChecksFormat(t *testing.T) {
 	}
 }
 
-// TestLocalPassRunsOnEnvDType: the one local pass behind the layer probes
-// and the newcomer's arrivals trains on env.DType. Float32 moves the
-// weights in bits but leaves the printed ARI, block scores and routing as
-// they are, so no transcript can see it; the weights are compared here.
-func TestLocalPassRunsOnEnvDType(t *testing.T) {
+// TestProbeLayersTrainOnEnvDType: the layer probes' local passes, run in
+// parallel across clients, train on env.DType. Float32 moves the weights,
+// hence the distances, in bits but leaves the printed ARI and block scores
+// as they are, so no transcript can see it; the distances are compared here.
+func TestProbeLayersTrainOnEnvDType(t *testing.T) {
 	w := QuickWorkload("fmnist")
 	w.Clients = 2
-	trained := map[fl.DType][]float64{}
+	dist := map[fl.DType]*tensor.Tensor{}
 	for _, dtype := range []fl.DType{fl.Float64, fl.Float32} {
-		env := Common{Seed: 1, DType: dtype}.Env(w)
-		model := env.NewModel()
-		localPass(env, &fl.TrainScratch{}, model, nn.FlattenParams(model), env.Clients[0].Train, rng.New(1))
-		trained[dtype] = nn.FlattenParams(model)
+		c := Common{Seed: 1, DType: dtype}
+		dist[dtype] = probeLayers(c, nil, c.Env(w), []int{0, 1}, []int{5})[0].Dist
 	}
-	for i, v := range trained[fl.Float64] {
-		if trained[fl.Float32][i] != v {
+	for i, v := range dist[fl.Float64].Data {
+		if dist[fl.Float32].Data[i] != v {
 			return
 		}
 	}
-	t.Fatal("the float32 pass is bit-identical to the float64 one: env.DType did not reach training")
+	t.Fatal("the float32 probe distances are bit-identical to the float64 ones: env.DType did not reach training")
 }
 
 func TestNewTrainerStalenessMethods(t *testing.T) {

@@ -98,7 +98,8 @@ type Journal struct {
 	evalAcc, evalLoss    float64
 	ckptThisRound        bool
 	up, down, mup, mdown int64
-	upDelta, downDelta   int64
+	prevUp, prevDown     int64
+	baselined            bool
 }
 
 // NewJournal returns a journal writing JSONL events to w. localEpochs is
@@ -146,6 +147,7 @@ func (j *Journal) ObserveRunStart(method string, totalRounds, nClients, startRou
 	j.method, j.totalRounds, j.nClients, j.startRound = method, totalRounds, nClients, startRound
 	j.ended = false
 	j.resetRound()
+	j.prevUp, j.prevDown, j.baselined = 0, 0, startRound == 0
 	j.buf = j.buf[:0]
 	j.buf = append(j.buf, `{"event":"run_start","ts":"`...)
 	j.buf = appendTS(j.buf)
@@ -184,17 +186,19 @@ func (j *Journal) ObserveDefense(round, masked, suspects int) {
 }
 
 // ObserveRoundEnd implements fl.RoundObserver, capturing the cumulative
-// ledger and, as the deltas, the round's own PerRound entry (a resumed
-// run's ledger starts with every pre-checkpoint byte); the round event is
-// deferred to ObservePhases so eval and checkpoint land in the same line.
+// ledger; the round event is deferred to ObservePhases so eval and
+// checkpoint observations land in the same line. A resumed run's restored
+// ledger already holds every pre-checkpoint byte, so its first delta is
+// taken from the ledger before this round's own PerRound entry.
 func (j *Journal) ObserveRoundEnd(round, reported int, comm *fl.CommStats) {
 	j.mu.Lock()
 	j.reported = reported
 	j.up, j.down = comm.UpBytes, comm.DownBytes
 	j.mup, j.mdown = comm.MeasuredUp, comm.MeasuredDown
-	if n := len(comm.PerRound); n > 0 {
-		j.upDelta, j.downDelta = comm.PerRound[n-1].UpBytes, comm.PerRound[n-1].DownBytes
+	if n := len(comm.PerRound); !j.baselined && n > 0 {
+		j.prevUp, j.prevDown = j.up-comm.PerRound[n-1].UpBytes, j.down-comm.PerRound[n-1].DownBytes
 	}
+	j.baselined = true
 	j.mu.Unlock()
 }
 
@@ -235,8 +239,8 @@ func (j *Journal) ObservePhases(round int, phases fl.RoundPhases) {
 	b = appendInt64Field(b, "down_bytes", j.down)
 	b = appendInt64Field(b, "measured_up_bytes", j.mup)
 	b = appendInt64Field(b, "measured_down_bytes", j.mdown)
-	b = appendInt64Field(b, "up_delta", j.upDelta)
-	b = appendInt64Field(b, "down_delta", j.downDelta)
+	b = appendInt64Field(b, "up_delta", j.up-j.prevUp)
+	b = appendInt64Field(b, "down_delta", j.down-j.prevDown)
 	b = appendIntField(b, "eval_round", j.evalRound)
 	if j.evalRound >= 0 {
 		b = append(b, `,"mean_acc":`...)
@@ -257,6 +261,7 @@ func (j *Journal) ObservePhases(round int, phases fl.RoundPhases) {
 	b = appendPhase(b, `,"total_ns":`, phases.TotalNS)
 	b = append(b, "}}\n"...)
 	j.buf = b
+	j.prevUp, j.prevDown = j.up, j.down
 	j.resetRound()
 	j.flushLocked()
 }
@@ -284,7 +289,7 @@ func (j *Journal) ObserveRunEnd(completed int, aborted bool) {
 
 func (j *Journal) resetRound() {
 	j.invited, j.reported = 0, 0
-	j.outcomes, j.upDelta, j.downDelta = fl.OutcomeCounts{}, 0, 0
+	j.outcomes = fl.OutcomeCounts{}
 	j.masked, j.suspects = 0, 0
 	j.evalRound, j.evalAcc, j.evalLoss = -1, 0, 0
 	j.ckptThisRound = false

@@ -119,8 +119,7 @@ func TestJournalMultipleRuns(t *testing.T) {
 	if len(events) != 8 {
 		t.Fatalf("got %d events, want 8", len(events))
 	}
-	// The second run's first round reports its own traffic, not the
-	// difference from the first run's last ledger.
+	// The second run's first round must restart the delta baseline.
 	r := events[5]
 	if r.Event != "round" || r.UpBytes != 100 || r.UpDelta != 100 {
 		t.Errorf("second run round 1: %+v", r)
