@@ -33,9 +33,9 @@ type ErrorFeedback struct {
 // ready, zero allocations once warm.
 type EFScratch struct {
 	target []float64 // trained + residual
-	scores []float64 // |target - start|, also selection scratch
-	sel    []float64 // quickselect scratch
-	idx    []uint32  // kept indices
+	scores []float64 // |target - start|, TopKSelect's input
+	sel    []float64 // TopKSelect's scratch: survivors, then their quickselect copy
+	idx    []uint32  // TopKSelect's survivor indices, compacted to the kept ones
 	vals   []float64 // kept raw values
 }
 
@@ -86,7 +86,10 @@ func (ef *ErrorFeedback) Reset() {
 //
 // The reconstruction is obtained by decoding the frame just encoded —
 // not by mirroring its arithmetic — so sender and receiver states are
-// bit-identical by construction, for any codec.
+// bit-identical by construction, for any codec. A coordinate the frame
+// does not carry reconstructs to start, so its residual target − start
+// is written in the first pass; only the k kept coordinates are
+// revisited once the frame is applied.
 func (ef *ErrorFeedback) Visit(dst []byte, client int, start, out []float64, s *EFScratch) []byte {
 	n := len(out)
 	if len(start) != n {
@@ -100,11 +103,13 @@ func (ef *ErrorFeedback) Visit(dst []byte, client int, start, out []float64, s *
 		s.target = make([]float64, n)
 		s.scores = make([]float64, n)
 	}
-	target, scores := s.target[:n], s.scores[:n]
-	for i := 0; i < n; i++ {
-		t := out[i] + res[i]
+	target, scores, start := s.target[:n], s.scores[:n], start[:n]
+	for i, o := range out {
+		t := o + res[i]
 		target[i] = t
-		scores[i] = math.Abs(t - start[i])
+		d := t - start[i]
+		scores[i] = math.Abs(d)
+		res[i] = finiteOrZero(d)
 	}
 	k := wire.TopKCount(n, ef.Frac)
 	s.idx, s.sel = wire.TopKSelect(s.idx, s.sel, scores, k)
@@ -121,17 +126,24 @@ func (ef *ErrorFeedback) Visit(dst []byte, client int, start, out []float64, s *
 	if err := wire.ApplySparseInto(out, dst[mark:]); err != nil {
 		panic(err) // decoding a frame we just encoded cannot fail
 	}
-	for i := 0; i < n; i++ {
-		r := target[i] - out[i]
-		if !isFinite(r) {
-			r = 0
-		}
-		res[i] = r
+	for _, ix := range s.idx {
+		res[ix] = finiteOrZero(target[ix] - out[ix])
 	}
 	return dst
 }
 
-func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+// finiteOrZero is v, or 0 when v is NaN or ±Inf: a non-finite residual
+// would compound forever.
+func finiteOrZero(v float64) float64 {
+	if !isFinite(v) {
+		return 0
+	}
+	return v
+}
+
+// isFinite reports whether v is neither NaN nor ±Inf: v − v is 0 for a
+// finite v and NaN otherwise.
+func isFinite(v float64) bool { return v-v == 0 }
 
 // Checkpoint section names for error-feedback state; the engine writes
 // them alongside its other driver sections.

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"fedclust/internal/rng"
@@ -115,9 +116,8 @@ func TestErrorFeedbackVisitFrameShipsReconstruction(t *testing.T) {
 	}
 }
 
-// TestErrorFeedbackNonFiniteResidualDropped: a NaN/Inf trained value is
-// shipped (NaN scores rank highest, so the server's masking layer sees
-// it) and whatever non-finite remainder would poison the residual is
+// TestErrorFeedbackNonFiniteResidualDropped: whatever non-finite
+// remainder a NaN/Inf trained value would leave in the residual is
 // zeroed instead of compounding forever.
 func TestErrorFeedbackNonFiniteResidualDropped(t *testing.T) {
 	const n = 50
@@ -131,6 +131,49 @@ func TestErrorFeedbackNonFiniteResidualDropped(t *testing.T) {
 	for i, r := range ef.res[0] {
 		if !isFinite(r) {
 			t.Fatalf("residual %d is non-finite: %v", i, r)
+		}
+	}
+}
+
+// TestErrorFeedbackNonFiniteTrainedValue pins what each sparse codec
+// does with a NaN or ±Inf trained coordinate. Its score ranks as +Inf,
+// so it is always kept. TopK ships the raw bits, so the receiver holds
+// the non-finite value and the server's masking layer sees it.
+// TopKQuant8 quantizes over the finite range of the kept values: NaN and
+// −Inf decode as its low end, +Inf as its high end, so the receiver
+// holds a finite value and the server never sees the fault. Either way
+// the residual there is zero.
+func TestErrorFeedbackNonFiniteTrainedValue(t *testing.T) {
+	const n = 400
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []wire.Codec{wire.TopK, wire.TopKQuant8} {
+		ef := NewErrorFeedback(c, 0.05, 1, n) // k = 20
+		var s EFScratch
+		start := efRandVec(rng.New(67), n)
+		out := append([]float64(nil), start...)
+		for i := 0; i < n; i += 20 {
+			out[i] += 1 + float64(i)/n // twenty finite movers, all kept
+		}
+		out[3], out[5], out[7] = nan, inf, -inf // ranked above every mover
+		ef.Visit(nil, 0, start, out, &s)
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i, v := range out {
+			if v != start[i] && isFinite(v) {
+				lo, hi = math.Min(lo, v), math.Max(hi, v)
+			}
+		}
+		got := [3]float64{out[3], out[5], out[7]}
+		want := [3]float64{nan, inf, -inf}
+		if c == wire.TopKQuant8 {
+			want = [3]float64{lo, hi, lo}
+		}
+		for j, ix := range []int{3, 5, 7} {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Errorf("%s: coordinate %d reconstructs to %v, want %v", c, ix, got[j], want[j])
+			}
+			if r := ef.res[0][ix]; r != 0 {
+				t.Errorf("%s: coordinate %d keeps residual %v, want 0", c, ix, r)
+			}
 		}
 	}
 }
@@ -238,5 +281,120 @@ func BenchmarkErrorFeedbackVisit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(out, trained)
 		frame = ef.Visit(frame[:0], 0, start, out, &s)
+	}
+}
+
+// efVisitOracle is ErrorFeedback.Visit before the fused first pass: the
+// residual of every coordinate is target − reconstruction, taken after
+// the frame is applied.
+func efVisitOracle(ef *ErrorFeedback, dst []byte, client int, start, out []float64, s *EFScratch) []byte {
+	n := len(out)
+	res := ef.res[client]
+	if cap(s.target) < n {
+		s.target = make([]float64, n)
+		s.scores = make([]float64, n)
+	}
+	target, scores := s.target[:n], s.scores[:n]
+	for i := 0; i < n; i++ {
+		t := out[i] + res[i]
+		target[i] = t
+		scores[i] = math.Abs(t - start[i])
+	}
+	k := wire.TopKCount(n, ef.Frac)
+	s.idx, s.sel = wire.TopKSelect(s.idx, s.sel, scores, k)
+	if cap(s.vals) < len(s.idx) {
+		s.vals = make([]float64, 0, len(s.idx))
+	}
+	s.vals = s.vals[:0]
+	for _, ix := range s.idx {
+		s.vals = append(s.vals, target[ix])
+	}
+	mark := len(dst)
+	dst = wire.EncodeSparseInto(dst, ef.Codec, n, s.idx, s.vals)
+	copy(out, start)
+	if err := wire.ApplySparseInto(out, dst[mark:]); err != nil {
+		panic(err)
+	}
+	for i := 0; i < n; i++ {
+		r := target[i] - out[i]
+		if !isFinite(r) {
+			r = 0
+		}
+		res[i] = r
+	}
+	return dst
+}
+
+// TestErrorFeedbackVisitMatchesOracle: over several rounds and clients,
+// Visit appends the oracle's frame bytes, leaves its reconstruction and
+// its residual rows bit for bit, under both sparse codecs, at a size
+// with and a size without TopKSelect's sampled bound, with non-finite
+// trained values in some rounds.
+func TestErrorFeedbackVisitMatchesOracle(t *testing.T) {
+	const clients, rounds = 3, 6
+	bits := func(v []float64) []uint64 {
+		b := make([]uint64, len(v))
+		for i, x := range v {
+			b[i] = math.Float64bits(x)
+		}
+		return b
+	}
+	for _, c := range []wire.Codec{wire.TopK, wire.TopKQuant8} {
+		for _, n := range []int{300, 9000} {
+			got := NewErrorFeedback(c, 0.05, clients, n)
+			want := NewErrorFeedback(c, 0.05, clients, n)
+			var gs, ws EFScratch
+			r := rng.New(uint64(n))
+			start := efRandVec(r, n)
+			for round := 0; round < rounds; round++ {
+				for client := 0; client < clients; client++ {
+					out := efRandVec(r, n)
+					for i := range out {
+						out[i] = start[i] + 0.1*out[i]
+					}
+					if round%2 == 1 {
+						out[r.Intn(n)] = math.NaN()
+						out[r.Intn(n)] = math.Inf(1)
+						out[r.Intn(n)] = math.Inf(-1)
+					}
+					wantOut := append([]float64(nil), out...)
+					gotFrame := got.Visit([]byte{0xAB}, client, start, out, &gs)
+					wantFrame := efVisitOracle(want, []byte{0xAB}, client, start, wantOut, &ws)
+					if string(gotFrame) != string(wantFrame) {
+						t.Fatalf("%s n=%d round %d client %d: frames differ", c, n, round, client)
+					}
+					if !slices.Equal(bits(out), bits(wantOut)) {
+						t.Fatalf("%s n=%d round %d client %d: reconstructions differ", c, n, round, client)
+					}
+					if !slices.Equal(bits(got.res[client]), bits(want.res[client])) {
+						t.Fatalf("%s n=%d round %d client %d: residual rows differ", c, n, round, client)
+					}
+					if client == 0 {
+						copy(start, out) // the next broadcast moves
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkErrorFeedbackVisitUplink(b *testing.B) {
+	const n = 41_672 // the float32 MLP of the TCP benchmark workload
+	r := rng.New(68)
+	start := efRandVec(r, n)
+	trained := efRandVec(r, n)
+	out := make([]float64, n)
+	for _, c := range []wire.Codec{wire.TopK, wire.TopKQuant8} {
+		b.Run(c.String(), func(b *testing.B) {
+			ef := NewErrorFeedback(c, 0.05, 1, n)
+			var s EFScratch
+			frame := ef.Visit(nil, 0, start, out, &s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(out, trained)
+				frame = ef.Visit(frame[:0], 0, start, out, &s)
+			}
+		})
 	}
 }

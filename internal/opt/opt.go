@@ -70,26 +70,32 @@ func (s *SGD[T]) Step(params, grads []*tensor.Of[T]) {
 		}
 	}
 	lr, mom, wd := T(s.LR), T(s.Momentum), T(s.WeightDecay)
+	grads = grads[:len(params)]
 	for i, p := range params {
 		g := grads[i]
 		if !p.SameShape(g) {
 			panic(fmt.Sprintf("opt: param %d shape %v != grad shape %v", i, p.Shape, g.Shape))
 		}
+		// Each loop reads slices cut to len(pd) once, so the compiler
+		// checks no bounds and reloads no header per element.
+		pd := p.Data
+		gd := g.Data[:len(pd)]
 		if s.Momentum > 0 {
 			v := s.velocity[i]
 			if !v.SameShape(p) {
 				v = tensor.NewOf[T](p.Shape...)
 				s.velocity[i] = v
 			}
-			for j := range p.Data {
-				eff := g.Data[j] + T(wd*p.Data[j])
-				v.Data[j] = T(mom*v.Data[j]) + eff
-				p.Data[j] -= T(lr * v.Data[j])
+			vd := v.Data[:len(pd)]
+			for j := range pd {
+				eff := gd[j] + T(wd*pd[j])
+				vd[j] = T(mom*vd[j]) + eff
+				pd[j] -= T(lr * vd[j])
 			}
 		} else {
-			for j := range p.Data {
-				eff := g.Data[j] + T(wd*p.Data[j])
-				p.Data[j] -= T(lr * eff)
+			for j := range pd {
+				eff := gd[j] + T(wd*pd[j])
+				pd[j] -= T(lr * eff)
 			}
 		}
 	}
@@ -117,13 +123,16 @@ func AddProximal[T tensor.Float](params, grads []*tensor.Of[T], ref []T, mu floa
 	}
 	muT := T(mu)
 	off := 0
+	grads = grads[:len(params)]
 	for i, p := range params {
 		g := grads[i]
 		if off+p.Size() > len(ref) {
 			panic(fmt.Sprintf("opt: proximal ref too short: need %d, have %d", off+p.Size(), len(ref)))
 		}
-		for j := range p.Data {
-			g.Data[j] += T(muT * (p.Data[j] - ref[off+j]))
+		pd := p.Data
+		gd, rd := g.Data[:len(pd)], ref[off:off+len(pd)]
+		for j := range pd {
+			gd[j] += T(muT * (pd[j] - rd[j]))
 		}
 		off += p.Size()
 	}

@@ -279,10 +279,16 @@ func decodeSparseInto(dst []float64, frame []byte) ([]float64, error) {
 // reuse. Selection is deterministic under ties: the threshold is the
 // k-th largest value and surplus threshold-valued coordinates are taken
 // lowest-index-first — independent of the internal partition order. NaN
-// scores rank as +Inf (a non-finite coordinate is exactly what the
-// server must see, so the masking layer can catch it). scratch backs the
-// destructive selection; scores is never modified. Zero allocations once
-// both slices have capacity.
+// scores rank as +Inf. scratch backs the destructive selection; scores
+// is never modified. Zero allocations once both slices have capacity.
+//
+// The threshold is found among the survivors of a bound: a score below
+// the bound is never written past. When at least k scores reach the
+// bound, the k-th largest score reaches it too, so every score the
+// threshold rule can keep is a survivor, and the k-th largest survivor
+// is the k-th largest score. The bound is an order statistic of a fixed
+// strided sample that about 2k of the n scores reach; when fewer than k
+// do, or n is below topkSampleMin, every score survives.
 func TopKSelect(idx []uint32, scratch, scores []float64, k int) ([]uint32, []float64) {
 	n := len(scores)
 	if k > n {
@@ -292,45 +298,107 @@ func TopKSelect(idx []uint32, scratch, scores []float64, k int) ([]uint32, []flo
 	if k <= 0 {
 		return idx, scratch
 	}
-	if cap(idx) < k {
-		idx = make([]uint32, 0, k)
-	}
 	if k == n {
+		if cap(idx) < k {
+			idx = make([]uint32, 0, k)
+		}
 		for i := 0; i < n; i++ {
 			idx = append(idx, uint32(i))
 		}
 		return idx, scratch
 	}
-	scratch = scratch[:0]
-	for _, s := range scores {
-		if math.IsNaN(s) {
-			s = math.Inf(1)
-		}
-		scratch = append(scratch, s)
+	if cap(idx) < n {
+		idx = make([]uint32, n)
 	}
-	thr := selectKthLargest(scratch, k)
-	greater := 0
-	for _, s := range scores {
-		if math.IsNaN(s) {
-			s = math.Inf(1)
-		}
-		if s > thr {
-			greater++
-		}
+	if cap(scratch) < 2*n {
+		scratch = make([]float64, 2*n)
 	}
-	atThr := k - greater
+	at, surv, sel := idx[:n], scratch[:n], scratch[n:2*n]
+	c := 0
+	if n >= topkSampleMin {
+		c = survivors(surv, at, scores, sampleBound(sel, scores, k))
+	}
+	if c < k {
+		c = survivors(surv, at, scores, math.Inf(-1))
+	}
+	copy(sel, surv[:c])
+	thr := selectKthLargest(sel[:c], k)
+	return keep(at[:c], surv[:c], thr, k), scratch
+}
+
+// TopKSelect samples every ⌊n/topkSample⌋-th score (1024 to 1280 of
+// them) for its bound; below topkSampleMin scores it samples nothing and
+// selects over all of them.
+const (
+	topkSample    = 1024
+	topkSampleMin = 4 * topkSample
+)
+
+// rank is the value a score is ranked by: NaN ranks as +Inf.
+func rank(s float64) float64 {
+	if s != s {
+		return math.Inf(1)
+	}
+	return s
+}
+
+// sampleBound returns the ⌈2k·m/n⌉-th largest of the m scores at a
+// fixed stride, a bound that about 2k of the n scores reach. buf holds
+// the sample and must have room for 2·topkSample values.
+func sampleBound(buf, scores []float64, k int) float64 {
+	n, step := len(scores), len(scores)/topkSample
+	sample := buf[:0]
+	for s := scores; len(s) > 0; s = s[min(step, len(s)):] {
+		sample = append(sample, rank(s[0]))
+	}
+	m := len(sample)
+	r := (2*k*m + n - 1) / n
+	if r > m {
+		r = m
+	}
+	return selectKthLargest(sample, r)
+}
+
+// survivors writes every ranked score and its index to surv and at,
+// advancing past the ones that reach bound, and returns how many did:
+// surv[:c] and at[:c] hold them in ascending index order.
+func survivors(surv []float64, at []uint32, scores []float64, bound float64) int {
+	surv, at = surv[:len(scores)], at[:len(scores)]
+	c := 0
 	for i, s := range scores {
-		if math.IsNaN(s) {
-			s = math.Inf(1)
-		}
-		if s > thr {
-			idx = append(idx, uint32(i))
-		} else if s == thr && atThr > 0 {
-			idx = append(idx, uint32(i))
-			atThr--
-		}
+		s = rank(s)
+		surv[c] = s
+		at[c] = uint32(i)
+		c += b2i(s >= bound)
 	}
-	return idx, scratch
+	return c
+}
+
+// keep compacts the survivors' indices at to the k that TopKSelect
+// returns: every score above thr, then threshold-valued scores lowest
+// index first, until k are kept.
+func keep(at []uint32, surv []float64, thr float64, k int) []uint32 {
+	at = at[:len(surv)]
+	ties := k
+	for _, s := range surv {
+		ties -= b2i(s > thr)
+	}
+	c := 0
+	for i, s := range surv {
+		tie := b2i(s == thr) & b2i(ties > 0)
+		at[c] = at[i]
+		c += b2i(s > thr) | tie
+		ties -= tie
+	}
+	return at[:c]
+}
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // selectKthLargest returns the k-th largest element of a (1-based k,

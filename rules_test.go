@@ -19,6 +19,7 @@ import (
 	"regexp"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -396,4 +397,120 @@ func TestNoFusedMultiplyAddOnArm64(t *testing.T) {
 			t.Errorf("no arm64 assembly listing for %s", path)
 		}
 	}
+}
+
+// hotLoops are the files whose loops the compiler must keep free of
+// bounds checks, the functions of each that the rule covers (every one
+// when none is named), and the checks each may keep.
+var hotLoops = []struct {
+	file    string
+	funcs   []string
+	allowed *regexp.Regexp
+}{
+	// A slice expression cutting b-rows, the panel or an output row; an
+	// &x[i] tile start.
+	{"internal/tensor/kernels.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|&\w+\[`)},
+	// A slice expression cutting a plane, row or run; the &col[0]/&src[0]
+	// handed to copyRunsAVX2.
+	{"internal/tensor/im2col.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|AVX2\(`)},
+	// A gradient, velocity or reference cut to the parameter's length;
+	// the per-tensor velocity lookup.
+	{"internal/opt/opt.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|velocity\[i\]`)},
+	// A vector cut to n; the client's residual row; a gather or scatter
+	// at a kept index.
+	{"internal/fl/ef.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|\[(client|ix)\]`)},
+	// A slice expression; a compaction's store at its write cursor c,
+	// which no loop bound can prove.
+	{"internal/wire/sparse.go", []string{"TopKSelect", "sampleBound", "survivors", "keep"},
+		regexp.MustCompile(`\[[^\]]*:[^\]]*\]|\w+\[c\] = `)},
+}
+
+// TestHotLoopsBoundsCheckFree: under -d=ssa/check_bce, each hotLoops file
+// reports checks only on lines its pattern allows (DESIGN.md §15). A file
+// that reports no check at all means the listing format has changed.
+func TestHotLoopsBoundsCheckFree(t *testing.T) {
+	m := load(t)
+	type rule struct {
+		allowed *regexp.Regexp
+		lines   []string
+		spans   [][2]int // the covered funcs' first and last lines; nil covers the file
+		checks  int
+	}
+	rules := map[string]*rule{}
+	for _, h := range hotLoops {
+		src, err := os.ReadFile(h.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := &rule{allowed: h.allowed, lines: strings.Split(string(src), "\n")}
+		rules[h.file] = r
+		f := m.files[filepath.FromSlash(h.file)]
+		if f == nil {
+			t.Fatalf("%s is not part of the module's non-test code", h.file)
+		}
+		for _, name := range h.funcs {
+			n := len(r.spans)
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == name {
+					r.spans = append(r.spans, [2]int{m.fset.Position(fd.Pos()).Line, m.fset.Position(fd.End()).Line})
+				}
+			}
+			if len(r.spans) == n {
+				t.Errorf("%s declares no func %s", h.file, name)
+			}
+		}
+	}
+	cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "build", "-gcflags=-d=ssa/check_bce",
+		"./internal/tensor", "./internal/opt", "./internal/fl", "./internal/wire")
+	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=amd64")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -gcflags=-d=ssa/check_bce: %v\n%s", err, out)
+	}
+	// A file is named from the module root, or relative to the package
+	// under the "# import path" line above it ("./" or "../" for a body
+	// inlined from another package).
+	found := regexp.MustCompile(`^(\S+\.go):(\d+):\d+: Found Is\w*InBounds$`)
+	reported := map[string]bool{}
+	dir := ""
+	for _, line := range strings.Split(string(out), "\n") {
+		if p, ok := strings.CutPrefix(line, "# "); ok {
+			dir = strings.TrimPrefix(p, modulePath+"/")
+			continue
+		}
+		f := found.FindStringSubmatch(line)
+		if f == nil {
+			continue
+		}
+		file := f[1]
+		if strings.HasPrefix(file, ".") {
+			file = filepath.ToSlash(filepath.Join(dir, file))
+		}
+		ln, _ := strconv.Atoi(f[2])
+		r := rules[file]
+		if r == nil || !inSpans(r.spans, ln) {
+			continue
+		}
+		r.checks++
+		if src := r.lines[ln-1]; !r.allowed.MatchString(src) && !reported[file+":"+f[2]] {
+			reported[file+":"+f[2]] = true
+			t.Errorf("bounds check inside a hot loop at %s:%d: %s", file, ln, strings.TrimSpace(src))
+		}
+	}
+	for _, h := range hotLoops {
+		if rules[h.file].checks == 0 {
+			t.Errorf("the compiler reported no bounds check in %s; the listing format has changed", h.file)
+		}
+	}
+}
+
+// inSpans reports whether line falls in one of spans; nil spans hold every
+// line.
+func inSpans(spans [][2]int, line int) bool {
+	for _, s := range spans {
+		if s[0] <= line && line <= s[1] {
+			return true
+		}
+	}
+	return spans == nil
 }
