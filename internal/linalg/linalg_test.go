@@ -81,7 +81,9 @@ func randSymmetric(r *rng.Rng, n int) *tensor.Tensor {
 	a := randMatrix(r, n, n)
 	at := tensor.Transpose(a)
 	s := a.Clone()
-	s.AddScaled(at, 1)
+	for i, v := range at.Data {
+		s.Data[i] += v
+	}
 	scale(s, 0.5)
 	return s
 }

@@ -91,7 +91,7 @@ func TestLossDecreasesUnderGradientStep(t *testing.T) {
 		net.Backward(grad)
 		params, grads := net.Params(), net.Grads()
 		for i := range params {
-			params[i].AddScaled(grads[i], -1e-3)
+			addScaled(params[i], grads[i], -1e-3)
 		}
 		after, _, _ := ce.Loss(net.Forward(x, false), labels)
 		if after > before {

@@ -35,7 +35,6 @@ type Conv2DOf[T tensor.Float] struct {
 	rows   rowView[T]            // the current strip's rows of mm
 	mm     ws[T]                 // pixel-major matmul output y in Forward, de-interleaved gy in Backward
 	out    ws[T]                 // channel-major forward output (batch, OutC*outHW)
-	gwTmp  ws[T]                 // per-call weight gradient, accumulated into gw
 	gx     ws[T]                 // input gradient (batch, InC*InH*InW)
 }
 
@@ -148,11 +147,9 @@ func (c *Conv2DOf[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 		}
 	}
 	// gW += gyᵀ·unroll (OutC, rowLen) and, unless unread, gx = col2im(gy·W),
-	// one strip at a time: re-unroll the strip, accumulate its share of
-	// the weight gradient, then overwrite it with its column gradient and
-	// scatter that.
-	gw := c.gwTmp.get(c.OutC, rowLen)
-	gw.Zero()
+	// one strip at a time: re-unroll the strip, add its share of the
+	// weight gradient into gw, then overwrite it with its column gradient
+	// and scatter that.
 	var gx *tensor.Of[T]
 	if !c.noGx {
 		gx = c.gx.get(batch, c.InDim())
@@ -161,13 +158,12 @@ func (c *Conv2DOf[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	for r0, s := 0, stripRows[T](rowLen); r0 < gy.Shape[0]; r0 += s {
 		r1 := min(r0+s, gy.Shape[0])
 		strip, g := c.unroll(r0, r1), c.rows.of(gy, r0, r1)
-		tensor.MatMulTransAAddInto(gw, g, strip)
+		tensor.MatMulTransAAddInto(c.gw, g, strip)
 		if gx != nil {
 			tensor.MatMulInto(strip, g, c.W)
 			tensor.Col2ImRowsInto(strip.Data, c.Geom, r0, gx.Data)
 		}
 	}
-	c.gw.AddScaled(gw, 1)
 	// gB += column sums of gy.
 	for i := 0; i < gy.Shape[0]; i++ {
 		row := gy.Row(i)

@@ -8,9 +8,10 @@ import (
 )
 
 // DenseOf is a fully connected layer: y = x·Wᵀ + b. Forward and Backward
-// write into persistent per-layer workspaces (out, gwTmp, gx), so a
-// steady-state training step allocates nothing; returned tensors are
-// valid only until the layer's next Forward/Backward call.
+// write into persistent per-layer workspaces (out, gx) and Backward adds
+// the weight gradient straight into gw, so a steady-state training step
+// allocates nothing; returned tensors are valid only until the layer's
+// next Forward/Backward call.
 type DenseOf[T tensor.Float] struct {
 	In, Out int
 	W       *tensor.Of[T] // (Out, In)
@@ -19,9 +20,8 @@ type DenseOf[T tensor.Float] struct {
 	x       *tensor.Of[T] // cached input for backward
 	noGx    bool          // input gradient unread: Backward returns nil
 
-	out   ws[T] // forward output (batch, Out)
-	gwTmp ws[T] // per-call weight gradient, accumulated into gw
-	gx    ws[T] // input gradient (batch, In)
+	out ws[T] // forward output (batch, Out)
+	gx  ws[T] // input gradient (batch, In)
 }
 
 // Dense is the float64 fully connected layer.
@@ -64,10 +64,11 @@ func (d *DenseOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	batch := x.Shape[0]
 	y := d.out.get(batch, d.Out)
 	tensor.MatMulTransBInto(y, x, d.W)
+	bias := d.B.Data[:d.Out]
 	for i := 0; i < batch; i++ {
-		row := y.Row(i)
-		for j := range row {
-			row[j] += d.B.Data[j]
+		row := y.Data[i*len(bias):][:len(bias)]
+		for j, v := range bias {
+			row[j] += v
 		}
 	}
 	return y
@@ -80,14 +81,13 @@ func (d *DenseOf[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	}
 	checkBatchInput(d, " backward", gradOut, d.x.Shape[0], d.Out)
 	// gW += gyᵀ·x ; gb += column sums of gy ; gx = gy·W
-	gw := d.gwTmp.get(d.Out, d.In)
-	tensor.MatMulTransAInto(gw, gradOut, d.x)
-	d.gw.AddScaled(gw, 1)
+	tensor.MatMulTransAAddInto(d.gw, gradOut, d.x)
 	batch := gradOut.Shape[0]
+	gb := d.gb.Data[:d.Out]
 	for i := 0; i < batch; i++ {
-		row := gradOut.Row(i)
+		row := gradOut.Data[i*len(gb):][:len(gb)]
 		for j, v := range row {
-			d.gb.Data[j] += v
+			gb[j] += v
 		}
 	}
 	if d.noGx {

@@ -27,6 +27,13 @@ func zeroGrads[T tensor.Float](net *SequentialOf[T]) {
 	}
 }
 
+// addScaled is the plain SGD step the training tests take: p += s·g.
+func addScaled[T tensor.Float](p, g *tensor.Of[T], s T) {
+	for i, v := range g.Data {
+		p.Data[i] += s * v
+	}
+}
+
 // tensorOf returns x in element type T (x itself for float64).
 func tensorOf[T tensor.Float](x *tensor.Tensor) *tensor.Of[T] {
 	if same, ok := any(x).(*tensor.Of[T]); ok {

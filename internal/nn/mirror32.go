@@ -90,13 +90,16 @@ func convertParams[D, S tensor.Float](op string, dst *SequentialOf[D], src *Sequ
 	if len(dp) != len(sp) {
 		panic(fmt.Sprintf("nn: %s tensor count %d vs %d", op, len(dp), len(sp)))
 	}
+	dp = dp[:len(sp)]
 	for i, p := range sp {
 		d := dp[i]
 		if d.Size() != p.Size() {
 			panic(fmt.Sprintf("nn: %s tensor %d size %d vs %d", op, i, d.Size(), p.Size()))
 		}
-		for j, v := range p.Data {
-			d.Data[j] = D(v)
+		src := p.Data
+		dst := d.Data[:len(src)]
+		for j, v := range src {
+			dst[j] = D(v)
 		}
 	}
 }

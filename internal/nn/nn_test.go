@@ -300,7 +300,7 @@ func TestTrainingReducesLossOnToyProblem(t *testing.T) {
 		net.Backward(grad)
 		params, grads := net.Params(), net.Grads()
 		for i := range params {
-			params[i].AddScaled(grads[i], -0.5)
+			addScaled(params[i], grads[i], -0.5)
 		}
 	}
 	if last > first/10 || last > 0.2 {

@@ -121,7 +121,7 @@ func testAlternatingTrainEvalOnSameModel[T tensor.Float](t *testing.T) {
 		net.Backward(grad)
 		params, grads := net.Params(), net.Grads()
 		for i := range params {
-			params[i].AddScaled(grads[i], -0.1)
+			addScaled(params[i], grads[i], -0.1)
 		}
 	}
 

@@ -44,7 +44,8 @@ func convForwardOracle[T tensor.Float](c *nn.Conv2DOf[T], x *tensor.Of[T]) (out,
 }
 
 // convBackwardOracle accumulates into gw and gb as the layer does into
-// its own, and returns the input gradient (nil when noGx).
+// its own — gW in one whole-matrix product that goes on from gw's
+// current value — and returns the input gradient (nil when noGx).
 func convBackwardOracle[T tensor.Float](c *nn.Conv2DOf[T], cols, gradOut, gw, gb *tensor.Of[T], noGx bool) *tensor.Of[T] {
 	batch := gradOut.Shape[0]
 	outHW := c.Geom.OutH() * c.Geom.OutW()
@@ -59,9 +60,7 @@ func convBackwardOracle[T tensor.Float](c *nn.Conv2DOf[T], cols, gradOut, gw, gb
 			}
 		}
 	}
-	gwTmp := tensor.NewOf[T](c.OutC, rowLen)
-	tensor.MatMulTransAInto(gwTmp, gy, cols)
-	gw.AddScaled(gwTmp, 1)
+	tensor.MatMulTransAAddInto(gw, gy, cols)
 	for i := 0; i < gy.Shape[0]; i++ {
 		for ch, v := range gy.Row(i) {
 			gb.Data[ch] += v

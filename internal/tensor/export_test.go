@@ -22,6 +22,14 @@ func MatMul(a, b *Tensor) *Tensor {
 	return out
 }
 
+// MatMulTransAInto is dst = aᵀ·b: MatMulTransAAddInto into a zeroed
+// dst, the form the product tests are written against.
+func MatMulTransAInto[T Float](dst, a, b *Of[T]) {
+	transADims(dst, a, b)
+	clear(dst.Data)
+	MatMulTransAAddInto(dst, a, b)
+}
+
 // Equal reports whether a and b have the same shape and elementwise
 // absolute difference at most tol: the product tests' comparison.
 func Equal(a, b *Tensor, tol float64) bool {

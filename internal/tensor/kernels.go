@@ -4,9 +4,9 @@ import "unsafe"
 
 // Go glue of the assembly a·bᵀ tile and axpy (simd64_amd64.s for float64,
 // simd_amd64.s for float32), one generic body for both element types. It
-// is under CI's check_bce gate: slicing an operand row or taking the
-// address an assembly routine starts from may check, once per call or per
-// tile; the pack loop and the tile copy-out may not.
+// is under the root TestHotLoopsBoundsCheckFree: slicing an operand row
+// or taking the address an assembly routine starts from may check, once
+// per call or per tile; the pack loop and the tile stores may not.
 
 // transBPanelK is the largest inner dimension the assembly a·bᵀ path
 // takes: its packed panel of bᵀ holds one 32-byte register row per p on
@@ -73,12 +73,7 @@ func tileBlock[T Float](dst, a, panel []T, k, n, j, lo, hi int) {
 	w := lanes[T]()
 	cols, pp := min(w, n-j), &panel[0]
 	for i := lo; i < hi; i += 4 {
-		switch a := any(&a[i*k]).(type) {
-		case *float64:
-			f64TransBTileAVX2(a, any(pp).(*float64), k, any(&tile[0]).(*float64))
-		case *float32:
-			f32TransBTileAVX2(a, any(pp).(*float32), k, any(&tile[0]).(*float32))
-		}
+		transBTile(&a[i*k], pp, k, &tile, false)
 		for r := 0; r < 4; r++ {
 			out := dst[(i+r)*n+j:][:cols]
 			src := tile[r*w:][:len(out)]
@@ -89,13 +84,62 @@ func tileBlock[T Float](dst, a, panel []T, k, n, j, lo, hi int) {
 	}
 }
 
-// axpyAVX2 runs T's assembly axpy: dst[i] += alpha*x[i] over n > 0
-// elements, the product rounded before the sum.
-func axpyAVX2[T Float](dst, x *T, alpha T, n int) {
+// transBTilesPackA computes rows [lo,hi) of dst (m×n) = a (m×k) · bᵀ (b is
+// n×k), all flat row-major and n ≥ 4, with the operands' roles swapped:
+// the rows of a are interleaved lanes at a time into a stack panel — the
+// smaller operand when hi-lo < n — and b's rows run through the tile four
+// at a time, the last n mod 4 as the tail of b's last four rows. The
+// tile's row r, lane c is dst[i+c][j+r], stored transposed. Each output
+// is the same chain as in transBTiles — p ascending, a[i][p]·b[j][p]
+// rounded, then the sum — and the skip-zero rule stays with a, which is
+// now the panel, so the tile masks by the panel's values.
+func transBTilesPackA[T Float](dst, a, b []T, k, n, lo, hi int) {
+	var buf [transBPanelK * 8]T // sized for float32's eight lanes; float64 uses half
+	var tile [32]T              // four rows of lanes; float64 uses the first half
+	w := lanes[T]()
+	panel, full := buf[:w*k], n&^3
+	rows, pp := a[lo*k:hi*k], &panel[0]
+	for i := lo; i < hi; i += w {
+		packTransB(panel, rows, k, hi-lo, i-lo)
+		s0 := tile[:min(w, hi-i)] // one value per stored row of dst
+		s1, s2, s3 := tile[w:][:len(s0)], tile[2*w:][:len(s0)], tile[3*w:][:len(s0)]
+		for j := 0; j < full; j += 4 {
+			transBTile(&b[j*k], pp, k, &tile, true)
+			for c, v := range s0 {
+				out := dst[(i+c)*n+j:][:4]
+				out[0], out[1], out[2], out[3] = v, s1[c], s2[c], s3[c]
+			}
+		}
+		if full < n {
+			transBTile(&b[(n-4)*k], pp, k, &tile, true)
+			for c, v := range s0 {
+				out, col := dst[(i+c)*n+full:(i+c+1)*n], [4]T{v, s1[c], s2[c], s3[c]}
+				copy(out, col[4-len(out):])
+			}
+		}
+	}
+}
+
+// transBTile runs T's assembly tile: four rows of a (stride k) against
+// one packed panel into tile, masking by the panel's values when
+// maskPanel is set and by a's otherwise.
+func transBTile[T Float](a, panel *T, k int, tile *[32]T, maskPanel bool) {
+	switch a := any(a).(type) {
+	case *float64:
+		f64TransBTileAVX2(a, any(panel).(*float64), k, &any(tile).(*[32]float64)[0], maskPanel)
+	case *float32:
+		f32TransBTileAVX2(a, any(panel).(*float32), k, &any(tile).(*[32]float32)[0], maskPanel)
+	}
+}
+
+// axpyAVX2 runs T's assembly axpy: dst[i] += alpha[t]*x[t][i] for t = 0
+// … terms−1 (1–4) in turn over n > 0 elements, each product rounded
+// before its sum.
+func axpyAVX2[T Float](dst *T, x *[4]*T, alpha *[4]T, terms, n int) {
 	switch d := any(dst).(type) {
 	case *float64:
-		f64AxpyAVX2(d, any(x).(*float64), float64(alpha), n)
+		f64AxpyAVX2(d, any(x).(*[4]*float64), any(alpha).(*[4]float64), terms, n)
 	case *float32:
-		f32AxpyAVX2(d, any(x).(*float32), float32(alpha), n)
+		f32AxpyAVX2(d, any(x).(*[4]*float32), any(alpha).(*[4]float32), terms, n)
 	}
 }

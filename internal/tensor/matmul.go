@@ -23,8 +23,8 @@ const parallelThreshold32 = 4 * parallelThreshold
 // parallelizing over row blocks when the product is large enough. dst
 // must not alias a or b and must have shape (a.rows, b.cols).
 //
-// All three products (this one, MatMulTransBInto, MatMulTransAInto) run
-// one generic body per row kernel in both element types: each output
+// All three products (this one, MatMulTransBInto, MatMulTransAAddInto)
+// run one generic body per row kernel in both element types: each output
 // element is one chain over p in increasing order, the product rounded
 // before the sum, zero multiplicands skipped. That order is fixed by the
 // operand shapes alone, so parallel and serial runs are bit-identical.
@@ -52,7 +52,6 @@ type variant int
 const (
 	plain variant = iota
 	transB
-	transA
 	transAAdd
 )
 
@@ -64,8 +63,6 @@ func variantRows[T Float](v variant, dst, a, b *Of[T], lo, hi int) {
 		matmulRows(dst, a, b, lo, hi)
 	case transB:
 		matmulTransBRows(dst, a, b, lo, hi)
-	case transA:
-		matmulTransARows(dst, a, b, lo, hi)
 	case transAAdd:
 		matmulTransAAddRows(dst, a, b, lo, hi)
 	}
@@ -272,14 +269,22 @@ func (p *TransBPanel[T]) MulInto(dst, a *Of[T]) {
 }
 
 // matmulTransBRows computes rows [lo,hi) of dst = a·bᵀ: on AVX2 hosts
-// whole groups of four rows go through the assembly tile, the rest — the
-// (hi-lo) mod 4 tail, blocks of fewer than four rows, k beyond the panel
-// bound — through the Go body. Both produce the same bits for every
-// element, so where a row block is cut decides nothing.
+// through the assembly tile, packing the smaller operand. A block of
+// fewer rows than b has (a dense layer's batch against its weights)
+// packs its own rows and runs all of them through the tile, four of b's
+// rows at a time; otherwise b is packed and whole groups of four rows go
+// through the tile. The rest — the (hi-lo) mod 4 tail, blocks of fewer
+// than four rows, k beyond the panel bound — runs the Go body. All three
+// produce the same bits for every element, so neither the form nor where
+// a row block is cut decides anything.
 func matmulTransBRows[T Float](dst, a, b *Of[T], lo, hi int) {
-	if k := a.Shape[1]; useASM && hi-lo >= 4 && k > 0 && k <= transBPanelK {
+	if k, n := a.Shape[1], dst.Shape[1]; useASM && hi-lo >= 4 && k > 0 && k <= transBPanelK {
+		if hi-lo < n { // so n > 4
+			transBTilesPackA(dst.Data, a.Data, b.Data, k, n, lo, hi)
+			return
+		}
 		mid := lo + (hi-lo)&^3
-		transBTiles(dst.Data, a.Data, b.Data, k, dst.Shape[1], lo, mid)
+		transBTiles(dst.Data, a.Data, b.Data, k, n, lo, mid)
 		lo = mid
 	}
 	matmulTransBRowsGo(dst, a, b, lo, hi)
@@ -366,22 +371,16 @@ func matmulTransBRowsGo[T Float](dst, a, b *Of[T], lo, hi int) {
 	}
 }
 
-// MatMulTransAInto computes dst = aᵀ · b without materializing the
+// MatMulTransAAddInto computes dst += aᵀ · b without materializing the
 // transpose: a is (k, m), b is (k, n), dst is (m, n) and must not alias
-// a or b. Row i of dst accumulates a's column i against b's rows over p
-// in increasing order with the same skip-zero rule as matmulRows, so the
-// result is bit-identical to MatMulInto(dst, Transpose(a), b).
-func MatMulTransAInto[T Float](dst, a, b *Of[T]) {
-	m, k, n := transADims(dst, a, b)
-	runRows(transA, dst, a, b, m, m*n*k)
-}
-
-// MatMulTransAAddInto computes dst += aᵀ · b: every element of dst goes
-// on from its current value with the chain MatMulTransAInto starts at
-// zero. So a product cut along k (the rows of a and b) into consecutive
-// blocks and added block by block, in order, into a zeroed dst is
-// bit-identical to MatMulTransAInto over the whole, wherever the blocks
-// are cut.
+// a or b. Row i of dst goes on from its current value, accumulating a's
+// column i against b's rows over p in increasing order with the same
+// skip-zero rule as matmulRows. Into a dst of +0 that is bit-identical
+// to MatMulInto(dst, Transpose(a), b) — a chain from +0 never reaches −0
+// (DESIGN.md §10), so starting from the +0 already in dst is starting
+// from zero — and a product cut along k (the rows of a and b) into
+// consecutive blocks and added block by block, in order, is
+// bit-identical to the whole, wherever the blocks are cut.
 func MatMulTransAAddInto[T Float](dst, a, b *Of[T]) {
 	m, k, n := transADims(dst, a, b)
 	runRows(transAAdd, dst, a, b, m, m*n*k)
@@ -408,14 +407,6 @@ func transADims[T Float](dst, a, b *Of[T]) (m, k, n int) {
 // loop.
 const axpyMinN = 8
 
-// matmulTransARows computes rows [lo,hi) of dst = aᵀ·b: it zeroes them,
-// then accumulates.
-func matmulTransARows[T Float](dst, a, b *Of[T], lo, hi int) {
-	n := dst.Shape[1]
-	clear(dst.Data[lo*n : hi*n])
-	matmulTransAAddRows(dst, a, b, lo, hi)
-}
-
 // matmulTransAAddRows accumulates aᵀ·b into rows [lo,hi) of dst,
 // streaming a's column i against b's rows.
 func matmulTransAAddRows[T Float](dst, a, b *Of[T], lo, hi int) {
@@ -438,9 +429,10 @@ func matmulRows[T Float](dst, a, b *Of[T], lo, hi int) {
 // A zero a(i,p) skips its term: each run of up to len(terms) p first
 // lists its non-zero ones without a branch (a zero is a coin flip in a
 // ReLU gradient), then accumulates them. On AVX2 hosts a row of at least
-// axpyMinN accumulates through the element type's assembly axpy —
-// product rounded, then the sum, per element as in the loop it stands in
-// for — and through the loop itself otherwise.
+// axpyMinN accumulates four listed terms per call of the element type's
+// assembly axpy — each product rounded, then its sum, per element and in
+// p order as in the loop it stands in for — and through the loop itself
+// otherwise.
 func axpyRows[T Float](dst, a, b []T, k, n, si, sp, lo, hi int) {
 	wide := useASM && n >= axpyMinN
 	var terms [64]int
@@ -452,12 +444,20 @@ func axpyRows[T Float](dst, a, b []T, k, n, si, sp, lo, hi int) {
 				terms[nz&(len(terms)-1)] = p // nz < len(terms) here; the mask proves it
 				nz += b2i(a[i*si+p*sp] != 0)
 			}
+			if wide {
+				for t := 0; t < nz; t += 4 {
+					var x [4]*T
+					var av [4]T
+					group := terms[t:min(t+4, nz)]
+					for u, p := range group {
+						x[u&3], av[u&3] = &b[p*n], a[i*si+p*sp] // u < 4; the mask proves it
+					}
+					axpyAVX2(&outRow[0], &x, &av, len(group), n)
+				}
+				continue
+			}
 			for _, p := range terms[:nz] {
 				av, bRow := a[i*si+p*sp], b[p*n:(p+1)*n]
-				if wide {
-					axpyAVX2(&outRow[0], &bRow[0], av, n)
-					continue
-				}
 				for j, bv := range bRow {
 					outRow[j] += T(av * bv)
 				}

@@ -44,7 +44,7 @@ func TestParallelMatMulBitIdentical(t *testing.T) {
 	serialMM, serialTB, serialTA := New(m, n), New(m, n), New(m, n)
 	matmulRows(serialMM, a, b, 0, m)
 	matmulTransBRows(serialTB, a, bT, 0, m)
-	matmulTransARows(serialTA, aT, b, 0, m)
+	matmulTransAAddRows(serialTA, aT, b, 0, m)
 
 	for _, procs := range []int{2, 3, 8} {
 		withProcs(procs, func() {

@@ -1,25 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
-
-// AddScaled adds s*o to t in place (axpy), the product rounded before the
-// sum: through the element type's assembly axpy on AVX2 hosts, the loop
-// otherwise, the same bits either way.
-func (t *Of[T]) AddScaled(o *Of[T], s T) {
-	if !t.SameShape(o) {
-		panic(fmt.Sprintf("tensor: AddScaled shape mismatch %v vs %v", t.Shape, o.Shape))
-	}
-	if n := len(t.Data); useASM && n > 0 {
-		axpyAVX2(&t.Data[0], &o.Data[0], s, n)
-		return
-	}
-	for i := range t.Data {
-		t.Data[i] += T(s * o.Data[i])
-	}
-}
+import "math"
 
 // Norm returns the Euclidean (Frobenius) norm of t.
 func (t *Of[T]) Norm() T {

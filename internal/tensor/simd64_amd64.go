@@ -12,17 +12,18 @@ import "unsafe"
 
 // f64TransBTileAVX2 computes the 4×4 tile out[r*4+c] = Σ_p a[r*k+p] ·
 // panel[p*4+c] over p ascending, skipping (as an exact masked add of +0)
-// every p whose a value is ±0. a addresses 4 rows of k floats, panel k
-// rows of 4, out 16 floats; k must be > 0.
+// every term whose a value is ±0 — or, when maskPanel is set, every term
+// whose panel value is. a addresses 4 rows of k floats, panel k rows of 4, out
+// 16 floats; k must be > 0.
 //
 //go:noescape
-func f64TransBTileAVX2(a, panel *float64, k int, out *float64)
+func f64TransBTileAVX2(a, panel *float64, k int, out *float64, maskPanel bool)
 
-// f64AxpyAVX2 accumulates dst[i] += alpha*x[i] over n > 0 elements, the
-// product rounded before the sum.
+// f64AxpyAVX2 accumulates dst[i] += alpha[t]*x[t][i] for t = 0 … terms−1
+// (1–4) in turn over n > 0 elements, each product rounded before its sum.
 //
 //go:noescape
-func f64AxpyAVX2(dst, x *float64, alpha float64, n int)
+func f64AxpyAVX2(dst *float64, x *[4]*float64, alpha *[4]float64, terms, n int)
 
 // copyRunsAVX2 copies n runs of runBytes ≥ 4 bytes each: run i from
 // src + i*srcStride to dst + i*dstStride (strides in bytes). It reads

@@ -11,24 +11,29 @@
 // Every routine that touches a YMM register executes VZEROUPPER before
 // returning.
 
-// func f64TransBTileAVX2(a, panel *float64, k int, out *float64)
+// func f64TransBTileAVX2(a, panel *float64, k int, out *float64, maskPanel bool)
 //
-// Four a-rows (stride k) against one packed panel of four b-rows: lane c
-// of accumulator r is output (r, c), p ascending, product then sum. The
-// first pass adds every term. An Inf or NaN in the panel would make every
-// row's sum in its column non-finite, so when row 0's sums come out
-// finite the panel holds none, the skip-zero rule changes nothing, and
-// the first pass is the answer. Otherwise the second pass applies the
-// rule: per p and row it compares the broadcast a[r][p] NEQ_UQ against
-// zero (all-ones unless a is ±0; NaN compares true, as Go's `av == 0` is
-// false for NaN) and ANDs the product with that mask, so a skipped term
-// adds +0. DESIGN.md §10 proves both passes equal the Go body.
+// Four a-rows (stride k) against one packed panel of four rows: lane c
+// of accumulator r is output (r, c), p ascending, product then sum. One
+// of the two operands carries the skip-zero rule: the broadcast a values
+// (maskPanel false: the panel is bᵀ) or the panel's (maskPanel true: the
+// panel is four rows of the product's a, the broadcast rows its b, and
+// the caller stores the tile transposed). The first pass adds every
+// term. An Inf or NaN in the other operand makes every sum it enters
+// non-finite — a panel column's in all four rows, a broadcast row's in
+// all lanes — so when all sixteen sums come out finite that operand
+// holds none, the skip-zero rule changes nothing, and the first pass is
+// the answer. Otherwise the second pass applies the rule: per p it
+// compares the skip operand NEQ_UQ against zero (all-ones unless it is
+// ±0; NaN compares true, as Go's `av == 0` is false for NaN) and ANDs
+// each product with that mask, so a skipped term adds +0. DESIGN.md §10
+// proves both passes equal the Go body.
 //
 // The four a-rows are 8k contiguous bytes and the next call reads the 8k
 // after them, so each step of the first pass also prefetches 32 bytes of
 // the next tile's rows. A prefetch past the end of a is a hint that
 // faults nothing.
-TEXT ·f64TransBTileAVX2(SB), NOSPLIT, $0-32
+TEXT ·f64TransBTileAVX2(SB), NOSPLIT, $0-33
 	MOVQ a+0(FP), SI
 	MOVQ panel+8(FP), DI
 	MOVQ k+16(FP), CX
@@ -64,6 +69,12 @@ tile64_loop:
 	CMPQ AX, CX
 	JLT  tile64_loop
 	VSUBPD Y0, Y0, Y9
+	VSUBPD Y1, Y1, Y10
+	VSUBPD Y2, Y2, Y11
+	VSUBPD Y3, Y3, Y12
+	VADDPD Y10, Y9, Y9
+	VADDPD Y12, Y11, Y11
+	VADDPD Y11, Y9, Y9
 	VCMPPD $3, Y9, Y9, Y9
 	VMOVMSKPD Y9, AX
 	TESTL AX, AX
@@ -74,28 +85,49 @@ tile64_loop:
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
 	VXORPD Y15, Y15, Y15
+	VCMPPD $0, Y15, Y15, Y14
+	VXORPD Y13, Y13, Y13
+	MOVBLZX maskPanel+32(FP), AX
+	TESTL AX, AX
+	JNZ  tile64_masked_start
+	VMOVUPD Y14, Y13
+	VXORPD Y14, Y14, Y14
+tile64_masked_start:
+	// Y13 is all-ones when the panel carries no mask, Y14 when the
+	// broadcast rows carry none; Y9 is the panel's mask for this p, Y10
+	// the mask of the row being added.
 	XORQ AX, AX
 tile64_masked:
 	VMOVUPD (DI), Y4
+	VCMPPD $4, Y15, Y4, Y9
+	VORPD Y13, Y9, Y9
 	VBROADCASTSD (SI)(AX*8), Y5
 	VBROADCASTSD (R8)(AX*8), Y6
 	VBROADCASTSD (R9)(AX*8), Y7
 	VBROADCASTSD (R10)(AX*8), Y8
-	VCMPPD $4, Y15, Y5, Y9
-	VCMPPD $4, Y15, Y6, Y10
-	VCMPPD $4, Y15, Y7, Y11
-	VCMPPD $4, Y15, Y8, Y12
+	VCMPPD $4, Y15, Y5, Y10
+	VORPD Y14, Y10, Y10
+	VANDPD Y9, Y10, Y10
 	VMULPD Y4, Y5, Y5
-	VMULPD Y4, Y6, Y6
-	VMULPD Y4, Y7, Y7
-	VMULPD Y4, Y8, Y8
-	VANDPD Y9, Y5, Y5
-	VANDPD Y10, Y6, Y6
-	VANDPD Y11, Y7, Y7
-	VANDPD Y12, Y8, Y8
+	VANDPD Y10, Y5, Y5
 	VADDPD Y5, Y0, Y0
+	VCMPPD $4, Y15, Y6, Y10
+	VORPD Y14, Y10, Y10
+	VANDPD Y9, Y10, Y10
+	VMULPD Y4, Y6, Y6
+	VANDPD Y10, Y6, Y6
 	VADDPD Y6, Y1, Y1
+	VCMPPD $4, Y15, Y7, Y10
+	VORPD Y14, Y10, Y10
+	VANDPD Y9, Y10, Y10
+	VMULPD Y4, Y7, Y7
+	VANDPD Y10, Y7, Y7
 	VADDPD Y7, Y2, Y2
+	VCMPPD $4, Y15, Y8, Y10
+	VORPD Y14, Y10, Y10
+	VANDPD Y9, Y10, Y10
+	VMULPD Y4, Y8, Y8
+	VANDPD Y10, Y8, Y8
 	VADDPD Y8, Y3, Y3
 	ADDQ $32, DI
 	INCQ AX
@@ -109,47 +141,107 @@ tile64_store:
 	VZEROUPPER
 	RET
 
-// func f64AxpyAVX2(dst, x *float64, alpha float64, n int)
+// func f64AxpyAVX2(dst *float64, x *[4]*float64, alpha *[4]float64, terms, n int)
 //
-// dst[i] += alpha*x[i], product then sum; 8 doubles per main-loop
-// iteration, one 4-wide step, then a scalar tail with the same two
-// roundings.
-TEXT ·f64AxpyAVX2(SB), NOSPLIT, $0-32
+// dst[i] = (((dst[i] + alpha[0]*x[0][i]) + alpha[1]*x[1][i]) + …) over
+// the first terms (1–4) of x and alpha, each product rounded before its
+// sum: one load and one store of dst per element for up to four
+// sequential axpys. 8 doubles per main-loop iteration, one 4-wide step,
+// then a scalar tail with the same roundings. A term past terms is
+// neither read nor added; the branches that skip them go the same way on
+// every iteration of a call.
+TEXT ·f64AxpyAVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	VBROADCASTSD alpha+16(FP), Y0
-	MOVQ n+24(FP), CX
+	MOVQ x+8(FP), AX
+	MOVQ alpha+16(FP), BX
+	MOVQ terms+24(FP), R12
+	MOVQ n+32(FP), CX
+	MOVQ 0(AX), R8
+	MOVQ 8(AX), R9
+	MOVQ 16(AX), R10
+	MOVQ 24(AX), R11
+	VBROADCASTSD 0(BX), Y12
+	VBROADCASTSD 8(BX), Y13
+	VBROADCASTSD 16(BX), Y14
+	VBROADCASTSD 24(BX), Y15
+	XORQ SI, SI
 	MOVQ CX, DX
 	SHRQ $3, DX
 	JZ   axpy64_mid
 axpy64_loop8:
-	VMULPD (SI), Y0, Y1
-	VMULPD 32(SI), Y0, Y2
-	VADDPD (DI), Y1, Y1
-	VADDPD 32(DI), Y2, Y2
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y2, 32(DI)
+	VMOVUPD (DI)(SI*1), Y0
+	VMOVUPD 32(DI)(SI*1), Y1
+	VMULPD (R8)(SI*1), Y12, Y2
+	VMULPD 32(R8)(SI*1), Y12, Y3
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y1, Y1
+	CMPQ R12, $2
+	JLT  axpy64_store8
+	VMULPD (R9)(SI*1), Y13, Y2
+	VMULPD 32(R9)(SI*1), Y13, Y3
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y1, Y1
+	CMPQ R12, $3
+	JLT  axpy64_store8
+	VMULPD (R10)(SI*1), Y14, Y2
+	VMULPD 32(R10)(SI*1), Y14, Y3
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y1, Y1
+	CMPQ R12, $4
+	JLT  axpy64_store8
+	VMULPD (R11)(SI*1), Y15, Y2
+	VMULPD 32(R11)(SI*1), Y15, Y3
+	VADDPD Y2, Y0, Y0
+	VADDPD Y3, Y1, Y1
+axpy64_store8:
+	VMOVUPD Y0, (DI)(SI*1)
+	VMOVUPD Y1, 32(DI)(SI*1)
 	ADDQ $64, SI
-	ADDQ $64, DI
 	DECQ DX
 	JNZ  axpy64_loop8
 axpy64_mid:
 	TESTQ $4, CX
 	JZ   axpy64_tail_setup
-	VMULPD (SI), Y0, Y1
-	VADDPD (DI), Y1, Y1
-	VMOVUPD Y1, (DI)
+	VMOVUPD (DI)(SI*1), Y0
+	VMULPD (R8)(SI*1), Y12, Y2
+	VADDPD Y2, Y0, Y0
+	CMPQ R12, $2
+	JLT  axpy64_store4
+	VMULPD (R9)(SI*1), Y13, Y2
+	VADDPD Y2, Y0, Y0
+	CMPQ R12, $3
+	JLT  axpy64_store4
+	VMULPD (R10)(SI*1), Y14, Y2
+	VADDPD Y2, Y0, Y0
+	CMPQ R12, $4
+	JLT  axpy64_store4
+	VMULPD (R11)(SI*1), Y15, Y2
+	VADDPD Y2, Y0, Y0
+axpy64_store4:
+	VMOVUPD Y0, (DI)(SI*1)
 	ADDQ $32, SI
-	ADDQ $32, DI
 axpy64_tail_setup:
 	ANDQ $3, CX
 	JZ   axpy64_done
 axpy64_tail:
-	VMULSD (SI), X0, X1
-	VADDSD (DI), X1, X1
-	VMOVSD X1, (DI)
+	VMOVSD (DI)(SI*1), X0
+	VMULSD (R8)(SI*1), X12, X2
+	VADDSD X2, X0, X0
+	CMPQ R12, $2
+	JLT  axpy64_store1
+	VMULSD (R9)(SI*1), X13, X2
+	VADDSD X2, X0, X0
+	CMPQ R12, $3
+	JLT  axpy64_store1
+	VMULSD (R10)(SI*1), X14, X2
+	VADDSD X2, X0, X0
+	CMPQ R12, $4
+	JLT  axpy64_store1
+	VMULSD (R11)(SI*1), X15, X2
+	VADDSD X2, X0, X0
+axpy64_store1:
+	VMOVSD X0, (DI)(SI*1)
 	ADDQ $8, SI
-	ADDQ $8, DI
 	DECQ CX
 	JNZ  axpy64_tail
 axpy64_done:

@@ -8,11 +8,11 @@ import "unsafe"
 // they exist only to satisfy the references in kernels.go and
 // im2col.go.
 
-func f64TransBTileAVX2(a, panel *float64, k int, out *float64) {
+func f64TransBTileAVX2(a, panel *float64, k int, out *float64, maskPanel bool) {
 	panic("tensor: f64TransBTileAVX2 called without AVX2 support")
 }
 
-func f64AxpyAVX2(dst, x *float64, alpha float64, n int) {
+func f64AxpyAVX2(dst *float64, x *[4]*float64, alpha *[4]float64, terms, n int) {
 	panic("tensor: f64AxpyAVX2 called without AVX2 support")
 }
 

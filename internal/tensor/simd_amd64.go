@@ -18,17 +18,18 @@ func xgetbv() (eax, edx uint32)
 
 // f32TransBTileAVX2 computes the 4×8 tile out[r*8+c] = Σ_p a[r*k+p] ·
 // panel[p*8+c] over p ascending, skipping (as an exact masked add of +0)
-// every p whose a value is ±0. a addresses 4 rows of k floats, panel k
-// rows of 8, out 32 floats; k must be > 0.
+// every term whose a value is ±0 — or, when maskPanel is set, every term
+// whose panel value is. a addresses 4 rows of k floats, panel k rows of 8, out
+// 32 floats; k must be > 0.
 //
 //go:noescape
-func f32TransBTileAVX2(a, panel *float32, k int, out *float32)
+func f32TransBTileAVX2(a, panel *float32, k int, out *float32, maskPanel bool)
 
-// f32AxpyAVX2 accumulates dst[i] += alpha*x[i] over n > 0 elements, the
-// product rounded before the sum.
+// f32AxpyAVX2 accumulates dst[i] += alpha[t]*x[t][i] for t = 0 … terms−1
+// (1–4) in turn over n > 0 elements, each product rounded before its sum.
 //
 //go:noescape
-func f32AxpyAVX2(dst, x *float32, alpha float32, n int)
+func f32AxpyAVX2(dst *float32, x *[4]*float32, alpha *[4]float32, terms, n int)
 
 func init() {
 	maxLeaf, _, _, _ := cpuid(0, 0)

@@ -31,15 +31,16 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func f32TransBTileAVX2(a, panel *float32, k int, out *float32)
+// func f32TransBTileAVX2(a, panel *float32, k int, out *float32, maskPanel bool)
 //
 // f64TransBTileAVX2 at eight lanes: four a-rows (stride k) against one
-// packed panel of eight b-rows, lane c of accumulator r is output (r, c);
-// a first pass over every term, kept when row 0's sums are finite, and
-// the masked skip-zero pass otherwise. Each step of the first pass
-// prefetches 16 bytes of the next tile's rows (the 16k bytes after
-// these).
-TEXT ·f32TransBTileAVX2(SB), NOSPLIT, $0-32
+// packed panel of eight rows, lane c of accumulator r is output (r, c);
+// a first pass over every term, kept when all four rows' sums are
+// finite, and the masked skip-zero pass otherwise, masking by the panel
+// value when maskPanel is set and by the broadcast a value when it is
+// not. Each step of the first pass prefetches 16 bytes of the next
+// tile's rows (the 16k bytes after these).
+TEXT ·f32TransBTileAVX2(SB), NOSPLIT, $0-33
 	MOVQ a+0(FP), SI
 	MOVQ panel+8(FP), DI
 	MOVQ k+16(FP), CX
@@ -75,6 +76,12 @@ tile32_loop:
 	CMPQ AX, CX
 	JLT  tile32_loop
 	VSUBPS Y0, Y0, Y9
+	VSUBPS Y1, Y1, Y10
+	VSUBPS Y2, Y2, Y11
+	VSUBPS Y3, Y3, Y12
+	VADDPS Y10, Y9, Y9
+	VADDPS Y12, Y11, Y11
+	VADDPS Y11, Y9, Y9
 	VCMPPS $3, Y9, Y9, Y9
 	VMOVMSKPS Y9, AX
 	TESTL AX, AX
@@ -85,28 +92,46 @@ tile32_loop:
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
 	VXORPS Y15, Y15, Y15
+	VCMPPS $0, Y15, Y15, Y14
+	VXORPS Y13, Y13, Y13
+	MOVBLZX maskPanel+32(FP), AX
+	TESTL AX, AX
+	JNZ  tile32_masked_start
+	VMOVUPS Y14, Y13
+	VXORPS Y14, Y14, Y14
+tile32_masked_start:
 	XORQ AX, AX
 tile32_masked:
 	VMOVUPS (DI), Y4
+	VCMPPS $4, Y15, Y4, Y9
+	VORPS Y13, Y9, Y9
 	VBROADCASTSS (SI)(AX*4), Y5
 	VBROADCASTSS (R8)(AX*4), Y6
 	VBROADCASTSS (R9)(AX*4), Y7
 	VBROADCASTSS (R10)(AX*4), Y8
-	VCMPPS $4, Y15, Y5, Y9
-	VCMPPS $4, Y15, Y6, Y10
-	VCMPPS $4, Y15, Y7, Y11
-	VCMPPS $4, Y15, Y8, Y12
+	VCMPPS $4, Y15, Y5, Y10
+	VORPS Y14, Y10, Y10
+	VANDPS Y9, Y10, Y10
 	VMULPS Y4, Y5, Y5
-	VMULPS Y4, Y6, Y6
-	VMULPS Y4, Y7, Y7
-	VMULPS Y4, Y8, Y8
-	VANDPS Y9, Y5, Y5
-	VANDPS Y10, Y6, Y6
-	VANDPS Y11, Y7, Y7
-	VANDPS Y12, Y8, Y8
+	VANDPS Y10, Y5, Y5
 	VADDPS Y5, Y0, Y0
+	VCMPPS $4, Y15, Y6, Y10
+	VORPS Y14, Y10, Y10
+	VANDPS Y9, Y10, Y10
+	VMULPS Y4, Y6, Y6
+	VANDPS Y10, Y6, Y6
 	VADDPS Y6, Y1, Y1
+	VCMPPS $4, Y15, Y7, Y10
+	VORPS Y14, Y10, Y10
+	VANDPS Y9, Y10, Y10
+	VMULPS Y4, Y7, Y7
+	VANDPS Y10, Y7, Y7
 	VADDPS Y7, Y2, Y2
+	VCMPPS $4, Y15, Y8, Y10
+	VORPS Y14, Y10, Y10
+	VANDPS Y9, Y10, Y10
+	VMULPS Y4, Y8, Y8
+	VANDPS Y10, Y8, Y8
 	VADDPS Y8, Y3, Y3
 	ADDQ $32, DI
 	INCQ AX
@@ -120,47 +145,107 @@ tile32_store:
 	VZEROUPPER
 	RET
 
-// func f32AxpyAVX2(dst, x *float32, alpha float32, n int)
+// func f32AxpyAVX2(dst *float32, x *[4]*float32, alpha *[4]float32, terms, n int)
 //
-// dst[i] += alpha*x[i], product then sum; 16 floats per main-loop
-// iteration, one 8-wide step, then a scalar tail with the same two
-// roundings.
-TEXT ·f32AxpyAVX2(SB), NOSPLIT, $0-32
+// dst[i] = (((dst[i] + alpha[0]*x[0][i]) + alpha[1]*x[1][i]) + …) over
+// the first terms (1–4) of x and alpha, each product rounded before its
+// sum: one load and one store of dst per element for up to four
+// sequential axpys. 16 floats per main-loop iteration, one 8-wide step,
+// then a scalar tail with the same roundings. A term past terms is
+// neither read nor added; the branches that skip them go the same way on
+// every iteration of a call.
+TEXT ·f32AxpyAVX2(SB), NOSPLIT, $0-40
 	MOVQ dst+0(FP), DI
-	MOVQ x+8(FP), SI
-	VBROADCASTSS alpha+16(FP), Y0
-	MOVQ n+24(FP), CX
+	MOVQ x+8(FP), AX
+	MOVQ alpha+16(FP), BX
+	MOVQ terms+24(FP), R12
+	MOVQ n+32(FP), CX
+	MOVQ 0(AX), R8
+	MOVQ 8(AX), R9
+	MOVQ 16(AX), R10
+	MOVQ 24(AX), R11
+	VBROADCASTSS 0(BX), Y12
+	VBROADCASTSS 4(BX), Y13
+	VBROADCASTSS 8(BX), Y14
+	VBROADCASTSS 12(BX), Y15
+	XORQ SI, SI
 	MOVQ CX, DX
 	SHRQ $4, DX
 	JZ   axpy32_mid
 axpy32_loop16:
-	VMULPS (SI), Y0, Y1
-	VMULPS 32(SI), Y0, Y2
-	VADDPS (DI), Y1, Y1
-	VADDPS 32(DI), Y2, Y2
-	VMOVUPS Y1, (DI)
-	VMOVUPS Y2, 32(DI)
+	VMOVUPS (DI)(SI*1), Y0
+	VMOVUPS 32(DI)(SI*1), Y1
+	VMULPS (R8)(SI*1), Y12, Y2
+	VMULPS 32(R8)(SI*1), Y12, Y3
+	VADDPS Y2, Y0, Y0
+	VADDPS Y3, Y1, Y1
+	CMPQ R12, $2
+	JLT  axpy32_store16
+	VMULPS (R9)(SI*1), Y13, Y2
+	VMULPS 32(R9)(SI*1), Y13, Y3
+	VADDPS Y2, Y0, Y0
+	VADDPS Y3, Y1, Y1
+	CMPQ R12, $3
+	JLT  axpy32_store16
+	VMULPS (R10)(SI*1), Y14, Y2
+	VMULPS 32(R10)(SI*1), Y14, Y3
+	VADDPS Y2, Y0, Y0
+	VADDPS Y3, Y1, Y1
+	CMPQ R12, $4
+	JLT  axpy32_store16
+	VMULPS (R11)(SI*1), Y15, Y2
+	VMULPS 32(R11)(SI*1), Y15, Y3
+	VADDPS Y2, Y0, Y0
+	VADDPS Y3, Y1, Y1
+axpy32_store16:
+	VMOVUPS Y0, (DI)(SI*1)
+	VMOVUPS Y1, 32(DI)(SI*1)
 	ADDQ $64, SI
-	ADDQ $64, DI
 	DECQ DX
 	JNZ  axpy32_loop16
 axpy32_mid:
 	TESTQ $8, CX
 	JZ   axpy32_tail_setup
-	VMULPS (SI), Y0, Y1
-	VADDPS (DI), Y1, Y1
-	VMOVUPS Y1, (DI)
+	VMOVUPS (DI)(SI*1), Y0
+	VMULPS (R8)(SI*1), Y12, Y2
+	VADDPS Y2, Y0, Y0
+	CMPQ R12, $2
+	JLT  axpy32_store8
+	VMULPS (R9)(SI*1), Y13, Y2
+	VADDPS Y2, Y0, Y0
+	CMPQ R12, $3
+	JLT  axpy32_store8
+	VMULPS (R10)(SI*1), Y14, Y2
+	VADDPS Y2, Y0, Y0
+	CMPQ R12, $4
+	JLT  axpy32_store8
+	VMULPS (R11)(SI*1), Y15, Y2
+	VADDPS Y2, Y0, Y0
+axpy32_store8:
+	VMOVUPS Y0, (DI)(SI*1)
 	ADDQ $32, SI
-	ADDQ $32, DI
 axpy32_tail_setup:
 	ANDQ $7, CX
 	JZ   axpy32_done
 axpy32_tail:
-	VMULSS (SI), X0, X1
-	VADDSS (DI), X1, X1
-	VMOVSS X1, (DI)
+	VMOVSS (DI)(SI*1), X0
+	VMULSS (R8)(SI*1), X12, X2
+	VADDSS X2, X0, X0
+	CMPQ R12, $2
+	JLT  axpy32_store1
+	VMULSS (R9)(SI*1), X13, X2
+	VADDSS X2, X0, X0
+	CMPQ R12, $3
+	JLT  axpy32_store1
+	VMULSS (R10)(SI*1), X14, X2
+	VADDSS X2, X0, X0
+	CMPQ R12, $4
+	JLT  axpy32_store1
+	VMULSS (R11)(SI*1), X15, X2
+	VADDSS X2, X0, X0
+axpy32_store1:
+	VMOVSS X0, (DI)(SI*1)
 	ADDQ $4, SI
-	ADDQ $4, DI
 	DECQ CX
 	JNZ  axpy32_tail
 axpy32_done:

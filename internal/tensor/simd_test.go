@@ -59,8 +59,8 @@ func into[T Float](v variant, dst, a, b *Of[T]) {
 		MatMulInto(dst, a, b)
 	case transB:
 		MatMulTransBInto(dst, a, b)
-	case transA:
-		MatMulTransAInto(dst, a, b)
+	case transAAdd:
+		MatMulTransAAddInto(dst, a, b)
 	}
 }
 
@@ -70,7 +70,7 @@ func operandShapes(v variant, m, k, n int) (a, b [2]int) {
 	switch v {
 	case transB:
 		return [2]int{m, k}, [2]int{n, k}
-	case transA:
+	case transAAdd:
 		return [2]int{k, m}, [2]int{k, n}
 	}
 	return [2]int{m, k}, [2]int{k, n}
@@ -79,7 +79,8 @@ func operandShapes(v variant, m, k, n int) (a, b [2]int) {
 // checkAsmMatchesGo runs variant v on (a, b) with the gate off, then
 // with it on — once through the public entry point and once as a row
 // block [lo,hi) that cuts the 4-row groups anywhere — and requires the
-// same bits, and rows outside the block untouched.
+// same bits, and rows outside the block untouched. Every product starts
+// from a zeroed dst (transAAdd's block from zeroed rows).
 func checkAsmMatchesGo[T Float](t *testing.T, r *rng.Rng, v variant, a, b *Of[T], m, n int) {
 	t.Helper()
 	want, got := NewOf[T](m, n), NewOf[T](m, n)
@@ -99,6 +100,9 @@ func checkAsmMatchesGo[T Float](t *testing.T, r *rng.Rng, v variant, a, b *Of[T]
 	const untouched = 12345.678
 	for i := range got.Data {
 		got.Data[i] = untouched
+	}
+	if v == transAAdd {
+		clear(got.Data[lo*n : hi*n])
 	}
 	variantRows(v, got, a, b, lo, hi)
 	for i := range want.Data {
@@ -120,11 +124,13 @@ func inBothDTypes(t *testing.T, f64, f32 func(t *testing.T)) {
 }
 
 // testAsmMatchesGo sweeps variant v over 3,000 shapes: every m in 1–23
-// (so m mod 4 ≠ 0 and blocks shorter than a group occur) and n in 1–19
-// (every column remainder of both tile widths, rows below and above
-// axpyMinN), k in 1–90, alternately finite-only and with non-finite
-// operands — then k either side of the panel bound, and the masked-skip
-// case.
+// (so m mod 4 ≠ 0 and blocks shorter than a group occur; for transB
+// blocks both shorter than n, which pack a, and not, which pack b) and n
+// in 1–19 (every column remainder of both tile widths, rows below and
+// above axpyMinN), k in 1–90 (for the axpy every count of terms left
+// over from a group of four), alternately finite-only and with
+// non-finite operands — then k either side of the panel bound, and the
+// masked-skip cases.
 func testAsmMatchesGo[T Float](t *testing.T, v variant) {
 	if !UseASM() {
 		t.Skip("no AVX2 kernel path on this host")
@@ -152,25 +158,56 @@ func testAsmMatchesGo[T Float](t *testing.T, v variant) {
 	// The masked-skip proof: every a value is ±0, every b value is
 	// non-finite. The Go body skips each term; the tile multiplies
 	// (0·Inf = NaN), masks the product to +0 and adds it. Both must
-	// leave +0 in every output, bit for bit.
-	const m, k, n = 8, 11, 13
-	as, bs := operandShapes(v, m, k, n)
-	a, b := NewOf[T](as[0], as[1]), NewOf[T](bs[0], bs[1])
-	for i := range a.Data {
-		if i%2 == 1 {
-			a.Data[i] = T(math.Copysign(0, -1))
+	// leave +0 in every output, bit for bit — with a as the broadcast
+	// rows (m ≥ n) and as the packed panel (m < n).
+	for _, s := range [][3]int{{8, 11, 13}, {13, 11, 8}, {5, 3, 30}} {
+		m, k, n := s[0], s[1], s[2]
+		as, bs := operandShapes(v, m, k, n)
+		a, b := NewOf[T](as[0], as[1]), NewOf[T](bs[0], bs[1])
+		for i := range a.Data {
+			if i%2 == 1 {
+				a.Data[i] = T(math.Copysign(0, -1))
+			}
+		}
+		for i := range b.Data {
+			b.Data[i] = T([...]float64{math.Inf(1), math.Inf(-1), math.NaN()}[i%3])
+		}
+		checkAsmMatchesGo(t, r, v, a, b, m, n)
+		got := NewOf[T](m, n)
+		into(v, got, a, b)
+		for i, x := range got.Data {
+			if bitsOf(x) != 0 {
+				t.Fatalf("%v: zero a against non-finite b: dst[%d] = %x, want +0", s, i, bitsOf(x))
+			}
 		}
 	}
-	for i := range b.Data {
-		b.Data[i] = T([...]float64{math.Inf(1), math.Inf(-1), math.NaN()}[i%3])
-	}
-	checkAsmMatchesGo(t, r, v, a, b, m, n)
-	got := NewOf[T](m, n)
-	into(v, got, a, b)
-	for i, x := range got.Data {
-		if bitsOf(x) != 0 {
-			t.Fatalf("zero a against non-finite b: dst[%d] = %x, want +0", i, bitsOf(x))
+
+	// One non-finite b value per group of four b-rows, never in the
+	// group's first row, against an a that is ±0 at every third value,
+	// so some of them meet a skipped term: when a is the panel, only the
+	// sums of the broadcast row holding it go non-finite, and a
+	// first-pass test of one row would miss it and keep 0·Inf = NaN
+	// where the Go body skips.
+	for _, s := range [][3]int{{6, 9, 21}, {9, 17, 24}, {3, 5, 7}} {
+		m, k, n := s[0], s[1], s[2]
+		as, bs := operandShapes(v, m, k, n)
+		a := FromSlice(edgeValues[T](r, as[0]*as[1], false), as[0], as[1])
+		b := FromSlice(edgeValues[T](r, bs[0]*bs[1], false), bs[0], bs[1])
+		for i := range a.Data {
+			if i%3 == 0 {
+				a.Data[i] = 0
+			}
 		}
+		for g := 0; g < n; g += 4 {
+			row, p := min(g+1+r.Intn(3), n-1), r.Intn(k)
+			bv := T([...]float64{math.Inf(1), math.Inf(-1), math.NaN()}[r.Intn(3)])
+			if v == transB {
+				b.Data[row*k+p] = bv
+			} else {
+				b.Data[p*n+row] = bv
+			}
+		}
+		checkAsmMatchesGo(t, r, v, a, b, m, n)
 	}
 }
 
@@ -180,8 +217,8 @@ func TestMatMulTransBAsmMatchesGoBody(t *testing.T) {
 }
 
 func TestMatMulTransAAsmMatchesGoBody(t *testing.T) {
-	inBothDTypes(t, func(t *testing.T) { testAsmMatchesGo[float64](t, transA) },
-		func(t *testing.T) { testAsmMatchesGo[float32](t, transA) })
+	inBothDTypes(t, func(t *testing.T) { testAsmMatchesGo[float64](t, transAAdd) },
+		func(t *testing.T) { testAsmMatchesGo[float32](t, transAAdd) })
 }
 
 func TestMatMulAsmMatchesGoBody(t *testing.T) {
@@ -207,7 +244,7 @@ func testAsmParallelMatchesSerial[T Float](t *testing.T) {
 	if m*k*n < max(parallelThreshold, parallelThreshold32) {
 		t.Fatal("shape below a parallel threshold")
 	}
-	for _, v := range []variant{plain, transB, transA} {
+	for _, v := range []variant{plain, transB, transAAdd} {
 		as, bs := operandShapes(v, m, k, n)
 		a := FromSlice(edgeValues[T](r, as[0]*as[1], false), as[0], as[1])
 		b := FromSlice(edgeValues[T](r, bs[0]*bs[1], false), bs[0], bs[1])
@@ -225,31 +262,41 @@ func testAsmParallelMatchesSerial[T Float](t *testing.T) {
 	}
 }
 
-// TestAddScaledAsmMatchesGoBody: AddScaled through the assembly axpy
-// equals its loop bit for bit, in both dtypes, at every length through
-// two vector steps and the scalar tail, on edge operands and scales.
-func TestAddScaledAsmMatchesGoBody(t *testing.T) {
-	inBothDTypes(t, testAddScaledAsmMatchesGoBody[float64], testAddScaledAsmMatchesGoBody[float32])
+// TestAxpyAsmMatchesGoBody: the assembly axpy over 1–4 terms equals that
+// many axpy loops run one after another, bit for bit, in both dtypes, at
+// every length through two main-loop iterations, the half step and the
+// scalar tail (every n mod 16), on edge operands and scales.
+func TestAxpyAsmMatchesGoBody(t *testing.T) {
+	inBothDTypes(t, testAxpyAsmMatchesGoBody[float64], testAxpyAsmMatchesGoBody[float32])
 }
 
-func testAddScaledAsmMatchesGoBody[T Float](t *testing.T) {
+func testAxpyAsmMatchesGoBody[T Float](t *testing.T) {
 	if !UseASM() {
 		t.Skip("no AVX2 kernel path on this host")
 	}
 	r := rng.New(31)
 	for n := 1; n <= 40; n++ {
-		for _, s := range edgeValues[T](r, 6, true) {
-			o := FromSlice(edgeValues[T](r, n, true), n)
-			want := FromSlice(edgeValues[T](r, n, true), n)
-			got := want.Clone()
-			old := SetUseASM(false)
-			want.AddScaled(o, s)
-			SetUseASM(true)
-			got.AddScaled(o, s)
-			SetUseASM(old)
-			for i := range want.Data {
-				if !sameBits(got.Data[i], want.Data[i]) {
-					t.Fatalf("n %d s %v: t[%d] = %x, loop %x", n, s, i, bitsOf(got.Data[i]), bitsOf(want.Data[i]))
+		for terms := 1; terms <= 4; terms++ {
+			for trial := 0; trial < 4; trial++ {
+				var x [4]*T
+				var av [4]T
+				var rows [4][]T
+				for u := 0; u < terms; u++ {
+					rows[u] = edgeValues[T](r, n, true)
+					x[u], av[u] = &rows[u][0], edgeValues[T](r, 1, true)[0]
+				}
+				want := edgeValues[T](r, n, true)
+				got := append([]T(nil), want...)
+				for u := 0; u < terms; u++ {
+					for i, v := range rows[u] {
+						want[i] += T(av[u] * v)
+					}
+				}
+				axpyAVX2(&got[0], &x, &av, terms, n)
+				for i := range want {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("n %d terms %d: dst[%d] = %x, loops %x", n, terms, i, bitsOf(got[i]), bitsOf(want[i]))
+					}
 				}
 			}
 		}

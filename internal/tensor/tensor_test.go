@@ -95,25 +95,6 @@ func TestRow(t *testing.T) {
 	}
 }
 
-func TestElementwiseOps(t *testing.T) {
-	a := FromSlice([]float64{1, 2, 3}, 3)
-	b := FromSlice([]float64{4, 5, 6}, 3)
-	c := a.Clone()
-	c.AddScaled(b, -1)
-	if c.Data[0] != -3 {
-		t.Fatalf("AddScaled = %v", c.Data)
-	}
-}
-
-func TestOpsShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddScaled with mismatched shapes did not panic")
-		}
-	}()
-	New(2).AddScaled(New(3), 1)
-}
-
 func TestApplySumNorm(t *testing.T) {
 	a := FromSlice([]float64{-3, 4}, 2)
 	if a.Norm() != 5 {

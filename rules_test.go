@@ -423,6 +423,12 @@ var hotLoops = []struct {
 	// which no loop bound can prove.
 	{"internal/wire/sparse.go", []string{"TopKSelect", "sampleBound", "survivors", "keep"},
 		regexp.MustCompile(`\[[^\]]*:[^\]]*\]|\w+\[c\] = `)},
+	// A slice expression; a per-layer or per-tensor [i] — the element
+	// loops of the float64 ⇄ float32 conversion index by j.
+	{"internal/nn/mirror32.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|\[i\]`)},
+	// A bias, bias gradient or row cut to Out; the batch size read off a
+	// shape; a workspace's header, set up once per call by the inlined get.
+	{"internal/nn/dense.go", []string{"Forward", "Backward"}, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|Shape\[0\]|\.get\(`)},
 }
 
 // TestHotLoopsBoundsCheckFree: under -d=ssa/check_bce, each hotLoops file
@@ -461,7 +467,7 @@ func TestHotLoopsBoundsCheckFree(t *testing.T) {
 		}
 	}
 	cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "build", "-gcflags=-d=ssa/check_bce",
-		"./internal/tensor", "./internal/opt", "./internal/fl", "./internal/wire")
+		"./internal/tensor", "./internal/opt", "./internal/fl", "./internal/wire", "./internal/nn")
 	cmd.Env = append(os.Environ(), "GOOS=linux", "GOARCH=amd64")
 	out, err := cmd.CombinedOutput()
 	if err != nil {
