@@ -104,7 +104,7 @@ var commands = []command{
 		addrVar(fs, &addr, "coordinator address to dial")
 		fs.StringVar(&name, "name", "", "node name announced to the coordinator (default host-pid)")
 		fs.Float64Var(&s.rejoin, "rejoin", 0, "seconds to keep re-dialing a lost coordinator (0 = exit on disconnect)")
-		return job{run: func(io.Writer, io.Writer) error { runJoin(addr, name, s.rejoin); return nil }}
+		return job{run: func(stdout, _ io.Writer) error { return runJoin(addr, name, s.rejoin, stdout) }}
 	}},
 	{name: "status", title: "query a running coordinator's control plane", query: true, bind: func(fs *flag.FlagSet, s *shared) job {
 		var addr string

@@ -62,9 +62,7 @@ func help() string {
 // streams, exit status) passed in. Nothing outside the process — journal
 // file, GOMAXPROCS — is touched before the subcommand and all its flags
 // have been accepted. A subcommand's failure comes back as an error,
-// printed once as "fedsim: …" with exit status 1. serve and join still
-// print to the process's own streams and exit through fatalf until the
-// transport's listener and dialer can be injected (ROADMAP item 4(a)).
+// printed once as "fedsim: …" with exit status 1.
 func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) < 1 || args[0] == "-h" || args[0] == "--help" || args[0] == "help" {
 		fmt.Fprint(stderr, help())

@@ -70,6 +70,9 @@ var invocations = []invocation{
 	{name: "reject-rounds", args: []string{"comm", "-rounds", "-1"}},
 	{name: "reject-timeout", args: []string{"serve", "-timeout", "-1"}},
 	{name: "reject-checkpoint-every", args: []string{"serve", "-checkpoint-every", "-1"}},
+	{name: "reject-checkpoint-every-no-path", args: []string{"serve", "-checkpoint-every", "2", "-journal", "$TMP/j.jsonl"}},
+	{name: "reject-nodes", args: []string{"serve", "-nodes", "0"}},
+	{name: "reject-serve-methods", args: []string{"serve", "-methods", "ifca"}},
 	{name: "reject-rejoin", args: []string{"join", "-rejoin", "-1"}},
 	{name: "reject-dtype", args: []string{"comm", "-dtype", "float16"}},
 	{name: "reject-codec", args: []string{"comm", "-codec", "zip"}},
@@ -90,6 +93,7 @@ var invocations = []invocation{
 	// Failures after dispatch: exit 1 with one "fedsim: …" line.
 	{name: "tail-missing", args: []string{"tail", "-journal", "$TMP/missing.jsonl"}},
 	{name: "journal-missing-dir", args: []string{"comm", "-quick", "-rounds", "2", "-journal", "$TMP/no-such-dir/j.jsonl"}},
+	{name: "resume-missing", args: []string{"serve", "-resume", "$TMP/missing.ckpt"}},
 
 	// tail renders a journal a three-round run wrote.
 	{name: "tail", args: []string{"tail", "-journal", "testdata/three-rounds.jsonl"}},
@@ -284,6 +288,9 @@ func TestNoSideEffectsBeforeDispatch(t *testing.T) {
 		{"comm", "-rounds", "-1"},                 // rejected by checkNumericFlags
 		{"stragglers", "-deadline", "0"},          // rejected by the options' Check
 		{"hostile", "-methods", "FedAvg,FedNope"}, // rejected by the options' Check
+		{"serve", "-checkpoint-every", "2"},       // rejected by serve's check: no -checkpoint path
+		{"serve", "-nodes", "0"},                  // rejected by serve's check
+		{"serve", "-methods", "ifca"},             // rejected by serve's check: not transport-routable
 	} {
 		journal := filepath.Join(t.TempDir(), "j.jsonl")
 		args = append(args, "-journal", journal, "-workers", fmt.Sprint(procs+1))

@@ -91,9 +91,29 @@ type serveOptions struct {
 	addr           string
 	nodes          int
 	methods        []string
+	trainers       []fl.Trainer // methods, resolved by check
 	checkpointPath string
 	resumePath     string
 	controlAddr    string
+}
+
+// check rejects the coordinator's flags before anything is created and
+// resolves -methods into transport-routable trainers.
+func (o *serveOptions) check(s *shared) error {
+	if o.nodes < 1 {
+		return fmt.Errorf("invalid -nodes %d: need at least one node", o.nodes)
+	}
+	if s.ckptEvery > 0 && o.checkpointPath == "" {
+		return fmt.Errorf("-checkpoint-every needs -checkpoint <path>")
+	}
+	o.trainers = make([]fl.Trainer, len(o.methods))
+	for i, m := range o.methods {
+		var err error
+		if o.trainers[i], err = distTrainer(m); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func bindServe(fs *flag.FlagSet, s *shared) job {
@@ -114,7 +134,10 @@ func bindServe(fs *flag.FlagSet, s *shared) job {
 	fs.IntVar(&s.ckptEvery, "checkpoint-every", 0, "emit a checkpoint every N completed rounds (0 = only on demand)")
 	fs.StringVar(&o.resumePath, "resume", "", "resume the run from this checkpoint file")
 	fs.StringVar(&o.controlAddr, "control", "", "HTTP control-plane listen address, e.g. :7172 (empty = disabled)")
-	return job{run: func(io.Writer, io.Writer) error { runServe(o, s); return nil }}
+	return job{
+		check: func() error { return o.check(s) },
+		run:   func(stdout, stderr io.Writer) error { return runServe(o, s, stdout, stderr) },
+	}
 }
 
 // runServe is the coordinator: wait for nodes, run the methods, report.
@@ -122,18 +145,8 @@ func bindServe(fs *flag.FlagSet, s *shared) job {
 // given -resume, fast-forwards the method list to the checkpointed method
 // and continues it mid-schedule; with a control address it serves live
 // progress over HTTP while the rounds run.
-func runServe(o serveOptions, s *shared) {
-	codec, nNodes, methodList := s.codec, o.nodes, o.methods
-	var err error
-	if nNodes < 1 {
-		fatalf("need at least one node (-nodes)")
-	}
-	trainers := make([]fl.Trainer, len(methodList))
-	for i, m := range methodList {
-		if trainers[i], err = distTrainer(m); err != nil {
-			fatalf("%v", err)
-		}
-	}
+func runServe(o serveOptions, s *shared, stdout, stderr io.Writer) error {
+	codec, trainers := s.codec, o.trainers
 	spec := distSpec(o.quick, o.seed, o.rounds, s.dtype)
 	// The codec selection rides the spec so each node rebuilds the same
 	// uplink path — under sparse codecs a node owns the error-feedback
@@ -142,11 +155,11 @@ func runServe(o serveOptions, s *shared) {
 	spec.TopKFrac = s.topkFrac
 	env, err := spec.Build()
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	specBytes, err := spec.Marshal()
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	specHash := transport.SpecHash(specBytes)
 
@@ -159,10 +172,10 @@ func runServe(o serveOptions, s *shared) {
 	if o.resumePath != "" {
 		resumeCkpt, err = fl.ReadCheckpointFile(o.resumePath)
 		if err != nil {
-			fatalf("reading -resume: %v", err)
+			return fmt.Errorf("reading -resume: %w", err)
 		}
 		if resumeCkpt.SpecHash != specHash {
-			fatalf("-resume checkpoint was taken under a different run spec (hash %#x, this run %#x) — same flags required", resumeCkpt.SpecHash, specHash)
+			return fmt.Errorf("-resume checkpoint was taken under a different run spec (hash %#x, this run %#x) — same flags required", resumeCkpt.SpecHash, specHash)
 		}
 		firstTrainer = -1
 		for i, tr := range trainers {
@@ -172,12 +185,12 @@ func runServe(o serveOptions, s *shared) {
 			}
 		}
 		if firstTrainer < 0 {
-			fatalf("-resume checkpoint holds %s state, not on the method list %v", resumeCkpt.Method, methodList)
+			return fmt.Errorf("-resume checkpoint holds %s state, not on the method list %v", resumeCkpt.Method, o.methods)
 		}
 		if err := resumeCkpt.Matches(env, resumeCkpt.Method, 0); err != nil {
-			fatalf("-resume: %v", err)
+			return fmt.Errorf("-resume: %w", err)
 		}
-		fmt.Printf("resuming %s from %s at round %d/%d\n",
+		fmt.Fprintf(stdout, "resuming %s from %s at round %d/%d\n",
 			resumeCkpt.Method, o.resumePath, resumeCkpt.Round, resumeCkpt.Rounds)
 	}
 
@@ -188,64 +201,60 @@ func runServe(o serveOptions, s *shared) {
 		// consumer serving live HTTP, one leaving a trace on disk.
 		journal, err := openJournal(s.journal, env.Local.Epochs)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		env.Observer = fl.MultiObserver(tracker, journal)
 		defer func() {
 			if err := journal.Err(); err != nil {
-				fmt.Fprintf(os.Stderr, "fedsim: journal write failed: %v\n", err)
+				fmt.Fprintf(stderr, "fedsim: journal write failed: %v\n", err)
 			}
 			journal.Close() //nolint:errcheck
 		}()
-		fmt.Printf("journal → %s\n", s.journal)
+		fmt.Fprintf(stdout, "journal → %s\n", s.journal)
 	}
 	if o.controlAddr != "" {
 		srv, err := control.Serve(o.controlAddr, tracker)
 		if err != nil {
-			fatalf("control plane: %v", err)
+			return fmt.Errorf("control plane: %w", err)
 		}
 		defer srv.Close()
-		fmt.Printf("control plane on http://%s/status\n", displayAddr(srv.Addr()))
+		fmt.Fprintf(stdout, "control plane on http://%s/status\n", displayAddr(srv.Addr()))
 	}
-	if o.checkpointPath != "" || s.ckptEvery > 0 {
-		path := o.checkpointPath
-		if path == "" {
-			fatalf("-checkpoint-every needs -checkpoint <path>")
-		}
+	if path := o.checkpointPath; path != "" {
 		env.Ckpt = &fl.CheckpointPlan{
 			Every:    s.ckptEvery,
 			Trigger:  tracker.TakeTrigger,
 			SpecHash: specHash,
 			Sink: func(c *fl.Checkpoint) {
 				if err := c.WriteFile(path); err != nil {
-					fmt.Fprintf(os.Stderr, "fedsim: checkpoint write failed: %v\n", err)
+					fmt.Fprintf(stderr, "fedsim: checkpoint write failed: %v\n", err)
 					return
 				}
-				fmt.Printf("  checkpoint: %s after round %d/%d → %s\n", c.Method, c.Round, c.Rounds, path)
+				fmt.Fprintf(stdout, "  checkpoint: %s after round %d/%d → %s\n", c.Method, c.Round, c.Rounds, path)
 			},
 		}
 	}
 
 	coord, err := transport.Listen(o.addr)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	defer coord.Close()
-	fmt.Printf("coordinator listening on %s — waiting for %d node(s):\n", coord.Addr(), nNodes)
-	fmt.Printf("  fedsim join -addr %s\n", coord.Addr())
+	fmt.Fprintf(stdout, "coordinator listening on %s — waiting for %d node(s):\n", coord.Addr(), o.nodes)
+	fmt.Fprintf(stdout, "  fedsim join -addr %s\n", coord.Addr())
 	timeout := time.Duration(s.timeout * float64(time.Second))
-	nodes, err := coord.AcceptNodes(nNodes, len(env.Clients), specBytes, codec, timeout)
+	nodes, err := coord.AcceptNodes(o.nodes, len(env.Clients), specBytes, codec, timeout)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	for _, nd := range nodes {
-		fmt.Printf("  node %q joined: clients [%d,%d)\n", nd.Name(), nd.Lo, nd.Hi)
+		fmt.Fprintf(stdout, "  node %q joined: clients [%d,%d)\n", nd.Name(), nd.Lo, nd.Hi)
 	}
 	fleet := transport.FleetOf(len(env.Clients), nodes)
 	defer fleet.Close()
 	env.Remote = fleet
 
-	fmt.Printf("\n%d clients × %d rounds, codec %s, deadline %v\n\n",
+	fmt.Fprintf(stdout, "\n%d clients × %d rounds, codec %s, deadline %v\n\n",
 		len(env.Clients), env.Rounds, codec, timeout)
 	for _, tr := range trainers[firstTrainer:] {
 		if env.Ckpt != nil {
@@ -261,9 +270,10 @@ func runServe(o serveOptions, s *shared) {
 		}
 		start := time.Now()
 		res := tr.Run(env)
-		fmt.Printf("%-10s acc %.2f%%  wire: %s  (%v)\n",
+		fmt.Fprintf(stdout, "%-10s acc %.2f%%  wire: %s  (%v)\n",
 			res.Method, 100*res.FinalAcc, res.Comm.String(), time.Since(start).Round(time.Millisecond))
 	}
+	return nil
 }
 
 // displayAddr turns a bound listen address into something dialable from
@@ -282,7 +292,7 @@ func displayAddr(addr string) string {
 // With a rejoin window, a lost coordinator (crash, restart-from-
 // checkpoint) is re-dialed until the window expires; the spec hash
 // guarantees the node only reconnects to the same run.
-func runJoin(addr, name string, rejoinSec float64) {
+func runJoin(addr, name string, rejoinSec float64, stdout io.Writer) error {
 	if name == "" {
 		host, _ := os.Hostname()
 		name = fmt.Sprintf("%s-%d", host, os.Getpid())
@@ -298,17 +308,13 @@ func runJoin(addr, name string, rejoinSec float64) {
 			if err != nil {
 				return nil, fmt.Errorf("building environment replica: %w", err)
 			}
-			fmt.Printf("joined %s as %q: %d clients replicated, serving [%d,%d)\n",
+			fmt.Fprintf(stdout, "joined %s as %q: %d clients replicated, serving [%d,%d)\n",
 				addr, name, len(env.Clients), lo, hi)
 			return transport.NewService(env), nil
 		})
 	if err != nil {
-		fatalf("serving: %v", err)
+		return fmt.Errorf("serving: %w", err)
 	}
-	fmt.Println("coordinator said goodbye; exiting")
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "fedsim: "+format+"\n", args...)
-	os.Exit(1)
+	fmt.Fprintln(stdout, "coordinator said goodbye; exiting")
+	return nil
 }

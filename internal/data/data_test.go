@@ -219,12 +219,30 @@ func TestGenerateDifficultyOrdering(t *testing.T) {
 	}
 }
 
-func TestSynthConfigValidate(t *testing.T) {
+func TestSynthConfigCheck(t *testing.T) {
+	if err := SynthFMNIST(1).Check(); err != nil {
+		t.Fatalf("preset rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*SynthConfig){
+		"one class":           func(c *SynthConfig) { c.Classes = 1 },
+		"zero width":          func(c *SynthConfig) { c.W = 0 },
+		"zero train":          func(c *SynthConfig) { c.TrainPerClass = 0 },
+		"zero test":           func(c *SynthConfig) { c.TestPerClass = 0 },
+		"negative noise":      func(c *SynthConfig) { c.Noise = -1 },
+		"negative separation": func(c *SynthConfig) { c.ClassSep = -0.5 },
+	} {
+		bad := SynthFMNIST(1)
+		mutate(&bad)
+		if bad.Check() == nil {
+			t.Errorf("%s: Check accepted the config", name)
+		}
+	}
+	// In-process, a config Check rejects is a programmer error.
 	bad := SynthFMNIST(1)
 	bad.Classes = 1
 	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid config did not panic")
+		if _, ok := recover().(error); !ok {
+			t.Fatal("Generate did not panic with Check's error")
 		}
 	}()
 	Generate(bad)

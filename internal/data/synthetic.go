@@ -28,20 +28,22 @@ type SynthConfig struct {
 	Seed          uint64  // generator seed; same seed ⇒ same dataset
 }
 
-// Validate panics on degenerate configuration.
-func (c SynthConfig) Validate() {
+// Check rejects a degenerate configuration: the one rule set for a recipe
+// built in-process and for one that arrived off the wire.
+func (c SynthConfig) Check() error {
 	if c.C <= 0 || c.H <= 0 || c.W <= 0 {
-		panic(fmt.Sprintf("data: invalid image geometry %dx%dx%d", c.C, c.H, c.W))
+		return fmt.Errorf("data: invalid image geometry %dx%dx%d", c.C, c.H, c.W)
 	}
 	if c.Classes < 2 {
-		panic(fmt.Sprintf("data: need >=2 classes, got %d", c.Classes))
+		return fmt.Errorf("data: need >=2 classes, got %d", c.Classes)
 	}
 	if c.TrainPerClass < 1 || c.TestPerClass < 1 {
-		panic(fmt.Sprintf("data: per-class counts must be positive: %d/%d", c.TrainPerClass, c.TestPerClass))
+		return fmt.Errorf("data: per-class counts must be positive: %d/%d", c.TrainPerClass, c.TestPerClass)
 	}
 	if c.Noise < 0 || c.ClassSep < 0 {
-		panic("data: negative noise/separation")
+		return fmt.Errorf("data: negative noise %v or separation %v", c.Noise, c.ClassSep)
 	}
+	return nil
 }
 
 // SynthCIFAR10 emulates CIFAR-10: 3-channel images, 10 classes, low
@@ -137,9 +139,12 @@ func genSplit(cfg SynthConfig, protos [][]float64, perClass int, streamLabel uin
 }
 
 // Generate materializes the train and test splits of a synthetic
-// distribution. Generation is fully deterministic in cfg.Seed.
+// distribution. Generation is fully deterministic in cfg.Seed. A cfg that
+// Check rejects is a programmer error here and panics with Check's error.
 func Generate(cfg SynthConfig) (train, test *Dataset) {
-	cfg.Validate()
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
 	protos := prototypes(cfg)
 	return genSplit(cfg, protos, cfg.TrainPerClass, 0x7a),
 		genSplit(cfg, protos, cfg.TestPerClass, 0x7e)
@@ -151,7 +156,9 @@ func Generate(cfg SynthConfig) (train, test *Dataset) {
 // extra splits; the reserved labels 0x7a (train) and 0x7e (test) reproduce
 // the primary splits.
 func GenerateExtra(cfg SynthConfig, streamLabel uint64, perClass int) *Dataset {
-	cfg.Validate()
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
 	if perClass < 1 {
 		panic(fmt.Sprintf("data: GenerateExtra perClass = %d", perClass))
 	}

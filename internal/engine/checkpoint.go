@@ -15,62 +15,16 @@ const (
 	secClusteredMeta   = "clustered/meta"
 )
 
-// secRobustAgg records the aggregation strategy a checkpoint was written
-// under (FNV-1a of its identity name), so a resume under a different
-// defense is refused — the restored server state embeds every past
-// combine's choice of strategy.
-const secRobustAgg = "robust/agg"
-
-// aggIdentity hashes the run's aggregation strategy name for the
-// checkpoint identity section.
-func aggIdentity(a fl.Aggregator) int64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, b := range []byte(fl.AggregatorName(a)) {
-		h ^= uint64(b)
-		h *= 0x100000001b3
-	}
-	return int64(h)
-}
-
-// verifyAggIdentity refuses a resume whose aggregation strategy differs
-// from the checkpoint's. Checkpoints that predate the robust layer carry
-// no section and resume only under the plain mean.
-func (d *RoundDriver) verifyAggIdentity(c *fl.Checkpoint) {
-	if !c.HasInts(secRobustAgg) {
-		if d.Env.Aggregator != nil {
-			panic(fmt.Sprintf("engine: resume: checkpoint written under plain mean aggregation but run uses %s", fl.AggregatorName(d.Env.Aggregator)))
-		}
-		return
-	}
-	got, err := c.Ints(secRobustAgg, 1)
-	if err != nil {
-		panic("engine: resume: " + err.Error())
-	}
-	if got[0] != aggIdentity(d.Env.Aggregator) {
-		panic(fmt.Sprintf("engine: resume: checkpoint aggregation strategy differs from run's %s", fl.AggregatorName(d.Env.Aggregator)))
-	}
-}
-
-// resume validates the checkpoint against this run and restores the
-// accumulated Result and the method's server state. It returns the round
-// index the loop continues from. Mismatches panic: cmd-level callers are
-// expected to pre-validate with Checkpoint.Matches for a clean error, so
-// reaching a mismatch here is a wiring bug, and silently training a
-// different run would be worse than dying.
+// resume checks the checkpoint against this run (Checkpoint.Matches) and
+// restores the accumulated Result and the method's server state. It
+// returns the round index the loop continues from. A refusal panics: a
+// caller that read the checkpoint from outside the process checks it with
+// Matches first and reports the error (fedsim serve does), so reaching a
+// mismatch here is a wiring bug, and silently training a different run
+// would be worse than dying.
 func (d *RoundDriver) resume(c *fl.Checkpoint) int {
 	if err := c.Matches(d.Env, d.Res.Method, d.NumParams); err != nil {
 		panic("engine: resume: " + err.Error())
-	}
-	d.verifyAggIdentity(c)
-	// Error-feedback residuals are part of the run's exact state: a
-	// compressed run resumed without them would re-send coordinates the
-	// original run had already fed back. The codec selection is identity,
-	// like the aggregation strategy above.
-	if d.es.ef != nil && !fl.HasEFState(c) {
-		panic("engine: resume: run uses a sparse codec but checkpoint carries no error-feedback state")
-	}
-	if d.es.ef == nil && fl.HasEFState(c) {
-		panic("engine: resume: checkpoint carries error-feedback state but run uses a dense codec")
 	}
 	s := c.Loader()
 	d.walkState(s)
@@ -103,7 +57,6 @@ func (d *RoundDriver) maybeCheckpoint(round int) {
 		d.es.stamp = obs.Now()
 	}
 	c := fl.NewCheckpoint(d.Env, d.Res.Method, round+1, d.NumParams, plan.SpecHash)
-	c.SetInts(secRobustAgg, []int64{aggIdentity(d.Env.Aggregator)})
 	d.walkState(c.Saver())
 	plan.Sink(c)
 	if ob := d.Env.Observer; ob != nil {

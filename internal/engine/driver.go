@@ -195,13 +195,17 @@ type RoundDriver struct {
 	sh *fl.EnvShared
 }
 
-// New validates the environment and builds a driver for one method run.
+// New builds a driver for one method run on an environment that passes
+// Env.Check (one that does not is a programmer error and panics with
+// Check's error).
 // The heavyweight runtime (lanes, arenas, worker contexts, buffers)
 // is cached on the environment and reused by later runs; only the first
 // run on an Env — or a run whose shape no longer fits, or one racing a
 // concurrent run on the same Env — pays for construction.
 func New(env *fl.Env, method string) *RoundDriver {
-	env.Validate()
+	if err := env.Check(); err != nil {
+		panic(err)
+	}
 	d := &RoundDriver{Env: env, Res: &fl.Result{Method: method}}
 	d.Res.Comm.Pricing = fl.PricingFor(env.Codec, env.TopKFrac)
 	sh := env.Shared()

@@ -145,7 +145,7 @@ func TestSparseResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !fl.HasEFState(ck) {
+			if !ck.HasInts(fl.SecEFMeta) {
 				t.Fatalf("%s mid-run checkpoint carries no error-feedback sections", c)
 			}
 			for _, round := range []int{1, 3, 6} {

@@ -78,9 +78,24 @@ const (
 // fingerprint, vec count, int count.
 const metaWords = 6 + 6 + 1 + 2
 
-// NewCheckpoint captures a run's identity after `round` completed rounds.
-// Method state and the Result snapshot are added separately, through a
-// Saver walk.
+// secRobustAgg records the aggregation strategy a checkpoint was written
+// under (FNV-1a of its identity name): the restored server state embeds
+// every past combine's choice of strategy.
+const secRobustAgg = "robust/agg"
+
+// aggIdentity hashes an aggregation strategy's name for secRobustAgg.
+func aggIdentity(a Aggregator) int64 {
+	h := uint64(0xcbf29ce484222325)
+	for _, b := range []byte(AggregatorName(a)) {
+		h ^= uint64(b)
+		h *= 0x100000001b3
+	}
+	return int64(h)
+}
+
+// NewCheckpoint captures a run's identity after `round` completed rounds,
+// its aggregation strategy included. Method state and the Result snapshot
+// are added separately, through a Saver walk.
 func NewCheckpoint(env *Env, method string, round, numParams int, specHash uint64) *Checkpoint {
 	var root rng.Rng
 	root.Reseed(env.Seed)
@@ -97,13 +112,17 @@ func NewCheckpoint(env *Env, method string, round, numParams int, specHash uint6
 	if sc := env.Participation.Scenario; sc != nil {
 		c.ScenarioFP = sc.Fingerprint()
 	}
+	c.SetInts(secRobustAgg, []int64{aggIdentity(env.Aggregator)})
 	return c
 }
 
 // Matches verifies the checkpoint continues this exact run: same method,
-// seed, schedule, population, model shape, derived-stream root, and
-// scenario trace. A mismatch on any of them would not crash — it would
-// silently train a different run — so resume refuses instead.
+// seed, schedule, population, model shape, derived-stream root, scenario
+// trace, aggregation strategy, and whether error-feedback state rides
+// along (it does exactly when the codec is sparse). A mismatch on any of
+// them would not crash — it would silently train a different run — so
+// resume refuses instead. A checkpoint without an aggregation section
+// predates the robust layer and matches only the plain mean.
 func (c *Checkpoint) Matches(env *Env, method string, numParams int) error {
 	if c.Method != method {
 		return fmt.Errorf("fl: checkpoint holds %s state, resuming %s", c.Method, method)
@@ -134,6 +153,21 @@ func (c *Checkpoint) Matches(env *Env, method string, numParams int) error {
 	}
 	if c.ScenarioFP != fp {
 		return fmt.Errorf("fl: checkpoint scenario fingerprint %#x, environment %#x", c.ScenarioFP, fp)
+	}
+	if !c.HasInts(secRobustAgg) {
+		if env.Aggregator != nil {
+			return fmt.Errorf("fl: checkpoint written under plain mean aggregation, environment uses %s", AggregatorName(env.Aggregator))
+		}
+	} else if agg, err := c.Ints(secRobustAgg, 1); err != nil {
+		return err
+	} else if agg[0] != aggIdentity(env.Aggregator) {
+		return fmt.Errorf("fl: checkpoint aggregation strategy differs from the environment's %s", AggregatorName(env.Aggregator))
+	}
+	if hasEF := c.HasInts(SecEFMeta); hasEF != env.Codec.Sparse() {
+		if hasEF {
+			return fmt.Errorf("fl: checkpoint carries error-feedback state, environment uses dense codec %s", env.Codec)
+		}
+		return fmt.Errorf("fl: environment uses sparse codec %s, checkpoint carries no error-feedback state", env.Codec)
 	}
 	return nil
 }

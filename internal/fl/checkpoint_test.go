@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"fedclust/internal/rng"
+	"fedclust/internal/wire"
 )
 
 // testEnv is a minimal environment for checkpoint identity checks: only
@@ -276,6 +277,54 @@ func TestCheckpointMatches(t *testing.T) {
 		e, method, np := tc.tamper(c)
 		if err := c.Matches(e, method, np); err == nil {
 			t.Errorf("%s mismatch not detected", tc.name)
+		}
+	}
+}
+
+// TestCheckpointMatchesIdentity: the aggregation strategy and the
+// presence of error-feedback state are part of a run's identity, so
+// Matches refuses a checkpoint that differs from the environment in
+// either — as an error, for callers that read the file from outside.
+func TestCheckpointMatchesIdentity(t *testing.T) {
+	const numParams = 3
+	env := func(agg Aggregator, codec wire.Codec) *Env {
+		e := testEnv(42, 10, 5)
+		e.Aggregator, e.Codec = agg, codec
+		return e
+	}
+	// checkpoint is what a run under (agg, codec) writes: identity, plus
+	// the error-feedback sections when the codec is sparse.
+	checkpoint := func(agg Aggregator, codec wire.Codec) *Checkpoint {
+		e := env(agg, codec)
+		c := NewCheckpoint(e, "FedAvg", 7, numParams, 0)
+		if codec.Sparse() {
+			NewErrorFeedback(codec, 0.1, len(e.Clients), numParams).State(c.Saver())
+		}
+		return c
+	}
+	if err := checkpoint(&Krum{Frac: 0.2}, wire.TopK).Matches(env(&Krum{Frac: 0.2}, wire.TopK), "FedAvg", numParams); err != nil {
+		t.Fatalf("matching checkpoint refused: %v", err)
+	}
+	noAggSection := checkpoint(nil, wire.Float64)
+	delete(noAggSection.ints, secRobustAgg)
+	if err := noAggSection.Matches(env(nil, wire.Float64), "FedAvg", numParams); err != nil {
+		t.Fatalf("a checkpoint without an aggregation section refused under the plain mean: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		c    *Checkpoint
+		env  *Env
+	}{
+		{"trimmed->krum", checkpoint(&TrimmedMean{Frac: 0.2}, wire.Float64), env(&Krum{Frac: 0.2}, wire.Float64)},
+		{"trimmed-frac-change", checkpoint(&TrimmedMean{Frac: 0.2}, wire.Float64), env(&TrimmedMean{Frac: 0.3}, wire.Float64)},
+		{"nil->median", checkpoint(nil, wire.Float64), env(&Median{}, wire.Float64)},
+		{"median->nil", checkpoint(&Median{}, wire.Float64), env(nil, wire.Float64)},
+		{"no section->median", noAggSection, env(&Median{}, wire.Float64)},
+		{"sparse->dense", checkpoint(nil, wire.TopK), env(nil, wire.Float64)},
+		{"dense->sparse", checkpoint(nil, wire.Float64), env(nil, wire.TopKQuant8)},
+	} {
+		if err := tc.c.Matches(tc.env, "FedAvg", numParams); err == nil {
+			t.Errorf("%s: Matches accepted the checkpoint", tc.name)
 		}
 	}
 }

@@ -36,17 +36,9 @@ type LocalConfig struct {
 	ProxMu float64
 }
 
-// Validate panics on degenerate configuration.
-func (c LocalConfig) Validate() {
-	if err := c.Check(); err != nil {
-		panic(err.Error())
-	}
-}
-
-// Check is the error-returning form of Validate — the one place the
-// config rules live, shared by in-process training and the transport's
-// untrusted-wire-config guard (internal/transport), so the two paths
-// can never drift on what a valid config is.
+// Check rejects a degenerate configuration. It is the one place the
+// config rules live: Env.Check applies it to the run's schedule, and the
+// transport applies it to every work order that arrives off the wire.
 func (c LocalConfig) Check() error {
 	if c.Epochs < 1 || c.BatchSize < 1 {
 		return fmt.Errorf("fl: invalid local config epochs=%d batch=%d", c.Epochs, c.BatchSize)
@@ -102,7 +94,9 @@ type visitState[T tensor.Float] struct {
 // weights just loaded). r drives batch shuffling — no layer draws
 // randomness — so the result depends only on (model weights, dataset,
 // cfg, r), never on earlier visits that reused the same model or
-// scratch.
+// scratch. cfg is checked where it enters the process (Env.Check for a
+// run's schedule, the transport's request check for a work order), not
+// here on every visit.
 //
 // On the Float32 path master weights stay float64: the incoming
 // parameters are rounded into the shadow once, the whole local pass runs
@@ -111,7 +105,6 @@ type visitState[T tensor.Float] struct {
 // — a Float32 wire frame of the widened model carries exactly the
 // trained float32 bits.
 func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
-	cfg.Validate()
 	if d.Len() == 0 {
 		return 0
 	}

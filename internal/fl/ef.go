@@ -167,7 +167,3 @@ func (ef *ErrorFeedback) State(s *Sections) {
 	}
 	s.Vecs(SecEFRes, ef.res)
 }
-
-// HasEFState reports whether a checkpoint carries error-feedback
-// sections.
-func HasEFState(ck *Checkpoint) bool { return ck.HasInts(SecEFMeta) }

@@ -208,8 +208,8 @@ func TestErrorFeedbackCheckpointRoundTrip(t *testing.T) {
 	}
 	var ck Checkpoint
 	ef.State(ck.Saver())
-	if !HasEFState(&ck) {
-		t.Fatal("HasEFState is false after a saving walk")
+	if !ck.HasInts(SecEFMeta) {
+		t.Fatal("no error-feedback meta section after a saving walk")
 	}
 
 	restored := NewErrorFeedback(wire.TopKQuant8, 0.1, nClients, n)
@@ -239,8 +239,8 @@ func TestErrorFeedbackCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 
-	if HasEFState(&Checkpoint{}) {
-		t.Error("HasEFState is true for a checkpoint without EF sections")
+	if (&Checkpoint{}).HasInts(SecEFMeta) {
+		t.Error("an empty checkpoint reports an error-feedback meta section")
 	}
 }
 

@@ -72,21 +72,21 @@ type Env struct {
 	shared *EnvShared
 }
 
-// Validate panics on degenerate environments.
-func (e *Env) Validate() {
+// Check rejects a degenerate environment, its local config included.
+func (e *Env) Check() error {
 	if len(e.Clients) == 0 {
-		panic("fl: Env has no clients")
+		return fmt.Errorf("fl: Env has no clients")
 	}
 	if e.Factory == nil {
-		panic("fl: Env has no model factory")
+		return fmt.Errorf("fl: Env has no model factory")
 	}
 	if e.Rounds < 1 {
-		panic(fmt.Sprintf("fl: Rounds must be positive, got %d", e.Rounds))
+		return fmt.Errorf("fl: Rounds must be positive, got %d", e.Rounds)
 	}
 	if e.TopKFrac < 0 || e.TopKFrac > 1 {
-		panic(fmt.Sprintf("fl: TopKFrac must lie in [0,1], got %g", e.TopKFrac))
+		return fmt.Errorf("fl: TopKFrac must lie in [0,1], got %g", e.TopKFrac)
 	}
-	e.Local.Validate()
+	return e.Local.Check()
 }
 
 // NewModel builds the canonical initial model (same weights every call).

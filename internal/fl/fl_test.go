@@ -370,17 +370,24 @@ func TestBuildGroupClients(t *testing.T) {
 	}
 }
 
-func TestEnvValidate(t *testing.T) {
+func TestEnvCheck(t *testing.T) {
 	env := tinyEnv(2, 1)
-	env.Validate() // ok
-	bad := *env
-	bad.Rounds = 0
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Rounds=0 did not panic")
+	if err := env.Check(); err != nil {
+		t.Fatalf("valid environment rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*Env){
+		"no clients":    func(e *Env) { e.Clients = nil },
+		"no factory":    func(e *Env) { e.Factory = nil },
+		"zero rounds":   func(e *Env) { e.Rounds = 0 },
+		"topk frac > 1": func(e *Env) { e.TopKFrac = 1.5 },
+		"local config":  func(e *Env) { e.Local.LR = 0 },
+	} {
+		bad := *env
+		mutate(&bad)
+		if err := bad.Check(); err == nil {
+			t.Errorf("%s: Check accepted the environment", name)
 		}
-	}()
-	bad.Validate()
+	}
 }
 
 func TestQuant8ParamsStayUsable(t *testing.T) {

@@ -219,13 +219,6 @@ func (c Config) Check() error {
 	return nil
 }
 
-// Validate panics on out-of-range settings (Check's panic form).
-func (c Config) Validate() {
-	if err := c.Check(); err != nil {
-		panic(err.Error())
-	}
-}
-
 // Profile is one client's fixed compute and adversarial character.
 type Profile struct {
 	// Speed is the client's relative compute speed: a nominal client is
@@ -264,10 +257,13 @@ type Model struct {
 }
 
 // New draws the per-client profiles for a population of n clients. The
-// same (cfg, seed, n) always yields the same model.
+// same (cfg, seed, n) always yields the same model. A cfg that Check
+// rejects is a programmer error here and panics with Check's error.
 func New(cfg Config, seed uint64, n int) *Model {
 	cfg = cfg.withDefaults()
-	cfg.Validate()
+	if err := cfg.Check(); err != nil {
+		panic(err)
+	}
 	if n < 1 {
 		panic(fmt.Sprintf("scenario: non-positive population %d", n))
 	}

@@ -169,8 +169,9 @@ func TestScenarioRunsAreBitIdentical(t *testing.T) {
 	}
 }
 
-// TestConfigValidate rejects out-of-range settings.
-func TestConfigValidate(t *testing.T) {
+// TestNewRejectsInvalidConfig: New panics with Check's error on
+// out-of-range settings.
+func TestNewRejectsInvalidConfig(t *testing.T) {
 	for _, cfg := range []scenario.Config{
 		{StragglerFrac: -0.1},
 		{StragglerFrac: 1.1},
@@ -182,8 +183,8 @@ func TestConfigValidate(t *testing.T) {
 	} {
 		func(cfg scenario.Config) {
 			defer func() {
-				if recover() == nil {
-					t.Fatalf("invalid config %+v did not panic", cfg)
+				if _, ok := recover().(error); !ok {
+					t.Fatalf("invalid config %+v did not panic with Check's error", cfg)
 				}
 			}()
 			scenario.New(cfg, 1, 4)

@@ -116,3 +116,30 @@ func TestTrainMsgRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// fuzzSpecBudget bounds the examples × pixels a fuzzed spec may
+// materialise: above it, a spec that passes check is skipped, not built.
+const fuzzSpecBudget = 1 << 18
+
+// FuzzSpecBuild: a spec off the wire either builds an environment or is
+// rejected with an error, and never panics. The seed corpus
+// (testdata/fuzz/FuzzSpecBuild) holds fedsim serve's quick spec and the
+// shapes that only a panic inside the substrate used to reject: a test
+// split of zero, a label in two groups, negative noise, negative class
+// separation.
+func FuzzSpecBuild(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := ParseSpec(b)
+		if err != nil {
+			return
+		}
+		d := s.Dataset
+		if s.check() == nil && int64(d.TrainPerClass+d.TestPerClass)*int64(d.Classes)*int64(d.C*d.H*d.W) > fuzzSpecBudget {
+			t.Skip("passes check but is too large to materialise while fuzzing")
+		}
+		env, err := s.Build()
+		if (env == nil) == (err == nil) {
+			t.Fatalf("Build returned an environment %t and error %v", env != nil, err)
+		}
+	})
+}

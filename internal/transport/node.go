@@ -50,9 +50,9 @@ type slot struct {
 }
 
 // NewService builds a service over the node's environment replica with
-// env.WorkerCount() execution slots.
+// env.WorkerCount() execution slots. env is one Spec.Build returned, or an
+// in-process one, so it has passed Env.Check already.
 func NewService(env *fl.Env) *Service {
-	env.Validate()
 	lanes := fl.NewLanes(env)
 	ref := lanes[0].Model
 	s := &Service{

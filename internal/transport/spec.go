@@ -70,21 +70,27 @@ const (
 	maxSpecHiddenNum = 64      // hidden layers
 )
 
-// check bounds the recipe's sizes before anything is allocated from it.
+// check applies the rules Build needs before it allocates anything: the
+// dataset recipe's own Check, size ceilings (a hostile size field must not
+// drive an allocation bomb), and the group rules of the label partition.
+// The rest of the run's identity is Env.Check's, once the environment
+// exists.
 func (s *Spec) check() error {
 	d := s.Dataset
+	if err := d.Check(); err != nil {
+		return fmt.Errorf("transport: spec dataset: %w", err)
+	}
 	// Each dimension is bounded individually before the product is
 	// taken in 64 bits — a hostile spec must not wrap the product past
 	// the ceiling.
-	if d.C < 1 || d.H < 1 || d.W < 1 || d.C > maxSpecDim || d.H > maxSpecDim || d.W > maxSpecDim ||
+	if d.C > maxSpecDim || d.H > maxSpecDim || d.W > maxSpecDim ||
 		int64(d.C)*int64(d.H)*int64(d.W) > maxSpecPixels {
 		return fmt.Errorf("transport: spec image geometry %dx%dx%d out of bounds", d.C, d.H, d.W)
 	}
-	if d.Classes < 2 || d.Classes > maxSpecClasses {
+	if d.Classes > maxSpecClasses {
 		return fmt.Errorf("transport: spec class count %d out of bounds", d.Classes)
 	}
-	if d.TrainPerClass < 1 || d.TrainPerClass > maxSpecPerClass ||
-		d.TestPerClass < 0 || d.TestPerClass > maxSpecPerClass {
+	if d.TrainPerClass > maxSpecPerClass || d.TestPerClass > maxSpecPerClass {
 		return fmt.Errorf("transport: spec per-class counts %d/%d out of bounds", d.TrainPerClass, d.TestPerClass)
 	}
 	if int64(d.TrainPerClass+d.TestPerClass)*int64(d.Classes) > maxSpecExamples {
@@ -95,6 +101,7 @@ func (s *Spec) check() error {
 		return fmt.Errorf("transport: spec has %d groups but %d per-group counts", len(s.Groups), len(s.PerGroup))
 	}
 	clients := 0
+	group := make(map[int]int, d.Classes) // label → the group that owns it
 	for i, g := range s.Groups {
 		if len(g) == 0 {
 			return fmt.Errorf("transport: spec group %d is empty", i)
@@ -103,6 +110,10 @@ func (s *Spec) check() error {
 			if label < 0 || label >= d.Classes {
 				return fmt.Errorf("transport: spec group %d has label %d outside %d classes", i, label, d.Classes)
 			}
+			if prev, dup := group[label]; dup {
+				return fmt.Errorf("transport: spec label %d is in both group %d and group %d", label, prev, i)
+			}
+			group[label] = i
 		}
 		if s.PerGroup[i] < 1 {
 			return fmt.Errorf("transport: spec group %d has %d clients", i, s.PerGroup[i])
@@ -119,21 +130,6 @@ func (s *Spec) check() error {
 		if h < 1 || h > maxSpecHidden {
 			return fmt.Errorf("transport: spec hidden width %d out of bounds", h)
 		}
-	}
-	if s.Rounds < 1 {
-		return fmt.Errorf("transport: spec has %d rounds", s.Rounds)
-	}
-	if err := s.Local.Check(); err != nil {
-		return fmt.Errorf("transport: spec local config: %w", err)
-	}
-	if _, err := fl.ParseDType(s.DType); err != nil {
-		return fmt.Errorf("transport: spec dtype: %w", err)
-	}
-	if _, err := wire.ParseCodec(s.Codec); err != nil {
-		return fmt.Errorf("transport: spec codec: %w", err)
-	}
-	if s.TopKFrac < 0 || s.TopKFrac > 1 {
-		return fmt.Errorf("transport: spec topk_frac %g outside [0,1]", s.TopKFrac)
 	}
 	return nil
 }
@@ -152,32 +148,28 @@ func ParseSpec(b []byte) (*Spec, error) {
 
 // Build constructs the environment the spec describes. Coordinator and
 // node call the same code, so their replicas are identical by
-// construction. A spec arrives off the wire, so Build never panics: it
-// bounds-checks the recipe before materializing anything (a hostile
-// size field must not drive an allocation bomb) and converts the
-// substrate's validation panics into errors.
-func (s *Spec) Build() (env *fl.Env, err error) {
+// construction. A spec arrives off the wire, so every rule it can break
+// is an error here: check runs before anything is materialized, and the
+// built environment must pass Env.Check.
+func (s *Spec) Build() (*fl.Env, error) {
 	if err := s.check(); err != nil {
 		return nil, err
 	}
-	// data.Generate and Env.Validate report degenerate configs by
-	// panicking (their callers are in-process and trusted); here the
-	// config crossed a process boundary, so recover into the error
-	// return a node can log and die cleanly on.
-	defer func() {
-		if r := recover(); r != nil {
-			env, err = nil, fmt.Errorf("transport: bad spec: %v", r)
-		}
-	}()
+	dtype, err := fl.ParseDType(s.DType)
+	if err != nil {
+		return nil, fmt.Errorf("transport: spec dtype: %w", err)
+	}
+	codec, err := wire.ParseCodec(s.Codec)
+	if err != nil {
+		return nil, fmt.Errorf("transport: spec codec: %w", err)
+	}
 	train, test := data.Generate(s.Dataset)
 	clients, _ := fl.BuildGroupClients(train, test, s.Groups, s.PerGroup, rng.New(s.Seed))
 	dims := make([]int, 0, len(s.Hidden)+2)
 	dims = append(dims, s.Dataset.C*s.Dataset.H*s.Dataset.W)
 	dims = append(dims, s.Hidden...)
 	dims = append(dims, s.Dataset.Classes)
-	dtype, _ := fl.ParseDType(s.DType)   // validated in check
-	codec, _ := wire.ParseCodec(s.Codec) // validated in check
-	env = &fl.Env{
+	env := &fl.Env{
 		Clients:   clients,
 		Factory:   func(r *rng.Rng) *nn.Sequential { return nn.MLP(r, dims...) },
 		Rounds:    s.Rounds,
@@ -188,6 +180,8 @@ func (s *Spec) Build() (env *fl.Env, err error) {
 		Codec:     codec,
 		TopKFrac:  s.TopKFrac,
 	}
-	env.Validate()
+	if err := env.Check(); err != nil {
+		return nil, fmt.Errorf("transport: bad spec: %w", err)
+	}
 	return env, nil
 }

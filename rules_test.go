@@ -353,6 +353,41 @@ func TestSectionNamesSpelledOnce(t *testing.T) {
 	}
 }
 
+// TestNoRecover: no non-test code calls the recover builtin. A value that
+// crosses a process or file boundary is checked by a rule that returns an
+// error; a panic is left for programmer errors, and nothing turns one back
+// into an error.
+func TestNoRecover(t *testing.T) {
+	m := load(t)
+	seen := map[token.Pos]bool{}
+	for _, pkgs := range m.targets {
+		for _, p := range pkgs {
+			for id, obj := range p.info.Uses {
+				if b, ok := obj.(*types.Builtin); ok && b.Name() == "recover" && !seen[id.Pos()] {
+					seen[id.Pos()] = true
+					t.Errorf("%s: recover turns a panic back into a value", m.fset.Position(id.Pos()))
+				}
+			}
+		}
+	}
+}
+
+// TestExitOnlyInMain: under cmd/ and internal/, os.Exit appears only
+// inside func main. Everything else returns its error to the one place
+// that turns it into an exit status.
+func TestExitOnlyInMain(t *testing.T) {
+	m := load(t)
+	m.eachFuncUse(func(p *pkg, d ast.Decl, pos token.Pos, name string) {
+		if name != "os.Exit" || !(strings.HasPrefix(p.path, modulePath+"/cmd/") || strings.HasPrefix(p.path, modulePath+"/internal/")) {
+			return
+		}
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && fn.Name.Name == "main" && p.types.Name() == "main" {
+			return
+		}
+		t.Errorf("%s: os.Exit outside func main", m.fset.Position(pos))
+	})
+}
+
 func TestRootHoldsNoNonTestGo(t *testing.T) {
 	files, _ := filepath.Glob("*.go") // the pattern is well-formed
 	for _, f := range files {
