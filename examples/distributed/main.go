@@ -14,6 +14,8 @@
 //  4. final accuracies are compared against the in-process baseline —
 //     under the lossless codec they match bit for bit.
 //
+// Run it with:
+//
 //	go run ./examples/distributed            # 3 nodes, quick workload
 //	go run ./examples/distributed -nodes 5
 package main

@@ -170,12 +170,12 @@ type defenseLog struct {
 	rounds           int
 }
 
-func (d *defenseLog) ObserveRunStart(string, int, int, int)       {}
-func (d *defenseLog) ObserveRoundStart(int, int)                  {}
-func (d *defenseLog) ObserveOutcome(int, int, int, bool)          {}
-func (d *defenseLog) ObserveRoundEnd(int, int, *fl.CommStats)     {}
-func (d *defenseLog) ObserveEval(int, float64, float64)           {}
-func (d *defenseLog) ObserveCheckpoint(int)                       {}
+func (d *defenseLog) ObserveRunStart(string, int, int, int)   {}
+func (d *defenseLog) ObserveRoundStart(int, int)              {}
+func (d *defenseLog) ObserveOutcome(int, int, int, bool)      {}
+func (d *defenseLog) ObserveRoundEnd(int, int, *fl.CommStats) {}
+func (d *defenseLog) ObserveEval(int, float64, float64)       {}
+func (d *defenseLog) ObserveCheckpoint(int)                   {}
 func (d *defenseLog) ObserveDefense(round, masked, suspects int) {
 	d.masked += masked
 	d.suspects += suspects

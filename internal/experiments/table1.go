@@ -179,7 +179,7 @@ func (t *Table1Result) ShapeChecks() []Check {
 			}
 		}
 		// The conversion rounds mean's 100·x before the subtraction.
-		out = append(out, check(bestAcc-float64(mean("FedClust", "svhn")) <= 5,"FedClust within 5 pts of best on svhn"))
+		out = append(out, check(bestAcc-float64(mean("FedClust", "svhn")) <= 5, "FedClust within 5 pts of best on svhn"))
 	}
 	return out
 }

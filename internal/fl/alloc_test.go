@@ -27,8 +27,10 @@ func allocModel() *nn.Sequential {
 
 // allocShadow is allocModel's loaded float32 mirror.
 func allocShadow() *nn.SequentialOf[float32] {
-	var c shadowCache
-	return c.load(allocModel())
+	m := allocModel()
+	sh := nn.Mirror32(m)
+	nn.AssignParams32(sh, m)
+	return sh
 }
 
 // TestLocalUpdateBatchStepZeroAllocs asserts a warm LocalUpdate batch

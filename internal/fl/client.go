@@ -59,7 +59,7 @@ func (c LocalConfig) Check() error {
 }
 
 // TrainScratch carries the allocation-heavy state of local training and
-// evaluation — the optimizer (with its velocity buffers), the loss-head
+// evaluation — the optimizer (with its velocity buffer), the loss-head
 // workspaces, the FedProx reference buffer and the batcher, per element
 // type, plus the float32 shadow of the worker's model — so one worker
 // can run many client visits with zero steady-state heap allocations.
@@ -105,16 +105,32 @@ type visitState[T tensor.Float] struct {
 // — a Float32 wire frame of the widened model carries exactly the
 // trained float32 bits.
 func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
+	return ts.train(model, model.ParamData(), d, cfg, r, model.ParamData())
+}
+
+// train is the one local pass behind every visit and LocalUpdate: from
+// the full parameter vector start it trains model (on the Float32 path
+// its shadow, rounding start straight in) and writes the trained
+// vector's last len(dst) values into dst: all of it, or the final
+// layer's, which ends it. start and dst may be model's own buffer.
+func (ts *TrainScratch) train(model *nn.Sequential, start []float64, d *data.Dataset, cfg LocalConfig, r *rng.Rng, dst []float64) float64 {
+	w := model.ParamData()
+	lo := len(w) - len(dst)
 	if d.Len() == 0 {
+		copy(dst, start[lo:])
 		return 0
 	}
 	if ts.DType == Float32 {
-		sh := ts.shadow.load(model)
+		sh := ts.shadow.mirror(model)
+		nn.Convert(sh.ParamData(), start)
 		loss := ts.f32.localSGD(sh, d, cfg, r)
-		nn.CopyParams64(model, sh)
+		nn.Convert(dst, sh.ParamData()[lo:])
 		return loss
 	}
-	return ts.f64.localSGD(model, d, cfg, r)
+	copy(w, start)
+	loss := ts.f64.localSGD(model, d, cfg, r)
+	copy(dst, w[lo:])
+	return loss
 }
 
 // localSGD is the local training pass itself, one body for both element
@@ -122,17 +138,12 @@ func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg L
 // path diverges from the float64 reference only by rounding.
 func (st *visitState[T]) localSGD(net *nn.SequentialOf[T], d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
 	params, grads := net.Params(), net.Grads()
-	var proxRef []T
+	w, g := net.ParamData(), net.GradData()
 	if cfg.ProxMu > 0 {
-		n := net.NumParams()
-		if cap(st.proxRef) < n {
-			st.proxRef = make([]T, n)
-		}
-		proxRef = st.proxRef[:n]
-		nn.FlattenParamsInto(net, proxRef)
+		st.proxRef = append(st.proxRef[:0], w...)
 	}
-	// Reset zeroes the velocity buffers in place, so a reused optimizer
-	// is bit-equivalent to a fresh one.
+	// Reset zeroes the velocity in place, so a reused optimizer is
+	// bit-equivalent to a fresh one.
 	st.sgd.Reconfigure(cfg.LR, cfg.Momentum, cfg.WeightDecay)
 	st.sgd.Reset()
 	var totalLoss float64
@@ -145,14 +156,12 @@ func (st *visitState[T]) localSGD(net *nn.SequentialOf[T], d *data.Dataset, cfg 
 			if !ok {
 				break
 			}
-			for _, g := range grads {
-				g.Zero()
-			}
+			clear(g)
 			logits := net.Forward(b.X, true)
 			loss, grad, _ := st.ce.Loss(logits, b.Y)
 			net.Backward(grad)
 			if cfg.ProxMu > 0 {
-				opt.AddProximal(params, grads, proxRef, cfg.ProxMu)
+				opt.AddProximal(w, g, st.proxRef, cfg.ProxMu)
 			}
 			st.sgd.Step(params, grads)
 			totalLoss += loss
@@ -170,7 +179,9 @@ func (st *visitState[T]) localSGD(net *nn.SequentialOf[T], d *data.Dataset, cfg 
 // (0, 0).
 func (ts *TrainScratch) Evaluate(model *nn.Sequential, d *data.Dataset, batchSize int) (loss, acc float64) {
 	if ts.DType == Float32 {
-		return ts.f32.evaluate(ts.shadow.load(model), d, batchSize)
+		sh := ts.shadow.mirror(model)
+		nn.AssignParams32(sh, model)
+		return ts.f32.evaluate(sh, d, batchSize)
 	}
 	return ts.f64.evaluate(model, d, batchSize)
 }

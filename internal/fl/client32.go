@@ -12,13 +12,12 @@ type shadowCache struct {
 	net *nn.SequentialOf[float32]
 }
 
-// load returns the replica holding model's parameters, each rounded to
-// float32 once — loaded fresh on every call, because the same pooled
-// model may carry different weights on consecutive visits.
-func (c *shadowCache) load(model *nn.Sequential) *nn.SequentialOf[float32] {
+// mirror returns the replica for model's architecture. Its weights are
+// whatever its last use left, so every caller loads its own: a visit
+// rounds its start in, Evaluate the model's parameters.
+func (c *shadowCache) mirror(model *nn.Sequential) *nn.SequentialOf[float32] {
 	if c.net == nil || !nn.IsMirror32(c.net, model) {
 		c.net = nn.Mirror32(model)
 	}
-	nn.AssignParams32(c.net, model)
 	return c.net
 }

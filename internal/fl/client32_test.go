@@ -176,7 +176,7 @@ func (o *oddLayer) OutDim() int                                         { return
 func TestMirror32PanicsOnUnknownLayer(t *testing.T) {
 	d := benchDataset(40)
 	r := rng.New(1)
-	m := nn.NewSequential(nn.NewDense(d.Dim(), 20, r), &oddLayer{dim: 20}, nn.NewDense(20, d.Classes, r))
+	m := nn.HeInit(nn.NewSequential(nn.NewDense(d.Dim(), 20), &oddLayer{dim: 20}, nn.NewDense(20, d.Classes)), r)
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "layer 1 (odd)") {
 			t.Fatalf("float32 visit of an unknown layer kind: got %q, want a panic naming it", msg)
@@ -198,11 +198,11 @@ func TestFloat32ShadowFollowsArchitecture(t *testing.T) {
 	mlp := func(relu bool) func() *nn.Sequential {
 		return func() *nn.Sequential {
 			r := rng.New(1)
-			layers := []nn.Layer[float64]{nn.NewDense(d.Dim(), 16, r)}
+			layers := []nn.Layer[float64]{nn.NewDense(d.Dim(), 16)}
 			if relu {
 				layers = append(layers, nn.NewReLU(16))
 			}
-			return nn.NewSequential(append(layers, nn.NewDense(16, d.Classes, r))...)
+			return nn.HeInit(nn.NewSequential(append(layers, nn.NewDense(16, d.Classes))...), r)
 		}
 	}
 	conv := func(pool bool) func() *nn.Sequential {
@@ -214,7 +214,7 @@ func TestFloat32ShadowFollowsArchitecture(t *testing.T) {
 				g.Stride = 1
 				mid = nn.NewMaxPool2(2, 8, 8)
 			}
-			return nn.NewSequential(nn.NewConv2D(g, 2, r), mid, nn.NewDense(2*4*4, d.Classes, r))
+			return nn.HeInit(nn.NewSequential(nn.NewConv2D(g, 2), mid, nn.NewDense(2*4*4, d.Classes)), r)
 		}
 	}
 	pairs := []struct {

@@ -57,9 +57,9 @@ type Lane struct {
 	Scratch TrainScratch
 
 	env *Env
-	// final is Model's last weight layer, the one a FinalLayer visit
-	// reports.
-	final nn.Layer[float64]
+	// final is the parameter count of Model's last weight layer, the one
+	// a FinalLayer visit reports: the tail of the parameter vector.
+	final int
 	rng   rng.Rng
 	efs   EFScratch
 	frame []byte
@@ -69,8 +69,7 @@ type Lane struct {
 // NewLane builds a lane (and its model) for env.
 func NewLane(env *Env) *Lane {
 	l := &Lane{Model: env.NewModel(), Scratch: TrainScratch{DType: env.DType}, env: env}
-	wl := nn.WeightLayers(l.Model)
-	l.final = l.Model.Layers[wl[len(wl)-1]]
+	l.final = len(nn.FinalLayerVector(l.Model))
 	return l
 }
 
@@ -78,7 +77,7 @@ func NewLane(env *Env) *Lane {
 // the round engine, FedClust's warm-up and a transport node. Indexed by
 // the executor's worker id it needs no locking: slot w is only ever
 // touched by worker w (the executor's worker ids are goroutine-stable).
-// Every visit loads its starting weights in place and resets the
+// Every visit loads its starting weights and resets the
 // optimizer, so reuse is bit-equivalent to a fresh lane provided the
 // environment's Factory embeds no mutable state that survives
 // nn.LoadParams and changes behaviour (forward caches and workspaces are
@@ -124,9 +123,11 @@ func (l *Lane) VisitFrame(dst []byte, v *Visit, out []float64) []byte {
 	return l.appendUplink(dst, v, out)
 }
 
-// train loads Start as the wire delivers it, runs the local pass on the
-// visit's (Client, Round) stream and extracts the selected vector: every
-// parameter, or the final layer's.
+// train runs the local pass from Start as the wire delivers it, on the
+// visit's (Client, Round) stream, and writes the selected vector into
+// out: every parameter, or the final layer's. On the Float32 path Model
+// is not loaded at all: Start is rounded into the shadow and the trained
+// range widened into out.
 func (l *Lane) train(v *Visit, out []float64) {
 	start := v.Start
 	if v.Down != wire.Float64 {
@@ -134,25 +135,15 @@ func (l *Lane) train(v *Visit, out []float64) {
 		l.vec = l.decodeFrame(l.vec)
 		start = l.vec
 	}
-	nn.LoadParams(l.Model, start)
-	l.env.ClientRngInto(&l.rng, v.Client, v.Round)
-	l.Scratch.LocalUpdate(l.Model, v.Data, v.Cfg, &l.rng)
+	n := l.final
 	if v.Layer == FullParams {
-		nn.FlattenParamsInto(l.Model, out)
-		return
+		n = l.Model.NumParams()
 	}
-	params := l.final.Params()
-	n := 0
-	for _, p := range params {
-		n += p.Size()
+	if len(out) != n || len(start) != l.Model.NumParams() {
+		panic(fmt.Sprintf("fl: visit of %d start values into %d, want %d into %d", len(start), len(out), l.Model.NumParams(), n))
 	}
-	if n != len(out) {
-		panic(fmt.Sprintf("fl: visit result buffer %d values, final layer has %d", len(out), n))
-	}
-	off := 0
-	for _, p := range params {
-		off += copy(out[off:], p.Data)
-	}
+	l.env.ClientRngInto(&l.rng, v.Client, v.Round)
+	l.Scratch.train(l.Model, start, v.Data, v.Cfg, &l.rng, out)
 }
 
 // appendUplink appends the visit's uplink frame for the extracted vector

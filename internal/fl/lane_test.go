@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"fedclust/internal/data"
@@ -130,6 +131,65 @@ func TestLaneOnePipeline(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// fourPassVisit is a Float32 visit as four passes over the model vector:
+// load Start into the model, round the model into the shadow, train,
+// widen the shadow back into the model tensor by tensor, and flatten the
+// report out of the model.
+func fourPassVisit(l *Lane, v *Visit, out []float64) {
+	nn.LoadParams(l.Model, v.Start)
+	sh := l.Scratch.shadow.mirror(l.Model)
+	nn.AssignParams32(sh, l.Model)
+	l.env.ClientRngInto(&l.rng, v.Client, v.Round)
+	l.Scratch.f32.localSGD(sh, v.Data, v.Cfg, &l.rng)
+	wide := l.Model.Params()
+	for i, p := range sh.Params() {
+		for j, x := range p.Data {
+			wide[i].Data[j] = float64(x)
+		}
+	}
+	if v.Layer == FullParams {
+		nn.FlattenParamsInto(l.Model, out)
+		return
+	}
+	copy(out, nn.FinalLayerVector(l.Model))
+}
+
+// TestLaneFloat32VisitMatchesFourPasses: a Float32 Lane.Visit, which
+// rounds Start straight into the shadow and widens the trained range
+// straight into out, writes the bits the four-pass route does — for a
+// full-parameter and a final-layer report, with and without the FedProx
+// term, on every client of a reused lane. Start is not the lane model's
+// own weights, so a visit that trained from those would show.
+func TestLaneFloat32VisitMatchesFourPasses(t *testing.T) {
+	for _, layer := range []int{FullParams, FinalLayer} {
+		for _, mu := range []float64{0, 0.1} {
+			t.Run(fmt.Sprintf("layer%d/mu%v", layer, mu), func(t *testing.T) {
+				env := laneEnv(Float32)
+				env.Local.ProxMu = mu
+				lane, oracle := NewLane(env), NewLane(env)
+				start := nn.FlattenParams(env.NewModel())
+				for i := range start {
+					start[i] += 0.01 * math.Sin(float64(i))
+				}
+				dim := len(start)
+				if layer == FinalLayer {
+					dim = len(nn.FinalLayerVector(lane.Model))
+				}
+				got, want := make([]float64, dim), make([]float64, dim)
+				for c := range env.Clients {
+					lane.Visit(laneVisit(env, c, wire.Float64, layer, start, nil), got)
+					fourPassVisit(oracle, laneVisit(env, c, wire.Float64, layer, start, nil), want)
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("client %d value %d: visit %v, four passes %v", c, i, got[i], want[i])
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -22,7 +22,7 @@ var skipCases = []struct {
 	{"dense-first", func() *Sequential { return MLP(rng.New(32), 12, 9, 4) }, 0, 12},
 	{"behind-parameter-free", func() *Sequential {
 		r := rng.New(33)
-		return NewSequential(NewReLU(12), NewDense(12, 7, r), NewReLU(7), NewDense(7, 3, r))
+		return HeInit(NewSequential(NewReLU(12), NewDense(12, 7), NewReLU(7), NewDense(7, 3)), r)
 	}, 1, 12},
 }
 
@@ -108,16 +108,17 @@ func testFirstLayerSkipsOnlyInputGrad[T tensor.Float](t *testing.T) {
 	}
 }
 
-// TestStandaloneLayerKeepsInputGrad: a Conv2D or Dense used on its own,
-// outside any Sequential, returns its input gradient as it always has.
-func TestStandaloneLayerKeepsInputGrad(t *testing.T) {
+// TestInnerLayerKeepsInputGrad: a Conv2D or Dense behind another layer
+// with parameters returns its input gradient.
+func TestInnerLayerKeepsInputGrad(t *testing.T) {
 	r := rng.New(35)
 	g := tensor.ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	for _, l := range []Layer[float64]{NewConv2D(g, 3, r), NewDense(2*6*6, 4, r)} {
+	for _, l := range []Layer[float64]{NewConv2D(g, 3), NewDense(2*6*6, 4)} {
+		HeInit(NewSequential(NewDense(1, 2*6*6), l), r)
 		l.Forward(randInput(r, 3, 2*6*6), true)
 		gx := l.Backward(randInput(r, 3, l.OutDim()))
 		if gx == nil || gx.Shape[0] != 3 || gx.Shape[1] != 2*6*6 {
-			t.Fatalf("%s: standalone Backward returned %v, want a (3, 72) input gradient", l.Name(), gx)
+			t.Fatalf("%s: inner Backward returned %v, want a (3, 72) input gradient", l.Name(), gx)
 		}
 	}
 }
@@ -133,8 +134,8 @@ func TestBackwardChecksBatch(t *testing.T) {
 		l     Layer[float64]
 		inDim int
 	}{
-		{NewDense(16, 5, r), 16},
-		{NewConv2D(g, 2, r), 16},
+		{alone(NewDense(16, 5)), 16},
+		{alone(NewConv2D(g, 2)), 16},
 		{NewMaxPool2(1, 4, 4), 16},
 		{NewReLU(16), 16},
 	}
@@ -162,14 +163,13 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 }
 
 func testBackwardBeforeForwardPanics[T tensor.Float](t *testing.T) {
-	r := rng.New(37)
 	g := tensor.ConvGeom{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
 	for _, tc := range []struct {
 		l    Layer[float64]
 		kind string
 	}{
-		{NewDense(16, 5, r), "Dense"},
-		{NewConv2D(g, 2, r), "Conv2D"},
+		{NewDense(16, 5), "Dense"},
+		{NewConv2D(g, 2), "Conv2D"},
 		{NewMaxPool2(1, 4, 4), "MaxPool2"},
 		{NewReLU(16), "ReLU"},
 	} {

@@ -44,7 +44,7 @@ func TestBatchForwardMatchesPerSample(t *testing.T) {
 // zeroing in between sum gradients (the contract optimizers rely on).
 func TestGradientAccumulation(t *testing.T) {
 	r := rng.New(3)
-	net := NewSequential(NewDense(4, 3, r))
+	net := HeInit(NewSequential(NewDense(4, 3)), r)
 	var ce SoftmaxCE
 	x := tensor.New(2, 4)
 	for i := range x.Data {
@@ -103,9 +103,8 @@ func TestLossDecreasesUnderGradientStep(t *testing.T) {
 // TestWeightLayerIndicesStable verifies that WeightLayers returns only
 // parameterized layers, in order, for a mixed architecture.
 func TestWeightLayerIndicesStable(t *testing.T) {
-	r := rng.New(6)
-	d1 := NewDense(4, 8, r)
-	d2 := NewDense(2, 2, r)
+	d1 := NewDense(4, 8)
+	d2 := NewDense(2, 2)
 	net := NewSequential(d1, NewReLU(8), NewMaxPool2(2, 2, 2), d2)
 	wl := WeightLayers(net)
 	if len(wl) != 2 || wl[0] != 0 || wl[1] != 3 {

@@ -17,15 +17,16 @@ import (
 // Mirror32 shadow carrying the same randomly initialized weights, so the
 // pair stays honest.
 func benchLayer(b *testing.B, l Layer[float64], batch, inDim int, backward bool) {
-	b.Run("float64", func(b *testing.B) { benchLayerOf[float64](b, l, batch, inDim, backward) })
-	b.Run("float32", func(b *testing.B) { benchLayerOf[float32](b, l, batch, inDim, backward) })
+	src := HeInit(NewSequential(l), rng.New(1))
+	b.Run("float64", func(b *testing.B) { benchLayerOf[float64](b, src, batch, inDim, backward) })
+	b.Run("float32", func(b *testing.B) { benchLayerOf[float32](b, src, batch, inDim, backward) })
 }
 
-func benchLayerOf[T tensor.Float](b *testing.B, l Layer[float64], batch, inDim int, backward bool) {
+func benchLayerOf[T tensor.Float](b *testing.B, src *Sequential, batch, inDim int, backward bool) {
 	r := rng.New(1)
-	net := netOf[T](b, NewSequential(l))
+	net := netOf[T](b, src)
 	x := tensorOf[T](randInput(r, batch, inDim))
-	gy := tensorOf[T](randInput(r, batch, l.OutDim()))
+	gy := tensorOf[T](randInput(r, batch, src.Layers[0].OutDim()))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -36,11 +37,11 @@ func benchLayerOf[T tensor.Float](b *testing.B, l Layer[float64], batch, inDim i
 	}
 }
 
-func benchDense() Layer[float64] { return NewDense(256, 128, rng.New(1)) }
+func benchDense() Layer[float64] { return NewDense(256, 128) }
 
 func benchConv() Layer[float64] {
 	g := tensor.ConvGeom{InC: 3, InH: 16, InW: 16, KH: 5, KW: 5, Stride: 1, Pad: 2}
-	return NewConv2D(g, 8, rng.New(2))
+	return NewConv2D(g, 8)
 }
 
 func BenchmarkDenseForward(b *testing.B)         { benchLayer(b, benchDense(), 32, 256, false) }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"unsafe"
 
-	"fedclust/internal/rng"
 	"fedclust/internal/tensor"
 )
 
@@ -53,7 +52,8 @@ func stripRows[T tensor.Float](rowLen int) int {
 // Conv2D is the float64 convolution.
 type Conv2D = Conv2DOf[float64]
 
-// newConv2D constructs a zero-weight convolution.
+// newConv2D constructs a convolution that carries its shapes only: the
+// Sequential it joins gives its tensors their storage.
 func newConv2D[T tensor.Float](g tensor.ConvGeom, outC int) *Conv2DOf[T] {
 	g.Validate()
 	if outC <= 0 {
@@ -62,19 +62,15 @@ func newConv2D[T tensor.Float](g tensor.ConvGeom, outC int) *Conv2DOf[T] {
 	rowLen := g.InC * g.KH * g.KW
 	return &Conv2DOf[T]{
 		Geom: g, OutC: outC,
-		W:  tensor.NewOf[T](outC, rowLen),
-		B:  tensor.NewOf[T](outC),
-		gw: tensor.NewOf[T](outC, rowLen),
-		gb: tensor.NewOf[T](outC),
+		W:  &tensor.Of[T]{Shape: []int{outC, rowLen}},
+		B:  &tensor.Of[T]{Shape: []int{outC}},
+		gw: &tensor.Of[T]{Shape: []int{outC, rowLen}},
+		gb: &tensor.Of[T]{Shape: []int{outC}},
 	}
 }
 
-// NewConv2D constructs a convolution with He initialization.
-func NewConv2D(g tensor.ConvGeom, outC int, r *rng.Rng) *Conv2D {
-	c := newConv2D[float64](g, outC)
-	HeInit(c.W, g.InC*g.KH*g.KW, r)
-	return c
-}
+// NewConv2D constructs a float64 convolution for NewSequential to store.
+func NewConv2D(g tensor.ConvGeom, outC int) *Conv2D { return newConv2D[float64](g, outC) }
 
 // Name implements Layer.
 func (c *Conv2DOf[T]) Name() string {

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 
-	"fedclust/internal/rng"
 	"fedclust/internal/tensor"
 )
 
@@ -27,26 +26,23 @@ type DenseOf[T tensor.Float] struct {
 // Dense is the float64 fully connected layer.
 type Dense = DenseOf[float64]
 
-// newDense constructs a zero-weight dense layer.
+// newDense constructs a dense layer that carries its shapes only: the
+// Sequential it joins gives its tensors their storage.
 func newDense[T tensor.Float](in, out int) *DenseOf[T] {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("nn: Dense dims must be positive, got %d→%d", in, out))
 	}
 	return &DenseOf[T]{
 		In: in, Out: out,
-		W:  tensor.NewOf[T](out, in),
-		B:  tensor.NewOf[T](out),
-		gw: tensor.NewOf[T](out, in),
-		gb: tensor.NewOf[T](out),
+		W:  &tensor.Of[T]{Shape: []int{out, in}},
+		B:  &tensor.Of[T]{Shape: []int{out}},
+		gw: &tensor.Of[T]{Shape: []int{out, in}},
+		gb: &tensor.Of[T]{Shape: []int{out}},
 	}
 }
 
-// NewDense constructs a Dense layer with He initialization.
-func NewDense(in, out int, r *rng.Rng) *Dense {
-	d := newDense[float64](in, out)
-	HeInit(d.W, in, r)
-	return d
-}
+// NewDense constructs a float64 Dense layer for NewSequential to store.
+func NewDense(in, out int) *Dense { return newDense[float64](in, out) }
 
 // Name implements Layer.
 func (d *DenseOf[T]) Name() string { return fmt.Sprintf("dense(%d→%d)", d.In, d.Out) }

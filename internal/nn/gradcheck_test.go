@@ -21,10 +21,14 @@ func netOf[T tensor.Float](t testing.TB, src *Sequential) *SequentialOf[T] {
 }
 
 // zeroGrads clears every accumulated gradient of net.
-func zeroGrads[T tensor.Float](net *SequentialOf[T]) {
-	for _, g := range net.Grads() {
-		g.Zero()
-	}
+func zeroGrads[T tensor.Float](net *SequentialOf[T]) { clear(net.GradData()) }
+
+// alone gives l the storage of a network of its own and returns it, its
+// weights zero. l is that network's first layer with parameters, so its
+// Backward computes no input gradient.
+func alone[L Layer[float64]](l L) L {
+	NewSequential(l)
+	return l
 }
 
 // addScaled is the plain SGD step the training tests take: p += s·g.
@@ -156,38 +160,38 @@ var gradCases = []struct {
 	build  func(r *rng.Rng) (net *Sequential, x *tensor.Tensor, labels []int)
 }{
 	{"Dense", 1, false, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
-		return NewSequential(NewDense(7, 4, r)), randInput(r, 5, 7), []int{0, 1, 2, 3, 0}
+		return HeInit(NewSequential(NewDense(7, 4)), r), randInput(r, 5, 7), []int{0, 1, 2, 3, 0}
 	}},
 	{"MLPReLU", 2, true, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
 		return MLP(r, 6, 8, 3), randInput(r, 4, 6), []int{0, 1, 2, 1}
 	}},
 	{"ConvReLU", 4, true, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
 		g := tensor.ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
-		conv := NewConv2D(g, 3, r)
-		net := NewSequential(conv, NewReLU(conv.OutDim()), NewDense(conv.OutDim(), 3, r))
+		conv := NewConv2D(g, 3)
+		net := HeInit(NewSequential(conv, NewReLU(conv.OutDim()), NewDense(conv.OutDim(), 3)), r)
 		return net, randInput(r, 2, 2*6*6), []int{0, 2}
 	}},
 	// No ReLU: the smooth stack keeps the central difference honest, so
 	// the float32 convolution's backward gets a numerical check of its own.
 	{"ConvSmooth", 45, false, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
 		g := tensor.ConvGeom{InC: 2, InH: 6, InW: 6, KH: 3, KW: 3, Stride: 1, Pad: 1}
-		conv := NewConv2D(g, 3, r)
-		return NewSequential(conv, NewDense(conv.OutDim(), 3, r)), randInput(r, 2, 2*6*6), []int{0, 2}
+		conv := NewConv2D(g, 3)
+		return HeInit(NewSequential(conv, NewDense(conv.OutDim(), 3)), r), randInput(r, 2, 2*6*6), []int{0, 2}
 	}},
 	{"ConvStride2NoPad", 5, false, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
 		g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 2, Pad: 0}
-		conv := NewConv2D(g, 2, r)
-		return NewSequential(conv, NewDense(conv.OutDim(), 2, r)), randInput(r, 2, 64), []int{0, 1}
+		conv := NewConv2D(g, 2)
+		return HeInit(NewSequential(conv, NewDense(conv.OutDim(), 2)), r), randInput(r, 2, 64), []int{0, 1}
 	}},
 	{"MaxPool", 6, true, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
 		pool := NewMaxPool2(2, 4, 4)
-		return NewSequential(pool, NewDense(pool.OutDim(), 3, r)), randInput(r, 3, 32), []int{0, 1, 2}
+		return HeInit(NewSequential(pool, NewDense(pool.OutDim(), 3)), r), randInput(r, 3, 32), []int{0, 1, 2}
 	}},
 	{"ConvPoolStack", 7, true, func(r *rng.Rng) (*Sequential, *tensor.Tensor, []int) {
 		g := tensor.ConvGeom{InC: 1, InH: 8, InW: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
-		conv := NewConv2D(g, 2, r)
+		conv := NewConv2D(g, 2)
 		pool := NewMaxPool2(2, 8, 8)
-		net := NewSequential(conv, NewReLU(conv.OutDim()), pool, NewDense(pool.OutDim(), 4, r))
+		net := HeInit(NewSequential(conv, NewReLU(conv.OutDim()), pool, NewDense(pool.OutDim(), 4)), r)
 		return net, randInput(r, 2, 64), []int{3, 1}
 	}},
 	// A narrow LeNet-5 on a 12x12 single-channel input exercises the full

@@ -4,14 +4,19 @@ import (
 	"math"
 
 	"fedclust/internal/rng"
-	"fedclust/internal/tensor"
 )
 
-// HeInit fills w with He-normal values (std = sqrt(2/fanIn)) — the
-// standard initialization for ReLU networks.
-func HeInit(w *tensor.Tensor, fanIn int, r *rng.Rng) {
-	std := math.Sqrt(2.0 / float64(fanIn))
-	for i := range w.Data {
-		w.Data[i] = std * r.NormFloat64()
+// HeInit draws every weight matrix of s, in layer order, from He-normal
+// (std = sqrt(2/fanIn), fanIn a matrix row's length), leaves the biases
+// zero and returns s — the standard initialization for ReLU networks.
+func HeInit(s *Sequential, r *rng.Rng) *Sequential {
+	for _, w := range s.Params() {
+		if len(w.Shape) == 2 {
+			std := math.Sqrt(2.0 / float64(w.Shape[1]))
+			for i := range w.Data {
+				w.Data[i] = std * r.NormFloat64()
+			}
+		}
 	}
+	return s
 }

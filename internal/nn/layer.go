@@ -61,18 +61,19 @@ type Layer[T tensor.Float] interface {
 }
 
 // SequentialOf chains layers and exposes whole-network parameter access.
-// The layer list is fixed at construction, where the parameter/gradient
-// lists and scalar count are gathered once: the hot paths (LoadParams /
-// FlattenParamsInto on every client visit) never rebuild them, and the
-// accessors only read, so a model that several evaluation workers
-// flatten at once is not written to. Construct with NewSequential or
-// Mirror32, not as a literal.
+// The layer list is fixed at construction, which allocates one buffer for
+// every parameter and one for every gradient, in layer order; each
+// layer's tensors are capacity-limited windows into them. So a model is
+// one flat vector, and the accessors only read: a model that several
+// evaluation workers flatten at once is not written to. Construct with
+// NewSequential or Mirror32, not as a literal.
 type SequentialOf[T tensor.Float] struct {
 	Layers []Layer[T]
 
 	params, grads []*tensor.Of[T]
-	numParams     int
-	first         int // Backward stops here: no layer below it has parameters
+	data, grad    []T   // the two buffers params and grads are windows of
+	spans         []int // layer i's parameters are data[spans[i]:spans[i+1]]
+	first         int   // Backward stops here: no layer below it has parameters
 }
 
 // anyBatch is checkBatchInput's batch for Forward: every row count goes.
@@ -87,18 +88,26 @@ type inputGradSkipper interface{ skipInputGrad() }
 // flattens and every federated method holds.
 type Sequential = SequentialOf[float64]
 
-// NewSequential builds a float64 network from the given layers.
+// NewSequential builds a float64 network from the given layers, which
+// must be fresh: their parameter tensors get their storage here, zeroed
+// (HeInit draws the weights).
 func NewSequential(layers ...Layer[float64]) *Sequential { return newSequential(layers) }
 
 func newSequential[T tensor.Float](layers []Layer[T]) *SequentialOf[T] {
-	s := &SequentialOf[T]{Layers: layers}
-	for _, l := range layers {
-		s.params = append(s.params, l.Params()...)
+	s := &SequentialOf[T]{Layers: layers, spans: make([]int, len(layers)+1)}
+	for i, l := range layers {
+		ps := l.Params()
+		s.spans[i+1] = s.spans[i]
+		for _, p := range ps {
+			s.spans[i+1] += numel(p.Shape)
+		}
+		s.params = append(s.params, ps...)
 		s.grads = append(s.grads, l.Grads()...)
 	}
-	for _, p := range s.params {
-		s.numParams += p.Size()
-	}
+	n := s.spans[len(layers)]
+	s.data, s.grad = make([]T, n), make([]T, n)
+	window(s.params, s.data)
+	window(s.grads, s.grad)
 	// The gradient with respect to the network's input feeds no parameter
 	// update: the first layer that has parameters is where backpropagation
 	// ends, and that layer need not produce an input gradient at all.
@@ -113,6 +122,30 @@ func newSequential[T tensor.Float](layers []Layer[T]) *SequentialOf[T] {
 		break
 	}
 	return s
+}
+
+// window points each tensor, in order, at the next numel(Shape) elements
+// of buf, capacity-limited so no append through a window can reach its
+// neighbour's.
+func window[T tensor.Float](ts []*tensor.Of[T], buf []T) {
+	off := 0
+	for _, t := range ts {
+		if t.Data != nil {
+			panic("nn: a layer's parameters already belong to a network")
+		}
+		n := numel(t.Shape)
+		t.Data = buf[off : off+n : off+n]
+		off += n
+	}
+}
+
+// numel is the element count of a shape.
+func numel(shape []int) int {
+	n := 1
+	for _, d := range shape {
+		n *= d
+	}
+	return n
 }
 
 // Forward runs all layers in order.
@@ -142,8 +175,16 @@ func (s *SequentialOf[T]) Params() []*tensor.Of[T] { return s.params }
 // Params (shared like Params).
 func (s *SequentialOf[T]) Grads() []*tensor.Of[T] { return s.grads }
 
+// ParamData returns the buffer every parameter tensor is a window of:
+// the network's whole parameter vector, in layer order. Callers may
+// mutate its contents, not its length.
+func (s *SequentialOf[T]) ParamData() []T { return s.data }
+
+// GradData returns the gradient buffer, aligned with ParamData.
+func (s *SequentialOf[T]) GradData() []T { return s.grad }
+
 // NumParams returns the total number of scalar parameters.
-func (s *SequentialOf[T]) NumParams() int { return s.numParams }
+func (s *SequentialOf[T]) NumParams() int { return len(s.data) }
 
 // String lists the layer names.
 func (s *SequentialOf[T]) String() string {

@@ -9,7 +9,7 @@ import (
 // The mixed-precision contract (DESIGN.md §10): master weights are
 // float64 everywhere; the float32 compute path runs on a shadow network
 // built here, loaded with one rounding per scalar (AssignParams32) and
-// read back by exact widening (CopyParams64).
+// read back by exact widening (Convert).
 
 // Mirror32 builds a float32 shadow of a float64 network: the same layer
 // kind at every position, with identical hyperparameters and zeroed
@@ -72,34 +72,21 @@ func mirrors(m Layer[float32], l Layer[float64]) bool {
 
 // AssignParams32 loads the float64 network's parameters into its float32
 // mirror, rounding each scalar once. The two networks must come from
-// Mirror32 (same layer structure); it panics on a tensor count or size
+// Mirror32 (same layer structure); it panics on a parameter count
 // mismatch.
 func AssignParams32(dst *SequentialOf[float32], src *Sequential) {
-	convertParams("AssignParams32", dst, src)
-}
-
-// CopyParams64 writes the float32 mirror's parameters back into the
-// float64 network (the inverse of AssignParams32; widening is exact).
-func CopyParams64(dst *Sequential, src *SequentialOf[float32]) {
-	convertParams("CopyParams64", dst, src)
-}
-
-// convertParams copies src's parameters into dst across element types.
-func convertParams[D, S tensor.Float](op string, dst *SequentialOf[D], src *SequentialOf[S]) {
-	dp, sp := dst.Params(), src.Params()
-	if len(dp) != len(sp) {
-		panic(fmt.Sprintf("nn: %s tensor count %d vs %d", op, len(dp), len(sp)))
+	if dst.NumParams() != src.NumParams() {
+		panic(fmt.Sprintf("nn: AssignParams32 of %d parameters into %d", src.NumParams(), dst.NumParams()))
 	}
-	dp = dp[:len(sp)]
-	for i, p := range sp {
-		d := dp[i]
-		if d.Size() != p.Size() {
-			panic(fmt.Sprintf("nn: %s tensor %d size %d vs %d", op, i, d.Size(), p.Size()))
-		}
-		src := p.Data
-		dst := d.Data[:len(src)]
-		for j, v := range src {
-			dst[j] = D(v)
-		}
+	Convert(dst.ParamData(), src.ParamData())
+}
+
+// Convert writes src into dst across element types, one conversion per
+// scalar: rounding a master vector into a float32 shadow, or widening
+// the shadow back, which is exact. dst must hold len(src) values.
+func Convert[D, S tensor.Float](dst []D, src []S) {
+	dst = dst[:len(src)]
+	for i, v := range src {
+		dst[i] = D(v)
 	}
 }

@@ -30,23 +30,20 @@ func TestMirror32ForwardMatchesFloat64(t *testing.T) {
 	}
 }
 
-// TestMirror32RoundTripParams pins that AssignParams32 → CopyParams64 is
-// the exact float32 rounding of the originals (widening is lossless),
-// the property the zero-convert wire fast path relies on.
+// TestMirror32RoundTripParams pins that AssignParams32 and then
+// widening the mirror's vector back (Convert) is the exact float32
+// rounding of the originals (widening is lossless), the property the
+// zero-convert wire fast path relies on.
 func TestMirror32RoundTripParams(t *testing.T) {
 	r := rng.New(50)
 	net := MLP(r, 6, 8, 3)
 	m := Mirror32(net)
 	AssignParams32(m, net)
-	clone := MLP(rng.New(50), 6, 8, 3)
-	CopyParams64(clone, m)
-	cp, np := clone.Params(), net.Params()
-	for i := range np {
-		for j := range np[i].Data {
-			want := float64(float32(np[i].Data[j]))
-			if cp[i].Data[j] != want {
-				t.Fatalf("param %d[%d]: round-trip %g, want %g", i, j, cp[i].Data[j], want)
-			}
+	wide := make([]float64, m.NumParams())
+	Convert(wide, m.ParamData())
+	for i, v := range FlattenParams(net) {
+		if want := float64(float32(v)); wide[i] != want {
+			t.Fatalf("param %d: round-trip %g, want %g", i, wide[i], want)
 		}
 	}
 }
@@ -69,14 +66,14 @@ func TestIsMirror32(t *testing.T) {
 	base := parts{g, 2, false, 3}
 	build := func(p parts, seed uint64) *Sequential {
 		r := rng.New(seed)
-		conv := NewConv2D(p.geom, p.outC, r)
+		conv := NewConv2D(p.geom, p.outC)
 		pool := NewMaxPool2(p.outC, p.geom.OutH(), p.geom.OutW())
 		mid := []Layer[float64]{NewReLU(conv.OutDim()), pool}
 		if p.poolFirst {
 			mid = []Layer[float64]{pool, NewReLU(pool.OutDim())}
 		}
-		layers := append(append([]Layer[float64]{conv}, mid...), NewDense(pool.OutDim(), p.out, r))
-		return NewSequential(layers...)
+		layers := append(append([]Layer[float64]{conv}, mid...), NewDense(pool.OutDim(), p.out))
+		return HeInit(NewSequential(layers...), r)
 	}
 	vary := func(f func(p *parts)) *Sequential {
 		p := base
@@ -84,6 +81,7 @@ func TestIsMirror32(t *testing.T) {
 		return build(p, 1)
 	}
 	src := build(base, 1)
+	conv := NewConv2D(g, 2)
 	sh := Mirror32(src)
 	if !IsMirror32(sh, src) || !IsMirror32(sh, build(base, 2)) {
 		t.Fatal("a mirror must match its source and any network of the same structure")
@@ -93,7 +91,7 @@ func TestIsMirror32(t *testing.T) {
 		"conv channels":    vary(func(p *parts) { p.outC = 4 }),
 		"conv padding":     vary(func(p *parts) { p.geom.KH, p.geom.KW, p.geom.Pad = 5, 5, 2 }),
 		"dense width":      vary(func(p *parts) { p.out = 4 }),
-		"fewer layers":     NewSequential(src.Layers[:3]...),
+		"fewer layers":     NewSequential(conv, NewReLU(conv.OutDim()), NewMaxPool2(2, g.OutH(), g.OutW())),
 	}
 	for name, other := range others {
 		if IsMirror32(sh, other) {

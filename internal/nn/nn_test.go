@@ -10,8 +10,7 @@ import (
 )
 
 func TestDenseForwardKnown(t *testing.T) {
-	r := rng.New(1)
-	d := NewDense(2, 2, r)
+	d := alone(NewDense(2, 2))
 	copy(d.W.Data, []float64{1, 2, 3, 4}) // W = [[1,2],[3,4]]
 	copy(d.B.Data, []float64{10, 20})
 	x := tensor.FromSlice([]float64{1, 1}, 1, 2)
@@ -22,8 +21,7 @@ func TestDenseForwardKnown(t *testing.T) {
 }
 
 func TestDenseShapePanics(t *testing.T) {
-	r := rng.New(2)
-	d := NewDense(3, 2, r)
+	d := alone(NewDense(3, 2))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("wrong input width did not panic")
@@ -79,9 +77,8 @@ func TestMaxPoolOddDimsPanic(t *testing.T) {
 
 func TestConvForwardKnownIdentityKernel(t *testing.T) {
 	// 1x1 kernel with weight 1, bias 0 must be the identity.
-	r := rng.New(7)
 	g := tensor.ConvGeom{InC: 1, InH: 3, InW: 3, KH: 1, KW: 1, Stride: 1, Pad: 0}
-	c := NewConv2D(g, 1, r)
+	c := alone(NewConv2D(g, 1))
 	c.W.Data[0] = 1
 	c.B.Data[0] = 0
 	x := tensor.FromSlice([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9}, 1, 9)
@@ -94,9 +91,8 @@ func TestConvForwardKnownIdentityKernel(t *testing.T) {
 }
 
 func TestConvBiasBroadcast(t *testing.T) {
-	r := rng.New(8)
 	g := tensor.ConvGeom{InC: 1, InH: 2, InW: 2, KH: 1, KW: 1, Stride: 1, Pad: 0}
-	c := NewConv2D(g, 2, r)
+	c := alone(NewConv2D(g, 2))
 	c.W.Zero()
 	c.B.Data[0], c.B.Data[1] = 5, -3
 	x := tensor.New(1, 4)

@@ -2,33 +2,24 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"fedclust/internal/tensor"
 )
 
-// FlattenParams concatenates every parameter of the network into a single
-// []float64 in layer order — the vector representation federated
-// aggregation and clustering operate on.
-func FlattenParams(s *Sequential) []float64 {
-	out := make([]float64, 0, s.NumParams())
-	for _, p := range s.Params() {
-		out = append(out, p.Data...)
-	}
-	return out
-}
+// FlattenParams returns a copy of the network's parameter vector, in
+// layer order — the representation federated aggregation and clustering
+// operate on.
+func FlattenParams(s *Sequential) []float64 { return slices.Clone(s.ParamData()) }
 
-// FlattenParamsInto writes the network's parameters into dst in the same
+// FlattenParamsInto copies the network's parameters into dst in the same
 // layer order as FlattenParams, without allocating. dst must have length
 // exactly s.NumParams(). Returns dst.
 func FlattenParamsInto[T tensor.Float](s *SequentialOf[T], dst []T) []T {
 	if len(dst) != s.NumParams() {
 		panic(fmt.Sprintf("nn: FlattenParamsInto length %d, want %d", len(dst), s.NumParams()))
 	}
-	off := 0
-	for _, p := range s.Params() {
-		copy(dst[off:off+p.Size()], p.Data)
-		off += p.Size()
-	}
+	copy(dst, s.ParamData())
 	return dst
 }
 
@@ -38,11 +29,7 @@ func LoadParams(s *Sequential, vec []float64) {
 	if len(vec) != s.NumParams() {
 		panic(fmt.Sprintf("nn: LoadParams length %d, want %d", len(vec), s.NumParams()))
 	}
-	off := 0
-	for _, p := range s.Params() {
-		copy(p.Data, vec[off:off+p.Size()])
-		off += p.Size()
-	}
+	copy(s.ParamData(), vec)
 }
 
 // WeightLayers returns the indices (into s.Layers) of layers that carry
@@ -67,12 +54,8 @@ func LayerParamVector(s *Sequential, weightLayerIdx int) []float64 {
 	if weightLayerIdx < 0 || weightLayerIdx >= len(wl) {
 		panic(fmt.Sprintf("nn: weight layer index %d out of range [0,%d)", weightLayerIdx, len(wl)))
 	}
-	layer := s.Layers[wl[weightLayerIdx]]
-	var out []float64
-	for _, p := range layer.Params() {
-		out = append(out, p.Data...)
-	}
-	return out
+	i := wl[weightLayerIdx]
+	return slices.Clone(s.ParamData()[s.spans[i]:s.spans[i+1]])
 }
 
 // FinalLayerVector returns the flattened parameters of the last weight

@@ -16,12 +16,12 @@ func MLP(r *rng.Rng, dims ...int) *Sequential {
 	}
 	var layers []Layer[float64]
 	for i := 0; i < len(dims)-1; i++ {
-		layers = append(layers, NewDense(dims[i], dims[i+1], r))
+		layers = append(layers, NewDense(dims[i], dims[i+1]))
 		if i < len(dims)-2 {
 			layers = append(layers, NewReLU(dims[i+1]))
 		}
 	}
-	return NewSequential(layers...)
+	return HeInit(NewSequential(layers...), r)
 }
 
 // scaleWidth applies a multiplicative width scale with a floor of 1.
@@ -55,7 +55,7 @@ func LeNet5(r *rng.Rng, inC, inH, inW, classes int, widthScale float64) *Sequent
 	// spatial size is preserved for 28/32-px inputs (pad 2, as in the
 	// standard 28x28 MNIST setup).
 	g1 := tensor.ConvGeom{InC: inC, InH: inH, InW: inW, KH: 5, KW: 5, Stride: 1, Pad: 2}
-	conv1 := NewConv2D(g1, c1, r)
+	conv1 := NewConv2D(g1, c1)
 	h1, w1 := g1.OutH(), g1.OutW()
 	if h1%2 != 0 || w1%2 != 0 {
 		panic(fmt.Sprintf("nn: LeNet5 conv1 output %dx%d not poolable; use even input sizes", h1, w1))
@@ -68,19 +68,19 @@ func LeNet5(r *rng.Rng, inC, inH, inW, classes int, widthScale float64) *Sequent
 		// For small inputs fall back to pad 2 to keep the volume poolable.
 		g2.Pad = 2
 	}
-	conv2 := NewConv2D(g2, c2, r)
+	conv2 := NewConv2D(g2, c2)
 	h2, w2 := g2.OutH(), g2.OutW()
 	pool2 := NewMaxPool2(c2, h2, w2)
 	h2, w2 = h2/2, w2/2
 
 	flat := c2 * h2 * w2
-	return NewSequential(
+	return HeInit(NewSequential(
 		conv1, NewReLU(conv1.OutDim()), pool1,
 		conv2, NewReLU(conv2.OutDim()), pool2,
-		NewDense(flat, f1, r), NewReLU(f1),
-		NewDense(f1, f2, r), NewReLU(f2),
-		NewDense(f2, classes, r),
-	)
+		NewDense(flat, f1), NewReLU(f1),
+		NewDense(f1, f2), NewReLU(f2),
+		NewDense(f2, classes),
+	), r)
 }
 
 // MiniVGG16 builds a VGG-16-shaped network: the canonical 13 convolutional
@@ -109,7 +109,7 @@ func MiniVGG16(r *rng.Rng, inC, classes, base int) *Sequential {
 	for _, block := range blocks {
 		for _, outC := range block {
 			g := tensor.ConvGeom{InC: c, InH: h, InW: w, KH: 3, KW: 3, Stride: 1, Pad: 1}
-			conv := NewConv2D(g, outC, r)
+			conv := NewConv2D(g, outC)
 			layers = append(layers, conv, NewReLU(conv.OutDim()))
 			c = outC
 		}
@@ -119,9 +119,9 @@ func MiniVGG16(r *rng.Rng, inC, classes, base int) *Sequential {
 	flat := c * h * w // c × 1 × 1
 	fcw := 8 * base   // VGG's 4096 → 8·base
 	layers = append(layers,
-		NewDense(flat, fcw, r), NewReLU(fcw),
-		NewDense(fcw, fcw, r), NewReLU(fcw),
-		NewDense(fcw, classes, r),
+		NewDense(flat, fcw), NewReLU(fcw),
+		NewDense(fcw, fcw), NewReLU(fcw),
+		NewDense(fcw, classes),
 	)
-	return NewSequential(layers...)
+	return HeInit(NewSequential(layers...), r)
 }

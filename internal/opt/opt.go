@@ -18,7 +18,7 @@ type SGD[T tensor.Float] struct {
 	LR          float64
 	Momentum    float64
 	WeightDecay float64
-	velocity    []*tensor.Of[T]
+	velocity    []T // every parameter's, consecutive in the order Step is given them
 }
 
 // NewSGD constructs a float64 SGD optimizer. lr must be positive;
@@ -39,7 +39,7 @@ func newSGD[T tensor.Float](lr, momentum, weightDecay float64) *SGD[T] {
 }
 
 // Reconfigure updates the hyper-parameters in place with NewSGD's
-// validation, keeping any velocity buffers — reusable optimizer state is
+// validation, keeping the velocity buffer — reusable optimizer state is
 // what lets a worker serve many client visits without reallocating.
 func (s *SGD[T]) Reconfigure(lr, momentum, weightDecay float64) {
 	if lr <= 0 {
@@ -58,19 +58,24 @@ func (s *SGD[T]) Reconfigure(lr, momentum, weightDecay float64) {
 //
 //	v ← μ·v + (g + λ·w);  w ← w - η·v
 //
-// On first use it lazily allocates velocity buffers matching the params.
+// The velocity is one buffer over all the parameters, allocated on first
+// use (and again whenever the parameter count changes).
 func (s *SGD[T]) Step(params, grads []*tensor.Of[T]) {
 	if len(params) != len(grads) {
 		panic(fmt.Sprintf("opt: %d params but %d grads", len(params), len(grads)))
 	}
-	if s.Momentum > 0 && (s.velocity == nil || len(s.velocity) != len(params)) {
-		s.velocity = make([]*tensor.Of[T], len(params))
-		for i, p := range params {
-			s.velocity[i] = tensor.NewOf[T](p.Shape...)
+	if s.Momentum > 0 {
+		n := 0
+		for _, p := range params {
+			n += p.Size()
+		}
+		if len(s.velocity) != n {
+			s.velocity = make([]T, n)
 		}
 	}
 	lr, mom, wd := T(s.LR), T(s.Momentum), T(s.WeightDecay)
 	grads = grads[:len(params)]
+	off := 0
 	for i, p := range params {
 		g := grads[i]
 		if !p.SameShape(g) {
@@ -81,12 +86,7 @@ func (s *SGD[T]) Step(params, grads []*tensor.Of[T]) {
 		pd := p.Data
 		gd := g.Data[:len(pd)]
 		if s.Momentum > 0 {
-			v := s.velocity[i]
-			if !v.SameShape(p) {
-				v = tensor.NewOf[T](p.Shape...)
-				s.velocity[i] = v
-			}
-			vd := v.Data[:len(pd)]
+			vd := s.velocity[off : off+len(pd)]
 			for j := range pd {
 				eff := gd[j] + T(wd*pd[j])
 				vd[j] = T(mom*vd[j]) + eff
@@ -98,45 +98,32 @@ func (s *SGD[T]) Step(params, grads []*tensor.Of[T]) {
 				pd[j] -= T(lr * eff)
 			}
 		}
+		off += len(pd)
 	}
 }
 
 // Reset clears momentum state (used when a client restarts local training
-// from freshly loaded global weights). The velocity buffers are zeroed in
-// place rather than dropped, so a reset-and-reuse cycle allocates nothing
-// and is bit-equivalent to a fresh optimizer.
-func (s *SGD[T]) Reset() {
-	for _, v := range s.velocity {
-		v.Zero()
-	}
-}
+// from freshly loaded global weights). The velocity is zeroed in place
+// rather than dropped, so a reset-and-reuse cycle allocates nothing and
+// is bit-equivalent to a fresh optimizer.
+func (s *SGD[T]) Reset() { clear(s.velocity) }
 
 // AddProximal adds the FedProx proximal gradient μ·(w - w_ref) to grads,
-// where ref is the flat global parameter vector the round started from.
-// Layout must match the concatenation order of params.
-func AddProximal[T tensor.Float](params, grads []*tensor.Of[T], ref []T, mu float64) {
+// where params and grads are a network's flat parameter and gradient
+// vectors and ref is the flat global parameter vector the round started
+// from; all three have one length.
+func AddProximal[T tensor.Float](params, grads, ref []T, mu float64) {
 	if mu < 0 {
 		panic(fmt.Sprintf("opt: proximal mu must be non-negative, got %v", mu))
+	}
+	if len(grads) != len(params) || len(ref) != len(params) {
+		panic(fmt.Sprintf("opt: proximal lengths: %d params, %d grads, %d ref", len(params), len(grads), len(ref)))
 	}
 	if mu == 0 {
 		return
 	}
 	muT := T(mu)
-	off := 0
-	grads = grads[:len(params)]
-	for i, p := range params {
-		g := grads[i]
-		if off+p.Size() > len(ref) {
-			panic(fmt.Sprintf("opt: proximal ref too short: need %d, have %d", off+p.Size(), len(ref)))
-		}
-		pd := p.Data
-		gd, rd := g.Data[:len(pd)], ref[off:off+len(pd)]
-		for j := range pd {
-			gd[j] += T(muT * (pd[j] - rd[j]))
-		}
-		off += p.Size()
-	}
-	if off != len(ref) {
-		panic(fmt.Sprintf("opt: proximal ref length %d, params total %d", len(ref), off))
+	for j, w := range params {
+		grads[j] += T(muT * (w - ref[j]))
 	}
 }

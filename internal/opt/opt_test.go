@@ -130,34 +130,31 @@ func TestAddProximal(t *testing.T) {
 }
 
 func testAddProximal[T tensor.Float](t *testing.T) {
-	p := []*tensor.Of[T]{tensor.FromSlice([]T{1, 2}, 2), tensor.FromSlice([]T{5}, 1)}
-	g := []*tensor.Of[T]{tensor.NewOf[T](2), tensor.NewOf[T](1)}
+	p := []T{1, 2, 5}
+	g := make([]T, 3)
 	ref := []T{0, 0, 3}
 	AddProximal(p, g, ref, 0.5)
-	// g = mu*(w - ref): [0.5, 1.0] and [1.0]
-	if g[0].Data[0] != 0.5 || g[0].Data[1] != 1.0 || g[1].Data[0] != 1.0 {
-		t.Fatalf("proximal grads = %v %v", g[0].Data, g[1].Data)
+	// g = mu*(w - ref)
+	if g[0] != 0.5 || g[1] != 1.0 || g[2] != 1.0 {
+		t.Fatalf("proximal grads = %v", g)
 	}
 }
 
 func TestAddProximalMuZeroNoop(t *testing.T) {
-	p := []*tensor.Tensor{tensor.FromSlice([]float64{1}, 1)}
-	g := []*tensor.Tensor{tensor.New(1)}
-	AddProximal(p, g, []float64{0}, 0)
-	if g[0].Data[0] != 0 {
+	g := []float64{0}
+	AddProximal([]float64{1}, g, []float64{0}, 0)
+	if g[0] != 0 {
 		t.Fatal("mu=0 should be a no-op")
 	}
 }
 
 func TestAddProximalLengthPanics(t *testing.T) {
-	p := []*tensor.Tensor{tensor.New(2)}
-	g := []*tensor.Tensor{tensor.New(2)}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("short ref did not panic")
 		}
 	}()
-	AddProximal(p, g, []float64{0}, 0.1)
+	AddProximal(make([]float64, 2), make([]float64, 2), []float64{0}, 0.1)
 }
 
 func TestAddProximalPullsTowardRef(t *testing.T) {
@@ -168,7 +165,7 @@ func TestAddProximalPullsTowardRef(t *testing.T) {
 	ref := []float64{2}
 	for i := 0; i < 500; i++ {
 		g[0].Zero()
-		AddProximal(p, g, ref, 1.0)
+		AddProximal(p[0].Data, g[0].Data, ref, 1.0)
 		s.Step(p, g)
 	}
 	if got := p[0].Data[0]; math.Abs(got-2) > 1e-6 {

@@ -8,20 +8,21 @@ import (
 	"fedclust/internal/tensor"
 )
 
-// sgdStepOracle is SGD.Step before its loops read hoisted slices: every
-// element access goes through the tensors' Data fields.
-func sgdStepOracle[T tensor.Float](s *SGD[T], params, grads []*tensor.Of[T]) {
-	if s.Momentum > 0 && (s.velocity == nil || len(s.velocity) != len(params)) {
-		s.velocity = make([]*tensor.Of[T], len(params))
+// sgdStepOracle is SGD.Step before its loops read hoisted slices and
+// before its velocity was one buffer: every element access goes through
+// the tensors' Data fields, and *velocity holds one tensor per parameter.
+func sgdStepOracle[T tensor.Float](s *SGD[T], velocity *[]*tensor.Of[T], params, grads []*tensor.Of[T]) {
+	if s.Momentum > 0 && (*velocity == nil || len(*velocity) != len(params)) {
+		*velocity = make([]*tensor.Of[T], len(params))
 		for i, p := range params {
-			s.velocity[i] = tensor.NewOf[T](p.Shape...)
+			(*velocity)[i] = tensor.NewOf[T](p.Shape...)
 		}
 	}
 	lr, mom, wd := T(s.LR), T(s.Momentum), T(s.WeightDecay)
 	for i, p := range params {
 		g := grads[i]
 		if s.Momentum > 0 {
-			v := s.velocity[i]
+			v := (*velocity)[i]
 			for j := range p.Data {
 				eff := g.Data[j] + T(wd*p.Data[j])
 				v.Data[j] = T(mom*v.Data[j]) + eff
@@ -36,7 +37,8 @@ func sgdStepOracle[T tensor.Float](s *SGD[T], params, grads []*tensor.Of[T]) {
 	}
 }
 
-// addProximalOracle is AddProximal before its loop reads hoisted slices.
+// addProximalOracle is AddProximal before its loop reads hoisted slices
+// and before it took flat vectors: one tensor per parameter.
 func addProximalOracle[T tensor.Float](params, grads []*tensor.Of[T], ref []T, mu float64) {
 	muT := T(mu)
 	off := 0
@@ -86,15 +88,24 @@ func cloneTensors[T tensor.Float](ts []*tensor.Of[T]) []*tensor.Of[T] {
 	return out
 }
 
-// sameBits reports the first element whose bits differ, or -1.
-func sameBits[T tensor.Float](a, b []*tensor.Of[T]) string {
+// flat concatenates the tensors' values.
+func flat[T tensor.Float](ts []*tensor.Of[T]) []T {
+	var out []T
+	for _, x := range ts {
+		out = append(out, x.Data...)
+	}
+	return out
+}
+
+// sameBits describes the first element whose bits differ, or is "".
+func sameBits[T tensor.Float](a, b []T) string {
 	for i := range a {
-		for j := range a[i].Data {
-			x, y := float64(a[i].Data[j]), float64(b[i].Data[j])
-			if math.Float64bits(x) != math.Float64bits(y) {
-				return fmt.Sprintf("tensor %d element %d: %v, oracle %v", i, j, a[i].Data[j], b[i].Data[j])
-			}
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+			return fmt.Sprintf("element %d: %v, oracle %v", i, a[i], b[i])
 		}
+	}
+	if len(a) != len(b) {
+		return fmt.Sprintf("%d elements, oracle %d", len(a), len(b))
 	}
 	return ""
 }
@@ -111,17 +122,18 @@ func testSGDStepMatchesOracle[T tensor.Float](t *testing.T) {
 	for _, mom := range []float64{0, 0.9} {
 		for _, wd := range []float64{0, 0.01} {
 			got, want := newSGD[T](0.05, mom, wd), newSGD[T](0.05, mom, wd)
+			var velocity []*tensor.Of[T]
 			p := oracleTensors[T](1)
 			q := cloneTensors(p)
 			for step := 0; step < 3; step++ {
 				g := oracleTensors[T](2 + step)
 				got.Step(p, g)
-				sgdStepOracle(want, q, g)
-				if d := sameBits(p, q); d != "" {
+				sgdStepOracle(want, &velocity, q, g)
+				if d := sameBits(flat(p), flat(q)); d != "" {
 					t.Fatalf("momentum %v decay %v step %d: params %s", mom, wd, step, d)
 				}
 				if mom > 0 {
-					if d := sameBits(got.velocity, want.velocity); d != "" {
+					if d := sameBits(got.velocity, flat(velocity)); d != "" {
 						t.Fatalf("momentum %v decay %v step %d: velocity %s", mom, wd, step, d)
 					}
 				}
@@ -130,9 +142,9 @@ func testSGDStepMatchesOracle[T tensor.Float](t *testing.T) {
 	}
 }
 
-// TestAddProximalMatchesOracle: AddProximal leaves the oracle's gradients
-// bit for bit, in both dtypes, with the specials among the parameters,
-// the gradients and the reference.
+// TestAddProximalMatchesOracle: AddProximal over the flat vectors leaves
+// the per-tensor oracle's gradients bit for bit, in both dtypes, with the
+// specials among the parameters, the gradients and the reference.
 func TestAddProximalMatchesOracle(t *testing.T) {
 	bothTypes(t, testAddProximalMatchesOracle[float64], testAddProximalMatchesOracle[float32])
 }
@@ -140,15 +152,12 @@ func TestAddProximalMatchesOracle(t *testing.T) {
 func testAddProximalMatchesOracle[T tensor.Float](t *testing.T) {
 	for _, mu := range []float64{0.01, 1} {
 		p := oracleTensors[T](3)
-		g := oracleTensors[T](4)
-		h := cloneTensors(g)
-		var ref []T
-		for _, x := range oracleTensors[T](5) {
-			ref = append(ref, x.Data...)
-		}
-		AddProximal(p, g, ref, mu)
+		h := oracleTensors[T](4)
+		g := flat(h)
+		ref := flat(oracleTensors[T](5))
+		AddProximal(flat(p), g, ref, mu)
 		addProximalOracle(p, h, ref, mu)
-		if d := sameBits(g, h); d != "" {
+		if d := sameBits(g, flat(h)); d != "" {
 			t.Fatalf("mu %v: gradients %s", mu, d)
 		}
 	}

@@ -82,9 +82,9 @@ func convBackwardOracle[T tensor.Float](c *nn.Conv2DOf[T], cols, gradOut, gw, gb
 // Sequential it is the first with parameters, which computes no input
 // gradient; behind a Dense it keeps it.
 func convOf[T tensor.Float](g tensor.ConvGeom, outC int, noGx bool) *nn.Conv2DOf[T] {
-	layers := []nn.Layer[float64]{nn.NewConv2D(g, outC, rng.New(1))}
+	layers := []nn.Layer[float64]{nn.NewConv2D(g, outC)}
 	if !noGx {
-		layers = append([]nn.Layer[float64]{nn.NewDense(1, 1, rng.New(2))}, layers...)
+		layers = append([]nn.Layer[float64]{nn.NewDense(1, 1)}, layers...)
 	}
 	net := nn.NewSequential(layers...)
 	if n, ok := any(net).(*nn.SequentialOf[T]); ok {

@@ -65,9 +65,9 @@ func goBody(f func()) {
 // Sequential it is the first with parameters, which computes no input
 // gradient; behind another Dense it keeps it.
 func denseOf[T tensor.Float](in, out int, noGx bool) *nn.DenseOf[T] {
-	layers := []nn.Layer[float64]{nn.NewDense(in, out, rng.New(1))}
+	layers := []nn.Layer[float64]{nn.NewDense(in, out)}
 	if !noGx {
-		layers = append([]nn.Layer[float64]{nn.NewDense(1, 1, rng.New(2))}, layers...)
+		layers = append([]nn.Layer[float64]{nn.NewDense(1, 1)}, layers...)
 	}
 	net := nn.NewSequential(layers...)
 	if n, ok := any(net).(*nn.SequentialOf[T]); ok {

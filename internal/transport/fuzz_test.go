@@ -41,11 +41,11 @@ func FuzzFrame(f *testing.F) {
 	// Two frames back to back: the reader must hand out both.
 	f.Add(append(append([]byte(nil), train...), update...))
 	// Malformed streams.
-	f.Add(train[:3])                                  // cut inside the length prefix
-	f.Add(train[:4])                                  // length prefix only (mid-stream disconnect)
-	f.Add(train[:len(train)-9])                       // cut inside the wire payload
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 3})          // absurd length prefix
-	f.Add([]byte{0, 0, 0, 0})                         // zero-length frame
+	f.Add(train[:3])                         // cut inside the length prefix
+	f.Add(train[:4])                         // length prefix only (mid-stream disconnect)
+	f.Add(train[:len(train)-9])              // cut inside the wire payload
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 3}) // absurd length prefix
+	f.Add([]byte{0, 0, 0, 0})                // zero-length frame
 	bad := append([]byte(nil), train...)
 	bad[4] = 0x63 // unknown message type
 	f.Add(bad)
@@ -123,10 +123,12 @@ const fuzzSpecBudget = 1 << 18
 
 // FuzzSpecBuild: a spec off the wire either builds an environment or is
 // rejected with an error, and never panics. The seed corpus
-// (testdata/fuzz/FuzzSpecBuild) holds fedsim serve's quick spec and the
-// shapes that only a panic inside the substrate used to reject: a test
+// (testdata/fuzz/FuzzSpecBuild) holds fedsim serve's quick spec, the
+// shapes that only a panic inside the substrate used to reject — a test
 // split of zero, a label in two groups, negative noise, negative class
-// separation.
+// separation — and four that pass every per-field ceiling but not the
+// product ceilings: examples × pixels, classes × pixels, smoothing
+// passes, and the MLP's parameter count.
 func FuzzSpecBuild(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := ParseSpec(b)

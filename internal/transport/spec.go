@@ -58,16 +58,22 @@ type Spec struct {
 
 // Spec size ceilings: generous for anything this simulator trains,
 // small enough that a corrupt or hostile spec cannot drive an
-// allocation bomb before validation.
+// allocation bomb before validation. The fields are bounded one by one,
+// and then the products the substrate allocates: the examples' pixels,
+// the class prototypes' pixels and the MLP's parameters.
 const (
-	maxSpecDim       = 1 << 12 // C, H, or W individually
-	maxSpecPixels    = 1 << 22 // C·H·W per image
-	maxSpecPerClass  = 1 << 20 // examples per class per split
-	maxSpecClasses   = 1 << 12
-	maxSpecExamples  = 1 << 24 // examples across all classes and splits
-	maxSpecClients   = 1 << 16
-	maxSpecHidden    = 1 << 20 // scalars per hidden layer
-	maxSpecHiddenNum = 64      // hidden layers
+	maxSpecDim         = 1 << 12 // C, H, or W individually
+	maxSpecPixels      = 1 << 22 // C·H·W per image
+	maxSpecPerClass    = 1 << 20 // examples per class per split
+	maxSpecClasses     = 1 << 12
+	maxSpecExamples    = 1 << 24 // examples across all classes and splits
+	maxSpecValues      = 1 << 25 // examples × pixels, the datasets' scalars
+	maxSpecProtoValues = 1 << 21 // classes × pixels, the prototypes' scalars
+	maxSpecSmooth      = 1 << 6  // smoothing passes over every prototype
+	maxSpecClients     = 1 << 16
+	maxSpecHidden      = 1 << 20 // scalars per hidden layer
+	maxSpecHiddenNum   = 64      // hidden layers
+	maxSpecParams      = 1 << 22 // the MLP's parameters, Σ (dᵢ+1)·dᵢ₊₁
 )
 
 // check applies the rules Build needs before it allocates anything: the
@@ -93,9 +99,20 @@ func (s *Spec) check() error {
 	if d.TrainPerClass > maxSpecPerClass || d.TestPerClass > maxSpecPerClass {
 		return fmt.Errorf("transport: spec per-class counts %d/%d out of bounds", d.TrainPerClass, d.TestPerClass)
 	}
-	if int64(d.TrainPerClass+d.TestPerClass)*int64(d.Classes) > maxSpecExamples {
-		return fmt.Errorf("transport: spec describes %d examples, limit %d",
-			int64(d.TrainPerClass+d.TestPerClass)*int64(d.Classes), int64(maxSpecExamples))
+	// Every field in a product below is bounded, so no product wraps.
+	pixels := int64(d.C) * int64(d.H) * int64(d.W)
+	examples := int64(d.TrainPerClass+d.TestPerClass) * int64(d.Classes)
+	if examples > maxSpecExamples {
+		return fmt.Errorf("transport: spec describes %d examples, limit %d", examples, int64(maxSpecExamples))
+	}
+	if examples*pixels > maxSpecValues {
+		return fmt.Errorf("transport: spec describes %d examples of %d pixels, limit %d values", examples, pixels, int64(maxSpecValues))
+	}
+	if int64(d.Classes)*pixels > maxSpecProtoValues {
+		return fmt.Errorf("transport: spec describes %d class prototypes of %d pixels, limit %d values", d.Classes, pixels, int64(maxSpecProtoValues))
+	}
+	if d.Smooth > maxSpecSmooth {
+		return fmt.Errorf("transport: spec smoothing passes %d out of bounds", d.Smooth)
 	}
 	if len(s.Groups) == 0 || len(s.Groups) != len(s.PerGroup) {
 		return fmt.Errorf("transport: spec has %d groups but %d per-group counts", len(s.Groups), len(s.PerGroup))
@@ -126,10 +143,16 @@ func (s *Spec) check() error {
 	if len(s.Hidden) > maxSpecHiddenNum {
 		return fmt.Errorf("transport: spec has %d hidden layers, limit %d", len(s.Hidden), maxSpecHiddenNum)
 	}
+	params, in := int64(0), pixels
 	for _, h := range s.Hidden {
 		if h < 1 || h > maxSpecHidden {
 			return fmt.Errorf("transport: spec hidden width %d out of bounds", h)
 		}
+		params += (in + 1) * int64(h)
+		in = int64(h)
+	}
+	if params += (in + 1) * int64(d.Classes); params > maxSpecParams {
+		return fmt.Errorf("transport: spec MLP has %d parameters, limit %d", params, int64(maxSpecParams))
 	}
 	return nil
 }

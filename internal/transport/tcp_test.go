@@ -338,11 +338,11 @@ func TestServeConnSurvivesGarbage(t *testing.T) {
 	env := buildGolden(t, 77)
 	svc := transport.NewService(env)
 	cases := [][]byte{
-		{0xff, 0xff, 0xff, 0xff, 1, 2, 3},       // absurd length prefix
-		{0x00, 0x00, 0x00, 0x00},                // zero length
-		{5, 0, 0, 0, byte(3), 1, 2},             // train frame, truncated body
-		{1, 0, 0, 0, byte(3)},                   // train frame, empty body
-		{10, 0, 0, 0, 99, 1, 2, 3, 4, 5, 6, 7},  // unknown type, short body
+		{0xff, 0xff, 0xff, 0xff, 1, 2, 3},                         // absurd length prefix
+		{0x00, 0x00, 0x00, 0x00},                                  // zero length
+		{5, 0, 0, 0, byte(3), 1, 2},                               // train frame, truncated body
+		{1, 0, 0, 0, byte(3)},                                     // train frame, empty body
+		{10, 0, 0, 0, 99, 1, 2, 3, 4, 5, 6, 7},                    // unknown type, short body
 		append([]byte{80, 0, 0, 0, byte(3)}, make([]byte, 60)...), // valid header, truncated wire frame
 	}
 	for i, raw := range cases {

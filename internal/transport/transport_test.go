@@ -298,6 +298,14 @@ func TestSpecBuildRejectsMalformed(t *testing.T) {
 		{"bad hidden width", func(s *transport.Spec) { s.Hidden = []int{-3} }},
 		{"bad local config", func(s *transport.Spec) { s.Local.LR = 0 }},
 		{"one class", func(s *transport.Spec) { s.Dataset.Classes = 1 }},
+		// Each of these passes every per-field ceiling and breaks one
+		// product ceiling: a size the substrate would allocate.
+		{"examples × pixels", func(s *transport.Spec) { s.Dataset.H, s.Dataset.W, s.Dataset.TrainPerClass = 64, 64, 1<<14 }},
+		{"classes × pixels", func(s *transport.Spec) {
+			s.Dataset.H, s.Dataset.W, s.Dataset.Classes, s.Dataset.TrainPerClass, s.Dataset.TestPerClass = 32, 32, 1<<12, 1, 1
+		}},
+		{"smoothing passes", func(s *transport.Spec) { s.Dataset.Smooth = 1 << 20 }},
+		{"MLP parameters", func(s *transport.Spec) { s.Hidden = []int{1 << 20} }},
 	}
 	for _, c := range cases {
 		sp := goldenSpec(77)

@@ -4,10 +4,12 @@
 package fedclust_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"go/ast"
 	"go/build"
+	"go/format"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -296,20 +298,18 @@ func describe(obj types.Object) string {
 	return types.ObjectString(obj, (*types.Package).Name)
 }
 
-// TestOneVisitPath: under internal/, only fl.Lane calls
-// TrainScratch.LocalUpdate. internal/experiments' layer probes train a
-// bare model and are exempt; bench/ times the pass as a rung of its own.
+// TestOneVisitPath: under internal/, nothing calls
+// TrainScratch.LocalUpdate. Every client visit is an fl.Lane's, and the
+// lane runs LocalUpdate's body itself. internal/experiments' layer
+// probes train a bare model and are exempt; bench/ times the pass as a
+// rung of its own.
 func TestOneVisitPath(t *testing.T) {
 	m := load(t)
-	fl := modulePath + "/internal/fl"
-	m.eachFuncUse(func(p *pkg, d ast.Decl, pos token.Pos, name string) {
-		if name != "(*"+fl+".TrainScratch).LocalUpdate" || !strings.HasPrefix(p.path, modulePath+"/internal/") || p.path == modulePath+"/internal/experiments" {
-			return
+	m.eachFuncUse(func(p *pkg, _ ast.Decl, pos token.Pos, name string) {
+		if name == "(*"+modulePath+"/internal/fl.TrainScratch).LocalUpdate" &&
+			strings.HasPrefix(p.path, modulePath+"/internal/") && p.path != modulePath+"/internal/experiments" {
+			t.Errorf("%s: a local pass outside fl.Lane", m.fset.Position(pos))
 		}
-		if fn, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(p.info.Defs[fn.Name].(*types.Func).FullName(), "(*"+fl+".Lane).") {
-			return
-		}
-		t.Errorf("%s: a local pass outside fl.Lane", m.fset.Position(pos))
 	})
 }
 
@@ -388,6 +388,33 @@ func TestExitOnlyInMain(t *testing.T) {
 	})
 }
 
+// TestGofmt: every .go file of the module is as go/format prints it.
+func TestGofmt(t *testing.T) {
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != "." && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if out, err := format.Source(src); err != nil {
+			t.Errorf("%s: %v", path, err)
+		} else if !bytes.Equal(out, src) {
+			t.Errorf("%s is not gofmt-clean", path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRootHoldsNoNonTestGo(t *testing.T) {
 	files, _ := filepath.Glob("*.go") // the pattern is well-formed
 	for _, f := range files {
@@ -448,9 +475,10 @@ var hotLoops = []struct {
 	// A slice expression cutting a plane, row or run; the &col[0]/&src[0]
 	// handed to copyRunsAVX2.
 	{"internal/tensor/im2col.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|AVX2\(`)},
-	// A gradient, velocity or reference cut to the parameter's length;
-	// the per-tensor velocity lookup.
-	{"internal/opt/opt.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|velocity\[i\]`)},
+	// A gradient or a window of the flat velocity cut to the parameter's
+	// length. AddProximal's loop needs no cut: its length check proves
+	// every index.
+	{"internal/opt/opt.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]`)},
 	// A vector cut to n; the client's residual row; a gather or scatter
 	// at a kept index.
 	{"internal/fl/ef.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|\[(client|ix)\]`)},
@@ -458,9 +486,11 @@ var hotLoops = []struct {
 	// which no loop bound can prove.
 	{"internal/wire/sparse.go", []string{"TopKSelect", "sampleBound", "survivors", "keep"},
 		regexp.MustCompile(`\[[^\]]*:[^\]]*\]|\w+\[c\] = `)},
-	// A slice expression; a per-layer or per-tensor [i] — the element
-	// loops of the float64 ⇄ float32 conversion index by j.
-	{"internal/nn/mirror32.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|\[i\]`)},
+	// A slice expression; a per-layer [i] of Mirror32 and IsMirror32;
+	// Convert's cut of dst to len(src), which the compiler reports on the
+	// declaration line for the instantiations it inlines. The conversion
+	// loop itself keeps no check.
+	{"internal/nn/mirror32.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|[lL]ayers\[i\]|^func Convert\[`)},
 	// A bias, bias gradient or row cut to Out; the batch size read off a
 	// shape; a workspace's header, set up once per call by the inlined get.
 	{"internal/nn/dense.go", []string{"Forward", "Backward"}, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|Shape\[0\]|\.get\(`)},
