@@ -1,7 +1,8 @@
 // Package control is the coordinator's live control plane: a Tracker
 // that implements fl.RoundObserver to mirror a running federation's
-// progress into mutex-guarded counters, and a small HTTP server exposing
-// them — round progress, per-client outcome counts, ledger and
+// progress into mutex-guarded counters (and, with the telemetry gate up,
+// into the process registry's round series), and a small HTTP server
+// exposing them — round progress, per-client outcome counts, ledger and
 // socket-measured traffic, straggler histograms — plus an on-demand checkpoint
 // trigger wired into the engine's CheckpointPlan.
 package control
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"fedclust/internal/fl"
+	"fedclust/internal/obs"
 )
 
 // Status is the /status snapshot.
@@ -73,6 +75,40 @@ type Stragglers struct {
 	Offline int `json:"offline"`
 }
 
+// roundSeries is the round engine's view in the process registry, fed
+// by every Tracker from the observations it receives: phase timing,
+// round and checkpoint counts, defense tallies, and the last round's
+// participation. Built on the first update with the gate up
+// (registration allocates; updates are atomic and do not).
+type roundSeries struct {
+	phase                                 [7]*obs.Histogram // fl.RoundPhases' fields, in order
+	rounds, checkpoints, masked, suspects *obs.Counter
+	invited, reported                     *obs.Gauge
+}
+
+var series = sync.OnceValue(func() *roundSeries {
+	r := obs.Default()
+	m := &roundSeries{}
+	for i, name := range [...]string{"sample", "broadcast", "local", "combine", "eval", "checkpoint", "total"} {
+		m.phase[i] = r.Histogram("fedsim_round_phase_seconds",
+			obs.Label("phase", name),
+			"Wall-clock seconds spent per round lifecycle phase.", nil)
+	}
+	m.rounds = r.Counter("fedsim_rounds_total", "",
+		"Completed federation rounds.")
+	m.checkpoints = r.Counter("fedsim_checkpoints_total", "",
+		"Checkpoints handed to the sink.")
+	m.masked = r.Counter("fedsim_masked_uplinks_total", "",
+		"Uplinks dropped for non-finite values.")
+	m.suspects = r.Counter("fedsim_defense_suspects_total", "",
+		"Inputs excluded by the robust aggregator.")
+	m.invited = r.Gauge("fedsim_round_invited", "",
+		"Clients invited in the most recent round.")
+	m.reported = r.Gauge("fedsim_round_reported", "",
+		"Updates that reached the server in the most recent round.")
+	return m
+})
+
 // Tracker mirrors a run's progress. It implements fl.RoundObserver; all
 // methods and snapshots are safe for concurrent use (the driver writes
 // between phases, HTTP handlers read whenever).
@@ -103,8 +139,11 @@ func (t *Tracker) ObserveRunStart(method string, totalRounds, nClients, startRou
 		StartRound: startRound, NClients: nClients,
 		EvalRound: -1,
 	}
-	t.clients = make([]fl.OutcomeCounts, nClients)
-	t.done, t.lag, t.offline = nil, nil, 0
+	// The buffers are reused across runs (snapshots copy out of them), so
+	// observing a run allocates nothing once the tracker has seen one as
+	// large.
+	t.clients = append(t.clients[:0], make([]fl.OutcomeCounts, nClients)...)
+	t.done, t.lag, t.offline = t.done[:0], t.lag[:0], 0
 	// A trigger armed near the end of a previous run on this tracker must
 	// not fire a spurious snapshot on round 1 of this one.
 	t.trigger.Store(false)
@@ -128,6 +167,20 @@ func (t *Tracker) ObservePhases(round int, phases fl.RoundPhases) {
 	defer t.mu.Unlock()
 	t.status.LastPhases = phases
 	t.status.PhaseTotals.Add(phases)
+	if !obs.Enabled() {
+		return
+	}
+	m := series()
+	for i, ns := range [...]int64{phases.SampleNS, phases.BroadcastNS, phases.LocalNS,
+		phases.CombineNS, phases.EvalNS, phases.CheckpointNS, phases.TotalNS} {
+		// Eval and checkpoint (slots 4 and 5) run on a subset of rounds;
+		// zero slots would flood their histograms with meaningless
+		// sub-microsecond samples.
+		if ns == 0 && (i == 4 || i == 5) {
+			continue
+		}
+		m.phase[i].Observe(float64(ns) / 1e9)
+	}
 }
 
 // ObserveRoundStart implements fl.RoundObserver.
@@ -135,6 +188,9 @@ func (t *Tracker) ObserveRoundStart(round, invited int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.status.Invited = invited
+	if obs.Enabled() {
+		series().invited.Set(float64(invited))
+	}
 }
 
 // ObserveOutcome implements fl.RoundObserver.
@@ -170,6 +226,11 @@ func (t *Tracker) ObserveRoundEnd(round, reported int, comm *fl.CommStats) {
 	if s.Round == s.TotalRounds {
 		s.Running = false
 	}
+	if obs.Enabled() {
+		m := series()
+		m.rounds.Inc()
+		m.reported.Set(float64(reported))
+	}
 }
 
 // ObserveDefense implements fl.DefenseObserver: the engine reports each
@@ -181,6 +242,11 @@ func (t *Tracker) ObserveDefense(round, masked, suspects int) {
 	s.MaskedLast, s.SuspectsLast = masked, suspects
 	s.MaskedTotal += masked
 	s.SuspectsTotal += suspects
+	if obs.Enabled() {
+		m := series()
+		m.masked.Add(uint64(masked))
+		m.suspects.Add(uint64(suspects))
+	}
 }
 
 // ObserveEval implements fl.RoundObserver.
@@ -196,6 +262,9 @@ func (t *Tracker) ObserveCheckpoint(round int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.status.Checkpoints++
+	if obs.Enabled() {
+		series().checkpoints.Inc()
+	}
 }
 
 // Status returns a copy of the current /status snapshot.

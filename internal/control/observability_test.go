@@ -10,7 +10,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -292,5 +294,156 @@ func TestConcurrentScrapeWhileTraining(t *testing.T) {
 	}
 	if lastUp != res.Comm.UpBytes || lastDown != res.Comm.DownBytes {
 		t.Errorf("journal ledger (up %d, down %d) != result (up %d, down %d)", lastUp, lastDown, res.Comm.UpBytes, res.Comm.DownBytes)
+	}
+}
+
+// faultyWorld drops client 1 every round and replaces client 0's uplink
+// with NaN, so a run moves every round series: fewer reports than
+// invitations, a masked uplink per round, and — behind a trimmed mean —
+// excluded suspects.
+type faultyWorld struct{}
+
+func (faultyWorld) Outcome(client, round, epochs int) (done, lag int) {
+	if client == 1 {
+		return 0, -1
+	}
+	return epochs, 0
+}
+func (faultyWorld) TrainData(_, _ int, base *data.Dataset) *data.Dataset { return base }
+func (faultyWorld) CorruptUpdate(client, _ int, out, _ []float64) bool {
+	if client != 0 {
+		return false
+	}
+	for j := range out {
+		out[j] = math.NaN()
+	}
+	return true
+}
+func (faultyWorld) Fingerprint() uint64 { return 0xfa17 }
+
+// scrape reads /metrics into its samples, keyed by series
+// ("name{labels}"), plus the raw exposition.
+func scrape(t *testing.T, base string) (map[string]float64, string) {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("/metrics line %q: %v", line, err)
+		}
+		samples[line[:i]] = v
+	}
+	return samples, string(body)
+}
+
+// TestMetricsMirrorTrackerStatus: with the gate up, a tracker observing a
+// run that checkpoints feeds the seven round series of /metrics, and
+// every one of them agrees with the tracker's own Status — counts,
+// gauges, and per-phase histogram counts and sums.
+func TestMetricsMirrorTrackerStatus(t *testing.T) {
+	prev := obs.Enabled()
+	defer obs.SetEnabled(prev)
+	tr := control.NewTracker(2)
+	srv, err := control.Serve("127.0.0.1:0", tr) // enables the telemetry gate
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := "http://" + srv.Addr()
+
+	env := smallEnv(41)
+	env.Observer = tr
+	env.Participation.Scenario = faultyWorld{}
+	env.Aggregator = &fl.TrimmedMean{Frac: 0.35}
+	env.Ckpt = &fl.CheckpointPlan{Every: 2, Sink: func(*fl.Checkpoint) {}}
+
+	before, _ := scrape(t, base)
+	methods.FedAvg{}.Run(env)
+	after, body := scrape(t, base)
+	s := tr.Status()
+	if s.Round != env.Rounds || s.Checkpoints == 0 || s.MaskedTotal == 0 || s.SuspectsTotal == 0 || s.Reported >= s.Invited {
+		t.Fatalf("workload leaves a series still: %+v", s)
+	}
+	delta := func(key string) float64 {
+		v, ok := after[key]
+		if !ok {
+			t.Errorf("/metrics has no %s", key)
+		}
+		return v - before[key]
+	}
+	for _, c := range []struct {
+		key  string
+		want int
+	}{
+		{"fedsim_rounds_total", s.Round},
+		{"fedsim_checkpoints_total", s.Checkpoints},
+		{"fedsim_masked_uplinks_total", s.MaskedTotal},
+		{"fedsim_defense_suspects_total", s.SuspectsTotal},
+	} {
+		if got := delta(c.key); got != float64(c.want) {
+			t.Errorf("%s advanced by %v, status says %d", c.key, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		key  string
+		want int
+	}{{"fedsim_round_invited", s.Invited}, {"fedsim_round_reported", s.Reported}} {
+		if got := after[c.key]; got != float64(c.want) {
+			t.Errorf("%s = %v, status says %d", c.key, got, c.want)
+		}
+	}
+	evals := 0
+	for r := 0; r < env.Rounds; r++ {
+		if env.ShouldEval(r) {
+			evals++
+		}
+	}
+	pt := s.PhaseTotals
+	for _, c := range []struct {
+		phase string
+		count int
+		ns    int64
+	}{
+		{"sample", s.Round, pt.SampleNS},
+		{"broadcast", s.Round, pt.BroadcastNS},
+		{"local", s.Round, pt.LocalNS},
+		{"combine", s.Round, pt.CombineNS},
+		{"eval", evals, pt.EvalNS},
+		{"checkpoint", s.Checkpoints, pt.CheckpointNS},
+		{"total", s.Round, pt.TotalNS},
+	} {
+		series := `{phase="` + c.phase + `"}`
+		if got := delta("fedsim_round_phase_seconds_count" + series); got != float64(c.count) {
+			t.Errorf("%s phase: %v observations, want %d", c.phase, got, c.count)
+		}
+		if got, want := delta("fedsim_round_phase_seconds_sum"+series), float64(c.ns)/1e9; math.Abs(got-want) > 1e-6 {
+			t.Errorf("%s phase: %vs observed, status totals %vs", c.phase, got, want)
+		}
+	}
+	for _, help := range []string{
+		"# HELP fedsim_round_phase_seconds Wall-clock seconds spent per round lifecycle phase.",
+		"# HELP fedsim_rounds_total Completed federation rounds.",
+		"# HELP fedsim_checkpoints_total Checkpoints handed to the sink.",
+		"# HELP fedsim_masked_uplinks_total Uplinks dropped for non-finite values.",
+		"# HELP fedsim_defense_suspects_total Inputs excluded by the robust aggregator.",
+		"# HELP fedsim_round_invited Clients invited in the most recent round.",
+		"# HELP fedsim_round_reported Updates that reached the server in the most recent round.",
+	} {
+		if !strings.Contains(body, help+"\n") {
+			t.Errorf("/metrics lacks %q", help)
+		}
 	}
 }

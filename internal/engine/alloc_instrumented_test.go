@@ -2,8 +2,8 @@
 
 // The PR 10 extension of the steady-state allocation contract: a warm
 // round with telemetry fully attached — the process gate enabled, phase
-// timing armed, metrics flushing to the default registry, and a JSONL
-// journal observer writing every round event — must still allocate
+// timing armed, a control tracker feeding the default registry, and a
+// JSONL journal observer writing every round event — must still allocate
 // nothing. Timing goes into preallocated per-round slots, the registry's
 // hot paths are atomics, and the journal hand-appends into a reused
 // buffer.
@@ -14,6 +14,7 @@ import (
 	"io"
 	"testing"
 
+	"fedclust/internal/control"
 	"fedclust/internal/engine"
 	"fedclust/internal/fl"
 	"fedclust/internal/obs"
@@ -26,21 +27,23 @@ func TestInstrumentedWarmRoundZeroAllocs(t *testing.T) {
 
 	env := goldenEnv(25, 1<<20)
 	env.EvalEvery = 2
-	env.Observer = obs.NewJournal(io.Discard, env.Local.Epochs)
+	tracker := control.NewTracker(env.Local.Epochs)
+	tracker.ObserveRunStart("alloc-instrumented", env.Rounds, len(env.Clients), 0)
+	env.Observer = fl.MultiObserver(tracker, obs.NewJournal(io.Discard, env.Local.Epochs))
 	d := engine.New(env, "alloc-instrumented")
 	wireFedAvg(d)
 
 	round := 0
 	step := func() {
 		// Run's per-round sequence minus checkpointing (no plan here):
-		// FinishRound flushes the phase slots to the registry and hands
-		// the round event to the journal.
+		// FinishRound hands the phase slots to the tracker, which feeds
+		// the registry, and the round event to the journal.
 		d.RunRound(round)
 		d.FinishRound(round)
 		round++
 	}
-	// Warm the runtime, the registry's engine series, and the journal's
-	// event buffer.
+	// Warm the runtime, the registry's round series, the tracker's
+	// histograms, and the journal's event buffer.
 	for round < 4 {
 		step()
 	}

@@ -63,9 +63,6 @@ func (d *RoundDriver) maybeCheckpoint(round int) {
 		ob.ObserveCheckpoint(round + 1)
 	}
 	d.es.lap(phCheckpoint)
-	if obs.Enabled() {
-		engineM().checkpoints.Inc()
-	}
 }
 
 // walkState lists everything a snapshot holds beyond the run's identity —

@@ -562,7 +562,6 @@ func (d *RoundDriver) RunRound(round int) {
 	if len(reported) > 0 || d.Async || d.AggregateEmptyRounds {
 		d.Hooks.Aggregate(round, reported)
 	}
-	es.lastReported = len(reported)
 	d.Res.Comm.EndRound(round + 1)
 	if ob != nil {
 		if dobs, ok := ob.(fl.DefenseObserver); ok {

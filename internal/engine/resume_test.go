@@ -144,6 +144,24 @@ func TestResumeSemiAsync(t *testing.T) {
 	}
 }
 
+// TestResumeFedBuffExtremeLag: under a jitter so wide that some updates
+// are due beyond any round a checkpoint can describe, FedBuff's arrival
+// schedule still rides its checkpoints — every resume lands on the
+// uninterrupted fingerprint.
+func TestResumeFedBuffExtremeLag(t *testing.T) {
+	mkEnv := func() *fl.Env {
+		env := goldenEnv(77, 5)
+		env.Participation.Scenario = scenario.New(scenario.Config{StragglerFrac: 0.5, Jitter: 1000}, 77, len(env.Clients))
+		return env
+	}
+	want, snaps := captureRun(t, methods.FedBuff{}, mkEnv())
+	for round := 1; round < 5; round++ {
+		if got := resumeRun(t, methods.FedBuff{}, mkEnv(), snaps[round]); got != want {
+			t.Errorf("resume from round %d diverged\n got: %s\nwant: %s", round, got, want)
+		}
+	}
+}
+
 // TestResumeAcrossWorkerCounts: checkpoint under a serial executor,
 // resume under a wide one (and the reverse) — parallelism is not part of
 // a run's identity, so the fingerprints must match the pinned golden.

@@ -74,15 +74,14 @@ type envState struct {
 	suspects int
 
 	// Per-round phase timing (telemetry.go). timing is armed by
-	// startRoundTiming when the process telemetry gate is up or the run's
-	// observer implements fl.PhaseObserver; ph accumulates nanoseconds per
-	// phase slot, stamp is the last lap boundary, roundT0 the round start.
-	// All preallocated in the runtime so a timed round allocates nothing.
-	timing       bool
-	ph           [phCount]int64
-	stamp        int64
-	roundT0      int64
-	lastReported int
+	// startRoundTiming when the run's observer implements
+	// fl.PhaseObserver; ph accumulates nanoseconds per phase slot, stamp
+	// is the last lap boundary, roundT0 the round start. All preallocated
+	// in the runtime so a timed round allocates nothing.
+	timing  bool
+	ph      [phCount]int64
+	stamp   int64
+	roundT0 int64
 
 	// Robust-combine scratch (Combine): the per-input deltas from the
 	// combine's starting point, backed by one flat arena, plus the

@@ -10,6 +10,7 @@ import (
 	"io"
 	"testing"
 
+	"fedclust/internal/control"
 	"fedclust/internal/engine"
 	"fedclust/internal/fl"
 	"fedclust/internal/methods"
@@ -144,38 +145,19 @@ func TestRunEndObservedOnPanic(t *testing.T) {
 }
 
 // BenchmarkRoundDriverRoundInstrumented is BenchmarkRoundDriverRound
-// with telemetry fully attached (gate up, journal observer discarding) —
-// the whole-round overhead pair for BENCH_pr10.json. allocs/op must
-// match the bare benchmark: attaching telemetry adds zero allocations.
+// with telemetry fully attached (gate up, a control tracker feeding the
+// registry beside a journal observer discarding its lines) — the
+// whole-round overhead pair for BENCH_pr10.json. allocs/op must match
+// the bare benchmark: attaching telemetry adds zero allocations.
 func BenchmarkRoundDriverRoundInstrumented(b *testing.B) {
 	prev := obs.Enabled()
 	defer obs.SetEnabled(prev)
 	obs.SetEnabled(true)
 	env := benchEnv(1)
-	env.Observer = obs.NewJournal(io.Discard, env.Local.Epochs)
+	env.Observer = fl.MultiObserver(control.NewTracker(env.Local.Epochs), obs.NewJournal(io.Discard, env.Local.Epochs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		methods.FedAvg{}.Run(env)
-	}
-}
-
-// TestEngineMetricsAccumulate: with the gate up, a run feeds the default
-// registry — rounds counted, phase histograms populated.
-func TestEngineMetricsAccumulate(t *testing.T) {
-	prev := obs.Enabled()
-	defer obs.SetEnabled(prev)
-	obs.SetEnabled(true)
-
-	reg := obs.Default()
-	rounds := reg.Counter("fedsim_rounds_total", "", "")
-	before := rounds.Value()
-	env := goldenEnv(35, 4)
-	methods.FedAvg{}.Run(env)
-	if got := rounds.Value() - before; got != 4 {
-		t.Errorf("fedsim_rounds_total advanced by %v, want 4", got)
-	}
-	if n := reg.Histogram("fedsim_round_phase_seconds", obs.Label("phase", "local"), "", nil).Count(); n == 0 {
-		t.Error("local phase histogram empty")
 	}
 }

@@ -49,7 +49,7 @@ func probeLayers(c Common, cols []Column[LayerProbe], env *fl.Env, truth []int, 
 	init := nn.FlattenParams(ref)
 	n := len(env.Clients)
 	models := make([]*nn.Sequential, n)
-	env.ParallelClients(n, func(i int) {
+	env.ParallelClientsWorker(n, func(_, i int) {
 		models[i] = env.NewModel()
 		localPass(env, &fl.TrainScratch{}, models[i], init, env.Clients[i].Train, env.ClientRng(i, 0))
 	})

@@ -126,17 +126,12 @@ func (e *Env) WorkerCount() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ParallelClients runs fn(i) for every client index in [0, n) across the
-// process-wide executor. fn must be safe to call concurrently for
-// distinct indices.
-func (e *Env) ParallelClients(n int, fn func(i int)) {
-	sched.Default().Run(n, e.WorkerCount(), func(_, i int) { fn(i) })
-}
-
-// ParallelClientsWorker is ParallelClients with the executing worker's
-// stable id passed to fn, so callers can key per-worker scratch state
-// (lanes, buffers) without locking: worker w only ever runs on one
-// goroutine at a time.
+// ParallelClientsWorker runs fn(worker, i) for every client index in
+// [0, n) across the process-wide executor. fn must be safe to call
+// concurrently for distinct indices. The executing worker's stable id is
+// passed along so callers can key per-worker scratch state (lanes,
+// buffers) without locking: worker w only ever runs on one goroutine at
+// a time.
 func (e *Env) ParallelClientsWorker(n int, fn func(worker, i int)) {
 	sched.Default().Run(n, e.WorkerCount(), fn)
 }

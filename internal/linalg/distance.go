@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"fedclust/internal/sched"
 	"fedclust/internal/tensor"
 )
 
@@ -74,13 +73,12 @@ func VecDistance(m Metric, a, b []float64) float64 {
 }
 
 // PairwiseDistances builds the symmetric n×n proximity matrix over the
-// given n vectors under metric m. Rows of the result are computed in
-// parallel across GOMAXPROCS workers; the diagonal is zero.
+// given n vectors under metric m. Rows of the result are computed on the
+// shared executor once the matrix is large enough; the diagonal is zero.
 func PairwiseDistances(m Metric, vecs [][]float64) *tensor.Tensor {
 	n := len(vecs)
-	out := tensor.New(n, n)
 	if n == 0 {
-		return out
+		return tensor.New(0, 0)
 	}
 	dim := len(vecs[0])
 	for i, v := range vecs {
@@ -88,66 +86,32 @@ func PairwiseDistances(m Metric, vecs [][]float64) *tensor.Tensor {
 			panic(fmt.Sprintf("linalg: PairwiseDistances vector %d has length %d, want %d", i, len(v), dim))
 		}
 	}
-	// Workers claim rows off a shared counter; the worker holding row i
-	// writes d(i,j) and its mirror d(j,i) for j > i — one writer per cell.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
+	width := runtime.GOMAXPROCS(0)
+	if n*n*dim < 32*1024 {
+		width = 1 // below this a region costs more than it saves
 	}
-	if n*n*dim < 32*1024 || workers < 2 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				for j := i + 1; j < n; j++ {
-					d := VecDistance(m, vecs[i], vecs[j])
-					out.Data[i*n+j], out.Data[j*n+i] = d, d
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	return pairwise(n, width, func(i, j int) float64 { return VecDistance(m, vecs[i], vecs[j]) })
 }
 
 // PairwiseFromFunc builds a symmetric n×n proximity matrix from an
 // arbitrary pairwise dissimilarity function (used by PACFL, where the
-// "vectors" are subspace bases). f must be symmetric; it is called once
-// per unordered pair, in parallel.
+// "vectors" are subspace bases). f must be symmetric and safe to call
+// concurrently; it is called once per unordered pair.
 func PairwiseFromFunc(n int, f func(i, j int) float64) *tensor.Tensor {
+	return pairwise(n, runtime.GOMAXPROCS(0), f)
+}
+
+// pairwise fills the n×n matrix row by row on the shared executor, up to
+// width rows at a time: row i writes f(i,j) and its mirror for every
+// j > i, so each cell has one writer and the result does not depend on
+// the partitioning. Nested inside another region it runs serially.
+func pairwise(n, width int, f func(i, j int) float64) *tensor.Tensor {
 	out := tensor.New(n, n)
-	type pair struct{ i, j int }
-	pairs := make(chan pair, n)
-	var wg sync.WaitGroup
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for p := range pairs {
-				d := f(p.i, p.j)
-				out.Set(d, p.i, p.j)
-				out.Set(d, p.j, p.i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
+	sched.Default().Run(n, width, func(_, i int) {
 		for j := i + 1; j < n; j++ {
-			pairs <- pair{i, j}
+			d := f(i, j)
+			out.Data[i*n+j], out.Data[j*n+i] = d, d
 		}
-	}
-	close(pairs)
-	wg.Wait()
+	})
 	return out
 }

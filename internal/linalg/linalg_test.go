@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"fedclust/internal/rng"
+	"fedclust/internal/sched"
 	"fedclust/internal/tensor"
 )
 
@@ -386,6 +387,64 @@ func TestPairwiseFromFunc(t *testing.T) {
 			}
 			if d.At(i, j) != want {
 				t.Fatalf("(%d,%d) = %v, want %v", i, j, d.At(i, j), want)
+			}
+		}
+	}
+}
+
+// TestPairwiseNestedRunsSerially: called from inside a region of the
+// shared executor — a client task, say — both builders start no region of
+// their own, walk the pairs in serial row order, and give the same bits
+// as a top-level call.
+func TestPairwiseNestedRunsSerially(t *testing.T) {
+	r := rng.New(11)
+	vecs := make([][]float64, 96)
+	for i := range vecs {
+		vecs[i] = make([]float64, 16)
+		for j := range vecs[i] {
+			vecs[i][j] = r.NormFloat64()
+		}
+	}
+	n := len(vecs)
+	f := func(i, j int) float64 { return VecDistance(Cosine, vecs[i], vecs[j]) }
+	top, topF := PairwiseDistances(Euclidean, vecs), PairwiseFromFunc(n, f)
+
+	pool := sched.Default()
+	var nested, nestedF *tensor.Tensor
+	var before, after sched.Stats
+	var order [][2]int
+	pool.Run(2, 2, func(_, item int) {
+		if item != 0 {
+			return
+		}
+		before = pool.Stats()
+		nested = PairwiseDistances(Euclidean, vecs)
+		nestedF = PairwiseFromFunc(n, func(i, j int) float64 {
+			order = append(order, [2]int{i, j})
+			return f(i, j)
+		})
+		after = pool.Stats()
+	})
+	if after.Regions != before.Regions || after.Serial != before.Serial+2 {
+		t.Errorf("nested builders: %d regions and %d serial submissions, want 0 and 2",
+			after.Regions-before.Regions, after.Serial-before.Serial)
+	}
+	k := 0
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if k >= len(order) || order[k] != [2]int{i, j} {
+				t.Fatalf("nested PairwiseFromFunc call %d is not pair (%d,%d): serial row order broken", k, i, j)
+			}
+			k++
+		}
+	}
+	for _, c := range []struct {
+		name      string
+		got, want *tensor.Tensor
+	}{{"PairwiseDistances", nested, top}, {"PairwiseFromFunc", nestedF, topF}} {
+		for i := range c.want.Data {
+			if math.Float64bits(c.got.Data[i]) != math.Float64bits(c.want.Data[i]) {
+				t.Fatalf("%s: nested cell %d = %v, top-level %v", c.name, i, c.got.Data[i], c.want.Data[i])
 			}
 		}
 	}

@@ -62,7 +62,7 @@ func (p PACFL) Run(env *fl.Env) *fl.Result {
 
 	// --- One-shot clustering phase (before any training round). ---
 	bases := make([]*tensor.Tensor, n)
-	env.ParallelClients(n, func(i int) {
+	env.ParallelClientsWorker(n, func(_, i int) {
 		bases[i] = clientSubspace(env, i, p.P, pacflSketchSamples)
 	})
 	// Uplink: each client sends P basis vectors of length dim — a dense

@@ -399,12 +399,18 @@ func (m *Model) Outcome(client, round, epochs int) (done, lag int) {
 		// full count: done == epochs is reserved for lag == 0.
 		done = epochs - 1
 	}
-	lag = int(math.Ceil(pass/d)) - 1
+	// In float64 and capped before the conversion: an extreme jitter or a
+	// tiny deadline puts pass/d beyond int's range. An update maxLag
+	// rounds late never arrives in a schedule a checkpoint can describe.
+	lag = int(math.Min(math.Ceil(pass/d)-1, maxLag))
 	if lag < 1 {
 		lag = 1 // pass > d: the full update is at least one round late
 	}
 	return done, lag
 }
+
+// maxLag caps Outcome's lag at fl's checkpoint round ceiling, 2²⁰.
+const maxLag = 1 << 20
 
 // Fingerprint identifies the model for checkpoint/resume validation: two
 // models produce identical traces iff they were built from the same

@@ -76,6 +76,41 @@ func TestOutcomeInvariants(t *testing.T) {
 	}
 }
 
+// TestOutcomeLagCapped: configs that pass Check but put a pass/deadline
+// ratio beyond int's range — a huge jitter, a vanishing deadline — still
+// give every late outcome a lag in [1, 2²⁰], fl's checkpoint round
+// ceiling, instead of an overflowed conversion.
+func TestOutcomeLagCapped(t *testing.T) {
+	for _, cfg := range []scenario.Config{
+		{StragglerFrac: 0.5, Jitter: 1000},
+		{Deadline: 1e-300},
+	} {
+		if err := cfg.Check(); err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		m := scenario.New(cfg, 77, 12)
+		late := 0
+		for c := 0; c < 12; c++ {
+			for r := 0; r < 8; r++ {
+				done, lag := m.Outcome(c, r, 3)
+				if done == 3 {
+					continue
+				}
+				late++
+				if lag < 1 || lag > 1<<20 {
+					t.Fatalf("%+v: client %d round %d: done %d, lag %d outside [1, 2^20]", cfg, c, r, done, lag)
+				}
+			}
+		}
+		if late == 0 {
+			t.Fatalf("%+v: no late outcome to check", cfg)
+		}
+		if cfg.Deadline > 0 && late != 12*8 {
+			t.Fatalf("%+v: %d of %d outcomes late, want all", cfg, late, 12*8)
+		}
+	}
+}
+
 // TestOutcomePureAndRepeatable: two models built from the same
 // (Config, seed, n) agree on every outcome, profiles included, and
 // repeated queries (any order) return the same answers.

@@ -40,17 +40,6 @@ import (
 	"sync/atomic"
 )
 
-// activeRegions counts currently running regions across every Pool in
-// the process. Busy lets code that cannot see the claiming pool (the
-// tensor kernels, when an Env is pinned to a private executor) detect
-// that it is being called underneath a parallel phase and stay serial.
-var activeRegions atomic.Int32
-
-// Busy reports whether any executor region is currently running in the
-// process. It is a conservative oversubscription guard, not a lock:
-// callers use it to choose a serial path, never for correctness.
-func Busy() bool { return activeRegions.Load() > 0 }
-
 // Pool is a persistent work-sharing executor. The zero value is not
 // usable; construct with New (or use the process-wide Default).
 type Pool struct {
@@ -173,13 +162,11 @@ func (p *Pool) TryAcquire() bool {
 		p.mu.Unlock()
 		return false
 	}
-	activeRegions.Add(1)
 	return true
 }
 
 // Release ends a successfully TryAcquire'd claim.
 func (p *Pool) Release() {
-	activeRegions.Add(-1)
 	p.mu.Unlock()
 }
 

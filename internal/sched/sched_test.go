@@ -183,7 +183,7 @@ func TestShutdownBusy(t *testing.T) {
 
 // TestPanicInClaimantTaskReleasesPool: a panic in fn on the submitting
 // goroutine, recovered by the caller, must drain the region and release
-// the claim — the pool (and the process-wide Busy gauge) stay usable.
+// the claim — the pool stays usable.
 func TestPanicInClaimantTaskReleasesPool(t *testing.T) {
 	p := New()
 	defer p.Shutdown()
@@ -199,35 +199,15 @@ func TestPanicInClaimantTaskReleasesPool(t *testing.T) {
 			}
 		})
 	}()
-	if Busy() {
-		t.Fatal("Busy still set after recovered panic")
+	if !p.TryAcquire() {
+		t.Fatal("claim still held after recovered panic")
 	}
+	p.Release()
 	counts := make([]int32, 100)
 	p.Run(len(counts), 4, func(_, i int) { atomic.AddInt32(&counts[i], 1) })
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("after recovered panic: index %d run %d times", i, c)
 		}
-	}
-}
-
-// TestBusyGauge: Busy reflects an in-flight region across pools.
-func TestBusyGauge(t *testing.T) {
-	p := New()
-	defer p.Shutdown()
-	if Busy() {
-		t.Fatal("Busy before any region")
-	}
-	var sawBusy atomic.Bool
-	p.Run(32, 2, func(_, _ int) {
-		if Busy() {
-			sawBusy.Store(true)
-		}
-	})
-	if !sawBusy.Load() {
-		t.Fatal("Busy not reported inside a region")
-	}
-	if Busy() {
-		t.Fatal("Busy after region drained")
 	}
 }

@@ -79,10 +79,10 @@ func runRows[T Float](v variant, dst, a, b *Of[T], m, work int) {
 	}
 }
 
-// cachedProcs caches runtime.GOMAXPROCS(0) so the splitRows gate — on
+// cachedProcs caches runtime.GOMAXPROCS(0) so the parSlot.rows gate — on
 // the hot path of every matmul, parallel or not — costs one atomic load
 // instead of a runtime call. refreshProcs re-reads the live value inside
-// parallelRows after a successful executor acquire (off the per-call hot
+// parSlot.parallel after a successful executor acquire (off the per-call hot
 // path), so a mid-process GOMAXPROCS change is picked up at the next
 // parallel region; the lag is harmless because the partitioning never
 // affects results, only which path computes them.
@@ -159,16 +159,13 @@ func (d *parSlot[T]) rows(v variant, dst, a, b *Of[T], m, work int) {
 // shared executor and reports whether it ran. It refuses — returning
 // false, caller must run the serial kernel — when the executor is
 // unavailable: the call is nested inside a running region (a kernel
-// invoked from a client task of the round engine, or from an Env pinned
-// to a private pool) or racing a concurrent region. That refusal is what
+// invoked from a client task of the round engine) or racing a concurrent
+// region. That refusal is what
 // eliminates nested oversubscription. The partitioning never affects
 // results: every output element is produced by exactly one block with a
 // fixed per-element summation order, so parallel and serial runs are
 // bit-identical.
 func (d *parSlot[T]) parallel(v variant, dst, a, b *Of[T], m int) bool {
-	if sched.Busy() {
-		return false
-	}
 	p := sched.Default()
 	if !p.TryAcquire() {
 		return false

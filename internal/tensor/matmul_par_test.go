@@ -22,7 +22,7 @@ func randMat(r *rng.Rng, m, n int) *Tensor {
 }
 
 // withProcs runs f under a temporary GOMAXPROCS so the parallel branch
-// of splitRows is reachable even on single-CPU machines.
+// of parSlot.rows is reachable even on single-CPU machines.
 func withProcs(p int, f func()) {
 	old := runtime.GOMAXPROCS(p)
 	defer runtime.GOMAXPROCS(old)

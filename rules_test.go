@@ -313,6 +313,26 @@ func TestOneVisitPath(t *testing.T) {
 	})
 }
 
+// TestOneExecutor: under internal/, only three packages start a
+// goroutine — sched (its workers), transport (a connection's read loop
+// and a node's per-request handlers) and control (the HTTP server).
+// Every parallel phase runs on sched.Default.
+func TestOneExecutor(t *testing.T) {
+	m := load(t)
+	for path, f := range m.files {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if !strings.HasPrefix(dir, "internal/") || dir == "internal/sched" || dir == "internal/transport" || dir == "internal/control" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				t.Errorf("%s: a go statement outside sched, transport and control", m.fset.Position(g.Pos()))
+			}
+			return true
+		})
+	}
+}
+
 // TestOneCSVWriter: cmd/fedsim's one os.Create is the experiment
 // driver's -csv.
 func TestOneCSVWriter(t *testing.T) {
