@@ -97,9 +97,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if s.workers > 0 {
-		// Caps both the client executor width (Env.WorkerCount) and the
-		// tensor kernels' row-block width — everything runs on the shared
-		// work-sharing pool in internal/sched.
+		// Caps the client executor width (Env.WorkerCount) and the
+		// proximity matrices' row width: every parallel phase runs on the
+		// shared work-sharing pool in internal/sched.
 		runtime.GOMAXPROCS(s.workers)
 	}
 	start := time.Now()

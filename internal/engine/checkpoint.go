@@ -44,7 +44,9 @@ func (d *RoundDriver) maybeCheckpoint(round int) {
 		return
 	}
 	due := plan.Every > 0 && (round+1)%plan.Every == 0
-	if !due && plan.Trigger != nil && plan.Trigger() {
+	// Poll the trigger on every round, so one that lands on a scheduled
+	// round is consumed by that round's snapshot.
+	if plan.Trigger != nil && plan.Trigger() {
 		due = true
 	}
 	if !due {

@@ -7,8 +7,8 @@ package engine_test
 // on the (client, round) stream, never on which worker runs it), the
 // executor's dynamic index handoff does not reorder any aggregation
 // arithmetic (Locals are written to fixed arena slots and folded in
-// client order), and the tensor kernels' parallel row blocks preserve
-// per-element summation order.
+// client order), and every product runs on the goroutine of the task
+// that calls it, with a per-element summation order fixed by its shapes.
 
 import (
 	"runtime"
@@ -17,7 +17,10 @@ import (
 	"fedclust/internal/core"
 	"fedclust/internal/fl"
 	"fedclust/internal/methods"
+	"fedclust/internal/nn"
+	"fedclust/internal/rng"
 	"fedclust/internal/scenario"
+	"fedclust/internal/sched"
 )
 
 // determinismTrainers covers the default Local hook (FedAvg), a custom
@@ -80,6 +83,23 @@ func TestResultsBitIdenticalAcrossGOMAXPROCS(t *testing.T) {
 					tr.Name(), procs, got, want)
 			}
 		}
+	}
+}
+
+// TestWorkersOneStartsNoRegion: Env.Workers = 1 is one goroutine. A
+// FedAvg run at GOMAXPROCS 2 starts no executor region, even with a
+// model whose products are large: 16×64 · 64×256 per training batch and
+// 64×64 · 64×256 per evaluation batch, each over 64K multiply-adds.
+func TestWorkersOneStartsNoRegion(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	env := goldenEnv(35, 2)
+	env.Factory = func(fr *rng.Rng) *nn.Sequential { return nn.MLP(fr, 64, 256, 4) }
+	env.EvalBatch = 64
+	env.Workers = 1
+	before := sched.Default().Stats().Regions
+	methods.FedAvg{}.Run(env)
+	if got := sched.Default().Stats().Regions - before; got != 0 {
+		t.Fatalf("a Workers = 1 run started %d executor regions, want 0", got)
 	}
 }
 

@@ -13,6 +13,7 @@ package engine_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -278,6 +279,47 @@ func TestCheckpointTrigger(t *testing.T) {
 		t.Fatalf("trigger emitted snapshots after rounds %v, want [1]", rounds)
 	}
 }
+
+// TestCheckpointTriggerOnScheduledRound: a trigger armed during a round
+// that Every already snapshots is consumed by that snapshot, not carried
+// into a second one a round later.
+func TestCheckpointTriggerOnScheduledRound(t *testing.T) {
+	env := goldenEnv(77, 6)
+	var rounds []int
+	arm := &armOnRoundStart{round: 1}
+	env.Observer = arm
+	env.Ckpt = &fl.CheckpointPlan{
+		Every: 2,
+		Trigger: func() bool {
+			was := arm.armed
+			arm.armed = false
+			return was
+		},
+		Sink: func(c *fl.Checkpoint) { rounds = append(rounds, c.Round) },
+	}
+	methods.FedAvg{}.Run(env)
+	if fmt.Sprint(rounds) != "[2 4 6]" {
+		t.Fatalf("snapshots after rounds %v, want [2 4 6]", rounds)
+	}
+}
+
+// armOnRoundStart arms a checkpoint trigger when round index round
+// starts, as a POST /checkpoint arriving during that round does.
+type armOnRoundStart struct {
+	round int
+	armed bool
+}
+
+func (a *armOnRoundStart) ObserveRunStart(string, int, int, int) {}
+func (a *armOnRoundStart) ObserveRoundStart(round, _ int) {
+	if round == a.round {
+		a.armed = true
+	}
+}
+func (a *armOnRoundStart) ObserveOutcome(int, int, int, bool)      {}
+func (a *armOnRoundStart) ObserveRoundEnd(int, int, *fl.CommStats) {}
+func (a *armOnRoundStart) ObserveEval(int, float64, float64)       {}
+func (a *armOnRoundStart) ObserveCheckpoint(int)                   {}
 
 // TestResumeJournalsEachRoundsOwnTraffic: the round events a journal
 // writes after a resume carry that round's own up/down delta, not the

@@ -17,10 +17,7 @@ import (
 	"fedclust/internal/wire"
 )
 
-// allocModel is small enough that every matmul stays under the tensor
-// package's parallel threshold — the parallel path spawns goroutines,
-// which allocate, and is exercised only for products where that overhead
-// is noise.
+// allocModel is the small MLP the allocation pins train and evaluate.
 func allocModel() *nn.Sequential {
 	return nn.MLP(rng.New(3), 64, 20, 4)
 }

@@ -3,6 +3,7 @@ package fl
 import (
 	"fmt"
 	"hash/crc32"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
@@ -85,12 +86,9 @@ const secRobustAgg = "robust/agg"
 
 // aggIdentity hashes an aggregation strategy's name for secRobustAgg.
 func aggIdentity(a Aggregator) int64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, b := range []byte(AggregatorName(a)) {
-		h ^= uint64(b)
-		h *= 0x100000001b3
-	}
-	return int64(h)
+	h := fnv.New64a()
+	h.Write([]byte(AggregatorName(a))) // a hash.Hash Write never fails
+	return int64(h.Sum64())
 }
 
 // NewCheckpoint captures a run's identity after `round` completed rounds,

@@ -487,3 +487,22 @@ var (
 	sinkBytes []byte
 	sinkCkpt  *Checkpoint
 )
+
+// TestAggIdentityPinned: the aggregation identity a checkpoint records
+// is FNV-1a 64 of the strategy's name. The values are fixed: a checkpoint
+// written before any change to the hash must still resume.
+func TestAggIdentityPinned(t *testing.T) {
+	for _, c := range []struct {
+		agg  Aggregator
+		want uint64
+	}{
+		{nil, 0x42f406a2e307ef94},
+		{&Median{}, 0xc792e85e201cefb7},
+		{&TrimmedMean{Frac: 0.2}, 0x9758a9e96ca8c5c8},
+		{&Krum{Frac: 0.25}, 0x113d72c620edb51f},
+	} {
+		if got := uint64(aggIdentity(c.agg)); got != c.want {
+			t.Errorf("aggIdentity(%s) = %#x, want %#x", AggregatorName(c.agg), got, c.want)
+		}
+	}
+}

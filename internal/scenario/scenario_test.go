@@ -246,3 +246,25 @@ func TestDropoutRateDoesNotShiftJitterStream(t *testing.T) {
 		}
 	}
 }
+
+// TestFingerprintPinned: a model's fingerprint is FNV-1a 64 over its
+// identity words, each fed little-endian, from the truncated offset
+// basis Fingerprint documents. The values are fixed: a
+// checkpoint's recorded fingerprint must match the same scenario's after
+// any change to the hash.
+func TestFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		cfg  scenario.Config
+		seed uint64
+		n    int
+		want uint64
+	}{
+		{scenario.Config{StragglerFrac: 0.3, SlowdownMax: 4, DropoutRate: 0.2, Deadline: 0.75, Jitter: 0.2}, 34, 6, 0xa73d6de4e2eaf85a},
+		{scenario.Config{DropoutRate: 0.5}, 1, 100, 0xccf2a9242bfc4606},
+		{scenario.Config{ByzantineFrac: 0.3, Attack: scenario.AttackMixed, ChurnFrac: 0.2, ChurnHorizon: 4, DriftFrac: 0.5, DriftRound: 3}, 7, 20, 0x820dbe9f06ef4f0a},
+	} {
+		if got := scenario.New(c.cfg, c.seed, c.n).Fingerprint(); got != c.want {
+			t.Errorf("%+v seed %d n %d: fingerprint %#x, want %#x", c.cfg, c.seed, c.n, got, c.want)
+		}
+	}
+}

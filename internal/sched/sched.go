@@ -1,8 +1,10 @@
 // Package sched is the persistent work-sharing executor every parallel
 // phase of the simulator runs on: the round engine's client phase, the
-// evaluation protocol, and the tensor package's large-matmul row blocks
-// all submit to one shared pool of long-lived worker goroutines instead
-// of spawning fresh goroutines per call.
+// evaluation protocol, and linalg's proximity matrices all submit to one
+// shared pool of long-lived worker goroutines instead of spawning fresh
+// goroutines per call. Run is the only way to submit work; the compute
+// packages below (tensor, nn, opt, wire, data) never do, so a kernel
+// runs on whichever goroutine called it.
 //
 // Design (see DESIGN.md §6):
 //
@@ -23,9 +25,9 @@
 //     its item loop, so no straggler can touch the next region's state.
 //   - Single region at a time. A region claims the pool with a try-lock.
 //     A claim failure means the caller is either nested inside a running
-//     region (a tensor kernel called from a client task) or racing
-//     another top-level region; both fall back to running inline and
-//     serially, which eliminates nested oversubscription by construction.
+//     region or racing another top-level region; both fall back to
+//     running inline and serially, which eliminates nested
+//     oversubscription by construction.
 //     Serial fallback never changes results: callers are required to be
 //     partitioning-insensitive (every item produces its outputs
 //     independently, with a fixed per-item operation order).
@@ -64,7 +66,7 @@ type Pool struct {
 	// Lifetime counters (Stats). Updated once per region — never per
 	// item — so the telemetry cost is two atomic adds per parallel phase.
 	// nworkers mirrors len(workers) atomically so Stats never contends
-	// with the region claim (Size does, and blocks for a whole region).
+	// with the region claim, which is held for a whole region.
 	regions  atomic.Uint64
 	serial   atomic.Uint64
 	items    atomic.Uint64
@@ -108,8 +110,8 @@ var (
 )
 
 // Default returns the process-wide executor shared by the round engine,
-// the evaluation protocol, and the tensor kernels. It is never shut
-// down; its workers park between regions.
+// the evaluation protocol, and linalg's proximity matrices. It is never
+// shut down; its workers park between regions.
 func Default() *Pool {
 	defaultOnce.Do(func() { defaultPool = New() })
 	return defaultPool
@@ -128,10 +130,8 @@ func (p *Pool) Run(n, width int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
-	if width > n {
-		width = n
-	}
-	if width <= 1 || !p.TryAcquire() {
+	width = min(width, n)
+	if width <= 1 || !p.claim() {
 		p.serial.Add(1)
 		p.items.Add(uint64(n))
 		for i := 0; i < n; i++ {
@@ -141,53 +141,7 @@ func (p *Pool) Run(n, width int, fn func(worker, i int)) {
 	}
 	// Deferred so a panicking fn (recovered upstream) cannot leak the
 	// claim and poison every future region in the process.
-	defer p.Release()
-	p.RunAcquired(n, width, fn)
-}
-
-// TryAcquire claims the pool for one region. It fails — returning false
-// — when the pool is already claimed (a nested or concurrent region) or
-// shut down; the caller must then run its work serially inline. On
-// success the caller must call RunAcquired zero or more times and then
-// Release, all on the same goroutine.
-//
-// The split exists so callers with closure-free task state (the tensor
-// dispatch) can write their operand slots after the claim and clear
-// them before the release, keeping the whole submission allocation-free.
-func (p *Pool) TryAcquire() bool {
-	if !p.mu.TryLock() {
-		return false
-	}
-	if p.dead {
-		p.mu.Unlock()
-		return false
-	}
-	return true
-}
-
-// Release ends a successfully TryAcquire'd claim.
-func (p *Pool) Release() {
-	p.mu.Unlock()
-}
-
-// RunAcquired is Run on a pool the caller has already claimed with
-// TryAcquire. It never falls back to another claim and must only be
-// called between TryAcquire and Release.
-func (p *Pool) RunAcquired(n, width int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	if width > n {
-		width = n
-	}
-	if width <= 1 {
-		p.serial.Add(1)
-		p.items.Add(uint64(n))
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
+	defer p.mu.Unlock()
 	p.regions.Add(1)
 	p.items.Add(uint64(n))
 
@@ -224,6 +178,20 @@ func (p *Pool) RunAcquired(n, width int, fn func(worker, i int)) {
 		}
 		fn(0, i)
 	}
+}
+
+// claim takes the pool for one region. It fails when the pool is
+// already claimed (a nested or concurrent region) or shut down; Run then
+// runs its items inline.
+func (p *Pool) claim() bool {
+	if !p.mu.TryLock() {
+		return false
+	}
+	if p.dead {
+		p.mu.Unlock()
+		return false
+	}
+	return true
 }
 
 // work is one persistent worker goroutine: park on the wake channel,

@@ -105,29 +105,6 @@ func TestConcurrentSubmit(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTryAcquireNestedAndRelease: the claim is exclusive and re-entrant
-// acquisition fails (the tensor dispatch contract).
-func TestTryAcquireNestedAndRelease(t *testing.T) {
-	p := New()
-	defer p.Shutdown()
-	if !p.TryAcquire() {
-		t.Fatal("fresh pool not claimable")
-	}
-	if p.TryAcquire() {
-		t.Fatal("claimed pool claimed twice")
-	}
-	var ran atomic.Int32
-	p.RunAcquired(10, 4, func(_, _ int) { ran.Add(1) })
-	if got := ran.Load(); got != 10 {
-		t.Fatalf("RunAcquired ran %d of 10 items", got)
-	}
-	p.Release()
-	if !p.TryAcquire() {
-		t.Fatal("released pool not claimable")
-	}
-	p.Release()
-}
-
 // TestShutdownIdle: shutting down an idle pool joins its workers and
 // leaves it in working serial-fallback mode.
 func TestShutdownIdle(t *testing.T) {
@@ -199,10 +176,10 @@ func TestPanicInClaimantTaskReleasesPool(t *testing.T) {
 			}
 		})
 	}()
-	if !p.TryAcquire() {
+	if !p.claim() {
 		t.Fatal("claim still held after recovered panic")
 	}
-	p.Release()
+	p.mu.Unlock()
 	counts := make([]int32, 100)
 	p.Run(len(counts), 4, func(_, i int) { atomic.AddInt32(&counts[i], 1) })
 	for i, c := range counts {

@@ -16,7 +16,6 @@ import (
 
 	"fedclust/internal/nn"
 	"fedclust/internal/rng"
-	"fedclust/internal/sched"
 	"fedclust/internal/tensor"
 )
 
@@ -153,10 +152,7 @@ func sameBitsAll[T tensor.Float](t *testing.T, what string, got, want []T) {
 // the first-layer case without an input gradient included — equal the
 // whole-matrix oracle's bit for bit, in both dtypes on both kernel paths,
 // over every geometry at batch 1, 3 and 33, with ±0, ±Inf and NaN in x and
-// W. The oracle runs as a client visit does, inside an executor task, so
-// its products stay on one goroutine like the strips': a parallel row cut
-// would move rows between the tile and its Go body, which agree on every
-// bit but a NaN's payload.
+// W.
 func TestConv2DStripsMatchWholeMatrixOracle(t *testing.T) {
 	onBothPaths(t, func(t *testing.T) {
 		t.Run("float64", testConv2DStripsMatchWholeMatrixOracle[float64])
@@ -183,12 +179,8 @@ func testConv2DStripsMatchWholeMatrixOracle[T tensor.Float](t *testing.T) {
 					stripValues(r, gradOut.Data, false)
 					wantGw, wantGb := gw.Clone(), gb.Clone()
 
-					var wantOut, wantGx *tensor.Of[T]
-					sched.Default().Run(1, 1, func(_, _ int) {
-						var cols *tensor.Of[T]
-						wantOut, cols = convForwardOracle(c, x)
-						wantGx = convBackwardOracle(c, cols, gradOut, wantGw, wantGb, noGx)
-					})
+					wantOut, cols := convForwardOracle(c, x)
+					wantGx := convBackwardOracle(c, cols, gradOut, wantGw, wantGb, noGx)
 
 					sameBitsAll(t, name+": y", c.Forward(x, true).Data, wantOut.Data)
 					gx := c.Backward(gradOut)

@@ -1,36 +1,19 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync/atomic"
+import "fmt"
 
-	"fedclust/internal/sched"
-)
-
-// parallelThreshold is the minimum number of multiply-adds in a matmul
-// before the work is split across the shared executor. Small products
-// stay on the calling goroutine to avoid scheduling overhead.
-const parallelThreshold = 64 * 1024
-
-// parallelThreshold32 is the float32 analogue of parallelThreshold. The
-// float32 kernels move twice the elements per cache line and (on AVX2
-// hosts) eight per instruction, so a product must be several times
-// larger before the executor handoff pays for itself.
-const parallelThreshold32 = 4 * parallelThreshold
-
-// MatMulInto computes dst = a(m×k) · b(k×n) for rank-2 tensors,
-// parallelizing over row blocks when the product is large enough. dst
-// must not alias a or b and must have shape (a.rows, b.cols).
+// MatMulInto computes dst = a(m×k) · b(k×n) for rank-2 tensors on the
+// calling goroutine. dst must not alias a or b and must have shape
+// (a.rows, b.cols).
 //
 // All three products (this one, MatMulTransBInto, MatMulTransAAddInto)
 // run one generic body per row kernel in both element types: each output
 // element is one chain over p in increasing order, the product rounded
 // before the sum, zero multiplicands skipped. That order is fixed by the
-// operand shapes alone, so parallel and serial runs are bit-identical.
-// The assembly under the kernels (the a·bᵀ tile and the axpy, one body
-// per element type) keeps the order, both roundings and the skip, so the
-// gate changes no bit either.
+// operand shapes alone. The assembly under the kernels (the a·bᵀ tile
+// and the axpy, one body per element type) keeps the order, both
+// roundings and the skip, so the gate changes no bit. Parallelism lives
+// one level up, across clients (DESIGN.md §6).
 func MatMulInto[T Float](dst, a, b *Of[T]) {
 	if len(a.Shape) != 2 || len(b.Shape) != 2 || len(dst.Shape) != 2 {
 		panic("tensor: MatMul requires rank-2 tensors")
@@ -43,145 +26,7 @@ func MatMulInto[T Float](dst, a, b *Of[T]) {
 	if dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: MatMul dst shape %v, want [%d %d]", dst.Shape, m, n))
 	}
-	runRows(plain, dst, a, b, m, m*n*k)
-}
-
-// variant names a matmul form.
-type variant int
-
-const (
-	plain variant = iota
-	transB
-	transAAdd
-)
-
-// variantRows computes rows [lo, hi) of variant v: the one kernel call of
-// the serial and the parallel path alike, so the dispatch needs no closure.
-func variantRows[T Float](v variant, dst, a, b *Of[T], lo, hi int) {
-	switch v {
-	case plain:
-		matmulRows(dst, a, b, lo, hi)
-	case transB:
-		matmulTransBRows(dst, a, b, lo, hi)
-	case transAAdd:
-		matmulTransAAddRows(dst, a, b, lo, hi)
-	}
-}
-
-// runRows picks the element type's parallel slot: a pointer type switch
-// per matmul call, never per element.
-func runRows[T Float](v variant, dst, a, b *Of[T], m, work int) {
-	switch d := any(dst).(type) {
-	case *Tensor:
-		par64.rows(v, d, any(a).(*Tensor), any(b).(*Tensor), m, work)
-	case *Tensor32:
-		par32.rows(v, d, any(a).(*Tensor32), any(b).(*Tensor32), m, work)
-	}
-}
-
-// cachedProcs caches runtime.GOMAXPROCS(0) so the parSlot.rows gate — on
-// the hot path of every matmul, parallel or not — costs one atomic load
-// instead of a runtime call. refreshProcs re-reads the live value inside
-// parSlot.parallel after a successful executor acquire (off the per-call hot
-// path), so a mid-process GOMAXPROCS change is picked up at the next
-// parallel region; the lag is harmless because the partitioning never
-// affects results, only which path computes them.
-var cachedProcs atomic.Int32
-
-// procsHint returns the cached GOMAXPROCS value, reading the runtime
-// only on first use.
-func procsHint() int {
-	if p := cachedProcs.Load(); p > 0 {
-		return int(p)
-	}
-	return refreshProcs()
-}
-
-// refreshProcs re-reads GOMAXPROCS from the runtime and updates the cache.
-func refreshProcs() int {
-	p := runtime.GOMAXPROCS(0)
-	cachedProcs.Store(int32(p))
-	return p
-}
-
-// parSlot is the operand slot of one element type's in-flight parallel
-// region. It is guarded by the executor claim: only the goroutine that
-// holds sched.Default()'s claim writes it, and it is cleared before the
-// claim is released, so the executor's single-region discipline makes
-// the whole dispatch closure-free and allocation-free.
-type parSlot[T Float] struct {
-	// threshold is the minimum number of multiply-adds before a product
-	// is worth spreading across the executor.
-	threshold int
-	// runBlock is the slot's own block method, bound once at init — the
-	// persistent task executor workers run.
-	runBlock func(_, blk int)
-
-	v         variant
-	dst, a, b *Of[T]
-	chunk, m  int
-}
-
-var (
-	par64 = newParSlot[float64](parallelThreshold)
-	par32 = newParSlot[float32](parallelThreshold32)
-)
-
-func newParSlot[T Float](threshold int) *parSlot[T] {
-	d := &parSlot[T]{threshold: threshold}
-	d.runBlock = d.block
-	return d
-}
-
-// block runs block blk of the in-flight region: rows
-// [blk*chunk, min((blk+1)*chunk, m)).
-func (d *parSlot[T]) block(_, blk int) {
-	lo := blk * d.chunk
-	hi := lo + d.chunk
-	if hi > d.m {
-		hi = d.m
-	}
-	variantRows(d.v, d.dst, d.a, d.b, lo, hi)
-}
-
-// rows computes all m rows of dst for variant v: across the executor when
-// the product (work multiply-adds) is large enough and the executor is
-// free, on the calling goroutine otherwise. Small products — the
-// per-batch products inside a training step — stay serial, which
-// performs no scheduling work and no allocations.
-func (d *parSlot[T]) rows(v variant, dst, a, b *Of[T], m, work int) {
-	if work < d.threshold || procsHint() < 2 || m < 2 || !d.parallel(v, dst, a, b, m) {
-		variantRows(v, dst, a, b, 0, m)
-	}
-}
-
-// parallel runs variant v over contiguous row blocks of [0, m) on the
-// shared executor and reports whether it ran. It refuses — returning
-// false, caller must run the serial kernel — when the executor is
-// unavailable: the call is nested inside a running region (a kernel
-// invoked from a client task of the round engine) or racing a concurrent
-// region. That refusal is what
-// eliminates nested oversubscription. The partitioning never affects
-// results: every output element is produced by exactly one block with a
-// fixed per-element summation order, so parallel and serial runs are
-// bit-identical.
-func (d *parSlot[T]) parallel(v variant, dst, a, b *Of[T], m int) bool {
-	p := sched.Default()
-	if !p.TryAcquire() {
-		return false
-	}
-	defer p.Release()
-	width := refreshProcs()
-	if width > m {
-		width = m
-	}
-	chunk := (m + width - 1) / width
-	blocks := (m + chunk - 1) / chunk
-	d.v, d.dst, d.a, d.b = v, dst, a, b
-	d.chunk, d.m = chunk, m
-	p.RunAcquired(blocks, width, d.runBlock)
-	d.dst, d.a, d.b = nil, nil, nil
-	return true
+	matmulRows(dst, a, b, 0, m)
 }
 
 // MatMulTransBInto computes dst = a · bᵀ for rank-2 tensors without
@@ -191,8 +36,8 @@ func (d *parSlot[T]) parallel(v variant, dst, a, b *Of[T], m int) bool {
 // skip-zero rule as matmulRows, so the result is bit-identical to
 // MatMulInto(dst, a, Transpose(b)).
 func MatMulTransBInto[T Float](dst, a, b *Of[T]) {
-	m, k, n := transBDims(dst, a, b)
-	runRows(transB, dst, a, b, m, m*n*k)
+	m, _, _ := transBDims(dst, a, b)
+	matmulTransBRows(dst, a, b, 0, m)
 }
 
 // MatMulTransB32Into is MatMulTransBInto on float32 operands.
@@ -217,11 +62,10 @@ func transBDims[T Float](dst, a, b *Of[T]) (m, k, n int) {
 // TransBPanel is the b operand of a product a · bᵀ taken against many a
 // in turn — a convolution's weights against each strip of its unrolled
 // input. Pack lays b out for the kernel once; MulInto then runs one
-// product per a on the calling goroutine, since a strip is L1-sized and
-// too small to split across workers. On the tile path the layout is the
-// lanes-wide panel of every column block, the one MatMulTransBInto packs
-// on its stack per call; the Go body reads b's rows as they are. Either
-// way MulInto's bits are MatMulTransBInto's.
+// product per a without packing b again. On the tile path the layout is
+// the lanes-wide panel of every column block, the one MatMulTransBInto
+// packs on its stack per call; the Go body reads b's rows as they are.
+// Either way MulInto's bits are MatMulTransBInto's.
 type TransBPanel[T Float] struct {
 	b     *Of[T]
 	panel []T // tile path: column block j/lanes at j·k
@@ -249,9 +93,9 @@ func (p *TransBPanel[T]) Pack(b *Of[T]) {
 	}
 }
 
-// MulInto computes dst = a · bᵀ for the packed b, on the calling
-// goroutine: whole groups of four rows through the tile against the
-// packed panels, the rest through the Go body, as matmulTransBRows splits.
+// MulInto computes dst = a · bᵀ for the packed b: whole groups of four
+// rows through the tile against the packed panels, the rest through the
+// Go body, as matmulTransBRows splits.
 func (p *TransBPanel[T]) MulInto(dst, a *Of[T]) {
 	m, k, n := transBDims(dst, a, p.b)
 	lo := 0
@@ -379,8 +223,8 @@ func matmulTransBRowsGo[T Float](dst, a, b *Of[T], lo, hi int) {
 // consecutive blocks and added block by block, in order, is
 // bit-identical to the whole, wherever the blocks are cut.
 func MatMulTransAAddInto[T Float](dst, a, b *Of[T]) {
-	m, k, n := transADims(dst, a, b)
-	runRows(transAAdd, dst, a, b, m, m*n*k)
+	m, _, _ := transADims(dst, a, b)
+	matmulTransAAddRows(dst, a, b, 0, m)
 }
 
 // transADims checks the shapes of dst = aᵀ · b and returns m, k, n.

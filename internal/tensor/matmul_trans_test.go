@@ -56,7 +56,7 @@ func TestMatMulTransABitExact(t *testing.T) {
 }
 
 func TestMatMulTransParallelPathBitExact(t *testing.T) {
-	// Big enough that m*n*k crosses parallelThreshold in both kernels.
+	// Larger than the shape table above: 336K multiply-adds per product.
 	r := rng.New(5)
 	a := randTensor(r, 80, 70)
 	b := randTensor(r, 60, 70)
@@ -65,7 +65,7 @@ func TestMatMulTransParallelPathBitExact(t *testing.T) {
 	want := MatMul(a, Transpose(b))
 	for i := range got.Data {
 		if got.Data[i] != want.Data[i] {
-			t.Fatal("parallel MatMulTransB not bit-exact")
+			t.Fatal("large MatMulTransB not bit-exact")
 		}
 	}
 	at := randTensor(r, 70, 80)
@@ -75,7 +75,7 @@ func TestMatMulTransParallelPathBitExact(t *testing.T) {
 	want2 := MatMul(Transpose(at), bt)
 	for i := range got2.Data {
 		if got2.Data[i] != want2.Data[i] {
-			t.Fatal("parallel MatMulTransA not bit-exact")
+			t.Fatal("large MatMulTransA not bit-exact")
 		}
 	}
 }

@@ -52,6 +52,27 @@ func edgeValues[T Float](r *rng.Rng, n int, nonFinite bool) []T {
 	return v
 }
 
+// variant names a matmul form.
+type variant int
+
+const (
+	plain variant = iota
+	transB
+	transAAdd
+)
+
+// variantRows runs rows [lo, hi) of variant v through its row kernel.
+func variantRows[T Float](v variant, dst, a, b *Of[T], lo, hi int) {
+	switch v {
+	case plain:
+		matmulRows(dst, a, b, lo, hi)
+	case transB:
+		matmulTransBRows(dst, a, b, lo, hi)
+	case transAAdd:
+		matmulTransAAddRows(dst, a, b, lo, hi)
+	}
+}
+
 // into runs variant v through its public entry point.
 func into[T Float](v variant, dst, a, b *Of[T]) {
 	switch v {
@@ -224,42 +245,6 @@ func TestMatMulTransAAsmMatchesGoBody(t *testing.T) {
 func TestMatMulAsmMatchesGoBody(t *testing.T) {
 	inBothDTypes(t, func(t *testing.T) { testAsmMatchesGo[float64](t, plain) },
 		func(t *testing.T) { testAsmMatchesGo[float32](t, plain) })
-}
-
-// TestAsmParallelMatchesSerial: above both parallel thresholds with two
-// workers the executor cuts m = 101 rows into blocks of 51 and 50 —
-// neither a multiple of four — and every variant must still equal the
-// serial Go body (k below the panel bound, so the tile path is the one
-// split).
-func TestAsmParallelMatchesSerial(t *testing.T) {
-	inBothDTypes(t, testAsmParallelMatchesSerial[float64], testAsmParallelMatchesSerial[float32])
-}
-
-func testAsmParallelMatchesSerial[T Float](t *testing.T) {
-	if !UseASM() {
-		t.Skip("no AVX2 kernel path on this host")
-	}
-	r := rng.New(29)
-	const m, k, n = 101, 200, 19
-	if m*k*n < max(parallelThreshold, parallelThreshold32) {
-		t.Fatal("shape below a parallel threshold")
-	}
-	for _, v := range []variant{plain, transB, transAAdd} {
-		as, bs := operandShapes(v, m, k, n)
-		a := FromSlice(edgeValues[T](r, as[0]*as[1], false), as[0], as[1])
-		b := FromSlice(edgeValues[T](r, bs[0]*bs[1], false), bs[0], bs[1])
-		want, got := NewOf[T](m, n), NewOf[T](m, n)
-		old := SetUseASM(false)
-		variantRows(v, want, a, b, 0, m)
-		SetUseASM(true)
-		withProcs(2, func() { into(v, got, a, b) })
-		SetUseASM(old)
-		for i := range want.Data {
-			if !sameBits(got.Data[i], want.Data[i]) {
-				t.Fatalf("variant %d: dst[%d] = %x, serial Go body %x", v, i, bitsOf(got.Data[i]), bitsOf(want.Data[i]))
-			}
-		}
-	}
 }
 
 // TestAxpyAsmMatchesGoBody: the assembly axpy over 1–4 terms equals that

@@ -1,5 +1,5 @@
 // Package tensor implements dense row-major tensors and the numerical
-// kernels (parallel matrix multiply, im2col by strips) that the neural
+// kernels (matrix multiply, im2col by strips) that the neural
 // network stack is built on.
 //
 // The package is deliberately small: shapes are explicit, storage is a

@@ -171,12 +171,12 @@ func TestMatMulMatchesNaive(t *testing.T) {
 }
 
 func TestMatMulParallelPathMatchesNaive(t *testing.T) {
-	// Big enough to cross parallelThreshold.
+	// Larger than the shape table above: 336K multiply-adds.
 	r := rng.New(2)
 	a := randTensor(r, 80, 70)
 	b := randTensor(r, 70, 60)
 	if !Equal(MatMul(a, b), naiveMatMul(a, b), 1e-8) {
-		t.Fatal("parallel MatMul mismatch")
+		t.Fatal("large MatMul mismatch")
 	}
 }
 

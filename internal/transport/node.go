@@ -149,9 +149,9 @@ func (s *Service) ServeConn(conn net.Conn) error {
 // is nothing to rejoin. A clean disconnect without a Bye (bye false, err
 // nil) is what a crashed or restarting coordinator looks like from here;
 // ServeLoop re-dials on it. Requests are dispatched concurrently (slot
-// checkout bounds the parallelism; heavy tensor kernels inside training
-// still share the process-wide internal/sched executor); responses are
-// written as each finishes. In-flight work drains before return.
+// checkout bounds the parallelism; each request's training runs its
+// tensor kernels on its own handler goroutine); responses are written as
+// each finishes. In-flight work drains before return.
 func (s *Service) Serve(conn net.Conn) (bye bool, err error) {
 	defer conn.Close()
 	var wmu sync.Mutex

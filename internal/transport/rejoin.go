@@ -5,10 +5,13 @@ import (
 	"time"
 )
 
-// SpecHash fingerprints a run's spec payload (FNV-1a over the welcome's
-// spec bytes). It is the run's identity across coordinator restarts: a
-// rejoining node and a resuming coordinator both compare it, so state
-// from one run can never continue under another's configuration.
+// SpecHash fingerprints a run's spec payload (FNV-1a 64 over the
+// welcome's spec bytes). It is the run's identity across coordinator
+// restarts: a rejoining node and a resuming coordinator both compare it,
+// so state from one run can never continue under another's
+// configuration. The hash starts from 1469598103934665603, FNV's offset
+// basis with its last digit dropped, so hash/fnv cannot stand in;
+// checkpoints stamp the result, so the basis stays (TestSpecHashPinned).
 func SpecHash(spec []byte) uint64 {
 	h := uint64(1469598103934665603)
 	for _, b := range spec {

@@ -173,3 +173,21 @@ func TestServeLoopFirstJoinFailureIsFatal(t *testing.T) {
 		t.Fatal("ServeLoop retried a first join that should be fatal")
 	}
 }
+
+// TestSpecHashPinned: a spec's hash is FNV-1a 64 of its bytes from the
+// truncated offset basis SpecHash documents. The values are fixed: a
+// checkpoint stamps its spec hash, and a resume compares it.
+func TestSpecHashPinned(t *testing.T) {
+	for _, c := range []struct {
+		spec string
+		want uint64
+	}{
+		{"", 0x14650fb0739d0383},
+		{"a", 0x44bd8ad473cd9906},
+		{"fedsim spec v1\x00\xff", 0xf690b5e7e319de74},
+	} {
+		if got := transport.SpecHash([]byte(c.spec)); got != c.want {
+			t.Errorf("SpecHash(%q) = %#x, want %#x", c.spec, got, c.want)
+		}
+	}
+}

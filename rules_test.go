@@ -333,6 +333,25 @@ func TestOneExecutor(t *testing.T) {
 	}
 }
 
+// TestComputeLeavesDoNotSchedule: the compute packages — tensor, nn,
+// opt, wire, data — do not import sched, so a kernel runs on the
+// goroutine that calls it and parallelism lives one level up, across
+// clients.
+func TestComputeLeavesDoNotSchedule(t *testing.T) {
+	m := load(t)
+	sched := strconv.Quote(modulePath + "/internal/sched")
+	for path, f := range m.files {
+		switch filepath.ToSlash(filepath.Dir(path)) {
+		case "internal/tensor", "internal/nn", "internal/opt", "internal/wire", "internal/data":
+			for _, imp := range f.Imports {
+				if imp.Path.Value == sched {
+					t.Errorf("%s: a compute package imports internal/sched", m.fset.Position(imp.Pos()))
+				}
+			}
+		}
+	}
+}
+
 // TestOneCSVWriter: cmd/fedsim's one os.Create is the experiment
 // driver's -csv.
 func TestOneCSVWriter(t *testing.T) {
