@@ -73,8 +73,14 @@ func VecDistance(m Metric, a, b []float64) float64 {
 }
 
 // PairwiseDistances builds the symmetric n×n proximity matrix over the
-// given n vectors under metric m. Rows of the result are computed on the
-// shared executor once the matrix is large enough; the diagonal is zero.
+// given n vectors under metric m; the diagonal is zero. Under Euclidean
+// the vectors are packed four at a time into one n·dim panel
+// (tensor.EuclideanPanel) and blocks of four rows run as 4×4 distance
+// tiles, each cell VecDistance's bits; Cosine and Manhattan call
+// VecDistance per pair. Either way the rows (blocks) are shared out on
+// the executor once the matrix is large enough, each cell off the
+// diagonal has one writer, and the result does not depend on the
+// partitioning.
 func PairwiseDistances(m Metric, vecs [][]float64) *tensor.Tensor {
 	n := len(vecs)
 	if n == 0 {
@@ -90,7 +96,14 @@ func PairwiseDistances(m Metric, vecs [][]float64) *tensor.Tensor {
 	if n*n*dim < 32*1024 {
 		width = 1 // below this a region costs more than it saves
 	}
-	return pairwise(n, width, func(i, j int) float64 { return VecDistance(m, vecs[i], vecs[j]) })
+	if m != Euclidean {
+		return pairwise(n, width, func(i, j int) float64 { return VecDistance(m, vecs[i], vecs[j]) })
+	}
+	var panel tensor.EuclideanPanel
+	panel.Pack(vecs)
+	out := tensor.New(n, n)
+	sched.Default().Run((n+3)/4, width, func(_, b int) { panel.RowBlockInto(out, 4*b) })
+	return out
 }
 
 // PairwiseFromFunc builds a symmetric n×n proximity matrix from an

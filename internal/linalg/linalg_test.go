@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -476,17 +477,26 @@ func BenchmarkSymEig24(b *testing.B) {
 	}
 }
 
+// BenchmarkPairwiseDistances: the Euclidean proximity matrix at 50
+// vectors of 850 and at many-clients-cluster's formation shape, 512
+// features of 200.
 func BenchmarkPairwiseDistances(b *testing.B) {
-	r := rng.New(1)
-	vecs := make([][]float64, 50)
-	for i := range vecs {
-		vecs[i] = make([]float64, 850)
-		for j := range vecs[i] {
-			vecs[i][j] = r.NormFloat64()
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = PairwiseDistances(Euclidean, vecs)
+	for _, shape := range [][2]int{{50, 850}, {512, 200}} {
+		n, dim := shape[0], shape[1]
+		b.Run(fmt.Sprintf("%dx%d", n, dim), func(b *testing.B) {
+			r := rng.New(1)
+			vecs := make([][]float64, n)
+			for i := range vecs {
+				vecs[i] = make([]float64, dim)
+				for j := range vecs[i] {
+					vecs[i][j] = r.NormFloat64()
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_ = PairwiseDistances(Euclidean, vecs)
+			}
+		})
 	}
 }

@@ -4,11 +4,12 @@ package tensor
 
 import "unsafe"
 
-// The float64 kernel primitives and the run copy, AVX2 implementations
-// (simd64_amd64.s), dispatched behind the same useASM gate as the float32
-// pair. Both pairs multiply and add as two instructions, never FMA, and a
-// vector lane is always one output element: every sum keeps the order
-// and the roundings of the Go body it stands in for.
+// The float64 kernel primitives, the Euclidean distance tile and the run
+// copy, AVX2 implementations (simd64_amd64.s), dispatched behind the same
+// useASM gate as the float32 pair. Every routine multiplies and adds as
+// two instructions, never FMA, and a vector lane is always one output
+// element: every sum keeps the order and the roundings of the Go body it
+// stands in for.
 
 // f64TransBTileAVX2 computes the 4×4 tile out[r*4+c] = Σ_p a[r*k+p] ·
 // panel[p*4+c] over p ascending, skipping (as an exact masked add of +0)
@@ -18,6 +19,14 @@ import "unsafe"
 //
 //go:noescape
 func f64TransBTileAVX2(a, panel *float64, k int, out *float64, maskPanel bool)
+
+// f64EuclideanTileAVX2 computes the 4×4 tile out[r*4+c] = Σ_p
+// (a[r][p] − panel[p*4+c])² over p ascending from +0, the difference, the
+// square and the sum each rounded. a holds four row pointers of k floats
+// each, panel k rows of 4; k must be > 0.
+//
+//go:noescape
+func f64EuclideanTileAVX2(a *[4]*float64, panel *float64, k int, out *[16]float64)
 
 // f64AxpyAVX2 accumulates dst[i] += alpha[t]*x[t][i] for t = 0 … terms−1
 // (1–4) in turn over n > 0 elements, each product rounded before its sum.

@@ -2,7 +2,8 @@
 
 #include "textflag.h"
 
-// Float64 kernel primitives and the strided run copy, AVX2. Dispatched
+// Float64 kernel primitives, the Euclidean distance tile and the strided
+// run copy, AVX2. Dispatched
 // only after the init in simd_amd64.go has verified CPU and OS support
 // (useASM). The arithmetic routines vectorise across output elements and
 // never along a sum: one lane is one output, VMULPD rounds the product,
@@ -134,6 +135,59 @@ tile64_masked:
 	CMPQ AX, CX
 	JLT  tile64_masked
 tile64_store:
+	VMOVUPD Y0, (DX)
+	VMOVUPD Y1, 32(DX)
+	VMOVUPD Y2, 64(DX)
+	VMOVUPD Y3, 96(DX)
+	VZEROUPPER
+	RET
+
+// func f64EuclideanTileAVX2(a *[4]*float64, panel *float64, k int, out *[16]float64)
+//
+// Four rows, each broadcast from its own pointer, against one packed
+// panel of four rows: lane c of accumulator r is pair (r, c), summing
+// (a[r][p] − panel[4p+c])² from +0 over p ascending. VSUBPD rounds the
+// difference, VMULPD the square and VADDPD the sum — the three roundings
+// of linalg.VecDistance's Euclidean loop, in its order — so every lane
+// is that pair's sum of squares to the bit; the caller takes the square
+// root. No operand is skipped and nothing is masked: the loop has no
+// zero rule to keep.
+TEXT ·f64EuclideanTileAVX2(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), AX
+	MOVQ 0(AX), SI
+	MOVQ 8(AX), R8
+	MOVQ 16(AX), R9
+	MOVQ 24(AX), R10
+	MOVQ panel+8(FP), DI
+	MOVQ k+16(FP), CX
+	MOVQ out+24(FP), DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	XORQ AX, AX
+dist64_loop:
+	VMOVUPD (DI), Y4
+	VBROADCASTSD (SI)(AX*8), Y5
+	VBROADCASTSD (R8)(AX*8), Y6
+	VBROADCASTSD (R9)(AX*8), Y7
+	VBROADCASTSD (R10)(AX*8), Y8
+	VSUBPD Y4, Y5, Y5
+	VSUBPD Y4, Y6, Y6
+	VSUBPD Y4, Y7, Y7
+	VSUBPD Y4, Y8, Y8
+	VMULPD Y5, Y5, Y5
+	VMULPD Y6, Y6, Y6
+	VMULPD Y7, Y7, Y7
+	VMULPD Y8, Y8, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	ADDQ $32, DI
+	INCQ AX
+	CMPQ AX, CX
+	JLT  dist64_loop
 	VMOVUPD Y0, (DX)
 	VMOVUPD Y1, 32(DX)
 	VMOVUPD Y2, 64(DX)

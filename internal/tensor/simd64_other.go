@@ -5,11 +5,15 @@ package tensor
 import "unsafe"
 
 // Non-amd64 builds never set useASM, so these stubs are unreachable;
-// they exist only to satisfy the references in kernels.go and
-// im2col.go.
+// they exist only to satisfy the references in kernels.go,
+// distance.go and im2col.go.
 
 func f64TransBTileAVX2(a, panel *float64, k int, out *float64, maskPanel bool) {
 	panic("tensor: f64TransBTileAVX2 called without AVX2 support")
+}
+
+func f64EuclideanTileAVX2(a *[4]*float64, panel *float64, k int, out *[16]float64) {
+	panic("tensor: f64EuclideanTileAVX2 called without AVX2 support")
 }
 
 func f64AxpyAVX2(dst *float64, x *[4]*float64, alpha *[4]float64, terms, n int) {

@@ -28,3 +28,8 @@ func AppendTrainFrameForTest(dst []byte, id uint32, req *fl.RemoteRequest, codec
 
 // NumParams returns the scalar parameter count of the replica's model.
 func (s *Service) NumParams() int { return s.numParams }
+
+// CheckForTest applies the rules Build checks before it allocates, and
+// nothing else: the ceiling tests hold specs at a limit to it without
+// generating their datasets.
+func (s *Spec) CheckForTest() error { return s.check() }

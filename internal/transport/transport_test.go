@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -313,6 +314,76 @@ func TestSpecBuildRejectsMalformed(t *testing.T) {
 		env, err := sp.Build()
 		if err == nil || env != nil {
 			t.Errorf("%s: Build accepted the spec (err=%v)", c.name, err)
+		}
+	}
+
+	// Each size ceiling on its limit and one past it: at the limit the
+	// spec passes check (held to check alone, so no test generates a
+	// dataset of the limit's size), and one past it Build refuses it with
+	// that ceiling's error, so a ceiling loosened by one fails a row.
+	// The exception is the prototypes' ceiling: 2²¹+1 = 9·43·5419, and
+	// the prime 5419 exceeds every per-field ceiling a factor could sit
+	// under, so no spec reaches it; its row is 2²¹+6 = 2 · 919·1141, the
+	// first product past the limit a spec can describe.
+	geometry := func(s *transport.Spec, c, h, w, classes, train, test int) {
+		s.Dataset.C, s.Dataset.H, s.Dataset.W = c, h, w
+		s.Dataset.Classes, s.Dataset.TrainPerClass, s.Dataset.TestPerClass = classes, train, test
+	}
+	ones := func(n int) []int {
+		h := make([]int, n)
+		for i := range h {
+			h[i] = 1
+		}
+		return h
+	}
+	ceilings := []struct {
+		name     string
+		at, over func(*transport.Spec)
+		want     string // in the over row's error
+	}{
+		{"examples", // 16·2²⁰ = 2²⁴; 97·257·673 = 2²⁴+1
+			func(s *transport.Spec) { geometry(s, 1, 1, 1, 16, 1<<20-1, 1) },
+			func(s *transport.Spec) { geometry(s, 1, 1, 1, 97, 257*673-1, 1) },
+			"examples, limit"},
+		{"examples × pixels", // 8·2²⁰ examples of 4 pixels = 2²⁵; 11·251·4051 of 3 = 2²⁵+1
+			func(s *transport.Spec) { geometry(s, 1, 2, 2, 8, 1<<20-1, 1) },
+			func(s *transport.Spec) { geometry(s, 1, 1, 3, 11, 251*4051-1, 1) },
+			"pixels, limit"},
+		{"classes × pixels", // 4096 prototypes of 512 pixels = 2²¹; 2 of 919·1141 = 2²¹+6
+			func(s *transport.Spec) { geometry(s, 2, 16, 16, 4096, 1, 1) },
+			func(s *transport.Spec) {
+				geometry(s, 1, 919, 1141, 2, 1, 1)
+				s.Groups, s.PerGroup = [][]int{{0}, {1}}, []int{3, 3}
+			},
+			"class prototypes"},
+		{"smoothing passes",
+			func(s *transport.Spec) { s.Dataset.Smooth = 64 },
+			func(s *transport.Spec) { s.Dataset.Smooth = 65 },
+			"smoothing passes"},
+		{"clients",
+			func(s *transport.Spec) { s.PerGroup = []int{1 << 15, 1 << 15} },
+			func(s *transport.Spec) { s.PerGroup = []int{1 << 15, 1<<15 + 1} },
+			"clients, limit"},
+		{"hidden layers",
+			func(s *transport.Spec) { s.Hidden = ones(64) },
+			func(s *transport.Spec) { s.Hidden = ones(65) },
+			"hidden layers, limit"},
+		{"MLP parameters", // 65·36470 + 36471·50 + 51·4 = 2²²; 65·14817 + 14818·218 + 219·4 = 2²²+1
+			func(s *transport.Spec) { s.Hidden = []int{36470, 50} },
+			func(s *transport.Spec) { s.Hidden = []int{14817, 218} },
+			"parameters, limit"},
+	}
+	for _, c := range ceilings {
+		at := goldenSpec(77)
+		c.at(at)
+		if err := at.CheckForTest(); err != nil {
+			t.Errorf("%s at the limit: check refused the spec: %v", c.name, err)
+		}
+		over := goldenSpec(77)
+		c.over(over)
+		env, err := over.Build()
+		if err == nil || env != nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s past the limit: Build gave err=%v, want an error naming %q", c.name, err, c.want)
 		}
 	}
 }

@@ -511,6 +511,10 @@ var hotLoops = []struct {
 	// A slice expression cutting b-rows, the panel or an output row; an
 	// &x[i] tile start.
 	{"internal/tensor/kernels.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|&\w+\[`)},
+	// The Euclidean distance tile's Go body and its pack loop: a slice
+	// expression cutting a row to the first row's length or the tile's
+	// output row.
+	{"internal/tensor/distance.go", []string{"packEuclidean", "euclideanTileGo"}, regexp.MustCompile(`\[[^\]]*:[^\]]*\]`)},
 	// A slice expression cutting a plane, row or run; the &col[0]/&src[0]
 	// handed to copyRunsAVX2.
 	{"internal/tensor/im2col.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|AVX2\(`)},
