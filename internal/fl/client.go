@@ -46,10 +46,10 @@ func (c LocalConfig) Check() error {
 	if !(c.LR > 0) || math.IsInf(c.LR, 0) {
 		return fmt.Errorf("fl: invalid learning rate %v", c.LR)
 	}
-	if math.IsNaN(c.Momentum) || math.IsInf(c.Momentum, 0) {
-		return fmt.Errorf("fl: invalid momentum %v", c.Momentum)
+	if !(c.Momentum >= 0 && c.Momentum < 1) {
+		return fmt.Errorf("fl: momentum %v out of [0,1)", c.Momentum)
 	}
-	if math.IsNaN(c.WeightDecay) || math.IsInf(c.WeightDecay, 0) {
+	if !(c.WeightDecay >= 0) || math.IsInf(c.WeightDecay, 0) {
 		return fmt.Errorf("fl: invalid weight decay %v", c.WeightDecay)
 	}
 	if !(c.ProxMu >= 0) || math.IsInf(c.ProxMu, 0) {
@@ -122,9 +122,9 @@ func (ts *TrainScratch) train(model *nn.Sequential, start []float64, d *data.Dat
 	}
 	if ts.DType == Float32 {
 		sh := ts.shadow.mirror(model)
-		nn.Convert(sh.ParamData(), start)
+		tensor.Convert(sh.ParamData(), start)
 		loss := ts.f32.localSGD(sh, d, cfg, r)
-		nn.Convert(dst, sh.ParamData()[lo:])
+		tensor.Convert(dst, sh.ParamData()[lo:])
 		return loss
 	}
 	copy(w, start)

@@ -370,6 +370,42 @@ func TestBuildGroupClients(t *testing.T) {
 	}
 }
 
+// TestLocalConfigCheck: Check accepts exactly the configurations
+// opt.SGD.Reconfigure takes without a panic, so a work order it passes
+// cannot bring a visit down: momentum in [0, 1), a finite non-negative
+// weight decay, and no NaN anywhere.
+func TestLocalConfigCheck(t *testing.T) {
+	good := LocalConfig{Epochs: 1, BatchSize: 16, LR: 0.1, Momentum: 0.9, WeightDecay: 1e-4, ProxMu: 0.01}
+	if err := good.Check(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	zeroes := LocalConfig{Epochs: 1, BatchSize: 1, LR: 1e-300}
+	if err := zeroes.Check(); err != nil {
+		t.Fatalf("momentum, weight decay and prox mu at zero rejected: %v", err)
+	}
+	for name, mutate := range map[string]func(*LocalConfig){
+		"zero epochs":           func(c *LocalConfig) { c.Epochs = 0 },
+		"zero batch":            func(c *LocalConfig) { c.BatchSize = 0 },
+		"zero lr":               func(c *LocalConfig) { c.LR = 0 },
+		"NaN lr":                func(c *LocalConfig) { c.LR = math.NaN() },
+		"infinite lr":           func(c *LocalConfig) { c.LR = math.Inf(1) },
+		"momentum one":          func(c *LocalConfig) { c.Momentum = 1 },
+		"momentum past one":     func(c *LocalConfig) { c.Momentum = 1.5 },
+		"negative momentum":     func(c *LocalConfig) { c.Momentum = -0.5 },
+		"NaN momentum":          func(c *LocalConfig) { c.Momentum = math.NaN() },
+		"negative weight decay": func(c *LocalConfig) { c.WeightDecay = -1 },
+		"NaN weight decay":      func(c *LocalConfig) { c.WeightDecay = math.NaN() },
+		"infinite weight decay": func(c *LocalConfig) { c.WeightDecay = math.Inf(1) },
+		"negative prox mu":      func(c *LocalConfig) { c.ProxMu = -0.1 },
+	} {
+		bad := good
+		mutate(&bad)
+		if err := bad.Check(); err == nil {
+			t.Errorf("%s: Check accepted %+v", name, bad)
+		}
+	}
+}
+
 func TestEnvCheck(t *testing.T) {
 	env := tinyEnv(2, 1)
 	if err := env.Check(); err != nil {
@@ -381,6 +417,9 @@ func TestEnvCheck(t *testing.T) {
 		"zero rounds":   func(e *Env) { e.Rounds = 0 },
 		"topk frac > 1": func(e *Env) { e.TopKFrac = 1.5 },
 		"local config":  func(e *Env) { e.Local.LR = 0 },
+		"momentum 1.5":  func(e *Env) { e.Local.Momentum = 1.5 },
+		"momentum -0.5": func(e *Env) { e.Local.Momentum = -0.5 },
+		"weight decay":  func(e *Env) { e.Local.WeightDecay = -1 },
 	} {
 		bad := *env
 		mutate(&bad)

@@ -9,7 +9,7 @@ import (
 // The mixed-precision contract (DESIGN.md §10): master weights are
 // float64 everywhere; the float32 compute path runs on a shadow network
 // built here, loaded with one rounding per scalar (AssignParams32) and
-// read back by exact widening (Convert).
+// read back by exact widening (tensor.Convert).
 
 // Mirror32 builds a float32 shadow of a float64 network: the same layer
 // kind at every position, with identical hyperparameters and zeroed
@@ -78,15 +78,5 @@ func AssignParams32(dst *SequentialOf[float32], src *Sequential) {
 	if dst.NumParams() != src.NumParams() {
 		panic(fmt.Sprintf("nn: AssignParams32 of %d parameters into %d", src.NumParams(), dst.NumParams()))
 	}
-	Convert(dst.ParamData(), src.ParamData())
-}
-
-// Convert writes src into dst across element types, one conversion per
-// scalar: rounding a master vector into a float32 shadow, or widening
-// the shadow back, which is exact. dst must hold len(src) values.
-func Convert[D, S tensor.Float](dst []D, src []S) {
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = D(v)
-	}
+	tensor.Convert(dst.ParamData(), src.ParamData())
 }

@@ -31,7 +31,7 @@ func TestMirror32ForwardMatchesFloat64(t *testing.T) {
 }
 
 // TestMirror32RoundTripParams pins that AssignParams32 and then
-// widening the mirror's vector back (Convert) is the exact float32
+// widening the mirror's vector back (tensor.Convert) is the exact float32
 // rounding of the originals (widening is lossless), the property the
 // zero-convert wire fast path relies on.
 func TestMirror32RoundTripParams(t *testing.T) {
@@ -40,7 +40,7 @@ func TestMirror32RoundTripParams(t *testing.T) {
 	m := Mirror32(net)
 	AssignParams32(m, net)
 	wide := make([]float64, m.NumParams())
-	Convert(wide, m.ParamData())
+	tensor.Convert(wide, m.ParamData())
 	for i, v := range FlattenParams(net) {
 		if want := float64(float32(v)); wide[i] != want {
 			t.Fatalf("param %d: round-trip %g, want %g", i, wide[i], want)

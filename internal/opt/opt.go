@@ -40,15 +40,17 @@ func newSGD[T tensor.Float](lr, momentum, weightDecay float64) *SGD[T] {
 
 // Reconfigure updates the hyper-parameters in place with NewSGD's
 // validation, keeping the velocity buffer — reusable optimizer state is
-// what lets a worker serve many client visits without reallocating.
+// what lets a worker serve many client visits without reallocating. A
+// value off the wire is checked before it gets here (fl.LocalConfig.Check),
+// so a panic is a programmer error; a NaN fails every guard.
 func (s *SGD[T]) Reconfigure(lr, momentum, weightDecay float64) {
-	if lr <= 0 {
+	if !(lr > 0) {
 		panic(fmt.Sprintf("opt: learning rate must be positive, got %v", lr))
 	}
-	if momentum < 0 || momentum >= 1 {
+	if !(momentum >= 0 && momentum < 1) {
 		panic(fmt.Sprintf("opt: momentum %v out of [0,1)", momentum))
 	}
-	if weightDecay < 0 {
+	if !(weightDecay >= 0) {
 		panic(fmt.Sprintf("opt: weight decay must be non-negative, got %v", weightDecay))
 	}
 	s.LR, s.Momentum, s.WeightDecay = lr, momentum, weightDecay
@@ -81,17 +83,14 @@ func (s *SGD[T]) Step(params, grads []*tensor.Of[T]) {
 		if !p.SameShape(g) {
 			panic(fmt.Sprintf("opt: param %d shape %v != grad shape %v", i, p.Shape, g.Shape))
 		}
-		// Each loop reads slices cut to len(pd) once, so the compiler
-		// checks no bounds and reloads no header per element.
+		// The momentum form is one tensor stream over the parameter's
+		// window of the flat velocity; the plain form's loop reads slices
+		// cut to len(pd) once, so the compiler checks no bounds and
+		// reloads no header per element.
 		pd := p.Data
 		gd := g.Data[:len(pd)]
 		if s.Momentum > 0 {
-			vd := s.velocity[off : off+len(pd)]
-			for j := range pd {
-				eff := gd[j] + T(wd*pd[j])
-				vd[j] = T(mom*vd[j]) + eff
-				pd[j] -= T(lr * vd[j])
-			}
+			tensor.MomentumStep(pd, gd, s.velocity[off:off+len(pd)], lr, mom, wd)
 		} else {
 			for j := range pd {
 				eff := gd[j] + T(wd*pd[j])

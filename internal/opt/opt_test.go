@@ -103,6 +103,9 @@ func TestSGDValidation(t *testing.T) {
 		func() { NewSGD(0.1, -0.1, 0) },
 		func() { NewSGD(0.1, 1.0, 0) },
 		func() { NewSGD(0.1, 0, -1) },
+		func() { NewSGD(math.NaN(), 0, 0) },
+		func() { NewSGD(0.1, math.NaN(), 0) },
+		func() { NewSGD(0.1, 0, math.NaN()) },
 	} {
 		func(f func()) {
 			defer func() {

@@ -8,8 +8,10 @@ import (
 	"testing"
 )
 
-// TestAssemblyHasNoFusedMultiplyAdd: each element type's tile and axpy
-// round the product before the sum, as the Go bodies do (DESIGN.md §15).
+// TestAssemblyHasNoFusedMultiplyAdd: each element type's tile, axpy and
+// momentum SGD stream, and the Euclidean distance tile, round the product
+// before the sum, as the Go bodies do (DESIGN.md §15). The glob takes
+// every assembly file, so a new routine is covered where it lands.
 func TestAssemblyHasNoFusedMultiplyAdd(t *testing.T) {
 	files, err := filepath.Glob("*.s")
 	if err != nil || len(files) == 0 {

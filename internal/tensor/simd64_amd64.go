@@ -4,9 +4,10 @@ package tensor
 
 import "unsafe"
 
-// The float64 kernel primitives, the Euclidean distance tile and the run
-// copy, AVX2 implementations (simd64_amd64.s), dispatched behind the same
-// useASM gate as the float32 pair. Every routine multiplies and adds as
+// The float64 kernel primitives, the Euclidean distance tile, the
+// momentum SGD and conversion streams and the run copy, AVX2
+// implementations (simd64_amd64.s), dispatched behind the same useASM
+// gate as the float32 pair. Every routine multiplies and adds as
 // two instructions, never FMA, and a vector lane is always one output
 // element: every sum keeps the order and the roundings of the Go body it
 // stands in for.
@@ -33,6 +34,25 @@ func f64EuclideanTileAVX2(a *[4]*float64, panel *float64, k int, out *[16]float6
 //
 //go:noescape
 func f64AxpyAVX2(dst *float64, x *[4]*float64, alpha *[4]float64, terms, n int)
+
+// f64MomentumSGDAVX2 applies one momentum SGD step to n > 0 elements (a
+// multiple of 4) of the non-overlapping w, grad and v: eff = r(w·wd) +
+// grad, v = eff + r(v·mom), w = w − r(v·lr), each product rounded before
+// its sum.
+//
+//go:noescape
+func f64MomentumSGDAVX2(w, grad, v *float64, n int, lr, mom, wd float64)
+
+// f64ToF32AVX2 rounds n > 0 float64s (a multiple of 4) from src into dst,
+// to nearest even.
+//
+//go:noescape
+func f64ToF32AVX2(dst *float32, src *float64, n int)
+
+// f32ToF64AVX2 widens n > 0 float32s (a multiple of 4) from src into dst.
+//
+//go:noescape
+func f32ToF64AVX2(dst *float64, src *float32, n int)
 
 // copyRunsAVX2 copies n runs of runBytes ≥ 4 bytes each: run i from
 // src + i*srcStride to dst + i*dstStride (strides in bytes). It reads

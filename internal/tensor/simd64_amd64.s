@@ -391,3 +391,154 @@ runs4_loop:
 	DECQ CX
 	JNZ  runs4_loop
 	RET
+
+// func f64MomentumSGDAVX2(w, grad, v *float64, n int, lr, mom, wd float64)
+//
+// One momentum SGD step over n > 0 elements, n a multiple of 4, of the
+// non-overlapping w, grad and v: per lane
+//
+//	eff = r(w·wd) + grad;  v = eff + r(v·mom);  w = w − r(v·lr)
+//
+// VMULPD rounds each product before the VADDPD/VSUBPD that takes it, as
+// the Go body momentumGo does. A product's or a sum's value does not
+// depend on its operands' order; when both operands are NaN the first
+// source's payload wins, and every instruction here takes its operands
+// in the order go1.24 compiles the Go body's scalar loop, so the
+// payloads agree with it too. 8 doubles per loop iteration, then one
+// 4-wide step.
+TEXT ·f64MomentumSGDAVX2(SB), NOSPLIT, $0-56
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ v+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSD lr+32(FP), Y13
+	VBROADCASTSD mom+40(FP), Y14
+	VBROADCASTSD wd+48(FP), Y15
+	XORQ AX, AX
+	MOVQ CX, BX
+	SHRQ $3, BX
+	JZ   sgd64_four
+sgd64_loop8:
+	VMOVUPD (DI)(AX*1), Y0
+	VMOVUPD 32(DI)(AX*1), Y1
+	VMULPD Y15, Y0, Y2
+	VMULPD Y15, Y1, Y3
+	VADDPD (SI)(AX*1), Y2, Y2
+	VADDPD 32(SI)(AX*1), Y3, Y3
+	VMOVUPD (DX)(AX*1), Y4
+	VMOVUPD 32(DX)(AX*1), Y5
+	VMULPD Y14, Y4, Y4
+	VMULPD Y14, Y5, Y5
+	VADDPD Y4, Y2, Y2
+	VADDPD Y5, Y3, Y3
+	VMOVUPD Y2, (DX)(AX*1)
+	VMOVUPD Y3, 32(DX)(AX*1)
+	VMULPD Y13, Y2, Y2
+	VMULPD Y13, Y3, Y3
+	VSUBPD Y2, Y0, Y0
+	VSUBPD Y3, Y1, Y1
+	VMOVUPD Y0, (DI)(AX*1)
+	VMOVUPD Y1, 32(DI)(AX*1)
+	ADDQ $64, AX
+	DECQ BX
+	JNZ  sgd64_loop8
+sgd64_four:
+	TESTQ $4, CX
+	JZ   sgd64_done
+	VMOVUPD (DI)(AX*1), Y0
+	VMULPD Y15, Y0, Y2
+	VADDPD (SI)(AX*1), Y2, Y2
+	VMOVUPD (DX)(AX*1), Y4
+	VMULPD Y14, Y4, Y4
+	VADDPD Y4, Y2, Y2
+	VMOVUPD Y2, (DX)(AX*1)
+	VMULPD Y13, Y2, Y2
+	VSUBPD Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*1)
+sgd64_done:
+	VZEROUPPER
+	RET
+
+// func f64ToF32AVX2(dst *float32, src *float64, n int)
+//
+// dst[i] = float32(src[i]) over n > 0 elements, n a multiple of 4:
+// VCVTPD2PS rounds four doubles at a time under MXCSR, which the Go
+// runtime leaves at round to nearest even with no flush to zero — the
+// rounding of the CVTSD2SS the Go body compiles to, NaN payloads
+// included (the top 23 fraction bits, quieted). 16 per loop iteration,
+// then 4 at a time.
+TEXT ·f64ToF32AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $2, CX
+	CMPQ CX, $4
+	JLT  cvt32_four
+cvt32_loop16:
+	VCVTPD2PSY (SI), X0
+	VCVTPD2PSY 32(SI), X1
+	VCVTPD2PSY 64(SI), X2
+	VCVTPD2PSY 96(SI), X3
+	VMOVUPS X0, (DI)
+	VMOVUPS X1, 16(DI)
+	VMOVUPS X2, 32(DI)
+	VMOVUPS X3, 48(DI)
+	ADDQ $128, SI
+	ADDQ $64, DI
+	SUBQ $4, CX
+	CMPQ CX, $4
+	JGE  cvt32_loop16
+cvt32_four:
+	TESTQ CX, CX
+	JZ   cvt32_done
+cvt32_loop4:
+	VCVTPD2PSY (SI), X0
+	VMOVUPS X0, (DI)
+	ADDQ $32, SI
+	ADDQ $16, DI
+	DECQ CX
+	JNZ  cvt32_loop4
+cvt32_done:
+	VZEROUPPER
+	RET
+
+// func f32ToF64AVX2(dst *float64, src *float32, n int)
+//
+// dst[i] = float64(src[i]) over n > 0 elements, n a multiple of 4:
+// VCVTPS2PD widens four floats at a time, exactly, as the CVTSS2SD the
+// Go body compiles to (a signalling NaN is quieted by both). 16 per loop
+// iteration, then 4 at a time.
+TEXT ·f32ToF64AVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $2, CX
+	CMPQ CX, $4
+	JLT  cvt64_four
+cvt64_loop16:
+	VCVTPS2PD (SI), Y0
+	VCVTPS2PD 16(SI), Y1
+	VCVTPS2PD 32(SI), Y2
+	VCVTPS2PD 48(SI), Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $64, SI
+	ADDQ $128, DI
+	SUBQ $4, CX
+	CMPQ CX, $4
+	JGE  cvt64_loop16
+cvt64_four:
+	TESTQ CX, CX
+	JZ   cvt64_done
+cvt64_loop4:
+	VCVTPS2PD (SI), Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $16, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  cvt64_loop4
+cvt64_done:
+	VZEROUPPER
+	RET

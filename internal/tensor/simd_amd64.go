@@ -31,6 +31,12 @@ func f32TransBTileAVX2(a, panel *float32, k int, out *float32, maskPanel bool)
 //go:noescape
 func f32AxpyAVX2(dst *float32, x *[4]*float32, alpha *[4]float32, terms, n int)
 
+// f32MomentumSGDAVX2 is f64MomentumSGDAVX2 at eight lanes: n > 0 is a
+// multiple of 8.
+//
+//go:noescape
+func f32MomentumSGDAVX2(w, grad, v *float32, n int, lr, mom, wd float32)
+
 func init() {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {

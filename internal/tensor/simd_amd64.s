@@ -251,3 +251,64 @@ axpy32_store1:
 axpy32_done:
 	VZEROUPPER
 	RET
+
+// func f32MomentumSGDAVX2(w, grad, v *float32, n int, lr, mom, wd float32)
+//
+// f64MomentumSGDAVX2 at eight lanes: one momentum SGD step over n > 0
+// elements, n a multiple of 8, of the non-overlapping w, grad and v, per
+// lane eff = r(w·wd) + grad; v = eff + r(v·mom); w = w − r(v·lr), each
+// product rounded by VMULPS before its VADDPS/VSUBPS, every operand in
+// the Go body's compiled order. 16 floats per loop iteration, then one
+// 8-wide step.
+TEXT ·f32MomentumSGDAVX2(SB), NOSPLIT, $0-44
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ v+16(FP), DX
+	MOVQ n+24(FP), CX
+	VBROADCASTSS lr+32(FP), Y13
+	VBROADCASTSS mom+36(FP), Y14
+	VBROADCASTSS wd+40(FP), Y15
+	XORQ AX, AX
+	MOVQ CX, BX
+	SHRQ $4, BX
+	JZ   sgd32_eight
+sgd32_loop16:
+	VMOVUPS (DI)(AX*1), Y0
+	VMOVUPS 32(DI)(AX*1), Y1
+	VMULPS Y15, Y0, Y2
+	VMULPS Y15, Y1, Y3
+	VADDPS (SI)(AX*1), Y2, Y2
+	VADDPS 32(SI)(AX*1), Y3, Y3
+	VMOVUPS (DX)(AX*1), Y4
+	VMOVUPS 32(DX)(AX*1), Y5
+	VMULPS Y14, Y4, Y4
+	VMULPS Y14, Y5, Y5
+	VADDPS Y4, Y2, Y2
+	VADDPS Y5, Y3, Y3
+	VMOVUPS Y2, (DX)(AX*1)
+	VMOVUPS Y3, 32(DX)(AX*1)
+	VMULPS Y13, Y2, Y2
+	VMULPS Y13, Y3, Y3
+	VSUBPS Y2, Y0, Y0
+	VSUBPS Y3, Y1, Y1
+	VMOVUPS Y0, (DI)(AX*1)
+	VMOVUPS Y1, 32(DI)(AX*1)
+	ADDQ $64, AX
+	DECQ BX
+	JNZ  sgd32_loop16
+sgd32_eight:
+	TESTQ $8, CX
+	JZ   sgd32_done
+	VMOVUPS (DI)(AX*1), Y0
+	VMULPS Y15, Y0, Y2
+	VADDPS (SI)(AX*1), Y2, Y2
+	VMOVUPS (DX)(AX*1), Y4
+	VMULPS Y14, Y4, Y4
+	VADDPS Y4, Y2, Y2
+	VMOVUPS Y2, (DX)(AX*1)
+	VMULPS Y13, Y2, Y2
+	VSUBPS Y2, Y0, Y0
+	VMOVUPS Y0, (DI)(AX*1)
+sgd32_done:
+	VZEROUPPER
+	RET

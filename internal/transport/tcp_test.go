@@ -363,8 +363,9 @@ func TestServeConnSurvivesGarbage(t *testing.T) {
 }
 
 // TestServeConnAnswersBadRequest: a well-framed but semantically invalid
-// work order earns an error response, and the connection survives for
-// the next request.
+// work order — a client outside the population, or hyperparameters the
+// optimizer refuses — earns an error response, the node's handler does
+// not panic, and the connection survives for the next request.
 func TestServeConnAnswersBadRequest(t *testing.T) {
 	env := buildGolden(t, 77)
 	svc := transport.NewService(env)
@@ -374,19 +375,26 @@ func TestServeConnAnswersBadRequest(t *testing.T) {
 
 	tr := transport.NewTCPForTest(client, wire.Float64, 5*time.Second)
 	defer tr.Close()
-	bad := &fl.RemoteRequest{
-		Client: 99, Round: 0, Cluster: -1, Layer: fl.FullParams,
+	good := fl.RemoteRequest{
+		Client: 2, Round: 0, Cluster: -1, Layer: fl.FullParams,
 		Cfg:   fl.LocalConfig{Epochs: 1, BatchSize: 16, LR: 0.1},
 		Start: make([]float64, svc.NumParams()),
 	}
-	if _, up, err := tr.Train(bad, make([]float64, svc.NumParams())); err == nil {
-		t.Fatal("out-of-range client accepted")
-	} else if up == 0 {
-		t.Error("error response bytes not measured")
-	}
-	good := *bad
-	good.Client = 2
-	if _, _, err := tr.Train(&good, make([]float64, svc.NumParams())); err != nil {
-		t.Fatalf("connection did not survive a rejected request: %v", err)
+	for name, mutate := range map[string]func(*fl.RemoteRequest){
+		"out-of-range client":   func(r *fl.RemoteRequest) { r.Client = 99 },
+		"momentum past one":     func(r *fl.RemoteRequest) { r.Cfg.Momentum = 1.5 },
+		"negative momentum":     func(r *fl.RemoteRequest) { r.Cfg.Momentum = -0.5 },
+		"negative weight decay": func(r *fl.RemoteRequest) { r.Cfg.WeightDecay = -1 },
+	} {
+		bad := good
+		mutate(&bad)
+		if _, up, err := tr.Train(&bad, make([]float64, svc.NumParams())); err == nil {
+			t.Fatalf("%s: accepted", name)
+		} else if up == 0 {
+			t.Errorf("%s: error response bytes not measured", name)
+		}
+		if _, _, err := tr.Train(&good, make([]float64, svc.NumParams())); err != nil {
+			t.Fatalf("connection did not survive a rejected request (%s): %v", name, err)
+		}
 	}
 }

@@ -298,6 +298,8 @@ func TestSpecBuildRejectsMalformed(t *testing.T) {
 		{"zero-client group", func(s *transport.Spec) { s.PerGroup[0] = 0 }},
 		{"bad hidden width", func(s *transport.Spec) { s.Hidden = []int{-3} }},
 		{"bad local config", func(s *transport.Spec) { s.Local.LR = 0 }},
+		{"momentum past one", func(s *transport.Spec) { s.Local.Momentum = 1.5 }},
+		{"negative weight decay", func(s *transport.Spec) { s.Local.WeightDecay = -1 }},
 		{"one class", func(s *transport.Spec) { s.Dataset.Classes = 1 }},
 		// Each of these passes every per-field ceiling and breaks one
 		// product ceiling: a size the substrate would allocate.
@@ -381,6 +383,12 @@ func TestSpecBuildRejectsMalformed(t *testing.T) {
 		}
 		over := goldenSpec(77)
 		c.over(over)
+		// check first: a spec it wrongly passes would make Build generate
+		// a dataset past the limit before the row could fail.
+		if err := over.CheckForTest(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s past the limit: check gave err=%v, want an error naming %q", c.name, err, c.want)
+			continue
+		}
 		env, err := over.Build()
 		if err == nil || env != nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s past the limit: Build gave err=%v, want an error naming %q", c.name, err, c.want)
@@ -422,6 +430,10 @@ func TestServiceRejectsBadRequests(t *testing.T) {
 		{"negative client", func(r *fl.RemoteRequest) { r.Client = -1 }, svc.NumParams()},
 		{"zero epochs", func(r *fl.RemoteRequest) { r.Cfg.Epochs = 0 }, svc.NumParams()},
 		{"bad lr", func(r *fl.RemoteRequest) { r.Cfg.LR = math.NaN() }, svc.NumParams()},
+		// Each of these reached the optimizer, which panicked on it.
+		{"momentum past one", func(r *fl.RemoteRequest) { r.Cfg.Momentum = 1.5 }, svc.NumParams()},
+		{"negative momentum", func(r *fl.RemoteRequest) { r.Cfg.Momentum = -0.5 }, svc.NumParams()},
+		{"negative weight decay", func(r *fl.RemoteRequest) { r.Cfg.WeightDecay = -1 }, svc.NumParams()},
 		{"short start", func(r *fl.RemoteRequest) { r.Start = r.Start[:5] }, svc.NumParams()},
 		{"bad layer", func(r *fl.RemoteRequest) { r.Layer = 7 }, svc.NumParams()},
 		// Only the final layer ever travels partial: a weight-layer index

@@ -1,0 +1,93 @@
+package fedclust_test
+
+import (
+	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// mutants are faults the suite must catch, each a one-place edit of one
+// file: a ceiling loosened by one, a bound moved onto its limit, a Go
+// tail that starts a lane late. A row names the test that kills it, so a
+// test that stops guarding its line fails here, not in review. old must
+// occur exactly once in file. Rows run unit tests only: a row costs one
+// build of the mutated package's test binary and one run of its pattern.
+var mutants = []struct {
+	file, old, new string
+	pkg, run       string // the package (a directory under the module) and the -run pattern
+}{
+	// Spec.check's size ceilings, each loosened by one: a spec one past
+	// the limit must still be refused. (The prototypes' ceiling is not
+	// here: no spec lands one past it; see TestSpecBuildRejectsMalformed.)
+	{"internal/transport/spec.go", "examples > maxSpecExamples {", "examples > maxSpecExamples+1 {",
+		"./internal/transport", "TestSpecBuildRejectsMalformed"},
+	{"internal/transport/spec.go", "examples*pixels > maxSpecValues {", "examples*pixels > maxSpecValues+1 {",
+		"./internal/transport", "TestSpecBuildRejectsMalformed"},
+	{"internal/transport/spec.go", "d.Smooth > maxSpecSmooth {", "d.Smooth > maxSpecSmooth+1 {",
+		"./internal/transport", "TestSpecBuildRejectsMalformed"},
+	{"internal/transport/spec.go", "clients > maxSpecClients {", "clients > maxSpecClients+1 {",
+		"./internal/transport", "TestSpecBuildRejectsMalformed"},
+	{"internal/transport/spec.go", "len(s.Hidden) > maxSpecHiddenNum {", "len(s.Hidden) > maxSpecHiddenNum+1 {",
+		"./internal/transport", "TestSpecBuildRejectsMalformed"},
+	{"internal/transport/spec.go", "params > maxSpecParams {", "params > maxSpecParams+1 {",
+		"./internal/transport", "TestSpecBuildRejectsMalformed"},
+	// Momentum 1 never decays the velocity, and the optimizer panics on
+	// it: the work-order check must refuse it.
+	{"internal/fl/client.go", "c.Momentum < 1)", "c.Momentum <= 1)",
+		"./internal/fl", "TestLocalConfigCheck"},
+	// The Go tail after the assembly's whole vectors, started one lane
+	// late: the first lanes of the rest keep their old weights.
+	{"internal/tensor/stream.go", "\tmomentumGo(w[m:], g[m:], v[m:], lr, mom, wd)",
+		"\tm = min(m+lanes[T](), len(w))\n\tmomentumGo(w[m:], g[m:], v[m:], lr, mom, wd)",
+		"./internal/tensor", "TestMomentumStepMatchesGoBody"},
+}
+
+// TestMutantsAreKilled: every mutants row, written under t.TempDir and
+// laid over its file with go test -overlay, makes its package's -run
+// pattern report a failing test. A mutant that does not compile is a
+// broken row, not a kill.
+func TestMutantsAreKilled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds one mutated test binary per row")
+	}
+	goCmd := filepath.Join(runtime.GOROOT(), "bin", "go")
+	for _, m := range mutants {
+		t.Run(filepath.Base(m.file)+":"+m.old, func(t *testing.T) {
+			src, err := os.ReadFile(m.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := strings.Count(string(src), m.old); n != 1 {
+				t.Fatalf("%q occurs %d times in %s, want once", m.old, n, m.file)
+			}
+			dir := t.TempDir()
+			mutated := filepath.Join(dir, filepath.Base(m.file))
+			if err := os.WriteFile(mutated, []byte(strings.Replace(string(src), m.old, m.new, 1)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			abs, err := filepath.Abs(m.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			overlay, err := json.Marshal(map[string]map[string]string{"Replace": {abs: mutated}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ov := filepath.Join(dir, "overlay.json")
+			if err := os.WriteFile(ov, overlay, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			out, err := exec.Command(goCmd, "test", "-count=1", "-overlay", ov, "-run", m.run, m.pkg).CombinedOutput()
+			switch {
+			case strings.Contains(string(out), "[build failed]") || strings.Contains(string(out), "[setup failed]"):
+				t.Fatalf("the mutant does not compile:\n%s", out)
+			case err == nil || !strings.Contains(string(out), "--- FAIL"):
+				t.Errorf("the mutant survived %s -run %s:\n%s", m.pkg, m.run, out)
+			}
+		})
+	}
+}

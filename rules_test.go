@@ -515,6 +515,10 @@ var hotLoops = []struct {
 	// expression cutting a row to the first row's length or the tile's
 	// output row.
 	{"internal/tensor/distance.go", []string{"packEuclidean", "euclideanTileGo"}, regexp.MustCompile(`\[[^\]]*:[^\]]*\]`)},
+	// The momentum SGD and conversion streams' Go bodies and their
+	// dispatch: a slice expression cutting an operand to the first one's
+	// length or the Go tail off the assembly's part; an &x[0] stream start.
+	{"internal/tensor/stream.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|&\w+\[`)},
 	// A slice expression cutting a plane, row or run; the &col[0]/&src[0]
 	// handed to copyRunsAVX2.
 	{"internal/tensor/im2col.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|AVX2\(`)},
@@ -529,11 +533,8 @@ var hotLoops = []struct {
 	// which no loop bound can prove.
 	{"internal/wire/sparse.go", []string{"TopKSelect", "sampleBound", "survivors", "keep"},
 		regexp.MustCompile(`\[[^\]]*:[^\]]*\]|\w+\[c\] = `)},
-	// A slice expression; a per-layer [i] of Mirror32 and IsMirror32;
-	// Convert's cut of dst to len(src), which the compiler reports on the
-	// declaration line for the instantiations it inlines. The conversion
-	// loop itself keeps no check.
-	{"internal/nn/mirror32.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|[lL]ayers\[i\]|^func Convert\[`)},
+	// A slice expression; a per-layer [i] of Mirror32 and IsMirror32.
+	{"internal/nn/mirror32.go", nil, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|[lL]ayers\[i\]`)},
 	// A bias, bias gradient or row cut to Out; the batch size read off a
 	// shape; a workspace's header, set up once per call by the inlined get.
 	{"internal/nn/dense.go", []string{"Forward", "Backward"}, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|Shape\[0\]|\.get\(`)},
