@@ -22,6 +22,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"fedclust/internal/cluster"
@@ -289,9 +290,7 @@ func collectPartialWeights(env *fl.Env, cfg Config, init []float64, lanes []*fl.
 	if cfg.WarmupEpochs > 0 {
 		local.Epochs = cfg.WarmupEpochs
 	}
-	ref := lanes[0].Model
-	nn.LoadParams(ref, init)
-	initLayer = nn.FinalLayerVector(ref)
+	initLayer = slices.Clone(init[len(init)-lanes[0].FinalDim():])
 	errs := make([]error, n)
 	var down, up atomic.Int64
 	// Hostile scenarios reach the warmup too: label-noise attackers train

@@ -145,7 +145,9 @@ func TestScenarioResultsBitIdenticalAcrossWorkerCounts(t *testing.T) {
 // the results must match the cold run exactly, and an interleaved other
 // method must not perturb either — nor an interleaved scenario run,
 // whose last round's outcomes stay in the cached runtime until the next
-// run resets every client to its all-on-time outcome.
+// run resets every client to its all-on-time outcome. A dtype switch on
+// the warm environment — Float64, Float32, Float64 — must match a cold
+// run of each dtype: the lanes' networks are built in one dtype.
 func TestResultsBitIdenticalOnWarmRuntime(t *testing.T) {
 	env := goldenEnv(33, 3)
 	env.EvalEvery = 1
@@ -162,5 +164,16 @@ func TestResultsBitIdenticalOnWarmRuntime(t *testing.T) {
 	env.Participation.Scenario = nil
 	if warm := fingerprint(methods.FedAvg{}.Run(env)); warm != cold {
 		t.Fatalf("FedAvg after an interleaved scenario run diverged:\n  cold %s\n  warm %s", cold, warm)
+	}
+	env32 := goldenEnv(33, 3)
+	env32.EvalEvery, env32.DType = 1, fl.Float32
+	cold32 := fingerprint(methods.FedAvg{}.Run(env32))
+	env.DType = fl.Float32
+	if warm := fingerprint(methods.FedAvg{}.Run(env)); warm != cold32 {
+		t.Fatalf("Float32 FedAvg on a warm Float64 runtime diverged:\n  cold %s\n  warm %s", cold32, warm)
+	}
+	env.DType = fl.Float64
+	if warm := fingerprint(methods.FedAvg{}.Run(env)); warm != cold {
+		t.Fatalf("Float64 FedAvg after a Float32 run on the warm runtime diverged:\n  cold %s\n  warm %s", cold, warm)
 	}
 }

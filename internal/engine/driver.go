@@ -6,7 +6,7 @@
 // supplies the parts that differ through Hooks.
 //
 // The driver also owns the performance layer every method inherits:
-//   - one fl.Lane (model, training scratch, codec buffers) per executor
+//   - one fl.Lane (network, training scratch, codec buffers) per executor
 //     worker, so local training and evaluation rebuild nothing per
 //     client per round;
 //   - one contiguous flat-parameter arena backing every client's reported
@@ -34,8 +34,8 @@ import (
 type ClientCtx struct {
 	Env *fl.Env
 	// Lane is the worker's pooled visit state. Hooks that probe before
-	// training (IFCA's K-model selection) evaluate on Lane.Model through
-	// Lane.Scratch; the training itself goes through VisitLocal.
+	// training (IFCA's K-model selection) Lane.Load each candidate and
+	// Lane.Evaluate it; the training itself goes through VisitLocal.
 	Lane *fl.Lane
 	// Client is the client index, Round the 0-based round.
 	Client, Round int

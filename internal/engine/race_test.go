@@ -60,7 +60,7 @@ func TestLanesConcurrentTraining(t *testing.T) {
 	env := goldenEnv(11, 1)
 	env.Workers = 6
 	lanes := fl.NewLanes(env)
-	w0 := nn.FlattenParams(lanes[0].Model)
+	w0 := nn.FlattenParams(env.NewModel())
 	outs := make([][]float64, len(env.Clients))
 	// Many passes over the client set so workers contend.
 	for pass := 0; pass < 3; pass++ {

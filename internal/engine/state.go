@@ -2,22 +2,21 @@ package engine
 
 import (
 	"fedclust/internal/fl"
-	"fedclust/internal/nn"
 	"fedclust/internal/wire"
 )
 
 // envState is the engine's per-environment runtime: everything a
 // RoundDriver needs that depends only on the environment's shape (client
 // count, parameter count, worker count) and is expensive to rebuild —
-// the per-worker lanes (models, training scratch, codec buffers),
+// the per-worker lanes (networks, training scratch, codec buffers),
 // the contiguous Locals arena, the worker contexts, the
 // reporting/evaluation buffers, and the persistent executor tasks.
 //
 // It is cached on the environment across runs through
 // fl.EnvShared.AcquireRuntime, so the steady state of a long experiment
 // (many methods, many rounds on one Env) rebuilds none of it. Reuse is
-// bit-equivalent to a fresh build: pooled models are fully overwritten
-// by nn.LoadParams before every use, training scratch resets its
+// bit-equivalent to a fresh build: pooled networks are fully overwritten
+// by a load before every use, training scratch resets its
 // optimizer state per visit, and identity caches (evalLast) never
 // survive a call boundary. Concurrent runs on one environment fall back
 // to a private, uncached envState.
@@ -26,7 +25,8 @@ import (
 // count are unchanged between runs — true for every trainer here,
 // including FedProx's copied Env (only Local.ProxMu differs; rebind
 // refreshes the Env pointer the contexts and hooks see). A run that
-// changes Workers or the client set gets a fresh state via fits.
+// changes Workers, the client set or the dtype gets a fresh state via
+// fits.
 type envState struct {
 	env       *fl.Env
 	workers   int
@@ -40,6 +40,8 @@ type envState struct {
 	codec wire.Codec
 	frac  float64
 	ef    *fl.ErrorFeedback
+	// dtype is the Env dtype the lanes' networks are built in.
+	dtype fl.DType
 
 	lanes   []*fl.Lane
 	w0      []float64
@@ -118,14 +120,14 @@ func newEnvState(env *fl.Env) *envState {
 		n:       n,
 		codec:   env.Codec,
 		frac:    env.TopKFrac,
+		dtype:   env.DType,
 		lanes:   fl.NewLanes(env),
 	}
-	proto := es.lanes[0].Model
-	es.numParams = proto.NumParams()
+	es.numParams = es.lanes[0].NumParams()
 	if env.Codec.Sparse() {
 		es.ef = fl.NewErrorFeedback(env.Codec, fl.NormalizeTopKFrac(env.TopKFrac), n, es.numParams)
 	}
-	es.w0 = nn.FlattenParams(proto)
+	es.w0 = env.NewModel().ParamData()
 	es.arena = make([]float64, n*es.numParams)
 	es.locals = make([][]float64, n)
 	for i := range es.locals {
@@ -184,9 +186,9 @@ func newEnvState(env *fl.Env) *envState {
 			es.failMask[i] = true
 		}
 	}
-	// evalTask evaluates client i's served model on lane w: the lane's
-	// model reloads only when the served vector differs (by identity) from
-	// the one it evaluated last.
+	// evalTask evaluates client i's served model on lane w: the lane
+	// loads only when the served vector differs (by identity) from the one
+	// it evaluated last.
 	es.evalTask = func(w, i int) {
 		test := es.env.Clients[i].Test
 		if !hasTest(test) {
@@ -196,10 +198,10 @@ func newEnvState(env *fl.Env) *envState {
 		vec := es.d.Hooks.Served(i)
 		lane := es.lanes[w]
 		if es.evalLast[w] == nil || &es.evalLast[w][0] != &vec[0] {
-			nn.LoadParams(lane.Model, vec)
+			lane.Load(vec)
 			es.evalLast[w] = vec
 		}
-		es.evalLoss[i], es.perClient[i] = lane.Scratch.Evaluate(lane.Model, test, es.env.EvalBatchSize())
+		es.evalLoss[i], es.perClient[i] = lane.Evaluate(test, es.env.EvalBatchSize())
 	}
 	return es
 }
@@ -207,10 +209,11 @@ func newEnvState(env *fl.Env) *envState {
 // fits reports whether the cached state still matches the environment's
 // current shape (tests mutate Workers between runs on one Env). The
 // codec selection is part of the shape: the error-feedback accumulator
-// is built for one codec.
+// is built for one codec. So is the dtype: a lane's network is built in
+// it.
 func (es *envState) fits(env *fl.Env) bool {
 	return es.workers == env.WorkerCount() && es.n == len(env.Clients) &&
-		es.codec == env.Codec && es.frac == env.TopKFrac
+		es.codec == env.Codec && es.frac == env.TopKFrac && es.dtype == env.DType
 }
 
 // rebind points the cached state at this run's Env pointer and driver.

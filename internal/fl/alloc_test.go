@@ -69,9 +69,9 @@ func testBatchStepZeroAllocs[T tensor.Float](t *testing.T, model *nn.SequentialO
 
 // TestLocalUpdateCallSteadyStateAllocs asserts a whole warm LocalUpdate
 // call through a reused TrainScratch stays allocation-free — the scratch
-// owns the optimizer, loss head, batcher and float32 shadow. On the
-// float32 path that covers shadow revalidation,
-// parameter rounding, the full epoch loop and widening back.
+// owns the optimizer, loss head, batcher and float32 network. On the
+// float32 path that covers the network lookup, parameter rounding, the
+// full epoch loop and widening back.
 func TestLocalUpdateCallSteadyStateAllocs(t *testing.T) {
 	onBothDTypes(t, func(t *testing.T, dtype DType) {
 		d := benchDataset(10) // includes a partial final batch (40 % 16 != 0)
@@ -80,8 +80,8 @@ func TestLocalUpdateCallSteadyStateAllocs(t *testing.T) {
 		ts := TrainScratch{DType: dtype}
 		r := rng.New(6)
 		ts.LocalUpdate(model, d, cfg, r)
-		if (ts.shadow.net != nil) != (dtype == Float32) {
-			t.Fatalf("%v scratch: float32 shadow built = %v", dtype, ts.shadow.net != nil)
+		if (ts.f32.net != nil) != (dtype == Float32) {
+			t.Fatalf("%v scratch: float32 network built = %v", dtype, ts.f32.net != nil)
 		}
 		if n := testing.AllocsPerRun(20, func() {
 			ts.LocalUpdate(model, d, cfg, r)
@@ -140,9 +140,10 @@ func TestEvaluateCallSteadyStateAllocs(t *testing.T) {
 // to each, including the n % size tail view and a client smaller than
 // one batch, and every layer workspace is reshaped to six different
 // tails — without touching the heap, in both dtypes and under every
-// codec family, in both the in-process and the node form. The LeNet-5
-// population runs one dense and one sparse codec: its convolution
-// workspaces are what the MLP cannot reach.
+// codec family, in both the in-process and the node form, with an
+// IFCA-shaped probe — two vectors loaded and evaluated — before each
+// visit. The LeNet-5 population runs one dense and one sparse codec: its
+// convolution workspaces are what the MLP cannot reach.
 func TestLaneWarmVisitZeroAllocs(t *testing.T) {
 	onBothDTypes(t, func(t *testing.T, dtype DType) {
 		for _, tc := range []struct {
@@ -157,11 +158,16 @@ func TestLaneWarmVisitZeroAllocs(t *testing.T) {
 			for _, cd := range tc.codecs {
 				lane := NewLane(env)
 				start := nn.FlattenParams(env.NewModel())
+				probes := [][]float64{start, make([]float64, len(start))}
 				ef := newLaneEF(env, cd, len(start))
 				out := make([]float64, len(start))
 				var reply []byte
 				sweep := func() {
 					for c := range env.Clients {
+						for _, vec := range probes {
+							lane.Load(vec)
+							lane.Evaluate(env.Clients[c].Train, 64)
+						}
 						v := laneVisit(env, c, cd, FullParams, start, ef)
 						lane.Visit(v, out)
 						reply = lane.VisitFrame(reply[:0], v, out)

@@ -61,12 +61,12 @@ func (c LocalConfig) Check() error {
 // TrainScratch carries the allocation-heavy state of local training and
 // evaluation — the optimizer (with its velocity buffer), the loss-head
 // workspaces, the FedProx reference buffer and the batcher, per element
-// type, plus the float32 shadow of the worker's model — so one worker
-// can run many client visits with zero steady-state heap allocations.
-// The batcher is the scratch's own and rebinds to each visited dataset,
-// so concurrent visits to one client share nothing mutable. The zero
-// value is ready to use; a TrainScratch must not be shared across
-// concurrent goroutines.
+// type, plus the float32 network of the Float32 path — so one worker
+// can run many passes with zero steady-state heap allocations. The
+// batcher is the scratch's own and rebinds to each visited dataset, so
+// concurrent visits to one client share nothing mutable. The zero value
+// is ready to use; a TrainScratch must not be shared across concurrent
+// goroutines.
 type TrainScratch struct {
 	// DType routes LocalUpdate/Evaluate through the float32 compute path
 	// when set to Float32.
@@ -74,17 +74,36 @@ type TrainScratch struct {
 
 	f64 visitState[float64]
 	f32 visitState[float32]
-	// shadow is the float32 replica the Float32 path computes on (see
-	// client32.go).
-	shadow shadowCache
+	// of is the model f32's network was mirrored from.
+	of *nn.Sequential
 }
 
-// visitState is the element-type half of a TrainScratch.
+// visitState is one network in one element type with the scratch of its
+// passes: the body every visit, LocalUpdate and evaluation runs. A lane
+// holds one, in its run's dtype; a TrainScratch holds one per type.
 type visitState[T tensor.Float] struct {
+	net     *nn.SequentialOf[T]
 	sgd     opt.SGD[T]
 	ce      nn.SoftmaxCEOf[T]
 	proxRef []T
 	bt      data.Batcher[T]
+}
+
+// network is visitState of either element type.
+type network interface {
+	train(start []float64, d *data.Dataset, cfg LocalConfig, r *rng.Rng, dst []float64) float64
+	load(vec []float64)
+	evaluate(d *data.Dataset, batchSize int) (loss, acc float64)
+}
+
+// mirror points f32 at model's float32 network, built when the scratch
+// first sees model. A model's layer list is fixed at construction, so
+// the pointer names the structure the network was built for.
+func (ts *TrainScratch) mirror(model *nn.Sequential) *visitState[float32] {
+	if ts.of != model {
+		ts.f32.net, ts.of = nn.Mirror32(model), model
+	}
+	return &ts.f32
 }
 
 // LocalUpdate trains model in place on d for cfg.Epochs passes of local
@@ -99,44 +118,57 @@ type visitState[T tensor.Float] struct {
 // here on every visit.
 //
 // On the Float32 path master weights stay float64: the incoming
-// parameters are rounded into the shadow once, the whole local pass runs
-// in float32, and the result is widened back. Widening is exact, so the
-// trained float32 weights survive the float64 round-trip bit-identically
-// — a Float32 wire frame of the widened model carries exactly the
-// trained float32 bits.
+// parameters are rounded into the float32 network once, the whole local
+// pass runs in float32, and the result is widened back. Widening is
+// exact, so the trained float32 weights survive the float64 round-trip
+// bit-identically — a Float32 wire frame of the widened model carries
+// exactly the trained float32 bits.
 func (ts *TrainScratch) LocalUpdate(model *nn.Sequential, d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
-	return ts.train(model, model.ParamData(), d, cfg, r, model.ParamData())
+	w := model.ParamData()
+	if ts.DType == Float32 {
+		return ts.mirror(model).train(w, d, cfg, r, w)
+	}
+	ts.f64.net = model
+	return ts.f64.train(w, d, cfg, r, w)
 }
 
-// train is the one local pass behind every visit and LocalUpdate: from
-// the full parameter vector start it trains model (on the Float32 path
-// its shadow, rounding start straight in) and writes the trained
-// vector's last len(dst) values into dst: all of it, or the final
-// layer's, which ends it. start and dst may be model's own buffer.
-func (ts *TrainScratch) train(model *nn.Sequential, start []float64, d *data.Dataset, cfg LocalConfig, r *rng.Rng, dst []float64) float64 {
-	w := model.ParamData()
+// train is the one local pass behind every visit and LocalUpdate: it
+// loads the full float64 parameter vector start into the network, runs
+// localSGD, and stores the trained vector's last len(dst) values into
+// dst: all of it, or the final layer's, which ends it. start and dst may
+// be one buffer.
+func (st *visitState[T]) train(start []float64, d *data.Dataset, cfg LocalConfig, r *rng.Rng, dst []float64) float64 {
+	w := st.net.ParamData()
 	lo := len(w) - len(dst)
 	if d.Len() == 0 {
 		copy(dst, start[lo:])
 		return 0
 	}
-	if ts.DType == Float32 {
-		sh := ts.shadow.mirror(model)
-		tensor.Convert(sh.ParamData(), start)
-		loss := ts.f32.localSGD(sh, d, cfg, r)
-		tensor.Convert(dst, sh.ParamData()[lo:])
-		return loss
-	}
-	copy(w, start)
-	loss := ts.f64.localSGD(model, d, cfg, r)
-	copy(dst, w[lo:])
+	convert(w, start)
+	loss := st.localSGD(d, cfg, r)
+	convert(dst, w[lo:])
 	return loss
+}
+
+// load writes the float64 vector vec into the network.
+func (st *visitState[T]) load(vec []float64) { convert(st.net.ParamData(), vec) }
+
+// convert writes src into dst: a copy when the element types agree
+// (tensor.Convert's same-type form is a scalar loop), otherwise one
+// tensor.Convert — a rounding to float32, or an exact widening.
+func convert[D, S tensor.Float](dst []D, src []S) {
+	if d, ok := any(dst).([]S); ok {
+		copy(d, src)
+		return
+	}
+	tensor.Convert(dst, src)
 }
 
 // localSGD is the local training pass itself, one body for both element
 // types: same batch shuffling draws, same update order, so the float32
 // path diverges from the float64 reference only by rounding.
-func (st *visitState[T]) localSGD(net *nn.SequentialOf[T], d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
+func (st *visitState[T]) localSGD(d *data.Dataset, cfg LocalConfig, r *rng.Rng) float64 {
+	net := st.net
 	params, grads := net.Params(), net.Grads()
 	w, g := net.ParamData(), net.GradData()
 	if cfg.ProxMu > 0 {
@@ -173,23 +205,23 @@ func (st *visitState[T]) localSGD(net *nn.SequentialOf[T], d *data.Dataset, cfg 
 
 // Evaluate computes mean cross-entropy loss and accuracy of model on d
 // (evaluation mode, batched to bound memory) through the scratch's loss
-// head and batcher, so evaluation loops — the engine's evaluation phase
-// on its lanes, IFCA's per-cluster selection interleaved with training
-// on the same lane — allocate nothing per call. Empty datasets return
-// (0, 0).
+// head and batcher, so evaluation loops allocate nothing per call. On the
+// Float32 path the model's parameters are rounded into the float32
+// network first. Empty datasets return (0, 0).
 func (ts *TrainScratch) Evaluate(model *nn.Sequential, d *data.Dataset, batchSize int) (loss, acc float64) {
 	if ts.DType == Float32 {
-		sh := ts.shadow.mirror(model)
-		nn.AssignParams32(sh, model)
-		return ts.f32.evaluate(sh, d, batchSize)
+		st := ts.mirror(model)
+		st.load(model.ParamData())
+		return st.evaluate(d, batchSize)
 	}
-	return ts.f64.evaluate(model, d, batchSize)
+	ts.f64.net = model
+	return ts.f64.evaluate(d, batchSize)
 }
 
-// evaluate is Evaluate for one element type. On a float32 network every
-// batch runs the float32 forward pass and the float64-accumulating loss
-// head; the caller has loaded the parameters it wants evaluated.
-func (st *visitState[T]) evaluate(model *nn.SequentialOf[T], d *data.Dataset, batchSize int) (loss, acc float64) {
+// evaluate is Evaluate on the network as loaded. On a float32 network
+// every batch runs the float32 forward pass and the float64-accumulating
+// loss head.
+func (st *visitState[T]) evaluate(d *data.Dataset, batchSize int) (loss, acc float64) {
 	if d.Len() == 0 {
 		return 0, 0
 	}
@@ -202,7 +234,7 @@ func (st *visitState[T]) evaluate(model *nn.SequentialOf[T], d *data.Dataset, ba
 		if !ok {
 			break
 		}
-		logits := model.Forward(b.X, false)
+		logits := st.net.Forward(b.X, false)
 		l, _, _ := st.ce.Loss(logits, b.Y)
 		lossSum += float64(l * float64(len(b.Y)))
 		acc := nn.Accuracy(logits, b.Y)

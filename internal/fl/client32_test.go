@@ -32,7 +32,7 @@ func TestLocalUpdate32MatchesFloat64Within(t *testing.T) {
 	ts32 := TrainScratch{DType: Float32}
 	loss64 := ts64.LocalUpdate(m64, d, clientCfg, rng.New(7))
 	loss32 := ts32.LocalUpdate(m32, d, clientCfg, rng.New(7))
-	if ts32.shadow.net == nil {
+	if ts32.f32.net == nil {
 		t.Fatal("float32 scratch did not take the float32 path")
 	}
 	if diff := math.Abs(loss64 - loss32); diff > 1e-3 {
@@ -102,7 +102,7 @@ func TestEvaluate32MatchesFloat64(t *testing.T) {
 }
 
 // TestParams32RoundTrip pins the exactness the Float32 uplink relies
-// on: after a float32 LocalUpdate, the shadow's flat vector equals
+// on: after a float32 LocalUpdate, the float32 network's vector equals
 // float32(model parameter) bit for bit — widening back to float64 lost
 // nothing, so a Float32 wire frame of the widened model carries exactly
 // the trained float32 bits.
@@ -111,11 +111,11 @@ func TestParams32RoundTrip(t *testing.T) {
 	m := nn.MLP(rng.New(1), d.Dim(), 20, d.Classes)
 	ts := TrainScratch{DType: Float32}
 	ts.LocalUpdate(m, d, clientCfg, rng.New(5))
-	sh := ts.shadow.net
+	sh := ts.f32.net
 	vec := nn.FlattenParamsInto(sh, make([]float32, sh.NumParams()))
 	flat := nn.FlattenParams(m)
 	if len(vec) != len(flat) {
-		t.Fatalf("shadow has %d params, model has %d", len(vec), len(flat))
+		t.Fatalf("float32 network has %d params, model has %d", len(vec), len(flat))
 	}
 	frame, err := wire.Decode(wire.EncodeInto(nil, wire.Float32, flat))
 	if err != nil {
@@ -123,15 +123,14 @@ func TestParams32RoundTrip(t *testing.T) {
 	}
 	for i := range flat {
 		if want := float32(flat[i]); vec[i] != want || float32(frame[i]) != want {
-			t.Fatalf("param %d: shadow %x, rounded model %x, Float32 frame %x", i,
+			t.Fatalf("param %d: float32 network %x, rounded model %x, Float32 frame %x", i,
 				math.Float32bits(vec[i]), math.Float32bits(want), math.Float32bits(float32(frame[i])))
 		}
 	}
 }
 
 // TestZooMirrorsToFloat32: every architecture the model zoo builds has a
-// float32 form — Mirror32 mirrors it, IsMirror32 recognises the mirror,
-// and a Float32 scratch trains it on the float32 path.
+// float32 form, and a Float32 scratch trains it on the float32 path.
 func TestZooMirrorsToFloat32(t *testing.T) {
 	small := benchDataset(10)
 	wide, _ := data.Generate(data.SynthConfig{
@@ -149,12 +148,9 @@ func TestZooMirrorsToFloat32(t *testing.T) {
 		{"minivgg16", nn.MiniVGG16(rng.New(3), 1, wide.Classes, 1), wide},
 	}
 	for _, c := range cases {
-		if !nn.IsMirror32(nn.Mirror32(c.model), c.model) {
-			t.Fatalf("%s: Mirror32 built no matching float32 form", c.name)
-		}
 		ts := TrainScratch{DType: Float32}
 		ts.LocalUpdate(c.model, c.d, LocalConfig{Epochs: 1, BatchSize: 4, LR: 0.05}, rng.New(4))
-		if ts.shadow.net == nil {
+		if ts.f32.net == nil {
 			t.Fatalf("%s: the float32 visit ran on the float64 path", c.name)
 		}
 	}
@@ -186,9 +182,9 @@ func TestMirror32PanicsOnUnknownLayer(t *testing.T) {
 	ts.LocalUpdate(m, d, clientCfg, rng.New(8))
 }
 
-// TestFloat32ShadowFollowsArchitecture is the regression test for shadow
-// reuse keyed on parameter sizes alone: two architectures whose
-// parameter tensors line up must not share a float32 shadow — Dense,
+// TestFloat32ShadowFollowsArchitecture is the regression test for a
+// float32 network reused on parameter sizes alone: two architectures
+// whose parameter tensors line up must not share one — Dense,
 // ReLU, Dense against the same two Dense layers alone, and a
 // convolution followed by max pooling against the same kernel at stride
 // 2 followed by a ReLU. The second model on a reused TrainScratch must
@@ -243,7 +239,7 @@ func TestFloat32ShadowFollowsArchitecture(t *testing.T) {
 			visit(&reused, p.first())
 			fresh := TrainScratch{DType: Float32}
 			if !same(visit(&reused, p.second()), visit(&fresh, p.second())) {
-				t.Error("TrainScratch kept the first architecture's float32 shadow for the second model")
+				t.Error("TrainScratch kept the first architecture's float32 network for the second model")
 			}
 		})
 	}

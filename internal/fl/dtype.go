@@ -6,17 +6,18 @@ import "fmt"
 // evaluation. Float64 is the golden reference path; Float32 routes
 // LocalUpdate and the evaluation protocol through the float32
 // instantiation of the numeric stack (SIMD kernels in internal/tensor)
-// while keeping master weights and aggregation in float64 — see
-// DESIGN.md §10.
+// while keeping master weights and aggregation in float64. A lane is
+// built in one dtype — see DESIGN.md §10.
 type DType uint8
 
 const (
 	// Float64 is the default full-precision path.
 	Float64 DType = iota
-	// Float32 trains on a float32 shadow of the model: parameters are
-	// rounded once per visit, the whole local pass runs in float32, and
-	// the result is widened back (widening is exact, so the float32
-	// weights survive the float64 round-trip bit-identically).
+	// Float32 builds each lane's network in float32: the float64 master
+	// parameters are rounded into it once per visit or load, the whole
+	// local pass runs in float32, and the result is widened back
+	// (widening is exact, so the float32 weights survive the float64
+	// round-trip bit-identically).
 	Float32
 )
 

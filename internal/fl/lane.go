@@ -42,34 +42,39 @@ type Visit struct {
 // sparse reports whether the visit's uplink is a sparse frame.
 func (v *Visit) sparse() bool { return v.EF != nil && v.Layer == FullParams }
 
-// Lane is one worker's whole client-visit state: a pooled model, the
-// training scratch (optimizer, loss heads, batcher, float32 shadow), the
-// visit RNG, the error-feedback scratch and one frame/vector buffer pair
-// for codec round trips. Every client visit in the system — in-process or
-// behind a socket — is Visit or VisitFrame on a lane, so the simulator
-// and the wire cannot diverge. A warm lane allocates nothing per
-// full-parameter visit. A lane serves one visit at a time.
+// Lane is one worker's whole client-visit state: one network, in the
+// run's dtype, with its training scratch (optimizer, loss head,
+// batcher), the visit RNG, the error-feedback scratch and one
+// frame/vector buffer pair for codec round trips. Every client visit in
+// the system — in-process or behind a socket — is Visit or VisitFrame on
+// a lane, so the simulator and the wire cannot diverge. A warm lane
+// allocates nothing per full-parameter visit. A lane serves one visit at
+// a time.
 type Lane struct {
-	// Model is the lane's network. Its weights are unspecified between
-	// visits; hooks that evaluate on it load what they need first.
-	Model *nn.Sequential
-	// Scratch is the lane's training and evaluation scratch.
-	Scratch TrainScratch
-
+	// net is the lane's network; its weights are whatever the last visit
+	// or Load left.
+	net network
 	env *Env
-	// final is the parameter count of Model's last weight layer, the one
-	// a FinalLayer visit reports: the tail of the parameter vector.
-	final int
-	rng   rng.Rng
-	efs   EFScratch
-	frame []byte
-	vec   []float64
+	// params is the network's parameter count; final is its last weight
+	// layer's, the one a FinalLayer visit reports: the tail of the
+	// parameter vector.
+	params, final int
+	rng           rng.Rng
+	efs           EFScratch
+	frame         []byte
+	vec           []float64
 }
 
-// NewLane builds a lane (and its model) for env.
+// NewLane builds a lane for env: env.NewModel() under Float64, its
+// float32 mirror under Float32.
 func NewLane(env *Env) *Lane {
-	l := &Lane{Model: env.NewModel(), Scratch: TrainScratch{DType: env.DType}, env: env}
-	l.final = len(nn.FinalLayerVector(l.Model))
+	m := env.NewModel()
+	l := &Lane{env: env, params: m.NumParams(), final: len(nn.FinalLayerVector(m))}
+	if env.DType == Float32 {
+		l.net = &visitState[float32]{net: nn.Mirror32(m)}
+	} else {
+		l.net = &visitState[float64]{net: m}
+	}
 	return l
 }
 
@@ -79,9 +84,9 @@ func NewLane(env *Env) *Lane {
 // touched by worker w (the executor's worker ids are goroutine-stable).
 // Every visit loads its starting weights and resets the
 // optimizer, so reuse is bit-equivalent to a fresh lane provided the
-// environment's Factory embeds no mutable state that survives
-// nn.LoadParams and changes behaviour (forward caches and workspaces are
-// fine — see DESIGN.md §5).
+// environment's Factory embeds no mutable state that survives a load
+// and changes behaviour (forward caches and workspaces are fine — see
+// DESIGN.md §5).
 func NewLanes(env *Env) []*Lane {
 	lanes := make([]*Lane, env.WorkerCount())
 	for w := range lanes {
@@ -91,11 +96,30 @@ func NewLanes(env *Env) []*Lane {
 }
 
 // Rebind points a pooled lane at the run's environment, which may be a
-// copy of the one it was built for with a different DType or LocalConfig
-// (never a different model or seed).
-func (l *Lane) Rebind(env *Env) {
-	l.env = env
-	l.Scratch.DType = env.DType
+// copy of the one it was built for with a different LocalConfig (never a
+// different model, seed or dtype).
+func (l *Lane) Rebind(env *Env) { l.env = env }
+
+// NumParams is the length of the network's parameter vector.
+func (l *Lane) NumParams() int { return l.params }
+
+// FinalDim is the parameter count of the network's last weight layer:
+// the length of a FinalLayer report.
+func (l *Lane) FinalDim() int { return l.final }
+
+// Load writes the float64 parameter vector vec into the lane's network,
+// rounding each value once under Float32, for Evaluate.
+func (l *Lane) Load(vec []float64) {
+	if len(vec) != l.params {
+		panic(fmt.Sprintf("fl: Lane.Load of %d values, want %d", len(vec), l.params))
+	}
+	l.net.load(vec)
+}
+
+// Evaluate is TrainScratch.Evaluate on the weights the lane's network
+// holds: what the last Load wrote, unless a visit ran since.
+func (l *Lane) Evaluate(d *data.Dataset, batchSize int) (loss, acc float64) {
+	return l.net.evaluate(d, batchSize)
 }
 
 // Visit runs v and writes the selected vector into out exactly as the
@@ -125,9 +149,7 @@ func (l *Lane) VisitFrame(dst []byte, v *Visit, out []float64) []byte {
 
 // train runs the local pass from Start as the wire delivers it, on the
 // visit's (Client, Round) stream, and writes the selected vector into
-// out: every parameter, or the final layer's. On the Float32 path Model
-// is not loaded at all: Start is rounded into the shadow and the trained
-// range widened into out.
+// out: every parameter, or the final layer's.
 func (l *Lane) train(v *Visit, out []float64) {
 	start := v.Start
 	if v.Down != wire.Float64 {
@@ -137,13 +159,13 @@ func (l *Lane) train(v *Visit, out []float64) {
 	}
 	n := l.final
 	if v.Layer == FullParams {
-		n = l.Model.NumParams()
+		n = l.params
 	}
-	if len(out) != n || len(start) != l.Model.NumParams() {
-		panic(fmt.Sprintf("fl: visit of %d start values into %d, want %d into %d", len(start), len(out), l.Model.NumParams(), n))
+	if len(out) != n || len(start) != l.params {
+		panic(fmt.Sprintf("fl: visit of %d start values into %d, want %d into %d", len(start), len(out), l.params, n))
 	}
 	l.env.ClientRngInto(&l.rng, v.Client, v.Round)
-	l.Scratch.train(l.Model, start, v.Data, v.Cfg, &l.rng, out)
+	l.net.train(start, v.Data, v.Cfg, &l.rng, out)
 }
 
 // appendUplink appends the visit's uplink frame for the extracted vector

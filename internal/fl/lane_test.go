@@ -88,7 +88,7 @@ func TestLaneOnePipeline(t *testing.T) {
 					start := nn.FlattenParams(env.NewModel())
 					dim := len(start)
 					if layer == FinalLayer {
-						dim = len(nn.FinalLayerVector(local.Model))
+						dim = local.FinalDim()
 					}
 					efLocal, efNode := newLaneEF(env, cd, len(start)), newLaneEF(env, cd, len(start))
 					got, work := make([]float64, dim), make([]float64, dim)
@@ -135,54 +135,57 @@ func TestLaneOnePipeline(t *testing.T) {
 	}
 }
 
-// fourPassVisit is a Float32 visit as four passes over the model vector:
-// load Start into the model, round the model into the shadow, train,
-// widen the shadow back into the model tensor by tensor, and flatten the
-// report out of the model.
-func fourPassVisit(l *Lane, v *Visit, out []float64) {
-	nn.LoadParams(l.Model, v.Start)
-	sh := l.Scratch.shadow.mirror(l.Model)
-	nn.AssignParams32(sh, l.Model)
-	l.env.ClientRngInto(&l.rng, v.Client, v.Round)
-	l.Scratch.f32.localSGD(sh, v.Data, v.Cfg, &l.rng)
-	wide := l.Model.Params()
+// fourPassVisit is a Float32 visit as four passes over the parameter
+// vector, on a model and float32 mirror of its own: load Start into the
+// model, round the model into the mirror, train, widen the mirror back
+// into the model tensor by tensor, and flatten the report out of the
+// model.
+func fourPassVisit(env *Env, v *Visit, out []float64) {
+	m := env.NewModel()
+	nn.LoadParams(m, v.Start)
+	sh := nn.Mirror32(m)
+	nn.AssignParams32(sh, m)
+	st := visitState[float32]{net: sh}
+	st.localSGD(v.Data, v.Cfg, env.ClientRng(v.Client, v.Round))
+	wide := m.Params()
 	for i, p := range sh.Params() {
 		for j, x := range p.Data {
 			wide[i].Data[j] = float64(x)
 		}
 	}
 	if v.Layer == FullParams {
-		nn.FlattenParamsInto(l.Model, out)
+		nn.FlattenParamsInto(m, out)
 		return
 	}
-	copy(out, nn.FinalLayerVector(l.Model))
+	copy(out, nn.FinalLayerVector(m))
 }
 
 // TestLaneFloat32VisitMatchesFourPasses: a Float32 Lane.Visit, which
-// rounds Start straight into the shadow and widens the trained range
-// straight into out, writes the bits the four-pass route does — for a
-// full-parameter and a final-layer report, with and without the FedProx
-// term, on every client of a reused lane. Start is not the lane model's
-// own weights, so a visit that trained from those would show.
+// rounds Start straight into the lane's network and widens the trained
+// range straight into out, writes the bits the four-pass route does —
+// for a full-parameter and a final-layer report, with and without the
+// FedProx term, on every client of a reused lane. Start is not the
+// weights the lane's network was built with, so a visit that trained
+// from those would show.
 func TestLaneFloat32VisitMatchesFourPasses(t *testing.T) {
 	for _, layer := range []int{FullParams, FinalLayer} {
 		for _, mu := range []float64{0, 0.1} {
 			t.Run(fmt.Sprintf("layer%d/mu%v", layer, mu), func(t *testing.T) {
 				env := laneEnv(Float32)
 				env.Local.ProxMu = mu
-				lane, oracle := NewLane(env), NewLane(env)
+				lane := NewLane(env)
 				start := nn.FlattenParams(env.NewModel())
 				for i := range start {
 					start[i] += 0.01 * math.Sin(float64(i))
 				}
 				dim := len(start)
 				if layer == FinalLayer {
-					dim = len(nn.FinalLayerVector(lane.Model))
+					dim = lane.FinalDim()
 				}
 				got, want := make([]float64, dim), make([]float64, dim)
 				for c := range env.Clients {
 					lane.Visit(laneVisit(env, c, wire.Float64, layer, start, nil), got)
-					fourPassVisit(oracle, laneVisit(env, c, wire.Float64, layer, start, nil), want)
+					fourPassVisit(env, laneVisit(env, c, wire.Float64, layer, start, nil), want)
 					for i := range want {
 						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 							t.Fatalf("client %d value %d: visit %v, four passes %v", c, i, got[i], want[i])
@@ -192,4 +195,47 @@ func TestLaneFloat32VisitMatchesFourPasses(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestLaneHoldsOneNetwork: a lane's one network is in its run's dtype —
+// a Float32 lane builds no float64 network beside its float32 one.
+func TestLaneHoldsOneNetwork(t *testing.T) {
+	if _, ok := NewLane(laneEnv(Float32)).net.(*visitState[float32]); !ok {
+		t.Error("a Float32 lane holds no float32 network")
+	}
+	if _, ok := NewLane(laneEnv(Float64)).net.(*visitState[float64]); !ok {
+		t.Error("a Float64 lane holds no float64 network")
+	}
+}
+
+// TestLaneLoadEvaluateMatchesScratch: in both dtypes, Lane.Load then
+// Evaluate gives the bits TrainScratch.Evaluate gives on a float64 model
+// holding the loaded vector — two vectors per client, as IFCA's probe
+// loads its cluster models, on a fresh lane and then after a visit left
+// trained weights in its network.
+func TestLaneLoadEvaluateMatchesScratch(t *testing.T) {
+	onBothDTypes(t, func(t *testing.T, dtype DType) {
+		env := laneEnv(dtype)
+		lane := NewLane(env)
+		a := nn.FlattenParams(env.NewModel())
+		b := make([]float64, len(a))
+		for i := range b {
+			b[i] = a[i] + 0.01*math.Sin(float64(i))
+		}
+		model := env.NewModel()
+		ts := TrainScratch{DType: dtype}
+		out := make([]float64, len(a))
+		for c, cl := range env.Clients {
+			for k, vec := range [][]float64{a, b} {
+				lane.Load(vec)
+				gotLoss, gotAcc := lane.Evaluate(cl.Train, 16)
+				nn.LoadParams(model, vec)
+				wantLoss, wantAcc := ts.Evaluate(model, cl.Train, 16)
+				if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) || gotAcc != wantAcc {
+					t.Fatalf("client %d vector %d: lane (%v, %v), scratch (%v, %v)", c, k, gotLoss, gotAcc, wantLoss, wantAcc)
+				}
+			}
+			lane.Visit(laneVisit(env, c, wire.Float64, FullParams, b, nil), out)
+		}
+	})
 }

@@ -58,8 +58,8 @@ func (f IFCA) Run(env *fl.Env) *fl.Result {
 		// is no wire image of the evaluation downloads to mirror.)
 		best, bestLoss := 0, math.Inf(1)
 		for k := 0; k < f.K; k++ {
-			nn.LoadParams(ctx.Lane.Model, models[k])
-			l, _ := ctx.Lane.Scratch.Evaluate(ctx.Lane.Model, train, 64)
+			ctx.Lane.Load(models[k])
+			l, _ := ctx.Lane.Evaluate(train, 64)
 			if l < bestLoss {
 				best, bestLoss = k, l
 			}

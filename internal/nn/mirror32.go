@@ -7,11 +7,11 @@ import (
 )
 
 // The mixed-precision contract (DESIGN.md §10): master weights are
-// float64 everywhere; the float32 compute path runs on a shadow network
-// built here, loaded with one rounding per scalar (AssignParams32) and
-// read back by exact widening (tensor.Convert).
+// float64 everywhere; the float32 compute path runs on a float32 network
+// built here, loaded with one rounding per scalar (tensor.Convert) and
+// read back by exact widening.
 
-// Mirror32 builds a float32 shadow of a float64 network: the same layer
+// Mirror32 builds the float32 form of a float64 network: the same layer
 // kind at every position, with identical hyperparameters and zeroed
 // weights — call AssignParams32 to load them. Every layer kind in this
 // package has a float32 form; any other kind panics with its name.
@@ -32,42 +32,6 @@ func Mirror32(src *Sequential) *SequentialOf[float32] {
 		}
 	}
 	return newSequential(layers)
-}
-
-// IsMirror32 reports whether sh is structured as Mirror32(src) would
-// build it: the same layer kind with the same hyperparameters at every
-// position. Equal parameter sizes are not enough — a ReLU or a pooling
-// layer carries no parameters at all. It does not allocate, so a cached
-// shadow can be revalidated on every visit.
-func IsMirror32(sh *SequentialOf[float32], src *Sequential) bool {
-	if len(sh.Layers) != len(src.Layers) {
-		return false
-	}
-	for i, l := range src.Layers {
-		if !mirrors(sh.Layers[i], l) {
-			return false
-		}
-	}
-	return true
-}
-
-// mirrors is IsMirror32 for one layer; its cases are Mirror32's.
-func mirrors(m Layer[float32], l Layer[float64]) bool {
-	switch t := l.(type) {
-	case *Dense:
-		m, ok := m.(*DenseOf[float32])
-		return ok && m.In == t.In && m.Out == t.Out
-	case *Conv2D:
-		m, ok := m.(*Conv2DOf[float32])
-		return ok && m.Geom == t.Geom && m.OutC == t.OutC
-	case *ReLU[float64]:
-		m, ok := m.(*ReLU[float32])
-		return ok && m.dim == t.dim
-	case *MaxPool2[float64]:
-		m, ok := m.(*MaxPool2[float32])
-		return ok && m.C == t.C && m.H == t.H && m.W == t.W
-	}
-	return false
 }
 
 // AssignParams32 loads the float64 network's parameters into its float32

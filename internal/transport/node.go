@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"fedclust/internal/fl"
-	"fedclust/internal/nn"
 	"fedclust/internal/wire"
 )
 
@@ -54,11 +53,10 @@ type slot struct {
 // in-process one, so it has passed Env.Check already.
 func NewService(env *fl.Env) *Service {
 	lanes := fl.NewLanes(env)
-	ref := lanes[0].Model
 	s := &Service{
 		env:       env,
-		numParams: ref.NumParams(),
-		finalDim:  len(nn.FinalLayerVector(ref)),
+		numParams: lanes[0].NumParams(),
+		finalDim:  lanes[0].FinalDim(),
 		slots:     make(chan *slot, len(lanes)),
 	}
 	if env.Codec.Sparse() {

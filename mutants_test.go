@@ -44,6 +44,26 @@ var mutants = []struct {
 	{"internal/tensor/stream.go", "\tmomentumGo(w[m:], g[m:], v[m:], lr, mom, wd)",
 		"\tm = min(m+lanes[T](), len(w))\n\tmomentumGo(w[m:], g[m:], v[m:], lr, mom, wd)",
 		"./internal/tensor", "TestMomentumStepMatchesGoBody"},
+	// A cached runtime kept across a dtype change: the warm lanes' networks
+	// are in the old dtype.
+	{"internal/engine/state.go", "es.frac == env.TopKFrac && es.dtype == env.DType", "es.frac == env.TopKFrac",
+		"./internal/engine", "TestResultsBitIdenticalOnWarmRuntime"},
+	// A Float32 lane's Load that skips its rounding: Evaluate reads
+	// whatever the network held.
+	{"internal/fl/lane.go", "\tl.net.load(vec)\n",
+		"\tif _, ok := l.net.(*visitState[float64]); ok {\n\t\tl.net.load(vec)\n\t}\n",
+		"./internal/fl", "TestLaneLoadEvaluateMatchesScratch"},
+	// The lag cap dropped: a slow enough client's lag overflows past what
+	// FedBuff's checkpoint can resume.
+	{"internal/scenario/scenario.go", "lag = int(math.Min(math.Ceil(pass/d)-1, maxLag))", "lag = int(math.Ceil(pass/d)) - 1",
+		"./internal/scenario", "TestOutcomeLagCapped"},
+	// Checkpoint.Matches without its aggregator and error-feedback
+	// checks: a resume under another combine or codec is accepted.
+	{"internal/fl/checkpoint.go", "} else if agg[0] != aggIdentity(env.Aggregator) {",
+		"} else if false && agg[0] != aggIdentity(env.Aggregator) {",
+		"./internal/fl", "TestCheckpointMatchesIdentity"},
+	{"internal/fl/checkpoint.go", "hasEF != env.Codec.Sparse() {", "false && hasEF != env.Codec.Sparse() {",
+		"./internal/fl", "TestCheckpointMatchesIdentity"},
 }
 
 // TestMutantsAreKilled: every mutants row, written under t.TempDir and
