@@ -9,16 +9,19 @@ import (
 
 // Conv2DOf is a 2-D convolution over flattened CHW inputs, computed as
 // im2col · Wᵀ without ever holding the im2col matrix. Forward pads the
-// batch once and keeps that copy for Backward; both then walk the
-// (batch·OutH·OutW) × (InC·KH·KW) unroll in strips of stripRows rows,
-// each unrolled into an L1-sized buffer that the products consume before
-// the next strip overwrites it: y = strip·Wᵀ in Forward; in Backward the
-// weight gradient accumulates gy[strip]ᵀ·strip, then the same buffer
-// takes the strip's column gradient gy[strip]·W and col2im scatters it.
-// Strips run in order, so every output element is summed in the order of
-// the whole-matrix products, bit for bit in both dtypes. All
-// intermediates live in persistent per-layer workspaces, so a
-// steady-state training step allocates nothing.
+// batch once and keeps that copy for Backward. Forward's product reads
+// the unroll of the (batch·OutH·OutW) × (InC·KH·KW) matrix in place in the
+// padded copy (tensor.TransBPanel.ConvInto) and stores the channel-major
+// output, bias added, directly. Backward walks the unroll in strips of
+// stripRows rows, each unrolled into an L1-sized buffer that its products
+// consume before the next strip overwrites it: the weight gradient
+// accumulates gy[strip]ᵀ·strip, then the same buffer takes the strip's
+// column gradient gy[strip]·W and col2im scatters it. Strips run in
+// order, so every output element is summed in the order of the
+// whole-matrix products, bit for bit in both dtypes. All intermediates
+// live in persistent per-layer workspaces, so a steady-state training
+// step allocates nothing, and a forward-only pass never allocates a
+// strip.
 type Conv2DOf[T tensor.Float] struct {
 	Geom   tensor.ConvGeom
 	OutC   int
@@ -29,22 +32,26 @@ type Conv2DOf[T tensor.Float] struct {
 	noGx   bool // input gradient unread: Backward returns nil
 
 	padded ws[T]                 // (batch, PaddedLen) zero-padded input, kept for Backward
-	strip  ws[T]                 // ≤ stripRows unrolled rows; a strip's column gradient in Backward
 	packed tensor.TransBPanel[T] // W laid out for the forward product, once per Forward
-	rows   rowView[T]            // the current strip's rows of mm
-	mm     ws[T]                 // pixel-major matmul output y in Forward, de-interleaved gy in Backward
 	out    ws[T]                 // channel-major forward output (batch, OutC*outHW)
+	strip  ws[T]                 // Backward: ≤ stripRows unrolled rows, then their column gradient
+	rows   rowView[T]            // Backward: the current strip's rows of gy
+	mm     ws[T]                 // Backward: gy de-interleaved to pixel-major (batch*outHW, OutC)
 	gx     ws[T]                 // input gradient (batch, InC*InH*InW)
 }
 
-// stripBytes bounds one strip of the unrolled input: half of a 32 KB L1
-// data cache, so the strip, its rows of y or gy and W's packed panel stay
-// there together. A constant like tensor's transBPanelK, not an option.
+// stripBytes bounds one strip of Backward's unrolled input: half of a
+// 32 KB L1 data cache, so the strip, its rows of gy and the weight
+// gradient's rows stay there together. A constant like tensor's
+// transBPanelK, not an option.
 const stripBytes = 16 << 10
 
-// stripRows is how many unrolled rows of rowLen elements a strip holds:
-// as many as fit in stripBytes, rounded down to a multiple of four so the
-// forward product runs whole four-row tiles, and at least four.
+// stripRows is how many unrolled rows of rowLen elements one of
+// Backward's strips holds: as many as fit in stripBytes, and at least
+// four. It is rounded down to a multiple of four, so the weight
+// gradient's axpy, which takes a strip's listed terms four at a time,
+// ends a strip on a whole group unless a zero term was skipped. No bit
+// depends on the rounding.
 func stripRows[T tensor.Float](rowLen int) int {
 	return max(4, stripBytes/(rowLen*int(unsafe.Sizeof(T(0))))&^3)
 }
@@ -90,32 +97,16 @@ func (c *Conv2DOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	checkBatchInput(c, "", x, anyBatch, c.InDim())
 	batch := x.Shape[0]
 	c.batch = batch
-	outHW := c.Geom.OutH() * c.Geom.OutW()
-	rowLen := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	tensor.PadInto(x.Data, c.Geom, c.padded.get(batch, c.Geom.PaddedLen()).Data)
+	padded := c.padded.get(batch, c.Geom.PaddedLen()).Data
+	tensor.PadInto(x.Data, c.Geom, padded)
 	c.packed.Pack(c.W)
-	// y = unroll · Wᵀ (batch*outHW, OutC), one strip at a time.
-	y := c.mm.get(batch*outHW, c.OutC)
-	for r0, s := 0, stripRows[T](rowLen); r0 < y.Shape[0]; r0 += s {
-		r1 := min(r0+s, y.Shape[0])
-		c.packed.MulInto(c.rows.of(y, r0, r1), c.unroll(r0, r1))
-	}
-	// Reorder to channel-major (batch, OutC*outHW) and add bias.
-	out := c.out.get(batch, c.OutC*outHW)
-	for b := 0; b < batch; b++ {
-		dst := out.Row(b)
-		for p := 0; p < outHW; p++ {
-			src := y.Row(b*outHW + p)
-			for ch := 0; ch < c.OutC; ch++ {
-				dst[ch*outHW+p] = src[ch] + c.B.Data[ch]
-			}
-		}
-	}
+	out := c.out.get(batch, c.OutDim())
+	c.packed.ConvInto(out.Data, padded, c.Geom, c.B.Data)
 	return out
 }
 
-// unroll writes rows [r0, r1) of the batch's unrolled input into the
-// strip buffer, from the padded copy Forward made.
+// unroll writes rows [r0, r1) of the batch's unrolled input into
+// Backward's strip buffer, from the padded copy Forward made.
 func (c *Conv2DOf[T]) unroll(r0, r1 int) *tensor.Of[T] {
 	strip := c.strip.get(r1-r0, c.Geom.InC*c.Geom.KH*c.Geom.KW)
 	tensor.Im2ColRowsInto(c.padded.hdr.Data, c.Geom, r0, strip.Data)

@@ -77,8 +77,10 @@ func PadInto[T Float](x []T, g ConvGeom, dst []T) {
 // batch's padded copy (PadInto). Row r is output pixel r mod OutH·OutW of
 // image r / (OutH·OutW), laid out as Im2ColInto lays out one image's, so a
 // batch's rows are its images' unrolls stacked, and any run of them —
-// across output rows and images — can be produced on its own. A layer
-// walks the batch in L1-sized strips this way and never holds the matrix.
+// across output rows and images — can be produced on its own. A
+// convolution's Backward walks the batch in L1-sized strips this way and
+// never holds the matrix; its Forward writes no unroll at all
+// (TransBPanel.ConvInto reads the padded copy in place).
 //
 // It moves runs, not elements: for each output row the strip meets, a
 // (c, ky) pair is one run of KW elements per output pixel, consecutive

@@ -20,6 +20,15 @@ const transBPanelK = 256
 // bytes in either type.
 func lanes[T Float]() int { return 32 / int(unsafe.Sizeof(T(0))) }
 
+// rowMajorTaps is the tile's offset table for a row-major operand: row
+// r's value at p is at its row base plus p.
+var rowMajorTaps = func() (off [transBPanelK]int32) {
+	for p := range off {
+		off[p] = int32(p)
+	}
+	return off
+}()
+
 // transBTiles computes rows [lo,hi) of dst (m×n) = a (m×k) · bᵀ (b is
 // n×k), all flat row-major and hi-lo a multiple of four, as tiles: for
 // each block of lanes output columns the block's b-rows are interleaved
@@ -73,7 +82,8 @@ func tileBlock[T Float](dst, a, panel []T, k, n, j, lo, hi int) {
 	w := lanes[T]()
 	cols, pp := min(w, n-j), &panel[0]
 	for i := lo; i < hi; i += 4 {
-		transBTile(&a[i*k], pp, k, &tile, false)
+		rows := [4]*T{&a[i*k], &a[(i+1)*k], &a[(i+2)*k], &a[(i+3)*k]}
+		transBTile(&rows, &rowMajorTaps[0], pp, k, &tile, false)
 		for r := 0; r < 4; r++ {
 			out := dst[(i+r)*n+j:][:cols]
 			src := tile[r*w:][:len(out)]
@@ -104,14 +114,16 @@ func transBTilesPackA[T Float](dst, a, b []T, k, n, lo, hi int) {
 		s0 := tile[:min(w, hi-i)] // one value per stored row of dst
 		s1, s2, s3 := tile[w:][:len(s0)], tile[2*w:][:len(s0)], tile[3*w:][:len(s0)]
 		for j := 0; j < full; j += 4 {
-			transBTile(&b[j*k], pp, k, &tile, true)
+			bj := [4]*T{&b[j*k], &b[(j+1)*k], &b[(j+2)*k], &b[(j+3)*k]}
+			transBTile(&bj, &rowMajorTaps[0], pp, k, &tile, true)
 			for c, v := range s0 {
 				out := dst[(i+c)*n+j:][:4]
 				out[0], out[1], out[2], out[3] = v, s1[c], s2[c], s3[c]
 			}
 		}
 		if full < n {
-			transBTile(&b[(n-4)*k], pp, k, &tile, true)
+			bj := [4]*T{&b[(n-4)*k], &b[(n-3)*k], &b[(n-2)*k], &b[(n-1)*k]}
+			transBTile(&bj, &rowMajorTaps[0], pp, k, &tile, true)
 			for c, v := range s0 {
 				out, col := dst[(i+c)*n+full:(i+c+1)*n], [4]T{v, s1[c], s2[c], s3[c]}
 				copy(out, col[4-len(out):])
@@ -120,15 +132,15 @@ func transBTilesPackA[T Float](dst, a, b []T, k, n, lo, hi int) {
 	}
 }
 
-// transBTile runs T's assembly tile: four rows of a (stride k) against
-// one packed panel into tile, masking by the panel's values when
-// maskPanel is set and by a's otherwise.
-func transBTile[T Float](a, panel *T, k int, tile *[32]T, maskPanel bool) {
-	switch a := any(a).(type) {
-	case *float64:
-		f64TransBTileAVX2(a, any(panel).(*float64), k, &any(tile).(*[32]float64)[0], maskPanel)
-	case *float32:
-		f32TransBTileAVX2(a, any(panel).(*float32), k, &any(tile).(*[32]float32)[0], maskPanel)
+// transBTile runs T's assembly tile: four rows, row r's value at p being
+// rows[r][off[p]], against one packed panel into tile, masking by the
+// panel's values when maskPanel is set and by the rows' otherwise.
+func transBTile[T Float](rows *[4]*T, off *int32, panel *T, k int, tile *[32]T, maskPanel bool) {
+	switch rows := any(rows).(type) {
+	case *[4]*float64:
+		f64TransBTileAVX2(rows, off, any(panel).(*float64), k, &any(tile).(*[32]float64)[0], maskPanel)
+	case *[4]*float32:
+		f32TransBTileAVX2(rows, off, any(panel).(*float32), k, &any(tile).(*[32]float32)[0], maskPanel)
 	}
 }
 

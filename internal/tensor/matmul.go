@@ -59,56 +59,6 @@ func transBDims[T Float](dst, a, b *Of[T]) (m, k, n int) {
 	return m, k, n
 }
 
-// TransBPanel is the b operand of a product a · bᵀ taken against many a
-// in turn — a convolution's weights against each strip of its unrolled
-// input. Pack lays b out for the kernel once; MulInto then runs one
-// product per a without packing b again. On the tile path the layout is
-// the lanes-wide panel of every column block, the one MatMulTransBInto
-// packs on its stack per call; the Go body reads b's rows as they are.
-// Either way MulInto's bits are MatMulTransBInto's.
-type TransBPanel[T Float] struct {
-	b     *Of[T]
-	panel []T // tile path: column block j/lanes at j·k
-}
-
-// Pack makes b the operand of the products that follow; b's contents
-// must not change before the last of them.
-func (p *TransBPanel[T]) Pack(b *Of[T]) {
-	if len(b.Shape) != 2 {
-		panic("tensor: TransBPanel requires a rank-2 tensor")
-	}
-	p.b, p.panel = b, p.panel[:0]
-	n, k := b.Shape[0], b.Shape[1]
-	if !useASM || k == 0 || k > transBPanelK {
-		return
-	}
-	w := lanes[T]()
-	if need := (n + w - 1) / w * w * k; cap(p.panel) < need {
-		p.panel = make([]T, need)
-	} else {
-		p.panel = p.panel[:need]
-	}
-	for j := 0; j < n; j += w {
-		packTransB(p.panel[j*k:][:w*k], b.Data, k, n, j)
-	}
-}
-
-// MulInto computes dst = a · bᵀ for the packed b: whole groups of four
-// rows through the tile against the packed panels, the rest through the
-// Go body, as matmulTransBRows splits.
-func (p *TransBPanel[T]) MulInto(dst, a *Of[T]) {
-	m, k, n := transBDims(dst, a, p.b)
-	lo := 0
-	if useASM && len(p.panel) > 0 && m >= 4 {
-		lo = m &^ 3
-		w := lanes[T]()
-		for j := 0; j < n; j += w {
-			tileBlock(dst.Data, a.Data, p.panel[j*k:][:w*k], k, n, j, 0, lo)
-		}
-	}
-	matmulTransBRowsGo(dst, a, p.b, lo, m)
-}
-
 // matmulTransBRows computes rows [lo,hi) of dst = a·bᵀ: on AVX2 hosts
 // through the assembly tile, packing the smaller operand. A block of
 // fewer rows than b has (a dense layer's batch against its weights)
@@ -143,7 +93,8 @@ func matmulTransBRows[T Float](dst, a, b *Of[T], lo, hi int) {
 // multi-chain unrolls are what keep it latency-hidden — a single-chain
 // scalar remainder measured ~1.7× slower end to end on LeNet forward.
 // When touching the summation rule (p order, skip-zero), update ALL
-// four bodies identically; the golden-fingerprint suite enforces it.
+// four bodies identically, and convRowsGo, the convolution's form of
+// them; the golden-fingerprint suite enforces it.
 //
 // This is the specification of the product: the non-amd64 path, the
 // fallback beside the assembly tile, and what the oracle tests compare

@@ -133,10 +133,12 @@ func bitsOf[T Float](v T) uint64 {
 	return math.Float64bits(float64(v))
 }
 
-// TestTransBPanelMatchesMatMulTransB: b packed once, MulInto against a
-// run of different a equals MatMulTransBInto on each, bit for bit, in
-// both dtypes on both kernel paths: m on both sides of a four-row group,
-// every column remainder, k up to one past the panel bound.
+// TestTransBPanelMatchesMatMulTransB: W packed once, ConvInto against a
+// run of different batches equals MatMulTransBInto on each batch's unroll,
+// reordered to channel-major with the bias added, bit for bit, in both
+// dtypes on both kernel paths: batches whose pixel count is and is not a
+// multiple of four, every channel remainder of both tile widths, k up to
+// past the panel bound (InC 11, 5×5: 275 taps).
 func TestTransBPanelMatchesMatMulTransB(t *testing.T) {
 	t.Run("float64", onBothKernelPaths(testTransBPanelMatchesMatMulTransB[float64]))
 	t.Run("float32", onBothKernelPaths(testTransBPanelMatchesMatMulTransB[float32]))
@@ -145,19 +147,47 @@ func TestTransBPanelMatchesMatMulTransB(t *testing.T) {
 func testTransBPanelMatchesMatMulTransB[T Float](t *testing.T) {
 	r := rng.New(31)
 	var p TransBPanel[T]
-	for _, k := range []int{1, 5, 75, transBPanelK, transBPanelK + 1} {
+	for _, g := range []ConvGeom{
+		{InC: 1, InH: 1, InW: 1, KH: 1, KW: 1, Stride: 1},
+		{InC: 3, InH: 5, InW: 5, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{InC: 2, InH: 7, InW: 6, KH: 5, KW: 4, Stride: 2, Pad: 2},
+		{InC: 11, InH: 5, InW: 5, KH: 5, KW: 5, Stride: 1, Pad: 2},
+	} {
+		k := g.InC * g.KH * g.KW
 		for n := 1; n <= 9; n++ {
-			b := edgeOf[T](r, n, k)
-			p.Pack(b)
-			for _, m := range []int{1, 3, 4, 9, 24} {
-				a := edgeOf[T](r, m, k)
-				want, got := NewOf[T](m, n), NewOf[T](m, n)
-				MatMulTransBInto(want, a, b)
-				p.MulInto(got, a)
-				sameBitsOf(t, fmt.Sprintf("m %d k %d n %d", m, k, n), got, want)
+			w, bias := edgeOf[T](r, n, k), edgeValues[T](r, n, true)
+			p.Pack(w)
+			for _, batch := range []int{1, 3, 4} {
+				x := edgeValues[T](r, batch*g.InC*g.InH*g.InW, true)
+				padded := make([]T, batch*g.PaddedLen())
+				PadInto(x, g, padded)
+				got := make([]T, batch*n*g.OutH()*g.OutW())
+				p.ConvInto(got, padded, g, bias)
+				want := unrolledConv(x, g, w, bias)
+				sameBitsOf(t, fmt.Sprintf("%+v n %d batch %d", g, n, batch), FromSlice(got, len(got)), FromSlice(want, len(want)))
 			}
 		}
 	}
+}
+
+// unrolledConv is a batch's convolution through the unroll: each image's
+// Im2ColInto rows, one MatMulTransBInto against w, reordered to
+// channel-major with the bias added.
+func unrolledConv[T Float](x []T, g ConvGeom, w *Of[T], bias []T) []T {
+	n, outHW, rowLen, imgLen := w.Shape[0], g.OutH()*g.OutW(), g.InC*g.KH*g.KW, g.InC*g.InH*g.InW
+	batch := len(x) / imgLen
+	cols := NewOf[T](batch*outHW, rowLen)
+	for b := 0; b < batch; b++ {
+		Im2ColInto(x[b*imgLen:][:imgLen], g, cols.Data[b*outHW*rowLen:][:outHW*rowLen])
+	}
+	y := NewOf[T](batch*outHW, n)
+	MatMulTransBInto(y, cols, w)
+	out := make([]T, batch*n*outHW)
+	for i := range out {
+		b, ch, pix := i/(n*outHW), i/outHW%n, i%outHW
+		out[i] = y.Data[(b*outHW+pix)*n+ch] + bias[ch]
+	}
+	return out
 }
 
 // TestMatMulTransAAddInBlocksMatchesWhole: aᵀ·b cut along k into blocks

@@ -12,14 +12,15 @@ import "unsafe"
 // element: every sum keeps the order and the roundings of the Go body it
 // stands in for.
 
-// f64TransBTileAVX2 computes the 4×4 tile out[r*4+c] = Σ_p a[r*k+p] ·
-// panel[p*4+c] over p ascending, skipping (as an exact masked add of +0)
-// every term whose a value is ±0 — or, when maskPanel is set, every term
-// whose panel value is. a addresses 4 rows of k floats, panel k rows of 4, out
-// 16 floats; k must be > 0.
+// f64TransBTileAVX2 computes the 4×4 tile out[r*4+c] = Σ_p
+// rows[r][off[p]] · panel[p*4+c] over p ascending, skipping (as an exact
+// masked add of +0) every term whose broadcast value is ±0 — or, when
+// maskPanel is set, every term whose panel value is. Each row base
+// addresses every element its offsets reach, off holds k offsets, panel k
+// rows of 4, out 16 floats; k must be > 0.
 //
 //go:noescape
-func f64TransBTileAVX2(a, panel *float64, k int, out *float64, maskPanel bool)
+func f64TransBTileAVX2(rows *[4]*float64, off *int32, panel *float64, k int, out *float64, maskPanel bool)
 
 // f64EuclideanTileAVX2 computes the 4×4 tile out[r*4+c] = Σ_p
 // (a[r][p] − panel[p*4+c])² over p ascending from +0, the difference, the

@@ -12,36 +12,43 @@
 // Every routine that touches a YMM register executes VZEROUPPER before
 // returning.
 
-// func f64TransBTileAVX2(a, panel *float64, k int, out *float64, maskPanel bool)
+// func f64TransBTileAVX2(rows *[4]*float64, off *int32, panel *float64, k int, out *float64, maskPanel bool)
 //
-// Four a-rows (stride k) against one packed panel of four rows: lane c
-// of accumulator r is output (r, c), p ascending, product then sum. One
-// of the two operands carries the skip-zero rule: the broadcast a values
-// (maskPanel false: the panel is bᵀ) or the panel's (maskPanel true: the
-// panel is four rows of the product's a, the broadcast rows its b, and
-// the caller stores the tile transposed). The first pass adds every
-// term. An Inf or NaN in the other operand makes every sum it enters
-// non-finite — a panel column's in all four rows, a broadcast row's in
-// all lanes — so when all sixteen sums come out finite that operand
-// holds none, the skip-zero rule changes nothing, and the first pass is
-// the answer. Otherwise the second pass applies the rule: per p it
-// compares the skip operand NEQ_UQ against zero (all-ones unless it is
-// ±0; NaN compares true, as Go's `av == 0` is false for NaN) and ANDs
-// each product with that mask, so a skipped term adds +0. DESIGN.md §10
-// proves both passes equal the Go body.
+// Four broadcast rows against one packed panel of four rows: lane c of
+// accumulator r is output (r, c), p ascending, product then sum. Row r's
+// value at p is rows[r][off[p]]: a row base plus one offset table shared
+// by the four rows. With off[p] = p and bases r·k the rows are four
+// consecutive rows of a row-major operand; with a convolution's tap
+// offsets and four output pixels' top-left taps they are four rows of
+// the unroll, read in place in the padded batch. One of the two operands
+// carries the skip-zero rule: the broadcast values (maskPanel false: the
+// panel is bᵀ) or the panel's (maskPanel true: the panel is four rows of
+// the product's a, the broadcast rows its b, and the caller stores the
+// tile transposed). The first pass adds every term. An Inf or NaN in the
+// other operand makes every sum it enters non-finite — a panel column's
+// in all four rows, a broadcast row's in all lanes — so when all sixteen
+// sums come out finite that operand holds none, the skip-zero rule
+// changes nothing, and the first pass is the answer. Otherwise the second
+// pass applies the rule: per p it compares the skip operand NEQ_UQ
+// against zero (all-ones unless it is ±0; NaN compares true, as Go's
+// `av == 0` is false for NaN) and ANDs each product with that mask, so a
+// skipped term adds +0. DESIGN.md §10 proves both passes equal the Go
+// body.
 //
-// The four a-rows are 8k contiguous bytes and the next call reads the 8k
-// after them, so each step of the first pass also prefetches 32 bytes of
-// the next tile's rows. A prefetch past the end of a is a hint that
-// faults nothing.
-TEXT ·f64TransBTileAVX2(SB), NOSPLIT, $0-33
-	MOVQ a+0(FP), SI
-	MOVQ panel+8(FP), DI
-	MOVQ k+16(FP), CX
-	MOVQ out+24(FP), DX
-	LEAQ (SI)(CX*8), R8
-	LEAQ (R8)(CX*8), R9
-	LEAQ (R9)(CX*8), R10
+// Consecutive rows of a row-major operand are followed by the next
+// tile's, so each step of the first pass also prefetches 32 bytes of the
+// 8k after the fourth row's base. A prefetch past the end of an operand
+// is a hint that faults nothing.
+TEXT ·f64TransBTileAVX2(SB), NOSPLIT, $0-41
+	MOVQ rows+0(FP), AX
+	MOVQ 0(AX), SI
+	MOVQ 8(AX), R8
+	MOVQ 16(AX), R9
+	MOVQ 24(AX), R10
+	MOVQ off+8(FP), R12
+	MOVQ panel+16(FP), DI
+	MOVQ k+24(FP), CX
+	MOVQ out+32(FP), DX
 	LEAQ (R10)(CX*8), R11
 	MOVQ DI, BX
 	VXORPD Y0, Y0, Y0
@@ -52,11 +59,12 @@ TEXT ·f64TransBTileAVX2(SB), NOSPLIT, $0-33
 tile64_loop:
 	PREFETCHT0 (R11)
 	ADDQ $32, R11
+	MOVL (R12)(AX*4), R13
 	VMOVUPD (DI), Y4
-	VBROADCASTSD (SI)(AX*8), Y5
-	VBROADCASTSD (R8)(AX*8), Y6
-	VBROADCASTSD (R9)(AX*8), Y7
-	VBROADCASTSD (R10)(AX*8), Y8
+	VBROADCASTSD (SI)(R13*8), Y5
+	VBROADCASTSD (R8)(R13*8), Y6
+	VBROADCASTSD (R9)(R13*8), Y7
+	VBROADCASTSD (R10)(R13*8), Y8
 	VMULPD Y4, Y5, Y5
 	VMULPD Y4, Y6, Y6
 	VMULPD Y4, Y7, Y7
@@ -88,7 +96,7 @@ tile64_loop:
 	VXORPD Y15, Y15, Y15
 	VCMPPD $0, Y15, Y15, Y14
 	VXORPD Y13, Y13, Y13
-	MOVBLZX maskPanel+32(FP), AX
+	MOVBLZX maskPanel+40(FP), AX
 	TESTL AX, AX
 	JNZ  tile64_masked_start
 	VMOVUPD Y14, Y13
@@ -99,13 +107,14 @@ tile64_masked_start:
 	// the mask of the row being added.
 	XORQ AX, AX
 tile64_masked:
+	MOVL (R12)(AX*4), R13
 	VMOVUPD (DI), Y4
 	VCMPPD $4, Y15, Y4, Y9
 	VORPD Y13, Y9, Y9
-	VBROADCASTSD (SI)(AX*8), Y5
-	VBROADCASTSD (R8)(AX*8), Y6
-	VBROADCASTSD (R9)(AX*8), Y7
-	VBROADCASTSD (R10)(AX*8), Y8
+	VBROADCASTSD (SI)(R13*8), Y5
+	VBROADCASTSD (R8)(R13*8), Y6
+	VBROADCASTSD (R9)(R13*8), Y7
+	VBROADCASTSD (R10)(R13*8), Y8
 	VCMPPD $4, Y15, Y5, Y10
 	VORPD Y14, Y10, Y10
 	VANDPD Y9, Y10, Y10

@@ -8,7 +8,7 @@ import "unsafe"
 // they exist only to satisfy the references in kernels.go,
 // distance.go, stream.go and im2col.go.
 
-func f64TransBTileAVX2(a, panel *float64, k int, out *float64, maskPanel bool) {
+func f64TransBTileAVX2(rows *[4]*float64, off *int32, panel *float64, k int, out *float64, maskPanel bool) {
 	panic("tensor: f64TransBTileAVX2 called without AVX2 support")
 }
 

@@ -16,14 +16,15 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // xgetbv reads extended control register 0 (implemented in simd_amd64.s).
 func xgetbv() (eax, edx uint32)
 
-// f32TransBTileAVX2 computes the 4×8 tile out[r*8+c] = Σ_p a[r*k+p] ·
-// panel[p*8+c] over p ascending, skipping (as an exact masked add of +0)
-// every term whose a value is ±0 — or, when maskPanel is set, every term
-// whose panel value is. a addresses 4 rows of k floats, panel k rows of 8, out
-// 32 floats; k must be > 0.
+// f32TransBTileAVX2 computes the 4×8 tile out[r*8+c] = Σ_p
+// rows[r][off[p]] · panel[p*8+c] over p ascending, skipping (as an exact
+// masked add of +0) every term whose broadcast value is ±0 — or, when
+// maskPanel is set, every term whose panel value is. Each row base
+// addresses every element its offsets reach, off holds k offsets, panel k
+// rows of 8, out 32 floats; k must be > 0.
 //
 //go:noescape
-func f32TransBTileAVX2(a, panel *float32, k int, out *float32, maskPanel bool)
+func f32TransBTileAVX2(rows *[4]*float32, off *int32, panel *float32, k int, out *float32, maskPanel bool)
 
 // f32AxpyAVX2 accumulates dst[i] += alpha[t]*x[t][i] for t = 0 … terms−1
 // (1–4) in turn over n > 0 elements, each product rounded before its sum.

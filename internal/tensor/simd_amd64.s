@@ -31,23 +31,25 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func f32TransBTileAVX2(a, panel *float32, k int, out *float32, maskPanel bool)
+// func f32TransBTileAVX2(rows *[4]*float32, off *int32, panel *float32, k int, out *float32, maskPanel bool)
 //
-// f64TransBTileAVX2 at eight lanes: four a-rows (stride k) against one
-// packed panel of eight rows, lane c of accumulator r is output (r, c);
-// a first pass over every term, kept when all four rows' sums are
-// finite, and the masked skip-zero pass otherwise, masking by the panel
-// value when maskPanel is set and by the broadcast a value when it is
-// not. Each step of the first pass prefetches 16 bytes of the next
-// tile's rows (the 16k bytes after these).
-TEXT ·f32TransBTileAVX2(SB), NOSPLIT, $0-33
-	MOVQ a+0(FP), SI
-	MOVQ panel+8(FP), DI
-	MOVQ k+16(FP), CX
-	MOVQ out+24(FP), DX
-	LEAQ (SI)(CX*4), R8
-	LEAQ (R8)(CX*4), R9
-	LEAQ (R9)(CX*4), R10
+// f64TransBTileAVX2 at eight lanes: four broadcast rows, row r's value at
+// p being rows[r][off[p]], against one packed panel of eight rows, lane c
+// of accumulator r is output (r, c); a first pass over every term, kept
+// when all four rows' sums are finite, and the masked skip-zero pass
+// otherwise, masking by the panel value when maskPanel is set and by the
+// broadcast value when it is not. Each step of the first pass prefetches
+// 16 bytes of the 4k after the fourth row's base.
+TEXT ·f32TransBTileAVX2(SB), NOSPLIT, $0-41
+	MOVQ rows+0(FP), AX
+	MOVQ 0(AX), SI
+	MOVQ 8(AX), R8
+	MOVQ 16(AX), R9
+	MOVQ 24(AX), R10
+	MOVQ off+8(FP), R12
+	MOVQ panel+16(FP), DI
+	MOVQ k+24(FP), CX
+	MOVQ out+32(FP), DX
 	LEAQ (R10)(CX*4), R11
 	MOVQ DI, BX
 	VXORPS Y0, Y0, Y0
@@ -58,11 +60,12 @@ TEXT ·f32TransBTileAVX2(SB), NOSPLIT, $0-33
 tile32_loop:
 	PREFETCHT0 (R11)
 	ADDQ $16, R11
+	MOVL (R12)(AX*4), R13
 	VMOVUPS (DI), Y4
-	VBROADCASTSS (SI)(AX*4), Y5
-	VBROADCASTSS (R8)(AX*4), Y6
-	VBROADCASTSS (R9)(AX*4), Y7
-	VBROADCASTSS (R10)(AX*4), Y8
+	VBROADCASTSS (SI)(R13*4), Y5
+	VBROADCASTSS (R8)(R13*4), Y6
+	VBROADCASTSS (R9)(R13*4), Y7
+	VBROADCASTSS (R10)(R13*4), Y8
 	VMULPS Y4, Y5, Y5
 	VMULPS Y4, Y6, Y6
 	VMULPS Y4, Y7, Y7
@@ -94,7 +97,7 @@ tile32_loop:
 	VXORPS Y15, Y15, Y15
 	VCMPPS $0, Y15, Y15, Y14
 	VXORPS Y13, Y13, Y13
-	MOVBLZX maskPanel+32(FP), AX
+	MOVBLZX maskPanel+40(FP), AX
 	TESTL AX, AX
 	JNZ  tile32_masked_start
 	VMOVUPS Y14, Y13
@@ -102,13 +105,14 @@ tile32_loop:
 tile32_masked_start:
 	XORQ AX, AX
 tile32_masked:
+	MOVL (R12)(AX*4), R13
 	VMOVUPS (DI), Y4
 	VCMPPS $4, Y15, Y4, Y9
 	VORPS Y13, Y9, Y9
-	VBROADCASTSS (SI)(AX*4), Y5
-	VBROADCASTSS (R8)(AX*4), Y6
-	VBROADCASTSS (R9)(AX*4), Y7
-	VBROADCASTSS (R10)(AX*4), Y8
+	VBROADCASTSS (SI)(R13*4), Y5
+	VBROADCASTSS (R8)(R13*4), Y6
+	VBROADCASTSS (R9)(R13*4), Y7
+	VBROADCASTSS (R10)(R13*4), Y8
 	VCMPPS $4, Y15, Y5, Y10
 	VORPS Y14, Y10, Y10
 	VANDPS Y9, Y10, Y10

@@ -6,7 +6,7 @@ package tensor
 // they exist only to satisfy the references in kernels.go and
 // stream.go.
 
-func f32TransBTileAVX2(a, panel *float32, k int, out *float32, maskPanel bool) {
+func f32TransBTileAVX2(rows *[4]*float32, off *int32, panel *float32, k int, out *float32, maskPanel bool) {
 	panic("tensor: f32TransBTileAVX2 called without AVX2 support")
 }
 

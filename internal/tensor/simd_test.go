@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"unsafe"
@@ -329,4 +330,118 @@ func TestCopyRunsWritesOnlyItsRuns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// offsetGeoms are the convolutions the offset form is held to the Go body
+// over: Pad at and beyond KW, strides 1–3, kernels wider than the image,
+// one input channel and several, 1×1 taps and LeNet-5's two layers.
+var offsetGeoms = []ConvGeom{
+	{InC: 1, InH: 4, InW: 4, KH: 3, KW: 3, Stride: 3, Pad: 3},
+	{InC: 1, InH: 5, InW: 7, KH: 2, KW: 6, Stride: 2, Pad: 6},
+	{InC: 2, InH: 3, InW: 2, KH: 5, KW: 5, Stride: 1, Pad: 2},
+	{InC: 2, InH: 6, InW: 5, KH: 3, KW: 3, Stride: 2, Pad: 1},
+	{InC: 2, InH: 9, InW: 7, KH: 2, KW: 4, Stride: 3, Pad: 0},
+	{InC: 4, InH: 3, InW: 3, KH: 1, KW: 1, Stride: 1, Pad: 0},
+	{InC: 3, InH: 16, InW: 16, KH: 5, KW: 5, Stride: 1, Pad: 2},
+	{InC: 3, InH: 8, InW: 8, KH: 5, KW: 5, Stride: 1, Pad: 0},
+}
+
+// TestTransBOffsetAsmMatchesGoBody: the tile's offset form — four pixels'
+// top-left taps in the padded batch as row bases, the geometry's tap
+// offsets, the tile stored channel-major with the bias — equals the Go
+// offset body, bit for bit, in both dtypes: over every offsetGeoms
+// geometry, channel counts with every remainder of both tile widths, runs
+// of four-pixel groups starting at any pixel (mid output row, mid image),
+// alternately finite-only and with non-finite operands; and a run leaves
+// every pixel outside it untouched.
+func TestTransBOffsetAsmMatchesGoBody(t *testing.T) {
+	inBothDTypes(t, testTransBOffsetAsmMatchesGoBody[float64], testTransBOffsetAsmMatchesGoBody[float32])
+}
+
+func testTransBOffsetAsmMatchesGoBody[T Float](t *testing.T) {
+	if !UseASM() {
+		t.Skip("no AVX2 kernel path on this host")
+	}
+	r := rng.New(45)
+	for gi, g := range offsetGeoms {
+		for _, n := range []int{1, 3, 4, 5, 8, 9, 13} {
+			for _, batch := range []int{1, 2, 3} {
+				nonFinite := (gi+n+batch)%2 == 1
+				x := edgeValues[T](r, batch*g.InC*g.InH*g.InW, nonFinite)
+				w := FromSlice(edgeValues[T](r, n*g.InC*g.KH*g.KW, nonFinite), n, g.InC*g.KH*g.KW)
+				bias := edgeValues[T](r, n, nonFinite)
+				checkOffsetForm(t, r, fmt.Sprintf("%+v n %d batch %d", g, n, batch), g, x, w, bias)
+			}
+		}
+	}
+
+	// The masked-skip proof in the offset form: every image value is ±0,
+	// so every tap and the padding around it is skipped, against
+	// non-finite weights, with a +0 bias. Every output must be +0.
+	for _, g := range offsetGeoms[:4] {
+		x := make([]T, 2*g.InC*g.InH*g.InW)
+		for i := range x {
+			if i%2 == 1 {
+				x[i] = T(math.Copysign(0, -1))
+			}
+		}
+		n := 6
+		w := NewOf[T](n, g.InC*g.KH*g.KW)
+		for i := range w.Data {
+			w.Data[i] = T([...]float64{math.Inf(1), math.Inf(-1), math.NaN()}[i%3])
+		}
+		bias := make([]T, n)
+		got := checkOffsetForm(t, r, fmt.Sprintf("%+v, zero image against non-finite W", g), g, x, w, bias)
+		for i, v := range got {
+			if bitsOf(v) != 0 {
+				t.Fatalf("%+v: zero image against non-finite W: out[%d] = %x, want +0", g, i, bitsOf(v))
+			}
+		}
+	}
+}
+
+// checkOffsetForm convolves the batch x with w and bias through the Go
+// offset body, then requires, on bits: ConvInto with the gate on gives
+// the same output, and convTiles over a run of whole four-pixel groups
+// from a random pixel writes exactly those pixels' outputs. It returns
+// the Go body's output.
+func checkOffsetForm[T Float](t *testing.T, r *rng.Rng, name string, g ConvGeom, x []T, w *Of[T], bias []T) []T {
+	t.Helper()
+	n, outHW := w.Shape[0], g.OutH()*g.OutW()
+	padded := make([]T, len(x)/(g.InC*g.InH*g.InW)*g.PaddedLen())
+	PadInto(x, g, padded)
+	pixels := len(padded) / g.PaddedLen() * outHW
+	off := tapOffsets(nil, g)
+	want := make([]T, pixels*n)
+	convRowsGo(want, padded, w.Data, bias, off, g, 0, pixels)
+	same := func(what string, got []T, outside T, lo, hi int) {
+		t.Helper()
+		for i, v := range got {
+			wv := want[i]
+			if pix := i/(n*outHW)*outHW + i%outHW; pix < lo || pix >= hi {
+				wv = outside
+			}
+			if !sameBits(v, wv) {
+				t.Fatalf("%s, %s: out[%d] (pixel %d, channel %d) = %x, Go body %x",
+					name, what, i, i/(n*outHW)*outHW+i%outHW, i/outHW%n, bitsOf(v), bitsOf(wv))
+			}
+		}
+	}
+	var p TransBPanel[T]
+	p.Pack(w)
+	got := make([]T, len(want))
+	p.ConvInto(got, padded, g, bias)
+	same("ConvInto", got, 0, 0, pixels)
+	if pixels < 4 {
+		return want
+	}
+	lo := r.Intn(pixels - 3)
+	hi := lo + 4*(1+r.Intn((pixels-lo)/4))
+	const untouched = 12345.678
+	for i := range got {
+		got[i] = untouched
+	}
+	convTiles(got, padded, p.panel, bias, p.off, g, lo, hi)
+	same(fmt.Sprintf("tiles over pixels [%d,%d)", lo, hi), got, untouched, lo, hi)
+	return want
 }

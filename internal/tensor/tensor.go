@@ -1,6 +1,6 @@
 // Package tensor implements dense row-major tensors and the numerical
-// kernels (matrix multiply, im2col by strips) that the neural
-// network stack is built on.
+// kernels (matrix multiply, the convolution read in place, im2col by
+// strips) that the neural network stack is built on.
 //
 // The package is deliberately small: shapes are explicit, storage is a
 // flat slice, and there is no autograd — layers in internal/nn implement

@@ -44,6 +44,14 @@ var mutants = []struct {
 	{"internal/tensor/stream.go", "\tmomentumGo(w[m:], g[m:], v[m:], lr, mom, wd)",
 		"\tm = min(m+lanes[T](), len(w))\n\tmomentumGo(w[m:], g[m:], v[m:], lr, mom, wd)",
 		"./internal/tensor", "TestMomentumStepMatchesGoBody"},
+	// The forward convolution's tap offsets laid out on the unpadded row
+	// width: every tap below a kernel's first row reads the wrong pixel.
+	{"internal/tensor/conv.go", "pw, ph := g.InW+2*g.Pad,", "pw, ph := g.InW,",
+		"./internal/tensor", "TestTransBPanelMatchesMatMulTransB"},
+	// The Go offset body's sum started at the second tap: the tail pixels
+	// beside the tile, and every pixel off AVX2, lose their first term.
+	{"internal/tensor/conv.go", "for p := 0; p < len(off); p++ {", "for p := 1; p < len(off); p++ {",
+		"./internal/tensor", "TestTransBOffsetAsmMatchesGoBody"},
 	// A cached runtime kept across a dtype change: the warm lanes' networks
 	// are in the old dtype.
 	{"internal/engine/state.go", "es.frac == env.TopKFrac && es.dtype == env.DType", "es.frac == env.TopKFrac",

@@ -515,6 +515,11 @@ var hotLoops = []struct {
 	// expression cutting a row to the first row's length or the tile's
 	// output row.
 	{"internal/tensor/distance.go", []string{"packEuclidean", "euclideanTileGo"}, regexp.MustCompile(`\[[^\]]*:[^\]]*\]`)},
+	// The forward convolution's tap-offset table and its channel-major
+	// store: a slice expression cutting an offset run, a bias block, a
+	// tile row or an output plane; the &x[i] row bases, offset table and
+	// panel block handed to the tile.
+	{"internal/tensor/conv.go", []string{"tapOffsets", "convTiles", "storeQuad", "storeChannels"}, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|&\w+\[`)},
 	// The momentum SGD and conversion streams' Go bodies and their
 	// dispatch: a slice expression cutting an operand to the first one's
 	// length or the Go tail off the assembly's part; an &x[0] stream start.
