@@ -161,21 +161,17 @@ func runServe(o serveOptions, s *shared, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	specHash := transport.SpecHash(specBytes)
 
-	// A resume checkpoint must belong to this exact spec (the hash pins
-	// dataset, population, schedule, codec-independent run identity) and
-	// to one of the methods on the list; later trainers in the list run
-	// from scratch, earlier ones are already done and are skipped.
+	// A resume checkpoint must belong to one of the methods on the list
+	// and to this exact run (Matches: every spec field lands in env, and
+	// so in its identity); later trainers in the list run from scratch,
+	// earlier ones are already done and are skipped.
 	var resumeCkpt *fl.Checkpoint
 	firstTrainer := 0
 	if o.resumePath != "" {
 		resumeCkpt, err = fl.ReadCheckpointFile(o.resumePath)
 		if err != nil {
 			return fmt.Errorf("reading -resume: %w", err)
-		}
-		if resumeCkpt.SpecHash != specHash {
-			return fmt.Errorf("-resume checkpoint was taken under a different run spec (hash %#x, this run %#x) — same flags required", resumeCkpt.SpecHash, specHash)
 		}
 		firstTrainer = -1
 		for i, tr := range trainers {
@@ -187,7 +183,15 @@ func runServe(o serveOptions, s *shared, stdout, stderr io.Writer) error {
 		if firstTrainer < 0 {
 			return fmt.Errorf("-resume checkpoint holds %s state, not on the method list %v", resumeCkpt.Method, o.methods)
 		}
-		if err := resumeCkpt.Matches(env, resumeCkpt.Method, 0); err != nil {
+		// FedProx trains on a copy of env whose local config carries its
+		// proximal μ, and its checkpoints carry that identity.
+		runEnv := env
+		if p, ok := trainers[firstTrainer].(methods.FedProx); ok {
+			e := *env
+			e.Local.ProxMu = p.Mu
+			runEnv = &e
+		}
+		if err := resumeCkpt.Matches(runEnv, resumeCkpt.Method); err != nil {
 			return fmt.Errorf("-resume: %w", err)
 		}
 		fmt.Fprintf(stdout, "resuming %s from %s at round %d/%d\n",
@@ -222,9 +226,8 @@ func runServe(o serveOptions, s *shared, stdout, stderr io.Writer) error {
 	}
 	if path := o.checkpointPath; path != "" {
 		env.Ckpt = &fl.CheckpointPlan{
-			Every:    s.ckptEvery,
-			Trigger:  tracker.TakeTrigger,
-			SpecHash: specHash,
+			Every:   s.ckptEvery,
+			Trigger: tracker.TakeTrigger,
 			Sink: func(c *fl.Checkpoint) {
 				if err := c.WriteFile(path); err != nil {
 					fmt.Fprintf(stderr, "fedsim: checkpoint write failed: %v\n", err)
@@ -265,7 +268,7 @@ func runServe(o serveOptions, s *shared, stdout, stderr io.Writer) error {
 		} else if resumeCkpt != nil && tr.Name() == resumeCkpt.Method {
 			// Resuming without -checkpoint: attach a sink-less plan just
 			// to carry the resume state into the engine.
-			env.Ckpt = &fl.CheckpointPlan{Resume: resumeCkpt, SpecHash: specHash}
+			env.Ckpt = &fl.CheckpointPlan{Resume: resumeCkpt}
 			defer func() { env.Ckpt = nil }()
 		}
 		start := time.Now()
@@ -290,8 +293,8 @@ func displayAddr(addr string) string {
 
 // runJoin is a node: dial, replicate the environment, serve until Bye.
 // With a rejoin window, a lost coordinator (crash, restart-from-
-// checkpoint) is re-dialed until the window expires; the spec hash
-// guarantees the node only reconnects to the same run.
+// checkpoint) is re-dialed until the window expires; comparing the spec
+// bytes guarantees the node only reconnects to the same run.
 func runJoin(addr, name string, rejoinSec float64, stdout io.Writer) error {
 	if name == "" {
 		host, _ := os.Hostname()

@@ -15,17 +15,19 @@ const (
 	secClusteredMeta   = "clustered/meta"
 )
 
-// resume checks the checkpoint against this run (Checkpoint.Matches) and
-// restores the accumulated Result and the method's server state. It
-// returns the round index the loop continues from. A refusal panics: a
-// caller that read the checkpoint from outside the process checks it with
-// Matches first and reports the error (fedsim serve does), so reaching a
-// mismatch here is a wiring bug, and silently training a different run
-// would be worse than dying.
+// resume checks the checkpoint against this run (Checkpoint.Matches),
+// adopts its identity for the snapshots the run emits, and restores the
+// accumulated Result and the method's server state. It returns the round
+// index the loop continues from. A refusal panics: a caller that read the
+// checkpoint from outside the process checks it with Matches first and
+// reports the error (fedsim serve does), so reaching a mismatch here is a
+// wiring bug, and silently training a different run would be worse than
+// dying.
 func (d *RoundDriver) resume(c *fl.Checkpoint) int {
-	if err := c.Matches(d.Env, d.Res.Method, d.NumParams); err != nil {
+	if err := c.Matches(d.Env, d.Res.Method); err != nil {
 		panic("engine: resume: " + err.Error())
 	}
+	d.id = c.ID
 	s := c.Loader()
 	d.walkState(s)
 	if s.Err != nil {
@@ -58,7 +60,7 @@ func (d *RoundDriver) maybeCheckpoint(round int) {
 	if d.es.timing {
 		d.es.stamp = obs.Now()
 	}
-	c := fl.NewCheckpoint(d.Env, d.Res.Method, round+1, d.NumParams, plan.SpecHash)
+	c := &fl.Checkpoint{Method: d.Res.Method, ID: d.id, Round: round + 1, Rounds: d.Env.Rounds}
 	d.walkState(c.Saver())
 	plan.Sink(c)
 	if ob := d.Env.Observer; ob != nil {

@@ -190,6 +190,9 @@ type RoundDriver struct {
 	Weights []float64
 
 	es *envState
+	// id is the run's identity, computed once per run when checkpointing
+	// is attached: every snapshot the run emits carries it.
+	id fl.Identity
 	// sh, when non-nil, holds the claim on the environment's shared
 	// runtime compartment; Run returns es to it when the schedule ends.
 	sh *fl.EnvShared
@@ -483,8 +486,12 @@ func (d *RoundDriver) Run() *fl.Result {
 		panic(fmt.Sprintf("engine: %s has neither Broadcast nor Local hook", d.Res.Method))
 	}
 	start := 0
-	if plan := d.Env.Ckpt; plan != nil && plan.Resume != nil {
-		start = d.resume(plan.Resume)
+	if plan := d.Env.Ckpt; plan != nil {
+		if plan.Resume != nil {
+			start = d.resume(plan.Resume)
+		} else {
+			d.id = d.Env.Identity()
+		}
 	}
 	if ob := d.Env.Observer; ob != nil {
 		ob.ObserveRunStart(d.Res.Method, d.Env.Rounds, len(d.Env.Clients), start)

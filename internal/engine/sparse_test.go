@@ -145,7 +145,7 @@ func TestSparseResumeEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ck.HasInts(fl.SecEFMeta) {
+			if _, err := ck.Ints(fl.SecEFMeta, -1); err != nil {
 				t.Fatalf("%s mid-run checkpoint carries no error-feedback sections", c)
 			}
 			for _, round := range []int{1, 3, 6} {

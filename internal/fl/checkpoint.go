@@ -3,50 +3,34 @@ package fl
 import (
 	"fmt"
 	"hash/crc32"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
 
-	"fedclust/internal/rng"
 	"fedclust/internal/wire"
 )
 
 // Checkpoint is everything a round schedule needs to continue after
-// process death: run identity (method, spec hash, seed, schedule), the
-// round counter, the accumulated Result (history, per-client accuracy,
+// process death: the run's identity (method and Env.Identity), the round
+// counter, the accumulated Result (history, per-client accuracy,
 // CommStats including the per-round ledger), and the method's named
 // state sections — model parameters as lossless wire Float64 frames,
-// counters and indices as wire state frames. The resume contract is
-// bit-exactness: a run restored from a checkpoint taken after round r
-// produces, for every subsequent round, exactly the bytes an
-// uninterrupted run produces, because no cross-round state exists
-// outside what is captured here (client streams are pure functions of
-// (seed, client, round); optimizer velocity resets per visit; the
-// scenario trace is a pure function of its config and seed, pinned by
-// fingerprint).
+// counters and indices as wire state frames, added through a Saver walk.
+// The resume contract is bit-exactness: a run restored from a checkpoint
+// taken after round r produces, for every subsequent round, exactly the
+// bytes an uninterrupted run produces, because no cross-round state
+// exists outside what is captured here (client streams are pure
+// functions of (seed, client, round); optimizer velocity resets per
+// visit; the scenario trace is a pure function of its config and seed)
+// and everything else that decides the bits is in the identity.
 type Checkpoint struct {
 	// Method is the fl.Trainer name the state belongs to.
 	Method string
-	// SpecHash identifies a networked run (transport.SpecHash of the
-	// welcome spec); 0 for purely local runs.
-	SpecHash uint64
-	// Seed is the environment seed; Rounds the full schedule length.
-	Seed   uint64
-	Rounds int
+	// ID is the identity of the run that wrote the checkpoint.
+	ID Identity
 	// Round is the number of completed rounds — the next round index an
-	// uninterrupted run would execute.
-	Round int
-	// NClients and NumParams pin the population and model shape.
-	NClients  int
-	NumParams int
-	// RngRoot is the root stream position for Seed — a derived-stream
-	// integrity guard: a resumed environment must reproduce it exactly.
-	RngRoot rng.State
-	// ScenarioFP fingerprints the attached scenario trace (0 = none); a
-	// resume under a different trace would silently diverge, so it is
-	// checked instead.
-	ScenarioFP uint64
+	// uninterrupted run would execute — of a schedule of Rounds.
+	Round, Rounds int
 
 	vecs map[string][]float64
 	ints map[string][]int64
@@ -60,13 +44,12 @@ const (
 	maxCkptSections = 1 << 12
 	maxCkptVecLen   = 1 << 27
 	maxCkptRounds   = 1 << 20
-	maxCkptClients  = 1 << 16
 )
 
 // ckptMagic opens every checkpoint file.
 var ckptMagic = [4]byte{'F', 'C', 'K', 'P'}
 
-const ckptVersion = 1
+const ckptVersion = 2
 
 // State-frame section kinds within a checkpoint.
 const (
@@ -74,98 +57,27 @@ const (
 	ckptKindInts = 2
 )
 
-// metaWords is the fixed word count of the meta section: spec hash, seed,
-// rounds, round, clients, params, 6 rng-state words, scenario
-// fingerprint, vec count, int count.
-const metaWords = 6 + 6 + 1 + 2
+// metaWords is the fixed word count of the meta section: rounds, round,
+// the identity, vec count, int count.
+const metaWords = 2 + idComponents + 2
 
-// secRobustAgg records the aggregation strategy a checkpoint was written
-// under (FNV-1a of its identity name): the restored server state embeds
-// every past combine's choice of strategy.
-const secRobustAgg = "robust/agg"
-
-// aggIdentity hashes an aggregation strategy's name for secRobustAgg.
-func aggIdentity(a Aggregator) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(AggregatorName(a))) // a hash.Hash Write never fails
-	return int64(h.Sum64())
-}
-
-// NewCheckpoint captures a run's identity after `round` completed rounds,
-// its aggregation strategy included. Method state and the Result snapshot
-// are added separately, through a Saver walk.
-func NewCheckpoint(env *Env, method string, round, numParams int, specHash uint64) *Checkpoint {
-	var root rng.Rng
-	root.Reseed(env.Seed)
-	c := &Checkpoint{
-		Method:    method,
-		SpecHash:  specHash,
-		Seed:      env.Seed,
-		Rounds:    env.Rounds,
-		Round:     round,
-		NClients:  len(env.Clients),
-		NumParams: numParams,
-		RngRoot:   root.State(),
-	}
-	if sc := env.Participation.Scenario; sc != nil {
-		c.ScenarioFP = sc.Fingerprint()
-	}
-	c.SetInts(secRobustAgg, []int64{aggIdentity(env.Aggregator)})
-	return c
-}
-
-// Matches verifies the checkpoint continues this exact run: same method,
-// seed, schedule, population, model shape, derived-stream root, scenario
-// trace, aggregation strategy, and whether error-feedback state rides
-// along (it does exactly when the codec is sparse). A mismatch on any of
-// them would not crash — it would silently train a different run — so
-// resume refuses instead. A checkpoint without an aggregation section
-// predates the robust layer and matches only the plain mean.
-func (c *Checkpoint) Matches(env *Env, method string, numParams int) error {
+// Matches verifies the checkpoint continues this exact run: the same
+// method and the same identity (Env.Identity). A mismatch would not
+// crash — it would silently train a different run — so resume refuses
+// instead, naming the first component of the identity that differs.
+func (c *Checkpoint) Matches(env *Env, method string) error {
 	if c.Method != method {
 		return fmt.Errorf("fl: checkpoint holds %s state, resuming %s", c.Method, method)
 	}
-	if c.Seed != env.Seed {
-		return fmt.Errorf("fl: checkpoint seed %d, environment seed %d", c.Seed, env.Seed)
+	id := env.Identity()
+	for i := range id {
+		if c.ID[i] != id[i] {
+			return fmt.Errorf("fl: checkpoint was written under another %s (identity word %#x, environment %#x)",
+				identityNames[i], c.ID[i], id[i])
+		}
 	}
-	if c.Rounds != env.Rounds {
-		return fmt.Errorf("fl: checkpoint schedule has %d rounds, environment %d", c.Rounds, env.Rounds)
-	}
-	if c.Round < 0 || c.Round > env.Rounds {
+	if c.Round > env.Rounds {
 		return fmt.Errorf("fl: checkpoint round %d outside schedule of %d", c.Round, env.Rounds)
-	}
-	if c.NClients != len(env.Clients) {
-		return fmt.Errorf("fl: checkpoint population %d, environment %d", c.NClients, len(env.Clients))
-	}
-	if numParams > 0 && c.NumParams != numParams {
-		return fmt.Errorf("fl: checkpoint model has %d params, environment %d", c.NumParams, numParams)
-	}
-	var root rng.Rng
-	root.Reseed(env.Seed)
-	if c.RngRoot != root.State() {
-		return fmt.Errorf("fl: checkpoint rng root state does not match seed %d", env.Seed)
-	}
-	var fp uint64
-	if sc := env.Participation.Scenario; sc != nil {
-		fp = sc.Fingerprint()
-	}
-	if c.ScenarioFP != fp {
-		return fmt.Errorf("fl: checkpoint scenario fingerprint %#x, environment %#x", c.ScenarioFP, fp)
-	}
-	if !c.HasInts(secRobustAgg) {
-		if env.Aggregator != nil {
-			return fmt.Errorf("fl: checkpoint written under plain mean aggregation, environment uses %s", AggregatorName(env.Aggregator))
-		}
-	} else if agg, err := c.Ints(secRobustAgg, 1); err != nil {
-		return err
-	} else if agg[0] != aggIdentity(env.Aggregator) {
-		return fmt.Errorf("fl: checkpoint aggregation strategy differs from the environment's %s", AggregatorName(env.Aggregator))
-	}
-	if hasEF := c.HasInts(SecEFMeta); hasEF != env.Codec.Sparse() {
-		if hasEF {
-			return fmt.Errorf("fl: checkpoint carries error-feedback state, environment uses dense codec %s", env.Codec)
-		}
-		return fmt.Errorf("fl: environment uses sparse codec %s, checkpoint carries no error-feedback state", env.Codec)
 	}
 	return nil
 }
@@ -182,11 +94,6 @@ func (c *Checkpoint) putVec(name string, v []float64) {
 		c.vecs = make(map[string][]float64)
 	}
 	c.vecs[name] = v
-}
-
-// SetInts stores a named int64 section (copied).
-func (c *Checkpoint) SetInts(name string, v []int64) {
-	c.putInts(name, append([]int64(nil), v...))
 }
 
 // putInts is putVec for int64 sections.
@@ -223,9 +130,6 @@ func (c *Checkpoint) Ints(name string, want int) ([]int64, error) {
 	}
 	return v, nil
 }
-
-// HasInts reports whether a named int64 section is present.
-func (c *Checkpoint) HasInts(name string) bool { _, ok := c.ints[name]; return ok }
 
 // Result snapshot section names.
 const (
@@ -319,10 +223,9 @@ func (c *Checkpoint) Encode() []byte {
 	out = appendU16(out, uint16(len(c.Method)))
 	out = append(out, c.Method...)
 	meta := make([]uint64, 0, metaWords)
-	meta = append(meta, c.SpecHash, c.Seed, uint64(c.Rounds), uint64(c.Round),
-		uint64(c.NClients), uint64(c.NumParams))
-	meta = append(meta, c.RngRoot[:]...)
-	meta = append(meta, c.ScenarioFP, uint64(len(vecNames)), uint64(len(intNames)))
+	meta = append(meta, uint64(c.Rounds), uint64(c.Round))
+	meta = append(meta, c.ID[:]...)
+	meta = append(meta, uint64(len(vecNames)), uint64(len(intNames)))
 	out = wire.AppendStateFrame(out, ckptKindMeta, meta)
 	for _, name := range vecNames {
 		out = appendU16(out, uint16(len(name)))
@@ -377,23 +280,11 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("fl: checkpoint meta section kind %d / %d words malformed", kind, len(meta))
 	}
 	rest = rest[n:]
-	c := &Checkpoint{
-		Method:    method,
-		SpecHash:  meta[0],
-		Seed:      meta[1],
-		Rounds:    int(meta[2]),
-		Round:     int(meta[3]),
-		NClients:  int(meta[4]),
-		NumParams: int(meta[5]),
-	}
-	copy(c.RngRoot[:], meta[6:12])
-	c.ScenarioFP = meta[12]
-	nVecs, nInts := meta[13], meta[14]
+	c := &Checkpoint{Method: method, Rounds: int(meta[0]), Round: int(meta[1])}
+	copy(c.ID[:], meta[2:])
+	nVecs, nInts := meta[2+idComponents], meta[3+idComponents]
 	if c.Rounds < 0 || c.Rounds > maxCkptRounds || c.Round < 0 || c.Round > c.Rounds {
 		return nil, fmt.Errorf("fl: checkpoint round %d of %d out of bounds", c.Round, c.Rounds)
-	}
-	if c.NClients < 0 || c.NClients > maxCkptClients || c.NumParams < 0 || c.NumParams > maxCkptVecLen {
-		return nil, fmt.Errorf("fl: checkpoint shape %d clients × %d params out of bounds", c.NClients, c.NumParams)
 	}
 	if nVecs > maxCkptSections || nInts > maxCkptSections {
 		return nil, fmt.Errorf("fl: checkpoint claims %d+%d sections, limit %d", nVecs, nInts, maxCkptSections)
@@ -508,9 +399,6 @@ type CheckpointPlan struct {
 	// Sink receives each emitted checkpoint — a self-contained copy the
 	// sink owns (write it to disk, ship it, inspect it).
 	Sink func(*Checkpoint)
-	// SpecHash stamps emitted checkpoints with the networked run's
-	// identity (0 for local runs).
-	SpecHash uint64
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -14,26 +14,16 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"fedclust/internal/rng"
-	"fedclust/internal/wire"
 )
-
-// testEnv is a minimal environment for checkpoint identity checks: only
-// len(Clients), Seed, and Rounds matter to Matches/NewCheckpoint.
-func testEnv(seed uint64, rounds, nClients int) *Env {
-	return &Env{Clients: make([]*Client, nClients), Seed: seed, Rounds: rounds}
-}
 
 // fullCheckpoint builds a checkpoint exercising every section type and
 // a Result with every field populated.
 func fullCheckpoint(t testing.TB) *Checkpoint {
-	env := testEnv(42, 10, 5)
-	c := NewCheckpoint(env, "FedAvg", 7, 3, 0xdeadbeef)
+	c := &Checkpoint{Method: "FedAvg", ID: Identity{1, 2, 3, 4, 5, 6, 7, 0xdeadbeef}, Round: 7, Rounds: 10}
 	c.SetVec("global", []float64{1.5, -2.25, math.Pi})
 	c.SetVec("empty", nil)
-	c.SetInts("counters", []int64{-1, 0, 7})
-	c.SetInts("labels", []int64{0, 1, 0, 2, 1})
+	c.putInts("counters", []int64{-1, 0, 7})
+	c.putInts("labels", []int64{0, 1, 0, 2, 1})
 	res := &Result{
 		Method:       "FedAvg",
 		FinalAcc:     0.875,
@@ -70,10 +60,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.Method != orig.Method || got.SpecHash != orig.SpecHash ||
-		got.Seed != orig.Seed || got.Rounds != orig.Rounds || got.Round != orig.Round ||
-		got.NClients != orig.NClients || got.NumParams != orig.NumParams ||
-		got.RngRoot != orig.RngRoot || got.ScenarioFP != orig.ScenarioFP {
+	if got.Method != orig.Method || got.ID != orig.ID || got.Rounds != orig.Rounds || got.Round != orig.Round {
 		t.Fatalf("identity fields drifted:\n got  %+v\n want %+v", got, orig)
 	}
 	for name, want := range orig.vecs {
@@ -143,8 +130,7 @@ func TestCheckpointResultRoundTrip(t *testing.T) {
 }
 
 func TestCheckpointResultRoundTripNilClusters(t *testing.T) {
-	env := testEnv(1, 2, 2)
-	c := NewCheckpoint(env, "FedAvg", 1, 1, 0)
+	c := &Checkpoint{Method: "FedAvg", Round: 1, Rounds: 2}
 	c.Saver().Result(&Result{ClusterFormationRound: -1})
 	var res Result
 	res.Clusters = []int{9, 9} // must be cleared, not kept
@@ -203,7 +189,7 @@ func TestSectionsRoundTrip(t *testing.T) {
 	src.queue = []int{9, 0}
 	src.flags = []bool{true, false, true}
 	src.x, src.y = 7, -3
-	c := NewCheckpoint(testEnv(1, 2, 2), "M", 1, 1, 0)
+	c := &Checkpoint{Method: "M", Round: 1, Rounds: 2}
 	save := c.Saver()
 	src.listOnce(save)
 	if save.Err != nil {
@@ -231,9 +217,9 @@ func TestSectionsRoundTrip(t *testing.T) {
 	}{
 		"missing section": {func(c *Checkpoint) { delete(c.vecs, "rows") }, `"rows"`},
 		"length mismatch": {func(c *Checkpoint) { c.SetVec("floats", []float64{1}) }, `"floats"`},
-		"index below":     {func(c *Checkpoint) { c.SetInts("ids", []int64{-2, 0, 0, 0}) }, `"ids"`},
-		"index above":     {func(c *Checkpoint) { c.SetInts("queue", []int64{10}) }, `"queue"`},
-		"flag not 0/1":    {func(c *Checkpoint) { c.SetInts("flags", []int64{0, 2, 0}) }, `"flags"`},
+		"index below":     {func(c *Checkpoint) { c.putInts("ids", []int64{-2, 0, 0, 0}) }, `"ids"`},
+		"index above":     {func(c *Checkpoint) { c.putInts("queue", []int64{10}) }, `"queue"`},
+		"flag not 0/1":    {func(c *Checkpoint) { c.putInts("flags", []int64{0, 2, 0}) }, `"flags"`},
 	} {
 		bad, _ := DecodeCheckpoint(c.Encode())
 		tc.tamper(bad)
@@ -250,82 +236,33 @@ func TestSectionsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCheckpointMatches: a checkpoint matches the run that wrote it, and
+// Matches refuses another method and a round past the schedule. A
+// checkpoint in the version 1 format, whose header held separate
+// identity fields, never reaches Matches: decode refuses its version.
+// TestCheckpointMatchesIdentity covers the identity itself.
 func TestCheckpointMatches(t *testing.T) {
-	env := testEnv(42, 10, 5)
-	base := func() *Checkpoint { return NewCheckpoint(env, "FedAvg", 7, 3, 0) }
-	if err := base().Matches(env, "FedAvg", 3); err != nil {
+	env := tinyEnv(5, 42)
+	base := func() *Checkpoint {
+		return &Checkpoint{Method: "FedAvg", ID: env.Identity(), Round: 2, Rounds: env.Rounds}
+	}
+	if err := base().Matches(env, "FedAvg"); err != nil {
 		t.Fatalf("self-match failed: %v", err)
 	}
-	if err := base().Matches(env, "FedAvg", 0); err != nil {
-		t.Fatalf("numParams=0 must skip the shape check: %v", err)
+	if err := base().Matches(env, "CFL"); err == nil || !strings.Contains(err.Error(), "holds FedAvg state") {
+		t.Errorf("another method: Matches = %v", err)
 	}
-	cases := []struct {
-		name   string
-		tamper func(c *Checkpoint) (*Env, string, int)
-	}{
-		{"method", func(c *Checkpoint) (*Env, string, int) { return env, "CFL", 3 }},
-		{"seed", func(c *Checkpoint) (*Env, string, int) { return testEnv(43, 10, 5), "FedAvg", 3 }},
-		{"rounds", func(c *Checkpoint) (*Env, string, int) { return testEnv(42, 11, 5), "FedAvg", 3 }},
-		{"population", func(c *Checkpoint) (*Env, string, int) { return testEnv(42, 10, 6), "FedAvg", 3 }},
-		{"params", func(c *Checkpoint) (*Env, string, int) { return env, "FedAvg", 4 }},
-		{"round-range", func(c *Checkpoint) (*Env, string, int) { c.Round = 11; return env, "FedAvg", 3 }},
-		{"rng-root", func(c *Checkpoint) (*Env, string, int) { c.RngRoot[0] ^= 1; return env, "FedAvg", 3 }},
-		{"scenario-fp", func(c *Checkpoint) (*Env, string, int) { c.ScenarioFP = 7; return env, "FedAvg", 3 }},
+	past := base()
+	past.Round, past.Rounds = env.Rounds+1, env.Rounds+1
+	if err := past.Matches(env, "FedAvg"); err == nil || !strings.Contains(err.Error(), "outside schedule") {
+		t.Errorf("a round past the schedule: Matches = %v", err)
 	}
-	for _, tc := range cases {
-		c := base()
-		e, method, np := tc.tamper(c)
-		if err := c.Matches(e, method, np); err == nil {
-			t.Errorf("%s mismatch not detected", tc.name)
-		}
-	}
-}
 
-// TestCheckpointMatchesIdentity: the aggregation strategy and the
-// presence of error-feedback state are part of a run's identity, so
-// Matches refuses a checkpoint that differs from the environment in
-// either — as an error, for callers that read the file from outside.
-func TestCheckpointMatchesIdentity(t *testing.T) {
-	const numParams = 3
-	env := func(agg Aggregator, codec wire.Codec) *Env {
-		e := testEnv(42, 10, 5)
-		e.Aggregator, e.Codec = agg, codec
-		return e
-	}
-	// checkpoint is what a run under (agg, codec) writes: identity, plus
-	// the error-feedback sections when the codec is sparse.
-	checkpoint := func(agg Aggregator, codec wire.Codec) *Checkpoint {
-		e := env(agg, codec)
-		c := NewCheckpoint(e, "FedAvg", 7, numParams, 0)
-		if codec.Sparse() {
-			NewErrorFeedback(codec, 0.1, len(e.Clients), numParams).State(c.Saver())
-		}
-		return c
-	}
-	if err := checkpoint(&Krum{Frac: 0.2}, wire.TopK).Matches(env(&Krum{Frac: 0.2}, wire.TopK), "FedAvg", numParams); err != nil {
-		t.Fatalf("matching checkpoint refused: %v", err)
-	}
-	noAggSection := checkpoint(nil, wire.Float64)
-	delete(noAggSection.ints, secRobustAgg)
-	if err := noAggSection.Matches(env(nil, wire.Float64), "FedAvg", numParams); err != nil {
-		t.Fatalf("a checkpoint without an aggregation section refused under the plain mean: %v", err)
-	}
-	for _, tc := range []struct {
-		name string
-		c    *Checkpoint
-		env  *Env
-	}{
-		{"trimmed->krum", checkpoint(&TrimmedMean{Frac: 0.2}, wire.Float64), env(&Krum{Frac: 0.2}, wire.Float64)},
-		{"trimmed-frac-change", checkpoint(&TrimmedMean{Frac: 0.2}, wire.Float64), env(&TrimmedMean{Frac: 0.3}, wire.Float64)},
-		{"nil->median", checkpoint(nil, wire.Float64), env(&Median{}, wire.Float64)},
-		{"median->nil", checkpoint(&Median{}, wire.Float64), env(nil, wire.Float64)},
-		{"no section->median", noAggSection, env(&Median{}, wire.Float64)},
-		{"sparse->dense", checkpoint(nil, wire.TopK), env(nil, wire.Float64)},
-		{"dense->sparse", checkpoint(nil, wire.Float64), env(nil, wire.TopKQuant8)},
-	} {
-		if err := tc.c.Matches(tc.env, "FedAvg", numParams); err == nil {
-			t.Errorf("%s: Matches accepted the checkpoint", tc.name)
-		}
+	v1 := base().Encode()
+	v1[4] = 1
+	body := v1[:len(v1)-4]
+	if _, err := DecodeCheckpoint(appendU32(body, crc32IEEE(body))); err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Errorf("a version 1 checkpoint: decode error %v, want a version error", err)
 	}
 }
 
@@ -357,8 +294,7 @@ func TestDecodeCheckpointCorruption(t *testing.T) {
 // section name (impossible via the API, trivial for an attacker) is
 // rejected even with a valid checksum.
 func TestDecodeCheckpointDuplicateSection(t *testing.T) {
-	env := testEnv(1, 2, 2)
-	c := NewCheckpoint(env, "M", 1, 1, 0)
+	c := &Checkpoint{Method: "M", Round: 1, Rounds: 2}
 	c.SetVec("aa", []float64{1})
 	c.SetVec("ab", []float64{2})
 	b := fullEncodeReplace(t, c, []byte("ab"), []byte("aa"))
@@ -404,26 +340,19 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNewCheckpointRngRootMatchesSeed(t *testing.T) {
-	env := testEnv(99, 4, 3)
-	c := NewCheckpoint(env, "M", 0, 1, 0)
-	var root rng.Rng
-	root.Reseed(99)
-	if c.RngRoot != root.State() {
-		t.Fatal("RngRoot does not pin the seed's root stream")
-	}
-}
-
 // FuzzDecodeCheckpoint: arbitrary bytes must never panic the decoder,
-// and anything it accepts must re-encode to a decodable equal form.
+// anything it accepts must re-encode to a decodable equal form, and
+// Matches against the fuzz environment must return nil or an error,
+// never panic, and return nil only for that environment's identity.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	valid := fullCheckpoint(f).Encode()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("FCKP"))
 	f.Add([]byte{})
-	env := testEnv(0, 1, 1)
-	tiny := NewCheckpoint(env, "M", 0, 0, 0)
+	env := tinyEnv(2, 3)
+	id := env.Identity()
+	tiny := &Checkpoint{Method: "M", ID: id, Round: 1, Rounds: env.Rounds}
 	f.Add(tiny.Encode())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		c, err := DecodeCheckpoint(b)
@@ -437,19 +366,21 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		if !bytes.Equal(again.Encode(), c.Encode()) {
 			t.Fatal("re-encode is not a fixed point")
 		}
+		if err := c.Matches(env, c.Method); err == nil && c.ID != id {
+			t.Fatalf("Matches accepted identity %x, environment %x", c.ID, id)
+		}
 	})
 }
 
 func BenchmarkCheckpointEncode(b *testing.B) {
-	env := testEnv(7, 100, 64)
-	c := NewCheckpoint(env, "FedAvg", 50, 4096, 1)
+	c := &Checkpoint{Method: "FedAvg", Round: 50, Rounds: 100}
 	vec := make([]float64, 4096)
 	for i := range vec {
 		vec[i] = float64(i) * 0.001
 	}
 	c.SetVec("global", vec)
 	c.SetVec("stale/cache", vec)
-	c.SetInts("stale/cached_at", make([]int64, 64))
+	c.putInts("stale/cached_at", make([]int64, 64))
 	c.Saver().Result(&Result{PerClientAcc: make([]float64, 64)})
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -460,15 +391,14 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 }
 
 func BenchmarkCheckpointDecode(b *testing.B) {
-	env := testEnv(7, 100, 64)
-	c := NewCheckpoint(env, "FedAvg", 50, 4096, 1)
+	c := &Checkpoint{Method: "FedAvg", Round: 50, Rounds: 100}
 	vec := make([]float64, 4096)
 	for i := range vec {
 		vec[i] = float64(i) * 0.001
 	}
 	c.SetVec("global", vec)
 	c.SetVec("stale/cache", vec)
-	c.SetInts("stale/cached_at", make([]int64, 64))
+	c.putInts("stale/cached_at", make([]int64, 64))
 	c.Saver().Result(&Result{PerClientAcc: make([]float64, 64)})
 	enc := c.Encode()
 	b.ReportAllocs()
@@ -487,22 +417,3 @@ var (
 	sinkBytes []byte
 	sinkCkpt  *Checkpoint
 )
-
-// TestAggIdentityPinned: the aggregation identity a checkpoint records
-// is FNV-1a 64 of the strategy's name. The values are fixed: a checkpoint
-// written before any change to the hash must still resume.
-func TestAggIdentityPinned(t *testing.T) {
-	for _, c := range []struct {
-		agg  Aggregator
-		want uint64
-	}{
-		{nil, 0x42f406a2e307ef94},
-		{&Median{}, 0xc792e85e201cefb7},
-		{&TrimmedMean{Frac: 0.2}, 0x9758a9e96ca8c5c8},
-		{&Krum{Frac: 0.25}, 0x113d72c620edb51f},
-	} {
-		if got := uint64(aggIdentity(c.agg)); got != c.want {
-			t.Errorf("aggIdentity(%s) = %#x, want %#x", AggregatorName(c.agg), got, c.want)
-		}
-	}
-}

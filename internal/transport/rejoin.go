@@ -1,54 +1,37 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 )
 
-// SpecHash fingerprints a run's spec payload (FNV-1a 64 over the
-// welcome's spec bytes). It is the run's identity across coordinator
-// restarts: a rejoining node and a resuming coordinator both compare it,
-// so state from one run can never continue under another's
-// configuration. The hash starts from 1469598103934665603, FNV's offset
-// basis with its last digit dropped, so hash/fnv cannot stand in;
-// checkpoints stamp the result, so the basis stays (TestSpecHashPinned).
-func SpecHash(spec []byte) uint64 {
-	h := uint64(1469598103934665603)
-	for _, b := range spec {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
 // ServeLoop runs a node with rejoin: dial the coordinator, handshake,
 // serve until the session ends — and when it ends without a Bye (the
 // coordinator crashed or is restarting from a checkpoint), keep re-dialing
-// every interval for up to window, verifying via SpecHash that the
-// restarted coordinator is running the same spec before serving again.
+// every interval for up to window, verifying that the restarted
+// coordinator presents the same spec bytes before serving again.
 //
 // build is called once, after the first successful handshake, to
 // construct the node's service from the spec payload; later joins reuse
-// it (the environment replica is a pure function of the spec, which the
-// hash pins). ServeLoop returns nil after an orderly Bye, and an error
-// when the first join or build fails, the rejoin window expires, a
-// restarted coordinator presents a different spec, or the protocol
-// breaks. window <= 0 disables rejoining entirely (one session, like
-// ServeConn).
+// it (the environment replica is a pure function of the spec). ServeLoop
+// returns nil after an orderly Bye, and an error when the first join or
+// build fails, the rejoin window expires, a restarted coordinator
+// presents a different spec, or the protocol breaks. window <= 0
+// disables rejoining entirely (one session, like ServeConn).
 func ServeLoop(addr, name string, window, interval time.Duration, build func(lo, hi int, spec []byte) (*Service, error)) error {
 	if interval <= 0 {
 		interval = time.Second
 	}
 	var (
-		svc      *Service
-		specHash uint64
-		joined   bool
+		svc    *Service // built at the first handshake; nil until then
+		joined []byte   // that handshake's spec
 	)
 	var deadline time.Time
 	for {
 		conn, lo, hi, spec, err := Join(addr, name)
 		if err != nil {
-			if !joined {
+			if svc == nil {
 				return err // never handshaked: fail loudly, nothing to resume
 			}
 			if time.Now().After(deadline) {
@@ -57,16 +40,15 @@ func ServeLoop(addr, name string, window, interval time.Duration, build func(lo,
 			time.Sleep(interval)
 			continue
 		}
-		h := SpecHash(spec)
-		if !joined {
+		if svc == nil {
 			if svc, err = build(lo, hi, spec); err != nil {
 				conn.Close()
 				return err
 			}
-			specHash, joined = h, true
-		} else if h != specHash {
+			joined = spec
+		} else if !bytes.Equal(spec, joined) {
 			conn.Close()
-			return fmt.Errorf("transport: coordinator came back with a different spec (hash %#x, joined under %#x)", h, specHash)
+			return fmt.Errorf("transport: coordinator came back with a different spec (%d bytes, joined under %d)", len(spec), len(joined))
 		}
 		bye, err := svc.Serve(conn)
 		if bye {

@@ -3,8 +3,8 @@ package transport_test
 // Rejoin suite: a node running ServeLoop must survive a coordinator
 // crash — disconnect without Bye, re-dial within the window, handshake
 // with the restarted coordinator, and serve bit-identical training — and
-// must refuse to serve a restarted coordinator whose spec differs from
-// the one it joined (the SpecHash guard, shared with checkpoint resume).
+// must refuse to serve a restarted coordinator whose spec bytes differ
+// from the ones it joined under.
 
 import (
 	"math"
@@ -16,26 +16,6 @@ import (
 	"fedclust/internal/transport"
 	"fedclust/internal/wire"
 )
-
-func TestSpecHash(t *testing.T) {
-	a, err := goldenSpec(77).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := goldenSpec(78).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if transport.SpecHash(a) != transport.SpecHash(a) {
-		t.Fatal("SpecHash is not deterministic")
-	}
-	if transport.SpecHash(a) == transport.SpecHash(b) {
-		t.Fatal("different specs hashed equal")
-	}
-	if transport.SpecHash(nil) == transport.SpecHash(a) {
-		t.Fatal("empty spec collides with a real one")
-	}
-}
 
 // startServeLoop launches one ServeLoop node; the returned channel
 // yields its final error.
@@ -146,7 +126,7 @@ func TestServeLoopRejectsSpecChange(t *testing.T) {
 	}
 	nodes[0].AbortForTest()
 	// The "restarted" coordinator presents a different spec: the node
-	// must handshake, notice the hash mismatch, and bail out.
+	// must handshake, notice the spec mismatch, and bail out.
 	if _, err = coord.AcceptNodes(1, 6, specB, wire.Float64, 10*time.Second); err != nil {
 		t.Fatalf("re-accept: %v", err)
 	}
@@ -171,23 +151,5 @@ func TestServeLoopFirstJoinFailureIsFatal(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("ServeLoop retried a first join that should be fatal")
-	}
-}
-
-// TestSpecHashPinned: a spec's hash is FNV-1a 64 of its bytes from the
-// truncated offset basis SpecHash documents. The values are fixed: a
-// checkpoint stamps its spec hash, and a resume compares it.
-func TestSpecHashPinned(t *testing.T) {
-	for _, c := range []struct {
-		spec string
-		want uint64
-	}{
-		{"", 0x14650fb0739d0383},
-		{"a", 0x44bd8ad473cd9906},
-		{"fedsim spec v1\x00\xff", 0xf690b5e7e319de74},
-	} {
-		if got := transport.SpecHash([]byte(c.spec)); got != c.want {
-			t.Errorf("SpecHash(%q) = %#x, want %#x", c.spec, got, c.want)
-		}
 	}
 }

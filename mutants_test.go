@@ -65,13 +65,27 @@ var mutants = []struct {
 	// FedBuff's checkpoint can resume.
 	{"internal/scenario/scenario.go", "lag = int(math.Min(math.Ceil(pass/d)-1, maxLag))", "lag = int(math.Ceil(pass/d)) - 1",
 		"./internal/scenario", "TestOutcomeLagCapped"},
-	// Checkpoint.Matches without its aggregator and error-feedback
-	// checks: a resume under another combine or codec is accepted.
-	{"internal/fl/checkpoint.go", "} else if agg[0] != aggIdentity(env.Aggregator) {",
-		"} else if false && agg[0] != aggIdentity(env.Aggregator) {",
+	// A component dropped from the run identity: a resume under another
+	// aggregator, codec, local config or client data is accepted.
+	{"internal/fl/identity.go", "\th.str(AggregatorName(e.Aggregator))\n", "",
 		"./internal/fl", "TestCheckpointMatchesIdentity"},
-	{"internal/fl/checkpoint.go", "hasEF != env.Codec.Sparse() {", "false && hasEF != env.Codec.Sparse() {",
+	{"internal/fl/identity.go", "id[idCodec] = h.sum(uint64(e.Codec), math.Float64bits(e.TopKFrac))", "id[idCodec] = h.sum()",
 		"./internal/fl", "TestCheckpointMatchesIdentity"},
+	{"internal/fl/identity.go", "id[idLocal] = h.sum(uint64(e.Local.Epochs), uint64(e.Local.BatchSize), math.Float64bits(e.Local.LR),\n" +
+		"\t\tmath.Float64bits(e.Local.Momentum), math.Float64bits(e.Local.WeightDecay), math.Float64bits(e.Local.ProxMu))",
+		"id[idLocal] = h.sum()",
+		"./internal/fl", "TestCheckpointMatchesIdentity"},
+	{"internal/fl/identity.go", "\th.clients(e.Clients)\n", "",
+		"./internal/fl", "TestCheckpointMatchesIdentity"},
+	// The on-demand trigger polled only on unscheduled rounds: one armed
+	// during a scheduled round survives it and fires a duplicate snapshot
+	// a round later.
+	{"internal/engine/checkpoint.go", "if plan.Trigger != nil && plan.Trigger() {", "if !due && plan.Trigger != nil && plan.Trigger() {",
+		"./internal/engine", "TestCheckpointTriggerOnScheduledRound"},
+	// The layer probes' local pass left on the scratch's own dtype: a
+	// float32 fig1 or ablation-layer run trains its probes in float64.
+	{"internal/experiments/fig1.go", "\tts.DType = env.DType\n", "",
+		"./internal/experiments", "TestProbeLayersTrainOnEnvDType"},
 }
 
 // TestMutantsAreKilled: every mutants row, written under t.TempDir and
