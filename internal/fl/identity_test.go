@@ -1,6 +1,8 @@
 package fl
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -106,10 +108,8 @@ func TestCheckpointMatchesIdentity(t *testing.T) {
 // TestIdentityPinned: the identity of a fixed environment. The words are
 // fixed: a checkpoint records them, and a resume under a binary that
 // hashes differently would refuse every checkpoint written before it.
-// The aggregator word is FNV-1a 64 of the strategy's name, the value the
-// version 1 format's aggregation section held. Two constructions of one
-// recipe must agree, so nothing in the identity depends on allocation or
-// call order.
+// Two constructions of one recipe must agree, so nothing in the identity
+// depends on allocation or call order.
 func TestIdentityPinned(t *testing.T) {
 	want := Identity{
 		0x977746131197a727, 0x10bf14c2f131e129, 0x70973f407dd3f4ff, 0xc487088936a99c8a,
@@ -121,10 +121,18 @@ func TestIdentityPinned(t *testing.T) {
 	if a, b := baseRecipe().env().Identity(), baseRecipe().env().Identity(); a != b {
 		t.Errorf("two constructions of one recipe hash differently: %#x, %#x", a, b)
 	}
+}
+
+// TestAggIdentityPinned: the aggregator word of the identity is FNV-1a 64
+// of the strategy's name, the value the version 1 format's aggregation
+// section held. The values are fixed: a checkpoint written before any
+// change to the hash must still resume.
+func TestAggIdentityPinned(t *testing.T) {
 	for _, c := range []struct {
 		agg  Aggregator
 		want uint64
 	}{
+		{nil, 0x42f406a2e307ef94},
 		{&Median{}, 0xc792e85e201cefb7},
 		{&TrimmedMean{Frac: 0.2}, 0x9758a9e96ca8c5c8},
 		{&Krum{Frac: 0.25}, 0x113d72c620edb51f},
@@ -134,5 +142,25 @@ func TestIdentityPinned(t *testing.T) {
 		if got := e.Identity()[idAggregator]; got != c.want {
 			t.Errorf("aggregator word of %s = %#x, want %#x", AggregatorName(c.agg), got, c.want)
 		}
+	}
+}
+
+// TestNewCheckpointRngRootMatchesSeed: the schedule word a new checkpoint
+// records pins the seed's root rng stream. It is rebuilt here from
+// rng.State of a root reseeded with the run's seed, followed by the
+// seed, rounds, population, EvalEvery and EvalBatch, each a little-endian
+// word of one FNV-1a 64.
+func TestNewCheckpointRngRootMatchesSeed(t *testing.T) {
+	e := baseRecipe().env()
+	e.Seed = 99
+	var root rng.Rng
+	root.Reseed(99)
+	st := root.State()
+	h := fnv.New64a()
+	for _, w := range append(st[:], e.Seed, uint64(e.Rounds), uint64(len(e.Clients)), uint64(e.EvalEvery), uint64(e.EvalBatch)) {
+		h.Write(binary.LittleEndian.AppendUint64(nil, w))
+	}
+	if got, want := e.Identity()[idSchedule], h.Sum64(); got != want {
+		t.Fatalf("schedule word = %#x, want %#x: it does not pin the seed's root stream", got, want)
 	}
 }
