@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"unsafe"
 
 	"fedclust/internal/tensor"
 )
@@ -12,16 +11,16 @@ import (
 // batch once and keeps that copy for Backward. Forward's product reads
 // the unroll of the (batch·OutH·OutW) × (InC·KH·KW) matrix in place in the
 // padded copy (tensor.TransBPanel.ConvInto) and stores the channel-major
-// output, bias added, directly. Backward walks the unroll in strips of
-// stripRows rows, each unrolled into an L1-sized buffer that its products
-// consume before the next strip overwrites it: the weight gradient
-// accumulates gy[strip]ᵀ·strip, then the same buffer takes the strip's
-// column gradient gy[strip]·W and col2im scatters it. Strips run in
-// order, so every output element is summed in the order of the
-// whole-matrix products, bit for bit in both dtypes. All intermediates
-// live in persistent per-layer workspaces, so a steady-state training
-// step allocates nothing, and a forward-only pass never allocates a
-// strip.
+// output, bias added, directly. Backward reads the same unroll in place
+// for the weight gradient (tensor.ConvWeightGrad), its coefficients
+// straight from the channel-major gradOut; the bias gradient sums each
+// channel's row of gradOut; and, unless unread, the input gradient takes
+// each image's column gradient into a buffer of one image's unroll rows
+// for col2im to scatter (tensor.ConvInputGradInto). Every output element
+// is summed in the order of the whole-matrix products, bit for bit in
+// both dtypes. All intermediates live in persistent per-layer workspaces,
+// so a steady-state training step allocates nothing, and only a layer
+// whose input gradient is read ever holds a column buffer.
 type Conv2DOf[T tensor.Float] struct {
 	Geom   tensor.ConvGeom
 	OutC   int
@@ -31,29 +30,12 @@ type Conv2DOf[T tensor.Float] struct {
 	batch  int
 	noGx   bool // input gradient unread: Backward returns nil
 
-	padded ws[T]                 // (batch, PaddedLen) zero-padded input, kept for Backward
-	packed tensor.TransBPanel[T] // W laid out for the forward product, once per Forward
-	out    ws[T]                 // channel-major forward output (batch, OutC*outHW)
-	strip  ws[T]                 // Backward: ≤ stripRows unrolled rows, then their column gradient
-	rows   rowView[T]            // Backward: the current strip's rows of gy
-	mm     ws[T]                 // Backward: gy de-interleaved to pixel-major (batch*outHW, OutC)
-	gx     ws[T]                 // input gradient (batch, InC*InH*InW)
-}
-
-// stripBytes bounds one strip of Backward's unrolled input: half of a
-// 32 KB L1 data cache, so the strip, its rows of gy and the weight
-// gradient's rows stay there together. A constant like tensor's
-// transBPanelK, not an option.
-const stripBytes = 16 << 10
-
-// stripRows is how many unrolled rows of rowLen elements one of
-// Backward's strips holds: as many as fit in stripBytes, and at least
-// four. It is rounded down to a multiple of four, so the weight
-// gradient's axpy, which takes a strip's listed terms four at a time,
-// ends a strip on a whole group unless a zero term was skipped. No bit
-// depends on the rounding.
-func stripRows[T tensor.Float](rowLen int) int {
-	return max(4, stripBytes/(rowLen*int(unsafe.Sizeof(T(0))))&^3)
+	padded ws[T]                    // (batch, PaddedLen) zero-padded input, kept for Backward
+	packed tensor.TransBPanel[T]    // W laid out for the forward product, once per Forward
+	wgrad  tensor.ConvWeightGrad[T] // Backward's offset tables for the weight gradient
+	out    ws[T]                    // channel-major forward output (batch, OutC*outHW)
+	cols   ws[T]                    // Backward: one image's column gradient (outHW, InC*KH*KW)
+	gx     ws[T]                    // input gradient (batch, InC*InH*InW)
 }
 
 // Conv2D is the float64 convolution.
@@ -105,59 +87,31 @@ func (c *Conv2DOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	return out
 }
 
-// unroll writes rows [r0, r1) of the batch's unrolled input into
-// Backward's strip buffer, from the padded copy Forward made.
-func (c *Conv2DOf[T]) unroll(r0, r1 int) *tensor.Of[T] {
-	strip := c.strip.get(r1-r0, c.Geom.InC*c.Geom.KH*c.Geom.KW)
-	tensor.Im2ColRowsInto(c.padded.hdr.Data, c.Geom, r0, strip.Data)
-	return strip
-}
-
 // Backward implements Layer.
 func (c *Conv2DOf[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
 	if c.batch == 0 {
 		panic("nn: Conv2D.Backward called before Forward")
 	}
 	checkBatchInput(c, " backward", gradOut, c.batch, c.OutDim())
-	batch := c.batch
+	c.wgrad.AddInto(c.gw, c.padded.hdr.Data, gradOut.Data, c.Geom)
+	// gB += each channel's row of gradOut, (image, pixel) ascending.
 	outHW := c.Geom.OutH() * c.Geom.OutW()
-	rowLen := c.Geom.InC * c.Geom.KH * c.Geom.KW
-	// De-interleave gradOut back to pixel-major (batch*outHW, OutC).
-	gy := c.mm.get(batch*outHW, c.OutC)
-	for b := 0; b < batch; b++ {
-		src := gradOut.Row(b)
-		for p := 0; p < outHW; p++ {
-			dst := gy.Row(b*outHW + p)
-			for ch := 0; ch < c.OutC; ch++ {
-				dst[ch] = src[ch*outHW+p]
+	for b := 0; b < c.batch; b++ {
+		row := gradOut.Row(b)
+		for ch := range c.gb.Data {
+			s := c.gb.Data[ch]
+			for _, v := range row[ch*outHW:][:outHW] {
+				s += v
 			}
+			c.gb.Data[ch] = s
 		}
 	}
-	// gW += gyᵀ·unroll (OutC, rowLen) and, unless unread, gx = col2im(gy·W),
-	// one strip at a time: re-unroll the strip, add its share of the
-	// weight gradient into gw, then overwrite it with its column gradient
-	// and scatter that.
-	var gx *tensor.Of[T]
-	if !c.noGx {
-		gx = c.gx.get(batch, c.InDim())
-		gx.Zero()
+	if c.noGx {
+		return nil
 	}
-	for r0, s := 0, stripRows[T](rowLen); r0 < gy.Shape[0]; r0 += s {
-		r1 := min(r0+s, gy.Shape[0])
-		strip, g := c.unroll(r0, r1), c.rows.of(gy, r0, r1)
-		tensor.MatMulTransAAddInto(c.gw, g, strip)
-		if gx != nil {
-			tensor.MatMulInto(strip, g, c.W)
-			tensor.Col2ImRowsInto(strip.Data, c.Geom, r0, gx.Data)
-		}
-	}
-	// gB += column sums of gy.
-	for i := 0; i < gy.Shape[0]; i++ {
-		row := gy.Row(i)
-		for ch, v := range row {
-			c.gb.Data[ch] += v
-		}
-	}
+	gx := c.gx.get(c.batch, c.InDim())
+	cols := c.cols.get(outHW, c.Geom.InC*c.Geom.KH*c.Geom.KW)
+	tensor.ConvInputGradInto(gx.Data, cols.Data, gradOut.Data, c.W, c.Geom)
 	return gx
 }
 

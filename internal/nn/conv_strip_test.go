@@ -7,12 +7,14 @@ import (
 	"fedclust/internal/tensor"
 )
 
-// TestConvUnrollBufferIsOneStrip pins the memory win. Forward reads the
-// padded batch in place, so forward-only passes (evaluation, IFCA's
-// probes) leave every convolution's unroll buffer unallocated. After warm
-// LeNet steps at batch 32 and at batch 256, each buffer holds exactly one
-// of Backward's strips — stripRows rows, whatever the batch — and never
-// the batch-sized im2col matrix; a forward-only pass after them leaves it
+// TestConvUnrollBufferIsOneStrip pins the memory win. Forward and the
+// weight gradient read the padded batch in place, so no convolution ever
+// holds the batch-sized im2col matrix or a pixel-major copy of its
+// gradient. Forward-only passes (evaluation, IFCA's probes) leave every
+// column buffer unallocated; so do warm LeNet steps at batch 32 and at
+// batch 256 for conv1, whose input gradient nobody reads. conv2's column
+// buffer holds exactly one image's column gradient, OutH·OutW rows,
+// whatever the batch, and a forward-only pass after the steps leaves it
 // so.
 func TestConvUnrollBufferIsOneStrip(t *testing.T) {
 	bothTypes(t, testConvUnrollBufferIsOneStrip[float64], testConvUnrollBufferIsOneStrip[float32])
@@ -26,8 +28,8 @@ func testConvUnrollBufferIsOneStrip[T tensor.Float](t *testing.T) {
 			convs = append(convs, c)
 		}
 	}
-	if len(convs) != 2 {
-		t.Fatalf("LeNet-5 has %d convolutions, want 2", len(convs))
+	if len(convs) != 2 || !convs[0].noGx || convs[1].noGx {
+		t.Fatalf("LeNet-5 has %d convolutions, want conv1 without an input gradient and conv2 with one", len(convs))
 	}
 	inputs := map[int]*tensor.Of[T]{}
 	for _, batch := range []int{32, 256} {
@@ -35,8 +37,8 @@ func testConvUnrollBufferIsOneStrip[T tensor.Float](t *testing.T) {
 		net.Forward(inputs[batch], false)
 	}
 	for _, c := range convs {
-		if got := cap(c.strip.buf); got != 0 {
-			t.Fatalf("forward-only passes, %s: unroll buffer holds %d elements, want none", c.Name(), got)
+		if got := cap(c.cols.buf); got != 0 {
+			t.Fatalf("forward-only passes, %s: column buffer holds %d elements, want none", c.Name(), got)
 		}
 	}
 	var ce SoftmaxCEOf[T]
@@ -49,12 +51,15 @@ func testConvUnrollBufferIsOneStrip[T tensor.Float](t *testing.T) {
 			net.Backward(grad)
 		}
 		net.Forward(x, false)
-		for _, c := range convs {
-			rowLen := c.Geom.InC * c.Geom.KH * c.Geom.KW
-			bound := stripRows[T](rowLen) * rowLen
-			if got := cap(c.strip.buf); got != bound {
-				t.Fatalf("batch %d, %s: unroll buffer holds %d elements, want one strip of %d (the whole unroll is %d)",
-					batch, c.Name(), got, bound, batch*c.Geom.OutH()*c.Geom.OutW()*rowLen)
+		for i, c := range convs {
+			outHW, rowLen := c.Geom.OutH()*c.Geom.OutW(), c.Geom.InC*c.Geom.KH*c.Geom.KW
+			bound := outHW * rowLen
+			if i == 0 {
+				bound = 0
+			}
+			if got := cap(c.cols.buf); got != bound {
+				t.Fatalf("batch %d, %s: column buffer holds %d elements, want %d (the whole unroll is %d)",
+					batch, c.Name(), got, bound, batch*outHW*rowLen)
 			}
 		}
 	}

@@ -45,8 +45,8 @@ type Layer[T tensor.Float] interface {
 	// accumulating parameter gradients internally. It reads what the
 	// matching Forward cached — Dense its input tensor, ReLU its own
 	// output, MaxPool2 its argmax, Conv2D a zero-padded copy of its input
-	// that it unrolls again strip by strip — so it must follow that
-	// Forward with no other Forward of the layer in between. The one
+	// whose unroll its weight gradient reads in place — so it must follow
+	// that Forward with no other Forward of the layer in between. The one
 	// layer a Sequential marked as its first with parameters computes no
 	// dL/d(input) — nothing reads it — and returns nil.
 	Backward(gradOut *tensor.Of[T]) *tensor.Of[T]

@@ -31,22 +31,6 @@ func (w *ws[T]) get(rows, cols int) *tensor.Of[T] {
 	return &w.hdr
 }
 
-// rowView is a reusable header over rows [lo, hi) of a rank-2 tensor, so
-// a layer hands one strip of a workspace to a kernel without allocating a
-// header per strip. Like ws, only the most recent of is valid.
-type rowView[T tensor.Float] struct {
-	shape [2]int
-	hdr   tensor.Of[T]
-}
-
-// of returns rows [lo, hi) of t, sharing t's storage.
-func (v *rowView[T]) of(t *tensor.Of[T], lo, hi int) *tensor.Of[T] {
-	cols := t.Shape[1]
-	v.shape = [2]int{hi - lo, cols}
-	v.hdr.Shape, v.hdr.Data = v.shape[:], t.Data[lo*cols:hi*cols:hi*cols]
-	return &v.hdr
-}
-
 // growInts returns a length-n int scratch reusing s when capacity
 // allows. Contents are unspecified; the caller must write every element.
 func growInts(s []int, n int) []int {

@@ -229,3 +229,112 @@ func convRowsGo[T Float](dst, padded, w, bias []T, off []int32, g ConvGeom, lo, 
 		q.next()
 	}
 }
+
+// The backward convolution, read in place in the same padded batch. The
+// weight gradient is gW[ch][p] += Σ_r gy[r][ch] · unroll[r][p] over the
+// batch's pixels r ascending, a zero gy skipped: the chain MatMulTransAAddInto
+// runs over the unrolled rows. Element p = (c, ky, kx) of pixel r's row
+// lies at the pixel's top-left tap plus runs[c·KH + ky] + kx, so a
+// channel's row of the weight gradient is InC·KH runs of KW taps, each
+// read straight from the padded image: no unroll is written. gy[r][ch] is
+// gradOut's channel-major element, so the coefficients of one image and
+// channel are one contiguous row of it, and no de-interleave is needed
+// either.
+
+// ConvWeightGrad adds a batch's weight gradient into a convolution's
+// gW, reading the unroll in place in the padded batch its forward kept.
+// It holds the geometry's offset tables, rewritten on every call over
+// storage it keeps.
+type ConvWeightGrad[T Float] struct {
+	runs   []int32 // run c·KH + ky: its first tap's offset from a pixel's top-left tap
+	pixels []int32 // pixel oy·OutW + ox: its top-left tap's offset in a padded image
+}
+
+// AddInto adds Σ over the batch's pixels of gradOut's coefficient times
+// the pixel's receptive field into gw (OutC × InC·KH·KW): gradOut holds
+// the batch's channel-major output gradients (OutC planes of OutH·OutW
+// per image), padded the batch's padded copy (PadInto). Every element of
+// gw goes on from its value with the non-zero terms in ascending (image,
+// pixel) order, each product rounded before its sum, so the result is
+// MatMulTransAAddInto(gw, gy, unroll) bit for bit for the pixel-major gy,
+// on both kernel paths: the terms of one image and channel are listed
+// without a branch, then handed to convAxpy four at a time.
+func (w *ConvWeightGrad[T]) AddInto(gw *Of[T], padded, gradOut []T, g ConvGeom) {
+	outHW, padLen, rowLen := g.OutH()*g.OutW(), g.PaddedLen(), g.InC*g.KH*g.KW
+	if len(gw.Shape) != 2 || gw.Shape[1] != rowLen || len(padded)%padLen != 0 ||
+		len(gradOut) != len(padded)/padLen*gw.Shape[0]*outHW {
+		panic(fmt.Sprintf("tensor: ConvWeightGrad of %d gradients and %d padded elements into %v, geometry %+v",
+			len(gradOut), len(padded), gw.Shape, g))
+	}
+	w.offsets(g)
+	var list [256]int32 // one chunk of a row's listed pixels
+	for len(gradOut) > 0 {
+		img := padded[:padLen]
+		padded = padded[padLen:]
+		for dst := gw.Data; len(dst) > 0; dst = dst[rowLen:] {
+			row := gradOut[:outHW]
+			gradOut = gradOut[outHW:]
+			for p0 := 0; p0 < outHW; p0 += len(list) {
+				nz := 0
+				for p, v := range row[p0:min(p0+len(list), outHW)] {
+					list[nz&(len(list)-1)] = int32(p0 + p) // nz < len(list) here; the mask proves it
+					nz += b2i(v != 0)
+				}
+				for t := 0; t < nz; t += 4 {
+					var at [4]int
+					var av [4]T
+					group := list[t:min(t+4, nz)]
+					for u, p := range group {
+						at[u&3], av[u&3] = int(w.pixels[p]), row[p] // u < 4; the mask proves it
+					}
+					convAxpy(dst[:rowLen], img, &at, &av, len(group), w.runs, g.KW)
+				}
+			}
+		}
+	}
+}
+
+// offsets rewrites the run and pixel offset tables for g.
+func (w *ConvWeightGrad[T]) offsets(g ConvGeom) {
+	if g.PaddedLen() > math.MaxInt32 {
+		panic(fmt.Sprintf("tensor: a padded image of geometry %+v has more than 2³¹ elements", g))
+	}
+	pw := g.InW + 2*g.Pad
+	plane := (g.InH + 2*g.Pad) * pw // one channel of a padded image
+	w.runs = w.runs[:0]
+	for c := 0; c < g.InC; c++ {
+		for ky := 0; ky < g.KH; ky++ {
+			w.runs = append(w.runs, int32(c*plane+ky*pw))
+		}
+	}
+	w.pixels = w.pixels[:0]
+	for oy := 0; oy < g.OutH(); oy++ {
+		for ox := 0; ox < g.OutW(); ox++ {
+			w.pixels = append(w.pixels, int32((oy*pw+ox)*g.Stride))
+		}
+	}
+}
+
+// ConvInputGradInto writes a batch's input gradient into gx (batch ×
+// InC·InH·InW): per image, the column gradient gyᵀ·W of its
+// channel-major gradOut rows into cols (one image's OutH·OutW ×
+// InC·KH·KW), then Col2ImRowsInto scatters it. The column gradient is
+// axpyRows with gradOut as the strided operand, each element's chain over
+// the channels ascending, a zero skipped: MatMulInto's chain on the
+// pixel-major gy, so the input gradient is the unrolled product's bit for
+// bit.
+func ConvInputGradInto[T Float](gx, cols, gradOut []T, w *Of[T], g ConvGeom) {
+	outC, rowLen, outHW := w.Shape[0], g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	imgLen := g.InC * g.InH * g.InW
+	if len(w.Shape) != 2 || w.Shape[1] != rowLen || len(cols) != outHW*rowLen ||
+		len(gradOut)%(outC*outHW) != 0 || len(gx) != len(gradOut)/(outC*outHW)*imgLen {
+		panic(fmt.Sprintf("tensor: ConvInputGrad of %d gradients into %d through %d columns, weights %v, geometry %+v",
+			len(gradOut), len(gx), len(cols), w.Shape, g))
+	}
+	clear(gx)
+	for b := 0; b*outC*outHW < len(gradOut); b++ {
+		clear(cols)
+		axpyRows(cols, gradOut[b*outC*outHW:], w.Data, outC, rowLen, 1, outHW, 0, outHW)
+		Col2ImRowsInto(cols, g, b*outHW, gx)
+	}
+}

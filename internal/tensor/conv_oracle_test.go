@@ -1,13 +1,14 @@
 package tensor_test
 
-// Conv2D's strip walk against the whole-matrix bodies it replaced, kept
-// here as the oracle: Forward unrolled the batch into one
-// (batch·OutH·OutW) × (InC·KH·KW) cols matrix and took y = cols·Wᵀ in one
-// product; Backward took gW += gyᵀ·cols in one product, then overwrote
-// cols with gcols = gy·W and scattered it image by image. The strips must
-// reproduce every bit of y, gW, gB and gx on both kernel paths. The file
-// lives in package tensor's directory, as f32_golden_test.go does, for the
-// kernel-path switch.
+// Conv2D's in-place forward and backward against the whole-matrix bodies
+// they replaced, kept here as the oracle: Forward unrolled the batch into
+// one (batch·OutH·OutW) × (InC·KH·KW) cols matrix and took y = cols·Wᵀ in
+// one product; Backward de-interleaved gradOut to the pixel-major gy, took
+// gW += gyᵀ·cols in one product, then overwrote cols with gcols = gy·W
+// and scattered it image by image. The layer must reproduce every bit of
+// y, gW, gB and gx on both kernel paths. The file lives in package
+// tensor's directory, as f32_golden_test.go does, for the kernel-path
+// switch.
 
 import (
 	"fmt"
@@ -94,8 +95,8 @@ func convOf[T tensor.Float](g tensor.ConvGeom, outC int, noGx bool) *nn.Conv2DOf
 
 // stripOracleGeoms reach strides 1–3, pad 0 up to beyond the kernel, odd
 // and 1×1 outputs, non-square kernels, LeNet-5's two convolutions, and a
-// 400-wide row whose strip is four float64 rows; at batch 3 and 33 their
-// strips start and end mid output row and cross from image to image.
+// 400-wide row of 80 runs; at batch 3 and 33 the forward's groups of four
+// pixels start and end mid output row and cross from image to image.
 var stripOracleGeoms = []tensor.ConvGeom{
 	{InC: 3, InH: 7, InW: 7, KH: 5, KW: 5, Stride: 1, Pad: 2},
 	{InC: 2, InH: 6, InW: 5, KH: 3, KW: 3, Stride: 2, Pad: 1},

@@ -155,3 +155,42 @@ func axpyAVX2[T Float](dst *T, x *[4]*T, alpha *[4]T, terms, n int) {
 		f32AxpyAVX2(d, any(x).(*[4]*float32), any(alpha).(*[4]float32), terms, n)
 	}
 }
+
+// convAxpy adds terms (1–4) pixels' receptive fields, each scaled by its
+// coefficient, into one output channel's row of a convolution's weight
+// gradient: for each run r of runs (a (c, ky) pair) and kx < kw,
+// dst[r·kw + kx] += alpha[u] · img[at[u] + runs[r] + kx] for u = 0 …
+// terms−1 in turn, each product rounded before its sum. at[u] is pixel
+// u's top-left tap in img. On AVX2 hosts it is one call of the element
+// type's assembly; convAxpyGo is the same chain.
+func convAxpy[T Float](dst, img []T, at *[4]int, alpha *[4]T, terms int, runs []int32, kw int) {
+	if !useASM {
+		convAxpyGo(dst, img, at, alpha, terms, runs, kw)
+		return
+	}
+	x := [4]*T{&img[at[0]], &img[at[1]], &img[at[2]], &img[at[3]]}
+	switch d := any(&dst[0]).(type) {
+	case *float64:
+		f64ConvAxpyAVX2(d, any(&x).(*[4]*float64), any(alpha).(*[4]float64), terms, &runs[0], len(runs), kw)
+	case *float32:
+		f32ConvAxpyAVX2(d, any(&x).(*[4]*float32), any(alpha).(*[4]float32), terms, &runs[0], len(runs), kw)
+	}
+}
+
+// convAxpyGo is convAxpy's Go body: the non-amd64 path, and what the
+// tests compare the assembly against with ==. Every element of dst gets
+// the terms in order u = 0 … terms−1, each product rounded, then its sum.
+func convAxpyGo[T Float](dst, img []T, at *[4]int, alpha *[4]T, terms int, runs []int32, kw int) {
+	for u := 0; u < terms; u++ {
+		a, base, out := alpha[u&3], at[u&3], dst // u < 4; the mask proves it
+		x := img[base:]
+		for _, r := range runs {
+			taps := x[r:][:kw]
+			o := out[:len(taps)]
+			for kx, v := range taps {
+				o[kx] += T(a * v)
+			}
+			out = out[len(taps):]
+		}
+	}
+}

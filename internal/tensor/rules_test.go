@@ -10,7 +10,8 @@ import (
 
 // TestAssemblyHasNoFusedMultiplyAdd: each element type's tile (in every
 // form: pack b, pack a, and the offset form a convolution's forward runs),
-// axpy and momentum SGD stream, and the Euclidean distance tile, round the
+// axpy, the convolution's weight-gradient axpy and momentum SGD stream,
+// and the Euclidean distance tile, round the
 // product before the sum, as the Go bodies do (DESIGN.md §15). The glob takes
 // every assembly file, so a new routine is covered where it lands.
 func TestAssemblyHasNoFusedMultiplyAdd(t *testing.T) {

@@ -36,6 +36,15 @@ func f64EuclideanTileAVX2(a *[4]*float64, panel *float64, k int, out *[16]float6
 //go:noescape
 func f64AxpyAVX2(dst *float64, x *[4]*float64, alpha *[4]float64, terms, n int)
 
+// f64ConvAxpyAVX2 accumulates, for each of n > 0 runs r and i < kw,
+// dst[r*kw+i] += alpha[t]*x[t][runs[r]+i] for t = 0 … terms−1 (1–4) in
+// turn, each product rounded before its sum: a convolution's weight
+// gradient, read in place in the padded batch, one run of kw > 0 taps
+// per (c, ky). Each x[t] addresses every element its run offsets reach.
+//
+//go:noescape
+func f64ConvAxpyAVX2(dst *float64, x *[4]*float64, alpha *[4]float64, terms int, runs *int32, n, kw int)
+
 // f64MomentumSGDAVX2 applies one momentum SGD step to n > 0 elements (a
 // multiple of 4) of the non-overlapping w, grad and v: eff = r(w·wd) +
 // grad, v = eff + r(v·mom), w = w − r(v·lr), each product rounded before

@@ -311,6 +311,119 @@ axpy64_done:
 	VZEROUPPER
 	RET
 
+// func f64ConvAxpyAVX2(dst *float64, x *[4]*float64, alpha *[4]float64, terms int, runs *int32, n, kw int)
+//
+// The weight gradient's axpy, read in place: for each of the n runs, in
+// order, dst[i] = (((dst[i] + alpha[0]*x[0][runs[r]+i]) + alpha[1]*
+// x[1][runs[r]+i]) + …) over the run's kw elements of dst (run r's are
+// r·kw…r·kw+kw−1) and the first terms (1–4) of x and alpha, each product
+// rounded before its sum — f64AxpyAVX2's chain, per run. A run is kw/4
+// 4-wide steps, one 2-wide step when kw&2 is set, then kw&1 scalar
+// steps with the same roundings, so nothing outside a run is read or
+// written. A term past terms is neither read nor added; the branches that
+// skip them go the same way on every step of a call.
+TEXT ·f64ConvAxpyAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), AX
+	MOVQ alpha+16(FP), BX
+	MOVQ terms+24(FP), R12
+	MOVQ runs+32(FP), R13
+	MOVQ n+40(FP), R14
+	MOVQ kw+48(FP), CX
+	MOVQ 0(AX), R8
+	MOVQ 8(AX), R9
+	MOVQ 16(AX), R10
+	MOVQ 24(AX), R11
+	VBROADCASTSD 0(BX), Y12
+	VBROADCASTSD 8(BX), Y13
+	VBROADCASTSD 16(BX), Y14
+	VBROADCASTSD 24(BX), Y15
+	MOVQ CX, BX
+	SHRQ $2, CX
+	ANDQ $3, BX
+conv64_run:
+	MOVLQSX (R13), SI
+	SHLQ $3, SI
+	MOVQ CX, DX
+	TESTQ DX, DX
+	JZ   conv64_half
+conv64_full:
+	VMOVUPD (DI), Y0
+	VMULPD (R8)(SI*1), Y12, Y2
+	VADDPD Y2, Y0, Y0
+	CMPQ R12, $2
+	JLT  conv64_store_full
+	VMULPD (R9)(SI*1), Y13, Y2
+	VADDPD Y2, Y0, Y0
+	CMPQ R12, $3
+	JLT  conv64_store_full
+	VMULPD (R10)(SI*1), Y14, Y2
+	VADDPD Y2, Y0, Y0
+	CMPQ R12, $4
+	JLT  conv64_store_full
+	VMULPD (R11)(SI*1), Y15, Y2
+	VADDPD Y2, Y0, Y0
+conv64_store_full:
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	DECQ DX
+	JNZ  conv64_full
+conv64_half:
+	TESTQ $2, BX
+	JZ   conv64_tail_setup
+	VMOVUPD (DI), X0
+	VMULPD (R8)(SI*1), X12, X2
+	VADDPD X2, X0, X0
+	CMPQ R12, $2
+	JLT  conv64_store_half
+	VMULPD (R9)(SI*1), X13, X2
+	VADDPD X2, X0, X0
+	CMPQ R12, $3
+	JLT  conv64_store_half
+	VMULPD (R10)(SI*1), X14, X2
+	VADDPD X2, X0, X0
+	CMPQ R12, $4
+	JLT  conv64_store_half
+	VMULPD (R11)(SI*1), X15, X2
+	VADDPD X2, X0, X0
+conv64_store_half:
+	VMOVUPD X0, (DI)
+	ADDQ $16, DI
+	ADDQ $16, SI
+conv64_tail_setup:
+	MOVQ BX, DX
+	ANDQ $1, DX
+	JZ   conv64_next
+conv64_tail:
+	VMOVSD (DI), X0
+	VMULSD (R8)(SI*1), X12, X2
+	VADDSD X2, X0, X0
+	CMPQ R12, $2
+	JLT  conv64_store1
+	VMULSD (R9)(SI*1), X13, X2
+	VADDSD X2, X0, X0
+	CMPQ R12, $3
+	JLT  conv64_store1
+	VMULSD (R10)(SI*1), X14, X2
+	VADDSD X2, X0, X0
+	CMPQ R12, $4
+	JLT  conv64_store1
+	VMULSD (R11)(SI*1), X15, X2
+	VADDSD X2, X0, X0
+conv64_store1:
+	VMOVSD X0, (DI)
+	ADDQ $8, DI
+	ADDQ $8, SI
+	DECQ DX
+	JNZ  conv64_tail
+conv64_next:
+	ADDQ $4, R13
+	DECQ R14
+	JNZ  conv64_run
+	VZEROUPPER
+	RET
+
 // func copyRunsAVX2(dst, src unsafe.Pointer, runBytes, n, dstStride, srcStride int)
 //
 // n runs of runBytes each. The move width is picked once per call from

@@ -20,6 +20,10 @@ func f64AxpyAVX2(dst *float64, x *[4]*float64, alpha *[4]float64, terms, n int) 
 	panic("tensor: f64AxpyAVX2 called without AVX2 support")
 }
 
+func f64ConvAxpyAVX2(dst *float64, x *[4]*float64, alpha *[4]float64, terms int, runs *int32, n, kw int) {
+	panic("tensor: f64ConvAxpyAVX2 called without AVX2 support")
+}
+
 func f64MomentumSGDAVX2(w, grad, v *float64, n int, lr, mom, wd float64) {
 	panic("tensor: f64MomentumSGDAVX2 called without AVX2 support")
 }

@@ -32,6 +32,11 @@ func f32TransBTileAVX2(rows *[4]*float32, off *int32, panel *float32, k int, out
 //go:noescape
 func f32AxpyAVX2(dst *float32, x *[4]*float32, alpha *[4]float32, terms, n int)
 
+// f32ConvAxpyAVX2 is f64ConvAxpyAVX2 at eight lanes.
+//
+//go:noescape
+func f32ConvAxpyAVX2(dst *float32, x *[4]*float32, alpha *[4]float32, terms int, runs *int32, n, kw int)
+
 // f32MomentumSGDAVX2 is f64MomentumSGDAVX2 at eight lanes: n > 0 is a
 // multiple of 8.
 //

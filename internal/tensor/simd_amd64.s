@@ -256,6 +256,119 @@ axpy32_done:
 	VZEROUPPER
 	RET
 
+// func f32ConvAxpyAVX2(dst *float32, x *[4]*float32, alpha *[4]float32, terms int, runs *int32, n, kw int)
+//
+// The weight gradient's axpy, read in place: for each of the n runs, in
+// order, dst[i] = (((dst[i] + alpha[0]*x[0][runs[r]+i]) + alpha[1]*
+// x[1][runs[r]+i]) + …) over the run's kw elements of dst (run r's are
+// r·kw…r·kw+kw−1) and the first terms (1–4) of x and alpha, each product
+// rounded before its sum — f32AxpyAVX2's chain, per run. A run is kw/8
+// 8-wide steps, one 4-wide step when kw&4 is set, then kw&3 scalar
+// steps with the same roundings, so nothing outside a run is read or
+// written. A term past terms is neither read nor added; the branches that
+// skip them go the same way on every step of a call.
+TEXT ·f32ConvAxpyAVX2(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), AX
+	MOVQ alpha+16(FP), BX
+	MOVQ terms+24(FP), R12
+	MOVQ runs+32(FP), R13
+	MOVQ n+40(FP), R14
+	MOVQ kw+48(FP), CX
+	MOVQ 0(AX), R8
+	MOVQ 8(AX), R9
+	MOVQ 16(AX), R10
+	MOVQ 24(AX), R11
+	VBROADCASTSS 0(BX), Y12
+	VBROADCASTSS 4(BX), Y13
+	VBROADCASTSS 8(BX), Y14
+	VBROADCASTSS 12(BX), Y15
+	MOVQ CX, BX
+	SHRQ $3, CX
+	ANDQ $7, BX
+conv32_run:
+	MOVLQSX (R13), SI
+	SHLQ $2, SI
+	MOVQ CX, DX
+	TESTQ DX, DX
+	JZ   conv32_half
+conv32_full:
+	VMOVUPS (DI), Y0
+	VMULPS (R8)(SI*1), Y12, Y2
+	VADDPS Y2, Y0, Y0
+	CMPQ R12, $2
+	JLT  conv32_store_full
+	VMULPS (R9)(SI*1), Y13, Y2
+	VADDPS Y2, Y0, Y0
+	CMPQ R12, $3
+	JLT  conv32_store_full
+	VMULPS (R10)(SI*1), Y14, Y2
+	VADDPS Y2, Y0, Y0
+	CMPQ R12, $4
+	JLT  conv32_store_full
+	VMULPS (R11)(SI*1), Y15, Y2
+	VADDPS Y2, Y0, Y0
+conv32_store_full:
+	VMOVUPS Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	DECQ DX
+	JNZ  conv32_full
+conv32_half:
+	TESTQ $4, BX
+	JZ   conv32_tail_setup
+	VMOVUPS (DI), X0
+	VMULPS (R8)(SI*1), X12, X2
+	VADDPS X2, X0, X0
+	CMPQ R12, $2
+	JLT  conv32_store_half
+	VMULPS (R9)(SI*1), X13, X2
+	VADDPS X2, X0, X0
+	CMPQ R12, $3
+	JLT  conv32_store_half
+	VMULPS (R10)(SI*1), X14, X2
+	VADDPS X2, X0, X0
+	CMPQ R12, $4
+	JLT  conv32_store_half
+	VMULPS (R11)(SI*1), X15, X2
+	VADDPS X2, X0, X0
+conv32_store_half:
+	VMOVUPS X0, (DI)
+	ADDQ $16, DI
+	ADDQ $16, SI
+conv32_tail_setup:
+	MOVQ BX, DX
+	ANDQ $3, DX
+	JZ   conv32_next
+conv32_tail:
+	VMOVSS (DI), X0
+	VMULSS (R8)(SI*1), X12, X2
+	VADDSS X2, X0, X0
+	CMPQ R12, $2
+	JLT  conv32_store1
+	VMULSS (R9)(SI*1), X13, X2
+	VADDSS X2, X0, X0
+	CMPQ R12, $3
+	JLT  conv32_store1
+	VMULSS (R10)(SI*1), X14, X2
+	VADDSS X2, X0, X0
+	CMPQ R12, $4
+	JLT  conv32_store1
+	VMULSS (R11)(SI*1), X15, X2
+	VADDSS X2, X0, X0
+conv32_store1:
+	VMOVSS X0, (DI)
+	ADDQ $4, DI
+	ADDQ $4, SI
+	DECQ DX
+	JNZ  conv32_tail
+conv32_next:
+	ADDQ $4, R13
+	DECQ R14
+	JNZ  conv32_run
+	VZEROUPPER
+	RET
+
 // func f32MomentumSGDAVX2(w, grad, v *float32, n int, lr, mom, wd float32)
 //
 // f64MomentumSGDAVX2 at eight lanes: one momentum SGD step over n > 0

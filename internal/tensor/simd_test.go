@@ -289,6 +289,51 @@ func testAxpyAsmMatchesGoBody[T Float](t *testing.T) {
 	}
 }
 
+// TestConvAxpyAsmMatchesGoBody: the weight gradient's assembly axpy
+// (convAxpy, four pixels' runs read in place through the run offsets)
+// equals its Go body convAxpyGo bit for bit, in both dtypes, at every run
+// length KW 1–9 (every width class of both dtypes' steps, KW below the
+// float32 lanes included), 1, 2, 5, 15 and 30 runs (LeNet's two
+// convolutions have 15 and 30), 1–4 terms, on edge operands and scales
+// (±0 and non-finite coefficients and taps); and it writes nothing past
+// its last run.
+func TestConvAxpyAsmMatchesGoBody(t *testing.T) {
+	inBothDTypes(t, testConvAxpyAsmMatchesGoBody[float64], testConvAxpyAsmMatchesGoBody[float32])
+}
+
+func testConvAxpyAsmMatchesGoBody[T Float](t *testing.T) {
+	if !UseASM() {
+		t.Skip("no AVX2 kernel path on this host")
+	}
+	r := rng.New(52)
+	const guard = 12345.678
+	for kw := 1; kw <= 9; kw++ {
+		for _, n := range []int{1, 2, 5, 15, 30} {
+			for terms := 1; terms <= 4; terms++ {
+				img := edgeValues[T](r, 200, true)
+				runs := make([]int32, n)
+				for i := range runs {
+					runs[i] = int32(r.Intn(100))
+				}
+				var at [4]int
+				var av [4]T
+				for u := range at {
+					at[u], av[u] = r.Intn(100-kw), edgeValues[T](r, 1, true)[0]
+				}
+				want := append(edgeValues[T](r, n*kw, true), guard)
+				got := append([]T(nil), want...)
+				convAxpyGo(want[:n*kw], img, &at, &av, terms, runs, kw)
+				convAxpy(got[:n*kw], img, &at, &av, terms, runs, kw)
+				for i := range want {
+					if !sameBits(got[i], want[i]) {
+						t.Fatalf("kw %d runs %d terms %d: dst[%d] = %x, Go body %x", kw, n, terms, i, bitsOf(got[i]), bitsOf(want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestCopyRunsWritesOnlyItsRuns drives copyRunsAVX2 over every run
 // length of every move-width class (4 … 150 bytes, lengths that are not a
 // multiple of any element size included), overlapping and disjoint source

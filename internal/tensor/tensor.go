@@ -1,6 +1,6 @@
 // Package tensor implements dense row-major tensors and the numerical
-// kernels (matrix multiply, the convolution read in place, im2col by
-// strips) that the neural network stack is built on.
+// kernels (matrix multiply, the convolution and its backward read in
+// place, im2col) that the neural network stack is built on.
 //
 // The package is deliberately small: shapes are explicit, storage is a
 // flat slice, and there is no autograd — layers in internal/nn implement
@@ -8,7 +8,7 @@
 // Of[T], serves both element types, the matmul row kernels included:
 // every output element is one chain, p ascending, each product rounded
 // before its sum, zero multiplicands skipped. Only the assembly under
-// them differs per type — an a·bᵀ tile and an axpy for each — and on
+// them differs per type — an a·bᵀ tile and two axpys for each — and on
 // AVX2 hosts it, and the run copy under the unroll, sits behind one
 // per-process gate (DESIGN.md §10).
 package tensor
@@ -17,8 +17,8 @@ import "fmt"
 
 // useASM is true when init (simd_amd64.go) found AVX2 and an OS that
 // saves the YMM state. It is the one gate in front of every assembly
-// kernel — the a·bᵀ tile and the axpy of each element type, the strided
-// run copy — and it is written once, before any kernel runs. The
+// kernel — the a·bᵀ tile and the two axpys of each element type, the
+// strided run copy — and it is written once, before any kernel runs. The
 // assembly gives the Go bodies' bits in both element types, so the gate
 // decides speed only.
 var useASM bool

@@ -117,3 +117,91 @@ func checkTransBForms[T Float](t *testing.T, m, k, n int, value func(i int) T) {
 		}
 	}
 }
+
+// FuzzConvBackward: the backward convolution read in place — the weight
+// gradient from the padded batch through the run offsets, coefficients
+// listed from the channel-major gradient (ConvWeightGrad.AddInto), and
+// the input gradient from the channel-major gradient (ConvInputGradInto)
+// — equals the unrolled products it replaced, MatMulTransAAddInto(gw, gy,
+// unroll) and col2im of MatMulInto(gy, W) on the pixel-major gy, in both
+// dtypes, on bits, a NaN matching any NaN; and on AVX2 hosts the
+// assembly path equals the Go body. The header gives the geometry and
+// batch (fuzzGeom) and, through its second byte, 1–24 output channels;
+// the rest are raw float32 bits, four bytes each, tiled over the images,
+// then the output gradient, then gw's starting values, then W (float64
+// takes them widened). The checked-in corpus
+// (testdata/fuzz/FuzzConvBackward) holds ±0 coefficients against ±Inf and
+// NaN taps, −0 coefficients onto −0 gradients against taps of either
+// sign, a LeNet-like sparse gradient at KW 5 < eight float32 lanes with
+// one input channel, strides 2 and 3 and Pad ≥ KW.
+func FuzzConvBackward(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		bits := data[4:]
+		f32 := func(i int) float32 {
+			var w [4]byte
+			for j := range w {
+				if len(bits) > 0 {
+					w[j] = bits[(4*i+j)%len(bits)]
+				}
+			}
+			return math.Float32frombits(binary.LittleEndian.Uint32(w[:]))
+		}
+		g, batch := fuzzGeom([4]byte(data))
+		n := 1 + int(data[1])%24
+		checkConvBackward(t, g, batch, n, func(i int) float64 { return float64(f32(i)) })
+		checkConvBackward(t, g, batch, n, f32)
+	})
+}
+
+// checkConvBackward fills the batch's images, its output gradient, gw's
+// starting values and W with value(0), value(1), … and holds the
+// backward's in-place forms to the unrolled products, on the kernel path
+// the host runs and, on AVX2 hosts, on the Go bodies too.
+func checkConvBackward[T Float](t *testing.T, g ConvGeom, batch, n int, value func(i int) T) {
+	outHW, rowLen, imgLen := g.OutH()*g.OutW(), g.InC*g.KH*g.KW, g.InC*g.InH*g.InW
+	x, gradOut := make([]T, batch*imgLen), make([]T, batch*n*outHW)
+	gw0, w := NewOf[T](n, rowLen), NewOf[T](n, rowLen)
+	i := 0
+	for _, v := range [][]T{x, gradOut, gw0.Data, w.Data} {
+		for j := range v {
+			v[j], i = value(i), i+1
+		}
+	}
+	padded := make([]T, batch*g.PaddedLen())
+	PadInto(x, g, padded)
+	unroll, gy := NewOf[T](batch*outHW, rowLen), NewOf[T](batch*outHW, n)
+	Im2ColRowsInto(padded, g, 0, unroll.Data)
+	for r := range batch * outHW {
+		for ch := range n {
+			gy.Data[r*n+ch] = gradOut[(r/outHW*n+ch)*outHW+r%outHW]
+		}
+	}
+	wantGw, wantGx := gw0.Clone(), make([]T, len(x))
+	MatMulTransAAddInto(wantGw, gy, unroll)
+	MatMulInto(unroll, gy, w)
+	Col2ImRowsInto(unroll.Data, g, 0, wantGx)
+	name := fmt.Sprintf("%+v batch %d n %d", g, batch, n)
+	paths := []bool{false}
+	if UseASM() {
+		paths = append(paths, true)
+	}
+	for _, asm := range paths {
+		old := SetUseASM(asm)
+		gw, gx := gw0.Clone(), make([]T, len(x))
+		var wg ConvWeightGrad[T]
+		wg.AddInto(gw, padded, gradOut, g)
+		ConvInputGradInto(gx, make([]T, outHW*rowLen), gradOut, w, g)
+		SetUseASM(old)
+		for what, pair := range map[string][2][]T{"gW": {gw.Data, wantGw.Data}, "gx": {gx, wantGx}} {
+			for j, want := range pair[1] {
+				if got := pair[0][j]; !sameBits(got, want) {
+					t.Fatalf("%s, asm %v: %s[%d] = %v (%#x), unrolled product %v (%#x)",
+						name, asm, what, j, got, bitsOf(got), want, bitsOf(want))
+				}
+			}
+		}
+	}
+}

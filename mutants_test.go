@@ -52,6 +52,19 @@ var mutants = []struct {
 	// beside the tile, and every pixel off AVX2, lose their first term.
 	{"internal/tensor/conv.go", "for p := 0; p < len(off); p++ {", "for p := 1; p < len(off); p++ {",
 		"./internal/tensor", "TestTransBOffsetAsmMatchesGoBody"},
+	// The weight gradient's listing run from a row's last pixel to its
+	// first: each gW element sums its terms in descending pixel order.
+	{"internal/tensor/conv.go", "for p, v := range row[p0:min(p0+len(list), outHW)] {",
+		"chunk := row[p0:min(p0+len(list), outHW)]\n\t\t\t\tfor p := len(chunk) - 1; p >= 0; p-- {\n\t\t\t\t\tv := chunk[p]",
+		"./internal/tensor", "FuzzConvBackward"},
+	// The listing keeps zero coefficients: a ±0 gradient against a
+	// non-finite tap adds NaN, and a −0 onto a −0 gradient can add +0.
+	{"internal/tensor/conv.go", "nz += b2i(v != 0)", "nz += b2i(v != 0 || true)",
+		"./internal/tensor", "FuzzConvBackward"},
+	// The weight gradient's run offsets with a channel plane one padded row
+	// short: every run past the first channel reads the wrong rows.
+	{"internal/tensor/conv.go", "plane := (g.InH + 2*g.Pad) * pw", "plane := (g.InH + 2*g.Pad - 1) * pw",
+		"./internal/tensor", "FuzzConvBackward"},
 	// A cached runtime kept across a dtype change: the warm lanes' networks
 	// are in the old dtype.
 	{"internal/engine/state.go", "es.frac == env.TopKFrac && es.dtype == env.DType", "es.frac == env.TopKFrac",

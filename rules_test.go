@@ -516,10 +516,13 @@ var hotLoops = []struct {
 	// output row.
 	{"internal/tensor/distance.go", []string{"packEuclidean", "euclideanTileGo"}, regexp.MustCompile(`\[[^\]]*:[^\]]*\]`)},
 	// The forward convolution's tap-offset table and its channel-major
-	// store: a slice expression cutting an offset run, a bias block, a
-	// tile row or an output plane; the &x[i] row bases, offset table and
-	// panel block handed to the tile.
-	{"internal/tensor/conv.go", []string{"tapOffsets", "convTiles", "storeQuad", "storeChannels"}, regexp.MustCompile(`\[[^\]]*:[^\]]*\]|&\w+\[`)},
+	// store, and the weight gradient's listing: a slice expression cutting
+	// an offset run, a bias block, a tile row, an output plane, a padded
+	// image or a gradient row; the &x[i] row bases, offset table and panel
+	// block handed to the tile; a listed pixel's offset and coefficient,
+	// [p], which no loop bound can prove.
+	{"internal/tensor/conv.go", []string{"tapOffsets", "convTiles", "storeQuad", "storeChannels", "AddInto"},
+		regexp.MustCompile(`\[[^\]]*:[^\]]*\]|&\w+\[|\[p\]`)},
 	// The momentum SGD and conversion streams' Go bodies and their
 	// dispatch: a slice expression cutting an operand to the first one's
 	// length or the Go tail off the assembly's part; an &x[0] stream start.
