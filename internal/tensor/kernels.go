@@ -2,11 +2,11 @@ package tensor
 
 import "unsafe"
 
-// Go glue of the assembly a·bᵀ tile and axpy (simd64_amd64.s for float64,
-// simd_amd64.s for float32), one generic body for both element types. It
-// is under the root TestHotLoopsBoundsCheckFree: slicing an operand row
-// or taking the address an assembly routine starts from may check, once
-// per call or per tile; the pack loop and the tile stores may not.
+// Go glue of the assembly a·bᵀ tile and axpys (simd_amd64.s), one
+// generic body for both element types. It is under the root
+// TestHotLoopsBoundsCheckFree: slicing an operand row or taking the
+// address an assembly routine starts from may check, once per call or per
+// tile; the pack loop and the tile stores may not.
 
 // transBPanelK is the largest inner dimension the assembly a·bᵀ path
 // takes: its packed panel of bᵀ holds one 32-byte register row per p on

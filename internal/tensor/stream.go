@@ -3,9 +3,9 @@ package tensor
 // The two vector streams of a local pass, each one pass over a
 // parameter vector: the momentum SGD update and the float64 ⇄ float32
 // conversion. Each has one Go body — the specification, the non-amd64
-// path and the oracle — and, on AVX2 hosts, an assembly body per element
-// type (simd64_amd64.s, simd_amd64.s) that runs the whole vectors; the Go
-// body runs the remainder. A lane is one element, every product is
+// path and the oracle — and, on AVX2 hosts, an assembly routine per
+// element type (simd_amd64.s) that runs the whole vectors; the Go body
+// runs the remainder. A lane is one element, every product is
 // rounded before the sum that takes it, and no instruction fuses the two,
 // so the gate changes no bit (DESIGN.md §10). Every function here is
 // under the root TestHotLoopsBoundsCheckFree: a slice expression and the

@@ -7,20 +7,21 @@
 // their own backward passes against these kernels. One implementation,
 // Of[T], serves both element types, the matmul row kernels included:
 // every output element is one chain, p ascending, each product rounded
-// before its sum, zero multiplicands skipped. Only the assembly under
-// them differs per type — an a·bᵀ tile and two axpys for each — and on
-// AVX2 hosts it, and the run copy under the unroll, sits behind one
-// per-process gate (DESIGN.md §10).
+// before its sum, zero multiplicands skipped. The assembly under them
+// is one body per form too — an a·bᵀ tile and two axpys, instantiated
+// once per type in simd_amd64.s — and on AVX2 hosts it, and the run copy
+// under the unroll, sits behind one per-process gate (DESIGN.md §10).
 package tensor
 
 import "fmt"
 
 // useASM is true when init (simd_amd64.go) found AVX2 and an OS that
 // saves the YMM state. It is the one gate in front of every assembly
-// kernel — the a·bᵀ tile and the two axpys of each element type, the
-// strided run copy — and it is written once, before any kernel runs. The
-// assembly gives the Go bodies' bits in both element types, so the gate
-// decides speed only.
+// kernel in simd_amd64.s — the a·bᵀ tile, the two axpys and the momentum
+// SGD step of each element type, the Euclidean tile, the conversions and
+// the strided run copy — and it is written once, before any kernel runs.
+// The assembly gives the Go bodies' bits in both element types, so the
+// gate decides speed only.
 var useASM bool
 
 // Float is the element-type constraint of the numeric stack.

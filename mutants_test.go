@@ -44,6 +44,17 @@ var mutants = []struct {
 	{"internal/tensor/stream.go", "\tmomentumGo(w[m:], g[m:], v[m:], lr, mom, wd)",
 		"\tm = min(m+lanes[T](), len(w))\n\tmomentumGo(w[m:], g[m:], v[m:], lr, mom, wd)",
 		"./internal/tensor", "TestMomentumStepMatchesGoBody"},
+	// The assembly momentum step's second register adding r(v·lr) to w:
+	// one macro body runs both element types, so each type's test must
+	// fail.
+	{"internal/tensor/simd_amd64.s", "\tSUBP Y3, Y1, Y1 \\\n", "\tADDP Y3, Y1, Y1 \\\n",
+		"./internal/tensor", "TestMomentumStepMatchesGoBody/avx2/float64"},
+	{"internal/tensor/simd_amd64.s", "\tSUBP Y3, Y1, Y1 \\\n", "\tADDP Y3, Y1, Y1 \\\n",
+		"./internal/tensor", "TestMomentumStepMatchesGoBody/avx2/float32"},
+	// The float32 weight-gradient axpy instantiated with the float64 tail
+	// mask: a run whose kw&3 is 2 or 3 skips its last two taps.
+	{"internal/tensor/simd_amd64.s", "VADDSS, 4, 2, 3, 7, 4, 3)", "VADDSS, 4, 2, 3, 7, 4, 1)",
+		"./internal/tensor", "TestConvAxpyAsmMatchesGoBody/float32"},
 	// The forward convolution's tap offsets laid out on the unpadded row
 	// width: every tap below a kernel's first row reads the wrong pixel.
 	{"internal/tensor/conv.go", "pw, ph := g.InW+2*g.Pad,", "pw, ph := g.InW,",

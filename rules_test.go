@@ -30,7 +30,7 @@ import (
 const modulePath = "fedclust"
 
 // module is every non-test package of the module, type-checked for
-// linux/amd64 and linux/arm64: the simd*_other.go bodies compile only on
+// linux/amd64 and linux/arm64: the simd_other.go bodies compile only on
 // the second. A file both targets compile is parsed once, so each
 // declaration has one position.
 type module struct {
