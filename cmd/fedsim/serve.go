@@ -25,6 +25,7 @@ import (
 	"fedclust/internal/data"
 	"fedclust/internal/fl"
 	"fedclust/internal/methods"
+	"fedclust/internal/obs"
 	"fedclust/internal/transport"
 )
 
@@ -198,16 +199,17 @@ func runServe(o serveOptions, s *shared, stdout, stderr io.Writer) error {
 			resumeCkpt.Method, o.resumePath, resumeCkpt.Round, resumeCkpt.Rounds)
 	}
 
-	tracker := control.NewTracker(env.Local.Epochs)
+	tracker := obs.NewTracker(env.Local.Epochs)
 	env.Observer = tracker
 	if s.journal != "" {
-		// The journal rides alongside the tracker: same observations, one
-		// consumer serving live HTTP, one leaving a trace on disk.
+		// The journal is a tracker that also writes its lines: the control
+		// plane serves the one the journal embeds, so /status and the trace
+		// on disk read the same accumulated state.
 		journal, err := openJournal(s.journal, env.Local.Epochs)
 		if err != nil {
 			return err
 		}
-		env.Observer = fl.MultiObserver(tracker, journal)
+		tracker, env.Observer = &journal.Tracker, journal
 		defer func() {
 			if err := journal.Err(); err != nil {
 				fmt.Fprintf(stderr, "fedsim: journal write failed: %v\n", err)

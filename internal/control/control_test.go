@@ -1,6 +1,6 @@
 package control_test
 
-// Control-plane tests: the Tracker's observer → snapshot bookkeeping
+// Control-plane tests: obs.Tracker's observer → snapshot bookkeeping
 // (outcome classification, traffic split, straggler histograms) and the
 // HTTP surface over real sockets — GET endpoints serving live JSON and
 // POST /checkpoint arming the engine-facing trigger exactly once.
@@ -14,11 +14,12 @@ import (
 
 	"fedclust/internal/control"
 	"fedclust/internal/fl"
+	"fedclust/internal/obs"
 )
 
 // observeRun feeds the tracker a small fabricated run: 3 clients, 2
 // rounds, one of everything (on-time, partial, late, offline, failure).
-func observeRun(tr *control.Tracker) {
+func observeRun(tr *obs.Tracker) {
 	tr.ObserveRunStart("FedAvg", 4, 3, 2) // resumed at round 2 of 4
 	tr.ObserveRoundStart(2, 3)
 	tr.ObserveOutcome(0, 2, 0, false) // full pass, on time
@@ -35,7 +36,7 @@ func observeRun(tr *control.Tracker) {
 }
 
 func TestTrackerClassifiesOutcomes(t *testing.T) {
-	tr := control.NewTracker(2)
+	tr := obs.NewTracker(2)
 	observeRun(tr)
 
 	s := tr.Status()
@@ -86,7 +87,7 @@ func TestTrackerClassifiesOutcomes(t *testing.T) {
 }
 
 func TestTrackerTrigger(t *testing.T) {
-	tr := control.NewTracker(0)
+	tr := obs.NewTracker(0)
 	if tr.TakeTrigger() {
 		t.Fatal("fresh tracker has an armed trigger")
 	}
@@ -100,7 +101,7 @@ func TestTrackerTrigger(t *testing.T) {
 }
 
 func TestHTTPEndpoints(t *testing.T) {
-	tr := control.NewTracker(2)
+	tr := obs.NewTracker(2)
 	observeRun(tr)
 	srv, err := control.Serve("127.0.0.1:0", tr)
 	if err != nil {
@@ -127,7 +128,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		}
 	}
 
-	var s control.Status
+	var s obs.Status
 	getJSON("/status", &s)
 	if s.Method != "FedAvg" || s.Round != 4 || s.MeasuredUp != 180 {
 		t.Errorf("/status: %+v", s)
@@ -137,7 +138,7 @@ func TestHTTPEndpoints(t *testing.T) {
 	if len(clients) != 3 || clients[0].OnTime != 1 {
 		t.Errorf("/clients: %+v", clients)
 	}
-	var h control.Stragglers
+	var h obs.Stragglers
 	getJSON("/stragglers", &h)
 	if h.Offline != 2 {
 		t.Errorf("/stragglers: %+v", h)
@@ -172,8 +173,8 @@ func TestHTTPEndpoints(t *testing.T) {
 // TestTrackerIsARoundObserver pins the interface wiring the cmd layer
 // relies on (env.Observer = tracker).
 func TestTrackerIsARoundObserver(t *testing.T) {
-	var obs fl.RoundObserver = control.NewTracker(1)
-	if fmt.Sprintf("%T", obs) != "*control.Tracker" {
+	var obs fl.RoundObserver = obs.NewTracker(1)
+	if fmt.Sprintf("%T", obs) != "*obs.Tracker" {
 		t.Fatalf("unexpected observer type %T", obs)
 	}
 }

@@ -1,3 +1,9 @@
+// Package control is the coordinator's live control plane: an HTTP
+// server over an obs.Tracker (the run's one accumulator of observations,
+// which a journal embeds) exposing round progress, per-client outcome
+// counts, ledger and socket-measured traffic, straggler histograms, the
+// process registry's metrics and pprof, plus the tracker's on-demand
+// checkpoint trigger, which the engine polls through its CheckpointPlan.
 package control
 
 import (
@@ -35,7 +41,7 @@ type Server struct {
 // state until Close. Starting the server turns the process-wide
 // telemetry gate on — a coordinator that exposes /metrics is one that
 // wants the engine, transport, and scheduler collecting.
-func Serve(addr string, t *Tracker) (*Server, error) {
+func Serve(addr string, t *obs.Tracker) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err

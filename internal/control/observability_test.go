@@ -30,7 +30,7 @@ import (
 // of one run must not fire a spurious snapshot on round 1 of the next
 // run sharing the tracker.
 func TestTrackerRunStartClearsTrigger(t *testing.T) {
-	tr := control.NewTracker(2)
+	tr := obs.NewTracker(2)
 	tr.RequestCheckpoint()
 	tr.ObserveRunStart("FedAvg", 4, 3, 0)
 	if tr.TakeTrigger() {
@@ -42,7 +42,7 @@ func TestTrackerRunStartClearsTrigger(t *testing.T) {
 // running:true — the explicit run-end observation flips the lifecycle
 // regardless of how far the round counter got.
 func TestTrackerRunEndAbort(t *testing.T) {
-	tr := control.NewTracker(2)
+	tr := obs.NewTracker(2)
 	tr.ObserveRunStart("FedAvg", 10, 3, 0)
 	tr.ObserveRoundStart(0, 3)
 	tr.ObserveRoundEnd(0, 3, &fl.CommStats{})
@@ -68,7 +68,7 @@ func TestTrackerRunEndAbort(t *testing.T) {
 // TestTrackerPhases: phase observations surface in /status as the last
 // round's breakdown plus a running total.
 func TestTrackerPhases(t *testing.T) {
-	tr := control.NewTracker(2)
+	tr := obs.NewTracker(2)
 	tr.ObserveRunStart("FedAvg", 2, 3, 0)
 	tr.ObservePhases(0, fl.RoundPhases{LocalNS: 100, TotalNS: 120})
 	tr.ObservePhases(1, fl.RoundPhases{LocalNS: 50, TotalNS: 60})
@@ -90,7 +90,7 @@ func TestTrackerPhases(t *testing.T) {
 // JSON 404, /metrics serves the exposition content type, and the pprof
 // handlers answer.
 func TestHTTPHardening(t *testing.T) {
-	tr := control.NewTracker(2)
+	tr := obs.NewTracker(2)
 	observeRun(tr)
 	srv, err := control.Serve("127.0.0.1:0", tr)
 	if err != nil {
@@ -207,16 +207,17 @@ func smallEnv(seed uint64) *fl.Env {
 }
 
 // TestConcurrentScrapeWhileTraining is the flagship -race check: a real
-// multi-round FedAvg run with the tracker and journal attached while
-// scrapers hammer /metrics, /status, /clients, and /stragglers. After
-// the run, the journal must reconcile with the control plane's snapshot.
+// multi-round FedAvg run observed by a journal while scrapers hammer
+// /metrics, /status, /clients, and /stragglers of the tracker it embeds.
+// After the run, the journal must reconcile with the control plane's
+// snapshot.
 func TestConcurrentScrapeWhileTraining(t *testing.T) {
 	prev := obs.Enabled()
 	defer obs.SetEnabled(prev)
 
-	tr := control.NewTracker(2)
 	sink := &syncBuffer{}
 	journal := obs.NewJournal(sink, 2)
+	tr := &journal.Tracker
 
 	srv, err := control.Serve("127.0.0.1:0", tr) // enables the telemetry gate
 	if err != nil {
@@ -226,7 +227,7 @@ func TestConcurrentScrapeWhileTraining(t *testing.T) {
 	base := "http://" + srv.Addr()
 
 	env := smallEnv(77)
-	env.Observer = fl.MultiObserver(tr, journal)
+	env.Observer = journal
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -356,7 +357,7 @@ func scrape(t *testing.T, base string) (map[string]float64, string) {
 func TestMetricsMirrorTrackerStatus(t *testing.T) {
 	prev := obs.Enabled()
 	defer obs.SetEnabled(prev)
-	tr := control.NewTracker(2)
+	tr := obs.NewTracker(2)
 	srv, err := control.Serve("127.0.0.1:0", tr) // enables the telemetry gate
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 //go:build !race
 
-// The PR 10 extension of the steady-state allocation contract: a warm
-// round with telemetry fully attached — the process gate enabled, phase
-// timing armed, a control tracker feeding the default registry, and a
-// JSONL journal observer writing every round event — must still allocate
+// The telemetry extension of the steady-state allocation contract: a
+// warm round with telemetry fully attached — the process gate enabled,
+// phase timing armed, and a JSONL journal writing every round event
+// while its tracker feeds the default registry — must still allocate
 // nothing. Timing goes into preallocated per-round slots, the registry's
 // hot paths are atomics, and the journal hand-appends into a reused
 // buffer.
@@ -14,7 +14,6 @@ import (
 	"io"
 	"testing"
 
-	"fedclust/internal/control"
 	"fedclust/internal/engine"
 	"fedclust/internal/fl"
 	"fedclust/internal/obs"
@@ -27,17 +26,17 @@ func TestInstrumentedWarmRoundZeroAllocs(t *testing.T) {
 
 	env := goldenEnv(25, 1<<20)
 	env.EvalEvery = 2
-	tracker := control.NewTracker(env.Local.Epochs)
-	tracker.ObserveRunStart("alloc-instrumented", env.Rounds, len(env.Clients), 0)
-	env.Observer = fl.MultiObserver(tracker, obs.NewJournal(io.Discard, env.Local.Epochs))
+	journal := obs.NewJournal(io.Discard, env.Local.Epochs)
+	journal.ObserveRunStart("alloc-instrumented", env.Rounds, len(env.Clients), 0)
+	env.Observer = journal
 	d := engine.New(env, "alloc-instrumented")
 	wireFedAvg(d)
 
 	round := 0
 	step := func() {
 		// Run's per-round sequence minus checkpointing (no plan here):
-		// FinishRound hands the phase slots to the tracker, which feeds
-		// the registry, and the round event to the journal.
+		// FinishRound hands the phase slots to the journal, whose tracker
+		// feeds the registry before the round event is written.
 		d.RunRound(round)
 		d.FinishRound(round)
 		round++

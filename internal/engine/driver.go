@@ -559,6 +559,9 @@ func (d *RoundDriver) RunRound(round int) {
 	if ob != nil {
 		for c := 0; c < n; c++ {
 			done, lag := d.ScenarioOutcome(c)
+			if !d.Async && done > 0 {
+				lag = 0 // a synchronous straggler reports its partial pass on time
+			}
 			ob.ObserveOutcome(c, done, lag, es.failMask[c])
 		}
 	}

@@ -2,19 +2,21 @@ package engine_test
 
 // Engine telemetry semantics: wall-clock measurement must never feed
 // back into learning (bit-identity with the gate on vs. off), phase
-// observations must arrive once per round with sane contents, and the
+// observations must arrive once per round with sane contents, the
 // run-end observation must fire on every exit path — including a hook
-// panicking mid-run.
+// panicking mid-run — and outcomes are observed as the method's delivery
+// model books them.
 
 import (
+	"bytes"
 	"io"
 	"testing"
 
-	"fedclust/internal/control"
 	"fedclust/internal/engine"
 	"fedclust/internal/fl"
 	"fedclust/internal/methods"
 	"fedclust/internal/obs"
+	"fedclust/internal/scenario"
 )
 
 // TestTelemetryBitIdentical: the same golden workload run bare and run
@@ -145,19 +147,53 @@ func TestRunEndObservedOnPanic(t *testing.T) {
 }
 
 // BenchmarkRoundDriverRoundInstrumented is BenchmarkRoundDriverRound
-// with telemetry fully attached (gate up, a control tracker feeding the
-// registry beside a journal observer discarding its lines) — the
-// whole-round overhead pair for BENCH_pr10.json. allocs/op must match
-// the bare benchmark: attaching telemetry adds zero allocations.
+// with telemetry fully attached (gate up, a journal whose tracker feeds
+// the registry, discarding its lines) — the whole-round overhead pair
+// for BENCH_pr10.json. allocs/op must match the bare benchmark:
+// attaching telemetry adds zero allocations.
 func BenchmarkRoundDriverRoundInstrumented(b *testing.B) {
 	prev := obs.Enabled()
 	defer obs.SetEnabled(prev)
 	obs.SetEnabled(true)
 	env := benchEnv(1)
-	env.Observer = fl.MultiObserver(control.NewTracker(env.Local.Epochs), obs.NewJournal(io.Discard, env.Local.Epochs))
+	env.Observer = obs.NewJournal(io.Discard, env.Local.Epochs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		methods.FedAvg{}.Run(env)
+	}
+}
+
+// TestStragglerOutcomesFollowTheDeliveryModel: a journal's outcome
+// classes follow the method's delivery model. A synchronous method folds
+// a straggler's partial pass in the round it runs, so every report is on
+// time or partial and none is late; a semi-async method's slow clients
+// run their full pass and deliver rounds later, so only on-time updates
+// are reported in their own round.
+func TestStragglerOutcomesFollowTheDeliveryModel(t *testing.T) {
+	for _, c := range []struct {
+		trainer fl.Trainer
+		async   bool
+	}{{methods.FedAvg{}, false}, {methods.FedBuff{}, true}} {
+		env := goldenEnv(77, 6)
+		env.Participation.Scenario = scenario.New(scenario.Config{StragglerFrac: 0.5, SlowdownMax: 2, Deadline: 1}, 77, len(env.Clients))
+		var buf bytes.Buffer
+		env.Observer = obs.NewJournal(&buf, env.Local.Epochs)
+		c.trainer.Run(env)
+		events, _ := obs.ReadEvents(buf.Bytes())
+		var partial, late int
+		for _, ev := range events {
+			if ev.Event != "round" {
+				continue
+			}
+			partial, late = partial+ev.Partial, late+ev.Late
+			if c.async && ev.OnTime != ev.Reported || !c.async && (ev.OnTime+ev.Partial != ev.Reported || ev.Late != 0) {
+				t.Errorf("%s round %d: reported %d, on_time %d, partial %d, late %d",
+					c.trainer.Name(), ev.Round, ev.Reported, ev.OnTime, ev.Partial, ev.Late)
+			}
+		}
+		if c.async && late == 0 || !c.async && partial == 0 {
+			t.Errorf("%s: %d partial and %d late outcomes over the run: the stragglers' outcome class is never booked", c.trainer.Name(), partial, late)
+		}
 	}
 }

@@ -213,11 +213,11 @@ func TestCommStats(t *testing.T) {
 	}
 }
 
-// TestOutcomeClassBoundaries pins the one outcome classification the
-// control tracker and the round journal share, at each class's edges: a
-// transport failure outranks everything, no completed epoch or a negative
-// lag is offline whatever else holds, lateness outranks a short pass, and
-// a short pass is partial only when a full pass is configured.
+// TestOutcomeClassBoundaries pins the one outcome classification
+// obs.Tracker applies for /clients and the round journal, at each class's
+// edges: a transport failure outranks everything, no completed epoch or a
+// negative lag is offline whatever else holds, lateness outranks a short
+// pass, and a short pass is partial only when a full pass is configured.
 func TestOutcomeClassBoundaries(t *testing.T) {
 	for _, c := range []struct {
 		done, lag, epochs int

@@ -16,7 +16,10 @@ type RoundObserver interface {
 	// ObserveOutcome fires once per invited client after local passes
 	// complete: done is the epoch count actually executed (0 = dropped
 	// out), lag the staleness in rounds, failed whether the transport
-	// layer lost the update. OutcomeCounts.Count classifies it.
+	// layer lost the update. Under a synchronous method a straggler with
+	// done > 0 reports its partial pass on time, so its lag is 0; only a
+	// semi-async method's late deliveries carry lag > 0.
+	// OutcomeCounts.Count classifies it.
 	ObserveOutcome(client, done, lag int, failed bool)
 	// ObserveRoundEnd fires after aggregation with the number of updates
 	// that reached the server and the cumulative traffic ledger.

@@ -57,108 +57,3 @@ type PhaseObserver interface {
 type RunEndObserver interface {
 	ObserveRunEnd(completed int, aborted bool)
 }
-
-// Tee fans observations out to several observers in order. It forwards
-// the optional extensions (DefenseObserver, PhaseObserver,
-// RunEndObserver) to whichever members implement them, so a control-plane
-// tracker and a round journal can share Env.Observer. Nil members are
-// skipped; a Tee of zero or one non-nil member is collapsed by MultiObserver.
-type Tee struct {
-	members []RoundObserver
-}
-
-// MultiObserver combines observers into one. Nils are dropped; it
-// returns nil for an empty set and the sole member for a singleton, so
-// call sites can use it unconditionally without paying Tee dispatch for
-// the common single-observer case.
-func MultiObserver(obs ...RoundObserver) RoundObserver {
-	kept := make([]RoundObserver, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			kept = append(kept, o)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return &Tee{members: kept}
-}
-
-// ObserveRunStart implements RoundObserver.
-func (t *Tee) ObserveRunStart(method string, totalRounds, nClients, startRound int) {
-	for _, o := range t.members {
-		o.ObserveRunStart(method, totalRounds, nClients, startRound)
-	}
-}
-
-// ObserveRoundStart implements RoundObserver.
-func (t *Tee) ObserveRoundStart(round, invited int) {
-	for _, o := range t.members {
-		o.ObserveRoundStart(round, invited)
-	}
-}
-
-// ObserveOutcome implements RoundObserver.
-func (t *Tee) ObserveOutcome(client, done, lag int, failed bool) {
-	for _, o := range t.members {
-		o.ObserveOutcome(client, done, lag, failed)
-	}
-}
-
-// ObserveRoundEnd implements RoundObserver.
-func (t *Tee) ObserveRoundEnd(round, reported int, comm *CommStats) {
-	for _, o := range t.members {
-		o.ObserveRoundEnd(round, reported, comm)
-	}
-}
-
-// ObserveEval implements RoundObserver.
-func (t *Tee) ObserveEval(round int, meanAcc, meanLoss float64) {
-	for _, o := range t.members {
-		o.ObserveEval(round, meanAcc, meanLoss)
-	}
-}
-
-// ObserveCheckpoint implements RoundObserver.
-func (t *Tee) ObserveCheckpoint(round int) {
-	for _, o := range t.members {
-		o.ObserveCheckpoint(round)
-	}
-}
-
-// ObserveDefense implements DefenseObserver.
-func (t *Tee) ObserveDefense(round, masked, suspects int) {
-	for _, o := range t.members {
-		if d, ok := o.(DefenseObserver); ok {
-			d.ObserveDefense(round, masked, suspects)
-		}
-	}
-}
-
-// ObservePhases implements PhaseObserver.
-func (t *Tee) ObservePhases(round int, phases RoundPhases) {
-	for _, o := range t.members {
-		if p, ok := o.(PhaseObserver); ok {
-			p.ObservePhases(round, phases)
-		}
-	}
-}
-
-// ObserveRunEnd implements RunEndObserver.
-func (t *Tee) ObserveRunEnd(completed int, aborted bool) {
-	for _, o := range t.members {
-		if r, ok := o.(RunEndObserver); ok {
-			r.ObserveRunEnd(completed, aborted)
-		}
-	}
-}
-
-var (
-	_ RoundObserver   = (*Tee)(nil)
-	_ DefenseObserver = (*Tee)(nil)
-	_ PhaseObserver   = (*Tee)(nil)
-	_ RunEndObserver  = (*Tee)(nil)
-)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync"
 	"time"
 
 	"fedclust/internal/fl"
@@ -16,9 +15,9 @@ import (
 // "run_start" (method and run shape), "round" (one per completed round:
 // outcome counts, defense tallies, cumulative and delta traffic, eval,
 // checkpoint flag, phase durations), and "run_end" (completed rounds and
-// whether the run aborted). Cumulative byte fields mirror /status
-// exactly, so a journal's last round event must agree with the control
-// plane's snapshot.
+// whether the run aborted). Cumulative byte fields are the /status
+// fields of the Tracker the journal embeds, so a journal's last round
+// event is the control plane's snapshot.
 type Event struct {
 	Event string `json:"event"`
 	TS    string `json:"ts"`
@@ -31,7 +30,7 @@ type Event struct {
 
 	// round fields. Round is the completed-round ordinal (1-based, to
 	// match /status "round"). Outcome counts classify this round's
-	// invited clients the same way the control tracker does.
+	// invited clients, tallied by the journal's own Tracker.
 	Round    int `json:"round,omitempty"`
 	Invited  int `json:"invited,omitempty"`
 	Reported int `json:"reported,omitempty"`
@@ -64,51 +63,39 @@ type Event struct {
 	Aborted   bool `json:"aborted,omitempty"`
 }
 
-// Journal is an fl.RoundObserver that appends one JSONL event per round
-// to a writer, leaving an analyzable trace on disk for long runs. It
-// implements the Defense/Phase/RunEnd extensions; ObservePhases is the
+// Journal is a Tracker that appends one JSONL event per run start,
+// completed round and run end to a writer, leaving an analyzable trace on
+// disk for long runs. The embedded Tracker accumulates every observation;
+// the journal keeps only its writer state and, for a resumed run, the
+// ledger its first round's delta is taken from. ObservePhases is the
 // round's closing observation, so the round event carries everything the
-// earlier observations accumulated (including eval and checkpoint, which
-// fire before it).
+// round accumulated (eval and checkpoint fire before it).
 //
 // The per-round hot path is allocation-free once warm: events are
 // hand-appended (strconv) into a reused buffer and written with a single
-// Write. Calls arrive on the driver goroutine between phases; the mutex
-// only guards against concurrent Flush/Close from other goroutines.
+// Write. Observations arrive on the driver goroutine, so each line reads
+// the state the Tracker has just folded; it is written under the
+// Tracker's lock, which also guards Err and Close from other goroutines.
 type Journal struct {
-	mu     sync.Mutex
+	Tracker
 	w      io.Writer
 	closer io.Closer
-	epochs int
 	buf    []byte
 	err    error
+	ended  bool
 
-	// run state
-	method      string
-	totalRounds int
-	nClients    int
-	startRound  int
-	ended       bool
-
-	// per-round scratch, reset after each round event
-	invited, reported    int
-	outcomes             fl.OutcomeCounts
-	masked, suspects     int
-	evalRound            int
-	evalAcc, evalLoss    float64
-	ckptThisRound        bool
-	up, down, mup, mdown int64
-	prevUp, prevDown     int64
-	baselined            bool
+	// The cumulative ledger the next round's delta is taken from; a
+	// resumed run sets it from its first round's own PerRound entry.
+	prevUp, prevDown int64
+	baselined        bool
 }
 
 // NewJournal returns a journal writing JSONL events to w. localEpochs is
 // the configured full local pass, used to classify on-time-but-short
-// deliveries as partial (0 merges partial into on-time, matching
-// control.NewTracker). If w is also an io.Closer, Close closes it.
+// deliveries as partial (0 merges partial into on-time, as NewTracker
+// does). If w is also an io.Closer, Close closes it.
 func NewJournal(w io.Writer, localEpochs int) *Journal {
-	j := &Journal{w: w, epochs: localEpochs, evalRound: -1}
-	j.buf = make([]byte, 0, 1024)
+	j := &Journal{Tracker: Tracker{epochs: localEpochs}, w: w, buf: make([]byte, 0, 1024)}
 	if c, ok := w.(io.Closer); ok {
 		j.closer = c
 	}
@@ -142,11 +129,10 @@ func (j *Journal) Close() error {
 
 // ObserveRunStart implements fl.RoundObserver.
 func (j *Journal) ObserveRunStart(method string, totalRounds, nClients, startRound int) {
+	j.Tracker.ObserveRunStart(method, totalRounds, nClients, startRound)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.method, j.totalRounds, j.nClients, j.startRound = method, totalRounds, nClients, startRound
 	j.ended = false
-	j.resetRound()
 	j.prevUp, j.prevDown, j.baselined = 0, 0, startRound == 0
 	j.buf = j.buf[:0]
 	j.buf = append(j.buf, `{"event":"run_start","ts":"`...)
@@ -163,92 +149,56 @@ func (j *Journal) ObserveRunStart(method string, totalRounds, nClients, startRou
 	j.flushLocked()
 }
 
-// ObserveRoundStart implements fl.RoundObserver.
-func (j *Journal) ObserveRoundStart(round, invited int) {
-	j.mu.Lock()
-	j.invited = invited
-	j.mu.Unlock()
-}
-
-// ObserveOutcome implements fl.RoundObserver, classifying by the control
-// tracker's own fl.OutcomeCounts so journal totals reconcile with /clients.
-func (j *Journal) ObserveOutcome(client, done, lag int, failed bool) {
-	j.mu.Lock()
-	j.outcomes.Count(done, lag, failed, j.epochs)
-	j.mu.Unlock()
-}
-
-// ObserveDefense implements fl.DefenseObserver.
-func (j *Journal) ObserveDefense(round, masked, suspects int) {
-	j.mu.Lock()
-	j.masked, j.suspects = masked, suspects
-	j.mu.Unlock()
-}
-
-// ObserveRoundEnd implements fl.RoundObserver, capturing the cumulative
-// ledger; the round event is deferred to ObservePhases so eval and
-// checkpoint observations land in the same line. A resumed run's restored
+// ObserveRoundEnd implements fl.RoundObserver. A resumed run's restored
 // ledger already holds every pre-checkpoint byte, so its first delta is
 // taken from the ledger before this round's own PerRound entry.
 func (j *Journal) ObserveRoundEnd(round, reported int, comm *fl.CommStats) {
+	j.Tracker.ObserveRoundEnd(round, reported, comm)
 	j.mu.Lock()
-	j.reported = reported
-	j.up, j.down = comm.UpBytes, comm.DownBytes
-	j.mup, j.mdown = comm.MeasuredUp, comm.MeasuredDown
+	defer j.mu.Unlock()
 	if n := len(comm.PerRound); !j.baselined && n > 0 {
-		j.prevUp, j.prevDown = j.up-comm.PerRound[n-1].UpBytes, j.down-comm.PerRound[n-1].DownBytes
+		j.prevUp, j.prevDown = comm.UpBytes-comm.PerRound[n-1].UpBytes, comm.DownBytes-comm.PerRound[n-1].DownBytes
 	}
 	j.baselined = true
-	j.mu.Unlock()
-}
-
-// ObserveEval implements fl.RoundObserver.
-func (j *Journal) ObserveEval(round int, meanAcc, meanLoss float64) {
-	j.mu.Lock()
-	j.evalRound, j.evalAcc, j.evalLoss = round, meanAcc, meanLoss
-	j.mu.Unlock()
-}
-
-// ObserveCheckpoint implements fl.RoundObserver.
-func (j *Journal) ObserveCheckpoint(round int) {
-	j.mu.Lock()
-	j.ckptThisRound = true
-	j.mu.Unlock()
 }
 
 // ObservePhases implements fl.PhaseObserver: the closing observation of
-// each round, where the accumulated round event is written.
+// each round, where the round event is written.
 func (j *Journal) ObservePhases(round int, phases fl.RoundPhases) {
+	j.Tracker.ObservePhases(round, phases)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	s, c := &j.status, &j.round
 	b := j.buf[:0]
 	b = append(b, `{"event":"round","ts":"`...)
 	b = appendTS(b)
 	b = append(b, `","round":`...)
 	b = strconv.AppendInt(b, int64(round+1), 10)
-	b = appendIntField(b, "invited", j.invited)
-	b = appendIntField(b, "reported", j.reported)
-	b = appendIntField(b, "on_time", j.outcomes.OnTime)
-	b = appendIntField(b, "partial", j.outcomes.Partial)
-	b = appendIntField(b, "late", j.outcomes.Late)
-	b = appendIntField(b, "offline", j.outcomes.Offline)
-	b = appendIntField(b, "failed", j.outcomes.Failed)
-	b = appendIntField(b, "masked", j.masked)
-	b = appendIntField(b, "suspects", j.suspects)
-	b = appendInt64Field(b, "up_bytes", j.up)
-	b = appendInt64Field(b, "down_bytes", j.down)
-	b = appendInt64Field(b, "measured_up_bytes", j.mup)
-	b = appendInt64Field(b, "measured_down_bytes", j.mdown)
-	b = appendInt64Field(b, "up_delta", j.up-j.prevUp)
-	b = appendInt64Field(b, "down_delta", j.down-j.prevDown)
-	b = appendIntField(b, "eval_round", j.evalRound)
-	if j.evalRound >= 0 {
+	b = appendIntField(b, "invited", s.Invited)
+	b = appendIntField(b, "reported", s.Reported)
+	b = appendIntField(b, "on_time", c.OnTime)
+	b = appendIntField(b, "partial", c.Partial)
+	b = appendIntField(b, "late", c.Late)
+	b = appendIntField(b, "offline", c.Offline)
+	b = appendIntField(b, "failed", c.Failed)
+	b = appendIntField(b, "masked", s.MaskedLast)
+	b = appendIntField(b, "suspects", s.SuspectsLast)
+	b = appendInt64Field(b, "up_bytes", s.UpBytes)
+	b = appendInt64Field(b, "down_bytes", s.DownBytes)
+	b = appendInt64Field(b, "measured_up_bytes", s.MeasuredUp)
+	b = appendInt64Field(b, "measured_down_bytes", s.MeasuredDown)
+	b = appendInt64Field(b, "up_delta", s.UpBytes-j.prevUp)
+	b = appendInt64Field(b, "down_delta", s.DownBytes-j.prevDown)
+	if j.evaluated {
+		b = appendIntField(b, "eval_round", s.EvalRound)
 		b = append(b, `,"mean_acc":`...)
-		b = strconv.AppendFloat(b, j.evalAcc, 'g', -1, 64)
+		b = strconv.AppendFloat(b, s.MeanAcc, 'g', -1, 64)
 		b = append(b, `,"mean_loss":`...)
-		b = strconv.AppendFloat(b, j.evalLoss, 'g', -1, 64)
+		b = strconv.AppendFloat(b, s.MeanLoss, 'g', -1, 64)
+	} else {
+		b = appendIntField(b, "eval_round", -1)
 	}
-	if j.ckptThisRound {
+	if j.checkpointed {
 		b = append(b, `,"checkpoint":true`...)
 	}
 	b = append(b, `,"phases":{`...)
@@ -261,13 +211,13 @@ func (j *Journal) ObservePhases(round int, phases fl.RoundPhases) {
 	b = appendPhase(b, `,"total_ns":`, phases.TotalNS)
 	b = append(b, "}}\n"...)
 	j.buf = b
-	j.prevUp, j.prevDown = j.up, j.down
-	j.resetRound()
+	j.prevUp, j.prevDown = s.UpBytes, s.DownBytes
 	j.flushLocked()
 }
 
 // ObserveRunEnd implements fl.RunEndObserver.
 func (j *Journal) ObserveRunEnd(completed int, aborted bool) {
+	j.Tracker.ObserveRunEnd(completed, aborted)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.ended {
@@ -285,14 +235,6 @@ func (j *Journal) ObserveRunEnd(completed int, aborted bool) {
 	b = append(b, "}\n"...)
 	j.buf = b
 	j.flushLocked()
-}
-
-func (j *Journal) resetRound() {
-	j.invited, j.reported = 0, 0
-	j.outcomes = fl.OutcomeCounts{}
-	j.masked, j.suspects = 0, 0
-	j.evalRound, j.evalAcc, j.evalLoss = -1, 0, 0
-	j.ckptThisRound = false
 }
 
 func (j *Journal) flushLocked() {

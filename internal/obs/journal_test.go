@@ -2,8 +2,8 @@ package obs_test
 
 // Journal round-trip: the observer feed of a fabricated run must decode
 // (ReadEvents) into events whose classification, cumulative ledger, and
-// per-round deltas reconcile with what the control tracker would report
-// for the same feed.
+// per-round deltas reconcile with what the Tracker the journal embeds
+// reports for the same feed.
 
 import (
 	"bytes"

@@ -1,7 +1,9 @@
 // Package obs is the run telemetry layer: an allocation-free metrics
 // registry (monotonic counters, gauges, fixed-bucket histograms with
 // atomic hot paths), a Span phase timer, Prometheus text-format
-// exposition, and a structured JSONL round journal.
+// exposition, the Tracker — the one place a run's round observations
+// accumulate, which the control plane serves — and the structured JSONL
+// round journal, a Tracker that writes each line from its own state.
 //
 // The package is built around two contracts the rest of the system pins
 // with tests:

@@ -1,18 +1,10 @@
-// Package control is the coordinator's live control plane: a Tracker
-// that implements fl.RoundObserver to mirror a running federation's
-// progress into mutex-guarded counters (and, with the telemetry gate up,
-// into the process registry's round series), and a small HTTP server
-// exposing them — round progress, per-client outcome counts, ledger and
-// socket-measured traffic, straggler histograms — plus an on-demand checkpoint
-// trigger wired into the engine's CheckpointPlan.
-package control
+package obs
 
 import (
 	"sync"
 	"sync/atomic"
 
 	"fedclust/internal/fl"
-	"fedclust/internal/obs"
 )
 
 // Status is the /status snapshot.
@@ -81,17 +73,17 @@ type Stragglers struct {
 // participation. Built on the first update with the gate up
 // (registration allocates; updates are atomic and do not).
 type roundSeries struct {
-	phase                                 [7]*obs.Histogram // fl.RoundPhases' fields, in order
-	rounds, checkpoints, masked, suspects *obs.Counter
-	invited, reported                     *obs.Gauge
+	phase                                 [7]*Histogram // fl.RoundPhases' fields, in order
+	rounds, checkpoints, masked, suspects *Counter
+	invited, reported                     *Gauge
 }
 
-var series = sync.OnceValue(func() *roundSeries {
-	r := obs.Default()
+var trackerSeries = sync.OnceValue(func() *roundSeries {
+	r := Default()
 	m := &roundSeries{}
 	for i, name := range [...]string{"sample", "broadcast", "local", "combine", "eval", "checkpoint", "total"} {
 		m.phase[i] = r.Histogram("fedsim_round_phase_seconds",
-			obs.Label("phase", name),
+			Label("phase", name),
 			"Wall-clock seconds spent per round lifecycle phase.", nil)
 	}
 	m.rounds = r.Counter("fedsim_rounds_total", "",
@@ -109,9 +101,14 @@ var series = sync.OnceValue(func() *roundSeries {
 	return m
 })
 
-// Tracker mirrors a run's progress. It implements fl.RoundObserver; all
-// methods and snapshots are safe for concurrent use (the driver writes
-// between phases, HTTP handlers read whenever).
+// Tracker is the one place a run's observations accumulate: the /status
+// snapshot, per-client outcome counts, the straggler histograms, the
+// current round's outcome tally and eval and checkpoint marks, and (with
+// the telemetry gate up) the registry's round series. It implements
+// fl.RoundObserver and its extensions; Journal embeds it and writes its
+// lines from it. All methods and snapshots are safe for concurrent use
+// (the driver writes between phases, HTTP handlers read whenever). It
+// also carries the on-demand checkpoint trigger.
 type Tracker struct {
 	mu      sync.Mutex
 	epochs  int
@@ -121,6 +118,11 @@ type Tracker struct {
 	lag     []int
 	offline int
 	trigger atomic.Bool
+
+	// The current round, reset at its start: its outcome tally, and
+	// whether it evaluated and checkpointed.
+	round                   fl.OutcomeCounts
+	evaluated, checkpointed bool
 }
 
 // NewTracker returns an empty tracker. localEpochs is the configured
@@ -167,10 +169,10 @@ func (t *Tracker) ObservePhases(round int, phases fl.RoundPhases) {
 	defer t.mu.Unlock()
 	t.status.LastPhases = phases
 	t.status.PhaseTotals.Add(phases)
-	if !obs.Enabled() {
+	if !Enabled() {
 		return
 	}
-	m := series()
+	m := trackerSeries()
 	for i, ns := range [...]int64{phases.SampleNS, phases.BroadcastNS, phases.LocalNS,
 		phases.CombineNS, phases.EvalNS, phases.CheckpointNS, phases.TotalNS} {
 		// Eval and checkpoint (slots 4 and 5) run on a subset of rounds;
@@ -188,8 +190,9 @@ func (t *Tracker) ObserveRoundStart(round, invited int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.status.Invited = invited
-	if obs.Enabled() {
-		series().invited.Set(float64(invited))
+	t.round, t.evaluated, t.checkpointed = fl.OutcomeCounts{}, false, false
+	if Enabled() {
+		trackerSeries().invited.Set(float64(invited))
 	}
 }
 
@@ -201,6 +204,7 @@ func (t *Tracker) ObserveOutcome(client, done, lag int, failed bool) {
 		return
 	}
 	t.clients[client].Count(done, lag, failed, t.epochs)
+	t.round.Count(done, lag, failed, t.epochs)
 	if failed || lag < 0 || done <= 0 {
 		t.offline++
 	} else {
@@ -226,8 +230,8 @@ func (t *Tracker) ObserveRoundEnd(round, reported int, comm *fl.CommStats) {
 	if s.Round == s.TotalRounds {
 		s.Running = false
 	}
-	if obs.Enabled() {
-		m := series()
+	if Enabled() {
+		m := trackerSeries()
 		m.rounds.Inc()
 		m.reported.Set(float64(reported))
 	}
@@ -242,8 +246,8 @@ func (t *Tracker) ObserveDefense(round, masked, suspects int) {
 	s.MaskedLast, s.SuspectsLast = masked, suspects
 	s.MaskedTotal += masked
 	s.SuspectsTotal += suspects
-	if obs.Enabled() {
-		m := series()
+	if Enabled() {
+		m := trackerSeries()
 		m.masked.Add(uint64(masked))
 		m.suspects.Add(uint64(suspects))
 	}
@@ -255,6 +259,7 @@ func (t *Tracker) ObserveEval(round int, meanAcc, meanLoss float64) {
 	defer t.mu.Unlock()
 	t.status.EvalRound = round
 	t.status.MeanAcc, t.status.MeanLoss = meanAcc, meanLoss
+	t.evaluated = true
 }
 
 // ObserveCheckpoint implements fl.RoundObserver.
@@ -262,8 +267,9 @@ func (t *Tracker) ObserveCheckpoint(round int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.status.Checkpoints++
-	if obs.Enabled() {
-		series().checkpoints.Inc()
+	t.checkpointed = true
+	if Enabled() {
+		trackerSeries().checkpoints.Inc()
 	}
 }
 

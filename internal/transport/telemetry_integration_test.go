@@ -1,8 +1,8 @@
 package transport_test
 
-// The ISSUE 10 acceptance check: a 3-node TCP run with the tracker and
-// journal attached must leave a JSONL trace that reconstructs the same
-// round, byte, and outcome totals as the control plane's /status — and
+// The telemetry acceptance check: a 3-node TCP run with a journal attached
+// must leave a JSONL trace that reconstructs the same round, byte, and
+// outcome totals as the /status of the tracker it embeds — and
 // the per-node transport metrics must account for every request the run
 // issued.
 
@@ -12,8 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"fedclust/internal/control"
-	"fedclust/internal/fl"
 	"fedclust/internal/methods"
 	"fedclust/internal/obs"
 	"fedclust/internal/transport"
@@ -68,10 +66,10 @@ func TestTCPThreeNodeJournalMatchesStatus(t *testing.T) {
 	upBefore := nodeCounter("fedsim_transport_up_bytes_total")
 	downBefore := nodeCounter("fedsim_transport_down_bytes_total")
 
-	tracker := control.NewTracker(env.Local.Epochs)
 	sink := &lockedBuffer{}
 	journal := obs.NewJournal(sink, env.Local.Epochs)
-	env.Observer = fl.MultiObserver(tracker, journal)
+	tracker := &journal.Tracker
+	env.Observer = journal
 
 	res := methods.FedAvg{}.Run(env)
 	if err := fleet.Close(); err != nil {

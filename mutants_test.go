@@ -106,6 +106,18 @@ var mutants = []struct {
 	// a round later.
 	{"internal/engine/checkpoint.go", "if plan.Trigger != nil && plan.Trigger() {", "if !due && plan.Trigger != nil && plan.Trigger() {",
 		"./internal/engine", "TestCheckpointTriggerOnScheduledRound"},
+	// The tracker's round tally kept across rounds: each journal line
+	// counts every outcome since the run started.
+	{"internal/obs/tracker.go", "t.round, t.evaluated, t.checkpointed = fl.OutcomeCounts{}, false, false", "t.evaluated, t.checkpointed = false, false",
+		"./internal/obs", "TestJournalRoundTrip"},
+	// The journal's resumed-run baseline dropped: the first round after a
+	// resume books the restored ledger's whole history as its delta.
+	{"internal/obs/journal.go", "j.prevUp, j.prevDown, j.baselined = 0, 0, startRound == 0", "j.prevUp, j.prevDown, j.baselined = 0, 0, true",
+		"./internal/engine", "TestResumeJournalsEachRoundsOwnTraffic"},
+	// A synchronous straggler observed with its scenario lag: its partial
+	// pass, folded in this round, is booked late.
+	{"internal/engine/driver.go", "\t\t\tif !d.Async && done > 0 {\n\t\t\t\tlag = 0 // a synchronous straggler reports its partial pass on time\n\t\t\t}\n", "",
+		"./internal/engine", "TestStragglerOutcomesFollowTheDeliveryModel"},
 	// The layer probes' local pass left on the scratch's own dtype: a
 	// float32 fig1 or ablation-layer run trains its probes in float64.
 	{"internal/experiments/fig1.go", "\tts.DType = env.DType\n", "",

@@ -333,6 +333,26 @@ func TestOneExecutor(t *testing.T) {
 	}
 }
 
+// TestOneRoundAccumulator: under internal/, no non-test method named
+// ObserveOutcome exists outside obs. obs.Tracker is the one place a
+// round's observations accumulate; the journal embeds it and /status
+// serves it, so a second accumulator (or a fan-out feeding two) shows up
+// as a second ObserveOutcome.
+func TestOneRoundAccumulator(t *testing.T) {
+	m := load(t)
+	for path, f := range m.files {
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if !strings.HasPrefix(dir, "internal/") || dir == "internal/obs" {
+			continue
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv != nil && fn.Name.Name == "ObserveOutcome" {
+				t.Errorf("%s: a round accumulator outside obs.Tracker", m.fset.Position(fn.Pos()))
+			}
+		}
+	}
+}
+
 // TestComputeLeavesDoNotSchedule: the compute packages — tensor, nn,
 // opt, wire, data — do not import sched, so a kernel runs on the
 // goroutine that calls it and parallelism lives one level up, across
