@@ -562,6 +562,9 @@ func (d *RoundDriver) RunRound(round int) {
 			if !d.Async && done > 0 {
 				lag = 0 // a synchronous straggler reports its partial pass on time
 			}
+			if d.Async && lag > 0 {
+				done = es.cfgEpochs // a semi-async straggler trains its full pass and delivers it late
+			}
 			ob.ObserveOutcome(c, done, lag, es.failMask[c])
 		}
 	}

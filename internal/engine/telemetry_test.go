@@ -169,14 +169,18 @@ func BenchmarkRoundDriverRoundInstrumented(b *testing.B) {
 // a straggler's partial pass in the round it runs, so every report is on
 // time or partial and none is late; a semi-async method's slow clients
 // run their full pass and deliver rounds later, so only on-time updates
-// are reported in their own round.
+// are reported in their own round, and the slow ones are booked late,
+// none offline (the scenario drops no one). At SlowdownMax 4 the
+// stragglers finish no epoch by the deadline, and FedBuff still books
+// them late: their full pass arrives.
 func TestStragglerOutcomesFollowTheDeliveryModel(t *testing.T) {
 	for _, c := range []struct {
-		trainer fl.Trainer
-		async   bool
-	}{{methods.FedAvg{}, false}, {methods.FedBuff{}, true}} {
+		trainer  fl.Trainer
+		async    bool
+		slowdown float64
+	}{{methods.FedAvg{}, false, 2}, {methods.FedBuff{}, true, 2}, {methods.FedBuff{}, true, 4}} {
 		env := goldenEnv(77, 6)
-		env.Participation.Scenario = scenario.New(scenario.Config{StragglerFrac: 0.5, SlowdownMax: 2, Deadline: 1}, 77, len(env.Clients))
+		env.Participation.Scenario = scenario.New(scenario.Config{StragglerFrac: 0.5, SlowdownMax: c.slowdown, Deadline: 1}, 77, len(env.Clients))
 		var buf bytes.Buffer
 		env.Observer = obs.NewJournal(&buf, env.Local.Epochs)
 		c.trainer.Run(env)
@@ -187,13 +191,14 @@ func TestStragglerOutcomesFollowTheDeliveryModel(t *testing.T) {
 				continue
 			}
 			partial, late = partial+ev.Partial, late+ev.Late
-			if c.async && ev.OnTime != ev.Reported || !c.async && (ev.OnTime+ev.Partial != ev.Reported || ev.Late != 0) {
-				t.Errorf("%s round %d: reported %d, on_time %d, partial %d, late %d",
-					c.trainer.Name(), ev.Round, ev.Reported, ev.OnTime, ev.Partial, ev.Late)
+			if c.async && (ev.OnTime != ev.Reported || ev.Offline != 0) || !c.async && (ev.OnTime+ev.Partial != ev.Reported || ev.Late != 0) {
+				t.Errorf("%s slowdown %v round %d: reported %d, on_time %d, partial %d, late %d, offline %d",
+					c.trainer.Name(), c.slowdown, ev.Round, ev.Reported, ev.OnTime, ev.Partial, ev.Late, ev.Offline)
 			}
 		}
 		if c.async && late == 0 || !c.async && partial == 0 {
-			t.Errorf("%s: %d partial and %d late outcomes over the run: the stragglers' outcome class is never booked", c.trainer.Name(), partial, late)
+			t.Errorf("%s slowdown %v: %d partial and %d late outcomes over the run: the stragglers' outcome class is never booked",
+				c.trainer.Name(), c.slowdown, partial, late)
 		}
 	}
 }

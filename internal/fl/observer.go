@@ -18,7 +18,8 @@ type RoundObserver interface {
 	// out), lag the staleness in rounds, failed whether the transport
 	// layer lost the update. Under a synchronous method a straggler with
 	// done > 0 reports its partial pass on time, so its lag is 0; only a
-	// semi-async method's late deliveries carry lag > 0.
+	// semi-async method's late deliveries carry lag > 0, with done the
+	// full pass they deliver.
 	// OutcomeCounts.Count classifies it.
 	ObserveOutcome(client, done, lag int, failed bool)
 	// ObserveRoundEnd fires after aggregation with the number of updates

@@ -20,7 +20,10 @@ import (
 // is summed in the order of the whole-matrix products, bit for bit in
 // both dtypes. All intermediates live in persistent per-layer workspaces,
 // so a steady-state training step allocates nothing, and only a layer
-// whose input gradient is read ever holds a column buffer.
+// whose input gradient is read ever holds a column buffer. In a
+// Sequential's Conv2D → ReLU → MaxPool2 block the product's tiles go
+// straight to the pool (convBlock), and the output workspace is never
+// allocated.
 type Conv2DOf[T tensor.Float] struct {
 	Geom   tensor.ConvGeom
 	OutC   int
@@ -76,15 +79,22 @@ func (c *Conv2DOf[T]) skipInputGrad() { c.noGx = true }
 
 // Forward implements Layer. The output feature axis is channel-major CHW.
 func (c *Conv2DOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
-	checkBatchInput(c, "", x, anyBatch, c.InDim())
-	batch := x.Shape[0]
-	c.batch = batch
-	padded := c.padded.get(batch, c.Geom.PaddedLen()).Data
-	tensor.PadInto(x.Data, c.Geom, padded)
-	c.packed.Pack(c.W)
-	out := c.out.get(batch, c.OutDim())
+	padded := c.prepare(x)
+	out := c.out.get(c.batch, c.OutDim())
 	c.packed.ConvInto(out.Data, padded, c.Geom, c.B.Data)
 	return out
+}
+
+// prepare is what every forward product of x needs, fused or not: it
+// caches the batch and the padded copy Backward reads, packs W, and
+// returns the padded copy.
+func (c *Conv2DOf[T]) prepare(x *tensor.Of[T]) []T {
+	checkBatchInput(c, "", x, anyBatch, c.InDim())
+	c.batch = x.Shape[0]
+	padded := c.padded.get(c.batch, c.Geom.PaddedLen()).Data
+	tensor.PadInto(x.Data, c.Geom, padded)
+	c.packed.Pack(c.W)
+	return padded
 }
 
 // Backward implements Layer.
@@ -124,8 +134,8 @@ func (c *Conv2DOf[T]) Grads() []*tensor.Of[T] { return []*tensor.Of[T]{c.gw, c.g
 // MaxPool2 is a 2×2, stride-2 max pooling layer over CHW volumes.
 type MaxPool2[T tensor.Float] struct {
 	C, H, W int
-	argmax  []int // flat input index of each output element's max
-	batch   int
+	argmax  []int // flat input index of each output element's max; written by training passes only
+	batch   int   // the last training pass's batch; 0 after a forward-only pass
 	out, gx ws[T]
 }
 
@@ -150,19 +160,22 @@ func (p *MaxPool2[T]) InDim() int { return p.C * p.H * p.W }
 // OutDim implements Layer.
 func (p *MaxPool2[T]) OutDim() int { return p.C * (p.H / 2) * (p.W / 2) }
 
-// Forward implements Layer.
+// Forward implements Layer. Only a training pass writes the argmax
+// Backward reads.
 func (p *MaxPool2[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	checkBatchInput(p, "", x, anyBatch, p.InDim())
 	batch := x.Shape[0]
-	p.batch = batch
 	oh, ow := p.H/2, p.W/2
 	outDim := p.OutDim()
 	out := p.out.get(batch, outDim)
-	p.argmax = growInts(p.argmax, batch*outDim)
+	argmax := p.trainArgmax(batch, train)
 	for b := 0; b < batch; b++ {
 		in := x.Row(b)
 		dst := out.Row(b)
-		argmax := p.argmax[b*outDim:][:outDim]
+		var arg []int
+		if argmax != nil {
+			arg = argmax[b*outDim:][:outDim]
+		}
 		for c := 0; c < p.C; c++ {
 			inBase := c * p.H * p.W
 			outBase := c * oh * ow
@@ -180,7 +193,9 @@ func (p *MaxPool2[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 					bi += (i11 - bi) * b2i(in[i11] > in[bi])
 					oi := outBase + oy*ow + ox
 					dst[oi] = in[bi]
-					argmax[oi] = bi
+					if arg != nil {
+						arg[oi] = bi
+					}
 				}
 			}
 		}
@@ -188,9 +203,23 @@ func (p *MaxPool2[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
 	return out
 }
 
+// trainArgmax returns the argmax a pass over batch rows writes: the
+// layer's own, sized to the batch, for a training pass; nil for a
+// forward-only one, after which Backward refuses to run.
+func (p *MaxPool2[T]) trainArgmax(batch int, train bool) []int {
+	if !train {
+		p.batch = 0
+		return nil
+	}
+	p.batch = batch
+	p.argmax = growInts(p.argmax, batch*p.OutDim())
+	return p.argmax
+}
+
 // Backward implements Layer: routes each gradient to its argmax position.
+// It must follow a training Forward.
 func (p *MaxPool2[T]) Backward(gradOut *tensor.Of[T]) *tensor.Of[T] {
-	if p.argmax == nil {
+	if p.batch == 0 {
 		panic("nn: MaxPool2.Backward called before Forward")
 	}
 	checkBatchInput(p, " backward", gradOut, p.batch, p.OutDim())

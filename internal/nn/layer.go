@@ -3,7 +3,10 @@
 // container with parameter flattening (the representation federated
 // aggregation works on), and the model zoo the paper evaluates (LeNet-5 for
 // Table I, a VGG-16-shaped probe network for Fig. 1). The layer kinds are
-// the four the zoo builds: Dense, Conv2D, ReLU and MaxPool2.
+// the four the zoo builds: Dense, Conv2D, ReLU and MaxPool2. A Sequential
+// runs each Conv2D → ReLU → MaxPool2 run of its layers, LeNet's block, as
+// one pass that never writes the full-resolution activation; the three
+// layers stay in its list.
 //
 // All activations flow as rank-2 (batch, features) tensors; convolutional
 // layers interpret the feature axis as flattened CHW volumes via an
@@ -38,15 +41,17 @@ type Layer[T tensor.Float] interface {
 	// Name identifies the layer kind and shape, e.g. "conv5x5(3→6)".
 	Name() string
 	// Forward computes the layer output for a (batch, inDim) input.
-	// train marks a training pass; every layer kind here computes the
-	// same function either way.
+	// train marks a training pass, one a Backward follows: it decides
+	// whether MaxPool2 writes the argmax its Backward reads. Every layer
+	// kind computes the same output either way.
 	Forward(x *tensor.Of[T], train bool) *tensor.Of[T]
 	// Backward consumes dL/d(output) and returns dL/d(input),
 	// accumulating parameter gradients internally. It reads what the
 	// matching Forward cached — Dense its input tensor, ReLU its own
 	// output, MaxPool2 its argmax, Conv2D a zero-padded copy of its input
 	// whose unroll its weight gradient reads in place — so it must follow
-	// that Forward with no other Forward of the layer in between. The one
+	// that Forward with no other Forward of the layer in between, and
+	// MaxPool2's must follow a training Forward. The one
 	// layer a Sequential marked as its first with parameters computes no
 	// dL/d(input) — nothing reads it — and returns nil.
 	Backward(gradOut *tensor.Of[T]) *tensor.Of[T]
@@ -71,9 +76,10 @@ type SequentialOf[T tensor.Float] struct {
 	Layers []Layer[T]
 
 	params, grads []*tensor.Of[T]
-	data, grad    []T   // the two buffers params and grads are windows of
-	spans         []int // layer i's parameters are data[spans[i]:spans[i+1]]
-	first         int   // Backward stops here: no layer below it has parameters
+	data, grad    []T            // the two buffers params and grads are windows of
+	spans         []int          // layer i's parameters are data[spans[i]:spans[i+1]]
+	first         int            // Backward stops here: no layer below it has parameters
+	blocks        []convBlock[T] // the Conv2D → ReLU → MaxPool2 runs, each one pass, in layer order
 }
 
 // anyBatch is checkBatchInput's batch for Forward: every row count goes.
@@ -121,6 +127,7 @@ func newSequential[T tensor.Float](layers []Layer[T]) *SequentialOf[T] {
 		}
 		break
 	}
+	s.blocks = convBlocks(layers)
 	return s
 }
 
@@ -148,20 +155,33 @@ func numel(shape []int) int {
 	return n
 }
 
-// Forward runs all layers in order.
+// Forward runs all layers in order, each Conv2D → ReLU → MaxPool2 block
+// in one pass.
 func (s *SequentialOf[T]) Forward(x *tensor.Of[T], train bool) *tensor.Of[T] {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
+	blocks := s.blocks
+	for i := 0; i < len(s.Layers); i++ {
+		if len(blocks) > 0 && blocks[0].at == i {
+			x = blocks[0].forward(x, train)
+			blocks, i = blocks[1:], i+2
+			continue
+		}
+		x = s.Layers[i].Forward(x, train)
 	}
 	return x
 }
 
 // Backward propagates the loss gradient through the layers in reverse,
 // down to the first one that has parameters, accumulating every
-// parameter gradient. The gradient with respect to the input is not
-// computed.
+// parameter gradient; a block goes back in one pass as it went forward.
+// The gradient with respect to the input is not computed.
 func (s *SequentialOf[T]) Backward(grad *tensor.Of[T]) {
+	blocks := s.blocks
 	for i := len(s.Layers) - 1; i >= s.first; i-- {
+		if n := len(blocks); n > 0 && blocks[n-1].at+2 == i {
+			grad = blocks[n-1].backward(grad)
+			blocks, i = blocks[:n-1], i-2
+			continue
+		}
 		grad = s.Layers[i].Backward(grad)
 	}
 }

@@ -10,10 +10,12 @@ import (
 	"testing"
 )
 
-// TestElementwiseLayersBranchFree: in the amd64 listing of the six
-// instantiations of ReLU Forward/Backward and MaxPool2 Forward, the first
-// flag reader after each UCOMISS/UCOMISD is a SETcc or CMOV, never a jump:
-// an activation's sign is a coin flip a jump would mispredict.
+// TestElementwiseLayersBranchFree: in the amd64 listing of the ten
+// instantiations of ReLU Forward/Backward, MaxPool2 Forward, the LeNet
+// block's backward and tensor's pooled store (poolDst.store, the block's
+// forward epilogue: bias, ReLU and the window's max), the first flag reader after
+// each UCOMISS/UCOMISD is a SETcc or CMOV, never a jump: an activation's
+// sign is a coin flip a jump would mispredict.
 func TestElementwiseLayersBranchFree(t *testing.T) {
 	cmd := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "build", "-gcflags=-S", ".")
 	cmd.Env = append(os.Environ(), "GOARCH=amd64")
@@ -21,7 +23,8 @@ func TestElementwiseLayersBranchFree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("go build -gcflags=-S: %v\n%s", err, out)
 	}
-	guarded := regexp.MustCompile(`\.\(\*(ReLU\[go\.shape\.float(32|64)\]\)\.(Forward|Backward)|MaxPool2\[go\.shape\.float(32|64)\]\)\.Forward)$`)
+	guarded := regexp.MustCompile(`\.\(\*(ReLU\[go\.shape\.float(32|64)\]\)\.(Forward|Backward)|MaxPool2\[go\.shape\.float(32|64)\]\)\.Forward|` +
+		`convBlock\[go\.shape\.float(32|64)\]\)\.backward)$|/tensor\.\(\*poolDst\[go\.shape\.float(32|64)\]\)\.store$`)
 	compares := map[string]int{}
 	sym, afterCompare := "", false
 	for _, line := range strings.Split(string(out), "\n") {
@@ -62,7 +65,7 @@ func TestElementwiseLayersBranchFree(t *testing.T) {
 			t.Errorf("%s: no float compare found", s)
 		}
 	}
-	if len(compares) != 6 {
-		t.Errorf("found %d of the 6 elementwise symbols", len(compares))
+	if len(compares) != 10 {
+		t.Errorf("found %d of the 10 elementwise symbols", len(compares))
 	}
 }

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // The forward convolution as one implicit product. Row r of a batch's
@@ -205,29 +206,191 @@ func storeChannels[T Float](out, s, bias []T, outHW int) {
 // specification of the offset form: the non-amd64 path, the fallback
 // beside the tile, and what the tests compare the tile against with ==.
 func convRowsGo[T Float](dst, padded, w, bias []T, off []int32, g ConvGeom, lo, hi int) {
-	k, n := len(off), len(bias)
+	n := len(bias)
 	outHW, q := g.OutH()*g.OutW(), newPixelWalk(g, n, lo)
 	for i := lo; i < hi; i++ {
-		a := padded[q.tap:]
 		for j := 0; j < n; j += 4 {
-			w0, w1 := w[j*k:][:k], w[min(j+1, n-1)*k:][:k]
-			w2, w3 := w[min(j+2, n-1)*k:][:k], w[min(j+3, n-1)*k:][:k]
-			var s0, s1, s2, s3 T
-			for p := 0; p < len(off); p++ {
-				av := a[off[p]]
-				if av == 0 {
-					continue
-				}
-				s0 += T(av * w0[p])
-				s1 += T(av * w1[p])
-				s2 += T(av * w2[p])
-				s3 += T(av * w3[p])
-			}
-			s := [4]T{s0, s1, s2, s3}
+			s := chains4(padded[q.tap:], w, off, j, n)
 			storeChannels(dst[q.at+j*outHW:], s[:min(4, n-j)], bias[j:], outHW)
 		}
 		q.next()
 	}
+}
+
+// chains4 returns the sums of channels j … j+3 of W's rows (w, n × k)
+// over the receptive field whose top-left tap begins a, read through off:
+// each summed over p in increasing order, the product rounded, a ±0 tap
+// skipped. Past the last channel it repeats it.
+func chains4[T Float](a, w []T, off []int32, j, n int) [4]T {
+	k := len(off)
+	w0, w1 := w[j*k:][:k], w[min(j+1, n-1)*k:][:k]
+	w2, w3 := w[min(j+2, n-1)*k:][:k], w[min(j+3, n-1)*k:][:k]
+	var s0, s1, s2, s3 T
+	for p := 0; p < len(off); p++ {
+		av := a[off[p]]
+		if av == 0 {
+			continue
+		}
+		s0 += T(av * w0[p])
+		s1 += T(av * w1[p])
+		s2 += T(av * w2[p])
+		s3 += T(av * w3[p])
+	}
+	return [4]T{s0, s1, s2, s3}
+}
+
+// The LeNet block's forward: a convolution, ReLU and a 2×2, stride-2 max
+// pool in one pass. The pool's windows are four pixels of one image, (2py,
+// 2px), its right neighbour and the two below, when the output's height
+// and width are even, as LeNet's are. So the product runs one window per
+// tile call, its four row bases those pixels' top-left taps, and
+// poolDst.store turns the window's four sums per channel into the pooled
+// value: the bias add is the unfused one rounding, and ReLU and the max
+// only select, so the pooled bits are the three layers'. The
+// full-resolution output is never written.
+
+// ConvPoolInto computes a batch's convolution, ReLU and 2×2 max pool
+// into pooled, channel-major per image (OutC planes of OutH/2·OutW/2):
+// each element is the max over its window of relu(y), y ConvInto's output
+// there, by MaxPool2's rule — the window's pixels in the order (0,0),
+// (0,1), (1,0), (1,1), a strictly greater value moving the choice, a tie
+// keeping the first. When argmax is not nil it gets each choice as
+// ch·OutH·OutW + pix, the index into one image's unpooled output; a
+// forward-only pass passes nil. OutH and OutW must be even. Both kernel
+// paths produce the same bits.
+func (p *TransBPanel[T]) ConvPoolInto(pooled []T, argmax []int, padded []T, g ConvGeom, bias []T) {
+	n, k := p.b.Shape[0], p.b.Shape[1]
+	outH, outW, padLen := g.OutH(), g.OutW(), g.PaddedLen()
+	if k != g.InC*g.KH*g.KW || len(bias) != n || len(padded)%padLen != 0 || outH%2 != 0 || outW%2 != 0 ||
+		len(pooled) != len(padded)/padLen*n*outH*outW/4 || argmax != nil && len(argmax) != len(pooled) {
+		panic(fmt.Sprintf("tensor: ConvPoolInto of %d padded elements into %d (%d argmax), weights %v, %d biases, geometry %+v",
+			len(padded), len(pooled), len(argmax), p.b.Shape, len(bias), g))
+	}
+	p.off = tapOffsets(p.off, g)
+	var panel []T
+	if useASM {
+		panel = p.panel
+	}
+	convPoolWindows(pooled, argmax, padded, panel, p.b.Data, bias, p.off, g)
+}
+
+// convPoolWindows runs ConvPoolInto's windows in order: per window and
+// block of lanes channels one tile call against the packed panel, or,
+// with no panel, four chains4 calls per four channels into the tile's
+// first four lanes — the Go body, the same chains — and the pooled store.
+func convPoolWindows[T Float](pooled []T, argmax []int, padded, panel, w, bias []T, off []int32, g ConvGeom) {
+	var tile [32]T // the window's four pixels, lanes channels each; float64 uses the first half
+	k, n := len(off), len(bias)
+	outW, outHW := g.OutW(), g.OutH()*g.OutW()
+	pw, s := g.InW+2*g.Pad, g.Stride
+	dst := poolDst[T]{pooled: pooled, argmax: argmax, plane: outHW / 4, outW: outW, outHW: outHW}
+	lw, step := lanes[T](), lanes[T]()
+	if len(panel) == 0 {
+		step = 4
+	}
+	// t is the window's top-left tap in the padded batch, o its element in
+	// the first channel's pooled plane, at its first pixel in the first
+	// channel's unpooled plane.
+	t, o := 0, 0
+	for o < len(pooled) {
+		for at := 0; at < outHW; at += 2 * outW {
+			for px := 0; px < outW/2; px++ {
+				taps := [4]int{t, t + s, t + s*pw, t + s*pw + s}
+				for j := 0; j < n; j += step {
+					if len(panel) > 0 {
+						rows := [4]*T{&padded[taps[0]], &padded[taps[1]], &padded[taps[2]], &padded[taps[3]]}
+						transBTile(&rows, &off[0], &panel[j*k], k, &tile, false)
+					} else {
+						for r, tap := range taps {
+							c := chains4(padded[tap:], w, off, j, n)
+							copy(tile[r*lw:], c[:])
+						}
+					}
+					dst.store(o+j*dst.plane, j*outHW+at+2*px, &tile, bias[j:min(j+step, n)])
+				}
+				t, o = t+2*s, o+1
+			}
+			t += (2*pw - outW) * s // to the next window row's first window
+		}
+		t, o = t+g.PaddedLen()-g.OutH()*pw*s, o+(n-1)*dst.plane // to the next image
+	}
+}
+
+// poolDst is where ConvPoolInto stores its windows: the pooled output,
+// channel-major per image, and the argmax, nil in a forward-only pass.
+type poolDst[T Float] struct {
+	pooled []T
+	argmax []int
+	plane  int // one channel's pooled elements
+	outW   int // the unpooled row width
+	outHW  int // one channel's unpooled elements
+}
+
+// store writes one window's pooled value for len(bias) consecutive
+// channels: tile rows 0–3, lanes wide, are the sums of its pixels (0,0),
+// (0,1), (1,0), (1,1). Each sum gets its channel's bias — the one
+// rounding the unfused bias add made — then ReLU's v if v > 0, else +0,
+// then MaxPool2's choice, which moves only to a strictly greater value.
+// ReLU's outputs are never negative and never NaN, so the max is taken on
+// their encodings read as integers (reluBits), which order as the values
+// do: every select is an integer one, never a jump on a value. o is the
+// window's element in the first channel's pooled plane, each further
+// channel's a plane later; at is the window's first pixel in the first
+// channel's unpooled plane, and the argmax is the chosen pixel's index in
+// its channel's.
+func (d *poolDst[T]) store(o, at int, tile *[32]T, bias []T) {
+	lw := lanes[T]()
+	s0 := tile[:len(bias)]
+	s1, s2, s3 := tile[lw:][:len(s0)], tile[2*lw:][:len(s0)], tile[3*lw:][:len(s0)]
+	out, arg := d.pooled[o:], d.argmax
+	if arg != nil {
+		arg = arg[o:]
+	}
+	plane, outW, outHW := d.plane, d.outW, d.outHW
+	oi := 0 // the channel's pooled element and argmax
+	for c, b := range bias {
+		u1, u2, u3 := reluBits(s1[c]+b), reluBits(s2[c]+b), reluBits(s3[c]+b)
+		pix, u := 0, reluBits(s0[c]+b) // the chosen pixel's offset in the window, and its value
+		if u1 > u {
+			pix, u = 1, u1
+		}
+		if u2 > u {
+			pix, u = outW, u2
+		}
+		if u3 > u {
+			pix, u = outW+1, u3
+		}
+		out[oi] = fromBits[T](u)
+		if arg != nil {
+			arg[oi] = at + pix
+		}
+		oi, at = oi+plane, at+outHW
+	}
+}
+
+// reluBits is relu(v)'s encoding read as an integer: v's if v > 0, else
+// that of +0, which is 0 (also for −0 and NaN). Over these values, never
+// negative and never NaN, the integers order as the values do, and equal
+// integers are equal values.
+func reluBits[T Float](v T) int64 {
+	var u, r int64
+	if unsafe.Sizeof(v) == 4 {
+		u = int64(math.Float32bits(float32(v)))
+	} else {
+		u = int64(math.Float64bits(float64(v)))
+	}
+	if v > 0 {
+		r = u
+	}
+	return r
+}
+
+// fromBits is the value whose encoding reluBits read as u.
+func fromBits[T Float](u int64) T {
+	if unsafe.Sizeof(T(0)) == 4 {
+		return T(math.Float32frombits(uint32(u)))
+	}
+	return T(math.Float64frombits(uint64(u)))
 }
 
 // The backward convolution, read in place in the same padded batch. The

@@ -122,6 +122,24 @@ var mutants = []struct {
 	// float32 fig1 or ablation-layer run trains its probes in float64.
 	{"internal/experiments/fig1.go", "\tts.DType = env.DType\n", "",
 		"./internal/experiments", "TestProbeLayersTrainOnEnvDType"},
+	// A semi-async straggler observed with the epochs it finished by the
+	// deadline: one that finished none, whose full pass FedBuff still
+	// trains and delivers late, is booked offline.
+	{"internal/engine/driver.go", "\t\t\tif d.Async && lag > 0 {\n\t\t\t\tdone = es.cfgEpochs // a semi-async straggler trains its full pass and delivers it late\n\t\t\t}\n", "",
+		"./internal/engine", "TestStragglerOutcomesFollowTheDeliveryModel"},
+	// The LeNet block's pooled store moving its choice on a tie: the
+	// window's second pixel wins a tie with the first, not MaxPool2's
+	// first.
+	{"internal/tensor/conv.go", "if u1 > u {", "if u1 >= u {",
+		"./internal/nn", "TestLeNetBlockMatchesLayers"},
+	// The block's backward passing the gradient where the pooled value is
+	// +0: ReLU passes nothing there.
+	{"internal/nn/block.go", "b2i(v[oi] > 0)", "b2i(v[oi] >= 0)",
+		"./internal/nn", "TestLeNetBlockMatchesLayers"},
+	// The pooled store reading the window's second and third pixels from
+	// each other's tile rows: the max is the same, its argmax is not.
+	{"internal/tensor/conv.go", "reluBits(s1[c]+b), reluBits(s2[c]+b)", "reluBits(s2[c]+b), reluBits(s1[c]+b)",
+		"./internal/tensor", "TestLeNetBlockOnBothKernelPaths"},
 }
 
 // TestMutantsAreKilled: every mutants row, written under t.TempDir and
